@@ -323,10 +323,19 @@ func TestProcessBurstNoAllocs(t *testing.T) {
 // replay and microflow promotion on every poll — all of which must likewise
 // stay allocation- and lock-free (mask groups are created once, during
 // warmup).
+// The gateway variant forces double misses through a direct-code start
+// table: four times as many flows as either cache level holds, so every poll
+// runs the tracked walk — whose per-rule mask observation is the part of the
+// miss path that used to allocate — and installs into both levels.
 func TestWorkerPathZeroLocksZeroAllocs(t *testing.T) {
-	t.Run("flowcache=off", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, 0, 0) })
-	t.Run("flowcache=on", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, 4096, 0) })
-	t.Run("megaflow=on", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, 64, 4096) })
+	l3 := workload.L3UseCase(1000, 4, 2016)
+	t.Run("flowcache=off", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, l3, 256, 0, 0, false) })
+	t.Run("flowcache=on", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, l3, 256, 4096, 0, false) })
+	t.Run("megaflow=on", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, l3, 256, 64, 4096, false) })
+	t.Run("gateway/misses", func(t *testing.T) {
+		gw := workload.GatewayUseCase(workload.GatewayConfig{CEs: 4, UsersPerCE: 8, Prefixes: 1000, Seed: 2016})
+		testWorkerPathZeroLocksZeroAllocs(t, gw, 1024, 64, 64, true)
+	})
 }
 
 // idleSupervisor connects a supervised control channel to a throwaway
@@ -372,8 +381,7 @@ func idleSupervisor(t *testing.T, dp controller.FlowProgrammer) {
 	}
 }
 
-func testWorkerPathZeroLocksZeroAllocs(t *testing.T, flowCache, megaflow int) {
-	uc := workload.L3UseCase(1000, 4, 2016)
+func testWorkerPathZeroLocksZeroAllocs(t *testing.T, uc *workload.UseCase, nFrames, flowCache, megaflow int, wantWalks bool) {
 	opts := core.DefaultOptions()
 	opts.FlowCache = flowCache
 	opts.Megaflow = megaflow
@@ -437,15 +445,17 @@ func testWorkerPathZeroLocksZeroAllocs(t *testing.T, flowCache, megaflow int) {
 			t.Fatalf("armed metrics endpoint missing latency histogram:\n%.400s", body)
 		}
 	}
-	trace := uc.Trace(512)
-	frames := make([][]byte, 256)
+	trace := uc.Trace(2 * nFrames)
+	frames := make([][]byte, nFrames)
+	ports := make([]*dpdk.Port, nFrames)
 	for i := range frames {
-		frames[i], _ = trace.Frame(i)
+		var in uint32
+		frames[i], in = trace.Frame(i)
+		ports[i], _ = sw.Port(in)
 	}
-	port, _ := sw.Port(1)
 	run := func() {
-		for _, f := range frames {
-			port.InjectOn(dpdk.AutoQueue, f)
+		for i, f := range frames {
+			ports[i].InjectOn(dpdk.AutoQueue, f)
 		}
 		for sw.PollOnce(nil) > 0 {
 		}
@@ -458,6 +468,7 @@ func testWorkerPathZeroLocksZeroAllocs(t *testing.T, flowCache, megaflow int) {
 	for i := 0; i < 4; i++ {
 		run()
 	}
+	warm := sw.Stats()
 	lockedDP, lockedSW := dp.MutexOps(), sw.MutexOps()
 	// Pin the GC so a worker-state pool eviction cannot masquerade as a
 	// lock acquisition (pool refills register a fresh state under the
@@ -493,6 +504,9 @@ func testWorkerPathZeroLocksZeroAllocs(t *testing.T, flowCache, megaflow int) {
 	// The canonical counter identities hold over the full armed plane.
 	if err := st.CheckInvariants(true); err != nil {
 		t.Fatal(err)
+	}
+	if walks := st.MegaMisses - warm.MegaMisses; wantWalks && walks < uint64(nFrames) {
+		t.Fatalf("the measured window was to run on double misses, yet only %d tracked walks", walks)
 	}
 	// Latency sampling was armed throughout: the measured window's bursts
 	// must appear in the folded histogram.
@@ -609,8 +623,9 @@ func TestSwitchStatsFoldFlowCache(t *testing.T) {
 		t.Fatalf("stale %d exceeds misses %d", st.CacheStale, st.CacheMisses)
 	}
 	// The core-level fold must agree with the substrate's.
-	hits, misses, stale := dp.FlowCacheCounters()
-	if hits != st.CacheHits || misses != st.CacheMisses || stale != st.CacheStale {
+	hits, misses, stale, reval, expired, _ := dp.FlowCacheCounters()
+	if hits != st.CacheHits || misses != st.CacheMisses || stale != st.CacheStale ||
+		reval != st.CacheRevalidated || expired != st.CacheExpired {
 		t.Fatalf("substrate fold (%d,%d,%d) != datapath fold (%d,%d,%d)",
 			st.CacheHits, st.CacheMisses, st.CacheStale, hits, misses, stale)
 	}

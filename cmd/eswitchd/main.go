@@ -64,8 +64,8 @@
 // of the given number of entries in front of the compiled pipeline (eswitch
 // datapath only).  The cache and the cycle meter are mutually exclusive — the
 // model must observe the full template walk — so enabling the cache trades
-// the "model:" summary line for a "flowcache:" one showing the hit/miss/stale
-// counters folded from all workers.
+// the "model:" summary line for a "flowcache:" one showing the hit/miss/
+// stale/revalidated counters folded from all workers.
 //
 // -megaflow adds a per-worker megaflow (masked-match) second-level cache of
 // the given number of entries behind the microflow cache: microflow misses

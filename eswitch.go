@@ -229,8 +229,12 @@ type TableStage = core.TableStage
 
 // FlowCacheStats are the folded per-worker microflow verdict cache counters
 // (see Options.FlowCache).  Stale is the subset of Misses whose probe found a
-// matching key from a retired generation; with the cache enabled, Hits+Misses
-// equals the number of packets classified through the burst path.
+// matching key but lost it to a flow-mod that could have changed its verdict;
+// Revalidated the subset of Hits whose probe found a key from before a
+// flow-mod that could not; Expired the part of Stale lost to the number of
+// flow-mods since rather than to any one of them; Flushes the flow-mods that
+// staled every older entry.  With the cache enabled, Hits+Misses equals the number of packets
+// classified through the burst path.
 type FlowCacheStats = core.FlowCacheStats
 
 // MegaflowStats are the folded per-worker megaflow (masked-match) cache
@@ -456,6 +460,10 @@ type TraceResult = core.TraceResult
 // TraceStep is one table lookup of a TraceResult.
 type TraceStep = core.TraceStep
 
+// TraceStaleMod is the logged flow-mod a TraceResult names as staling the
+// traced packet's memoized verdicts.
+type TraceStaleMod = core.TraceStaleMod
+
 // FlowSample is one flow entry's identity and counter snapshot (see
 // Switch.FlowSamples).
 type FlowSample = core.FlowSample
@@ -463,8 +471,9 @@ type FlowSample = core.FlowSample
 // Trace replays one frame through the compiled pipeline as if it had been
 // received on inPort and explains every step: which table was consulted
 // through which compiled template, what matched, the final verdict, whether
-// the microflow/megaflow caches could memoize the walk, and the minimal
-// megaflow mask covering it.  The replay runs off the hot path (epoch-pinned
+// the microflow/megaflow caches could memoize the walk, how many of the
+// logged flow-mods a memoized verdict survives and which one stales it, and
+// the minimal megaflow mask covering the walk.  The replay runs off the hot path (epoch-pinned
 // like Process), never bumps per-flow counters and never installs cache
 // entries — the ofproto/trace analogue for the compiled datapath.  The frame
 // may be rewritten in place, exactly as forwarding would rewrite it.

@@ -381,7 +381,6 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 		return
 	}
 
-	gen := sn.gen
 	cs := sc.cache
 
 	// Probe pass A: derive every packet's key, hash and set base, and read
@@ -418,7 +417,7 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 	for i := 0; i < n; i++ {
 		p := ps[i]
 		if cs.cbase[i] != probeSkip {
-			if e, ei, st := fc.lookupAt(cs.cbase[i], cs.chash[i], &cs.ckey[i], gen); e != nil {
+			if e, ei, st := fc.lookupAt(cs.cbase[i], cs.chash[i], &cs.ckey[i], sn); e != nil {
 				e.apply(p, &vs[i])
 				if e.nctr != 0 {
 					// Credit the entries the memoized walk matched, so
@@ -485,6 +484,6 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 		if !ok {
 			continue
 		}
-		fc.install(cs.chash[i], &cs.ckey[i], gen, flags, out, tables, ttlDec, puntTable, fields, &patch, ctrs, nctr)
+		fc.install(cs.chash[i], &cs.ckey[i], sn.gen, flags, out, tables, ttlDec, puntTable, fields, &patch, ctrs, nctr)
 	}
 }

@@ -48,9 +48,15 @@ type snapshot struct {
 	missToCtrl  bool
 	// gen is the datapath generation this snapshot was published under.
 	// Every flow-mod bumps it after its table mutations are in place, so a
-	// microflow-cache entry recorded under an older generation can never be
-	// served once the mutation is visible (flowcache.go).
+	// cache entry recorded under an older generation is never served
+	// unexamined once the mutation is visible (flowcache.go).
 	gen uint64
+	// mods is the flow-mod scope log as of gen (scope.go), at most
+	// modLogWindow records: its last n describe the n mutations since
+	// generation gen-n, which is what lets a probe keep an older entry no
+	// mod since has touched.  Empty on a datapath compiled without caches,
+	// and before the first mutation.
+	mods []modScope
 	// cacheable reports whether the pipeline's verdicts may be memoized per
 	// microflow: every match field used anywhere in the pipeline is covered
 	// by the canonical flow key.  Per-entry counters do not affect it — the
@@ -125,9 +131,17 @@ type Datapath struct {
 	versions map[openflow.TableID]*tableVersion
 
 	// gen is the writer-owned datapath generation, bumped by every flow-mod
-	// after its table mutations and published through the snapshot; the
-	// microflow caches treat entries from older generations as misses.
+	// after its table mutations (logMod) and published through the snapshot.
 	gen uint64
+	// dirty maps each table to the match fields some entry upstream of it
+	// may have rewritten, and mods is the bounded log of what each
+	// generation's mutation could have changed (scope.go).  Both exist only
+	// on a datapath whose workers carry caches; dirty != nil is that test.
+	dirty map[openflow.TableID]openflow.FieldSet
+	mods  []modScope
+	// flushes counts the barrier records logged: the mutations after which
+	// no older cache entry could be revalidated.
+	flushes atomic.Uint64
 	// usedFields accumulates (monotonically — deletes never shrink it, a
 	// deliberately conservative choice that keeps AddFlow O(1)) the union
 	// of match fields ever installed, backing the snapshot's cacheable bit.
@@ -184,6 +198,9 @@ func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 		}
 		d.trampolines[t.ID].store(dp)
 	}
+	if opts.FlowCache > 0 && d.meter == nil {
+		d.markAllDirty()
+	}
 	d.publish()
 	return d, nil
 }
@@ -199,6 +216,7 @@ func (d *Datapath) publish() {
 		numPorts:    d.numPorts,
 		missToCtrl:  d.pipeline.Miss == openflow.MissController,
 		gen:         d.gen,
+		mods:        d.mods[max(0, len(d.mods)-modLogWindow):],
 		cacheable:   d.usedFields&^cacheCoveredFields == 0,
 	})
 }

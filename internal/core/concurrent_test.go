@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,9 +16,10 @@ import (
 // workers forward bursts through the lock-free path (registered epochs,
 // ProcessBurstUnlocked) while the writer hammers AddFlow/DeleteFlow on the
 // same tables.  Run under -race this exercises the epoch-swap machinery; the
-// verdict assertions check that no burst ever observes a torn table (every
-// verdict is valid under either the pre- or post-update configuration) and
-// that verdicts converge to the final configuration once updates stop.
+// verdict assertions check that no burst ever observes a torn table or a
+// retired verdict (every verdict is the interpreter's under the pipeline as
+// it stood before or after a flow-mod in flight during the burst) and that
+// verdicts converge to the final configuration once updates stop.
 
 const (
 	ccStablePort  = 2
@@ -68,10 +70,11 @@ func TestConcurrentFlowModsUnderBurstTraffic(t *testing.T) {
 // TestConcurrentFlowModsFlowCache is the flowcache acceptance variant: the
 // same AddFlow/DeleteFlow storm, but every worker forwards through its
 // registered handle's ProcessBurst with a private microflow cache in front of
-// the compiled pipeline.  The per-kind verdict assertions prove no burst is
-// ever served a verdict from a generation retired before the worker's current
-// epoch entry, and the convergence check proves the caches drain to the final
-// configuration once updates stop.
+// the compiled pipeline.  The oracle-window assertions prove no burst is ever
+// served a verdict retired before the worker's current epoch entry — neither
+// from an entry of the current generation nor from one revalidated against
+// the mods since — and the convergence check proves the caches drain to the
+// final configuration once updates stop.
 func TestConcurrentFlowModsFlowCache(t *testing.T) {
 	runConcurrentFlowMods(t, 8192, 0)
 }
@@ -99,24 +102,68 @@ func runConcurrentFlowMods(t *testing.T, flowCache, megaflow int) {
 		t.Fatalf("table 1 compiled to %v, want LPM", k)
 	}
 
-	// The burst each worker replays: stable flows, flows into the flapping
-	// /24 route, and flows from the flapping table-0 source.
-	type kind uint8
-	const (
-		kindStable    kind = iota // must always exit on ccStablePort
-		kindFlapRoute             // ccStablePort (route absent) or ccFlapPort (present)
-		kindFlapSrc               // forwarded on ccStablePort (entry present) or dropped
-	)
+	// The burst each worker replays: stable flows (always ccStablePort),
+	// flows into the flapping /24 route (ccStablePort while it is absent,
+	// ccFlapPort while present), and flows from the flapping table-0 sources
+	// (forwarded while their entry is present, dropped otherwise).
 	var frames [][]byte
-	var kinds []kind
 	for i := 0; i < 12; i++ {
-		frames = append(frames, ccFrame(uint32(0x0a000001+i), ccStableDst, uint16(1000+i)))
-		kinds = append(kinds, kindStable)
-		frames = append(frames, ccFrame(uint32(0x0a000001+i), ccFlapDst, uint16(2000+i)))
-		kinds = append(kinds, kindFlapRoute)
-		frames = append(frames, ccFrame(uint32(ccFlapSrcBase+i%4), ccStableDst, uint16(3000+i)))
-		kinds = append(kinds, kindFlapSrc)
+		frames = append(frames,
+			ccFrame(uint32(0x0a000001+i), ccStableDst, uint16(1000+i)),
+			ccFrame(uint32(0x0a000001+i), ccFlapDst, uint16(2000+i)),
+			ccFrame(uint32(ccFlapSrcBase+i%4), ccStableDst, uint16(3000+i)))
 	}
+
+	// The writer's flow-mods, one period of ten: the route and the four
+	// sources come, then go.  After k mods the pipeline is in state k%10.
+	flapRoute := openflow.NewMatch().SetPrefix(openflow.FieldIPDst, 0xcb00ca00, 24)
+	flapSrc := func(i int) *openflow.Match {
+		return openflow.NewMatch().Set(openflow.FieldIPSrc, uint64(ccFlapSrcBase+i))
+	}
+	type ccMod struct {
+		table    openflow.TableID
+		add      *openflow.FlowEntry // nil: delete (match, priority)
+		match    *openflow.Match
+		priority int
+	}
+	var period []ccMod
+	period = append(period, ccMod{table: 1, add: openflow.NewEntry(24, flapRoute, openflow.Apply(openflow.Output(ccFlapPort)))})
+	for i := 0; i < 4; i++ {
+		period = append(period, ccMod{table: 0, add: openflow.NewEntry(10, flapSrc(i), openflow.Goto(1))})
+	}
+	period = append(period, ccMod{table: 1, match: flapRoute, priority: 24})
+	for i := 0; i < 4; i++ {
+		period = append(period, ccMod{table: 0, match: flapSrc(i), priority: 10})
+	}
+	// oracle[s][i] is the interpreter's egress port for frame i in state s
+	// (0 = dropped; the pipeline neither punts nor floods).
+	oracle := make([][]uint32, len(period))
+	{
+		pl := ccPipeline()
+		in := openflow.NewInterpreter(pl)
+		for s, m := range period {
+			oracle[s] = make([]uint32, len(frames))
+			for i, f := range frames {
+				var v openflow.Verdict
+				in.Process(&pkt.Packet{Data: f, InPort: 1}, &v, nil)
+				if len(v.OutPorts) == 1 {
+					oracle[s][i] = v.OutPorts[0]
+				}
+			}
+			if m.add != nil {
+				pl.Table(m.table).Add(m.add.Clone())
+			} else {
+				pl.Table(m.table).Delete(m.match, m.priority)
+			}
+		}
+	}
+	// started counts the mods the writer has begun, applied those that have
+	// returned: a burst bracketed by applied=lo before and started=hi after
+	// ran under the pipeline of some state in [lo, hi].
+	// bursts counts checked bursts; the writer lets one complete between
+	// mods so the storm interleaves with forwarding instead of outrunning it
+	// (which would put every state in every window).
+	var started, applied, bursts atomic.Int64
 
 	const workers = 3
 	done := make(chan struct{})
@@ -142,6 +189,7 @@ func runConcurrentFlowMods(t *testing.T, flowCache, megaflow int) {
 					packets[i] = pkt.Packet{Data: frames[i], InPort: 1}
 					ps[i] = &packets[i]
 				}
+				lo := applied.Load()
 				e.Enter()
 				if flowCache > 0 {
 					// The handle path: worker-local scratch, meter shard
@@ -151,58 +199,63 @@ func runConcurrentFlowMods(t *testing.T, flowCache, megaflow int) {
 					dp.ProcessBurstUnlocked(ps, vs)
 				}
 				e.Exit()
+				hi := started.Load()
 				// Yield between bursts: on machines with fewer cores
 				// than workers this keeps the scheduler rotating the
 				// way truly parallel per-core workers would.
 				runtime.Gosched()
+				if hi-lo >= int64(len(period)) {
+					hi = lo + int64(len(period)) - 1 // every state is in the window
+				}
 				for i := range vs {
 					v := &vs[i]
-					var ok bool
-					switch kinds[i] {
-					case kindStable:
-						ok = len(v.OutPorts) == 1 && v.OutPorts[0] == ccStablePort
-					case kindFlapRoute:
-						ok = len(v.OutPorts) == 1 &&
-							(v.OutPorts[0] == ccStablePort || v.OutPorts[0] == ccFlapPort)
-					case kindFlapSrc:
-						ok = (len(v.OutPorts) == 1 && v.OutPorts[0] == ccStablePort) ||
-							(len(v.OutPorts) == 0 && v.Dropped && !v.ToController)
+					got := uint32(0)
+					if len(v.OutPorts) == 1 {
+						got = v.OutPorts[0]
 					}
-					if !ok {
-						errs <- fmt.Errorf("worker %d: torn verdict for kind %d: %v", w, kinds[i], v)
+					ok := false
+					for k := lo; k <= hi && !ok; k++ {
+						ok = got == oracle[k%int64(len(period))][i]
+					}
+					if !ok || len(v.OutPorts) > 1 || v.ToController || (got == 0) != v.Dropped {
+						errs <- fmt.Errorf("worker %d: frame %d: verdict %v is the oracle's under none of the states %d..%d",
+							w, i, v, lo, hi)
 						return
 					}
 				}
+				bursts.Add(1)
 			}
 		}(w)
 	}
 
 	// Writer: flap an LPM /24 route and a batch of table-0 hash entries.
-	flapRoute := openflow.NewMatch().SetPrefix(openflow.FieldIPDst, 0xcb00ca00, 24)
-	const rounds = 150
-	for r := 0; r < rounds; r++ {
-		if r%2 == 0 {
-			if err := dp.AddFlow(1, openflow.NewEntry(24, flapRoute.Clone(),
-				openflow.Apply(openflow.Output(ccFlapPort)))); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 4; i++ {
-				if err := dp.AddFlow(0, openflow.NewEntry(10,
-					openflow.NewMatch().Set(openflow.FieldIPSrc, uint64(ccFlapSrcBase+i)),
-					openflow.Goto(1))); err != nil {
-					t.Fatal(err)
-				}
-			}
+	const rounds = 75
+	for r := 0; r < rounds*len(period); r++ {
+		m := period[r%len(period)]
+		started.Add(1)
+		var err error
+		if m.add != nil {
+			err = dp.AddFlow(m.table, m.add.Clone())
 		} else {
-			if _, err := dp.DeleteFlow(1, flapRoute.Clone(), 24); err != nil {
-				t.Fatal(err)
+			_, err = dp.DeleteFlow(m.table, m.match.Clone(), m.priority)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied.Add(1)
+		// A reading taken while bursts are in flight still has to respect
+		// the counters' subset relations (publish order in bump, read order
+		// in Stats).
+		if flowCache > 0 {
+			st, ms := dp.FlowCacheStats(), dp.MegaflowStats()
+			if st.Revalidated > st.Hits || st.Expired > st.Stale || st.Stale > st.Misses || ms.Revalidated > ms.Hits {
+				close(done)
+				wg.Wait()
+				t.Fatalf("mid-burst reading breaks a subset relation: %+v %+v", st, ms)
 			}
-			for i := 0; i < 4; i++ {
-				if _, err := dp.DeleteFlow(0,
-					openflow.NewMatch().Set(openflow.FieldIPSrc, uint64(ccFlapSrcBase+i)), 10); err != nil {
-					t.Fatal(err)
-				}
-			}
+		}
+		for seen := bursts.Load(); bursts.Load() == seen && len(errs) == 0; {
+			runtime.Gosched()
 		}
 		select {
 		case err := <-errs:
@@ -241,7 +294,10 @@ func runConcurrentFlowMods(t *testing.T, flowCache, megaflow int) {
 			t.Fatal("flowcache run produced no cache hits")
 		}
 		if st.Stale == 0 {
-			t.Fatal("150 update rounds produced no stale-generation sightings")
+			t.Fatal("750 flow-mods produced no stale-generation sightings")
+		}
+		if st.Revalidated == 0 {
+			t.Fatal("750 flow-mods, most of them beside the stable flows, and no probe was revalidated")
 		}
 	}
 	if megaflow > 0 {

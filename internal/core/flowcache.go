@@ -29,11 +29,25 @@ import (
 //     packet and shared with RSS queue steering; a full key comparison
 //     disambiguates collisions, so hash symmetry costs nothing but a shared
 //     set between a flow's two directions.
-//   - Safety under flow-mods comes from a datapath generation counter: every
-//     mutation (AddFlow, DeleteFlow, InstallPipeline) bumps the generation
-//     published in the snapshot, and an entry whose recorded generation
-//     differs from the current snapshot's is a miss ("stale").  No per-entry
-//     locking, no invalidation walks: one counter compare per probe.
+//   - Safety under flow-mods comes from a datapath generation counter plus a
+//     bounded log of what each generation's mutation could have changed
+//     (scope.go).  Every mutation (AddFlow, DeleteFlow, InstallPipeline)
+//     bumps the generation published in the snapshot.  An entry of the
+//     current generation is served on one counter compare, as ever.  An
+//     entry of an older generation is revalidated lazily, by the probe that
+//     finds it: a verdict can change only if the packet, as seen at the
+//     modified table T, matches the added or removed rule; the fields no
+//     entry upstream of T rewrites ("clean" at T) read the same there as on
+//     the wire; so if the packet's key disagrees with the rule on a clean
+//     field, for every mod logged since the entry's generation, the verdict
+//     stands — the entry's generation is refreshed in place and the probe
+//     is a hit.  If a record overlaps the key, or is a barrier (anything the
+//     analysis does not cover: InstallPipeline, a decomposed datapath, a
+//     created table, a deeper parser, a match outside the flow key), or the
+//     log (a window of the last modLogWindow mods) no longer reaches back to
+//     the entry's generation, the entry is a miss ("stale").  No per-entry
+//     locking, no invalidation walks, nothing shared is written: the log is
+//     immutable behind the snapshot.
 //   - Verdicts that cannot be memoized are never installed: multi-port
 //     (flood/multicast) outputs, packets entering with non-zero metadata, and
 //     header rewrites the flat patch cannot express (see diffHeaders).
@@ -162,10 +176,17 @@ type cacheEntry struct {
 const flowCacheWays = 4
 
 // FlowCacheStats are the aggregate microflow-cache counters, folded over all
-// workers of a datapath.  Stale counts the probes that found a matching key
-// from a retired generation; every stale probe is also counted as a miss, so
+// workers of a datapath.  Stale counts the probes lost to a retired
+// generation: they found a matching key, but a flow-mod since could have
+// changed its verdict.  Every stale probe is also counted as a miss, so
 // Hits+Misses equals the number of packets that ran the cache-enabled burst
-// path.
+// path.  Revalidated counts the probes that found a matching key from a
+// retired generation and kept it (no mod since overlaps it); they are hits.
+// Expired is the subset of Stale lost not to any particular flow-mod but to
+// their number: the entry sat unprobed through more mods than the scope log
+// holds.  Flushes is a writer-side count, not a per-worker one: the barrier
+// records logged, i.e. the mutations after which no older entry could be
+// revalidated.  (Stale probes beyond Expired overlapped a mod or a barrier.)
 //
 // The occupancy counters describe install-side behaviour: Installs is every
 // memoization, Fills the installs that claimed a previously-empty slot (so
@@ -177,6 +198,8 @@ const flowCacheWays = 4
 // sets.
 type FlowCacheStats struct {
 	Hits, Misses, Stale      uint64
+	Revalidated, Expired     uint64
+	Flushes                  uint64
 	Installs, Fills, Victims uint64
 	Capacity                 uint64
 }
@@ -200,8 +223,8 @@ type FlowCache struct {
 	// Owner-local running totals and their atomic mirrors: the owner
 	// increments the locals per burst and Store()s them into the mirrors —
 	// single-writer atomic stores, no read-modify-writes on the hot path.
-	hitsL, missesL, staleL uint64
-	hits, misses, stale    atomic.Uint64
+	hitsL, missesL, staleL, revalidatedL, expiredL uint64
+	hits, misses, stale, revalidated, expired      atomic.Uint64
 
 	// Install-side occupancy tallies (same single-writer mirror scheme):
 	// every install, installs that filled a previously-invalid slot, and
@@ -239,22 +262,25 @@ func newFlowCache(entries int, counters bool) *FlowCache {
 // Len returns the cache capacity in entries.
 func (fc *FlowCache) Len() int { return len(fc.entries) }
 
-// lookup probes the set for a current-generation entry with the given key.
-// It reports a stale sighting (matching key, retired generation) so the
-// caller can count it; a stale entry is never returned.  idx is the hit
-// entry's index (fc.ctrs[idx] holds its memoized counter pointers).
-func (fc *FlowCache) lookup(h uint32, k *flowKey, gen uint64) (e *cacheEntry, idx uint32, stale bool) {
-	return fc.lookupAt((h&fc.mask)*flowCacheWays, h, k, gen)
+// lookup probes the set for an entry with the given key that is valid under
+// the snapshot: of its generation, or of an older one no flow-mod since has
+// touched (revalidate).  It reports a stale sighting (matching key, lost to a
+// retired generation) so the caller can count it; a stale entry is never
+// returned.  idx is the hit entry's index (fc.ctrs[idx] holds its memoized
+// counter pointers).
+func (fc *FlowCache) lookup(h uint32, k *flowKey, sn *snapshot) (e *cacheEntry, idx uint32, stale bool) {
+	return fc.lookupAt((h&fc.mask)*flowCacheWays, h, k, sn)
 }
 
 // lookupAt is lookup with the set base precomputed (the burst probe pass
 // derives all bases first so the cold set lines can be touched early).
-func (fc *FlowCache) lookupAt(base, h uint32, k *flowKey, gen uint64) (e *cacheEntry, idx uint32, stale bool) {
+func (fc *FlowCache) lookupAt(base, h uint32, k *flowKey, sn *snapshot) (e *cacheEntry, idx uint32, stale bool) {
+	gen := sn.gen
 	set := fc.entries[base : base+flowCacheWays]
 	for i := range set {
 		c := &set[i]
 		if c.hash == h && c.flags&cacheValid != 0 && c.key == *k {
-			if c.gen == gen {
+			if c.gen == gen || fc.revalidate(c, sn) {
 				return c, base + uint32(i), stale
 			}
 			stale = true
@@ -263,30 +289,48 @@ func (fc *FlowCache) lookupAt(base, h uint32, k *flowKey, gen uint64) (e *cacheE
 	return nil, 0, stale
 }
 
+// revalidate is the probe's slow path for a matching entry of an older
+// generation: if no flow-mod since that generation can have changed the
+// verdict of this exact key, the entry joins the snapshot's generation.
+func (fc *FlowCache) revalidate(c *cacheEntry, sn *snapshot) bool {
+	n := sn.lag(c.gen)
+	if n < 0 {
+		fc.expiredL++
+		return false
+	}
+	if sn.newestOverlap(n, &c.key, &exactKey) >= 0 {
+		return false
+	}
+	c.gen = sn.gen
+	fc.revalidatedL++
+	return true
+}
+
 // install memoizes a verdict for the key.  Victim priority: an entry already
-// holding the key (refresh in place), an invalid slot, a retired-generation
-// slot, then round-robin — so churn under a full set cannot pin one way.
+// holding the key (refresh in place), an invalid slot, then the entry of the
+// oldest generation — a probe refreshes an entry's generation, so it doubles
+// as a last-probed stamp at flow-mod granularity: the oldest entry has gone
+// unprobed through the most mods, an expired one (which nothing can
+// revalidate any more) through the most of all.  With every entry of the
+// current generation it is round-robin, so a full set cannot pin one way.
 // ctrs/nctr carry the matched entries' counter pointers on a counters-enabled
 // datapath (nil/0 otherwise), so hits can keep per-flow statistics exact.
 func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, flags uint8, out uint32, tables, ttlDec uint8, puntTable uint16, fields uint16, patch *cachePatch, ctrs *[cacheMaxCtrs]*openflow.Counters, nctr uint8) {
 	base := (h & fc.mask) * flowCacheWays
 	set := fc.entries[base : base+flowCacheWays]
 	var victim *cacheEntry
-	vi := uint32(0)
+	vi, oldest := uint32(0), uint64(0)
 	for i := range set {
 		c := &set[i]
+		age := gen - c.gen
 		if c.flags&cacheValid == 0 {
-			if victim == nil {
-				victim, vi = c, base+uint32(i)
-			}
-			continue
-		}
-		if c.hash == h && c.key == *k {
+			age = ^uint64(0)
+		} else if c.hash == h && c.key == *k {
 			victim, vi = c, base+uint32(i)
 			break
 		}
-		if c.gen != gen && (victim == nil || victim.flags&cacheValid != 0) {
-			victim, vi = c, base+uint32(i)
+		if age > oldest {
+			victim, vi, oldest = c, base+uint32(i), age
 		}
 	}
 	if victim == nil {
@@ -526,6 +570,9 @@ func (fc *FlowCache) bump(hits, misses, stale int) {
 	if hits != 0 {
 		fc.hitsL += uint64(hits)
 		fc.hits.Store(fc.hitsL)
+		if fc.revalidatedL != fc.revalidated.Load() {
+			fc.revalidated.Store(fc.revalidatedL)
+		}
 	}
 	if misses != 0 {
 		fc.missesL += uint64(misses)
@@ -534,19 +581,27 @@ func (fc *FlowCache) bump(hits, misses, stale int) {
 	if stale != 0 {
 		fc.staleL += uint64(stale)
 		fc.stale.Store(fc.staleL)
+		if fc.expiredL != fc.expired.Load() {
+			fc.expired.Store(fc.expiredL)
+		}
 	}
 }
 
-// Stats returns this cache's counters (concurrent-read safe).
+// Stats returns this cache's counters (concurrent-read safe).  Each subset
+// counter is read before its superset, the reverse of the order bump
+// publishes them in, so Revalidated <= Hits and Expired <= Stale <= Misses
+// hold in every reading, mid-burst ones included.
 func (fc *FlowCache) Stats() FlowCacheStats {
 	return FlowCacheStats{
-		Hits:     fc.hits.Load(),
-		Misses:   fc.misses.Load(),
-		Stale:    fc.stale.Load(),
-		Installs: fc.installs.Load(),
-		Fills:    fc.fills.Load(),
-		Victims:  fc.victims.Load(),
-		Capacity: uint64(len(fc.entries)),
+		Revalidated: fc.revalidated.Load(),
+		Hits:        fc.hits.Load(),
+		Expired:     fc.expired.Load(),
+		Stale:       fc.stale.Load(),
+		Misses:      fc.misses.Load(),
+		Installs:    fc.installs.Load(),
+		Fills:       fc.fills.Load(),
+		Victims:     fc.victims.Load(),
+		Capacity:    uint64(len(fc.entries)),
 	}
 }
 
@@ -566,15 +621,22 @@ func (r *cacheRegistry) register(fc *FlowCache) {
 	r.mu.Unlock()
 }
 
+// add folds another cache's event counters into t (not Capacity, which
+// describes live caches only).
+func (t *FlowCacheStats) add(st FlowCacheStats) {
+	t.Hits += st.Hits
+	t.Misses += st.Misses
+	t.Stale += st.Stale
+	t.Revalidated += st.Revalidated
+	t.Expired += st.Expired
+	t.Installs += st.Installs
+	t.Fills += st.Fills
+	t.Victims += st.Victims
+}
+
 func (r *cacheRegistry) retire(fc *FlowCache) {
 	r.mu.Lock()
-	st := fc.Stats()
-	r.base.Hits += st.Hits
-	r.base.Misses += st.Misses
-	r.base.Stale += st.Stale
-	r.base.Installs += st.Installs
-	r.base.Fills += st.Fills
-	r.base.Victims += st.Victims
+	r.base.add(fc.Stats())
 	// Capacity tracks live caches only; a retired worker's entries are gone.
 	kept := r.live[:0]
 	for _, c := range r.live {
@@ -591,12 +653,7 @@ func (r *cacheRegistry) fold() FlowCacheStats {
 	t := r.base
 	for _, c := range r.live {
 		st := c.Stats()
-		t.Hits += st.Hits
-		t.Misses += st.Misses
-		t.Stale += st.Stale
-		t.Installs += st.Installs
-		t.Fills += st.Fills
-		t.Victims += st.Victims
+		t.add(st)
 		t.Capacity += st.Capacity
 	}
 	r.mu.Unlock()
@@ -608,14 +665,18 @@ func (r *cacheRegistry) fold() FlowCacheStats {
 // equals the number of packets classified through the burst path (the fold-
 // exactness invariant the stats tests assert); all three are zero when
 // Options.FlowCache is off.
-func (d *Datapath) FlowCacheStats() FlowCacheStats { return d.caches.fold() }
+func (d *Datapath) FlowCacheStats() FlowCacheStats {
+	st := d.caches.fold()
+	st.Flushes = d.flushes.Load()
+	return st
+}
 
 // FlowCacheCounters is FlowCacheStats unpacked for the dataplane substrate
 // (internal/dpdk folds these into its Switch.Stats without importing the
-// core types).
-func (d *Datapath) FlowCacheCounters() (hits, misses, stale uint64) {
-	st := d.caches.fold()
-	return st.Hits, st.Misses, st.Stale
+// core types): one fold, so the subset relations hold across the tuple.
+func (d *Datapath) FlowCacheCounters() (hits, misses, stale, revalidated, expired, flushes uint64) {
+	st := d.FlowCacheStats()
+	return st.Hits, st.Misses, st.Stale, st.Revalidated, st.Expired, st.Flushes
 }
 
 // FlowCacheEnabled reports whether this datapath's workers carry microflow

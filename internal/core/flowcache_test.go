@@ -34,27 +34,30 @@ func TestCacheEntryLayout(t *testing.T) {
 
 // TestFlowCacheProbeInstall unit-tests the set-associative structure
 // directly: install/lookup round trips, generation mismatches reported as
-// stale, in-place refresh of an existing key, and stale-first victim
+// stale, in-place refresh of an existing key, and oldest-first victim
 // selection once a set fills.
 func TestFlowCacheProbeInstall(t *testing.T) {
 	fc := newFlowCache(256, false) // 64 sets x 4 ways
 	k := flowKey{a: 1, b: 2, c: 3, d: 4, e: 5}
 	const h = 0x1234
-	if e, _, stale := fc.lookup(h, &k, 1); e != nil || stale {
+	// Snapshots without a scope log: any older generation is below the
+	// log's floor, i.e. every bump behaves like a barrier.
+	gen := func(g uint64) *snapshot { return &snapshot{gen: g} }
+	if e, _, stale := fc.lookup(h, &k, gen(1)); e != nil || stale {
 		t.Fatal("empty cache returned an entry")
 	}
 	fc.install(h, &k, 1, cacheValid|cacheHasPort, 7, 2, 0, 0, 0, nil, nil, 0)
-	e, _, stale := fc.lookup(h, &k, 1)
+	e, _, stale := fc.lookup(h, &k, gen(1))
 	if e == nil || stale || e.out != 7 || e.tables != 2 {
 		t.Fatalf("lookup after install: %+v stale=%v", e, stale)
 	}
 	// Same key, retired generation: nil + stale sighting.
-	if e, _, stale := fc.lookup(h, &k, 2); e != nil || !stale {
+	if e, _, stale := fc.lookup(h, &k, gen(2)); e != nil || !stale {
 		t.Fatalf("stale entry served or not reported: %v %v", e, stale)
 	}
 	// Reinstall under the new generation refreshes in place (no second copy).
 	fc.install(h, &k, 2, cacheValid|cacheHasPort, 9, 2, 0, 0, 0, nil, nil, 0)
-	if e, _, _ := fc.lookup(h, &k, 2); e == nil || e.out != 9 {
+	if e, _, _ := fc.lookup(h, &k, gen(2)); e == nil || e.out != 9 {
 		t.Fatalf("refresh in place failed: %+v", e)
 	}
 	live := 0
@@ -67,16 +70,34 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 		t.Fatalf("refresh duplicated the entry: %d live", live)
 	}
 	// Fill the rest of the set at generation 2, then install a fresh key at
-	// generation 3: the victim must be one of the now-stale entries, never a
-	// fifth slot.
+	// generation 3: every entry is one generation old, the victim is the
+	// first of them (way 0, holding k), never a fifth slot.
 	for i := uint64(0); i < flowCacheWays-1; i++ {
 		kI := flowKey{a: 100 + i}
 		fc.install(h, &kI, 2, cacheValid, 0, 1, 0, 0, 0, nil, nil, 0)
 	}
 	kNew := flowKey{a: 999}
 	fc.install(h, &kNew, 3, cacheValid|cacheHasPort, 11, 1, 0, 0, 0, nil, nil, 0)
-	if e, _, _ := fc.lookup(h, &kNew, 3); e == nil || e.out != 11 {
+	if e, _, _ := fc.lookup(h, &kNew, gen(3)); e == nil || e.out != 11 {
 		t.Fatalf("install into a full set failed: %+v", e)
+	}
+	if e, _, _ := fc.lookup(h, &k, gen(3)); e != nil {
+		t.Fatal("oldest-generation victim (way 0) survived")
+	}
+	// Refresh way 1 (round-robin's next turn) and way 3 (the last entry of a
+	// retired generation) under generation 3.  At generation 4 way 2 alone
+	// is two generations old — unprobed the longest — and must be the one
+	// the next install takes.
+	k100, k102 := flowKey{a: 100}, flowKey{a: 102}
+	fc.install(h, &k100, 3, cacheValid|cacheHasPort, 12, 1, 0, 0, 0, nil, nil, 0)
+	fc.install(h, &k102, 3, cacheValid|cacheHasPort, 13, 1, 0, 0, 0, nil, nil, 0)
+	fc.install(h, &flowKey{a: 200}, 4, cacheValid, 0, 1, 0, 0, 0, nil, nil, 0)
+	for _, kept := range []*flowKey{&kNew, &k100, &k102} {
+		// (Under a log-less snapshot the survivors read as stale sightings,
+		// which is all this needs: they are still there.)
+		if _, _, stale := fc.lookup(h, kept, gen(4)); !stale {
+			t.Fatalf("entry %v evicted ahead of an older one", *kept)
+		}
 	}
 	live = 0
 	for i := range fc.entries {

@@ -40,9 +40,20 @@ import (
 // because every entry was derived from a real walk, so any two entries a
 // packet can match encode the same decisions.  Hits replay the verdict
 // program and are promoted into the microflow cache, exactly the OVS
-// microflow-fronting-megaflow arrangement.  Generation bumps invalidate
-// entries the same way they invalidate the microflow cache: one counter
-// compare per probe, no invalidation walks.
+// microflow-fronting-megaflow arrangement.
+//
+// Safety under flow-mods is the microflow cache's scheme (flowcache.go) with
+// the region widened from one key to a masked one: an entry of the current
+// generation is served on one counter compare; an entry of an older
+// generation is revalidated by the probe that finds it, against the scope
+// records logged since.  A record can touch the entry only if some packet of
+// the entry's region matches the mod on the table's clean fields, and on the
+// bits the group masks — the only bits every packet of the region shares with
+// the probing packet — that is decidable from the probing packet itself; on
+// all other bits the region is free, so they cannot rule a record out.  No
+// overlap with any record since: the generation is refreshed in place and
+// the entry served.  Otherwise (overlap, barrier, log too short) the entry is
+// passed over and the packet takes the walk, which reinstalls it.
 //
 // Like the microflow cache, the megaflow cache is worker-owned: single
 // writer, no locks, no atomic read-modify-writes; only the stat mirrors are
@@ -96,9 +107,14 @@ func (e *megaEntry) apply(p *pkt.Packet, v *openflow.Verdict) {
 // their accumulated masks, plus a set-associative exact-match table over the
 // packed masked key.
 type megaGroup struct {
-	fields  []openflow.Field
-	masks   []uint64
-	fset    openflow.FieldSet
+	fields []openflow.Field
+	masks  []uint64
+	fset   openflow.FieldSet
+	// kmask is masks laid out like the canonical flow key, plus the
+	// protocol-presence bits (entries match those exactly): the bits on
+	// which every packet an entry covers agrees with the packet probing it,
+	// which is what revalidation compares scope records on.
+	kmask   flowKey
 	entries []megaEntry
 	// ctrs is the parallel matched-entry counter store (entry i's pointers
 	// at ctrs[i], count in entries[i].nctr), allocated only on a
@@ -110,9 +126,12 @@ type megaGroup struct {
 
 // MegaflowStats are the aggregate megaflow-cache counters folded over all
 // workers of a datapath.  Hits+Misses equals the number of microflow-cache
-// misses processed while the megaflow layer was enabled.
+// misses processed while the megaflow layer was enabled.  Revalidated counts
+// the hits served from an entry of a retired generation that no flow-mod
+// since had touched.
 type MegaflowStats struct {
 	Hits, Misses uint64
+	Revalidated  uint64
 }
 
 // megaCache is one worker's megaflow cache plus the reusable tracked-walk
@@ -132,8 +151,8 @@ type megaCache struct {
 	orig pkt.Packet
 
 	// Owner-local totals and their single-writer atomic mirrors.
-	hitsL, missesL uint64
-	hits, misses   atomic.Uint64
+	hitsL, missesL, revalidatedL uint64
+	hits, misses, revalidated    atomic.Uint64
 }
 
 func newMegaCache(budget int, counters bool) *megaCache {
@@ -156,12 +175,15 @@ func megaHash(k hashKey, proto pkt.Proto) uint32 {
 	return uint32(x)
 }
 
-// lookup probes every mask group for a current-generation entry covering the
-// packet, first hit wins.  The caller guarantees the packet entered with zero
-// metadata (the same canonicalization the microflow probe enforces).  ctrs is
-// the hit entry's memoized counter-pointer list (nil when the entry carries
-// none, or the datapath does not count).
-func (mc *megaCache) lookup(p *pkt.Packet, gen uint64) (e *megaEntry, ctrs *[cacheMaxCtrs]*openflow.Counters) {
+// lookup probes every mask group for an entry covering the packet that is
+// valid under the snapshot (of its generation, or revalidated against the
+// mods since), first hit wins.  k is the packet's canonical flow key.  The
+// caller guarantees the packet entered with zero metadata (the same
+// canonicalization the microflow probe enforces).  ctrs is the hit entry's
+// memoized counter-pointer list (nil when the entry carries none, or the
+// datapath does not count).
+func (mc *megaCache) lookup(p *pkt.Packet, k *flowKey, sn *snapshot) (e *megaEntry, ctrs *[cacheMaxCtrs]*openflow.Counters) {
+	gen := sn.gen
 	for _, g := range mc.groups {
 		key := packKey(p, g.fields, g.masks)
 		h := megaHash(key, p.Headers.Proto)
@@ -170,7 +192,7 @@ func (mc *megaCache) lookup(p *pkt.Packet, gen uint64) (e *megaEntry, ctrs *[cac
 		for i := range set {
 			e := &set[i]
 			if e.hash == h && e.flags&cacheValid != 0 && e.key == key &&
-				e.proto == p.Headers.Proto && e.gen == gen {
+				e.proto == p.Headers.Proto && (e.gen == gen || mc.revalidate(e, g, k, sn)) {
 				if e.nctr != 0 {
 					return e, &g.ctrs[base+uint32(i)]
 				}
@@ -181,12 +203,25 @@ func (mc *megaCache) lookup(p *pkt.Packet, gen uint64) (e *megaEntry, ctrs *[cac
 	return nil, nil
 }
 
+// revalidate is the probe's slow path for a covering entry of an older
+// generation (see the header comment): k is the probing packet's key, which
+// stands for the entry's on the bits g.kmask keeps.
+func (mc *megaCache) revalidate(e *megaEntry, g *megaGroup, k *flowKey, sn *snapshot) bool {
+	if n := sn.lag(e.gen); n < 0 || sn.newestOverlap(n, k, &g.kmask) >= 0 {
+		return false
+	}
+	e.gen = sn.gen
+	mc.revalidatedL++
+	return true
+}
+
 // install memoizes the verdict program under the mask the worker's
 // accumulator derived from the walk.  Group creation (one per mask
 // signature) is the only allocating step and happens during warmup; a full
-// group table evicts like the microflow cache (invalid slot, then retired
-// generation, then round-robin).  ctrs/nctr carry the walk's matched-entry
-// counter pointers on a counters-enabled datapath (nil/0 otherwise).
+// group table evicts like the microflow cache (invalid slot, then the oldest
+// generation, then round-robin).  ctrs/nctr carry the walk's
+// matched-entry counter pointers on a counters-enabled datapath (nil/0
+// otherwise).
 func (mc *megaCache) install(gen uint64, flags uint8, out uint32, tables, ttlDec uint8, puntTable uint16, pfields uint16, patch *cachePatch, ctrs *[cacheMaxCtrs]*openflow.Counters, nctr uint8) {
 	acc := &mc.acc
 	fset := acc.FieldSet()
@@ -223,21 +258,18 @@ func (mc *megaCache) install(gen uint64, flags uint8, out uint32, tables, ttlDec
 	base := (h & g.mask) * megaWays
 	set := g.entries[base : base+megaWays]
 	var victim *megaEntry
-	vi := uint32(0)
+	vi, oldest := uint32(0), uint64(0)
 	for i := range set {
 		e := &set[i]
+		age := gen - e.gen
 		if e.flags&cacheValid == 0 {
-			if victim == nil {
-				victim, vi = e, base+uint32(i)
-			}
-			continue
-		}
-		if e.hash == h && e.key == key && e.proto == proto {
+			age = ^uint64(0)
+		} else if e.hash == h && e.key == key && e.proto == proto {
 			victim, vi = e, base+uint32(i)
 			break
 		}
-		if e.gen != gen && (victim == nil || victim.flags&cacheValid != 0) {
-			victim, vi = e, base+uint32(i)
+		if age > oldest {
+			victim, vi, oldest = e, base+uint32(i), age
 		}
 	}
 	if victim == nil {
@@ -290,6 +322,11 @@ func (mc *megaCache) newGroup(acc *openflow.MaskAccumulator, fset openflow.Field
 		entries: make([]megaEntry, sets*megaWays),
 		mask:    uint32(sets - 1),
 	}
+	var unused flowKey
+	for i, f := range fields {
+		keyBits(f, 0, masks[i], &unused, &g.kmask)
+	}
+	g.kmask.b |= 0xffff << keyProtoShift
 	if mc.counters {
 		g.ctrs = make([][cacheMaxCtrs]*openflow.Counters, sets*megaWays)
 	}
@@ -303,6 +340,9 @@ func (mc *megaCache) bump(hits, misses int) {
 	if hits != 0 {
 		mc.hitsL += uint64(hits)
 		mc.hits.Store(mc.hitsL)
+		if mc.revalidatedL != mc.revalidated.Load() {
+			mc.revalidated.Store(mc.revalidatedL)
+		}
 	}
 	if misses != 0 {
 		mc.missesL += uint64(misses)
@@ -310,9 +350,10 @@ func (mc *megaCache) bump(hits, misses int) {
 	}
 }
 
-// Stats returns this cache's counters (concurrent-read safe).
+// Stats returns this cache's counters (concurrent-read safe); Revalidated is
+// read first and published last (bump), so it never exceeds Hits.
 func (mc *megaCache) Stats() MegaflowStats {
-	return MegaflowStats{Hits: mc.hits.Load(), Misses: mc.misses.Load()}
+	return MegaflowStats{Revalidated: mc.revalidated.Load(), Hits: mc.hits.Load(), Misses: mc.misses.Load()}
 }
 
 // megaRegistry tracks the live workers' megaflow caches plus the folded
@@ -334,6 +375,7 @@ func (r *megaRegistry) retire(mc *megaCache) {
 	st := mc.Stats()
 	r.base.Hits += st.Hits
 	r.base.Misses += st.Misses
+	r.base.Revalidated += st.Revalidated
 	kept := r.live[:0]
 	for _, c := range r.live {
 		if c != mc {
@@ -351,6 +393,7 @@ func (r *megaRegistry) fold() MegaflowStats {
 		st := c.Stats()
 		t.Hits += st.Hits
 		t.Misses += st.Misses
+		t.Revalidated += st.Revalidated
 	}
 	r.mu.Unlock()
 	return t
@@ -361,9 +404,9 @@ func (r *megaRegistry) fold() MegaflowStats {
 func (d *Datapath) MegaflowStats() MegaflowStats { return d.megas.fold() }
 
 // MegaflowCounters is MegaflowStats unpacked for the dataplane substrate.
-func (d *Datapath) MegaflowCounters() (hits, misses uint64) {
+func (d *Datapath) MegaflowCounters() (hits, misses, revalidated uint64) {
 	st := d.megas.fold()
-	return st.Hits, st.Misses
+	return st.Hits, st.Misses, st.Revalidated
 }
 
 // MegaflowEnabled reports whether this datapath's workers carry megaflow
@@ -439,7 +482,7 @@ func (d *Datapath) processMissesTracked(sc *burstScratch, sn *snapshot, fc *Flow
 		i := int(cs.miss[j])
 		p := ps[i]
 		if cs.cbase[i] != probeSkip {
-			if e, ectrs := mc.lookup(p, gen); e != nil {
+			if e, ectrs := mc.lookup(p, &cs.ckey[i], sn); e != nil {
 				e.apply(p, &vs[i])
 				if ectrs != nil {
 					bumpCtrs(ectrs, e.nctr, len(p.Data), sc.ctr)

@@ -1,0 +1,587 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"eswitch/internal/openflow"
+	"eswitch/internal/pkt"
+	"eswitch/internal/workload"
+)
+
+// Tests of scoped cache invalidation (scope.go): a flow-mod must stale
+// exactly the memoized verdicts it can change — never fewer (the
+// differential test against the interpreter), and, where the analysis
+// applies, not more (the pinning test on the counters).
+
+// scopeRig drives one datapath with both cache levels armed, and the
+// interpreter over its declarative pipeline as the oracle, over a fixed set
+// of frames.
+type scopeRig struct {
+	t       *testing.T
+	dp      *Datapath
+	w       *Worker
+	frames  [][]byte
+	inPorts []uint32
+	adds    int
+}
+
+func newScopeRig(t *testing.T, pl *openflow.Pipeline, decompose bool, micro, mega int, frames [][]byte, inPorts []uint32) *scopeRig {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Decompose = decompose
+	opts.FlowCache = micro
+	opts.Megaflow = mega
+	dp, err := Compile(pl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := dp.RegisterWorker().(*Worker)
+	t.Cleanup(func() { dp.UnregisterWorker(w) })
+	return &scopeRig{t: t, dp: dp, w: w, frames: frames, inPorts: inPorts}
+}
+
+// traceFrames takes n frames of the use case's trace, the same frames again
+// arriving on another port (traffic the pipeline mostly refuses), and
+// siblings that differ only in the L4 source port — microflows that share a
+// megaflow until a mod matches on that port.
+func traceFrames(uc *workload.UseCase, n int) (frames [][]byte, inPorts []uint32) {
+	tr := uc.Trace(n)
+	for i := 0; i < n; i++ {
+		f, port := tr.Frame(i)
+		frames, inPorts = append(frames, f), append(inPorts, port)
+	}
+	for i := 0; i < n; i += 4 {
+		frames = append(frames, frames[i])
+		inPorts = append(inPorts, inPorts[i]%uint32(uc.Pipeline.NumPorts)+1)
+		p := pkt.Packet{Data: frames[i]}
+		pkt.ParseL4(&p)
+		if off := p.Headers.L4Off; off > 0 && p.Headers.Has(pkt.ProtoTCP) {
+			for sib := 1; sib <= 2; sib++ {
+				f := pkt.Clone(frames[i])
+				f[off+1] ^= byte(sib) // checksums are not verified on this path
+				frames, inPorts = append(frames, f), append(inPorts, inPorts[i])
+			}
+		}
+	}
+	return frames, inPorts
+}
+
+// check forwards the picked frames through the worker, in bursts, and
+// requires each verdict, the rewritten headers and the metadata to equal the
+// interpreter's over the datapath's current declarative pipeline.
+func (r *scopeRig) check(label string, pick func(i int) bool) {
+	r.t.Helper()
+	in := openflow.NewInterpreter(r.dp.Pipeline())
+	in.UpdateCounters = false
+	layer := r.dp.ParserLayer()
+	const burst = 32
+	var idx []int
+	packets := make([]pkt.Packet, burst)
+	ps := make([]*pkt.Packet, 0, burst)
+	vs := make([]openflow.Verdict, burst)
+	flush := func() {
+		r.t.Helper()
+		r.w.Enter()
+		r.w.ProcessBurst(ps, vs[:len(ps)])
+		r.w.Exit()
+		for j, i := range idx {
+			ref := pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}
+			var want openflow.Verdict
+			pkt.ParseTo(&ref, layer)
+			in.ProcessParsed(&ref, &want, nil)
+			got := &vs[j]
+			if !sameVerdict(got, &want) || (want.ToController &&
+				(got.PuntReason != want.PuntReason || got.PuntTable != want.PuntTable)) {
+				r.t.Fatalf("%s: frame %d: datapath says %s (%+v), interpreter %s (%+v)\n%s",
+					label, i, got, *got, &want, want, r.dp.Trace(&pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}))
+			}
+			if packets[j].Headers != ref.Headers || packets[j].Metadata != ref.Metadata {
+				r.t.Fatalf("%s: frame %d: datapath left headers %+v metadata %#x, interpreter %+v %#x",
+					label, i, packets[j].Headers, packets[j].Metadata, ref.Headers, ref.Metadata)
+			}
+		}
+		idx, ps = idx[:0], ps[:0]
+	}
+	for i := range r.frames {
+		if !pick(i) {
+			continue
+		}
+		j := len(ps)
+		packets[j] = pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}
+		ps, idx = append(ps, &packets[j]), append(idx, i)
+		if len(ps) == burst {
+			flush()
+		}
+	}
+	if len(ps) > 0 {
+		flush()
+	}
+}
+
+func all(int) bool { return true }
+
+// randomMod applies one seeded flow-mod: a delete of an installed entry
+// (which uncovers whatever it shadowed), a replace in place of one, or an
+// add whose match is drawn from the fields of a live frame.  Two kinds of add
+// are aimed: one in the last table of a frame's walk, on a field the walk
+// rewrote, with the rewritten value — the probe sees the wire value, so
+// comparing the two would wrongly clear the flow — and one on a frame's L4
+// source port alone, which splits a megaflow between sibling microflows.  It
+// returns a description for failure messages.
+func (r *scopeRig) randomMod(rng *rand.Rand) string {
+	pl := r.dp.Pipeline()
+	ids := pl.TableIDs()
+	tid := ids[rng.Intn(len(ids))]
+	var victim *openflow.FlowEntry
+	if es := pl.Table(tid).Entries(); len(es) > 0 {
+		victim = es[rng.Intn(len(es))]
+	}
+	instructions := func(tid openflow.TableID) openflow.Instructions {
+		out := openflow.Output(uint32(1 + rng.Intn(pl.NumPorts)))
+		switch rng.Intn(7) {
+		case 0:
+			return openflow.Apply(openflow.Drop())
+		case 1:
+			return openflow.Apply(openflow.SetField(openflow.FieldIPDst, uint64(0xc6336400+rng.Intn(4))), out)
+		case 2:
+			return openflow.Apply(openflow.SetField(openflow.FieldTCPDst, uint64(8000+rng.Intn(2))), openflow.DecTTL(), out)
+		case 3, 4:
+			// Continue at a later table — one past the last creates it.
+			next := ids[len(ids)-1] + 1
+			if later := ids[rng.Intn(len(ids))]; later > tid {
+				next = later
+			}
+			ins := openflow.Goto(next)
+			switch rng.Intn(4) {
+			case 0:
+				ins.ApplyActions = openflow.ActionList{openflow.SetField(openflow.FieldEthDst, uint64(0x020000000100+rng.Intn(2)))}
+			case 1:
+				ins.ApplyActions = openflow.ActionList{openflow.PushVLAN(uint16(200 + rng.Intn(2)))}
+			case 2:
+				ins.ApplyActions = openflow.ActionList{openflow.PopVLAN()}
+			}
+			return ins
+		default:
+			return openflow.Apply(out)
+		}
+	}
+	// add installs an entry, keeping to what the templates ask of a
+	// controller.  Every new entry gets a priority of its own, in one of
+	// three bands above the installed ones: which of two overlapping entries
+	// of equal priority wins is undefined in OpenFlow, and the templates do
+	// differ.  A prefix added to an LPM table takes its length as priority
+	// (the LPM template's insert trusts that convention), and a match the
+	// table already holds keeps its priority, making the add a replace (the
+	// hash template keeps one entry per key).
+	add := func(kind string, tid openflow.TableID, band int, m *openflow.Match, ins openflow.Instructions) string {
+		r.adds++
+		prio := []int{1000, 5000, 20000}[band] + r.adds
+		if k, _ := r.dp.TableTemplate(tid); k == TemplateLPM && m.Fields().Count() == 1 {
+			for _, f := range []openflow.Field{openflow.FieldIPSrc, openflow.FieldIPDst} {
+				if plen, ok := m.IsPrefix(f); ok {
+					prio = plen
+				}
+			}
+		}
+		if t := pl.Table(tid); t != nil {
+			for _, old := range t.Entries() {
+				if old.Match.Equal(m) {
+					prio = old.Priority
+				}
+			}
+		}
+		e := openflow.NewEntry(prio, m, ins)
+		if err := r.dp.AddFlow(tid, e); err != nil {
+			r.t.Fatal(err)
+		}
+		return fmt.Sprintf("%s table %d %v", kind, tid, e)
+	}
+	// sample parses a random frame and returns it before and after its walk,
+	// with the tables the walk visited.
+	sample := func() (wire, walked pkt.Packet, path []openflow.TableID) {
+		i := rng.Intn(len(r.frames))
+		wire = pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}
+		pkt.ParseTo(&wire, pkt.LayerL4)
+		for _, st := range r.dp.Trace(&pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}).Steps {
+			path = append(path, st.Table)
+		}
+		walked = wire
+		var v openflow.Verdict
+		openflow.NewInterpreter(pl).ProcessParsed(&walked, &v, nil)
+		return wire, walked, path
+	}
+	k := rng.Intn(20)
+	switch {
+	case k < 2:
+		wire, walked, path := sample()
+		for _, f := range []openflow.Field{openflow.FieldVLANID, openflow.FieldIPSrc, openflow.FieldIPDst, openflow.FieldEthDst, openflow.FieldTCPDst} {
+			if was, is := openflow.Extract(&wire, f), openflow.Extract(&walked, f); was != is && len(path) > 1 {
+				last := path[len(path)-1]
+				return add("add-on-rewritten-field", last, 2, openflow.NewMatch().Set(f, is), instructions(last))
+			}
+		}
+	case k < 4:
+		if wire, _, path := sample(); wire.Headers.Has(pkt.ProtoTCP) {
+			at := path[rng.Intn(len(path))]
+			return add("add-on-l4-source", at, 2,
+				openflow.NewMatch().Set(openflow.FieldTCPSrc, uint64(wire.Headers.L4Src)), instructions(at))
+		}
+	}
+	switch {
+	case k < 9 && victim != nil:
+		prio := victim.Priority
+		if rng.Intn(4) == 0 {
+			prio = -1
+		}
+		n, err := r.dp.DeleteFlow(tid, victim.Match.Clone(), prio)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		return fmt.Sprintf("delete table %d %v (priority %d, %d removed)", tid, victim.Match, prio, n)
+	case k < 12 && victim != nil:
+		return add("replace", tid, 0, victim.Match.Clone(), instructions(tid))
+	}
+	// Plain add: field values from a frame, before or after its walk.
+	from, walked, _ := sample()
+	if rng.Intn(2) == 0 {
+		from = walked
+	}
+	h := &from.Headers
+	fields := []openflow.Field{openflow.FieldInPort, openflow.FieldEthDst}
+	if h.Has(pkt.ProtoVLAN) {
+		fields = append(fields, openflow.FieldVLANID)
+	}
+	if h.Has(pkt.ProtoIPv4) {
+		fields = append(fields, openflow.FieldIPSrc, openflow.FieldIPDst, openflow.FieldIPDst, openflow.FieldIPProto)
+	}
+	if h.Has(pkt.ProtoTCP) {
+		fields = append(fields, openflow.FieldTCPDst, openflow.FieldTCPSrc)
+	}
+	m := openflow.NewMatch()
+	for n := 1 + rng.Intn(2); n > 0; n-- {
+		f := fields[rng.Intn(len(fields))]
+		value := openflow.Extract(&from, f)
+		if rng.Intn(5) == 0 {
+			value ^= 1 << uint(rng.Intn(int(f.Width())))
+		}
+		if (f == openflow.FieldIPSrc || f == openflow.FieldIPDst) && rng.Intn(2) == 0 {
+			m.SetPrefix(f, value, 8*(1+rng.Intn(3)))
+		} else {
+			m.Set(f, value)
+		}
+	}
+	return add("add", tid, rng.Intn(3), m, instructions(tid))
+}
+
+// TestScopedInvalidationDifferential runs seeded random flow-mod sequences
+// against the gateway, L3, firewall and (decomposed) load-balancer pipelines
+// and, after every mod, compares the datapath with the interpreter.  A third
+// of the frames is probed after every mod, a third every 7 and a third every
+// 53 — more than the scope log's window, and more than its backing array —
+// so revalidation runs against one record, against several, and against a
+// log that no longer reaches back.
+// Along the way the sequences reinstall the whole pipeline once, grow small
+// tables out of the direct-code template, and create tables.
+func TestScopedInvalidationDifferential(t *testing.T) {
+	firewallFrames := func(n int) (frames [][]byte, inPorts []uint32) {
+		b := pkt.NewBuilder(128)
+		for i := 0; i < n; i++ {
+			dst := workload.WebServerIP
+			if i%3 == 0 {
+				dst = pkt.IPv4FromOctets(192, 0, 2, byte(2+i%5))
+			}
+			frames = append(frames, pkt.Clone(b.TCPPacket(pkt.EthernetOpts{},
+				pkt.IPv4Opts{Src: pkt.IPv4(0x0a000000 + uint32(i%9)), Dst: dst},
+				pkt.L4Opts{Src: uint16(1000 + i), Dst: []uint16{80, 22}[i/3%2]})))
+			inPorts = append(inPorts, uint32(1+i%2))
+		}
+		return frames, inPorts
+	}
+	gw := workload.GatewayUseCase(workload.GatewayConfig{CEs: 3, UsersPerCE: 5, Prefixes: 300, Seed: 5})
+	l3 := workload.L3UseCase(400, 8, 7)
+	lb := workload.LoadBalancerUseCase(50)
+	cases := []struct {
+		name      string
+		pl        *openflow.Pipeline
+		decompose bool
+		frames    func(n int) ([][]byte, []uint32)
+	}{
+		{"gateway", gw.Pipeline, false, func(n int) ([][]byte, []uint32) { return traceFrames(gw, n) }},
+		{"l3", l3.Pipeline, false, func(n int) ([][]byte, []uint32) { return traceFrames(l3, n) }},
+		{"firewall", workload.FirewallMultiStage(), false, firewallFrames},
+		{"loadbalancer-decomposed", lb.Pipeline, true, func(n int) ([][]byte, []uint32) { return traceFrames(lb, n) }},
+	}
+	megaRevalidated := uint64(0)
+	for _, c := range cases {
+		for _, seed := range []int64{1, 2} {
+			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
+				// A microflow cache that holds every frame, then one (256
+				// entries, the minimum) that thrashes under more frames than
+				// it holds, so that the megaflow level carries verdicts
+				// across mods too.
+				micro, nFrames := 4096, 96
+				if seed == 2 {
+					micro, nFrames = 64, 400
+				}
+				frames, inPorts := c.frames(nFrames)
+				r := newScopeRig(t, c.pl, c.decompose, micro, 4096, frames, inPorts)
+				if c.decompose && r.dp.DecomposedTables() == 0 {
+					t.Fatal("the decomposed case did not decompose")
+				}
+				rng := rand.New(rand.NewSource(seed))
+				templates := map[TemplateKind]bool{}
+				r.check("cold", all)
+				r.check("warm", all)
+				const mods = 240
+				for n := 1; n <= mods; n++ {
+					// A decomposed datapath logs every mod as a barrier.
+					barriersOnly := r.dp.DecomposedTables() > 0
+					kept := r.dp.FlowCacheStats().Revalidated + r.dp.MegaflowStats().Revalidated
+					var what string
+					if n == mods/2 {
+						what = "InstallPipeline"
+						if err := r.dp.InstallPipeline(r.dp.Pipeline().Clone()); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						what = r.randomMod(rng)
+					}
+					if k, ok := r.dp.TableTemplate(0); ok {
+						templates[k] = true
+					}
+					r.check(fmt.Sprintf("after mod %d (%s)", n, what), func(i int) bool {
+						switch i % 3 {
+						case 0:
+							return true
+						case 1:
+							return n%7 == 0
+						default:
+							return n%53 == 0
+						}
+					})
+					if now := r.dp.FlowCacheStats().Revalidated + r.dp.MegaflowStats().Revalidated; barriersOnly && now != kept {
+						t.Fatalf("mod %d (%s) on a decomposed datapath let %d probes revalidate", n, what, now-kept)
+					}
+				}
+				r.check("final", all)
+
+				st, ms := r.dp.FlowCacheStats(), r.dp.MegaflowStats()
+				t.Logf("micro %+v mega %+v", st, ms)
+				if !r.dp.FlowCacheEnabled() {
+					t.Fatal("the mod sequence made the pipeline uncacheable; the run proved nothing")
+				}
+				if st.Hits == 0 || st.Stale == 0 || st.Expired == 0 || st.Flushes == 0 {
+					t.Fatalf("expected hits, stale and expired probes, and flushes (InstallPipeline): %+v", st)
+				}
+				if !c.decompose && st.Revalidated == 0 {
+					t.Fatalf("no probe was ever revalidated: %+v", st)
+				}
+				megaRevalidated += ms.Revalidated
+				if c.name == "firewall" && len(templates) < 2 {
+					t.Fatalf("table 0 never left its template: %v", templates)
+				}
+			})
+		}
+	}
+	if megaRevalidated == 0 && !t.Failed() {
+		t.Fatal("no megaflow probe was ever revalidated in any case")
+	}
+}
+
+// TestScopedInvalidationPins pins the point of the change on the gateway:
+// after a flow-mod that overlaps no warmed flow, the next pass is all hits
+// and Stale does not move; after one that overlaps some, exactly those go
+// stale; and a mod that matches a field rewritten upstream of its table is
+// compared on the fields it has left — here none — and stales everything.
+func TestScopedInvalidationPins(t *testing.T) {
+	uc := workload.GatewayUseCase(workload.GatewayConfig{CEs: 3, UsersPerCE: 5, Prefixes: 300, Seed: 5})
+	const nFlows = 90
+	tr := uc.Trace(nFlows)
+	var frames [][]byte
+	var inPorts []uint32
+	for i := 0; i < nFlows; i++ {
+		f, port := tr.Frame(i)
+		frames, inPorts = append(frames, f), append(inPorts, port)
+	}
+	r := newScopeRig(t, uc.Pipeline, false, 4096, 4096, frames, inPorts)
+	r.check("cold", all)
+	r.check("warm", all)
+
+	// pass forwards every flow once and returns how the counters moved.
+	pass := func(label string) (hits, stale, revalidated uint64) {
+		t.Helper()
+		before := r.dp.FlowCacheStats()
+		r.check(label, all)
+		after := r.dp.FlowCacheStats()
+		return after.Hits - before.Hits, after.Stale - before.Stale, after.Revalidated - before.Revalidated
+	}
+	if hits, stale, reval := pass("steady"); hits != nFlows || stale != 0 || reval != 0 {
+		t.Fatalf("steady state: %d hits, %d stale, %d revalidated of %d", hits, stale, reval, nFlows)
+	}
+
+	// A route no flow takes (the bench's churn shape): everything revalidates.
+	route := openflow.NewEntry(24,
+		openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(pkt.IPv4FromOctets(240, 1, 2, 0)), 24),
+		openflow.Apply(openflow.DecTTL(), openflow.Output(2)))
+	if err := r.dp.AddFlow(workload.GatewayTableRouting, route); err != nil {
+		t.Fatal(err)
+	}
+	if hits, stale, reval := pass("unrelated route"); hits != nFlows || stale != 0 || reval != nFlows {
+		t.Fatalf("after a route no flow takes: %d hits, %d stale, %d revalidated of %d", hits, stale, reval, nFlows)
+	}
+	if res := r.dp.Trace(&pkt.Packet{Data: frames[0], InPort: inPorts[0]}); res.Revalidated != 1 || res.Stale != nil ||
+		!strings.Contains(res.String(), "megaflow-eligible; revalidated against 1 mods\n") {
+		t.Fatalf("trace should report one mod survived and none overlapping:\n%s", res)
+	}
+
+	// Replace one user's NAT entry: exactly that user's flows go stale.
+	perCE := r.dp.Pipeline().Table(workload.GatewayTableForCE(0))
+	user := perCE.Entries()[0]
+	private, _, _ := user.Match.Get(openflow.FieldIPSrc)
+	public := user.Instructions.ApplyActions[0].Value
+	theirs := uint64(0)
+	for i := range frames {
+		p := pkt.Packet{Data: frames[i]}
+		pkt.ParseL3(&p)
+		if uint64(p.Headers.IPSrc) == private {
+			theirs++
+		}
+	}
+	if theirs == 0 || theirs == nFlows {
+		t.Fatalf("test premise: %d of %d flows belong to the user", theirs, nFlows)
+	}
+	replacement := openflow.NewEntry(user.Priority, user.Match.Clone(),
+		openflow.ApplyThenGoto(workload.GatewayTableRouting,
+			openflow.SetField(openflow.FieldIPSrc, public+1), openflow.PopVLAN()))
+	if err := r.dp.AddFlow(perCE.ID, replacement); err != nil {
+		t.Fatal(err)
+	}
+	if hits, stale, reval := pass("one user replaced"); stale != theirs || reval != nFlows-theirs || hits != nFlows-theirs {
+		t.Fatalf("after replacing one user's entry: %d hits, %d stale, %d revalidated; want %d stale of %d",
+			hits, stale, reval, theirs, nFlows)
+	}
+	// Flow 0 is that user's: the trace names the mod that stales it.
+	res := r.dp.Trace(&pkt.Packet{Data: frames[0], InPort: inPorts[0]})
+	if res.Revalidated != 0 || res.Stale == nil || *res.Stale != (TraceStaleMod{Generation: 2, Table: perCE.ID}) ||
+		!strings.Contains(res.String(), fmt.Sprintf("; stale: overlaps mod gen 2 in table %d\n", perCE.ID)) {
+		t.Fatalf("trace should name mod gen 2 in table %d as overlapping:\n%s", perCE.ID, res)
+	}
+
+	// A rule in the routing table on the (NATed) source address: ip_src is
+	// dirty there, so nothing of the match is comparable with the wire and
+	// every IPv4 verdict goes stale — the mod must not be compared against
+	// the private address the probe sees.
+	snat := openflow.NewEntry(500,
+		openflow.NewMatch().Set(openflow.FieldIPSrc, public+1),
+		openflow.Apply(openflow.Output(1)))
+	if err := r.dp.AddFlow(workload.GatewayTableRouting, snat); err != nil {
+		t.Fatal(err)
+	}
+	if hits, stale, reval := pass("match on a rewritten field"); stale != nFlows || reval != 0 || hits != 0 {
+		t.Fatalf("after a mod on a field rewritten upstream: %d hits, %d stale, %d revalidated; want all %d stale",
+			hits, stale, reval, nFlows)
+	}
+	if st := r.dp.FlowCacheStats(); st.Flushes != 0 {
+		t.Fatalf("none of these mods is a barrier, yet %d flushes", st.Flushes)
+	}
+
+	// More unrelated mods than the log's window, with only flow 0 probed
+	// along the way: it revalidates every time; the others' entries end up
+	// older than the log reaches back and expire.
+	r.check("rewarm", all)
+	for n := 0; n < 2*modLogWindow+1; n++ {
+		route.Match.SetPrefix(openflow.FieldIPDst, uint64(pkt.IPv4FromOctets(241, byte(n), 0, 0)), 24)
+		if err := r.dp.AddFlow(workload.GatewayTableRouting, openflow.NewEntry(24, route.Match.Clone(), route.Instructions)); err != nil {
+			t.Fatal(err)
+		}
+		r.check("flow 0 between unrelated mods", func(i int) bool { return i == 0 })
+	}
+	if hits, stale, reval := pass("log overflow"); stale != nFlows-1 || reval != 0 || hits != 1 {
+		t.Fatalf("after more mods than the log holds: %d hits, %d stale, %d revalidated; want all but flow 0 stale",
+			hits, stale, reval)
+	}
+	if st := r.dp.FlowCacheStats(); st.Expired != nFlows-1 || st.Flushes != 0 {
+		t.Fatalf("want those %d stale probes counted as expired and no flush: %+v", nFlows-1, st)
+	}
+
+	// One mod short of the window is still inside it.
+	for n := 0; n < modLogWindow; n++ {
+		route.Match.SetPrefix(openflow.FieldIPDst, uint64(pkt.IPv4FromOctets(242, byte(n), 0, 0)), 24)
+		if err := r.dp.AddFlow(workload.GatewayTableRouting, openflow.NewEntry(24, route.Match.Clone(), route.Instructions)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, stale, reval := pass("window's edge"); stale != 0 || reval != nFlows || hits != nFlows {
+		t.Fatalf("after exactly as many mods as the window holds: %d hits, %d stale, %d revalidated; want all revalidated",
+			hits, stale, reval)
+	}
+}
+
+// TestDirtyFieldAnalysis checks the per-table dirty sets on the gateway and
+// that they grow when a flow-mod adds a new kind of rewrite upstream.
+func TestDirtyFieldAnalysis(t *testing.T) {
+	uc := workload.GatewayUseCase(workload.GatewayConfig{CEs: 2, UsersPerCE: 3, Prefixes: 50, Seed: 5})
+	opts := DefaultOptions()
+	opts.FlowCache = 256
+	dp, err := Compile(uc.Pipeline, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nat := openflow.FieldSet(0).Add(openflow.FieldIPSrc).Add(openflow.FieldVLANID).Add(openflow.FieldVLANPCP)
+	if got := dp.dirty[workload.GatewayTableRouting]; got != nat {
+		t.Fatalf("routing table dirty set %b, want ip_src + the VLAN tag (%b)", got, nat)
+	}
+	for _, id := range []openflow.TableID{workload.GatewayTableClassifier, workload.GatewayTableVLANDispatch, workload.GatewayTableForCE(0)} {
+		if got := dp.dirty[id]; got != 0 {
+			t.Fatalf("table %d is upstream of every rewrite, yet dirty %b", id, got)
+		}
+	}
+	// A classifier entry that rewrites the L4 destination before the VLAN
+	// dispatch dirties it (with its aliases) all the way down.
+	e := openflow.NewEntry(200, openflow.NewMatch().Set(openflow.FieldInPort, 1).Set(openflow.FieldTCPDst, 8080),
+		openflow.ApplyThenGoto(workload.GatewayTableVLANDispatch, openflow.SetField(openflow.FieldTCPDst, 80)))
+	if err := dp.AddFlow(workload.GatewayTableClassifier, e); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []openflow.TableID{workload.GatewayTableVLANDispatch, workload.GatewayTableForCE(1), workload.GatewayTableRouting} {
+		if got := dp.dirty[id]; got&l4DstFields != l4DstFields {
+			t.Fatalf("table %d: dirty %b lacks the L4 destination fields", id, got)
+		}
+	}
+	// What a mod's scope keeps: in the routing table the VLAN tag was popped
+	// upstream, so neither the tag nor its presence is comparable with the
+	// wire, while ip_dst is, along with the IPv4 prerequisite; in the
+	// classifier everything is.
+	dst := uint64(pkt.IPv4FromOctets(203, 0, 113, 7))
+	m := openflow.NewMatch().Set(openflow.FieldVLANID, 100).Set(openflow.FieldIPDst, dst)
+	ipv4, vlan := uint64(pkt.ProtoIPv4)<<keyProtoShift, uint64(pkt.ProtoVLAN)<<keyProtoShift
+	if sc := dp.scopeOf(workload.GatewayTableRouting, m); sc.barrier ||
+		sc.mask != (flowKey{b: ipv4, d: 0xffffffff}) || sc.val != (flowKey{b: ipv4, d: dst}) {
+		t.Fatalf("routing-table scope of %v: %+v", m, sc)
+	}
+	if sc := dp.scopeOf(workload.GatewayTableClassifier, m); sc.barrier ||
+		sc.mask != (flowKey{a: 0xfff << 48, b: ipv4 | vlan, d: 0xffffffff}) || sc.val != (flowKey{a: 100 << 48, b: ipv4 | vlan, d: dst}) {
+		t.Fatalf("classifier scope of %v: %+v", m, sc)
+	}
+	if sc := dp.scopeOf(workload.GatewayTableClassifier, openflow.NewMatch().Set(openflow.FieldIPDSCP, 1)); !sc.barrier {
+		t.Fatal("a match outside the flow key must be a barrier")
+	}
+	if size := 2 * modLogWindow * unsafe.Sizeof(modScope{}); size > 4096 {
+		t.Fatalf("the scope log's backing array is %d bytes, over the 4 KB it is documented to stay under", size)
+	}
+	// Without caches there is nothing to invalidate: no analysis, no log.
+	plain, err := Compile(uc.Pipeline, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.AddFlow(workload.GatewayTableClassifier, e.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if plain.dirty != nil || plain.mods != nil {
+		t.Fatal("a datapath compiled without caches built the scope log")
+	}
+}

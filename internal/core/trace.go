@@ -116,6 +116,15 @@ type TraceResult struct {
 	Cacheable         bool
 	MicroflowEligible bool
 	MegaflowEligible  bool
+	// Revalidated and Stale explain what the flow-mods in the scope log
+	// mean for a verdict memoized for this packet's microflow (meaningful
+	// when MicroflowEligible): an entry as old as the Revalidated newest
+	// mods is still served, refreshed in place by the probe; Stale is the
+	// mod just before those, the newest one that overlaps the packet (or is
+	// a barrier) and so stales anything memoized before its generation —
+	// nil when no logged mod does.
+	Revalidated int
+	Stale       *TraceStaleMod
 	// Steps are the table lookups in walk order.
 	Steps []TraceStep
 	// Verdict is the walk's outcome.
@@ -124,6 +133,15 @@ type TraceResult struct {
 	// install to cover this walk (the fields/bits the lookups examined),
 	// in field order.  Empty when the walk examined nothing.
 	MegaflowMask []TraceMaskField
+}
+
+// TraceStaleMod identifies a logged flow-mod by the generation it produced
+// and the table it modified; Barrier marks one the scope analysis could not
+// narrow (it stales every packet, not just this one).
+type TraceStaleMod struct {
+	Generation uint64
+	Table      openflow.TableID
+	Barrier    bool
 }
 
 // TraceMaskField is one field of the trace's accumulated megaflow mask.
@@ -158,6 +176,18 @@ func (d *Datapath) Trace(p *pkt.Packet) *TraceResult {
 	pkt.ParseTo(p, sn.parserLayer)
 	res.Headers = p.Headers
 	res.FlowHash = p.FlowHash()
+	if res.MicroflowEligible {
+		k := makeFlowKey(p)
+		res.Revalidated = len(sn.mods)
+		if i := sn.newestOverlap(len(sn.mods), &k, &exactKey); i >= 0 {
+			res.Revalidated = len(sn.mods) - 1 - i
+			res.Stale = &TraceStaleMod{
+				Generation: sn.gen - uint64(res.Revalidated),
+				Table:      sn.mods[i].table,
+				Barrier:    sn.mods[i].barrier,
+			}
+		}
+	}
 
 	// The mask accumulator observes the walk from the original packet view
 	// (rewrites along the walk must not leak into the reported mask).
@@ -260,6 +290,16 @@ func (r *TraceResult) String() string {
 		fmt.Fprintf(&sb, "  cache: microflow-eligible (probe 0x%08x)", r.FlowHash)
 		if r.MegaflowEligible {
 			sb.WriteString(", megaflow-eligible")
+		}
+		if r.Revalidated > 0 {
+			fmt.Fprintf(&sb, "; revalidated against %d mods", r.Revalidated)
+		}
+		switch st := r.Stale; {
+		case st == nil:
+		case st.Barrier:
+			fmt.Fprintf(&sb, "; stale: barrier mod gen %d", st.Generation)
+		default:
+			fmt.Fprintf(&sb, "; stale: overlaps mod gen %d in table %d", st.Generation, st.Table)
 		}
 		sb.WriteByte('\n')
 	}

@@ -108,24 +108,29 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 	defer d.mu.Unlock()
 	// Re-publish the snapshot on exit: the update may have deepened the
 	// parser template or created the start table.  The generation bump
-	// happens here — strictly after the table mutations below — so a
-	// microflow-cache entry recorded against the pre-update tables can
-	// never carry the post-update generation (flowcache.go).  It fires only
-	// once the declarative pipeline has actually changed: an AddFlow that
-	// errors out before mutating anything must not flush every worker's
-	// cache for a no-op.
+	// happens here — strictly after the table mutations below — so a cache
+	// entry recorded against the pre-update tables can never carry the
+	// post-update generation (flowcache.go).  It fires only once the
+	// declarative pipeline has actually changed: an AddFlow that errors out
+	// before mutating anything must not cost any worker a cached verdict.
+	// The mutation is logged as a barrier unless the straight-line path
+	// below gets as far as narrowing it to the entry's match: creating a
+	// table or deepening the parser keeps it one.
 	mutated := false
+	scope := barrierScope(tableID)
 	defer func() {
 		if mutated {
-			d.gen++
+			d.logMod(scope)
 		}
 		d.publish()
 	}()
+	scoped := d.dirty != nil && d.decomposedBy == 0
 
 	t := d.pipeline.Table(tableID)
 	if t == nil {
 		// Controllers routinely add flows to tables that have not been
 		// referenced yet; create the stage on demand.
+		scoped = false
 		t = d.pipeline.AddTable(tableID)
 		tr := &trampoline{id: tableID}
 		d.trampolines[tableID] = tr
@@ -147,6 +152,7 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 			// The target table does not exist yet: create it empty so
 			// the goto has somewhere to land (OpenFlow controllers
 			// routinely install parent entries before children).
+			scoped = false
 			nt := d.pipeline.AddTable(e.Instructions.GotoTable)
 			tr := &trampoline{id: nt.ID}
 			d.trampolines[nt.ID] = tr
@@ -164,6 +170,9 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 	// AddFlow with an uncovered field would disable the microflow cache for
 	// a pipeline that never changed.
 	d.usedFields = d.usedFields.Union(e.Match.Fields())
+	if d.dirty != nil {
+		d.markDirty(tableID, e)
+	}
 
 	// The parser template must stay deep enough for every match field in
 	// the pipeline, including the one just added.  The deeper parse depth
@@ -172,9 +181,13 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 	// (shallower) layer must never evaluate the new entry's matchers on
 	// unparsed fields.
 	if l := e.Match.RequiredLayer(); d.opts.SpecializeParser && l > d.parserLayer {
+		scoped = false
 		d.parserLayer = l
 		d.publish()
 		d.epochs.synchronize()
+	}
+	if scoped {
+		scope = d.scopeOf(tableID, e.Match)
 	}
 
 	tr := d.trampolines[tableID]
@@ -220,11 +233,15 @@ func (d *Datapath) DeleteFlow(tableID openflow.TableID, match *openflow.Match, p
 		return 0, nil
 	}
 	// Entries were removed: after the table transition below is in place,
-	// retire every memoized verdict by bumping the published generation
-	// (the delete may have uncovered a lower-priority entry or a miss, so
-	// any cached verdict may now be wrong).
+	// retire the generation.  The delete may have uncovered a lower-priority
+	// entry or a miss, but only for packets the removed entries matched, and
+	// those all carried this one match.
+	scope := barrierScope(tableID)
+	if d.dirty != nil && d.decomposedBy == 0 {
+		scope = d.scopeOf(tableID, match)
+	}
 	defer func() {
-		d.gen++
+		d.logMod(scope)
 		d.publish()
 	}()
 	tr := d.trampolines[tableID]
@@ -269,11 +286,12 @@ func (d *Datapath) InstallPipeline(pl *openflow.Pipeline) error {
 	d.decomposedBy = nd.decomposedBy
 	d.versions = make(map[openflow.TableID]*tableVersion)
 	d.rebuilds.Add(nd.rebuilds.Load())
-	// A fresh pipeline resets the used-field accumulator (the only place it
-	// may shrink — the whole compiled state was replaced) and retires every
-	// memoized verdict.
+	// A fresh pipeline resets the used-field and dirty-field accumulators
+	// (the only place they may shrink — the whole compiled state was
+	// replaced) and retires every memoized verdict.
 	d.usedFields = nd.usedFields
-	d.gen++
+	d.dirty = nd.dirty
+	d.logMod(barrierScope(0))
 	d.publish()
 	// Let in-flight bursts drain off the superseded pipeline before
 	// returning, matching the transactional roll-out semantics.

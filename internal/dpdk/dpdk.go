@@ -462,18 +462,23 @@ type WorkerDatapath interface {
 
 // CacheDatapath is the optional microflow-cache stats extension: a datapath
 // whose workers carry per-worker microflow verdict caches reports the folded
-// hit/miss/stale counters here, and Switch.Stats surfaces them.  The compiled
-// ESWITCH datapath implements it (core.Datapath.FlowCacheCounters).
+// hit/miss/stale counters here, and Switch.Stats surfaces them, together with
+// what became of the probes that found an entry from before a flow-mod: those
+// revalidated (a subset of hits), those lost to the flow-mod log's window (a
+// subset of stale), and the mutations that flushed older entries wholesale.
+// The tuple is one fold of the workers' counters.  The compiled ESWITCH
+// datapath implements it (core.Datapath.FlowCacheCounters).
 type CacheDatapath interface {
-	FlowCacheCounters() (hits, misses, stale uint64)
+	FlowCacheCounters() (hits, misses, stale, revalidated, expired, flushes uint64)
 }
 
 // MegaCacheDatapath is the optional megaflow-cache stats extension: a
 // datapath whose workers carry a second-level masked-match cache behind the
-// microflow cache reports the folded hit/miss counters here.  The compiled
+// microflow cache reports the folded hit/miss counters here, and the hits
+// served by revalidating an entry from before a flow-mod.  The compiled
 // ESWITCH datapath implements it (core.Datapath.MegaflowCounters).
 type MegaCacheDatapath interface {
-	MegaflowCounters() (hits, misses uint64)
+	MegaflowCounters() (hits, misses, revalidated uint64)
 }
 
 // DatapathFunc adapts a function to the Datapath interface.
@@ -533,6 +538,19 @@ type WorkerStats struct {
 	// MegaHits+MegaMisses equals CacheMisses.
 	MegaHits   uint64
 	MegaMisses uint64
+	// CacheRevalidated/MegaRevalidated count, per cache level, the hits
+	// served from an entry memoized under a retired generation that no
+	// flow-mod since had touched (they are part of CacheHits/MegaHits,
+	// where CacheStale counts the probes such an entry lost).  CacheExpired
+	// is the part of CacheStale lost to no flow-mod in particular: the
+	// entry sat unprobed through more mods than the flow-mod log holds.
+	// CacheFlushes counts the mutations that left nothing to revalidate:
+	// barriers (pipeline installs and other flow-mods outside the scope
+	// analysis).
+	CacheRevalidated uint64
+	MegaRevalidated  uint64
+	CacheExpired     uint64
+	CacheFlushes     uint64
 	// Panics counts datapath panics the workers' containment absorbed, and
 	// Quarantined the received frames whose classification those panics
 	// aborted (poison frames plus the rest of their burst).  Quarantined
@@ -1085,10 +1103,10 @@ func (s *Switch) Stats() WorkerStats {
 	// cache is part of the worker-local resource plane, not the substrate);
 	// fold them in so one Stats call tells the whole forwarding story.
 	if s.cdp != nil {
-		t.CacheHits, t.CacheMisses, t.CacheStale = s.cdp.FlowCacheCounters()
+		t.CacheHits, t.CacheMisses, t.CacheStale, t.CacheRevalidated, t.CacheExpired, t.CacheFlushes = s.cdp.FlowCacheCounters()
 	}
 	if s.mdp != nil {
-		t.MegaHits, t.MegaMisses = s.mdp.MegaflowCounters()
+		t.MegaHits, t.MegaMisses, t.MegaRevalidated = s.mdp.MegaflowCounters()
 	}
 	// Punt accounting lives in the rings themselves (single-writer mirrors),
 	// so the fold needs no registration churn as workers come and go.

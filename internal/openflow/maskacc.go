@@ -146,8 +146,11 @@ func (a *MaskAccumulator) ObserveRule(p *pkt.Packet, m *Match) bool {
 		// protocol-identifying fields were examined.
 		return false
 	}
-	for _, f := range m.Fields().Fields() {
-		want, mask, _ := m.Get(f)
+	// Walk the set bits in field order; FieldSet.Fields would allocate a
+	// slice per rule on what is the worker's double-miss path.
+	for rest := m.fields; rest != 0; rest &= rest - 1 {
+		f := Field(bits.TrailingZeros32(uint32(rest)))
+		want, mask := m.values[f], m.masks[f]
 		got := Extract(p, f)
 		diff := (got ^ want) & mask
 		if diff == 0 {

@@ -1,6 +1,9 @@
 package openflow
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -245,6 +248,112 @@ func TestDeleteEntries(t *testing.T) {
 	}
 	if n := ft.DeleteWhere(func(e *FlowEntry) bool { return e.Priority == 30 }); n != 1 || ft.Len() != 0 {
 		t.Fatalf("delete where: removed %d len %d", n, ft.Len())
+	}
+}
+
+// TestTableOrderAfterInterleavedMods drives a 10k-entry table with a seeded
+// mix of adds, replaces and all three delete forms and, after every step,
+// compares its entry order with a naive model sorted by (priority desc,
+// first-insertion order) — the order Lookup depends on.
+func TestTableOrderAfterInterleavedMods(t *testing.T) {
+	type modelEntry struct {
+		e     *FlowEntry
+		birth int
+	}
+	rng := rand.New(rand.NewSource(14))
+	ft := NewFlowTable(0)
+	model := make(map[string]*modelEntry)
+	births := 0
+	keyOf := func(prio int, m *Match) string { return fmt.Sprintf("%d/%s", prio, m) }
+	randMatch := func() *Match { return NewMatch().Set(FieldIPDst, uint64(rng.Intn(6000))) }
+	check := func(step int) {
+		t.Helper()
+		want := make([]*modelEntry, 0, len(model))
+		for _, me := range model {
+			want = append(want, me)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].e.Priority != want[j].e.Priority {
+				return want[i].e.Priority > want[j].e.Priority
+			}
+			return want[i].birth < want[j].birth
+		})
+		got := ft.Entries()
+		if len(got) != len(want) {
+			t.Fatalf("step %d: table has %d entries, model %d", step, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i].e {
+				t.Fatalf("step %d: position %d holds %v, model says %v", step, i, got[i], want[i].e)
+			}
+		}
+	}
+	add := func() {
+		e := NewEntry(rng.Intn(8), randMatch(), Apply(Output(uint32(1+rng.Intn(4)))))
+		me := model[keyOf(e.Priority, e.Match)]
+		if added := ft.Add(e); added != (me == nil) {
+			t.Fatalf("Add(%v) reported added=%v, model has it: %v", e, added, me != nil)
+		}
+		if me != nil {
+			me.e = e // a replace keeps the slot
+		} else {
+			model[keyOf(e.Priority, e.Match)] = &modelEntry{e: e, birth: births}
+			births++
+		}
+		if !ft.Contains(e.Priority, e.Match) {
+			t.Fatalf("Contains(%v) false right after Add", e)
+		}
+	}
+	// deleteIf removes from the model what pred selects and returns the count.
+	deleteIf := func(pred func(*FlowEntry) bool) int {
+		n := 0
+		for k, me := range model {
+			if pred(me.e) {
+				delete(model, k)
+				n++
+			}
+		}
+		return n
+	}
+	for len(model) < 10000 {
+		add()
+	}
+	check(-1)
+	for step := 0; step < 400; step++ {
+		switch r := rng.Intn(10); {
+		case r < 4:
+			add()
+		case r < 8: // priority-qualified delete, mostly of a present entry
+			prio, m := rng.Intn(8), randMatch()
+			want := 0
+			if model[keyOf(prio, m)] != nil {
+				want = 1
+				delete(model, keyOf(prio, m))
+			}
+			if n := ft.Delete(m, prio); n != want {
+				t.Fatalf("step %d: Delete(%v, %d) removed %d, want %d", step, m, prio, n, want)
+			}
+			if ft.Contains(prio, m) {
+				t.Fatalf("step %d: Contains true after Delete", step)
+			}
+		case r < 9: // any-priority delete
+			m := randMatch()
+			want := deleteIf(func(e *FlowEntry) bool { return e.Match.Equal(m) })
+			if n := ft.Delete(m, -1); n != want {
+				t.Fatalf("step %d: Delete(%v, -1) removed %d, want %d", step, m, n, want)
+			}
+		default:
+			port, rem := uint32(1+rng.Intn(4)), uint64(rng.Intn(97))
+			pred := func(e *FlowEntry) bool {
+				v, _, _ := e.Match.Get(FieldIPDst)
+				return v%97 == rem && e.Instructions.ApplyActions[0].Port == port
+			}
+			want := deleteIf(pred)
+			if n := ft.DeleteWhere(pred); n != want {
+				t.Fatalf("step %d: DeleteWhere removed %d, want %d", step, n, want)
+			}
+		}
+		check(step)
 	}
 }
 

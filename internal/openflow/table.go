@@ -165,9 +165,12 @@ type FlowTable struct {
 
 	entries []*FlowEntry
 	nextSeq uint64
-	// index maps (priority, match) to the entry position for O(1)
-	// replace-on-add, keeping large installs (Fig. 17) linear.
-	index map[entryKey]int
+	// index maps (priority, match) to the entry holding it, for O(1)
+	// replace-on-add and delete, keeping large installs (Fig. 17) linear.
+	// The entry's position is never stored: entries is sorted by
+	// (priority desc, seq asc), so position() finds it by binary search and
+	// a mid-slice insert or delete shifts the slice without re-keying it.
+	index map[entryKey]*FlowEntry
 }
 
 type entryKey struct {
@@ -186,41 +189,53 @@ func (t *FlowTable) Len() int { return len(t.entries) }
 // modified.
 func (t *FlowTable) Entries() []*FlowEntry { return t.entries }
 
+func keyOf(priority int, match *Match) entryKey {
+	return entryKey{priority: priority, match: match.HashKey()}
+}
+
+// find returns the entry with exactly this priority and match, building the
+// index on first use.
+func (t *FlowTable) find(key entryKey) *FlowEntry {
+	if t.index == nil {
+		t.index = make(map[entryKey]*FlowEntry, len(t.entries))
+		for _, e := range t.entries {
+			t.index[keyOf(e.Priority, e.Match)] = e
+		}
+	}
+	return t.index[key]
+}
+
+// position returns the slice position of an entry of this table (or, for a
+// new entry whose seq is above every installed one, the position it belongs
+// at): the first index ordered at or after (priority desc, seq asc).
+func (t *FlowTable) position(priority int, seq uint64) int {
+	return sort.Search(len(t.entries), func(i int) bool {
+		o := t.entries[i]
+		return o.Priority < priority || (o.Priority == priority && o.seq >= seq)
+	})
+}
+
 // Add inserts a flow entry, keeping entries sorted by decreasing priority
 // (insertion order within a priority).  If an entry with an identical match
 // and priority already exists it is replaced (OpenFlow FlowMod ADD semantics)
 // and the method reports false for "added new entry".
 func (t *FlowTable) Add(e *FlowEntry) bool {
-	key := entryKey{priority: e.Priority, match: e.Match.HashKey()}
-	if t.index == nil {
-		t.index = make(map[entryKey]int)
-		for i, old := range t.entries {
-			t.index[entryKey{priority: old.Priority, match: old.Match.HashKey()}] = i
-		}
-	}
-	if i, ok := t.index[key]; ok && t.entries[i].Priority == e.Priority && t.entries[i].Match.Equal(e.Match) {
-		e.seq = t.entries[i].seq
-		t.entries[i] = e
+	key := keyOf(e.Priority, e.Match)
+	old := t.find(key)
+	t.index[key] = e
+	if old != nil {
+		e.seq = old.seq
+		t.entries[t.position(e.Priority, e.seq)] = e
 		return false
 	}
 	e.seq = t.nextSeq
 	t.nextSeq++
-	// Insert after every entry with priority >= e.Priority (binary search
-	// over the already-sorted slice keeps equal-priority entries in
-	// insertion order).
-	pos := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Priority < e.Priority })
+	// The new seq is the largest, so this lands after every entry with
+	// priority >= e.Priority: equal-priority entries stay in insertion order.
+	pos := t.position(e.Priority, e.seq)
 	t.entries = append(t.entries, nil)
 	copy(t.entries[pos+1:], t.entries[pos:])
 	t.entries[pos] = e
-	if pos == len(t.entries)-1 {
-		t.index[key] = pos
-	} else {
-		// Positions after pos shifted; rebuild the index lazily only for
-		// the shifted suffix.
-		for i := pos; i < len(t.entries); i++ {
-			t.index[entryKey{priority: t.entries[i].Priority, match: t.entries[i].Match.HashKey()}] = i
-		}
-	}
 	return true
 }
 
@@ -229,23 +244,7 @@ func (t *FlowTable) Add(e *FlowEntry) bool {
 // add.  It shares Add's lazy index, so capacity checks on large tables stay
 // O(1).
 func (t *FlowTable) Contains(priority int, match *Match) bool {
-	key := entryKey{priority: priority, match: match.HashKey()}
-	if t.index == nil {
-		t.index = make(map[entryKey]int)
-		for i, old := range t.entries {
-			t.index[entryKey{priority: old.Priority, match: old.Match.HashKey()}] = i
-		}
-	}
-	i, ok := t.index[key]
-	return ok && t.entries[i].Priority == priority && t.entries[i].Match.Equal(match)
-}
-
-// reindex rebuilds the replace-on-add index after bulk removals.
-func (t *FlowTable) reindex() {
-	t.index = make(map[entryKey]int, len(t.entries))
-	for i, e := range t.entries {
-		t.index[entryKey{priority: e.Priority, match: e.Match.HashKey()}] = i
-	}
+	return t.find(keyOf(priority, match)) != nil
 }
 
 // AddFlow is a convenience wrapper building and adding an entry.
@@ -257,39 +256,43 @@ func (t *FlowTable) AddFlow(priority int, match *Match, ins Instructions) *FlowE
 
 // Delete removes entries whose match equals the given match (and, when
 // priority >= 0, whose priority equals it).  It returns the number removed.
+// A priority-qualified delete names at most one entry and finds it through
+// the index; only the any-priority form scans the table.
 func (t *FlowTable) Delete(match *Match, priority int) int {
-	kept := t.entries[:0]
-	removed := 0
-	for _, e := range t.entries {
-		if e.Match.Equal(match) && (priority < 0 || e.Priority == priority) {
-			removed++
-			continue
-		}
-		kept = append(kept, e)
+	if priority < 0 {
+		return t.DeleteWhere(func(e *FlowEntry) bool { return e.Match.Equal(match) })
 	}
-	t.entries = kept
-	if removed > 0 {
-		t.reindex()
+	key := keyOf(priority, match)
+	e := t.find(key)
+	if e == nil {
+		return 0
 	}
-	return removed
+	delete(t.index, key)
+	pos := t.position(priority, e.seq)
+	copy(t.entries[pos:], t.entries[pos+1:])
+	t.entries[len(t.entries)-1] = nil
+	t.entries = t.entries[:len(t.entries)-1]
+	return 1
 }
 
 // DeleteWhere removes all entries for which pred returns true and returns the
 // number removed.
 func (t *FlowTable) DeleteWhere(pred func(*FlowEntry) bool) int {
 	kept := t.entries[:0]
-	removed := 0
 	for _, e := range t.entries {
 		if pred(e) {
-			removed++
+			if t.index != nil {
+				delete(t.index, keyOf(e.Priority, e.Match))
+			}
 			continue
 		}
 		kept = append(kept, e)
 	}
-	t.entries = kept
-	if removed > 0 {
-		t.reindex()
+	removed := len(t.entries) - len(kept)
+	for i := len(kept); i < len(t.entries); i++ {
+		t.entries[i] = nil
 	}
+	t.entries = kept
 	return removed
 }
 

@@ -69,9 +69,13 @@ func RegisterSwitch(r *Registry, src SwitchSource) {
 		workerCounter("eswitch_punts_filtered_total", "Punts withheld by the punt-storm filter.", func() uint64 { return st.PuntFiltered }),
 		workerCounter("eswitch_microflow_hits_total", "Microflow verdict-cache hits.", func() uint64 { return st.CacheHits }),
 		workerCounter("eswitch_microflow_misses_total", "Microflow verdict-cache misses.", func() uint64 { return st.CacheMisses }),
-		workerCounter("eswitch_microflow_stale_total", "Microflow misses that found a retired-generation key.", func() uint64 { return st.CacheStale }),
+		workerCounter("eswitch_microflow_stale_total", "Microflow misses that found a key whose verdict a flow-mod since may have changed.", func() uint64 { return st.CacheStale }),
+		workerCounter("eswitch_microflow_revalidated_total", "Microflow hits on a retired-generation key no flow-mod since had touched.", func() uint64 { return st.CacheRevalidated }),
 		workerCounter("eswitch_megaflow_hits_total", "Megaflow (masked-match) cache hits.", func() uint64 { return st.MegaHits }),
 		workerCounter("eswitch_megaflow_misses_total", "Megaflow cache misses (full template walks).", func() uint64 { return st.MegaMisses }),
+		workerCounter("eswitch_megaflow_revalidated_total", "Megaflow hits on a retired-generation entry no flow-mod since had touched.", func() uint64 { return st.MegaRevalidated }),
+		workerCounter("eswitch_microflow_expired_total", "Microflow stale probes whose entry had sat through more flow-mods than the flow-mod log holds.", func() uint64 { return st.CacheExpired }),
+		workerCounter("eswitch_cache_flushes_total", "Barrier flow-mods: mutations that staled every older cache entry.", func() uint64 { return st.CacheFlushes }),
 		workerCounter("eswitch_datapath_panics_total", "Datapath panics absorbed by worker containment.", func() uint64 { return st.Panics }),
 		workerCounter("eswitch_quarantined_frames_total", "Frames abandoned by panic containment.", func() uint64 { return st.Quarantined }),
 		gaugeFamily("eswitch_ports_down", "Ports currently held Down by the link-state machine.", func() float64 { return float64(st.PortsDown) }),

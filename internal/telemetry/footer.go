@@ -154,8 +154,9 @@ func RenderFooter(w io.Writer, r *Registry, cfg FooterConfig) {
 	}
 	if cfg.FlowCache {
 		hits, misses := v.u("eswitch_microflow_hits_total"), v.u("eswitch_microflow_misses_total")
-		fmt.Fprintf(w, "flowcache: %d hits, %d misses (%d stale), %.1f%% hit rate\n",
-			hits, misses, v.u("eswitch_microflow_stale_total"), pct(hits, hits+misses))
+		fmt.Fprintf(w, "flowcache: %d hits (%d revalidated), %d misses (%d stale, %d of them expired), %.1f%% hit rate, %d flushes\n",
+			hits, v.u("eswitch_microflow_revalidated_total"), misses, v.u("eswitch_microflow_stale_total"),
+			v.u("eswitch_microflow_expired_total"), pct(hits, hits+misses), v.u("eswitch_cache_flushes_total"))
 		fills, capacity := v.u("eswitch_microflow_fills_total"), v.u("eswitch_microflow_capacity_slots")
 		if capacity > 0 {
 			live := fills
@@ -172,8 +173,8 @@ func RenderFooter(w io.Writer, r *Registry, cfg FooterConfig) {
 	}
 	if cfg.Megaflow {
 		mh, mm := v.u("eswitch_megaflow_hits_total"), v.u("eswitch_megaflow_misses_total")
-		fmt.Fprintf(w, "megaflow:  %d hits, %d misses, %.1f%% of microflow misses short-circuited\n",
-			mh, mm, pct(mh, mh+mm))
+		fmt.Fprintf(w, "megaflow:  %d hits (%d revalidated), %d misses, %.1f%% of microflow misses short-circuited\n",
+			mh, v.u("eswitch_megaflow_revalidated_total"), mm, pct(mh, mh+mm))
 	}
 	if cfg.Latency {
 		fmt.Fprintf(w, "burst:     %s\n", quantiles(v.hists["eswitch_burst_duration_seconds"]))

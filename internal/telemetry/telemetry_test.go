@@ -346,7 +346,7 @@ func TestFooterReadsRegistry(t *testing.T) {
 		"processed: 1000 packets (900 forwarded, 50 dropped, 50 to controller)",
 		"tx:        policy drop, 0 retries, 3 backpressure drops",
 		"slowpath:  50 punts queued",
-		"flowcache: 750 hits, 250 misses (0 stale), 75.0% hit rate",
+		"flowcache: 750 hits (0 revalidated), 250 misses (0 stale, 0 of them expired), 75.0% hit rate, 0 flushes",
 		"burst:     p50",
 	} {
 		if !strings.Contains(out, want) {
