@@ -62,7 +62,10 @@ func verdictsIdentical(a, b *openflow.Verdict) bool {
 }
 
 // runDifferential runs one workload's frames through all three datapaths,
-// with and without a cycle meter (the two compiled process variants).
+// with and without a cycle meter, plus the other executors the sequential
+// walker serves: Trace must claim the per-packet verdict, headers and
+// metadata in as many steps as the verdict counts tables, and a metered burst
+// must cost exactly the cycles of the same frames metered one by one.
 func runDifferential(t *testing.T, name string, pl *openflow.Pipeline, frames []diffFrame, decompose bool) {
 	t.Helper()
 	n := len(frames)
@@ -94,6 +97,15 @@ func runDifferential(t *testing.T, name string, pl *openflow.Pipeline, frames []
 				dp.Process(&p, &sv[i])
 				sh[i], sm[i] = p.Headers, p.Metadata
 			}
+			perPacketCycles := opts.Meter.TotalCycles()
+			for i, f := range frames {
+				p := pkt.Packet{Data: f.data, InPort: f.inPort}
+				tr := dp.Trace(&p)
+				if !verdictsIdentical(&tr.Verdict, &sv[i]) || p.Headers != sh[i] || p.Metadata != sm[i] || len(tr.Steps) != tr.Verdict.Tables {
+					t.Fatalf("frame %d: single verdict %s, headers %+v metadata %#x; Trace left headers %+v metadata %#x and says\n%s",
+						i, sv[i].String(), sh[i], sm[i], p.Headers, p.Metadata, tr)
+				}
+			}
 
 			// Per-packet compiled vs interpreter: same externally visible
 			// outcome and same header rewrites.
@@ -115,6 +127,9 @@ func runDifferential(t *testing.T, name string, pl *openflow.Pipeline, frames []
 					ps[j] = &packets[j]
 				}
 				vs := make([]openflow.Verdict, burst)
+				// Each metered pass starts from a cold simulated cache, like
+				// the per-packet pass did.
+				opts.Meter.Reset()
 				for base := 0; base < n; base += burst {
 					g := burst
 					if n-base < g {
@@ -136,6 +151,9 @@ func runDifferential(t *testing.T, name string, pl *openflow.Pipeline, frames []
 							t.Fatalf("burst=%d frame %d: burst metadata %#x != single %#x", burst, i, packets[j].Metadata, sm[i])
 						}
 					}
+				}
+				if got := opts.Meter.TotalCycles(); got != perPacketCycles || metered != (got > 0) {
+					t.Fatalf("burst=%d: metered bursts cost %d cycles, the same frames one by one %d", burst, got, perPacketCycles)
 				}
 			}
 		})
@@ -288,15 +306,19 @@ func TestProcessBurstNoAllocs(t *testing.T) {
 				ps[j] = &packets[j]
 			}
 			vs := make([]openflow.Verdict, burst)
+			w := dp.RegisterWorker()
+			defer dp.UnregisterWorker(w)
 			run := func() {
 				for j := 0; j < burst; j++ {
 					tr.Next(ps[j])
 				}
-				dp.ProcessBurstUnlocked(ps, vs)
+				w.Enter()
+				w.ProcessBurst(ps, vs)
+				w.Exit()
 			}
-			// Warm the scratch pool and the verdict/action-set capacities,
-			// then measure with the GC pinned so a pool eviction cannot
-			// masquerade as a steady-state allocation.
+			// Warm the verdict/action-set capacities, then measure with the
+			// GC pinned so a collection cannot masquerade as a steady-state
+			// allocation.
 			for i := 0; i < 8; i++ {
 				run()
 			}

@@ -646,7 +646,7 @@ func main() {
 				}
 				// The trace pre-computed each flow's RSS hash, so steering
 				// through it keeps the producer path to a bare ring enqueue
-				// (Inject would rehash the frame per call).  The ring carries
+				// (AutoQueue would rehash the frame per call).  The ring carries
 				// raw frames only, so the workers' microflow-cache probes
 				// recompute the same hash on their side — once per packet.
 				if port.InjectOn(int(p.FlowHash()%nq), p.Data) {

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-
-	"eswitch/internal/cpumodel"
 	"eswitch/internal/exacthash"
 	"eswitch/internal/openflow"
 	"eswitch/internal/pkt"
@@ -15,8 +12,8 @@ import (
 const MaxBurst = 64
 
 // burstScratch is the reusable working state of one in-flight burst.  It is
-// sized for MaxBurst packets and fully reused across bursts — acquiring one
-// from the pool and the action-set slices retaining their capacity is what
+// sized for MaxBurst packets, owned by one Worker and fully reused across
+// bursts — that and the action-set slices retaining their capacity is what
 // makes the steady-state burst path allocation-free.
 type burstScratch struct {
 	// Engine state, indexed by burst slot: the trampoline the packet waits
@@ -44,10 +41,8 @@ type burstScratch struct {
 	// default cache-off scratch must not carry it.
 	cache *cacheScratch
 	// ctr is the worker's private flow-counter delta accumulator
-	// (flowctr.go), non-nil only for registered workers on a datapath
-	// compiled with Options.UpdateCounters.  Pooled scratches (the
-	// ProcessBurstUnlocked path) leave it nil and bump the shared atomic
-	// counters directly.
+	// (flowctr.go), non-nil only on a datapath compiled with
+	// Options.UpdateCounters.
 	ctr *flowCtrAccum
 }
 
@@ -69,10 +64,6 @@ type cacheScratch struct {
 	// verdict (counters-enabled datapaths only — see ctrList).
 	ctrs [MaxBurst]ctrList
 }
-
-// burstPool recycles scratch across bursts and workers; the scratch is
-// datapath-independent, so one pool serves every Datapath.
-var burstPool = sync.Pool{New: func() any { return new(burstScratch) }}
 
 // ProcessBurst sends a burst of packets through the compiled fast path,
 // filling vs[i] with the verdict for ps[i].  len(vs) must be at least
@@ -97,51 +88,26 @@ func (d *Datapath) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
 	w.ProcessBurst(ps, vs)
 }
 
-// ProcessBurstUnlocked is ProcessBurst without the worker pin: one atomic
-// snapshot load, then pure computation — no locks, no atomic read-modify-
-// writes.  It draws scratch from a shared pool and charges metering to the
-// shared datapath meter, so it is for single-threaded harnesses and callers
-// that quiesce updates externally; concurrent forwarding workers use the
-// handle returned by RegisterWorker, whose ProcessBurst runs entirely on
-// worker-local resources.
-func (d *Datapath) ProcessBurstUnlocked(ps []*pkt.Packet, vs []openflow.Verdict) {
-	sn := d.snap.Load()
-	sc := burstPool.Get().(*burstScratch)
-	for len(ps) > MaxBurst {
-		d.processBurst(sc, d.meter, sn, nil, nil, ps[:MaxBurst], vs[:MaxBurst])
-		ps, vs = ps[MaxBurst:], vs[MaxBurst:]
-	}
-	if len(ps) > 0 {
-		d.processBurst(sc, d.meter, sn, nil, nil, ps, vs)
-	}
-	burstPool.Put(sc)
-}
-
 // processBurst runs one burst of at most MaxBurst packets to completion over
-// the caller-owned scratch sc, charging metering (when m is non-nil) to the
-// caller's meter — the worker's private shard on the worker path.  When the
-// caller owns a microflow cache (fc non-nil) and the published pipeline is
-// cacheable, the burst first runs a cache probe pass: hits replay their
-// memoized verdict immediately and only the misses enter the wave engine,
-// installing their verdicts on the way out.  When the caller additionally
-// owns a megaflow cache (mc non-nil), microflow misses probe it before
-// falling through to the pipeline (megaflow.go).
-func (d *Datapath) processBurst(sc *burstScratch, m *cpumodel.Meter, sn *snapshot, fc *FlowCache, mc *megaCache, ps []*pkt.Packet, vs []openflow.Verdict) {
+// the caller-owned scratch sc.  The burst engine is never observed: metered
+// callers run n sequential walks instead and do not get here (Worker.
+// ProcessBurst).  When the caller owns a microflow cache (fc non-nil) and the
+// published pipeline is cacheable, the burst first runs a cache probe pass:
+// hits replay their memoized verdict immediately and only the misses enter
+// the wave engine, installing their verdicts on the way out.  When the caller
+// additionally owns a megaflow cache (mc non-nil), microflow misses probe it
+// before falling through to the pipeline (megaflow.go).
+func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, mc *megaCache, ps []*pkt.Packet, vs []openflow.Verdict) {
 	n := len(ps)
 
 	// Stage 1: one parser pass over the whole burst, to the layer the
 	// compiled pipeline requires.
 	pkt.ParseToBurst(ps, sn.parserLayer)
-	if m != nil {
-		m.StartPackets(n)
-		m.AddCycles((cpumodel.CostPktIO + parserCost(sn.parserLayer)) * n)
-	}
-
 	for i := 0; i < n; i++ {
 		vs[i].Reset()
 	}
 
-	if fc != nil && sn.cacheable && m == nil {
+	if fc != nil && sn.cacheable {
 		d.processBurstCached(sc, sn, fc, mc, ps, vs)
 		return
 	}
@@ -164,13 +130,13 @@ func (d *Datapath) processBurst(sc *burstScratch, m *cpumodel.Meter, sn *snapsho
 			dp = sn.start.load()
 		}
 		if dp == nil {
-			// No start table: same disposition as the per-packet path.
+			// No start table: same disposition as the sequential walker.
 			for i := 0; i < n; i++ {
 				vs[i].Dropped = true
 			}
 			return
 		}
-		dp.LookupBurst(ps, sc.outs[:n], sc, m)
+		dp.LookupBurst(ps, sc.outs[:n], sc)
 		var set0 openflow.ActionList
 		for j := 0; j < n; j++ {
 			p, v := ps[j], &vs[j]
@@ -178,81 +144,65 @@ func (d *Datapath) processBurst(sc *burstScratch, m *cpumodel.Meter, sn *snapsho
 			ce := sc.outs[j].entry
 			if ce == nil {
 				sn.miss(v, sn.start.id)
-				if m != nil {
-					m.AddCycles(cpumodel.CostPktIO)
-				}
 				continue
 			}
 			set0 = set0[:0]
-			switch d.executeEntry(sn, ce, p, v, &set0, sn.start.id, d.opts.UpdateCounters, sc.ctr) {
-			case stepNext:
-				sc.tramp[j] = ce.next
-				// Persist the accumulated action set for the next level;
-				// the per-slot slice is only touched when there is
-				// something to carry (or stale state to clear).
-				if len(set0) > 0 {
-					sc.sets[j] = append(sc.sets[j][:0], set0...)
-				} else if len(sc.sets[j]) > 0 {
-					sc.sets[j] = sc.sets[j][:0]
-				}
-				if curLen == 0 {
-					nextTr = ce.next
-				} else if ce.next != nextTr {
-					uniform = false
-				}
-				cur[curLen] = int32(j)
-				curLen++
-			case stepDropped:
-				if m != nil {
-					m.AddCycles(cpumodel.CostActions)
-				}
-			case stepTerminal:
-				if m != nil {
-					m.AddCycles(cpumodel.CostActions)
-					m.AddCycles(cpumodel.CostPktIO)
-				}
+			if d.executeEntry(sn, ce, p, v, &set0, sn.start.id, d.opts.UpdateCounters, sc.ctr) != stepNext {
+				continue
 			}
+			sc.tramp[j] = ce.next
+			// Persist the accumulated action set for the next level; the
+			// per-slot slice is only touched when there is something to
+			// carry (or stale state to clear).
+			if len(set0) > 0 {
+				sc.sets[j] = append(sc.sets[j][:0], set0...)
+			} else if len(sc.sets[j]) > 0 {
+				sc.sets[j] = sc.sets[j][:0]
+			}
+			if curLen == 0 {
+				nextTr = ce.next
+			} else if ce.next != nextTr {
+				uniform = false
+			}
+			cur[curLen] = int32(j)
+			curLen++
 		}
 	}
 
-	d.runWaves(sc, m, sn, ps, vs, cur, sc.frontB[:], curLen, uniform, 1, false)
+	d.runWaves(sc, sn, ps, vs, cur, sc.frontB[:], curLen, uniform, 1, false)
 }
 
 // runWaves executes the breadth-first wave loop over the goto DAG for the
 // packets in the cur frontier (slot indices into ps/vs), starting at the
 // given pipeline level.  The current frontier holds every live packet at the
-// current pipeline depth.  A uniform level — every packet waiting at
-// the same trampoline, tracked from the previous level's survivors —
-// is classified through the table's template in one batched lookup, so
-// the template (and the trampoline's atomic pointer) is touched once
-// per burst instead of once per packet.  A fragmented level (packets
-// diverged, say, into per-CE user tables) is stepped per slot in a
-// single fused pass: tiny groups gain nothing from staging, and the
-// survivors re-merge into a single batch before a shared downstream
-// table (the routing LPM) is visited.  It is shared verbatim by the plain
-// and cache-fronted burst paths so their semantics cannot drift.  When rec
-// is set (cache-fronted walk on a counters-enabled datapath), every matched
-// entry's Counters pointer is recorded in the slot's ctrList so the install
-// pass can memoize it with the verdict.
-func (d *Datapath) runWaves(sc *burstScratch, m *cpumodel.Meter, sn *snapshot, ps []*pkt.Packet, vs []openflow.Verdict, cur, next []int32, curLen int, uniform bool, startLevel int, rec bool) {
-	var nextTr *trampoline
+// current pipeline depth.  A uniform level — every packet waiting at the same
+// trampoline, tracked from the previous level's survivors — is classified
+// through the table's template in one batched lookup before the per-slot
+// pass, so the template (and the trampoline's atomic pointer) is touched once
+// per burst instead of once per packet.  On a fragmented level (packets
+// diverged, say, into per-CE user tables) the per-slot pass does each slot's
+// own Lookup instead: tiny groups gain nothing from staging, and the
+// survivors re-merge into a single batch before a shared downstream table
+// (the routing LPM) is visited.  Either way one pass executes the outcomes
+// and builds the next frontier.  It is shared verbatim by the plain and
+// cache-fronted burst paths so their semantics cannot drift.  When rec is set
+// (cache-fronted walk on a counters-enabled datapath), every matched entry's
+// Counters pointer is recorded in the slot's ctrList so the install pass can
+// memoize it with the verdict.
+func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs []openflow.Verdict, cur, next []int32, curLen int, uniform bool, startLevel int, rec bool) {
 	for level := startLevel; curLen > 0; level++ {
 		if level >= openflow.MaxPipelineDepth {
-			// Same disposition as the per-packet path's depth guard.
+			// Same disposition as the sequential walker's depth guard.
 			for k := 0; k < curLen; k++ {
 				vs[cur[k]].Dropped = true
 			}
 			break
 		}
-		nextLen := 0
-		nextUniform := true
-		nextTr = nil
 		if uniform {
-			tr := sc.tramp[cur[0]]
-			dp := tr.load()
+			dp := sc.tramp[cur[0]].load()
 			if dp == nil {
 				// The table was removed under us: same disposition as
-				// the per-packet path (drop).
+				// the sequential walker (drop).
 				for k := 0; k < curLen; k++ {
 					vs[cur[k]].Dropped = true
 				}
@@ -261,92 +211,45 @@ func (d *Datapath) runWaves(sc *burstScratch, m *cpumodel.Meter, sn *snapshot, p
 			for k := 0; k < curLen; k++ {
 				sc.pkts[k] = ps[cur[k]]
 			}
-			dp.LookupBurst(sc.pkts[:curLen], sc.outs[:curLen], sc, m)
-			for j := 0; j < curLen; j++ {
-				i := int(cur[j])
-				p, v := sc.pkts[j], &vs[i]
-				v.Tables++
-				ce := sc.outs[j].entry
-				if ce == nil {
-					sn.miss(v, tr.id)
-					if m != nil {
-						m.AddCycles(cpumodel.CostPktIO)
-					}
-					continue
-				}
-				if rec {
-					sc.cache.ctrs[i].add(ce.counters)
-				}
-				switch d.executeEntry(sn, ce, p, v, &sc.sets[i], tr.id, d.opts.UpdateCounters, sc.ctr) {
-				case stepNext:
-					sc.tramp[i] = ce.next
-					if nextLen == 0 {
-						nextTr = ce.next
-					} else if ce.next != nextTr {
-						nextUniform = false
-					}
-					next[nextLen] = int32(i)
-					nextLen++
-				case stepDropped:
-					if m != nil {
-						m.AddCycles(cpumodel.CostActions)
-					}
-				case stepTerminal:
-					if m != nil {
-						m.AddCycles(cpumodel.CostActions)
-						m.AddCycles(cpumodel.CostPktIO)
-					}
-				}
-			}
-		} else {
-			for k := 0; k < curLen; k++ {
-				i := int(cur[k])
-				p, v := ps[i], &vs[i]
-				tri := sc.tramp[i]
-				dp := tri.load()
+			dp.LookupBurst(sc.pkts[:curLen], sc.outs[:curLen], sc)
+		}
+		nextLen := 0
+		nextUniform := true
+		var nextTr *trampoline
+		for k := 0; k < curLen; k++ {
+			i := int(cur[k])
+			p, v := ps[i], &vs[i]
+			tr := sc.tramp[i]
+			var ce *compiledEntry
+			if uniform {
+				ce = sc.outs[k].entry
+			} else {
+				dp := tr.load()
 				if dp == nil {
 					v.Dropped = true
 					continue
 				}
-				v.Tables++
-				var out lookupOutcome
-				if m == nil {
-					out = dp.LookupFast(p)
-				} else {
-					out = dp.Lookup(p, m)
-				}
-				ce := out.entry
-				if ce == nil {
-					sn.miss(v, tri.id)
-					if m != nil {
-						m.AddCycles(cpumodel.CostPktIO)
-					}
-					continue
-				}
-				if rec {
-					sc.cache.ctrs[i].add(ce.counters)
-				}
-				switch d.executeEntry(sn, ce, p, v, &sc.sets[i], tri.id, d.opts.UpdateCounters, sc.ctr) {
-				case stepNext:
-					sc.tramp[i] = ce.next
-					if nextLen == 0 {
-						nextTr = ce.next
-					} else if ce.next != nextTr {
-						nextUniform = false
-					}
-					next[nextLen] = int32(i)
-					nextLen++
-				case stepDropped:
-					if m != nil {
-						m.AddCycles(cpumodel.CostActions)
-					}
-				case stepTerminal:
-					if m != nil {
-						m.AddCycles(cpumodel.CostActions)
-						m.AddCycles(cpumodel.CostPktIO)
-					}
-				}
+				ce = dp.Lookup(p).entry
 			}
+			v.Tables++
+			if ce == nil {
+				sn.miss(v, tr.id)
+				continue
+			}
+			if rec {
+				sc.cache.ctrs[i].add(ce.counters)
+			}
+			if d.executeEntry(sn, ce, p, v, &sc.sets[i], tr.id, d.opts.UpdateCounters, sc.ctr) != stepNext {
+				continue
+			}
+			sc.tramp[i] = ce.next
+			if nextLen == 0 {
+				nextTr = ce.next
+			} else if ce.next != nextTr {
+				nextUniform = false
+			}
+			next[nextLen] = int32(i)
+			nextLen++
 		}
 		cur, next = next, cur
 		curLen = nextLen
@@ -360,9 +263,9 @@ func (d *Datapath) runWaves(sc *burstScratch, m *cpumodel.Meter, sn *snapshot, p
 // the misses through the wave engine, and memoize their verdicts on the way
 // out.  When mc is non-nil, the misses are finished through the megaflow
 // layer instead (processMissesTracked): probe the second-level cache, run
-// only the double misses through the tracked pipeline walk, and install both
-// cache levels on the way out.  Callers guarantee fc != nil, sn.cacheable and
-// no metering.
+// only the double misses through the observed sequential walk, and install
+// both cache levels on the way out.  Callers guarantee fc != nil and
+// sn.cacheable.
 func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCache, mc *megaCache, ps []*pkt.Packet, vs []openflow.Verdict) {
 	n := len(ps)
 	start := sn.start
@@ -455,7 +358,7 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 		return
 	}
 
-	d.runWaves(sc, nil, sn, ps, vs, cur, sc.frontB[:], missN, true, 0, rec)
+	d.runWaves(sc, sn, ps, vs, cur, sc.frontB[:], missN, true, 0, rec)
 
 	// Install pass: memoize every miss whose verdict the cache can express —
 	// at most one output port, a walk shallow enough for the encoding, and a

@@ -80,9 +80,9 @@ func (sn *snapshot) miss(v *openflow.Verdict, table openflow.TableID) {
 // Datapath is a compiled ESWITCH fast path: the specialized representation of
 // one OpenFlow pipeline plus the machinery to keep it up to date.
 //
-// Concurrency model: the hot path (Process/ProcessBurst and their Unlocked
-// variants) is lock-free — it roots at the atomically-published snapshot and
-// follows atomically-swapped trampolines.  Updates (AddFlow, DeleteFlow,
+// Concurrency model: the hot path (Process, ProcessUnlocked, ProcessBurst and
+// the worker handles') is lock-free — it roots at the atomically-published
+// snapshot and follows atomically-swapped trampolines.  Updates (AddFlow, DeleteFlow,
 // InstallPipeline) are serialized by mu, build the new representation off to
 // the side, publish it atomically, and reclaim superseded copies only after
 // every registered worker epoch has passed a quiescent point (see epoch.go
@@ -90,6 +90,8 @@ func (sn *snapshot) miss(v *openflow.Verdict, table openflow.TableID) {
 type Datapath struct {
 	opts  Options
 	meter *cpumodel.Meter
+	// obs is the meter's observer for ProcessUnlocked (nil when unmetered).
+	obs *observer
 
 	// pipeline is the declarative source of truth; updates are applied to
 	// it first and then reflected into the compiled representation.
@@ -172,6 +174,9 @@ func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 		numPorts:    pl.NumPorts,
 		actionCache: make(map[string]*sharedActions),
 		versions:    make(map[openflow.TableID]*tableVersion),
+	}
+	if d.meter != nil {
+		d.obs = &observer{meter: d.meter}
 	}
 	d.pins = make(chan *Worker, maxPinnedWorkers)
 	working := pl.Clone()
@@ -378,18 +383,10 @@ func (d *Datapath) Process(p *pkt.Packet, v *openflow.Verdict) {
 // performs no atomic read-modify-writes — one atomic snapshot load, then pure
 // computation.  Callers must either hold their own registered WorkerEpoch
 // (the dataplane substrate's per-core workers) or quiesce updates externally
-// (single-threaded harnesses and benchmarks).
-//
-// The meter decision is hoisted out of the per-stage path: compilation with
-// no meter selects a process variant that contains no metering calls at all
-// rather than paying a nil-checked method call at every stage.
+// (single-threaded harnesses and benchmarks).  On a metered datapath the walk
+// is charged to the datapath's own meter, not a worker shard.
 func (d *Datapath) ProcessUnlocked(p *pkt.Packet, v *openflow.Verdict) {
-	sn := d.snap.Load()
-	if d.meter == nil {
-		d.processFast(sn, p, v)
-		return
-	}
-	d.processMetered(sn, d.meter, p, v)
+	d.process(d.snap.Load(), d.obs, p, v)
 }
 
 // stepResult is how executing one matched entry ended.
@@ -410,14 +407,14 @@ const (
 // written when an instruction actually touches it, which keeps the common
 // apply-only hot path free of action-set stores.  table is the entry's own
 // table, to which any punt-to-controller the entry executes is attributed.
-// It returns how processing ended and is shared verbatim by the per-packet
-// and burst engines so their semantics cannot drift.  counters selects
-// whether the entry's per-flow counters are bumped: the forwarding paths
+// It returns how processing ended and is shared verbatim by the sequential
+// walker and the burst engine so their semantics cannot drift.  counters
+// selects whether the entry's per-flow counters are bumped: the forwarding paths
 // pass Options.UpdateCounters, the trace replay (trace.go) passes false so
 // an admin trace never perturbs flow statistics.  A non-nil ctr redirects
 // the bump into the worker's private delta accumulator (flowctr.go) —
 // plain adds on worker-owned memory instead of two shared atomic RMWs per
-// packet; callers without worker-owned scratch pass nil and take the
+// packet; the per-packet entry points (process) pass nil and take the
 // direct atomic path.
 func (d *Datapath) executeEntry(sn *snapshot, ce *compiledEntry, p *pkt.Packet, v *openflow.Verdict, set *openflow.ActionList, table openflow.TableID, counters bool, ctr *flowCtrAccum) stepResult {
 	if counters {
@@ -465,74 +462,58 @@ func (d *Datapath) executeEntry(sn *snapshot, ce *compiledEntry, p *pkt.Packet, 
 	return stepNext
 }
 
-// processFast is the meter-free process variant: no metering calls anywhere
-// on the path.
-func (d *Datapath) processFast(sn *snapshot, p *pkt.Packet, v *openflow.Verdict) {
+// process runs one packet through the sequential walker from scratch: reset
+// the verdict, parse only as deep as the pipeline needs, walk.  o is nil on an
+// unmetered datapath and the caller's meter observer otherwise — the
+// datapath's for single-threaded callers, the worker's private shard on the
+// worker path.
+func (d *Datapath) process(sn *snapshot, o *observer, p *pkt.Packet, v *openflow.Verdict) {
 	v.Reset()
 	pkt.ParseTo(p, sn.parserLayer)
-	var actionSet openflow.ActionList
-	tr := sn.start
-	for depth := 0; depth < openflow.MaxPipelineDepth; depth++ {
-		if tr == nil {
-			break
-		}
-		dp := tr.load()
-		if dp == nil {
-			break
-		}
-		v.Tables++
-		out := dp.LookupFast(p)
-		if out.entry == nil {
-			sn.miss(v, tr.id)
-			return
-		}
-		if d.executeEntry(sn, out.entry, p, v, &actionSet, tr.id, d.opts.UpdateCounters, nil) != stepNext {
-			return
-		}
-		tr = out.entry.next
+	if o != nil {
+		o.meter.StartPacket()
+		o.meter.AddCycles(cpumodel.CostPktIO + parserCost(sn.parserLayer))
 	}
-	v.Dropped = true
+	var set openflow.ActionList
+	d.walk(sn, p, v, &set, o, d.opts.UpdateCounters, nil)
 }
 
-// processMetered is the process variant used when a cycle meter is attached;
-// m is the caller's meter — the datapath meter for single-threaded callers,
-// the worker's private shard on the worker path.
-func (d *Datapath) processMetered(sn *snapshot, m *cpumodel.Meter, p *pkt.Packet, v *openflow.Verdict) {
-	v.Reset()
-	m.StartPacket()
-	m.AddCycles(cpumodel.CostPktIO)
-
-	// Parser template: parse only as deep as the pipeline needs.
-	pkt.ParseTo(p, sn.parserLayer)
-	m.AddCycles(parserCost(sn.parserLayer))
-
-	var actionSet openflow.ActionList
+// walk is the one sequential walker of the goto DAG: it takes a parsed packet
+// and a reset verdict from the start table to a terminal disposition, one
+// table lookup at a time.  Process, every metered datapath, the megaflow
+// double-miss walk and Trace all run it; what differs between them is only
+// who is watching — a nil observer is the plain forwarding walk, a non-nil
+// one is told about every lookup and every executed entry.  It shares
+// executeEntry, the miss disposition and the depth guard with the burst
+// engine (burst.go), the only other walker.  counters and ctr are
+// executeEntry's.
+func (d *Datapath) walk(sn *snapshot, p *pkt.Packet, v *openflow.Verdict, set *openflow.ActionList, o *observer, counters bool, ctr *flowCtrAccum) {
 	tr := sn.start
-	for depth := 0; depth < openflow.MaxPipelineDepth; depth++ {
-		if tr == nil {
-			break
-		}
+	for depth := 0; depth < openflow.MaxPipelineDepth && tr != nil; depth++ {
 		dp := tr.load()
 		if dp == nil {
 			break
 		}
 		v.Tables++
-		out := dp.Lookup(p, m)
-		if out.entry == nil {
+		var ce *compiledEntry
+		if o == nil {
+			ce = dp.Lookup(p).entry
+		} else {
+			ce = dp.LookupObserved(p, o).entry
+			o.looked(tr, dp, ce)
+		}
+		if ce == nil {
 			sn.miss(v, tr.id)
-			m.AddCycles(cpumodel.CostPktIO)
 			return
 		}
-		switch d.executeEntry(sn, out.entry, p, v, &actionSet, tr.id, d.opts.UpdateCounters, nil) {
-		case stepDropped:
-			m.AddCycles(cpumodel.CostActions)
-			return
-		case stepTerminal:
-			m.AddCycles(cpumodel.CostActions)
-			m.AddCycles(cpumodel.CostPktIO)
+		res := d.executeEntry(sn, ce, p, v, set, tr.id, counters, ctr)
+		if o != nil {
+			o.executed(ce, res)
+		}
+		if res != stepNext {
 			return
 		}
-		tr = out.entry.next
+		tr = ce.next
 	}
 	v.Dropped = true
 }

@@ -19,9 +19,14 @@
 //     side by side with the running datapath and swapped in transactionally
 //     (§3.4).
 //
-// The runtime (Datapath) executes the compiled representation, optionally
-// reporting its work to a cpumodel.Meter so the paper's cycle- and
-// cache-level figures can be regenerated deterministically.
+// The runtime (Datapath) executes the compiled representation through
+// exactly two walkers of the goto DAG: the burst engine (burst.go), which
+// classifies a whole burst level by level and is never observed, and one
+// sequential per-packet walk (Datapath.walk, compile.go).  Everything that
+// has to watch a packet cross the pipeline — the cpumodel.Meter that
+// regenerates the paper's cycle- and cache-level figures deterministically,
+// the megaflow layer's mask accumulator, the tracer — rides the sequential
+// walk as an observer instead of living in a lookup signature.
 package core
 
 import (
@@ -181,33 +186,97 @@ type lookupOutcome struct {
 	entry *compiledEntry // nil on table miss
 }
 
+// observer is what one sequential walk (Datapath.walk) and the template
+// lookups under it report to; each field is optional and a nil one costs a
+// branch.  Who sets what:
+//
+//   - meter — the cycle and simulated-cache model: every metered datapath
+//     (Options.Meter), the datapath's own meter behind ProcessUnlocked and
+//     the worker's private shard behind Worker.Process/ProcessBurst;
+//   - acc — the mask accumulator collecting the header bits the walk
+//     examined: the megaflow double-miss walk (megaflow.go) and Trace;
+//   - rec — the matched entries' counter pointers, memoized by the caches
+//     alongside the verdict: the double-miss walk on a counters-enabled
+//     datapath, re-pointed per packet;
+//   - steps — the per-table explanation: Trace only.
+//
+// The observer crosses an interface call (LookupObserved), so one built on the
+// caller's stack escapes to the heap: the forwarding-path owners (Datapath,
+// Worker, megaCache) allocate theirs once and reuse it.
+type observer struct {
+	meter *cpumodel.Meter
+	acc   *openflow.MaskAccumulator
+	rec   *ctrList
+	steps *[]TraceStep
+}
+
+// looked reports the outcome of the lookup in the table behind tr (ce is nil
+// on a table miss).
+func (o *observer) looked(tr *trampoline, dp tableDatapath, ce *compiledEntry) {
+	if o.steps != nil {
+		step := TraceStep{Table: tr.id, Template: dp.Kind(), Entries: dp.Len()}
+		if ce != nil {
+			step.Matched = true
+			step.Priority = ce.priority
+			step.Match = ce.match
+			step.Apply = ce.apply.list
+			step.Next, step.HasNext = ce.nextID, ce.hasNext
+		}
+		*o.steps = append(*o.steps, step)
+	}
+	if ce == nil {
+		o.meter.AddCycles(cpumodel.CostPktIO)
+	} else if o.rec != nil {
+		o.rec.add(ce.counters)
+	}
+}
+
+// executed reports how executing the matched entry ce ended.
+func (o *observer) executed(ce *compiledEntry, res stepResult) {
+	if o.acc != nil {
+		// Fields rewritten by this stage are deterministic for every packet
+		// on the path; suppress their later observation.
+		if len(ce.apply.list) > 0 {
+			o.acc.MarkModifiedActions(ce.apply.list)
+		}
+		if ce.metadataMask != 0 {
+			o.acc.MarkMetadataWrite(ce.metadataMask)
+		}
+	}
+	switch res {
+	case stepDropped:
+		o.meter.AddCycles(cpumodel.CostActions)
+	case stepTerminal:
+		o.meter.AddCycles(cpumodel.CostActions + cpumodel.CostPktIO)
+	}
+}
+
 // tableDatapath is the common interface of the four compiled table templates.
+// It carries three lookups and no more (TestTableDatapathLookupSurface): the
+// per-packet one, the batched one the burst engine drives, and the observed
+// one the sequential walk uses when somebody is watching.
 type tableDatapath interface {
 	// Kind returns the template implementing the table.
 	Kind() TemplateKind
 	// Len returns the number of compiled entries.
 	Len() int
-	// Lookup classifies the packet, charging its cost to the meter.
-	Lookup(p *pkt.Packet, m *cpumodel.Meter) lookupOutcome
-	// LookupFast is Lookup with metering compiled out: the meter-disabled
-	// process variant calls it so the hot path pays no nil-checked meter
-	// calls per stage.
-	LookupFast(p *pkt.Packet) lookupOutcome
+	// Lookup classifies the packet.
+	Lookup(p *pkt.Packet) lookupOutcome
 	// LookupBurst classifies a burst in one pass, writing the outcome for
 	// ps[i] to outs[i] (len(outs) == len(ps) <= MaxBurst).  sc provides
 	// reusable per-worker scratch for staging key material; templates that
 	// can amortize per-lookup overhead (compound hash, LPM) compute all
-	// keys of the burst before probing.  m may be nil and is checked once
-	// per burst, not per packet.
-	LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burstScratch, m *cpumodel.Meter)
-	// LookupTracked is LookupFast with mask observation: every field/bit the
-	// lookup examines is reported to acc, which is how the megaflow layer
-	// derives the minimal masked match covering a pipeline walk.  Each
-	// template reports at its natural granularity — direct code per rule
-	// (with prefix refinement on mismatches), the compound hash its full
-	// field/mask vector, LPM the matched DIR-24-8 prefix, tuple space search
-	// the masks of every probed tuple.  acc must be non-nil.
-	LookupTracked(p *pkt.Packet, acc *openflow.MaskAccumulator) lookupOutcome
+	// keys of the burst before probing.
+	LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burstScratch)
+	// LookupObserved is Lookup reporting to o (non-nil) as it goes: the
+	// lookup's cycle cost and simulated memory accesses to o.meter, and every
+	// field/bit it examines to o.acc, which is how the megaflow layer derives
+	// the minimal masked match covering a pipeline walk.  Each template
+	// reports masks at its natural granularity — direct code per rule (with
+	// prefix refinement on mismatches), the compound hash its full field/mask
+	// vector, LPM the matched DIR-24-8 prefix, tuple space search the masks
+	// of every probed tuple.
+	LookupObserved(p *pkt.Packet, o *observer) lookupOutcome
 	// CanInsert reports whether the entry can be added incrementally
 	// without violating the template's prerequisite.
 	CanInsert(e *openflow.FlowEntry) bool

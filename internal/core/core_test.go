@@ -2,11 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"eswitch/internal/cpumodel"
 	"eswitch/internal/openflow"
 	"eswitch/internal/pkt"
+	"eswitch/internal/workload"
 )
 
 func tcpPacket(tb testing.TB, inPort uint32, src, dst pkt.IPv4, sport, dport uint16) *pkt.Packet {
@@ -518,6 +521,90 @@ func TestDeleteFlow(t *testing.T) {
 	}
 }
 
+// TestTemplateValueSlotsReused churns one LPM and one compound-hash table
+// through thousands of incremental add/delete pairs, two churned entries alive
+// at a time so freed slots are refilled beside live ones.  The value store
+// behind both ping-pong copies must stay bounded by the live entries (it used
+// to grow by one slot per add and keep every deleted entry reachable), and
+// the datapath must still agree with the interpreter on every frame,
+// including the ones the last churned entries catch.
+func TestTemplateValueSlotsReused(t *testing.T) {
+	const pairs = 5000
+	l3 := workload.L3UseCase(1000, 8, 2016)
+	l3Frames, l3Ports := traceFrames(l3, 64)
+	l2 := workload.L2UseCase(1000, 4)
+	l2Frames, l2Ports := traceFrames(l2, 64)
+	churnMAC := func(i int) uint64 { return 0x0a0000000000 + uint64(i%7) }
+	for i := 0; i < 7; i++ {
+		l2Frames = append(l2Frames, ethPacket(t, 1, pkt.MACFromUint64(churnMAC(i)), pkt.MACFromUint64(9)).Data)
+		l2Ports = append(l2Ports, 1)
+	}
+	cases := []struct {
+		name    string
+		uc      *workload.UseCase
+		frames  [][]byte
+		inPorts []uint32
+		kind    TemplateKind
+		slots   func(tableDatapath) *valueSlots
+		// entry is the i-th churned entry: a host route to a frame's
+		// destination (the RIB holds nothing longer than a /24), or a
+		// station the bridge does not know.
+		entry func(i int) *openflow.FlowEntry
+	}{
+		{"lpm", l3, l3Frames, l3Ports, TemplateLPM, func(dp tableDatapath) *valueSlots { return &dp.(*lpmTable).valueSlots },
+			func(i int) *openflow.FlowEntry {
+				p := pkt.Packet{Data: l3Frames[i%7]}
+				pkt.ParseL3(&p)
+				return openflow.NewEntry(32, openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(p.Headers.IPDst), 32),
+					openflow.Apply(openflow.Output(uint32(1+i%8))))
+			}},
+		{"hash", l2, l2Frames, l2Ports, TemplateHash, func(dp tableDatapath) *valueSlots { return &dp.(*hashTable).valueSlots },
+			func(i int) *openflow.FlowEntry {
+				return openflow.NewEntry(100, openflow.NewMatch().Set(openflow.FieldEthDst, churnMAC(i)),
+					openflow.Apply(openflow.Output(uint32(1+i%4))))
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := newScopeRig(t, c.uc.Pipeline, false, 0, 0, c.frames, c.inPorts)
+			if k, _ := r.dp.TableTemplate(0); k != c.kind {
+				t.Fatalf("table 0 compiled to %s, want %s", k, c.kind)
+			}
+			rebuilds := r.dp.Rebuilds()
+			for i := 0; i < pairs; i++ {
+				if err := r.dp.AddFlow(0, c.entry(i)); err != nil {
+					t.Fatal(err)
+				}
+				if i > 0 {
+					if n, err := r.dp.DeleteFlow(0, c.entry(i-1).Match, -1); n != 1 || err != nil {
+						t.Fatalf("pair %d: removed %d entries, %v", i, n, err)
+					}
+				}
+			}
+			if got := r.dp.Rebuilds(); got != rebuilds {
+				t.Fatalf("%d rebuilds during the churn: it did not take the incremental path", got-rebuilds)
+			}
+			live := r.dp.trampolines[0].load()
+			for name, dp := range map[string]tableDatapath{"live": live, "shadow": r.dp.versions[0].shadow} {
+				vs := c.slots(dp)
+				if n := len(vs.values); n > live.Len()+2 {
+					t.Errorf("%s copy: %d value slots for %d entries after %d add/delete pairs", name, n, live.Len(), pairs)
+				}
+				held := 0
+				for _, ce := range vs.values {
+					if ce != nil {
+						held++
+					}
+				}
+				if held+len(vs.free) != len(vs.values) {
+					t.Errorf("%s copy: %d slots, %d held + %d free", name, len(vs.values), held, len(vs.free))
+				}
+			}
+			r.check("after churn", all)
+		})
+	}
+}
+
 func TestAddFlowCreatesGotoTarget(t *testing.T) {
 	pl := openflow.NewPipeline(2)
 	pl.Table(0).AddFlow(0, openflow.NewMatch(), openflow.Apply(openflow.Drop()))
@@ -591,6 +678,35 @@ func TestMeteredProcessingChargesCycles(t *testing.T) {
 	if m.PacketRate() < 1e6 {
 		t.Fatalf("modelled packet rate too low: %v", m.PacketRate())
 	}
+}
+
+// TestTableDatapathLookupSurface keeps the fourth lookup from growing back:
+// a template carries at most three lookups (per packet, per burst, observed),
+// and the cycle meter appears in no template method and nowhere in the burst
+// engine — it observes the sequential walk instead.
+func TestTableDatapathLookupSurface(t *testing.T) {
+	meter := reflect.TypeOf((*cpumodel.Meter)(nil))
+	takesMeter := func(name string, fn reflect.Type) {
+		for i := 0; i < fn.NumIn(); i++ {
+			if fn.In(i) == meter {
+				t.Errorf("%s takes a *cpumodel.Meter", name)
+			}
+		}
+	}
+	iface := reflect.TypeOf((*tableDatapath)(nil)).Elem()
+	var lookups []string
+	for i := 0; i < iface.NumMethod(); i++ {
+		m := iface.Method(i)
+		takesMeter("tableDatapath."+m.Name, m.Type)
+		if strings.HasPrefix(m.Name, "Lookup") {
+			lookups = append(lookups, m.Name)
+		}
+	}
+	if len(lookups) > 3 {
+		t.Errorf("tableDatapath has %d lookups, at most 3 allowed: %v", len(lookups), lookups)
+	}
+	takesMeter("processBurst", reflect.TypeOf((*Datapath).processBurst))
+	takesMeter("runWaves", reflect.TypeOf((*Datapath).runWaves))
 }
 
 func TestParserSpecializationAblation(t *testing.T) {

@@ -123,8 +123,8 @@ const maxPinnedWorkers = 64
 // pinGet returns a registered worker for one facade call, recycling from the
 // bounded free-list when possible.  Pinned workers carry the full worker-
 // local resource plane — epoch, meter shard, burst scratch — so even the
-// anonymous facade entry points are race-free under metering and touch no
-// shared scratch pool.  At most maxPinnedWorkers are ever created: a worker
+// anonymous facade entry points are race-free under metering and share no
+// scratch.  At most maxPinnedWorkers are ever created: a worker
 // is not cheap (its meter shard carries a private simulated cache
 // hierarchy), so callers beyond the bound briefly wait for a worker to be
 // returned instead of registering and tearing down a transient one per call.

@@ -171,6 +171,8 @@ func TestFlowCacheDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			pw := plain.RegisterWorker()
+			defer plain.UnregisterWorker(pw)
 
 			trace := uc.Trace(nFlows)
 			frames := make([][]byte, nFlows)
@@ -208,7 +210,9 @@ func TestFlowCacheDifferential(t *testing.T) {
 					w.Enter()
 					w.ProcessBurst(ps[:g], vs[:g])
 					w.Exit()
-					plain.ProcessBurstUnlocked(refPs[:g], refVs[:g])
+					pw.Enter()
+					pw.ProcessBurst(refPs[:g], refVs[:g])
+					pw.Exit()
 					for j := 0; j < g; j++ {
 						if !sameVerdict(&vs[j], &refVs[j]) {
 							t.Fatalf("pass %d frame %d: cached verdict %s != plain %s",
@@ -499,6 +503,8 @@ func TestFlowCacheEvictionChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pw := plain.RegisterWorker()
+	defer plain.UnregisterWorker(pw)
 	// A Zipf schedule (identical on both traces) keeps a popular head hot in
 	// the tiny cache while the tail churns through evictions.
 	trace := uc.Trace(5000)
@@ -529,7 +535,9 @@ func TestFlowCacheEvictionChurn(t *testing.T) {
 		w.Enter()
 		w.ProcessBurst(ps, vs)
 		w.Exit()
-		plain.ProcessBurstUnlocked(refPs, refVs)
+		pw.Enter()
+		pw.ProcessBurst(refPs, refVs)
+		pw.Exit()
 		total += burst
 		for j := 0; j < burst; j++ {
 			if !sameVerdict(&vs[j], &refVs[j]) {

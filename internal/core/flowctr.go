@@ -75,18 +75,12 @@ func (l *ctrList) add(c *openflow.Counters) {
 	l.n++
 }
 
-// bumpCtrs credits one packet of the given length to every recorded entry —
-// through the worker's delta accumulator when it has one, straight to the
-// shared atomics otherwise (the pooled-scratch path).
+// bumpCtrs credits one packet of the given length to every recorded entry
+// through the worker's delta accumulator (entries record counter pointers
+// only on a counters-enabled datapath, where every worker owns one).
 func bumpCtrs(ptrs *[cacheMaxCtrs]*openflow.Counters, n uint8, bytes int, a *flowCtrAccum) {
-	if a != nil {
-		for i := uint8(0); i < n; i++ {
-			a.add(ptrs[i], bytes)
-		}
-		return
-	}
 	for i := uint8(0); i < n; i++ {
-		ptrs[i].Add(bytes)
+		a.add(ptrs[i], bytes)
 	}
 }
 

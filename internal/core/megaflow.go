@@ -146,9 +146,12 @@ type megaCache struct {
 	counters bool
 
 	// acc is the worker's reusable mask accumulator; orig is the pre-walk
-	// packet view it captures values from.
+	// packet view it captures values from; obs is the double-miss walk's
+	// observer (acc, plus the per-packet counter recorder), kept here so the
+	// miss path never builds one on its stack.
 	acc  openflow.MaskAccumulator
 	orig pkt.Packet
+	obs  observer
 
 	// Owner-local totals and their single-writer atomic mirrors.
 	hitsL, missesL, revalidatedL uint64
@@ -161,6 +164,7 @@ func newMegaCache(budget int, counters bool) *megaCache {
 	}
 	mc := &megaCache{budget: budget, counters: counters}
 	mc.acc.PrefixTracking = true
+	mc.obs.acc = &mc.acc
 	return mc
 }
 
@@ -417,62 +421,11 @@ func (d *Datapath) MegaflowEnabled() bool {
 	return d.opts.Megaflow > 0 && d.FlowCacheEnabled()
 }
 
-// walkTracked runs one packet through the compiled pipeline per packet — the
-// double-miss path — with every table lookup reporting the fields/bits it
-// examined to acc (nil acc runs the same walk unobserved, for packets whose
-// verdict cannot be memoized).  It mirrors runWaves' per-slot semantics
-// exactly: same executeEntry, same miss disposition, same depth guard.
-// Counter bumps go through ctr when the caller owns an accumulator, and a
-// non-nil rec collects the matched entries' counter pointers for the caches.
-func (d *Datapath) walkTracked(sn *snapshot, p *pkt.Packet, v *openflow.Verdict, set *openflow.ActionList, acc *openflow.MaskAccumulator, ctr *flowCtrAccum, rec *ctrList) {
-	tr := sn.start
-	for depth := 0; depth < openflow.MaxPipelineDepth; depth++ {
-		if tr == nil {
-			break
-		}
-		dp := tr.load()
-		if dp == nil {
-			break
-		}
-		v.Tables++
-		var out lookupOutcome
-		if acc != nil {
-			out = dp.LookupTracked(p, acc)
-		} else {
-			out = dp.LookupFast(p)
-		}
-		ce := out.entry
-		if ce == nil {
-			sn.miss(v, tr.id)
-			return
-		}
-		if rec != nil {
-			rec.add(ce.counters)
-		}
-		res := d.executeEntry(sn, ce, p, v, set, tr.id, d.opts.UpdateCounters, ctr)
-		if acc != nil {
-			// Fields rewritten by this stage are deterministic for every
-			// packet on the path; suppress their later observation.
-			if len(ce.apply.list) > 0 {
-				acc.MarkModifiedActions(ce.apply.list)
-			}
-			if ce.metadataMask != 0 {
-				acc.MarkMetadataWrite(ce.metadataMask)
-			}
-		}
-		if res != stepNext {
-			return
-		}
-		tr = ce.next
-	}
-	v.Dropped = true
-}
-
 // processMissesTracked finishes a cached burst's microflow misses through the
 // megaflow layer: probe the megaflow cache (hits replay their program and are
 // promoted into the microflow cache), and run the remaining double misses
-// through the tracked walk, installing both the exact microflow entry and the
-// derived megaflow entry on the way out.
+// through the sequential walk under the cache's observer, installing both the
+// exact microflow entry and the derived megaflow entry on the way out.
 func (d *Datapath) processMissesTracked(sc *burstScratch, sn *snapshot, fc *FlowCache, mc *megaCache, ps []*pkt.Packet, vs []openflow.Verdict, missN int) {
 	cs := sc.cache
 	gen := sn.gen
@@ -497,24 +450,21 @@ func (d *Datapath) processMissesTracked(sc *burstScratch, sn *snapshot, fc *Flow
 		}
 		walks++
 		v := &vs[i]
-		var acc *openflow.MaskAccumulator
-		var rec *ctrList
-		if cs.cinstall[i] {
-			// Snapshot the pre-walk view the accumulator captures original
-			// values from (the walk rewrites p in place).
-			mc.orig.InPort = p.InPort
-			mc.orig.Metadata = p.Metadata
-			mc.orig.Headers = p.Headers
-			acc = &mc.acc
-			acc.Reset(&mc.orig)
-			if recording {
-				rec = &cs.ctrs[i]
-			}
-		}
-		d.walkTracked(sn, p, v, &sc.sets[i], acc, sc.ctr, rec)
-		if acc == nil {
+		if !cs.cinstall[i] {
+			// The verdict cannot be memoized: plain unobserved walk.
+			d.walk(sn, p, v, &sc.sets[i], nil, recording, sc.ctr)
 			continue
 		}
+		// Snapshot the pre-walk view the accumulator captures original
+		// values from (the walk rewrites p in place).
+		mc.orig.InPort = p.InPort
+		mc.orig.Metadata = p.Metadata
+		mc.orig.Headers = p.Headers
+		mc.acc.Reset(&mc.orig)
+		if recording {
+			mc.obs.rec = &cs.ctrs[i]
+		}
+		d.walk(sn, p, v, &sc.sets[i], &mc.obs, recording, sc.ctr)
 		flags, out, tables, puntTable, ok := entryFromVerdict(v)
 		if !ok {
 			continue

@@ -66,6 +66,8 @@ func TestMegaflowDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			pw := plain.RegisterWorker()
+			defer plain.UnregisterWorker(pw)
 
 			trace := uc.Trace(nFlows)
 			frames := make([][]byte, nFlows)
@@ -103,7 +105,9 @@ func TestMegaflowDifferential(t *testing.T) {
 					w.Enter()
 					w.ProcessBurst(ps[:g], vs[:g])
 					w.Exit()
-					plain.ProcessBurstUnlocked(refPs[:g], refVs[:g])
+					pw.Enter()
+					pw.ProcessBurst(refPs[:g], refVs[:g])
+					pw.Exit()
 					for j := 0; j < g; j++ {
 						if !sameVerdict(&vs[j], &refVs[j]) {
 							t.Fatalf("pass %d frame %d: megaflow verdict %s != plain %s",

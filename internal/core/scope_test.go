@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"eswitch/internal/cpumodel"
 	"eswitch/internal/openflow"
 	"eswitch/internal/pkt"
 	"eswitch/internal/workload"
@@ -27,6 +28,10 @@ type scopeRig struct {
 	frames  [][]byte
 	inPorts []uint32
 	adds    int
+	// metered, when set (meteredTwin), is the same pipeline compiled again
+	// without caches under a cycle meter; it receives every mod randomMod
+	// makes and check runs it as two more executors.
+	metered *Datapath
 }
 
 func newScopeRig(t *testing.T, pl *openflow.Pipeline, decompose bool, micro, mega int, frames [][]byte, inPorts []uint32) *scopeRig {
@@ -42,6 +47,20 @@ func newScopeRig(t *testing.T, pl *openflow.Pipeline, decompose bool, micro, meg
 	w := dp.RegisterWorker().(*Worker)
 	t.Cleanup(func() { dp.UnregisterWorker(w) })
 	return &scopeRig{t: t, dp: dp, w: w, frames: frames, inPorts: inPorts}
+}
+
+// meteredTwin gives the rig its metered datapath, compiled from the pipeline
+// the datapath executes (decomposition numbers its tables differently from
+// one run to the next, and the mods name tables).
+func (r *scopeRig) meteredTwin() {
+	r.t.Helper()
+	opts := DefaultOptions()
+	opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
+	dp, err := Compile(r.dp.Pipeline(), opts)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.metered = dp
 }
 
 // traceFrames takes n frames of the use case's trace, the same frames again
@@ -72,7 +91,11 @@ func traceFrames(uc *workload.UseCase, n int) (frames [][]byte, inPorts []uint32
 
 // check forwards the picked frames through the worker, in bursts, and
 // requires each verdict, the rewritten headers and the metadata to equal the
-// interpreter's over the datapath's current declarative pipeline.
+// interpreter's over the datapath's current declarative pipeline.  Every
+// other executor the sequential walker serves sees the same frames: Trace
+// must claim the interpreter's verdict, headers and metadata in as many steps
+// as the verdict counts tables, and the metered twin must give the worker's
+// verdicts per packet and per burst, for exactly the same cycles either way.
 func (r *scopeRig) check(label string, pick func(i int) bool) {
 	r.t.Helper()
 	in := openflow.NewInterpreter(r.dp.Pipeline())
@@ -83,11 +106,46 @@ func (r *scopeRig) check(label string, pick func(i int) bool) {
 	packets := make([]pkt.Packet, burst)
 	ps := make([]*pkt.Packet, 0, burst)
 	vs := make([]openflow.Verdict, burst)
+	mpackets := make([]pkt.Packet, burst)
+	mps := make([]*pkt.Packet, burst)
+	for j := range mps {
+		mps[j] = &mpackets[j]
+	}
+	mvs := make([]openflow.Verdict, burst)
+	// metered runs the flush's frames through the twin from a cold simulated
+	// cache, per packet or as one burst, and returns the cycles charged.
+	metered := func(how string, run func()) uint64 {
+		r.t.Helper()
+		m := r.metered.Meter()
+		m.Reset()
+		for j, i := range idx {
+			mpackets[j] = pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}
+		}
+		run()
+		for j, i := range idx {
+			if !sameVerdict(&mvs[j], &vs[j]) || mpackets[j].Headers != packets[j].Headers || mpackets[j].Metadata != packets[j].Metadata {
+				r.t.Fatalf("%s: frame %d: metered %s says %s, headers %+v; the worker %s, headers %+v",
+					label, i, how, &mvs[j], mpackets[j].Headers, &vs[j], packets[j].Headers)
+			}
+		}
+		return m.TotalCycles()
+	}
 	flush := func() {
 		r.t.Helper()
 		r.w.Enter()
 		r.w.ProcessBurst(ps, vs[:len(ps)])
 		r.w.Exit()
+		if r.metered != nil {
+			perPacket := metered("Process", func() {
+				for j := range idx {
+					r.metered.Process(mps[j], &mvs[j])
+				}
+			})
+			asBurst := metered("ProcessBurst", func() { r.metered.ProcessBurst(mps[:len(idx)], mvs[:len(idx)]) })
+			if perPacket != asBurst || perPacket == 0 {
+				r.t.Fatalf("%s: %d frames cost %d cycles metered per packet, %d as one burst", label, len(idx), perPacket, asBurst)
+			}
+		}
 		for j, i := range idx {
 			ref := pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}
 			var want openflow.Verdict
@@ -102,6 +160,12 @@ func (r *scopeRig) check(label string, pick func(i int) bool) {
 			if packets[j].Headers != ref.Headers || packets[j].Metadata != ref.Metadata {
 				r.t.Fatalf("%s: frame %d: datapath left headers %+v metadata %#x, interpreter %+v %#x",
 					label, i, packets[j].Headers, packets[j].Metadata, ref.Headers, ref.Metadata)
+			}
+			traced := pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}
+			tr := r.dp.Trace(&traced)
+			if !sameVerdict(&tr.Verdict, &want) || traced.Headers != ref.Headers || traced.Metadata != ref.Metadata || len(tr.Steps) != tr.Verdict.Tables {
+				r.t.Fatalf("%s: frame %d: interpreter says %s, headers %+v metadata %#x; Trace left headers %+v metadata %#x and says\n%s",
+					label, i, &want, ref.Headers, ref.Metadata, traced.Headers, traced.Metadata, tr)
 			}
 		}
 		idx, ps = idx[:0], ps[:0]
@@ -195,6 +259,11 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 			}
 		}
 		e := openflow.NewEntry(prio, m, ins)
+		if r.metered != nil {
+			if err := r.metered.AddFlow(tid, e.Clone()); err != nil {
+				r.t.Fatal(err)
+			}
+		}
 		if err := r.dp.AddFlow(tid, e); err != nil {
 			r.t.Fatal(err)
 		}
@@ -240,6 +309,11 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 		n, err := r.dp.DeleteFlow(tid, victim.Match.Clone(), prio)
 		if err != nil {
 			r.t.Fatal(err)
+		}
+		if r.metered != nil {
+			if mn, err := r.metered.DeleteFlow(tid, victim.Match.Clone(), prio); err != nil || mn != n {
+				r.t.Fatalf("metered twin removed %d entries (%v), the datapath %d", mn, err, n)
+			}
 		}
 		return fmt.Sprintf("delete table %d %v (priority %d, %d removed)", tid, victim.Match, prio, n)
 	case k < 12 && victim != nil:
@@ -329,6 +403,7 @@ func TestScopedInvalidationDifferential(t *testing.T) {
 				}
 				frames, inPorts := c.frames(nFrames)
 				r := newScopeRig(t, c.pl, c.decompose, micro, 4096, frames, inPorts)
+				r.meteredTwin()
 				if c.decompose && r.dp.DecomposedTables() == 0 {
 					t.Fatal("the decomposed case did not decompose")
 				}
@@ -344,8 +419,10 @@ func TestScopedInvalidationDifferential(t *testing.T) {
 					var what string
 					if n == mods/2 {
 						what = "InstallPipeline"
-						if err := r.dp.InstallPipeline(r.dp.Pipeline().Clone()); err != nil {
-							t.Fatal(err)
+						for _, dp := range []*Datapath{r.dp, r.metered} {
+							if err := dp.InstallPipeline(r.dp.Pipeline().Clone()); err != nil {
+								t.Fatal(err)
+							}
 						}
 					} else {
 						what = r.randomMod(rng)

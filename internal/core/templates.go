@@ -48,34 +48,7 @@ func newDirectCode(opts Options, meter *cpumodel.Meter) *directCode {
 func (d *directCode) Kind() TemplateKind { return TemplateDirectCode }
 func (d *directCode) Len() int           { return len(d.entries) }
 
-func (d *directCode) Lookup(p *pkt.Packet, m *cpumodel.Meter) lookupOutcome {
-	m.AddCycles(cpumodel.CostDirectFixed)
-	for i := range d.entries {
-		e := &d.entries[i]
-		m.AddCycles(cpumodel.CostDirectPerEntry)
-		if !d.inlineKeys && m != nil {
-			// Pointer-indirection variant: fetch the keys from the
-			// data cache instead of the instruction stream.
-			m.RegionAccess(d.keyRegion, uint64(i)*64)
-		}
-		if !p.Headers.Has(e.proto) {
-			continue
-		}
-		matched := true
-		for _, match := range e.matchers {
-			if !match(p) {
-				matched = false
-				break
-			}
-		}
-		if matched {
-			return lookupOutcome{entry: e.out}
-		}
-	}
-	return lookupOutcome{}
-}
-
-func (d *directCode) LookupFast(p *pkt.Packet) lookupOutcome {
+func (d *directCode) Lookup(p *pkt.Packet) lookupOutcome {
 	for i := range d.entries {
 		e := &d.entries[i]
 		if !p.Headers.Has(e.proto) {
@@ -98,29 +71,43 @@ func (d *directCode) LookupFast(p *pkt.Packet) lookupOutcome {
 // LookupBurst evaluates the burst through the straight-line matchers.  The
 // direct-code template has no key material to stage (the keys live in the
 // matcher closures), so the batch win is keeping the tiny entry sequence and
-// its branch state hot across the burst; the meter is resolved once.
-func (d *directCode) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, _ *burstScratch, m *cpumodel.Meter) {
-	if m == nil {
-		for i, p := range ps {
-			outs[i] = d.LookupFast(p)
-		}
-		return
-	}
+// its branch state hot across the burst.
+func (d *directCode) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, _ *burstScratch) {
 	for i, p := range ps {
-		outs[i] = d.Lookup(p, m)
+		outs[i] = d.Lookup(p)
 	}
 }
 
-// LookupTracked evaluates the rules in priority order through the mask
-// accumulator: every rule examined until the first match contributes the bits
-// it had to read (the full per-field masks on a match; on a mismatch, only
-// the bits proving it, with MSB prefix refinement on ports and addresses).
-// The retained openflow match of each entry drives the observation; it is
-// semantically identical to the compiled matcher closures.
-func (d *directCode) LookupTracked(p *pkt.Packet, acc *openflow.MaskAccumulator) lookupOutcome {
+// LookupObserved evaluates the rules in priority order, charging the fixed
+// and per-rule cost of every rule examined until the first match.  Under a
+// mask accumulator each of those rules contributes the bits it had to read
+// (the full per-field masks on a match; on a mismatch, only the bits proving
+// it, with MSB prefix refinement on ports and addresses): the retained
+// openflow match of each entry drives the observation, and it is semantically
+// identical to the compiled matcher closures.
+func (d *directCode) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
+	m := o.meter
+	m.AddCycles(cpumodel.CostDirectFixed)
 	for i := range d.entries {
 		e := &d.entries[i]
-		if acc.ObserveRule(p, e.out.match) {
+		m.AddCycles(cpumodel.CostDirectPerEntry)
+		if !d.inlineKeys && m != nil {
+			// Pointer-indirection variant: fetch the keys from the
+			// data cache instead of the instruction stream.
+			m.RegionAccess(d.keyRegion, uint64(i)*64)
+		}
+		matched := false
+		if o.acc != nil {
+			matched = o.acc.ObserveRule(p, e.out.match)
+		} else if matched = p.Headers.Has(e.proto); matched {
+			for _, match := range e.matchers {
+				if !match(p) {
+					matched = false
+					break
+				}
+			}
+		}
+		if matched {
 			return lookupOutcome{entry: e.out}
 		}
 	}
@@ -170,6 +157,44 @@ func (d *directCode) Remove(match *openflow.Match, priority int) int {
 }
 
 // ---------------------------------------------------------------------------
+// Value slots
+// ---------------------------------------------------------------------------
+
+// valueSlots is the entry store behind the index a template's lookup
+// structure (the cuckoo table, DIR-24-8) resolves to.  A removed entry hands
+// its slot back to the next insert, so add/delete churn neither grows the
+// store nor keeps deleted entries reachable until the next full rebuild.
+type valueSlots struct {
+	values []*compiledEntry
+	free   []uint32
+}
+
+// put stores ce and returns its slot.
+func (s *valueSlots) put(ce *compiledEntry) uint32 {
+	if n := len(s.free); n > 0 {
+		idx := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.values[idx] = ce
+		return idx
+	}
+	s.values = append(s.values, ce)
+	return uint32(len(s.values) - 1)
+}
+
+// release frees a slot the lookup structure no longer references.
+func (s *valueSlots) release(idx uint32) {
+	s.values[idx] = nil
+	s.free = append(s.free, idx)
+}
+
+func (s *valueSlots) clone() valueSlots {
+	return valueSlots{
+		values: append([]*compiledEntry(nil), s.values...),
+		free:   append([]uint32(nil), s.free...),
+	}
+}
+
+// ---------------------------------------------------------------------------
 // Compound hash template
 // ---------------------------------------------------------------------------
 
@@ -182,7 +207,7 @@ type hashTable struct {
 	masks       []uint64
 	proto       pkt.Proto
 	table       *exacthash.Table
-	values      []*compiledEntry
+	valueSlots                 // indexed by the table's values
 	def         *compiledEntry // catch-all (may be nil)
 	defPriority int
 	region      *cpumodel.Region
@@ -213,23 +238,7 @@ func (h *hashTable) Len() int {
 	return n
 }
 
-func (h *hashTable) Lookup(p *pkt.Packet, m *cpumodel.Meter) lookupOutcome {
-	m.AddCycles(cpumodel.CostHashFixed)
-	if !p.Headers.Has(h.proto) {
-		return lookupOutcome{entry: h.def}
-	}
-	key := packKey(p, h.fields, h.masks)
-	if m != nil {
-		m.RegionAccess(h.region, key.W0^key.W1<<7^key.W2<<13^key.W3<<23)
-	}
-	idx, ok := h.table.Lookup(key)
-	if !ok {
-		return lookupOutcome{entry: h.def}
-	}
-	return lookupOutcome{entry: h.values[idx]}
-}
-
-func (h *hashTable) LookupFast(p *pkt.Packet) lookupOutcome {
+func (h *hashTable) Lookup(p *pkt.Packet) lookupOutcome {
 	if !p.Headers.Has(h.proto) {
 		return lookupOutcome{entry: h.def}
 	}
@@ -249,21 +258,12 @@ const burstStageMin = 8
 // packed keys are computed first, while the freshly parsed header material is
 // still hot, and then the exact-match table is probed for the whole burst so
 // the dependent bucket loads issue back to back.
-func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burstScratch, m *cpumodel.Meter) {
+func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burstScratch) {
 	if len(ps) < burstStageMin {
-		if m == nil {
-			for i, p := range ps {
-				outs[i] = h.LookupFast(p)
-			}
-			return
-		}
 		for i, p := range ps {
-			outs[i] = h.Lookup(p, m)
+			outs[i] = h.Lookup(p)
 		}
 		return
-	}
-	if m != nil {
-		m.AddCycles(cpumodel.CostHashFixed * len(ps))
 	}
 	// Pass 1: pack and hash the keys of the whole burst while the freshly
 	// parsed header material is hot (the key is hashed straight out of
@@ -289,11 +289,7 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burs
 		if !ident {
 			i = int(sc.gidx[j])
 		}
-		key := sc.keys[j]
-		if m != nil {
-			m.RegionAccess(h.region, key.W0^key.W1<<7^key.W2<<13^key.W3<<23)
-		}
-		idx, ok := h.table.LookupPrehashed(key, sc.hash.H1[j], sc.hash.H2[j])
+		idx, ok := h.table.LookupPrehashed(sc.keys[j], sc.hash.H1[j], sc.hash.H2[j])
 		if !ok {
 			outs[i] = lookupOutcome{entry: h.def}
 			continue
@@ -302,18 +298,28 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burs
 	}
 }
 
-// LookupTracked observes the template's full field/mask vector plus its
-// protocol prerequisite: a compound-hash lookup compares the entire packed
-// key, so hit or miss, every masked bit of every key field was examined.
-func (h *hashTable) LookupTracked(p *pkt.Packet, acc *openflow.MaskAccumulator) lookupOutcome {
-	acc.ObservePrereq(p, h.proto)
+// LookupObserved charges the fixed cost plus one access into the table's
+// region, and reports the template's full field/mask vector plus its protocol
+// prerequisite: a compound-hash lookup compares the entire packed key, so hit
+// or miss, every masked bit of every key field was examined.
+func (h *hashTable) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
+	o.meter.AddCycles(cpumodel.CostHashFixed)
+	if o.acc != nil {
+		o.acc.ObservePrereq(p, h.proto)
+	}
 	if !p.Headers.Has(h.proto) {
 		return lookupOutcome{entry: h.def}
 	}
-	for i, f := range h.fields {
-		acc.Observe(p, f, h.masks[i])
+	if o.acc != nil {
+		for i, f := range h.fields {
+			o.acc.Observe(p, f, h.masks[i])
+		}
 	}
-	idx, ok := h.table.Lookup(packKey(p, h.fields, h.masks))
+	key := packKey(p, h.fields, h.masks)
+	if m := o.meter; m != nil {
+		m.RegionAccess(h.region, key.W0^key.W1<<7^key.W2<<13^key.W3<<23)
+	}
+	idx, ok := h.table.Lookup(key)
 	if !ok {
 		return lookupOutcome{entry: h.def}
 	}
@@ -330,7 +336,7 @@ func (h *hashTable) Mirror() tableDatapath {
 		masks:       h.masks,
 		proto:       h.proto,
 		table:       h.table.Clone(),
-		values:      append([]*compiledEntry(nil), h.values...),
+		valueSlots:  h.valueSlots.clone(),
 		def:         h.def,
 		defPriority: h.defPriority,
 		region:      h.region,
@@ -378,8 +384,7 @@ func (h *hashTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 		}
 		return
 	}
-	h.values = append(h.values, ce)
-	h.table.Insert(key, uint32(len(h.values)-1))
+	h.table.Insert(key, h.put(ce))
 }
 
 func (h *hashTable) Remove(match *openflow.Match, priority int) int {
@@ -402,7 +407,7 @@ func (h *hashTable) Remove(match *openflow.Match, priority int) int {
 		return 0
 	}
 	h.table.Delete(key)
-	h.values[idx] = nil
+	h.release(idx)
 	return 1
 }
 
@@ -418,7 +423,7 @@ type lpmTable struct {
 	field       openflow.Field
 	proto       pkt.Proto
 	table       *lpm.Table
-	values      []*compiledEntry
+	valueSlots  // indexed by the table's values
 	def         *compiledEntry
 	defPriority int
 	region      *cpumodel.Region
@@ -444,28 +449,7 @@ func (l *lpmTable) Len() int {
 	return n
 }
 
-func (l *lpmTable) Lookup(p *pkt.Packet, m *cpumodel.Meter) lookupOutcome {
-	m.AddCycles(cpumodel.CostLPMFixed)
-	if !p.Headers.Has(l.proto) {
-		return lookupOutcome{entry: l.def}
-	}
-	addr := uint32(openflow.Extract(p, l.field))
-	value, depth, ok := l.table.LookupDepth(addr)
-	if m != nil {
-		// One access to the first level, one more when the lookup had to
-		// follow a tbl8 group (Fig. 20 charges 13 + 2·Lx assuming 2).
-		m.RegionAccess(l.region, uint64(addr>>8))
-		if depth > 1 {
-			m.RegionAccess(l.region, uint64(addr)|1<<40)
-		}
-	}
-	if !ok {
-		return lookupOutcome{entry: l.def}
-	}
-	return lookupOutcome{entry: l.values[value]}
-}
-
-func (l *lpmTable) LookupFast(p *pkt.Packet) lookupOutcome {
+func (l *lpmTable) Lookup(p *pkt.Packet) lookupOutcome {
 	if !p.Headers.Has(l.proto) {
 		return lookupOutcome{entry: l.def}
 	}
@@ -479,21 +463,12 @@ func (l *lpmTable) LookupFast(p *pkt.Packet) lookupOutcome {
 // LookupBurst stages the addresses of the whole burst and hands them to the
 // DIR-24-8 structure's batched lookup, which probes the first level for every
 // packet before following any second-level group.
-func (l *lpmTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burstScratch, m *cpumodel.Meter) {
+func (l *lpmTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burstScratch) {
 	if len(ps) < burstStageMin {
-		if m == nil {
-			for i, p := range ps {
-				outs[i] = l.LookupFast(p)
-			}
-			return
-		}
 		for i, p := range ps {
-			outs[i] = l.Lookup(p, m)
+			outs[i] = l.Lookup(p)
 		}
 		return
-	}
-	if m != nil {
-		m.AddCycles(cpumodel.CostLPMFixed * len(ps))
 	}
 	// Pass 1: extract the addresses and probe the first level for the
 	// whole burst back to back, so the independent tbl24 loads overlap.
@@ -516,14 +491,7 @@ func (l *lpmTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burst
 		if !ident {
 			i = int(sc.gidx[j])
 		}
-		addr := sc.addrs[j]
-		value, depth, ok := l.table.Resolve(addr, sc.values[j])
-		if m != nil {
-			m.RegionAccess(l.region, uint64(addr>>8))
-			if depth > 1 {
-				m.RegionAccess(l.region, uint64(addr)|1<<40)
-			}
-		}
+		value, _, ok := l.table.Resolve(sc.addrs[j], sc.values[j])
 		if !ok {
 			outs[i] = lookupOutcome{entry: l.def}
 			continue
@@ -532,30 +500,43 @@ func (l *lpmTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burst
 	}
 }
 
-// LookupTracked observes the matched-prefix mask: a DIR-24-8 resolution that
-// stops at the first level decided on the address's top /stride bits (every
-// address in the block shares the result — hit or miss), and a tbl8 descent
-// on /stride+8.  The derived megaflow therefore wildcards the low address
-// bits at the structure's block granularity, which is at least as specific
-// as the longest matched prefix (over-specific only within a block, never
-// wrong).
-func (l *lpmTable) LookupTracked(p *pkt.Packet, acc *openflow.MaskAccumulator) lookupOutcome {
-	acc.ObservePrereq(p, l.proto)
+// LookupObserved charges the fixed cost plus one access to the first level
+// and one more when the lookup had to follow a tbl8 group (Fig. 20 charges
+// 13 + 2·Lx assuming 2), and reports the matched-prefix mask: a DIR-24-8
+// resolution that stops at the first level decided on the address's top
+// /stride bits (every address in the block shares the result — hit or miss),
+// and a tbl8 descent on /stride+8.  The derived megaflow therefore wildcards
+// the low address bits at the structure's block granularity, which is at
+// least as specific as the longest matched prefix (over-specific only within
+// a block, never wrong).
+func (l *lpmTable) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
+	o.meter.AddCycles(cpumodel.CostLPMFixed)
+	if o.acc != nil {
+		o.acc.ObservePrereq(p, l.proto)
+	}
 	if !p.Headers.Has(l.proto) {
 		return lookupOutcome{entry: l.def}
 	}
 	addr := uint32(openflow.Extract(p, l.field))
 	value, depth, ok := l.table.LookupDepth(addr)
-	plen := l.table.Stride()
-	if depth > 1 {
-		plen += 8
+	if m := o.meter; m != nil {
+		m.RegionAccess(l.region, uint64(addr>>8))
+		if depth > 1 {
+			m.RegionAccess(l.region, uint64(addr)|1<<40)
+		}
 	}
-	width := int(l.field.Width())
-	mask := l.field.FullMask()
-	if plen < width {
-		mask &^= (uint64(1) << (width - plen)) - 1
+	if o.acc != nil {
+		plen := l.table.Stride()
+		if depth > 1 {
+			plen += 8
+		}
+		width := int(l.field.Width())
+		mask := l.field.FullMask()
+		if plen < width {
+			mask &^= (uint64(1) << (width - plen)) - 1
+		}
+		o.acc.Observe(p, l.field, mask)
 	}
-	acc.Observe(p, l.field, mask)
 	if !ok {
 		return lookupOutcome{entry: l.def}
 	}
@@ -572,7 +553,7 @@ func (l *lpmTable) Mirror() tableDatapath {
 		field:       l.field,
 		proto:       l.proto,
 		table:       l.table.Clone(),
-		values:      append([]*compiledEntry(nil), l.values...),
+		valueSlots:  l.valueSlots.clone(),
 		def:         l.def,
 		defPriority: l.defPriority,
 		region:      l.region,
@@ -604,8 +585,7 @@ func (l *lpmTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 	}
 	value, _, _ := e.Match.Get(l.field)
 	plen, _ := e.Match.IsPrefix(l.field)
-	l.values = append(l.values, ce)
-	l.table.Insert(uint32(value), plen, uint32(len(l.values)-1))
+	l.table.Insert(uint32(value), plen, l.put(ce))
 }
 
 func (l *lpmTable) Remove(match *openflow.Match, priority int) int {
@@ -625,10 +605,13 @@ func (l *lpmTable) Remove(match *openflow.Match, priority int) int {
 		return 0
 	}
 	value, _, _ := match.Get(l.field)
-	if l.table.Delete(uint32(value), plen) {
-		return 1
+	idx, ok := l.table.Get(uint32(value), plen)
+	if !ok {
+		return 0
 	}
-	return 0
+	l.table.Delete(uint32(value), plen)
+	l.release(idx)
+	return 1
 }
 
 // ---------------------------------------------------------------------------
@@ -654,53 +637,46 @@ func newListTable(meter *cpumodel.Meter) *listTable {
 func (l *listTable) Kind() TemplateKind { return TemplateLinkedList }
 func (l *listTable) Len() int           { return l.count }
 
-func (l *listTable) Lookup(p *pkt.Packet, m *cpumodel.Meter) lookupOutcome {
-	res := l.classifier.Lookup(p, nil)
-	if m != nil {
+// outcome unwraps a classifier result.
+func (l *listTable) outcome(res tss.LookupResult) lookupOutcome {
+	if res.Entry == nil {
+		return lookupOutcome{}
+	}
+	return lookupOutcome{entry: res.Entry.Aux.(*compiledEntry)}
+}
+
+func (l *listTable) Lookup(p *pkt.Packet) lookupOutcome {
+	return l.outcome(l.classifier.Lookup(p, nil))
+}
+
+// LookupBurst runs tuple space search per packet: the last-resort template
+// has no key staging to amortize.
+func (l *listTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, _ *burstScratch) {
+	for i, p := range ps {
+		outs[i] = l.Lookup(p)
+	}
+}
+
+// LookupObserved charges one group cost and one region access per tuple
+// probed.  Under a mask accumulator it runs the classifier's observing
+// lookup, which reports the field masks of every probed tuple plus their
+// protocol prerequisites (the probe sequence is a function of the observed
+// bits, so tuple priority sorting's early exit stays sound for megaflow
+// derivation).
+func (l *listTable) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
+	var res tss.LookupResult
+	if o.acc != nil {
+		res = l.classifier.LookupObserved(p, o.acc)
+	} else {
+		res = l.classifier.Lookup(p, nil)
+	}
+	if m := o.meter; m != nil {
 		m.AddCycles(cpumodel.CostTSSPerGroup * maxInt(res.GroupsProbed, 1))
 		for g := 0; g < res.GroupsProbed; g++ {
 			m.RegionAccess(l.region, uint64(g)*4096+uint64(p.Headers.IPDst))
 		}
 	}
-	if res.Entry == nil {
-		return lookupOutcome{}
-	}
-	return lookupOutcome{entry: res.Entry.Aux.(*compiledEntry)}
-}
-
-func (l *listTable) LookupFast(p *pkt.Packet) lookupOutcome {
-	res := l.classifier.Lookup(p, nil)
-	if res.Entry == nil {
-		return lookupOutcome{}
-	}
-	return lookupOutcome{entry: res.Entry.Aux.(*compiledEntry)}
-}
-
-// LookupBurst runs tuple space search per packet — the last-resort template
-// has no key staging to amortize — but still hoists the meter check out of
-// the loop.
-func (l *listTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, _ *burstScratch, m *cpumodel.Meter) {
-	if m == nil {
-		for i, p := range ps {
-			outs[i] = l.LookupFast(p)
-		}
-		return
-	}
-	for i, p := range ps {
-		outs[i] = l.Lookup(p, m)
-	}
-}
-
-// LookupTracked delegates to the classifier's observing lookup, which reports
-// the field masks of every probed tuple plus their protocol prerequisites
-// (the probe sequence is a function of the observed bits, so tuple priority
-// sorting's early exit stays sound for megaflow derivation).
-func (l *listTable) LookupTracked(p *pkt.Packet, acc *openflow.MaskAccumulator) lookupOutcome {
-	res := l.classifier.LookupObserved(p, acc)
-	if res.Entry == nil {
-		return lookupOutcome{}
-	}
-	return lookupOutcome{entry: res.Entry.Aux.(*compiledEntry)}
+	return l.outcome(res)
 }
 
 // Mirror deep-copies the tuple-space classifier (groups and entry buckets;

@@ -152,9 +152,10 @@ type TraceMaskField struct {
 }
 
 // Trace replays one packet through the compiled pipeline and explains every
-// step.  The walk runs the same template lookups and action execution as
-// the forwarding path (via LookupTracked and executeEntry) but never bumps
-// per-flow counters and never installs cache entries; p is parsed and may
+// step.  It is the forwarding path's own sequential walk (Datapath.walk)
+// under an observer that records the steps and the examined bits, so it
+// cannot disagree with forwarding; it never bumps per-flow counters, never
+// installs cache entries and charges no meter; p is parsed and may
 // be rewritten in place, exactly as forwarding would.  Safe to call from
 // any goroutine concurrently with forwarding and flow-mods: the walk runs
 // inside an epoch pin like Datapath.Process.
@@ -196,48 +197,9 @@ func (d *Datapath) Trace(p *pkt.Packet) *TraceResult {
 	acc.PrefixTracking = true
 	acc.Reset(&orig)
 
-	v := &res.Verdict
-	v.Reset()
+	res.Verdict.Reset()
 	var set openflow.ActionList
-	tr := sn.start
-	for depth := 0; depth < openflow.MaxPipelineDepth; depth++ {
-		if tr == nil {
-			break
-		}
-		dp := tr.load()
-		if dp == nil {
-			break
-		}
-		v.Tables++
-		step := TraceStep{Table: tr.id, Template: dp.Kind(), Entries: dp.Len()}
-		out := dp.LookupTracked(p, &acc)
-		ce := out.entry
-		if ce == nil {
-			res.Steps = append(res.Steps, step)
-			sn.miss(v, tr.id)
-			break
-		}
-		step.Matched = true
-		step.Priority = ce.priority
-		step.Match = ce.match
-		step.Apply = ce.apply.list
-		step.Next, step.HasNext = ce.nextID, ce.hasNext
-		res.Steps = append(res.Steps, step)
-		stepRes := d.executeEntry(sn, ce, p, v, &set, tr.id, false, nil)
-		if len(ce.apply.list) > 0 {
-			acc.MarkModifiedActions(ce.apply.list)
-		}
-		if ce.metadataMask != 0 {
-			acc.MarkMetadataWrite(ce.metadataMask)
-		}
-		if stepRes != stepNext {
-			break
-		}
-		tr = ce.next
-		if depth == openflow.MaxPipelineDepth-1 {
-			v.Dropped = true
-		}
-	}
+	d.walk(sn, p, &res.Verdict, &set, &observer{acc: &acc, steps: &res.Steps}, false, nil)
 	acc.ForEach(func(f openflow.Field, value, mask uint64) {
 		res.MegaflowMask = append(res.MegaflowMask, TraceMaskField{Field: f, Value: value, Mask: mask})
 	})

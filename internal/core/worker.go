@@ -19,10 +19,12 @@ import (
 //     memory of the burst engine — owned outright, never pooled, never
 //     shared with another worker on the steady-state path.
 //
-// The datapath's meter-disabled hot path is unchanged by all of this: with
-// no meter attached the worker's shard is nil and the compiled process
-// variants contain no metering calls at all, so registering workers adds
-// zero locks, zero atomic read-modify-writes and zero allocations per burst.
+// An unmetered worker has no meter shard and no observer: its bursts run the
+// burst engine, which contains no metering at all, so registering workers
+// adds zero locks, zero atomic read-modify-writes and zero allocations per
+// burst.  A metered worker never enters the burst engine — the paper's cycle
+// model is per packet and additive, so its bursts are n sequential walks
+// under the shard's observer.
 
 // WorkerHandle is the interface a registered forwarding worker holds.  It is
 // an alias for the anonymous interface so the dataplane substrate
@@ -45,6 +47,9 @@ type Worker struct {
 	d     *Datapath
 	epoch *WorkerEpoch
 	meter *cpumodel.Meter
+	// obs is the meter shard's observer for the sequential walk (nil when
+	// the datapath is unmetered).
+	obs *observer
 	// cache is the worker's private microflow verdict cache (flowcache.go),
 	// nil unless Options.FlowCache is set on an unmetered datapath.  Like
 	// the scratch it is owned outright: one writer, no locks, no shared
@@ -69,6 +74,7 @@ func (d *Datapath) newWorker() *Worker {
 	w := &Worker{d: d, epoch: d.epochs.register()}
 	if d.meter != nil {
 		w.meter = d.meter.NewShard()
+		w.obs = &observer{meter: w.meter}
 	}
 	if d.opts.UpdateCounters {
 		// Registered workers accumulate per-flow counter deltas privately
@@ -135,23 +141,31 @@ func (w *Worker) Exit() {
 func (w *Worker) Meter() *cpumodel.Meter { return w.meter }
 
 // ProcessBurst sends a burst of packets through the compiled fast path using
-// the worker's own resources: its burst scratch (no pool access), its meter
-// shard (no shared meter writes) and — when enabled and the pipeline is
-// cacheable — its microflow verdict cache, which lets repeat microflows skip
-// the template walk entirely.  It performs no locks and no atomic
-// read-modify-writes — one atomic snapshot load, then pure computation —
-// except for the amortized fold of the flow-counter accumulator on a
-// counters-enabled datapath (a batch of atomic adds at most once per
-// ctrFlushPackets packets, flowctr.go).  It must be called inside the
-// worker's Enter/Exit bracket (or with updates quiesced externally).
+// the worker's own resources: its burst scratch (no pool access) and — when
+// enabled and the pipeline is cacheable — its microflow verdict cache, which
+// lets repeat microflows skip the template walk entirely.  It performs no
+// locks and no atomic read-modify-writes — one atomic snapshot load, then
+// pure computation — except for the amortized fold of the flow-counter
+// accumulator on a counters-enabled datapath (a batch of atomic adds at most
+// once per ctrFlushPackets packets, flowctr.go).  On a metered datapath the
+// burst is instead n sequential walks charged to the worker's meter shard (no
+// shared meter writes), exactly what Process would charge packet by packet.
+// It must be called inside the worker's Enter/Exit bracket (or with updates
+// quiesced externally).
 func (w *Worker) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
 	sn := w.d.snap.Load()
+	if w.obs != nil {
+		for i, p := range ps {
+			w.d.process(sn, w.obs, p, &vs[i])
+		}
+		return
+	}
 	for len(ps) > MaxBurst {
-		w.d.processBurst(&w.scratch, w.meter, sn, w.cache, w.mega, ps[:MaxBurst], vs[:MaxBurst])
+		w.d.processBurst(&w.scratch, sn, w.cache, w.mega, ps[:MaxBurst], vs[:MaxBurst])
 		ps, vs = ps[MaxBurst:], vs[MaxBurst:]
 	}
 	if len(ps) > 0 {
-		w.d.processBurst(&w.scratch, w.meter, sn, w.cache, w.mega, ps, vs)
+		w.d.processBurst(&w.scratch, sn, w.cache, w.mega, ps, vs)
 	}
 	if ctr := w.scratch.ctr; ctr != nil {
 		ctr.sawBurst = true
@@ -161,14 +175,9 @@ func (w *Worker) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
 	}
 }
 
-// Process sends one packet through the compiled fast path, charging any
+// Process sends one packet through the sequential walker, charging any
 // metering to the worker's shard.  Like ProcessBurst it must run inside the
 // worker's Enter/Exit bracket.
 func (w *Worker) Process(p *pkt.Packet, v *openflow.Verdict) {
-	sn := w.d.snap.Load()
-	if w.meter == nil {
-		w.d.processFast(sn, p, v)
-		return
-	}
-	w.d.processMetered(sn, w.meter, p, v)
+	w.d.process(w.d.snap.Load(), w.obs, p, v)
 }

@@ -270,8 +270,8 @@ func TestMeterShardLLCFolds(t *testing.T) {
 	r := m.NewRegion("huge", 64<<20)
 	s := m.NewShard()
 	const n = 5000
-	s.StartPackets(n)
 	for i := 0; i < n; i++ {
+		s.StartPacket()
 		s.RegionAccess(r, uint64(i)*4096)
 	}
 	if got := m.LLCMissesPerPacket(); got < 0.9 {

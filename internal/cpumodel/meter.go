@@ -229,18 +229,6 @@ func (m *Meter) StartPacket() {
 	m.pktCycles = 0
 }
 
-// StartPackets marks the beginning of a burst of n packets.  Burst-mode
-// datapaths charge costs for the whole burst at once, so the per-packet
-// cycle attribution of PacketCycles is not meaningful in this mode; the
-// aggregate counters (TotalCycles, CyclesPerPacket) remain exact.
-func (m *Meter) StartPackets(n int) {
-	if m == nil {
-		return
-	}
-	storeAdd(&m.packets, uint64(n))
-	m.pktCycles = 0
-}
-
 // AddCycles charges fixed cycles to the current packet.
 func (m *Meter) AddCycles(n int) {
 	if m == nil {

@@ -62,7 +62,7 @@ const latSampleEvery = 16
 
 // DefaultQueues is the number of RX/TX queue pairs per port, and therefore
 // the largest worker count that still scales a single hot port (a NIC-like
-// default; NewSwitchQueues configures it).
+// default; SwitchConfig.Queues configures it).
 const DefaultQueues = 8
 
 // FailMode is the switch's controller-loss policy: what the dataplane does
@@ -271,21 +271,6 @@ func NewPortWithConfig(cfg PortConfig) *Port {
 	return p
 }
 
-// NewPort creates a single-queue simulated-ring port.
-//
-// Deprecated: use NewPortWithConfig.
-func NewPort(id uint32, ringSize int) *Port {
-	return NewPortWithConfig(PortConfig{ID: id, RingSize: ringSize, Queues: 1})
-}
-
-// NewPortQueues creates a simulated-ring port with the given number of RX/TX
-// queue pairs.
-//
-// Deprecated: use NewPortWithConfig.
-func NewPortQueues(id uint32, ringSize, queues int) *Port {
-	return NewPortWithConfig(PortConfig{ID: id, RingSize: ringSize, Queues: queues})
-}
-
 // Backend returns the port's packet I/O backend.
 func (p *Port) Backend() PortBackend { return p.be }
 
@@ -308,16 +293,6 @@ func (p *Port) InjectOn(q int, frame []byte) bool {
 	}
 	return p.inj.InjectOn(q, frame)
 }
-
-// Inject places a frame on an RX queue steered by its RSS hash.
-//
-// Deprecated: use InjectOn with AutoQueue.
-func (p *Port) Inject(frame []byte) bool { return p.InjectOn(AutoQueue, frame) }
-
-// InjectQueue places a frame on a specific RX queue.
-//
-// Deprecated: use InjectOn.
-func (p *Port) InjectQueue(q int, frame []byte) bool { return p.InjectOn(q, frame) }
 
 // RxQueueLen returns the number of frames waiting in RX queue q of an
 // injectable backend (0 for real-I/O backends, whose queues live outside the
@@ -794,25 +769,6 @@ func NewSwitchWithConfig(dp Datapath, cfg SwitchConfig) *Switch {
 	s.pollCounters = s.registerCounters()
 	s.wsPool.New = func() any { return s.newWorkerState(allQueues(s.queues), 0, s.pollCounters) }
 	return s
-}
-
-// NewSwitch creates a switch with numPorts simulated-ring ports of
-// DefaultQueues RX/TX queue pairs each.
-//
-// Deprecated: use NewSwitchWithConfig.
-func NewSwitch(dp Datapath, numPorts, ringSize int) *Switch {
-	return NewSwitchWithConfig(dp, SwitchConfig{NumPorts: numPorts, RingSize: ringSize, Queues: DefaultQueues})
-}
-
-// NewSwitchQueues is NewSwitch with an explicit number of RX/TX queue pairs
-// per port.
-//
-// Deprecated: use NewSwitchWithConfig.
-func NewSwitchQueues(dp Datapath, numPorts, ringSize, queues int) *Switch {
-	if queues < 1 {
-		queues = 1
-	}
-	return NewSwitchWithConfig(dp, SwitchConfig{NumPorts: numPorts, RingSize: ringSize, Queues: queues})
 }
 
 // Close closes every port's backend, returning the first error.  Safe to

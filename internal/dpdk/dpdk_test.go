@@ -365,7 +365,7 @@ func TestSwitchCloseRacesRunningWorkers(t *testing.T) {
 			if p.Closed() {
 				return
 			}
-			p.Inject(frame)
+			p.InjectOn(AutoQueue, frame)
 		}
 	}()
 	time.Sleep(2 * time.Millisecond) // let traffic start flowing

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"net"
+	"sort"
 	"time"
 
 	"eswitch/internal/controller"
@@ -278,8 +279,25 @@ func Fig16(cfg Config) Result {
 	return res
 }
 
+// fig17Installs is how many fresh installs each Fig. 17 cell takes the median
+// of: one wall-clock sample per cell let a scheduler hiccup invert the
+// CLI/channel order about one run in ten on a shared box.
+const fig17Installs = 5
+
+// medianInstall times fig17Installs installs of pl, each into a fresh switch
+// from build, and returns the median.
+func medianInstall(install func(func() controller.FlowProgrammer, *openflow.Pipeline) time.Duration, build func() controller.FlowProgrammer, pl *openflow.Pipeline) time.Duration {
+	var samples [fig17Installs]time.Duration
+	for i := range samples {
+		samples[i] = install(build, pl)
+	}
+	sort.Slice(samples[:], func(i, j int) bool { return samples[i] < samples[j] })
+	return samples[fig17Installs/2]
+}
+
 // Fig17 measures the total time to install the load-balancer pipeline through
-// the direct ("CLI") path and through the OpenFlow control channel.
+// the direct ("CLI") path and through the OpenFlow control channel, each cell
+// the median of fig17Installs installs into a fresh switch.
 func Fig17(cfg Config) Result {
 	sweep := []int{1, 10, 100, 1_000, 10_000}
 	if cfg.Quick {
@@ -292,10 +310,12 @@ func Fig17(cfg Config) Result {
 	}
 	for _, services := range sweep {
 		pl := workload.LoadBalancerUseCase(services).Pipeline
-		esCLI := timeInstallDirect(func() controller.FlowProgrammer { return emptyESWITCH() }, pl)
-		esCtrl := timeInstallChannel(func() controller.FlowProgrammer { return emptyESWITCH() }, pl)
-		ovsCLI := timeInstallDirect(func() controller.FlowProgrammer { return emptyBaseline() }, pl)
-		ovsCtrl := timeInstallChannel(func() controller.FlowProgrammer { return emptyBaseline() }, pl)
+		es := func() controller.FlowProgrammer { return emptyESWITCH() }
+		baseline := func() controller.FlowProgrammer { return emptyBaseline() }
+		esCLI := medianInstall(timeInstallDirect, es, pl)
+		esCtrl := medianInstall(timeInstallChannel, es, pl)
+		ovsCLI := medianInstall(timeInstallDirect, baseline, pl)
+		ovsCtrl := medianInstall(timeInstallChannel, baseline, pl)
 		res.Rows = append(res.Rows, []string{
 			fmtInt(services),
 			fmt.Sprintf("%.4f", esCLI.Seconds()), fmt.Sprintf("%.4f", esCtrl.Seconds()),

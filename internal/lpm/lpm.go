@@ -121,6 +121,15 @@ func (t *Table) Insert(addr uint32, prefixLen int, value uint32) error {
 	return nil
 }
 
+// Get returns the value installed for exactly the prefix addr/prefixLen.
+func (t *Table) Get(addr uint32, prefixLen int) (uint32, bool) {
+	if prefixLen < 0 || prefixLen > 32 {
+		return 0, false
+	}
+	v, ok := t.entries[prefixKey{maskAddr(addr, prefixLen), uint8(prefixLen)}]
+	return v, ok
+}
+
 // Delete removes the prefix addr/prefixLen, reporting whether it was present.
 // Only the slots written by the deleted prefix are recomputed (they fall back
 // to the longest remaining covering prefix), so deletes are incremental as in

@@ -463,7 +463,7 @@ func TestMissSendLenTruncationAcrossPaths(t *testing.T) {
 	run := func(dp dpdk.Datapath, passes int) []missSendLenKey {
 		t.Helper()
 		// A single RX queue keeps delivery order equal to injection order
-		// (Inject RSS-shards across queues otherwise).
+		// (AutoQueue injection RSS-shards across queues otherwise).
 		sw := dpdk.NewSwitchWithConfig(dp, dpdk.SwitchConfig{NumPorts: 4, RingSize: 1024, Queues: 1})
 		rings, err := sw.ArmPuntRings(256, 0)
 		if err != nil {
