@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	eswitch-experiments [-scale quick|standard|full] [-figure all|fig3|fig9|...|fig20|table1|decomposition]
+//	eswitch-experiments [-scale quick|standard|full] [-figure all|table1|fig3|fig9|...|fig20|decomposition|flowsetup]
 package main
 
 import (
@@ -19,7 +19,7 @@ import (
 
 func main() {
 	scale := flag.String("scale", "standard", "experiment scale: quick, standard (100K flows) or full (1M flows)")
-	figure := flag.String("figure", "all", "which figure to regenerate (all, table1, fig3, fig9...fig20, decomposition, flowcache, flowsetup, telemetry)")
+	figure := flag.String("figure", "all", "which figure to regenerate (all, table1, fig3, fig9...fig20, decomposition, flowsetup)")
 	flag.Parse()
 
 	var cfg experiments.Config
@@ -51,9 +51,7 @@ func main() {
 		"fig19":         experiments.Fig19,
 		"fig20":         experiments.Fig20,
 		"decomposition": experiments.Decomposition,
-		"flowcache":     experiments.FlowCacheSweep,
 		"flowsetup":     experiments.FlowSetupRate,
-		"telemetry":     experiments.Telemetry,
 	}
 
 	start := time.Now()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -61,6 +62,23 @@ func checkEquivalence(t *testing.T, pl *openflow.Pipeline, opts Options, packets
 		if !vRef.Equivalent(&vGot) {
 			t.Fatalf("packet %d (in_port=%d %v): interpreter=%v eswitch=%v\npipeline:\n%s\nstages: %+v",
 				i, p.InPort, p.Headers.Proto, vRef.String(), vGot.String(), pl, dp.Stages())
+		}
+	}
+}
+
+// agreesWithInterpreter requires the running datapath to give the
+// interpreter's verdict, over the datapath's current declarative pipeline, on
+// every packet.
+func agreesWithInterpreter(t *testing.T, dp *Datapath, when string, packets ...*pkt.Packet) {
+	t.Helper()
+	in := openflow.NewInterpreter(dp.Pipeline())
+	in.UpdateCounters = false
+	for _, p := range packets {
+		var vRef, vGot openflow.Verdict
+		in.Process(clonePacket(p), &vRef, nil)
+		dp.Process(clonePacket(p), &vGot)
+		if !vRef.Equivalent(&vGot) {
+			t.Fatalf("%s: interpreter=%v eswitch=%v", when, vRef.String(), vGot.String())
 		}
 	}
 }
@@ -478,20 +496,9 @@ func TestAddFlowTemplateFallbackRebuild(t *testing.T) {
 	if kind != TemplateLinkedList {
 		t.Fatalf("expected linked-list fallback after prerequisite violation, got %v", kind)
 	}
-	// Semantics must still match the interpreter.
-	packets := []*pkt.Packet{
+	agreesWithInterpreter(t, dp, "after the rebuild",
 		tcpPacket(t, 1, 1, 2, 3, 80),
-		ethPacket(t, 1, pkt.MACFromUint64(0x020000000000+7), pkt.MACFromUint64(9)),
-	}
-	in := openflow.NewInterpreter(dp.Pipeline())
-	for _, p := range packets {
-		var vRef, vGot openflow.Verdict
-		in.Process(clonePacket(p), &vRef, nil)
-		dp.Process(clonePacket(p), &vGot)
-		if !vRef.Equivalent(&vGot) {
-			t.Fatalf("post-update divergence: %v vs %v", vRef.String(), vGot.String())
-		}
-	}
+		ethPacket(t, 1, pkt.MACFromUint64(0x020000000000+7), pkt.MACFromUint64(9)))
 }
 
 func TestDeleteFlow(t *testing.T) {
@@ -518,6 +525,121 @@ func TestDeleteFlow(t *testing.T) {
 	}
 	if _, err := dp.DeleteFlow(99, match, -1); err == nil {
 		t.Fatal("deleting from a missing table must error")
+	}
+}
+
+// TestShadowedEntrySurvivesDelete installs one match at two priorities in a
+// compound-hash and in an LPM table — one key, so the template holds only the
+// upper entry — and deletes the upper one.  The shadowed entry is still in the
+// declarative table and must be served again (the delete used to remove the
+// key, leaving a table miss).
+func TestShadowedEntrySurvivesDelete(t *testing.T) {
+	mac := func(i int) *openflow.Match {
+		return openflow.NewMatch().Set(openflow.FieldEthDst, uint64(0x020000000000)+uint64(i))
+	}
+	route := func(i int) *openflow.Match {
+		return openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(pkt.IPv4FromOctets(10, byte(4*i), 0, 0)), 24-i%2)
+	}
+	for _, c := range []struct {
+		kind  TemplateKind
+		match func(i int) *openflow.Match
+		p     *pkt.Packet
+	}{
+		{TemplateHash, mac, ethPacket(t, 1, pkt.MACFromUint64(0x020000000001), pkt.MACFromUint64(9))},
+		{TemplateLPM, route, tcpPacket(t, 1, 1, pkt.IPv4FromOctets(10, 4, 0, 9), 3, 80)},
+	} {
+		t.Run(c.kind.String(), func(t *testing.T) {
+			pl := openflow.NewPipeline(4)
+			for i := 0; i < 20; i++ {
+				pl.Table(0).AddFlow(10, c.match(i), openflow.Apply(openflow.Output(uint32(1+i%4))))
+			}
+			dp, err := Compile(pl, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k, _ := dp.TableTemplate(0); k != c.kind {
+				t.Fatalf("table 0 compiled to %s, want %s", k, c.kind)
+			}
+			if err := dp.AddFlow(0, openflow.NewEntry(50, c.match(1), openflow.Apply(openflow.Output(4)))); err != nil {
+				t.Fatal(err)
+			}
+			agreesWithInterpreter(t, dp, "with the shadowing entry", c.p)
+			if n, err := dp.DeleteFlow(0, c.match(1), 50); n != 1 || err != nil {
+				t.Fatalf("delete: %d %v", n, err)
+			}
+			agreesWithInterpreter(t, dp, "after deleting the shadowing entry", c.p)
+		})
+	}
+}
+
+// TestLPMInsertChecksPriorities adds a short prefix that outranks the longer
+// ones it covers to an LPM table.  Longest-prefix order no longer is priority
+// order, so the add must not be taken incrementally (it used to be, and the
+// /23 kept winning).
+func TestLPMInsertChecksPriorities(t *testing.T) {
+	pl := openflow.NewPipeline(4)
+	for i := 0; i < 20; i++ {
+		pl.Table(0).AddFlow(24, openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(pkt.IPv4FromOctets(10, byte(2*i), 0, 0)), 24),
+			openflow.Apply(openflow.Output(1)))
+		pl.Table(0).AddFlow(23, openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(pkt.IPv4FromOctets(10, byte(2*i+1), 0, 0)), 23),
+			openflow.Apply(openflow.Output(2)))
+	}
+	dp, err := Compile(pl, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, _ := dp.TableTemplate(0); k != TemplateLPM {
+		t.Fatalf("table 0 compiled to %s, want %s", k, TemplateLPM)
+	}
+	err = dp.AddFlow(0, openflow.NewEntry(100, openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(pkt.IPv4FromOctets(10, 0, 0, 0)), 8),
+		openflow.Apply(openflow.Output(3))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := dp.IncrementalUpdates(); n != 0 {
+		t.Fatalf("the /8 at priority 100 was inserted into the LPM template (%d incremental updates)", n)
+	}
+	agreesWithInterpreter(t, dp, "with the /8 on top",
+		tcpPacket(t, 1, 1, pkt.IPv4FromOctets(10, 3, 0, 9), 3, 80),
+		tcpPacket(t, 1, 1, pkt.IPv4FromOctets(10, 2, 0, 9), 3, 80),
+		tcpPacket(t, 1, 1, pkt.IPv4FromOctets(10, 200, 0, 9), 3, 80),
+		tcpPacket(t, 1, 1, pkt.IPv4FromOctets(11, 3, 0, 9), 3, 80))
+}
+
+// TestCatchAllInsertChecksPriorities is the same pair of rules for the entry
+// both templates keep beside their lookup structure: a catch-all that
+// outranks keyed entries must win, and of two catch-alls the lower must
+// survive the delete of the upper.
+func TestCatchAllInsertChecksPriorities(t *testing.T) {
+	for _, c := range []struct {
+		kind TemplateKind
+		pl   func() *openflow.Pipeline
+		p    *pkt.Packet
+	}{
+		{TemplateHash, func() *openflow.Pipeline { return macPipeline(20) },
+			ethPacket(t, 1, pkt.MACFromUint64(0x020000000001), pkt.MACFromUint64(9))},
+		{TemplateLPM, func() *openflow.Pipeline { return workload.L3UseCase(50, 4, 7).Pipeline },
+			tcpPacket(t, 1, 1, pkt.IPv4FromOctets(240, 0, 0, 9), 3, 80)},
+	} {
+		t.Run(c.kind.String(), func(t *testing.T) {
+			for _, prio := range []int{1000, 5} {
+				dp, err := Compile(c.pl(), DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k, _ := dp.TableTemplate(0); k != c.kind {
+					t.Fatalf("table 0 compiled to %s, want %s", k, c.kind)
+				}
+				if err := dp.AddFlow(0, openflow.NewEntry(prio, openflow.NewMatch(), openflow.Apply(openflow.Output(4)))); err != nil {
+					t.Fatal(err)
+				}
+				agreesWithInterpreter(t, dp, fmt.Sprintf("second catch-all at %d", prio), c.p)
+				if n, err := dp.DeleteFlow(0, openflow.NewMatch(), prio); n != 1 || err != nil {
+					t.Fatalf("delete: %d %v", n, err)
+				}
+				agreesWithInterpreter(t, dp, fmt.Sprintf("second catch-all at %d deleted", prio), c.p)
+			}
+		})
 	}
 }
 

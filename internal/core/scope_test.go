@@ -233,31 +233,13 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 			return openflow.Apply(out)
 		}
 	}
-	// add installs an entry, keeping to what the templates ask of a
-	// controller.  Every new entry gets a priority of its own, in one of
-	// three bands above the installed ones: which of two overlapping entries
-	// of equal priority wins is undefined in OpenFlow, and the templates do
-	// differ.  A prefix added to an LPM table takes its length as priority
-	// (the LPM template's insert trusts that convention), and a match the
-	// table already holds keeps its priority, making the add a replace (the
-	// hash template keeps one entry per key).
+	// add installs an entry.  Every new entry gets a priority of its own, in
+	// one of three bands above the installed ones: which of two overlapping
+	// entries of equal priority wins is undefined in OpenFlow, and the
+	// templates do differ.
 	add := func(kind string, tid openflow.TableID, band int, m *openflow.Match, ins openflow.Instructions) string {
 		r.adds++
 		prio := []int{1000, 5000, 20000}[band] + r.adds
-		if k, _ := r.dp.TableTemplate(tid); k == TemplateLPM && m.Fields().Count() == 1 {
-			for _, f := range []openflow.Field{openflow.FieldIPSrc, openflow.FieldIPDst} {
-				if plen, ok := m.IsPrefix(f); ok {
-					prio = plen
-				}
-			}
-		}
-		if t := pl.Table(tid); t != nil {
-			for _, old := range t.Entries() {
-				if old.Match.Equal(m) {
-					prio = old.Priority
-				}
-			}
-		}
 		e := openflow.NewEntry(prio, m, ins)
 		if r.metered != nil {
 			if err := r.metered.AddFlow(tid, e.Clone()); err != nil {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"maps"
+	"math"
+
 	"eswitch/internal/cpumodel"
 	"eswitch/internal/exacthash"
 	"eswitch/internal/lpm"
@@ -167,6 +170,12 @@ func (d *directCode) Remove(match *openflow.Match, priority int) int {
 type valueSlots struct {
 	values []*compiledEntry
 	free   []uint32
+	// shared marks the slots whose key a second entry of the declarative
+	// table holds too, at another priority.  The lookup structure resolves a
+	// key to one slot, which serves the upper entry; the lower one exists
+	// only in the declarative table, so a template must not remove such a
+	// slot (removable) and the delete rebuilds the table instead.
+	shared map[uint32]struct{}
 }
 
 // put stores ce and returns its slot.
@@ -187,10 +196,30 @@ func (s *valueSlots) release(idx uint32) {
 	s.free = append(s.free, idx)
 }
 
+// share takes a second entry under the key slot idx already serves: the
+// higher priority of the two stays in the slot.
+func (s *valueSlots) share(idx uint32, ce *compiledEntry) {
+	if s.values[idx].priority < ce.priority {
+		s.values[idx] = ce
+	}
+	if s.shared == nil {
+		s.shared = make(map[uint32]struct{})
+	}
+	s.shared[idx] = struct{}{}
+}
+
+// removable reports whether slot idx holds the only entry under its key, and
+// that entry has the given priority (any when negative).
+func (s *valueSlots) removable(idx uint32, priority int) bool {
+	_, shared := s.shared[idx]
+	return !shared && (priority < 0 || s.values[idx].priority == priority)
+}
+
 func (s *valueSlots) clone() valueSlots {
 	return valueSlots{
 		values: append([]*compiledEntry(nil), s.values...),
 		free:   append([]uint32(nil), s.free...),
+		shared: maps.Clone(s.shared),
 	}
 }
 
@@ -210,7 +239,11 @@ type hashTable struct {
 	valueSlots                 // indexed by the table's values
 	def         *compiledEntry // catch-all (may be nil)
 	defPriority int
-	region      *cpumodel.Region
+	// prioLo is the lowest priority of the keyed entries inserted since the
+	// table was built (removals do not raise it): the catch-all must stay
+	// below it, or one hash lookup would not give priority order.
+	prioLo int
+	region *cpumodel.Region
 }
 
 func newHashTable(fields []openflow.Field, masks []uint64, sizeHint int, meter *cpumodel.Meter) *hashTable {
@@ -223,6 +256,7 @@ func newHashTable(fields []openflow.Field, masks []uint64, sizeHint int, meter *
 		masks:  masks,
 		proto:  proto,
 		table:  exacthash.New(sizeHint),
+		prioLo: math.MaxInt,
 	}
 	h.region = meter.NewRegion("hash-table", h.table.MemoryFootprint())
 	return h
@@ -339,6 +373,7 @@ func (h *hashTable) Mirror() tableDatapath {
 		valueSlots:  h.valueSlots.clone(),
 		def:         h.def,
 		defPriority: h.defPriority,
+		prioLo:      h.prioLo,
 		region:      h.region,
 	}
 }
@@ -366,7 +401,15 @@ func (h *hashTable) compatible(e *openflow.FlowEntry) bool {
 	return true
 }
 
-func (h *hashTable) CanInsert(e *openflow.FlowEntry) bool { return h.compatible(e) }
+// CanInsert accepts a first catch-all below every keyed entry, or a keyed
+// entry under the template's masks above the catch-all: what the analysis
+// pass asks of the whole table.
+func (h *hashTable) CanInsert(e *openflow.FlowEntry) bool {
+	if e.Match.IsEmpty() {
+		return h.def == nil && e.Priority < h.prioLo
+	}
+	return h.compatible(e) && (h.def == nil || e.Priority > h.defPriority)
+}
 
 func (h *hashTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 	if e.Match.IsEmpty() {
@@ -376,12 +419,10 @@ func (h *hashTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 		}
 		return
 	}
+	h.prioLo = min(h.prioLo, e.Priority)
 	key := packMatchKey(e.Match, h.fields, h.masks)
 	if idx, ok := h.table.Lookup(key); ok {
-		// Key collision between entries: the higher priority shadows.
-		if h.values[idx].priority <= e.Priority {
-			h.values[idx] = ce
-		}
+		h.share(idx, ce)
 		return
 	}
 	h.table.Insert(key, h.put(ce))
@@ -400,10 +441,7 @@ func (h *hashTable) Remove(match *openflow.Match, priority int) int {
 	}
 	key := packMatchKey(match, h.fields, h.masks)
 	idx, ok := h.table.Lookup(key)
-	if !ok {
-		return 0
-	}
-	if priority >= 0 && h.values[idx].priority != priority {
+	if !ok || !h.removable(idx, priority) {
 		return 0
 	}
 	h.table.Delete(key)
@@ -426,17 +464,27 @@ type lpmTable struct {
 	valueSlots  // indexed by the table's values
 	def         *compiledEntry
 	defPriority int
-	region      *cpumodel.Region
+	// prioLo[n] and prioHi[n] bound the priorities of the /n prefixes
+	// inserted since the table was built, the default route counting as the
+	// /0 (removals do not narrow the bounds; a rebuild starts them over).
+	// CanInsert holds a new entry against them instead of against every
+	// installed prefix.
+	prioLo, prioHi [33]int
+	region         *cpumodel.Region
 }
 
 func newLPMTable(field openflow.Field, meter *cpumodel.Meter) *lpmTable {
 	t := lpm.New()
-	return &lpmTable{
+	l := &lpmTable{
 		field:  field,
 		proto:  field.Prerequisite(),
 		table:  t,
 		region: meter.NewRegion("lpm-table", t.FirstLevelSize()*4+1<<20),
 	}
+	for n := range l.prioLo {
+		l.prioLo[n], l.prioHi[n] = math.MaxInt, math.MinInt
+	}
+	return l
 }
 
 func (l *lpmTable) Kind() TemplateKind { return TemplateLPM }
@@ -556,26 +604,46 @@ func (l *lpmTable) Mirror() tableDatapath {
 		valueSlots:  l.valueSlots.clone(),
 		def:         l.def,
 		defPriority: l.defPriority,
+		prioLo:      l.prioLo,
+		prioHi:      l.prioHi,
 		region:      l.region,
 	}
 }
 
+// CanInsert accepts a prefix of the template's field, or a first default
+// route, whose priority keeps longest-prefix order equal to priority order:
+// above every shorter prefix, below every longer one.  That is stricter than
+// the analysis pass, which compares overlapping prefixes only, but costs one
+// pass over the prefix lengths instead of one over the table; an entry it
+// refuses goes through the rebuild, whose analysis decides the template.
 func (l *lpmTable) CanInsert(e *openflow.FlowEntry) bool {
+	plen := 0
 	if e.Match.IsEmpty() {
-		return true
+		if l.def != nil {
+			return false // two defaults: deleting one would lose the other
+		}
+	} else {
+		fields := e.Match.Fields().Fields()
+		if len(fields) != 1 || fields[0] != l.field {
+			return false
+		}
+		var ok bool
+		if plen, ok = e.Match.IsPrefix(l.field); !ok {
+			return false
+		}
 	}
-	fields := e.Match.Fields().Fields()
-	if len(fields) != 1 || fields[0] != l.field {
-		return false
+	for n := range l.prioLo {
+		if (n < plen && l.prioHi[n] >= e.Priority) || (n > plen && l.prioLo[n] <= e.Priority) {
+			return false
+		}
 	}
-	_, ok := e.Match.IsPrefix(l.field)
-	// Priority consistency with already-installed prefixes is guaranteed
-	// by construction when the controller uses prefix-length-derived
-	// priorities; a violation is caught by the analysis pass on rebuild.
-	return ok
+	return true
 }
 
 func (l *lpmTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
+	plen, _ := e.Match.IsPrefix(l.field) // 0 for the default route
+	l.prioLo[plen] = min(l.prioLo[plen], e.Priority)
+	l.prioHi[plen] = max(l.prioHi[plen], e.Priority)
 	if e.Match.IsEmpty() {
 		if l.def == nil || e.Priority >= l.defPriority {
 			l.def = ce
@@ -584,7 +652,10 @@ func (l *lpmTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 		return
 	}
 	value, _, _ := e.Match.Get(l.field)
-	plen, _ := e.Match.IsPrefix(l.field)
+	if idx, ok := l.table.Get(uint32(value), plen); ok {
+		l.share(idx, ce)
+		return
+	}
 	l.table.Insert(uint32(value), plen, l.put(ce))
 }
 
@@ -606,7 +677,7 @@ func (l *lpmTable) Remove(match *openflow.Match, priority int) int {
 	}
 	value, _, _ := match.Get(l.field)
 	idx, ok := l.table.Get(uint32(value), plen)
-	if !ok {
+	if !ok || !l.removable(idx, priority) {
 		return 0
 	}
 	l.table.Delete(uint32(value), plen)

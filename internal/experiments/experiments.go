@@ -7,8 +7,7 @@
 // implementations.
 //
 // The absolute numbers are not expected to match the paper's testbed; the
-// shapes (who wins, by what factor, where the curves bend) are.  See
-// EXPERIMENTS.md for the recorded comparison.
+// shapes (who wins, by what factor, where the curves bend) are.
 package experiments
 
 import (

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"eswitch/internal/workload"
 )
 
 // parse the numeric cell (Mpps etc.) of a result row.
@@ -163,45 +161,6 @@ func TestFig19Scaling(t *testing.T) {
 	}
 	if oneCoreES <= cellFloat(t, r, 0, 2) {
 		t.Fatalf("ES per-core rate should beat OVS: %v vs %v", oneCoreES, cellFloat(t, r, 0, 2))
-	}
-}
-
-// TestFlowCacheSweepShape checks the distribution-sensitive invariants of
-// the microflow-cache sweep without asserting wall-clock numbers: a
-// cache-resident flow set hits almost always, the Zipf schedule hits more
-// often than uniform when the cache is smaller than the flow set, and the
-// counters account for every measured packet.
-func TestFlowCacheSweepShape(t *testing.T) {
-	uc := func() *workload.UseCase { return workload.L3UseCase(500, 8, 2016) }
-	const packets = 40_000
-
-	small, err := MeasureFlowCacheBurst(uc(), 100, packets, 4096, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.HitRate < 0.99 {
-		t.Fatalf("cache-resident uniform run hit only %.1f%%", small.HitRate*100)
-	}
-	if small.Hits+small.Misses == 0 || small.Hits+small.Misses < packets {
-		t.Fatalf("counters lost packets: %+v (measured %d + warmup)", small, packets)
-	}
-
-	// 10K flows against a 4096-entry cache: uniform recurrence distance
-	// exceeds the cache, Zipf's popular head stays resident.
-	uniform, err := MeasureFlowCacheBurst(uc(), 10_000, packets, 4096, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zipf, err := MeasureFlowCacheBurst(uc(), 10_000, packets, 4096, flowCacheZipfS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zipf.HitRate <= uniform.HitRate {
-		t.Fatalf("Zipf hit rate %.1f%% not above uniform %.1f%% with an undersized cache",
-			zipf.HitRate*100, uniform.HitRate*100)
-	}
-	if zipf.HitRate < 0.5 {
-		t.Fatalf("Zipf(1.1) head should dominate: hit rate %.1f%%", zipf.HitRate*100)
 	}
 }
 

@@ -36,8 +36,8 @@ func Table1(cfg Config) Result {
 }
 
 // Fig3 reports the megaflow cache contents generated for the Fig. 3 port
-// table under the paper's two arrival sequences, plus the traffic-dependence
-// sweep discussed in EXPERIMENTS.md.
+// table under the paper's two arrival sequences, plus a traffic-dependence
+// sweep (64 ports far from the rule against 64 adjacent to it).
 func Fig3(cfg Config) Result {
 	run := func(ports []uint16) (int, []string) {
 		opts := ovs.DefaultOptions()
@@ -81,7 +81,7 @@ func Fig3(cfg Config) Result {
 		Notes: []string{
 			"seq 2: a per-packet-minimal mask computation provably yields arrival-order-independent cache contents, so the",
 			"  paper's single-entry outcome (an artefact of OVS's trie-walk un-wildcarding) is not reproduced; the traffic-",
-			"  dependence rows show the same unpredictability the figure argues for (see EXPERIMENTS.md).",
+			"  dependence rows show the same unpredictability the figure argues for.",
 		},
 	}
 }
@@ -542,7 +542,7 @@ func Fig19(cfg Config) Result {
 		res.Rows = append(res.Rows, row)
 	}
 	res.Notes = append(res.Notes, "per-core rates measured on the Atom platform model; aggregate = per-core × cores (linear scaling, as measured in the paper);")
-	res.Notes = append(res.Notes, "  see Fig. 19 (measured) and BenchmarkFig19_ScalingHotPort for real multi-worker scaling of one hot RSS port over the Go substrate")
+	res.Notes = append(res.Notes, "  see Fig. 19 (measured) for real multi-worker scaling of one hot RSS port over the Go substrate")
 	return res
 }
 
@@ -630,7 +630,6 @@ func All(cfg Config) []Result {
 		Fig19Measured(cfg),
 		Fig20(cfg),
 		Decomposition(cfg),
-		FlowCacheSweep(cfg),
 		FlowSetupRate(cfg),
 	}
 }

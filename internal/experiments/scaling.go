@@ -18,8 +18,8 @@ import (
 // swapped compiled datapath, batched TX — over ONE hot port and reports the
 // aggregate wall-clock forwarding rate per worker count.  On machines with
 // at least as many cores as workers the rate should grow monotonically with
-// the worker count; scripts/bench_scaling.sh records the sweep to
-// BENCH_scaling.json.
+// the worker count; on fewer (two vCPUs that slow each other down, say) the
+// workers time-share and the sweep shows nothing, so no record of it is kept.
 
 // ScalingPoint is one row of the worker-scaling sweep.
 type ScalingPoint struct {
@@ -39,8 +39,7 @@ type ScalingPoint struct {
 
 // ScalingHarness is the reusable hot-port driver: a compiled L3 datapath
 // behind a multi-queue switch, with the injection frames RSS-pre-steered so
-// the producer path is a bare ring enqueue.  BenchmarkFig19_ScalingHotPort
-// and MeasureWorkerScaling share it so the two recorded sweeps cannot drift.
+// the producer path is a bare ring enqueue.
 type ScalingHarness struct {
 	sw      *dpdk.Switch
 	hot     *dpdk.Port
@@ -49,13 +48,8 @@ type ScalingHarness struct {
 	meter   *cpumodel.Meter
 }
 
-// NewScalingHarness compiles the L3 workload (2K prefixes) and prepares the
-// pre-steered frame set.
-func NewScalingHarness(flows int) (*ScalingHarness, error) {
-	return newScalingHarness(flows, false)
-}
-
-// NewMeteredScalingHarness is NewScalingHarness with a cycle meter attached.
+// NewMeteredScalingHarness compiles the L3 workload (2K prefixes) with a
+// cycle meter attached and prepares the pre-steered frame set.
 // Every worker RunWorkers starts registers a private meter shard, so a
 // metered run with N workers is race-free and the folded model numbers
 // (cycles/packet, LLC misses/packet over per-core private hierarchies) can
@@ -95,10 +89,6 @@ func newScalingHarness(flows int, metered bool) (*ScalingHarness, error) {
 // Meter returns the harness's cycle meter (nil when built unmetered);
 // aggregate reads fold every worker's shard.
 func (h *ScalingHarness) Meter() *cpumodel.Meter { return h.meter }
-
-// Switch exposes the underlying dataplane substrate (for tests that inspect
-// TX policies and per-worker statistics).
-func (h *ScalingHarness) Switch() *dpdk.Switch { return h.sw }
 
 // Run starts the given number of workers, injects `packets` frames into the
 // hot port, waits for the backlog to drain and returns the aggregate rate.
@@ -143,18 +133,6 @@ func (h *ScalingHarness) Run(workers, packets int) ScalingPoint {
 	}
 }
 
-// MeasureWorkerScaling injects `packets` minimum-size frames of an L3
-// workload into a single hot port and measures the aggregate rate the given
-// number of workers achieves.  Every worker polls its own RX-queue subset of
-// the hot port against the shared compiled datapath.
-func MeasureWorkerScaling(workers, packets, flows int) (ScalingPoint, error) {
-	h, err := NewScalingHarness(flows)
-	if err != nil {
-		return ScalingPoint{}, err
-	}
-	return h.Run(workers, packets), nil
-}
-
 // Fig19Measured runs the worker-scaling sweep on the real substrate (the
 // measured companion to the modelled Fig19).
 func Fig19Measured(cfg Config) Result {
@@ -170,15 +148,17 @@ func Fig19Measured(cfg Config) Result {
 		Header: []string{"workers", "Mpps", "packets"},
 	}
 	for _, w := range counts {
-		pt, err := MeasureWorkerScaling(w, packets, 10_000)
+		// A fresh unmetered harness per point: every worker polls its own
+		// RX-queue subset of the hot port against the shared datapath.
+		h, err := newScalingHarness(10_000, false)
 		if err != nil {
 			panic(err)
 		}
+		pt := h.Run(w, packets)
 		res.Rows = append(res.Rows, []string{fmtInt(pt.Workers), fmtF(pt.Mpps), fmtInt(int(pt.Processed))})
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("wall-clock rates with GOMAXPROCS=%d on %d CPUs — worker counts beyond the CPU count time-share and cannot speed up;", runtime.GOMAXPROCS(0), runtime.NumCPU()),
-		"  the producer pre-computes RSS steering (Port.InjectOn) so injection is a bare ring enqueue;",
-		"  scripts/bench_scaling.sh records this sweep to BENCH_scaling.json via BenchmarkFig19_ScalingHotPort")
+		"  the producer pre-computes RSS steering (Port.InjectOn) so injection is a bare ring enqueue")
 	return res
 }

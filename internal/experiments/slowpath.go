@@ -61,7 +61,6 @@ type SlowPathHarness struct {
 	stopSvc   chan struct{}
 	agentDone chan struct{}
 	ctlDone   chan struct{}
-	serveErr  error
 }
 
 // NewSlowPathHarness builds and connects the whole loop; Close releases it.
@@ -137,7 +136,7 @@ func NewSlowPathHarness(cfg SlowPathConfig) (*SlowPathHarness, error) {
 		h.Agent.PacketOutHandler = svc.HandlePacketOut
 		ready <- nil
 		go svc.Run(h.stopSvc)
-		h.serveErr = h.Agent.Serve(rw)
+		_ = h.Agent.Serve(rw) // returns when Close tears the connection down
 		close(h.agentDone)
 	}()
 
@@ -168,9 +167,6 @@ func (h *SlowPathHarness) Close() {
 	close(h.stopSvc)
 	h.ln.Close()
 }
-
-// ServeErr returns the agent's Serve error after Close (nil on orderly EOF).
-func (h *SlowPathHarness) ServeErr() error { return h.serveErr }
 
 // InjectAll injects every flow of the trace once (first packet of each flow
 // on a cold switch), returning how many frames were accepted.
@@ -286,37 +282,6 @@ func (h *SlowPathHarness) Converge(maxPasses int, quiet time.Duration) (int, err
 		}
 	}
 	return maxPasses, fmt.Errorf("slowpath harness: punts did not converge to zero in %d passes", maxPasses)
-}
-
-// ConvergeTrickle is Converge for deliberately undersized punt rings: a
-// whole-sweep burst into a ring smaller than the burst starves discovery
-// (the same ring-filling prefix punts every pass while everything behind it
-// drops), so this variant feeds the sweep in chunks no larger than the ring
-// and quiesces the control loop between chunks.  It returns the number of
-// full sweeps until one generated zero punts.
-func (h *SlowPathHarness) ConvergeTrickle(chunk, maxPasses int, quiet time.Duration) (int, error) {
-	if chunk < 1 {
-		chunk = 1
-	}
-	for pass := 1; pass <= maxPasses; pass++ {
-		before := h.SW.Stats()
-		for off := 0; off < len(h.frames); off += chunk {
-			n := chunk
-			if off+n > len(h.frames) {
-				n = len(h.frames) - off
-			}
-			h.injectRange(off, n)
-			h.PollDrain()
-			if err := h.WaitQuiet(quiet); err != nil {
-				return pass, err
-			}
-		}
-		after := h.SW.Stats()
-		if after.ToCtrl == before.ToCtrl {
-			return pass, nil
-		}
-	}
-	return maxPasses, fmt.Errorf("slowpath harness: punts did not converge to zero in %d trickle passes", maxPasses)
 }
 
 // MeasureForwarding pumps `packets` frames through the (presumably

@@ -229,7 +229,8 @@ func TestFig3SevenEntries(t *testing.T) {
 // (nearly) one megaflow each.  (The paper's exact seq-2 single-entry outcome
 // additionally depends on OVS's trie-walk un-wildcarding heuristics; a
 // per-packet-minimal mask computation such as this one provably produces
-// arrival-order-independent cache contents, see EXPERIMENTS.md.)
+// arrival-order-independent cache contents, as eswitch-experiments -figure
+// fig3 notes.)
 func TestFig3TrafficDependence(t *testing.T) {
 	run := func(ports []uint16) int {
 		sw, err := New(fig3Pipeline(), fig3Options())
