@@ -3,8 +3,9 @@
 // and cmd/eswitch-experiments regenerates the paper's figures; what is left
 // here are the three ablations of a single specialization (key inlining, the
 // parser template, the baseline's microflow level), the punt-ring and
-// trace-replay paths bench/ does not drive, and the megaflow grid with its
-// 1M-microflow sweep, kept until ROADMAP 3(b) decides that cache level.
+// trace-replay paths bench/ does not drive, and the router's cache grid with
+// its 1M-microflow sweep, the one row the deleted second cache level ever won
+// (ROADMAP 3).
 // They measure the real Go implementations (ns/op on the machine running
 // them) and are not gated.
 package eswitch
@@ -102,22 +103,17 @@ func BenchmarkAblationMicroflow(b *testing.B) {
 	}
 }
 
-// --- Megaflow second-level cache -----------------------------------------------
+// --- The router under a cache-hostile sweep ------------------------------------
 
-// benchFlowCacheEntries is the per-worker microflow cache both compiles of
-// the BenchmarkMegaflow rows keep on: above the 100K active flows of the
-// uniform and Zipf rows, so those measure cache locality, not conflict churn.
-// benchMegaflowEntries is the megaflow-on per-group entry budget.
-const (
-	benchFlowCacheEntries = 1 << 18
-	benchMegaflowEntries  = 4096
-)
+// benchFlowCacheEntries is the per-worker cache the cache=on compiles ask
+// for: above the 100K active flows of the uniform and Zipf rows.
+const benchFlowCacheEntries = 1 << 18
 
-// benchMegaflowDrive drives the datapath with packets drawn from next and
-// reports Mpps plus the microflow and (when enabled) megaflow hit rates over
-// the measured region.  nFlows sizes the warmup: two passes over the active
-// flow set, clamped to 20k..250k packets.
-func benchMegaflowDrive(b *testing.B, dp *core.Datapath, next func(*pkt.Packet), nFlows int, megaOn bool) {
+// benchFlowCacheDrive drives the datapath with packets drawn from next and
+// reports Mpps plus, where the cache is armed, its hit rate over the measured
+// region.  nFlows sizes the warmup: two passes over the active flow set,
+// clamped to 20k..250k packets.
+func benchFlowCacheDrive(b *testing.B, dp *core.Datapath, next func(*pkt.Packet), nFlows int) {
 	b.Helper()
 	w := dp.RegisterWorker()
 	defer dp.UnregisterWorker(w)
@@ -146,7 +142,6 @@ func benchMegaflowDrive(b *testing.B, dp *core.Datapath, next func(*pkt.Packet),
 	// The datapath (and its monotonic stats folds) is shared across
 	// sub-benchmarks, so hit rates come from before/after deltas.
 	before := dp.FlowCacheStats()
-	beforeM := dp.MegaflowStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += burst {
@@ -167,33 +162,24 @@ func benchMegaflowDrive(b *testing.B, dp *core.Datapath, next func(*pkt.Packet),
 	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits+misses > 0 {
 		b.ReportMetric(100*float64(hits)/float64(hits+misses), "hit%")
 	}
-	if megaOn {
-		afterM := dp.MegaflowStats()
-		if mh, mm := afterM.Hits-beforeM.Hits, afterM.Misses-beforeM.Misses; mh+mm > 0 {
-			b.ReportMetric(100*float64(mh)/float64(mh+mm), "megahit%")
-		}
-	}
 }
 
-// BenchmarkMegaflow_L3 measures the masked-match second-level cache over the
-// 100K-prefix router on the dist=uniform|zipf|sweep × megaflow=off|on grid.
-// Both compiles keep the microflow cache on, so megaflow=off is the
-// microflow-only baseline the megaflow layer must beat under the sweep.
+// BenchmarkFlowCache_L3Sweep drives the 100K-prefix router on the
+// dist=uniform|zipf|sweep × cache=off|on grid.  The router is one LPM stage,
+// so the compiler does not arm the cache (cache=on reports no hit%) and both
+// columns run the plain burst path: the grid records that asking this
+// pipeline for a cache costs nothing, on the workload where a cache keyed on
+// the five-tuple is useless and a reactive masked level once paid.
 //
-// The sweep rows are the adversarial acceptance workload: a source-address ×
-// source-port scan emitting 2^20 (~1M) distinct microflows — each seen once
-// per wrap, far beyond any exact-match cache — against a destination the
-// pipeline routes through a real LPM path.  Exact-match caching is useless
-// there (hit% ~0) while the megaflow layer absorbs the scan under a handful
-// of wildcard entries (megahit% > 90 after warmup).
-func BenchmarkMegaflow_L3(b *testing.B) {
+// The sweep rows are that workload: a source-address × source-port scan
+// emitting 2^20 (~1M) distinct microflows — each seen once per wrap — against
+// a destination the pipeline routes through a real LPM path.
+func BenchmarkFlowCache_L3Sweep(b *testing.B) {
 	uc := workload.L3UseCase(100_000, 8, 2016)
 	var dps [2]*core.Datapath
-	for i, mega := range []int{0, benchMegaflowEntries} {
+	for i, entries := range []int{0, benchFlowCacheEntries} {
 		opts := core.DefaultOptions()
-		opts.Decompose = uc.WantsDecomposition
-		opts.FlowCache = benchFlowCacheEntries
-		opts.Megaflow = mega
+		opts.FlowCache = entries
 		dp, err := core.Compile(uc.Pipeline, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -205,16 +191,16 @@ func BenchmarkMegaflow_L3(b *testing.B) {
 		name string
 		s    float64
 	}{{"uniform", 0}, {"zipf", 1.1}} {
-		for i, mega := range []string{"off", "on"} {
+		for i, cache := range []string{"off", "on"} {
 			dp := dps[i]
-			b.Run(fmt.Sprintf("dist=%s/flows=%d/megaflow=%s", dist.name, flows, mega), func(b *testing.B) {
+			b.Run(fmt.Sprintf("dist=%s/flows=%d/cache=%s", dist.name, flows, cache), func(b *testing.B) {
 				trace := uc.Trace(flows)
 				if dist.s > 0 {
 					if err := trace.UseZipf(dist.s, 42); err != nil {
 						b.Fatal(err)
 					}
 				}
-				benchMegaflowDrive(b, dp, trace.Next, flows, mega == "on")
+				benchFlowCacheDrive(b, dp, trace.Next, flows)
 			})
 		}
 	}
@@ -231,14 +217,14 @@ func BenchmarkMegaflow_L3(b *testing.B) {
 		SrcPort: 1024,
 		DstPort: 80,
 	}
-	for i, mega := range []string{"off", "on"} {
+	for i, cache := range []string{"off", "on"} {
 		dp := dps[i]
 		sweep, err := pktgen.NewSweepTrace(template, 1<<16, 1<<4, dpdk.DefaultBurst)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("dist=sweep/flows=%d/megaflow=%s", sweep.NumFlows(), mega), func(b *testing.B) {
-			benchMegaflowDrive(b, dp, sweep.Next, sweep.NumFlows(), mega == "on")
+		b.Run(fmt.Sprintf("dist=sweep/flows=%d/cache=%s", sweep.NumFlows(), cache), func(b *testing.B) {
+			benchFlowCacheDrive(b, dp, sweep.Next, sweep.NumFlows())
 		})
 	}
 }

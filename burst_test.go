@@ -337,26 +337,23 @@ func TestProcessBurstNoAllocs(t *testing.T) {
 // criterion directly: the steady-state worker path — RX burst → ProcessBurst
 // → staged TX flush — performs zero mutex acquisitions (on both the datapath
 // and the switch) and zero allocations per poll iteration.  The flowcache
-// variant runs the identical assertions with the microflow verdict cache
-// enabled: probe, patch replay and install must all stay off the allocator
-// and off every mutex.
-// The megaflow variant shrinks the microflow cache below the working set so
-// the steady state exercises the second-level masked probe, megaflow hit
-// replay and microflow promotion on every poll — all of which must likewise
-// stay allocation- and lock-free (mask groups are created once, during
-// warmup).
-// The gateway variant forces double misses through a direct-code start
-// table: four times as many flows as either cache level holds, so every poll
-// runs the tracked walk — whose per-rule mask observation is the part of the
-// miss path that used to allocate — and installs into both levels.
+// variant runs the identical assertions on a pipeline that arms the verdict
+// cache (the admission ACL in front of the RIB): probe, patch replay and
+// install must all stay off the allocator and off every mutex.
+// The evicting variant offers the smallest cache four times the flows it
+// holds, so the steady state is misses, evictions and installs on every poll.
+// The gateway variant does the same through a direct-code start table and
+// four stages: four times as many flows as the cache holds, so every poll
+// runs the wave engine and installs.
 func TestWorkerPathZeroLocksZeroAllocs(t *testing.T) {
 	l3 := workload.L3UseCase(1000, 4, 2016)
-	t.Run("flowcache=off", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, l3, 256, 0, 0, false) })
-	t.Run("flowcache=on", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, l3, 256, 4096, 0, false) })
-	t.Run("megaflow=on", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, l3, 256, 64, 4096, false) })
+	acl := workload.L3ACLRouterUseCase(2048, 1000, 4, 2016)
+	t.Run("flowcache=off", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, l3, 256, 0, false) })
+	t.Run("flowcache=on", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, acl, 256, 4096, false) })
+	t.Run("flowcache=evicting", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, acl, 1024, 64, true) })
 	t.Run("gateway/misses", func(t *testing.T) {
 		gw := workload.GatewayUseCase(workload.GatewayConfig{CEs: 4, UsersPerCE: 8, Prefixes: 1000, Seed: 2016})
-		testWorkerPathZeroLocksZeroAllocs(t, gw, 1024, 64, 64, true)
+		testWorkerPathZeroLocksZeroAllocs(t, gw, 1024, 64, true)
 	})
 }
 
@@ -403,10 +400,9 @@ func idleSupervisor(t *testing.T, dp controller.FlowProgrammer) {
 	}
 }
 
-func testWorkerPathZeroLocksZeroAllocs(t *testing.T, uc *workload.UseCase, nFrames, flowCache, megaflow int, wantWalks bool) {
+func testWorkerPathZeroLocksZeroAllocs(t *testing.T, uc *workload.UseCase, nFrames, flowCache int, wantWalks bool) {
 	opts := core.DefaultOptions()
 	opts.FlowCache = flowCache
-	opts.Megaflow = megaflow
 	// The capacity guardrail is part of the armed failure plane; it gates
 	// AddFlow only, so the worker path below must never feel it.
 	opts.MaxTableEntries = 4096
@@ -416,7 +412,7 @@ func testWorkerPathZeroLocksZeroAllocs(t *testing.T, uc *workload.UseCase, nFram
 	}
 	sw := dpdk.NewSwitchWithConfig(dp, dpdk.SwitchConfig{NumPorts: uc.Pipeline.NumPorts, RingSize: 4096, Queues: dpdk.DefaultQueues})
 	// The slow path must stay off the hot path: with the punt rings armed
-	// but no punting traffic (the L3 workload never punts), the worker loop
+	// but no punting traffic (these workloads never punt), the worker loop
 	// below must remain zero-lock and zero-alloc.
 	if _, err := sw.ArmPuntRings(256, 0); err != nil {
 		t.Fatal(err)
@@ -465,6 +461,14 @@ func testWorkerPathZeroLocksZeroAllocs(t *testing.T, uc *workload.UseCase, nFram
 		resp.Body.Close()
 		if !strings.Contains(string(body), "eswitch_burst_duration_seconds_count") {
 			t.Fatalf("armed metrics endpoint missing latency histogram:\n%.400s", body)
+		}
+		// The arming decision is one scrape away.
+		armed := "eswitch_flowcache_armed 0\n"
+		if flowCache > 0 {
+			armed = "eswitch_flowcache_armed 1\n"
+		}
+		if !strings.Contains(string(body), armed) {
+			t.Fatalf("metrics endpoint does not report %q", armed)
 		}
 	}
 	trace := uc.Trace(2 * nFrames)
@@ -527,8 +531,8 @@ func testWorkerPathZeroLocksZeroAllocs(t *testing.T, uc *workload.UseCase, nFram
 	if err := st.CheckInvariants(true); err != nil {
 		t.Fatal(err)
 	}
-	if walks := st.MegaMisses - warm.MegaMisses; wantWalks && walks < uint64(nFrames) {
-		t.Fatalf("the measured window was to run on double misses, yet only %d tracked walks", walks)
+	if walks := st.CacheMisses - warm.CacheMisses; wantWalks && walks < uint64(nFrames) {
+		t.Fatalf("the measured window was to run on cache misses, yet only %d walks", walks)
 	}
 	// Latency sampling was armed throughout: the measured window's bursts
 	// must appear in the folded histogram.
@@ -578,20 +582,11 @@ func testWorkerPathZeroLocksZeroAllocs(t *testing.T, uc *workload.UseCase, nFram
 	}
 	if flowCache > 0 {
 		if !dp.FlowCacheEnabled() {
-			t.Fatal("flowcache variant compiled an uncacheable pipeline")
+			t.Fatal("flowcache variant compiled a pipeline that does not arm the cache")
 		}
 		st := dp.FlowCacheStats()
 		if st.Hits == 0 || st.Misses == 0 {
 			t.Fatalf("flowcache variant should have mixed hits and misses: %+v", st)
-		}
-	}
-	if megaflow > 0 {
-		if !dp.MegaflowEnabled() {
-			t.Fatal("megaflow variant compiled an uncacheable pipeline")
-		}
-		ms := dp.MegaflowStats()
-		if ms.Hits == 0 {
-			t.Fatalf("megaflow variant never hit the masked cache — the measured path did not exercise it: %+v", ms)
 		}
 	}
 }
@@ -601,7 +596,7 @@ func testWorkerPathZeroLocksZeroAllocs(t *testing.T, uc *workload.UseCase, nFram
 // Stats, and with the cache on every processed packet is exactly one hit or
 // one miss (fold exactness), with hits appearing as soon as flows repeat.
 func TestSwitchStatsFoldFlowCache(t *testing.T) {
-	uc := workload.L3UseCase(500, 4, 2016)
+	uc := workload.L3ACLRouterUseCase(512, 500, 4, 2016)
 	opts := core.DefaultOptions()
 	opts.FlowCache = 4096
 	dp, err := core.Compile(uc.Pipeline, opts)
@@ -633,8 +628,8 @@ func TestSwitchStatsFoldFlowCache(t *testing.T) {
 		t.Fatalf("fold exactness violated: hits %d + misses %d != processed %d",
 			st.CacheHits, st.CacheMisses, st.Processed)
 	}
-	// The same identity (and its punt and megaflow siblings) as the
-	// canonical checker states them.
+	// The same identity (and its punt sibling) as the canonical checker
+	// states them.
 	if err := st.CheckInvariants(false); err != nil {
 		t.Fatal(err)
 	}

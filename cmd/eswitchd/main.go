@@ -8,7 +8,7 @@
 //	eswitchd [-usecase l2|l3|loadbalancer|gateway|l2learn|xconnect] [-datapath eswitch|ovs]
 //	         [-backend ring|pcap:<file>|afpacket:<iface>,...]
 //	         [-flows 10000] [-duration 5s] [-cores 1] [-flowcache 262144|off]
-//	         [-megaflow 65536] [-flow-sweep-interval 1s] [-soft-table-entries 0]
+//	         [-flow-sweep-interval 1s] [-soft-table-entries 0]
 //	         [-listen :6653] [-punt-ring 1024] [-punt-rate 10000]
 //	         [-fail-mode normal|standalone|secure] [-punt-filter 4096]
 //	         [-punt-filter-window 64] [-miss-send-len 128] [-max-table-entries 0]
@@ -40,8 +40,8 @@
 //
 // -trace replays one packet through the compiled pipeline off the hot path
 // and prints an ofproto/trace-style explanation — which table, template and
-// entry classified it at every step, the verdict, cache eligibility, and the
-// megaflow mask the walk would install — then exits.  The packet is a hex
+// entry classified it at every step, the verdict, whether the pipeline arms
+// the verdict cache and the compiled key it probes on — then exits.  The packet is a hex
 // string ("02000000000101..." ) or a capture slot ("pcap:flows.pcap:3");
 // -trace-port sets its ingress port.
 //
@@ -60,18 +60,17 @@
 // cross-connects port pairs (1<->2, 3<->4) purely by ingress port, the
 // natural pipeline for AF_PACKET forwarding.
 //
-// -flowcache gives every forwarding worker a private microflow verdict cache
-// of the given number of entries in front of the compiled pipeline (eswitch
-// datapath only).  The cache and the cycle meter are mutually exclusive — the
-// model must observe the full template walk — so enabling the cache trades
-// the "model:" summary line for a "flowcache:" one showing the hit/miss/
-// stale/revalidated counters folded from all workers.
-//
-// -megaflow adds a per-worker megaflow (masked-match) second-level cache of
-// the given number of entries behind the microflow cache: microflow misses
-// probe it before walking the compiled pipeline, and double misses install a
-// minimal masked match derived from the fields the walk actually examined.
-// It requires -flowcache.
+// -flowcache gives every forwarding worker a private verdict cache of the
+// given number of entries in front of the compiled pipeline (eswitch datapath
+// only), keyed on the bits the pipeline reads.  The compiler arms it only
+// where the walk is deeper than one probe: on a pipeline that is a single
+// direct-code, hash or LPM stage (l2, l3) eswitchd prints a note and the
+// workers allocate nothing.  The cache and the cycle meter are mutually
+// exclusive — the model must observe the full template walk — so enabling
+// the cache trades the "model:" summary line for a "flowcache:" one showing
+// the compiled key and the hit/miss/stale/revalidated counters folded from
+// all workers; on a pipeline that is not armed the flag still turns the
+// meter off (a flow-mod may arm the cache later), which the note says.
 //
 // -flow-sweep-interval starts the flow lifecycle sweeper: flow entries
 // installed with idle/hard timeouts (FlowMod timeouts over -listen) expire
@@ -240,8 +239,7 @@ func main() {
 	cores := flag.Int("cores", 1, "number of forwarding worker goroutines")
 	queues := flag.Int("queues", dpdk.DefaultQueues, "RX/TX queue pairs per port (RSS width; caps -cores)")
 	txpolicy := flag.String("txpolicy", "drop", "full-TX-ring policy: drop, block or spill")
-	flowcache := flag.String("flowcache", "off", "per-worker microflow verdict cache: entry count (e.g. 262144) or off")
-	megaflow := flag.Int("megaflow", 0, "per-worker megaflow (masked-match) second-level cache entries behind the microflow cache (0 = off; requires -flowcache)")
+	flowcache := flag.String("flowcache", "off", "per-worker verdict cache, armed where the pipeline is deeper than one probe: entry count (e.g. 262144) or off")
 	sweepInterval := flag.Duration("flow-sweep-interval", 0, "flow lifecycle sweep interval enabling idle/hard timeout expiry and FlowRemoved announcements (0 = off; eswitch datapath only)")
 	softTable := flag.Int("soft-table-entries", 0, "per-table soft entry limit; the lifecycle sweeper evicts least-recently-active entries above it (0 = off)")
 	listen := flag.String("listen", "", "optional OpenFlow agent listen address (e.g. :6653)")
@@ -308,34 +306,24 @@ func main() {
 		opts.MaxTableEntries = *maxTable
 		opts.UpdateCounters = *flowExport != ""
 		if cacheEntries > 0 {
-			// The microflow cache and the cycle meter are mutually
-			// exclusive: memoized verdicts would skip the per-stage model
-			// accounting, so a cached run reports cache stats instead.
+			// The verdict cache and the cycle meter are mutually exclusive:
+			// memoized verdicts would skip the per-stage model accounting,
+			// so a cached run reports cache stats instead.
 			opts.FlowCache = cacheEntries
-			opts.Megaflow = *megaflow
 			meter = nil
 		} else {
-			if *megaflow > 0 {
-				fmt.Println("eswitchd: note: -megaflow requires -flowcache; megaflow cache disabled")
-			}
 			opts.Meter = meter
 		}
 		dp, err := core.Compile(uc.Pipeline, opts)
 		if err != nil {
 			log.Fatalf("compile: %v", err)
 		}
-		if cacheEntries > 0 && !dp.FlowCacheEnabled() {
-			// The pipeline matches fields outside the flow key, so the
-			// cache could never engage: recompile with the cycle meter
-			// instead of running with neither cache stats nor model.
-			fmt.Println("eswitchd: note: pipeline matches fields outside the flow key; microflow cache disabled, keeping the cycle model")
-			cacheEntries = 0
-			meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
-			opts.FlowCache = 0
-			opts.Meter = meter
-			if dp, err = core.Compile(uc.Pipeline, opts); err != nil {
-				log.Fatalf("compile: %v", err)
-			}
+		if key, why := dp.FlowCacheKey(); why != "" && cacheEntries > 0 {
+			// Nothing is allocated until a flow-mod arms the cache.  The
+			// datapath stays unmetered — a flow-mod may still arm it — so
+			// this run prints neither cache hits nor the "model:" line.
+			fmt.Printf("eswitchd: note: -flowcache: cache not armed (%s); key: %s\n", why, key)
+			fmt.Println("eswitchd: note: -flowcache also turns the cycle meter off, so this run reports no \"model:\" line; drop -flowcache to get it back")
 		}
 		fastpath = dp // the compiled datapath drives the workers' burst path
 		programmer = dp
@@ -646,9 +634,7 @@ func main() {
 				}
 				// The trace pre-computed each flow's RSS hash, so steering
 				// through it keeps the producer path to a bare ring enqueue
-				// (AutoQueue would rehash the frame per call).  The ring carries
-				// raw frames only, so the workers' microflow-cache probes
-				// recompute the same hash on their side — once per packet.
+				// (AutoQueue would rehash the frame per call).
 				if port.InjectOn(int(p.FlowHash()%nq), p.Data) {
 					injected++
 				}
@@ -681,6 +667,10 @@ func main() {
 	if err := sw.Stats().CheckInvariants(puntRings != nil); err != nil {
 		log.Printf("eswitchd: %v", err)
 	}
+	var cacheKey, cacheUnarmed string
+	if compiled != nil {
+		cacheKey, cacheUnarmed = compiled.FlowCacheKey()
+	}
 	// One renderer for every run mode, reading the same registry /metrics
 	// serves — stdout and HTTP cannot disagree.
 	telemetry.RenderFooter(os.Stdout, reg, telemetry.FooterConfig{
@@ -694,10 +684,11 @@ func main() {
 			}
 			return fmt.Sprintf("[%s, link %s]", backendName(port.Backend()), port.LinkState())
 		},
-		Slowpath:  puntRings != nil,
-		FlowCache: compiled != nil && cacheEntries > 0,
-		Megaflow:  compiled != nil && cacheEntries > 0 && compiled.MegaflowEnabled(),
-		Latency:   sw.LatencySampling(),
+		Slowpath:     puntRings != nil,
+		FlowCache:    compiled != nil && cacheEntries > 0,
+		CacheKey:     cacheKey,
+		CacheUnarmed: cacheUnarmed,
+		Latency:      sw.LatencySampling(),
 	})
 	if meter != nil {
 		fmt.Printf("model:     %.1f cycles/packet, %.2f Mpps single-core at %.1f GHz, %.3f LLC misses/packet\n",

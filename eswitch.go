@@ -227,21 +227,15 @@ const (
 // TableStage describes one compiled table (template and size).
 type TableStage = core.TableStage
 
-// FlowCacheStats are the folded per-worker microflow verdict cache counters
+// FlowCacheStats are the folded per-worker verdict cache counters
 // (see Options.FlowCache).  Stale is the subset of Misses whose probe found a
 // matching key but lost it to a flow-mod that could have changed its verdict;
 // Revalidated the subset of Hits whose probe found a key from before a
 // flow-mod that could not; Expired the part of Stale lost to the number of
 // flow-mods since rather than to any one of them; Flushes the flow-mods that
-// staled every older entry.  With the cache enabled, Hits+Misses equals the number of packets
-// classified through the burst path.
+// staled every older entry.  While the cache is armed, Hits+Misses equals the
+// number of packets classified through the burst path.
 type FlowCacheStats = core.FlowCacheStats
-
-// MegaflowStats are the folded per-worker megaflow (masked-match) cache
-// counters (see Options.Megaflow).  A Hit is a microflow miss resolved by the
-// masked probe without walking the compiled pipeline; with the megaflow cache
-// enabled, Hits+Misses equals FlowCacheStats.Misses.
-type MegaflowStats = core.MegaflowStats
 
 // RemovedFlow describes one flow entry removed by the lifecycle sweeper.
 type RemovedFlow = core.RemovedFlow
@@ -420,15 +414,10 @@ func (s *Switch) Meter() *Meter { return s.dp.Meter() }
 // Rebuilds returns how many per-table template (re)builds have happened.
 func (s *Switch) Rebuilds() uint64 { return s.dp.Rebuilds() }
 
-// FlowCacheStats folds the microflow verdict cache counters over every worker
-// that ever forwarded through this switch (all zero unless Options.FlowCache
-// is set; see core.Options.FlowCache).
+// FlowCacheStats folds the verdict cache counters over every worker that ever
+// forwarded through this switch (all zero unless Options.FlowCache is set and
+// the pipeline arms the cache; see core.Options.FlowCache).
 func (s *Switch) FlowCacheStats() FlowCacheStats { return s.dp.FlowCacheStats() }
-
-// MegaflowStats folds the second-level megaflow cache counters over every
-// worker that ever forwarded through this switch (all zero unless
-// Options.Megaflow is set; see core.Options.Megaflow).
-func (s *Switch) MegaflowStats() MegaflowStats { return s.dp.MegaflowStats() }
 
 // NewSweeper builds a flow lifecycle sweeper over this switch's datapath.
 // Run it on its own goroutine (Sweeper.Run) or drive it manually
@@ -454,7 +443,7 @@ func (s *Switch) Datapath() *core.Datapath { return s.dp }
 // ---------------------------------------------------------------------------
 
 // TraceResult is a pipeline packet trace: every table lookup of one packet's
-// walk, the verdict, and the cache-hierarchy explanation (see Switch.Trace).
+// walk, the verdict, and the verdict-cache explanation (see Switch.Trace).
 type TraceResult = core.TraceResult
 
 // TraceStep is one table lookup of a TraceResult.
@@ -471,11 +460,10 @@ type FlowSample = core.FlowSample
 // Trace replays one frame through the compiled pipeline as if it had been
 // received on inPort and explains every step: which table was consulted
 // through which compiled template, what matched, the final verdict, whether
-// the microflow/megaflow caches could memoize the walk, how many of the
-// logged flow-mods a memoized verdict survives and which one stales it, and
-// the minimal megaflow mask covering the walk.  The replay runs off the hot path (epoch-pinned
-// like Process), never bumps per-flow counters and never installs cache
-// entries — the ofproto/trace analogue for the compiled datapath.  The frame
+// the pipeline arms the verdict cache and on which compiled key, how many of
+// the logged flow-mods a memoized verdict survives and which one stales it.
+// The replay runs off the hot path (epoch-pinned like Process), never bumps
+// per-flow counters and never installs cache entries — the ofproto/trace analogue for the compiled datapath.  The frame
 // may be rewritten in place, exactly as forwarding would rewrite it.
 func (s *Switch) Trace(frame []byte, inPort uint32) *TraceResult {
 	p := Packet{Data: frame, InPort: inPort}

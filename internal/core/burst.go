@@ -36,7 +36,7 @@ type burstScratch struct {
 	addrs  [MaxBurst]uint32
 	values [MaxBurst]uint32
 	hash   exacthash.BatchScratch
-	// cache is the microflow-cache staging (cacheScratch), allocated only
+	// cache is the verdict-cache staging (cacheScratch), allocated only
 	// for workers that actually own a FlowCache — it is ~10KB, and the
 	// default cache-off scratch must not carry it.
 	cache *cacheScratch
@@ -46,8 +46,8 @@ type burstScratch struct {
 	ctr *flowCtrAccum
 }
 
-// cacheScratch is the burst-local staging of the microflow-cache probe
-// (flowcache.go), indexed by burst slot: the probe key/hash/set-base of each
+// cacheScratch is the burst-local staging of the verdict-cache probe
+// (flowcache.go), indexed by burst slot: the masked key/hash/set-base of each
 // slot, whether the slot's verdict may be installed on the way out, the
 // post-parse header snapshot the install pass diffs against, and the list of
 // miss slots (the wave engine ping-pongs the frontiers, so the miss list
@@ -91,13 +91,11 @@ func (d *Datapath) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
 // processBurst runs one burst of at most MaxBurst packets to completion over
 // the caller-owned scratch sc.  The burst engine is never observed: metered
 // callers run n sequential walks instead and do not get here (Worker.
-// ProcessBurst).  When the caller owns a microflow cache (fc non-nil) and the
-// published pipeline is cacheable, the burst first runs a cache probe pass:
-// hits replay their memoized verdict immediately and only the misses enter
-// the wave engine, installing their verdicts on the way out.  When the caller
-// additionally owns a megaflow cache (mc non-nil), microflow misses probe it
-// before falling through to the pipeline (megaflow.go).
-func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, mc *megaCache, ps []*pkt.Packet, vs []openflow.Verdict) {
+// ProcessBurst).  When the published pipeline arms the verdict cache (fc is
+// then the caller's, non-nil), the burst first runs a cache probe pass: hits
+// replay their memoized verdict immediately and only the misses enter the
+// wave engine, installing their verdicts on the way out.
+func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, ps []*pkt.Packet, vs []openflow.Verdict) {
 	n := len(ps)
 
 	// Stage 1: one parser pass over the whole burst, to the layer the
@@ -107,8 +105,8 @@ func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, m
 		vs[i].Reset()
 	}
 
-	if fc != nil && sn.cacheable {
-		d.processBurstCached(sc, sn, fc, mc, ps, vs)
+	if sn.armed {
+		d.processBurstCached(sc, sn, fc, ps, vs)
 		return
 	}
 
@@ -257,16 +255,12 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 	}
 }
 
-// processBurstCached is the microflow-cache front of the burst engine: probe
+// processBurstCached is the verdict-cache front of the burst engine: probe
 // every packet of the (already parsed, verdict-reset) burst against the
 // worker's cache, replay the memoized verdict program for the hits, run only
 // the misses through the wave engine, and memoize their verdicts on the way
-// out.  When mc is non-nil, the misses are finished through the megaflow
-// layer instead (processMissesTracked): probe the second-level cache, run
-// only the double misses through the observed sequential walk, and install
-// both cache levels on the way out.  Callers guarantee fc != nil and
-// sn.cacheable.
-func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCache, mc *megaCache, ps []*pkt.Packet, vs []openflow.Verdict) {
+// out.  Callers guarantee sn.armed and fc != nil.
+func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCache, ps []*pkt.Packet, vs []openflow.Verdict) {
 	n := len(ps)
 	start := sn.start
 	var startDP tableDatapath
@@ -286,22 +280,23 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 
 	cs := sc.cache
 
-	// Probe pass A: derive every packet's key, hash and set base, and read
-	// one word of the set's leading line.  On large caches the probe lines
-	// are cold; issuing all the touches before any full probe lets the
+	// Probe pass A: derive every packet's masked key, its hash and set base,
+	// and read one word of the set's leading line.  On large caches the probe
+	// lines are cold; issuing all the touches before any full probe lets the
 	// memory system overlap the misses across the burst instead of
 	// serializing one DRAM round trip per packet.
 	var touch uint32
 	for i := 0; i < n; i++ {
 		p := ps[i]
 		if p.Metadata != 0 {
-			// Non-zero entry metadata is outside the canonical key; the
-			// packet takes the full walk and its verdict is not memoized.
+			// Non-zero entry metadata is outside the key; the packet takes
+			// the full walk and its verdict is not memoized.
 			cs.cbase[i] = probeSkip
 			continue
 		}
-		h := p.FlowHash()
-		cs.ckey[i] = makeFlowKey(p)
+		k := &cs.ckey[i]
+		*k = makeFlowKey(p).and(&sn.keyMask)
+		h := k.hash()
 		cs.chash[i] = h
 		base := (h & fc.mask) * flowCacheWays
 		cs.cbase[i] = base
@@ -353,11 +348,6 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 		return
 	}
 
-	if mc != nil {
-		d.processMissesTracked(sc, sn, fc, mc, ps, vs, missN)
-		return
-	}
-
 	d.runWaves(sc, sn, ps, vs, cur, sc.frontB[:], missN, true, 0, rec)
 
 	// Install pass: memoize every miss whose verdict the cache can express —
@@ -383,7 +373,7 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 			ctrs, nctr = &cs.ctrs[i].ptrs, cs.ctrs[i].n
 		}
 		p := ps[i]
-		patch, fields, ttlDec, ok := diffHeaders(&cs.preH[i], &p.Headers, p.Metadata)
+		patch, fields, ttlDec, ok := diffHeaders(&cs.preH[i], &p.Headers, p.Metadata, sn.keyed)
 		if !ok {
 			continue
 		}

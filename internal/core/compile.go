@@ -57,12 +57,22 @@ type snapshot struct {
 	// mod since has touched.  Empty on a datapath compiled without caches,
 	// and before the first mutation.
 	mods []modScope
-	// cacheable reports whether the pipeline's verdicts may be memoized per
-	// microflow: every match field used anywhere in the pipeline is covered
-	// by the canonical flow key.  Per-entry counters do not affect it — the
-	// caches memoize the matched entries' counter pointers and keep
-	// statistics exact on hits (flowctr.go).
-	cacheable bool
+	// keyMask is the compiled cache key: the bits of a packet's flowKey the
+	// pipeline's verdict can depend on (keyEntry, scope.go).  The cache probes
+	// on makeFlowKey(p) & keyMask, and keyed is the set of patch operations
+	// whose field that mask holds whole (patchOps) — the writes an installed
+	// entry may replay.
+	keyMask flowKey
+	keyed   uint16
+	// armed reports whether the burst path probes the verdict cache: the
+	// datapath was compiled with one, nothing the pipeline matches or sets
+	// lies outside the flow key (uncovered is empty), and some path is deeper
+	// than one direct-code, hash or LPM probe (Datapath.deep).  Per-entry
+	// counters do not affect it — the cache memoizes the matched entries'
+	// counter pointers and keeps statistics exact on hits (flowctr.go).
+	// uncovered rides along to explain an unarmed cache (unarmedWhy).
+	armed     bool
+	uncovered openflow.FieldSet
 }
 
 // miss records a table miss at the given table in the verdict per the
@@ -144,14 +154,19 @@ type Datapath struct {
 	// flushes counts the barrier records logged: the mutations after which
 	// no older cache entry could be revalidated.
 	flushes atomic.Uint64
-	// usedFields accumulates (monotonically — deletes never shrink it, a
-	// deliberately conservative choice that keeps AddFlow O(1)) the union
-	// of match fields ever installed, backing the snapshot's cacheable bit.
-	usedFields openflow.FieldSet
-	// caches registers the live workers' microflow caches for stats folds.
+	// keyMask, keyFields and deep are the compiled cache key's accumulators
+	// (keyEntry, scope.go), kept — like dirty — only on a datapath whose
+	// workers may carry caches: the key bits the pipeline reads, the fields it
+	// matches or sets (for the coverage test), and whether any path is deeper
+	// than one direct-code, hash or LPM stage (an entry with a goto, or a
+	// table compiled to the linked-list template).  All three only grow —
+	// deletes never shrink them, a deliberately conservative choice that keeps
+	// flow-mods O(1) — until InstallPipeline starts them over.
+	keyMask   flowKey
+	keyFields openflow.FieldSet
+	deep      bool
+	// caches registers the live workers' verdict caches for stats folds.
 	caches cacheRegistry
-	// megas registers the live workers' megaflow caches likewise.
-	megas megaRegistry
 
 	// stats
 	rebuilds     atomic.Uint64
@@ -194,7 +209,6 @@ func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 	d.trampolines = make(map[openflow.TableID]*trampoline, working.NumTables())
 	for _, t := range working.Tables() {
 		d.trampolines[t.ID] = &trampoline{id: t.ID}
-		d.usedFields = d.usedFields.Union(t.MatchFields())
 	}
 	for _, t := range working.Tables() {
 		dp, err := d.buildTable(t)
@@ -205,6 +219,12 @@ func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 	}
 	if opts.FlowCache > 0 && d.meter == nil {
 		d.markAllDirty()
+		d.keyMask = keyAlways
+		for _, t := range working.Tables() {
+			for _, e := range t.Entries() {
+				d.keyEntry(e)
+			}
+		}
 	}
 	d.publish()
 	return d, nil
@@ -215,6 +235,14 @@ func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 // publishers, so there is no competing writer to compare against); readers
 // pick up the new snapshot on their next burst.
 func (d *Datapath) publish() {
+	uncovered := d.keyFields &^ cacheCoveredFields
+	// The keyed set follows the key mask, which few flow-mods change.
+	keyed := uint16(0)
+	if old := d.snap.Load(); old != nil && old.keyMask == d.keyMask {
+		keyed = old.keyed
+	} else if d.dirty != nil {
+		keyed = patchOps(&d.keyMask)
+	}
 	d.snap.Store(&snapshot{
 		start:       d.trampolines[0],
 		parserLayer: d.parserLayer,
@@ -222,7 +250,10 @@ func (d *Datapath) publish() {
 		missToCtrl:  d.pipeline.Miss == openflow.MissController,
 		gen:         d.gen,
 		mods:        d.mods[max(0, len(d.mods)-modLogWindow):],
-		cacheable:   d.usedFields&^cacheCoveredFields == 0,
+		keyMask:     d.keyMask,
+		keyed:       keyed,
+		armed:       d.dirty != nil && uncovered == 0 && d.deep,
+		uncovered:   uncovered,
 	})
 }
 
@@ -245,6 +276,7 @@ func (d *Datapath) buildTable(t *openflow.FlowTable) (tableDatapath, error) {
 		dp = newLPMTable(a.lpmField, d.meter)
 	case TemplateLinkedList:
 		dp = newListTable(d.meter)
+		d.deep = true
 	}
 	for _, e := range t.Entries() {
 		ce, err := d.compileEntry(e)
@@ -480,9 +512,8 @@ func (d *Datapath) process(sn *snapshot, o *observer, p *pkt.Packet, v *openflow
 
 // walk is the one sequential walker of the goto DAG: it takes a parsed packet
 // and a reset verdict from the start table to a terminal disposition, one
-// table lookup at a time.  Process, every metered datapath, the megaflow
-// double-miss walk and Trace all run it; what differs between them is only
-// who is watching — a nil observer is the plain forwarding walk, a non-nil
+// table lookup at a time.  Process, every metered datapath and Trace all run
+// it; what differs between them is only who is watching — a nil observer is the plain forwarding walk, a non-nil
 // one is told about every lookup and every executed entry.  It shares
 // executeEntry, the miss disposition and the depth guard with the burst
 // engine (burst.go), the only other walker.  counters and ctr are
@@ -508,7 +539,7 @@ func (d *Datapath) walk(sn *snapshot, p *pkt.Packet, v *openflow.Verdict, set *o
 		}
 		res := d.executeEntry(sn, ce, p, v, set, tr.id, counters, ctr)
 		if o != nil {
-			o.executed(ce, res)
+			o.executed(res)
 		}
 		if res != stepNext {
 			return

@@ -25,6 +25,7 @@ const (
 	ccStablePort  = 2
 	ccFlapPort    = 3
 	ccStableDst   = 0xcb007100 // 203.0.113.0, inside the stable /16
+	ccAliasDst    = 0xcb007181 // 203.0.113.129: ccStableDst's /24, the flapping /25
 	ccFlapDst     = 0xcb00ca01 // 203.0.202.1, inside the flapping /24's /16
 	ccFlapSrcBase = 0x0a000060
 )
@@ -64,33 +65,29 @@ func ccFrame(src, dst uint32, sport uint16) []byte {
 }
 
 func TestConcurrentFlowModsUnderBurstTraffic(t *testing.T) {
-	runConcurrentFlowMods(t, 0, 0)
+	runConcurrentFlowMods(t, 0)
 }
 
 // TestConcurrentFlowModsFlowCache is the flowcache acceptance variant: the
 // same AddFlow/DeleteFlow storm, but every worker forwards through its
-// registered handle's ProcessBurst with a private microflow cache in front of
-// the compiled pipeline.  The oracle-window assertions prove no burst is ever
+// registered handle's ProcessBurst with a private verdict cache, keyed on
+// (ip_src, ip_dst/24) — what the two stages read — in front of the compiled
+// pipeline, until the storm's first /25 widens the key under traffic: frames
+// that differ only in the destination's low byte are one entry before it and
+// two after, and each burst spans several sub-bursts, so an entry memoized
+// from the new table under the old key would be served to its alias within
+// the same call.  The oracle-window assertions prove no burst is ever
 // served a verdict retired before the worker's current epoch entry — neither
 // from an entry of the current generation nor from one revalidated against
 // the mods since — and the convergence check proves the caches drain to the
 // final configuration once updates stop.
 func TestConcurrentFlowModsFlowCache(t *testing.T) {
-	runConcurrentFlowMods(t, 8192, 0)
+	runConcurrentFlowMods(t, 8192)
 }
 
-// TestConcurrentFlowModsMegaflow adds the second-level masked-match cache to
-// the storm: a deliberately tiny microflow cache keeps the megaflow probe and
-// the tracked walk hot on every burst, so the generation guard on memoized
-// masked verdicts is exercised against the same AddFlow/DeleteFlow churn.
-func TestConcurrentFlowModsMegaflow(t *testing.T) {
-	runConcurrentFlowMods(t, 64, 4096)
-}
-
-func runConcurrentFlowMods(t *testing.T, flowCache, megaflow int) {
+func runConcurrentFlowMods(t *testing.T, flowCache int) {
 	opts := DefaultOptions()
 	opts.FlowCache = flowCache
-	opts.Megaflow = megaflow
 	dp, err := Compile(ccPipeline(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -101,22 +98,36 @@ func runConcurrentFlowMods(t *testing.T, flowCache, megaflow int) {
 	if k, _ := dp.TableTemplate(1); k != TemplateLPM {
 		t.Fatalf("table 1 compiled to %v, want LPM", k)
 	}
+	if dp.FlowCacheEnabled() != (flowCache > 0) {
+		t.Fatalf("two-stage pipeline compiled with FlowCache=%d: armed=%v", flowCache, dp.FlowCacheEnabled())
+	}
 
 	// The burst each worker replays: stable flows (always ccStablePort),
 	// flows into the flapping /24 route (ccStablePort while it is absent,
-	// ccFlapPort while present), and flows from the flapping table-0 sources
-	// (forwarded while their entry is present, dropped otherwise).
+	// ccFlapPort while present), flows from the flapping table-0 sources
+	// (forwarded while their entry is present, dropped otherwise), and the
+	// stable flows' aliases under a /24 key, inside the flapping /25.  Every
+	// source comes round twice, so the burst is longer than MaxBurst and a
+	// stable flow of the last sub-burst has its alias in the first.
 	var frames [][]byte
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 24; i++ {
+		src := uint32(0x0a000001 + i%12)
 		frames = append(frames,
-			ccFrame(uint32(0x0a000001+i), ccStableDst, uint16(1000+i)),
-			ccFrame(uint32(0x0a000001+i), ccFlapDst, uint16(2000+i)),
-			ccFrame(uint32(ccFlapSrcBase+i%4), ccStableDst, uint16(3000+i)))
+			ccFrame(src, ccStableDst, uint16(1000+i)),
+			ccFrame(src, ccFlapDst, uint16(2000+i)),
+			ccFrame(uint32(ccFlapSrcBase+i%4), ccStableDst, uint16(3000+i)),
+			ccFrame(src, ccAliasDst, uint16(4000+i)))
+	}
+	if len(frames) <= MaxBurst {
+		t.Fatalf("%d frames are one sub-burst", len(frames))
 	}
 
-	// The writer's flow-mods, one period of ten: the route and the four
-	// sources come, then go.  After k mods the pipeline is in state k%10.
+	// The writer's flow-mods, one period of twelve: the route, the four
+	// sources and the /25 come, then go.  After k mods the pipeline is in
+	// state k%12.  The /25's first arrival is the one mod that widens the
+	// cache key; afterwards it is a scoped mod like the others.
 	flapRoute := openflow.NewMatch().SetPrefix(openflow.FieldIPDst, 0xcb00ca00, 24)
+	flapHalf := openflow.NewMatch().SetPrefix(openflow.FieldIPDst, ccAliasDst&^0x7f, 25)
 	flapSrc := func(i int) *openflow.Match {
 		return openflow.NewMatch().Set(openflow.FieldIPSrc, uint64(ccFlapSrcBase+i))
 	}
@@ -131,10 +142,12 @@ func runConcurrentFlowMods(t *testing.T, flowCache, megaflow int) {
 	for i := 0; i < 4; i++ {
 		period = append(period, ccMod{table: 0, add: openflow.NewEntry(10, flapSrc(i), openflow.Goto(1))})
 	}
+	period = append(period, ccMod{table: 1, add: openflow.NewEntry(25, flapHalf, openflow.Apply(openflow.Output(ccFlapPort)))})
 	period = append(period, ccMod{table: 1, match: flapRoute, priority: 24})
 	for i := 0; i < 4; i++ {
 		period = append(period, ccMod{table: 0, match: flapSrc(i), priority: 10})
 	}
+	period = append(period, ccMod{table: 1, match: flapHalf, priority: 25})
 	// oracle[s][i] is the interpreter's egress port for frame i in state s
 	// (0 = dropped; the pipeline neither punts nor floods).
 	oracle := make([][]uint32, len(period))
@@ -224,7 +237,7 @@ func runConcurrentFlowMods(t *testing.T, flowCache, megaflow int) {
 		}(w)
 	}
 
-	// Writer: flap an LPM /24 route and a batch of table-0 hash entries.
+	// Writer: flap an LPM /24 route, a /25 and a batch of table-0 hash entries.
 	const rounds = 75
 	for r := 0; r < rounds*len(period); r++ {
 		m := period[r%len(period)]
@@ -243,11 +256,11 @@ func runConcurrentFlowMods(t *testing.T, flowCache, megaflow int) {
 		// the counters' subset relations (publish order in bump, read order
 		// in Stats).
 		if flowCache > 0 {
-			st, ms := dp.FlowCacheStats(), dp.MegaflowStats()
-			if st.Revalidated > st.Hits || st.Expired > st.Stale || st.Stale > st.Misses || ms.Revalidated > ms.Hits {
+			st := dp.FlowCacheStats()
+			if st.Revalidated > st.Hits || st.Expired > st.Stale || st.Stale > st.Misses {
 				close(done)
 				wg.Wait()
-				t.Fatalf("mid-burst reading breaks a subset relation: %+v %+v", st, ms)
+				t.Fatalf("mid-burst reading breaks a subset relation: %+v", st)
 			}
 		}
 		for seen := bursts.Load(); bursts.Load() == seen && len(errs) == 0; {
@@ -290,20 +303,13 @@ func runConcurrentFlowMods(t *testing.T, flowCache, megaflow int) {
 			t.Fatal("flowcache run produced no cache hits")
 		}
 		if st.Stale == 0 {
-			t.Fatal("750 flow-mods produced no stale-generation sightings")
+			t.Fatal("the flow-mod storm produced no stale-generation sightings")
+		}
+		if key, _ := dp.FlowCacheKey(); key != "ip_src/32 ip_dst/25" || st.Flushes != 1 {
+			t.Fatalf("the first /25 is the storm's one barrier: key %q, %+v", key, st)
 		}
 		if st.Revalidated == 0 {
-			t.Fatal("750 flow-mods, most of them beside the stable flows, and no probe was revalidated")
-		}
-	}
-	if megaflow > 0 {
-		ms := dp.MegaflowStats()
-		if ms.Hits == 0 || ms.Misses == 0 {
-			t.Fatalf("megaflow storm run should mix hits and misses: %+v", ms)
-		}
-		if fcs := dp.FlowCacheStats(); ms.Hits+ms.Misses != fcs.Misses {
-			t.Fatalf("megaflow layering violated under churn: %d + %d != %d",
-				ms.Hits, ms.Misses, fcs.Misses)
+			t.Fatal("a storm of flow-mods, most of them beside the stable flows, and no probe was revalidated")
 		}
 	}
 

@@ -25,8 +25,8 @@
 // sequential per-packet walk (Datapath.walk, compile.go).  Everything that
 // has to watch a packet cross the pipeline — the cpumodel.Meter that
 // regenerates the paper's cycle- and cache-level figures deterministically,
-// the megaflow layer's mask accumulator, the tracer — rides the sequential
-// walk as an observer instead of living in a lookup signature.
+// the tracer — rides the sequential walk as an observer instead of living in
+// a lookup signature.
 package core
 
 import (
@@ -92,29 +92,20 @@ type Options struct {
 	// UpdateCounters maintains per-flow-entry counters on the fast path.
 	UpdateCounters bool
 	// FlowCache, when positive, gives every registered worker a private
-	// microflow verdict cache of (roughly, rounded up to a power of two)
-	// this many entries in front of the compiled pipeline: packets whose
-	// microflow verdict was memoized skip the template walk entirely.  The
-	// cache is only consulted when the pipeline is cacheable (every used
-	// match field is part of the canonical flow key) and the datapath is
-	// unmetered; see flowcache.go.  With UpdateCounters on, cache entries
-	// additionally memoize the matched entries' counter pointers so hits
-	// keep per-flow statistics exact.  Zero disables it.  Memory note:
-	// every worker — including the facade's recycled pinned workers — owns
-	// a cache of entries x 192 bytes, so size it for the expected
-	// concurrent flow count, not "as big as possible".
+	// verdict cache of (roughly, rounded up to a power of two) this many
+	// entries in front of the compiled pipeline: packets whose verdict was
+	// memoized skip the template walk entirely.  The cache is keyed on the
+	// bits the pipeline reads and armed only where the walk is deeper than
+	// one probe — both decided by the compiler at publish time — and never
+	// on a metered datapath; see flowcache.go.  With UpdateCounters on, cache
+	// entries additionally memoize the matched entries' counter pointers so
+	// hits keep per-flow statistics exact.  Zero disables it.  Memory note:
+	// every worker that forwards through an armed pipeline — including the
+	// facade's recycled pinned workers — owns a cache of entries x 192
+	// bytes, so size it for the expected concurrent flow count, not "as big
+	// as possible".
 	FlowCache int
-	// Megaflow, when positive, adds a per-worker megaflow (masked-match)
-	// second-level cache of roughly this many entries behind the microflow
-	// cache: a microflow miss probes the megaflow cache before falling
-	// through to the compiled pipeline, and a double miss runs the pipeline
-	// once under a mask accumulator to derive the minimal masked match to
-	// install (see megaflow.go).  It absorbs wildcard-heavy traffic tails
-	// (port sweeps, address scans) that blow out the exact-match microflow
-	// cache.  Requires FlowCache > 0 (the megaflow layer is probed only on
-	// microflow miss); ignored otherwise, and ignored on metered datapaths.
-	// Zero disables it (the default).
-	Megaflow int
+	benchShim
 	// MaxTableEntries, when positive, caps every flow table's entry count:
 	// an AddFlow that would grow a table past the cap fails with a
 	// *TableFullError (surfaced to OpenFlow controllers as
@@ -193,20 +184,13 @@ type lookupOutcome struct {
 //   - meter — the cycle and simulated-cache model: every metered datapath
 //     (Options.Meter), the datapath's own meter behind ProcessUnlocked and
 //     the worker's private shard behind Worker.Process/ProcessBurst;
-//   - acc — the mask accumulator collecting the header bits the walk
-//     examined: the megaflow double-miss walk (megaflow.go) and Trace;
-//   - rec — the matched entries' counter pointers, memoized by the caches
-//     alongside the verdict: the double-miss walk on a counters-enabled
-//     datapath, re-pointed per packet;
 //   - steps — the per-table explanation: Trace only.
 //
 // The observer crosses an interface call (LookupObserved), so one built on the
 // caller's stack escapes to the heap: the forwarding-path owners (Datapath,
-// Worker, megaCache) allocate theirs once and reuse it.
+// Worker) allocate theirs once and reuse it.
 type observer struct {
 	meter *cpumodel.Meter
-	acc   *openflow.MaskAccumulator
-	rec   *ctrList
 	steps *[]TraceStep
 }
 
@@ -226,23 +210,11 @@ func (o *observer) looked(tr *trampoline, dp tableDatapath, ce *compiledEntry) {
 	}
 	if ce == nil {
 		o.meter.AddCycles(cpumodel.CostPktIO)
-	} else if o.rec != nil {
-		o.rec.add(ce.counters)
 	}
 }
 
-// executed reports how executing the matched entry ce ended.
-func (o *observer) executed(ce *compiledEntry, res stepResult) {
-	if o.acc != nil {
-		// Fields rewritten by this stage are deterministic for every packet
-		// on the path; suppress their later observation.
-		if len(ce.apply.list) > 0 {
-			o.acc.MarkModifiedActions(ce.apply.list)
-		}
-		if ce.metadataMask != 0 {
-			o.acc.MarkMetadataWrite(ce.metadataMask)
-		}
-	}
+// executed reports how executing the matched entry ended.
+func (o *observer) executed(res stepResult) {
 	switch res {
 	case stepDropped:
 		o.meter.AddCycles(cpumodel.CostActions)
@@ -268,14 +240,8 @@ type tableDatapath interface {
 	// can amortize per-lookup overhead (compound hash, LPM) compute all
 	// keys of the burst before probing.
 	LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burstScratch)
-	// LookupObserved is Lookup reporting to o (non-nil) as it goes: the
-	// lookup's cycle cost and simulated memory accesses to o.meter, and every
-	// field/bit it examines to o.acc, which is how the megaflow layer derives
-	// the minimal masked match covering a pipeline walk.  Each template
-	// reports masks at its natural granularity — direct code per rule (with
-	// prefix refinement on mismatches), the compound hash its full field/mask
-	// vector, LPM the matched DIR-24-8 prefix, tuple space search the masks
-	// of every probed tuple.
+	// LookupObserved is Lookup reporting its cycle cost and simulated memory
+	// accesses to o.meter (o is non-nil; a nil meter charges nothing).
 	LookupObserved(p *pkt.Packet, o *observer) lookupOutcome
 	// CanInsert reports whether the entry can be added incrementally
 	// without violating the template's prerequisite.

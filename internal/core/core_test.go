@@ -688,7 +688,7 @@ func TestTemplateValueSlotsReused(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r := newScopeRig(t, c.uc.Pipeline, false, 0, 0, c.frames, c.inPorts)
+			r := newScopeRig(t, c.uc.Pipeline, false, 0, c.frames, c.inPorts)
 			if k, _ := r.dp.TableTemplate(0); k != c.kind {
 				t.Fatalf("table 0 compiled to %s, want %s", k, c.kind)
 			}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -8,13 +11,38 @@ import (
 	"eswitch/internal/pkt"
 )
 
-// This file implements the per-worker microflow verdict cache: a fixed-size,
+// This file implements the per-worker verdict cache: a fixed-size,
 // set-associative, allocation-free exact-match table in front of the compiled
-// pipeline.  The compiled templates already make each table lookup cheap; the
-// cache removes the lookups altogether for the traffic that dominates real
-// deployments — a packet whose microflow was seen before skips the entire
-// template walk and replays a precompiled verdict program: output port / drop
-// / punt plus the pipeline's net header write-set flattened into one patch.
+// pipeline, keyed on the bits the pipeline reads.  The compiled templates
+// already make each table lookup cheap; the cache removes the lookups
+// altogether for the traffic that dominates real deployments — a packet whose
+// key was seen before skips the entire template walk and replays a
+// precompiled verdict program: output port / drop / punt plus the pipeline's
+// net header write-set flattened into one patch.
+//
+// The paper's case against flow caching (§2.2) is that a cache's masks are
+// derived reactively, per packet, and are unpredictable.  A compiled datapath
+// knows its mask statically, so the cache is compiled like a table
+// (docs/architecture.md, "Verdict cache", has the full argument):
+//
+//   - The key (snapshot.keyMask, accumulated by keyEntry in scope.go) holds
+//     the bits any installed entry's match reads — so every lookup of a walk
+//     reads wire bits inside it or values an earlier entry wrote, and the
+//     matched entry chain is a function of the masked key — plus, whole,
+//     every field an action sets: the memoized patch is a header
+//     *difference*, blind to a write of the value a packet already carries,
+//     so packets sharing an entry must share that field (diffHeaders refuses
+//     a patch bit outside the key).  Protocol presence and parse depth are
+//     always in it, in_port whenever any entry floods.
+//   - The key only widens under flow-mods, and a mod that widens it is
+//     logged as a barrier: entries keyed on the narrower mask are never
+//     served past it.
+//   - The cache is armed (snapshot.armed) only where it can pay: every field
+//     the pipeline matches or sets is covered by flowKey, and some path visits
+//     two or more compiled stages or a linked-list stage.  A one-stage
+//     direct/hash/LPM pipeline already is one probe over a narrower key than
+//     any cache could use — the paper's thesis — so it runs the plain burst
+//     path even with Options.FlowCache set, and its workers allocate nothing.
 //
 // Design points:
 //
@@ -22,32 +50,30 @@ import (
 //     shard and burst scratch): a single writer, no locks, no atomic
 //     read-modify-writes, no shared mutable state.  Hit/miss/stale counters
 //     are single-writer atomic-store mirrors folded by Datapath.FlowCacheStats.
-//   - The probe key is the canonical microflow identity: in-port plus the
-//     parsed L2/L3/L4 view (exactly the fields the match templates can
-//     consult, see cacheCoveredFields).  The probe hash is the packet's
-//     symmetric RSS hash (pkt.Packet.FlowHash), computed at most once per
-//     packet and shared with RSS queue steering; a full key comparison
-//     disambiguates collisions, so hash symmetry costs nothing but a shared
-//     set between a flow's two directions.
+//   - The probe hash is one multiplicative mix over the masked key words
+//     (flowKey.hash), computed in probe pass A; a full key comparison
+//     disambiguates collisions.  (The symmetric RSS hash covers masked-out
+//     bits and cannot index a masked key.)
 //   - Safety under flow-mods comes from a datapath generation counter plus a
 //     bounded log of what each generation's mutation could have changed
 //     (scope.go).  Every mutation (AddFlow, DeleteFlow, InstallPipeline)
 //     bumps the generation published in the snapshot.  An entry of the
 //     current generation is served on one counter compare, as ever.  An
 //     entry of an older generation is revalidated lazily, by the probe that
-//     finds it: a verdict can change only if the packet, as seen at the
-//     modified table T, matches the added or removed rule; the fields no
-//     entry upstream of T rewrites ("clean" at T) read the same there as on
-//     the wire; so if the packet's key disagrees with the rule on a clean
-//     field, for every mod logged since the entry's generation, the verdict
-//     stands — the entry's generation is refreshed in place and the probe
-//     is a hit.  If a record overlaps the key, or is a barrier (anything the
-//     analysis does not cover: InstallPipeline, a decomposed datapath, a
-//     created table, a deeper parser, a match outside the flow key), or the
-//     log (a window of the last modLogWindow mods) no longer reaches back to
-//     the entry's generation, the entry is a miss ("stale").  No per-entry
-//     locking, no invalidation walks, nothing shared is written: the log is
-//     immutable behind the snapshot.
+//     finds it: a verdict can change only if some packet the entry covers, as
+//     seen at the modified table T, matches the added or removed rule; the
+//     fields no entry upstream of T rewrites ("clean" at T) read the same
+//     there as on the wire; so if the entry's key disagrees with the rule on
+//     a clean bit inside the key mask, for every mod logged since the entry's
+//     generation, the verdict stands — the entry's generation is refreshed in
+//     place and the probe is a hit.  If a record overlaps the key, or is a
+//     barrier (anything the analysis does not cover: InstallPipeline, a
+//     decomposed datapath, a created table, a deeper parser, a wider key, a
+//     match outside the flow key), or the log (a window of the last
+//     modLogWindow mods) no longer reaches back to the entry's generation,
+//     the entry is a miss ("stale").  No per-entry locking, no invalidation
+//     walks, nothing shared is written: the log is immutable behind the
+//     snapshot.
 //   - Verdicts that cannot be memoized are never installed: multi-port
 //     (flood/multicast) outputs, packets entering with non-zero metadata, and
 //     header rewrites the flat patch cannot express (see diffHeaders).
@@ -57,21 +83,13 @@ import (
 //     the install records the matched entries' stable Counters pointers in
 //     the cache entry (ctrList, flowctr.go) and a hit bumps them through the
 //     worker's delta accumulator, so statistics stay exact while repeat
-//     microflows still skip the walk.  Only walks matching more than
-//     cacheMaxCtrs entries fall back to the full walk on such datapaths.
-//
-// Whether a *pipeline* is cacheable at all is decided at publish time: every
-// match field used anywhere in the pipeline must be part of the canonical key
-// (or be FieldMetadata, which is deterministic given the key because cached
-// packets are required to enter with metadata 0).  A pipeline matching on,
-// say, TCP flags or DSCP publishes cacheable=false and the probe pass is
-// skipped wholesale — the cache can never serve a verdict that depends on
-// state outside its key.
+//     keys still skip the walk.  Only walks matching more than cacheMaxCtrs
+//     entries fall back to the full walk on such datapaths.
 
-// cacheCoveredFields is the set of match fields the canonical flow key
-// captures.  FieldMetadata is included because the packet-entry metadata of
-// every cached packet is pinned to zero, making mid-pipeline metadata a
-// deterministic function of the key.
+// cacheCoveredFields is the set of fields the flow key can carry.  A pipeline
+// that matches or sets any other field is never armed.  FieldMetadata is
+// included because the packet-entry metadata of every cached packet is pinned
+// to zero, making mid-pipeline metadata a deterministic function of the key.
 const cacheCoveredFields openflow.FieldSet = 1<<openflow.FieldInPort |
 	1<<openflow.FieldMetadata |
 	1<<openflow.FieldEthDst | 1<<openflow.FieldEthSrc | 1<<openflow.FieldEthType |
@@ -81,24 +99,96 @@ const cacheCoveredFields openflow.FieldSet = 1<<openflow.FieldInPort |
 	1<<openflow.FieldUDPSrc | 1<<openflow.FieldUDPDst |
 	1<<openflow.FieldSCTPSrc | 1<<openflow.FieldSCTPDst
 
-// flowKey is the canonical microflow identity: 40 bytes packing the in-port
-// and every parsed header field the covered match fields can read, plus the
+// flowKey is the layout of the cache key: five words (40 bytes) packing the
+// in-port and every parsed header field the covered fields can read, plus the
 // protocol-presence mask and parse depth so prerequisite checks are part of
-// the identity too.
-type flowKey struct {
-	a, b, c, d, e uint64
-}
+// the identity too.  A probe uses the packet's key under the snapshot's mask.
+// makeFlowKey packs a packet into it; keyLayout says where each field went,
+// for everything off the per-packet path.
+type flowKey [5]uint64
 
-// makeFlowKey derives the canonical key from a parsed packet.
+// makeFlowKey derives the unmasked key from a parsed packet.
 func makeFlowKey(p *pkt.Packet) flowKey {
 	h := &p.Headers
 	return flowKey{
-		a: uint64(p.InPort) | uint64(h.EthType)<<32 | uint64(h.VLANID)<<48,
-		b: h.EthDst.Uint64() | uint64(h.Proto&0xffff)<<48,
-		c: h.EthSrc.Uint64() | uint64(h.IPProto)<<48 | uint64(h.Parsed)<<56,
-		d: uint64(h.IPSrc)<<32 | uint64(h.IPDst),
-		e: uint64(h.L4Src) | uint64(h.L4Dst)<<16,
+		uint64(p.InPort) | uint64(h.EthType)<<32 | uint64(h.VLANID)<<48,
+		h.EthDst.Uint64() | uint64(h.Proto&0xffff)<<keyProtoShift,
+		h.EthSrc.Uint64() | uint64(h.IPProto)<<48 | uint64(h.Parsed)<<56,
+		uint64(h.IPSrc)<<32 | uint64(h.IPDst),
+		uint64(h.L4Src) | uint64(h.L4Dst)<<16,
 	}
+}
+
+// keySlot places one match field in the flow key and names the patch
+// operations that write it.
+type keySlot struct {
+	name        string // as rendered; empty for an alias of an earlier slot
+	word        uint8
+	shift, bits uint8 // bits == 0: the key does not carry the field
+	ops         uint16
+}
+
+// keyLayout is the flow key's layout by match field — what makeFlowKey packs
+// where (TestKeyLayout holds the two together).  keyBits, patchOps and the
+// key's rendering all go through it.  The L4 ports have one slot per
+// direction whatever the transport, hence their names.  Metadata is covered
+// (cacheCoveredFields) without a slot: cached packets enter with it zero.
+var keyLayout = [openflow.NumFields]keySlot{
+	openflow.FieldInPort:  {"in_port", 0, 0, 32, 0},
+	openflow.FieldEthType: {"eth_type", 0, 32, 16, 0},
+	openflow.FieldVLANID:  {"vlan_vid", 0, 48, 12, pfVLANPush | pfVLANPop | pfVLANID},
+	openflow.FieldEthDst:  {"eth_dst", 1, 0, 48, pfEthDst},
+	openflow.FieldEthSrc:  {"eth_src", 2, 0, 48, pfEthSrc},
+	openflow.FieldIPProto: {"ip_proto", 2, 48, 8, 0},
+	openflow.FieldIPSrc:   {"ip_src", 3, 32, 32, pfIPSrc},
+	openflow.FieldIPDst:   {"ip_dst", 3, 0, 32, pfIPDst},
+	openflow.FieldTCPSrc:  {"l4_src", 4, 0, 16, pfL4Src},
+	openflow.FieldTCPDst:  {"l4_dst", 4, 16, 16, pfL4Dst},
+	openflow.FieldUDPSrc:  {"", 4, 0, 16, pfL4Src},
+	openflow.FieldUDPDst:  {"", 4, 16, 16, pfL4Dst},
+	openflow.FieldSCTPSrc: {"", 4, 0, 16, pfL4Src},
+	openflow.FieldSCTPDst: {"", 4, 16, 16, pfL4Dst},
+}
+
+// keyProtoShift places the protocol-presence bits in word 1 of the key.
+const keyProtoShift = 48
+
+// keyAlways is the part of every compiled key mask: protocol presence and
+// parse depth, which every prerequisite check and every action on an absent
+// header depend on.
+var keyAlways = flowKey{1: 0xffff << keyProtoShift, 2: 0xff << 56}
+
+// keyBits ORs a value/mask constraint on field f into a key-shaped value/mask
+// pair.  Fields the key does not carry (metadata) are left unconstrained,
+// which only widens a scope.
+func keyBits(f openflow.Field, value, mask uint64, kv, km *flowKey) {
+	if l := &keyLayout[f]; l.bits != 0 {
+		kv[l.word] |= value << l.shift
+		km[l.word] |= mask << l.shift
+	}
+}
+
+// and returns the key restricted to the mask's bits.
+func (k flowKey) and(m *flowKey) flowKey {
+	return flowKey{k[0] & m[0], k[1] & m[1], k[2] & m[2], k[3] & m[3], k[4] & m[4]}
+}
+
+// or widens the mask by o's bits.
+func (k *flowKey) or(o *flowKey) {
+	for i := range k {
+		k[i] |= o[i]
+	}
+}
+
+// hash is the probe hash of a masked key: five independent multiplies by odd
+// constants folded into one finalizer round, so the low bits (the set index)
+// and the high ones (the stored tag) both depend on every key word.
+func (k *flowKey) hash() uint32 {
+	x := k[0]*0x9e3779b97f4a7c15 ^ k[1]*0xbf58476d1ce4e5b9 ^ k[2]*0x94d049bb133111eb ^
+		k[3]*0xff51afd7ed558ccd ^ k[4]*0xc4ceb9fe1a85ec53
+	x ^= x >> 32
+	x *= 0xd6e8feb86659fd93
+	return uint32(x ^ x>>32)
 }
 
 // cachePatch is the flattened net header write-set of one memoized pipeline
@@ -147,7 +237,7 @@ const (
 	cachePuntMiss
 )
 
-// cacheEntry is one memoized microflow verdict.  The first 64 bytes hold
+// cacheEntry is one memoized verdict.  The first 64 bytes hold
 // everything a patch-free hit needs (key, generation, verdict, TTL
 // decrement), so the common case touches a single cache line; the patch
 // spills onto the second line and is read only when fields != 0.  Entries
@@ -175,7 +265,7 @@ type cacheEntry struct {
 // hash pile-up without turning the probe into a scan.
 const flowCacheWays = 4
 
-// FlowCacheStats are the aggregate microflow-cache counters, folded over all
+// FlowCacheStats are the aggregate verdict-cache counters, folded over all
 // workers of a datapath.  Stale counts the probes lost to a retired
 // generation: they found a matching key, but a flow-mod since could have
 // changed its verdict.  Every stale probe is also counted as a miss, so
@@ -204,7 +294,7 @@ type FlowCacheStats struct {
 	Capacity                 uint64
 }
 
-// FlowCache is one worker's microflow verdict cache.  It is single-writer by
+// FlowCache is one worker's verdict cache.  It is single-writer by
 // construction (the owning worker); only the atomic stat mirrors are read by
 // other goroutines.
 type FlowCache struct {
@@ -291,14 +381,15 @@ func (fc *FlowCache) lookupAt(base, h uint32, k *flowKey, sn *snapshot) (e *cach
 
 // revalidate is the probe's slow path for a matching entry of an older
 // generation: if no flow-mod since that generation can have changed the
-// verdict of this exact key, the entry joins the snapshot's generation.
+// verdict of any packet sharing this masked key, the entry joins the
+// snapshot's generation.
 func (fc *FlowCache) revalidate(c *cacheEntry, sn *snapshot) bool {
 	n := sn.lag(c.gen)
 	if n < 0 {
 		fc.expiredL++
 		return false
 	}
-	if sn.newestOverlap(n, &c.key, &exactKey) >= 0 {
+	if sn.newestOverlap(n, &c.key, &sn.keyMask) >= 0 {
 		return false
 	}
 	c.gen = sn.gen
@@ -365,20 +456,13 @@ func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, flags uint8, out 
 	}
 }
 
-// apply replays the memoized verdict program onto the packet and verdict.
-// It mirrors exactly what the full pipeline walk produced when the entry was
-// installed.
+// apply replays the memoized verdict program onto the packet and verdict:
+// verdict flags and output port from the hot-line encoding, then the header
+// patch.  It mirrors exactly what the full pipeline walk produced when the
+// entry was installed.
 func (e *cacheEntry) apply(p *pkt.Packet, v *openflow.Verdict) {
-	applyVerdictProgram(p, v, e.flags, e.out, e.tables, e.ttlDec, e.puntTable, e.fields, &e.patch)
-}
-
-// applyVerdictProgram replays a flattened verdict program onto the packet and
-// verdict: verdict flags and output port from the hot-line encoding, then the
-// header patch.  It is shared by the microflow cache (cacheEntry) and the
-// megaflow cache (megaEntry) so a hit in either level reproduces identical
-// verdicts, headers and punt attribution.
-func applyVerdictProgram(p *pkt.Packet, v *openflow.Verdict, flags uint8, out uint32, tables, ttlDec uint8, puntTable uint16, fields uint16, patch *cachePatch) {
-	v.Tables = int(tables)
+	flags := e.flags
+	v.Tables = int(e.tables)
 	v.TableMiss = flags&cacheTableMiss != 0
 	v.Modified = flags&cacheModified != 0
 	v.ToController = flags&cacheToCtrl != 0
@@ -391,20 +475,20 @@ func applyVerdictProgram(p *pkt.Packet, v *openflow.Verdict, flags uint8, out ui
 			reason = openflow.PuntMiss
 		}
 		v.PuntReason = reason
-		v.PuntTable = openflow.TableID(puntTable)
+		v.PuntTable = openflow.TableID(e.puntTable)
 	}
 	if flags&cacheHasPort != 0 {
-		v.OutPorts = append(v.OutPorts[:0], out)
+		v.OutPorts = append(v.OutPorts[:0], e.out)
 	}
-	if ttlDec != 0 {
+	if ttlDec := e.ttlDec; ttlDec != 0 {
 		if t := p.Headers.IPTTL; t <= ttlDec {
 			p.Headers.IPTTL = 0
 		} else {
 			p.Headers.IPTTL = t - ttlDec
 		}
 	}
-	if fields != 0 {
-		applyHeaderPatch(p, fields, patch)
+	if e.fields != 0 {
+		applyHeaderPatch(p, e.fields, &e.patch)
 	}
 }
 
@@ -459,7 +543,13 @@ func applyHeaderPatch(p *pkt.Packet, fields uint16, patch *cachePatch) {
 // patch cannot write, or a TTL that saturated at zero, whose true decrement
 // is unknowable); such verdicts are simply not installed.  preMeta is always
 // zero (enforced by the probe pass), so metadata is captured absolutely.
-func diffHeaders(pre, post *pkt.Headers, postMeta uint64) (patch cachePatch, fields uint16, ttlDec uint8, ok bool) {
+// keyed is the snapshot's set of patch operations whose field is whole in the
+// key mask (patchOps): a difference is a function of the packet's own value,
+// so every absolute write the patch carries must be on a field all packets
+// sharing the entry agree on.  The compiler guarantees that by construction
+// (keyEntry puts every written field in the key); a bit outside keyed is a
+// write it did not see, and the verdict is not installed.
+func diffHeaders(pre, post *pkt.Headers, postMeta uint64, keyed uint16) (patch cachePatch, fields uint16, ttlDec uint8, ok bool) {
 	// Anything the patch has no write for must be untouched.
 	if pre.Parsed != post.Parsed || pre.L2Off != post.L2Off ||
 		pre.L3Off != post.L3Off || pre.L4Off != post.L4Off ||
@@ -530,7 +620,24 @@ func diffHeaders(pre, post *pkt.Headers, postMeta uint64) (patch cachePatch, fie
 		fields |= pfMetadata
 		patch.metadata = postMeta
 	}
+	if fields&^keyed != 0 {
+		return patch, 0, 0, false
+	}
 	return patch, fields, ttlDec, true
+}
+
+// patchOps returns the patch operations whose field is whole in the key mask
+// km (diffHeaders' keyed set).  Metadata always is — cached packets enter
+// with metadata zero — and the VLAN priority and DSCP never are: the flow key
+// does not carry them, which is why a pipeline that sets either is not armed.
+func patchOps(km *flowKey) uint16 {
+	ops := pfMetadata
+	for _, l := range keyLayout {
+		if full := uint64(1)<<l.bits - 1; l.bits != 0 && km[l.word]>>l.shift&full == full {
+			ops |= l.ops
+		}
+	}
+	return ops
 }
 
 // entryFromVerdict compresses a verdict into the entry's hot-line encoding.
@@ -660,11 +767,11 @@ func (r *cacheRegistry) fold() FlowCacheStats {
 	return t
 }
 
-// FlowCacheStats folds the microflow-cache counters of every worker that ever
-// forwarded through this datapath.  When the cache is enabled, Hits+Misses
+// FlowCacheStats folds the verdict-cache counters of every worker that ever
+// forwarded through this datapath.  While the cache is armed, Hits+Misses
 // equals the number of packets classified through the burst path (the fold-
-// exactness invariant the stats tests assert); all three are zero when
-// Options.FlowCache is off.
+// exactness invariant the stats tests assert); all are zero when
+// Options.FlowCache is off or the pipeline never armed it.
 func (d *Datapath) FlowCacheStats() FlowCacheStats {
 	st := d.caches.fold()
 	st.Flushes = d.flushes.Load()
@@ -679,9 +786,62 @@ func (d *Datapath) FlowCacheCounters() (hits, misses, stale, revalidated, expire
 	return st.Hits, st.Misses, st.Stale, st.Revalidated, st.Expired, st.Flushes
 }
 
-// FlowCacheEnabled reports whether this datapath's workers carry microflow
-// caches AND the current pipeline is cacheable (every used match field is
-// covered by the canonical key).
-func (d *Datapath) FlowCacheEnabled() bool {
-	return d.opts.FlowCache > 0 && d.meter == nil && d.snap.Load().cacheable
+// FlowCacheEnabled reports whether the verdict cache is armed: the datapath
+// was compiled with Options.FlowCache and no meter, every field the current
+// pipeline matches or sets is covered by the flow key, and some path through
+// it is deeper than one direct/hash/LPM probe.
+func (d *Datapath) FlowCacheEnabled() bool { return d.snap.Load().armed }
+
+// FlowCacheKey describes the current pipeline's compiled cache key, for
+// operators: the fields it reads as a space-separated list ("in_port vlan_vid
+// ip_src/32 ip_dst/24" — IPv4 prefixes by length, other partial masks in hex;
+// protocol presence and parse depth are always part of the key and not
+// listed), and, when the cache is not armed, why not (empty when it is).
+func (d *Datapath) FlowCacheKey() (fields, unarmed string) {
+	sn := d.snap.Load()
+	return sn.keyMask.String(), d.unarmedWhy(sn)
+}
+
+// unarmedWhy names the first reason the snapshot's cache is not armed.
+func (d *Datapath) unarmedWhy(sn *snapshot) string {
+	switch {
+	case sn.armed:
+		return ""
+	case d.opts.FlowCache <= 0:
+		return "Options.FlowCache is off"
+	case d.meter != nil:
+		return "metered datapath: the cycle model must observe the full walk"
+	case sn.uncovered != 0:
+		names := ""
+		for _, f := range sn.uncovered.Fields() {
+			names += " " + f.String()
+		}
+		return "the pipeline matches or sets a field outside the flow key:" + names
+	default:
+		return "every path is one direct-code, hash or LPM stage: already a single probe over a narrower key than the cache's"
+	}
+}
+
+// String lists the fields a key mask reads (see Datapath.FlowCacheKey).
+func (k flowKey) String() string {
+	var sb strings.Builder
+	for f, l := range keyLayout {
+		full := uint64(1)<<l.bits - 1
+		m := k[l.word] >> l.shift & full
+		if l.name == "" || m == 0 {
+			continue
+		}
+		if sb.Len() > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(l.name)
+		ones := uint(bits.OnesCount64(m))
+		switch ip := f == int(openflow.FieldIPSrc) || f == int(openflow.FieldIPDst); {
+		case ip && m == full&^(full>>ones):
+			fmt.Fprintf(&sb, "/%d", ones)
+		case m != full:
+			fmt.Fprintf(&sb, "/%#x", m)
+		}
+	}
+	return sb.String()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -11,11 +12,12 @@ import (
 	"eswitch/internal/workload"
 )
 
-// The acceptance tests of the per-worker microflow verdict cache: cache-on
-// runs must be observationally identical to the plain burst path (verdicts,
-// rewritten headers, metadata — with the second pass served from the cache),
-// stale generations must never be served after a flow-mod's synchronize
-// returns, and the hit/miss/stale counters must account for every packet.
+// The acceptance tests of the per-worker verdict cache: cache-on runs must be
+// observationally identical to the plain burst path (verdicts, rewritten
+// headers, metadata — with the second pass served from the cache), stale
+// generations must never be served after a flow-mod's synchronize returns,
+// the hit/miss/stale counters must account for every packet, and the cache
+// must arm — on the compiled key — exactly where the compiler says it does.
 
 // TestCacheEntryLayout pins the size contract the probe relies on: the hot
 // part of an entry (everything but the patch) fits one cache line and the
@@ -38,7 +40,7 @@ func TestCacheEntryLayout(t *testing.T) {
 // selection once a set fills.
 func TestFlowCacheProbeInstall(t *testing.T) {
 	fc := newFlowCache(256, false) // 64 sets x 4 ways
-	k := flowKey{a: 1, b: 2, c: 3, d: 4, e: 5}
+	k := flowKey{1, 2, 3, 4, 5}
 	const h = 0x1234
 	// Snapshots without a scope log: any older generation is below the
 	// log's floor, i.e. every bump behaves like a barrier.
@@ -73,10 +75,10 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 	// generation 3: every entry is one generation old, the victim is the
 	// first of them (way 0, holding k), never a fifth slot.
 	for i := uint64(0); i < flowCacheWays-1; i++ {
-		kI := flowKey{a: 100 + i}
+		kI := flowKey{0: 100 + i}
 		fc.install(h, &kI, 2, cacheValid, 0, 1, 0, 0, 0, nil, nil, 0)
 	}
-	kNew := flowKey{a: 999}
+	kNew := flowKey{0: 999}
 	fc.install(h, &kNew, 3, cacheValid|cacheHasPort, 11, 1, 0, 0, 0, nil, nil, 0)
 	if e, _, _ := fc.lookup(h, &kNew, gen(3)); e == nil || e.out != 11 {
 		t.Fatalf("install into a full set failed: %+v", e)
@@ -88,10 +90,10 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 	// retired generation) under generation 3.  At generation 4 way 2 alone
 	// is two generations old — unprobed the longest — and must be the one
 	// the next install takes.
-	k100, k102 := flowKey{a: 100}, flowKey{a: 102}
+	k100, k102 := flowKey{0: 100}, flowKey{0: 102}
 	fc.install(h, &k100, 3, cacheValid|cacheHasPort, 12, 1, 0, 0, 0, nil, nil, 0)
 	fc.install(h, &k102, 3, cacheValid|cacheHasPort, 13, 1, 0, 0, 0, nil, nil, 0)
-	fc.install(h, &flowKey{a: 200}, 4, cacheValid, 0, 1, 0, 0, 0, nil, nil, 0)
+	fc.install(h, &flowKey{0: 200}, 4, cacheValid, 0, 1, 0, 0, 0, nil, nil, 0)
 	for _, kept := range []*flowKey{&kNew, &k100, &k102} {
 		// (Under a log-less snapshot the survivors read as stale sightings,
 		// which is all this needs: they are still there.)
@@ -143,12 +145,9 @@ func sameVerdict(a, b *openflow.Verdict) bool {
 	return true
 }
 
-// TestFlowCacheDifferential replays every bundled workload twice through a
-// flowcache-enabled worker — the second pass is served almost entirely from
-// the cache — and requires bit-identical verdicts, rewritten headers and
-// metadata against a cache-free datapath over the same frames.
-func TestFlowCacheDifferential(t *testing.T) {
-	cases := []*workload.UseCase{
+// bundledUseCases are the six bundled workloads at test scale.
+func bundledUseCases() []*workload.UseCase {
+	return []*workload.UseCase{
 		workload.L2UseCase(64, 4),
 		workload.L3UseCase(400, 8, 7),
 		workload.LoadBalancerUseCase(50),
@@ -156,13 +155,30 @@ func TestFlowCacheDifferential(t *testing.T) {
 		workload.L2PortSecurityUseCase(64, 4),
 		workload.L3ACLRouterUseCase(150, 200, 8, 7),
 	}
+}
+
+// TestFlowCacheDifferential replays every bundled workload three times
+// through a flowcache-enabled worker — where the pipeline arms the cache the
+// later passes are served almost entirely from it, where it does not (the
+// one-stage L2 and L3 pipelines) they must not touch it — and requires
+// bit-identical verdicts, rewritten headers and metadata against a cache-free
+// datapath over the same frames.
+func TestFlowCacheDifferential(t *testing.T) { flowCacheDifferential(t, 4096, true) }
+
+// TestFlowCacheThrashDifferential is the same replay through the smallest
+// cache there is (64 sets x 4 ways for 200 flows), so that set conflicts keep
+// evicting and reinstalling entries on every pass, not just the cold one.
+func TestFlowCacheThrashDifferential(t *testing.T) { flowCacheDifferential(t, 64, false) }
+
+func flowCacheDifferential(t *testing.T, entries int, resident bool) {
 	const nFlows = 200
-	for _, uc := range cases {
+	for _, uc := range bundledUseCases() {
 		t.Run(uc.Name, func(t *testing.T) {
-			dp, w := fcWorker(t, uc, 4096)
+			dp, w := fcWorker(t, uc, entries)
 			defer dp.UnregisterWorker(w)
-			if !dp.FlowCacheEnabled() {
-				t.Fatalf("%s pipeline unexpectedly not cacheable", uc.Name)
+			armed := dp.FlowCacheEnabled()
+			if oneStage := uc.Name == "l2" || uc.Name == "l3"; armed == oneStage {
+				t.Fatalf("%s pipeline: cache armed = %v", uc.Name, armed)
 			}
 
 			plainOpts := DefaultOptions()
@@ -230,10 +246,16 @@ func TestFlowCacheDifferential(t *testing.T) {
 				}
 			}
 
+			st := dp.FlowCacheStats()
+			if !armed {
+				if st.Hits+st.Misses != 0 || st.Capacity != 0 || w.cache != nil {
+					t.Fatalf("unarmed pipeline probed or allocated a cache: %+v", st)
+				}
+				return
+			}
 			// The flow set is cache-resident: once the first pass has
 			// installed it, the later passes hit almost always.
-			st := dp.FlowCacheStats()
-			if st.Hits*100 < 99*2*nFlows {
+			if resident && st.Hits*100 < 99*2*nFlows {
 				t.Fatalf("second and third passes hit only %d times in %d packets", st.Hits, 2*nFlows)
 			}
 			if st.Hits+st.Misses != uint64(3*nFlows) {
@@ -244,26 +266,39 @@ func TestFlowCacheDifferential(t *testing.T) {
 	}
 }
 
+// twoStage returns a pipeline whose table 0 sends port-1 traffic on to table
+// 1: deep enough to arm the cache, with table 1 left to the caller.
+func twoStage(numPorts int) (*openflow.Pipeline, *openflow.FlowTable) {
+	pl := openflow.NewPipeline(numPorts)
+	pl.Table(0).AddFlow(10, openflow.NewMatch().Set(openflow.FieldInPort, 1), openflow.Goto(1))
+	return pl, pl.AddTable(1)
+}
+
 // TestFlowCacheGating asserts the cache never engages where it could lie:
-// pipelines matching fields outside the canonical key and metered datapaths
-// publish cacheable=false (or refuse the cache outright), and multicast
-// verdicts are not memoized.  (Per-entry counters no longer gate the cache:
-// entries memoize the matched entries' counter pointers and hits keep the
-// statistics exact — TestFlowCacheCountersExact.)
+// pipelines matching or setting fields outside the flow key and metered
+// datapaths are not armed, multicast verdicts are not memoized, and packets
+// entering with metadata bypass it.  (Per-entry counters do not gate the
+// cache: entries memoize the matched entries' counter pointers and hits keep
+// the statistics exact — TestFlowCacheCountersExact.  Pipelines one probe
+// deep are not armed either — TestCacheArming.)
 func TestFlowCacheGating(t *testing.T) {
-	t.Run("uncovered-field", func(t *testing.T) {
-		pl := openflow.NewPipeline(2)
-		pl.Table(0).AddFlow(10, openflow.NewMatch().Set(openflow.FieldTCPFlags, 0x10),
-			openflow.Apply(openflow.Output(2)))
-		pl.Table(0).AddFlow(0, openflow.NewMatch(), openflow.Apply(openflow.Drop()))
+	compile := func(t *testing.T, pl *openflow.Pipeline) *Datapath {
+		t.Helper()
 		opts := DefaultOptions()
 		opts.FlowCache = 1024
 		dp, err := Compile(pl, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dp.FlowCacheEnabled() {
-			t.Fatal("pipeline matching tcp_flags must not be cacheable")
+		return dp
+	}
+	t.Run("uncovered-field", func(t *testing.T) {
+		pl, t1 := twoStage(2)
+		t1.AddFlow(10, openflow.NewMatch().Set(openflow.FieldTCPFlags, 0x10), openflow.Apply(openflow.Output(2)))
+		t1.AddFlow(0, openflow.NewMatch(), openflow.Apply(openflow.Drop()))
+		dp := compile(t, pl)
+		if _, why := dp.FlowCacheKey(); dp.FlowCacheEnabled() || !strings.Contains(why, "tcp_flags") {
+			t.Fatalf("pipeline matching tcp_flags must not arm the cache (and say why): %q", why)
 		}
 		w := dp.RegisterWorker().(*Worker)
 		defer dp.UnregisterWorker(w)
@@ -279,38 +314,73 @@ func TestFlowCacheGating(t *testing.T) {
 			w.Exit()
 		}
 		if st := dp.FlowCacheStats(); st.Hits != 0 || st.Misses != 0 {
-			t.Fatalf("uncacheable pipeline still counted cache traffic: %+v", st)
+			t.Fatalf("unarmed pipeline still counted cache traffic: %+v", st)
 		}
 	})
 
 	t.Run("uncovered-field-added-later", func(t *testing.T) {
-		// A cacheable pipeline stops being cacheable the moment a flow-mod
-		// installs a match on an uncovered field.
+		// An armed pipeline is disarmed the moment a flow-mod installs a
+		// match on an uncovered field — or sets one: the patch could not
+		// tell a packet that already carried the value from one that did not.
+		for name, e := range map[string]*openflow.FlowEntry{
+			"match": openflow.NewEntry(20, openflow.NewMatch().Set(openflow.FieldIPDSCP, 46), openflow.Apply(openflow.Output(2))),
+			"set":   openflow.NewEntry(20, openflow.NewMatch().Set(openflow.FieldIPDst, 7), openflow.Apply(openflow.SetField(openflow.FieldIPDSCP, 46), openflow.Output(2))),
+		} {
+			pl, t1 := twoStage(2)
+			t1.AddFlow(10, openflow.NewMatch().Set(openflow.FieldIPDst, 9), openflow.Apply(openflow.Output(2)))
+			t1.AddFlow(0, openflow.NewMatch(), openflow.Apply(openflow.Drop()))
+			dp := compile(t, pl)
+			if !dp.FlowCacheEnabled() {
+				t.Fatal("two-stage exact-IP pipeline should arm the cache")
+			}
+			flushes := dp.FlowCacheStats().Flushes
+			if err := dp.AddFlow(1, e); err != nil {
+				t.Fatal(err)
+			}
+			if dp.FlowCacheEnabled() || dp.FlowCacheStats().Flushes != flushes+1 {
+				t.Fatalf("%s on dscp must disarm the cache behind a barrier", name)
+			}
+		}
+	})
+
+	t.Run("armed-later", func(t *testing.T) {
+		// A one-stage pipeline's workers carry no cache until a flow-mod
+		// arms it; from then on a new worker gets its cache at registration
+		// and a standing one in its next Enter, ahead of the epoch bracket.
 		pl := openflow.NewPipeline(2)
-		pl.Table(0).AddFlow(10, openflow.NewMatch().Set(openflow.FieldIPDst, 9),
-			openflow.Apply(openflow.Output(2)))
-		pl.Table(0).AddFlow(0, openflow.NewMatch(), openflow.Apply(openflow.Drop()))
-		opts := DefaultOptions()
-		opts.FlowCache = 1024
-		dp, err := Compile(pl, opts)
-		if err != nil {
+		pl.Table(0).AddFlow(10, openflow.NewMatch().Set(openflow.FieldIPDst, 9), openflow.Apply(openflow.Output(2)))
+		dp := compile(t, pl)
+		w := dp.RegisterWorker().(*Worker)
+		defer dp.UnregisterWorker(w)
+		p := tcpPacket(t, 1, 7, 9, 1234, 80)
+		burst := func(w *Worker) {
+			w.ProcessBurst([]*pkt.Packet{p}, make([]openflow.Verdict, 1))
+			w.Exit()
+		}
+		w.Enter()
+		burst(w)
+		if dp.FlowCacheEnabled() || w.cache != nil || dp.FlowCacheStats().Capacity != 0 {
+			t.Fatal("one-stage pipeline armed or allocated a cache")
+		}
+		if err := dp.AddFlow(0, openflow.NewEntry(20, openflow.NewMatch().Set(openflow.FieldIPDst, 8), openflow.Goto(1))); err != nil {
 			t.Fatal(err)
 		}
-		if !dp.FlowCacheEnabled() {
-			t.Fatal("exact-IP pipeline should be cacheable")
+		w2 := dp.RegisterWorker().(*Worker)
+		defer dp.UnregisterWorker(w2)
+		if !dp.FlowCacheEnabled() || w2.cache == nil {
+			t.Fatal("a worker registered on an armed pipeline gets its cache at registration")
 		}
-		if err := dp.AddFlow(0, openflow.NewEntry(20,
-			openflow.NewMatch().Set(openflow.FieldIPDSCP, 46),
-			openflow.Apply(openflow.Output(2)))); err != nil {
-			t.Fatal(err)
+		if w.Enter(); w.cache == nil {
+			t.Fatal("a standing worker gets its cache in the first Enter after arming")
 		}
-		if dp.FlowCacheEnabled() {
-			t.Fatal("installing a dscp match must disable the cache")
+		burst(w)
+		if st := dp.FlowCacheStats(); st.Misses != 1 || st.Capacity != uint64(w.cache.Len()+w2.cache.Len()) {
+			t.Fatalf("armed-later stats: %+v", st)
 		}
 	})
 
 	t.Run("metered", func(t *testing.T) {
-		uc := workload.L3UseCase(100, 4, 1)
+		uc := workload.L3ACLRouterUseCase(50, 100, 4, 1)
 		opts := DefaultOptions()
 		opts.FlowCache = 1024
 		opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
@@ -323,25 +393,33 @@ func TestFlowCacheGating(t *testing.T) {
 		}
 		w := dp.RegisterWorker().(*Worker)
 		defer dp.UnregisterWorker(w)
+		var p pkt.Packet
+		uc.Trace(4).Next(&p)
+		w.Enter()
+		w.ProcessBurst([]*pkt.Packet{&p}, make([]openflow.Verdict, 1))
+		w.Exit()
 		if w.cache != nil {
 			t.Fatal("metered worker got a cache")
 		}
 	})
 
 	t.Run("multicast-not-installed", func(t *testing.T) {
-		// The L2 flood catch-all replicates to 3 ports: such verdicts must
-		// take the full walk every time.
-		uc := workload.L2UseCase(4, 4)
+		// The port-security bridge's flood catch-all replicates to 3 ports:
+		// such verdicts must take the full walk every time.
+		uc := workload.L2PortSecurityUseCase(4, 4)
 		dp, w := fcWorker(t, uc, 1024)
 		defer dp.UnregisterWorker(w)
+		var known pkt.Packet
+		uc.Trace(1).Next(&known)
+		pkt.ParseL2(&known)
 		b := pkt.NewBuilder(128)
 		frame := pkt.Clone(b.EthernetFrame(pkt.EthernetOpts{
-			Dst: pkt.MACFromUint64(0xdeadbeef), Src: pkt.MACFromUint64(7), EtherType: 0x0800}, nil))
-		p := pkt.Packet{Data: frame, InPort: 2}
+			Dst: pkt.MACFromUint64(0xdeadbeef), Src: known.Headers.EthSrc, EtherType: 0x0800}, nil))
+		p := pkt.Packet{Data: frame, InPort: known.InPort}
 		ps := []*pkt.Packet{&p}
 		vs := make([]openflow.Verdict, 1)
 		for i := 0; i < 4; i++ {
-			p = pkt.Packet{Data: frame, InPort: 2}
+			p = pkt.Packet{Data: frame, InPort: known.InPort}
 			w.Enter()
 			w.ProcessBurst(ps, vs)
 			w.Exit()
@@ -355,26 +433,24 @@ func TestFlowCacheGating(t *testing.T) {
 	})
 
 	t.Run("nonzero-metadata-bypasses", func(t *testing.T) {
-		uc := workload.L3UseCase(100, 4, 1)
+		// One flow, memoized and hit with metadata zero; the same frames
+		// entering with metadata set share its masked key and must neither
+		// be served from the entry nor replace it.
+		uc := workload.L3ACLRouterUseCase(50, 100, 4, 1)
 		dp, w := fcWorker(t, uc, 1024)
 		defer dp.UnregisterWorker(w)
-		trace := uc.Trace(4)
-		var p pkt.Packet
-		trace.Next(&p)
-		p.Metadata = 7
-		ps := []*pkt.Packet{&p}
-		vs := make([]openflow.Verdict, 1)
-		for i := 0; i < 3; i++ {
-			meta := p.Metadata
+		frame, inPort := uc.Trace(4).Frame(0)
+		shoot := func(meta uint64) {
+			p := pkt.Packet{Data: frame, InPort: inPort, Metadata: meta}
 			w.Enter()
-			w.ProcessBurst(ps, vs)
+			w.ProcessBurst([]*pkt.Packet{&p}, make([]openflow.Verdict, 1))
 			w.Exit()
-			_ = meta
-			trace.Next(&p)
-			p.Metadata = 7
 		}
-		if st := dp.FlowCacheStats(); st.Hits != 0 {
-			t.Fatalf("packets with entry metadata were served from the cache: %+v", st)
+		for _, meta := range []uint64{0, 0, 7, 7, 0} {
+			shoot(meta)
+		}
+		if st := dp.FlowCacheStats(); st.Hits != 2 || st.Misses != 3 || st.Installs != 1 {
+			t.Fatalf("want 2 hits (metadata 0), 3 misses (cold + 2 with metadata) and 1 install: %+v", st)
 		}
 	})
 }
@@ -384,12 +460,12 @@ func TestFlowCacheGating(t *testing.T) {
 // served a verdict memoized under the pre-update tables — the entry's retired
 // generation makes it a miss, and the fresh walk sees the new tables.
 func TestFlowCacheStaleGeneration(t *testing.T) {
-	pl := openflow.NewPipeline(4)
+	pl, t1 := twoStage(4)
 	for i := 0; i < 32; i++ {
-		pl.Table(0).AddFlow(10, openflow.NewMatch().Set(openflow.FieldIPDst, uint64(0x0a000000+i)),
+		t1.AddFlow(10, openflow.NewMatch().Set(openflow.FieldIPDst, uint64(0x0a000000+i)),
 			openflow.Apply(openflow.Output(2)))
 	}
-	pl.Table(0).AddFlow(0, openflow.NewMatch(), openflow.Apply(openflow.Drop()))
+	t1.AddFlow(0, openflow.NewMatch(), openflow.Apply(openflow.Drop()))
 	opts := DefaultOptions()
 	opts.FlowCache = 1024
 	dp, err := Compile(pl, opts)
@@ -424,7 +500,7 @@ func TestFlowCacheStaleGeneration(t *testing.T) {
 
 	// Replace the entry's action (same match+priority replaces): the very
 	// next burst must observe port 3, not the memoized port 2.
-	if err := dp.AddFlow(0, openflow.NewEntry(10,
+	if err := dp.AddFlow(1, openflow.NewEntry(10,
 		openflow.NewMatch().Set(openflow.FieldIPDst, uint64(0x0a000005)),
 		openflow.Apply(openflow.Output(3)))); err != nil {
 		t.Fatal(err)
@@ -439,7 +515,7 @@ func TestFlowCacheStaleGeneration(t *testing.T) {
 	// Delete the entry: the catch-all drop must take over immediately, and
 	// at least one probe must have seen (and refused) a stale entry along
 	// the way.
-	if _, err := dp.DeleteFlow(0,
+	if _, err := dp.DeleteFlow(1,
 		openflow.NewMatch().Set(openflow.FieldIPDst, uint64(0x0a000005)), 10); err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +533,7 @@ func TestFlowCacheStaleGeneration(t *testing.T) {
 // TestFlowCacheAcrossInstallPipeline: a full pipeline replacement retires
 // every memoized verdict too.
 func TestFlowCacheAcrossInstallPipeline(t *testing.T) {
-	uc := workload.L3UseCase(100, 4, 1)
+	uc := workload.L3ACLRouterUseCase(50, 100, 4, 1)
 	dp, w := fcWorker(t, uc, 2048)
 	defer dp.UnregisterWorker(w)
 	trace := uc.Trace(8)
@@ -511,7 +587,7 @@ func TestFlowCacheEvictionChurn(t *testing.T) {
 }
 
 func flowCacheEvictionChurn(t *testing.T, zipf bool) FlowCacheStats {
-	uc := workload.L3UseCase(200, 4, 3)
+	uc := workload.L3ACLRouterUseCase(5000, 200, 4, 3)
 	dp, w := fcWorker(t, uc, 256) // deliberately tiny: 64 sets x 4 ways
 	defer dp.UnregisterWorker(w)
 	plain, err := Compile(uc.Pipeline, DefaultOptions())
@@ -578,44 +654,43 @@ func ExampleFlowCacheStats() {
 }
 
 // TestFlowCacheCountersExact asserts that per-flow counters stay exact when
-// the verdict caches are serving hits on a counters-enabled datapath: cache
+// the verdict cache is serving hits on a counters-enabled datapath: cache
 // entries memoize the matched entries' Counters pointers and every hit
 // credits exactly the entries the original walk matched, so after the worker
 // quiesces the table totals equal the packets processed — with most of the
-// traffic never having taken the template walk.
+// traffic never having taken the template walk.  The second run's cache is a
+// quarter of its flow set, so entries (and their pointer lists) are evicted
+// and reinstalled throughout.
 func TestFlowCacheCountersExact(t *testing.T) {
-	for _, mega := range []int{0, 1024} {
-		name := "microflow"
-		if mega > 0 {
-			name = "microflow+megaflow"
-		}
-		t.Run(name, func(t *testing.T) {
-			const nFlows, passes = 256, 4
-			uc := workload.L3UseCase(nFlows, 4, 1)
+	for _, c := range []struct {
+		name                    string
+		nFlows, entries, passes int
+	}{{"microflow", 256, 1024, 4}, {"microflow+evictions", 1024, 256, 3}} {
+		t.Run(c.name, func(t *testing.T) {
+			uc := workload.L3ACLRouterUseCase(c.nFlows, 200, 4, 1)
 			opts := DefaultOptions()
 			opts.UpdateCounters = true
-			opts.FlowCache = 1024
-			opts.Megaflow = mega
+			opts.FlowCache = c.entries
 			dp, err := Compile(uc.Pipeline, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !dp.FlowCacheEnabled() {
-				t.Fatal("counters-enabled pipeline must stay cacheable")
+				t.Fatal("counters-enabled pipeline must still arm the cache")
 			}
 			w := dp.RegisterWorker().(*Worker)
 			defer dp.UnregisterWorker(w)
 
-			trace := uc.Trace(nFlows)
+			trace := uc.Trace(c.nFlows)
 			packets := make([]pkt.Packet, MaxBurst)
 			ps := make([]*pkt.Packet, MaxBurst)
 			vs := make([]openflow.Verdict, MaxBurst)
-			total, totalBytes := 0, 0
-			for pass := 0; pass < passes; pass++ {
+			total, totalBytes, tables := 0, 0, 0
+			for pass := 0; pass < c.passes; pass++ {
 				trace.Reset()
-				for done := 0; done < nFlows; {
+				for done := 0; done < c.nFlows; {
 					n := 0
-					for ; n < MaxBurst && done < nFlows; n, done = n+1, done+1 {
+					for ; n < MaxBurst && done < c.nFlows; n, done = n+1, done+1 {
 						ps[n] = &packets[n]
 						trace.Next(ps[n])
 						totalBytes += len(ps[n].Data)
@@ -624,6 +699,9 @@ func TestFlowCacheCountersExact(t *testing.T) {
 					w.ProcessBurst(ps[:n], vs[:n])
 					w.Exit()
 					total += n
+					for i := range vs[:n] {
+						tables += vs[i].Tables
+					}
 				}
 			}
 			// An empty Enter/Exit bracket is the worker's quiescent point:
@@ -632,20 +710,22 @@ func TestFlowCacheCountersExact(t *testing.T) {
 			w.Exit()
 
 			st := dp.FlowCacheStats()
-			if st.Hits == 0 {
-				t.Fatal("repeat passes produced no cache hits")
+			if st.Hits == 0 || (c.nFlows > c.entries && st.Victims == 0) {
+				t.Fatalf("want cache hits, and evictions where the flows outnumber the entries: %+v", st)
 			}
 			if st.Hits+st.Misses != uint64(total) {
 				t.Fatalf("fold exactness violated: hits %d + misses %d != %d processed", st.Hits, st.Misses, total)
 			}
+			// Every packet is admitted and routed: one entry credited per
+			// table visited, two per packet.
 			var gotPkts, gotBytes uint64
 			for _, s := range dp.FlowSamples(nil) {
 				gotPkts += s.Packets
 				gotBytes += s.Bytes
 			}
-			if gotPkts != uint64(total) || gotBytes != uint64(totalBytes) {
-				t.Fatalf("counters diverged under cache hits: table %d pkts / %d bytes, processed %d pkts / %d bytes (hits %d)",
-					gotPkts, gotBytes, total, totalBytes, st.Hits)
+			if tables != 2*total || gotPkts != uint64(tables) || gotBytes != 2*uint64(totalBytes) {
+				t.Fatalf("counters diverged under cache hits: tables credit %d pkts / %d bytes, %d packets / %d bytes visited %d tables (hits %d)",
+					gotPkts, gotBytes, total, totalBytes, tables, st.Hits)
 			}
 		})
 	}

@@ -52,12 +52,12 @@ const ctrFlushPackets = 8192
 const cacheMaxCtrs = 8
 
 // ctrList records the flow entries a pipeline walk matched — by their stable
-// Counters pointers — so the verdict caches can keep per-flow statistics
+// Counters pointers — so the verdict cache can keep per-flow statistics
 // exact on hits: a cache hit replays the walk's verdict program AND bumps the
-// same entries the walk would have.  Soundness is the caches' own soundness
+// same entries the walk would have.  Soundness is the cache's own soundness
 // argument: a hit proves the packet would have taken the identical decision
-// path (exact key + generation for the microflow level, examined-bits mask
-// for the megaflow level), hence matched the identical entry chain.
+// path (same key under the compiled mask + generation), hence matched the
+// identical entry chain.
 type ctrList struct {
 	ptrs [cacheMaxCtrs]*openflow.Counters
 	n    uint8

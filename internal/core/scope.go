@@ -49,62 +49,16 @@ type modScope struct {
 // gateway_churn (0.009 against 0.016); see ROADMAP item 3 for the follow-up.
 const modLogWindow = 20
 
-// exactKey is the mask of a microflow entry in flow-key space: it covers one
-// exact key, so every bit a record constrains is compared.
-var exactKey = flowKey{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
-
-// keyProtoShift places the protocol-presence bits in flowKey.b (makeFlowKey).
-const keyProtoShift = 48
-
-// keyBits ORs a value/mask constraint on field f into the flow-key layout of
-// makeFlowKey.  Fields the key does not carry (metadata) are left
-// unconstrained, which only widens the scope.
-func keyBits(f openflow.Field, value, mask uint64, kv, km *flowKey) {
-	switch f {
-	case openflow.FieldInPort:
-		kv.a |= value
-		km.a |= mask
-	case openflow.FieldEthType:
-		kv.a |= value << 32
-		km.a |= mask << 32
-	case openflow.FieldVLANID:
-		kv.a |= value << 48
-		km.a |= mask << 48
-	case openflow.FieldEthDst:
-		kv.b |= value
-		km.b |= mask
-	case openflow.FieldEthSrc:
-		kv.c |= value
-		km.c |= mask
-	case openflow.FieldIPProto:
-		kv.c |= value << 48
-		km.c |= mask << 48
-	case openflow.FieldIPSrc:
-		kv.d |= value << 32
-		km.d |= mask << 32
-	case openflow.FieldIPDst:
-		kv.d |= value
-		km.d |= mask
-	case openflow.FieldTCPSrc, openflow.FieldUDPSrc, openflow.FieldSCTPSrc:
-		kv.e |= value
-		km.e |= mask
-	case openflow.FieldTCPDst, openflow.FieldUDPDst, openflow.FieldSCTPDst:
-		kv.e |= value << 16
-		km.e |= mask << 16
-	}
-}
-
 // overlaps reports whether some packet in the region a cache entry covers can
-// match the record: k is the probing packet's key, km the bits on which every
-// packet of the region agrees with it (exactKey for a microflow entry, the
-// group's masks for a megaflow entry).  Bits outside km are free in the
-// region, so only the common bits can rule the record out.
+// match the record: k is the entry's masked key, km the snapshot's key mask —
+// the bits on which every packet of the region agrees with it.  Bits outside
+// km are free in the region, so only the common bits can rule the record out.
 func (r *modScope) overlaps(k, km *flowKey) bool {
-	return (k.a^r.val.a)&r.mask.a&km.a|
-		(k.b^r.val.b)&r.mask.b&km.b|
-		(k.c^r.val.c)&r.mask.c&km.c|
-		(k.d^r.val.d)&r.mask.d&km.d|
-		(k.e^r.val.e)&r.mask.e&km.e == 0
+	return (k[0]^r.val[0])&r.mask[0]&km[0]|
+		(k[1]^r.val[1])&r.mask[1]&km[1]|
+		(k[2]^r.val[2])&r.mask[2]&km[2]|
+		(k[3]^r.val[3])&r.mask[3]&km[3]|
+		(k[4]^r.val[4])&r.mask[4]&km[4] == 0
 }
 
 // newestOverlap scans the last n records of the snapshot's scope log, newest
@@ -163,6 +117,47 @@ func entryWrites(e *openflow.FlowEntry) openflow.FieldSet {
 	return w
 }
 
+// keyEntry folds entry e into the compiled cache key (flowcache.go): the
+// bits its match reads, whole every field its apply- or write-actions set
+// absolutely (set-field targets; the VLAN tag on push/pop), and in_port when
+// it floods — a flood's port list depends on the ingress port whether or not
+// any entry matches it.  It also notes the fields it touches for the
+// coverage test and whether it continues to a second stage.  All three
+// accumulators only grow (a delete never shrinks them), so a flow-mod costs
+// one pass over its own entry.  It reports whether the key or the uncovered
+// set widened: such a mod is a barrier, since entries memoized under the
+// narrower key say nothing about the bits it now reads.
+func (d *Datapath) keyEntry(e *openflow.FlowEntry) (widened bool) {
+	var km, unused flowKey
+	touched := e.Match.Fields()
+	for rest := touched; rest != 0; rest &= rest - 1 {
+		f := openflow.Field(bits.TrailingZeros32(uint32(rest)))
+		_, mask, _ := e.Match.Get(f)
+		keyBits(f, 0, mask, &unused, &km)
+	}
+	for _, list := range [...]openflow.ActionList{e.Instructions.ApplyActions, e.Instructions.WriteActions} {
+		for _, a := range list {
+			f := a.Field
+			switch {
+			case a.Type == openflow.ActionSetField:
+				touched = touched.Add(f)
+			case a.Type == openflow.ActionPushVLAN || a.Type == openflow.ActionPopVLAN:
+				f = openflow.FieldVLANID
+			case a.Type == openflow.ActionOutput && a.Port == openflow.PortFlood:
+				f = openflow.FieldInPort
+			default:
+				continue
+			}
+			keyBits(f, 0, f.FullMask(), &unused, &km)
+		}
+	}
+	d.deep = d.deep || e.Instructions.HasGoto
+	widened = km.and(&d.keyMask) != km || touched&^cacheCoveredFields&^d.keyFields != 0
+	d.keyMask.or(&km)
+	d.keyFields |= touched
+	return widened
+}
+
 // markDirty folds entry e of table from into the dirty-field set of its goto
 // target — the fields that may differ from the wire on arrival there — and
 // onward through the target's own gotos while sets still grow.  Sets only
@@ -218,8 +213,8 @@ func (d *Datapath) scopeOf(table openflow.TableID, m *openflow.Match) modScope {
 	if dirty.Has(openflow.FieldVLANID) {
 		proto &^= pkt.ProtoVLAN
 	}
-	sc.val.b |= uint64(proto) << keyProtoShift
-	sc.mask.b |= uint64(proto) << keyProtoShift
+	sc.val[1] |= uint64(proto) << keyProtoShift
+	sc.mask[1] |= uint64(proto) << keyProtoShift
 	return sc
 }
 

@@ -18,35 +18,40 @@ import (
 // differential test against the interpreter), and, where the analysis
 // applies, not more (the pinning test on the counters).
 
-// scopeRig drives one datapath with both cache levels armed, and the
+// scopeRig drives one datapath with the verdict cache configured, and the
 // interpreter over its declarative pipeline as the oracle, over a fixed set
 // of frames.
 type scopeRig struct {
-	t       *testing.T
+	t       testing.TB
 	dp      *Datapath
 	w       *Worker
 	frames  [][]byte
 	inPorts []uint32
 	adds    int
+	// aliasW are two more workers, whose caches only ever see aliases of the
+	// frames (checkAliases), each pair in one order.
+	aliasW [2]*Worker
 	// metered, when set (meteredTwin), is the same pipeline compiled again
 	// without caches under a cycle meter; it receives every mod randomMod
 	// makes and check runs it as two more executors.
 	metered *Datapath
 }
 
-func newScopeRig(t *testing.T, pl *openflow.Pipeline, decompose bool, micro, mega int, frames [][]byte, inPorts []uint32) *scopeRig {
+func newScopeRig(t testing.TB, pl *openflow.Pipeline, decompose bool, entries int, frames [][]byte, inPorts []uint32) *scopeRig {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Decompose = decompose
-	opts.FlowCache = micro
-	opts.Megaflow = mega
+	opts.FlowCache = entries
 	dp, err := Compile(pl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := dp.RegisterWorker().(*Worker)
-	t.Cleanup(func() { dp.UnregisterWorker(w) })
-	return &scopeRig{t: t, dp: dp, w: w, frames: frames, inPorts: inPorts}
+	r := &scopeRig{t: t, dp: dp, frames: frames, inPorts: inPorts}
+	for _, w := range []**Worker{&r.w, &r.aliasW[0], &r.aliasW[1]} {
+		*w = dp.RegisterWorker().(*Worker)
+		t.Cleanup(func() { dp.UnregisterWorker(*w) })
+	}
+	return r
 }
 
 // meteredTwin gives the rig its metered datapath, compiled from the pipeline
@@ -65,8 +70,8 @@ func (r *scopeRig) meteredTwin() {
 
 // traceFrames takes n frames of the use case's trace, the same frames again
 // arriving on another port (traffic the pipeline mostly refuses), and
-// siblings that differ only in the L4 source port — microflows that share a
-// megaflow until a mod matches on that port.
+// siblings that differ only in the L4 source port — flows that share a cache
+// key until a mod matches on that port.
 func traceFrames(uc *workload.UseCase, n int) (frames [][]byte, inPorts []uint32) {
 	tr := uc.Trace(n)
 	for i := 0; i < n; i++ {
@@ -188,13 +193,180 @@ func (r *scopeRig) check(label string, pick func(i int) bool) {
 
 func all(int) bool { return true }
 
+// writtenValues collects, per field, the values the pipeline's actions write
+// (set-field, push_vlan) — the values at which a difference-based patch goes
+// blind: a packet that already carries one shows no difference.
+func (r *scopeRig) writtenValues() map[openflow.Field][]uint64 {
+	written := map[openflow.Field][]uint64{}
+	for _, t := range r.dp.Pipeline().Tables() {
+		for _, e := range t.Entries() {
+			for _, list := range []openflow.ActionList{e.Instructions.ApplyActions, e.Instructions.WriteActions} {
+				for _, a := range list {
+					if a.Type == openflow.ActionSetField || a.Type == openflow.ActionPushVLAN {
+						written[a.Field] = append(written[a.Field], a.Value)
+					}
+				}
+			}
+		}
+	}
+	return written
+}
+
+// keyedBits returns the bits of field f the key mask km holds.
+func keyedBits(km *flowKey, f openflow.Field) uint64 {
+	l := keyLayout[f]
+	return km[l.word] >> l.shift & f.FullMask()
+}
+
+// alias returns a copy of frame i, and an ingress port for it, that agrees
+// with the frame on every bit of the datapath's compiled cache key and
+// differs outside it in the bits flip draws — or, for a field the key does
+// not carry at all, half the time holds a value the pipeline itself writes
+// there.  The two are one cache entry, so whichever arrives first installs
+// the verdict the other is served.  Protocol presence and parse depth are
+// always in the key, so the frame's shape is left alone; checksums are not
+// verified on this path.
+func (r *scopeRig) alias(i int, flip func() uint64, written map[openflow.Field][]uint64) ([]byte, uint32) {
+	km := r.dp.snap.Load().keyMask
+	f := pkt.Clone(r.frames[i])
+	p := pkt.Packet{Data: f}
+	pkt.ParseL4(&p)
+	h := &p.Headers
+	// mut rewrites field fd, the width bytes at off, outside its keyed bits.
+	mut := func(fd openflow.Field, off, width int) {
+		keyed := keyedBits(&km, fd)
+		x, set := flip()&^keyed, uint64(0)
+		if vals := written[fd]; keyed&fd.FullMask() == 0 && len(vals) > 0 && x&1 == 0 {
+			x, set = 0, vals[int(x>>1%uint64(len(vals)))]
+		}
+		for b := 0; b < width; b++ {
+			at := &f[off+width-1-b]
+			if set != 0 {
+				*at = byte(set >> (8 * b))
+			}
+			*at ^= byte(x >> (8 * b))
+		}
+	}
+	port := r.inPorts[i]
+	if keyedBits(&km, openflow.FieldInPort) == 0 {
+		port = 1 + uint32(flip()%uint64(r.dp.Pipeline().NumPorts))
+	}
+	mut(openflow.FieldEthDst, h.L2Off, 6)
+	mut(openflow.FieldEthSrc, h.L2Off+6, 6)
+	if h.Has(pkt.ProtoVLAN) {
+		mut(openflow.FieldVLANID, h.L2Off+14, 2)
+	}
+	if h.Has(pkt.ProtoIPv4) {
+		mut(openflow.FieldIPSrc, h.L3Off+12, 4)
+		mut(openflow.FieldIPDst, h.L3Off+16, 4)
+		if h.L4Off > 0 && (h.Has(pkt.ProtoTCP) || h.Has(pkt.ProtoUDP)) {
+			mut(openflow.FieldTCPSrc, h.L4Off, 2)
+			mut(openflow.FieldTCPDst, h.L4Off+2, 2)
+		}
+	}
+	return f, port
+}
+
+// checkAliases draws two aliases of each picked frame and sends them back to
+// back, one order through each of the rig's alias workers — whose caches hold
+// nothing but what earlier aliases installed, under whatever the key was then
+// — requiring the interpreter's verdict, headers and metadata every time.
+func (r *scopeRig) checkAliases(label string, picks []int, flip func() uint64) {
+	r.t.Helper()
+	in := openflow.NewInterpreter(r.dp.Pipeline())
+	in.UpdateCounters = false
+	layer := r.dp.ParserLayer()
+	var sides [2]struct {
+		frames [][]byte
+		ports  []uint32
+	}
+	written := r.writtenValues()
+	for _, i := range picks {
+		for s := range sides {
+			f, port := r.alias(i, flip, written)
+			sides[s].frames, sides[s].ports = append(sides[s].frames, f), append(sides[s].ports, port)
+		}
+	}
+	packets := make([]pkt.Packet, MaxBurst)
+	ps := make([]*pkt.Packet, MaxBurst)
+	vs := make([]openflow.Verdict, MaxBurst)
+	for order, w := range r.aliasW {
+		for _, s := range []int{order, 1 - order} {
+			side := &sides[s]
+			for base := 0; base < len(picks); base += MaxBurst {
+				n := min(MaxBurst, len(picks)-base)
+				for j := 0; j < n; j++ {
+					packets[j] = pkt.Packet{Data: side.frames[base+j], InPort: side.ports[base+j]}
+					ps[j] = &packets[j]
+				}
+				w.Enter()
+				w.ProcessBurst(ps[:n], vs[:n])
+				w.Exit()
+				for j := 0; j < n; j++ {
+					ref := pkt.Packet{Data: side.frames[base+j], InPort: side.ports[base+j]}
+					var want openflow.Verdict
+					pkt.ParseTo(&ref, layer)
+					in.ProcessParsed(&ref, &want, nil)
+					if got := &vs[j]; !sameVerdict(got, &want) || packets[j].Headers != ref.Headers || packets[j].Metadata != ref.Metadata ||
+						(want.ToController && (got.PuntReason != want.PuntReason || got.PuntTable != want.PuntTable)) {
+						r.t.Fatalf("%s: alias %d of frame %d, sent %v on port %d: datapath says %s and left headers %+v metadata %#x; interpreter %s, %+v %#x\nkey: %s",
+							label, s, picks[base+j], order != s, side.ports[base+j], got, packets[j].Headers, packets[j].Metadata,
+							&want, ref.Headers, ref.Metadata, r.dp.snap.Load().keyMask)
+					}
+				}
+			}
+		}
+	}
+}
+
+// widen installs an entry that reads bits the compiled key does not hold yet
+// — an exact match, on the first of a few fields the key does not carry
+// whole, of frame 0's value, or a /32 on its destination — and requires the
+// flow-mod to have been logged as a barrier.  It reports whether the key grew
+// (a rig may already read every bit the mod does).
+func (r *scopeRig) widen(prefix bool) (what string, widened bool) {
+	r.t.Helper()
+	wire := pkt.Packet{Data: r.frames[0], InPort: r.inPorts[0]}
+	pkt.ParseTo(&wire, pkt.LayerL4)
+	m := openflow.NewMatch()
+	if prefix {
+		m.SetPrefix(openflow.FieldIPDst, uint64(wire.Headers.IPDst), 32)
+	} else {
+		for _, f := range []openflow.Field{openflow.FieldTCPDst, openflow.FieldEthSrc, openflow.FieldEthDst} {
+			if km := r.dp.snap.Load().keyMask; keyedBits(&km, f) != f.FullMask() {
+				m.Set(f, openflow.Extract(&wire, f))
+				break
+			}
+		}
+	}
+	// Where the frame's walk ends, so the entry is live, and at a priority of
+	// its own above every other entry's (see randomMod's add).
+	steps := r.dp.Trace(&pkt.Packet{Data: r.frames[0], InPort: r.inPorts[0]}).Steps
+	tid := steps[len(steps)-1].Table
+	before, flushes := r.dp.snap.Load().keyMask, r.dp.FlowCacheStats().Flushes
+	r.adds++
+	e := openflow.NewEntry(30000+r.adds, m, openflow.Apply(openflow.Output(1)))
+	for _, dp := range []*Datapath{r.metered, r.dp} {
+		if dp != nil {
+			if err := dp.AddFlow(tid, e.Clone()); err != nil {
+				r.t.Fatal(err)
+			}
+		}
+	}
+	widened = r.dp.snap.Load().keyMask != before
+	if widened && r.dp.FlowCacheStats().Flushes != flushes+1 {
+		r.t.Fatalf("add %v widened the key from %s to %s without a barrier", e, before, r.dp.snap.Load().keyMask)
+	}
+	return fmt.Sprintf("widen table %d %v", tid, e), widened
+}
+
 // randomMod applies one seeded flow-mod: a delete of an installed entry
 // (which uncovers whatever it shadowed), a replace in place of one, or an
 // add whose match is drawn from the fields of a live frame.  Two kinds of add
 // are aimed: one in the last table of a frame's walk, on a field the walk
 // rewrote, with the rewritten value — the probe sees the wire value, so
 // comparing the two would wrongly clear the flow — and one on a frame's L4
-// source port alone, which splits a megaflow between sibling microflows.  It
+// source port alone, which splits a cache key between sibling flows.  It
 // returns a description for failure messages.
 func (r *scopeRig) randomMod(rng *rand.Rand) string {
 	pl := r.dp.Pipeline()
@@ -333,16 +505,18 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 	return add("add", tid, rng.Intn(3), m, instructions(tid))
 }
 
-// TestScopedInvalidationDifferential runs seeded random flow-mod sequences
-// against the gateway, L3, firewall and (decomposed) load-balancer pipelines
-// and, after every mod, compares the datapath with the interpreter.  A third
-// of the frames is probed after every mod, a third every 7 and a third every
-// 53 — more than the scope log's window, and more than its backing array —
-// so revalidation runs against one record, against several, and against a
-// log that no longer reaches back.
-// Along the way the sequences reinstall the whole pipeline once, grow small
-// tables out of the direct-code template, and create tables.
-func TestScopedInvalidationDifferential(t *testing.T) {
+// rigCase is one pipeline of the generated-flow-mod suites with its frames.
+type rigCase struct {
+	name      string
+	pl        *openflow.Pipeline
+	decompose bool
+	frames    func(n int) ([][]byte, []uint32)
+}
+
+// rigCases are the gateway, L3, firewall and (decomposed) load-balancer
+// pipelines TestScopedInvalidationDifferential and FuzzCompiledKeyAliasing
+// mutate.
+func rigCases() []rigCase {
 	firewallFrames := func(n int) (frames [][]byte, inPorts []uint32) {
 		b := pkt.NewBuilder(128)
 		for i := 0; i < n; i++ {
@@ -360,78 +534,103 @@ func TestScopedInvalidationDifferential(t *testing.T) {
 	gw := workload.GatewayUseCase(workload.GatewayConfig{CEs: 3, UsersPerCE: 5, Prefixes: 300, Seed: 5})
 	l3 := workload.L3UseCase(400, 8, 7)
 	lb := workload.LoadBalancerUseCase(50)
-	cases := []struct {
-		name      string
-		pl        *openflow.Pipeline
-		decompose bool
-		frames    func(n int) ([][]byte, []uint32)
-	}{
+	return []rigCase{
 		{"gateway", gw.Pipeline, false, func(n int) ([][]byte, []uint32) { return traceFrames(gw, n) }},
 		{"l3", l3.Pipeline, false, func(n int) ([][]byte, []uint32) { return traceFrames(l3, n) }},
 		{"firewall", workload.FirewallMultiStage(), false, firewallFrames},
 		{"loadbalancer-decomposed", lb.Pipeline, true, func(n int) ([][]byte, []uint32) { return traceFrames(lb, n) }},
 	}
-	megaRevalidated := uint64(0)
-	for _, c := range cases {
+}
+
+// TestScopedInvalidationDifferential runs seeded random flow-mod sequences
+// against the gateway, L3, firewall and (decomposed) load-balancer pipelines
+// and, after every mod, compares the datapath with the interpreter.  A third
+// of the frames is probed after every mod, a third every 7 and a third every
+// 53 — more than the scope log's window, and more than its backing array —
+// so revalidation runs against one record, against several, and against a
+// log that no longer reaches back.
+// Along the way the sequences reinstall the whole pipeline once, grow small
+// tables out of the direct-code template, create tables, and twice widen the
+// compiled cache key on purpose (a first exact match on a field, a longer
+// prefix than any installed).  After every mod, too, pairs of frames that
+// agree on the compiled key and are random outside it are sent back to back,
+// in both orders: whichever installs the entry, the other must be served the
+// interpreter's verdict and headers for itself (checkAliases).
+func TestScopedInvalidationDifferential(t *testing.T) {
+	for _, c := range rigCases() {
 		for _, seed := range []int64{1, 2} {
 			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
-				// A microflow cache that holds every frame, then one (256
-				// entries, the minimum) that thrashes under more frames than
-				// it holds, so that the megaflow level carries verdicts
-				// across mods too.
-				micro, nFrames := 4096, 96
+				// A cache that holds every frame, then one (256 entries, the
+				// minimum) that thrashes under more frames than it holds.
+				entries, nFrames := 4096, 96
 				if seed == 2 {
-					micro, nFrames = 64, 400
+					entries, nFrames = 64, 400
 				}
 				frames, inPorts := c.frames(nFrames)
-				r := newScopeRig(t, c.pl, c.decompose, micro, 4096, frames, inPorts)
+				r := newScopeRig(t, c.pl, c.decompose, entries, frames, inPorts)
 				r.meteredTwin()
 				if c.decompose && r.dp.DecomposedTables() == 0 {
 					t.Fatal("the decomposed case did not decompose")
 				}
 				rng := rand.New(rand.NewSource(seed))
+				// The aliases draw from a source of their own, so the mod
+				// sequence is a function of the seed alone.
+				aliasRng := rand.New(rand.NewSource(seed ^ 0x616c696173))
 				templates := map[TemplateKind]bool{}
 				r.check("cold", all)
 				r.check("warm", all)
 				const mods = 240
+				widenings := 0
 				for n := 1; n <= mods; n++ {
 					// A decomposed datapath logs every mod as a barrier.
 					barriersOnly := r.dp.DecomposedTables() > 0
-					kept := r.dp.FlowCacheStats().Revalidated + r.dp.MegaflowStats().Revalidated
+					kept := r.dp.FlowCacheStats().Revalidated
 					var what string
-					if n == mods/2 {
+					widened := false
+					switch n {
+					case mods / 2:
 						what = "InstallPipeline"
 						for _, dp := range []*Datapath{r.dp, r.metered} {
 							if err := dp.InstallPipeline(r.dp.Pipeline().Clone()); err != nil {
 								t.Fatal(err)
 							}
 						}
-					} else {
+					case mods / 4, 3 * mods / 4:
+						if what, widened = r.widen(n > mods/2); widened {
+							widenings++
+						}
+					default:
 						what = r.randomMod(rng)
 					}
 					if k, ok := r.dp.TableTemplate(0); ok {
 						templates[k] = true
 					}
-					r.check(fmt.Sprintf("after mod %d (%s)", n, what), func(i int) bool {
-						switch i % 3 {
-						case 0:
+					label := fmt.Sprintf("after mod %d (%s)", n, what)
+					r.check(label, func(i int) bool {
+						switch {
+						case i%3 == 0 || widened:
 							return true
-						case 1:
+						case i%3 == 1:
 							return n%7 == 0
 						default:
 							return n%53 == 0
 						}
 					})
-					if now := r.dp.FlowCacheStats().Revalidated + r.dp.MegaflowStats().Revalidated; barriersOnly && now != kept {
-						t.Fatalf("mod %d (%s) on a decomposed datapath let %d probes revalidate", n, what, now-kept)
+					picks := make([]int, 8)
+					for j := range picks {
+						picks[j] = aliasRng.Intn(len(frames))
+					}
+					r.checkAliases(label, picks, aliasRng.Uint64)
+					if now := r.dp.FlowCacheStats().Revalidated; (barriersOnly || widened) && now != kept {
+						t.Fatalf("mod %d (%s), a barrier, let %d probes revalidate", n, what, now-kept)
 					}
 				}
 				r.check("final", all)
 
-				st, ms := r.dp.FlowCacheStats(), r.dp.MegaflowStats()
-				t.Logf("micro %+v mega %+v", st, ms)
+				st := r.dp.FlowCacheStats()
+				t.Logf("%+v", st)
 				if !r.dp.FlowCacheEnabled() {
-					t.Fatal("the mod sequence made the pipeline uncacheable; the run proved nothing")
+					t.Fatal("the mod sequence disarmed the cache; the run proved nothing")
 				}
 				if st.Hits == 0 || st.Stale == 0 || st.Expired == 0 || st.Flushes == 0 {
 					t.Fatalf("expected hits, stale and expired probes, and flushes (InstallPipeline): %+v", st)
@@ -439,15 +638,14 @@ func TestScopedInvalidationDifferential(t *testing.T) {
 				if !c.decompose && st.Revalidated == 0 {
 					t.Fatalf("no probe was ever revalidated: %+v", st)
 				}
-				megaRevalidated += ms.Revalidated
+				if widenings == 0 {
+					t.Fatal("neither aimed mod widened the compiled key")
+				}
 				if c.name == "firewall" && len(templates) < 2 {
 					t.Fatalf("table 0 never left its template: %v", templates)
 				}
 			})
 		}
-	}
-	if megaRevalidated == 0 && !t.Failed() {
-		t.Fatal("no megaflow probe was ever revalidated in any case")
 	}
 }
 
@@ -466,7 +664,7 @@ func TestScopedInvalidationPins(t *testing.T) {
 		f, port := tr.Frame(i)
 		frames, inPorts = append(frames, f), append(inPorts, port)
 	}
-	r := newScopeRig(t, uc.Pipeline, false, 4096, 4096, frames, inPorts)
+	r := newScopeRig(t, uc.Pipeline, false, 4096, frames, inPorts)
 	r.check("cold", all)
 	r.check("warm", all)
 
@@ -493,7 +691,7 @@ func TestScopedInvalidationPins(t *testing.T) {
 		t.Fatalf("after a route no flow takes: %d hits, %d stale, %d revalidated of %d", hits, stale, reval, nFlows)
 	}
 	if res := r.dp.Trace(&pkt.Packet{Data: frames[0], InPort: inPorts[0]}); res.Revalidated != 1 || res.Stale != nil ||
-		!strings.Contains(res.String(), "megaflow-eligible; revalidated against 1 mods\n") {
+		!strings.Contains(res.String(), "; revalidated against 1 mods\n") {
 		t.Fatalf("trace should report one mod survived and none overlapping:\n%s", res)
 	}
 
@@ -619,11 +817,11 @@ func TestDirtyFieldAnalysis(t *testing.T) {
 	m := openflow.NewMatch().Set(openflow.FieldVLANID, 100).Set(openflow.FieldIPDst, dst)
 	ipv4, vlan := uint64(pkt.ProtoIPv4)<<keyProtoShift, uint64(pkt.ProtoVLAN)<<keyProtoShift
 	if sc := dp.scopeOf(workload.GatewayTableRouting, m); sc.barrier ||
-		sc.mask != (flowKey{b: ipv4, d: 0xffffffff}) || sc.val != (flowKey{b: ipv4, d: dst}) {
+		sc.mask != (flowKey{1: ipv4, 3: 0xffffffff}) || sc.val != (flowKey{1: ipv4, 3: dst}) {
 		t.Fatalf("routing-table scope of %v: %+v", m, sc)
 	}
 	if sc := dp.scopeOf(workload.GatewayTableClassifier, m); sc.barrier ||
-		sc.mask != (flowKey{a: 0xfff << 48, b: ipv4 | vlan, d: 0xffffffff}) || sc.val != (flowKey{a: 100 << 48, b: ipv4 | vlan, d: dst}) {
+		sc.mask != (flowKey{0: 0xfff << 48, 1: ipv4 | vlan, 3: 0xffffffff}) || sc.val != (flowKey{0: 100 << 48, 1: ipv4 | vlan, 3: dst}) {
 		t.Fatalf("classifier scope of %v: %+v", m, sc)
 	}
 	if sc := dp.scopeOf(workload.GatewayTableClassifier, openflow.NewMatch().Set(openflow.FieldIPDSCP, 1)); !sc.barrier {

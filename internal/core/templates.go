@@ -82,12 +82,7 @@ func (d *directCode) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, _ *burs
 }
 
 // LookupObserved evaluates the rules in priority order, charging the fixed
-// and per-rule cost of every rule examined until the first match.  Under a
-// mask accumulator each of those rules contributes the bits it had to read
-// (the full per-field masks on a match; on a mismatch, only the bits proving
-// it, with MSB prefix refinement on ports and addresses): the retained
-// openflow match of each entry drives the observation, and it is semantically
-// identical to the compiled matcher closures.
+// and per-rule cost of every rule examined until the first match.
 func (d *directCode) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
 	m := o.meter
 	m.AddCycles(cpumodel.CostDirectFixed)
@@ -99,10 +94,8 @@ func (d *directCode) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
 			// data cache instead of the instruction stream.
 			m.RegionAccess(d.keyRegion, uint64(i)*64)
 		}
-		matched := false
-		if o.acc != nil {
-			matched = o.acc.ObserveRule(p, e.out.match)
-		} else if matched = p.Headers.Has(e.proto); matched {
+		matched := p.Headers.Has(e.proto)
+		if matched {
 			for _, match := range e.matchers {
 				if !match(p) {
 					matched = false
@@ -333,21 +326,11 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burs
 }
 
 // LookupObserved charges the fixed cost plus one access into the table's
-// region, and reports the template's full field/mask vector plus its protocol
-// prerequisite: a compound-hash lookup compares the entire packed key, so hit
-// or miss, every masked bit of every key field was examined.
+// region.
 func (h *hashTable) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
 	o.meter.AddCycles(cpumodel.CostHashFixed)
-	if o.acc != nil {
-		o.acc.ObservePrereq(p, h.proto)
-	}
 	if !p.Headers.Has(h.proto) {
 		return lookupOutcome{entry: h.def}
-	}
-	if o.acc != nil {
-		for i, f := range h.fields {
-			o.acc.Observe(p, f, h.masks[i])
-		}
 	}
 	key := packKey(p, h.fields, h.masks)
 	if m := o.meter; m != nil {
@@ -550,18 +533,9 @@ func (l *lpmTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burst
 
 // LookupObserved charges the fixed cost plus one access to the first level
 // and one more when the lookup had to follow a tbl8 group (Fig. 20 charges
-// 13 + 2·Lx assuming 2), and reports the matched-prefix mask: a DIR-24-8
-// resolution that stops at the first level decided on the address's top
-// /stride bits (every address in the block shares the result — hit or miss),
-// and a tbl8 descent on /stride+8.  The derived megaflow therefore wildcards
-// the low address bits at the structure's block granularity, which is at
-// least as specific as the longest matched prefix (over-specific only within
-// a block, never wrong).
+// 13 + 2·Lx assuming 2).
 func (l *lpmTable) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
 	o.meter.AddCycles(cpumodel.CostLPMFixed)
-	if o.acc != nil {
-		o.acc.ObservePrereq(p, l.proto)
-	}
 	if !p.Headers.Has(l.proto) {
 		return lookupOutcome{entry: l.def}
 	}
@@ -572,18 +546,6 @@ func (l *lpmTable) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
 		if depth > 1 {
 			m.RegionAccess(l.region, uint64(addr)|1<<40)
 		}
-	}
-	if o.acc != nil {
-		plen := l.table.Stride()
-		if depth > 1 {
-			plen += 8
-		}
-		width := int(l.field.Width())
-		mask := l.field.FullMask()
-		if plen < width {
-			mask &^= (uint64(1) << (width - plen)) - 1
-		}
-		o.acc.Observe(p, l.field, mask)
 	}
 	if !ok {
 		return lookupOutcome{entry: l.def}
@@ -729,18 +691,9 @@ func (l *listTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, _ *burst
 }
 
 // LookupObserved charges one group cost and one region access per tuple
-// probed.  Under a mask accumulator it runs the classifier's observing
-// lookup, which reports the field masks of every probed tuple plus their
-// protocol prerequisites (the probe sequence is a function of the observed
-// bits, so tuple priority sorting's early exit stays sound for megaflow
-// derivation).
+// probed.
 func (l *listTable) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
-	var res tss.LookupResult
-	if o.acc != nil {
-		res = l.classifier.LookupObserved(p, o.acc)
-	} else {
-		res = l.classifier.Lookup(p, nil)
-	}
+	res := l.classifier.Lookup(p, nil)
 	if m := o.meter; m != nil {
 		m.AddCycles(cpumodel.CostTSSPerGroup * maxInt(res.GroupsProbed, 1))
 		for g := 0; g < res.GroupsProbed; g++ {

@@ -17,7 +17,7 @@ import (
 //   - Trace replays one packet through the pipeline off the hot path,
 //     recording what the forwarding walk only decides: which table, compiled
 //     template and entry classified the packet at every step, and what the
-//     cache hierarchy would have done with it.
+//     verdict cache would have done with it.
 //
 // Neither touches the worker hot path: both run under the writer mutex or an
 // epoch pin, exactly like the admin operations that already exist.
@@ -104,35 +104,30 @@ type TraceResult struct {
 	ParserLayer pkt.Layer
 	// Headers is the parsed view of the packet before any rewrites.
 	Headers pkt.Headers
-	// FlowHash is the packet's symmetric RSS/microflow hash: which RX queue
-	// a multi-queue NIC steers it to, and the microflow cache's probe key.
+	// FlowHash is the packet's symmetric RSS hash: which RX queue a
+	// multi-queue NIC steers it to.
 	FlowHash uint32
 	// Generation is the datapath generation the trace ran under.
 	Generation uint64
-	// Cacheable reports whether pipeline verdicts may be memoized at all
-	// (every used match field covered by the canonical flow key, per-flow
-	// counters off); MicroflowEligible/MegaflowEligible report whether the
-	// respective cache layers are compiled in on top of that.
-	Cacheable         bool
-	MicroflowEligible bool
-	MegaflowEligible  bool
+	// Armed reports whether the burst path probes the verdict cache for this
+	// pipeline; CacheKey lists the fields of the compiled key it probes on
+	// and Unarmed says, when it is not armed, why (Datapath.FlowCacheKey).
+	Armed    bool
+	CacheKey string
+	Unarmed  string
 	// Revalidated and Stale explain what the flow-mods in the scope log
-	// mean for a verdict memoized for this packet's microflow (meaningful
-	// when MicroflowEligible): an entry as old as the Revalidated newest
-	// mods is still served, refreshed in place by the probe; Stale is the
-	// mod just before those, the newest one that overlaps the packet (or is
-	// a barrier) and so stales anything memoized before its generation —
-	// nil when no logged mod does.
+	// mean for a verdict memoized under this packet's key (meaningful when
+	// Armed): an entry as old as the Revalidated newest mods is still
+	// served, refreshed in place by the probe; Stale is the mod just before
+	// those, the newest one that overlaps the key (or is a barrier) and so
+	// stales anything memoized before its generation — nil when no logged
+	// mod does.
 	Revalidated int
 	Stale       *TraceStaleMod
 	// Steps are the table lookups in walk order.
 	Steps []TraceStep
 	// Verdict is the walk's outcome.
 	Verdict openflow.Verdict
-	// MegaflowMask is the minimal masked match the megaflow layer would
-	// install to cover this walk (the fields/bits the lookups examined),
-	// in field order.  Empty when the walk examined nothing.
-	MegaflowMask []TraceMaskField
 }
 
 // TraceStaleMod identifies a logged flow-mod by the generation it produced
@@ -144,21 +139,14 @@ type TraceStaleMod struct {
 	Barrier    bool
 }
 
-// TraceMaskField is one field of the trace's accumulated megaflow mask.
-type TraceMaskField struct {
-	Field openflow.Field
-	Value uint64
-	Mask  uint64
-}
-
 // Trace replays one packet through the compiled pipeline and explains every
 // step.  It is the forwarding path's own sequential walk (Datapath.walk)
-// under an observer that records the steps and the examined bits, so it
-// cannot disagree with forwarding; it never bumps per-flow counters, never
-// installs cache entries and charges no meter; p is parsed and may
-// be rewritten in place, exactly as forwarding would.  Safe to call from
-// any goroutine concurrently with forwarding and flow-mods: the walk runs
-// inside an epoch pin like Datapath.Process.
+// under an observer that records the steps, so it cannot disagree with
+// forwarding; it never bumps per-flow counters, never installs cache entries
+// and charges no meter; p is parsed and may be rewritten in place, exactly as
+// forwarding would.  Safe to call from any goroutine concurrently with
+// forwarding and flow-mods: the walk runs inside an epoch pin like
+// Datapath.Process.
 func (d *Datapath) Trace(p *pkt.Packet) *TraceResult {
 	w := d.pinGet()
 	w.Enter()
@@ -166,21 +154,21 @@ func (d *Datapath) Trace(p *pkt.Packet) *TraceResult {
 
 	sn := d.snap.Load()
 	res := &TraceResult{
-		InPort:            p.InPort,
-		ParserLayer:       sn.parserLayer,
-		Generation:        sn.gen,
-		Cacheable:         sn.cacheable,
-		MicroflowEligible: sn.cacheable && d.opts.FlowCache > 0 && d.meter == nil,
+		InPort:      p.InPort,
+		ParserLayer: sn.parserLayer,
+		Generation:  sn.gen,
+		Armed:       sn.armed,
+		CacheKey:    sn.keyMask.String(),
+		Unarmed:     d.unarmedWhy(sn),
 	}
-	res.MegaflowEligible = res.MicroflowEligible && d.opts.Megaflow > 0
 
 	pkt.ParseTo(p, sn.parserLayer)
 	res.Headers = p.Headers
 	res.FlowHash = p.FlowHash()
-	if res.MicroflowEligible {
-		k := makeFlowKey(p)
+	if res.Armed {
+		k := makeFlowKey(p).and(&sn.keyMask)
 		res.Revalidated = len(sn.mods)
-		if i := sn.newestOverlap(len(sn.mods), &k, &exactKey); i >= 0 {
+		if i := sn.newestOverlap(len(sn.mods), &k, &sn.keyMask); i >= 0 {
 			res.Revalidated = len(sn.mods) - 1 - i
 			res.Stale = &TraceStaleMod{
 				Generation: sn.gen - uint64(res.Revalidated),
@@ -190,19 +178,9 @@ func (d *Datapath) Trace(p *pkt.Packet) *TraceResult {
 		}
 	}
 
-	// The mask accumulator observes the walk from the original packet view
-	// (rewrites along the walk must not leak into the reported mask).
-	orig := *p
-	var acc openflow.MaskAccumulator
-	acc.PrefixTracking = true
-	acc.Reset(&orig)
-
 	res.Verdict.Reset()
 	var set openflow.ActionList
-	d.walk(sn, p, &res.Verdict, &set, &observer{acc: &acc, steps: &res.Steps}, false, nil)
-	acc.ForEach(func(f openflow.Field, value, mask uint64) {
-		res.MegaflowMask = append(res.MegaflowMask, TraceMaskField{Field: f, Value: value, Mask: mask})
-	})
+	d.walk(sn, p, &res.Verdict, &set, &observer{steps: &res.Steps}, false, nil)
 	return res
 }
 
@@ -243,37 +221,25 @@ func (r *TraceResult) String() string {
 	default:
 		fmt.Fprintf(&sb, "  verdict: drop (table_miss=%v)\n", v.TableMiss)
 	}
-	switch {
-	case !r.Cacheable:
-		sb.WriteString("  cache: not cacheable (pipeline matches a field outside the canonical flow key)\n")
-	case !r.MicroflowEligible:
-		sb.WriteString("  cache: cacheable, microflow cache not compiled in\n")
+	if !r.Armed {
+		fmt.Fprintf(&sb, "  cache: not armed (%s)", r.Unarmed)
+		if r.CacheKey != "" {
+			fmt.Fprintf(&sb, ", key: %s", r.CacheKey)
+		}
+		sb.WriteByte('\n')
+		return sb.String()
+	}
+	fmt.Fprintf(&sb, "  cache: armed, key: %s", r.CacheKey)
+	if r.Revalidated > 0 {
+		fmt.Fprintf(&sb, "; revalidated against %d mods", r.Revalidated)
+	}
+	switch st := r.Stale; {
+	case st == nil:
+	case st.Barrier:
+		fmt.Fprintf(&sb, "; stale: barrier mod gen %d", st.Generation)
 	default:
-		fmt.Fprintf(&sb, "  cache: microflow-eligible (probe 0x%08x)", r.FlowHash)
-		if r.MegaflowEligible {
-			sb.WriteString(", megaflow-eligible")
-		}
-		if r.Revalidated > 0 {
-			fmt.Fprintf(&sb, "; revalidated against %d mods", r.Revalidated)
-		}
-		switch st := r.Stale; {
-		case st == nil:
-		case st.Barrier:
-			fmt.Fprintf(&sb, "; stale: barrier mod gen %d", st.Generation)
-		default:
-			fmt.Fprintf(&sb, "; stale: overlaps mod gen %d in table %d", st.Generation, st.Table)
-		}
-		sb.WriteByte('\n')
+		fmt.Fprintf(&sb, "; stale: overlaps mod gen %d in table %d", st.Generation, st.Table)
 	}
-	if len(r.MegaflowMask) > 0 {
-		sb.WriteString("  megaflow: ")
-		for i, f := range r.MegaflowMask {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%s=0x%x/0x%x", f.Field, f.Value, f.Mask)
-		}
-		sb.WriteByte('\n')
-	}
+	sb.WriteByte('\n')
 	return sb.String()
 }

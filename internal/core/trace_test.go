@@ -21,7 +21,9 @@ func tracePipeline() *openflow.Pipeline {
 }
 
 func TestTraceExplainsWalk(t *testing.T) {
-	dp, err := Compile(tracePipeline(), DefaultOptions())
+	opts := DefaultOptions()
+	opts.FlowCache = 256
+	dp, err := Compile(tracePipeline(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,19 +49,23 @@ func TestTraceExplainsWalk(t *testing.T) {
 	if !v.Equivalent(&res.Verdict) {
 		t.Fatalf("trace verdict %v != forwarding verdict %v", res.Verdict, v)
 	}
-	// The accumulated megaflow mask must cover the examined fields.
-	fields := map[openflow.Field]bool{}
-	for _, f := range res.MegaflowMask {
-		fields[f.Field] = true
-	}
-	if !fields[openflow.FieldInPort] || !fields[openflow.FieldTCPDst] {
-		t.Fatalf("megaflow mask misses examined fields: %+v", res.MegaflowMask)
+	// The trace names the compiled cache key: what the two stages read.
+	if !res.Armed || res.CacheKey != "in_port l4_dst" || res.Unarmed != "" {
+		t.Fatalf("two-stage pipeline: armed=%v key=%q unarmed=%q", res.Armed, res.CacheKey, res.Unarmed)
 	}
 	out := res.String()
-	for _, want := range []string{"table 0", "table 1", "output", "megaflow:"} {
+	for _, want := range []string{"table 0", "table 1", "output", "cache: armed, key: in_port l4_dst\n"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered trace missing %q:\n%s", want, out)
 		}
+	}
+	// Without Options.FlowCache the trace says why nothing is cached.
+	plain, err := Compile(tracePipeline(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := plain.Trace(tcpPacket(t, 1, 0x0a000001, 0x0a000002, 1234, 80)).String(); !strings.Contains(out, "cache: not armed (Options.FlowCache is off)\n") {
+		t.Fatalf("rendered trace of a cache-less datapath:\n%s", out)
 	}
 
 	// A missing packet: the walk ends in a miss punt at table 1.

@@ -115,7 +115,7 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 	// before mutating anything must not cost any worker a cached verdict.
 	// The mutation is logged as a barrier unless the straight-line path
 	// below gets as far as narrowing it to the entry's match: creating a
-	// table or deepening the parser keeps it one.
+	// table, deepening the parser or widening the cache key keeps it one.
 	mutated := false
 	scope := barrierScope(tableID)
 	defer func() {
@@ -165,24 +165,33 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 	}
 	replaced := !t.Add(e)
 	mutated = true
-	// The entry is now part of the declarative pipeline, so its match
-	// fields join the cacheability accumulator — not earlier, or a failed
-	// AddFlow with an uncovered field would disable the microflow cache for
-	// a pipeline that never changed.
-	d.usedFields = d.usedFields.Union(e.Match.Fields())
+	// The entry is now part of the declarative pipeline, so it joins the
+	// cache key and the dirty sets — not earlier, or a failed AddFlow reading
+	// an uncovered field would disarm the cache of a pipeline that never
+	// changed.
+	widened := false
 	if d.dirty != nil {
+		widened = d.keyEntry(e)
 		d.markDirty(tableID, e)
 	}
 
 	// The parser template must stay deep enough for every match field in
-	// the pipeline, including the one just added.  The deeper parse depth
-	// must be published — and a grace period observed — BEFORE the entry's
-	// table can become visible below: an in-flight burst parsed to the old
-	// (shallower) layer must never evaluate the new entry's matchers on
-	// unparsed fields.
-	if l := e.Match.RequiredLayer(); d.opts.SpecializeParser && l > d.parserLayer {
+	// the pipeline, including the one just added, and the cache key wide
+	// enough for every bit it reads.  Both must be published — and a grace
+	// period observed — BEFORE the entry's table can become visible below: an
+	// in-flight burst parsed to the old (shallower) layer must never evaluate
+	// the new entry's matchers on unparsed fields, and one probing under the
+	// old (narrower) key must never memoize a walk of the new table, or the
+	// next packet that differs only in a newly read bit would be served a
+	// verdict that is right under neither configuration.  (Entries keyed
+	// under the narrower mask stay servable until the barrier logged on exit,
+	// which is sound: they hold verdicts of the old table.)
+	deeper := d.opts.SpecializeParser && e.Match.RequiredLayer() > d.parserLayer
+	if deeper || widened {
 		scoped = false
-		d.parserLayer = l
+		if deeper {
+			d.parserLayer = e.Match.RequiredLayer()
+		}
 		d.publish()
 		d.epochs.synchronize()
 	}
@@ -286,10 +295,10 @@ func (d *Datapath) InstallPipeline(pl *openflow.Pipeline) error {
 	d.decomposedBy = nd.decomposedBy
 	d.versions = make(map[openflow.TableID]*tableVersion)
 	d.rebuilds.Add(nd.rebuilds.Load())
-	// A fresh pipeline resets the used-field and dirty-field accumulators
+	// A fresh pipeline resets the cache-key and dirty-field accumulators
 	// (the only place they may shrink — the whole compiled state was
 	// replaced) and retires every memoized verdict.
-	d.usedFields = nd.usedFields
+	d.keyMask, d.keyFields, d.deep = nd.keyMask, nd.keyFields, nd.deep
 	d.dirty = nd.dirty
 	d.logMod(barrierScope(0))
 	d.publish()

@@ -50,15 +50,13 @@ type Worker struct {
 	// obs is the meter shard's observer for the sequential walk (nil when
 	// the datapath is unmetered).
 	obs *observer
-	// cache is the worker's private microflow verdict cache (flowcache.go),
-	// nil unless Options.FlowCache is set on an unmetered datapath.  Like
-	// the scratch it is owned outright: one writer, no locks, no shared
-	// mutable state — only its stat mirrors are read by other goroutines.
+	// cache is the worker's private verdict cache (flowcache.go), allocated
+	// at registration when the pipeline's cache is armed and otherwise once a
+	// flow-mod arms it (armCache), so a datapath whose pipeline never arms it
+	// pays nothing for Options.FlowCache.  Like the scratch it is owned
+	// outright: one writer, no locks, no shared mutable state — only its stat
+	// mirrors are read by other goroutines.
 	cache *FlowCache
-	// mega is the worker's private megaflow second-level cache (megaflow.go),
-	// nil unless Options.Megaflow is set alongside FlowCache on an unmetered
-	// datapath.  Same ownership discipline as cache.
-	mega *megaCache
 	// scratch is the worker-owned working state of the burst engine.  It
 	// lives inside the Worker (one allocation at registration) so the
 	// steady-state burst path touches no pool and shares no scratch memory
@@ -66,10 +64,8 @@ type Worker struct {
 	scratch burstScratch
 }
 
-// newWorker registers a worker: an epoch in the quiescence domain, a shard of
-// the datapath meter when metered, and a private microflow cache when
-// Options.FlowCache asks for one (metered datapaths never cache — the cycle
-// model must observe the full template walk).
+// newWorker registers a worker: an epoch in the quiescence domain and a shard
+// of the datapath meter when metered.
 func (d *Datapath) newWorker() *Worker {
 	w := &Worker{d: d, epoch: d.epochs.register()}
 	if d.meter != nil {
@@ -82,18 +78,23 @@ func (d *Datapath) newWorker() *Worker {
 		// shared atomic RMWs per packet.
 		w.scratch.ctr = newFlowCtrAccum()
 	}
-	if d.opts.FlowCache > 0 && d.meter == nil {
-		w.cache = newFlowCache(d.opts.FlowCache, d.opts.UpdateCounters)
-		// The burst engine's cache staging rides along only for workers
-		// that own a cache; the default cache-off scratch stays lean.
-		w.scratch.cache = new(cacheScratch)
-		d.caches.register(w.cache)
-		if d.opts.Megaflow > 0 {
-			w.mega = newMegaCache(d.opts.Megaflow, d.opts.UpdateCounters)
-			d.megas.register(w.mega)
-		}
+	if d.snap.Load().armed {
+		w.armCache()
 	}
 	return w
+}
+
+// armCache gives the worker its verdict cache and the burst engine's cache
+// staging, which ride along only for workers that forward through an armed
+// pipeline; the cache-off scratch stays lean.  It runs once per worker: at
+// registration, or — for a pipeline a later flow-mod arms — in the first
+// Enter that sees it armed, ahead of the read-side critical section, so
+// zeroing the cache (tens of megabytes at eswitchd's suggested size) delays
+// no writer's grace period.
+func (w *Worker) armCache() {
+	w.cache = newFlowCache(w.d.opts.FlowCache, w.d.opts.UpdateCounters)
+	w.scratch.cache = new(cacheScratch)
+	w.d.caches.register(w.cache)
 }
 
 // releaseWorker retires a worker: its epoch leaves the quiescence domain, its
@@ -107,9 +108,6 @@ func (d *Datapath) releaseWorker(w *Worker) {
 	if w.cache != nil {
 		d.caches.retire(w.cache)
 	}
-	if w.mega != nil {
-		d.megas.retire(w.mega)
-	}
 	if w.scratch.ctr != nil {
 		w.scratch.ctr.flush()
 	}
@@ -120,6 +118,9 @@ func (d *Datapath) releaseWorker(w *Worker) {
 func (w *Worker) Enter() {
 	if ctr := w.scratch.ctr; ctr != nil {
 		ctr.sawBurst = false
+	}
+	if w.cache == nil && w.d.opts.FlowCache > 0 && w.d.snap.Load().armed {
+		w.armCache()
 	}
 	w.epoch.Enter()
 }
@@ -142,8 +143,8 @@ func (w *Worker) Meter() *cpumodel.Meter { return w.meter }
 
 // ProcessBurst sends a burst of packets through the compiled fast path using
 // the worker's own resources: its burst scratch (no pool access) and — when
-// enabled and the pipeline is cacheable — its microflow verdict cache, which
-// lets repeat microflows skip the template walk entirely.  It performs no
+// the pipeline arms it — its verdict cache, which lets repeat keys skip the
+// template walk entirely.  It performs no
 // locks and no atomic read-modify-writes — one atomic snapshot load, then
 // pure computation — except for the amortized fold of the flow-counter
 // accumulator on a counters-enabled datapath (a batch of atomic adds at most
@@ -160,12 +161,17 @@ func (w *Worker) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
 		}
 		return
 	}
+	if sn.armed && w.cache == nil {
+		// Armed between Enter and the load above (or a caller that quiesces
+		// updates externally and never Enters).
+		w.armCache()
+	}
 	for len(ps) > MaxBurst {
-		w.d.processBurst(&w.scratch, sn, w.cache, w.mega, ps[:MaxBurst], vs[:MaxBurst])
+		w.d.processBurst(&w.scratch, sn, w.cache, ps[:MaxBurst], vs[:MaxBurst])
 		ps, vs = ps[MaxBurst:], vs[MaxBurst:]
 	}
 	if len(ps) > 0 {
-		w.d.processBurst(&w.scratch, sn, w.cache, w.mega, ps, vs)
+		w.d.processBurst(&w.scratch, sn, w.cache, ps, vs)
 	}
 	if ctr := w.scratch.ctr; ctr != nil {
 		ctr.sawBurst = true

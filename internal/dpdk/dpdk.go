@@ -447,15 +447,6 @@ type CacheDatapath interface {
 	FlowCacheCounters() (hits, misses, stale, revalidated, expired, flushes uint64)
 }
 
-// MegaCacheDatapath is the optional megaflow-cache stats extension: a
-// datapath whose workers carry a second-level masked-match cache behind the
-// microflow cache reports the folded hit/miss counters here, and the hits
-// served by revalidating an entry from before a flow-mod.  The compiled
-// ESWITCH datapath implements it (core.Datapath.MegaflowCounters).
-type MegaCacheDatapath interface {
-	MegaflowCounters() (hits, misses, revalidated uint64)
-}
-
 // DatapathFunc adapts a function to the Datapath interface.
 type DatapathFunc func(p *pkt.Packet, v *openflow.Verdict)
 
@@ -505,25 +496,15 @@ type WorkerStats struct {
 	CacheHits   uint64
 	CacheMisses uint64
 	CacheStale  uint64
-	// MegaHits/MegaMisses are the second-level megaflow (masked-match) cache
-	// counters folded over the datapath's workers (zero unless the datapath
-	// implements MegaCacheDatapath and has the megaflow cache enabled).  A
-	// MegaHit is a microflow miss resolved by the masked-match probe without
-	// walking the pipeline; when the megaflow cache is on,
-	// MegaHits+MegaMisses equals CacheMisses.
-	MegaHits   uint64
-	MegaMisses uint64
-	// CacheRevalidated/MegaRevalidated count, per cache level, the hits
-	// served from an entry memoized under a retired generation that no
-	// flow-mod since had touched (they are part of CacheHits/MegaHits,
-	// where CacheStale counts the probes such an entry lost).  CacheExpired
-	// is the part of CacheStale lost to no flow-mod in particular: the
-	// entry sat unprobed through more mods than the flow-mod log holds.
-	// CacheFlushes counts the mutations that left nothing to revalidate:
-	// barriers (pipeline installs and other flow-mods outside the scope
-	// analysis).
+	// CacheRevalidated counts the hits served from an entry memoized under a
+	// retired generation that no flow-mod since had touched (they are part
+	// of CacheHits, where CacheStale counts the probes such an entry lost).
+	// CacheExpired is the part of CacheStale lost to no flow-mod in
+	// particular: the entry sat unprobed through more mods than the flow-mod
+	// log holds.  CacheFlushes counts the mutations that left nothing to
+	// revalidate: barriers (pipeline installs and other flow-mods outside
+	// the scope analysis).
 	CacheRevalidated uint64
-	MegaRevalidated  uint64
 	CacheExpired     uint64
 	CacheFlushes     uint64
 	// Panics counts datapath panics the workers' containment absorbed, and
@@ -564,13 +545,6 @@ type WorkerStats struct {
 //
 // Every packet is exactly a verdict-cache hit or a miss; CacheStale is a
 // subset of CacheMisses.
-//
-// Megaflow cache (engaged — nonzero hit+miss):
-//
-//	MegaHits + MegaMisses == CacheMisses
-//
-// Every microflow miss is exactly a masked-match short-circuit or a full
-// template walk.
 func (st WorkerStats) CheckInvariants(puntRingsArmed bool) error {
 	if puntRingsArmed {
 		if got := st.Punts + st.PuntDrops + st.PuntSuppressed + st.PuntFiltered; got != st.ToCtrl {
@@ -586,10 +560,6 @@ func (st WorkerStats) CheckInvariants(puntRingsArmed bool) error {
 	if probes := st.CacheHits + st.CacheMisses; probes > 0 && st.Panics == 0 && probes != st.Processed {
 		return fmt.Errorf("dpdk: microflow invariant broken: %d hits + %d misses != %d processed",
 			st.CacheHits, st.CacheMisses, st.Processed)
-	}
-	if probes := st.MegaHits + st.MegaMisses; probes > 0 && probes != st.CacheMisses {
-		return fmt.Errorf("dpdk: megaflow invariant broken: %d hits + %d misses != %d microflow misses",
-			st.MegaHits, st.MegaMisses, st.CacheMisses)
 	}
 	return nil
 }
@@ -632,7 +602,6 @@ type Switch struct {
 	bdp   BurstDatapath
 	wdp   WorkerDatapath
 	cdp   CacheDatapath
-	mdp   MegaCacheDatapath
 	burst int
 	// queues is the widest port's RX/TX queue-pair count (the RX sharding
 	// width: workers poll queue indices up to it, skipping narrower ports);
@@ -727,9 +696,6 @@ func NewSwitchWithConfig(dp Datapath, cfg SwitchConfig) *Switch {
 	}
 	if cdp, ok := dp.(CacheDatapath); ok {
 		s.cdp = cdp
-	}
-	if mdp, ok := dp.(MegaCacheDatapath); ok {
-		s.mdp = mdp
 	}
 	if len(cfg.Backends) > 0 {
 		for i, be := range cfg.Backends {
@@ -1060,9 +1026,6 @@ func (s *Switch) Stats() WorkerStats {
 	// fold them in so one Stats call tells the whole forwarding story.
 	if s.cdp != nil {
 		t.CacheHits, t.CacheMisses, t.CacheStale, t.CacheRevalidated, t.CacheExpired, t.CacheFlushes = s.cdp.FlowCacheCounters()
-	}
-	if s.mdp != nil {
-		t.MegaHits, t.MegaMisses, t.MegaRevalidated = s.mdp.MegaflowCounters()
 	}
 	// Punt accounting lives in the rings themselves (single-writer mirrors),
 	// so the fold needs no registration churn as workers come and go.

@@ -412,7 +412,6 @@ func TestWorkerStatsCheckInvariants(t *testing.T) {
 		Processed: 1000, Forwarded: 900, Dropped: 50, ToCtrl: 50,
 		Punts: 30, PuntDrops: 10, PuntSuppressed: 5, PuntFiltered: 5,
 		CacheHits: 700, CacheMisses: 300, CacheStale: 10,
-		MegaHits: 200, MegaMisses: 100,
 	}
 	if err := good.CheckInvariants(true); err != nil {
 		t.Fatalf("consistent stats rejected: %v", err)
@@ -421,7 +420,6 @@ func TestWorkerStatsCheckInvariants(t *testing.T) {
 	cases := map[string]func(*WorkerStats){
 		"punt":          func(st *WorkerStats) { st.Punts++ },
 		"microflow":     func(st *WorkerStats) { st.CacheMisses-- },
-		"megaflow":      func(st *WorkerStats) { st.MegaHits++ },
 		"stale>misses":  func(st *WorkerStats) { st.CacheStale = st.CacheMisses + 1 },
 		"punts-unarmed": func(st *WorkerStats) {}, // checked with armed=false below
 	}

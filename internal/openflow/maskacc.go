@@ -8,11 +8,11 @@ import (
 
 // MaskAccumulator tracks which bits of which fields a classification walk has
 // examined, producing the minimal masked match ("megaflow") covering every
-// packet that would have taken exactly the same decisions.  It is shared by
-// the OVS baseline's slow path (internal/ovs) and the compiled datapath's
-// megaflow second-level cache (internal/core): both derive their cache
-// entries from the same observation rules, so their notion of "what the
-// pipeline looked at" cannot drift.
+// packet that would have taken exactly the same decisions.  It belongs to
+// the OVS baseline's slow path (internal/ovs, and internal/tss's observing
+// lookup under it): the flow-caching architecture derives its cache keys
+// reactively, per packet, from what the walk looked at — the compiled
+// datapath derives its one key statically instead (internal/core).
 //
 // Two refinements beyond naive mask unioning:
 //
@@ -31,7 +31,7 @@ import (
 // accumulator was Reset with, so header rewrites along the walk never leak
 // into the cache key.  A zero MaskAccumulator is usable after Reset; Reset is
 // cheap (it clears only the fields touched since the previous Reset), which
-// is what lets a forwarding worker reuse one accumulator per packet without
+// is what lets a slow path reuse one accumulator per packet without
 // allocations.
 type MaskAccumulator struct {
 	// PrefixTracking enables the MSB prefix refinement on mismatch proofs.
@@ -77,9 +77,6 @@ func (a *MaskAccumulator) Reset(orig *pkt.Packet) {
 // MarkModified records that the walk rewrote field f: later observations of f
 // are suppressed (see the package comment for why this is sound).
 func (a *MaskAccumulator) MarkModified(f Field) { a.modified = a.modified.Add(f) }
-
-// Modified returns the set of fields marked rewritten so far.
-func (a *MaskAccumulator) Modified() FieldSet { return a.modified }
 
 // Observe accumulates mask bits for field f, capturing the field's value from
 // the original packet view on first observation.  Observations of fields
@@ -183,12 +180,6 @@ func (a *MaskAccumulator) ObserveField(f Field, mask uint64) {
 // Orig returns the pre-walk packet view pinned by Reset (may be nil).
 func (a *MaskAccumulator) Orig() *pkt.Packet { return a.orig }
 
-// Mask returns the accumulated mask for field f (0 when unexamined).
-func (a *MaskAccumulator) Mask(f Field) uint64 { return a.masks[f] }
-
-// Value returns the captured original value for field f.
-func (a *MaskAccumulator) Value(f Field) uint64 { return a.values[f] }
-
 // ForEach calls fn for every field with a non-zero accumulated mask, in field
 // order, with the captured original value and the mask.
 func (a *MaskAccumulator) ForEach(fn func(f Field, value, mask uint64)) {
@@ -197,17 +188,6 @@ func (a *MaskAccumulator) ForEach(fn func(f Field, value, mask uint64)) {
 			fn(f, a.values[f], a.masks[f])
 		}
 	}
-}
-
-// FieldSet returns the set of fields with a non-zero accumulated mask.
-func (a *MaskAccumulator) FieldSet() FieldSet {
-	var s FieldSet
-	for f := Field(0); f < NumFields; f++ {
-		if a.masks[f] != 0 {
-			s = s.Add(f)
-		}
-	}
-	return s
 }
 
 // MarkMetadataWrite records a write-metadata instruction's mask: the written

@@ -100,10 +100,10 @@ type Packet struct {
 	Headers Headers
 
 	// rss caches the symmetric flow hash of Data (RSSHash) after the first
-	// FlowHash call, so RSS queue steering and the datapath's microflow
-	// cache probe share a single hash computation per packet.  Producers
-	// that already hashed the frame (traffic generators, NIC-side steering)
-	// prime it with SetFlowHash.
+	// FlowHash call, so every consumer of one packet (RSS queue steering,
+	// the tracer) shares a single hash computation.  Producers that already
+	// hashed the frame (traffic generators, NIC-side steering) prime it with
+	// SetFlowHash.
 	rss   uint32
 	rssOK bool
 }
@@ -120,8 +120,9 @@ func (p *Packet) Reset() {
 
 // FlowHash returns the symmetric flow hash of the packet's frame (RSSHash),
 // computing it on first use and caching it in the packet.  The hash is what a
-// multi-queue NIC computes for RSS steering; the microflow verdict cache
-// probes with the same value so the per-packet hash is computed at most once.
+// multi-queue NIC computes for RSS steering.  (The verdict cache does not
+// probe with it: its key is masked to the bits the pipeline reads, which the
+// five-tuple hash does not respect — core/flowcache.go.)
 func (p *Packet) FlowHash() uint32 {
 	if !p.rssOK {
 		p.rss = RSSHash(p.Data)

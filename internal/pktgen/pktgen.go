@@ -9,7 +9,7 @@
 // paper's "number of active flows" axis does.  UseZipf replaces the uniform
 // sweep with a Zipf-distributed popularity schedule — the realistic regime
 // where a small fraction of flows carries most of the traffic, and the one a
-// microflow verdict cache is designed for.
+// verdict cache is designed for.
 package pktgen
 
 import (
@@ -67,9 +67,8 @@ type Trace struct {
 	frames  [][]byte
 	inPorts []uint32
 	// hashes holds the symmetric RSS flow hash of each frame, computed once
-	// at build time; Next primes each emitted packet with it so neither the
-	// injecting substrate nor the datapath's microflow-cache probe rehashes
-	// the frame.
+	// at build time; Next primes each emitted packet with it so RSS steering
+	// does not rehash the frame.
 	hashes []uint32
 	order  []int
 	// perm is the trace's base emission permutation (round-robin or the
@@ -184,10 +183,11 @@ func (t *Trace) Frame(idx int) ([]byte, uint32) {
 // configurable window, so the generator produces width*ports distinct
 // microflows — each seen essentially once — while the fields a typical
 // forwarding pipeline examines (destination address, destination port) stay
-// fixed.  This is the worst case for an exact-match microflow cache (every
-// packet is a miss) and the best case for a masked-match megaflow cache
-// (every packet falls under one wildcard entry), mirroring the scan traffic
-// that drove OVS from a microflow-only to a megaflow cache design.
+// fixed.  This is the worst case for a cache keyed on the exact five-tuple
+// (every packet is a miss) and the best case for one keyed only on the bits
+// the pipeline reads — the baseline's masked-match megaflow level, the
+// compiled datapath's static key — where every packet falls under one entry:
+// the scan traffic that drove OVS from a microflow-only to a megaflow cache.
 //
 // Frames are mutated in a ring of private slot buffers, so packets of the
 // same burst never alias each other's Data.  The IPv4 header checksum is not

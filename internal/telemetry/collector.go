@@ -13,7 +13,7 @@ import (
 type SwitchSource struct {
 	Switch *dpdk.Switch
 	// Datapath exposes the compiled-datapath families (table stages,
-	// rebuilds, microflow/megaflow cache occupancy) when the eswitch
+	// rebuilds, verdict-cache arming and occupancy) when the eswitch
 	// datapath is in use.
 	Datapath *core.Datapath
 	// Supervisor exposes the port fault domain's counters when the port
@@ -71,9 +71,6 @@ func RegisterSwitch(r *Registry, src SwitchSource) {
 		workerCounter("eswitch_microflow_misses_total", "Microflow verdict-cache misses.", func() uint64 { return st.CacheMisses }),
 		workerCounter("eswitch_microflow_stale_total", "Microflow misses that found a key whose verdict a flow-mod since may have changed.", func() uint64 { return st.CacheStale }),
 		workerCounter("eswitch_microflow_revalidated_total", "Microflow hits on a retired-generation key no flow-mod since had touched.", func() uint64 { return st.CacheRevalidated }),
-		workerCounter("eswitch_megaflow_hits_total", "Megaflow (masked-match) cache hits.", func() uint64 { return st.MegaHits }),
-		workerCounter("eswitch_megaflow_misses_total", "Megaflow cache misses (full template walks).", func() uint64 { return st.MegaMisses }),
-		workerCounter("eswitch_megaflow_revalidated_total", "Megaflow hits on a retired-generation entry no flow-mod since had touched.", func() uint64 { return st.MegaRevalidated }),
 		workerCounter("eswitch_microflow_expired_total", "Microflow stale probes whose entry had sat through more flow-mods than the flow-mod log holds.", func() uint64 { return st.CacheExpired }),
 		workerCounter("eswitch_cache_flushes_total", "Barrier flow-mods: mutations that staled every older cache entry.", func() uint64 { return st.CacheFlushes }),
 		workerCounter("eswitch_datapath_panics_total", "Datapath panics absorbed by worker containment.", func() uint64 { return st.Panics }),
@@ -158,21 +155,25 @@ func RegisterSwitch(r *Registry, src SwitchSource) {
 				},
 			},
 		)
-		if dp.FlowCacheEnabled() {
-			var fcs core.FlowCacheStats
-			r.MustRegister(
-				Family{Name: "eswitch_microflow_installs_total",
-					Help: "Microflow cache installs (fills plus victims).",
-					Kind: Counter,
-					Collect: func(emit func(Sample)) {
-						fcs = dp.FlowCacheStats()
-						emit(Sample{Value: float64(fcs.Installs)})
-					}},
-				counterFamily("eswitch_microflow_fills_total", "Microflow installs into empty slots.", func() float64 { return float64(fcs.Fills) }),
-				counterFamily("eswitch_microflow_victims_total", "Microflow installs that displaced a live entry.", func() float64 { return float64(fcs.Victims) }),
-				gaugeFamily("eswitch_microflow_capacity_slots", "Microflow cache slots summed over live workers.", func() float64 { return float64(fcs.Capacity) }),
-			)
-		}
+		var fcs core.FlowCacheStats
+		r.MustRegister(
+			gaugeFamily("eswitch_flowcache_armed", "1 while the compiled pipeline arms the verdict cache (Options.FlowCache set, every field it reads or sets inside the flow key, some path deeper than one probe), else 0.", func() float64 {
+				if dp.FlowCacheEnabled() {
+					return 1
+				}
+				return 0
+			}),
+			Family{Name: "eswitch_microflow_installs_total",
+				Help: "Verdict-cache installs (fills plus victims).",
+				Kind: Counter,
+				Collect: func(emit func(Sample)) {
+					fcs = dp.FlowCacheStats()
+					emit(Sample{Value: float64(fcs.Installs)})
+				}},
+			counterFamily("eswitch_microflow_fills_total", "Verdict-cache installs into empty slots.", func() float64 { return float64(fcs.Fills) }),
+			counterFamily("eswitch_microflow_victims_total", "Verdict-cache installs that displaced a live entry.", func() float64 { return float64(fcs.Victims) }),
+			gaugeFamily("eswitch_microflow_capacity_slots", "Verdict-cache slots summed over the live workers that have armed one.", func() float64 { return float64(fcs.Capacity) }),
+		)
 	}
 
 	if ps := src.Supervisor; ps != nil {

@@ -23,11 +23,15 @@ type FooterConfig struct {
 	// PortDetail renders a port's static context ("[ring, link up]"); nil
 	// omits the bracket.
 	PortDetail func(port uint64) string
-	// Slowpath, FlowCache and Megaflow gate their sections (armed features
-	// only — the registry reports zeros either way).
-	Slowpath  bool
-	FlowCache bool
-	Megaflow  bool
+	// Slowpath and FlowCache gate their sections (configured features only
+	// — the registry reports zeros either way).  CacheKey is the compiled
+	// cache key's field list and CacheUnarmed why the pipeline does not arm
+	// the cache (core.Datapath.FlowCacheKey), printed in the flowcache
+	// section.
+	Slowpath     bool
+	FlowCache    bool
+	CacheKey     string
+	CacheUnarmed string
 	// Latency gates the burst/punt latency lines (latency sampling armed).
 	Latency bool
 }
@@ -152,8 +156,11 @@ func RenderFooter(w io.Writer, r *Registry, cfg FooterConfig) {
 			v.u("eswitch_punts_suppressed_total"), v.u("eswitch_punts_filtered_total"),
 			v.u("eswitch_reinjected_punts_total"))
 	}
-	if cfg.FlowCache {
-		hits, misses := v.u("eswitch_microflow_hits_total"), v.u("eswitch_microflow_misses_total")
+	hits, misses := v.u("eswitch_microflow_hits_total"), v.u("eswitch_microflow_misses_total")
+	if cfg.FlowCache && cfg.CacheUnarmed != "" && hits+misses == 0 {
+		// A zero hit ratio explained: the cache was asked for and never armed.
+		fmt.Fprintf(w, "flowcache: not armed (%s); key: %s\n", cfg.CacheUnarmed, cfg.CacheKey)
+	} else if cfg.FlowCache {
 		fmt.Fprintf(w, "flowcache: %d hits (%d revalidated), %d misses (%d stale, %d of them expired), %.1f%% hit rate, %d flushes\n",
 			hits, v.u("eswitch_microflow_revalidated_total"), misses, v.u("eswitch_microflow_stale_total"),
 			v.u("eswitch_microflow_expired_total"), pct(hits, hits+misses), v.u("eswitch_cache_flushes_total"))
@@ -170,11 +177,7 @@ func RenderFooter(w io.Writer, r *Registry, cfg FooterConfig) {
 			fmt.Fprintf(w, "           %d installs (%d fills, %d victims)\n",
 				v.u("eswitch_microflow_installs_total"), fills, v.u("eswitch_microflow_victims_total"))
 		}
-	}
-	if cfg.Megaflow {
-		mh, mm := v.u("eswitch_megaflow_hits_total"), v.u("eswitch_megaflow_misses_total")
-		fmt.Fprintf(w, "megaflow:  %d hits (%d revalidated), %d misses, %.1f%% of microflow misses short-circuited\n",
-			mh, v.u("eswitch_megaflow_revalidated_total"), mm, pct(mh, mh+mm))
+		fmt.Fprintf(w, "           key: %s\n", cfg.CacheKey)
 	}
 	if cfg.Latency {
 		fmt.Fprintf(w, "burst:     %s\n", quantiles(v.hists["eswitch_burst_duration_seconds"]))

@@ -338,6 +338,7 @@ func TestFooterReadsRegistry(t *testing.T) {
 		Injected:  1200,
 		Slowpath:  true,
 		FlowCache: true,
+		CacheKey:  "in_port vlan_vid ip_src/32 ip_dst/24",
 		Latency:   true,
 	})
 	out := sb.String()
@@ -347,10 +348,18 @@ func TestFooterReadsRegistry(t *testing.T) {
 		"tx:        policy drop, 0 retries, 3 backpressure drops",
 		"slowpath:  50 punts queued",
 		"flowcache: 750 hits (0 revalidated), 250 misses (0 stale, 0 of them expired), 75.0% hit rate, 0 flushes",
+		"           key: in_port vlan_vid ip_src/32 ip_dst/24\n",
 		"burst:     p50",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("footer missing %q:\n%s", want, out)
 		}
+	}
+	// A cache that was asked for and never armed says so instead of printing
+	// a zero hit ratio.
+	sb.Reset()
+	RenderFooter(&sb, NewRegistry(), FooterConfig{FlowCache: true, CacheKey: "ip_dst/24", CacheUnarmed: "one stage"})
+	if want := "flowcache: not armed (one stage); key: ip_dst/24\n"; !strings.Contains(sb.String(), want) {
+		t.Fatalf("footer missing %q:\n%s", want, sb.String())
 	}
 }

@@ -308,9 +308,8 @@ func (c *Classifier) Lookup(p *pkt.Packet, tracker openflow.FieldTracker) Lookup
 // every probed group's fields — proving (or disproving) that a group's
 // prerequisite protocols are present reads the protocol-identifying header
 // fields, and a megaflow mask derived from the probe must cover them.  The
-// megaflow generators (the OVS baseline's slow path and the compiled
-// datapath's second-level cache) use this variant; plain forwarding lookups
-// keep the cheaper Lookup.
+// megaflow generator (the OVS baseline's slow path) uses this variant; plain
+// forwarding lookups keep the cheaper Lookup.
 func (c *Classifier) LookupObserved(p *pkt.Packet, acc *openflow.MaskAccumulator) LookupResult {
 	var best *Entry
 	var res LookupResult

@@ -23,8 +23,8 @@ import (
 // the per-worker punt rings, installs flows reactively, and subsequent
 // traffic forwards entirely on the fast path — the punt rate converges to
 // zero, the accounting invariant delivered + PuntDrops == ToCtrl holds, and
-// with the microflow cache enabled the post-convergence traffic is served
-// from cache hits installed after the last FlowMod.
+// the learned bridge — one hash stage, however many FlowMods built it — never
+// arms the verdict cache the harness asks for.
 func TestReactiveLearningEndToEnd(t *testing.T) {
 	const hosts = 128
 	h, err := experiments.NewSlowPathHarness(experiments.SlowPathConfig{
@@ -68,8 +68,7 @@ func TestReactiveLearningEndToEnd(t *testing.T) {
 		t.Fatalf("ring accounting broken: punts %d + drops %d != toCtrl %d", st.Punts, st.PuntDrops, st.ToCtrl)
 	}
 
-	// Post-convergence: pure fast path, zero punts, cache hits flowing.
-	cacheBefore := h.DP.FlowCacheStats()
+	// Post-convergence: pure fast path, zero punts.
 	before := h.SW.Stats()
 	mpps, punts := h.MeasureForwarding(20_000)
 	after := h.SW.Stats()
@@ -79,11 +78,12 @@ func TestReactiveLearningEndToEnd(t *testing.T) {
 	if got := after.Forwarded - before.Forwarded; got != 20_000 {
 		t.Fatalf("post-convergence forwarded %d of 20000", got)
 	}
-	cacheAfter := h.DP.FlowCacheStats()
-	if cacheAfter.Hits <= cacheBefore.Hits {
-		t.Fatalf("microflow cache not engaged post-convergence: %+v -> %+v", cacheBefore, cacheAfter)
+	// The learned pipeline is a single exact-match stage: already one probe,
+	// so the compiler leaves the cache unarmed and nothing ever probed it.
+	if cs := h.DP.FlowCacheStats(); h.DP.FlowCacheEnabled() || cs.Hits+cs.Misses != 0 {
+		t.Fatalf("one-stage learned bridge armed the verdict cache: %+v", cs)
 	}
-	t.Logf("post-convergence: %.2f Mpps, cache %+v", mpps, cacheAfter)
+	t.Logf("post-convergence: %.2f Mpps", mpps)
 }
 
 // TestReactiveLearningUnderRunWorkers drives the same closed loop with real
