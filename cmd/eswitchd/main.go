@@ -65,12 +65,14 @@
 // only), keyed on the bits the pipeline reads.  The compiler arms it only
 // where the walk is deeper than one probe: on a pipeline that is a single
 // direct-code, hash or LPM stage (l2, l3) eswitchd prints a note and the
-// workers allocate nothing.  The cache and the cycle meter are mutually
-// exclusive — the model must observe the full template walk — so enabling
-// the cache trades the "model:" summary line for a "flowcache:" one showing
-// the compiled key and the hit/miss/stale/revalidated counters folded from
-// all workers; on a pipeline that is not armed the flag still turns the
-// meter off (a flow-mod may arm the cache later), which the note says.
+// workers allocate nothing.  The "flowcache:" summary line shows the compiled
+// key and the hit/miss/stale/revalidated counters folded from all workers.
+//
+// The "model:" summary line is a reading, not a forwarding mode: the workers
+// always forward through the burst engine, and after they stop a fixed-size
+// sample of the use case's generated trace is walked packet by packet through
+// the same compiled datapath under the paper's cycle model (-datapath ovs
+// meters its own per-packet path in line, as it has no other).
 //
 // -flow-sweep-interval starts the flow lifecycle sweeper: flow entries
 // installed with idle/hard timeouts (FlowMod timeouts over -listen) expire
@@ -111,6 +113,7 @@ import (
 	"eswitch/internal/cpumodel"
 	"eswitch/internal/dpdk"
 	"eswitch/internal/ofp"
+	"eswitch/internal/openflow"
 	"eswitch/internal/ovs"
 	"eswitch/internal/pcap"
 	"eswitch/internal/pkt"
@@ -205,6 +208,10 @@ func traceFrame(spec string) ([]byte, error) {
 	}, spec)
 	return hex.DecodeString(clean)
 }
+
+// modelSample is how many frames of the use case's generated trace the
+// eswitch datapath's "model:" line walks after the workers stop.
+const modelSample = 1 << 18
 
 func buildUseCase(name string, flows, backendPorts int) *workload.UseCase {
 	switch name {
@@ -305,25 +312,15 @@ func main() {
 		opts.Decompose = uc.WantsDecomposition
 		opts.MaxTableEntries = *maxTable
 		opts.UpdateCounters = *flowExport != ""
-		if cacheEntries > 0 {
-			// The verdict cache and the cycle meter are mutually exclusive:
-			// memoized verdicts would skip the per-stage model accounting,
-			// so a cached run reports cache stats instead.
-			opts.FlowCache = cacheEntries
-			meter = nil
-		} else {
-			opts.Meter = meter
-		}
+		opts.FlowCache = cacheEntries
+		opts.Meter = meter
 		dp, err := core.Compile(uc.Pipeline, opts)
 		if err != nil {
 			log.Fatalf("compile: %v", err)
 		}
 		if key, why := dp.FlowCacheKey(); why != "" && cacheEntries > 0 {
-			// Nothing is allocated until a flow-mod arms the cache.  The
-			// datapath stays unmetered — a flow-mod may still arm it — so
-			// this run prints neither cache hits nor the "model:" line.
+			// Nothing is allocated until a flow-mod arms the cache.
 			fmt.Printf("eswitchd: note: -flowcache: cache not armed (%s); key: %s\n", why, key)
-			fmt.Println("eswitchd: note: -flowcache also turns the cycle meter off, so this run reports no \"model:\" line; drop -flowcache to get it back")
 		}
 		fastpath = dp // the compiled datapath drives the workers' burst path
 		programmer = dp
@@ -690,8 +687,24 @@ func main() {
 		CacheUnarmed: cacheUnarmed,
 		Latency:      sw.LatencySampling(),
 	})
-	if meter != nil {
-		fmt.Printf("model:     %.1f cycles/packet, %.2f Mpps single-core at %.1f GHz, %.3f LLC misses/packet\n",
-			meter.CyclesPerPacket(), meter.PacketRate()/1e6, meter.Platform.FreqGHz, meter.LLCMissesPerPacket())
+	sampled := ""
+	if compiled != nil {
+		// The workers forwarded unmetered.  Process rather than
+		// ProcessUnlocked: the agent and the sweeper may still be applying
+		// flow-mods.  Each frame is copied so rewrites do not accumulate in
+		// the trace.
+		trace := uc.Trace(*flows)
+		var p pkt.Packet
+		var v openflow.Verdict
+		var frame []byte
+		for i := 0; i < modelSample; i++ {
+			trace.Next(&p)
+			frame = append(frame[:0], p.Data...)
+			p.Data = frame
+			compiled.Process(&p, &v)
+		}
+		sampled = fmt.Sprintf(" (offline: %d generated frames through the per-packet walk)", modelSample)
 	}
+	fmt.Printf("model:     %.1f cycles/packet, %.2f Mpps single-core at %.1f GHz, %.3f LLC misses/packet%s\n",
+		meter.CyclesPerPacket(), meter.PacketRate()/1e6, meter.Platform.FreqGHz, meter.LLCMissesPerPacket(), sampled)
 }

@@ -33,8 +33,8 @@
 // same flow table are classified through the table's template in a single
 // batched lookup (the compound-hash template packs and hashes every key of
 // the burst before probing, the LPM template batches its DIR-24-8 probes),
-// and per-packet overheads — trampoline loads, meter dispatch, action-set
-// resets — are paid once per burst instead of once per packet.  The burst
+// and per-packet overheads — trampoline loads, action-set resets — are paid
+// once per burst instead of once per packet.  The burst
 // path is allocation-free in the steady state.
 //
 //	ps := []*eswitch.Packet{...}          // up to one RX burst
@@ -49,24 +49,21 @@
 // registered worker epoch has passed a quiescent point (DPDK-style QSBR).
 // Process and ProcessBurst may therefore be called from many goroutines
 // concurrently with updates — each call pins a recycled worker (epoch,
-// meter shard, burst scratch) for its duration, so even metered runs are
-// race-free.  Dedicated forwarding cores do better: they register a worker
-// handle once (Datapath().RegisterWorker), bracket every burst with
-// Enter/Exit, and process through the handle, paying zero locks, zero
-// atomic read-modify-writes and zero shared mutable state per burst — the
-// handle owns its burst scratch outright and charges metering to a private,
-// cache-line-padded meter shard folded on read.  The dataplane substrate
-// under internal/dpdk does exactly this: RSS-steered multi-queue ports, one
-// burst worker per core over its own queue subset, batched TX with a
-// configurable full-ring backpressure policy (drop | block | spill).  See
-// docs/architecture.md for the full threading model.
+// burst scratch, verdict cache) for its duration.  Dedicated forwarding
+// cores do better: they register a worker handle once
+// (Datapath().RegisterWorker), bracket every burst with Enter/Exit, and
+// process through the handle, paying zero locks, zero atomic
+// read-modify-writes and zero shared mutable state per burst — the handle
+// owns its burst scratch outright.  The dataplane substrate under
+// internal/dpdk does exactly this: RSS-steered multi-queue ports, one burst
+// worker per core over its own queue subset, batched TX with a configurable
+// full-ring backpressure policy (drop | block | spill).  The cycle model
+// (Options.Meter) is a reading, not a forwarding mode: the per-packet walk
+// behind Process charges it (one caller at a time while metered) and no burst
+// ever does.  See docs/architecture.md for the full threading model.
 package eswitch
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
 	"eswitch/internal/core"
 	"eswitch/internal/cpumodel"
 	"eswitch/internal/openflow"
@@ -74,7 +71,6 @@ import (
 	"eswitch/internal/perfmodel"
 	"eswitch/internal/pkt"
 	"eswitch/internal/pktgen"
-	"eswitch/internal/slowpath"
 	"eswitch/internal/workload"
 )
 
@@ -106,10 +102,6 @@ type (
 	Verdict = openflow.Verdict
 	// PuntReason says why a verdict was punted to the controller.
 	PuntReason = openflow.PuntReason
-	// PuntRing is a bounded SPSC slow-path punt ring (see SubscribePunts).
-	PuntRing = slowpath.Ring
-	// PuntRecord is one punted packet popped from a PuntRing.
-	PuntRecord = slowpath.PuntRecord
 	// Packet is a raw packet plus parsed header view.
 	Packet = pkt.Packet
 	// MAC is an Ethernet address.
@@ -118,7 +110,7 @@ type (
 	IPv4 = pkt.IPv4
 )
 
-// Punt reasons (Verdict.PuntReason / PuntRecord.Reason).
+// Punt reasons (Verdict.PuntReason).
 const (
 	PuntNone   = openflow.PuntNone
 	PuntMiss   = openflow.PuntMiss
@@ -265,12 +257,6 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 // per-table templates at creation time and kept specialized across updates.
 type Switch struct {
 	dp *core.Datapath
-	// punt is the facade's slow-path subscription (SubscribePunts): when
-	// armed, every ToController verdict produced by Process/ProcessBurst is
-	// copied into the ring.  puntMu serializes the pushes because the facade
-	// is callable from many goroutines while the ring is single-producer.
-	punt   atomic.Pointer[slowpath.Ring]
-	puntMu sync.Mutex
 }
 
 // New compiles the pipeline into an ESWITCH fast path.
@@ -282,113 +268,14 @@ func New(pl *Pipeline, opts Options) (*Switch, error) {
 	return &Switch{dp: dp}, nil
 }
 
-// Process sends one packet through the compiled fast path.  With a punt
-// subscription armed (SubscribePunts), a ToController verdict also copies
-// the packet into the subscription ring.
-func (s *Switch) Process(p *Packet, v *Verdict) {
-	s.dp.Process(p, v)
-	if r := s.punt.Load(); r != nil && v.ToController {
-		s.pushPunt(r, p, v)
-	}
-}
+// Process sends one packet through the compiled fast path.
+func (s *Switch) Process(p *Packet, v *Verdict) { s.dp.Process(p, v) }
 
 // ProcessBurst sends a burst of packets through the compiled fast path,
 // filling vs[i] with the verdict for ps[i]; len(vs) must be at least
 // len(ps).  See the package documentation for the burst execution model and
-// concurrency contract.  Punted packets feed the subscription ring exactly
-// like Process.
-func (s *Switch) ProcessBurst(ps []*Packet, vs []Verdict) {
-	s.dp.ProcessBurst(ps, vs)
-	if r := s.punt.Load(); r != nil {
-		for i := range ps {
-			if vs[i].ToController {
-				s.pushPunt(r, ps[i], &vs[i])
-			}
-		}
-	}
-}
-
-// pushPunt copies one punted packet into the subscription ring.  The mutex
-// makes the facade's many concurrent callers look like the single producer
-// the ring requires; it is only ever taken for packets that punt.
-func (s *Switch) pushPunt(r *slowpath.Ring, p *Packet, v *Verdict) {
-	s.puntMu.Lock()
-	r.Push(p.Data, p.InPort, v.PuntTable, v.PuntReason)
-	s.puntMu.Unlock()
-}
-
-// SubscribePunts arms the facade's slow-path subscription: a bounded punt
-// ring (capacity entries, frames truncated to frameCap bytes; slowpath
-// defaults when <= 0) that every subsequent ToController verdict is copied
-// into — frame, in-port, punt reason and originating table — with
-// drop-on-full accounting on the ring.  The returned ring is what a
-// slowpath.Service (or any single consumer) drains.  Dedicated dataplane
-// deployments arm per-worker rings on the dpdk substrate instead
-// (dpdk.Switch.ArmPuntRings); this subscription serves facade-level callers.
-func (s *Switch) SubscribePunts(capacity, frameCap int) *slowpath.Ring {
-	if capacity <= 0 {
-		capacity = slowpath.DefaultRingCapacity
-	}
-	r := slowpath.NewRing(capacity, frameCap)
-	s.punt.Store(r)
-	return r
-}
-
-// UnsubscribePunts detaches the punt subscription.
-func (s *Switch) UnsubscribePunts() { s.punt.Store(nil) }
-
-// PacketOut executes a controller-originated action list against a frame as
-// if it had been received on inPort, accumulating the overall outcome in v:
-// plain Output actions add ports, FLOOD expands to every port but inPort,
-// output:TABLE re-injects the frame through the compiled pipeline and merges
-// that walk's verdict (a re-injected packet that punts again is visible as
-// v.ToController).  Unsupported action kinds are rejected.  The dataplane
-// substrate layers actual transmission on top of this
-// (dpdk.Switch.PacketOut).
-func (s *Switch) PacketOut(inPort uint32, frame []byte, actions ActionList, v *Verdict) error {
-	v.Reset()
-	for _, a := range actions {
-		switch a.Type {
-		case openflow.ActionOutput:
-			switch a.Port {
-			case openflow.PortTable:
-				var sub Verdict
-				p := Packet{Data: frame, InPort: inPort}
-				s.Process(&p, &sub)
-				v.OutPorts = append(v.OutPorts, sub.OutPorts...)
-				v.Tables += sub.Tables
-				if sub.Modified {
-					v.Modified = true
-				}
-				if sub.ToController {
-					v.ToController = true
-					v.NotePunt(sub.PuntReason, sub.PuntTable)
-				}
-			case openflow.PortFlood:
-				for port := 1; port <= s.Pipeline().NumPorts; port++ {
-					if uint32(port) != inPort {
-						v.OutPorts = append(v.OutPorts, uint32(port))
-					}
-				}
-			case openflow.PortController:
-				v.ToController = true
-			default:
-				v.OutPorts = append(v.OutPorts, a.Port)
-			}
-		case openflow.ActionDrop:
-			if !v.Forwarded() && !v.ToController {
-				v.Dropped = true
-			}
-			return nil
-		default:
-			return fmt.Errorf("eswitch: unsupported packet-out action %s", a)
-		}
-	}
-	if !v.Forwarded() && !v.ToController {
-		v.Dropped = true
-	}
-	return nil
-}
+// concurrency contract.
+func (s *Switch) ProcessBurst(ps []*Packet, vs []Verdict) { s.dp.ProcessBurst(ps, vs) }
 
 // AddFlow installs a flow entry in the running datapath (transactional,
 // per-table granularity).

@@ -74,8 +74,9 @@ type cacheScratch struct {
 // pointer) is touched once per burst per table instead of once per packet.
 //
 // Like Process, ProcessBurst is safe to call concurrently with flow-table
-// updates and with other metered callers: it pins a recycled worker —
-// epoch, meter shard and burst scratch — for the duration of the burst.
+// updates and with other callers: it pins a recycled worker — epoch, burst
+// scratch and any verdict cache — for the duration of the burst.  It is never
+// metered, whether or not the datapath carries a meter.
 // Dedicated forwarding workers RegisterWorker once and call the handle's
 // ProcessBurst inside their Enter/Exit bracket instead.
 func (d *Datapath) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
@@ -89,9 +90,8 @@ func (d *Datapath) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
 }
 
 // processBurst runs one burst of at most MaxBurst packets to completion over
-// the caller-owned scratch sc.  The burst engine is never observed: metered
-// callers run n sequential walks instead and do not get here (Worker.
-// ProcessBurst).  When the published pipeline arms the verdict cache (fc is
+// the caller-owned scratch sc.  The burst engine is never observed.  When the
+// published pipeline arms the verdict cache (fc is
 // then the caller's, non-nil), the burst first runs a cache probe pass: hits
 // replay their memoized verdict immediately and only the misses enter the
 // wave engine, installing their verdicts on the way out.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"eswitch/internal/cpumodel"
@@ -92,16 +93,20 @@ func (sn *snapshot) miss(v *openflow.Verdict, table openflow.TableID) {
 //
 // Concurrency model: the hot path (Process, ProcessUnlocked, ProcessBurst and
 // the worker handles') is lock-free — it roots at the atomically-published
-// snapshot and follows atomically-swapped trampolines.  Updates (AddFlow, DeleteFlow,
-// InstallPipeline) are serialized by mu, build the new representation off to
-// the side, publish it atomically, and reclaim superseded copies only after
-// every registered worker epoch has passed a quiescent point (see epoch.go
-// and update.go).
+// snapshot and follows atomically-swapped trampolines; only a metered Process
+// serializes, on meterMu.  Updates (AddFlow, DeleteFlow, InstallPipeline) are
+// serialized by mu, build the new representation off to the side, publish it
+// atomically, and reclaim superseded copies only after every registered worker
+// epoch has passed a quiescent point (see epoch.go and update.go).
 type Datapath struct {
 	opts  Options
 	meter *cpumodel.Meter
-	// obs is the meter's observer for ProcessUnlocked (nil when unmetered).
-	obs *observer
+	// obs is the meter's one observer (nil when unmetered): the sequential
+	// per-packet walk behind Process and ProcessUnlocked reports to it and
+	// nothing else does — no burst entry point is ever metered.  meterMu
+	// makes Process's concurrent callers the single writer the meter needs.
+	obs     *observer
+	meterMu sync.Mutex
 
 	// pipeline is the declarative source of truth; updates are applied to
 	// it first and then reflected into the compiled representation.
@@ -128,13 +133,14 @@ type Datapath struct {
 	epochs epochDomain
 	// pins is a bounded free-list of registered workers for anonymous
 	// Process/ProcessBurst callers (the facade's safe-by-default entry
-	// points).  Each pinned worker carries its own epoch, meter shard and
-	// burst scratch.  A bounded list — rather than a sync.Pool — keeps the
-	// epoch domain and meter shard registry from accumulating
-	// registered-but-evicted entries across GC cycles; pinned counts how
-	// many have ever been created, so callers beyond the bound briefly wait
-	// for a free worker instead of churning through registrations (a worker
-	// is not cheap: its meter shard carries a simulated cache hierarchy).
+	// points).  Each pinned worker carries its own epoch, burst scratch and
+	// — where the pipeline arms one — verdict cache.  A bounded list —
+	// rather than a sync.Pool — keeps the epoch domain and the cache registry
+	// from accumulating registered-but-evicted entries across GC cycles;
+	// pinned counts how many have ever been created, so callers beyond the
+	// bound briefly wait for a free worker instead of churning through
+	// registrations (a worker is not cheap: a burst scratch and, on an armed
+	// pipeline, a verdict cache of Options.FlowCache entries).
 	pins   chan *Worker
 	pinned atomic.Int64
 
@@ -217,7 +223,7 @@ func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 		}
 		d.trampolines[t.ID].store(dp)
 	}
-	if opts.FlowCache > 0 && d.meter == nil {
+	if opts.FlowCache > 0 {
 		d.markAllDirty()
 		d.keyMask = keyAlways
 		for _, t := range working.Tables() {
@@ -396,11 +402,12 @@ func (d *Datapath) Stages() []TableStage {
 // verdict.  It parses the packet only as deep as the pipeline requires.
 //
 // Process is safe to call from any number of goroutines concurrently with
-// flow-table updates and with each other — including when the datapath is
-// metered: the call pins a recycled worker for its duration, so updates
-// cannot reclaim the state it reads and metering charges the pinned worker's
-// private shard.  Dedicated forwarding workers should RegisterWorker once
-// and process inside their own Enter/Exit bracket instead.
+// flow-table updates and with each other: the call pins a recycled worker's
+// epoch for its duration, so updates cannot reclaim the state it reads, and
+// on a metered datapath the walk additionally holds meterMu, so the meter
+// sees one writer at a time and counts every packet exactly.  Dedicated
+// forwarding workers should RegisterWorker once and process bursts inside
+// their own Enter/Exit bracket instead.
 func (d *Datapath) Process(p *pkt.Packet, v *openflow.Verdict) {
 	w := d.pinGet()
 	w.Enter()
@@ -408,17 +415,21 @@ func (d *Datapath) Process(p *pkt.Packet, v *openflow.Verdict) {
 	// slots, nor park a worker in the entered state where synchronize()
 	// would wait on it forever.
 	defer func() { w.Exit(); d.pinPut(w) }()
-	w.Process(p, v)
+	if d.obs != nil {
+		d.meterMu.Lock()
+		defer d.meterMu.Unlock()
+	}
+	d.process(p, v)
 }
 
-// ProcessUnlocked is Process without the epoch pin.  It takes no locks and
-// performs no atomic read-modify-writes — one atomic snapshot load, then pure
-// computation.  Callers must either hold their own registered WorkerEpoch
-// (the dataplane substrate's per-core workers) or quiesce updates externally
-// (single-threaded harnesses and benchmarks).  On a metered datapath the walk
-// is charged to the datapath's own meter, not a worker shard.
+// ProcessUnlocked is Process without the epoch pin and without the meter
+// lock.  It takes no locks and performs no atomic read-modify-writes — one
+// atomic snapshot load, then pure computation.  Callers must either hold
+// their own registered WorkerEpoch or quiesce updates externally, and on a
+// metered datapath be its only metered caller (single-threaded harnesses and
+// benchmarks).
 func (d *Datapath) ProcessUnlocked(p *pkt.Packet, v *openflow.Verdict) {
-	d.process(d.snap.Load(), d.obs, p, v)
+	d.process(p, v)
 }
 
 // stepResult is how executing one matched entry ended.
@@ -495,11 +506,10 @@ func (d *Datapath) executeEntry(sn *snapshot, ce *compiledEntry, p *pkt.Packet, 
 }
 
 // process runs one packet through the sequential walker from scratch: reset
-// the verdict, parse only as deep as the pipeline needs, walk.  o is nil on an
-// unmetered datapath and the caller's meter observer otherwise — the
-// datapath's for single-threaded callers, the worker's private shard on the
-// worker path.
-func (d *Datapath) process(sn *snapshot, o *observer, p *pkt.Packet, v *openflow.Verdict) {
+// the verdict, parse only as deep as the pipeline needs, walk — under the
+// datapath's meter observer when it has one.
+func (d *Datapath) process(p *pkt.Packet, v *openflow.Verdict) {
+	sn, o := d.snap.Load(), d.obs
 	v.Reset()
 	pkt.ParseTo(p, sn.parserLayer)
 	if o != nil {
@@ -512,12 +522,12 @@ func (d *Datapath) process(sn *snapshot, o *observer, p *pkt.Packet, v *openflow
 
 // walk is the one sequential walker of the goto DAG: it takes a parsed packet
 // and a reset verdict from the start table to a terminal disposition, one
-// table lookup at a time.  Process, every metered datapath and Trace all run
-// it; what differs between them is only who is watching — a nil observer is the plain forwarding walk, a non-nil
-// one is told about every lookup and every executed entry.  It shares
-// executeEntry, the miss disposition and the depth guard with the burst
-// engine (burst.go), the only other walker.  counters and ctr are
-// executeEntry's.
+// table lookup at a time.  Process, ProcessUnlocked and Trace all run it; what
+// differs between them is only who is watching — a nil observer is the plain
+// forwarding walk, a non-nil one is told about every lookup and every executed
+// entry.  It shares executeEntry, the miss disposition and the depth guard
+// with the burst engine (burst.go), the only other walker.  counters and ctr
+// are executeEntry's.
 func (d *Datapath) walk(sn *snapshot, p *pkt.Packet, v *openflow.Verdict, set *openflow.ActionList, o *observer, counters bool, ctr *flowCtrAccum) {
 	tr := sn.start
 	for depth := 0; depth < openflow.MaxPipelineDepth && tr != nil; depth++ {

@@ -96,10 +96,10 @@ type Options struct {
 	// entries in front of the compiled pipeline: packets whose verdict was
 	// memoized skip the template walk entirely.  The cache is keyed on the
 	// bits the pipeline reads and armed only where the walk is deeper than
-	// one probe — both decided by the compiler at publish time — and never
-	// on a metered datapath; see flowcache.go.  With UpdateCounters on, cache
-	// entries additionally memoize the matched entries' counter pointers so
-	// hits keep per-flow statistics exact.  Zero disables it.  Memory note:
+	// one probe — both decided by the compiler at publish time; see
+	// flowcache.go.  With UpdateCounters on, cache entries additionally
+	// memoize the matched entries' counter pointers so hits keep per-flow
+	// statistics exact.  Zero disables it.  Memory note:
 	// every worker that forwards through an armed pipeline — including the
 	// facade's recycled pinned workers — owns a cache of entries x 192
 	// bytes, so size it for the expected concurrent flow count, not "as big
@@ -113,7 +113,9 @@ type Options struct {
 	// Replacing an existing entry (same priority and match) never counts
 	// against the cap.  Zero means unlimited.
 	MaxTableEntries int
-	// Meter, when non-nil, receives cycle and memory-access accounting.
+	// Meter, when non-nil, receives the cycle and memory-access accounting
+	// of every packet sent through Process or ProcessUnlocked — the
+	// sequential per-packet walk.  Bursts are never metered.
 	Meter *cpumodel.Meter
 }
 
@@ -181,14 +183,14 @@ type lookupOutcome struct {
 // lookups under it report to; each field is optional and a nil one costs a
 // branch.  Who sets what:
 //
-//   - meter — the cycle and simulated-cache model: every metered datapath
-//     (Options.Meter), the datapath's own meter behind ProcessUnlocked and
-//     the worker's private shard behind Worker.Process/ProcessBurst;
+//   - meter — the cycle and simulated-cache model: the one observer a
+//     metered datapath (Options.Meter) owns, behind Process and
+//     ProcessUnlocked;
 //   - steps — the per-table explanation: Trace only.
 //
 // The observer crosses an interface call (LookupObserved), so one built on the
-// caller's stack escapes to the heap: the forwarding-path owners (Datapath,
-// Worker) allocate theirs once and reuse it.
+// caller's stack escapes to the heap: the Datapath allocates its own once and
+// reuses it.
 type observer struct {
 	meter *cpumodel.Meter
 	steps *[]TraceStep

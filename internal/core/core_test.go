@@ -831,6 +831,36 @@ func TestTableDatapathLookupSurface(t *testing.T) {
 	takesMeter("runWaves", reflect.TypeOf((*Datapath).runWaves))
 }
 
+// TestWorkerCarriesNoMeter keeps the meter off the worker plane: a Worker has
+// no meter or observer field and no method that takes or returns one, so every
+// burst entry point is the burst engine whether or not the datapath is metered.
+func TestWorkerCarriesNoMeter(t *testing.T) {
+	banned := map[reflect.Type]bool{
+		reflect.TypeOf((*cpumodel.Meter)(nil)): true,
+		reflect.TypeOf((*observer)(nil)):       true,
+	}
+	w := reflect.TypeOf(Worker{})
+	for i := 0; i < w.NumField(); i++ {
+		if f := w.Field(i); banned[f.Type] {
+			t.Errorf("Worker.%s is a %s", f.Name, f.Type)
+		}
+	}
+	pw := reflect.PointerTo(w)
+	for i := 0; i < pw.NumMethod(); i++ {
+		m := pw.Method(i)
+		for j := 0; j < m.Type.NumIn(); j++ {
+			if banned[m.Type.In(j)] {
+				t.Errorf("Worker.%s takes a %s", m.Name, m.Type.In(j))
+			}
+		}
+		for j := 0; j < m.Type.NumOut(); j++ {
+			if banned[m.Type.Out(j)] {
+				t.Errorf("Worker.%s returns a %s", m.Name, m.Type.Out(j))
+			}
+		}
+	}
+}
+
 func TestParserSpecializationAblation(t *testing.T) {
 	pl := macPipeline(100)
 	spec, err := Compile(pl, DefaultOptions())

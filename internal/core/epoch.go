@@ -115,19 +115,18 @@ func (d *epochDomain) synchronize() {
 }
 
 // maxPinnedWorkers bounds the free-list of recycled workers behind the
-// facade's Process/ProcessBurst entry points; callers beyond the bound
-// register a transient worker and release it (epoch unregistered, meter
-// shard folded) when done.
+// facade's Process/ProcessBurst entry points; callers beyond the bound wait
+// for one to be returned.
 const maxPinnedWorkers = 64
 
 // pinGet returns a registered worker for one facade call, recycling from the
 // bounded free-list when possible.  Pinned workers carry the full worker-
-// local resource plane — epoch, meter shard, burst scratch — so even the
-// anonymous facade entry points are race-free under metering and share no
-// scratch.  At most maxPinnedWorkers are ever created: a worker
-// is not cheap (its meter shard carries a private simulated cache
-// hierarchy), so callers beyond the bound briefly wait for a worker to be
-// returned instead of registering and tearing down a transient one per call.
+// local resource plane — epoch, burst scratch, verdict cache — so the
+// anonymous facade entry points share no scratch.  At most maxPinnedWorkers
+// are ever created: a worker is not cheap (a burst scratch and, on an armed
+// pipeline, a verdict cache of Options.FlowCache entries), so
+// callers beyond the bound briefly wait for a worker to be returned instead
+// of registering and tearing down a transient one per call.
 func (d *Datapath) pinGet() *Worker {
 	select {
 	case w := <-d.pins:
@@ -155,7 +154,7 @@ func (d *Datapath) pinPut(w *Worker) {
 
 // RegisterWorker registers one forwarding worker with the datapath and
 // returns its handle: a quiescence epoch plus the worker-local resources
-// (meter shard, burst scratch) the zero-shared-state fast path runs on.  The
+// (burst scratch, verdict cache) the zero-shared-state fast path runs on.  The
 // worker must bracket every poll iteration with Enter/Exit and classify
 // through the handle's ProcessBurst; flow-table updates wait for all
 // registered workers to pass a quiescent point before reclaiming superseded
@@ -163,8 +162,8 @@ func (d *Datapath) pinPut(w *Worker) {
 func (d *Datapath) RegisterWorker() WorkerHandle { return d.newWorker() }
 
 // UnregisterWorker releases a worker handle (on worker shutdown): its epoch
-// leaves the quiescence domain and its meter shard is folded into the
-// datapath meter.  The handle must be in the Exit'ed (quiescent) state.
+// leaves the quiescence domain and its cache counters fold into the
+// datapath's.  The handle must be in the Exit'ed (quiescent) state.
 func (d *Datapath) UnregisterWorker(h WorkerHandle) {
 	if w, ok := h.(*Worker); ok {
 		d.releaseWorker(w)

@@ -46,9 +46,9 @@ import (
 //
 // Design points:
 //
-//   - The cache is worker-owned (core.Worker holds one next to its meter
-//     shard and burst scratch): a single writer, no locks, no atomic
-//     read-modify-writes, no shared mutable state.  Hit/miss/stale counters
+//   - The cache is worker-owned (core.Worker holds one next to its burst
+//     scratch): a single writer, no locks, no atomic read-modify-writes, no
+//     shared mutable state.  Hit/miss/stale counters
 //     are single-writer atomic-store mirrors folded by Datapath.FlowCacheStats.
 //   - The probe hash is one multiplicative mix over the masked key words
 //     (flowKey.hash), computed in probe pass A; a full key comparison
@@ -77,8 +77,9 @@ import (
 //   - Verdicts that cannot be memoized are never installed: multi-port
 //     (flood/multicast) outputs, packets entering with non-zero metadata, and
 //     header rewrites the flat patch cannot express (see diffHeaders).
-//     Metered datapaths disable the cache entirely — the cycle model must
-//     observe the full walk.
+//   - A cycle meter does not interact with the cache: the meter rides the
+//     sequential per-packet walk, which never probes or installs, and the
+//     burst path that does is never metered.
 //   - Per-flow counters (Options.UpdateCounters) do not defeat the cache:
 //     the install records the matched entries' stable Counters pointers in
 //     the cache entry (ctrList, flowctr.go) and a hit bumps them through the
@@ -787,9 +788,9 @@ func (d *Datapath) FlowCacheCounters() (hits, misses, stale, revalidated, expire
 }
 
 // FlowCacheEnabled reports whether the verdict cache is armed: the datapath
-// was compiled with Options.FlowCache and no meter, every field the current
-// pipeline matches or sets is covered by the flow key, and some path through
-// it is deeper than one direct/hash/LPM probe.
+// was compiled with Options.FlowCache, every field the current pipeline
+// matches or sets is covered by the flow key, and some path through it is
+// deeper than one direct/hash/LPM probe.
 func (d *Datapath) FlowCacheEnabled() bool { return d.snap.Load().armed }
 
 // FlowCacheKey describes the current pipeline's compiled cache key, for
@@ -809,8 +810,6 @@ func (d *Datapath) unarmedWhy(sn *snapshot) string {
 		return ""
 	case d.opts.FlowCache <= 0:
 		return "Options.FlowCache is off"
-	case d.meter != nil:
-		return "metered datapath: the cycle model must observe the full walk"
 	case sn.uncovered != 0:
 		names := ""
 		for _, f := range sn.uncovered.Fields() {

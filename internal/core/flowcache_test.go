@@ -145,6 +145,75 @@ func sameVerdict(a, b *openflow.Verdict) bool {
 	return true
 }
 
+// TestMeterOffForwardingPlane pins the one rule of the cycle model: it is a
+// reading of the sequential per-packet walk, not a forwarding mode.  A
+// datapath compiled with both a meter and a verdict cache arms the cache, its
+// worker forwards through the burst engine and the cache without charging the
+// meter, and the per-packet walk then charges exactly what a cache-less
+// metered twin charges for the same frames.
+func TestMeterOffForwardingPlane(t *testing.T) {
+	uc := workload.GatewayUseCase(workload.GatewayConfig{CEs: 4, UsersPerCE: 8, Prefixes: 500, Seed: 3})
+	const n = 4096
+	compile := func(flowCache int) (*Datapath, *cpumodel.Meter) {
+		opts := DefaultOptions()
+		opts.FlowCache = flowCache
+		opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
+		dp, err := Compile(uc.Pipeline, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dp, opts.Meter
+	}
+	dp, meter := compile(2 * n)
+	twin, twinMeter := compile(0)
+	if _, why := dp.FlowCacheKey(); !dp.FlowCacheEnabled() {
+		t.Fatalf("a metered gateway does not arm its cache: %s", why)
+	}
+
+	// The gateway rewrites headers in place, so every pass gets its own copy.
+	tr := uc.Trace(n)
+	packets := func() []pkt.Packet {
+		ps := make([]pkt.Packet, n)
+		for i := range ps {
+			data, in := tr.Frame(i)
+			ps[i] = pkt.Packet{Data: pkt.Clone(data), InPort: in}
+		}
+		return ps
+	}
+
+	w := dp.RegisterWorker().(*Worker)
+	defer dp.UnregisterWorker(w)
+	for pass := 0; pass < 2; pass++ {
+		packets := packets()
+		ps := make([]*pkt.Packet, n)
+		for i := range ps {
+			ps[i] = &packets[i]
+		}
+		w.Enter()
+		w.ProcessBurst(ps, make([]openflow.Verdict, n))
+		w.Exit()
+	}
+	if st := dp.FlowCacheStats(); st.Hits == 0 {
+		t.Fatalf("the second pass hit nothing: %+v", st)
+	}
+	if got := meter.Packets(); got != 0 {
+		t.Fatalf("the worker's bursts charged the meter for %d packets", got)
+	}
+
+	a, b := packets(), packets()
+	var va, vb openflow.Verdict
+	for i := range a {
+		dp.ProcessUnlocked(&a[i], &va)
+		twin.ProcessUnlocked(&b[i], &vb)
+		if !sameVerdict(&va, &vb) || a[i].Headers != b[i].Headers {
+			t.Fatalf("frame %d: %s, headers %+v; the cache-less twin %s, headers %+v", i, &va, a[i].Headers, &vb, b[i].Headers)
+		}
+	}
+	if meter.Packets() != n || meter.TotalCycles() != twinMeter.TotalCycles() || meter.LLCMissesPerPacket() != twinMeter.LLCMissesPerPacket() {
+		t.Fatalf("the walk behind a cache charged %s, the cache-less twin %s", meter, twinMeter)
+	}
+}
+
 // bundledUseCases are the six bundled workloads at test scale.
 func bundledUseCases() []*workload.UseCase {
 	return []*workload.UseCase{
@@ -275,12 +344,12 @@ func twoStage(numPorts int) (*openflow.Pipeline, *openflow.FlowTable) {
 }
 
 // TestFlowCacheGating asserts the cache never engages where it could lie:
-// pipelines matching or setting fields outside the flow key and metered
-// datapaths are not armed, multicast verdicts are not memoized, and packets
-// entering with metadata bypass it.  (Per-entry counters do not gate the
-// cache: entries memoize the matched entries' counter pointers and hits keep
-// the statistics exact — TestFlowCacheCountersExact.  Pipelines one probe
-// deep are not armed either — TestCacheArming.)
+// pipelines matching or setting fields outside the flow key are not armed,
+// multicast verdicts are not memoized, and packets entering with metadata
+// bypass it.  (Per-entry counters do not gate the cache: entries memoize the
+// matched entries' counter pointers and hits keep the statistics exact —
+// TestFlowCacheCountersExact.  Pipelines one probe deep are not armed either —
+// TestCacheArming.)
 func TestFlowCacheGating(t *testing.T) {
 	compile := func(t *testing.T, pl *openflow.Pipeline) *Datapath {
 		t.Helper()
@@ -376,30 +445,6 @@ func TestFlowCacheGating(t *testing.T) {
 		burst(w)
 		if st := dp.FlowCacheStats(); st.Misses != 1 || st.Capacity != uint64(w.cache.Len()+w2.cache.Len()) {
 			t.Fatalf("armed-later stats: %+v", st)
-		}
-	})
-
-	t.Run("metered", func(t *testing.T) {
-		uc := workload.L3ACLRouterUseCase(50, 100, 4, 1)
-		opts := DefaultOptions()
-		opts.FlowCache = 1024
-		opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
-		dp, err := Compile(uc.Pipeline, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dp.FlowCacheEnabled() {
-			t.Fatal("metered datapath must not cache")
-		}
-		w := dp.RegisterWorker().(*Worker)
-		defer dp.UnregisterWorker(w)
-		var p pkt.Packet
-		uc.Trace(4).Next(&p)
-		w.Enter()
-		w.ProcessBurst([]*pkt.Packet{&p}, make([]openflow.Verdict, 1))
-		w.Exit()
-		if w.cache != nil {
-			t.Fatal("metered worker got a cache")
 		}
 	})
 

@@ -33,7 +33,7 @@ type scopeRig struct {
 	aliasW [2]*Worker
 	// metered, when set (meteredTwin), is the same pipeline compiled again
 	// without caches under a cycle meter; it receives every mod randomMod
-	// makes and check runs it as two more executors.
+	// makes and check runs it, through Process, as one more executor.
 	metered *Datapath
 }
 
@@ -99,8 +99,8 @@ func traceFrames(uc *workload.UseCase, n int) (frames [][]byte, inPorts []uint32
 // interpreter's over the datapath's current declarative pipeline.  Every
 // other executor the sequential walker serves sees the same frames: Trace
 // must claim the interpreter's verdict, headers and metadata in as many steps
-// as the verdict counts tables, and the metered twin must give the worker's
-// verdicts per packet and per burst, for exactly the same cycles either way.
+// as the verdict counts tables, and the metered twin's per-packet walk must
+// give the worker's verdicts and charge its meter for them.
 func (r *scopeRig) check(label string, pick func(i int) bool) {
 	r.t.Helper()
 	in := openflow.NewInterpreter(r.dp.Pipeline())
@@ -111,44 +111,24 @@ func (r *scopeRig) check(label string, pick func(i int) bool) {
 	packets := make([]pkt.Packet, burst)
 	ps := make([]*pkt.Packet, 0, burst)
 	vs := make([]openflow.Verdict, burst)
-	mpackets := make([]pkt.Packet, burst)
-	mps := make([]*pkt.Packet, burst)
-	for j := range mps {
-		mps[j] = &mpackets[j]
-	}
-	mvs := make([]openflow.Verdict, burst)
-	// metered runs the flush's frames through the twin from a cold simulated
-	// cache, per packet or as one burst, and returns the cycles charged.
-	metered := func(how string, run func()) uint64 {
-		r.t.Helper()
-		m := r.metered.Meter()
-		m.Reset()
-		for j, i := range idx {
-			mpackets[j] = pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}
-		}
-		run()
-		for j, i := range idx {
-			if !sameVerdict(&mvs[j], &vs[j]) || mpackets[j].Headers != packets[j].Headers || mpackets[j].Metadata != packets[j].Metadata {
-				r.t.Fatalf("%s: frame %d: metered %s says %s, headers %+v; the worker %s, headers %+v",
-					label, i, how, &mvs[j], mpackets[j].Headers, &vs[j], packets[j].Headers)
-			}
-		}
-		return m.TotalCycles()
-	}
 	flush := func() {
 		r.t.Helper()
 		r.w.Enter()
 		r.w.ProcessBurst(ps, vs[:len(ps)])
 		r.w.Exit()
 		if r.metered != nil {
-			perPacket := metered("Process", func() {
-				for j := range idx {
-					r.metered.Process(mps[j], &mvs[j])
+			before := r.metered.Meter().Packets()
+			for j, i := range idx {
+				mp := pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}
+				var mv openflow.Verdict
+				r.metered.Process(&mp, &mv)
+				if !sameVerdict(&mv, &vs[j]) || mp.Headers != packets[j].Headers || mp.Metadata != packets[j].Metadata {
+					r.t.Fatalf("%s: frame %d: metered Process says %s, headers %+v; the worker %s, headers %+v",
+						label, i, &mv, mp.Headers, &vs[j], packets[j].Headers)
 				}
-			})
-			asBurst := metered("ProcessBurst", func() { r.metered.ProcessBurst(mps[:len(idx)], mvs[:len(idx)]) })
-			if perPacket != asBurst || perPacket == 0 {
-				r.t.Fatalf("%s: %d frames cost %d cycles metered per packet, %d as one burst", label, len(idx), perPacket, asBurst)
+			}
+			if got := r.metered.Meter().Packets() - before; got != uint64(len(idx)) {
+				r.t.Fatalf("%s: %d frames through the metered twin, %d metered", label, len(idx), got)
 			}
 		}
 		for j, i := range idx {

@@ -1,30 +1,26 @@
 package core
 
 import (
-	"eswitch/internal/cpumodel"
 	"eswitch/internal/openflow"
 	"eswitch/internal/pkt"
 )
 
 // This file implements the worker-local resource plane of the compiled
-// datapath: every forwarding worker owns a Worker handle bundling the three
-// pieces of per-worker mutable state the hot path needs —
+// datapath: every forwarding worker owns a Worker handle bundling the
+// per-worker mutable state the hot path needs —
 //
 //   - its quiescence epoch (WorkerEpoch, epoch.go), which is what lets the
 //     burst loop run lock-free under concurrent flow-table updates;
-//   - its meter shard (cpumodel.Meter.NewShard), so metered multi-worker
-//     runs are race-free: each worker charges cycles and simulated cache
-//     accesses to a private, cache-line-padded shard folded on read;
 //   - its burst scratch (burstScratch), the NUMA-style private working
 //     memory of the burst engine — owned outright, never pooled, never
-//     shared with another worker on the steady-state path.
+//     shared with another worker on the steady-state path;
+//   - its verdict cache, where the pipeline arms one.
 //
-// An unmetered worker has no meter shard and no observer: its bursts run the
-// burst engine, which contains no metering at all, so registering workers
-// adds zero locks, zero atomic read-modify-writes and zero allocations per
-// burst.  A metered worker never enters the burst engine — the paper's cycle
-// model is per packet and additive, so its bursts are n sequential walks
-// under the shard's observer.
+// A worker's bursts always run the burst engine, which contains no metering
+// at all — whether or not the datapath carries a cycle meter — so registering
+// workers adds zero locks, zero atomic read-modify-writes and zero
+// allocations per burst.  The meter rides the sequential per-packet walk and
+// nothing else (Datapath.Process, Datapath.ProcessUnlocked).
 
 // WorkerHandle is the interface a registered forwarding worker holds.  It is
 // an alias for the anonymous interface so the dataplane substrate
@@ -40,16 +36,11 @@ type WorkerHandle = interface {
 }
 
 // Worker is one forwarding worker's handle on the compiled datapath: its
-// quiescence epoch, its meter shard (nil when the datapath is unmetered) and
-// its privately owned burst scratch.  A Worker is single-threaded by
-// contract — exactly one goroutine drives it.
+// quiescence epoch and its privately owned burst scratch and verdict cache.
+// A Worker is single-threaded by contract — exactly one goroutine drives it.
 type Worker struct {
 	d     *Datapath
 	epoch *WorkerEpoch
-	meter *cpumodel.Meter
-	// obs is the meter shard's observer for the sequential walk (nil when
-	// the datapath is unmetered).
-	obs *observer
 	// cache is the worker's private verdict cache (flowcache.go), allocated
 	// at registration when the pipeline's cache is armed and otherwise once a
 	// flow-mod arms it (armCache), so a datapath whose pipeline never arms it
@@ -64,14 +55,9 @@ type Worker struct {
 	scratch burstScratch
 }
 
-// newWorker registers a worker: an epoch in the quiescence domain and a shard
-// of the datapath meter when metered.
+// newWorker registers a worker: an epoch in the quiescence domain.
 func (d *Datapath) newWorker() *Worker {
 	w := &Worker{d: d, epoch: d.epochs.register()}
-	if d.meter != nil {
-		w.meter = d.meter.NewShard()
-		w.obs = &observer{meter: w.meter}
-	}
 	if d.opts.UpdateCounters {
 		// Registered workers accumulate per-flow counter deltas privately
 		// and fold them in batches (flowctr.go) instead of paying two
@@ -97,14 +83,10 @@ func (w *Worker) armCache() {
 	w.d.caches.register(w.cache)
 }
 
-// releaseWorker retires a worker: its epoch leaves the quiescence domain, its
-// meter shard is folded into the datapath meter's base totals, and its cache
-// counters fold into the datapath's cache stats.
+// releaseWorker retires a worker: its epoch leaves the quiescence domain and
+// its cache counters fold into the datapath's cache stats.
 func (d *Datapath) releaseWorker(w *Worker) {
 	d.epochs.unregister(w.epoch)
-	if w.meter != nil {
-		d.meter.ReleaseShard(w.meter)
-	}
 	if w.cache != nil {
 		d.caches.retire(w.cache)
 	}
@@ -136,11 +118,6 @@ func (w *Worker) Exit() {
 	}
 }
 
-// Meter returns the worker's private meter shard (nil when the datapath is
-// unmetered).  Aggregate numbers are read from the datapath meter, which
-// folds all shards.
-func (w *Worker) Meter() *cpumodel.Meter { return w.meter }
-
 // ProcessBurst sends a burst of packets through the compiled fast path using
 // the worker's own resources: its burst scratch (no pool access) and — when
 // the pipeline arms it — its verdict cache, which lets repeat keys skip the
@@ -148,19 +125,11 @@ func (w *Worker) Meter() *cpumodel.Meter { return w.meter }
 // locks and no atomic read-modify-writes — one atomic snapshot load, then
 // pure computation — except for the amortized fold of the flow-counter
 // accumulator on a counters-enabled datapath (a batch of atomic adds at most
-// once per ctrFlushPackets packets, flowctr.go).  On a metered datapath the
-// burst is instead n sequential walks charged to the worker's meter shard (no
-// shared meter writes), exactly what Process would charge packet by packet.
-// It must be called inside the worker's Enter/Exit bracket (or with updates
-// quiesced externally).
+// once per ctrFlushPackets packets, flowctr.go).  A datapath's cycle meter is
+// never charged here.  It must be called inside the worker's Enter/Exit
+// bracket (or with updates quiesced externally).
 func (w *Worker) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
 	sn := w.d.snap.Load()
-	if w.obs != nil {
-		for i, p := range ps {
-			w.d.process(sn, w.obs, p, &vs[i])
-		}
-		return
-	}
 	if sn.armed && w.cache == nil {
 		// Armed between Enter and the load above (or a caller that quiesces
 		// updates externally and never Enters).
@@ -179,11 +148,4 @@ func (w *Worker) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
 			ctr.flush()
 		}
 	}
-}
-
-// Process sends one packet through the sequential walker, charging any
-// metering to the worker's shard.  Like ProcessBurst it must run inside the
-// worker's Enter/Exit bracket.
-func (w *Worker) Process(p *pkt.Packet, v *openflow.Verdict) {
-	w.d.process(w.d.snap.Load(), w.obs, p, v)
 }

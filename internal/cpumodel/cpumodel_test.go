@@ -212,99 +212,3 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 		h.Access(uint64(i) * 64)
 	}
 }
-
-func TestMeterShardsFoldAndRelease(t *testing.T) {
-	m := NewMeter(DefaultPlatform())
-	r := m.NewRegion("flows", 4096)
-	a, b := m.NewShard(), m.NewShard()
-	if m.NumShards() != 2 {
-		t.Fatalf("shards %d", m.NumShards())
-	}
-	// Charge different amounts to each shard and some to the parent.
-	for i := 0; i < 5; i++ {
-		a.StartPacket()
-		a.AddCycles(100)
-		a.RegionAccess(r, uint64(i)*64)
-	}
-	for i := 0; i < 3; i++ {
-		b.StartPacket()
-		b.AddCycles(50)
-	}
-	m.StartPacket()
-	m.AddCycles(10)
-	if got := m.Packets(); got != 9 {
-		t.Fatalf("folded packets %d, want 9", got)
-	}
-	// Shards read only their own counters.
-	if a.Packets() != 5 || b.Packets() != 3 {
-		t.Fatalf("shard packets %d/%d", a.Packets(), b.Packets())
-	}
-	wantCycles := m.TotalCycles()
-	// Releasing a shard folds it into the base: totals must not move.
-	m.ReleaseShard(a)
-	if m.NumShards() != 1 {
-		t.Fatalf("shards after release %d", m.NumShards())
-	}
-	if got := m.TotalCycles(); got != wantCycles {
-		t.Fatalf("release changed folded cycles %d -> %d", wantCycles, got)
-	}
-	if got := m.Packets(); got != 9 {
-		t.Fatalf("release changed folded packets: %d", got)
-	}
-	// Reset clears the parent, the base and the remaining shards.
-	m.Reset()
-	if m.Packets() != 0 || m.TotalCycles() != 0 || b.Packets() != 0 {
-		t.Fatalf("reset left counts: %d %d %d", m.Packets(), m.TotalCycles(), b.Packets())
-	}
-	// Shards of shards delegate to the root.
-	c := b.NewShard()
-	c.StartPacket()
-	if m.Packets() != 1 || m.NumShards() != 2 {
-		t.Fatalf("shard-of-shard did not land on the root: %d packets, %d shards", m.Packets(), m.NumShards())
-	}
-}
-
-func TestMeterShardLLCFolds(t *testing.T) {
-	m := NewMeter(DefaultPlatform())
-	// A region far larger than the LLC: every strided access misses.
-	r := m.NewRegion("huge", 64<<20)
-	s := m.NewShard()
-	const n = 5000
-	for i := 0; i < n; i++ {
-		s.StartPacket()
-		s.RegionAccess(r, uint64(i)*4096)
-	}
-	if got := m.LLCMissesPerPacket(); got < 0.9 {
-		t.Fatalf("folded LLC misses/packet %v, want ~1 (shard hierarchy is private)", got)
-	}
-	// The parent's own hierarchy saw none of these accesses.
-	if own := m.Cache.Stats().Accesses; own != 0 {
-		t.Fatalf("parent hierarchy saw %d accesses", own)
-	}
-}
-
-func TestMeterShardRegistryOpsFlatOnHotPath(t *testing.T) {
-	m := NewMeter(DefaultPlatform())
-	r := m.NewRegion("t", 4096)
-	s := m.NewShard()
-	ops := m.RegistryOps()
-	for i := 0; i < 1000; i++ {
-		s.StartPacket()
-		s.AddCycles(7)
-		s.RegionAccess(r, uint64(i)*64)
-	}
-	if got := m.RegistryOps(); got != ops {
-		t.Fatalf("metering touched the shard registry %d times", got-ops)
-	}
-}
-
-func TestNilMeterShardIsSafe(t *testing.T) {
-	var m *Meter
-	if m.NewShard() != nil {
-		t.Fatal("nil meter must shard to nil")
-	}
-	m.ReleaseShard(nil)
-	if m.NumShards() != 0 || m.RegistryOps() != 0 {
-		t.Fatal("nil meter registry must be empty")
-	}
-}

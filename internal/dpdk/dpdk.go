@@ -20,8 +20,8 @@
 // and one consumer and the workers share nothing but the datapath.  When the
 // datapath supports worker registration (WorkerDatapath — the compiled
 // ESWITCH datapath does), each worker registers a handle bundling its
-// worker-local resource plane — quiescence epoch, meter shard, burst scratch
-// — and brackets every poll iteration with Enter/Exit, which is what lets
+// worker-local resource plane — quiescence epoch, burst scratch, verdict
+// cache — and brackets every poll iteration with Enter/Exit, which is what lets
 // concurrent flow-table updates retire superseded flow-table versions safely
 // while the steady-state loop takes zero locks and shares no mutable state.
 //
@@ -410,8 +410,8 @@ type BurstDatapath interface {
 }
 
 // Worker is the per-worker handle of a WorkerDatapath: the worker's
-// quiescence epoch plus its worker-local resources (meter shard, burst
-// scratch).  It is an alias for the anonymous interface so the concrete
+// quiescence epoch plus its worker-local resources (burst scratch, verdict
+// cache).  It is an alias for the anonymous interface so the concrete
 // handle type lives with the datapath implementation (core.Worker) without
 // an import here.
 type Worker = interface {
@@ -424,8 +424,8 @@ type Worker = interface {
 
 // WorkerDatapath is the lock-free extension of BurstDatapath: the datapath
 // publishes its compiled state through atomic snapshots, workers register a
-// handle carrying their worker-local resource plane (epoch, meter shard,
-// burst scratch), bracket every poll iteration with Enter/Exit, and classify
+// handle carrying their worker-local resource plane (epoch, burst scratch,
+// verdict cache), bracket every poll iteration with Enter/Exit, and classify
 // through the handle's ProcessBurst — the zero-lock, zero-atomic-RMW,
 // zero-shared-state burst path — while flow-table updates proceed
 // concurrently.  The compiled ESWITCH datapath implements it.
@@ -681,7 +681,7 @@ type SwitchConfig struct {
 // also implements BurstDatapath (the compiled ESWITCH datapath does), the
 // worker loops use the burst fast path automatically; when it implements
 // WorkerDatapath they additionally run the zero-lock path on registered
-// per-worker resources (epoch, meter shard, burst scratch).
+// per-worker resources (epoch, burst scratch, verdict cache).
 func NewSwitchWithConfig(dp Datapath, cfg SwitchConfig) *Switch {
 	burst := cfg.Burst
 	if burst <= 0 {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"eswitch/internal/core"
-	"eswitch/internal/cpumodel"
 	"eswitch/internal/dpdk"
 	"eswitch/internal/pkt"
 	"eswitch/internal/workload"
@@ -28,13 +27,6 @@ type ScalingPoint struct {
 	Mpps float64
 	// Processed is how many packets the workers forwarded.
 	Processed uint64
-	// ModelCyclesPkt is the cycle-model cost per packet, folded over every
-	// worker's private meter shard, when the harness is metered (see
-	// NewMeteredScalingHarness); 0 on unmetered runs.
-	ModelCyclesPkt float64
-	// ModelLLCPkt is the folded simulated LLC misses per packet on metered
-	// runs.
-	ModelLLCPkt float64
 }
 
 // ScalingHarness is the reusable hot-port driver: a compiled L3 datapath
@@ -45,29 +37,13 @@ type ScalingHarness struct {
 	hot     *dpdk.Port
 	frames  [][]byte
 	queueOf []int
-	meter   *cpumodel.Meter
 }
 
-// NewMeteredScalingHarness compiles the L3 workload (2K prefixes) with a
-// cycle meter attached and prepares the pre-steered frame set.
-// Every worker RunWorkers starts registers a private meter shard, so a
-// metered run with N workers is race-free and the folded model numbers
-// (cycles/packet, LLC misses/packet over per-core private hierarchies) can
-// be read from Meter() — the Fig. 14/15-style experiments at multi-core
-// scale that a shared meter made impossible.
-func NewMeteredScalingHarness(flows int) (*ScalingHarness, error) {
-	return newScalingHarness(flows, true)
-}
-
-func newScalingHarness(flows int, metered bool) (*ScalingHarness, error) {
+// newScalingHarness compiles the L3 workload (2K prefixes) and prepares the
+// pre-steered frame set.
+func newScalingHarness(flows int) (*ScalingHarness, error) {
 	uc := workload.L3UseCase(2000, 8, 2016)
-	opts := core.DefaultOptions()
-	var meter *cpumodel.Meter
-	if metered {
-		meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
-		opts.Meter = meter
-	}
-	dp, err := core.Compile(uc.Pipeline, opts)
+	dp, err := core.Compile(uc.Pipeline, core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -83,17 +59,12 @@ func newScalingHarness(flows int, metered bool) (*ScalingHarness, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ScalingHarness{sw: sw, hot: hot, frames: frames, queueOf: queueOf, meter: meter}, nil
+	return &ScalingHarness{sw: sw, hot: hot, frames: frames, queueOf: queueOf}, nil
 }
-
-// Meter returns the harness's cycle meter (nil when built unmetered);
-// aggregate reads fold every worker's shard.
-func (h *ScalingHarness) Meter() *cpumodel.Meter { return h.meter }
 
 // Run starts the given number of workers, injects `packets` frames into the
 // hot port, waits for the backlog to drain and returns the aggregate rate.
 func (h *ScalingHarness) Run(workers, packets int) ScalingPoint {
-	h.meter.Reset() // fresh model numbers per point; nil-safe
 	stop := h.sw.RunWorkers(workers)
 	defer stop()
 	already := h.sw.Stats().Processed
@@ -125,11 +96,9 @@ func (h *ScalingHarness) Run(workers, packets int) ScalingPoint {
 	elapsed := time.Since(start)
 	processed := h.sw.Stats().Processed - already
 	return ScalingPoint{
-		Workers:        workers,
-		Mpps:           float64(processed) / elapsed.Seconds() / 1e6,
-		Processed:      processed,
-		ModelCyclesPkt: h.meter.CyclesPerPacket(),
-		ModelLLCPkt:    h.meter.LLCMissesPerPacket(),
+		Workers:   workers,
+		Mpps:      float64(processed) / elapsed.Seconds() / 1e6,
+		Processed: processed,
 	}
 }
 
@@ -148,9 +117,9 @@ func Fig19Measured(cfg Config) Result {
 		Header: []string{"workers", "Mpps", "packets"},
 	}
 	for _, w := range counts {
-		// A fresh unmetered harness per point: every worker polls its own
+		// A fresh harness per point: every worker polls its own
 		// RX-queue subset of the hot port against the shared datapath.
-		h, err := newScalingHarness(10_000, false)
+		h, err := newScalingHarness(10_000)
 		if err != nil {
 			panic(err)
 		}

@@ -1,8 +1,6 @@
 package eswitch
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
@@ -319,77 +317,6 @@ func TestFlowCachePuntDifferential(t *testing.T) {
 	}
 	if !sawMiss || !sawAction {
 		t.Fatalf("differential did not cover both punt reasons (miss=%v action=%v)", sawMiss, sawAction)
-	}
-}
-
-// TestFacadePuntSubscriptionAndPacketOut covers the facade surface: punts
-// from Process/ProcessBurst land in the subscription ring with reason and
-// table, and PacketOut executes action lists including output:TABLE
-// re-injection through the compiled pipeline.
-func TestFacadePuntSubscriptionAndPacketOut(t *testing.T) {
-	pl := NewPipeline(4)
-	pl.Miss = openflow.MissController
-	pl.Table(0).AddFlow(100, NewMatch().Set(FieldEthDst, 0x42), Apply(Output(2)))
-	sw, err := New(pl, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := sw.SubscribePunts(64, 0)
-
-	b := pkt.NewBuilder(64)
-	hit := pkt.Clone(b.EthernetFrame(pkt.EthernetOpts{Dst: pkt.MACFromUint64(0x42), EtherType: 0x0800}, nil))
-	miss := pkt.Clone(b.EthernetFrame(pkt.EthernetOpts{Dst: pkt.MACFromUint64(0x43), EtherType: 0x0800}, nil))
-
-	var v Verdict
-	sw.Process(&Packet{Data: hit, InPort: 1}, &v)
-	if !v.Forwarded() || ring.Len() != 0 {
-		t.Fatalf("hit verdict %v, ring %d", v.String(), ring.Len())
-	}
-	sw.Process(&Packet{Data: miss, InPort: 3}, &v)
-	if !v.ToController || ring.Len() != 1 {
-		t.Fatalf("miss verdict %v, ring %d", v.String(), ring.Len())
-	}
-	var rec PuntRecord
-	if !ring.Pop(&rec) || rec.InPort != 3 || rec.Reason != PuntMiss || rec.Table != 0 || !bytes.Equal(rec.Frame, miss) {
-		t.Fatalf("subscription record %+v", rec)
-	}
-
-	// Burst path feeds the same subscription.
-	ps := []*Packet{{Data: hit, InPort: 1}, {Data: miss, InPort: 2}}
-	vs := make([]Verdict, 2)
-	sw.ProcessBurst(ps, vs)
-	if ring.Len() != 1 {
-		t.Fatalf("burst subscription ring %d", ring.Len())
-	}
-	ring.Pop(&rec)
-
-	// PacketOut: direct output, flood expansion, and TABLE re-injection.
-	if err := sw.PacketOut(1, hit, ActionList{Output(3)}, &v); err != nil || fmt.Sprint(v.OutPorts) != "[3]" {
-		t.Fatalf("direct packet-out: %v %v", v.OutPorts, err)
-	}
-	if err := sw.PacketOut(1, hit, ActionList{Flood()}, &v); err != nil || len(v.OutPorts) != 3 {
-		t.Fatalf("flood packet-out: %v %v", v.OutPorts, err)
-	}
-	if err := sw.PacketOut(4, hit, ActionList{Output(openflow.PortTable)}, &v); err != nil || fmt.Sprint(v.OutPorts) != "[2]" {
-		t.Fatalf("table packet-out (hit): %v %v", v.OutPorts, err)
-	}
-	if err := sw.PacketOut(4, miss, ActionList{Output(openflow.PortTable)}, &v); err != nil {
-		t.Fatal(err)
-	}
-	if !v.ToController || v.PuntReason != PuntMiss {
-		t.Fatalf("table packet-out (miss): %+v", v)
-	}
-	// The re-injected miss also hit the subscription ring.
-	if ring.Len() != 1 {
-		t.Fatalf("re-injected punt not subscribed: ring %d", ring.Len())
-	}
-	if err := sw.PacketOut(1, hit, ActionList{DecTTL()}, &v); err == nil {
-		t.Fatal("unsupported packet-out action accepted")
-	}
-	sw.UnsubscribePunts()
-	sw.Process(&Packet{Data: miss, InPort: 3}, &v)
-	if ring.Len() != 1 {
-		t.Fatal("unsubscribed ring still fed")
 	}
 }
 
