@@ -661,11 +661,15 @@ func main() {
 	}
 	// The counter invariants hold at rest (workers stopped): surface any
 	// violation loudly rather than printing inconsistent numbers.
-	if err := sw.Stats().CheckInvariants(puntRings != nil); err != nil {
+	st := sw.Stats()
+	if err := st.CheckInvariants(puntRings != nil); err != nil {
 		log.Printf("eswitchd: %v", err)
 	}
 	var cacheKey, cacheUnarmed string
 	if compiled != nil {
+		if err := compiled.FlowCacheStats().CheckInvariants(st.Processed, st.Panics); err != nil {
+			log.Printf("eswitchd: %v", err)
+		}
 		cacheKey, cacheUnarmed = compiled.FlowCacheKey()
 	}
 	// One renderer for every run mode, reading the same registry /metrics

@@ -135,8 +135,8 @@ type Datapath struct {
 	// Process/ProcessBurst callers (the facade's safe-by-default entry
 	// points).  Each pinned worker carries its own epoch, burst scratch and
 	// — where the pipeline arms one — verdict cache.  A bounded list —
-	// rather than a sync.Pool — keeps the epoch domain and the cache registry
-	// from accumulating registered-but-evicted entries across GC cycles;
+	// rather than an object pool the GC empties — keeps the epoch domain and
+	// the cache registry from accumulating registered-but-evicted entries;
 	// pinned counts how many have ever been created, so callers beyond the
 	// bound briefly wait for a free worker instead of churning through
 	// registrations (a worker is not cheap: a burst scratch and, on an armed

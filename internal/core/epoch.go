@@ -21,16 +21,6 @@ import (
 // again — which is exactly what the ping-pong table updates in update.go do
 // to reclaim the previous table copy as the next build target.
 
-// Epoch is the quiescence handle a forwarding worker holds: Enter pins the
-// current datapath state for the duration of one burst, Exit announces a
-// quiescent point.  It is an alias for the anonymous interface so the
-// dataplane substrate (internal/dpdk) can name the same type without
-// importing this package.
-type Epoch = interface {
-	Enter()
-	Exit()
-}
-
 // WorkerEpoch is the per-worker epoch counter.  The counter is odd while the
 // worker is inside a burst (between Enter and Exit) and even while quiescent.
 // The trailing padding keeps each worker's counter on its own cache line so

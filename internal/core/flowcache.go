@@ -779,12 +779,22 @@ func (d *Datapath) FlowCacheStats() FlowCacheStats {
 	return st
 }
 
-// FlowCacheCounters is FlowCacheStats unpacked for the dataplane substrate
-// (internal/dpdk folds these into its Switch.Stats without importing the
-// core types): one fold, so the subset relations hold across the tuple.
-func (d *Datapath) FlowCacheCounters() (hits, misses, stale, revalidated, expired, flushes uint64) {
-	st := d.FlowCacheStats()
-	return st.Hits, st.Misses, st.Stale, st.Revalidated, st.Expired, st.Flushes
+// CheckInvariants verifies the identities a fold guarantees: Revalidated <=
+// Hits and Expired <= Stale <= Misses in every reading, and — at rest, with
+// the cache probed and no contained panic (which abandons a burst between
+// probe and tally) — Hits + Misses == processed, the packets the workers
+// classified: every packet is exactly a hit or a miss.
+func (st FlowCacheStats) CheckInvariants(processed, panics uint64) error {
+	switch {
+	case st.Revalidated > st.Hits:
+		return fmt.Errorf("core: verdict cache revalidated %d exceeds hits %d", st.Revalidated, st.Hits)
+	case st.Expired > st.Stale || st.Stale > st.Misses:
+		return fmt.Errorf("core: verdict cache expired %d <= stale %d <= misses %d broken", st.Expired, st.Stale, st.Misses)
+	}
+	if probes := st.Hits + st.Misses; probes > 0 && panics == 0 && probes != processed {
+		return fmt.Errorf("core: verdict cache fold broken: %d hits + %d misses != %d processed", st.Hits, st.Misses, processed)
+	}
+	return nil
 }
 
 // FlowCacheEnabled reports whether the verdict cache is armed: the datapath

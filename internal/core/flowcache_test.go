@@ -689,6 +689,43 @@ func flowCacheEvictionChurn(t *testing.T, zipf bool) FlowCacheStats {
 	return st
 }
 
+// TestFlowCacheStatsCheckInvariants exercises the canonical cache identities
+// over synthetic folds: consistent counters pass, every single-counter
+// perturbation is caught, and the fold identity is waived only where it
+// cannot hold (no probes, contained panics).
+func TestFlowCacheStatsCheckInvariants(t *testing.T) {
+	good := FlowCacheStats{Hits: 700, Misses: 300, Stale: 10, Revalidated: 5, Expired: 2}
+	if err := good.CheckInvariants(1000, 0); err != nil {
+		t.Fatalf("consistent stats rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*FlowCacheStats){
+		"fold":             func(st *FlowCacheStats) { st.Misses-- },
+		"stale>misses":     func(st *FlowCacheStats) { st.Stale = st.Misses + 1 },
+		"expired>stale":    func(st *FlowCacheStats) { st.Expired = st.Stale + 1 },
+		"revalidated>hits": func(st *FlowCacheStats) { st.Revalidated = st.Hits + 1 },
+	} {
+		st := good
+		mutate(&st)
+		if err := st.CheckInvariants(1000, 0); err == nil {
+			t.Fatalf("%s: inconsistent stats accepted: %+v", name, st)
+		}
+	}
+	// An unprobed cache has nothing to account for.
+	if err := (FlowCacheStats{}).CheckInvariants(10, 0); err != nil {
+		t.Fatalf("quiet stats rejected: %v", err)
+	}
+	// Contained panics abandon bursts between probe and tally: the fold
+	// identity is waived, the subset relations still checked.
+	if err := good.CheckInvariants(1032, 1); err != nil {
+		t.Fatalf("panic-containing stats rejected: %v", err)
+	}
+	bad := good
+	bad.Stale = bad.Misses + 1
+	if err := bad.CheckInvariants(1032, 1); err == nil {
+		t.Fatal("subset relation waived by a panic")
+	}
+}
+
 func ExampleFlowCacheStats() {
 	uc := workload.L3UseCase(100, 4, 1)
 	opts := DefaultOptions()

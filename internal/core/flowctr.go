@@ -25,9 +25,9 @@ import (
 //   - and when the worker is released.
 //
 // FlowSamples additionally folds the deltas of every parked pinned worker
-// (the facade's PollOnce path), so off-path samplers — the flow exporter,
-// the lifecycle sweeper — observe exact totals whenever the traffic source
-// has gone quiet.  The only residual lag is a live registered worker's
+// (the facade's Process/ProcessBurst path), so off-path samplers — the flow
+// exporter, the lifecycle sweeper — observe exact totals whenever the
+// traffic source has gone quiet.  The only residual lag is a live registered worker's
 // in-flight window of at most ctrFlushPackets packets.
 //
 // The accumulator keys on the entry's *openflow.Counters pointer, which is

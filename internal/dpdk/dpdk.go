@@ -24,6 +24,10 @@
 // cache — and brackets every poll iteration with Enter/Exit, which is what lets
 // concurrent flow-table updates retire superseded flow-table versions safely
 // while the steady-state loop takes zero locks and shares no mutable state.
+// PollOnce is one iteration of that same worker, run on a persistent poll
+// worker the switch builds at the first call (its own counter block and
+// registered handle), so single-threaded harnesses time the code RunWorkers
+// runs.
 //
 // Transmission is batched: verdicts accumulate frames into per-worker,
 // per-port staging buffers that are flushed to the TX rings with one
@@ -277,10 +281,6 @@ func (p *Port) Backend() PortBackend { return p.be }
 // NumQueues returns the number of RX/TX queue pairs.
 func (p *Port) NumQueues() int { return p.nq }
 
-// Injectable reports whether the port's backend accepts injected frames
-// (simulated backends; real-I/O backends receive from the outside world).
-func (p *Port) Injectable() bool { return p.inj != nil }
-
 // InjectOn places a frame on RX queue q of an injectable backend; q ==
 // AutoQueue steers by the frame's symmetric RSS hash, the way a multi-queue
 // NIC's RSS does in hardware.  Each queue is single-producer, so one
@@ -394,19 +394,10 @@ func (p *Port) Stats() PortStats {
 }
 
 // Datapath is the interface the workers drive; both the ESWITCH compiled
-// datapath and the OVS baseline satisfy it (via small adapters in the public
-// API package).
+// datapath and the OVS baseline satisfy it.  A plain Datapath is classified
+// one packet at a time; a WorkerDatapath one RX burst at a time.
 type Datapath interface {
 	Process(p *pkt.Packet, v *openflow.Verdict)
-}
-
-// BurstDatapath is the optional burst extension of Datapath: a datapath that
-// can classify a whole RX burst in one call (the ESWITCH compiled datapath's
-// ProcessBurst).  Workers detect it once at switch construction and then
-// drive RX burst → ProcessBurst → TX burst instead of per-packet calls.
-type BurstDatapath interface {
-	Datapath
-	ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict)
 }
 
 // Worker is the per-worker handle of a WorkerDatapath: the worker's
@@ -422,29 +413,19 @@ type Worker = interface {
 	ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict)
 }
 
-// WorkerDatapath is the lock-free extension of BurstDatapath: the datapath
+// WorkerDatapath is the lock-free burst extension of Datapath: the datapath
 // publishes its compiled state through atomic snapshots, workers register a
 // handle carrying their worker-local resource plane (epoch, burst scratch,
 // verdict cache), bracket every poll iteration with Enter/Exit, and classify
 // through the handle's ProcessBurst — the zero-lock, zero-atomic-RMW,
 // zero-shared-state burst path — while flow-table updates proceed
-// concurrently.  The compiled ESWITCH datapath implements it.
+// concurrently.  The compiled ESWITCH datapath implements it; its verdict-cache
+// counters are read from it directly (core.Datapath.FlowCacheStats), not
+// through the substrate.
 type WorkerDatapath interface {
-	BurstDatapath
+	Datapath
 	RegisterWorker() Worker
 	UnregisterWorker(Worker)
-}
-
-// CacheDatapath is the optional microflow-cache stats extension: a datapath
-// whose workers carry per-worker microflow verdict caches reports the folded
-// hit/miss/stale counters here, and Switch.Stats surfaces them, together with
-// what became of the probes that found an entry from before a flow-mod: those
-// revalidated (a subset of hits), those lost to the flow-mod log's window (a
-// subset of stale), and the mutations that flushed older entries wholesale.
-// The tuple is one fold of the workers' counters.  The compiled ESWITCH
-// datapath implements it (core.Datapath.FlowCacheCounters).
-type CacheDatapath interface {
-	FlowCacheCounters() (hits, misses, stale, revalidated, expired, flushes uint64)
 }
 
 // DatapathFunc adapts a function to the Datapath interface.
@@ -454,7 +435,9 @@ type DatapathFunc func(p *pkt.Packet, v *openflow.Verdict)
 func (f DatapathFunc) Process(p *pkt.Packet, v *openflow.Verdict) { f(p, v) }
 
 // WorkerStats are aggregate forwarding counters (folded over the per-worker
-// counters on demand).  The cross-counter identities the fold guarantees are
+// counters on demand).  Every field but Punts, PuntDrops (read from the punt
+// rings) and PortsDown, PortsFlapping (link-state snapshots) is one row of
+// WorkerCounterTable.  The cross-counter identities the fold guarantees are
 // stated — and machine-checked — in one place: CheckInvariants.
 type WorkerStats struct {
 	Processed uint64
@@ -487,26 +470,6 @@ type WorkerStats struct {
 	// filter: the microflow punted recently and its repeat would only
 	// crowd the ring (SetPuntFilter).
 	PuntFiltered uint64
-	// CacheHits/CacheMisses/CacheStale are the microflow verdict cache
-	// counters folded over the datapath's workers (zero unless the datapath
-	// implements CacheDatapath and has the cache enabled).  CacheStale is
-	// the subset of CacheMisses whose probe found a matching key from a
-	// retired generation; when the cache is on, CacheHits+CacheMisses
-	// equals Processed — every packet is exactly one or the other.
-	CacheHits   uint64
-	CacheMisses uint64
-	CacheStale  uint64
-	// CacheRevalidated counts the hits served from an entry memoized under a
-	// retired generation that no flow-mod since had touched (they are part
-	// of CacheHits, where CacheStale counts the probes such an entry lost).
-	// CacheExpired is the part of CacheStale lost to no flow-mod in
-	// particular: the entry sat unprobed through more mods than the flow-mod
-	// log holds.  CacheFlushes counts the mutations that left nothing to
-	// revalidate: barriers (pipeline installs and other flow-mods outside
-	// the scope analysis).
-	CacheRevalidated uint64
-	CacheExpired     uint64
-	CacheFlushes     uint64
 	// Panics counts datapath panics the workers' containment absorbed, and
 	// Quarantined the received frames whose classification those panics
 	// aborted (poison frames plus the rest of their burst).  Quarantined
@@ -538,13 +501,8 @@ type WorkerStats struct {
 // punt-storm filter.  The identity collapses to Punts+PuntDrops == ToCtrl
 // whenever the channel stays healthy and the filter is idle.
 //
-// Microflow cache (engaged — nonzero hit+miss — and no contained panics,
-// which abandon bursts between the probe and the tally):
-//
-//	CacheHits + CacheMisses == Processed
-//
-// Every packet is exactly a verdict-cache hit or a miss; CacheStale is a
-// subset of CacheMisses.
+// The verdict cache's identities are the datapath's, not the substrate's:
+// core.FlowCacheStats.CheckInvariants.
 func (st WorkerStats) CheckInvariants(puntRingsArmed bool) error {
 	if puntRingsArmed {
 		if got := st.Punts + st.PuntDrops + st.PuntSuppressed + st.PuntFiltered; got != st.ToCtrl {
@@ -554,32 +512,61 @@ func (st WorkerStats) CheckInvariants(puntRingsArmed bool) error {
 	} else if st.Punts != 0 || st.PuntDrops != 0 {
 		return fmt.Errorf("dpdk: %d punts queued / %d ring drops counted with the rings unarmed", st.Punts, st.PuntDrops)
 	}
-	if st.CacheStale > st.CacheMisses {
-		return fmt.Errorf("dpdk: microflow stale count %d exceeds misses %d", st.CacheStale, st.CacheMisses)
-	}
-	if probes := st.CacheHits + st.CacheMisses; probes > 0 && st.Panics == 0 && probes != st.Processed {
-		return fmt.Errorf("dpdk: microflow invariant broken: %d hits + %d misses != %d processed",
-			st.CacheHits, st.CacheMisses, st.Processed)
-	}
 	return nil
 }
 
+// counter indexes one worker counter: a row of WorkerCounterTable, a slot of
+// workerCounters and of stageTallies.
+type counter int
+
+const (
+	cProcessed counter = iota
+	cForwarded
+	cDropped
+	cToCtrl
+	cTxRetries
+	cTxDrops
+	cPuntSuppressed
+	cPuntFiltered
+	cPanics
+	cQuarantined
+	numCounters
+)
+
+// WorkerCounter declares one worker counter: the metric family that exports
+// it, its help text, and the WorkerStats field it folds into.
+type WorkerCounter struct {
+	Metric, Help string
+	Field        func(*WorkerStats) *uint64
+}
+
+// WorkerCounterTable is every worker counter, declared once: the worker's
+// per-poll tallies, its published atomics, the Stats() fold and the metric
+// families (telemetry.RegisterSwitch) are all indexed by it.
+var WorkerCounterTable = [numCounters]WorkerCounter{
+	cProcessed:      {"eswitch_worker_processed_packets_total", "Packets received by forwarding workers (includes quarantined frames).", func(s *WorkerStats) *uint64 { return &s.Processed }},
+	cForwarded:      {"eswitch_worker_forwarded_packets_total", "Packets forwarded out at least one port.", func(s *WorkerStats) *uint64 { return &s.Forwarded }},
+	cDropped:        {"eswitch_worker_dropped_packets_total", "Packets dropped by pipeline verdict.", func(s *WorkerStats) *uint64 { return &s.Dropped }},
+	cToCtrl:         {"eswitch_worker_to_controller_packets_total", "Packets with a ToController verdict.", func(s *WorkerStats) *uint64 { return &s.ToCtrl }},
+	cTxRetries:      {"eswitch_tx_retries_total", "TX enqueue re-attempts under the block/spill full-ring policies.", func(s *WorkerStats) *uint64 { return &s.TxRetries }},
+	cTxDrops:        {"eswitch_tx_backpressure_drops_total", "Frames abandoned to TX-ring backpressure.", func(s *WorkerStats) *uint64 { return &s.TxDrops }},
+	cPuntSuppressed: {"eswitch_punts_suppressed_total", "Punts withheld by a degraded fail mode.", func(s *WorkerStats) *uint64 { return &s.PuntSuppressed }},
+	cPuntFiltered:   {"eswitch_punts_filtered_total", "Punts withheld by the punt-storm filter.", func(s *WorkerStats) *uint64 { return &s.PuntFiltered }},
+	cPanics:         {"eswitch_datapath_panics_total", "Datapath panics absorbed by worker containment.", func(s *WorkerStats) *uint64 { return &s.Panics }},
+	cQuarantined:    {"eswitch_quarantined_frames_total", "Frames abandoned by panic containment.", func(s *WorkerStats) *uint64 { return &s.Quarantined }},
+}
+
+// stageTallies are one poll iteration's counts, published into the worker's
+// counters once at the end of the iteration.
+type stageTallies [numCounters]uint64
+
 // workerCounters are one worker's forwarding counters.  They are updated
 // once per poll iteration (not per packet) by their owning worker only; the
-// trailing padding keeps each worker's counters on their own cache line so
+// trailing padding keeps each worker's counters on their own cache lines so
 // Stats() snapshots never false-share with the hot loops.
 type workerCounters struct {
-	processed    atomic.Uint64
-	forwarded    atomic.Uint64
-	dropped      atomic.Uint64
-	toCtrl       atomic.Uint64
-	txRetries    atomic.Uint64
-	txDrops      atomic.Uint64
-	puntSuppress atomic.Uint64
-	puntFiltered atomic.Uint64
-	panics       atomic.Uint64
-	quarantined  atomic.Uint64
-	_            [48]byte
+	c [numCounters]atomic.Uint64
+	_ [64 - numCounters*8%64]byte
 	// lat is the worker's burst-duration histogram (nanoseconds per
 	// classifyBurst call), recorded only while latency sampling is armed
 	// (Switch.SetLatencySampling) and then only for one burst in
@@ -591,17 +578,32 @@ type workerCounters struct {
 	lat hist.Histogram
 }
 
+// publish adds one iteration's nonzero tallies to the counters (the owning
+// worker is the only writer).
+func (c *workerCounters) publish(tal *stageTallies) {
+	for i, v := range tal {
+		if v > 0 {
+			c.c[i].Add(v)
+		}
+	}
+}
+
+// foldInto adds the counters to t's WorkerCounterTable fields: the one fold
+// behind Stats() and retireCounters.
+func (c *workerCounters) foldInto(t *WorkerStats) {
+	for i := range c.c {
+		*WorkerCounterTable[i].Field(t) += c.c[i].Load()
+	}
+}
+
 // Switch ties ports and a datapath together and runs run-to-completion
 // forwarding loops over them.
 type Switch struct {
 	ports []*Port
 	dp    Datapath
-	// bdp/wdp/cdp are non-nil when the datapath supports native burst
-	// processing / registered worker handles / microflow-cache stats; the
-	// workers then use the fastest available path.
-	bdp   BurstDatapath
+	// wdp is non-nil when the datapath supports registered worker handles;
+	// the workers then classify RX bursts on them instead of per packet.
 	wdp   WorkerDatapath
-	cdp   CacheDatapath
 	burst int
 	// queues is the widest port's RX/TX queue-pair count (the RX sharding
 	// width: workers poll queue indices up to it, skipping narrower ports);
@@ -614,9 +616,9 @@ type Switch struct {
 	// spill).  Set it before the first poll; workers read it un-synchronized.
 	txPolicy TxPolicy
 	// punt, when armed, holds one slow-path punt ring per TX-queue index, so
-	// every worker (and the pooled PollOnce state, which owns queue 0's TX
-	// side already) pushes to its own single-producer ring.  Arm it before
-	// the first poll; workers read it un-synchronized.
+	// every worker (the PollOnce worker owns queue 0's TX side, like
+	// RunWorkers' first) pushes to its own single-producer ring.  Arm it
+	// before the first poll; workers read it un-synchronized.
 	punt []*slowpath.Ring
 	// failMode is the controller-loss policy (FailMode); the supervisor
 	// stores it, workers load it once per PUNTED packet — the pure
@@ -645,18 +647,15 @@ type Switch struct {
 	// latSample arms the per-burst latency sampling (SetLatencySampling);
 	// workers load it once per poll iteration, never per packet.
 	latSample atomic.Bool
-	// pollCounters is the single registered block shared by every pooled
-	// PollOnce state, so pool evictions cannot grow the registration list.
-	pollCounters *workerCounters
 	// hbs is the live RunWorkers workers' heartbeat blocks, published as a
 	// copy-on-write slice so the port supervisor's watchdog scan reads it
-	// without touching mu (pooled PollOnce states carry no heartbeat — their
-	// callers own their own liveness).
+	// without touching mu (the PollOnce worker carries no heartbeat — its
+	// caller owns its own liveness).
 	hbs atomic.Pointer[[]*workerHeartbeat]
 
-	// wsPool recycles per-worker burst state for callers that use PollOnce
-	// directly instead of RunWorkers.
-	wsPool sync.Pool
+	// poll is the PollOnce worker, built at the first call and kept for the
+	// switch's lifetime (only PollOnce's one caller touches it).
+	poll *workerState
 }
 
 // SwitchConfig configures NewSwitchWithConfig.
@@ -678,24 +677,18 @@ type SwitchConfig struct {
 }
 
 // NewSwitchWithConfig creates a switch over the configured ports.  When dp
-// also implements BurstDatapath (the compiled ESWITCH datapath does), the
-// worker loops use the burst fast path automatically; when it implements
-// WorkerDatapath they additionally run the zero-lock path on registered
-// per-worker resources (epoch, burst scratch, verdict cache).
+// also implements WorkerDatapath (the compiled ESWITCH datapath does), every
+// worker — RunWorkers' and PollOnce's — registers a handle and classifies
+// whole RX bursts on the zero-lock path over its own resources (epoch, burst
+// scratch, verdict cache); otherwise the workers call dp.Process per packet.
 func NewSwitchWithConfig(dp Datapath, cfg SwitchConfig) *Switch {
 	burst := cfg.Burst
 	if burst <= 0 {
 		burst = DefaultBurst
 	}
 	s := &Switch{dp: dp, burst: burst}
-	if bdp, ok := dp.(BurstDatapath); ok {
-		s.bdp = bdp
-	}
 	if wdp, ok := dp.(WorkerDatapath); ok {
 		s.wdp = wdp
-	}
-	if cdp, ok := dp.(CacheDatapath); ok {
-		s.cdp = cdp
 	}
 	if len(cfg.Backends) > 0 {
 		for i, be := range cfg.Backends {
@@ -732,8 +725,6 @@ func NewSwitchWithConfig(dp Datapath, cfg SwitchConfig) *Switch {
 			s.minQueues = p.nq
 		}
 	}
-	s.pollCounters = s.registerCounters()
-	s.wsPool.New = func() any { return s.newWorkerState(allQueues(s.queues), 0, s.pollCounters) }
 	return s
 }
 
@@ -801,13 +792,12 @@ type workerState struct {
 	// tests still observe samples).
 	latTick uint64
 	// worker is the datapath's registered worker handle (nil when the
-	// datapath does not support worker registration — or when this state
-	// serves anonymous PollOnce callers, which must use the self-pinning
-	// ProcessBurst instead).
+	// datapath does not support worker registration, and packets are
+	// classified one Datapath.Process call at a time).
 	worker   Worker
 	counters *workerCounters
-	// hb is the worker's watchdog heartbeat block (nil for pooled PollOnce
-	// states); the worker is its only writer.
+	// hb is the worker's watchdog heartbeat block (nil for the PollOnce
+	// worker, whose caller owns its liveness); the worker is its only writer.
 	hb *workerHeartbeat
 	// staged counts how many of the current burst's frames have completed
 	// stage(), so panic containment knows how much of the burst to
@@ -841,16 +831,7 @@ func (s *Switch) registerCounters() *workerCounters {
 // drops its block from the registration list.
 func (s *Switch) retireCounters(c *workerCounters) {
 	s.mu.Lock()
-	s.base.Processed += c.processed.Load()
-	s.base.Forwarded += c.forwarded.Load()
-	s.base.Dropped += c.dropped.Load()
-	s.base.ToCtrl += c.toCtrl.Load()
-	s.base.TxRetries += c.txRetries.Load()
-	s.base.TxDrops += c.txDrops.Load()
-	s.base.PuntSuppressed += c.puntSuppress.Load()
-	s.base.PuntFiltered += c.puntFiltered.Load()
-	s.base.Panics += c.panics.Load()
-	s.base.Quarantined += c.quarantined.Load()
+	c.foldInto(&s.base)
 	c.lat.AddTo(&s.latBase)
 	kept := s.counters[:0]
 	for _, o := range s.counters {
@@ -862,10 +843,9 @@ func (s *Switch) retireCounters(c *workerCounters) {
 	s.mu.Unlock()
 }
 
-// newWorkerState builds one worker's reusable state; counters may be a
-// shared pre-registered block (the PollOnce pool) or nil to register a
-// dedicated one (RunWorkers).
-func (s *Switch) newWorkerState(queues []int, txq int, counters *workerCounters) *workerState {
+// newWorkerState builds one worker's reusable state with its own registered
+// counter block and, on a WorkerDatapath, its own registered worker handle.
+func (s *Switch) newWorkerState(queues []int, txq int) *workerState {
 	ws := &workerState{
 		frames:   make([][]byte, s.burst),
 		packets:  make([]pkt.Packet, s.burst),
@@ -879,10 +859,10 @@ func (s *Switch) newWorkerState(queues []int, txq int, counters *workerCounters)
 	for i := range ws.packets {
 		ws.pkts[i] = &ws.packets[i]
 	}
-	if counters == nil {
-		counters = s.registerCounters()
+	ws.counters = s.registerCounters()
+	if s.wdp != nil {
+		ws.worker = s.wdp.RegisterWorker()
 	}
-	ws.counters = counters
 	return ws
 }
 
@@ -956,9 +936,6 @@ func (s *Switch) armPuntRings(capacity, frameCap int) []*slowpath.Ring {
 	return rings
 }
 
-// PuntRings returns the armed punt rings (nil when unarmed).
-func (s *Switch) PuntRings() []*slowpath.Ring { return s.punt }
-
 // SetFailMode selects the controller-loss policy (see FailMode); the
 // supervisor flips it on disconnect/reconnect.  Safe to call while workers
 // run: it is one atomic store, observed by each worker at its next punted
@@ -1000,16 +977,7 @@ func (s *Switch) Stats() WorkerStats {
 	defer s.mu.Unlock()
 	t := s.base
 	for _, c := range s.counters {
-		t.Processed += c.processed.Load()
-		t.Forwarded += c.forwarded.Load()
-		t.Dropped += c.dropped.Load()
-		t.ToCtrl += c.toCtrl.Load()
-		t.TxRetries += c.txRetries.Load()
-		t.TxDrops += c.txDrops.Load()
-		t.PuntSuppressed += c.puntSuppress.Load()
-		t.PuntFiltered += c.puntFiltered.Load()
-		t.Panics += c.panics.Load()
-		t.Quarantined += c.quarantined.Load()
+		c.foldInto(&t)
 	}
 	// The link-state snapshot comes straight off the ports (atomic loads; the
 	// supervisor owns the transitions).
@@ -1020,12 +988,6 @@ func (s *Switch) Stats() WorkerStats {
 		case LinkFlapping:
 			t.PortsFlapping++
 		}
-	}
-	// The microflow-cache counters live with the datapath's workers (the
-	// cache is part of the worker-local resource plane, not the substrate);
-	// fold them in so one Stats call tells the whole forwarding story.
-	if s.cdp != nil {
-		t.CacheHits, t.CacheMisses, t.CacheStale, t.CacheRevalidated, t.CacheExpired, t.CacheFlushes = s.cdp.FlowCacheCounters()
 	}
 	// Punt accounting lives in the rings themselves (single-writer mirrors),
 	// so the fold needs no registration churn as workers come and go.
@@ -1077,23 +1039,27 @@ func (s *Switch) PuntLatency() hist.Snapshot {
 	return t
 }
 
-// PollOnce performs one run-to-completion iteration over all queues of the
-// given ports: receive a burst from each, classify (through the burst fast
-// path when the datapath supports it), and transmit.  It returns the number
-// of packets processed.  Passing nil polls every port.  PollOnce is a
-// single-threaded convenience; concurrent forwarding uses RunWorkers.
+// PollOnce performs one run-to-completion iteration of the RunWorkers worker
+// over all queues of the given ports: receive a burst from each, classify it
+// (on the worker's registered handle when the datapath supports one), and
+// transmit.  It returns the number of packets processed.  Passing nil polls
+// every port.  The worker — queue 0's TX side, every RX queue, its own
+// counters and handle — is built at the first call and kept, so its punt
+// filter and scratch persist across calls.  PollOnce is a single-threaded
+// convenience: one caller at a time, never beside RunWorkers; concurrent
+// forwarding uses RunWorkers.
 func (s *Switch) PollOnce(ports []*Port) int {
-	ws := s.wsPool.Get().(*workerState)
-	n := s.pollPorts(ws, ports)
-	// A pooled state must not carry a spill backlog: the pool may drop the
-	// state at any GC, which would lose the frames without accounting.
-	// PollOnce therefore makes the final attempt immediately and counts the
-	// remainder as drops; the carried-across-polls behaviour of the spill
-	// policy belongs to dedicated RunWorkers workers, whose state is stable.
-	if ws.spillPending > 0 {
-		s.abandonSpill(ws)
+	if s.poll == nil {
+		s.poll = s.newWorkerState(allQueues(s.queues), 0)
 	}
-	s.wsPool.Put(ws)
+	n := s.pollPorts(s.poll, ports)
+	// Run to completion: a caller may stop polling at any point, so no
+	// frame is left in the spill backlog — the final attempt happens now
+	// and the remainder counts as drops.  The carried-across-polls
+	// behaviour of the spill policy belongs to RunWorkers loops.
+	if s.poll.spillPending > 0 {
+		s.abandonSpill(s.poll)
+	}
 	return n
 }
 
@@ -1179,25 +1145,9 @@ func (s *Switch) pollPorts(ws *workerState, ports []*Port) int {
 		ws.worker.Exit()
 	}
 	if total > 0 || ws.spillPending > 0 {
-		s.flushTx(ws)
-	}
-	if total > 0 {
-		ws.counters.processed.Add(uint64(total))
-		if tal.forwarded > 0 {
-			ws.counters.forwarded.Add(tal.forwarded)
-		}
-		if tal.dropped > 0 {
-			ws.counters.dropped.Add(tal.dropped)
-		}
-		if tal.toCtrl > 0 {
-			ws.counters.toCtrl.Add(tal.toCtrl)
-		}
-		if tal.puntSuppress > 0 {
-			ws.counters.puntSuppress.Add(tal.puntSuppress)
-		}
-		if tal.puntFiltered > 0 {
-			ws.counters.puntFiltered.Add(tal.puntFiltered)
-		}
+		s.flushTx(ws, &tal)
+		tal[cProcessed] = uint64(total)
+		ws.counters.publish(&tal)
 	}
 	return total
 }
@@ -1211,22 +1161,14 @@ func (s *Switch) pollPorts(ws *workerState, ports []*Port) int {
 func (s *Switch) classifyBurst(ws *workerState, port *Port, n int, tal *stageTallies) {
 	ws.staged = 0
 	defer ws.containPanic(n)
-	if s.bdp != nil {
-		// Burst fast path: wrap the RX burst and classify it in one call —
-		// lock-free when the worker holds a registered handle (its Enter
-		// pins the snapshot).
+	if ws.worker != nil {
+		// Burst path: wrap the RX burst and classify it in one call on the
+		// worker's own resources — zero-lock, since the worker's Enter
+		// pinned the snapshot.
 		for i := 0; i < n; i++ {
 			ws.packets[i] = pkt.Packet{Data: ws.frames[i], InPort: port.ID}
 		}
-		if ws.worker != nil {
-			// The worker's Enter pinned the snapshot, so the zero-lock,
-			// worker-local-resource path is safe under concurrent updates.
-			ws.worker.ProcessBurst(ws.pkts[:n], ws.verdicts[:n])
-		} else {
-			// Anonymous callers (PollOnce) go through the self-pinning burst
-			// entry point.
-			s.bdp.ProcessBurst(ws.pkts[:n], ws.verdicts[:n])
-		}
+		ws.worker.ProcessBurst(ws.pkts[:n], ws.verdicts[:n])
 		for i := 0; i < n; i++ {
 			s.stage(ws, &ws.verdicts[i], ws.frames[i], port.ID, tal)
 			ws.staged++
@@ -1247,21 +1189,11 @@ func (s *Switch) classifyBurst(ws *workerState, port *Port, n int, tal *stageTal
 // the panic never escapes the bracket.
 func (ws *workerState) containPanic(n int) {
 	if r := recover(); r != nil {
-		ws.counters.panics.Add(1)
+		ws.counters.c[cPanics].Add(1)
 		if q := n - ws.staged; q > 0 {
-			ws.counters.quarantined.Add(uint64(q))
+			ws.counters.c[cQuarantined].Add(uint64(q))
 		}
 	}
-}
-
-// stageTallies are one poll iteration's verdict counts, folded into the
-// worker's counters once at the end of the iteration.
-type stageTallies struct {
-	forwarded    uint64
-	dropped      uint64
-	toCtrl       uint64
-	puntSuppress uint64
-	puntFiltered uint64
 }
 
 // stage records one verdict: forwarded frames are appended to the per-port
@@ -1284,18 +1216,18 @@ func (s *Switch) stage(ws *workerState, v *openflow.Verdict, frame []byte, inPor
 	punt := v.ToController
 	var mode FailMode
 	if punt {
-		tal.toCtrl++
+		tal[cToCtrl]++
 		mode = FailMode(s.failMode.Load())
 		if mode == FailSecure {
 			// Controller-dependent packet with no controller: discard it
 			// outright, forwarding half included.
-			tal.puntSuppress++
-			tal.dropped++
+			tal[cPuntSuppressed]++
+			tal[cDropped]++
 			return
 		}
 	}
 	if fwd {
-		tal.forwarded++
+		tal[cForwarded]++
 		for _, out := range v.OutPorts {
 			if out > 0 && int(out) <= len(ws.txStage) {
 				ws.txStage[out-1] = append(ws.txStage[out-1], frame)
@@ -1307,10 +1239,10 @@ func (s *Switch) stage(ws *workerState, v *openflow.Verdict, frame []byte, inPor
 		case mode == FailStandalone:
 			// Installed flows keep forwarding (handled above); the punt
 			// half waits for the channel to come back.
-			tal.puntSuppress++
+			tal[cPuntSuppressed]++
 		case ws.punt != nil:
 			if ws.puntFilter != nil && ws.puntRepeats(frame, s.puntFilterWindow) {
-				tal.puntFiltered++
+				tal[cPuntFiltered]++
 				break
 			}
 			// The ring copies the frame into its pre-allocated slot buffer
@@ -1320,7 +1252,7 @@ func (s *Switch) stage(ws *workerState, v *openflow.Verdict, frame []byte, inPor
 		}
 	}
 	if !fwd && !punt {
-		tal.dropped++
+		tal[cDropped]++
 	}
 }
 
@@ -1346,10 +1278,11 @@ func (ws *workerState) puntRepeats(frame []byte, window uint64) bool {
 // flushTx drains the worker's TX staging buffers (and, under the spill
 // policy, its spill backlog), one EnqueueBurst per output port, preserving
 // receive order within the worker's stream.  What happens when a TX ring is
-// full is decided by the switch's TxPolicy; see txpolicy.go.
-func (s *Switch) flushTx(ws *workerState) {
+// full is decided by the switch's TxPolicy; see txpolicy.go.  Retries and
+// drops are tallied into tal.
+func (s *Switch) flushTx(ws *workerState, tal *stageTallies) {
 	pol := s.txPolicy
-	var retries, drops uint64
+	retries, drops := &tal[cTxRetries], &tal[cTxDrops]
 	for pi, staged := range ws.txStage {
 		spill := ws.txSpill[pi]
 		if len(staged) == 0 && len(spill) == 0 {
@@ -1357,7 +1290,7 @@ func (s *Switch) flushTx(ws *workerState) {
 		}
 		port := s.ports[pi]
 		if pol == TxSpill {
-			ws.txSpill[pi] = s.flushSpill(ws, port, spill, staged, &retries, &drops)
+			ws.txSpill[pi] = s.flushSpill(ws, port, spill, staged, retries, drops)
 		} else {
 			sent := port.txEnqueue(ws.txq, staged)
 			if sent < len(staged) && pol == TxBlock {
@@ -1366,12 +1299,12 @@ func (s *Switch) flushTx(ws *workerState) {
 				// counting drops.
 				for attempt := 1; attempt <= txRetryLimit && sent < len(staged); attempt++ {
 					ws.txBackoff(attempt)
-					retries += uint64(len(staged) - sent)
+					*retries += uint64(len(staged) - sent)
 					sent += port.txEnqueue(ws.txq, staged[sent:])
 				}
 			}
 			if over := len(staged) - sent; over > 0 {
-				drops += uint64(over)
+				*drops += uint64(over)
 				port.countTxDrops(over)
 			}
 		}
@@ -1382,12 +1315,6 @@ func (s *Switch) flushTx(ws *workerState) {
 		for _, sp := range ws.txSpill {
 			ws.spillPending += len(sp)
 		}
-	}
-	if retries > 0 {
-		ws.counters.txRetries.Add(retries)
-	}
-	if drops > 0 {
-		ws.counters.txDrops.Add(drops)
 	}
 }
 
@@ -1428,14 +1355,13 @@ func (s *Switch) RunWorkers(numWorkers int) (stop func()) {
 		wg.Add(1)
 		go func(queues []int, txq int) {
 			defer wg.Done()
-			ws := s.newWorkerState(queues, txq, nil)
+			ws := s.newWorkerState(queues, txq)
 			defer s.retireCounters(ws.counters)
-			ws.hb = s.registerHeartbeat()
-			defer s.retireHeartbeat(ws.hb)
-			if s.wdp != nil {
-				ws.worker = s.wdp.RegisterWorker()
+			if ws.worker != nil {
 				defer s.wdp.UnregisterWorker(ws.worker)
 			}
+			ws.hb = s.registerHeartbeat()
+			defer s.retireHeartbeat(ws.hb)
 			// On shutdown, make one last attempt at any spill backlog,
 			// then account what is still stuck as drops.
 			defer s.abandonSpill(ws)

@@ -1,6 +1,7 @@
 package dpdk
 
 import (
+	"runtime"
 	"testing"
 
 	"eswitch/internal/slowpath"
@@ -109,13 +110,13 @@ func TestPuntStormFilter(t *testing.T) {
 	sw.SetPuntFilter(64, window)
 	port1, _ := sw.Port(1)
 
-	// The filter lives in worker-private state, so the test must poll with
-	// ONE worker state throughout, the way a dedicated RunWorkers loop does.
-	// PollOnce's pooled state is not stable enough: under the race detector
-	// sync.Pool deliberately drops items, which would hand every poll a
-	// fresh (empty) filter.
-	ws := sw.wsPool.Get().(*workerState)
-	poll := func() { sw.pollPorts(ws, nil) }
+	// The filter lives in worker-private state, and PollOnce's worker keeps
+	// it across calls — garbage collections between polls included.
+	poll := func() {
+		sw.PollOnce(nil)
+		runtime.GC()
+		runtime.GC()
+	}
 
 	elephant := []byte{0x02, 0xaa, 0xbb, 0xcc}
 	mouse := []byte{0x02, 0x11, 0x22, 0x33}

@@ -92,10 +92,10 @@ const spillCap = 1024
 // before starting workers (or the first PollOnce); the workers read the
 // policy without synchronization.
 //
-// The spill policy's carried-across-polls backlog lives in the stable state
-// of dedicated RunWorkers workers.  Anonymous PollOnce calls use pooled
-// state instead, so they resolve any backlog before returning: one final
-// enqueue attempt, then the remainder is counted as drops.
+// The spill policy's carried-across-polls backlog belongs to RunWorkers
+// loops.  PollOnce is run-to-completion, so it resolves any backlog before
+// returning: one final enqueue attempt, then the remainder is counted as
+// drops.
 func (s *Switch) SetTxPolicy(p TxPolicy) { s.txPolicy = p }
 
 // TxPolicy returns the switch's backpressure policy.
@@ -177,24 +177,19 @@ func (s *Switch) abandonSpill(ws *workerState) {
 	if ws.spillPending == 0 {
 		return
 	}
-	var retries, drops uint64
+	var tal stageTallies
 	for pi, spill := range ws.txSpill {
 		if len(spill) == 0 {
 			continue
 		}
-		retries += uint64(len(spill))
+		tal[cTxRetries] += uint64(len(spill))
 		n := s.ports[pi].txEnqueue(ws.txq, spill)
 		if over := len(spill) - n; over > 0 {
-			drops += uint64(over)
+			tal[cTxDrops] += uint64(over)
 			s.ports[pi].countTxDrops(over)
 		}
 		ws.txSpill[pi] = spill[:0]
 	}
 	ws.spillPending = 0
-	if retries > 0 {
-		ws.counters.txRetries.Add(retries)
-	}
-	if drops > 0 {
-		ws.counters.txDrops.Add(drops)
-	}
+	ws.counters.publish(&tal)
 }

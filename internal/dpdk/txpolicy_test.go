@@ -38,7 +38,7 @@ func fillTxViaPoll(t *testing.T, sw *Switch, ws *workerState, p1 *Port, start, n
 // immediately, with no retries.
 func TestTxPolicyDrop(t *testing.T) {
 	sw := NewSwitchWithConfig(DatapathFunc(echoDatapath), SwitchConfig{NumPorts: 2, RingSize: 8, Queues: 1}) // TX capacity 7
-	ws := sw.newWorkerState(allQueues(1), 0, nil)
+	ws := sw.newWorkerState(allQueues(1), 0)
 	p1, _ := sw.Port(1)
 	p2, _ := sw.Port(2)
 
@@ -66,7 +66,7 @@ func TestTxPolicyDrop(t *testing.T) {
 func TestTxPolicyBlockGivesUpAfterBoundedRetries(t *testing.T) {
 	sw := NewSwitchWithConfig(DatapathFunc(echoDatapath), SwitchConfig{NumPorts: 2, RingSize: 8, Queues: 1})
 	sw.SetTxPolicy(TxBlock)
-	ws := sw.newWorkerState(allQueues(1), 0, nil)
+	ws := sw.newWorkerState(allQueues(1), 0)
 	p1, _ := sw.Port(1)
 
 	fillTxViaPoll(t, sw, ws, p1, 0, 7)
@@ -85,7 +85,7 @@ func TestTxPolicyBlockGivesUpAfterBoundedRetries(t *testing.T) {
 func TestTxPolicyBlockDeliversUnderDrain(t *testing.T) {
 	sw := NewSwitchWithConfig(DatapathFunc(echoDatapath), SwitchConfig{NumPorts: 2, RingSize: 8, Queues: 1})
 	sw.SetTxPolicy(TxBlock)
-	ws := sw.newWorkerState(allQueues(1), 0, nil)
+	ws := sw.newWorkerState(allQueues(1), 0)
 	p1, _ := sw.Port(1)
 	p2, _ := sw.Port(2)
 
@@ -132,7 +132,7 @@ func TestTxPolicyBlockDeliversUnderDrain(t *testing.T) {
 func TestTxPolicySpillPreservesOrderAcrossRetries(t *testing.T) {
 	sw := NewSwitchWithConfig(DatapathFunc(echoDatapath), SwitchConfig{NumPorts: 2, RingSize: 8, Queues: 1}) // TX capacity 7
 	sw.SetTxPolicy(TxSpill)
-	ws := sw.newWorkerState(allQueues(1), 0, nil)
+	ws := sw.newWorkerState(allQueues(1), 0)
 	p1, _ := sw.Port(1)
 	p2, _ := sw.Port(2)
 
@@ -189,7 +189,7 @@ func TestTxPolicySpillPreservesOrderAcrossRetries(t *testing.T) {
 func TestTxPolicySpillBacklogBounded(t *testing.T) {
 	sw := NewSwitchWithConfig(DatapathFunc(echoDatapath), SwitchConfig{NumPorts: 2, RingSize: 8, Queues: 1}) // TX capacity 7
 	sw.SetTxPolicy(TxSpill)
-	ws := sw.newWorkerState(allQueues(1), 0, nil)
+	ws := sw.newWorkerState(allQueues(1), 0)
 	p1, _ := sw.Port(1)
 
 	const rounds = 150 // 150×7 = 1050 frames: 7 in the ring, spillCap parked, 19 dropped
@@ -243,7 +243,7 @@ func TestRunWorkersAbandonSpillOnStop(t *testing.T) {
 func TestWorkerStatsStringsAndFold(t *testing.T) {
 	// Sanity: the TX counters surface through the folded WorkerStats.
 	sw := NewSwitchWithConfig(DatapathFunc(echoDatapath), SwitchConfig{NumPorts: 2, RingSize: 8, Queues: 1})
-	ws := sw.newWorkerState(allQueues(1), 0, nil)
+	ws := sw.newWorkerState(allQueues(1), 0)
 	p1, _ := sw.Port(1)
 	fillTxViaPoll(t, sw, ws, p1, 0, 7)
 	fillTxViaPoll(t, sw, ws, p1, 7, 2)
@@ -257,10 +257,10 @@ func TestWorkerStatsStringsAndFold(t *testing.T) {
 	}
 }
 
-// TestPollOnceResolvesSpillBeforePooling asserts the anonymous PollOnce path
-// cannot strand frames in a pooled state's spill backlog: any backlog left
+// TestPollOnceRunsToCompletion asserts PollOnce cannot strand frames in its
+// worker's spill backlog — its caller may never poll again: any backlog left
 // after the poll is final-attempted and the remainder accounted as drops.
-func TestPollOnceResolvesSpillBeforePooling(t *testing.T) {
+func TestPollOnceRunsToCompletion(t *testing.T) {
 	sw := NewSwitchWithConfig(DatapathFunc(echoDatapath), SwitchConfig{NumPorts: 2, RingSize: 8, Queues: 1}) // TX capacity 7
 	sw.SetTxPolicy(TxSpill)
 	p1, _ := sw.Port(1)
@@ -275,10 +275,10 @@ func TestPollOnceResolvesSpillBeforePooling(t *testing.T) {
 			t.Fatalf("inject %d", i)
 		}
 	}
-	sw.PollOnce(nil) // 7 frames overflow; the pooled state must not keep them
+	sw.PollOnce(nil) // 7 frames overflow; the worker must not keep them
 	st := sw.Stats()
 	if st.TxDrops != 7 {
-		t.Fatalf("pooled spill backlog not accounted: %+v, want 7 TxDrops", st)
+		t.Fatalf("spill backlog not accounted: %+v, want 7 TxDrops", st)
 	}
 	if st.TxRetries == 0 {
 		t.Fatalf("final attempt should count retries: %+v", st)

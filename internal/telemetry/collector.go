@@ -13,8 +13,8 @@ import (
 type SwitchSource struct {
 	Switch *dpdk.Switch
 	// Datapath exposes the compiled-datapath families (table stages,
-	// rebuilds, verdict-cache arming and occupancy) when the eswitch
-	// datapath is in use.
+	// rebuilds, verdict-cache arming, counters and occupancy) when the
+	// eswitch datapath is in use.
 	Datapath *core.Datapath
 	// Supervisor exposes the port fault domain's counters when the port
 	// supervisor is running.
@@ -34,47 +34,30 @@ func gaugeFamily(name, help string, read func() float64) Family {
 }
 
 // RegisterSwitch registers the full switch metric surface: every folded
-// counter in Stats(), per-port I/O counters and link states, the compiled
-// datapath's cache/table families, the port supervisor's fault-domain
-// counters, and the burst-duration and punt-latency histograms.  All
-// collectors run on the scraping goroutine and read only atomic mirrors or
-// the update mutex — never worker-private state.
+// counter in Stats() (one family per dpdk.WorkerCounterTable row), per-port
+// I/O counters and link states, the compiled datapath's table families and
+// verdict-cache counters (core.FlowCacheStats), the port supervisor's
+// fault-domain counters, and the burst-duration and punt-latency histograms.
+// All collectors run on the scraping goroutine and read only atomic mirrors
+// or the update mutex — never worker-private state.
 func RegisterSwitch(r *Registry, src SwitchSource) {
 	sw := src.Switch
 	// One Stats() fold per gather, shared by the worker-counter families:
 	// Gather holds the registry lock across families, so a single snapshot
 	// read by the first family keeps every derived sample consistent.
 	var st dpdk.WorkerStats
-	r.MustRegister(Family{
-		Name: "eswitch_worker_processed_packets_total",
-		Help: "Packets received by forwarding workers (includes quarantined frames).",
-		Kind: Counter,
-		Collect: func(emit func(Sample)) {
-			st = sw.Stats()
-			emit(Sample{Value: float64(st.Processed)})
-		},
-	})
-	workerCounter := func(name, help string, v func() uint64) Family {
-		return counterFamily(name, help, func() float64 { return float64(v()) })
+	for i, c := range dpdk.WorkerCounterTable {
+		r.MustRegister(Family{Name: c.Metric, Help: c.Help, Kind: Counter,
+			Collect: func(emit func(Sample)) {
+				if i == 0 {
+					st = sw.Stats()
+				}
+				emit(Sample{Value: float64(*c.Field(&st))})
+			}})
 	}
 	r.MustRegister(
-		workerCounter("eswitch_worker_forwarded_packets_total", "Packets forwarded out at least one port.", func() uint64 { return st.Forwarded }),
-		workerCounter("eswitch_worker_dropped_packets_total", "Packets dropped by pipeline verdict.", func() uint64 { return st.Dropped }),
-		workerCounter("eswitch_worker_to_controller_packets_total", "Packets with a ToController verdict.", func() uint64 { return st.ToCtrl }),
-		workerCounter("eswitch_tx_retries_total", "TX enqueue re-attempts under the block/spill full-ring policies.", func() uint64 { return st.TxRetries }),
-		workerCounter("eswitch_tx_backpressure_drops_total", "Frames abandoned to TX-ring backpressure.", func() uint64 { return st.TxDrops }),
-		workerCounter("eswitch_punts_queued_total", "ToController verdicts copied into a slow-path punt ring.", func() uint64 { return st.Punts }),
-		workerCounter("eswitch_punt_ring_drops_total", "Punts lost to a full ring.", func() uint64 { return st.PuntDrops }),
-		workerCounter("eswitch_punts_suppressed_total", "Punts withheld by a degraded fail mode.", func() uint64 { return st.PuntSuppressed }),
-		workerCounter("eswitch_punts_filtered_total", "Punts withheld by the punt-storm filter.", func() uint64 { return st.PuntFiltered }),
-		workerCounter("eswitch_microflow_hits_total", "Microflow verdict-cache hits.", func() uint64 { return st.CacheHits }),
-		workerCounter("eswitch_microflow_misses_total", "Microflow verdict-cache misses.", func() uint64 { return st.CacheMisses }),
-		workerCounter("eswitch_microflow_stale_total", "Microflow misses that found a key whose verdict a flow-mod since may have changed.", func() uint64 { return st.CacheStale }),
-		workerCounter("eswitch_microflow_revalidated_total", "Microflow hits on a retired-generation key no flow-mod since had touched.", func() uint64 { return st.CacheRevalidated }),
-		workerCounter("eswitch_microflow_expired_total", "Microflow stale probes whose entry had sat through more flow-mods than the flow-mod log holds.", func() uint64 { return st.CacheExpired }),
-		workerCounter("eswitch_cache_flushes_total", "Barrier flow-mods: mutations that staled every older cache entry.", func() uint64 { return st.CacheFlushes }),
-		workerCounter("eswitch_datapath_panics_total", "Datapath panics absorbed by worker containment.", func() uint64 { return st.Panics }),
-		workerCounter("eswitch_quarantined_frames_total", "Frames abandoned by panic containment.", func() uint64 { return st.Quarantined }),
+		counterFamily("eswitch_punts_queued_total", "ToController verdicts copied into a slow-path punt ring.", func() float64 { return float64(st.Punts) }),
+		counterFamily("eswitch_punt_ring_drops_total", "Punts lost to a full ring.", func() float64 { return float64(st.PuntDrops) }),
 		gaugeFamily("eswitch_ports_down", "Ports currently held Down by the link-state machine.", func() float64 { return float64(st.PortsDown) }),
 		gaugeFamily("eswitch_ports_flapping", "Ports currently labeled Flapping.", func() float64 { return float64(st.PortsFlapping) }),
 		counterFamily("eswitch_reinjected_punts_total", "PacketOut output:TABLE re-injections.", func() float64 { return float64(sw.ReinjectPunts()) }),
@@ -155,6 +138,7 @@ func RegisterSwitch(r *Registry, src SwitchSource) {
 				},
 			},
 		)
+		// One FlowCacheStats fold per gather, shared like st above.
 		var fcs core.FlowCacheStats
 		r.MustRegister(
 			gaugeFamily("eswitch_flowcache_armed", "1 while the compiled pipeline arms the verdict cache (Options.FlowCache set, every field it reads or sets inside the flow key, some path deeper than one probe), else 0.", func() float64 {
@@ -163,13 +147,19 @@ func RegisterSwitch(r *Registry, src SwitchSource) {
 				}
 				return 0
 			}),
-			Family{Name: "eswitch_microflow_installs_total",
-				Help: "Verdict-cache installs (fills plus victims).",
+			Family{Name: "eswitch_microflow_hits_total",
+				Help: "Microflow verdict-cache hits.",
 				Kind: Counter,
 				Collect: func(emit func(Sample)) {
 					fcs = dp.FlowCacheStats()
-					emit(Sample{Value: float64(fcs.Installs)})
+					emit(Sample{Value: float64(fcs.Hits)})
 				}},
+			counterFamily("eswitch_microflow_misses_total", "Microflow verdict-cache misses.", func() float64 { return float64(fcs.Misses) }),
+			counterFamily("eswitch_microflow_stale_total", "Microflow misses that found a key whose verdict a flow-mod since may have changed.", func() float64 { return float64(fcs.Stale) }),
+			counterFamily("eswitch_microflow_revalidated_total", "Microflow hits on a retired-generation key no flow-mod since had touched.", func() float64 { return float64(fcs.Revalidated) }),
+			counterFamily("eswitch_microflow_expired_total", "Microflow stale probes whose entry had sat through more flow-mods than the flow-mod log holds.", func() float64 { return float64(fcs.Expired) }),
+			counterFamily("eswitch_cache_flushes_total", "Barrier flow-mods: mutations that staled every older cache entry.", func() float64 { return float64(fcs.Flushes) }),
+			counterFamily("eswitch_microflow_installs_total", "Verdict-cache installs (fills plus victims).", func() float64 { return float64(fcs.Installs) }),
 			counterFamily("eswitch_microflow_fills_total", "Verdict-cache installs into empty slots.", func() float64 { return float64(fcs.Fills) }),
 			counterFamily("eswitch_microflow_victims_total", "Verdict-cache installs that displaced a live entry.", func() float64 { return float64(fcs.Victims) }),
 			gaugeFamily("eswitch_microflow_capacity_slots", "Verdict-cache slots summed over the live workers that have armed one.", func() float64 { return float64(fcs.Capacity) }),

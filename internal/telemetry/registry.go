@@ -19,7 +19,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 
@@ -123,44 +122,6 @@ func (r *Registry) Gather() []Point {
 	return pts
 }
 
-// Value gathers one family and returns the sum of its sample values (the
-// common footer case: a family with either one unlabeled sample or per-port
-// labeled samples the footer wants totaled).  ok is false when the family is
-// unregistered or emitted nothing.
-func (r *Registry) Value(name string) (total float64, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i, found := r.byName[name]
-	if !found {
-		return 0, false
-	}
-	r.families[i].Collect(func(s Sample) {
-		total += s.Value
-		ok = true
-	})
-	return total, ok
-}
-
-// Histogram gathers one histogram family and returns its samples merged into
-// a single snapshot.
-func (r *Registry) Histogram(name string) (hist.Snapshot, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var t hist.Snapshot
-	i, found := r.byName[name]
-	if !found {
-		return t, false
-	}
-	ok := false
-	r.families[i].Collect(func(s Sample) {
-		if s.Hist != nil {
-			t.AddSnapshot(s.Hist)
-			ok = true
-		}
-	})
-	return t, ok
-}
-
 // WriteText renders the registry in Prometheus text exposition format 0.0.4.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
@@ -255,26 +216,4 @@ func formatValue(v float64) string {
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// SortPoints orders gathered points by family then label values — handy for
-// deterministic assertions in tests and the footer's per-port iteration.
-func SortPoints(pts []Point) {
-	sort.SliceStable(pts, func(i, j int) bool {
-		if pts[i].Family != pts[j].Family {
-			return pts[i].Family < pts[j].Family
-		}
-		return labelKey(pts[i].Labels) < labelKey(pts[j].Labels)
-	})
-}
-
-func labelKey(ls []Label) string {
-	var sb strings.Builder
-	for _, l := range ls {
-		sb.WriteString(l.Name)
-		sb.WriteByte('=')
-		sb.WriteString(l.Value)
-		sb.WriteByte(';')
-	}
-	return sb.String()
 }

@@ -10,9 +10,11 @@ import (
 	"time"
 
 	"eswitch/internal/core"
+	"eswitch/internal/dpdk"
 	"eswitch/internal/hist"
 	"eswitch/internal/ipfix"
 	"eswitch/internal/openflow"
+	"eswitch/internal/pkt"
 )
 
 func TestWriteTextExposition(t *testing.T) {
@@ -65,12 +67,36 @@ func TestWriteTextExposition(t *testing.T) {
 	if !strings.Contains(out, "test_latency_seconds_sum 1.2e-06") {
 		t.Fatalf("expected sum 1200ns = 1.2e-06s:\n%s", out)
 	}
+}
 
-	if v, ok := r.Value("test_gauge"); !ok || v != 3.5 {
-		t.Fatalf("Value(test_gauge) = %v, %v", v, ok)
+// TestRegisterSwitchOneFamilyPerCounter: every dpdk.WorkerCounterTable row is
+// exported as exactly one family, and each family's sample is its row's
+// field of the one Stats() fold a gather takes.
+func TestRegisterSwitchOneFamilyPerCounter(t *testing.T) {
+	sw := dpdk.NewSwitchWithConfig(dpdk.DatapathFunc(func(_ *pkt.Packet, v *openflow.Verdict) {
+		v.Reset()
+		v.OutPorts = append(v.OutPorts, 2)
+	}), dpdk.SwitchConfig{NumPorts: 2, Queues: 1})
+	p1, _ := sw.Port(1)
+	for i := 0; i < 10; i++ {
+		p1.InjectOn(dpdk.AutoQueue, make([]byte, pkt.MinPacketLen))
 	}
-	if hs, ok := r.Histogram("test_latency_seconds"); !ok || hs.Count() != 3 {
-		t.Fatalf("Histogram count = %d, %v", hs.Count(), ok)
+	sw.PollOnce(nil)
+	r := NewRegistry()
+	RegisterSwitch(r, SwitchSource{Switch: sw})
+	samples := map[string][]float64{}
+	for _, p := range r.Gather() {
+		samples[p.Family] = append(samples[p.Family], p.Value)
+	}
+	st := sw.Stats()
+	for _, row := range dpdk.WorkerCounterTable {
+		got := samples[row.Metric]
+		if len(got) != 1 || got[0] != float64(*row.Field(&st)) {
+			t.Fatalf("%s: samples %v, want one of %d", row.Metric, got, *row.Field(&st))
+		}
+	}
+	if got := samples["eswitch_worker_forwarded_packets_total"]; got[0] != 10 {
+		t.Fatalf("forwarded family reads %v after 10 forwarded packets", got)
 	}
 }
 
