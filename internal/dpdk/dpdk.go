@@ -17,13 +17,15 @@
 // queue.  RunWorkers starts one run-to-completion goroutine ("core") per
 // worker; worker w owns the RX queue indices q ≡ w (mod workers) of every
 // port and TX queue w of every port, so each ring keeps exactly one producer
-// and one consumer and the workers share nothing but the datapath.  When the
-// datapath supports worker registration (WorkerDatapath — the compiled
-// ESWITCH datapath does), each worker registers a handle bundling its
-// worker-local resource plane — quiescence epoch, burst scratch, verdict
-// cache — and brackets every poll iteration with Enter/Exit, which is what lets
-// concurrent flow-table updates retire superseded flow-table versions safely
-// while the steady-state loop takes zero locks and shares no mutable state.
+// and one consumer and the workers share nothing but the datapath.  Every
+// worker registers a Worker handle with the datapath and classifies each RX
+// burst through it — the one classify path.  The compiled ESWITCH
+// datapath's handle bundles the worker-local resource plane (quiescence
+// epoch, burst scratch, verdict cache), and the Enter/Exit bracket around
+// every poll iteration is what lets concurrent flow-table updates retire
+// superseded flow-table versions safely while the steady-state loop takes
+// zero locks and shares no mutable state; a DatapathFunc (the OVS baseline)
+// is its own stateless handle.
 // PollOnce is one iteration of that same worker, run on a persistent poll
 // worker the switch builds at the first call (its own counter block and
 // registered handle), so single-threaded harnesses time the code RunWorkers
@@ -304,30 +306,6 @@ func (p *Port) RxQueueLen(q int) int {
 	return p.inj.RxQueueLen(q)
 }
 
-// Transmit places one frame on TX queue 0 (the single-frame slow path; the
-// worker loops use TxBurst instead).
-func (p *Port) Transmit(frame []byte) bool {
-	one := [1][]byte{frame}
-	if p.be.TxBurst(0, one[:]) == 1 {
-		return true
-	}
-	p.policyDrops.Add(1)
-	return false
-}
-
-// TxBurst transmits a staged burst of frames on TX queue q, counting frames
-// the backend did not accept as TX drops (what a NIC does when the
-// descriptor ring is full).  It returns how many frames were accepted.
-// Worker loops with a backpressure policy use the policy layer instead,
-// which retries or spills before counting drops.
-func (p *Port) TxBurst(q int, frames [][]byte) int {
-	n := p.be.TxBurst(q, frames)
-	if n < len(frames) {
-		p.policyDrops.Add(uint64(len(frames) - n))
-	}
-	return n
-}
-
 // TransmitSlow transmits a controller-originated (PacketOut) frame outside
 // the worker-owned TX queues, keeping those single-producer.  One slow-path
 // service at a time may transmit.  Backends without a slow-path lane count
@@ -349,19 +327,6 @@ func (p *Port) DrainTx() int {
 		return 0
 	}
 	return p.inj.DrainTx()
-}
-
-// RxBurst receives up to len(out) frames from the port's RX queues in queue
-// order (single-threaded harnesses; the workers poll their own queues).
-func (p *Port) RxBurst(out [][]byte) int {
-	n := 0
-	for q := 0; q < p.nq; q++ {
-		n += p.be.RxBurst(q, out[n:])
-		if n == len(out) {
-			break
-		}
-	}
-	return n
 }
 
 // Close releases the backend's resources.  Idempotent, and exactly-once
@@ -393,18 +358,25 @@ func (p *Port) Stats() PortStats {
 	return st
 }
 
-// Datapath is the interface the workers drive; both the ESWITCH compiled
-// datapath and the OVS baseline satisfy it.  A plain Datapath is classified
-// one packet at a time; a WorkerDatapath one RX burst at a time.
+// Datapath is the interface the workers drive; the compiled ESWITCH
+// datapath (*core.Datapath) and DatapathFunc satisfy it.  Every worker
+// registers a Worker handle, brackets each poll iteration with its
+// Enter/Exit and classifies each RX burst through its ProcessBurst.
+// Process serves only output:TABLE re-injection on the slow path
+// (packetout.go).
 type Datapath interface {
 	Process(p *pkt.Packet, v *openflow.Verdict)
+	RegisterWorker() Worker
+	UnregisterWorker(Worker)
 }
 
-// Worker is the per-worker handle of a WorkerDatapath: the worker's
-// quiescence epoch plus its worker-local resources (burst scratch, verdict
-// cache).  It is an alias for the anonymous interface so the concrete
-// handle type lives with the datapath implementation (core.Worker) without
-// an import here.
+// Worker is one forwarding worker's handle on a Datapath.  The compiled
+// datapath's (core.Worker) carries the worker's quiescence epoch and its
+// worker-local resources (burst scratch, verdict cache), so ProcessBurst is
+// the zero-lock, zero-atomic-RMW, zero-shared-state burst path while
+// flow-table updates proceed concurrently.  It is an alias for the
+// anonymous interface so the concrete handle type lives with the datapath
+// implementation without an import here.
 type Worker = interface {
 	Enter()
 	Exit()
@@ -413,26 +385,32 @@ type Worker = interface {
 	ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict)
 }
 
-// WorkerDatapath is the lock-free burst extension of Datapath: the datapath
-// publishes its compiled state through atomic snapshots, workers register a
-// handle carrying their worker-local resource plane (epoch, burst scratch,
-// verdict cache), bracket every poll iteration with Enter/Exit, and classify
-// through the handle's ProcessBurst — the zero-lock, zero-atomic-RMW,
-// zero-shared-state burst path — while flow-table updates proceed
-// concurrently.  The compiled ESWITCH datapath implements it; its verdict-cache
-// counters are read from it directly (core.Datapath.FlowCacheStats), not
-// through the substrate.
-type WorkerDatapath interface {
-	Datapath
-	RegisterWorker() Worker
-	UnregisterWorker(Worker)
-}
-
-// DatapathFunc adapts a function to the Datapath interface.
+// DatapathFunc adapts a per-packet function to the Datapath interface.  It
+// is its own stateless Worker: RegisterWorker hands back f, Enter, Exit and
+// UnregisterWorker do nothing, and ProcessBurst calls f once per packet.
 type DatapathFunc func(p *pkt.Packet, v *openflow.Verdict)
 
 // Process implements Datapath.
 func (f DatapathFunc) Process(p *pkt.Packet, v *openflow.Verdict) { f(p, v) }
+
+// RegisterWorker implements Datapath.
+func (f DatapathFunc) RegisterWorker() Worker { return f }
+
+// UnregisterWorker implements Datapath.
+func (DatapathFunc) UnregisterWorker(Worker) {}
+
+// Enter implements Worker.
+func (DatapathFunc) Enter() {}
+
+// Exit implements Worker.
+func (DatapathFunc) Exit() {}
+
+// ProcessBurst implements Worker.
+func (f DatapathFunc) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
+	for i, p := range ps {
+		f(p, &vs[i])
+	}
+}
 
 // WorkerStats are aggregate forwarding counters (folded over the per-worker
 // counters on demand).  Every field but Punts, PuntDrops (read from the punt
@@ -601,9 +579,6 @@ func (c *workerCounters) foldInto(t *WorkerStats) {
 type Switch struct {
 	ports []*Port
 	dp    Datapath
-	// wdp is non-nil when the datapath supports registered worker handles;
-	// the workers then classify RX bursts on them instead of per packet.
-	wdp   WorkerDatapath
 	burst int
 	// queues is the widest port's RX/TX queue-pair count (the RX sharding
 	// width: workers poll queue indices up to it, skipping narrower ports);
@@ -676,20 +651,15 @@ type SwitchConfig struct {
 	Burst int
 }
 
-// NewSwitchWithConfig creates a switch over the configured ports.  When dp
-// also implements WorkerDatapath (the compiled ESWITCH datapath does), every
-// worker — RunWorkers' and PollOnce's — registers a handle and classifies
-// whole RX bursts on the zero-lock path over its own resources (epoch, burst
-// scratch, verdict cache); otherwise the workers call dp.Process per packet.
+// NewSwitchWithConfig creates a switch over the configured ports.  Every
+// worker — RunWorkers' and PollOnce's — registers a handle with dp and
+// classifies whole RX bursts through it.
 func NewSwitchWithConfig(dp Datapath, cfg SwitchConfig) *Switch {
 	burst := cfg.Burst
 	if burst <= 0 {
 		burst = DefaultBurst
 	}
 	s := &Switch{dp: dp, burst: burst}
-	if wdp, ok := dp.(WorkerDatapath); ok {
-		s.wdp = wdp
-	}
 	if len(cfg.Backends) > 0 {
 		for i, be := range cfg.Backends {
 			s.ports = append(s.ports, NewPortWithConfig(PortConfig{ID: uint32(i + 1), Backend: be}))
@@ -791,9 +761,8 @@ type workerState struct {
 	// burst in latSampleEvery is timed (starting with the first, so short
 	// tests still observe samples).
 	latTick uint64
-	// worker is the datapath's registered worker handle (nil when the
-	// datapath does not support worker registration, and packets are
-	// classified one Datapath.Process call at a time).
+	// worker is the datapath's registered worker handle; every RX burst is
+	// classified through it.
 	worker   Worker
 	counters *workerCounters
 	// hb is the worker's watchdog heartbeat block (nil for the PollOnce
@@ -844,7 +813,7 @@ func (s *Switch) retireCounters(c *workerCounters) {
 }
 
 // newWorkerState builds one worker's reusable state with its own registered
-// counter block and, on a WorkerDatapath, its own registered worker handle.
+// counter block and its own registered worker handle.
 func (s *Switch) newWorkerState(queues []int, txq int) *workerState {
 	ws := &workerState{
 		frames:   make([][]byte, s.burst),
@@ -860,9 +829,7 @@ func (s *Switch) newWorkerState(queues []int, txq int) *workerState {
 		ws.pkts[i] = &ws.packets[i]
 	}
 	ws.counters = s.registerCounters()
-	if s.wdp != nil {
-		ws.worker = s.wdp.RegisterWorker()
-	}
+	ws.worker = s.dp.RegisterWorker()
 	return ws
 }
 
@@ -1041,8 +1008,7 @@ func (s *Switch) PuntLatency() hist.Snapshot {
 
 // PollOnce performs one run-to-completion iteration of the RunWorkers worker
 // over all queues of the given ports: receive a burst from each, classify it
-// (on the worker's registered handle when the datapath supports one), and
-// transmit.  It returns the number of packets processed.  Passing nil polls
+// on the worker's registered handle, and transmit.  It returns the number of packets processed.  Passing nil polls
 // every port.  The worker — queue 0's TX side, every RX queue, its own
 // counters and handle — is built at the first call and kept, so its punt
 // filter and scratch persist across calls.  PollOnce is a single-threaded
@@ -1067,8 +1033,8 @@ func (s *Switch) PollOnce(ports []*Port) int {
 // port, drain a burst from each RX queue the worker owns, classify it, stage
 // the outgoing frames, then flush the staging buffers with one TX burst per
 // port and fold the iteration's tallies into the worker's counters.  The
-// whole iteration runs inside the worker's epoch (when the datapath has
-// one), takes no locks, and — after warm-up — performs no allocations.
+// classification runs inside the worker's Enter/Exit bracket, the iteration
+// takes no locks, and — after warm-up — performs no allocations.
 func (s *Switch) pollPorts(ws *workerState, ports []*Port) int {
 	if ports == nil {
 		ports = s.ports
@@ -1093,9 +1059,7 @@ func (s *Switch) pollPorts(ws *workerState, ports []*Port) int {
 	if hb != nil {
 		hb.beats.Add(1)
 	}
-	if ws.worker != nil {
-		ws.worker.Enter()
-	}
+	ws.worker.Enter()
 	total := 0
 	var tal stageTallies
 	// One sampling-gate load per poll iteration; with sampling armed one
@@ -1141,9 +1105,7 @@ func (s *Switch) pollPorts(ws *workerState, ports []*Port) int {
 	// back off for a while under the block policy) and the counter folds
 	// touch nothing but rings and worker-local memory, so exiting first
 	// keeps flow-mod grace periods short even when TX is backed up.
-	if ws.worker != nil {
-		ws.worker.Exit()
-	}
+	ws.worker.Exit()
 	if total > 0 || ws.spillPending > 0 {
 		s.flushTx(ws, &tal)
 		tal[cProcessed] = uint64(total)
@@ -1152,39 +1114,30 @@ func (s *Switch) pollPorts(ws *workerState, ports []*Port) int {
 	return total
 }
 
-// classifyBurst classifies one RX burst and stages its verdicts, wrapped in
-// panic containment: a datapath panic (a poison frame tripping a parser or
-// template bug) quarantines the burst's unstaged frames — counted, neither
-// forwarded nor dropped — and the worker survives to poll the next queue.
-// The containment is a method-value defer (open-coded, no allocation), so
-// the steady-state burst path stays zero-lock and zero-alloc.
+// classifyBurst wraps one RX burst, classifies it in one call on the
+// worker's registered handle — zero-lock, since the worker's Enter pinned the
+// snapshot — and stages its verdicts, all wrapped in panic containment: a
+// datapath panic (a poison frame tripping a parser or template bug)
+// quarantines the burst's unstaged frames — counted, neither forwarded nor
+// dropped — and the worker survives to poll the next queue.  The containment
+// is a method-value defer (open-coded, no allocation), so the steady-state
+// burst path stays zero-lock and zero-alloc.
 func (s *Switch) classifyBurst(ws *workerState, port *Port, n int, tal *stageTallies) {
 	ws.staged = 0
 	defer ws.containPanic(n)
-	if ws.worker != nil {
-		// Burst path: wrap the RX burst and classify it in one call on the
-		// worker's own resources — zero-lock, since the worker's Enter
-		// pinned the snapshot.
-		for i := 0; i < n; i++ {
-			ws.packets[i] = pkt.Packet{Data: ws.frames[i], InPort: port.ID}
-		}
-		ws.worker.ProcessBurst(ws.pkts[:n], ws.verdicts[:n])
-		for i := 0; i < n; i++ {
-			s.stage(ws, &ws.verdicts[i], ws.frames[i], port.ID, tal)
-			ws.staged++
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			ws.packets[0] = pkt.Packet{Data: ws.frames[i], InPort: port.ID}
-			s.dp.Process(&ws.packets[0], &ws.verdicts[0])
-			s.stage(ws, &ws.verdicts[0], ws.frames[i], port.ID, tal)
-			ws.staged++
-		}
+	for i := 0; i < n; i++ {
+		ws.packets[i] = pkt.Packet{Data: ws.frames[i], InPort: port.ID}
+	}
+	ws.worker.ProcessBurst(ws.pkts[:n], ws.verdicts[:n])
+	for i := 0; i < n; i++ {
+		s.stage(ws, &ws.verdicts[i], ws.frames[i], port.ID, tal)
+		ws.staged++
 	}
 }
 
-// containPanic is classifyBurst's deferred recovery: the poison frame and
-// whatever of its burst had not completed staging are quarantined.  The
+// containPanic is classifyBurst's deferred recovery: whatever of the burst
+// had not completed staging is quarantined — the whole burst when
+// classification itself panicked, since staging starts only after it.  The
 // worker's epoch bracket (Enter/Exit in pollPorts) stays balanced because
 // the panic never escapes the bracket.
 func (ws *workerState) containPanic(n int) {
@@ -1292,7 +1245,7 @@ func (s *Switch) flushTx(ws *workerState, tal *stageTallies) {
 		if pol == TxSpill {
 			ws.txSpill[pi] = s.flushSpill(ws, port, spill, staged, retries, drops)
 		} else {
-			sent := port.txEnqueue(ws.txq, staged)
+			sent := port.be.TxBurst(ws.txq, staged)
 			if sent < len(staged) && pol == TxBlock {
 				// Bounded backoff: re-attempt the remainder, pausing a
 				// little longer each round, before giving up and
@@ -1300,7 +1253,7 @@ func (s *Switch) flushTx(ws *workerState, tal *stageTallies) {
 				for attempt := 1; attempt <= txRetryLimit && sent < len(staged); attempt++ {
 					ws.txBackoff(attempt)
 					*retries += uint64(len(staged) - sent)
-					sent += port.txEnqueue(ws.txq, staged[sent:])
+					sent += port.be.TxBurst(ws.txq, staged[sent:])
 				}
 			}
 			if over := len(staged) - sent; over > 0 {
@@ -1357,9 +1310,7 @@ func (s *Switch) RunWorkers(numWorkers int) (stop func()) {
 			defer wg.Done()
 			ws := s.newWorkerState(queues, txq)
 			defer s.retireCounters(ws.counters)
-			if ws.worker != nil {
-				defer s.wdp.UnregisterWorker(ws.worker)
-			}
+			defer s.dp.UnregisterWorker(ws.worker)
 			ws.hb = s.registerHeartbeat()
 			defer s.retireHeartbeat(ws.hb)
 			// On shutdown, make one last attempt at any spill backlog,

@@ -88,7 +88,9 @@ func TestPortCounters(t *testing.T) {
 	if st.RxPackets != 3 || st.RxDrops != 1 {
 		t.Fatalf("rx stats %+v", st)
 	}
-	p.Transmit([]byte{9})
+	if !p.TransmitSlow([]byte{9}) {
+		t.Fatal("slow-path transmit refused")
+	}
 	if p.DrainTx() != 1 {
 		t.Fatal("drain")
 	}

@@ -20,7 +20,7 @@ func checkPuntInvariant(t *testing.T, sw *Switch, phase string) {
 // pure punt is suppressed (not queued, not dropped-counted) and the
 // forwarding half of a dual verdict keeps transmitting.
 func TestFailStandaloneSuppressesPuntsKeepsForwarding(t *testing.T) {
-	sw := NewSwitchWithConfig(puntingDatapath{}, SwitchConfig{NumPorts: 2, RingSize: 64, Queues: 1})
+	sw := NewSwitchWithConfig(puntingDatapath, SwitchConfig{NumPorts: 2, RingSize: 64, Queues: 1})
 	rings := sw.armPuntRings(16, 0)
 	sw.SetFailMode(FailStandalone)
 	port1, _ := sw.Port(1)
@@ -71,7 +71,7 @@ func TestFailStandaloneSuppressesPuntsKeepsForwarding(t *testing.T) {
 // counted in both PuntSuppressed and Dropped; purely local verdicts are
 // untouched.
 func TestFailSecureDropsControllerDependentPackets(t *testing.T) {
-	sw := NewSwitchWithConfig(puntingDatapath{}, SwitchConfig{NumPorts: 2, RingSize: 64, Queues: 1})
+	sw := NewSwitchWithConfig(puntingDatapath, SwitchConfig{NumPorts: 2, RingSize: 64, Queues: 1})
 	sw.armPuntRings(16, 0)
 	sw.SetFailMode(FailSecure)
 	port1, _ := sw.Port(1)
@@ -105,7 +105,7 @@ func TestFailSecureDropsControllerDependentPackets(t *testing.T) {
 // after `window` idle polls.
 func TestPuntStormFilter(t *testing.T) {
 	const window = 3
-	sw := NewSwitchWithConfig(puntingDatapath{}, SwitchConfig{NumPorts: 2, RingSize: 64, Queues: 1})
+	sw := NewSwitchWithConfig(puntingDatapath, SwitchConfig{NumPorts: 2, RingSize: 64, Queues: 1})
 	rings := sw.armPuntRings(64, 0)
 	sw.SetPuntFilter(64, window)
 	port1, _ := sw.Port(1)
@@ -169,7 +169,7 @@ func TestPuntStormFilter(t *testing.T) {
 // TestPuntFilterOffByDefault: without SetPuntFilter every repeat punts — the
 // filter must be strictly opt-in.
 func TestPuntFilterOffByDefault(t *testing.T) {
-	sw := NewSwitchWithConfig(puntingDatapath{}, SwitchConfig{NumPorts: 2, RingSize: 64, Queues: 1})
+	sw := NewSwitchWithConfig(puntingDatapath, SwitchConfig{NumPorts: 2, RingSize: 64, Queues: 1})
 	sw.armPuntRings(64, 0)
 	port1, _ := sw.Port(1)
 	for i := 0; i < 5; i++ {

@@ -269,8 +269,10 @@ func TestPanicContainmentQuarantinesBurst(t *testing.T) {
 	good := make([]byte, pkt.MinPacketLen)
 	bad := make([]byte, pkt.MinPacketLen)
 	bad[0] = 0xFF
-	// One good frame stages before the poison hits; the poison frame and
-	// the good frame behind it are quarantined together.
+	// The whole burst is quarantined, the good frame ahead of the poison
+	// included: every datapath classifies the burst in one ProcessBurst
+	// call, and staging starts only after classification finishes, so a
+	// panic inside it leaves no frame staged.
 	p1.InjectOn(0, good)
 	p1.InjectOn(0, bad)
 	p1.InjectOn(0, good)
@@ -280,11 +282,11 @@ func TestPanicContainmentQuarantinesBurst(t *testing.T) {
 	if st.Panics != 1 {
 		t.Fatalf("Panics = %d, want 1", st.Panics)
 	}
-	if st.Quarantined != 2 {
-		t.Fatalf("Quarantined = %d, want 2 (poison + the frame behind it)", st.Quarantined)
+	if st.Quarantined != 3 {
+		t.Fatalf("Quarantined = %d, want 3 (the whole burst)", st.Quarantined)
 	}
-	if st.Forwarded != 1 {
-		t.Fatalf("Forwarded = %d, want 1 (the frame staged before the panic)", st.Forwarded)
+	if st.Forwarded != 0 {
+		t.Fatalf("Forwarded = %d, want 0 (nothing stages before classification ends)", st.Forwarded)
 	}
 	if st.Processed != 3 {
 		t.Fatalf("Processed = %d, want 3 (quarantined frames still count as processed)", st.Processed)

@@ -15,9 +15,7 @@ import (
 //	0x02 -> controller (explicit action punt from table 5)
 //	0x03 -> output:2 AND controller (the dual verdict of satellite concern)
 //	else -> drop
-type puntingDatapath struct{}
-
-func (puntingDatapath) Process(p *pkt.Packet, v *openflow.Verdict) {
+var puntingDatapath = DatapathFunc(func(p *pkt.Packet, v *openflow.Verdict) {
 	v.Reset()
 	switch p.Data[0] {
 	case 0x01:
@@ -32,14 +30,14 @@ func (puntingDatapath) Process(p *pkt.Packet, v *openflow.Verdict) {
 	default:
 		v.Dropped = true
 	}
-}
+})
 
 // TestStageForwardAndPunt pins the verdict taxonomy fix: a verdict carrying
 // both output ports and ToController must be staged to TX AND punted,
 // counting once in each of forwarded and toCtrl (previously the punt was
 // silently lost to the Forwarded branch).
 func TestStageForwardAndPunt(t *testing.T) {
-	sw := NewSwitchWithConfig(puntingDatapath{}, SwitchConfig{NumPorts: 2, RingSize: 64, Queues: 1})
+	sw := NewSwitchWithConfig(puntingDatapath, SwitchConfig{NumPorts: 2, RingSize: 64, Queues: 1})
 	rings := sw.armPuntRings(16, 0) // unchecked: below-burst ring is fine in-package
 	port1, _ := sw.Port(1)
 	port2, _ := sw.Port(2)
@@ -83,7 +81,7 @@ func TestStageForwardAndPunt(t *testing.T) {
 // pre-slow-path behaviour — ToController verdicts are counted and the frame
 // is discarded — and the punt counters stay zero.
 func TestPuntDisarmedCountsOnly(t *testing.T) {
-	sw := NewSwitchWithConfig(puntingDatapath{}, SwitchConfig{NumPorts: 2, RingSize: 64, Queues: 1})
+	sw := NewSwitchWithConfig(puntingDatapath, SwitchConfig{NumPorts: 2, RingSize: 64, Queues: 1})
 	port1, _ := sw.Port(1)
 	port1.InjectOn(AutoQueue, []byte{0x02})
 	sw.PollOnce(nil)
@@ -96,7 +94,7 @@ func TestPuntDisarmedCountsOnly(t *testing.T) {
 // TestPuntOverflowAccounting: a full punt ring drops (never blocks the
 // worker), and Punts+PuntDrops == ToCtrl exactly.
 func TestPuntOverflowAccounting(t *testing.T) {
-	sw := NewSwitchWithConfig(puntingDatapath{}, SwitchConfig{NumPorts: 2, RingSize: 256, Queues: 1})
+	sw := NewSwitchWithConfig(puntingDatapath, SwitchConfig{NumPorts: 2, RingSize: 256, Queues: 1})
 	rings := sw.armPuntRings(4, 0) // capacity 3, deliberately below burst to force overflow
 	port1, _ := sw.Port(1)
 	const total = 50
@@ -122,9 +120,7 @@ func TestPuntOverflowAccounting(t *testing.T) {
 
 // tableDP forwards InPort 1 to port 2 and punts everything else — the
 // datapath behind the output:TABLE PacketOut tests.
-type tableDP struct{}
-
-func (tableDP) Process(p *pkt.Packet, v *openflow.Verdict) {
+var tableDP = DatapathFunc(func(p *pkt.Packet, v *openflow.Verdict) {
 	v.Reset()
 	if p.InPort == 1 {
 		v.OutPorts = append(v.OutPorts, 2)
@@ -132,10 +128,10 @@ func (tableDP) Process(p *pkt.Packet, v *openflow.Verdict) {
 	}
 	v.ToController = true
 	v.NotePunt(openflow.PuntMiss, 0)
-}
+})
 
 func TestSwitchPacketOut(t *testing.T) {
-	sw := NewSwitchWithConfig(tableDP{}, SwitchConfig{NumPorts: 4, RingSize: 64, Queues: 1})
+	sw := NewSwitchWithConfig(tableDP, SwitchConfig{NumPorts: 4, RingSize: 64, Queues: 1})
 	frame := []byte{0xde, 0xad}
 
 	// Plain physical output.

@@ -101,15 +101,6 @@ func (s *Switch) SetTxPolicy(p TxPolicy) { s.txPolicy = p }
 // TxPolicy returns the switch's backpressure policy.
 func (s *Switch) TxPolicy() TxPolicy { return s.txPolicy }
 
-// txEnqueue transmits the longest prefix of frames the backend accepts on TX
-// queue q, leaving overflow accounting to the policy layer (unlike the
-// public TxBurst, which drop-counts immediately).  This is exactly the
-// PortBackend.TxBurst contract, so the policy layer works unchanged against
-// every backend.
-func (p *Port) txEnqueue(q int, frames [][]byte) int {
-	return p.be.TxBurst(q, frames)
-}
-
 // countTxDrops records n frames abandoned by the backpressure policy in the
 // port counters (the worker keeps its own per-worker tally too).
 func (p *Port) countTxDrops(n int) {
@@ -147,11 +138,11 @@ func (s *Switch) flushSpill(ws *workerState, port *Port, spill, staged [][]byte,
 	if len(spill) > 0 {
 		// Every parked frame re-attempted this poll is one retry.
 		*retries += uint64(len(spill))
-		n := port.txEnqueue(ws.txq, spill)
+		n := port.be.TxBurst(ws.txq, spill)
 		spill = spill[:copy(spill, spill[n:])]
 	}
 	if len(spill) == 0 && len(staged) > 0 {
-		n := port.txEnqueue(ws.txq, staged)
+		n := port.be.TxBurst(ws.txq, staged)
 		staged = staged[n:]
 	}
 	if len(staged) > 0 {
@@ -183,7 +174,7 @@ func (s *Switch) abandonSpill(ws *workerState) {
 			continue
 		}
 		tal[cTxRetries] += uint64(len(spill))
-		n := s.ports[pi].txEnqueue(ws.txq, spill)
+		n := s.ports[pi].be.TxBurst(ws.txq, spill)
 		if over := len(spill) - n; over > 0 {
 			tal[cTxDrops] += uint64(over)
 			s.ports[pi].countTxDrops(over)

@@ -350,9 +350,13 @@ func TestL2LearningUseCaseShape(t *testing.T) {
 // to the dpdk substrate's Datapath surface, so the miss_send_len
 // differential below can drive the interpreter, compiled, and
 // compiled+flowcache paths through the identical switch + slow-path stack.
-type interpDatapath struct{ in *openflow.Interpreter }
+func interpDatapath(in *openflow.Interpreter) dpdk.DatapathFunc {
+	return func(p *pkt.Packet, v *openflow.Verdict) { in.Process(p, v, nil) }
+}
 
-func (d interpDatapath) Process(p *pkt.Packet, v *openflow.Verdict) { d.in.Process(p, v, nil) }
+// The compiled datapath drives the substrate's workers directly: its
+// core.WorkerHandle is the dpdk.Worker the interface names.
+var _ dpdk.Datapath = (*core.Datapath)(nil)
 
 // missSendLenKey is one delivered PacketIn's truncation-relevant shape.
 type missSendLenKey struct {
@@ -427,7 +431,7 @@ func TestMissSendLenTruncationAcrossPaths(t *testing.T) {
 		return seq
 	}
 
-	interp := run(interpDatapath{openflow.NewInterpreter(pl)}, 2)
+	interp := run(interpDatapath(openflow.NewInterpreter(pl)), 2)
 
 	compile := func(flowCache int) *core.Datapath {
 		opts := core.DefaultOptions()
