@@ -114,10 +114,10 @@ func (s *Switch) newWorkerState(queues []int, txq int) *workerState {
 
 // PollOnce performs one run-to-completion iteration of the RunWorkers worker
 // over all queues of the given ports: receive a burst from each, classify it
-// on the worker's registered handle, and transmit.  It returns the number of packets processed.  Passing nil polls
-// every port.  The worker — queue 0's TX side, every RX queue, its own
-// counters and handle — is built at the first call and kept, so its punt
-// filter and scratch persist across calls.  PollOnce is a single-threaded
+// on the worker's registered handle, and transmit.  It returns the number of
+// packets processed.  Passing nil polls every port.  The worker — queue 0's
+// TX side, every RX queue, its own counters and handle — is built at the
+// first call and kept, so its punt filter and scratch persist across calls.  PollOnce is a single-threaded
 // convenience: one caller at a time, never beside RunWorkers; concurrent
 // forwarding uses RunWorkers.
 func (s *Switch) PollOnce(ports []*Port) int {
