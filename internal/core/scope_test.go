@@ -9,6 +9,7 @@ import (
 
 	"eswitch/internal/cpumodel"
 	"eswitch/internal/openflow"
+	"eswitch/internal/ovs"
 	"eswitch/internal/pkt"
 	"eswitch/internal/workload"
 )
@@ -35,6 +36,32 @@ type scopeRig struct {
 	// without caches under a cycle meter; it receives every mod randomMod
 	// makes and check runs it, through Process, as one more executor.
 	metered *Datapath
+	// baseline, when set (ovsTwin), is the flow-caching baseline switch over
+	// the same pipeline, fed the same mods and checked the same way.
+	baseline *ovs.Switch
+	// extra, when set, draws the instruction kinds randomMod adds beyond its
+	// original seven (write-actions, clear-actions, write-metadata, DSCP and
+	// PCP rewrites, flood, controller output, output-then-drop), from a
+	// source of its own so the rest of the mod sequence is what it was.
+	extra *rand.Rand
+}
+
+// modTarget is what a twin needs to follow the rig's flow-mods.
+type modTarget interface {
+	AddFlow(openflow.TableID, *openflow.FlowEntry) error
+	DeleteFlow(openflow.TableID, *openflow.Match, int) (int, error)
+}
+
+// twins returns the rig's twins, which every mod is mirrored to.
+func (r *scopeRig) twins() []modTarget {
+	var ts []modTarget
+	if r.metered != nil {
+		ts = append(ts, r.metered)
+	}
+	if r.baseline != nil {
+		ts = append(ts, r.baseline)
+	}
+	return ts
 }
 
 func newScopeRig(t testing.TB, pl *openflow.Pipeline, decompose bool, entries int, frames [][]byte, inPorts []uint32) *scopeRig {
@@ -66,6 +93,17 @@ func (r *scopeRig) meteredTwin() {
 		r.t.Fatal(err)
 	}
 	r.metered = dp
+}
+
+// ovsTwin gives the rig its baseline switch, over the pipeline the datapath
+// executes for the same reason.
+func (r *scopeRig) ovsTwin() {
+	r.t.Helper()
+	sw, err := ovs.New(r.dp.Pipeline(), ovs.DefaultOptions())
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.baseline = sw
 }
 
 // traceFrames takes n frames of the use case's trace, the same frames again
@@ -100,7 +138,9 @@ func traceFrames(uc *workload.UseCase, n int) (frames [][]byte, inPorts []uint32
 // other executor the sequential walker serves sees the same frames: Trace
 // must claim the interpreter's verdict, headers and metadata in as many steps
 // as the verdict counts tables, and the metered twin's per-packet walk must
-// give the worker's verdicts and charge its meter for them.
+// give the worker's verdicts and charge its meter for them.  The baseline
+// switch, where the rig has one, must give the interpreter's outcome
+// (Verdict.Equivalent), headers and metadata too.
 func (r *scopeRig) check(label string, pick func(i int) bool) {
 	r.t.Helper()
 	in := openflow.NewInterpreter(r.dp.Pipeline())
@@ -129,6 +169,22 @@ func (r *scopeRig) check(label string, pick func(i int) bool) {
 			}
 			if got := r.metered.Meter().Packets() - before; got != uint64(len(idx)) {
 				r.t.Fatalf("%s: %d frames through the metered twin, %d metered", label, len(idx), got)
+			}
+		}
+		if r.baseline != nil {
+			for _, i := range idx {
+				bp := pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}
+				var bv openflow.Verdict
+				r.baseline.Process(&bp, &bv)
+				// The baseline parses every frame to L4, so its oracle does too.
+				ref := pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}
+				var want openflow.Verdict
+				pkt.ParseL4(&ref)
+				in.ProcessParsed(&ref, &want, nil)
+				if !bv.Equivalent(&want) || bp.Headers != ref.Headers || bp.Metadata != ref.Metadata {
+					r.t.Fatalf("%s: frame %d: the baseline says %s and left headers %+v metadata %#x; interpreter %s, %+v %#x",
+						label, i, &bv, bp.Headers, bp.Metadata, &want, ref.Headers, ref.Metadata)
+				}
 			}
 		}
 		for j, i := range idx {
@@ -326,11 +382,9 @@ func (r *scopeRig) widen(prefix bool) (what string, widened bool) {
 	before, flushes := r.dp.snap.Load().keyMask, r.dp.FlowCacheStats().Flushes
 	r.adds++
 	e := openflow.NewEntry(30000+r.adds, m, openflow.Apply(openflow.Output(1)))
-	for _, dp := range []*Datapath{r.metered, r.dp} {
-		if dp != nil {
-			if err := dp.AddFlow(tid, e.Clone()); err != nil {
-				r.t.Fatal(err)
-			}
+	for _, dp := range append(r.twins(), r.dp) {
+		if err := dp.AddFlow(tid, e.Clone()); err != nil {
+			r.t.Fatal(err)
 		}
 	}
 	widened = r.dp.snap.Load().keyMask != before
@@ -356,7 +410,7 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 	if es := pl.Table(tid).Entries(); len(es) > 0 {
 		victim = es[rng.Intn(len(es))]
 	}
-	instructions := func(tid openflow.TableID) openflow.Instructions {
+	base := func(tid openflow.TableID) openflow.Instructions {
 		out := openflow.Output(uint32(1 + rng.Intn(pl.NumPorts)))
 		switch rng.Intn(7) {
 		case 0:
@@ -385,6 +439,13 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 			return openflow.Apply(out)
 		}
 	}
+	instructions := func(tid openflow.TableID) openflow.Instructions {
+		ins := base(tid)
+		if r.extra != nil {
+			r.enrich(&ins, pl.NumPorts)
+		}
+		return ins
+	}
 	// add installs an entry.  Every new entry gets a priority of its own, in
 	// one of three bands above the installed ones: which of two overlapping
 	// entries of equal priority wins is undefined in OpenFlow, and the
@@ -393,8 +454,8 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 		r.adds++
 		prio := []int{1000, 5000, 20000}[band] + r.adds
 		e := openflow.NewEntry(prio, m, ins)
-		if r.metered != nil {
-			if err := r.metered.AddFlow(tid, e.Clone()); err != nil {
+		for _, tw := range r.twins() {
+			if err := tw.AddFlow(tid, e.Clone()); err != nil {
 				r.t.Fatal(err)
 			}
 		}
@@ -444,9 +505,9 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 		if err != nil {
 			r.t.Fatal(err)
 		}
-		if r.metered != nil {
-			if mn, err := r.metered.DeleteFlow(tid, victim.Match.Clone(), prio); err != nil || mn != n {
-				r.t.Fatalf("metered twin removed %d entries (%v), the datapath %d", mn, err, n)
+		for _, tw := range r.twins() {
+			if tn, err := tw.DeleteFlow(tid, victim.Match.Clone(), prio); err != nil || tn != n {
+				r.t.Fatalf("a twin removed %d entries (%v), the datapath %d", tn, err, n)
 			}
 		}
 		return fmt.Sprintf("delete table %d %v (priority %d, %d removed)", tid, victim.Match, prio, n)
@@ -485,6 +546,44 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 	return add("add", tid, rng.Intn(3), m, instructions(tid))
 }
 
+// enrich turns most instruction sets randomMod draws, drawing from r.extra,
+// into a kind the original draw lacks: write-actions from a small menu (so a
+// walk through two tables often writes one field twice), a clear-actions, a
+// write-metadata, a DSCP or PCP rewrite, a flood, an output to the
+// controller, or an output and a drop ahead of the drawn actions, which then
+// never run.
+func (r *scopeRig) enrich(ins *openflow.Instructions, numPorts int) {
+	x := r.extra
+	out := openflow.Output(uint32(1 + x.Intn(numPorts)))
+	dscp := openflow.SetField(openflow.FieldIPDSCP, uint64(10+36*x.Intn(2)))
+	pcp := openflow.SetField(openflow.FieldVLANPCP, uint64(x.Intn(8)))
+	prepend := func(as ...openflow.Action) { ins.ApplyActions = append(as, ins.ApplyActions...) }
+	switch x.Intn(16) {
+	case 0, 1:
+		menu := []openflow.Action{
+			openflow.SetField(openflow.FieldEthSrc, uint64(0x020000000200+x.Intn(2))),
+			dscp, pcp, openflow.PushVLAN(uint16(300 + x.Intn(2))), openflow.DecTTL(), out,
+		}
+		for n := 1 + x.Intn(2); n > 0; n-- {
+			ins.WriteActions = append(ins.WriteActions, menu[x.Intn(len(menu))])
+		}
+	case 2:
+		ins.ClearActions = true
+	case 3:
+		ins.WriteMetadata, ins.MetadataMask = x.Uint64(), uint64(0xff)<<(8*x.Intn(8))
+	case 4:
+		prepend(dscp)
+	case 5:
+		prepend(pcp)
+	case 6:
+		ins.ApplyActions = append(ins.ApplyActions, openflow.Flood())
+	case 7:
+		prepend(openflow.ToController())
+	case 8:
+		prepend(out, openflow.Drop())
+	}
+}
+
 // rigCase is one pipeline of the generated-flow-mod suites with its frames.
 type rigCase struct {
 	name      string
@@ -494,8 +593,9 @@ type rigCase struct {
 }
 
 // rigCases are the gateway, L3, firewall and (decomposed) load-balancer
-// pipelines TestScopedInvalidationDifferential and FuzzCompiledKeyAliasing
-// mutate.
+// pipelines TestScopedInvalidationDifferential, FuzzCompiledKeyAliasing and
+// FuzzPipelineDifferential mutate.  Each rig's first IPv4 frame arrives with
+// TTL 1, so a walk that decrements it twice floors it at zero.
 func rigCases() []rigCase {
 	firewallFrames := func(n int) (frames [][]byte, inPorts []uint32) {
 		b := pkt.NewBuilder(128)
@@ -514,12 +614,29 @@ func rigCases() []rigCase {
 	gw := workload.GatewayUseCase(workload.GatewayConfig{CEs: 3, UsersPerCE: 5, Prefixes: 300, Seed: 5})
 	l3 := workload.L3UseCase(400, 8, 7)
 	lb := workload.LoadBalancerUseCase(50)
-	return []rigCase{
+	cases := []rigCase{
 		{"gateway", gw.Pipeline, false, func(n int) ([][]byte, []uint32) { return traceFrames(gw, n) }},
 		{"l3", l3.Pipeline, false, func(n int) ([][]byte, []uint32) { return traceFrames(l3, n) }},
 		{"firewall", workload.FirewallMultiStage(), false, firewallFrames},
 		{"loadbalancer-decomposed", lb.Pipeline, true, func(n int) ([][]byte, []uint32) { return traceFrames(lb, n) }},
 	}
+	for i := range cases {
+		frames := cases[i].frames
+		cases[i].frames = func(n int) ([][]byte, []uint32) {
+			fs, ports := frames(n)
+			for j, f := range fs {
+				p := pkt.Packet{Data: f}
+				pkt.ParseL3(&p)
+				if p.Headers.Has(pkt.ProtoIPv4) {
+					fs[j] = pkt.Clone(f)
+					fs[j][p.Headers.L3Off+8] = 1 // the TTL; checksums are not verified
+					break
+				}
+			}
+			return fs, ports
+		}
+	}
+	return cases
 }
 
 // TestScopedInvalidationDifferential runs seeded random flow-mod sequences
@@ -627,6 +744,41 @@ func TestScopedInvalidationDifferential(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzPipelineDifferential hands the generated flow-mod sequences to the
+// fuzzer — which rig, which seed, how many mods (up to 48) and which cache
+// size (Options.FlowCache 64, the 256-entry minimum, or 4096) — with
+// randomMod's full instruction draw, and after every mod compares every
+// frame's outcome on the cached worker, Trace, the metered twin and the
+// baseline switch with the interpreter's (scopeRig.check).  The first two
+// seed inputs are the counterexamples that found the baseline replaying a
+// cached action list past an output-then-drop, and without its
+// write-metadata.
+func FuzzPipelineDifferential(f *testing.F) {
+	f.Add(uint8(0), uint8(49), uint8(48), false)
+	f.Add(uint8(1), uint8(90), uint8(48), true)
+	f.Add(uint8(2), uint8(3), uint8(48), false)
+	f.Add(uint8(3), uint8(4), uint8(48), true)
+	cases := rigCases()
+	f.Fuzz(func(t *testing.T, rig, seed, mods uint8, small bool) {
+		c := cases[int(rig)%len(cases)]
+		entries := 4096
+		if small {
+			entries = 64
+		}
+		frames, inPorts := c.frames(32)
+		r := newScopeRig(t, c.pl, c.decompose, entries, frames, inPorts)
+		r.meteredTwin()
+		r.ovsTwin()
+		rng := rand.New(rand.NewSource(int64(seed)))
+		r.extra = rand.New(rand.NewSource(int64(seed) ^ 0x6578747261))
+		r.check("cold", all)
+		for n := 1; n <= int(mods)%49; n++ {
+			what := r.randomMod(rng)
+			r.check(fmt.Sprintf("seed %d, after mod %d (%s)", seed, n, what), all)
+		}
+	})
 }
 
 // TestScopedInvalidationPins pins the point of the change on the gateway:

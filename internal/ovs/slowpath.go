@@ -64,7 +64,14 @@ func (s *Switch) slowPath(p *pkt.Packet, v *openflow.Verdict) *megaflow {
 			// this path: suppress their later observation so the megaflow
 			// never pairs an original value with a post-rewrite mask.
 			acc.MarkModifiedActions(ins.ApplyActions)
-			flat = append(flat, ins.ApplyActions...)
+			// An explicit drop ends the list, not the walk when something
+			// was already output: the cached list keeps only what ran.
+			for _, a := range ins.ApplyActions {
+				if a.Type == openflow.ActionDrop {
+					break
+				}
+				flat = append(flat, a)
+			}
 			if v.Dropped && !v.Forwarded() && !v.ToController {
 				if hasExplicitDrop(ins.ApplyActions) {
 					return s.finishMegaflow(acc, flat)
@@ -81,6 +88,9 @@ func (s *Switch) slowPath(p *pkt.Packet, v *openflow.Verdict) *megaflow {
 		if ins.MetadataMask != 0 {
 			p.Metadata = (p.Metadata &^ ins.MetadataMask) | (ins.WriteMetadata & ins.MetadataMask)
 			acc.MarkMetadataWrite(ins.MetadataMask)
+			// The cached actions replay the register as the walk left it;
+			// packets enter with metadata zero (no cache level keys on it).
+			flat = append(flat, openflow.SetField(openflow.FieldMetadata, p.Metadata))
 		}
 		if !ins.HasGoto {
 			if len(actionSet) > 0 {
