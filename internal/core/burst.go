@@ -37,7 +37,7 @@ type burstScratch struct {
 	values [MaxBurst]uint32
 	hash   exacthash.BatchScratch
 	// cache is the verdict-cache staging (cacheScratch), allocated only
-	// for workers that actually own a FlowCache — it is ~10KB, and the
+	// for workers that actually own a FlowCache — it is ~11KB, and the
 	// default cache-off scratch must not carry it.
 	cache *cacheScratch
 	// ctr is the worker's private flow-counter delta accumulator
@@ -49,20 +49,39 @@ type burstScratch struct {
 // cacheScratch is the burst-local staging of the verdict-cache probe
 // (flowcache.go), indexed by burst slot: the masked key/hash/set-base of each
 // slot, whether the slot's verdict may be installed on the way out, the
-// post-parse header snapshot the install pass diffs against, and the list of
-// miss slots (the wave engine ping-pongs the frontiers, so the miss list
-// needs its own array).
+// write-set of the actions its walk executed, and the list of miss slots
+// (the wave engine ping-pongs the frontiers, so the miss list needs its own
+// array).
 type cacheScratch struct {
 	ckey     [MaxBurst]flowKey
 	chash    [MaxBurst]uint32
 	cbase    [MaxBurst]uint32
 	cinstall [MaxBurst]bool
-	preH     [MaxBurst]pkt.Headers
+	w        [MaxBurst]writeSet
 	miss     [MaxBurst]int32
 	// ctrs records, per miss slot, the Counters pointers of the entries the
 	// walk matched, so the install pass can memoize them alongside the
 	// verdict (counters-enabled datapaths only — see ctrList).
 	ctrs [MaxBurst]ctrList
+}
+
+// record folds what slot i's walk just executed of matched entry ce, which
+// ended with res, into the slot's write-set — its apply-actions up to a
+// drop; unless that drop ended the walk, its write-metadata; at the end of
+// the pipeline, the merged action set — and, on a counters-enabled datapath,
+// notes the entry's counter pointer.
+func (cs *cacheScratch) record(i int, ce *compiledEntry, res stepResult, set openflow.ActionList, counters bool) {
+	w := &cs.w[i]
+	w.addList(ce.apply.list)
+	if res != stepDropped && ce.metadataMask != 0 {
+		w.writeMetadata(ce.writeMetadata, ce.metadataMask)
+	}
+	if res == stepTerminal {
+		w.addList(set)
+	}
+	if counters {
+		cs.ctrs[i].add(ce.counters)
+	}
 }
 
 // ProcessBurst sends a burst of packets through the compiled fast path,
@@ -184,9 +203,8 @@ func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, p
 // (the routing LPM) is visited.  Either way one pass executes the outcomes
 // and builds the next frontier.  It is shared verbatim by the plain and
 // cache-fronted burst paths so their semantics cannot drift.  When rec is set
-// (cache-fronted walk on a counters-enabled datapath), every matched entry's
-// Counters pointer is recorded in the slot's ctrList so the install pass can
-// memoize it with the verdict.
+// (the cache-fronted walk), every executed entry is recorded in the slot's
+// cacheScratch state so the install pass can memoize it with the verdict.
 func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs []openflow.Verdict, cur, next []int32, curLen int, uniform bool, startLevel int, rec bool) {
 	for level := startLevel; curLen > 0; level++ {
 		if level >= openflow.MaxPipelineDepth {
@@ -234,10 +252,11 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 				sn.miss(v, tr.id)
 				continue
 			}
+			res := d.executeEntry(sn, ce, p, v, &sc.sets[i], tr.id, d.opts.UpdateCounters, sc.ctr)
 			if rec {
-				sc.cache.ctrs[i].add(ce.counters)
+				sc.cache.record(i, ce, res, sc.sets[i], d.opts.UpdateCounters)
 			}
-			if d.executeEntry(sn, ce, p, v, &sc.sets[i], tr.id, d.opts.UpdateCounters, sc.ctr) != stepNext {
+			if res != stepNext {
 				continue
 			}
 			sc.tramp[i] = ce.next
@@ -308,7 +327,6 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 	// on the spot; misses join the level-0 frontier at the start table,
 	// with their engine slot state (trampoline, action set) primed the way
 	// the plain path's specialized level 0 would leave it.
-	rec := d.opts.UpdateCounters
 	cur := sc.frontA[:]
 	missN := 0
 	hits, stale := 0, 0
@@ -326,7 +344,6 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 				continue
 			} else {
 				cs.cinstall[i] = true
-				cs.preH[i] = p.Headers
 				if st {
 					stale++
 				}
@@ -338,6 +355,7 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 		if len(sc.sets[i]) > 0 {
 			sc.sets[i] = sc.sets[i][:0]
 		}
+		cs.w[i] = writeSet{}
 		cs.ctrs[i].reset()
 		cs.miss[missN] = int32(i)
 		cur[missN] = int32(i)
@@ -348,11 +366,11 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 		return
 	}
 
-	d.runWaves(sc, sn, ps, vs, cur, sc.frontB[:], missN, true, 0, rec)
+	d.runWaves(sc, sn, ps, vs, cur, sc.frontB[:], missN, true, 0, true)
 
 	// Install pass: memoize every miss whose verdict the cache can express —
-	// at most one output port, a walk shallow enough for the encoding, and a
-	// header delta the flat patch can replay.  On a counters-enabled datapath
+	// at most one output port and a walk shallow enough for the encoding —
+	// with the write-set its walk recorded.  On a counters-enabled datapath
 	// the matched entries' counter pointers ride along (walks deeper than the
 	// counter list are not memoized there).
 	for j := 0; j < missN; j++ {
@@ -366,17 +384,12 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 		}
 		var ctrs *[cacheMaxCtrs]*openflow.Counters
 		var nctr uint8
-		if rec {
+		if d.opts.UpdateCounters {
 			if cs.ctrs[i].over {
 				continue
 			}
 			ctrs, nctr = &cs.ctrs[i].ptrs, cs.ctrs[i].n
 		}
-		p := ps[i]
-		patch, fields, ttlDec, ok := diffHeaders(&cs.preH[i], &p.Headers, p.Metadata, sn.keyed)
-		if !ok {
-			continue
-		}
-		fc.install(cs.chash[i], &cs.ckey[i], sn.gen, flags, out, tables, ttlDec, puntTable, fields, &patch, ctrs, nctr)
+		fc.install(cs.chash[i], &cs.ckey[i], sn.gen, flags, out, tables, puntTable, &cs.w[i], ctrs, nctr)
 	}
 }

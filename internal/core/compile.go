@@ -60,14 +60,11 @@ type snapshot struct {
 	mods []modScope
 	// keyMask is the compiled cache key: the bits of a packet's flowKey the
 	// pipeline's verdict can depend on (keyEntry, scope.go).  The cache probes
-	// on makeFlowKey(p) & keyMask, and keyed is the set of patch operations
-	// whose field that mask holds whole (patchOps) — the writes an installed
-	// entry may replay.
+	// on makeFlowKey(p) & keyMask.
 	keyMask flowKey
-	keyed   uint16
 	// armed reports whether the burst path probes the verdict cache: the
-	// datapath was compiled with one, nothing the pipeline matches or sets
-	// lies outside the flow key (uncovered is empty), and some path is deeper
+	// datapath was compiled with one, nothing the pipeline matches lies
+	// outside the flow key (uncovered is empty), and some path is deeper
 	// than one direct-code, hash or LPM probe (Datapath.deep).  Per-entry
 	// counters do not affect it — the cache memoizes the matched entries'
 	// counter pointers and keeps statistics exact on hits (flowctr.go).
@@ -163,7 +160,7 @@ type Datapath struct {
 	// keyMask, keyFields and deep are the compiled cache key's accumulators
 	// (keyEntry, scope.go), kept — like dirty — only on a datapath whose
 	// workers may carry caches: the key bits the pipeline reads, the fields it
-	// matches or sets (for the coverage test), and whether any path is deeper
+	// matches (for the coverage test), and whether any path is deeper
 	// than one direct-code, hash or LPM stage (an entry with a goto, or a
 	// table compiled to the linked-list template).  All three only grow —
 	// deletes never shrink them, a deliberately conservative choice that keeps
@@ -242,13 +239,6 @@ func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 // pick up the new snapshot on their next burst.
 func (d *Datapath) publish() {
 	uncovered := d.keyFields &^ cacheCoveredFields
-	// The keyed set follows the key mask, which few flow-mods change.
-	keyed := uint16(0)
-	if old := d.snap.Load(); old != nil && old.keyMask == d.keyMask {
-		keyed = old.keyed
-	} else if d.dirty != nil {
-		keyed = patchOps(&d.keyMask)
-	}
 	d.snap.Store(&snapshot{
 		start:       d.trampolines[0],
 		parserLayer: d.parserLayer,
@@ -257,7 +247,6 @@ func (d *Datapath) publish() {
 		gen:         d.gen,
 		mods:        d.mods[max(0, len(d.mods)-modLogWindow):],
 		keyMask:     d.keyMask,
-		keyed:       keyed,
 		armed:       d.dirty != nil && uncovered == 0 && d.deep,
 		uncovered:   uncovered,
 	})

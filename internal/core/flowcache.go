@@ -17,8 +17,8 @@ import (
 // already make each table lookup cheap; the cache removes the lookups
 // altogether for the traffic that dominates real deployments — a packet whose
 // key was seen before skips the entire template walk and replays a
-// precompiled verdict program: output port / drop / punt plus the pipeline's
-// net header write-set flattened into one patch.
+// precompiled verdict program: output port / drop / punt plus the write-set
+// of the actions the walk executed, flattened into one patch.
 //
 // The paper's case against flow caching (§2.2) is that a cache's masks are
 // derived reactively, per packet, and are unpredictable.  A compiled datapath
@@ -28,17 +28,16 @@ import (
 //   - The key (snapshot.keyMask, accumulated by keyEntry in scope.go) holds
 //     the bits any installed entry's match reads — so every lookup of a walk
 //     reads wire bits inside it or values an earlier entry wrote, and the
-//     matched entry chain is a function of the masked key — plus, whole,
-//     every field an action sets: the memoized patch is a header
-//     *difference*, blind to a write of the value a packet already carries,
-//     so packets sharing an entry must share that field (diffHeaders refuses
-//     a patch bit outside the key).  Protocol presence and parse depth are
-//     always in it, in_port whenever any entry floods.
+//     matched entry chain is a function of the masked key.  Protocol
+//     presence and parse depth are always in it, in_port whenever any entry
+//     floods.  A field an action writes needs no key bits: the memoized
+//     write-set (writeSet) is absolute but for the TTL decrement, so its
+//     replay does not depend on the packet.
 //   - The key only widens under flow-mods, and a mod that widens it is
 //     logged as a barrier: entries keyed on the narrower mask are never
 //     served past it.
 //   - The cache is armed (snapshot.armed) only where it can pay: every field
-//     the pipeline matches or sets is covered by flowKey, and some path visits
+//     the pipeline matches is covered by flowKey, and some path visits
 //     two or more compiled stages or a linked-list stage.  A one-stage
 //     direct/hash/LPM pipeline already is one probe over a narrower key than
 //     any cache could use — the paper's thesis — so it runs the plain burst
@@ -75,8 +74,8 @@ import (
 //     walks, nothing shared is written: the log is immutable behind the
 //     snapshot.
 //   - Verdicts that cannot be memoized are never installed: multi-port
-//     (flood/multicast) outputs, packets entering with non-zero metadata, and
-//     header rewrites the flat patch cannot express (see diffHeaders).
+//     (flood/multicast) outputs, walks deeper than the entry encoding, and
+//     packets entering with non-zero metadata.
 //   - A cycle meter does not interact with the cache: the meter rides the
 //     sequential per-packet walk, which never probes or installs, and the
 //     burst path that does is never metered.
@@ -88,7 +87,7 @@ import (
 //     entries fall back to the full walk on such datapaths.
 
 // cacheCoveredFields is the set of fields the flow key can carry.  A pipeline
-// that matches or sets any other field is never armed.  FieldMetadata is
+// that matches any other field is never armed.  FieldMetadata is
 // included because the packet-entry metadata of every cached packet is pinned
 // to zero, making mid-pipeline metadata a deterministic function of the key.
 const cacheCoveredFields openflow.FieldSet = 1<<openflow.FieldInPort |
@@ -120,35 +119,33 @@ func makeFlowKey(p *pkt.Packet) flowKey {
 	}
 }
 
-// keySlot places one match field in the flow key and names the patch
-// operations that write it.
+// keySlot places one match field in the flow key.
 type keySlot struct {
 	name        string // as rendered; empty for an alias of an earlier slot
 	word        uint8
 	shift, bits uint8 // bits == 0: the key does not carry the field
-	ops         uint16
 }
 
 // keyLayout is the flow key's layout by match field — what makeFlowKey packs
-// where (TestKeyLayout holds the two together).  keyBits, patchOps and the
-// key's rendering all go through it.  The L4 ports have one slot per
-// direction whatever the transport, hence their names.  Metadata is covered
+// where (TestKeyLayout holds the two together).  keyBits and the key's
+// rendering go through it.  The L4 ports have one slot per direction
+// whatever the transport, hence their names.  Metadata is covered
 // (cacheCoveredFields) without a slot: cached packets enter with it zero.
 var keyLayout = [openflow.NumFields]keySlot{
-	openflow.FieldInPort:  {"in_port", 0, 0, 32, 0},
-	openflow.FieldEthType: {"eth_type", 0, 32, 16, 0},
-	openflow.FieldVLANID:  {"vlan_vid", 0, 48, 12, pfVLANPush | pfVLANPop | pfVLANID},
-	openflow.FieldEthDst:  {"eth_dst", 1, 0, 48, pfEthDst},
-	openflow.FieldEthSrc:  {"eth_src", 2, 0, 48, pfEthSrc},
-	openflow.FieldIPProto: {"ip_proto", 2, 48, 8, 0},
-	openflow.FieldIPSrc:   {"ip_src", 3, 32, 32, pfIPSrc},
-	openflow.FieldIPDst:   {"ip_dst", 3, 0, 32, pfIPDst},
-	openflow.FieldTCPSrc:  {"l4_src", 4, 0, 16, pfL4Src},
-	openflow.FieldTCPDst:  {"l4_dst", 4, 16, 16, pfL4Dst},
-	openflow.FieldUDPSrc:  {"", 4, 0, 16, pfL4Src},
-	openflow.FieldUDPDst:  {"", 4, 16, 16, pfL4Dst},
-	openflow.FieldSCTPSrc: {"", 4, 0, 16, pfL4Src},
-	openflow.FieldSCTPDst: {"", 4, 16, 16, pfL4Dst},
+	openflow.FieldInPort:  {"in_port", 0, 0, 32},
+	openflow.FieldEthType: {"eth_type", 0, 32, 16},
+	openflow.FieldVLANID:  {"vlan_vid", 0, 48, 12},
+	openflow.FieldEthDst:  {"eth_dst", 1, 0, 48},
+	openflow.FieldEthSrc:  {"eth_src", 2, 0, 48},
+	openflow.FieldIPProto: {"ip_proto", 2, 48, 8},
+	openflow.FieldIPSrc:   {"ip_src", 3, 32, 32},
+	openflow.FieldIPDst:   {"ip_dst", 3, 0, 32},
+	openflow.FieldTCPSrc:  {"l4_src", 4, 0, 16},
+	openflow.FieldTCPDst:  {"l4_dst", 4, 16, 16},
+	openflow.FieldUDPSrc:  {"", 4, 0, 16},
+	openflow.FieldUDPDst:  {"", 4, 16, 16},
+	openflow.FieldSCTPSrc: {"", 4, 0, 16},
+	openflow.FieldSCTPDst: {"", 4, 16, 16},
 }
 
 // keyProtoShift places the protocol-presence bits in word 1 of the key.
@@ -192,9 +189,9 @@ func (k *flowKey) hash() uint32 {
 	return uint32(x ^ x>>32)
 }
 
-// cachePatch is the flattened net header write-set of one memoized pipeline
-// walk: absolute field values applied on a hit (the relative TTL decrement
-// lives in the entry's hot line as ttlDec).
+// cachePatch holds the absolute field values of a write-set (writeSet), read
+// under its patch-operation bits; the relative TTL decrement lives beside
+// it, in a cache entry's hot line.
 type cachePatch struct {
 	metadata uint64
 	ethDst   uint64
@@ -223,6 +220,80 @@ const (
 	pfVLANPCP
 	pfIPDSCP
 )
+
+// writeSet is the header effect of the actions a cache-miss walk executes,
+// folded in as they run: a later write of a field replaces an earlier one, so
+// every write stays absolute; push_vlan, pop_vlan and set_field(vlan_vid)
+// settle on the pfVLANPush/pfVLANPop/pfVLANID bits; dec_ttl counts,
+// saturating at 255.  Nothing in it depends on the packet, so the install
+// pass memoizes it as it is, and applyWrites replays it onto every packet
+// sharing the entry.
+type writeSet struct {
+	fields uint16 // patch-operation bits
+	ttlDec uint8
+	patch  cachePatch
+}
+
+// add folds one executed action.  Outputs write no header, and neither does
+// a set-field openflow.ApplyActions ignores.
+func (w *writeSet) add(a openflow.Action) {
+	pt, op := &w.patch, uint16(0)
+	switch a.Type {
+	case openflow.ActionPushVLAN:
+		w.fields &^= pfVLANPop | pfVLANID
+		op, pt.vlanID = pfVLANPush, uint16(a.Value)
+	case openflow.ActionPopVLAN:
+		w.fields &^= pfVLANPush | pfVLANID
+		op = pfVLANPop
+	case openflow.ActionDecTTL:
+		if w.ttlDec < 255 {
+			w.ttlDec++
+		}
+	case openflow.ActionSetField:
+		switch v := a.Value; a.Field {
+		case openflow.FieldMetadata:
+			op, pt.metadata = pfMetadata, v
+		case openflow.FieldEthDst:
+			op, pt.ethDst = pfEthDst, v
+		case openflow.FieldEthSrc:
+			op, pt.ethSrc = pfEthSrc, v
+		case openflow.FieldVLANID:
+			op, pt.vlanID = pfVLANID, uint16(v)
+		case openflow.FieldVLANPCP:
+			op, pt.vlanPCP = pfVLANPCP, uint8(v)
+		case openflow.FieldIPSrc:
+			op, pt.ipSrc = pfIPSrc, pkt.IPv4(v)
+		case openflow.FieldIPDst:
+			op, pt.ipDst = pfIPDst, pkt.IPv4(v)
+		case openflow.FieldIPDSCP:
+			op, pt.ipDSCP = pfIPDSCP, uint8(v)
+		case openflow.FieldTCPSrc, openflow.FieldUDPSrc, openflow.FieldSCTPSrc:
+			op, pt.l4Src = pfL4Src, uint16(v)
+		case openflow.FieldTCPDst, openflow.FieldUDPDst, openflow.FieldSCTPDst:
+			op, pt.l4Dst = pfL4Dst, uint16(v)
+		}
+	}
+	w.fields |= op
+}
+
+// addList folds an action list as openflow.ApplyActions runs it: up to an
+// explicit drop.
+func (w *writeSet) addList(l openflow.ActionList) {
+	for _, a := range l {
+		if a.Type == openflow.ActionDrop {
+			return
+		}
+		w.add(a)
+	}
+}
+
+// writeMetadata folds a write-metadata instruction.  Cached packets enter
+// with metadata zero (the probe pass sends any other past the cache), so the
+// register's value stays absolute.
+func (w *writeSet) writeMetadata(value, mask uint64) {
+	w.fields |= pfMetadata
+	w.patch.metadata = w.patch.metadata&^mask | value&mask
+}
 
 // Verdict flag bits (cacheEntry.flags).
 const (
@@ -405,9 +476,10 @@ func (fc *FlowCache) revalidate(c *cacheEntry, sn *snapshot) bool {
 // unprobed through the most mods, an expired one (which nothing can
 // revalidate any more) through the most of all.  With every entry of the
 // current generation it is round-robin, so a full set cannot pin one way.
-// ctrs/nctr carry the matched entries' counter pointers on a counters-enabled
-// datapath (nil/0 otherwise), so hits can keep per-flow statistics exact.
-func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, flags uint8, out uint32, tables, ttlDec uint8, puntTable uint16, fields uint16, patch *cachePatch, ctrs *[cacheMaxCtrs]*openflow.Counters, nctr uint8) {
+// w is the walk's write-set.  ctrs/nctr carry the matched entries' counter
+// pointers on a counters-enabled datapath (nil/0 otherwise), so hits can keep
+// per-flow statistics exact.
+func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, flags uint8, out uint32, tables uint8, puntTable uint16, w *writeSet, ctrs *[cacheMaxCtrs]*openflow.Counters, nctr uint8) {
 	base := (h & fc.mask) * flowCacheWays
 	set := fc.entries[base : base+flowCacheWays]
 	var victim *cacheEntry
@@ -443,13 +515,13 @@ func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, flags uint8, out 
 	victim.gen = gen
 	victim.hash = h
 	victim.out = out
-	victim.fields = fields
+	victim.fields = w.fields
 	victim.flags = flags
 	victim.tables = tables
-	victim.ttlDec = ttlDec
+	victim.ttlDec = w.ttlDec
 	victim.puntTable = puntTable
-	if fields != 0 {
-		victim.patch = *patch
+	if w.fields != 0 {
+		victim.patch = w.patch
 	}
 	victim.nctr = nctr
 	if nctr != 0 {
@@ -458,8 +530,8 @@ func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, flags uint8, out 
 }
 
 // apply replays the memoized verdict program onto the packet and verdict:
-// verdict flags and output port from the hot-line encoding, then the header
-// patch.  It mirrors exactly what the full pipeline walk produced when the
+// verdict flags and output port from the hot-line encoding, then the
+// write-set.  It mirrors exactly what the full pipeline walk produced when the
 // entry was installed.
 func (e *cacheEntry) apply(p *pkt.Packet, v *openflow.Verdict) {
 	flags := e.flags
@@ -481,23 +553,19 @@ func (e *cacheEntry) apply(p *pkt.Packet, v *openflow.Verdict) {
 	if flags&cacheHasPort != 0 {
 		v.OutPorts = append(v.OutPorts[:0], e.out)
 	}
-	if ttlDec := e.ttlDec; ttlDec != 0 {
-		if t := p.Headers.IPTTL; t <= ttlDec {
-			p.Headers.IPTTL = 0
-		} else {
-			p.Headers.IPTTL = t - ttlDec
-		}
-	}
-	if e.fields != 0 {
-		applyHeaderPatch(p, e.fields, &e.patch)
-	}
+	applyWrites(p, e.fields, e.ttlDec, &e.patch)
 }
 
-// applyHeaderPatch replays the flattened header write-set.  Push/pop run
-// before the absolute tag/PCP writes so a pop-then-retag walk replays in
-// order.
-func applyHeaderPatch(p *pkt.Packet, fields uint16, patch *cachePatch) {
+// applyWrites replays a write-set (writeSet): the TTL decrement, floored at
+// zero as dec_ttl floors it, then the absolute writes.  Push/pop run before
+// the tag write so a pop-then-retag walk replays in order.
+func applyWrites(p *pkt.Packet, fields uint16, ttlDec uint8, patch *cachePatch) {
 	f, pt, h := fields, patch, &p.Headers
+	if h.IPTTL <= ttlDec {
+		h.IPTTL = 0
+	} else {
+		h.IPTTL -= ttlDec
+	}
 	if f&pfVLANPush != 0 {
 		h.Proto |= pkt.ProtoVLAN
 		h.VLANID = pt.vlanID
@@ -536,109 +604,6 @@ func applyHeaderPatch(p *pkt.Packet, fields uint16, patch *cachePatch) {
 	if f&pfMetadata != 0 {
 		p.Metadata = pt.metadata
 	}
-}
-
-// diffHeaders flattens the pipeline's net header rewrites — the difference
-// between the post-parse view and the post-pipeline view — into a patch.  It
-// reports ok=false when the delta is not expressible (a change to a field the
-// patch cannot write, or a TTL that saturated at zero, whose true decrement
-// is unknowable); such verdicts are simply not installed.  preMeta is always
-// zero (enforced by the probe pass), so metadata is captured absolutely.
-// keyed is the snapshot's set of patch operations whose field is whole in the
-// key mask (patchOps): a difference is a function of the packet's own value,
-// so every absolute write the patch carries must be on a field all packets
-// sharing the entry agree on.  The compiler guarantees that by construction
-// (keyEntry puts every written field in the key); a bit outside keyed is a
-// write it did not see, and the verdict is not installed.
-func diffHeaders(pre, post *pkt.Headers, postMeta uint64, keyed uint16) (patch cachePatch, fields uint16, ttlDec uint8, ok bool) {
-	// Anything the patch has no write for must be untouched.
-	if pre.Parsed != post.Parsed || pre.L2Off != post.L2Off ||
-		pre.L3Off != post.L3Off || pre.L4Off != post.L4Off ||
-		pre.EthType != post.EthType || pre.IPProto != post.IPProto ||
-		pre.IPECN != post.IPECN || pre.TCPFlags != post.TCPFlags ||
-		pre.ICMPType != post.ICMPType || pre.ICMPCode != post.ICMPCode ||
-		pre.ARPOp != post.ARPOp || pre.ARPSPA != post.ARPSPA || pre.ARPTPA != post.ARPTPA {
-		return patch, 0, 0, false
-	}
-	if (pre.Proto^post.Proto)&^pkt.ProtoVLAN != 0 {
-		return patch, 0, 0, false
-	}
-	switch {
-	case pre.Proto&pkt.ProtoVLAN == 0 && post.Proto&pkt.ProtoVLAN != 0:
-		fields |= pfVLANPush
-		patch.vlanID = post.VLANID
-	case pre.Proto&pkt.ProtoVLAN != 0 && post.Proto&pkt.ProtoVLAN == 0:
-		fields |= pfVLANPop
-		if post.VLANID != 0 {
-			fields |= pfVLANID
-			patch.vlanID = post.VLANID
-		}
-	case pre.VLANID != post.VLANID:
-		fields |= pfVLANID
-		patch.vlanID = post.VLANID
-	}
-	if pre.VLANPCP != post.VLANPCP {
-		fields |= pfVLANPCP
-		patch.vlanPCP = post.VLANPCP
-	}
-	if pre.EthDst != post.EthDst {
-		fields |= pfEthDst
-		patch.ethDst = post.EthDst.Uint64()
-	}
-	if pre.EthSrc != post.EthSrc {
-		fields |= pfEthSrc
-		patch.ethSrc = post.EthSrc.Uint64()
-	}
-	if pre.IPSrc != post.IPSrc {
-		fields |= pfIPSrc
-		patch.ipSrc = post.IPSrc
-	}
-	if pre.IPDst != post.IPDst {
-		fields |= pfIPDst
-		patch.ipDst = post.IPDst
-	}
-	if pre.IPDSCP != post.IPDSCP {
-		fields |= pfIPDSCP
-		patch.ipDSCP = post.IPDSCP
-	}
-	if pre.L4Src != post.L4Src {
-		fields |= pfL4Src
-		patch.l4Src = post.L4Src
-	}
-	if pre.L4Dst != post.L4Dst {
-		fields |= pfL4Dst
-		patch.l4Dst = post.L4Dst
-	}
-	if pre.IPTTL != post.IPTTL {
-		if post.IPTTL > pre.IPTTL || post.IPTTL == 0 {
-			// A TTL that grew cannot come from dec_ttl; a TTL that hit the
-			// floor hides how many decrements really ran.
-			return patch, 0, 0, false
-		}
-		ttlDec = pre.IPTTL - post.IPTTL
-	}
-	if postMeta != 0 {
-		fields |= pfMetadata
-		patch.metadata = postMeta
-	}
-	if fields&^keyed != 0 {
-		return patch, 0, 0, false
-	}
-	return patch, fields, ttlDec, true
-}
-
-// patchOps returns the patch operations whose field is whole in the key mask
-// km (diffHeaders' keyed set).  Metadata always is — cached packets enter
-// with metadata zero — and the VLAN priority and DSCP never are: the flow key
-// does not carry them, which is why a pipeline that sets either is not armed.
-func patchOps(km *flowKey) uint16 {
-	ops := pfMetadata
-	for _, l := range keyLayout {
-		if full := uint64(1)<<l.bits - 1; l.bits != 0 && km[l.word]>>l.shift&full == full {
-			ops |= l.ops
-		}
-	}
-	return ops
 }
 
 // entryFromVerdict compresses a verdict into the entry's hot-line encoding.
@@ -799,8 +764,8 @@ func (st FlowCacheStats) CheckInvariants(processed, panics uint64) error {
 
 // FlowCacheEnabled reports whether the verdict cache is armed: the datapath
 // was compiled with Options.FlowCache, every field the current pipeline
-// matches or sets is covered by the flow key, and some path through it is
-// deeper than one direct/hash/LPM probe.
+// matches is covered by the flow key, and some path through it is deeper
+// than one direct/hash/LPM probe.
 func (d *Datapath) FlowCacheEnabled() bool { return d.snap.Load().armed }
 
 // FlowCacheKey describes the current pipeline's compiled cache key, for
@@ -825,7 +790,7 @@ func (d *Datapath) unarmedWhy(sn *snapshot) string {
 		for _, f := range sn.uncovered.Fields() {
 			names += " " + f.String()
 		}
-		return "the pipeline matches or sets a field outside the flow key:" + names
+		return "the pipeline matches a field outside the flow key:" + names
 	default:
 		return "every path is one direct-code, hash or LPM stage: already a single probe over a narrower key than the cache's"
 	}

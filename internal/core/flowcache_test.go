@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"unsafe"
@@ -48,7 +49,7 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 	if e, _, stale := fc.lookup(h, &k, gen(1)); e != nil || stale {
 		t.Fatal("empty cache returned an entry")
 	}
-	fc.install(h, &k, 1, cacheValid|cacheHasPort, 7, 2, 0, 0, 0, nil, nil, 0)
+	fc.install(h, &k, 1, cacheValid|cacheHasPort, 7, 2, 0, &writeSet{}, nil, 0)
 	e, _, stale := fc.lookup(h, &k, gen(1))
 	if e == nil || stale || e.out != 7 || e.tables != 2 {
 		t.Fatalf("lookup after install: %+v stale=%v", e, stale)
@@ -58,7 +59,7 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 		t.Fatalf("stale entry served or not reported: %v %v", e, stale)
 	}
 	// Reinstall under the new generation refreshes in place (no second copy).
-	fc.install(h, &k, 2, cacheValid|cacheHasPort, 9, 2, 0, 0, 0, nil, nil, 0)
+	fc.install(h, &k, 2, cacheValid|cacheHasPort, 9, 2, 0, &writeSet{}, nil, 0)
 	if e, _, _ := fc.lookup(h, &k, gen(2)); e == nil || e.out != 9 {
 		t.Fatalf("refresh in place failed: %+v", e)
 	}
@@ -76,10 +77,10 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 	// first of them (way 0, holding k), never a fifth slot.
 	for i := uint64(0); i < flowCacheWays-1; i++ {
 		kI := flowKey{0: 100 + i}
-		fc.install(h, &kI, 2, cacheValid, 0, 1, 0, 0, 0, nil, nil, 0)
+		fc.install(h, &kI, 2, cacheValid, 0, 1, 0, &writeSet{}, nil, 0)
 	}
 	kNew := flowKey{0: 999}
-	fc.install(h, &kNew, 3, cacheValid|cacheHasPort, 11, 1, 0, 0, 0, nil, nil, 0)
+	fc.install(h, &kNew, 3, cacheValid|cacheHasPort, 11, 1, 0, &writeSet{}, nil, 0)
 	if e, _, _ := fc.lookup(h, &kNew, gen(3)); e == nil || e.out != 11 {
 		t.Fatalf("install into a full set failed: %+v", e)
 	}
@@ -91,9 +92,9 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 	// is two generations old — unprobed the longest — and must be the one
 	// the next install takes.
 	k100, k102 := flowKey{0: 100}, flowKey{0: 102}
-	fc.install(h, &k100, 3, cacheValid|cacheHasPort, 12, 1, 0, 0, 0, nil, nil, 0)
-	fc.install(h, &k102, 3, cacheValid|cacheHasPort, 13, 1, 0, 0, 0, nil, nil, 0)
-	fc.install(h, &flowKey{0: 200}, 4, cacheValid, 0, 1, 0, 0, 0, nil, nil, 0)
+	fc.install(h, &k100, 3, cacheValid|cacheHasPort, 12, 1, 0, &writeSet{}, nil, 0)
+	fc.install(h, &k102, 3, cacheValid|cacheHasPort, 13, 1, 0, &writeSet{}, nil, 0)
+	fc.install(h, &flowKey{0: 200}, 4, cacheValid, 0, 1, 0, &writeSet{}, nil, 0)
 	for _, kept := range []*flowKey{&kNew, &k100, &k102} {
 		// (Under a log-less snapshot the survivors read as stale sightings,
 		// which is all this needs: they are still there.)
@@ -343,10 +344,10 @@ func twoStage(numPorts int) (*openflow.Pipeline, *openflow.FlowTable) {
 	return pl, pl.AddTable(1)
 }
 
-// TestFlowCacheGating asserts the cache never engages where it could lie:
-// pipelines matching or setting fields outside the flow key are not armed,
-// multicast verdicts are not memoized, and packets entering with metadata
-// bypass it.  (Per-entry counters do not gate the cache: entries memoize the
+// TestFlowCacheGating asserts the cache never engages where it could lie, and
+// does where it cannot: pipelines matching fields outside the flow key are
+// not armed (ones that only set such fields are), multicast verdicts are not
+// memoized, and packets entering with metadata bypass it.  (Per-entry counters do not gate the cache: entries memoize the
 // matched entries' counter pointers and hits keep the statistics exact —
 // TestFlowCacheCountersExact.  Pipelines one probe deep are not armed either —
 // TestCacheArming.)
@@ -389,26 +390,38 @@ func TestFlowCacheGating(t *testing.T) {
 
 	t.Run("uncovered-field-added-later", func(t *testing.T) {
 		// An armed pipeline is disarmed the moment a flow-mod installs a
-		// match on an uncovered field — or sets one: the patch could not
-		// tell a packet that already carried the value from one that did not.
-		for name, e := range map[string]*openflow.FlowEntry{
-			"match": openflow.NewEntry(20, openflow.NewMatch().Set(openflow.FieldIPDSCP, 46), openflow.Apply(openflow.Output(2))),
-			"set":   openflow.NewEntry(20, openflow.NewMatch().Set(openflow.FieldIPDst, 7), openflow.Apply(openflow.SetField(openflow.FieldIPDSCP, 46), openflow.Output(2))),
-		} {
-			pl, t1 := twoStage(2)
-			t1.AddFlow(10, openflow.NewMatch().Set(openflow.FieldIPDst, 9), openflow.Apply(openflow.Output(2)))
-			t1.AddFlow(0, openflow.NewMatch(), openflow.Apply(openflow.Drop()))
-			dp := compile(t, pl)
-			if !dp.FlowCacheEnabled() {
-				t.Fatal("two-stage exact-IP pipeline should arm the cache")
-			}
-			flushes := dp.FlowCacheStats().Flushes
-			if err := dp.AddFlow(1, e); err != nil {
-				t.Fatal(err)
-			}
-			if dp.FlowCacheEnabled() || dp.FlowCacheStats().Flushes != flushes+1 {
-				t.Fatalf("%s on dscp must disarm the cache behind a barrier", name)
-			}
+		// match on an uncovered field.
+		pl, t1 := twoStage(2)
+		t1.AddFlow(10, openflow.NewMatch().Set(openflow.FieldIPDst, 9), openflow.Apply(openflow.Output(2)))
+		t1.AddFlow(0, openflow.NewMatch(), openflow.Apply(openflow.Drop()))
+		dp := compile(t, pl)
+		if !dp.FlowCacheEnabled() {
+			t.Fatal("two-stage exact-IP pipeline should arm the cache")
+		}
+		flushes := dp.FlowCacheStats().Flushes
+		if err := dp.AddFlow(1, openflow.NewEntry(20, openflow.NewMatch().Set(openflow.FieldIPDSCP, 46), openflow.Apply(openflow.Output(2)))); err != nil {
+			t.Fatal(err)
+		}
+		if dp.FlowCacheEnabled() || dp.FlowCacheStats().Flushes != flushes+1 {
+			t.Fatal("a match on dscp must disarm the cache behind a barrier")
+		}
+	})
+
+	t.Run("uncovered-field-set", func(t *testing.T) {
+		// A field the pipeline only sets needs no key bits: an entry replays
+		// the write itself, so the frame that already carries the value
+		// installs an entry that serves the others theirs.
+		pl, t1 := twoStage(2)
+		t1.AddFlow(10, openflow.NewMatch().Set(openflow.FieldIPDst, 9), openflow.Apply(
+			openflow.SetField(openflow.FieldIPDSCP, 46), openflow.SetField(openflow.FieldVLANPCP, 5), openflow.Output(2)))
+		r := newKeyRig(t, pl)
+		b := pkt.NewBuilder(128)
+		for _, h := range []struct{ dscp, pcp uint8 }{{46, 5}, {0, 0}, {10, 3}, {46, 5}} {
+			frame := pkt.Clone(b.TCPPacket(pkt.EthernetOpts{VLAN: 7, PCP: h.pcp}, pkt.IPv4Opts{Src: 1, Dst: 9, DSCP: h.dscp}, pkt.L4Opts{Src: 1, Dst: 2}))
+			r.send(fmt.Sprintf("dscp %d pcp %d", h.dscp, h.pcp), frame, 1)
+		}
+		if st := r.dp.FlowCacheStats(); st.Installs != 1 || st.Hits != 3 {
+			t.Fatalf("want one entry serving the three frames after the first: %+v", st)
 		}
 	})
 
@@ -498,6 +511,85 @@ func TestFlowCacheGating(t *testing.T) {
 			t.Fatalf("want 2 hits (metadata 0), 3 misses (cold + 2 with metadata) and 1 install: %+v", st)
 		}
 	})
+}
+
+// TestTTLFloorMemoized: a walk whose dec_ttls take a frame's TTL to zero is
+// memoized like any other, since the entry holds the decrements the walk ran
+// rather than the difference they made, and frames with TTL to spare served
+// from it lose exactly as many.
+func TestTTLFloorMemoized(t *testing.T) {
+	pl := openflow.NewPipeline(2)
+	pl.Table(0).AddFlow(10, openflow.NewMatch().Set(openflow.FieldInPort, 1), openflow.ApplyThenGoto(1, openflow.DecTTL()))
+	pl.AddTable(1).AddFlow(10, openflow.NewMatch().Set(openflow.FieldIPDst, 9), openflow.Apply(openflow.DecTTL(), openflow.Output(2)))
+	r := newKeyRig(t, pl)
+	b := pkt.NewBuilder(128)
+	send := func(ttl uint8) {
+		t.Helper()
+		r.send(fmt.Sprintf("ttl %d", ttl), pkt.Clone(b.TCPPacket(pkt.EthernetOpts{}, pkt.IPv4Opts{Src: 1, Dst: 9, TTL: ttl}, pkt.L4Opts{Src: 1, Dst: 2})), 1)
+	}
+	send(1)
+	send(1)
+	if st := r.dp.FlowCacheStats(); st.Installs != 1 || st.Hits != 1 {
+		t.Fatalf("a walk that floors the TTL must be memoized: %+v", st)
+	}
+	send(64)
+	send(2)
+	if st := r.dp.FlowCacheStats(); st.Installs != 1 || st.Hits != 3 {
+		t.Fatalf("frames with TTL to spare must share the entry: %+v", st)
+	}
+}
+
+// TestWriteSetMatchesApplyActions holds the write-set to the interpreter's
+// action semantics.  For every ordered pair, and a sample of triples, of
+// header actions — a set-field of two values on every field (metadata, PCP,
+// DSCP and the three L4 aliases among them; the fields ApplyActions ignores
+// too), push_vlan of two tags, pop_vlan, dec_ttl and a drop midway —
+// replaying addList's fold of the list must leave a parsed frame, tagged or
+// not and at TTL 0, 1 or 64, with the headers and metadata
+// openflow.ApplyActions leaves, starting from metadata zero.
+func TestWriteSetMatchesApplyActions(t *testing.T) {
+	var actions openflow.ActionList
+	for f := openflow.Field(0); f < openflow.NumFields; f++ {
+		actions = append(actions, openflow.SetField(f, 0x5a5a5a5a5a5a5a5a), openflow.SetField(f, 0x0123456789abcdef))
+	}
+	actions = append(actions, openflow.PushVLAN(100), openflow.PushVLAN(200), openflow.PopVLAN(), openflow.DecTTL(), openflow.Drop())
+	var frames []pkt.Packet
+	for _, tagged := range []bool{false, true} {
+		for _, ttl := range []uint8{0, 1, 64} {
+			h := pkt.Headers{Proto: pkt.ProtoEthernet | pkt.ProtoIPv4 | pkt.ProtoTCP, Parsed: pkt.LayerL4,
+				EthDst: pkt.MACFromUint64(0x020000000001), EthSrc: pkt.MACFromUint64(0x020000000002), EthType: 0x0800,
+				IPSrc: 0x0a000001, IPDst: 0x0a000002, IPProto: 6, IPDSCP: 12, IPTTL: ttl, L4Src: 1234, L4Dst: 80}
+			if tagged {
+				h.Proto |= pkt.ProtoVLAN
+				h.VLANID, h.VLANPCP = 300, 3
+			}
+			frames = append(frames, pkt.Packet{InPort: 1, Headers: h})
+		}
+	}
+	check := func(list openflow.ActionList) {
+		t.Helper()
+		var w writeSet
+		w.addList(list)
+		for _, frame := range frames {
+			want, got := frame, frame
+			var v openflow.Verdict
+			openflow.ApplyActions(list, &want, &v, 4)
+			applyWrites(&got, w.fields, w.ttlDec, &w.patch)
+			if got.Headers != want.Headers || got.Metadata != want.Metadata {
+				t.Fatalf("%v on %+v: replay left %+v metadata %#x, ApplyActions %+v %#x",
+					list, frame.Headers, got.Headers, got.Metadata, want.Headers, want.Metadata)
+			}
+		}
+	}
+	for _, a := range actions {
+		for _, b := range actions {
+			check(openflow.ActionList{a, b})
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 20000; n++ {
+		check(openflow.ActionList{actions[rng.Intn(len(actions))], actions[rng.Intn(len(actions))], actions[rng.Intn(len(actions))]})
+	}
 }
 
 // TestFlowCacheStaleGeneration is the invalidation acceptance test: once a

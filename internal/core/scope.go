@@ -118,10 +118,10 @@ func entryWrites(e *openflow.FlowEntry) openflow.FieldSet {
 }
 
 // keyEntry folds entry e into the compiled cache key (flowcache.go): the
-// bits its match reads, whole every field its apply- or write-actions set
-// absolutely (set-field targets; the VLAN tag on push/pop), and in_port when
-// it floods — a flood's port list depends on the ingress port whether or not
-// any entry matches it.  It also notes the fields it touches for the
+// bits its match reads, and in_port when it floods — a flood's port list
+// depends on the ingress port whether or not any entry matches it.  What its
+// actions write needs no key bits, since a cache entry replays the writes
+// themselves (writeSet).  It also notes the fields it matches for the
 // coverage test and whether it continues to a second stage.  All three
 // accumulators only grow (a delete never shrinks them), so a flow-mod costs
 // one pass over its own entry.  It reports whether the key or the uncovered
@@ -129,32 +129,23 @@ func entryWrites(e *openflow.FlowEntry) openflow.FieldSet {
 // narrower key say nothing about the bits it now reads.
 func (d *Datapath) keyEntry(e *openflow.FlowEntry) (widened bool) {
 	var km, unused flowKey
-	touched := e.Match.Fields()
-	for rest := touched; rest != 0; rest &= rest - 1 {
+	matched := e.Match.Fields()
+	for rest := matched; rest != 0; rest &= rest - 1 {
 		f := openflow.Field(bits.TrailingZeros32(uint32(rest)))
 		_, mask, _ := e.Match.Get(f)
 		keyBits(f, 0, mask, &unused, &km)
 	}
 	for _, list := range [...]openflow.ActionList{e.Instructions.ApplyActions, e.Instructions.WriteActions} {
 		for _, a := range list {
-			f := a.Field
-			switch {
-			case a.Type == openflow.ActionSetField:
-				touched = touched.Add(f)
-			case a.Type == openflow.ActionPushVLAN || a.Type == openflow.ActionPopVLAN:
-				f = openflow.FieldVLANID
-			case a.Type == openflow.ActionOutput && a.Port == openflow.PortFlood:
-				f = openflow.FieldInPort
-			default:
-				continue
+			if a.Type == openflow.ActionOutput && a.Port == openflow.PortFlood {
+				keyBits(openflow.FieldInPort, 0, openflow.FieldInPort.FullMask(), &unused, &km)
 			}
-			keyBits(f, 0, f.FullMask(), &unused, &km)
 		}
 	}
 	d.deep = d.deep || e.Instructions.HasGoto
-	widened = km.and(&d.keyMask) != km || touched&^cacheCoveredFields&^d.keyFields != 0
+	widened = km.and(&d.keyMask) != km || matched&^cacheCoveredFields&^d.keyFields != 0
 	d.keyMask.or(&km)
-	d.keyFields |= touched
+	d.keyFields |= matched
 	return widened
 }
 

@@ -141,7 +141,7 @@ func RegisterSwitch(r *Registry, src SwitchSource) {
 		// One FlowCacheStats fold per gather, shared like st above.
 		var fcs core.FlowCacheStats
 		r.MustRegister(
-			gaugeFamily("eswitch_flowcache_armed", "1 while the compiled pipeline arms the verdict cache (Options.FlowCache set, every field it reads or sets inside the flow key, some path deeper than one probe), else 0.", func() float64 {
+			gaugeFamily("eswitch_flowcache_armed", "1 while the compiled pipeline arms the verdict cache (Options.FlowCache set, every field it matches inside the flow key, some path deeper than one probe), else 0.", func() float64 {
 				if dp.FlowCacheEnabled() {
 					return 1
 				}
