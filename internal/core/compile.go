@@ -463,7 +463,7 @@ func (d *Datapath) executeEntry(sn *snapshot, ce *compiledEntry, p *pkt.Packet, 
 			v.NotePunt(openflow.PuntAction, table)
 		}
 		if v.Dropped && !v.Forwarded() && !v.ToController {
-			if hasDrop(ce.apply.list) {
+			if ce.apply.list.HasDrop() {
 				return stepDropped
 			}
 			v.Dropped = false
@@ -473,7 +473,7 @@ func (d *Datapath) executeEntry(sn *snapshot, ce *compiledEntry, p *pkt.Packet, 
 		*set = (*set)[:0]
 	}
 	if len(ce.write) > 0 {
-		*set = mergeActionSet(*set, ce.write)
+		*set = (*set).Merge(ce.write)
 	}
 	if ce.metadataMask != 0 {
 		p.Metadata = (p.Metadata &^ ce.metadataMask) | (ce.writeMetadata & ce.metadataMask)
@@ -559,31 +559,4 @@ func parserCost(layer pkt.Layer) int {
 	default:
 		return cpumodel.CostParser
 	}
-}
-
-func hasDrop(actions openflow.ActionList) bool {
-	for _, a := range actions {
-		if a.Type == openflow.ActionDrop {
-			return true
-		}
-	}
-	return false
-}
-
-// mergeActionSet mirrors the interpreter's OpenFlow action-set merge.
-func mergeActionSet(set, writes openflow.ActionList) openflow.ActionList {
-	for _, w := range writes {
-		replaced := false
-		for i, a := range set {
-			if a.Type == w.Type && (a.Type != openflow.ActionSetField || a.Field == w.Field) {
-				set[i] = w
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			set = append(set, w)
-		}
-	}
-	return set
 }

@@ -177,6 +177,37 @@ func (l ActionList) Key() string {
 	return sb.String()
 }
 
+// HasDrop reports whether the list holds an explicit drop.
+func (l ActionList) HasDrop() bool {
+	for _, a := range l {
+		if a.Type == ActionDrop {
+			return true
+		}
+	}
+	return false
+}
+
+// Merge merges written actions into the action set l with OpenFlow
+// action-set semantics — at most one action per type, and per field for
+// set-field; a later write replaces an earlier one in place — and returns
+// the set.  The set runs in the order of each type's first write.
+func (l ActionList) Merge(writes ActionList) ActionList {
+	for _, w := range writes {
+		replaced := false
+		for i, a := range l {
+			if a.Type == w.Type && (a.Type != ActionSetField || a.Field == w.Field) {
+				l[i] = w
+				replaced = true
+				break
+			}
+		}
+		if !replaced {
+			l = append(l, w)
+		}
+	}
+	return l
+}
+
 // Clone returns a copy of the action list.
 func (l ActionList) Clone() ActionList {
 	if l == nil {

@@ -265,7 +265,7 @@ func (in *Interpreter) ProcessParsed(p *pkt.Packet, v *Verdict, tracker FieldTra
 			}
 			if v.Dropped && !v.Forwarded() && !v.ToController {
 				// An explicit drop in apply-actions ends processing.
-				if hasExplicitDrop(ins.ApplyActions) {
+				if ins.ApplyActions.HasDrop() {
 					return
 				}
 				// Otherwise the "drop" flag only reflects that no
@@ -277,7 +277,7 @@ func (in *Interpreter) ProcessParsed(p *pkt.Packet, v *Verdict, tracker FieldTra
 			actionSet = actionSet[:0]
 		}
 		if len(ins.WriteActions) > 0 {
-			actionSet = mergeActionSet(actionSet, ins.WriteActions)
+			actionSet = actionSet.Merge(ins.WriteActions)
 		}
 		if ins.MetadataMask != 0 {
 			p.Metadata = (p.Metadata &^ ins.MetadataMask) | (ins.WriteMetadata & ins.MetadataMask)
@@ -299,33 +299,4 @@ func (in *Interpreter) ProcessParsed(p *pkt.Packet, v *Verdict, tracker FieldTra
 		tableID = ins.GotoTable
 	}
 	v.Dropped = true
-}
-
-func hasExplicitDrop(actions ActionList) bool {
-	for _, a := range actions {
-		if a.Type == ActionDrop {
-			return true
-		}
-	}
-	return false
-}
-
-// mergeActionSet merges written actions into an action set with OpenFlow
-// action-set semantics: at most one action per type/field, later writes
-// overwrite earlier ones, output last.
-func mergeActionSet(set ActionList, writes ActionList) ActionList {
-	for _, w := range writes {
-		replaced := false
-		for i, a := range set {
-			if a.Type == w.Type && (a.Type != ActionSetField || a.Field == w.Field) {
-				set[i] = w
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			set = append(set, w)
-		}
-	}
-	return set
 }

@@ -73,7 +73,7 @@ func (s *Switch) slowPath(p *pkt.Packet, v *openflow.Verdict) *megaflow {
 				flat = append(flat, a)
 			}
 			if v.Dropped && !v.Forwarded() && !v.ToController {
-				if hasExplicitDrop(ins.ApplyActions) {
+				if ins.ApplyActions.HasDrop() {
 					return s.finishMegaflow(acc, flat)
 				}
 				v.Dropped = false
@@ -83,7 +83,7 @@ func (s *Switch) slowPath(p *pkt.Packet, v *openflow.Verdict) *megaflow {
 			actionSet = actionSet[:0]
 		}
 		if len(ins.WriteActions) > 0 {
-			actionSet = mergeActionSet(actionSet, ins.WriteActions)
+			actionSet = actionSet.Merge(ins.WriteActions)
 		}
 		if ins.MetadataMask != 0 {
 			p.Metadata = (p.Metadata &^ ins.MetadataMask) | (ins.WriteMetadata & ins.MetadataMask)
@@ -175,30 +175,4 @@ func (s *Switch) finishMegaflow(acc *openflow.MaskAccumulator, flat openflow.Act
 		flat = openflow.ActionList{openflow.Drop()}
 	}
 	return &megaflow{match: match, actions: flat}
-}
-
-func hasExplicitDrop(actions openflow.ActionList) bool {
-	for _, a := range actions {
-		if a.Type == openflow.ActionDrop {
-			return true
-		}
-	}
-	return false
-}
-
-func mergeActionSet(set, writes openflow.ActionList) openflow.ActionList {
-	for _, w := range writes {
-		replaced := false
-		for i, a := range set {
-			if a.Type == w.Type && (a.Type != openflow.ActionSetField || a.Field == w.Field) {
-				set[i] = w
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			set = append(set, w)
-		}
-	}
-	return set
 }
