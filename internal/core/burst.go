@@ -24,10 +24,10 @@ type burstScratch struct {
 	// the current pipeline depth and at the next one.
 	frontA [MaxBurst]int32
 	frontB [MaxBurst]int32
-	// Group buffers: the packets of the level's group and their outcomes,
-	// handed to the template's LookupBurst.
+	// Group buffers: the packets of the level's group and the entries they
+	// matched (nil on a miss), handed to the template's LookupBurst.
 	pkts [MaxBurst]*pkt.Packet
-	outs [MaxBurst]lookupOutcome
+	outs [MaxBurst]*compiledEntry
 	// Template staging, indexed by position within the gathered group: the
 	// key material computed for the whole burst before any probe (compound
 	// hash keys, LPM addresses) and the batched probe results.
@@ -158,7 +158,7 @@ func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, p
 		for j := 0; j < n; j++ {
 			p, v := ps[j], &vs[j]
 			v.Tables++
-			ce := sc.outs[j].entry
+			ce := sc.outs[j]
 			if ce == nil {
 				sn.miss(v, sn.start.id)
 				continue
@@ -238,14 +238,14 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 			tr := sc.tramp[i]
 			var ce *compiledEntry
 			if uniform {
-				ce = sc.outs[k].entry
+				ce = sc.outs[k]
 			} else {
 				dp := tr.load()
 				if dp == nil {
 					v.Dropped = true
 					continue
 				}
-				ce = dp.Lookup(p).entry
+				ce = dp.Lookup(p, nil)
 			}
 			v.Tables++
 			if ce == nil {

@@ -263,7 +263,7 @@ func (d *Datapath) buildTable(t *openflow.FlowTable) (tableDatapath, error) {
 	switch a.kind {
 	case TemplateDirectCode:
 		dc := newDirectCode(d.opts, d.meter)
-		dc.maxEntries = maxInt(dc.maxEntries, t.Len()) // capacity for rebuild-free inserts is still bounded by analysis
+		dc.maxEntries = max(dc.maxEntries, t.Len()) // capacity for rebuild-free inserts is still bounded by analysis
 		dp = dc
 	case TemplateHash:
 		dp = newHashTable(a.fields, a.masks, t.Len(), d.meter)
@@ -525,11 +525,8 @@ func (d *Datapath) walk(sn *snapshot, p *pkt.Packet, v *openflow.Verdict, set *o
 			break
 		}
 		v.Tables++
-		var ce *compiledEntry
-		if o == nil {
-			ce = dp.Lookup(p).entry
-		} else {
-			ce = dp.LookupObserved(p, o).entry
+		ce := dp.Lookup(p, o)
+		if o != nil {
 			o.looked(tr, dp, ce)
 		}
 		if ce == nil {

@@ -25,8 +25,9 @@
 // sequential per-packet walk (Datapath.walk, compile.go).  Everything that
 // has to watch a packet cross the pipeline — the cpumodel.Meter that
 // regenerates the paper's cycle- and cache-level figures deterministically,
-// the tracer — rides the sequential walk as an observer instead of living in
-// a lookup signature.
+// the tracer — rides the sequential walk as an optional observer, and each
+// template has one per-packet lookup: a nil observer is forwarding, a non-nil
+// one is charged what the same lookup cost.
 package core
 
 import (
@@ -174,23 +175,19 @@ type compiledEntry struct {
 // the closure, mirroring the paper's matcher templates patched with constants.
 type matcherFunc func(p *pkt.Packet) bool
 
-// lookupOutcome is what a compiled table lookup produces.
-type lookupOutcome struct {
-	entry *compiledEntry // nil on table miss
-}
-
 // observer is what one sequential walk (Datapath.walk) and the template
-// lookups under it report to; each field is optional and a nil one costs a
-// branch.  Who sets what:
+// lookups under it report to; a nil observer is plain forwarding, and within
+// a non-nil one each field is optional and a nil one costs a branch.  Who
+// sets what:
 //
 //   - meter — the cycle and simulated-cache model: the one observer a
 //     metered datapath (Options.Meter) owns, behind Process and
 //     ProcessUnlocked;
 //   - steps — the per-table explanation: Trace only.
 //
-// The observer crosses an interface call (LookupObserved), so one built on the
-// caller's stack escapes to the heap: the Datapath allocates its own once and
-// reuses it.
+// The observer crosses an interface call (tableDatapath.Lookup), so one built
+// on the caller's stack escapes to the heap: the Datapath allocates its own
+// once and reuses it.
 type observer struct {
 	meter *cpumodel.Meter
 	steps *[]TraceStep
@@ -226,25 +223,25 @@ func (o *observer) executed(res stepResult) {
 }
 
 // tableDatapath is the common interface of the four compiled table templates.
-// It carries three lookups and no more (TestTableDatapathLookupSurface): the
-// per-packet one, the batched one the burst engine drives, and the observed
-// one the sequential walk uses when somebody is watching.
+// It carries two lookups and no more (TestTableDatapathLookupSurface): the
+// per-packet one the sequential walk drives, watched or not, and the batched
+// one the burst engine drives.
 type tableDatapath interface {
 	// Kind returns the template implementing the table.
 	Kind() TemplateKind
 	// Len returns the number of compiled entries.
 	Len() int
-	// Lookup classifies the packet.
-	Lookup(p *pkt.Packet) lookupOutcome
-	// LookupBurst classifies a burst in one pass, writing the outcome for
-	// ps[i] to outs[i] (len(outs) == len(ps) <= MaxBurst).  sc provides
+	// Lookup classifies the packet, returning the matched entry (nil on a
+	// table miss).  A non-nil o is charged the lookup's cycle cost and
+	// simulated memory accesses (a nil o.meter charges nothing); the
+	// forwarding paths pass nil.
+	Lookup(p *pkt.Packet, o *observer) *compiledEntry
+	// LookupBurst classifies a burst in one pass, writing the entry matched
+	// by ps[i] to outs[i] (len(outs) == len(ps) <= MaxBurst).  sc provides
 	// reusable per-worker scratch for staging key material; templates that
 	// can amortize per-lookup overhead (compound hash, LPM) compute all
 	// keys of the burst before probing.
-	LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burstScratch)
-	// LookupObserved is Lookup reporting its cycle cost and simulated memory
-	// accesses to o.meter (o is non-nil; a nil meter charges nothing).
-	LookupObserved(p *pkt.Packet, o *observer) lookupOutcome
+	LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *burstScratch)
 	// CanInsert reports whether the entry can be added incrementally
 	// without violating the template's prerequisite.
 	CanInsert(e *openflow.FlowEntry) bool

@@ -51,7 +51,7 @@ func newDirectCode(opts Options, meter *cpumodel.Meter) *directCode {
 func (d *directCode) Kind() TemplateKind { return TemplateDirectCode }
 func (d *directCode) Len() int           { return len(d.entries) }
 
-func (d *directCode) Lookup(p *pkt.Packet) lookupOutcome {
+func (d *directCode) Lookup(p *pkt.Packet, o *observer) *compiledEntry {
 	for i := range d.entries {
 		e := &d.entries[i]
 		if !p.Headers.Has(e.proto) {
@@ -65,49 +65,39 @@ func (d *directCode) Lookup(p *pkt.Packet) lookupOutcome {
 			}
 		}
 		if matched {
-			return lookupOutcome{entry: e.out}
+			if o != nil {
+				d.charge(o.meter, i+1)
+			}
+			return e.out
 		}
 	}
-	return lookupOutcome{}
+	if o != nil {
+		d.charge(o.meter, len(d.entries))
+	}
+	return nil
+}
+
+// charge bills an observed lookup that examined the first n rules (all of
+// them on a miss): the fixed cost plus the per-rule cost of each.
+func (d *directCode) charge(m *cpumodel.Meter, n int) {
+	m.AddCycles(cpumodel.CostDirectFixed + n*cpumodel.CostDirectPerEntry)
+	if !d.inlineKeys && m != nil {
+		// Pointer-indirection variant: fetch the keys from the data cache
+		// instead of the instruction stream.
+		for i := 0; i < n; i++ {
+			m.RegionAccess(d.keyRegion, uint64(i)*64)
+		}
+	}
 }
 
 // LookupBurst evaluates the burst through the straight-line matchers.  The
 // direct-code template has no key material to stage (the keys live in the
 // matcher closures), so the batch win is keeping the tiny entry sequence and
 // its branch state hot across the burst.
-func (d *directCode) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, _ *burstScratch) {
+func (d *directCode) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, _ *burstScratch) {
 	for i, p := range ps {
-		outs[i] = d.Lookup(p)
+		outs[i] = d.Lookup(p, nil)
 	}
-}
-
-// LookupObserved evaluates the rules in priority order, charging the fixed
-// and per-rule cost of every rule examined until the first match.
-func (d *directCode) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
-	m := o.meter
-	m.AddCycles(cpumodel.CostDirectFixed)
-	for i := range d.entries {
-		e := &d.entries[i]
-		m.AddCycles(cpumodel.CostDirectPerEntry)
-		if !d.inlineKeys && m != nil {
-			// Pointer-indirection variant: fetch the keys from the
-			// data cache instead of the instruction stream.
-			m.RegionAccess(d.keyRegion, uint64(i)*64)
-		}
-		matched := p.Headers.Has(e.proto)
-		if matched {
-			for _, match := range e.matchers {
-				if !match(p) {
-					matched = false
-					break
-				}
-			}
-		}
-		if matched {
-			return lookupOutcome{entry: e.out}
-		}
-	}
-	return lookupOutcome{}
 }
 
 func (d *directCode) CanInsert(e *openflow.FlowEntry) bool {
@@ -265,15 +255,31 @@ func (h *hashTable) Len() int {
 	return n
 }
 
-func (h *hashTable) Lookup(p *pkt.Packet) lookupOutcome {
+func (h *hashTable) Lookup(p *pkt.Packet, o *observer) *compiledEntry {
 	if !p.Headers.Has(h.proto) {
-		return lookupOutcome{entry: h.def}
+		if o != nil {
+			h.charge(o.meter, nil)
+		}
+		return h.def
 	}
-	idx, ok := h.table.Lookup(packKey(p, h.fields, h.masks))
+	key := packKey(p, h.fields, h.masks)
+	if o != nil {
+		h.charge(o.meter, &key)
+	}
+	idx, ok := h.table.Lookup(key)
 	if !ok {
-		return lookupOutcome{entry: h.def}
+		return h.def
 	}
-	return lookupOutcome{entry: h.values[idx]}
+	return h.values[idx]
+}
+
+// charge bills the fixed cost and, when the table was probed for key, the
+// access to key's bucket.
+func (h *hashTable) charge(m *cpumodel.Meter, key *hashKey) {
+	m.AddCycles(cpumodel.CostHashFixed)
+	if key != nil {
+		m.RegionAccess(h.region, key.W0^key.W1<<7^key.W2<<13^key.W3<<23)
+	}
 }
 
 // burstStageMin is the group size below which the batched templates fall
@@ -285,10 +291,10 @@ const burstStageMin = 8
 // packed keys are computed first, while the freshly parsed header material is
 // still hot, and then the exact-match table is probed for the whole burst so
 // the dependent bucket loads issue back to back.
-func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burstScratch) {
+func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *burstScratch) {
 	if len(ps) < burstStageMin {
 		for i, p := range ps {
-			outs[i] = h.Lookup(p)
+			outs[i] = h.Lookup(p, nil)
 		}
 		return
 	}
@@ -299,7 +305,7 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burs
 	nv := 0
 	for i, p := range ps {
 		if !p.Headers.Has(h.proto) {
-			outs[i] = lookupOutcome{entry: h.def}
+			outs[i] = h.def
 			continue
 		}
 		key := packKey(p, h.fields, h.masks)
@@ -318,29 +324,11 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burs
 		}
 		idx, ok := h.table.LookupPrehashed(sc.keys[j], sc.hash.H1[j], sc.hash.H2[j])
 		if !ok {
-			outs[i] = lookupOutcome{entry: h.def}
+			outs[i] = h.def
 			continue
 		}
-		outs[i] = lookupOutcome{entry: h.values[idx]}
+		outs[i] = h.values[idx]
 	}
-}
-
-// LookupObserved charges the fixed cost plus one access into the table's
-// region.
-func (h *hashTable) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
-	o.meter.AddCycles(cpumodel.CostHashFixed)
-	if !p.Headers.Has(h.proto) {
-		return lookupOutcome{entry: h.def}
-	}
-	key := packKey(p, h.fields, h.masks)
-	if m := o.meter; m != nil {
-		m.RegionAccess(h.region, key.W0^key.W1<<7^key.W2<<13^key.W3<<23)
-	}
-	idx, ok := h.table.Lookup(key)
-	if !ok {
-		return lookupOutcome{entry: h.def}
-	}
-	return lookupOutcome{entry: h.values[idx]}
 }
 
 // Mirror deep-copies the mutable lookup state (the cuckoo table and the
@@ -480,24 +468,45 @@ func (l *lpmTable) Len() int {
 	return n
 }
 
-func (l *lpmTable) Lookup(p *pkt.Packet) lookupOutcome {
+func (l *lpmTable) Lookup(p *pkt.Packet, o *observer) *compiledEntry {
 	if !p.Headers.Has(l.proto) {
-		return lookupOutcome{entry: l.def}
+		if o != nil {
+			l.charge(o.meter, 0, 0)
+		}
+		return l.def
 	}
-	value, ok := l.table.Lookup(uint32(openflow.Extract(p, l.field)))
+	addr := uint32(openflow.Extract(p, l.field))
+	value, depth, ok := l.table.Resolve(addr, l.table.Probe1(addr))
+	if o != nil {
+		l.charge(o.meter, addr, depth)
+	}
 	if !ok {
-		return lookupOutcome{entry: l.def}
+		return l.def
 	}
-	return lookupOutcome{entry: l.values[value]}
+	return l.values[value]
+}
+
+// charge bills the fixed cost plus one access to the first level and one more
+// when the lookup of addr followed a tbl8 group, depth being the levels
+// touched (none when the packet lacks the field; Fig. 20 charges 13 + 2·Lx
+// assuming 2).
+func (l *lpmTable) charge(m *cpumodel.Meter, addr uint32, depth int) {
+	m.AddCycles(cpumodel.CostLPMFixed)
+	if depth > 0 {
+		m.RegionAccess(l.region, uint64(addr>>8))
+	}
+	if depth > 1 {
+		m.RegionAccess(l.region, uint64(addr)|1<<40)
+	}
 }
 
 // LookupBurst stages the addresses of the whole burst and hands them to the
 // DIR-24-8 structure's batched lookup, which probes the first level for every
 // packet before following any second-level group.
-func (l *lpmTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burstScratch) {
+func (l *lpmTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *burstScratch) {
 	if len(ps) < burstStageMin {
 		for i, p := range ps {
-			outs[i] = l.Lookup(p)
+			outs[i] = l.Lookup(p, nil)
 		}
 		return
 	}
@@ -506,7 +515,7 @@ func (l *lpmTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burst
 	nv := 0
 	for i, p := range ps {
 		if !p.Headers.Has(l.proto) {
-			outs[i] = lookupOutcome{entry: l.def}
+			outs[i] = l.def
 			continue
 		}
 		addr := uint32(openflow.Extract(p, l.field))
@@ -524,33 +533,11 @@ func (l *lpmTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, sc *burst
 		}
 		value, _, ok := l.table.Resolve(sc.addrs[j], sc.values[j])
 		if !ok {
-			outs[i] = lookupOutcome{entry: l.def}
+			outs[i] = l.def
 			continue
 		}
-		outs[i] = lookupOutcome{entry: l.values[value]}
+		outs[i] = l.values[value]
 	}
-}
-
-// LookupObserved charges the fixed cost plus one access to the first level
-// and one more when the lookup had to follow a tbl8 group (Fig. 20 charges
-// 13 + 2·Lx assuming 2).
-func (l *lpmTable) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
-	o.meter.AddCycles(cpumodel.CostLPMFixed)
-	if !p.Headers.Has(l.proto) {
-		return lookupOutcome{entry: l.def}
-	}
-	addr := uint32(openflow.Extract(p, l.field))
-	value, depth, ok := l.table.LookupDepth(addr)
-	if m := o.meter; m != nil {
-		m.RegionAccess(l.region, uint64(addr>>8))
-		if depth > 1 {
-			m.RegionAccess(l.region, uint64(addr)|1<<40)
-		}
-	}
-	if !ok {
-		return lookupOutcome{entry: l.def}
-	}
-	return lookupOutcome{entry: l.values[value]}
 }
 
 // Mirror deep-copies the DIR-24-8 structure and the value slice.  The copy
@@ -670,37 +657,31 @@ func newListTable(meter *cpumodel.Meter) *listTable {
 func (l *listTable) Kind() TemplateKind { return TemplateLinkedList }
 func (l *listTable) Len() int           { return l.count }
 
-// outcome unwraps a classifier result.
-func (l *listTable) outcome(res tss.LookupResult) lookupOutcome {
-	if res.Entry == nil {
-		return lookupOutcome{}
+func (l *listTable) Lookup(p *pkt.Packet, o *observer) *compiledEntry {
+	res := l.classifier.Lookup(p, nil)
+	if o != nil {
+		l.charge(o.meter, p, res.GroupsProbed)
 	}
-	return lookupOutcome{entry: res.Entry.Aux.(*compiledEntry)}
+	if res.Entry == nil {
+		return nil
+	}
+	return res.Entry.Aux.(*compiledEntry)
 }
 
-func (l *listTable) Lookup(p *pkt.Packet) lookupOutcome {
-	return l.outcome(l.classifier.Lookup(p, nil))
+// charge bills one group cost and one region access per tuple probed.
+func (l *listTable) charge(m *cpumodel.Meter, p *pkt.Packet, groups int) {
+	m.AddCycles(cpumodel.CostTSSPerGroup * max(groups, 1))
+	for g := 0; g < groups; g++ {
+		m.RegionAccess(l.region, uint64(g)*4096+uint64(p.Headers.IPDst))
+	}
 }
 
 // LookupBurst runs tuple space search per packet: the last-resort template
 // has no key staging to amortize.
-func (l *listTable) LookupBurst(ps []*pkt.Packet, outs []lookupOutcome, _ *burstScratch) {
+func (l *listTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, _ *burstScratch) {
 	for i, p := range ps {
-		outs[i] = l.Lookup(p)
+		outs[i] = l.Lookup(p, nil)
 	}
-}
-
-// LookupObserved charges one group cost and one region access per tuple
-// probed.
-func (l *listTable) LookupObserved(p *pkt.Packet, o *observer) lookupOutcome {
-	res := l.classifier.Lookup(p, nil)
-	if m := o.meter; m != nil {
-		m.AddCycles(cpumodel.CostTSSPerGroup * maxInt(res.GroupsProbed, 1))
-		for g := 0; g < res.GroupsProbed; g++ {
-			m.RegionAccess(l.region, uint64(g)*4096+uint64(p.Headers.IPDst))
-		}
-	}
-	return l.outcome(res)
 }
 
 // Mirror deep-copies the tuple-space classifier (groups and entry buckets;
@@ -730,11 +711,4 @@ func (l *listTable) Remove(match *openflow.Match, priority int) int {
 	}
 	l.count = l.classifier.Len()
 	return removed
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

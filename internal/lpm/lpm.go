@@ -216,38 +216,8 @@ func (t *Table) coveringPrefix(addr uint32, prefixLen int) (uint32, int, bool) {
 // Lookup returns the value of the longest prefix covering addr and whether
 // any prefix matched.
 func (t *Table) Lookup(addr uint32) (uint32, bool) {
-	e := t.tbl24[addr>>(32-t.stride)]
-	if e&validBit == 0 {
-		return Invalid, false
-	}
-	if e&extBit == 0 {
-		return e & valueMask, true
-	}
-	g := t.groups[e&valueMask]
-	e2 := g.slots[(addr>>(24-t.stride))&0xff]
-	if e2&validBit == 0 {
-		return Invalid, false
-	}
-	return e2 & valueMask, true
-}
-
-// LookupDepth is Lookup plus the number of table levels touched (1 or 2); the
-// cycle cost model charges one memory access per level (Fig. 20's 13+2·Lx
-// atom assumes 2).
-func (t *Table) LookupDepth(addr uint32) (value uint32, depth int, ok bool) {
-	e := t.tbl24[addr>>(32-t.stride)]
-	if e&validBit == 0 {
-		return Invalid, 1, false
-	}
-	if e&extBit == 0 {
-		return e & valueMask, 1, true
-	}
-	g := t.groups[e&valueMask]
-	e2 := g.slots[(addr>>(24-t.stride))&0xff]
-	if e2&validBit == 0 {
-		return Invalid, 2, false
-	}
-	return e2 & valueMask, 2, true
+	v, _, ok := t.Resolve(addr, t.Probe1(addr))
+	return v, ok
 }
 
 // Probe1 returns the raw first-level (tbl24) entry covering addr.  Burst-mode
@@ -259,8 +229,9 @@ func (t *Table) Probe1(addr uint32) uint32 { return t.tbl24[addr>>(32-t.stride)]
 
 // Resolve finishes a lookup whose first-level entry was already fetched with
 // Probe1, following the second-level tbl8 group when the entry is extended.
-// It returns the value, the number of table levels touched (1 or 2) and
-// whether any prefix matched.
+// It returns the value, the number of table levels touched (1 or 2; the
+// cycle cost model charges one memory access per level, Fig. 20's 13+2·Lx
+// atom assuming 2) and whether any prefix matched.
 func (t *Table) Resolve(addr uint32, e uint32) (value uint32, depth int, ok bool) {
 	if e&validBit == 0 {
 		return Invalid, 1, false

@@ -63,10 +63,10 @@ func TestDefaultStrideSlash32(t *testing.T) {
 	if tbl.SecondLevelGroups() != 1 {
 		t.Errorf("groups %d", tbl.SecondLevelGroups())
 	}
-	if _, depth, _ := tbl.LookupDepth(ip(192, 0, 2, 7)); depth != 2 {
+	if _, depth, _ := tbl.Resolve(ip(192, 0, 2, 7), tbl.Probe1(ip(192, 0, 2, 7))); depth != 2 {
 		t.Errorf("depth for /32 route should be 2, got %d", depth)
 	}
-	if _, depth, _ := tbl.LookupDepth(ip(10, 0, 0, 1)); depth != 1 {
+	if _, depth, _ := tbl.Resolve(ip(10, 0, 0, 1), tbl.Probe1(ip(10, 0, 0, 1))); depth != 1 {
 		t.Errorf("depth for a miss should be 1, got %d", depth)
 	}
 }
@@ -287,7 +287,7 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 	hits := make([]bool, len(addrs))
 	tbl.LookupBatch(addrs, values, depths, hits)
 	for i, addr := range addrs {
-		wantV, wantD, wantOK := tbl.LookupDepth(addr)
+		wantV, wantD, wantOK := tbl.Resolve(addr, tbl.Probe1(addr))
 		if hits[i] != wantOK || values[i] != wantV || int(depths[i]) != wantD {
 			t.Fatalf("addr %08x: batch (%d,%d,%v) != single (%d,%d,%v)",
 				addr, values[i], depths[i], hits[i], wantV, wantD, wantOK)

@@ -170,13 +170,6 @@ func (a *MaskAccumulator) ObserveRule(p *pkt.Packet, m *Match) bool {
 	return true
 }
 
-// ObserveField implements FieldTracker, so the accumulator can be handed
-// straight to classifier lookups (tuple-granular mask observation).  The
-// packet observed is the one pinned by Reset.
-func (a *MaskAccumulator) ObserveField(f Field, mask uint64) {
-	a.Observe(a.orig, f, mask)
-}
-
 // Orig returns the pre-walk packet view pinned by Reset (may be nil).
 func (a *MaskAccumulator) Orig() *pkt.Packet { return a.orig }
 

@@ -137,7 +137,7 @@ func (s *Switch) classifyTable(table *openflow.FlowTable, p *pkt.Packet, acc *op
 		}
 		s.slowClassifiers[table.ID] = cls
 	}
-	res := cls.LookupObserved(p, acc)
+	res := cls.Lookup(p, acc)
 	m.AddCycles(cpumodel.CostSlowPathPerEntry * maxInt(res.GroupsProbed, 1))
 	for g := 0; g < maxInt(res.GroupsProbed, 1); g++ {
 		m.RegionAccess(s.slowRegion, uint64(table.ID)<<20^uint64(g)<<9^uint64(p.Headers.IPDst))

@@ -270,10 +270,11 @@ type LookupResult struct {
 }
 
 // Lookup classifies the packet, returning the highest-priority matching
-// entry (nil if none).  If tracker is non-nil, every field examined is
-// reported to it with the group's mask — this is exactly the information the
-// OVS megaflow mask computation needs.
-func (c *Classifier) Lookup(p *pkt.Packet, tracker openflow.FieldTracker) LookupResult {
+// entry (nil if none).  A non-nil acc — the OVS slow path's megaflow mask —
+// observes every probed group's fields under the group's masks, and their
+// protocol prerequisites: proving (or disproving) that those are present
+// reads the protocol-identifying header fields.  Forwarding lookups pass nil.
+func (c *Classifier) Lookup(p *pkt.Packet, acc *openflow.MaskAccumulator) LookupResult {
 	var best *Entry
 	var res LookupResult
 	var keyBuf [8 * 8]byte
@@ -282,49 +283,14 @@ func (c *Classifier) Lookup(p *pkt.Packet, tracker openflow.FieldTracker) Lookup
 			break // tuple priority sorting early exit
 		}
 		res.GroupsProbed++
-		if tracker != nil {
+		if acc != nil {
+			var proto pkt.Proto
 			for i, f := range g.fields {
-				tracker.ObserveField(f, g.masks[i])
+				acc.Observe(p, f, g.masks[i])
+				proto |= f.Prerequisite()
 			}
+			acc.ObservePrereq(p, proto)
 		}
-		key := keyOfPacket(g, p, keyBuf[:])
-		for _, e := range g.entries[key] {
-			res.EntriesTested++
-			// The group key only covers masked bits; verify the full
-			// match to honour prerequisites.
-			if e.Match.Matches(p, nil) {
-				if best == nil || e.Priority > best.Priority {
-					best = e
-				}
-			}
-		}
-	}
-	res.Entry = best
-	return res
-}
-
-// LookupObserved is Lookup with complete mask observation: on top of the
-// per-group field/mask reports, it observes the protocol prerequisites of
-// every probed group's fields — proving (or disproving) that a group's
-// prerequisite protocols are present reads the protocol-identifying header
-// fields, and a megaflow mask derived from the probe must cover them.  The
-// megaflow generator (the OVS baseline's slow path) uses this variant; plain
-// forwarding lookups keep the cheaper Lookup.
-func (c *Classifier) LookupObserved(p *pkt.Packet, acc *openflow.MaskAccumulator) LookupResult {
-	var best *Entry
-	var res LookupResult
-	var keyBuf [8 * 8]byte
-	for _, g := range c.groups {
-		if best != nil && best.Priority >= g.maxPrio {
-			break // tuple priority sorting early exit
-		}
-		res.GroupsProbed++
-		var proto pkt.Proto
-		for i, f := range g.fields {
-			acc.Observe(p, f, g.masks[i])
-			proto |= f.Prerequisite()
-		}
-		acc.ObservePrereq(p, proto)
 		key := keyOfPacket(g, p, keyBuf[:])
 		for _, e := range g.entries[key] {
 			res.EntriesTested++

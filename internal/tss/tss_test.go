@@ -2,6 +2,7 @@ package tss
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"eswitch/internal/openflow"
@@ -160,23 +161,26 @@ func TestReplaceSameMatchPriority(t *testing.T) {
 	}
 }
 
-type maskTracker struct{ observed map[openflow.Field]uint64 }
-
-func (m *maskTracker) ObserveField(f openflow.Field, mask uint64) {
-	if m.observed == nil {
-		m.observed = map[openflow.Field]uint64{}
-	}
-	m.observed[f] |= mask
-}
-
-func TestTrackerSeesGroupMasks(t *testing.T) {
+// TestAccumulatorSeesGroupMasks requires an observed lookup to report every
+// probed group's fields under the group's masks, plus the protocol fields
+// that prove the group's prerequisites.
+func TestAccumulatorSeesGroupMasks(t *testing.T) {
 	c := New()
 	c.Insert(&Entry{Priority: 1, Match: openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(pkt.IPv4FromOctets(10, 0, 0, 0)), 8), Value: 1})
-	tr := &maskTracker{}
+	var acc openflow.MaskAccumulator
 	p := tcpPacket(t, 1, pkt.IPv4FromOctets(10, 1, 1, 1), 1, 2)
-	c.Lookup(p, tr)
-	if mask, ok := tr.observed[openflow.FieldIPDst]; !ok || mask != 0xff000000 {
-		t.Fatalf("tracker mask %#x ok=%v", mask, ok)
+	acc.Reset(nil)
+	if res := c.Lookup(p, &acc); res.Entry == nil {
+		t.Fatal("observed lookup missed")
+	}
+	observed := map[openflow.Field]uint64{}
+	acc.ForEach(func(f openflow.Field, _, mask uint64) { observed[f] = mask })
+	want := map[openflow.Field]uint64{
+		openflow.FieldIPDst:   0xff000000,
+		openflow.FieldEthType: openflow.FieldEthType.FullMask(),
+	}
+	if !reflect.DeepEqual(observed, want) {
+		t.Fatalf("observed masks %#x, want %#x", observed, want)
 	}
 }
 
