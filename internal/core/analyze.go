@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"math"
+	"math/bits"
 
 	"eswitch/internal/openflow"
 )
@@ -117,11 +118,17 @@ func lpmPrerequisite(entries []*openflow.FlowEntry) (openflow.Field, bool) {
 	var field openflow.Field
 	haveField := false
 	type pfx struct {
-		addr uint32
+		addr uint32 // masked to len bits
 		len  int
+	}
+	type route struct {
+		pfx
 		prio int
 	}
-	var prefixes []pfx
+	var routes []route
+	top := make(map[pfx]int) // the highest priority installed under each prefix
+	var lens uint64          // bit n set: some route is a /n
+	minPrio := math.MaxInt
 	catchAllPrio := 0
 	haveCatchAll := false
 	for _, e := range entries {
@@ -148,31 +155,31 @@ func lpmPrerequisite(entries []*openflow.FlowEntry) (openflow.Field, bool) {
 			return 0, false
 		}
 		v, _, _ := e.Match.Get(field)
-		prefixes = append(prefixes, pfx{addr: uint32(v), len: plen, prio: e.Priority})
+		p := pfx{addr: uint32(v) & prefixMask(plen), len: plen}
+		if prio, ok := top[p]; !ok || e.Priority > prio {
+			top[p] = e.Priority
+		}
+		routes = append(routes, route{p, e.Priority})
+		lens |= 1 << plen
+		minPrio = min(minPrio, e.Priority)
 	}
-	if !haveField {
+	if !haveField || (haveCatchAll && catchAllPrio >= minPrio) {
 		return 0, false
 	}
 	// Overlapping prefixes of different length: longer must have strictly
 	// higher priority.  Equal-length prefixes never overlap (they are
-	// either equal or disjoint).
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].len < prefixes[j].len })
-	for i, a := range prefixes {
-		for _, b := range prefixes[i+1:] {
-			if b.len == a.len {
-				continue
+	// either equal or disjoint), so each route is held against the prefix
+	// covering it at every shorter length in use.
+	for _, r := range routes {
+		for shorter := lens & (1<<r.len - 1); shorter != 0; shorter &= shorter - 1 {
+			n := bits.TrailingZeros64(shorter)
+			if prio, ok := top[pfx{r.addr & prefixMask(n), n}]; ok && prio >= r.prio {
+				return 0, false
 			}
-			// b is more specific; they overlap iff b's address starts
-			// with a's prefix.
-			if a.len == 0 || (a.addr^b.addr)>>(32-uint(a.len)) == 0 {
-				if b.prio <= a.prio {
-					return 0, false
-				}
-			}
-		}
-		if haveCatchAll && catchAllPrio >= a.prio {
-			return 0, false
 		}
 	}
 	return field, true
 }
+
+// prefixMask is the mask of an IPv4 /n prefix.
+func prefixMask(n int) uint32 { return ^uint32(0) << (32 - n) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -178,6 +179,113 @@ func TestAnalyzeLPMRejectsInconsistentPriorities(t *testing.T) {
 	}
 	if a.kind != TemplateLinkedList {
 		t.Fatalf("expected linked-list fallback, got %v", a.kind)
+	}
+}
+
+// lpmPrerequisitePairwise is the reference statement of lpmPrerequisite's
+// rule: it holds every pair of prefixes against each other.
+func lpmPrerequisitePairwise(entries []*openflow.FlowEntry) (openflow.Field, bool) {
+	var field openflow.Field
+	haveField := false
+	type pfx struct {
+		addr uint32
+		len  int
+		prio int
+	}
+	var prefixes []pfx
+	catchAllPrio := 0
+	haveCatchAll := false
+	for _, e := range entries {
+		if e.Match.IsEmpty() {
+			if haveCatchAll {
+				return 0, false
+			}
+			haveCatchAll = true
+			catchAllPrio = e.Priority
+			continue
+		}
+		fields := e.Match.Fields().Fields()
+		if len(fields) != 1 || !lpm32Fields[fields[0]] {
+			return 0, false
+		}
+		if !haveField {
+			field = fields[0]
+			haveField = true
+		} else if fields[0] != field {
+			return 0, false
+		}
+		plen, ok := e.Match.IsPrefix(field)
+		if !ok || plen == 0 {
+			return 0, false
+		}
+		v, _, _ := e.Match.Get(field)
+		prefixes = append(prefixes, pfx{addr: uint32(v), len: plen, prio: e.Priority})
+	}
+	if !haveField {
+		return 0, false
+	}
+	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].len < prefixes[j].len })
+	for i, a := range prefixes {
+		for _, b := range prefixes[i+1:] {
+			if b.len == a.len {
+				continue
+			}
+			if a.len == 0 || (a.addr^b.addr)>>(32-uint(a.len)) == 0 {
+				if b.prio <= a.prio {
+					return 0, false
+				}
+			}
+		}
+		if haveCatchAll && catchAllPrio >= a.prio {
+			return 0, false
+		}
+	}
+	return field, true
+}
+
+// TestLPMPrerequisiteMatchesPairwise holds lpmPrerequisite, which probes
+// each prefix's covering prefixes by length, to the pairwise rule on random
+// tables of overlapping prefixes whose priorities mostly, but not always,
+// follow their lengths.
+func TestLPMPrerequisiteMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	lens := []int{1, 7, 8, 15, 16, 23, 24, 25, 31, 32}
+	accepted, rejected := 0, 0
+	for trial := 0; trial < 5000; trial++ {
+		var entries []*openflow.FlowEntry
+		for i, n := 0, 1+rng.Intn(12); i < n; i++ {
+			m := openflow.NewMatch()
+			plen := lens[rng.Intn(len(lens))]
+			addr := uint64(10<<24 | rng.Intn(2)<<16 | rng.Intn(3)<<8 | rng.Intn(3)<<6)
+			prio := plen + rng.Intn(4) - 1
+			switch r := rng.Intn(100); {
+			case r < 6:
+				prio = rng.Intn(8) - 4 // a default route, usually the lowest
+			case r < 8:
+				m.SetPrefix(openflow.FieldIPSrc, addr, plen)
+			case r < 10:
+				m.SetMasked(openflow.FieldIPDst, addr, 0x00ff0000)
+			default:
+				m.SetPrefix(openflow.FieldIPDst, addr, plen)
+			}
+			entries = append(entries, &openflow.FlowEntry{Priority: prio, Match: m})
+		}
+		gotField, got := lpmPrerequisite(entries)
+		wantField, want := lpmPrerequisitePairwise(entries)
+		if got != want || (want && gotField != wantField) {
+			for _, e := range entries {
+				t.Logf("  prio %d %v", e.Priority, e.Match)
+			}
+			t.Fatalf("trial %d: lpmPrerequisite says %v/%v, the pairwise rule %v/%v", trial, gotField, got, wantField, want)
+		}
+		if want {
+			accepted++
+		} else {
+			rejected++
+		}
+	}
+	if accepted < 1000 || rejected < 1000 {
+		t.Fatalf("random tables too one-sided: %d accepted, %d rejected", accepted, rejected)
 	}
 }
 
