@@ -108,6 +108,9 @@ type microKey struct {
 type megaflow struct {
 	match   *openflow.Match
 	actions openflow.ActionList
+	// seq numbers the megaflows in insertion order; eviction takes the
+	// oldest.
+	seq uint64
 }
 
 // Switch is the flow-caching baseline switch.
@@ -118,7 +121,13 @@ type Switch struct {
 
 	mu    sync.RWMutex
 	micro map[microKey]*megaflow
-	mega  *tss.Classifier
+	// microRing holds the microflow keys in insertion order, up to
+	// MicroflowLimit of them; once it is full, microNext is the slot of the
+	// oldest key, which the next insertion evicts.
+	microRing []microKey
+	microNext int
+	mega      *tss.Classifier
+	megaSeq   uint64 // the seq of the next megaflow inserted
 	// slowClassifiers are per-table tuple-space classifiers the slow path
 	// uses for large tables (vswitchd's own classifier is a TSS); they are
 	// rebuilt lazily after updates.
@@ -305,31 +314,28 @@ func (s *Switch) process(p *pkt.Packet, v *openflow.Verdict) {
 	m.AddCycles(cpumodel.CostActions + cpumodel.CostPktIO)
 }
 
+// insertMicro caches a key that missed the microflow cache, evicting the
+// oldest key when the cache is full, so two runs of one trace agree.
 func (s *Switch) insertMicro(key microKey, mf *megaflow) {
-	if len(s.micro) >= s.opts.MicroflowLimit {
-		// Random-ish eviction: drop the first key the map yields.
-		for k := range s.micro {
-			delete(s.micro, k)
-			break
-		}
+	if len(s.microRing) < s.opts.MicroflowLimit {
+		s.microRing = append(s.microRing, key)
+	} else {
+		delete(s.micro, s.microRing[s.microNext])
+		s.microRing[s.microNext] = key
+		s.microNext = (s.microNext + 1) % len(s.microRing)
 	}
 	s.micro[key] = mf
 }
 
 func (s *Switch) insertMega(mf *megaflow) {
-	if s.mega.Len() >= s.opts.MegaflowLimit {
-		// Cache overflow: evict a sampled fraction (a coarse stand-in for
-		// OVS's flow eviction).
-		victim := 0
-		target := s.opts.MegaflowLimit / 10
-		s.mega.DeleteWhere(func(*tss.Entry) bool {
-			if victim < target {
-				victim++
-				return true
-			}
-			return false
-		})
+	if n := s.mega.Len(); n >= s.opts.MegaflowLimit {
+		// Cache overflow: evict the oldest tenth (a coarse stand-in for
+		// OVS's flow eviction), keeping the newest megaflows.
+		oldest := s.megaSeq - uint64(n-s.opts.MegaflowLimit/10)
+		s.mega.DeleteWhere(func(e *tss.Entry) bool { return e.Aux.(*megaflow).seq < oldest })
 	}
+	mf.seq = s.megaSeq
+	s.megaSeq++
 	s.mega.Insert(&tss.Entry{Priority: 0, Match: mf.match, Aux: mf})
 }
 
@@ -344,7 +350,9 @@ func (s *Switch) InvalidateCaches() {
 
 func (s *Switch) invalidateLocked() {
 	s.micro = make(map[microKey]*megaflow)
+	s.microRing, s.microNext = s.microRing[:0], 0
 	s.mega.Clear()
+	s.megaSeq = 0
 	s.slowClassifiers = make(map[openflow.TableID]*tss.Classifier)
 	s.stats.Invalidations++
 }

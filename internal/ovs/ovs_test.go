@@ -365,6 +365,39 @@ func TestMegaflowEvictionRespectsLimit(t *testing.T) {
 	}
 }
 
+// TestEvictionIsDeterministic feeds two switches the same trace of more
+// transport flows than either cache level holds: evicting in insertion order,
+// they must serve every packet at the same level.
+func TestEvictionIsDeterministic(t *testing.T) {
+	opts := DefaultOptions()
+	opts.MicroflowLimit = 32
+	opts.MegaflowLimit = 40
+	var sws [2]*Switch
+	for i := range sws {
+		sw, err := New(firewallPipeline(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sws[i] = sw
+	}
+	web := pkt.IPv4FromOctets(192, 0, 2, 1)
+	rng := rand.New(rand.NewSource(3))
+	var v openflow.Verdict
+	for i := 0; i < 5000; i++ {
+		p := tcpPacket(t, 1, pkt.IPv4FromOctets(198, 51, 100, 7), web, uint16(1024+rng.Intn(120)), 80)
+		for _, sw := range sws {
+			sw.Process(clonePacket(p), &v)
+		}
+	}
+	a, b := sws[0].Stats(), sws[1].Stats()
+	if a != b {
+		t.Fatalf("identical runs disagree: %+v vs %+v", a, b)
+	}
+	if a.Microflow == 0 || a.Megaflow == 0 || a.SlowPath == 0 {
+		t.Fatalf("trace does not exercise every level: %+v", a)
+	}
+}
+
 // TestRandomPipelineEquivalence fuzzes the cache hierarchy against the
 // interpreter over random pipelines and random repeated traffic.
 func TestRandomPipelineEquivalence(t *testing.T) {
