@@ -126,8 +126,7 @@ func lpmPrerequisite(entries []*openflow.FlowEntry) (openflow.Field, bool) {
 		prio int
 	}
 	var routes []route
-	top := make(map[pfx]int) // the highest priority installed under each prefix
-	var lens uint64          // bit n set: some route is a /n
+	var lens uint64 // bit n set: some route is a /n
 	minPrio := math.MaxInt
 	catchAllPrio := 0
 	haveCatchAll := false
@@ -155,11 +154,7 @@ func lpmPrerequisite(entries []*openflow.FlowEntry) (openflow.Field, bool) {
 			return 0, false
 		}
 		v, _, _ := e.Match.Get(field)
-		p := pfx{addr: uint32(v) & prefixMask(plen), len: plen}
-		if prio, ok := top[p]; !ok || e.Priority > prio {
-			top[p] = e.Priority
-		}
-		routes = append(routes, route{p, e.Priority})
+		routes = append(routes, route{pfx{uint32(v) & prefixMask(plen), plen}, e.Priority})
 		lens |= 1 << plen
 		minPrio = min(minPrio, e.Priority)
 	}
@@ -168,8 +163,14 @@ func lpmPrerequisite(entries []*openflow.FlowEntry) (openflow.Field, bool) {
 	}
 	// Overlapping prefixes of different length: longer must have strictly
 	// higher priority.  Equal-length prefixes never overlap (they are
-	// either equal or disjoint), so each route is held against the prefix
-	// covering it at every shorter length in use.
+	// either equal or disjoint), so each route is held against the highest
+	// priority under the prefix covering it at every shorter length in use.
+	top := make(map[pfx]int, len(routes))
+	for _, r := range routes {
+		if prio, ok := top[r.pfx]; !ok || r.prio > prio {
+			top[r.pfx] = r.prio
+		}
+	}
 	for _, r := range routes {
 		for shorter := lens & (1<<r.len - 1); shorter != 0; shorter &= shorter - 1 {
 			n := bits.TrailingZeros64(shorter)
