@@ -107,10 +107,10 @@ type SlowPathTransmitter interface {
 
 // RingBackend is the simulated packet I/O backend: N RX/TX queue pairs of
 // bounded SPSC rings plus a dedicated slow-path TX ring, all in memory.  It
-// is the substrate every Mpps figure in BENCH_*.json is recorded against —
-// frames move at memory speed, so the numbers isolate the dataplane from NIC
-// hardware — and the backend the zero-lock/zero-alloc worker-path guarantee
-// is asserted on.
+// is the substrate the repository benchmark (bash bench/run.sh) forwards
+// through — frames move at memory speed, so the numbers isolate the
+// dataplane from NIC hardware — and the backend the zero-lock/zero-alloc
+// worker-path guarantee is asserted on.
 type RingBackend struct {
 	rxq []*Ring
 	txq []*Ring
@@ -186,20 +186,9 @@ func (b *RingBackend) RxQueueLen(q int) int { return b.rxq[q].Len() }
 // DrainTx implements InjectableBackend: empty all TX queues including the
 // slow-path ring.
 func (b *RingBackend) DrainTx() int {
-	n := 0
+	n := b.spq.Discard()
 	for _, q := range b.txq {
-		for {
-			if _, ok := q.Dequeue(); !ok {
-				break
-			}
-			n++
-		}
-	}
-	for {
-		if _, ok := b.spq.Dequeue(); !ok {
-			break
-		}
-		n++
+		n += q.Discard()
 	}
 	return n
 }

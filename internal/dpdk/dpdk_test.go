@@ -2,6 +2,7 @@ package dpdk
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -191,13 +192,68 @@ func TestRunWorkersParallel(t *testing.T) {
 	}
 }
 
+// BenchmarkRing times the operation the worker path uses: an
+// EnqueueBurst/DequeueBurst round trip of DefaultBurst frames, reported per
+// frame.
 func BenchmarkRing(b *testing.B) {
 	r := NewRing(1024)
-	frame := make([]byte, 60)
+	in := make([][]byte, DefaultBurst)
+	for i := range in {
+		in[i] = make([]byte, 60)
+	}
+	out := make([][]byte, DefaultBurst)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Enqueue(frame)
-		r.Dequeue()
+		r.EnqueueBurst(in)
+		r.DequeueBurst(out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*DefaultBurst), "ns/frame")
+}
+
+// TestRingConcurrentBurst runs one producer and one consumer goroutine
+// against a small ring in cycling burst sizes and asserts every sequence
+// number arrives exactly once and in order across many wraparounds.
+func TestRingConcurrentBurst(t *testing.T) {
+	const frames = 100_000
+	r := NewRing(64)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		in := make([][]byte, 33)
+		seq := 0
+		for size := 1; seq < frames; size = size%33 + 1 {
+			batch := in[:min(size, frames-seq)]
+			for i := range batch {
+				batch[i] = []byte{byte(seq + i), byte((seq + i) >> 8), byte((seq + i) >> 16)}
+			}
+			for len(batch) > 0 {
+				n := r.EnqueueBurst(batch)
+				batch = batch[n:]
+				seq += n
+				if n == 0 {
+					runtime.Gosched()
+				}
+			}
+		}
+	}()
+	out := make([][]byte, 40)
+	want := 0
+	for size := 1; want < frames; size = size%40 + 1 {
+		n := r.DequeueBurst(out[:size])
+		if n == 0 {
+			runtime.Gosched()
+		}
+		for _, f := range out[:n] {
+			if got := int(f[0]) | int(f[1])<<8 | int(f[2])<<16; got != want {
+				t.Fatalf("got sequence %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	<-done
+	if n := r.Len(); n != 0 {
+		t.Fatalf("%d frames left after the consumer saw all %d", n, frames)
 	}
 }
 
@@ -235,6 +291,35 @@ func TestRingWraparoundBurst(t *testing.T) {
 	}
 	if r.Len() != r.Capacity() {
 		t.Fatalf("ring should be full, len %d", r.Len())
+	}
+	// A full ring accepts nothing and keeps its backlog.
+	if n := r.EnqueueBurst(in); n != 0 || r.Len() != r.Capacity() {
+		t.Fatalf("enqueue burst on a full ring: got %d, len %d", n, r.Len())
+	}
+	// A zero-length burst is a no-op on both sides.
+	if n := r.EnqueueBurst(nil); n != 0 || r.Len() != r.Capacity() {
+		t.Fatalf("zero-length enqueue burst: got %d, len %d", n, r.Len())
+	}
+	if n := r.DequeueBurst(out[:0]); n != 0 || r.Len() != r.Capacity() {
+		t.Fatalf("zero-length dequeue burst: got %d, len %d", n, r.Len())
+	}
+	// A buffer shorter than the backlog is filled; the rest stays queued in
+	// order: five 0xaa fillers, then in[0] and in[1].
+	if n := r.DequeueBurst(out[:3]); n != 3 || r.Len() != r.Capacity()-3 {
+		t.Fatalf("short dequeue burst: got %d, len %d", n, r.Len())
+	}
+	if n := r.DequeueBurst(out); n != r.Capacity()-3 {
+		t.Fatalf("dequeue of the rest: got %d want %d", n, r.Capacity()-3)
+	}
+	if out[1][0] != 0xaa || out[2][0] != in[0][0] || out[3][0] != in[1][0] {
+		t.Fatalf("short dequeue broke order: %v %v %v", out[1], out[2], out[3])
+	}
+	// An empty ring yields nothing, and a later Enqueue still works.
+	if n := r.DequeueBurst(out); n != 0 {
+		t.Fatalf("dequeue burst on an empty ring: got %d", n)
+	}
+	if !r.Enqueue([]byte{0x55}) || r.Len() != 1 {
+		t.Fatalf("enqueue after an empty dequeue burst: len %d", r.Len())
 	}
 }
 
