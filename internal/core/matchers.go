@@ -83,57 +83,67 @@ func buildFieldMatcher(f openflow.Field, value, mask uint64) matcherFunc {
 // template during analysis.
 const maxKeyBits = 256
 
-// keyPacker packs field values into a hash key by bit concatenation, so the
-// packing is injective for a fixed field list (a prerequisite of the
-// exact-match semantics of the compound hash).
-type keyPacker struct {
-	w   [4]uint64
-	bit int
+// keyPart places one field in a compound-hash key: the field's masked value
+// starts at bit off of word word.
+type keyPart struct {
+	mask  uint64
+	field openflow.Field
+	word  uint8
+	off   uint8
 }
 
-func (kp *keyPacker) add(v uint64, width int) {
-	for width > 0 {
-		word := kp.bit >> 6
-		off := kp.bit & 63
-		room := 64 - off
-		take := width
-		if take > room {
-			take = room
-		}
-		chunk := v & (1<<uint(take) - 1)
-		kp.w[word] |= chunk << uint(off)
-		v >>= uint(take)
-		width -= take
-		kp.bit += take
-	}
-}
+// keyPlan is the compile-time layout of a compound-hash key: the template's
+// fields, in order, concatenated bit by bit (each field takes its width), so
+// the packing is injective for the field list — a prerequisite of the
+// exact-match semantics of the compound hash.
+type keyPlan []keyPart
 
-func (kp *keyPacker) key() hashKey {
-	return hashKey{W0: kp.w[0], W1: kp.w[1], W2: kp.w[2], W3: kp.w[3]}
-}
-
-// packKey packs the masked values of the given fields from a packet into an
-// exact-match hash key.  It is the runtime half of the compound-hash
-// template: the compile-time half (the field list and global masks) is baked
-// into the hashTable structure.
-func packKey(p *pkt.Packet, fields []openflow.Field, masks []uint64) hashKey {
-	var kp keyPacker
+func newKeyPlan(fields []openflow.Field, masks []uint64) keyPlan {
+	plan := make(keyPlan, len(fields))
+	bit := 0
 	for i, f := range fields {
-		kp.add(openflow.Extract(p, f)&masks[i], int(f.Width()))
+		plan[i] = keyPart{field: f, mask: masks[i], word: uint8(bit >> 6), off: uint8(bit & 63)}
+		bit += int(f.Width())
 	}
-	return kp.key()
+	return plan
 }
 
-// packMatchKey packs the masked key of a flow entry's match for the same
-// field list; an entry and a packet that agree on every masked field value
-// produce identical keys.
-func packMatchKey(m *openflow.Match, fields []openflow.Field, masks []uint64) hashKey {
-	var kp keyPacker
-	for i, f := range fields {
-		v, _, _ := m.Get(f)
-		kp.add(v&masks[i], int(f.Width()))
+// put ORs the masked value v of part into the key words.  A field that
+// straddles a word boundary spills its high bits into the next word; w has a
+// fifth word so that store needs no branch (it is zero when nothing spills,
+// and the spill of a key's last word is always zero).  word is at most 3 in
+// a key of maxKeyBits; the &3 lets the compiler drop the bounds checks.
+func (part keyPart) put(w *[5]uint64, v uint64) {
+	v &= part.mask
+	w[part.word&3] |= v << part.off
+	w[(part.word&3)+1] |= v >> (64 - part.off)
+}
+
+func keyOf(w *[5]uint64) hashKey {
+	return hashKey{W0: w[0], W1: w[1], W2: w[2], W3: w[3]}
+}
+
+// packKey packs the masked values of the plan's fields from a packet into an
+// exact-match hash key, one masked shift-or per field.  It is the runtime
+// half of the compound-hash template; the compile-time half is the plan.
+func (kp keyPlan) packKey(p *pkt.Packet) hashKey {
+	var w [5]uint64
+	for _, part := range kp {
+		part.put(&w, openflow.Extract(p, part.field))
 	}
-	return kp.key()
+	return keyOf(&w)
+}
+
+// packMatchKey packs the masked key of a flow entry's match under the same
+// plan; an entry and a packet that agree on every masked field value produce
+// identical keys.
+func (kp keyPlan) packMatchKey(m *openflow.Match) hashKey {
+	var w [5]uint64
+	for _, part := range kp {
+		v, _, _ := m.Get(part.field)
+		part.put(&w, v)
+	}
+	return keyOf(&w)
 }
 
 // keyWidth returns the total packed width in bits of the given fields.

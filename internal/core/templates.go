@@ -212,11 +212,11 @@ func (s *valueSlots) clone() valueSlots {
 
 // hashTable is the compound-hash flow-table template: all entries match the
 // same fields under the same ("global") masks, so classification is a single
-// exact-match lookup on the packed masked key.  An optional lowest-priority
-// catch-all entry acts as the default.
+// exact-match lookup on the packed masked key.  The key plan, computed once
+// per template, holds the fields, their masks and where each lands in the
+// key.  An optional lowest-priority catch-all entry acts as the default.
 type hashTable struct {
-	fields      []openflow.Field
-	masks       []uint64
+	plan        keyPlan
 	proto       pkt.Proto
 	table       *exacthash.Table
 	valueSlots                 // indexed by the table's values
@@ -235,8 +235,7 @@ func newHashTable(fields []openflow.Field, masks []uint64, sizeHint int, meter *
 		proto |= f.Prerequisite()
 	}
 	h := &hashTable{
-		fields: fields,
-		masks:  masks,
+		plan:   newKeyPlan(fields, masks),
 		proto:  proto,
 		table:  exacthash.New(sizeHint),
 		prioLo: math.MaxInt,
@@ -262,7 +261,7 @@ func (h *hashTable) Lookup(p *pkt.Packet, o *observer) *compiledEntry {
 		}
 		return h.def
 	}
-	key := packKey(p, h.fields, h.masks)
+	key := h.plan.packKey(p)
 	if o != nil {
 		h.charge(o.meter, &key)
 	}
@@ -308,7 +307,7 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *bur
 			outs[i] = h.def
 			continue
 		}
-		key := packKey(p, h.fields, h.masks)
+		key := h.plan.packKey(p)
 		sc.keys[nv] = key
 		sc.hash.H1[nv], sc.hash.H2[nv] = h.table.Hash(key)
 		sc.gidx[nv] = int32(i)
@@ -332,13 +331,12 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *bur
 }
 
 // Mirror deep-copies the mutable lookup state (the cuckoo table and the
-// value slice); the immutable compile-time state (fields, masks, protocol
+// value slice); the immutable compile-time state (key plan, protocol
 // prerequisite, meter region) and the compiled entries themselves are shared
 // with the live copy.
 func (h *hashTable) Mirror() tableDatapath {
 	return &hashTable{
-		fields:      h.fields,
-		masks:       h.masks,
+		plan:        h.plan,
 		proto:       h.proto,
 		table:       h.table.Clone(),
 		valueSlots:  h.valueSlots.clone(),
@@ -357,15 +355,15 @@ func (h *hashTable) compatible(e *openflow.FlowEntry) bool {
 		return true // becomes (or replaces) the catch-all default
 	}
 	fields := e.Match.Fields().Fields()
-	if len(fields) != len(h.fields) {
+	if len(fields) != len(h.plan) {
 		return false
 	}
 	for i, f := range fields {
-		if f != h.fields[i] {
+		if f != h.plan[i].field {
 			return false
 		}
 		_, mask, _ := e.Match.Get(f)
-		if mask != h.masks[i] {
+		if mask != h.plan[i].mask {
 			return false
 		}
 	}
@@ -391,7 +389,7 @@ func (h *hashTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 		return
 	}
 	h.prioLo = min(h.prioLo, e.Priority)
-	key := packMatchKey(e.Match, h.fields, h.masks)
+	key := h.plan.packMatchKey(e.Match)
 	if idx, ok := h.table.Lookup(key); ok {
 		h.share(idx, ce)
 		return
@@ -410,7 +408,7 @@ func (h *hashTable) Remove(match *openflow.Match, priority int) int {
 	if !h.compatible(&openflow.FlowEntry{Match: match}) {
 		return 0
 	}
-	key := packMatchKey(match, h.fields, h.masks)
+	key := h.plan.packMatchKey(match)
 	idx, ok := h.table.Lookup(key)
 	if !ok || !h.removable(idx, priority) {
 		return 0

@@ -5,8 +5,13 @@
 // insertion cannot be placed — trading build time and memory for constant,
 // predictable lookup time exactly as the paper describes.
 //
-// The implementation is a bucketized cuckoo hash with two hash functions and
-// four slots per bucket, which bounds every lookup to two cache lines.
+// The implementation is a bucketized cuckoo hash with two buckets per key and
+// four slots per bucket, which bounds every lookup to two cache lines.  A key
+// is hashed by one seeded multiply fold (Key.hash); the two bucket hashes are
+// the two 32-bit halves of its result.  An insert whose two buckets are full
+// displaces an entry from the bucket it did not just leave, rotating the
+// victim slot with the kick count, so an evicted entry never bounces back
+// into the bucket that evicted it.
 package exacthash
 
 import (
@@ -21,16 +26,22 @@ type Key struct {
 	W0, W1, W2, W3 uint64
 }
 
-// hash mixes the key words with a seed using a 64-bit multiply-xor mixer
-// (SplitMix64-style), returning two independent bucket hashes.
+// hash folds the key into one 64-bit value: each word is XORed with the seed
+// and multiplied by its own odd constant (the four products are independent,
+// so they issue in parallel), the products are XORed together, and one mix64
+// finalizer avalanches the result.  The seed passes through every multiply,
+// so a re-seed changes which keys collide.  (The one exception is bit 63: a
+// product's top bit depends on the word's top bit alone, so keys differing
+// only in the top bits of an even number of words share a hash under every
+// seed.  Such a class holds at most eight keys, which fit the two buckets
+// they share.)  The two bucket hashes are the result and its 32-bit
+// rotation: bucket indices come from its low and its high half.
 func (k Key) hash(seed uint64) (uint64, uint64) {
-	h := seed
-	for _, w := range [4]uint64{k.W0, k.W1, k.W2, k.W3} {
-		h ^= mix64(w + h)
-	}
-	h1 := mix64(h)
-	h2 := mix64(h ^ 0x9e3779b97f4a7c15)
-	return h1, h2
+	h := mix64((k.W0^seed)*0x9e3779b97f4a7c15 ^
+		(k.W1^seed)*0xc2b2ae3d27d4eb4f ^
+		(k.W2^seed)*0x165667b19e3779f9 ^
+		(k.W3^seed)*0xd6e8feb86659fd93)
+	return h, bits.RotateLeft64(h, 32)
 }
 
 func mix64(x uint64) uint64 {
@@ -221,10 +232,12 @@ const maxKicks = 64
 // is generally not the entry passed in — displacement may have evicted an
 // older one) so the caller can rebuild without losing it.
 func (t *Table) place(cur slot) (slot, bool) {
+	from := ^uint64(0) // the bucket cur was just evicted from; none yet
 	for kick := 0; kick < maxKicks; kick++ {
 		h1, h2 := cur.key.hash(t.seed)
-		for _, h := range [2]uint64{h1, h2} {
-			b := &t.buckets[h&t.mask]
+		b1, b2 := h1&t.mask, h2&t.mask
+		for _, bi := range [2]uint64{b1, b2} {
+			b := &t.buckets[bi]
 			for i := range b.slots {
 				if !b.slots[i].used {
 					b.slots[i] = cur
@@ -232,11 +245,19 @@ func (t *Table) place(cur slot) (slot, bool) {
 				}
 			}
 		}
-		// Both buckets full: evict a pseudo-random victim from the
-		// first bucket and continue with it.
-		b := &t.buckets[h1&t.mask]
-		victim := int(h2 % bucketSlots)
+		// Both buckets full: evict from the bucket cur did not just
+		// leave, or the victim — often at home in that same bucket —
+		// would evict cur's evictor in turn and the walk would bounce
+		// inside one bucket.  The victim slot starts at hash bits no
+		// bucket index uses and rotates with the kick count.
+		to := b1
+		if to == from {
+			to = b2
+		}
+		b := &t.buckets[to]
+		victim := (int(h1>>62) + kick) % bucketSlots
 		cur, b.slots[victim] = b.slots[victim], cur
+		from = to
 	}
 	return cur, false
 }

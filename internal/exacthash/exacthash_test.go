@@ -1,6 +1,8 @@
 package exacthash
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -121,6 +123,145 @@ func TestGrowthAndFootprint(t *testing.T) {
 	}
 }
 
+// keyFamilies are structured key sets of the shapes the compound-hash
+// template packs: MACs, IPv4 hosts and prefixes, address/port pairs, 5-tuples
+// split over two words, and keys living in the upper words only.  Each maps
+// the i-th draw to a key.
+var keyFamilies = []struct {
+	name string
+	key  func(i int) Key
+}{
+	{"mac-seq", func(i int) Key { return Key{W0: 0x020000000000 + uint64(i)} }},
+	{"mac-rand", func(i int) Key { return Key{W0: splitmix(uint64(i)) & (1<<48 - 1)} }},
+	{"mac-strided", func(i int) Key { return Key{W0: 0x020000000000 + uint64(i)<<24} }},
+	{"ip-host", func(i int) Key { return Key{W0: 10<<24 | uint64(i)} }},
+	{"ip-slash24", func(i int) Key { return Key{W0: 10<<24 | uint64(i)<<8} }},
+	{"ip-port", func(i int) Key { return Key{W0: (10<<24 | uint64(i/16)) | uint64(80+i%16)<<32} }},
+	{"five-tuple", func(i int) Key {
+		return Key{W0: (10<<24 | uint64(i%256)) | (192<<24|uint64(i/256))<<32, W1: uint64(1024+i%7) | 443<<16 | 6<<32}
+	}},
+	{"w3-only", func(i int) Key { return Key{W3: uint64(i)} }},
+	{"w1-w2-split", func(i int) Key { return Key{W1: uint64(i&0xff) << 56, W2: uint64(i >> 8)} }},
+	{"vlan-ip", func(i int) Key { return Key{W0: uint64(1+i%64) | (10<<24|uint64(i/64))<<12} }},
+	{"w0-w1-equal", func(i int) Key { return Key{W0: uint64(i), W1: uint64(i)} }},
+}
+
+// splitmix is a SplitMix64 step: the i-th output of a seeded random stream.
+func splitmix(i uint64) uint64 {
+	x := i*0x9e3779b97f4a7c15 + 0x632be59bd9b4e019
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// TestDesignLoadPlacesWithoutRebuild holds the table to the load New sizes it
+// for: n distinct structured keys inserted into New(n) must all place
+// without a rebuild, so the table keeps the bucket count it was sized with.
+func TestDesignLoadPlacesWithoutRebuild(t *testing.T) {
+	for _, fam := range keyFamilies {
+		for _, n := range []int{100, 500, 1000, 2000, 4096, 10000, 30000} {
+			t.Run(fmt.Sprintf("%s/%d", fam.name, n), func(t *testing.T) {
+				tbl := New(n)
+				buckets := tbl.NumBuckets()
+				seen := make(map[Key]bool, n)
+				for i := 0; len(seen) < n; i++ {
+					k := fam.key(i)
+					if seen[k] {
+						continue
+					}
+					seen[k] = true
+					tbl.Insert(k, uint32(i))
+				}
+				if tbl.Rebuilds() != 0 || tbl.NumBuckets() != buckets {
+					t.Fatalf("%d keys: %d rebuilds, %d → %d buckets", n, tbl.Rebuilds(), buckets, tbl.NumBuckets())
+				}
+				if tbl.Len() != n {
+					t.Fatalf("len %d want %d", tbl.Len(), n)
+				}
+			})
+		}
+	}
+}
+
+// FuzzTableOps drives a table through a byte-coded sequence of inserts,
+// replacements, deletes, single lookups and batched lookups over keys from
+// keyFamilies, and holds it to a Go map after every operation.  The first
+// byte sizes the table small, so the sequences reach the displacement walk
+// and the re-seeding rebuild.
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 3, 0, 1, 4, 0, 0, 2, 0, 0, 3, 0, 1})
+	rng := rand.New(rand.NewSource(30))
+	for _, size := range []int{64, 256} {
+		seed := make([]byte, size)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		tbl := New(int(data[0] % 32))
+		ref := make(map[Key]uint32)
+		keyOf := func(fam, idx byte) Key {
+			return keyFamilies[int(fam)%len(keyFamilies)].key(int(idx))
+		}
+		check := func(k Key) {
+			got, ok := tbl.Lookup(k)
+			want, wantOK := ref[k]
+			if ok != wantOK || got != want {
+				t.Fatalf("lookup %v: got %d,%v want %d,%v", k, got, ok, want, wantOK)
+			}
+		}
+		var sc BatchScratch
+		for i, ops := 0, data[1:]; len(ops) >= 3; i, ops = i+1, ops[3:] {
+			op, k := ops[0]%5, keyOf(ops[1], ops[2])
+			switch op {
+			case 0: // insert
+				tbl.Insert(k, uint32(i))
+				ref[k] = uint32(i)
+			case 1: // replace a stored key, or insert when the key is new
+				tbl.Insert(k, uint32(i)|1<<31)
+				ref[k] = uint32(i) | 1<<31
+			case 2:
+				_, had := ref[k]
+				if got := tbl.Delete(k); got != had {
+					t.Fatalf("delete %v: got %v want %v", k, got, had)
+				}
+				delete(ref, k)
+			case 3:
+				check(k)
+			case 4: // a batch of neighbouring keys, some stored, some not
+				keys := make([]Key, 1+int(ops[2])%BatchChunk*2)
+				for j := range keys {
+					keys[j] = keyOf(ops[1], ops[2]+byte(j))
+				}
+				values, hits := make([]uint32, len(keys)), make([]bool, len(keys))
+				tbl.LookupBatch(keys, values, hits, &sc)
+				for j, k := range keys {
+					want, wantOK := ref[k]
+					if hits[j] != wantOK || values[j] != want && wantOK {
+						t.Fatalf("batch %v: got %d,%v want %d,%v", k, values[j], hits[j], want, wantOK)
+					}
+				}
+			}
+			if tbl.Len() != len(ref) {
+				t.Fatalf("op %d: len %d want %d", i, tbl.Len(), len(ref))
+			}
+			check(k)
+		}
+		seen := make(map[Key]uint32, len(ref))
+		tbl.ForEach(func(k Key, v uint32) {
+			if _, dup := seen[k]; dup {
+				t.Fatalf("ForEach visited %v twice", k)
+			}
+			seen[k] = v
+		})
+		if !maps.Equal(seen, ref) {
+			t.Fatalf("ForEach saw %d entries, want %d", len(seen), len(ref))
+		}
+	})
+}
+
 func TestInsertLookupProperty(t *testing.T) {
 	tbl := New(64)
 	f := func(w0, w1, w2, w3 uint64, v uint32) bool {
@@ -167,6 +308,34 @@ func BenchmarkInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl.Insert(Key{W0: uint64(i)}, uint32(i))
 	}
+}
+
+// BenchmarkLookupBatch looks up 1000 random 48-bit keys (MAC-shaped) in
+// 32-key chunks at the design load of New(1000): the shape the compound-hash
+// template's burst lookup drives.  It reports ns per key.
+func BenchmarkLookupBatch(b *testing.B) {
+	const n, chunk = 1000, 32
+	rng := rand.New(rand.NewSource(1))
+	tbl := New(n)
+	keys := make([]Key, 0, n)
+	for len(keys) < n {
+		k := Key{W0: rng.Uint64() & (1<<48 - 1)}
+		if _, dup := tbl.Lookup(k); dup {
+			continue
+		}
+		tbl.Insert(k, uint32(len(keys)))
+		keys = append(keys, k)
+	}
+	rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	values, hits := make([]uint32, chunk), make([]bool, chunk)
+	var sc BatchScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := i * chunk % (n - chunk)
+		tbl.LookupBatch(keys[base:base+chunk], values, hits, &sc)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/key")
 }
 
 func TestLookupBatchMatchesLookup(t *testing.T) {
