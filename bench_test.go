@@ -3,9 +3,10 @@
 // and cmd/eswitch-experiments regenerates the paper's figures; what is left
 // here are the three ablations of a single specialization (key inlining, the
 // parser template, the baseline's microflow level), the punt-ring and
-// trace-replay paths bench/ does not drive, and the router's cache grid with
+// trace-replay paths bench/ does not drive, the router's cache grid with
 // its 1M-microflow sweep, the one row the deleted second cache level ever won
-// (ROADMAP 3).
+// (ROADMAP 3), and the gateway's armed verdict cache, timed without the
+// ring substrate around it.
 // They measure the real Go implementations (ns/op on the machine running
 // them) and are not gated.
 package eswitch
@@ -227,6 +228,30 @@ func BenchmarkFlowCache_L3Sweep(b *testing.B) {
 			benchFlowCacheDrive(b, dp, sweep.Next, sweep.NumFlows())
 		})
 	}
+}
+
+// BenchmarkFlowCache_GatewayHit drives the four-table access gateway with the
+// verdict cache armed, in the shape of bench/'s gateway_zipf_cached: Zipf(1.1)
+// popularity over 4,096 flows into a 2,048-entry cache, so most packets take
+// the hit path (tag-first probe, verdict replay) and the rest walk the
+// templates and install.  It reports Mpps and hit%.
+func BenchmarkFlowCache_GatewayHit(b *testing.B) {
+	uc := workload.GatewayUseCase(workload.DefaultGatewayConfig())
+	opts := core.DefaultOptions()
+	opts.FlowCache = 2048
+	dp, err := core.Compile(uc.Pipeline, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, why := dp.FlowCacheKey(); !dp.FlowCacheEnabled() {
+		b.Fatalf("the gateway does not arm its cache: %s", why)
+	}
+	const flows = 4096
+	trace := uc.Trace(flows)
+	if err := trace.UseZipf(1.1, 42); err != nil {
+		b.Fatal(err)
+	}
+	benchFlowCacheDrive(b, dp, trace.Next, flows)
 }
 
 // BenchmarkSlowPath_PuntRing measures the raw punt-ring data path — the

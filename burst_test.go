@@ -343,9 +343,10 @@ func TestProcessBurstNoAllocs(t *testing.T) {
 // install must all stay off the allocator and off every mutex.
 // The evicting variant offers the smallest cache four times the flows it
 // holds, so the steady state is misses, evictions and installs on every poll.
-// The gateway variant does the same through a direct-code start table and
-// four stages: four times as many flows as the cache holds, so every poll
-// runs the wave engine and installs.
+// The gateway variants do the same through a direct-code start table and
+// four stages: with four times as many flows as the cache holds, so every
+// poll runs the wave engine and installs, and with a cache larger than the
+// flow set, so every measured poll is served by the tag-first hit path.
 // The metered variant is flowcache=on over a datapath that carries a cycle
 // meter: its workers are ordinary burst workers, and none of it — polling,
 // the facade burst, the registered worker — may charge the meter.
@@ -355,10 +356,9 @@ func TestWorkerPathZeroLocksZeroAllocs(t *testing.T) {
 	t.Run("flowcache=off", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, l3, 256, 0, false, nil) })
 	t.Run("flowcache=on", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, acl, 256, 4096, false, nil) })
 	t.Run("flowcache=evicting", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, acl, 1024, 64, true, nil) })
-	t.Run("gateway/misses", func(t *testing.T) {
-		gw := workload.GatewayUseCase(workload.GatewayConfig{CEs: 4, UsersPerCE: 8, Prefixes: 1000, Seed: 2016})
-		testWorkerPathZeroLocksZeroAllocs(t, gw, 1024, 64, true, nil)
-	})
+	gw := workload.GatewayUseCase(workload.GatewayConfig{CEs: 4, UsersPerCE: 8, Prefixes: 1000, Seed: 2016})
+	t.Run("gateway/misses", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, gw, 1024, 64, true, nil) })
+	t.Run("gateway/hits", func(t *testing.T) { testWorkerPathZeroLocksZeroAllocs(t, gw, 256, 4096, false, nil) })
 	t.Run("metered", func(t *testing.T) {
 		testWorkerPathZeroLocksZeroAllocs(t, acl, 256, 4096, false, cpumodel.NewMeter(cpumodel.DefaultPlatform()))
 	})
@@ -538,8 +538,11 @@ func testWorkerPathZeroLocksZeroAllocs(t *testing.T, uc *workload.UseCase, nFram
 	if err := cs.CheckInvariants(st.Processed, st.Panics); err != nil {
 		t.Fatal(err)
 	}
-	if walks := cs.Misses - warmMisses; wantWalks && walks < uint64(nFrames) {
+	switch walks := cs.Misses - warmMisses; {
+	case wantWalks && walks < uint64(nFrames):
 		t.Fatalf("the measured window was to run on cache misses, yet only %d walks", walks)
+	case !wantWalks && flowCache > 0 && walks != 0:
+		t.Fatalf("the measured window was to run on cache hits, yet %d walks", walks)
 	}
 	// Latency sampling was armed throughout: the measured window's bursts
 	// must appear in the folded histogram.

@@ -299,11 +299,13 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 
 	cs := sc.cache
 
-	// Probe pass A: derive every packet's masked key, its hash and set base,
-	// and read one word of the set's leading line.  On large caches the probe
-	// lines are cold; issuing all the touches before any full probe lets the
-	// memory system overlap the misses across the burst instead of
-	// serializing one DRAM round trip per packet.
+	// Probe pass A: pack every packet's masked key into its staging slot,
+	// hashing it on the way, derive its set base, and read the set's tag
+	// line.  On large caches the probe lines are cold; issuing all the tag
+	// touches before any full probe lets the memory system overlap those
+	// misses across the burst.  Only the tag line is touched: an entry line
+	// is first read in pass B, on a tag match, so a hit on a cold entry
+	// still waits for its own line there.
 	var touch uint32
 	for i := 0; i < n; i++ {
 		p := ps[i]
@@ -313,20 +315,18 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 			cs.cbase[i] = probeSkip
 			continue
 		}
-		k := &cs.ckey[i]
-		*k = makeFlowKey(p).and(&sn.keyMask)
-		h := k.hash()
+		h := cs.ckey[i].load(p, &sn.keyMask)
 		cs.chash[i] = h
 		base := (h & fc.mask) * flowCacheWays
 		cs.cbase[i] = base
-		touch += fc.entries[base].hash
+		touch += fc.tags[base]
 	}
 	fc.touchSink = touch
 
-	// Probe pass B: the actual lookups.  Hits replay their verdict program
-	// on the spot; misses join the level-0 frontier at the start table,
-	// with their engine slot state (trampoline, action set) primed the way
-	// the plain path's specialized level 0 would leave it.
+	// Probe pass B: the actual lookups, tag first.  Hits replay their
+	// verdict program on the spot; misses join the level-0 frontier at the
+	// start table, with their engine slot state (trampoline, action set)
+	// primed the way the plain path's specialized level 0 would leave it.
 	cur := sc.frontA[:]
 	missN := 0
 	hits, stale := 0, 0

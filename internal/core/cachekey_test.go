@@ -497,11 +497,11 @@ func TestStaticKeySweep(t *testing.T) {
 	}
 }
 
-// TestKeyLayout holds keyLayout to what makeFlowKey packs: every covered
-// field but metadata has a slot as wide as the field, the slots are disjoint
-// (the L4 aliases aside) and clear of keyAlways, and each reads back the
-// packet's own value; a full mask renders the slots by name, keyAlways as
-// nothing.
+// TestKeyLayout holds keyLayout to what flowKey.load packs under a full mask:
+// every covered field but metadata has a slot as wide as the field, the slots
+// are disjoint (the L4 aliases aside) and clear of keyAlways, and each reads
+// back the packet's own value; a full mask renders the slots by name,
+// keyAlways as nothing.
 func TestKeyLayout(t *testing.T) {
 	p := pkt.Packet{InPort: 0x89abcdef}
 	h := &p.Headers
@@ -509,7 +509,9 @@ func TestKeyLayout(t *testing.T) {
 	h.EthType, h.VLANID, h.IPProto = 0x88a8, 0xabc, 0x84
 	h.IPSrc, h.IPDst, h.L4Src, h.L4Dst = 0xdeadbeef, 0xfeedface, 0xa55a, 0x5aa5
 	h.Proto, h.Parsed = 0xffff, 0xff
-	k := makeFlowKey(&p)
+	full := flowKey{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	var k flowKey
+	k.load(&p, &full)
 	seen := keyAlways
 	if k.and(&keyAlways) != keyAlways {
 		t.Fatalf("presence and parse depth are not where keyAlways says: %x", k)
@@ -532,7 +534,6 @@ func TestKeyLayout(t *testing.T) {
 		}
 		seen.or(&m)
 	}
-	full := flowKey{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 	if !strings.Contains(full.String(), "l4_dst") || keyAlways.String() != "" {
 		t.Fatalf("key rendering: %q / %q", full.String(), keyAlways.String())
 	}

@@ -60,7 +60,7 @@ type snapshot struct {
 	mods []modScope
 	// keyMask is the compiled cache key: the bits of a packet's flowKey the
 	// pipeline's verdict can depend on (keyEntry, scope.go).  The cache probes
-	// on makeFlowKey(p) & keyMask.
+	// on the packet's key loaded under it (flowKey.load).
 	keyMask flowKey
 	// armed reports whether the burst path probes the verdict cache: the
 	// datapath was compiled with one, nothing the pipeline matches lies

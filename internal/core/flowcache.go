@@ -49,10 +49,14 @@ import (
 //     scratch): a single writer, no locks, no atomic read-modify-writes, no
 //     shared mutable state.  Hit/miss/stale counters
 //     are single-writer atomic-store mirrors folded by Datapath.FlowCacheStats.
-//   - The probe hash is one multiplicative mix over the masked key words
-//     (flowKey.hash), computed in probe pass A; a full key comparison
-//     disambiguates collisions.  (The symmetric RSS hash covers masked-out
-//     bits and cannot index a masked key.)
+//   - Probe pass A packs each packet's key straight into its staging slot
+//     under the snapshot's mask and hashes it on the way (flowKey.load): one
+//     multiplicative mix over the masked key words.  (The symmetric RSS hash
+//     covers masked-out bits and cannot index a masked key.)  The low hash
+//     bits pick the set; the whole hash is the entry's tag, kept in the
+//     cache's dense tags array, so a probe scans a set's four tags (16 bytes)
+//     and reads an entry's line — and compares its key word by word — only
+//     on a tag match.
 //   - Safety under flow-mods comes from a datapath generation counter plus a
 //     bounded log of what each generation's mutation could have changed
 //     (scope.go).  Every mutation (AddFlow, DeleteFlow, InstallPipeline)
@@ -103,20 +107,23 @@ const cacheCoveredFields openflow.FieldSet = 1<<openflow.FieldInPort |
 // in-port and every parsed header field the covered fields can read, plus the
 // protocol-presence mask and parse depth so prerequisite checks are part of
 // the identity too.  A probe uses the packet's key under the snapshot's mask.
-// makeFlowKey packs a packet into it; keyLayout says where each field went,
-// for everything off the per-packet path.
+// load packs a packet into it; keyLayout says where each field went, for
+// everything off the per-packet path.
 type flowKey [5]uint64
 
-// makeFlowKey derives the unmasked key from a parsed packet.
-func makeFlowKey(p *pkt.Packet) flowKey {
+// load packs the parsed packet into k under the mask m — each word packed,
+// masked and stored in place, with no key-sized temporary — and returns the
+// masked key's probe hash.  The probe passes m = the snapshot's key
+// mask; an all-ones m loads the whole key.
+func (k *flowKey) load(p *pkt.Packet, m *flowKey) uint32 {
 	h := &p.Headers
-	return flowKey{
-		uint64(p.InPort) | uint64(h.EthType)<<32 | uint64(h.VLANID)<<48,
-		h.EthDst.Uint64() | uint64(h.Proto&0xffff)<<keyProtoShift,
-		h.EthSrc.Uint64() | uint64(h.IPProto)<<48 | uint64(h.Parsed)<<56,
-		uint64(h.IPSrc)<<32 | uint64(h.IPDst),
-		uint64(h.L4Src) | uint64(h.L4Dst)<<16,
-	}
+	w0 := (uint64(p.InPort) | uint64(h.EthType)<<32 | uint64(h.VLANID)<<48) & m[0]
+	w1 := (h.EthDst.Uint64() | uint64(h.Proto&0xffff)<<keyProtoShift) & m[1]
+	w2 := (h.EthSrc.Uint64() | uint64(h.IPProto)<<48 | uint64(h.Parsed)<<56) & m[2]
+	w3 := (uint64(h.IPSrc)<<32 | uint64(h.IPDst)) & m[3]
+	w4 := (uint64(h.L4Src) | uint64(h.L4Dst)<<16) & m[4]
+	k[0], k[1], k[2], k[3], k[4] = w0, w1, w2, w3, w4
+	return k.hash()
 }
 
 // keySlot places one match field in the flow key.
@@ -126,7 +133,7 @@ type keySlot struct {
 	shift, bits uint8 // bits == 0: the key does not carry the field
 }
 
-// keyLayout is the flow key's layout by match field — what makeFlowKey packs
+// keyLayout is the flow key's layout by match field — what load packs
 // where (TestKeyLayout holds the two together).  keyBits and the key's
 // rendering go through it.  The L4 ports have one slot per direction
 // whatever the transport, hence their names.  Metadata is covered
@@ -176,6 +183,11 @@ func (k *flowKey) or(o *flowKey) {
 	for i := range k {
 		k[i] |= o[i]
 	}
+}
+
+// equal compares two keys word by word.
+func (k *flowKey) equal(o *flowKey) bool {
+	return (k[0]^o[0])|(k[1]^o[1])|(k[2]^o[2])|(k[3]^o[3])|(k[4]^o[4]) == 0
 }
 
 // hash is the probe hash of a masked key: five independent multiplies by odd
@@ -311,7 +323,8 @@ const (
 
 // cacheEntry is one memoized verdict.  The first 64 bytes hold
 // everything a patch-free hit needs (key, generation, verdict, TTL
-// decrement), so the common case touches a single cache line; the patch
+// decrement), so the common case touches a single entry line; its probe hash
+// lives in the cache's parallel tags array, not here.  The patch
 // spills onto the second line and is read only when fields != 0.  Entries
 // are padded to 128 bytes so the hot line stays line-aligned within the
 // (64-byte-aligned) backing array.  The matched-entry counter pointers a
@@ -321,14 +334,13 @@ const (
 type cacheEntry struct {
 	key       flowKey // 40 bytes
 	gen       uint64
-	hash      uint32
 	out       uint32
 	fields    uint16 // patch-operation bits
 	flags     uint8
 	tables    uint8
 	ttlDec    uint8
 	nctr      uint8  // entries recorded in the cache's ctrs array
-	puntTable uint16 // originating table of a cacheToCtrl verdict -> 64 bytes
+	puntTable uint16 // originating table of a cacheToCtrl verdict -> 60 bytes
 	patch     cachePatch
 	_         [24]byte // -> 128 bytes
 }
@@ -371,6 +383,10 @@ type FlowCacheStats struct {
 // other goroutines.
 type FlowCache struct {
 	entries []cacheEntry
+	// tags[i] is entries[i]'s probe hash, written by install: a set's four
+	// tags share 16 bytes, so a probe reads one dense line first and an
+	// entry only where its tag matches.
+	tags []uint32
 	// ctrs is the parallel matched-entry counter store (entry i's pointers
 	// at ctrs[i], count in entries[i].nctr), allocated only on a
 	// counters-enabled datapath — see ctrList (flowctr.go).
@@ -413,6 +429,7 @@ func newFlowCache(entries int, counters bool) *FlowCache {
 	}
 	fc := &FlowCache{
 		entries: make([]cacheEntry, sets*flowCacheWays),
+		tags:    make([]uint32, sets*flowCacheWays),
 		mask:    uint32(sets - 1),
 	}
 	if counters {
@@ -435,13 +452,17 @@ func (fc *FlowCache) lookup(h uint32, k *flowKey, sn *snapshot) (e *cacheEntry, 
 }
 
 // lookupAt is lookup with the set base precomputed (the burst probe pass
-// derives all bases first so the cold set lines can be touched early).
+// derives all bases first so the set's tag line can be touched early).  It
+// reads an entry only where the set's tag equals h.
 func (fc *FlowCache) lookupAt(base, h uint32, k *flowKey, sn *snapshot) (e *cacheEntry, idx uint32, stale bool) {
 	gen := sn.gen
-	set := fc.entries[base : base+flowCacheWays]
-	for i := range set {
-		c := &set[i]
-		if c.hash == h && c.flags&cacheValid != 0 && c.key == *k {
+	tags := fc.tags[base : base+flowCacheWays]
+	for i, tag := range tags {
+		if tag != h {
+			continue
+		}
+		c := &fc.entries[base+uint32(i)]
+		if c.flags&cacheValid != 0 && c.key.equal(k) {
 			if c.gen == gen || fc.revalidate(c, sn) {
 				return c, base + uint32(i), stale
 			}
@@ -489,7 +510,7 @@ func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, flags uint8, out 
 		age := gen - c.gen
 		if c.flags&cacheValid == 0 {
 			age = ^uint64(0)
-		} else if c.hash == h && c.key == *k {
+		} else if fc.tags[base+uint32(i)] == h && c.key.equal(k) {
 			victim, vi = c, base+uint32(i)
 			break
 		}
@@ -507,13 +528,13 @@ func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, flags uint8, out 
 	if victim.flags&cacheValid == 0 {
 		fc.fillsL++
 		fc.fills.Store(fc.fillsL)
-	} else if victim.key != *k {
+	} else if !victim.key.equal(k) {
 		fc.victimsL++
 		fc.victims.Store(fc.victimsL)
 	}
+	fc.tags[vi] = h
 	victim.key = *k
 	victim.gen = gen
-	victim.hash = h
 	victim.out = out
 	victim.fields = w.fields
 	victim.flags = flags

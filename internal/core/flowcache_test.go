@@ -35,32 +35,55 @@ func TestCacheEntryLayout(t *testing.T) {
 	}
 }
 
+// checkTags holds the cache's tags array to its entries: every valid entry's
+// tag is its key's probe hash, so a tag-first probe finds every live key.
+func checkTags(t *testing.T, fc *FlowCache) {
+	t.Helper()
+	for i := range fc.entries {
+		if e := &fc.entries[i]; e.flags&cacheValid != 0 && fc.tags[i] != e.key.hash() {
+			t.Fatalf("entry %d: tag %#x, key %v hashes to %#x", i, fc.tags[i], e.key, e.key.hash())
+		}
+	}
+}
+
 // TestFlowCacheProbeInstall unit-tests the set-associative structure
 // directly: install/lookup round trips, generation mismatches reported as
 // stale, in-place refresh of an existing key, and oldest-first victim
-// selection once a set fills.
+// selection once a set fills.  The keys are found by search to share one
+// set, and each is probed and installed under its own hash.
 func TestFlowCacheProbeInstall(t *testing.T) {
 	fc := newFlowCache(256, false) // 64 sets x 4 ways
 	k := flowKey{1, 2, 3, 4, 5}
-	const h = 0x1234
+	set := k.hash() & fc.mask
+	var same []flowKey // set-mates of k, in search order
+	for x := uint64(100); len(same) < flowCacheWays+1; x++ {
+		if o := (flowKey{0: x}); o.hash()&fc.mask == set {
+			same = append(same, o)
+		}
+	}
+	lookup := func(k *flowKey, sn *snapshot) (*cacheEntry, uint32, bool) { return fc.lookup(k.hash(), k, sn) }
+	install := func(k *flowKey, gen uint64, flags uint8, out uint32, tables uint8) {
+		fc.install(k.hash(), k, gen, flags, out, tables, 0, &writeSet{}, nil, 0)
+		checkTags(t, fc)
+	}
 	// Snapshots without a scope log: any older generation is below the
 	// log's floor, i.e. every bump behaves like a barrier.
 	gen := func(g uint64) *snapshot { return &snapshot{gen: g} }
-	if e, _, stale := fc.lookup(h, &k, gen(1)); e != nil || stale {
+	if e, _, stale := lookup(&k, gen(1)); e != nil || stale {
 		t.Fatal("empty cache returned an entry")
 	}
-	fc.install(h, &k, 1, cacheValid|cacheHasPort, 7, 2, 0, &writeSet{}, nil, 0)
-	e, _, stale := fc.lookup(h, &k, gen(1))
+	install(&k, 1, cacheValid|cacheHasPort, 7, 2)
+	e, _, stale := lookup(&k, gen(1))
 	if e == nil || stale || e.out != 7 || e.tables != 2 {
 		t.Fatalf("lookup after install: %+v stale=%v", e, stale)
 	}
 	// Same key, retired generation: nil + stale sighting.
-	if e, _, stale := fc.lookup(h, &k, gen(2)); e != nil || !stale {
+	if e, _, stale := lookup(&k, gen(2)); e != nil || !stale {
 		t.Fatalf("stale entry served or not reported: %v %v", e, stale)
 	}
 	// Reinstall under the new generation refreshes in place (no second copy).
-	fc.install(h, &k, 2, cacheValid|cacheHasPort, 9, 2, 0, &writeSet{}, nil, 0)
-	if e, _, _ := fc.lookup(h, &k, gen(2)); e == nil || e.out != 9 {
+	install(&k, 2, cacheValid|cacheHasPort, 9, 2)
+	if e, _, _ := lookup(&k, gen(2)); e == nil || e.out != 9 {
 		t.Fatalf("refresh in place failed: %+v", e)
 	}
 	live := 0
@@ -75,30 +98,29 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 	// Fill the rest of the set at generation 2, then install a fresh key at
 	// generation 3: every entry is one generation old, the victim is the
 	// first of them (way 0, holding k), never a fifth slot.
-	for i := uint64(0); i < flowCacheWays-1; i++ {
-		kI := flowKey{0: 100 + i}
-		fc.install(h, &kI, 2, cacheValid, 0, 1, 0, &writeSet{}, nil, 0)
+	for i := 0; i < flowCacheWays-1; i++ {
+		install(&same[i], 2, cacheValid, 0, 1)
 	}
-	kNew := flowKey{0: 999}
-	fc.install(h, &kNew, 3, cacheValid|cacheHasPort, 11, 1, 0, &writeSet{}, nil, 0)
-	if e, _, _ := fc.lookup(h, &kNew, gen(3)); e == nil || e.out != 11 {
+	kNew := same[flowCacheWays-1]
+	install(&kNew, 3, cacheValid|cacheHasPort, 11, 1)
+	if e, _, _ := lookup(&kNew, gen(3)); e == nil || e.out != 11 {
 		t.Fatalf("install into a full set failed: %+v", e)
 	}
-	if e, _, _ := fc.lookup(h, &k, gen(3)); e != nil {
+	if e, _, _ := lookup(&k, gen(3)); e != nil {
 		t.Fatal("oldest-generation victim (way 0) survived")
 	}
 	// Refresh way 1 (round-robin's next turn) and way 3 (the last entry of a
 	// retired generation) under generation 3.  At generation 4 way 2 alone
 	// is two generations old — unprobed the longest — and must be the one
 	// the next install takes.
-	k100, k102 := flowKey{0: 100}, flowKey{0: 102}
-	fc.install(h, &k100, 3, cacheValid|cacheHasPort, 12, 1, 0, &writeSet{}, nil, 0)
-	fc.install(h, &k102, 3, cacheValid|cacheHasPort, 13, 1, 0, &writeSet{}, nil, 0)
-	fc.install(h, &flowKey{0: 200}, 4, cacheValid, 0, 1, 0, &writeSet{}, nil, 0)
+	k100, k102 := same[0], same[2]
+	install(&k100, 3, cacheValid|cacheHasPort, 12, 1)
+	install(&k102, 3, cacheValid|cacheHasPort, 13, 1)
+	install(&same[flowCacheWays], 4, cacheValid, 0, 1)
 	for _, kept := range []*flowKey{&kNew, &k100, &k102} {
 		// (Under a log-less snapshot the survivors read as stale sightings,
 		// which is all this needs: they are still there.)
-		if _, _, stale := fc.lookup(h, kept, gen(4)); !stale {
+		if _, _, stale := lookup(kept, gen(4)); !stale {
 			t.Fatalf("entry %v evicted ahead of an older one", *kept)
 		}
 	}
@@ -110,6 +132,42 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 	}
 	if live != flowCacheWays {
 		t.Fatalf("full set grew or shrank: %d live, want %d", live, flowCacheWays)
+	}
+
+	// Forced collisions: distinct keys installed under one shared hash fill
+	// a set with equal tags, so only the key compare tells them apart.  Each
+	// must find its own entry, a refresh must land on its own way, and once
+	// one is evicted it must miss rather than match a set-mate's tag.
+	fc = newFlowCache(256, false)
+	const h = 0x1234
+	var coll [flowCacheWays + 1]flowKey
+	for i := range coll {
+		coll[i] = flowKey{0: 500 + uint64(i)}
+	}
+	for i := 0; i < flowCacheWays; i++ {
+		fc.install(h, &coll[i], 1, cacheValid|cacheHasPort, 20+uint32(i), 1, 0, &writeSet{}, nil, 0)
+	}
+	fc.install(h, &coll[2], 1, cacheValid|cacheHasPort, 30, 1, 0, &writeSet{}, nil, 0)
+	for i := 0; i < flowCacheWays; i++ {
+		want := 20 + uint32(i)
+		if i == 2 {
+			want = 30
+		}
+		if e, _, _ := fc.lookup(h, &coll[i], gen(1)); e == nil || e.key != coll[i] || e.out != want {
+			t.Fatalf("colliding key %d: got %+v, want out %d", i, e, want)
+		}
+	}
+	fc.install(h, &coll[flowCacheWays], 2, cacheValid|cacheHasPort, 40, 1, 0, &writeSet{}, nil, 0)
+	if e, _, _ := fc.lookup(h, &coll[flowCacheWays], gen(2)); e == nil || e.out != 40 {
+		t.Fatalf("install over colliding tags failed: %+v", e)
+	}
+	if e, _, stale := fc.lookup(h, &coll[0], gen(2)); e != nil || stale {
+		t.Fatalf("evicted colliding key matched a set-mate: %+v stale=%v", e, stale)
+	}
+	for i := 1; i < flowCacheWays; i++ {
+		if _, _, stale := fc.lookup(h, &coll[i], gen(2)); !stale {
+			t.Fatalf("colliding key %d lost to a set-mate's install", i)
+		}
 	}
 }
 
@@ -774,6 +832,7 @@ func flowCacheEvictionChurn(t *testing.T, zipf bool) FlowCacheStats {
 			}
 		}
 	}
+	checkTags(t, w.cache)
 	st := dp.FlowCacheStats()
 	if st.Hits+st.Misses != uint64(total) {
 		t.Fatalf("fold exactness under churn: %+v != %d packets", st, total)

@@ -166,7 +166,8 @@ func (d *Datapath) Trace(p *pkt.Packet) *TraceResult {
 	res.Headers = p.Headers
 	res.FlowHash = p.FlowHash()
 	if res.Armed {
-		k := makeFlowKey(p).and(&sn.keyMask)
+		var k flowKey
+		k.load(p, &sn.keyMask)
 		res.Revalidated = len(sn.mods)
 		if i := sn.newestOverlap(len(sn.mods), &k, &sn.keyMask); i >= 0 {
 			res.Revalidated = len(sn.mods) - 1 - i

@@ -6,10 +6,15 @@
 // predictable lookup time exactly as the paper describes.
 //
 // The implementation is a bucketized cuckoo hash with two buckets per key and
-// four slots per bucket, which bounds every lookup to two cache lines.  A key
+// four slots per bucket, which bounds every lookup to two buckets.  A key
 // is hashed by one seeded multiply fold (Key.hash); the two bucket hashes are
-// the two 32-bit halves of its result.  An insert whose two buckets are full
-// displaces an entry from the bucket it did not just leave, rotating the
+// the two 32-bit halves of its result.  Each bucket has a tag word beside it,
+// one 16-bit lane per slot, as DPDK's rte_hash keeps a signature per entry: a
+// lane holds its key's tag (hash bits no bucket index reads) or zero for an
+// empty slot.  A probe XORs the broadcast tag into the word, finds the zero
+// lanes with one exact SWAR test and compares keys only in those, so a miss
+// usually reads two tag words and no key.  An insert whose two buckets are
+// full displaces an entry from the bucket it did not just leave, rotating the
 // victim slot with the kick count, so an evicted entry never bounces back
 // into the bucket that evicted it.
 package exacthash
@@ -55,10 +60,34 @@ func mix64(x uint64) uint64 {
 
 const bucketSlots = 4
 
+// Tag lanes: a bucket's tag word holds one 16-bit lane per slot, lane i in
+// bits 16i..16i+15.  A lane is zero when its slot is empty and the stored
+// key's tag (laneTag) otherwise.
+const (
+	laneOnes = 0x0001000100010001 // 1 in every lane: broadcasts a tag
+	laneLow  = 0x7fff7fff7fff7fff // every lane's low 15 bits
+	laneHigh = 0x8000800080008000 // every lane's top bit
+)
+
+// laneTag is the 16-bit tag a key stores in its slot's lane: hash bits 16..31,
+// which neither bucket index reads below 65,536 buckets (bucket 1 reads the
+// low bits, bucket 2 bits 32 and up), with bit 0 forced so a stored tag is
+// never the empty lane.  It comes from the first bucket hash whichever bucket
+// the key lives in.
+func laneTag(h1 uint64) uint64 { return (h1>>16)&0xffff | 1 }
+
+// zeroLanes returns the top bit of every zero lane of w, exactly: the low
+// 15 bits of a lane plus 0x7fff carry into its top bit iff they are not all
+// zero, and no sum crosses into the next lane, so no lane borrows a false
+// match from its neighbour.
+func zeroLanes(w uint64) uint64 { return ^((w&laneLow + laneLow) | w) & laneHigh }
+
+// laneSlot is the slot index of the lowest lane flagged in a zeroLanes mask.
+func laneSlot(m uint64) int { return bits.TrailingZeros64(m) >> 4 & (bucketSlots - 1) }
+
 type slot struct {
 	key   Key
 	value uint32
-	used  bool
 }
 
 type bucket struct {
@@ -69,9 +98,14 @@ type bucket struct {
 // not usable; use New.
 type Table struct {
 	buckets []bucket
-	mask    uint64
-	seed    uint64
-	count   int
+	// tags is the buckets' tag words (tags[b] for buckets[b]) and the one
+	// record of which slots are occupied.  A probe reads the word, finds the
+	// lanes equal to the key's tag with one SWAR test, and compares keys only
+	// in those — on a miss, usually none.
+	tags  []uint64
+	mask  uint64
+	seed  uint64
+	count int
 	// rebuilds counts how many times the table was rebuilt with a new
 	// seed or grown; the update-cost experiments report it.
 	rebuilds int
@@ -98,6 +132,7 @@ func capacityFor(n int) int {
 
 func (t *Table) init(buckets int) {
 	t.buckets = make([]bucket, buckets)
+	t.tags = make([]uint64, buckets)
 	t.mask = uint64(buckets - 1)
 	t.count = 0
 }
@@ -105,13 +140,14 @@ func (t *Table) init(buckets int) {
 // Len returns the number of stored entries.
 func (t *Table) Len() int { return t.count }
 
-// Clone returns a deep copy of the table (buckets are value types, so one
-// slice copy captures the whole lookup state).  The ESWITCH update path
-// mirrors a live compound-hash template through Clone so flow-mods can be
-// applied off to the side and swapped in atomically.
+// Clone returns a deep copy of the table (buckets and tag words are value
+// types, so two slice copies capture the whole lookup state).  The ESWITCH
+// update path mirrors a live compound-hash template through Clone so
+// flow-mods can be applied off to the side and swapped in atomically.
 func (t *Table) Clone() *Table {
 	return &Table{
 		buckets:  append([]bucket(nil), t.buckets...),
+		tags:     append([]uint64(nil), t.tags...),
 		mask:     t.mask,
 		seed:     t.seed,
 		count:    t.count,
@@ -136,19 +172,33 @@ func (t *Table) Lookup(k Key) (uint32, bool) {
 
 // lookupHashed probes the two candidate buckets for a pre-hashed key.
 func (t *Table) lookupHashed(k Key, h1, h2 uint64) (uint32, bool) {
-	b1 := &t.buckets[h1&t.mask]
-	for i := range b1.slots {
-		if b1.slots[i].used && b1.slots[i].key == k {
-			return b1.slots[i].value, true
+	b, i := t.find(k, h1, h2)
+	if i < 0 {
+		return 0, false
+	}
+	return t.buckets[b].slots[i].value, true
+}
+
+// find locates a pre-hashed key: its bucket and slot index, or slot -1.
+func (t *Table) find(k Key, h1, h2 uint64) (uint64, int) {
+	tag := laneTag(h1) * laneOnes
+	b := h1 & t.mask
+	if i := t.slotOf(b, k, tag); i >= 0 {
+		return b, i
+	}
+	b = h2 & t.mask
+	return b, t.slotOf(b, k, tag)
+}
+
+// slotOf returns the slot of bucket b holding k, or -1: it compares keys only
+// in the lanes whose tag equals the broadcast tag.
+func (t *Table) slotOf(b uint64, k Key, tag uint64) int {
+	for m := zeroLanes(t.tags[b] ^ tag); m != 0; m &= m - 1 {
+		if i := laneSlot(m); t.buckets[b].slots[i].key == k {
+			return i
 		}
 	}
-	b2 := &t.buckets[h2&t.mask]
-	for i := range b2.slots {
-		if b2.slots[i].used && b2.slots[i].key == k {
-			return b2.slots[i].value, true
-		}
-	}
-	return 0, false
+	return -1
 }
 
 // BatchChunk bounds the scratch LookupBatch hashes into; larger batches are
@@ -199,8 +249,7 @@ func (t *Table) Insert(k Key, value uint32) {
 	if t.update(k, value) {
 		return
 	}
-	pending := slot{key: k, value: value, used: true}
-	leftover, ok := t.place(pending)
+	leftover, ok := t.place(slot{key: k, value: value})
 	if ok {
 		t.count++
 		return
@@ -213,16 +262,12 @@ func (t *Table) Insert(k Key, value uint32) {
 // update replaces the value if the key is already present.
 func (t *Table) update(k Key, value uint32) bool {
 	h1, h2 := k.hash(t.seed)
-	for _, h := range [2]uint64{h1, h2} {
-		b := &t.buckets[h&t.mask]
-		for i := range b.slots {
-			if b.slots[i].used && b.slots[i].key == k {
-				b.slots[i].value = value
-				return true
-			}
-		}
+	b, i := t.find(k, h1, h2)
+	if i < 0 {
+		return false
 	}
-	return false
+	t.buckets[b].slots[i].value = value
+	return true
 }
 
 const maxKicks = 64
@@ -236,13 +281,13 @@ func (t *Table) place(cur slot) (slot, bool) {
 	for kick := 0; kick < maxKicks; kick++ {
 		h1, h2 := cur.key.hash(t.seed)
 		b1, b2 := h1&t.mask, h2&t.mask
+		tag := laneTag(h1)
 		for _, bi := range [2]uint64{b1, b2} {
-			b := &t.buckets[bi]
-			for i := range b.slots {
-				if !b.slots[i].used {
-					b.slots[i] = cur
-					return slot{}, true
-				}
+			if m := zeroLanes(t.tags[bi]); m != 0 {
+				i := laneSlot(m)
+				t.buckets[bi].slots[i] = cur
+				t.setLane(bi, i, tag)
+				return slot{}, true
 			}
 		}
 		// Both buckets full: evict from the bucket cur did not just
@@ -257,9 +302,17 @@ func (t *Table) place(cur slot) (slot, bool) {
 		b := &t.buckets[to]
 		victim := (int(h1>>62) + kick) % bucketSlots
 		cur, b.slots[victim] = b.slots[victim], cur
+		t.setLane(to, victim, tag)
 		from = to
 	}
 	return cur, false
+}
+
+// setLane stores a slot's lane of bucket b's tag word: the key's tag, or 0
+// to mark the slot empty.
+func (t *Table) setLane(b uint64, i int, tag uint64) {
+	sh := uint(i) * 16
+	t.tags[b] = t.tags[b]&^(0xffff<<sh) | tag<<sh
 }
 
 // rebuild re-creates the table with at least minBuckets buckets and a fresh
@@ -268,13 +321,7 @@ func (t *Table) place(cur slot) (slot, bool) {
 // bounded.
 func (t *Table) rebuild(extra []slot, minBuckets int) {
 	all := append([]slot(nil), extra...)
-	for bi := range t.buckets {
-		for si := range t.buckets[bi].slots {
-			if s := t.buckets[bi].slots[si]; s.used {
-				all = append(all, s)
-			}
-		}
-	}
+	t.ForEach(func(k Key, v uint32) { all = append(all, slot{k, v}) })
 	buckets := minBuckets
 	if buckets < 4 {
 		buckets = 4
@@ -301,25 +348,22 @@ func (t *Table) rebuild(extra []slot, minBuckets int) {
 // Delete removes the key, reporting whether it was present.
 func (t *Table) Delete(k Key) bool {
 	h1, h2 := k.hash(t.seed)
-	for _, h := range [2]uint64{h1, h2} {
-		b := &t.buckets[h&t.mask]
-		for i := range b.slots {
-			if b.slots[i].used && b.slots[i].key == k {
-				b.slots[i] = slot{}
-				t.count--
-				return true
-			}
-		}
+	b, i := t.find(k, h1, h2)
+	if i < 0 {
+		return false
 	}
-	return false
+	t.buckets[b].slots[i] = slot{}
+	t.setLane(b, i, 0)
+	t.count--
+	return true
 }
 
 // ForEach calls fn for every stored entry; iteration order is unspecified.
 func (t *Table) ForEach(fn func(Key, uint32)) {
-	for bi := range t.buckets {
+	for bi, w := range t.tags {
 		for si := range t.buckets[bi].slots {
-			s := &t.buckets[bi].slots[si]
-			if s.used {
+			if w>>(16*si)&0xffff != 0 {
+				s := &t.buckets[bi].slots[si]
 				fn(s.key, s.value)
 			}
 		}
@@ -327,7 +371,10 @@ func (t *Table) ForEach(fn func(Key, uint32)) {
 }
 
 // MemoryFootprint returns the approximate size in bytes of the lookup
-// structure; the cache-hierarchy model uses it as the working-set size.
+// structure; the cache-hierarchy model uses it as the working-set size.  It
+// counts the slots only: the tag words (8 bytes per bucket, about 5% more)
+// are left out, so the model neither sizes nor charges the tag read a probe
+// makes first.
 func (t *Table) MemoryFootprint() int {
 	return len(t.buckets) * bucketSlots * (32 + 8)
 }

@@ -3,6 +3,7 @@ package exacthash
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -183,11 +184,72 @@ func TestDesignLoadPlacesWithoutRebuild(t *testing.T) {
 	}
 }
 
+// TestTagCollisionsFallThrough holds the tag-first probe to the keys, not the
+// tags: keys sharing the zero key's tag and both its buckets' first one all
+// hit, a deleted lane stops no scan, and the zero key — which a deleted slot
+// holds — misses until it is inserted.  It also holds the SWAR lane test to
+// a lane-by-lane reference, so no lane borrows a match from its neighbour.
+func TestTagCollisionsFallThrough(t *testing.T) {
+	for _, lanes := range [][4]uint64{{0, 1, 0, 1}, {1, 0, 0xffff, 0}, {0x8000, 0, 0x7fff, 0}, {0, 0, 0, 0}, {2, 0, 1, 0x8001}} {
+		var w, want uint64
+		for i, l := range lanes {
+			w |= l << (16 * i)
+			if l == 0 {
+				want |= 0x8000 << (16 * i)
+			}
+		}
+		if got := zeroLanes(w); got != want {
+			t.Fatalf("zeroLanes(%#016x) = %#016x, want %#016x", w, got, want)
+		}
+	}
+
+	tbl := New(4)
+	var zero Key
+	h0, _ := zero.hash(tbl.seed)
+	b0, tag := h0&tbl.mask, laneTag(h0)
+	var mates []Key // keys with the zero key's tag and first bucket
+	for i := uint64(1); len(mates) < 2; i++ {
+		k := Key{W0: i}
+		if h, _ := k.hash(tbl.seed); h&tbl.mask == b0 && laneTag(h) == tag {
+			mates = append(mates, k)
+		}
+	}
+	a, b := mates[0], mates[1]
+	tbl.Insert(a, 1)
+	tbl.Insert(b, 2)
+	if n := bits.OnesCount64(zeroLanes(tbl.tags[b0] ^ tag*laneOnes)); n != 2 {
+		t.Fatalf("bucket %d holds %d lanes of tag %#x, want 2", b0, n, tag)
+	}
+	want := func(k Key, v uint32, ok bool) {
+		t.Helper()
+		if got, gotOK := tbl.Lookup(k); got != v || gotOK != ok {
+			t.Fatalf("lookup %v: got %d,%v want %d,%v", k, got, gotOK, v, ok)
+		}
+	}
+	want(a, 1, true)
+	want(b, 2, true)
+	want(zero, 0, false)
+	if !tbl.Delete(a) {
+		t.Fatal("delete of a stored key failed")
+	}
+	want(a, 0, false)
+	want(b, 2, true)
+	want(zero, 0, false) // a's slot now holds a zero key under an empty lane
+	tbl.Insert(zero, 3)
+	want(zero, 3, true)
+	want(b, 2, true)
+	if tbl.Rebuilds() != 0 || tbl.Len() != 2 {
+		t.Fatalf("%d rebuilds, len %d: the probe was to run on the original layout", tbl.Rebuilds(), tbl.Len())
+	}
+}
+
 // FuzzTableOps drives a table through a byte-coded sequence of inserts,
-// replacements, deletes, single lookups and batched lookups over keys from
-// keyFamilies, and holds it to a Go map after every operation.  The first
-// byte sizes the table small, so the sequences reach the displacement walk
-// and the re-seeding rebuild.
+// replacements, deletes, single lookups, batched lookups and clones over keys
+// from keyFamilies, and holds it to a Go map after every operation.  The
+// first byte sizes the table small, so the sequences reach the displacement
+// walk and the re-seeding rebuild.  A clone carries on in the original's
+// place while the original is mutated, so a clone sharing any lookup state —
+// the buckets or their tag words — with its source is caught.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 3, 0, 1, 4, 0, 0, 2, 0, 0, 3, 0, 1})
 	rng := rand.New(rand.NewSource(30))
@@ -214,7 +276,7 @@ func FuzzTableOps(f *testing.F) {
 		}
 		var sc BatchScratch
 		for i, ops := 0, data[1:]; len(ops) >= 3; i, ops = i+1, ops[3:] {
-			op, k := ops[0]%5, keyOf(ops[1], ops[2])
+			op, k := ops[0]%6, keyOf(ops[1], ops[2])
 			switch op {
 			case 0: // insert
 				tbl.Insert(k, uint32(i))
@@ -242,6 +304,17 @@ func FuzzTableOps(f *testing.F) {
 					if hits[j] != wantOK || values[j] != want && wantOK {
 						t.Fatalf("batch %v: got %d,%v want %d,%v", k, values[j], hits[j], want, wantOK)
 					}
+				}
+			case 5: // carry on with a clone, then mutate the original
+				orig := tbl
+				tbl = tbl.Clone()
+				orig.Insert(k, ^uint32(0))
+				for stored := range ref {
+					orig.Delete(stored)
+					break
+				}
+				for stored := range ref {
+					check(stored)
 				}
 			}
 			if tbl.Len() != len(ref) {
