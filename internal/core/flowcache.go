@@ -77,6 +77,14 @@ import (
 //     the entry is a miss ("stale").  No per-entry locking, no invalidation
 //     walks, nothing shared is written: the log is immutable behind the
 //     snapshot.
+//   - Replacement keeps the hot flows once the active flows outgrow the
+//     cache.  A full set gives up the entry that has gone unprobed through
+//     the most flow-mods; among entries of the current generation a
+//     generalized CLOCK (GCLOCK) picks: every hit bumps a 3-bit saturating
+//     counter in the entry's hot line, and the install's clock hand
+//     decrements counters until it finds one at zero.  Under Zipf skew
+//     that serves the popular head from a cache half the flow set's size,
+//     where first-in-first-out would cycle it out with the tail.
 //   - Verdicts that cannot be memoized are never installed: multi-port
 //     (flood/multicast) outputs, walks deeper than the entry encoding, and
 //     packets entering with non-zero metadata.
@@ -340,7 +348,8 @@ type cacheEntry struct {
 	tables    uint8
 	ttlDec    uint8
 	nctr      uint8  // entries recorded in the cache's ctrs array
-	puntTable uint16 // originating table of a cacheToCtrl verdict -> 60 bytes
+	puntTable uint16 // originating table of a cacheToCtrl verdict
+	ref       uint8  // GCLOCK hit counter, saturating at refMax -> 61 bytes
 	patch     cachePatch
 	_         [24]byte // -> 128 bytes
 }
@@ -348,6 +357,10 @@ type cacheEntry struct {
 // flowCacheWays is the set associativity: enough to ride out the occasional
 // hash pile-up without turning the probe into a scan.
 const flowCacheWays = 4
+
+// refMax is where an entry's hit counter saturates: a clock hand has to pass
+// a way refMax+1 times with no hit in between before it gives the way up.
+const refMax = 7
 
 // FlowCacheStats are the aggregate verdict-cache counters, folded over all
 // workers of a datapath.  Stale counts the probes lost to a retired
@@ -392,7 +405,7 @@ type FlowCache struct {
 	// counters-enabled datapath — see ctrList (flowctr.go).
 	ctrs [][cacheMaxCtrs]*openflow.Counters
 	mask uint32 // numSets - 1
-	rr   uint32 // round-robin victim cursor (owner-only)
+	rr   uint32 // clock hand, shared by every set (owner-only)
 
 	// touchSink absorbs the probe pass's early line touches so the compiler
 	// cannot eliminate them (owner-only; the value is meaningless).
@@ -453,7 +466,8 @@ func (fc *FlowCache) lookup(h uint32, k *flowKey, sn *snapshot) (e *cacheEntry, 
 
 // lookupAt is lookup with the set base precomputed (the burst probe pass
 // derives all bases first so the set's tag line can be touched early).  It
-// reads an entry only where the set's tag equals h.
+// reads an entry only where the set's tag equals h.  A hit bumps the entry's
+// hit counter (install's clock reads it); a stale sighting does not.
 func (fc *FlowCache) lookupAt(base, h uint32, k *flowKey, sn *snapshot) (e *cacheEntry, idx uint32, stale bool) {
 	gen := sn.gen
 	tags := fc.tags[base : base+flowCacheWays]
@@ -464,6 +478,9 @@ func (fc *FlowCache) lookupAt(base, h uint32, k *flowKey, sn *snapshot) (e *cach
 		c := &fc.entries[base+uint32(i)]
 		if c.flags&cacheValid != 0 && c.key.equal(k) {
 			if c.gen == gen || fc.revalidate(c, sn) {
+				if c.ref < refMax {
+					c.ref++
+				}
 				return c, base + uint32(i), stale
 			}
 			stale = true
@@ -496,10 +513,15 @@ func (fc *FlowCache) revalidate(c *cacheEntry, sn *snapshot) bool {
 // as a last-probed stamp at flow-mod granularity: the oldest entry has gone
 // unprobed through the most mods, an expired one (which nothing can
 // revalidate any more) through the most of all.  With every entry of the
-// current generation it is round-robin, so a full set cannot pin one way.
-// w is the walk's write-set.  ctrs/nctr carry the matched entries' counter
-// pointers on a counters-enabled datapath (nil/0 otherwise), so hits can keep
-// per-flow statistics exact.
+// current generation the clock decides (GCLOCK): the hand, starting at the
+// cache-wide cursor, takes one off each nonzero hit counter it passes and
+// evicts the first way already at zero — at most flowCacheWays*refMax+1
+// steps.  A hot flow keeps its way while it is hit faster than the hand
+// comes round; one that goes idle loses it within refMax+1 passes.  Every
+// install starts the counter at zero.  w is the walk's write-set.
+// ctrs/nctr carry the matched entries' counter pointers on a
+// counters-enabled datapath (nil/0 otherwise), so hits can keep per-flow
+// statistics exact.
 func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, flags uint8, out uint32, tables uint8, puntTable uint16, w *writeSet, ctrs *[cacheMaxCtrs]*openflow.Counters, nctr uint8) {
 	base := (h & fc.mask) * flowCacheWays
 	set := fc.entries[base : base+flowCacheWays]
@@ -518,10 +540,14 @@ func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, flags uint8, out 
 			victim, vi, oldest = c, base+uint32(i), age
 		}
 	}
-	if victim == nil {
+	for victim == nil {
 		vi = base + fc.rr%flowCacheWays
-		victim = &fc.entries[vi]
 		fc.rr++
+		if c := &fc.entries[vi]; c.ref == 0 {
+			victim = c
+		} else {
+			c.ref--
+		}
 	}
 	fc.installsL++
 	fc.installs.Store(fc.installsL)
@@ -541,6 +567,7 @@ func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, flags uint8, out 
 	victim.tables = tables
 	victim.ttlDec = w.ttlDec
 	victim.puntTable = puntTable
+	victim.ref = 0
 	if w.fields != 0 {
 		victim.patch = w.patch
 	}

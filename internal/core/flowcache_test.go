@@ -54,13 +54,7 @@ func checkTags(t *testing.T, fc *FlowCache) {
 func TestFlowCacheProbeInstall(t *testing.T) {
 	fc := newFlowCache(256, false) // 64 sets x 4 ways
 	k := flowKey{1, 2, 3, 4, 5}
-	set := k.hash() & fc.mask
-	var same []flowKey // set-mates of k, in search order
-	for x := uint64(100); len(same) < flowCacheWays+1; x++ {
-		if o := (flowKey{0: x}); o.hash()&fc.mask == set {
-			same = append(same, o)
-		}
-	}
+	same := setMates(fc, k.hash()&fc.mask, 100, flowCacheWays+1)
 	lookup := func(k *flowKey, sn *snapshot) (*cacheEntry, uint32, bool) { return fc.lookup(k.hash(), k, sn) }
 	install := func(k *flowKey, gen uint64, flags uint8, out uint32, tables uint8) {
 		fc.install(k.hash(), k, gen, flags, out, tables, 0, &writeSet{}, nil, 0)
@@ -109,10 +103,11 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 	if e, _, _ := lookup(&k, gen(3)); e != nil {
 		t.Fatal("oldest-generation victim (way 0) survived")
 	}
-	// Refresh way 1 (round-robin's next turn) and way 3 (the last entry of a
-	// retired generation) under generation 3.  At generation 4 way 2 alone
-	// is two generations old — unprobed the longest — and must be the one
-	// the next install takes.
+	// Refresh ways 1 and 3 under generation 3, leaving way 2 — the middle of
+	// the set, not the way after the last victim — as the one entry of a
+	// retired generation.  At generation 4 it alone is two generations old
+	// — unprobed the longest — and must be the one the next install takes,
+	// whatever the clock says.
 	k100, k102 := same[0], same[2]
 	install(&k100, 3, cacheValid|cacheHasPort, 12, 1)
 	install(&k102, 3, cacheValid|cacheHasPort, 13, 1)
@@ -169,6 +164,220 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 			t.Fatalf("colliding key %d lost to a set-mate's install", i)
 		}
 	}
+}
+
+// setMates returns n keys {x, 0, 0, 0, 0}, x counting up from from, whose
+// probe hash picks the given set of fc.
+func setMates(fc *FlowCache, set uint32, from uint64, n int) []flowKey {
+	var ks []flowKey
+	for x := from; len(ks) < n; x++ {
+		if k := (flowKey{0: x}); k.hash()&fc.mask == set {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// wayOf returns the way of the set at base that holds a valid entry for k,
+// or -1.
+func wayOf(fc *FlowCache, base uint32, k *flowKey) int {
+	for i := range flowCacheWays {
+		if c := &fc.entries[base+uint32(i)]; c.flags&cacheValid != 0 && c.key == *k {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestFlowCacheClockReplacement holds install's last rule — the clock among
+// entries of the current generation (GCLOCK) — on one full set: a way hit
+// since the hand last passed survives the install round-robin would have
+// given it, a way never hit goes first, a hit counter saturates at refMax,
+// and a way hit to saturation and then left idle still goes: no sooner than
+// the refMax+1st install (each install's hand passes it at most once while
+// its set-mates sit at zero) and within refMax+1 turns of the hand round the
+// set.
+func TestFlowCacheClockReplacement(t *testing.T) {
+	fc := newFlowCache(256, false)
+	const gen, base = 1, 0
+	sn := &snapshot{gen: gen}
+	ks := setMates(fc, base/flowCacheWays, 1, flowCacheWays+1+(refMax+1)*flowCacheWays)
+	install := func(k *flowKey) {
+		t.Helper()
+		fc.install(k.hash(), k, gen, cacheValid, 0, 1, 0, &writeSet{}, nil, 0)
+		checkTags(t, fc)
+	}
+	hit := func(k *flowKey) {
+		t.Helper()
+		if e, _, _ := fc.lookup(k.hash(), k, sn); e == nil {
+			t.Fatalf("key %#x missed", k[0])
+		}
+		for i := range fc.entries {
+			if r := fc.entries[i].ref; r > refMax {
+				t.Fatalf("entry %d: hit counter %d over refMax %d", i, r, refMax)
+			}
+		}
+	}
+
+	// Fill the set in way order.  The hand has not moved, so round-robin's
+	// next victim would be way 0.
+	for i := range flowCacheWays {
+		install(&ks[i])
+		if w := wayOf(fc, base, &ks[i]); w != i {
+			t.Fatalf("fill %d landed in way %d", i, w)
+		}
+	}
+	hit(&ks[0])
+	hit(&ks[1])
+	hit(&ks[3])
+	install(&ks[flowCacheWays])
+	if wayOf(fc, base, &ks[2]) >= 0 || wayOf(fc, base, &ks[flowCacheWays]) != 2 {
+		t.Fatal("the never-hit way 2 was not the victim")
+	}
+	for _, i := range []int{0, 1, 3} {
+		if wayOf(fc, base, &ks[i]) != i {
+			t.Fatalf("way %d, hit since the hand last passed, was evicted", i)
+		}
+	}
+
+	// Saturate way 3, then install with no hits at all.
+	hot := &ks[3]
+	for range 2 * refMax {
+		hit(hot)
+	}
+	if r := fc.entries[base+3].ref; r != refMax {
+		t.Fatalf("hit counter after %d hits: %d, want refMax %d", 2*refMax, r, refMax)
+	}
+	for n, next := 1, flowCacheWays+1; ; n, next = n+1, next+1 {
+		install(&ks[next])
+		switch gone := wayOf(fc, base, hot) < 0; {
+		case gone && n <= refMax:
+			t.Fatalf("the saturated way went at install %d, before the hand could pass it refMax+1 times", n)
+		case gone:
+			return
+		case n == (refMax+1)*flowCacheWays:
+			t.Fatalf("the idle way outlived %d installs", n)
+		}
+	}
+}
+
+// FuzzFlowCacheOps drives one cache through a byte-coded sequence of installs,
+// probes and generation bumps over keys crowded into a few sets — two pairs
+// of distinct keys with equal probe hashes among them — and holds it to a
+// model after every operation: a hit serves the key's own latest install,
+// and only while no mod since has touched the key; a key probed right after
+// its install, at its generation, hits; no set holds a key twice; tags match
+// their keys; hit counters stay within refMax; and an install into a set
+// with a free way evicts nothing.  A scoped bump logs a mod touching one key
+// (set-mates revalidate past it), a barrier bump one touching all.
+func FuzzFlowCacheOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 2, 0, 1, 2, 2, 1, 3, 0, 2, 1, 4, 0, 2, 1, 0, 9, 0, 10, 0, 11, 0, 12, 2, 9})
+	rng := rand.New(rand.NewSource(32))
+	for _, size := range []int{64, 512} {
+		seed := make([]byte, size)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	pool := fuzzCacheKeys(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fc := newFlowCache(256, false)
+		keyMask := flowKey{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+		sn := &snapshot{gen: 1, keyMask: keyMask}
+		type installed struct {
+			out  uint32
+			live bool // no mod touching the key since its install
+		}
+		model := make(map[flowKey]installed)
+		probe := func(k *flowKey) *cacheEntry {
+			e, idx, _ := fc.lookup(k.hash(), k, sn)
+			if e == nil {
+				return nil
+			}
+			if m, ok := model[*k]; e.key != *k || !ok || !m.live || e.out != m.out || idx/flowCacheWays != k.hash()&fc.mask {
+				t.Fatalf("probe of key %#x served entry %d (key %#x, out %d), want out %d (live %v)", k[0], idx, e.key[0], e.out, m.out, m.live)
+			}
+			return e
+		}
+		for i, ops := 0, data; len(ops) >= 2; i, ops = i+1, ops[2:] {
+			k := &pool[int(ops[1])%len(pool)]
+			switch op := ops[0] % 5; op {
+			case 0, 1: // install; 1 probes it right after
+				h := k.hash()
+				base := (h & fc.mask) * flowCacheWays
+				var before []flowKey // the set's valid keys, if it has a free way
+				for j := range flowCacheWays {
+					if c := &fc.entries[base+uint32(j)]; c.flags&cacheValid != 0 {
+						before = append(before, c.key)
+					}
+				}
+				if len(before) == flowCacheWays {
+					before = nil
+				}
+				fc.install(h, k, sn.gen, cacheValid|cacheHasPort, uint32(i), 1, 0, &writeSet{}, nil, 0)
+				model[*k] = installed{uint32(i), true}
+				for _, b := range before {
+					if wayOf(fc, base, &b) < 0 {
+						t.Fatalf("op %d: install of key %#x into a set with a free way evicted key %#x", i, k[0], b[0])
+					}
+				}
+				if op == 1 && probe(k) == nil {
+					t.Fatalf("op %d: key %#x missed right after its install", i, k[0])
+				}
+			case 2:
+				probe(k)
+			case 3, 4: // a flow-mod touching k (scoped) or everything (barrier)
+				r := modScope{barrier: true}
+				if op == 3 {
+					r = modScope{val: flowKey{0: k[0]}, mask: flowKey{0: ^uint64(0)}}
+				}
+				for key, m := range model {
+					if op == 4 || key[0] == k[0] {
+						model[key] = installed{m.out, false}
+					}
+				}
+				sn = &snapshot{gen: sn.gen + 1, mods: append(sn.mods, r), keyMask: keyMask}
+			}
+			checkTags(t, fc)
+			for s := uint32(0); s <= fc.mask; s++ {
+				base := s * flowCacheWays
+				for j := range flowCacheWays {
+					c := &fc.entries[base+uint32(j)]
+					if c.ref > refMax {
+						t.Fatalf("op %d: entry %d hit counter %d over refMax", i, base+uint32(j), c.ref)
+					}
+					if c.flags&cacheValid != 0 && wayOf(fc, base, &c.key) != j {
+						t.Fatalf("op %d: set %d holds key %#x twice", i, s, c.key[0])
+					}
+				}
+			}
+		}
+	})
+}
+
+// fuzzCacheKeys returns FuzzFlowCacheOps's key pool: two pairs of distinct
+// keys with equal probe hashes, found by a birthday search, and six more
+// set-mates of each pair — more keys per set than ways, so sets fill and
+// evict.
+func fuzzCacheKeys(f *testing.F) []flowKey {
+	fc := newFlowCache(256, false)
+	seen := make(map[uint32]uint64)
+	var pool []flowKey
+	for x := uint64(1); len(pool) < 4; x++ {
+		if x == 1<<22 {
+			f.Fatal("no two probe-hash collisions among 4M keys")
+		}
+		k := flowKey{0: x}
+		h := k.hash()
+		if y, ok := seen[h]; ok {
+			pool = append(pool, flowKey{0: y}, k)
+			continue
+		}
+		seen[h] = x
+	}
+	for i, k := range []flowKey{pool[0], pool[2]} {
+		pool = append(pool, setMates(fc, k.hash()&fc.mask, uint64(i+1)<<40, 6)...)
+	}
+	return pool
 }
 
 // fcWorker registers a worker on a flowcache-enabled compile of the use case.
@@ -838,6 +1047,53 @@ func flowCacheEvictionChurn(t *testing.T, zipf bool) FlowCacheStats {
 		t.Fatalf("fold exactness under churn: %+v != %d packets", st, total)
 	}
 	return st
+}
+
+// TestFlowCacheKeepsHotFlows pins the replacement policy's hit ratio in the
+// shape of the benchmark's gateway_zipf_cached: the access gateway, Zipf(1.1)
+// popularity over 4,096 flows into a 2,048-entry cache.  Half the flows fit,
+// carrying about 95% of the traffic; first-in-first-out replacement among a
+// full set's entries reads 0.893 here, what an ideal cache of half the size
+// would reach, and the clock must keep the head resident.  The counts are
+// deterministic (one worker, a seeded schedule), so the floor cannot flake.
+func TestFlowCacheKeepsHotFlows(t *testing.T) {
+	uc := workload.GatewayUseCase(workload.DefaultGatewayConfig())
+	dp, w := fcWorker(t, uc, 2048)
+	defer dp.UnregisterWorker(w)
+	if _, why := dp.FlowCacheKey(); !dp.FlowCacheEnabled() {
+		t.Fatalf("the gateway does not arm its cache: %s", why)
+	}
+	const flows, burst, warmup, window = 4096, 32, 20_000, 1 << 18
+	trace := uc.Trace(flows)
+	if err := trace.UseZipf(1.1, 42); err != nil {
+		t.Fatal(err)
+	}
+	packets := make([]pkt.Packet, burst)
+	ps := make([]*pkt.Packet, burst)
+	for i := range packets {
+		ps[i] = &packets[i]
+	}
+	vs := make([]openflow.Verdict, burst)
+	run := func(n int) {
+		for i := 0; i < n; i += burst {
+			for _, p := range ps {
+				trace.Next(p)
+			}
+			w.Enter()
+			w.ProcessBurst(ps, vs)
+			w.Exit()
+		}
+	}
+	run(warmup)
+	before := dp.FlowCacheStats()
+	run(window)
+	after := dp.FlowCacheStats()
+	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+	ratio := float64(hits) / float64(hits+misses)
+	t.Logf("hit ratio %.4f (%d hits, %d misses)", ratio, hits, misses)
+	if ratio < 0.915 {
+		t.Fatalf("hit ratio %.4f over %d packets, want >= 0.915", ratio, hits+misses)
+	}
 }
 
 // TestFlowCacheStatsCheckInvariants exercises the canonical cache identities
