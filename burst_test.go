@@ -362,6 +362,26 @@ func TestWorkerPathZeroLocksZeroAllocs(t *testing.T) {
 	t.Run("metered", func(t *testing.T) {
 		testWorkerPathZeroLocksZeroAllocs(t, acl, 256, 4096, false, cpumodel.NewMeter(cpumodel.DefaultPlatform()))
 	})
+	t.Run("table0-write-actions", func(t *testing.T) {
+		testWorkerPathZeroLocksZeroAllocs(t, l2WriteActionsUseCase(), 256, 0, false, nil)
+	})
+}
+
+// l2WriteActionsUseCase is L2 switching whose MAC table writes its output
+// into the action set and goes to a catch-all table 1, where the set runs:
+// the burst engine's level 0 merges a write-actions list on every packet.
+func l2WriteActionsUseCase() *workload.UseCase {
+	uc := workload.L2UseCase(1000, 4)
+	pl := openflow.NewPipeline(uc.Pipeline.NumPorts)
+	t0 := pl.Table(0)
+	for _, e := range uc.Pipeline.Table(0).Entries() {
+		t0.AddFlow(e.Priority, e.Match, openflow.Instructions{
+			WriteActions: e.Instructions.ApplyActions, GotoTable: 1, HasGoto: true,
+		})
+	}
+	pl.AddTable(1).AddFlow(0, openflow.NewMatch(), openflow.Instructions{})
+	uc.Pipeline = pl
+	return uc
 }
 
 // idleSupervisor connects a supervised control channel to a throwaway

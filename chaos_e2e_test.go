@@ -308,3 +308,28 @@ func TestChaosMidSessionDisconnect(t *testing.T) {
 	}
 	assertPuntInvariant(t, h, "after mid-session disconnect")
 }
+
+// TestChaosPuntStormFilter arms the punt-storm filter over the live loop: a
+// storm of one unlearnable microflow passes its first punt and has every
+// repeat withheld at the worker, and the harness's counter-invariant checks
+// (run at every PollDrain and WaitQuiet) see the withheld punts accounted.
+func TestChaosPuntStormFilter(t *testing.T) {
+	h, err := experiments.NewChaosHarness(experiments.ChaosConfig{
+		Hosts:            32,
+		Seed:             13,
+		PuntFilter:       64,
+		PuntFilterWindow: 1 << 20,
+	})
+	if err != nil {
+		t.Fatalf("harness: %v", err)
+	}
+	defer h.Close()
+	storm := uint64(h.InjectStorm(400))
+	h.PollDrain()
+	if err := h.WaitQuiet(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.SW.Stats(); st.Punts != 1 || st.PuntFiltered != storm-1 {
+		t.Fatalf("storm of %d: %d punts queued, %d filtered (want 1 and %d)", storm, st.Punts, st.PuntFiltered, storm-1)
+	}
+}

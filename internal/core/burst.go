@@ -20,6 +20,9 @@ type burstScratch struct {
 	// at and the accumulated OpenFlow action set.
 	tramp [MaxBurst]*trampoline
 	sets  [MaxBurst]openflow.ActionList
+	// set0 is level 0's action-set backing array, reused across bursts so a
+	// table-0 write-actions entry does not allocate one per burst.
+	set0 openflow.ActionList
 	// frontA and frontB are the ping-pong BFS frontiers: the live slots at
 	// the current pipeline depth and at the next one.
 	frontA [MaxBurst]int32
@@ -154,7 +157,7 @@ func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, p
 			return
 		}
 		dp.LookupBurst(ps, sc.outs[:n], sc)
-		var set0 openflow.ActionList
+		set0 := sc.set0
 		for j := 0; j < n; j++ {
 			p, v := ps[j], &vs[j]
 			v.Tables++
@@ -184,6 +187,7 @@ func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, p
 			cur[curLen] = int32(j)
 			curLen++
 		}
+		sc.set0 = set0
 	}
 
 	d.runWaves(sc, sn, ps, vs, cur, sc.frontB[:], curLen, uniform, 1, false)

@@ -108,9 +108,6 @@ type Datapath struct {
 	// pipeline is the declarative source of truth; updates are applied to
 	// it first and then reflected into the compiled representation.
 	pipeline *openflow.Pipeline
-	// original is the pre-decomposition pipeline (equal to pipeline when
-	// decomposition is disabled or was a no-op).
-	original *openflow.Pipeline
 
 	parserLayer pkt.Layer
 	numPorts    int
@@ -188,7 +185,6 @@ func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 	d := &Datapath{
 		opts:        opts,
 		meter:       opts.Meter,
-		original:    pl,
 		numPorts:    pl.NumPorts,
 		actionCache: make(map[string]*sharedActions),
 		versions:    make(map[openflow.TableID]*tableVersion),

@@ -287,7 +287,6 @@ func (d *Datapath) InstallPipeline(pl *openflow.Pipeline) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.pipeline = nd.pipeline
-	d.original = nd.original
 	d.parserLayer = nd.parserLayer
 	d.numPorts = nd.numPorts
 	d.trampolines = nd.trampolines

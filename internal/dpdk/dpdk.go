@@ -169,7 +169,6 @@ func (f DatapathFunc) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
 type Switch struct {
 	ports []*Port
 	dp    Datapath
-	burst int
 	// queues is the widest port's RX/TX queue-pair count (the RX sharding
 	// width: workers poll queue indices up to it, skipping narrower ports);
 	// minQueues is the narrowest port's, and bounds the worker count so
@@ -237,19 +236,13 @@ type SwitchConfig struct {
 	// DefaultQueues) — the maximum worker count that still scales one hot
 	// port.
 	Queues int
-	// Burst is the RX/TX burst size (<= 0 selects DefaultBurst).
-	Burst int
 }
 
 // NewSwitchWithConfig creates a switch over the configured ports.  Every
 // worker — RunWorkers' and PollOnce's — registers a handle with dp and
 // classifies whole RX bursts through it.
 func NewSwitchWithConfig(dp Datapath, cfg SwitchConfig) *Switch {
-	burst := cfg.Burst
-	if burst <= 0 {
-		burst = DefaultBurst
-	}
-	s := &Switch{dp: dp, burst: burst}
+	s := &Switch{dp: dp}
 	if len(cfg.Backends) > 0 {
 		for i, be := range cfg.Backends {
 			s.ports = append(s.ports, NewPortWithConfig(PortConfig{ID: uint32(i + 1), Backend: be}))
@@ -349,9 +342,9 @@ func (s *Switch) MutexOps() uint64 { return s.mu.Ops() }
 // livelock for reactive controllers, not just lost PacketIns.
 func (s *Switch) ArmPuntRings(capacity, frameCap int) ([]*slowpath.Ring, error) {
 	rings := s.armPuntRings(capacity, frameCap)
-	if usable := rings[0].Capacity(); usable < s.burst {
+	if usable := rings[0].Capacity(); usable < DefaultBurst {
 		s.punt = nil
-		return nil, fmt.Errorf("dpdk: punt ring capacity %d is below the RX burst (%d): a burst-sized punt wave would livelock flow discovery; size rings >= the burst", usable, s.burst)
+		return nil, fmt.Errorf("dpdk: punt ring capacity %d is below the RX burst (%d): a burst-sized punt wave would livelock flow discovery; size rings >= the burst", usable, DefaultBurst)
 	}
 	return rings, nil
 }

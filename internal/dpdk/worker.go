@@ -95,10 +95,10 @@ type puntFilterSlot struct {
 // counter block and its own registered worker handle.
 func (s *Switch) newWorkerState(queues []int, txq int) *workerState {
 	ws := &workerState{
-		frames:   make([][]byte, s.burst),
-		packets:  make([]pkt.Packet, s.burst),
-		pkts:     make([]*pkt.Packet, s.burst),
-		verdicts: make([]openflow.Verdict, s.burst),
+		frames:   make([][]byte, DefaultBurst),
+		packets:  make([]pkt.Packet, DefaultBurst),
+		pkts:     make([]*pkt.Packet, DefaultBurst),
+		verdicts: make([]openflow.Verdict, DefaultBurst),
 		queues:   queues,
 		txq:      txq,
 		txStage:  make([][][]byte, len(s.ports)),

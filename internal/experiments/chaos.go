@@ -29,14 +29,19 @@ import (
 
 // ChaosConfig parameterizes a ChaosHarness.
 type ChaosConfig struct {
-	// Hosts/Flows/NumPorts shape the L2 learning workload as in
-	// SlowPathConfig.  Hosts must stay at or below the punt-ring capacity so
-	// a full discovery sweep cannot drop learnable punts.
+	// Hosts is the number of stations the learning controller must discover
+	// (default 64), Flows the trace's active flow count (at least Hosts) and
+	// NumPorts the switch port count (default 4).  Hosts must stay at or
+	// below the punt-ring capacity so a full discovery sweep cannot drop
+	// learnable punts.
 	Hosts    int
 	Flows    int
 	NumPorts int
-	// PuntRing is the per-worker punt ring capacity (default 1024).
+	// PuntRing is the per-worker punt ring size (default 1024, rounded up to
+	// a power of two; one slot fewer is usable).
 	PuntRing int
+	// PuntRate caps PacketIn delivery in pps (0 = unlimited).
+	PuntRate int
 	// FailMode is the degraded mode entered when the control channel dies
 	// (default FailStandalone).
 	FailMode dpdk.FailMode
@@ -111,6 +116,11 @@ type ChaosHarness struct {
 	pstMu      sync.Mutex
 	portStats  []ofp.PortStatus
 	linkEvents []dpdk.PortLinkEvent
+
+	// violation is the first counter-invariant violation a harness
+	// observation found (checkInvariants); only the test's goroutine, the
+	// one driving PollDrain and WaitQuiet, touches it.
+	violation error
 }
 
 // NewChaosHarness builds the stack, starts the controller listener and the
@@ -267,6 +277,7 @@ func (h *ChaosHarness) dial() (net.Conn, error) {
 func (h *ChaosHarness) onUp(w *controller.SyncWriter) func() {
 	svc, err := slowpath.NewService(slowpath.Config{
 		Rings:       h.Rings,
+		RatePPS:     h.cfg.PuntRate,
 		Window:      256,
 		MissSendLen: h.cfg.MissSendLen,
 		Executor:    h.SW,
@@ -522,13 +533,31 @@ func (h *ChaosHarness) InjectStorm(times int) int {
 	return ok
 }
 
-// PollDrain processes the RX backlog and drains the TX sinks.
+// PollDrain processes the RX backlog and drains the TX sinks, then checks
+// the counter invariants with the worker at rest (checkInvariants).
 func (h *ChaosHarness) PollDrain() {
 	for h.SW.PollOnce(nil) > 0 {
 	}
 	for _, p := range h.SW.Ports() {
 		p.DrainTx()
 	}
+	h.checkInvariants()
+}
+
+// checkInvariants checks the substrate's and the verdict cache's counter
+// identities (WorkerStats.CheckInvariants, FlowCacheStats.CheckInvariants)
+// and returns the first violation any call has found, nil while none has.
+// Call it only with the workers at rest: a mid-poll fold may be torn.
+func (h *ChaosHarness) checkInvariants() error {
+	if h.violation == nil {
+		st := h.SW.Stats()
+		err := st.CheckInvariants(true)
+		if err == nil {
+			err = h.DP.FlowCacheStats().CheckInvariants(st.Processed, st.Panics)
+		}
+		h.violation = err
+	}
+	return h.violation
 }
 
 // WaitState blocks until the supervisor reaches the given state.
@@ -567,9 +596,10 @@ func (h *ChaosHarness) ringsEmpty() bool {
 
 // WaitQuiet blocks until the whole loop is stable: rings empty and the
 // punt/PacketIn/PacketOut counters unchanged across several consecutive
-// checks.  Unlike SlowPathHarness.WaitQuiet it never compares absolute
-// counters across subsystems — the slow-path service (and its delivered
-// count) is recreated per session, so only stability is meaningful here.
+// checks.  It never compares absolute counters across subsystems — the
+// slow-path service (and its delivered count) is recreated per session, so
+// only stability is meaningful here.  Once the loop is quiet it returns the
+// first counter-invariant violation any observation found.
 func (h *ChaosHarness) WaitQuiet(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	stable := 0
@@ -580,7 +610,7 @@ func (h *ChaosHarness) WaitQuiet(timeout time.Duration) error {
 		if h.ringsEmpty() && cur == last {
 			stable++
 			if stable >= 5 {
-				return nil
+				return h.checkInvariants()
 			}
 		} else {
 			stable = 0
@@ -595,9 +625,10 @@ func (h *ChaosHarness) WaitQuiet(timeout time.Duration) error {
 }
 
 // Converge repeats full-sweep passes until one generates no new punt
-// verdicts, returning how many passes it took.  Call it with the controller
-// alive; a full sweep fits the punt ring (enforced at construction), so
-// every host is discovered.
+// verdicts, returning how many passes it took, or the first error WaitQuiet
+// reports (a counter-invariant violation among them).  Call it with the
+// controller alive; a full sweep fits the punt ring (enforced at
+// construction), so every host is discovered.
 func (h *ChaosHarness) Converge(maxPasses int, quiet time.Duration) (int, error) {
 	for pass := 1; pass <= maxPasses; pass++ {
 		before := h.SW.Stats().ToCtrl

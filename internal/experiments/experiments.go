@@ -121,7 +121,6 @@ type measurement struct {
 	latencyUs float64
 	llcPkt    float64
 	levels    ovs.LevelStats
-	megaflows int
 }
 
 // runTrace drives process() over the trace for warmup+measure packets and
@@ -192,7 +191,6 @@ func measureBaseline(uc *workload.UseCase, flows, packets int) measurement {
 	}
 	m := runTrace(trace, sw.ProcessUnlocked, opts.Meter, warmup, packets, sw.ResetStats)
 	m.levels = sw.Stats()
-	_, m.megaflows = sw.CacheSizes()
 	return m
 }
 

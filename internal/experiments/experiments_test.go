@@ -206,7 +206,7 @@ func TestFig19MeasuredScaling(t *testing.T) {
 }
 
 func TestFlowSetupRateClosedLoop(t *testing.T) {
-	h, err := NewSlowPathHarness(SlowPathConfig{Hosts: 48})
+	h, err := NewChaosHarness(ChaosConfig{Hosts: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,9 @@ func TestFlowSetupRateClosedLoop(t *testing.T) {
 	if h.Learner.FlowMods() == 0 {
 		t.Fatal("reactive loop installed no flows")
 	}
-	mpps, punts := h.MeasureForwarding(5000)
+	start := time.Now()
+	_, punts := h.MeasureForwarding(5000)
+	mpps := 5000 / time.Since(start).Seconds() / 1e6
 	if punts != 0 {
 		t.Fatalf("post-convergence punts: %d", punts)
 	}
@@ -225,7 +227,7 @@ func TestFlowSetupRateClosedLoop(t *testing.T) {
 		t.Fatalf("mpps = %v", mpps)
 	}
 	st := h.SW.Stats()
-	if h.Service.Delivered()+st.PuntDrops != st.ToCtrl {
-		t.Fatalf("accounting: delivered %d + drops %d != toCtrl %d", h.Service.Delivered(), st.PuntDrops, st.ToCtrl)
+	if h.Service().Delivered()+st.PuntDrops != st.ToCtrl {
+		t.Fatalf("accounting: delivered %d + drops %d != toCtrl %d", h.Service().Delivered(), st.PuntDrops, st.ToCtrl)
 	}
 }

@@ -191,23 +191,39 @@ func gatewayConfig(cfg Config) workload.GatewayConfig {
 	return gc
 }
 
-// Fig13 is the gateway packet-rate sweep with the analytic bounds.
-func Fig13(cfg Config) Result {
+// gatewayPoint is one active-flow count of the gateway sweep behind
+// Figs. 13–16: both switches measured once over the same traffic.
+type gatewayPoint struct {
+	flows  int
+	es, ob measurement
+}
+
+// gatewaySweep measures both switches on the gateway use case at every
+// active-flow count; Figs. 13–16 are four renderings of one sweep.
+func gatewaySweep(cfg Config) []gatewayPoint {
 	uc := workload.GatewayUseCase(gatewayConfig(cfg))
-	model := perfmodel.GatewayModel()
-	bounds := model.Bounds(cpumodel.DefaultPlatform())
+	var pts []gatewayPoint
+	for _, flows := range cfg.flowSweep() {
+		packets := cfg.packets(flows)
+		pts = append(pts, gatewayPoint{flows, measureESWITCH(uc, flows, packets), measureBaseline(uc, flows, packets)})
+	}
+	return pts
+}
+
+// Fig13 is the gateway packet-rate sweep with the analytic bounds.
+func Fig13(cfg Config) Result { return fig13(gatewaySweep(cfg)) }
+
+func fig13(pts []gatewayPoint) Result {
+	bounds := perfmodel.GatewayModel().Bounds(cpumodel.DefaultPlatform())
 	res := Result{
 		ID:     "Fig. 13",
 		Title:  "gateway packet rate vs active flows (10 CEs, 20 users/CE, 10K prefixes)",
 		Header: []string{"active flows", "ES Mpps", "ES real Mpps", "OVS Mpps", "OVS real Mpps", "model-ub", "model-lb"},
 	}
-	for _, flows := range cfg.flowSweep() {
-		packets := cfg.packets(flows)
-		es := measureESWITCH(uc, flows, packets)
-		ob := measureBaseline(uc, flows, packets)
+	for _, pt := range pts {
 		res.Rows = append(res.Rows, []string{
-			fmtInt(flows), fmtMpps(es.modelPPS), fmtMpps(es.realPPS),
-			fmtMpps(ob.modelPPS), fmtMpps(ob.realPPS),
+			fmtInt(pt.flows), fmtMpps(pt.es.modelPPS), fmtMpps(pt.es.realPPS),
+			fmtMpps(pt.ob.modelPPS), fmtMpps(pt.ob.realPPS),
 			fmtMpps(bounds.UpperRate), fmtMpps(bounds.LowerRate),
 		})
 	}
@@ -215,65 +231,60 @@ func Fig13(cfg Config) Result {
 }
 
 // Fig14 reports the fraction of packets served at each OVS cache level.
-func Fig14(cfg Config) Result {
-	uc := workload.GatewayUseCase(gatewayConfig(cfg))
+func Fig14(cfg Config) Result { return fig14(gatewaySweep(cfg)) }
+
+func fig14(pts []gatewayPoint) Result {
 	res := Result{
 		ID:     "Fig. 14",
 		Title:  "fraction of packets served per OVS datapath level (gateway)",
 		Header: []string{"active flows", "microflow", "megaflow", "vswitchd"},
 	}
-	for _, flows := range cfg.flowSweep() {
-		packets := cfg.packets(flows)
-		m := measureBaseline(uc, flows, packets)
-		total := float64(m.levels.Total())
+	for _, pt := range pts {
+		levels := pt.ob.levels
+		total := float64(levels.Total())
 		if total == 0 {
 			total = 1
 		}
 		res.Rows = append(res.Rows, []string{
-			fmtInt(flows),
-			fmtF(float64(m.levels.Microflow) / total),
-			fmtF(float64(m.levels.Megaflow) / total),
-			fmtF(float64(m.levels.SlowPath) / total),
+			fmtInt(pt.flows),
+			fmtF(float64(levels.Microflow) / total),
+			fmtF(float64(levels.Megaflow) / total),
+			fmtF(float64(levels.SlowPath) / total),
 		})
 	}
 	return res
 }
 
 // Fig15 reports simulated last-level-cache misses per packet.
-func Fig15(cfg Config) Result {
-	uc := workload.GatewayUseCase(gatewayConfig(cfg))
+func Fig15(cfg Config) Result { return fig15(gatewaySweep(cfg)) }
+
+func fig15(pts []gatewayPoint) Result {
 	res := Result{
 		ID:     "Fig. 15",
 		Title:  "LLC misses per packet (gateway, simulated cache hierarchy)",
 		Header: []string{"active flows", "ES", "OVS"},
 	}
-	for _, flows := range cfg.flowSweep() {
-		packets := cfg.packets(flows)
-		es := measureESWITCH(uc, flows, packets)
-		ob := measureBaseline(uc, flows, packets)
-		res.Rows = append(res.Rows, []string{fmtInt(flows), fmt.Sprintf("%.3f", es.llcPkt), fmt.Sprintf("%.3f", ob.llcPkt)})
+	for _, pt := range pts {
+		res.Rows = append(res.Rows, []string{fmtInt(pt.flows), fmt.Sprintf("%.3f", pt.es.llcPkt), fmt.Sprintf("%.3f", pt.ob.llcPkt)})
 	}
 	return res
 }
 
 // Fig16 reports modelled per-packet latency with the analytic bounds.
-func Fig16(cfg Config) Result {
-	uc := workload.GatewayUseCase(gatewayConfig(cfg))
-	model := perfmodel.GatewayModel()
-	bounds := model.Bounds(cpumodel.DefaultPlatform())
+func Fig16(cfg Config) Result { return fig16(gatewaySweep(cfg)) }
+
+func fig16(pts []gatewayPoint) Result {
+	bounds := perfmodel.GatewayModel().Bounds(cpumodel.DefaultPlatform())
 	res := Result{
 		ID:     "Fig. 16",
 		Title:  "latency in CPU cycles per packet (gateway)",
 		Header: []string{"active flows", "ES cycles", "OVS cycles", "model-ub cycles", "model-lb cycles", "ES µs", "OVS µs"},
 	}
-	for _, flows := range cfg.flowSweep() {
-		packets := cfg.packets(flows)
-		es := measureESWITCH(uc, flows, packets)
-		ob := measureBaseline(uc, flows, packets)
+	for _, pt := range pts {
 		res.Rows = append(res.Rows, []string{
-			fmtInt(flows), fmtF(es.cyclesPkt), fmtF(ob.cyclesPkt),
+			fmtInt(pt.flows), fmtF(pt.es.cyclesPkt), fmtF(pt.ob.cyclesPkt),
 			fmtF(bounds.UpperCycles), fmtF(bounds.LowerCycles),
-			fmt.Sprintf("%.3f", es.latencyUs), fmt.Sprintf("%.3f", ob.latencyUs),
+			fmt.Sprintf("%.3f", pt.es.latencyUs), fmt.Sprintf("%.3f", pt.ob.latencyUs),
 		})
 	}
 	return res
@@ -613,6 +624,7 @@ func Decomposition(cfg Config) Result {
 
 // All runs every experiment at the given scale.
 func All(cfg Config) []Result {
+	gw := gatewaySweep(cfg)
 	return []Result{
 		Table1(cfg),
 		Fig3(cfg),
@@ -620,10 +632,10 @@ func All(cfg Config) []Result {
 		Fig10(cfg),
 		Fig11(cfg),
 		Fig12(cfg),
-		Fig13(cfg),
-		Fig14(cfg),
-		Fig15(cfg),
-		Fig16(cfg),
+		fig13(gw),
+		fig14(gw),
+		fig15(gw),
+		fig16(gw),
 		Fig17(cfg),
 		Fig18(cfg),
 		Fig19(cfg),

@@ -16,8 +16,8 @@ import (
 )
 
 // TestReactiveLearningEndToEnd is the acceptance test of the slow-path
-// subsystem: an L2 learning controller attached over a REAL TCP OpenFlow
-// channel receives the first-packet PacketIns of a multi-host trace through
+// subsystem: an L2 learning controller attached over a REAL, supervised TCP
+// OpenFlow channel receives the first-packet PacketIns of a multi-host trace through
 // the per-worker punt rings, installs flows reactively, and subsequent
 // traffic forwards entirely on the fast path — the punt rate converges to
 // zero, the accounting invariant delivered + PuntDrops == ToCtrl holds, and
@@ -25,7 +25,7 @@ import (
 // arms the verdict cache the harness asks for.
 func TestReactiveLearningEndToEnd(t *testing.T) {
 	const hosts = 128
-	h, err := experiments.NewSlowPathHarness(experiments.SlowPathConfig{
+	h, err := experiments.NewChaosHarness(experiments.ChaosConfig{
 		Hosts:     hosts,
 		Flows:     hosts,
 		FlowCache: 4096,
@@ -55,26 +55,27 @@ func TestReactiveLearningEndToEnd(t *testing.T) {
 	if st.ToCtrl == 0 {
 		t.Fatal("no punts happened — the reactive path went untested")
 	}
-	if h.Service.SendErrors() != 0 {
-		t.Fatalf("%d PacketIns lost to send errors", h.Service.SendErrors())
+	svc := h.Service()
+	if svc.SendErrors() != 0 {
+		t.Fatalf("%d PacketIns lost to send errors", svc.SendErrors())
 	}
-	if h.Service.Delivered()+st.PuntDrops != st.ToCtrl {
+	if svc.Delivered()+st.PuntDrops != st.ToCtrl {
 		t.Fatalf("accounting broken: delivered %d + puntDrops %d != toCtrl %d",
-			h.Service.Delivered(), st.PuntDrops, st.ToCtrl)
+			svc.Delivered(), st.PuntDrops, st.ToCtrl)
 	}
 	if st.Punts+st.PuntDrops != st.ToCtrl {
 		t.Fatalf("ring accounting broken: punts %d + drops %d != toCtrl %d", st.Punts, st.PuntDrops, st.ToCtrl)
 	}
 
 	// Post-convergence: pure fast path, zero punts.
-	before := h.SW.Stats()
-	mpps, punts := h.MeasureForwarding(20_000)
-	after := h.SW.Stats()
+	start := time.Now()
+	fwd, punts := h.MeasureForwarding(20_000)
+	mpps := 20_000 / time.Since(start).Seconds() / 1e6
 	if punts != 0 {
 		t.Fatalf("post-convergence traffic still punted %d packets", punts)
 	}
-	if got := after.Forwarded - before.Forwarded; got != 20_000 {
-		t.Fatalf("post-convergence forwarded %d of 20000", got)
+	if fwd != 20_000 {
+		t.Fatalf("post-convergence forwarded %d of 20000", fwd)
 	}
 	// The learned pipeline is a single exact-match stage: already one probe,
 	// so the compiler leaves the cache unarmed and nothing ever probed it.
@@ -87,40 +88,57 @@ func TestReactiveLearningEndToEnd(t *testing.T) {
 // TestReactiveLearningUnderRunWorkers drives the same closed loop with real
 // concurrent forwarding workers instead of the deterministic PollOnce
 // driver, under live injection — primarily a -race acceptance test for the
-// punt rings against the full stack.
+// punt rings against the full stack, with the port supervisor's watchdog
+// watching the workers.  Each sweep waits until the workers have classified
+// it and the punt rings are drained, so a ring never holds more than one
+// sweep: a learnable punt dropped at a full ring can starve discovery for
+// good (see TestPuntOverflowAccountingOverTCP).  The loop is bounded by the
+// controller's progress, not by wall time: it gives up only once neither the
+// learned stations nor the installed flows have moved for stallLimit.
 func TestReactiveLearningUnderRunWorkers(t *testing.T) {
-	h, err := experiments.NewSlowPathHarness(experiments.SlowPathConfig{Hosts: 64, PuntRing: 256})
+	const hosts, stallLimit = 64, 5 * time.Second
+	h, err := experiments.NewChaosHarness(experiments.ChaosConfig{Hosts: hosts, PuntRing: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
+	learned, flowMods, progressed := -1, uint64(0), time.Now()
+	stalled := func() bool {
+		if l, m := h.Learner.Learned(), h.Learner.FlowMods(); l != learned || m != flowMods {
+			learned, flowMods, progressed = l, m, time.Now()
+		}
+		return time.Since(progressed) > stallLimit
+	}
+	ringsEmpty := func() bool {
+		for _, r := range h.Rings {
+			if r.Len() > 0 {
+				return false
+			}
+		}
+		return true
+	}
 	stop := h.SW.RunWorkers(2)
-	deadline := time.Now().Add(20 * time.Second)
 	converged := false
-	for time.Now().Before(deadline) && !converged {
-		h.InjectAll()
+	for !converged && !stalled() {
+		before := h.SW.Stats()
+		injected := uint64(h.InjectAll())
+		for (h.SW.Stats().Processed-before.Processed < injected || !ringsEmpty()) && !stalled() {
+			time.Sleep(100 * time.Microsecond)
+		}
 		for _, p := range h.SW.Ports() {
 			p.DrainTx()
 		}
-		time.Sleep(2 * time.Millisecond)
+		// Converged when a whole sweep was classified without a punt, and
+		// forwarded.
 		st := h.SW.Stats()
-		// Converged when a recent window generated no punts but plenty of
-		// forwarding.
-		beforeCtrl := st.ToCtrl
-		h.InjectAll()
-		time.Sleep(5 * time.Millisecond)
-		for _, p := range h.SW.Ports() {
-			p.DrainTx()
-		}
-		st = h.SW.Stats()
-		converged = st.ToCtrl == beforeCtrl && st.Forwarded > 0
+		converged = st.Processed-before.Processed == injected && st.ToCtrl == before.ToCtrl && st.Forwarded > before.Forwarded
 	}
 	stop()
-	if !converged {
-		st := h.SW.Stats()
-		t.Fatalf("did not converge under RunWorkers: %+v (flowmods %d)", st, h.Learner.FlowMods())
-	}
 	st := h.SW.Stats()
+	if !converged {
+		t.Fatalf("did not converge under RunWorkers: no learning progress for %v at %d of %d hosts, %d flow-mods, %d watchdog stalls, stats %+v",
+			stallLimit, h.Learner.Learned(), hosts, h.Learner.FlowMods(), h.PSup.Stalls(), st)
+	}
 	if st.Punts+st.PuntDrops != st.ToCtrl {
 		t.Fatalf("ring accounting broken under workers: %+v", st)
 	}
@@ -140,7 +158,7 @@ func TestReactiveLearningUnderRunWorkers(t *testing.T) {
 // same reason the host count stays below the ring capacity: a whole sweep
 // must fit the ring, so every host's first punt is delivered and learned.
 func TestPuntOverflowAccountingOverTCP(t *testing.T) {
-	h, err := experiments.NewSlowPathHarness(experiments.SlowPathConfig{
+	h, err := experiments.NewChaosHarness(experiments.ChaosConfig{
 		Hosts:    48,  // a full sweep fits the 63-slot ring: no learnable drops
 		PuntRing: 64,  // capacity 63: the guardrail floor (>= RX burst)
 		PuntRate: 500, // slow drain: the storm below outruns it and overflows
@@ -161,9 +179,9 @@ func TestPuntOverflowAccountingOverTCP(t *testing.T) {
 	if st.PuntDrops == 0 {
 		t.Fatalf("storm never overflowed the ring (%+v) — the test lost its point", st)
 	}
-	if h.Service.Delivered()+st.PuntDrops != st.ToCtrl {
+	if h.Service().Delivered()+st.PuntDrops != st.ToCtrl {
 		t.Fatalf("overflow accounting broken: delivered %d + drops %d != toCtrl %d",
-			h.Service.Delivered(), st.PuntDrops, st.ToCtrl)
+			h.Service().Delivered(), st.PuntDrops, st.ToCtrl)
 	}
 	// The storm only cost drops, not state: full-sweep passes (each fitting
 	// the ring whole, so every host's punt is delivered) still converge to
