@@ -492,12 +492,12 @@ func TestLearningSwitchHandlesPacketIn(t *testing.T) {
 	if ls.Learned() != 1 || ls.FlowMods() != 0 || ls.Floods() != 1 {
 		t.Fatalf("after A->B: learned=%d flowmods=%d floods=%d", ls.Learned(), ls.FlowMods(), ls.Floods())
 	}
-	// B->A: A known — learn B, install A's flow, packet-out to A's port.
+	// B->A: A known — learn B, install the B->A flow, packet-out to A's port.
 	ls.HandlePacketIn(ofp.PacketIn{InPort: 2, Reason: ofp.PacketInReasonNoMatch, Data: frameBtoA})
 	if ls.Learned() != 2 || ls.FlowMods() != 1 {
 		t.Fatalf("after B->A: learned=%d flowmods=%d", ls.Learned(), ls.FlowMods())
 	}
-	// A->B again: B now known — install B's flow, no new flood.
+	// A->B again: B now known — install the A->B flow, no new flood.
 	ls.HandlePacketIn(ofp.PacketIn{InPort: 1, Reason: ofp.PacketInReasonNoMatch, Data: frameAtoB})
 	if ls.FlowMods() != 2 || ls.Floods() != 1 {
 		t.Fatalf("after 2nd A->B: flowmods=%d floods=%d", ls.FlowMods(), ls.Floods())
@@ -515,5 +515,44 @@ func TestLearningSwitchHandlesPacketIn(t *testing.T) {
 	}
 	if ls.Err() != nil {
 		t.Fatal(ls.Err())
+	}
+}
+
+// TestLearningSwitchUnseenSenderStillPunts: a flow learned from one sender's
+// punt must not carry another sender's frames to the same station.  Were it
+// to — a destination-only flow — a sender whose only traffic goes there
+// would never punt and never be learned, and every frame to it would punt
+// forever.
+func TestLearningSwitchUnseenSenderStillPunts(t *testing.T) {
+	pl := openflow.NewPipeline(4)
+	pl.Miss = openflow.MissController
+	dp, err := core.Compile(pl, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, _, cleanup := startChannel(t, dp)
+	defer cleanup()
+	ls := NewLearningSwitch(ctrl)
+
+	b := pkt.NewBuilder(64)
+	frame := func(src, dst uint64) []byte {
+		return pkt.Clone(b.EthernetFrame(pkt.EthernetOpts{Src: pkt.MACFromUint64(src), Dst: pkt.MACFromUint64(dst), EtherType: 0x0800}, nil))
+	}
+	// B speaks (learned on port 2), then C answers it: B is known, so the
+	// controller installs C's flow to B.
+	ls.HandlePacketIn(ofp.PacketIn{InPort: 2, Reason: ofp.PacketInReasonNoMatch, Data: frame(0xbb, 0xcc)})
+	ls.HandlePacketIn(ofp.PacketIn{InPort: 3, Reason: ofp.PacketInReasonNoMatch, Data: frame(0xcc, 0xbb)})
+	if err := ctrl.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	var v openflow.Verdict
+	dp.Process(&pkt.Packet{Data: frame(0xcc, 0xbb), InPort: 3}, &v)
+	if len(v.OutPorts) != 1 || v.OutPorts[0] != 2 || v.ToController {
+		t.Fatalf("C->B after the install: %s", &v)
+	}
+	// A, never seen, sends to B: its frame must reach the controller.
+	dp.Process(&pkt.Packet{Data: frame(0xaa, 0xbb), InPort: 1}, &v)
+	if !v.ToController || v.Forwarded() {
+		t.Fatalf("A->B rode the flow learned from C (%s): A would never be learned", &v)
 	}
 }

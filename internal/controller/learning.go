@@ -19,6 +19,12 @@ import (
 // the switch side: the punt rate decays to zero once every station has been
 // learned, and the microflow verdict cache takes over via the datapath's
 // generation counter.
+//
+// Learned flows match the (source, destination) pair, not the destination
+// alone: a destination-only flow installed on one sender's punt would carry
+// every other sender's frames to that station too, and a sender whose only
+// traffic goes there would never punt, never be learned, and leave the
+// stations talking to it punting forever.
 type LearningSwitch struct {
 	ctrl *Controller
 	// Table and Priority select where learned flows land (defaults: table 0,
@@ -27,11 +33,11 @@ type LearningSwitch struct {
 	Priority int
 
 	mu sync.Mutex
-	// macs is what has been learned; installed is which destinations already
-	// have a FlowMod, so a burst of punts for one destination does not
-	// re-install the same flow per punt.
+	// macs is what has been learned; installed is which (source,
+	// destination) pairs already have a FlowMod, so a burst of punts for one
+	// pair does not re-install the same flow per punt.
 	macs      map[uint64]uint32
-	installed map[uint64]bool
+	installed map[macPair]bool
 
 	packetIns atomic.Uint64
 	flowMods  atomic.Uint64
@@ -40,13 +46,16 @@ type LearningSwitch struct {
 	lastErr   atomic.Value // error
 }
 
+// macPair is a learned flow's (source, destination) MAC pair.
+type macPair struct{ src, dst uint64 }
+
 // NewLearningSwitch attaches a learning switch to the controller endpoint
 // (its PacketInHandler and ErrorHandler are taken over).
 func NewLearningSwitch(c *Controller) *LearningSwitch {
 	ls := &LearningSwitch{
 		Priority:  100,
 		macs:      make(map[uint64]uint32),
-		installed: make(map[uint64]bool),
+		installed: make(map[macPair]bool),
 	}
 	ls.Attach(c)
 	return ls
@@ -66,7 +75,7 @@ func (ls *LearningSwitch) Attach(c *Controller) {
 	if ls.macs == nil { // zero-value LearningSwitch attaching for the first time
 		ls.macs = make(map[uint64]uint32)
 	}
-	ls.installed = make(map[uint64]bool)
+	ls.installed = make(map[macPair]bool)
 	ls.mu.Unlock()
 	c.PacketInHandler = ls.HandlePacketIn
 	c.ErrorHandler = ls.HandleError
@@ -128,15 +137,16 @@ func (ls *LearningSwitch) HandlePacketIn(pi ofp.PacketIn) {
 		ls.macs[src.Uint64()] = pi.InPort
 	}
 	outPort, known := ls.macs[dst.Uint64()]
-	install := known && dst[0]&1 == 0 && !ls.installed[dst.Uint64()]
+	pair := macPair{src.Uint64(), dst.Uint64()}
+	install := known && dst[0]&1 == 0 && !ls.installed[pair]
 	if install {
-		ls.installed[dst.Uint64()] = true
+		ls.installed[pair] = true
 	}
 	ctrl := ls.ctrl
 	ls.mu.Unlock()
 
 	if install {
-		match := openflow.NewMatch().Set(openflow.FieldEthDst, dst.Uint64())
+		match := openflow.NewMatch().Set(openflow.FieldEthSrc, pair.src).Set(openflow.FieldEthDst, pair.dst)
 		if err := ctrl.InstallFlow(ls.Table, ls.Priority, match, openflow.Apply(openflow.Output(outPort))); err != nil {
 			ls.lastErr.Store(err)
 			return
@@ -166,7 +176,7 @@ func (ls *LearningSwitch) HandlePacketIn(pi ofp.PacketIn) {
 
 // HandleError digests an OFPT_ERROR from the switch.  For a failed FlowMod
 // the error echoes the rejected request, so the learner un-marks that
-// destination in its installed-flow ledger: the flow is NOT on the switch,
+// pair in its installed-flow ledger: the flow is NOT on the switch,
 // and a later punt for it must be allowed to retry the install (e.g. after
 // the controller or an operator frees table capacity) instead of being
 // filtered by the ledger forever.
@@ -179,9 +189,11 @@ func (ls *LearningSwitch) HandleError(em ofp.ErrorMsg) {
 	if err != nil || fm.Match == nil {
 		return
 	}
-	if dst, _, ok := fm.Match.Get(openflow.FieldEthDst); ok {
+	src, _, okSrc := fm.Match.Get(openflow.FieldEthSrc)
+	dst, _, okDst := fm.Match.Get(openflow.FieldEthDst)
+	if okSrc && okDst {
 		ls.mu.Lock()
-		delete(ls.installed, dst)
+		delete(ls.installed, macPair{src, dst})
 		ls.mu.Unlock()
 	}
 }

@@ -69,17 +69,17 @@ type cacheScratch struct {
 }
 
 // record folds what slot i's walk just executed of matched entry ce, which
-// ended with res, into the slot's write-set — its apply-actions up to a
+// ended with step, into the slot's write-set — its apply-actions up to a
 // drop; unless that drop ended the walk, its write-metadata; at the end of
 // the pipeline, the merged action set — and, on a counters-enabled datapath,
 // notes the entry's counter pointer.
-func (cs *cacheScratch) record(i int, ce *compiledEntry, res stepResult, set openflow.ActionList, counters bool) {
+func (cs *cacheScratch) record(i int, ce *compiledEntry, step openflow.Step, set openflow.ActionList, counters bool) {
 	w := &cs.w[i]
-	w.addList(ce.apply.list)
-	if res != stepDropped && ce.metadataMask != 0 {
-		w.writeMetadata(ce.writeMetadata, ce.metadataMask)
+	w.addList(ce.ins.ApplyActions)
+	if step != openflow.StepDropped && ce.ins.MetadataMask != 0 {
+		w.writeMetadata(ce.ins.WriteMetadata, ce.ins.MetadataMask)
 	}
-	if res == stepTerminal {
+	if step == openflow.StepTerminal {
 		w.addList(set)
 	}
 	if counters {
@@ -166,8 +166,11 @@ func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, p
 				sn.miss(v, sn.start.id)
 				continue
 			}
+			if d.opts.UpdateCounters {
+				sc.ctr.add(ce.counters, len(p.Data))
+			}
 			set0 = set0[:0]
-			if d.executeEntry(sn, ce, p, v, &set0, sn.start.id, d.opts.UpdateCounters, sc.ctr) != stepNext {
+			if ce.ins.Execute(p, v, &set0, sn.numPorts, sn.start.id) != openflow.StepNext {
 				continue
 			}
 			sc.tramp[j] = ce.next
@@ -256,11 +259,14 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 				sn.miss(v, tr.id)
 				continue
 			}
-			res := d.executeEntry(sn, ce, p, v, &sc.sets[i], tr.id, d.opts.UpdateCounters, sc.ctr)
-			if rec {
-				sc.cache.record(i, ce, res, sc.sets[i], d.opts.UpdateCounters)
+			if d.opts.UpdateCounters {
+				sc.ctr.add(ce.counters, len(p.Data))
 			}
-			if res != stepNext {
+			step := ce.ins.Execute(p, v, &sc.sets[i], sn.numPorts, tr.id)
+			if rec {
+				sc.cache.record(i, ce, step, sc.sets[i], d.opts.UpdateCounters)
+			}
+			if step != openflow.StepNext {
 				continue
 			}
 			sc.tramp[i] = ce.next

@@ -117,7 +117,9 @@ type Datapath struct {
 	// counter backs the zero-lock acceptance tests.
 	mu          lockcount.Mutex
 	trampolines map[openflow.TableID]*trampoline
-	actionCache map[string]*sharedActions
+	// insCache interns instruction sets by AppendKey (internInstructions).
+	insCache map[string]*openflow.Instructions
+	keyBuf   []byte
 
 	// snap is the atomically-published immutable snapshot the hot path
 	// roots at.
@@ -183,11 +185,11 @@ func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 		return nil, fmt.Errorf("eswitch: invalid pipeline: %w", err)
 	}
 	d := &Datapath{
-		opts:        opts,
-		meter:       opts.Meter,
-		numPorts:    pl.NumPorts,
-		actionCache: make(map[string]*sharedActions),
-		versions:    make(map[openflow.TableID]*tableVersion),
+		opts:     opts,
+		meter:    opts.Meter,
+		numPorts: pl.NumPorts,
+		insCache: make(map[string]*openflow.Instructions),
+		versions: make(map[openflow.TableID]*tableVersion),
 	}
 	if d.meter != nil {
 		d.obs = &observer{meter: d.meter}
@@ -280,46 +282,40 @@ func (d *Datapath) buildTable(t *openflow.FlowTable) (tableDatapath, error) {
 	return dp, nil
 }
 
-// compileEntry specializes one flow entry: its action list is interned in the
-// shared action-set cache and its goto target resolved to a trampoline.
+// compileEntry specializes one flow entry: its instruction set is interned in
+// the shared instruction cache and its goto target resolved to a trampoline.
 func (d *Datapath) compileEntry(e *openflow.FlowEntry) (*compiledEntry, error) {
-	ins := e.Instructions
 	ce := &compiledEntry{
-		apply:         d.internActions(ins.ApplyActions),
-		write:         ins.WriteActions.Clone(),
-		clearActions:  ins.ClearActions,
-		writeMetadata: ins.WriteMetadata,
-		metadataMask:  ins.MetadataMask,
-		counters:      &e.Counters,
-		priority:      e.Priority,
-		match:         e.Match.Clone(),
+		ins:      d.internInstructions(&e.Instructions),
+		counters: &e.Counters,
+		priority: e.Priority,
+		match:    e.Match.Clone(),
 	}
-	if ins.HasGoto {
-		tr, ok := d.trampolines[ins.GotoTable]
+	if ce.ins.HasGoto {
+		tr, ok := d.trampolines[ce.ins.GotoTable]
 		if !ok {
-			return nil, fmt.Errorf("eswitch: goto_table %d has no compiled table", ins.GotoTable)
+			return nil, fmt.Errorf("eswitch: goto_table %d has no compiled table", ce.ins.GotoTable)
 		}
 		ce.next = tr
-		ce.nextID = ins.GotoTable
-		ce.hasNext = true
 	}
 	return ce, nil
 }
 
-// internActions returns the shared action set for an action list, creating it
-// on first use (identical action sets are shared across flows, §3.1).
-func (d *Datapath) internActions(list openflow.ActionList) *sharedActions {
-	key := list.Key()
-	if sa, ok := d.actionCache[key]; ok {
-		return sa
+// internInstructions returns the shared copy of an instruction set, creating
+// it on first use: §3.1's shared action sets, widened to the whole set.  The
+// key is built in the writer-owned keyBuf, so a hit allocates nothing.
+func (d *Datapath) internInstructions(ins *openflow.Instructions) *openflow.Instructions {
+	d.keyBuf = ins.AppendKey(d.keyBuf[:0])
+	if shared, ok := d.insCache[string(d.keyBuf)]; ok {
+		return shared
 	}
-	sa := &sharedActions{list: list.Clone()}
-	d.actionCache[key] = sa
-	return sa
+	shared := ins.Clone()
+	d.insCache[string(d.keyBuf)] = &shared
+	return &shared
 }
 
-// NumSharedActionSets returns the number of distinct interned action sets.
-func (d *Datapath) NumSharedActionSets() int { return len(d.actionCache) }
+// NumSharedActionSets returns the number of distinct interned instructions.
+func (d *Datapath) NumSharedActionSets() int { return len(d.insCache) }
 
 // ParserLayer returns the parsing depth the compiled parser template uses.
 func (d *Datapath) ParserLayer() pkt.Layer { return d.snap.Load().parserLayer }
@@ -417,79 +413,6 @@ func (d *Datapath) ProcessUnlocked(p *pkt.Packet, v *openflow.Verdict) {
 	d.process(p, v)
 }
 
-// stepResult is how executing one matched entry ended.
-type stepResult uint8
-
-const (
-	// stepNext continues at the entry's goto trampoline.
-	stepNext stepResult = iota
-	// stepDropped ends processing on an explicit drop in apply-actions.
-	stepDropped
-	// stepTerminal ends processing at the end of the pipeline (no goto).
-	stepTerminal
-)
-
-// executeEntry runs one matched entry against the packet: apply-actions,
-// action-set bookkeeping, metadata writes, and — when the entry is terminal —
-// the accumulated action set.  The action set is passed by pointer and only
-// written when an instruction actually touches it, which keeps the common
-// apply-only hot path free of action-set stores.  table is the entry's own
-// table, to which any punt-to-controller the entry executes is attributed.
-// It returns how processing ended and is shared verbatim by the sequential
-// walker and the burst engine so their semantics cannot drift.  counters
-// selects whether the entry's per-flow counters are bumped: the forwarding paths
-// pass Options.UpdateCounters, the trace replay (trace.go) passes false so
-// an admin trace never perturbs flow statistics.  A non-nil ctr redirects
-// the bump into the worker's private delta accumulator (flowctr.go) —
-// plain adds on worker-owned memory instead of two shared atomic RMWs per
-// packet; the per-packet entry points (process) pass nil and take the
-// direct atomic path.
-func (d *Datapath) executeEntry(sn *snapshot, ce *compiledEntry, p *pkt.Packet, v *openflow.Verdict, set *openflow.ActionList, table openflow.TableID, counters bool, ctr *flowCtrAccum) stepResult {
-	if counters {
-		if ctr != nil {
-			ctr.add(ce.counters, len(p.Data))
-		} else {
-			ce.counters.Add(len(p.Data))
-		}
-	}
-	if len(ce.apply.list) > 0 {
-		wasPunt := v.ToController
-		openflow.ApplyActions(ce.apply.list, p, v, sn.numPorts)
-		if !wasPunt && v.ToController {
-			v.NotePunt(openflow.PuntAction, table)
-		}
-		if v.Dropped && !v.Forwarded() && !v.ToController {
-			if ce.apply.list.HasDrop() {
-				return stepDropped
-			}
-			v.Dropped = false
-		}
-	}
-	if ce.clearActions {
-		*set = (*set)[:0]
-	}
-	if len(ce.write) > 0 {
-		*set = (*set).Merge(ce.write)
-	}
-	if ce.metadataMask != 0 {
-		p.Metadata = (p.Metadata &^ ce.metadataMask) | (ce.writeMetadata & ce.metadataMask)
-	}
-	if !ce.hasNext {
-		if len(*set) > 0 {
-			wasPunt := v.ToController
-			openflow.ApplyActions(*set, p, v, sn.numPorts)
-			if !wasPunt && v.ToController {
-				v.NotePunt(openflow.PuntAction, table)
-			}
-		}
-		if !v.Forwarded() && !v.ToController {
-			v.Dropped = true
-		}
-		return stepTerminal
-	}
-	return stepNext
-}
-
 // process runs one packet through the sequential walker from scratch: reset
 // the verdict, parse only as deep as the pipeline needs, walk — under the
 // datapath's meter observer when it has one.
@@ -502,7 +425,7 @@ func (d *Datapath) process(p *pkt.Packet, v *openflow.Verdict) {
 		o.meter.AddCycles(cpumodel.CostPktIO + parserCost(sn.parserLayer))
 	}
 	var set openflow.ActionList
-	d.walk(sn, p, v, &set, o, d.opts.UpdateCounters, nil)
+	d.walk(sn, p, v, &set, o, d.opts.UpdateCounters)
 }
 
 // walk is the one sequential walker of the goto DAG: it takes a parsed packet
@@ -510,10 +433,13 @@ func (d *Datapath) process(p *pkt.Packet, v *openflow.Verdict) {
 // table lookup at a time.  Process, ProcessUnlocked and Trace all run it; what
 // differs between them is only who is watching — a nil observer is the plain
 // forwarding walk, a non-nil one is told about every lookup and every executed
-// entry.  It shares executeEntry, the miss disposition and the depth guard
-// with the burst engine (burst.go), the only other walker.  counters and ctr
-// are executeEntry's.
-func (d *Datapath) walk(sn *snapshot, p *pkt.Packet, v *openflow.Verdict, set *openflow.ActionList, o *observer, counters bool, ctr *flowCtrAccum) {
+// entry.  It shares the instruction step (openflow.Instructions.Execute), the
+// miss disposition and the depth guard with the burst engine (burst.go), the
+// only other walker.  counters selects whether matched entries' per-flow
+// counters are bumped, straight on their atomics: the forwarding paths pass
+// Options.UpdateCounters, Trace passes false so an admin trace never perturbs
+// flow statistics.
+func (d *Datapath) walk(sn *snapshot, p *pkt.Packet, v *openflow.Verdict, set *openflow.ActionList, o *observer, counters bool) {
 	tr := sn.start
 	for depth := 0; depth < openflow.MaxPipelineDepth && tr != nil; depth++ {
 		dp := tr.load()
@@ -529,11 +455,14 @@ func (d *Datapath) walk(sn *snapshot, p *pkt.Packet, v *openflow.Verdict, set *o
 			sn.miss(v, tr.id)
 			return
 		}
-		res := d.executeEntry(sn, ce, p, v, set, tr.id, counters, ctr)
-		if o != nil {
-			o.executed(res)
+		if counters {
+			ce.counters.Add(len(p.Data))
 		}
-		if res != stepNext {
+		step := ce.ins.Execute(p, v, set, sn.numPorts, tr.id)
+		if o != nil {
+			o.executed(step)
+		}
+		if step != openflow.StepNext {
 			return
 		}
 		tr = ce.next

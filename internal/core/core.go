@@ -22,12 +22,14 @@
 // The runtime (Datapath) executes the compiled representation through
 // exactly two walkers of the goto DAG: the burst engine (burst.go), which
 // classifies a whole burst level by level and is never observed, and one
-// sequential per-packet walk (Datapath.walk, compile.go).  Everything that
-// has to watch a packet cross the pipeline — the cpumodel.Meter that
-// regenerates the paper's cycle- and cache-level figures deterministically,
-// the tracer — rides the sequential walk as an optional observer, and each
-// template has one per-packet lookup: a nil observer is forwarding, a non-nil
-// one is charged what the same lookup cost.
+// sequential per-packet walk (Datapath.walk, compile.go).  Both run each
+// matched entry through the interpreter's own instruction step,
+// openflow.Instructions.Execute.  Everything that has to watch a packet cross
+// the pipeline — the cpumodel.Meter that regenerates the paper's cycle- and
+// cache-level figures deterministically, the tracer — rides the sequential
+// walk as an optional observer, and each template has one per-packet lookup:
+// a nil observer is forwarding, a non-nil one is charged what the same lookup
+// cost.
 package core
 
 import (
@@ -146,25 +148,14 @@ func DefaultOptions() Options {
 	}
 }
 
-// sharedActions is a composite action set shared across flows that specify
-// identical actions (§3.1, action templates).
-type sharedActions struct {
-	list openflow.ActionList
-}
-
-// compiledEntry is the specialized form of one flow entry: the action set it
-// triggers, the trampoline of its goto target (nil when terminal) and the
-// metadata/write-action bookkeeping needed for full OpenFlow semantics.
+// compiledEntry is the specialized form of one flow entry: its instruction
+// set — one record shared by every entry with identical instructions
+// (internInstructions, §3.1) — and the trampoline of its goto target (nil
+// when terminal).
 type compiledEntry struct {
-	apply         *sharedActions
-	write         openflow.ActionList
-	clearActions  bool
-	writeMetadata uint64
-	metadataMask  uint64
-	next          *trampoline
-	nextID        openflow.TableID
-	hasNext       bool
-	counters      *openflow.Counters
+	ins      *openflow.Instructions
+	next     *trampoline
+	counters *openflow.Counters
 	// priority and match are retained for incremental updates and
 	// debugging; the hot path never consults them.
 	priority int
@@ -202,8 +193,8 @@ func (o *observer) looked(tr *trampoline, dp tableDatapath, ce *compiledEntry) {
 			step.Matched = true
 			step.Priority = ce.priority
 			step.Match = ce.match
-			step.Apply = ce.apply.list
-			step.Next, step.HasNext = ce.nextID, ce.hasNext
+			step.Apply = ce.ins.ApplyActions
+			step.Next, step.HasNext = ce.ins.GotoTable, ce.ins.HasGoto
 		}
 		*o.steps = append(*o.steps, step)
 	}
@@ -213,11 +204,11 @@ func (o *observer) looked(tr *trampoline, dp tableDatapath, ce *compiledEntry) {
 }
 
 // executed reports how executing the matched entry ended.
-func (o *observer) executed(res stepResult) {
-	switch res {
-	case stepDropped:
+func (o *observer) executed(step openflow.Step) {
+	switch step {
+	case openflow.StepDropped:
 		o.meter.AddCycles(cpumodel.CostActions)
-	case stepTerminal:
+	case openflow.StepTerminal:
 		o.meter.AddCycles(cpumodel.CostActions + cpumodel.CostPktIO)
 	}
 }

@@ -299,10 +299,7 @@ func (w *writeSet) add(a openflow.Action) {
 // addList folds an action list as openflow.ApplyActions runs it: up to an
 // explicit drop.
 func (w *writeSet) addList(l openflow.ActionList) {
-	for _, a := range l {
-		if a.Type == openflow.ActionDrop {
-			return
-		}
+	for _, a := range l.BeforeDrop() {
 		w.add(a)
 	}
 }

@@ -140,7 +140,7 @@ func traceFrames(uc *workload.UseCase, n int) (frames [][]byte, inPorts []uint32
 // as the verdict counts tables, and the metered twin's per-packet walk must
 // give the worker's verdicts and charge its meter for them.  The baseline
 // switch, where the rig has one, must give the interpreter's outcome
-// (Verdict.Equivalent), headers and metadata too.
+// (Verdict.Equivalent), punt attribution, headers and metadata too.
 func (r *scopeRig) check(label string, pick func(i int) bool) {
 	r.t.Helper()
 	in := openflow.NewInterpreter(r.dp.Pipeline())
@@ -181,9 +181,10 @@ func (r *scopeRig) check(label string, pick func(i int) bool) {
 				var want openflow.Verdict
 				pkt.ParseL4(&ref)
 				in.ProcessParsed(&ref, &want, nil)
-				if !bv.Equivalent(&want) || bp.Headers != ref.Headers || bp.Metadata != ref.Metadata {
-					r.t.Fatalf("%s: frame %d: the baseline says %s and left headers %+v metadata %#x; interpreter %s, %+v %#x",
-						label, i, &bv, bp.Headers, bp.Metadata, &want, ref.Headers, ref.Metadata)
+				if !bv.Equivalent(&want) || bp.Headers != ref.Headers || bp.Metadata != ref.Metadata || (want.ToController &&
+					(bv.PuntReason != want.PuntReason || bv.PuntTable != want.PuntTable)) {
+					r.t.Fatalf("%s: frame %d: the baseline says %s (punt %s at table %d) and left headers %+v metadata %#x; interpreter %s (punt %s at table %d), %+v %#x",
+						label, i, &bv, bv.PuntReason, bv.PuntTable, bp.Headers, bp.Metadata, &want, want.PuntReason, want.PuntTable, ref.Headers, ref.Metadata)
 				}
 			}
 		}

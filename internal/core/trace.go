@@ -181,7 +181,7 @@ func (d *Datapath) Trace(p *pkt.Packet) *TraceResult {
 
 	res.Verdict.Reset()
 	var set openflow.ActionList
-	d.walk(sn, p, &res.Verdict, &set, &observer{steps: &res.Steps}, false, nil)
+	d.walk(sn, p, &res.Verdict, &set, &observer{steps: &res.Steps}, false)
 	return res
 }
 

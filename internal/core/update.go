@@ -290,7 +290,7 @@ func (d *Datapath) InstallPipeline(pl *openflow.Pipeline) error {
 	d.parserLayer = nd.parserLayer
 	d.numPorts = nd.numPorts
 	d.trampolines = nd.trampolines
-	d.actionCache = nd.actionCache
+	d.insCache = nd.insCache
 	d.decomposedBy = nd.decomposedBy
 	d.versions = make(map[openflow.TableID]*tableVersion)
 	d.rebuilds.Add(nd.rebuilds.Load())

@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -167,43 +168,64 @@ func (l ActionList) Equal(o ActionList) bool {
 	return true
 }
 
-// Key returns a compact identity key for sharing identical action sets
-// across flows (the paper's shared composite action sets, §3.1).
-func (l ActionList) Key() string {
-	var sb strings.Builder
+// appendKey appends the list's identity key to b — its length, then each
+// action's fields at fixed width — for Instructions.AppendKey.
+func (l ActionList) appendKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(l)))
 	for _, a := range l {
-		fmt.Fprintf(&sb, "%d:%d:%d:%d;", a.Type, a.Port, a.Field, a.Value)
+		b = append(b, byte(a.Type), byte(a.Field))
+		b = binary.LittleEndian.AppendUint32(b, a.Port)
+		b = binary.LittleEndian.AppendUint64(b, a.Value)
 	}
-	return sb.String()
+	return b
 }
 
-// HasDrop reports whether the list holds an explicit drop.
-func (l ActionList) HasDrop() bool {
-	for _, a := range l {
+// BeforeDrop returns the part of the list ApplyActions runs: everything
+// before the first explicit drop.
+func (l ActionList) BeforeDrop() ActionList {
+	for i, a := range l {
 		if a.Type == ActionDrop {
-			return true
+			return l[:i]
 		}
 	}
-	return false
+	return l
 }
 
-// Merge merges written actions into the action set l with OpenFlow
-// action-set semantics — at most one action per type, and per field for
-// set-field; a later write replaces an earlier one in place — and returns
-// the set.  The set runs in the order of each type's first write.
+// actionSlot returns the action's slot in an OpenFlow 1.3 action set: the
+// set holds at most one action per slot and runs them in slot order —
+// pop_vlan, push_vlan, dec_ttl, set_field (one slot per field, in field
+// order), then output.  An explicit drop shares output's slot.
+func actionSlot(a Action) int {
+	switch a.Type {
+	case ActionPopVLAN:
+		return 0
+	case ActionPushVLAN:
+		return 1
+	case ActionDecTTL:
+		return 2
+	case ActionSetField:
+		return 3 + int(a.Field)
+	default: // output, drop
+		return 3 + int(NumFields)
+	}
+}
+
+// Merge merges written actions into the action set l, kept sorted by slot
+// (actionSlot), and returns the set: a write replaces its slot's action in
+// place — output and drop replace each other — or is inserted at its slot,
+// so the set runs in OpenFlow 1.3's order whatever the write order.
 func (l ActionList) Merge(writes ActionList) ActionList {
 	for _, w := range writes {
-		replaced := false
-		for i, a := range l {
-			if a.Type == w.Type && (a.Type != ActionSetField || a.Field == w.Field) {
-				l[i] = w
-				replaced = true
-				break
-			}
+		slot := actionSlot(w)
+		i := 0
+		for i < len(l) && actionSlot(l[i]) < slot {
+			i++
 		}
-		if !replaced {
-			l = append(l, w)
+		if i == len(l) || actionSlot(l[i]) != slot {
+			l = append(l, Action{})
+			copy(l[i+1:], l[i:])
 		}
+		l[i] = w
 	}
 	return l
 }

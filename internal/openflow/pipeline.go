@@ -256,47 +256,69 @@ func (in *Interpreter) ProcessParsed(p *pkt.Packet, v *Verdict, tracker FieldTra
 		if in.UpdateCounters {
 			entry.Counters.Add(len(p.Data))
 		}
-		ins := &entry.Instructions
-		if len(ins.ApplyActions) > 0 {
-			wasPunt := v.ToController
-			ApplyActions(ins.ApplyActions, p, v, pl.NumPorts)
-			if !wasPunt && v.ToController {
-				v.NotePunt(PuntAction, tableID)
-			}
-			if v.Dropped && !v.Forwarded() && !v.ToController {
-				// An explicit drop in apply-actions ends processing.
-				if ins.ApplyActions.HasDrop() {
-					return
-				}
-				// Otherwise the "drop" flag only reflects that no
-				// output has happened yet; clear it and continue.
-				v.Dropped = false
-			}
-		}
-		if ins.ClearActions {
-			actionSet = actionSet[:0]
-		}
-		if len(ins.WriteActions) > 0 {
-			actionSet = actionSet.Merge(ins.WriteActions)
-		}
-		if ins.MetadataMask != 0 {
-			p.Metadata = (p.Metadata &^ ins.MetadataMask) | (ins.WriteMetadata & ins.MetadataMask)
-		}
-		if !ins.HasGoto {
-			// End of pipeline: execute the accumulated action set.
-			if len(actionSet) > 0 {
-				wasPunt := v.ToController
-				ApplyActions(actionSet, p, v, pl.NumPorts)
-				if !wasPunt && v.ToController {
-					v.NotePunt(PuntAction, tableID)
-				}
-			}
-			if !v.Forwarded() && !v.ToController {
-				v.Dropped = true
-			}
+		if entry.Instructions.Execute(p, v, &actionSet, pl.NumPorts, tableID) != StepNext {
 			return
 		}
-		tableID = ins.GotoTable
+		tableID = entry.Instructions.GotoTable
 	}
 	v.Dropped = true
+}
+
+// Step is how executing one matched entry's instructions ended.
+type Step uint8
+
+const (
+	// StepNext continues at the entry's goto_table target.
+	StepNext Step = iota
+	// StepDropped ends processing on an explicit drop in apply-actions.
+	StepDropped
+	// StepTerminal ends processing at the end of the pipeline (no goto),
+	// after the accumulated action set ran.
+	StepTerminal
+)
+
+// Execute runs one matched entry's instructions against the packet:
+// apply-actions, the action set (set, written only when an instruction
+// touches it), the metadata write and, when the entry has no goto, the
+// accumulated set.  A punt the entry executes is attributed to table, its
+// own.  It is the one instruction step of every executor — the interpreter,
+// the compiled walkers, the baseline's slow path — so their semantics
+// cannot drift; each keeps its own walk, miss handling and counting.
+func (ins *Instructions) Execute(p *pkt.Packet, v *Verdict, set *ActionList, numPorts int, table TableID) Step {
+	if len(ins.ApplyActions) > 0 {
+		ApplyActions(ins.ApplyActions, p, v, numPorts)
+		if v.ToController {
+			v.NotePunt(PuntAction, table)
+		}
+		if v.Dropped && !v.Forwarded() && !v.ToController {
+			// An explicit drop in apply-actions ends processing.
+			if len(ins.ApplyActions.BeforeDrop()) < len(ins.ApplyActions) {
+				return StepDropped
+			}
+			// Otherwise the flag only says no output has happened yet.
+			v.Dropped = false
+		}
+	}
+	if ins.ClearActions {
+		*set = (*set)[:0]
+	}
+	if len(ins.WriteActions) > 0 {
+		*set = set.Merge(ins.WriteActions)
+	}
+	if ins.MetadataMask != 0 {
+		p.Metadata = (p.Metadata &^ ins.MetadataMask) | (ins.WriteMetadata & ins.MetadataMask)
+	}
+	if ins.HasGoto {
+		return StepNext
+	}
+	if len(*set) > 0 {
+		ApplyActions(*set, p, v, numPorts)
+		if v.ToController {
+			v.NotePunt(PuntAction, table)
+		}
+	}
+	if !v.Forwarded() && !v.ToController {
+		v.Dropped = true
+	}
+	return StepTerminal
 }

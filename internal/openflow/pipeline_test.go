@@ -492,7 +492,8 @@ func TestActionListKeySharing(t *testing.T) {
 	a := ActionList{Output(1), SetField(FieldVLANID, 5)}
 	b := ActionList{Output(1), SetField(FieldVLANID, 5)}
 	c := ActionList{Output(2)}
-	if a.Key() != b.Key() || a.Key() == c.Key() {
+	key := func(l ActionList) string { return string(l.appendKey(nil)) }
+	if key(a) != key(b) || key(a) == key(c) {
 		t.Fatal("action list keys broken")
 	}
 }

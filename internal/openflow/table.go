@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -80,6 +81,23 @@ func (ins Instructions) Equal(o Instructions) bool {
 		(!ins.HasGoto || ins.GotoTable == o.GotoTable) &&
 		ins.WriteMetadata == o.WriteMetadata &&
 		ins.MetadataMask == o.MetadataMask
+}
+
+// AppendKey appends a compact identity key of the instructions to b: two
+// instruction sets get the same key exactly when Equal holds between them.
+// Datapaths intern identical instruction sets by it (§3.1).
+func (ins *Instructions) AppendKey(b []byte) []byte {
+	var flow uint64 // bit 0: clear-actions; above it, no goto or its target + 1
+	if ins.HasGoto {
+		flow = 2 + 2*uint64(ins.GotoTable)
+	}
+	if ins.ClearActions {
+		flow |= 1
+	}
+	b = binary.AppendUvarint(b, flow)
+	b = binary.LittleEndian.AppendUint64(b, ins.WriteMetadata)
+	b = binary.LittleEndian.AppendUint64(b, ins.MetadataMask)
+	return ins.WriteActions.appendKey(ins.ApplyActions.appendKey(b))
 }
 
 // Clone returns a deep copy of the instructions.

@@ -111,6 +111,10 @@ type megaflow struct {
 	// seq numbers the megaflows in insertion order; eviction takes the
 	// oldest.
 	seq uint64
+	// puntReason and puntTable are the slow path's punt attribution, which
+	// the cached actions cannot carry; hits replay them.
+	puntReason openflow.PuntReason
+	puntTable  openflow.TableID
 }
 
 // Switch is the flow-caching baseline switch.
@@ -271,6 +275,7 @@ func (s *Switch) process(p *pkt.Packet, v *openflow.Verdict) {
 		if mf, ok := s.micro[key]; ok {
 			s.stats.Microflow++
 			openflow.ApplyActions(mf.actions, p, v, s.pipeline.NumPorts)
+			v.NotePunt(mf.puntReason, mf.puntTable)
 			m.AddCycles(cpumodel.CostActions + cpumodel.CostPktIO)
 			return
 		}
@@ -296,6 +301,7 @@ func (s *Switch) process(p *pkt.Packet, v *openflow.Verdict) {
 			s.insertMicro(key, mf)
 		}
 		openflow.ApplyActions(mf.actions, p, v, s.pipeline.NumPorts)
+		v.NotePunt(mf.puntReason, mf.puntTable)
 		m.AddCycles(cpumodel.CostActions + cpumodel.CostPktIO)
 		return
 	}

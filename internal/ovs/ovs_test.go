@@ -125,6 +125,53 @@ func TestCacheHierarchyProgression(t *testing.T) {
 	}
 }
 
+// TestPuntAttributionAtEveryLevel holds the baseline's punt reason and table
+// to the interpreter's on a two-table MissController pipeline, for the
+// upcall, a microflow hit (the same frame again) and a megaflow hit (the
+// megaflow's other source MAC): a miss in table 0 and in table 1 reads
+// no_match there, an explicit controller output in table 1 reads action.
+func TestPuntAttributionAtEveryLevel(t *testing.T) {
+	pl := openflow.NewPipeline(4)
+	pl.Miss = openflow.MissController
+	pl.Table(0).AddFlow(100, openflow.NewMatch().Set(openflow.FieldInPort, 1), openflow.Goto(1))
+	pl.AddTable(1).AddFlow(100, openflow.NewMatch().Set(openflow.FieldEthDst, 0x42), openflow.Apply(openflow.ToController()))
+	sw, err := New(pl, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := openflow.NewInterpreter(pl)
+	for _, c := range []struct {
+		inPort uint32
+		dst    uint64
+		reason openflow.PuntReason
+		table  openflow.TableID
+	}{
+		{2, 0x42, openflow.PuntMiss, 0},
+		{1, 0x43, openflow.PuntMiss, 1},
+		{1, 0x42, openflow.PuntAction, 1},
+	} {
+		for _, src := range []uint64{0x1, 0x1, 0x2} {
+			b := pkt.NewBuilder(128)
+			p := &pkt.Packet{InPort: c.inPort, Data: pkt.Clone(b.EthernetFrame(pkt.EthernetOpts{
+				Dst: pkt.MACFromUint64(c.dst), Src: pkt.MACFromUint64(src), EtherType: 0x88b5}, nil))}
+			var want, got openflow.Verdict
+			in.Process(clonePacket(p), &want, nil)
+			sw.Process(p, &got)
+			if want.PuntReason != c.reason || want.PuntTable != c.table {
+				t.Fatalf("in_port %d dst %#x: interpreter punts %s at table %d, want %s at %d",
+					c.inPort, c.dst, want.PuntReason, want.PuntTable, c.reason, c.table)
+			}
+			if !got.ToController || got.PuntReason != want.PuntReason || got.PuntTable != want.PuntTable {
+				t.Fatalf("in_port %d dst %#x src %#x (%+v): baseline punts %s at table %d, interpreter %s at %d",
+					c.inPort, c.dst, src, sw.Stats(), got.PuntReason, got.PuntTable, want.PuntReason, want.PuntTable)
+			}
+		}
+	}
+	if st := sw.Stats(); st.SlowPath != 3 || st.Microflow != 3 || st.Megaflow != 3 {
+		t.Fatalf("every level must have punted: %+v", st)
+	}
+}
+
 func TestMicroflowDisabledAblation(t *testing.T) {
 	pl := macPipeline(16)
 	opts := DefaultOptions()

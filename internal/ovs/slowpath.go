@@ -31,8 +31,7 @@ func (s *Switch) slowPath(p *pkt.Packet, v *openflow.Verdict) *megaflow {
 	// the same path and receive the same rewrites, so this is sound).
 	orig := &pkt.Packet{Data: p.Data, InPort: p.InPort, Metadata: p.Metadata, Headers: p.Headers}
 	acc.Reset(orig)
-	var flat openflow.ActionList
-	var actionSet openflow.ActionList
+	var flat, actionSet openflow.ActionList
 
 	pl := s.pipeline
 	tableID := openflow.TableID(0)
@@ -48,64 +47,41 @@ func (s *Switch) slowPath(p *pkt.Packet, v *openflow.Verdict) *megaflow {
 			switch pl.Miss {
 			case openflow.MissController:
 				v.ToController = true
+				v.NotePunt(openflow.PuntMiss, tableID)
 				flat = append(flat, openflow.ToController())
 			default:
 				v.Dropped = true
 			}
-			return s.finishMegaflow(acc, flat)
+			return s.finishMegaflow(acc, flat, v)
 		}
 		if s.opts.UpdateCounters {
 			matched.Counters.Add(len(p.Data))
 		}
 		ins := &matched.Instructions
-		if len(ins.ApplyActions) > 0 {
-			openflow.ApplyActions(ins.ApplyActions, p, v, pl.NumPorts)
-			// Fields rewritten here are deterministic for every packet on
-			// this path: suppress their later observation so the megaflow
-			// never pairs an original value with a post-rewrite mask.
-			acc.MarkModifiedActions(ins.ApplyActions)
-			// An explicit drop ends the list, not the walk when something
-			// was already output: the cached list keeps only what ran.
-			for _, a := range ins.ApplyActions {
-				if a.Type == openflow.ActionDrop {
-					break
-				}
-				flat = append(flat, a)
-			}
-			if v.Dropped && !v.Forwarded() && !v.ToController {
-				if ins.ApplyActions.HasDrop() {
-					return s.finishMegaflow(acc, flat)
-				}
-				v.Dropped = false
-			}
-		}
-		if ins.ClearActions {
-			actionSet = actionSet[:0]
-		}
-		if len(ins.WriteActions) > 0 {
-			actionSet = actionSet.Merge(ins.WriteActions)
+		step := ins.Execute(p, v, &actionSet, pl.NumPorts, tableID)
+		// Fields rewritten by apply-actions are deterministic for every packet
+		// on this path: suppress their later observation so the megaflow never
+		// pairs an original value with a post-rewrite mask.
+		acc.MarkModifiedActions(ins.ApplyActions)
+		// An explicit drop ends the list, not the walk when something was
+		// already output: the cached list keeps only what ran.
+		flat = append(flat, ins.ApplyActions.BeforeDrop()...)
+		if step == openflow.StepDropped {
+			return s.finishMegaflow(acc, flat, v)
 		}
 		if ins.MetadataMask != 0 {
-			p.Metadata = (p.Metadata &^ ins.MetadataMask) | (ins.WriteMetadata & ins.MetadataMask)
 			acc.MarkMetadataWrite(ins.MetadataMask)
 			// The cached actions replay the register as the walk left it;
 			// packets enter with metadata zero (no cache level keys on it).
 			flat = append(flat, openflow.SetField(openflow.FieldMetadata, p.Metadata))
 		}
-		if !ins.HasGoto {
-			if len(actionSet) > 0 {
-				openflow.ApplyActions(actionSet, p, v, pl.NumPorts)
-				flat = append(flat, actionSet...)
-			}
-			if !v.Forwarded() && !v.ToController {
-				v.Dropped = true
-			}
-			return s.finishMegaflow(acc, flat)
+		if step == openflow.StepTerminal {
+			return s.finishMegaflow(acc, append(flat, actionSet...), v)
 		}
 		tableID = ins.GotoTable
 	}
 	v.Dropped = true
-	return s.finishMegaflow(acc, flat)
+	return s.finishMegaflow(acc, flat, v)
 }
 
 // slowPathLinearThreshold is the table size up to which the slow path
@@ -148,11 +124,12 @@ func (s *Switch) classifyTable(table *openflow.FlowTable, p *pkt.Packet, acc *op
 	return res.Entry.Aux.(*openflow.FlowEntry)
 }
 
-// finishMegaflow builds the megaflow entry from the accumulated masks.  The
-// field values are taken from the original packet header values captured when
-// the accumulator first observed each field, so header rewrites performed by
+// finishMegaflow builds the megaflow entry from the accumulated masks and the
+// walk's verdict v, whose punt attribution the entry replays.  The field
+// values are taken from the original packet header values captured when the
+// accumulator first observed each field, so header rewrites performed by
 // earlier stages do not corrupt the cache key.
-func (s *Switch) finishMegaflow(acc *openflow.MaskAccumulator, flat openflow.ActionList) *megaflow {
+func (s *Switch) finishMegaflow(acc *openflow.MaskAccumulator, flat openflow.ActionList, v *openflow.Verdict) *megaflow {
 	if s.opts.ConservativeTransportMask && acc.Orig() != nil {
 		orig := acc.Orig()
 		switch {
@@ -174,5 +151,5 @@ func (s *Switch) finishMegaflow(acc *openflow.MaskAccumulator, flat openflow.Act
 	if len(flat) == 0 {
 		flat = openflow.ActionList{openflow.Drop()}
 	}
-	return &megaflow{match: match, actions: flat}
+	return &megaflow{match: match, actions: flat, puntReason: v.PuntReason, puntTable: v.PuntTable}
 }

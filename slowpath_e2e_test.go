@@ -94,7 +94,10 @@ func TestReactiveLearningEndToEnd(t *testing.T) {
 // sweep: a learnable punt dropped at a full ring can starve discovery for
 // good (see TestPuntOverflowAccountingOverTCP).  The loop is bounded by the
 // controller's progress, not by wall time: it gives up only once neither the
-// learned stations nor the installed flows have moved for stallLimit.
+// learned stations nor the installed flows have moved for stallLimit.  Under
+// load it once did, one host short: with destination-only learned flows, a
+// flow installed mid-sweep carried a sender's only frame, so that sender
+// never punted and was never learned (TestLearningSwitchUnseenSenderStillPunts).
 func TestReactiveLearningUnderRunWorkers(t *testing.T) {
 	const hosts, stallLimit = 64, 5 * time.Second
 	h, err := experiments.NewChaosHarness(experiments.ChaosConfig{Hosts: hosts, PuntRing: 256})
@@ -136,8 +139,11 @@ func TestReactiveLearningUnderRunWorkers(t *testing.T) {
 	stop()
 	st := h.SW.Stats()
 	if !converged {
-		t.Fatalf("did not converge under RunWorkers: no learning progress for %v at %d of %d hosts, %d flow-mods, %d watchdog stalls, stats %+v",
-			stallLimit, h.Learner.Learned(), hosts, h.Learner.FlowMods(), h.PSup.Stalls(), st)
+		svc := h.Service()
+		t.Fatalf("did not converge under RunWorkers: no learning progress for %v at %d of %d hosts, %d flow-mods, %d watchdog stalls, "+
+			"%d sessions, %d echo timeouts, %d PacketIns delivered, %d send errors, stats %+v",
+			stallLimit, h.Learner.Learned(), hosts, h.Learner.FlowMods(), h.PSup.Stalls(),
+			h.Sup.Sessions(), h.Sup.EchoTimeouts(), svc.Delivered(), svc.SendErrors(), st)
 	}
 	if st.Punts+st.PuntDrops != st.ToCtrl {
 		t.Fatalf("ring accounting broken under workers: %+v", st)
