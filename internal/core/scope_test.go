@@ -377,7 +377,7 @@ func (r *scopeRig) widen(prefix bool) (what string, widened bool) {
 		}
 	}
 	// Where the frame's walk ends, so the entry is live, and at a priority of
-	// its own above every other entry's (see randomMod's add).
+	// its own above every other entry's (randomMod's top band is 20000).
 	steps := r.dp.Trace(&pkt.Packet{Data: r.frames[0], InPort: r.inPorts[0]}).Steps
 	tid := steps[len(steps)-1].Table
 	before, flushes := r.dp.snap.Load().keyMask, r.dp.FlowCacheStats().Flushes
@@ -447,13 +447,10 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 		}
 		return ins
 	}
-	// add installs an entry.  Every new entry gets a priority of its own, in
-	// one of three bands above the installed ones: which of two overlapping
-	// entries of equal priority wins is undefined in OpenFlow, and the
-	// templates do differ.
-	add := func(kind string, tid openflow.TableID, band int, m *openflow.Match, ins openflow.Instructions) string {
-		r.adds++
-		prio := []int{1000, 5000, 20000}[band] + r.adds
+	// add installs an entry at priority prio.  Generated entries share
+	// priorities, so overlapping ones tie and the earliest installed must
+	// win, as in the interpreter; a replace reuses its victim's priority.
+	add := func(kind string, tid openflow.TableID, prio int, m *openflow.Match, ins openflow.Instructions) string {
 		e := openflow.NewEntry(prio, m, ins)
 		for _, tw := range r.twins() {
 			if err := tw.AddFlow(tid, e.Clone()); err != nil {
@@ -465,6 +462,7 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 		}
 		return fmt.Sprintf("%s table %d %v", kind, tid, e)
 	}
+	bands := []int{1000, 5000, 20000}
 	// sample parses a random frame and returns it before and after its walk,
 	// with the tables the walk visited.
 	sample := func() (wire, walked pkt.Packet, path []openflow.TableID) {
@@ -486,13 +484,13 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 		for _, f := range []openflow.Field{openflow.FieldVLANID, openflow.FieldIPSrc, openflow.FieldIPDst, openflow.FieldEthDst, openflow.FieldTCPDst} {
 			if was, is := openflow.Extract(&wire, f), openflow.Extract(&walked, f); was != is && len(path) > 1 {
 				last := path[len(path)-1]
-				return add("add-on-rewritten-field", last, 2, openflow.NewMatch().Set(f, is), instructions(last))
+				return add("add-on-rewritten-field", last, bands[2], openflow.NewMatch().Set(f, is), instructions(last))
 			}
 		}
 	case k < 4:
 		if wire, _, path := sample(); wire.Headers.Has(pkt.ProtoTCP) {
 			at := path[rng.Intn(len(path))]
-			return add("add-on-l4-source", at, 2,
+			return add("add-on-l4-source", at, bands[2],
 				openflow.NewMatch().Set(openflow.FieldTCPSrc, uint64(wire.Headers.L4Src)), instructions(at))
 		}
 	}
@@ -513,7 +511,7 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 		}
 		return fmt.Sprintf("delete table %d %v (priority %d, %d removed)", tid, victim.Match, prio, n)
 	case k < 12 && victim != nil:
-		return add("replace", tid, 0, victim.Match.Clone(), instructions(tid))
+		return add("replace", tid, victim.Priority, victim.Match.Clone(), instructions(tid))
 	}
 	// Plain add: field values from a frame, before or after its walk.
 	from, walked, _ := sample()
@@ -544,7 +542,7 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 			m.Set(f, value)
 		}
 	}
-	return add("add", tid, rng.Intn(3), m, instructions(tid))
+	return add("add", tid, bands[rng.Intn(3)], m, instructions(tid))
 }
 
 // enrich turns most instruction sets randomMod draws, drawing from r.extra,

@@ -160,7 +160,7 @@ func New(pl *openflow.Pipeline, opts Options) (*Switch, error) {
 		pipeline:        pl.Clone(),
 		meter:           opts.Meter,
 		micro:           make(map[microKey]*megaflow),
-		mega:            tss.New(),
+		mega:            tss.NewDisjoint(),
 		slowClassifiers: make(map[openflow.TableID]*tss.Classifier),
 	}
 	s.microRegion = s.meter.NewRegion("ovs-microflow", opts.MicroflowLimit*64)

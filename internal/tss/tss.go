@@ -10,6 +10,10 @@
 // entries.  The classifier implements OVS's tuple-priority-sorting
 // optimization: groups are kept sorted by their maximum priority so a search
 // can stop as soon as the current best hit outranks every remaining group.
+//
+// Overlapping entries of equal priority resolve as in openflow.FlowTable: the
+// earliest inserted wins, and a replacement keeps the position of the entry it
+// replaces.
 package tss
 
 import (
@@ -32,6 +36,9 @@ type Entry struct {
 	Value uint32
 	// Aux optionally carries a consumer-defined payload.
 	Aux any
+	// seq is the entry's insertion order, the tie-break among overlapping
+	// entries of equal priority (lower wins).
+	seq uint64
 }
 
 type maskSignature string
@@ -45,18 +52,35 @@ type group struct {
 	// (multiple only when priorities differ).
 	entries map[string][]*Entry
 	maxPrio int
+	// firstSeq is the lowest seq among the entries at maxPrio: a hit of
+	// priority maxPrio inserted before it outranks the whole group.
+	firstSeq uint64
 }
 
 // Classifier is a tuple space search classifier.  The zero value is usable.
 type Classifier struct {
-	groups []*group
-	bysig  map[maskSignature]*group
-	count  int
+	groups  []*group
+	bysig   map[maskSignature]*group
+	count   int
+	nextSeq uint64
+	// disjoint marks a classifier whose entries never overlap, so a lookup
+	// stops at its first hit (NewDisjoint).
+	disjoint bool
 }
 
 // New returns an empty classifier.
 func New() *Classifier {
 	return &Classifier{bysig: make(map[maskSignature]*group)}
+}
+
+// NewDisjoint returns an empty classifier for entries that never overlap, as
+// the megaflow cache's do by construction: a packet matches at most one
+// entry, so a lookup stops at the first hit, as OVS's datapath classifier
+// does.
+func NewDisjoint() *Classifier {
+	c := New()
+	c.disjoint = true
+	return c
 }
 
 // Len returns the number of entries.
@@ -74,17 +98,20 @@ func (c *Classifier) NumGroups() int { return len(c.groups) }
 // atomically.
 func (c *Classifier) Clone() *Classifier {
 	nc := &Classifier{
-		groups: make([]*group, len(c.groups)),
-		bysig:  make(map[maskSignature]*group, len(c.bysig)),
-		count:  c.count,
+		groups:   make([]*group, len(c.groups)),
+		bysig:    make(map[maskSignature]*group, len(c.bysig)),
+		count:    c.count,
+		nextSeq:  c.nextSeq,
+		disjoint: c.disjoint,
 	}
 	for i, g := range c.groups {
 		ng := &group{
-			sig:     g.sig,
-			fields:  g.fields,
-			masks:   g.masks,
-			entries: make(map[string][]*Entry, len(g.entries)),
-			maxPrio: g.maxPrio,
+			sig:      g.sig,
+			fields:   g.fields,
+			masks:    g.masks,
+			entries:  make(map[string][]*Entry, len(g.entries)),
+			maxPrio:  g.maxPrio,
+			firstSeq: g.firstSeq,
 		}
 		for k, es := range g.entries {
 			ng.entries[k] = append([]*Entry(nil), es...)
@@ -136,7 +163,7 @@ func keyOfPacket(g *group, p *pkt.Packet, buf []byte) string {
 }
 
 // Insert adds an entry.  An existing entry with an equal match and priority
-// is replaced.
+// is replaced, and the replacement takes over its insertion order.
 func (c *Classifier) Insert(e *Entry) {
 	if c.bysig == nil {
 		c.bysig = make(map[maskSignature]*group)
@@ -144,7 +171,7 @@ func (c *Classifier) Insert(e *Entry) {
 	sig, fields, masks := signatureOf(e.Match)
 	g, ok := c.bysig[sig]
 	if !ok {
-		g = &group{sig: sig, fields: fields, masks: masks, entries: make(map[string][]*Entry), maxPrio: e.Priority}
+		g = &group{sig: sig, fields: fields, masks: masks, entries: make(map[string][]*Entry), maxPrio: e.Priority, firstSeq: c.nextSeq}
 		c.bysig[sig] = g
 		c.groups = append(c.groups, g)
 	}
@@ -152,14 +179,17 @@ func (c *Classifier) Insert(e *Entry) {
 	list := g.entries[key]
 	for i, old := range list {
 		if old.Priority == e.Priority && old.Match.Equal(e.Match) {
+			e.seq = old.seq
 			list[i] = e
 			c.resort()
 			return
 		}
 	}
+	e.seq = c.nextSeq
+	c.nextSeq++
 	g.entries[key] = append(list, e)
 	if e.Priority > g.maxPrio {
-		g.maxPrio = e.Priority
+		g.maxPrio, g.firstSeq = e.Priority, e.seq
 	}
 	c.count++
 	c.resort()
@@ -247,8 +277,8 @@ func (g *group) recomputeMaxPrio() {
 	first := true
 	for _, list := range g.entries {
 		for _, e := range list {
-			if first || e.Priority > g.maxPrio {
-				g.maxPrio = e.Priority
+			if first || e.Priority > g.maxPrio || (e.Priority == g.maxPrio && e.seq < g.firstSeq) {
+				g.maxPrio, g.firstSeq = e.Priority, e.seq
 				first = false
 			}
 		}
@@ -270,7 +300,10 @@ type LookupResult struct {
 }
 
 // Lookup classifies the packet, returning the highest-priority matching
-// entry (nil if none).  A non-nil acc — the OVS slow path's megaflow mask —
+// entry, the earliest inserted among equals (nil if none).  A group whose
+// entries cannot outrank the best hit so far is not probed: one of lower
+// maximum priority ends the search, and so, on a disjoint classifier, does
+// any hit.  A non-nil acc — the OVS slow path's megaflow mask —
 // observes every probed group's fields under the group's masks, and their
 // protocol prerequisites: proving (or disproving) that those are present
 // reads the protocol-identifying header fields.  Forwarding lookups pass nil.
@@ -279,8 +312,13 @@ func (c *Classifier) Lookup(p *pkt.Packet, acc *openflow.MaskAccumulator) Lookup
 	var res LookupResult
 	var keyBuf [8 * 8]byte
 	for _, g := range c.groups {
-		if best != nil && best.Priority >= g.maxPrio {
-			break // tuple priority sorting early exit
+		if best != nil {
+			if c.disjoint || best.Priority > g.maxPrio {
+				break // tuple priority sorting early exit
+			}
+			if best.Priority == g.maxPrio && best.seq < g.firstSeq {
+				continue // best was inserted before every tie in g
+			}
 		}
 		res.GroupsProbed++
 		if acc != nil {
@@ -297,7 +335,7 @@ func (c *Classifier) Lookup(p *pkt.Packet, acc *openflow.MaskAccumulator) Lookup
 			// The group key only covers masked bits; verify the full
 			// match to honour prerequisites.
 			if e.Match.Matches(p, nil) {
-				if best == nil || e.Priority > best.Priority {
+				if best == nil || e.Priority > best.Priority || (e.Priority == best.Priority && e.seq < best.seq) {
 					best = e
 				}
 			}

@@ -161,6 +161,68 @@ func TestReplaceSameMatchPriority(t *testing.T) {
 	}
 }
 
+// TestEqualPriorityTieBreak pins the interpreter's order for two overlapping
+// entries of equal priority in different tuples: the earliest inserted wins
+// whichever of their tuples is probed first, a replacement keeps the position of the
+// entry it replaces, and a delete hands the packet to the other.  The
+// openflow.FlowTable holding the same entries must agree at every step.
+func TestEqualPriorityTieBreak(t *testing.T) {
+	port := openflow.NewMatch().Set(openflow.FieldTCPDst, 80)
+	addr := openflow.NewMatch().Set(openflow.FieldIPDst, uint64(pkt.IPv4FromOctets(10, 0, 0, 1)))
+	p := tcpPacket(t, 1, pkt.IPv4FromOctets(10, 0, 0, 1), 5000, 80)
+	for _, order := range [][2]*openflow.Match{{port, addr}, {addr, port}} {
+		c, ft := New(), openflow.NewFlowTable(0)
+		value := uint32(0)
+		install := func(m *openflow.Match) {
+			value++
+			c.Insert(&Entry{Priority: 10, Match: m.Clone(), Value: value})
+			ft.Add(openflow.NewEntry(10, m.Clone(), openflow.Apply(openflow.Output(value))))
+		}
+		check := func(step string, want uint32) {
+			t.Helper()
+			res := c.Lookup(p, nil)
+			if res.Entry == nil || res.Entry.Value != want {
+				t.Fatalf("%v first, %s: tss chose %+v, want value %d", order[0], step, res.Entry, want)
+			}
+			if e := ft.Lookup(p, nil); e == nil || e.Instructions.ApplyActions[0].Port != want {
+				t.Fatalf("%v first, %s: the flow table chose %v, want value %d", order[0], step, e, want)
+			}
+			if res := c.Clone().Lookup(p, nil); res.Entry == nil || res.Entry.Value != want {
+				t.Fatalf("%v first, %s: a clone chose %+v, want value %d", order[0], step, res.Entry, want)
+			}
+		}
+		// The port tuple exists first, so it is probed first in both orders.
+		install(openflow.NewMatch().Set(openflow.FieldTCPDst, 443))
+		install(order[0])
+		install(order[1])
+		check("both installed", 2)
+		install(order[1])
+		check("loser replaced", 2)
+		install(order[0])
+		check("winner replaced", 5)
+		c.Delete(order[0], 10)
+		ft.Delete(order[0], 10)
+		check("winner deleted", 4)
+	}
+}
+
+// TestDisjointStopsAtFirstHit keeps the megaflow cache's probe count: a
+// disjoint classifier ends the search at its first hit even when later
+// tuples hold entries of equal priority inserted earlier.
+func TestDisjointStopsAtFirstHit(t *testing.T) {
+	c := NewDisjoint()
+	c.Insert(&Entry{Priority: 0, Match: openflow.NewMatch().Set(openflow.FieldTCPDst, 443), Value: 1})
+	c.Insert(&Entry{Priority: 0, Match: openflow.NewMatch().Set(openflow.FieldIPDst, 7), Value: 2})
+	c.Insert(&Entry{Priority: 0, Match: openflow.NewMatch().Set(openflow.FieldTCPDst, 80), Value: 3})
+	res := c.Lookup(tcpPacket(t, 1, pkt.IPv4FromOctets(10, 0, 0, 1), 5000, 80), nil)
+	if res.Entry == nil || res.Entry.Value != 3 || res.GroupsProbed != 1 {
+		t.Fatalf("disjoint lookup: entry %+v after %d groups, want value 3 after 1", res.Entry, res.GroupsProbed)
+	}
+	if res := c.Clone().Lookup(tcpPacket(t, 1, pkt.IPv4FromOctets(10, 0, 0, 1), 5000, 80), nil); res.GroupsProbed != 1 {
+		t.Fatalf("a clone of a disjoint classifier probed %d groups", res.GroupsProbed)
+	}
+}
+
 // TestAccumulatorSeesGroupMasks requires an observed lookup to report every
 // probed group's fields under the group's masks, plus the protocol fields
 // that prove the group's prerequisites.
