@@ -1,8 +1,7 @@
 // The benchmarks neither other harness has.  bench/ (bash bench/run.sh) owns
 // every forwarding, flow-mod, set-up and heap number the repository quotes,
 // and cmd/eswitch-experiments regenerates the paper's figures; what is left
-// here are the three ablations of a single specialization (key inlining, the
-// parser template, the baseline's microflow level), the punt-ring and
+// here are the baseline's microflow-level ablation, the punt-ring and
 // trace-replay paths bench/ does not drive, the router's cache grid with
 // its 1M-microflow sweep, the one row the deleted second cache level ever won
 // (ROADMAP 3), and the gateway's armed verdict cache, timed without the
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"eswitch/internal/core"
-	"eswitch/internal/cpumodel"
 	"eswitch/internal/dpdk"
 	"eswitch/internal/experiments"
 	"eswitch/internal/ofp"
@@ -52,40 +50,7 @@ func benchTrace(b *testing.B, trace *pktgen.Trace, process func(*pkt.Packet, *op
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpps")
 }
 
-// --- Ablations: one specialization off at a time ---------------------------------
-
-func BenchmarkAblationKeyInlining(b *testing.B) {
-	uc := workload.L2UseCase(4, 4)
-	for _, inline := range []bool{true, false} {
-		b.Run(fmt.Sprintf("inline=%v", inline), func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.DirectCodeMaxEntries = 16
-			opts.InlineKeys = inline
-			opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
-			dp, err := core.Compile(uc.Pipeline, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchTrace(b, uc.Trace(100), dp.ProcessUnlocked, 100)
-			b.ReportMetric(opts.Meter.CyclesPerPacket(), "modelcycles/pkt")
-		})
-	}
-}
-
-func BenchmarkAblationParserSpecialization(b *testing.B) {
-	uc := workload.L2UseCase(1000, 4)
-	for _, specialize := range []bool{true, false} {
-		b.Run(fmt.Sprintf("specialize=%v", specialize), func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.SpecializeParser = specialize
-			dp, err := core.Compile(uc.Pipeline, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchTrace(b, uc.Trace(1000), dp.ProcessUnlocked, 1000)
-		})
-	}
-}
+// --- Ablation: the baseline's microflow level off -------------------------------
 
 func BenchmarkAblationMicroflow(b *testing.B) {
 	cfg := workload.DefaultGatewayConfig()

@@ -59,8 +59,10 @@
 // worker per core over its own queue subset, batched TX with a configurable
 // full-ring backpressure policy (drop | block | spill).  The cycle model
 // (Options.Meter) is a reading, not a forwarding mode: the per-packet walk
-// behind Process charges it (one caller at a time while metered) and no burst
-// ever does.  See docs/architecture.md for the full threading model.
+// behind Process records what each table lookup examined, the same steps
+// Trace returns, and a metered datapath prices that record (one caller at a
+// time); no burst is ever metered.  See docs/architecture.md for the full
+// threading model.
 package eswitch
 
 import (

@@ -112,9 +112,9 @@ func (d *Datapath) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
 }
 
 // processBurst runs one burst of at most MaxBurst packets to completion over
-// the caller-owned scratch sc.  The burst engine is never observed.  When the
-// published pipeline arms the verdict cache (fc is
-// then the caller's, non-nil), the burst first runs a cache probe pass: hits
+// the caller-owned scratch sc.  The burst engine records no steps and is never
+// metered.  When the published pipeline arms the verdict cache (fc is then
+// the caller's, non-nil), the burst first runs a cache probe pass: hits
 // replay their memoized verdict immediately and only the misses enter the
 // wave engine, installing their verdicts on the way out.
 func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, ps []*pkt.Packet, vs []openflow.Verdict) {

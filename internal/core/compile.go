@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"eswitch/internal/cpumodel"
 	"eswitch/internal/lockcount"
 	"eswitch/internal/openflow"
 	"eswitch/internal/pkt"
@@ -71,6 +70,9 @@ type snapshot struct {
 	// uncovered rides along to explain an unarmed cache (unarmedWhy).
 	armed     bool
 	uncovered openflow.FieldSet
+	// regions are the compiled tables' simulated memory, which a metered
+	// walk's steps are priced against (cyclemodel.go); nil when unmetered.
+	regions tableRegions
 }
 
 // miss records a table miss at the given table in the verdict per the
@@ -96,14 +98,16 @@ func (sn *snapshot) miss(v *openflow.Verdict, table openflow.TableID) {
 // atomically, and reclaim superseded copies only after every registered worker
 // epoch has passed a quiescent point (see epoch.go and update.go).
 type Datapath struct {
-	opts  Options
-	meter *cpumodel.Meter
-	// obs is the meter's one observer (nil when unmetered): the sequential
-	// per-packet walk behind Process and ProcessUnlocked reports to it and
-	// nothing else does — no burst entry point is ever metered.  meterMu
-	// makes Process's concurrent callers the single writer the meter needs.
-	obs     *observer
+	opts Options
+	// steps is the record every metered walk (Process, ProcessUnlocked)
+	// reuses before priceWalk charges it to Options.Meter; no burst entry
+	// point is ever metered.  meterMu makes Process's concurrent callers the
+	// single writer steps and the meter need.
+	steps   []TraceStep
 	meterMu sync.Mutex
+	// regions is the writer-owned copy of snapshot.regions: on a metered
+	// datapath buildTable carves one for each table it builds.
+	regions tableRegions
 
 	// pipeline is the declarative source of truth; updates are applied to
 	// it first and then reflected into the compiled representation.
@@ -186,13 +190,9 @@ func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 	}
 	d := &Datapath{
 		opts:     opts,
-		meter:    opts.Meter,
 		numPorts: pl.NumPorts,
 		insCache: make(map[string]*openflow.Instructions),
 		versions: make(map[openflow.TableID]*tableVersion),
-	}
-	if d.meter != nil {
-		d.obs = &observer{meter: d.meter}
 	}
 	d.pins = make(chan *Worker, maxPinnedWorkers)
 	working := pl.Clone()
@@ -202,11 +202,7 @@ func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 		d.decomposedBy = extra
 	}
 	d.pipeline = working
-	if opts.SpecializeParser {
-		d.parserLayer = working.RequiredLayer()
-	} else {
-		d.parserLayer = pkt.LayerL4
-	}
+	d.parserLayer = working.RequiredLayer()
 	d.trampolines = make(map[openflow.TableID]*trampoline, working.NumTables())
 	for _, t := range working.Tables() {
 		d.trampolines[t.ID] = &trampoline{id: t.ID}
@@ -247,6 +243,7 @@ func (d *Datapath) publish() {
 		keyMask:     d.keyMask,
 		armed:       d.dirty != nil && uncovered == 0 && d.deep,
 		uncovered:   uncovered,
+		regions:     d.regions,
 	})
 }
 
@@ -260,16 +257,19 @@ func (d *Datapath) buildTable(t *openflow.FlowTable) (tableDatapath, error) {
 	var dp tableDatapath
 	switch a.kind {
 	case TemplateDirectCode:
-		dc := newDirectCode(d.opts, d.meter)
+		dc := newDirectCode(d.opts)
 		dc.maxEntries = max(dc.maxEntries, t.Len()) // capacity for rebuild-free inserts is still bounded by analysis
 		dp = dc
 	case TemplateHash:
-		dp = newHashTable(a.fields, a.masks, t.Len(), d.meter)
+		dp = newHashTable(a.fields, a.masks, t.Len())
 	case TemplateLPM:
-		dp = newLPMTable(a.lpmField, d.meter)
+		dp = newLPMTable(a.lpmField)
 	case TemplateLinkedList:
-		dp = newListTable(d.meter)
+		dp = newListTable()
 		d.deep = true
+	}
+	if m := d.opts.Meter; m != nil {
+		d.regions = d.regions.carve(m, t.ID, dp)
 	}
 	for _, e := range t.Entries() {
 		ce, err := d.compileEntry(e)
@@ -332,9 +332,6 @@ func (d *Datapath) Rebuilds() uint64 { return d.rebuilds.Load() }
 // IncrementalUpdates returns how many updates were applied without a rebuild.
 func (d *Datapath) IncrementalUpdates() uint64 { return d.incremental.Load() }
 
-// Meter returns the datapath's cycle meter (nil when not metering).
-func (d *Datapath) Meter() *cpumodel.Meter { return d.meter }
-
 // TableTemplate reports which template a table was compiled into.
 func (d *Datapath) TableTemplate(id openflow.TableID) (TemplateKind, bool) {
 	d.mu.Lock()
@@ -385,10 +382,10 @@ func (d *Datapath) Stages() []TableStage {
 // Process is safe to call from any number of goroutines concurrently with
 // flow-table updates and with each other: the call pins a recycled worker's
 // epoch for its duration, so updates cannot reclaim the state it reads, and
-// on a metered datapath the walk additionally holds meterMu, so the meter
-// sees one writer at a time and counts every packet exactly.  Dedicated
-// forwarding workers should RegisterWorker once and process bursts inside
-// their own Enter/Exit bracket instead.
+// on a metered datapath the walk and its pricing additionally hold meterMu,
+// so the meter sees one writer at a time and counts every packet exactly.
+// Dedicated forwarding workers should RegisterWorker once and process bursts
+// inside their own Enter/Exit bracket instead.
 func (d *Datapath) Process(p *pkt.Packet, v *openflow.Verdict) {
 	w := d.pinGet()
 	w.Enter()
@@ -396,7 +393,7 @@ func (d *Datapath) Process(p *pkt.Packet, v *openflow.Verdict) {
 	// slots, nor park a worker in the entered state where synchronize()
 	// would wait on it forever.
 	defer func() { w.Exit(); d.pinPut(w) }()
-	if d.obs != nil {
+	if d.opts.Meter != nil {
 		d.meterMu.Lock()
 		defer d.meterMu.Unlock()
 	}
@@ -414,32 +411,35 @@ func (d *Datapath) ProcessUnlocked(p *pkt.Packet, v *openflow.Verdict) {
 }
 
 // process runs one packet through the sequential walker from scratch: reset
-// the verdict, parse only as deep as the pipeline needs, walk — under the
-// datapath's meter observer when it has one.
+// the verdict, parse only as deep as the pipeline needs, walk — recording
+// the walk and pricing the record on a metered datapath.
 func (d *Datapath) process(p *pkt.Packet, v *openflow.Verdict) {
-	sn, o := d.snap.Load(), d.obs
+	sn := d.snap.Load()
 	v.Reset()
 	pkt.ParseTo(p, sn.parserLayer)
-	if o != nil {
-		o.meter.StartPacket()
-		o.meter.AddCycles(cpumodel.CostPktIO + parserCost(sn.parserLayer))
-	}
 	var set openflow.ActionList
-	d.walk(sn, p, v, &set, o, d.opts.UpdateCounters)
+	if m := d.opts.Meter; m != nil {
+		d.steps = d.steps[:0]
+		d.walk(sn, p, v, &set, &d.steps, d.opts.UpdateCounters)
+		priceWalk(m, sn.parserLayer, d.steps, sn.regions)
+		return
+	}
+	d.walk(sn, p, v, &set, nil, d.opts.UpdateCounters)
 }
 
 // walk is the one sequential walker of the goto DAG: it takes a parsed packet
 // and a reset verdict from the start table to a terminal disposition, one
 // table lookup at a time.  Process, ProcessUnlocked and Trace all run it; what
-// differs between them is only who is watching — a nil observer is the plain
-// forwarding walk, a non-nil one is told about every lookup and every executed
-// entry.  It shares the instruction step (openflow.Instructions.Execute), the
+// differs between them is only whether it records — with nil steps it is the
+// plain forwarding walk, otherwise it appends one TraceStep per lookup: the
+// table, what the template examined, the matched entry and how executing it
+// ended.  It shares the instruction step (openflow.Instructions.Execute), the
 // miss disposition and the depth guard with the burst engine (burst.go), the
 // only other walker.  counters selects whether matched entries' per-flow
 // counters are bumped, straight on their atomics: the forwarding paths pass
 // Options.UpdateCounters, Trace passes false so an admin trace never perturbs
 // flow statistics.
-func (d *Datapath) walk(sn *snapshot, p *pkt.Packet, v *openflow.Verdict, set *openflow.ActionList, o *observer, counters bool) {
+func (d *Datapath) walk(sn *snapshot, p *pkt.Packet, v *openflow.Verdict, set *openflow.ActionList, steps *[]TraceStep, counters bool) {
 	tr := sn.start
 	for depth := 0; depth < openflow.MaxPipelineDepth && tr != nil; depth++ {
 		dp := tr.load()
@@ -447,20 +447,25 @@ func (d *Datapath) walk(sn *snapshot, p *pkt.Packet, v *openflow.Verdict, set *o
 			break
 		}
 		v.Tables++
-		ce := dp.Lookup(p, o)
-		if o != nil {
-			o.looked(tr, dp, ce)
+		var st *TraceStep
+		if steps != nil {
+			*steps = append(*steps, TraceStep{Table: tr.id, Template: dp.Kind(), Entries: dp.Len()})
+			st = &(*steps)[len(*steps)-1]
 		}
+		ce := dp.Lookup(p, st)
 		if ce == nil {
 			sn.miss(v, tr.id)
 			return
+		}
+		if st != nil {
+			st.matched(ce)
 		}
 		if counters {
 			ce.counters.Add(len(p.Data))
 		}
 		step := ce.ins.Execute(p, v, set, sn.numPorts, tr.id)
-		if o != nil {
-			o.executed(step)
+		if st != nil {
+			st.Outcome = step
 		}
 		if step != openflow.StepNext {
 			return
@@ -468,17 +473,4 @@ func (d *Datapath) walk(sn *snapshot, p *pkt.Packet, v *openflow.Verdict, set *o
 		tr = ce.next
 	}
 	v.Dropped = true
-}
-
-func parserCost(layer pkt.Layer) int {
-	switch layer {
-	case pkt.LayerNone:
-		return 4
-	case pkt.LayerL2:
-		return 10
-	case pkt.LayerL3:
-		return 20
-	default:
-		return cpumodel.CostParser
-	}
 }

@@ -21,15 +21,15 @@
 //
 // The runtime (Datapath) executes the compiled representation through
 // exactly two walkers of the goto DAG: the burst engine (burst.go), which
-// classifies a whole burst level by level and is never observed, and one
+// classifies a whole burst level by level and records nothing, and one
 // sequential per-packet walk (Datapath.walk, compile.go).  Both run each
 // matched entry through the interpreter's own instruction step,
-// openflow.Instructions.Execute.  Everything that has to watch a packet cross
-// the pipeline — the cpumodel.Meter that regenerates the paper's cycle- and
-// cache-level figures deterministically, the tracer — rides the sequential
-// walk as an optional observer, and each template has one per-packet lookup:
-// a nil observer is forwarding, a non-nil one is charged what the same lookup
-// cost.
+// openflow.Instructions.Execute.  The sequential walk can record its steps:
+// each template has one per-packet lookup, and a non-nil *TraceStep receives
+// what that lookup examined (a nil one is forwarding).  Trace returns the
+// record; a metered datapath prices it (cyclemodel.go), which is how the
+// cpumodel.Meter regenerates the paper's cycle- and cache-level figures
+// deterministically without a charge inside any template.
 package core
 
 import (
@@ -84,14 +84,6 @@ type Options struct {
 	// pipelines are usually already optimally decomposed, so it is off by
 	// default and enabled per use case.
 	Decompose bool
-	// InlineKeys folds flow keys into the specialized matchers (§3.3).
-	// Disabling it models the pointer-indirection alternative the paper
-	// rejects: every key comparison costs an extra data-cache access.
-	InlineKeys bool
-	// SpecializeParser restricts header parsing to the layers the pipeline
-	// actually matches on (§3.1).  Disabling it models the prototype's
-	// combined L2–L4 parser.
-	SpecializeParser bool
 	// UpdateCounters maintains per-flow-entry counters on the fast path.
 	UpdateCounters bool
 	// FlowCache, when positive, gives every registered worker a private
@@ -116,9 +108,10 @@ type Options struct {
 	// Replacing an existing entry (same priority and match) never counts
 	// against the cap.  Zero means unlimited.
 	MaxTableEntries int
-	// Meter, when non-nil, receives the cycle and memory-access accounting
-	// of every packet sent through Process or ProcessUnlocked — the
-	// sequential per-packet walk.  Bursts are never metered.
+	// Meter, when non-nil, is charged the cycle model's price of every
+	// packet sent through Process or ProcessUnlocked: the sequential
+	// per-packet walk records its steps and priceWalk reads them.  Bursts
+	// are never metered.
 	Meter *cpumodel.Meter
 }
 
@@ -142,8 +135,6 @@ func DefaultOptions() Options {
 	return Options{
 		DirectCodeMaxEntries: 4,
 		Decompose:            false,
-		InlineKeys:           true,
-		SpecializeParser:     true,
 		UpdateCounters:       false,
 	}
 }
@@ -166,67 +157,20 @@ type compiledEntry struct {
 // the closure, mirroring the paper's matcher templates patched with constants.
 type matcherFunc func(p *pkt.Packet) bool
 
-// observer is what one sequential walk (Datapath.walk) and the template
-// lookups under it report to; a nil observer is plain forwarding, and within
-// a non-nil one each field is optional and a nil one costs a branch.  Who
-// sets what:
-//
-//   - meter — the cycle and simulated-cache model: the one observer a
-//     metered datapath (Options.Meter) owns, behind Process and
-//     ProcessUnlocked;
-//   - steps — the per-table explanation: Trace only.
-//
-// The observer crosses an interface call (tableDatapath.Lookup), so one built
-// on the caller's stack escapes to the heap: the Datapath allocates its own
-// once and reuses it.
-type observer struct {
-	meter *cpumodel.Meter
-	steps *[]TraceStep
-}
-
-// looked reports the outcome of the lookup in the table behind tr (ce is nil
-// on a table miss).
-func (o *observer) looked(tr *trampoline, dp tableDatapath, ce *compiledEntry) {
-	if o.steps != nil {
-		step := TraceStep{Table: tr.id, Template: dp.Kind(), Entries: dp.Len()}
-		if ce != nil {
-			step.Matched = true
-			step.Priority = ce.priority
-			step.Match = ce.match
-			step.Apply = ce.ins.ApplyActions
-			step.Next, step.HasNext = ce.ins.GotoTable, ce.ins.HasGoto
-		}
-		*o.steps = append(*o.steps, step)
-	}
-	if ce == nil {
-		o.meter.AddCycles(cpumodel.CostPktIO)
-	}
-}
-
-// executed reports how executing the matched entry ended.
-func (o *observer) executed(step openflow.Step) {
-	switch step {
-	case openflow.StepDropped:
-		o.meter.AddCycles(cpumodel.CostActions)
-	case openflow.StepTerminal:
-		o.meter.AddCycles(cpumodel.CostActions + cpumodel.CostPktIO)
-	}
-}
-
 // tableDatapath is the common interface of the four compiled table templates.
 // It carries two lookups and no more (TestTableDatapathLookupSurface): the
-// per-packet one the sequential walk drives, watched or not, and the batched
-// one the burst engine drives.
+// per-packet one the sequential walk drives, recording or not, and the
+// batched one the burst engine drives.
 type tableDatapath interface {
 	// Kind returns the template implementing the table.
 	Kind() TemplateKind
 	// Len returns the number of compiled entries.
 	Len() int
 	// Lookup classifies the packet, returning the matched entry (nil on a
-	// table miss).  A non-nil o is charged the lookup's cycle cost and
-	// simulated memory accesses (a nil o.meter charges nothing); the
-	// forwarding paths pass nil.
-	Lookup(p *pkt.Packet, o *observer) *compiledEntry
+	// table miss).  A non-nil st receives what the lookup examined
+	// (TraceStep.Examined and Offset) and nothing else; the forwarding
+	// paths pass nil.
+	Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry
 	// LookupBurst classifies a burst in one pass, writing the entry matched
 	// by ps[i] to outs[i] (len(outs) == len(ps) <= MaxBurst).  sc provides
 	// reusable per-worker scratch for staging key material; templates that

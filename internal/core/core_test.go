@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -911,41 +914,55 @@ func TestMeteredProcessingChargesCycles(t *testing.T) {
 }
 
 // TestTableDatapathLookupSurface keeps the observed twin from growing back: a
-// template carries at most two lookups (per packet, observed or not, and per
-// burst), and the cycle meter appears in no template method and nowhere in
-// the burst engine — it observes the sequential walk instead.
+// template carries at most two lookups (per packet, recording or not, and per
+// burst), and the cycle model stays out of the datapath — of the package's
+// non-test files only core.go (Options.Meter) and cyclemodel.go, which
+// prices the walk's steps, import cpumodel.
 func TestTableDatapathLookupSurface(t *testing.T) {
-	meter := reflect.TypeOf((*cpumodel.Meter)(nil))
-	takesMeter := func(name string, fn reflect.Type) {
-		for i := 0; i < fn.NumIn(); i++ {
-			if fn.In(i) == meter {
-				t.Errorf("%s takes a *cpumodel.Meter", name)
-			}
-		}
-	}
 	iface := reflect.TypeOf((*tableDatapath)(nil)).Elem()
 	var lookups []string
 	for i := 0; i < iface.NumMethod(); i++ {
-		m := iface.Method(i)
-		takesMeter("tableDatapath."+m.Name, m.Type)
-		if strings.HasPrefix(m.Name, "Lookup") {
+		if m := iface.Method(i); strings.HasPrefix(m.Name, "Lookup") {
 			lookups = append(lookups, m.Name)
 		}
 	}
 	if len(lookups) > 2 {
 		t.Errorf("tableDatapath has %d lookups, at most 2 allowed: %v", len(lookups), lookups)
 	}
-	takesMeter("processBurst", reflect.TypeOf((*Datapath).processBurst))
-	takesMeter("runWaves", reflect.TypeOf((*Datapath).runWaves))
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{"core.go": true, "cyclemodel.go": true}
+	var importers []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"eswitch/internal/cpumodel"` {
+				importers = append(importers, name)
+				if !allowed[name] {
+					t.Errorf("%s imports cpumodel: the datapath records steps, cyclemodel.go prices them", name)
+				}
+			}
+		}
+	}
+	if len(importers) != len(allowed) {
+		t.Errorf("cpumodel importers %v, want exactly core.go and cyclemodel.go", importers)
+	}
 }
 
 // TestWorkerCarriesNoMeter keeps the meter off the worker plane: a Worker has
-// no meter or observer field and no method that takes or returns one, so every
-// burst entry point is the burst engine whether or not the datapath is metered.
+// no meter field and no method that takes or returns one, so every burst
+// entry point is the burst engine whether or not the datapath is metered.
 func TestWorkerCarriesNoMeter(t *testing.T) {
 	banned := map[reflect.Type]bool{
 		reflect.TypeOf((*cpumodel.Meter)(nil)): true,
-		reflect.TypeOf((*observer)(nil)):       true,
 	}
 	w := reflect.TypeOf(Worker{})
 	for i := 0; i < w.NumField(); i++ {
@@ -966,23 +983,6 @@ func TestWorkerCarriesNoMeter(t *testing.T) {
 				t.Errorf("Worker.%s returns a %s", m.Name, m.Type.Out(j))
 			}
 		}
-	}
-}
-
-func TestParserSpecializationAblation(t *testing.T) {
-	pl := macPipeline(100)
-	spec, err := Compile(pl, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	noSpecOpts := DefaultOptions()
-	noSpecOpts.SpecializeParser = false
-	noSpec, err := Compile(pl, noSpecOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.ParserLayer() >= noSpec.ParserLayer() {
-		t.Fatalf("specialized parser %v should be shallower than combined %v", spec.ParserLayer(), noSpec.ParserLayer())
 	}
 }
 

@@ -88,7 +88,7 @@ import (
 //   - Verdicts that cannot be memoized are never installed: multi-port
 //     (flood/multicast) outputs, walks deeper than the entry encoding, and
 //     packets entering with non-zero metadata.
-//   - A cycle meter does not interact with the cache: the meter rides the
+//   - A cycle meter does not interact with the cache: the meter prices the
 //     sequential per-packet walk, which never probes or installs, and the
 //     burst path that does is never metered.
 //   - Per-flow counters (Options.UpdateCounters) do not defeat the cache:

@@ -4,7 +4,6 @@ import (
 	"maps"
 	"math"
 
-	"eswitch/internal/cpumodel"
 	"eswitch/internal/exacthash"
 	"eswitch/internal/lpm"
 	"eswitch/internal/openflow"
@@ -32,26 +31,18 @@ type directEntry struct {
 // priority order, each as straight-line specialized matchers.  Prerequisite:
 // the table is small (at most Options.DirectCodeMaxEntries entries).
 type directCode struct {
-	entries []directEntry
-	// inlineKeys mirrors Options.InlineKeys; when false every matcher
-	// evaluation charges an extra data access for fetching the key.
-	inlineKeys bool
-	keyRegion  *cpumodel.Region
+	entries    []directEntry
 	maxEntries int
 }
 
-func newDirectCode(opts Options, meter *cpumodel.Meter) *directCode {
-	return &directCode{
-		inlineKeys: opts.InlineKeys,
-		keyRegion:  meter.NewRegion("directcode-keys", 4096),
-		maxEntries: opts.DirectCodeMaxEntries,
-	}
+func newDirectCode(opts Options) *directCode {
+	return &directCode{maxEntries: opts.DirectCodeMaxEntries}
 }
 
 func (d *directCode) Kind() TemplateKind { return TemplateDirectCode }
 func (d *directCode) Len() int           { return len(d.entries) }
 
-func (d *directCode) Lookup(p *pkt.Packet, o *observer) *compiledEntry {
+func (d *directCode) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 	for i := range d.entries {
 		e := &d.entries[i]
 		if !p.Headers.Has(e.proto) {
@@ -65,29 +56,16 @@ func (d *directCode) Lookup(p *pkt.Packet, o *observer) *compiledEntry {
 			}
 		}
 		if matched {
-			if o != nil {
-				d.charge(o.meter, i+1)
+			if st != nil {
+				st.Examined = i + 1
 			}
 			return e.out
 		}
 	}
-	if o != nil {
-		d.charge(o.meter, len(d.entries))
+	if st != nil {
+		st.Examined = len(d.entries)
 	}
 	return nil
-}
-
-// charge bills an observed lookup that examined the first n rules (all of
-// them on a miss): the fixed cost plus the per-rule cost of each.
-func (d *directCode) charge(m *cpumodel.Meter, n int) {
-	m.AddCycles(cpumodel.CostDirectFixed + n*cpumodel.CostDirectPerEntry)
-	if !d.inlineKeys && m != nil {
-		// Pointer-indirection variant: fetch the keys from the data cache
-		// instead of the instruction stream.
-		for i := 0; i < n; i++ {
-			m.RegionAccess(d.keyRegion, uint64(i)*64)
-		}
-	}
 }
 
 // LookupBurst evaluates the burst through the straight-line matchers.  The
@@ -226,22 +204,19 @@ type hashTable struct {
 	// table was built (removals do not raise it): the catch-all must stay
 	// below it, or one hash lookup would not give priority order.
 	prioLo int
-	region *cpumodel.Region
 }
 
-func newHashTable(fields []openflow.Field, masks []uint64, sizeHint int, meter *cpumodel.Meter) *hashTable {
+func newHashTable(fields []openflow.Field, masks []uint64, sizeHint int) *hashTable {
 	var proto pkt.Proto
 	for _, f := range fields {
 		proto |= f.Prerequisite()
 	}
-	h := &hashTable{
+	return &hashTable{
 		plan:   newKeyPlan(fields, masks),
 		proto:  proto,
 		table:  exacthash.New(sizeHint),
 		prioLo: math.MaxInt,
 	}
-	h.region = meter.NewRegion("hash-table", h.table.MemoryFootprint())
-	return h
 }
 
 func (h *hashTable) Kind() TemplateKind { return TemplateHash }
@@ -254,31 +229,19 @@ func (h *hashTable) Len() int {
 	return n
 }
 
-func (h *hashTable) Lookup(p *pkt.Packet, o *observer) *compiledEntry {
+func (h *hashTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 	if !p.Headers.Has(h.proto) {
-		if o != nil {
-			h.charge(o.meter, nil)
-		}
 		return h.def
 	}
 	key := h.plan.packKey(p)
-	if o != nil {
-		h.charge(o.meter, &key)
+	if st != nil {
+		st.Examined, st.Offset = 1, key.W0^key.W1<<7^key.W2<<13^key.W3<<23
 	}
 	idx, ok := h.table.Lookup(key)
 	if !ok {
 		return h.def
 	}
 	return h.values[idx]
-}
-
-// charge bills the fixed cost and, when the table was probed for key, the
-// access to key's bucket.
-func (h *hashTable) charge(m *cpumodel.Meter, key *hashKey) {
-	m.AddCycles(cpumodel.CostHashFixed)
-	if key != nil {
-		m.RegionAccess(h.region, key.W0^key.W1<<7^key.W2<<13^key.W3<<23)
-	}
 }
 
 // burstStageMin is the group size below which the batched templates fall
@@ -332,8 +295,8 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *bur
 
 // Mirror deep-copies the mutable lookup state (the cuckoo table and the
 // value slice); the immutable compile-time state (key plan, protocol
-// prerequisite, meter region) and the compiled entries themselves are shared
-// with the live copy.
+// prerequisite) and the compiled entries themselves are shared with the live
+// copy.
 func (h *hashTable) Mirror() tableDatapath {
 	return &hashTable{
 		plan:        h.plan,
@@ -343,7 +306,6 @@ func (h *hashTable) Mirror() tableDatapath {
 		def:         h.def,
 		defPriority: h.defPriority,
 		prioLo:      h.prioLo,
-		region:      h.region,
 	}
 }
 
@@ -439,16 +401,13 @@ type lpmTable struct {
 	// CanInsert holds a new entry against them instead of against every
 	// installed prefix.
 	prioLo, prioHi [33]int
-	region         *cpumodel.Region
 }
 
-func newLPMTable(field openflow.Field, meter *cpumodel.Meter) *lpmTable {
-	t := lpm.New()
+func newLPMTable(field openflow.Field) *lpmTable {
 	l := &lpmTable{
-		field:  field,
-		proto:  field.Prerequisite(),
-		table:  t,
-		region: meter.NewRegion("lpm-table", t.FirstLevelSize()*4+1<<20),
+		field: field,
+		proto: field.Prerequisite(),
+		table: lpm.New(),
 	}
 	for n := range l.prioLo {
 		l.prioLo[n], l.prioHi[n] = math.MaxInt, math.MinInt
@@ -466,36 +425,19 @@ func (l *lpmTable) Len() int {
 	return n
 }
 
-func (l *lpmTable) Lookup(p *pkt.Packet, o *observer) *compiledEntry {
+func (l *lpmTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 	if !p.Headers.Has(l.proto) {
-		if o != nil {
-			l.charge(o.meter, 0, 0)
-		}
 		return l.def
 	}
 	addr := uint32(openflow.Extract(p, l.field))
 	value, depth, ok := l.table.Resolve(addr, l.table.Probe1(addr))
-	if o != nil {
-		l.charge(o.meter, addr, depth)
+	if st != nil {
+		st.Examined, st.Offset = depth, uint64(addr)
 	}
 	if !ok {
 		return l.def
 	}
 	return l.values[value]
-}
-
-// charge bills the fixed cost plus one access to the first level and one more
-// when the lookup of addr followed a tbl8 group, depth being the levels
-// touched (none when the packet lacks the field; Fig. 20 charges 13 + 2·Lx
-// assuming 2).
-func (l *lpmTable) charge(m *cpumodel.Meter, addr uint32, depth int) {
-	m.AddCycles(cpumodel.CostLPMFixed)
-	if depth > 0 {
-		m.RegionAccess(l.region, uint64(addr>>8))
-	}
-	if depth > 1 {
-		m.RegionAccess(l.region, uint64(addr)|1<<40)
-	}
 }
 
 // LookupBurst stages the addresses of the whole burst and hands them to the
@@ -553,7 +495,6 @@ func (l *lpmTable) Mirror() tableDatapath {
 		defPriority: l.defPriority,
 		prioLo:      l.prioLo,
 		prioHi:      l.prioHi,
-		region:      l.region,
 	}
 }
 
@@ -641,37 +582,25 @@ func (l *lpmTable) Remove(match *openflow.Match, priority int) int {
 // mask combination.
 type listTable struct {
 	classifier *tss.Classifier
-	region     *cpumodel.Region
 	count      int
 }
 
-func newListTable(meter *cpumodel.Meter) *listTable {
-	return &listTable{
-		classifier: tss.New(),
-		region:     meter.NewRegion("list-table", 1<<20),
-	}
+func newListTable() *listTable {
+	return &listTable{classifier: tss.New()}
 }
 
 func (l *listTable) Kind() TemplateKind { return TemplateLinkedList }
 func (l *listTable) Len() int           { return l.count }
 
-func (l *listTable) Lookup(p *pkt.Packet, o *observer) *compiledEntry {
+func (l *listTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 	res := l.classifier.Lookup(p, nil)
-	if o != nil {
-		l.charge(o.meter, p, res.GroupsProbed)
+	if st != nil {
+		st.Examined, st.Offset = res.GroupsProbed, uint64(p.Headers.IPDst)
 	}
 	if res.Entry == nil {
 		return nil
 	}
 	return res.Entry.Aux.(*compiledEntry)
-}
-
-// charge bills one group cost and one region access per tuple probed.
-func (l *listTable) charge(m *cpumodel.Meter, p *pkt.Packet, groups int) {
-	m.AddCycles(cpumodel.CostTSSPerGroup * max(groups, 1))
-	for g := 0; g < groups; g++ {
-		m.RegionAccess(l.region, uint64(g)*4096+uint64(p.Headers.IPDst))
-	}
 }
 
 // LookupBurst runs tuple space search per packet: the last-resort template
@@ -687,7 +616,6 @@ func (l *listTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, _ *burs
 func (l *listTable) Mirror() tableDatapath {
 	return &listTable{
 		classifier: l.classifier.Clone(),
-		region:     l.region,
 		count:      l.count,
 	}
 }

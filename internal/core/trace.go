@@ -78,12 +78,23 @@ func (d *Datapath) FlowSamples(buf []FlowSample) []FlowSample {
 func (d *Datapath) CountersEnabled() bool { return d.opts.UpdateCounters }
 
 // TraceStep is one table lookup of a trace: which table was consulted,
-// through which compiled template, and what it decided.
+// through which compiled template, what the template examined, and what it
+// decided.  It is also the record the cycle model prices (priceWalk).
 type TraceStep struct {
 	Table    openflow.TableID
 	Template TemplateKind
 	// Entries is the table's compiled entry count at trace time.
 	Entries int
+	// Examined is how much of the table the lookup touched: the rules
+	// direct code tested, the DIR-24-8 levels an LPM lookup read, the
+	// tuples the linked list probed, or 1 for a hash probe made and 0 for
+	// one skipped because the packet lacks the key's protocols.
+	Examined int
+	// Offset is the key-derived position the lookup touched: the fold of
+	// the hash key, the LPM address, or the linked list's ip_dst.  It is
+	// taken at lookup time, before any later set-field rewrites the
+	// headers.  Direct code leaves it zero.
+	Offset uint64
 	// Matched reports whether the lookup found an entry; the remaining
 	// fields are meaningful only when it did.
 	Matched  bool
@@ -94,6 +105,18 @@ type TraceStep struct {
 	// Next is the goto_table target (valid when HasNext).
 	Next    openflow.TableID
 	HasNext bool
+	// Outcome is how executing the matched entry ended: on to Next, dropped,
+	// or terminal.
+	Outcome openflow.Step
+}
+
+// matched records the entry the step's lookup found.
+func (s *TraceStep) matched(ce *compiledEntry) {
+	s.Matched = true
+	s.Priority = ce.priority
+	s.Match = ce.match
+	s.Apply = ce.ins.ApplyActions
+	s.Next, s.HasNext = ce.ins.GotoTable, ce.ins.HasGoto
 }
 
 // TraceResult is the full explanation of one packet's pipeline walk.
@@ -141,12 +164,11 @@ type TraceStaleMod struct {
 
 // Trace replays one packet through the compiled pipeline and explains every
 // step.  It is the forwarding path's own sequential walk (Datapath.walk)
-// under an observer that records the steps, so it cannot disagree with
-// forwarding; it never bumps per-flow counters, never installs cache entries
-// and charges no meter; p is parsed and may be rewritten in place, exactly as
-// forwarding would.  Safe to call from any goroutine concurrently with
-// forwarding and flow-mods: the walk runs inside an epoch pin like
-// Datapath.Process.
+// recording its steps, so it cannot disagree with forwarding; it never bumps
+// per-flow counters, never installs cache entries and charges no meter; p is
+// parsed and may be rewritten in place, exactly as forwarding would.  Safe to
+// call from any goroutine concurrently with forwarding and flow-mods: the
+// walk runs inside an epoch pin like Datapath.Process.
 func (d *Datapath) Trace(p *pkt.Packet) *TraceResult {
 	w := d.pinGet()
 	w.Enter()
@@ -181,7 +203,7 @@ func (d *Datapath) Trace(p *pkt.Packet) *TraceResult {
 
 	res.Verdict.Reset()
 	var set openflow.ActionList
-	d.walk(sn, p, &res.Verdict, &set, &observer{steps: &res.Steps}, false)
+	d.walk(sn, p, &res.Verdict, &set, &res.Steps, false)
 	return res
 }
 

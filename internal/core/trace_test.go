@@ -1,10 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"eswitch/internal/cpumodel"
 	"eswitch/internal/openflow"
+	"eswitch/internal/pkt"
+	"eswitch/internal/workload"
 )
 
 // tracePipeline builds a two-stage pipeline: table 0 matches the in-port and
@@ -149,5 +153,227 @@ func TestFlowSamplesIdentityTracksReplace(t *testing.T) {
 	}
 	if changed != 1 {
 		t.Fatalf("replace changed %d identities, want 1", changed)
+	}
+}
+
+// stepFacts is what the cycle model reads of one TraceStep.
+type stepFacts struct {
+	Table    openflow.TableID
+	Template TemplateKind
+	Examined int
+	Offset   uint64
+	Outcome  openflow.Step
+}
+
+func factsOf(steps []TraceStep) []stepFacts {
+	out := make([]stepFacts, len(steps))
+	for i, s := range steps {
+		out[i] = stepFacts{s.Table, s.Template, s.Examined, s.Offset, s.Outcome}
+	}
+	return out
+}
+
+// hashFold is where the cycle model places a compound-hash probe of key.
+func hashFold(k hashKey) uint64 { return k.W0 ^ k.W1<<7 ^ k.W2<<13 ^ k.W3<<23 }
+
+// TestTraceRecordsWhatLookupsExamined pins the per-step record the cycle model
+// prices, on every template: the rules direct code tested, whether a compound
+// hash was probed and the fold of its key, the DIR-24-8 levels an LPM lookup
+// read and its address, the tuples the linked list probed and the packet's
+// ip_dst, and how the matched entry's instructions ended the step.
+func TestTraceRecordsWhatLookupsExamined(t *testing.T) {
+	const (
+		next     = openflow.StepNext
+		dropped  = openflow.StepDropped
+		terminal = openflow.StepTerminal
+	)
+	check := func(t *testing.T, dp *Datapath, label string, p *pkt.Packet, want []stepFacts) {
+		t.Helper()
+		if got := factsOf(dp.Trace(p).Steps); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got  %+v\n want %+v", label, got, want)
+		}
+	}
+
+	t.Run("l3-acl", func(t *testing.T) {
+		uc := workload.L3ACLRouterUseCase(16, 1000, 8, 2016)
+		dp, err := Compile(uc.Pipeline, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		acl := uc.Pipeline.Table(0).Entries()[0].Match
+		src, _, _ := acl.Get(openflow.FieldIPSrc)
+		dst, _, _ := acl.Get(openflow.FieldIPDst)
+		sport, _, _ := acl.Get(openflow.FieldTCPSrc)
+		hash := dp.trampolines[0].load().(*hashTable)
+		fold := func(p *pkt.Packet) uint64 {
+			q := clonePacket(p)
+			pkt.ParseTo(q, pkt.LayerL4)
+			return hashFold(hash.plan.packKey(q))
+		}
+
+		permitted := tcpPacket(t, 1, pkt.IPv4(src), pkt.IPv4(dst), uint16(sport), 80)
+		check(t, dp, "permitted, /24 or shorter route", clonePacket(permitted), []stepFacts{
+			{0, TemplateHash, 1, fold(permitted), next},
+			{1, TemplateLPM, 1, dst, terminal},
+		})
+		denied := tcpPacket(t, 1, pkt.IPv4FromOctets(203, 0, 113, 9), pkt.IPv4(dst), uint16(sport), 80)
+		check(t, dp, "denied by the catch-all", clonePacket(denied), []stepFacts{
+			{0, TemplateHash, 1, fold(denied), dropped},
+		})
+		check(t, dp, "no TCP header: no probe", udpVlanPacket(t, 1, 0, pkt.IPv4(src), pkt.IPv4(dst), uint16(sport), 80), []stepFacts{
+			{0, TemplateHash, 0, 0, dropped},
+		})
+
+		// A /28 under the permitted address puts it behind a tbl8 group.
+		m := openflow.NewMatch().SetPrefix(openflow.FieldIPDst, dst&^0xf, 28)
+		if err := dp.AddFlow(1, openflow.NewEntry(28, m, openflow.Apply(openflow.Output(7)))); err != nil {
+			t.Fatal(err)
+		}
+		check(t, dp, "permitted, /28 route", clonePacket(permitted), []stepFacts{
+			{0, TemplateHash, 1, fold(permitted), next},
+			{1, TemplateLPM, 2, dst, terminal},
+		})
+	})
+
+	t.Run("loadbalancer-decomposed", func(t *testing.T) {
+		opts := DefaultOptions()
+		opts.Decompose = true
+		dp, err := Compile(workload.LoadBalancerUseCase(3).Pipeline, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		service := pkt.IPv4FromOctets(198, 51, 0, 1)
+		other := pkt.IPv4FromOctets(10, 0, 0, 9)
+		// Table 0 sends in_port 2 (its first rule) down the in_port
+		// branch, where table 2 matches tcp_dst 80 (its first rule), table 4
+		// splits on the top bit of ip_src and tables 6 and 7 (linked lists)
+		// hold the services.  Which half of ip_src table 4 tests first, and
+		// which list takes it, is the decomposer's choice: read it off the
+		// decomposed table.
+		split := func(p *pkt.Packet) stepFacts {
+			q := clonePacket(p)
+			pkt.ParseTo(q, pkt.LayerL4)
+			for i, e := range dp.Pipeline().Table(4).Entries() {
+				if e.Match.Matches(q, nil) {
+					return stepFacts{e.Instructions.GotoTable, TemplateDirectCode, i + 1, 0, next}
+				}
+			}
+			t.Fatalf("no rule of table 4 matches %+v", q.Headers)
+			return stepFacts{}
+		}
+		reply := tcpPacket(t, 2, pkt.IPv4FromOctets(10, 0, 0, 1), service, 1234, 80)
+		s4 := split(reply)
+		check(t, dp, "backend reply to a service", reply, []stepFacts{
+			{0, TemplateDirectCode, 1, 0, next},
+			{2, TemplateDirectCode, 1, 0, next},
+			{4, TemplateDirectCode, s4.Examined, 0, next},
+			{s4.Table, TemplateLinkedList, 1, uint64(service), terminal},
+		})
+		stray := tcpPacket(t, 2, pkt.IPv4FromOctets(200, 0, 0, 1), other, 1234, 80)
+		s4 = split(stray)
+		check(t, dp, "backend reply elsewhere", stray, []stepFacts{
+			{0, TemplateDirectCode, 1, 0, next},
+			{2, TemplateDirectCode, 1, 0, next},
+			{4, TemplateDirectCode, s4.Examined, 0, next},
+			{s4.Table, TemplateLinkedList, 2, uint64(other), terminal},
+		})
+		web := tcpPacket(t, 1, pkt.IPv4FromOctets(10, 0, 0, 1), service, 1234, 80)
+		hash := dp.trampolines[1].load().(*hashTable)
+		q := clonePacket(web)
+		pkt.ParseTo(q, pkt.LayerL4)
+		check(t, dp, "web request", clonePacket(web), []stepFacts{
+			{0, TemplateDirectCode, 2, 0, next},
+			{1, TemplateHash, 1, hashFold(hash.plan.packKey(q)), terminal},
+		})
+	})
+}
+
+// TestMeteredProcessPricesItsTrace is the one-record rule: what a metered
+// Process charges for a packet is priceWalk over the steps Trace records for
+// it, so a second meter fed only the traces ends with the same totals.
+func TestMeteredProcessPricesItsTrace(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		uc        *workload.UseCase
+		decompose bool
+	}{
+		{"l3-acl", workload.L3ACLRouterUseCase(200, 1000, 8, 2016), false},
+		{"loadbalancer-decomposed", workload.LoadBalancerUseCase(20), true},
+		{"loadbalancer", workload.LoadBalancerUseCase(20), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Decompose = tc.decompose
+			opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
+			dp, err := Compile(tc.uc.Pipeline, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reading := cpumodel.NewMeter(cpumodel.DefaultPlatform())
+			sn := dp.snap.Load()
+			trace := tc.uc.Trace(64)
+			var p pkt.Packet
+			var v openflow.Verdict
+			for i := 0; i < 500; i++ {
+				trace.Next(&p)
+				frame := append([]byte(nil), p.Data...)
+				steps := dp.Trace(&pkt.Packet{Data: append([]byte(nil), frame...), InPort: p.InPort}).Steps
+				priceWalk(reading, sn.parserLayer, steps, sn.regions)
+				dp.Process(&pkt.Packet{Data: frame, InPort: p.InPort}, &v)
+				if got, want := opts.Meter.TotalCycles(), reading.TotalCycles(); got != want {
+					t.Fatalf("packet %d: Process charged %d cycles in all, its traces price at %d", i, got, want)
+				}
+			}
+			if opts.Meter.String() != reading.String() {
+				t.Fatalf("Process charged %s, its traces price at %s", opts.Meter, reading)
+			}
+		})
+	}
+}
+
+// TestMeteredProcessAllocatesNothing holds the metered walk to the forwarding
+// walk's allocation budget: the step record is the model's own buffer,
+// reused from packet to packet.  The frames take direct code, compound hash
+// and LPM steps (a linked-list probe allocates its tuple key, metered or
+// not).
+func TestMeteredProcessAllocatesNothing(t *testing.T) {
+	acl := workload.L3ACLRouterUseCase(16, 1000, 8, 2016)
+	m := acl.Pipeline.Table(0).Entries()[0].Match
+	src, _, _ := m.Get(openflow.FieldIPSrc)
+	dst, _, _ := m.Get(openflow.FieldIPDst)
+	sport, _, _ := m.Get(openflow.FieldTCPSrc)
+	for _, tc := range []struct {
+		name      string
+		pl        *openflow.Pipeline
+		decompose bool
+		p         *pkt.Packet
+	}{
+		{"l3-acl", acl.Pipeline, false, tcpPacket(t, 1, pkt.IPv4(src), pkt.IPv4(dst), uint16(sport), 80)},
+		{"loadbalancer-decomposed", workload.LoadBalancerUseCase(20).Pipeline, true,
+			tcpPacket(t, 1, pkt.IPv4FromOctets(10, 0, 0, 1), pkt.IPv4FromOctets(198, 51, 0, 1), 1234, 80)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Decompose = tc.decompose
+			opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
+			dp, err := Compile(tc.pl, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := tc.p.Data
+			p := pkt.Packet{Data: append([]byte(nil), frame...), InPort: tc.p.InPort}
+			var v openflow.Verdict
+			run := func() {
+				copy(p.Data, frame)
+				dp.ProcessUnlocked(&p, &v)
+			}
+			run()
+			if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+				t.Fatalf("a metered ProcessUnlocked allocates %v times per packet", allocs)
+			}
+			if got := opts.Meter.Packets(); got != 102 || len(dp.steps) != 2 {
+				t.Fatalf("metered %d packets of %d steps, want 102 of 2", got, len(dp.steps))
+			}
+		})
 	}
 }

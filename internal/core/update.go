@@ -186,7 +186,7 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 	// verdict that is right under neither configuration.  (Entries keyed
 	// under the narrower mask stay servable until the barrier logged on exit,
 	// which is sound: they hold verdicts of the old table.)
-	deeper := d.opts.SpecializeParser && e.Match.RequiredLayer() > d.parserLayer
+	deeper := e.Match.RequiredLayer() > d.parserLayer
 	if deeper || widened {
 		scoped = false
 		if deeper {
@@ -290,6 +290,7 @@ func (d *Datapath) InstallPipeline(pl *openflow.Pipeline) error {
 	d.parserLayer = nd.parserLayer
 	d.numPorts = nd.numPorts
 	d.trampolines = nd.trampolines
+	d.regions = nd.regions
 	d.insCache = nd.insCache
 	d.decomposedBy = nd.decomposedBy
 	d.versions = make(map[openflow.TableID]*tableVersion)

@@ -19,7 +19,7 @@ import (
 // A worker's bursts always run the burst engine, which contains no metering
 // at all — whether or not the datapath carries a cycle meter — so registering
 // workers adds zero locks, zero atomic read-modify-writes and zero
-// allocations per burst.  The meter rides the sequential per-packet walk and
+// allocations per burst.  The meter prices the sequential per-packet walk and
 // nothing else (Datapath.Process, Datapath.ProcessUnlocked).
 
 // WorkerHandle is the interface a registered forwarding worker holds.  It is

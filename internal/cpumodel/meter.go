@@ -100,9 +100,10 @@ func (m *Meter) AddCycles(n int) {
 }
 
 // RegionAccess charges one memory access at the given logical offset within
-// the region, returning the latency charged.
+// the region, returning the latency charged.  A nil region, standing for a
+// structure that has none, charges nothing.
 func (m *Meter) RegionAccess(r *Region, offset uint64) int {
-	if m == nil {
+	if m == nil || r == nil {
 		return 0
 	}
 	lat := m.Platform.L1Lat
