@@ -481,10 +481,12 @@ func (l *lpmTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *burs
 }
 
 // Mirror deep-copies the DIR-24-8 structure and the value slice.  The copy
-// is expensive (the first level alone is 2^24 slots), but it is paid only on
-// the first incremental update of a table: afterwards the update path
-// ping-pongs between the two copies, replaying the handful of pending
-// operations onto the reclaimed one instead of copying again (update.go).
+// is expensive (the first level alone is 2^24 four-byte entries, 64 MB, each
+// carrying its prefix depth, so no depth array is copied beside it; the tbl8
+// group pool is one more flat slice), but it is paid only on the first
+// incremental update of a table: afterwards the update path ping-pongs
+// between the two copies, replaying the handful of pending operations onto
+// the reclaimed one instead of copying again (update.go).
 func (l *lpmTable) Mirror() tableDatapath {
 	return &lpmTable{
 		field:       l.field,

@@ -1,8 +1,33 @@
-// Package lpm implements a DIR-24-8 longest-prefix-match table equivalent to
-// the DPDK rte_lpm library the paper's LPM flow-table template builds on
-// (§3.1, Fig. 4): a first-level direct-indexed table covering the top bits of
-// the address and second-level 8-bit-stride groups for longer prefixes, so a
-// lookup costs at most two memory accesses.
+// Package lpm implements a DIR-24-8 longest-prefix-match table in the memory
+// layout of the DPDK rte_lpm library the paper's LPM flow-table template
+// builds on (§3.1, Fig. 4): a first-level direct-indexed table (tbl24)
+// covering the top bits of the address and 256-entry second-level groups
+// (tbl8) for longer prefixes, so a lookup costs at most two memory accesses.
+//
+// Every entry of both levels is one 32-bit word, rte_lpm's next_hop:24,
+// depth:6 split:
+//
+//	valid(31) | ext(30) | depth(29..24) | value-or-group(23..0)
+//
+// A valid entry holds the value of the longest prefix covering its slot and
+// that prefix's length; an extended (ext) first-level entry holds the index
+// of its tbl8 group instead.  Insert and Delete read the depth out of the
+// entry, so no side array shadows either level.  The groups live in one flat
+// pool, group g being tbl8[g*256 : g*256+256].  When Delete removes the last
+// prefix longer than the stride under a group, the group is folded back into
+// its first-level entry and its index goes on a free list for the next
+// group, as rte_lpm's tbl8_recycle_check does.
+//
+// rte_lpm runs from huge-page memory.  On Linux the first level is a plain Go
+// allocation whose 2 MiB-aligned interior is advised MADV_HUGEPAGE before its
+// first write, so the 64 MB tbl24 of New spans 32 transparent huge pages
+// instead of 16,384 base pages and a random probe rarely misses the TLB; it
+// stays on the Go heap and is counted there.  Clone copies the first level
+// with one append and advises the copy afterwards, leaving khugepaged to
+// collapse it: allocating the copy zeroed, advising it and only then copying
+// into it made the few hundred flow-mods after a mirror up to 1.7 times
+// slower.  Elsewhere the first level is a plain allocation on the default
+// pages.
 //
 // The first-level stride is configurable (24 bits reproduces rte_lpm's
 // DIR-24-8 layout and supports /0–/32 prefixes; tests may use smaller strides
@@ -13,6 +38,8 @@ package lpm
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -20,9 +47,11 @@ import (
 const Invalid = ^uint32(0)
 
 const (
-	validBit  = 1 << 31
-	extBit    = 1 << 30
-	valueMask = (1 << 30) - 1
+	validBit   = 1 << 31
+	extBit     = 1 << 30
+	depthShift = 24
+	valueMask  = 1<<depthShift - 1
+	groupSize  = 256
 )
 
 // DefaultStride is the first-level stride of the classic DIR-24-8 layout.
@@ -31,16 +60,11 @@ const DefaultStride = 24
 // Table is a DIR-24-8-style longest prefix match table over 32-bit keys.
 // The zero value is not usable; use New or NewWithStride.
 type Table struct {
-	stride   uint
-	tbl24    []uint32
-	depths24 []uint8
-	groups   []*group
-	entries  map[prefixKey]uint32
-}
-
-type group struct {
-	slots  [256]uint32
-	depths [256]uint8
+	stride  uint
+	tbl24   []uint32
+	tbl8    []uint32 // the group pool: group g is tbl8[g*groupSize:][:groupSize]
+	free    []uint32 // indexes of recycled groups
+	entries map[prefixKey]uint32
 }
 
 type prefixKey struct {
@@ -48,24 +72,28 @@ type prefixKey struct {
 	len  uint8
 }
 
+// entry encodes a valid entry holding value for a prefix of length depth.
+func entry(value uint32, depth int) uint32 {
+	return validBit | uint32(depth)<<depthShift | value
+}
+
+// depthOf returns the prefix length an entry holds; 0 for an invalid entry.
+func depthOf(e uint32) int { return int(e>>depthShift) & 0x3f }
+
 // New returns an empty table with the classic 24-bit first level.
 func New() *Table { return NewWithStride(DefaultStride) }
 
 // NewWithStride returns an empty table whose first level covers the given
 // number of address bits (8–24).
 func NewWithStride(stride int) *Table {
-	if stride < 8 {
-		stride = 8
+	stride = min(max(stride, 8), 24)
+	t := &Table{
+		stride:  uint(stride),
+		tbl24:   make([]uint32, 1<<uint(stride)),
+		entries: make(map[prefixKey]uint32),
 	}
-	if stride > 24 {
-		stride = 24
-	}
-	return &Table{
-		stride:   uint(stride),
-		tbl24:    make([]uint32, 1<<uint(stride)),
-		depths24: make([]uint8, 1<<uint(stride)),
-		entries:  make(map[prefixKey]uint32),
-	}
+	adviseHuge(t.tbl24) // before the first write, so the pages fault in huge
+	return t
 }
 
 // Stride returns the first-level stride in bits.
@@ -87,33 +115,32 @@ func (t *Table) FirstLevelSize() int { return len(t.tbl24) }
 // update of a table, not on every route change.
 func (t *Table) Clone() *Table {
 	nt := &Table{
-		stride:   t.stride,
-		tbl24:    append([]uint32(nil), t.tbl24...),
-		depths24: append([]uint8(nil), t.depths24...),
-		groups:   make([]*group, len(t.groups)),
-		entries:  make(map[prefixKey]uint32, len(t.entries)),
+		stride:  t.stride,
+		tbl24:   slices.Clone(t.tbl24),
+		tbl8:    slices.Clone(t.tbl8),
+		free:    slices.Clone(t.free),
+		entries: maps.Clone(t.entries),
 	}
-	for i, g := range t.groups {
-		ng := *g
-		nt.groups[i] = &ng
-	}
-	for k, v := range t.entries {
-		nt.entries[k] = v
-	}
+	adviseHuge(nt.tbl24)
 	return nt
 }
 
-// SecondLevelGroups returns the number of allocated second-level groups.
-func (t *Table) SecondLevelGroups() int { return len(t.groups) }
+// SecondLevelGroups returns the number of second-level groups in use.
+func (t *Table) SecondLevelGroups() int { return len(t.tbl8)/groupSize - len(t.free) }
+
+// group returns the tbl8 group an extended first-level entry points at.
+func (t *Table) group(e uint32) []uint32 {
+	return t.tbl8[(e&valueMask)*groupSize:][:groupSize]
+}
 
 // Insert adds (or replaces) the prefix addr/prefixLen with the given value.
-// The value must fit in 30 bits.
+// The value must fit in 24 bits.
 func (t *Table) Insert(addr uint32, prefixLen int, value uint32) error {
 	if prefixLen < 0 || prefixLen > t.MaxPrefixLen() || prefixLen > 32 {
 		return fmt.Errorf("lpm: prefix length %d out of range [0,%d]", prefixLen, t.MaxPrefixLen())
 	}
 	if value > valueMask {
-		return fmt.Errorf("lpm: value %d does not fit in 30 bits", value)
+		return fmt.Errorf("lpm: value %d does not fit in 24 bits", value)
 	}
 	addr = maskAddr(addr, prefixLen)
 	t.entries[prefixKey{addr, uint8(prefixLen)}] = value
@@ -131,8 +158,8 @@ func (t *Table) Get(addr uint32, prefixLen int) (uint32, bool) {
 }
 
 // Delete removes the prefix addr/prefixLen, reporting whether it was present.
-// Only the slots written by the deleted prefix are recomputed (they fall back
-// to the longest remaining covering prefix), so deletes are incremental as in
+// Only the slots holding the deleted prefix are rewritten (they fall back to
+// the longest remaining covering prefix), so deletes are incremental as in
 // rte_lpm.
 func (t *Table) Delete(addr uint32, prefixLen int) bool {
 	if prefixLen < 0 || prefixLen > 32 {
@@ -144,62 +171,47 @@ func (t *Table) Delete(addr uint32, prefixLen int) bool {
 		return false
 	}
 	delete(t.entries, key)
-
-	parentVal, parentLen, hasParent := t.coveringPrefix(addr, prefixLen)
-	replace := func(depth uint8) (uint32, uint8, bool) {
-		if depth != uint8(prefixLen) {
-			return 0, 0, false // written by a different (longer or shorter) prefix
-		}
-		if hasParent {
-			return validBit | parentVal, uint8(parentLen), true
-		}
-		return 0, 0, true
+	var repl uint32 // the longest remaining covering prefix, or invalid
+	if v, l, ok := t.coveringPrefix(addr, prefixLen); ok {
+		repl = entry(v, l)
 	}
 
 	stride := t.stride
 	if prefixLen <= int(stride) {
 		first := addr >> (32 - stride)
-		count := uint32(1)
-		if prefixLen < int(stride) {
-			count = 1 << (stride - uint(prefixLen))
-		}
-		for i := uint32(0); i < count; i++ {
-			slot := first + i
+		end := first + 1<<(stride-uint(prefixLen))
+		for slot := first; slot < end; slot++ {
 			e := t.tbl24[slot]
-			if e&validBit != 0 && e&extBit != 0 {
-				g := t.groups[e&valueMask]
-				for j := range g.slots {
-					if v, d, ok := replace(g.depths[j]); ok {
-						g.slots[j], g.depths[j] = v, d
-					}
-				}
-				continue
-			}
-			if v, d, ok := replace(t.depths24[slot]); ok {
-				t.tbl24[slot], t.depths24[slot] = v, d
+			if e&extBit != 0 {
+				replace(t.group(e), prefixLen, repl)
+			} else if depthOf(e) == prefixLen {
+				t.tbl24[slot] = repl
 			}
 		}
 		return true
 	}
 	slot := addr >> (32 - stride)
-	e := t.tbl24[slot]
-	if e&validBit == 0 || e&extBit == 0 {
-		return true
-	}
-	g := t.groups[e&valueMask]
-	shift := 24 - stride
-	first := (addr >> shift) & 0xff
-	count := uint32(1)
-	if prefixLen < int(stride)+8 {
-		count = 1 << (stride + 8 - uint(prefixLen))
-	}
-	for i := uint32(0); i < count && first+i <= 0xff; i++ {
-		j := first + i
-		if v, d, ok := replace(g.depths[j]); ok {
-			g.slots[j], g.depths[j] = v, d
-		}
+	g := t.group(t.tbl24[slot])
+	first := (addr >> (24 - stride)) & 0xff
+	replace(g[first:first+1<<(stride+8-uint(prefixLen))], prefixLen, repl)
+	// Fold a group left without a prefix longer than the stride back into
+	// its first-level entry: all its entries are then the one covering
+	// prefix (or invalid), which tbl24 holds alone.
+	if e0 := g[0]; depthOf(e0) <= int(stride) && !slices.ContainsFunc(g, func(e uint32) bool { return e != e0 }) {
+		t.free = append(t.free, t.tbl24[slot]&valueMask)
+		t.tbl24[slot] = e0
 	}
 	return true
+}
+
+// replace rewrites the entries of s holding a prefix of length depth with
+// repl.  Within the slots one prefix covers, only that prefix has its length.
+func replace(s []uint32, depth int, repl uint32) {
+	for j, e := range s {
+		if depthOf(e) == depth {
+			s[j] = repl
+		}
+	}
 }
 
 // coveringPrefix returns the value and length of the longest remaining prefix
@@ -239,7 +251,7 @@ func (t *Table) Resolve(addr uint32, e uint32) (value uint32, depth int, ok bool
 	if e&extBit == 0 {
 		return e & valueMask, 1, true
 	}
-	e2 := t.groups[e&valueMask].slots[(addr>>(24-t.stride))&0xff]
+	e2 := t.tbl8[(e&valueMask)*groupSize+(addr>>(24-t.stride))&0xff]
 	if e2&validBit == 0 {
 		return Invalid, 2, false
 	}
@@ -300,69 +312,53 @@ func maskAddr(addr uint32, prefixLen int) uint32 {
 	return addr &^ (uint32(1)<<(32-uint(prefixLen)) - 1)
 }
 
-// install writes one prefix into the lookup structure, overwriting only slots
-// currently held by shorter (less specific) prefixes.
+// install writes one prefix into the lookup structure, overwriting only
+// entries currently held by prefixes no longer than it.
 func (t *Table) install(addr uint32, prefixLen int, value uint32) {
+	ent := entry(value, prefixLen)
 	stride := t.stride
 	if prefixLen <= int(stride) {
 		first := addr >> (32 - stride)
-		count := uint32(1)
-		if prefixLen < int(stride) {
-			count = 1 << (stride - uint(prefixLen))
-		}
-		for i := uint32(0); i < count; i++ {
-			slot := first + i
+		end := first + 1<<(stride-uint(prefixLen))
+		for slot := first; slot < end; slot++ {
 			e := t.tbl24[slot]
-			if e&validBit != 0 && e&extBit != 0 {
-				// The slot has a second-level group; update the
-				// group's less-specific slots.
-				g := t.groups[e&valueMask]
-				for j := range g.slots {
-					if g.depths[j] <= uint8(prefixLen) {
-						g.slots[j] = validBit | value
-						g.depths[j] = uint8(prefixLen)
-					}
-				}
-				continue
-			}
-			if e&validBit == 0 || t.depths24[slot] <= uint8(prefixLen) {
-				t.tbl24[slot] = validBit | value
-				t.depths24[slot] = uint8(prefixLen)
+			if e&extBit != 0 {
+				fill(t.group(e), prefixLen, ent)
+			} else if depthOf(e) <= prefixLen { // an invalid entry has depth 0
+				t.tbl24[slot] = ent
 			}
 		}
 		return
 	}
-	// Longer than the first-level stride: route through a group.
+	// Longer than the first-level stride: route through a group, which
+	// starts out as copies of the first-level entry it replaces.
 	slot := addr >> (32 - stride)
 	e := t.tbl24[slot]
-	var g *group
-	if e&validBit != 0 && e&extBit != 0 {
-		g = t.groups[e&valueMask]
-	} else {
-		g = &group{}
-		if e&validBit != 0 {
-			prev := e & valueMask
-			prevDepth := t.depths24[slot]
-			for j := range g.slots {
-				g.slots[j] = validBit | prev
-				g.depths[j] = prevDepth
-			}
+	if e&extBit == 0 {
+		var g uint32
+		if n := len(t.free); n > 0 {
+			g, t.free = t.free[n-1], t.free[:n-1]
+		} else {
+			g = uint32(len(t.tbl8) / groupSize)
+			t.tbl8 = append(t.tbl8, make([]uint32, groupSize)...)
 		}
-		t.groups = append(t.groups, g)
-		t.tbl24[slot] = validBit | extBit | uint32(len(t.groups)-1)
-		t.depths24[slot] = uint8(stride) // slot is now a pointer
+		prev := e
+		e = validBit | extBit | g
+		t.tbl24[slot] = e
+		grp := t.group(e)
+		for j := range grp {
+			grp[j] = prev
+		}
 	}
-	shift := 24 - stride // group index uses the 8 bits below the stride
-	first := (addr >> shift) & 0xff
-	count := uint32(1)
-	if prefixLen < int(stride)+8 {
-		count = 1 << (stride + 8 - uint(prefixLen))
-	}
-	for i := uint32(0); i < count && first+i <= 0xff; i++ {
-		j := first + i
-		if g.depths[j] <= uint8(prefixLen) {
-			g.slots[j] = validBit | value
-			g.depths[j] = uint8(prefixLen)
+	first := (addr >> (24 - stride)) & 0xff // the 8 bits below the stride
+	fill(t.group(e)[first:first+1<<(stride+8-uint(prefixLen))], prefixLen, ent)
+}
+
+// fill writes ent into the entries of s held by prefixes no longer than depth.
+func fill(s []uint32, depth int, ent uint32) {
+	for j, e := range s {
+		if depthOf(e) <= depth {
+			s[j] = ent
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"eswitch/internal/workload"
 )
 
 func ip(a, b, c, d byte) uint32 {
@@ -245,20 +247,32 @@ func TestLookupMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
+// BenchmarkLookupDIR248 resolves bursts of 32 addresses with LookupBatch
+// over the l3_uniform routing table, 4,096 addresses inside its routes
+// visited in a seeded permutation, so the first-level loads land all over
+// tbl24 as they do in the switch and its TLB misses show.
 func BenchmarkLookupDIR248(b *testing.B) {
+	routes := workload.GenerateRoutes(10000, 8, 2016)
 	tbl := New()
+	for _, r := range routes {
+		if err := tbl.Insert(uint32(r.Addr), r.Prefix, r.NextHop); err != nil {
+			b.Fatal(err)
+		}
+	}
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		tbl.Insert(rng.Uint32(), 8+rng.Intn(25), uint32(i))
+	addrs := make([]uint32, 4096)
+	for i, k := range rng.Perm(len(addrs)) {
+		addrs[i] = uint32(workload.AddressInside(routes[k%len(routes)], k))
 	}
-	addrs := make([]uint32, 1024)
-	for i := range addrs {
-		addrs[i] = rng.Uint32()
-	}
+	const burst = 32
+	values := make([]uint32, burst)
+	depths := make([]uint8, burst)
+	hits := make([]bool, burst)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.Lookup(addrs[i&1023])
+		off := i * burst % len(addrs)
+		tbl.LookupBatch(addrs[off:off+burst], values, depths, hits)
 	}
 }
 
@@ -293,4 +307,148 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 				addr, values[i], depths[i], hits[i], wantV, wantD, wantOK)
 		}
 	}
+}
+
+// TestDeleteRecyclesGroups churns /16–/32 prefixes in a few /24s, checking
+// every address there against the reference after each operation, then
+// deletes everything: a group whose last prefix longer than the stride is
+// gone must be folded back into its first-level entry and freed.
+func TestDeleteRecyclesGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	tbl := New()
+	ref := &Reference{}
+	bases := []uint32{ip(10, 1, 2, 0), ip(10, 1, 3, 0), ip(10, 1, 200, 0), ip(192, 0, 2, 0)}
+	var installed []prefixKey
+	check := func(step int) {
+		t.Helper()
+		for _, base := range bases {
+			for b := uint32(0); b < 256; b++ {
+				gv, gok := tbl.Lookup(base | b)
+				wv, wok := ref.Lookup(base | b)
+				if gok != wok || gv != wv {
+					t.Fatalf("step %d: Lookup(%#x) = %d,%v reference %d,%v", step, base|b, gv, gok, wv, wok)
+				}
+			}
+		}
+	}
+	for step := 0; step < 600; step++ {
+		if len(installed) > 0 && rng.Intn(3) == 0 {
+			k := rng.Intn(len(installed))
+			key := installed[k]
+			installed = append(installed[:k], installed[k+1:]...)
+			if !tbl.Delete(key.addr, int(key.len)) || !ref.Delete(key.addr, int(key.len)) {
+				t.Fatalf("step %d: delete %#x/%d reported absent", step, key.addr, key.len)
+			}
+		} else {
+			plen := 16 + rng.Intn(17)
+			addr := maskAddr(bases[rng.Intn(len(bases))]|uint32(rng.Intn(256)), plen)
+			if _, ok := tbl.Get(addr, plen); !ok {
+				installed = append(installed, prefixKey{addr, uint8(plen)})
+			}
+			value := uint32(rng.Intn(1000))
+			if err := tbl.Insert(addr, plen, value); err != nil {
+				t.Fatal(err)
+			}
+			ref.Insert(addr, plen, value)
+		}
+		check(step)
+	}
+	for _, key := range installed {
+		tbl.Delete(key.addr, int(key.len))
+		ref.Delete(key.addr, int(key.len))
+		check(-1)
+	}
+	if tbl.Len() != 0 || tbl.SecondLevelGroups() != 0 {
+		t.Fatalf("empty table holds %d prefixes and %d groups", tbl.Len(), tbl.SecondLevelGroups())
+	}
+}
+
+// FuzzTableOps drives byte-coded inserts, replaces, deletes, lookups, batch
+// lookups and clones over prefixes crowded into a few /16s of a stride-16
+// table, so /17–/24 prefixes allocate and recycle groups.  After every
+// operation the table must agree with the reference on every /24 of those
+// /16s (lengths stop at /24, so one address per /24 decides it) and use
+// exactly one group per first-level slot holding a prefix longer than the
+// stride.
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{0, 0, 20, 5, 0, 0, 24, 5, 2, 0, 20, 5, 2, 0, 24, 5, 0, 1, 8, 0, 5, 1, 17, 9})
+	rng := rand.New(rand.NewSource(38))
+	for _, size := range []int{64, 256} {
+		seed := make([]byte, size)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	bases := []uint32{ip(10, 0, 0, 0), ip(10, 1, 0, 0), ip(10, 200, 0, 0), ip(172, 16, 0, 0)}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl := NewWithStride(16)
+		ref := &Reference{}
+		check := func(op int) {
+			for _, base := range bases {
+				for b := uint32(0); b < 256; b++ {
+					gv, gok := tbl.Lookup(base | b<<8)
+					wv, wok := ref.Lookup(base | b<<8)
+					if gok != wok || gv != wv {
+						t.Fatalf("op %d: Lookup(%#x) = %d,%v reference %d,%v", op, base|b<<8, gv, gok, wv, wok)
+					}
+				}
+			}
+			deep := map[uint32]bool{}
+			for _, p := range ref.prefixes {
+				if p.Len > tbl.Stride() {
+					deep[p.Addr>>16] = true
+				}
+			}
+			if tbl.Len() != len(ref.prefixes) || tbl.SecondLevelGroups() != len(deep) {
+				t.Fatalf("op %d: %d prefixes in %d groups, reference %d prefixes under %d deep slots",
+					op, tbl.Len(), tbl.SecondLevelGroups(), len(ref.prefixes), len(deep))
+			}
+		}
+		for i, ops := 0, data; len(ops) >= 4; i, ops = i+1, ops[4:] {
+			plen := int(ops[2]) % 25
+			addr := maskAddr(bases[int(ops[1])%len(bases)]|uint32(ops[3])<<8, plen)
+			switch ops[0] % 6 {
+			case 0: // insert, or replace when the prefix is stored
+				tbl.Insert(addr, plen, uint32(i))
+				ref.Insert(addr, plen, uint32(i))
+			case 1: // replace a stored prefix
+				if len(ref.prefixes) > 0 {
+					p := ref.prefixes[int(ops[3])%len(ref.prefixes)]
+					tbl.Insert(p.Addr, p.Len, p.Value|1<<23)
+					ref.Insert(p.Addr, p.Len, p.Value|1<<23)
+				}
+			case 2:
+				if got, want := tbl.Delete(addr, plen), ref.Delete(addr, plen); got != want {
+					t.Fatalf("op %d: delete %#x/%d = %v, reference %v", i, addr, plen, got, want)
+				}
+			case 3: // a host address inside the prefix
+				host := addr | ^maskAddr(Invalid, plen)&(uint32(ops[3])*0x01010101)
+				gv, gok := tbl.Lookup(host)
+				wv, wok := ref.Lookup(host)
+				if gok != wok || gv != wv {
+					t.Fatalf("op %d: Lookup(%#x) = %d,%v reference %d,%v", i, host, gv, gok, wv, wok)
+				}
+			case 4: // a batch of neighbouring /24s, across group boundaries
+				addrs := make([]uint32, 1+int(ops[3])%64)
+				for j := range addrs {
+					addrs[j] = addr + uint32(j)<<8
+				}
+				values, depths, hits := make([]uint32, len(addrs)), make([]uint8, len(addrs)), make([]bool, len(addrs))
+				tbl.LookupBatch(addrs, values, depths, hits)
+				for j, a := range addrs {
+					wv, wok := ref.Lookup(a)
+					if hits[j] != wok || values[j] != wv {
+						t.Fatalf("op %d: batch Lookup(%#x) = %d,%v reference %d,%v", i, a, values[j], hits[j], wv, wok)
+					}
+				}
+			case 5: // carry on with a clone, then mutate the original
+				orig := tbl
+				tbl = tbl.Clone()
+				orig.Insert(addr, plen, valueMask)
+				for _, p := range ref.prefixes {
+					orig.Delete(p.Addr, p.Len)
+				}
+			}
+			check(i)
+		}
+	})
 }

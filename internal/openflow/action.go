@@ -332,8 +332,9 @@ func (v *Verdict) String() string {
 
 // ApplyActions executes an action list against a packet, accumulating the
 // externally visible outcome in the verdict and applying header rewrites to
-// the parsed header view (and, where the offsets are known, the raw bytes).
-// numPorts is the port count used to expand flood actions.
+// the parsed header view only: no code writes them back into the frame's
+// raw bytes, so a transmitted frame is the one received.  numPorts is the
+// port count used to expand flood actions.
 func ApplyActions(actions ActionList, p *pkt.Packet, v *Verdict, numPorts int) {
 	if len(actions) == 0 {
 		v.Dropped = true
