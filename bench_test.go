@@ -1,9 +1,8 @@
 // The benchmarks neither other harness has.  bench/ (bash bench/run.sh) owns
 // every forwarding, flow-mod, set-up and heap number the repository quotes,
 // and cmd/eswitch-experiments regenerates the paper's figures; what is left
-// here are the baseline's microflow-level ablation, the punt-ring and
-// trace-replay paths bench/ does not drive, the router's cache grid with
-// its 1M-microflow sweep, the one row the deleted second cache level ever won
+// here are the punt-ring and trace-replay paths bench/ does not drive, the
+// router's cache grid with its 1M-microflow sweep, the one row the deleted second cache level ever won
 // (ROADMAP 3), and the gateway's armed verdict cache, timed without the
 // ring substrate around it.
 // They measure the real Go implementations (ns/op on the machine running
@@ -20,54 +19,11 @@ import (
 	"eswitch/internal/experiments"
 	"eswitch/internal/ofp"
 	"eswitch/internal/openflow"
-	"eswitch/internal/ovs"
 	"eswitch/internal/pkt"
 	"eswitch/internal/pktgen"
 	"eswitch/internal/slowpath"
 	"eswitch/internal/workload"
 )
-
-// benchTrace replays the trace per packet through process, after a warm-up of
-// at most 200k packets, and reports Mpps.
-func benchTrace(b *testing.B, trace *pktgen.Trace, process func(*pkt.Packet, *openflow.Verdict), warmup int) {
-	b.Helper()
-	var p pkt.Packet
-	var v openflow.Verdict
-	if warmup > 200_000 {
-		warmup = 200_000
-	}
-	for i := 0; i < warmup; i++ {
-		trace.Next(&p)
-		process(&p, &v)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trace.Next(&p)
-		process(&p, &v)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpps")
-}
-
-// --- Ablation: the baseline's microflow level off -------------------------------
-
-func BenchmarkAblationMicroflow(b *testing.B) {
-	cfg := workload.DefaultGatewayConfig()
-	cfg.Prefixes = 2000 // keep the benchmark setup time reasonable
-	uc := workload.GatewayUseCase(cfg)
-	for _, enabled := range []bool{true, false} {
-		b.Run(fmt.Sprintf("microflow=%v", enabled), func(b *testing.B) {
-			opts := ovs.DefaultOptions()
-			opts.EnableMicroflow = enabled
-			sw, err := ovs.New(uc.Pipeline, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchTrace(b, uc.Trace(1000), sw.ProcessUnlocked, 1000)
-		})
-	}
-}
 
 // --- The router under a cache-hostile sweep ------------------------------------
 

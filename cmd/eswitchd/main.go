@@ -50,7 +50,7 @@
 //
 //	ring              simulated SPSC rings fed by the built-in generator (default)
 //	pcap:<file>       replay a classic libpcap capture as the port's RX stream
-//	                  (-pcap-loop, -pcap-pace, -pcap-speed shape the replay)
+//	                  flat-out (-pcap-loop restarts it when it runs out)
 //	afpacket:<iface>  raw AF_PACKET socket on a Linux interface (CAP_NET_RAW;
 //	                  forwards real frames, e.g. between veth pairs)
 //	null              TX sink (never receives, counts and discards sends)
@@ -239,13 +239,10 @@ func main() {
 	datapath := flag.String("datapath", "eswitch", "datapath: eswitch or ovs")
 	backendSpec := flag.String("backend", "ring", "per-port packet I/O backends, comma-separated: ring, null, pcap:<file>, afpacket:<iface>")
 	pcapLoop := flag.Bool("pcap-loop", true, "restart pcap replay when the trace runs out")
-	pcapPace := flag.Bool("pcap-pace", false, "pace pcap replay by capture timestamps instead of flat-out")
-	pcapSpeed := flag.Float64("pcap-speed", 1.0, "paced pcap replay time-dilation factor (1.0 = capture rate)")
 	flows := flag.Int("flows", 10000, "number of active flows in the generated traffic")
 	duration := flag.Duration("duration", 5*time.Second, "how long to forward traffic")
 	cores := flag.Int("cores", 1, "number of forwarding worker goroutines")
 	queues := flag.Int("queues", dpdk.DefaultQueues, "RX/TX queue pairs per port (RSS width; caps -cores)")
-	txpolicy := flag.String("txpolicy", "drop", "full-TX-ring policy: drop, block or spill")
 	flowcache := flag.String("flowcache", "off", "per-worker verdict cache, armed where the pipeline is deeper than one probe: entry count (e.g. 262144) or off")
 	sweepInterval := flag.Duration("flow-sweep-interval", 0, "flow lifecycle sweep interval enabling idle/hard timeout expiry and FlowRemoved announcements (0 = off; eswitch datapath only)")
 	softTable := flag.Int("soft-table-entries", 0, "per-table soft entry limit; the lifecycle sweeper evicts least-recently-active entries above it (0 = off)")
@@ -266,11 +263,6 @@ func main() {
 	tracePort := flag.Uint("trace-port", 1, "ingress port for -trace")
 	flag.Parse()
 
-	txPol, err := dpdk.ParseTxPolicy(*txpolicy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	failMode, err := dpdk.ParseFailMode(*failModeName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -371,18 +363,12 @@ func main() {
 	backends, err := dpdk.ParseBackendSpec(*backendSpec, uc.Pipeline.NumPorts, dpdk.BackendSpecConfig{
 		RingSize: 4096,
 		Queues:   *queues,
-		Pcap:     dpdk.PcapConfig{Loop: *pcapLoop, Pace: *pcapPace, Speed: *pcapSpeed},
+		Pcap:     dpdk.PcapConfig{Loop: *pcapLoop},
 	})
 	if err != nil {
 		log.Fatalf("backend: %v", err)
 	}
 	realIO := backends != nil
-	if realIO && txPol == dpdk.TxSpill {
-		// Real backends recycle their receive buffers every poll; the spill
-		// policy holds frames across polls, which would alias them.
-		fmt.Fprintln(os.Stderr, "eswitchd: -txpolicy spill is incompatible with real I/O backends (received frames are recycled per poll); use drop or block")
-		os.Exit(2)
-	}
 	sw := dpdk.NewSwitchWithConfig(fastpath, dpdk.SwitchConfig{
 		Backends: backends,
 		NumPorts: uc.Pipeline.NumPorts,
@@ -390,7 +376,6 @@ func main() {
 		Queues:   *queues,
 	})
 	defer sw.Close()
-	sw.SetTxPolicy(txPol)
 	if *puntFilter > 0 {
 		sw.SetPuntFilter(*puntFilter, *puntFilterWindow)
 		fmt.Printf("eswitchd: punt-storm filter armed: %d entries per worker, %d-poll window\n",
@@ -580,9 +565,9 @@ func main() {
 		fmt.Printf("eswitchd: OpenFlow agent listening on %s\n", ln.Addr())
 	}
 	// SIGINT/SIGTERM cut the run short but shut down in order: stop the
-	// workers (their shutdown path makes a final spill attempt), drain the
-	// TX sinks one last time, close every backend exactly once, and print
-	// the final stats — the same epilogue a timed run reaches.
+	// workers, drain the TX sinks one last time, close every backend exactly
+	// once, and print the final stats — the same epilogue a timed run
+	// reaches.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
@@ -596,8 +581,8 @@ func main() {
 		// Packets come from the trace replay or the wire; the generator
 		// stays idle and the main goroutine just minds the clock (cutting
 		// the run short once a non-looping replay is spent).
-		fmt.Printf("eswitchd: forwarding real I/O for %s on %d worker(s), TX policy %s\n",
-			*duration, workers, txPol)
+		fmt.Printf("eswitchd: forwarding real I/O for %s on %d worker(s)\n",
+			*duration, workers)
 		for time.Now().Before(deadline) && !interrupted {
 			select {
 			case s := <-sigc:
@@ -611,8 +596,8 @@ func main() {
 		}
 	} else {
 		trace := uc.Trace(*flows)
-		fmt.Printf("eswitchd: forwarding %d active flows for %s on %d worker(s), %d RX/TX queues per port, TX policy %s\n",
-			*flows, *duration, workers, sw.NumQueues(), txPol)
+		fmt.Printf("eswitchd: forwarding %d active flows for %s on %d worker(s), %d RX/TX queues per port\n",
+			*flows, *duration, workers, sw.NumQueues())
 		var p pkt.Packet
 		nq := uint32(sw.NumQueues())
 		for time.Now().Before(deadline) && !interrupted {
@@ -677,7 +662,6 @@ func main() {
 	telemetry.RenderFooter(os.Stdout, reg, telemetry.FooterConfig{
 		RealIO:   realIO,
 		Injected: injected,
-		TxPolicy: fmt.Sprint(txPol),
 		PortDetail: func(id uint64) string {
 			port, err := sw.Port(uint32(id))
 			if err != nil {

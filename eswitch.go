@@ -56,8 +56,8 @@
 // read-modify-writes and zero shared mutable state per burst — the handle
 // owns its burst scratch outright.  The dataplane substrate under
 // internal/dpdk does exactly this: RSS-steered multi-queue ports, one burst
-// worker per core over its own queue subset, batched TX with a configurable
-// full-ring backpressure policy (drop | block | spill).  The cycle model
+// worker per core over its own queue subset, batched TX that drops what a
+// full TX ring does not take, as a NIC does.  The cycle model
 // (Options.Meter) is a reading, not a forwarding mode: the per-packet walk
 // behind Process records what each table lookup examined, the same steps
 // Trace returns, and a metered datapath prices that record (one caller at a

@@ -27,7 +27,7 @@ import (
 // Mpps records.
 //
 // Failure surfacing: errnos split into backpressure (EAGAIN/ENOBUFS — the
-// caller's TX policy retries), transient noise (counted in RxErrors/
+// burst ends and the worker drops the rest), transient noise (counted in RxErrors/
 // TxErrors, burst ends), and fatal conditions (EBADF, ENETDOWN, ENXIO,
 // ENODEV, EIO — the fd is dead).  A fatal errno is recorded in the queue's
 // error slot where QueueError exposes it; the port supervisor then takes
@@ -214,8 +214,8 @@ func (b *AFPacketBackend) RxBurst(q int, out [][]byte) int {
 }
 
 // TxBurst implements PortBackend: one write per frame, stopping at the
-// first frame the kernel will not take right now (EAGAIN/ENOBUFS), which the
-// caller's TX policy may retry.
+// first frame the kernel will not take right now (EAGAIN/ENOBUFS); the
+// worker drops the rest, as it does on a full ring.
 func (b *AFPacketBackend) TxBurst(q int, frames [][]byte) int {
 	if b.closed.Load() || b.fatal.Load() != nil {
 		return 0
@@ -234,7 +234,7 @@ func (b *AFPacketBackend) TxBurst(q int, frames [][]byte) int {
 }
 
 // send writes one frame, reporting false when the kernel queue is full
-// (EAGAIN/ENOBUFS — the caller retries) or the write failed.  Non-
+// (EAGAIN/ENOBUFS) or the write failed.  Non-
 // backpressure failures count in TxErrors; fatal ones park in the
 // queue-error slot.
 func (b *AFPacketBackend) send(frame []byte) bool {

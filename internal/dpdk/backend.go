@@ -7,7 +7,7 @@ import (
 )
 
 // This file defines the packet I/O backend abstraction.  A Port is the
-// switch-facing object — accounting, TX policy, slow-path wiring — while the
+// switch-facing object — accounting, slow-path wiring — while the
 // PortBackend behind it owns the actual frame I/O.  Three backends ship with
 // the repository:
 //
@@ -15,8 +15,8 @@ import (
 //     always run against.  It is the default, and the only backend the
 //     zero-lock/zero-alloc worker-path assertions are stated for.
 //   - PcapBackend (pcap_backend.go): replays a captured trace file through
-//     the full pipeline, optionally paced by the capture timestamps —
-//     realistic packet-size and flow-arrival distributions for benchmarks.
+//     the full pipeline flat-out — realistic packet-size and flow-arrival
+//     distributions for benchmarks.
 //   - AFPacketBackend (afpacket_linux.go): a raw AF_PACKET socket bound to a
 //     real Linux interface, so the switch forwards real frames (veth pairs,
 //     physical NICs) for the first time.
@@ -47,9 +47,8 @@ type PortBackend interface {
 	RxBurst(q int, out [][]byte) int
 	// TxBurst transmits the longest prefix of frames on TX queue q,
 	// returning how many were accepted and counting them in TxPackets.
-	// Overflow accounting belongs to the caller: the switch's TX-policy
-	// layer decides between dropping, retrying and spilling what did not
-	// fit.
+	// Overflow accounting belongs to the caller: the worker drops what
+	// did not fit and counts it on the Port.
 	TxBurst(q int, frames [][]byte) int
 	// Stats snapshots the backend's I/O counters.
 	Stats() PortStats
@@ -152,7 +151,7 @@ func (b *RingBackend) RxBurst(q int, out [][]byte) int {
 }
 
 // TxBurst implements PortBackend: the longest prefix that fits on the TX
-// ring is accepted and counted; the caller's policy layer accounts the rest.
+// ring is accepted and counted; the caller accounts the rest.
 func (b *RingBackend) TxBurst(q int, frames [][]byte) int {
 	n := b.txq[q].EnqueueBurst(frames)
 	if n > 0 {

@@ -36,9 +36,7 @@
 // EnqueueBurst per port at the end of each poll iteration, and forwarding
 // statistics accumulate in padded per-worker counters folded together by
 // Stats() on demand — the hot loop performs no shared-cache-line writes.
-// When a TX ring is full the switch's TxPolicy decides between dropping
-// (NIC-like default), blocking with bounded backoff, or spilling into a
-// worker-local backlog; see txpolicy.go.
+// A full TX ring drops what it did not take, as a NIC's descriptor ring does.
 package dpdk
 
 import (
@@ -176,9 +174,6 @@ type Switch struct {
 	// the backend set is heterogeneous.
 	queues    int
 	minQueues int
-	// txPolicy is what workers do when a TX ring is full (drop | block |
-	// spill).  Set it before the first poll; workers read it un-synchronized.
-	txPolicy TxPolicy
 	// punt, when armed, holds one slow-path punt ring per TX-queue index, so
 	// every worker (the PollOnce worker owns queue 0's TX side, like
 	// RunWorkers' first) pushes to its own single-producer ring.  Arm it

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sync/atomic"
-	"time"
 
 	"eswitch/internal/pcap"
 	"eswitch/internal/pkt"
@@ -31,18 +30,12 @@ var ErrTraceExhausted = errors.New("dpdk: pcap trace exhausted")
 // pipeline, not a wire — so pair pcap ingress ports with NullBackend egress
 // ports.
 //
-// Replay is flat-out by default (benchmarks); Pace schedules each frame at
-// its capture timestamp scaled by Speed, each queue keeping its own replay
-// clock started at its first poll.
+// Replay is flat-out, bounded only by the caller's burst size: capture
+// timestamps are ignored, so a replay measures the switch, not the trace's
+// own cadence.
 type PcapBackend struct {
 	queues []pcapQueue
 	loop   bool
-	pace   bool
-	speed  float64
-	// traceDur spaces successive loops of a paced replay: the capture's
-	// first-to-last span, added to every frame's due time per completed
-	// loop.
-	traceDur time.Duration
 
 	rxPackets atomic.Uint64
 	txPackets atomic.Uint64
@@ -53,15 +46,7 @@ type PcapBackend struct {
 // one polling worker, so none of this needs synchronization.
 type pcapQueue struct {
 	frames [][]byte
-	// rel holds each frame's capture timestamp relative to the trace start
-	// (the paced replay schedule; unused flat-out).
-	rel    []time.Duration
 	cursor int
-	// wrapBase accumulates traceDur per completed loop so paced replay
-	// keeps its cadence across wraps.
-	wrapBase time.Duration
-	started  bool
-	start    time.Time
 	// slots are the recycled delivery buffers (grown to the caller's burst
 	// size on first use, then steady-state zero-alloc).
 	slots   [][]byte
@@ -80,16 +65,6 @@ type PcapConfig struct {
 	Queues int
 	// Loop restarts the trace when it runs out instead of going quiet.
 	Loop bool
-	// Pace delivers each frame at its capture timestamp (scaled by Speed)
-	// instead of flat-out.
-	Pace bool
-	// Speed is the paced-replay time-dilation factor: 1.0 replays at
-	// capture rate, 10 at ten times it (<= 0 selects 1.0).  Ignored
-	// flat-out.
-	Speed float64
-	// SnapLen truncates frames longer than this many bytes at load
-	// (<= 0 keeps full captured length).
-	SnapLen int
 }
 
 // OpenPcapBackend preloads a classic libpcap capture file into a replay
@@ -118,25 +93,14 @@ func NewPcapBackend(records []pcap.Packet, cfg PcapConfig) (*PcapBackend, error)
 	if nq < 1 {
 		nq = 1
 	}
-	speed := cfg.Speed
-	if speed <= 0 {
-		speed = 1.0
-	}
 	b := &PcapBackend{
 		queues: make([]pcapQueue, nq),
 		loop:   cfg.Loop,
-		pace:   cfg.Pace,
-		speed:  speed,
 	}
-	t0 := records[0].Ts
 	maxLen := 0
 	for _, rec := range records {
-		data := rec.Data
-		if cfg.SnapLen > 0 && len(data) > cfg.SnapLen {
-			data = data[:cfg.SnapLen]
-		}
 		// Copy out of the decoder's buffers so the trace owns its frames.
-		frame := append([]byte(nil), data...)
+		frame := append([]byte(nil), rec.Data...)
 		if len(frame) > maxLen {
 			maxLen = len(frame)
 		}
@@ -146,14 +110,6 @@ func NewPcapBackend(records []pcap.Packet, cfg PcapConfig) (*PcapBackend, error)
 		}
 		pq := &b.queues[q]
 		pq.frames = append(pq.frames, frame)
-		rel := rec.Ts.Sub(t0)
-		if rel < 0 {
-			rel = 0 // out-of-order capture timestamps deliver immediately
-		}
-		pq.rel = append(pq.rel, rel)
-		if rel > b.traceDur {
-			b.traceDur = rel
-		}
 	}
 	for i := range b.queues {
 		b.queues[i].slotCap = maxLen
@@ -169,11 +125,8 @@ func NewPcapBackend(records []pcap.Packet, cfg PcapConfig) (*PcapBackend, error)
 // Queues implements PortBackend.
 func (b *PcapBackend) Queues() int { return len(b.queues) }
 
-// RxBurst implements PortBackend: deliver the next due frames of queue q
-// into recycled slot buffers.  Flat-out replay is bounded only by the
-// caller's burst size; paced replay delivers frames whose scaled capture
-// timestamp has elapsed on this queue's clock (one time.Now per poll, never
-// per frame).
+// RxBurst implements PortBackend: deliver the next frames of queue q, up to
+// the caller's burst size, into recycled slot buffers.
 func (b *PcapBackend) RxBurst(q int, out [][]byte) int {
 	if b.closed.Load() {
 		return 0
@@ -185,24 +138,8 @@ func (b *PcapBackend) RxBurst(q int, out [][]byte) int {
 			return 0
 		}
 		pq.cursor = 0
-		pq.wrapBase += b.traceDur
 	}
-	n := len(pq.frames) - pq.cursor
-	if n > len(out) {
-		n = len(out)
-	}
-	if b.pace && n > 0 {
-		if !pq.started {
-			pq.started = true
-			pq.start = time.Now()
-		}
-		budget := time.Duration(float64(time.Since(pq.start)) * b.speed)
-		due := 0
-		for due < n && pq.wrapBase+pq.rel[pq.cursor+due] <= budget {
-			due++
-		}
-		n = due
-	}
+	n := min(len(pq.frames)-pq.cursor, len(out))
 	for i := 0; i < n; i++ {
 		src := pq.frames[pq.cursor+i]
 		if i >= len(pq.slots) {
@@ -212,12 +149,10 @@ func (b *PcapBackend) RxBurst(q int, out [][]byte) int {
 		copy(slot, src)
 		out[i] = slot
 	}
-	if n > 0 {
-		pq.cursor += n
-		b.rxPackets.Add(uint64(n))
-		if !b.loop && pq.cursor >= len(pq.frames) {
-			pq.done.Store(true)
-		}
+	pq.cursor += n
+	b.rxPackets.Add(uint64(n))
+	if !b.loop && pq.cursor >= len(pq.frames) {
+		pq.done.Store(true)
 	}
 	return n
 }

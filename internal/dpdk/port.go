@@ -17,7 +17,7 @@ type PortStats struct {
 	TxErrors uint64
 }
 
-// Port is a switch port: a thin accounting-and-policy shell around a
+// Port is a switch port: a thin accounting shell around a
 // PortBackend, which owns the actual frame I/O (simulated rings by default;
 // pcap replay and AF_PACKET sockets for real traffic).  The switch-facing
 // queue contract is the backend's: queue q has one consumer (the owning
@@ -34,9 +34,9 @@ type Port struct {
 	inj  InjectableBackend
 	slow SlowPathTransmitter
 
-	// policyDrops counts frames abandoned above the backend — TX-policy
-	// overflow, slow-path transmission without a SlowPathTransmitter — and
-	// folds into Stats().TxDrops.
+	// policyDrops counts frames abandoned above the backend — a full TX
+	// ring's remainder, slow-path transmission without a
+	// SlowPathTransmitter — and folds into Stats().TxDrops.
 	policyDrops atomic.Uint64
 
 	// link is the port's link state (LinkState values), written by the port
@@ -131,6 +131,10 @@ func (p *Port) TransmitSlow(frame []byte) bool {
 	return p.slow.TransmitSlow(frame)
 }
 
+// countTxDrops records n staged frames a full TX ring did not take (the
+// worker keeps its own per-worker tally too).
+func (p *Port) countTxDrops(n int) { p.policyDrops.Add(uint64(n)) }
+
 // DrainTx empties an injectable backend's TX queues (including the
 // slow-path ring), returning the number of frames drained (a traffic sink /
 // loopback tester).  Real-I/O backends transmit for real; there is nothing
@@ -164,7 +168,7 @@ func (p *Port) LinkState() LinkState { return LinkState(p.link.Load()) }
 func (p *Port) setLink(st LinkState) { p.link.Store(uint32(st)) }
 
 // Stats returns a snapshot of the port counters: the backend's I/O counters
-// with the switch-side policy drops folded into TxDrops.
+// with the switch-side drops folded into TxDrops.
 func (p *Port) Stats() PortStats {
 	st := p.be.Stats()
 	st.TxDrops += p.policyDrops.Load()

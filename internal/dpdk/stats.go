@@ -17,12 +17,8 @@ type WorkerStats struct {
 	Forwarded uint64
 	Dropped   uint64
 	ToCtrl    uint64
-	// TxRetries counts TX enqueue re-attempts for frames that found their
-	// TX ring full at least once (block and spill policies); TxDrops counts
-	// frames abandoned after the policy's bounded retries (or immediately,
-	// under the default drop policy).
-	TxRetries uint64
-	TxDrops   uint64
+	// TxDrops counts staged frames a full TX ring did not take.
+	TxDrops uint64
 	// Punts counts ToController verdicts copied into a slow-path punt ring
 	// and PuntDrops those lost to a full ring.  With the rings armed,
 	// every punted verdict is exactly one of queued, ring-dropped,
@@ -97,7 +93,6 @@ const (
 	cForwarded
 	cDropped
 	cToCtrl
-	cTxRetries
 	cTxDrops
 	cPuntSuppressed
 	cPuntFiltered
@@ -121,7 +116,6 @@ var WorkerCounterTable = [numCounters]WorkerCounter{
 	cForwarded:      {"eswitch_worker_forwarded_packets_total", "Packets forwarded out at least one port.", func(s *WorkerStats) *uint64 { return &s.Forwarded }},
 	cDropped:        {"eswitch_worker_dropped_packets_total", "Packets dropped by pipeline verdict.", func(s *WorkerStats) *uint64 { return &s.Dropped }},
 	cToCtrl:         {"eswitch_worker_to_controller_packets_total", "Packets with a ToController verdict.", func(s *WorkerStats) *uint64 { return &s.ToCtrl }},
-	cTxRetries:      {"eswitch_tx_retries_total", "TX enqueue re-attempts under the block/spill full-ring policies.", func(s *WorkerStats) *uint64 { return &s.TxRetries }},
 	cTxDrops:        {"eswitch_tx_backpressure_drops_total", "Frames abandoned to TX-ring backpressure.", func(s *WorkerStats) *uint64 { return &s.TxDrops }},
 	cPuntSuppressed: {"eswitch_punts_suppressed_total", "Punts withheld by a degraded fail mode.", func(s *WorkerStats) *uint64 { return &s.PuntSuppressed }},
 	cPuntFiltered:   {"eswitch_punts_filtered_total", "Punts withheld by the punt-storm filter.", func(s *WorkerStats) *uint64 { return &s.PuntFiltered }},

@@ -27,11 +27,11 @@ func allQueues(n int) []int {
 
 // workerState is one worker's private memory plane: the RX frame burst, the
 // packet structs wrapping it, the verdicts, the worker's queue assignment,
-// the per-port TX staging buffers, the per-port TX spill backlog and the
-// worker's statistics counters.  Everything is allocated once per worker —
-// the buffers are worker-owned freelists that retain their capacity across
-// polls — so the polling loop is allocation-free in the steady state and
-// shares no mutable memory with any other worker.
+// the per-port TX staging buffers and the worker's statistics counters.
+// Everything is allocated once per worker — the buffers are worker-owned
+// freelists that retain their capacity across polls — so the polling loop is
+// allocation-free in the steady state and shares no mutable memory with any
+// other worker.
 type workerState struct {
 	frames   [][]byte
 	packets  []pkt.Packet
@@ -45,12 +45,6 @@ type workerState struct {
 	// txStage stages outgoing frames per output port; it is flushed with
 	// one TX burst per port at the end of each poll iteration.
 	txStage [][][]byte
-	// txSpill carries per-port frames whose TX ring was full under the
-	// spill policy; they are re-attempted (in receive order, ahead of newly
-	// staged frames) on subsequent polls.  spillPending caches the total
-	// backlog so idle polls know whether a flush is still owed.
-	txSpill      [][][]byte
-	spillPending int
 	// punt is the worker's slow-path punt ring (nil until the switch arms
 	// punt rings; resolved lazily so states built before ArmPuntRings pick
 	// their ring up on the next poll).
@@ -77,7 +71,7 @@ type workerState struct {
 	// stage(), so panic containment knows how much of the burst to
 	// quarantine.
 	staged int
-	// spin seeds the backoff's pause loop; keeping it per-worker (and
+	// spin seeds the idle backoff's pause loop; keeping it per-worker (and
 	// heap-reachable, which defeats dead-code elimination) means idle
 	// workers share no cache line.
 	spin uint64
@@ -102,7 +96,6 @@ func (s *Switch) newWorkerState(queues []int, txq int) *workerState {
 		queues:   queues,
 		txq:      txq,
 		txStage:  make([][][]byte, len(s.ports)),
-		txSpill:  make([][][]byte, len(s.ports)),
 	}
 	for i := range ws.packets {
 		ws.pkts[i] = &ws.packets[i]
@@ -124,15 +117,7 @@ func (s *Switch) PollOnce(ports []*Port) int {
 	if s.poll == nil {
 		s.poll = s.newWorkerState(allQueues(s.queues), 0)
 	}
-	n := s.pollPorts(s.poll, ports)
-	// Run to completion: a caller may stop polling at any point, so no
-	// frame is left in the spill backlog — the final attempt happens now
-	// and the remainder counts as drops.  The carried-across-polls
-	// behaviour of the spill policy belongs to RunWorkers loops.
-	if s.poll.spillPending > 0 {
-		s.abandonSpill(s.poll)
-	}
-	return n
+	return s.pollPorts(s.poll, ports)
 }
 
 // pollPorts is one poll iteration over caller-owned worker state: for every
@@ -207,12 +192,11 @@ func (s *Switch) pollPorts(ws *workerState, ports []*Port) int {
 	if hb != nil {
 		hb.polling.Store(0)
 	}
-	// The epoch bracket covers only classification: the TX flush (which may
-	// back off for a while under the block policy) and the counter folds
-	// touch nothing but rings and worker-local memory, so exiting first
-	// keeps flow-mod grace periods short even when TX is backed up.
+	// The epoch bracket covers only classification: the TX flush and the
+	// counter folds touch nothing but rings and worker-local memory, so
+	// exiting first keeps flow-mod grace periods as short as the walk.
 	ws.worker.Exit()
-	if total > 0 || ws.spillPending > 0 {
+	if total > 0 {
 		s.flushTx(ws, &tal)
 		tal[cProcessed] = uint64(total)
 		ws.counters.publish(&tal)
@@ -334,46 +318,21 @@ func (ws *workerState) puntRepeats(frame []byte, window uint64) bool {
 	return false
 }
 
-// flushTx drains the worker's TX staging buffers (and, under the spill
-// policy, its spill backlog), one EnqueueBurst per output port, preserving
-// receive order within the worker's stream.  What happens when a TX ring is
-// full is decided by the switch's TxPolicy; see txpolicy.go.  Retries and
-// drops are tallied into tal.
+// flushTx drains the worker's TX staging buffers, one TxBurst per output
+// port, preserving receive order within the worker's stream.  A full TX ring
+// drops what it did not take, as a NIC's descriptor ring does; the drops are
+// tallied into tal and counted on the port.
 func (s *Switch) flushTx(ws *workerState, tal *stageTallies) {
-	pol := s.txPolicy
-	retries, drops := &tal[cTxRetries], &tal[cTxDrops]
 	for pi, staged := range ws.txStage {
-		spill := ws.txSpill[pi]
-		if len(staged) == 0 && len(spill) == 0 {
+		if len(staged) == 0 {
 			continue
 		}
 		port := s.ports[pi]
-		if pol == TxSpill {
-			ws.txSpill[pi] = s.flushSpill(ws, port, spill, staged, retries, drops)
-		} else {
-			sent := port.be.TxBurst(ws.txq, staged)
-			if sent < len(staged) && pol == TxBlock {
-				// Bounded backoff: re-attempt the remainder, pausing a
-				// little longer each round, before giving up and
-				// counting drops.
-				for attempt := 1; attempt <= txRetryLimit && sent < len(staged); attempt++ {
-					ws.txBackoff(attempt)
-					*retries += uint64(len(staged) - sent)
-					sent += port.be.TxBurst(ws.txq, staged[sent:])
-				}
-			}
-			if over := len(staged) - sent; over > 0 {
-				*drops += uint64(over)
-				port.countTxDrops(over)
-			}
+		if over := len(staged) - port.be.TxBurst(ws.txq, staged); over > 0 {
+			tal[cTxDrops] += uint64(over)
+			port.countTxDrops(over)
 		}
-		ws.txStage[pi] = ws.txStage[pi][:0]
-	}
-	ws.spillPending = 0
-	if pol == TxSpill {
-		for _, sp := range ws.txSpill {
-			ws.spillPending += len(sp)
-		}
+		ws.txStage[pi] = staged[:0]
 	}
 }
 
@@ -419,9 +378,6 @@ func (s *Switch) RunWorkers(numWorkers int) (stop func()) {
 			defer s.dp.UnregisterWorker(ws.worker)
 			ws.hb = s.registerHeartbeat()
 			defer s.retireHeartbeat(ws.hb)
-			// On shutdown, make one last attempt at any spill backlog,
-			// then account what is still stuck as drops.
-			defer s.abandonSpill(ws)
 			idle := 0
 			for {
 				select {

@@ -47,10 +47,6 @@ type ChaosConfig struct {
 	FailMode dpdk.FailMode
 	// FlowCache sizes the per-worker microflow cache (0 = off).
 	FlowCache int
-	// MaxTableEntries caps every flow table (0 = unlimited).
-	MaxTableEntries int
-	// MissSendLen truncates PacketIn payloads (0 = full frame).
-	MissSendLen int
 	// PuntFilter/PuntFilterWindow arm the punt-storm filter (0 = off).
 	PuntFilter       int
 	PuntFilterWindow int
@@ -167,7 +163,6 @@ func NewChaosHarness(cfg ChaosConfig) (*ChaosHarness, error) {
 	h.UC = workload.L2LearningUseCase(cfg.Hosts, cfg.NumPorts)
 	opts := core.DefaultOptions()
 	opts.FlowCache = cfg.FlowCache
-	opts.MaxTableEntries = cfg.MaxTableEntries
 	dp, err := core.Compile(h.UC.Pipeline, opts)
 	if err != nil {
 		return nil, err
@@ -276,11 +271,10 @@ func (h *ChaosHarness) dial() (net.Conn, error) {
 // when the session dies.
 func (h *ChaosHarness) onUp(w *controller.SyncWriter) func() {
 	svc, err := slowpath.NewService(slowpath.Config{
-		Rings:       h.Rings,
-		RatePPS:     h.cfg.PuntRate,
-		Window:      256,
-		MissSendLen: h.cfg.MissSendLen,
-		Executor:    h.SW,
+		Rings:    h.Rings,
+		RatePPS:  h.cfg.PuntRate,
+		Window:   256,
+		Executor: h.SW,
 		Send: func(pi ofp.PacketIn) error {
 			if in := h.cfg.Injector; in != nil {
 				if err := in.Hit("slowpath.send"); err != nil {

@@ -34,9 +34,6 @@ import (
 // is what lets a slow path reuse one accumulator per packet without
 // allocations.
 type MaskAccumulator struct {
-	// PrefixTracking enables the MSB prefix refinement on mismatch proofs.
-	PrefixTracking bool
-
 	masks  [NumFields]uint64
 	values [NumFields]uint64
 	seen   [NumFields]bool
@@ -130,8 +127,8 @@ func prefixRefinable(f Field) bool {
 
 // ObserveRule examines one rule against the packet, accumulating the examined
 // bits, and reports whether the rule matched.  On a mismatch only the bits
-// needed to prove it are un-wildcarded (an MSB prefix when PrefixTracking is
-// on and the field allows it; the rule's mask otherwise).
+// needed to prove it are un-wildcarded (an MSB prefix where the field allows
+// it; the rule's mask otherwise).
 func (a *MaskAccumulator) ObserveRule(p *pkt.Packet, m *Match) bool {
 	if m.IsEmpty() {
 		return true
@@ -155,7 +152,7 @@ func (a *MaskAccumulator) ObserveRule(p *pkt.Packet, m *Match) bool {
 			continue
 		}
 		// Mismatch: un-wildcard only what was needed to prove it.
-		if a.PrefixTracking && prefixRefinable(f) && mask == f.FullMask() {
+		if prefixRefinable(f) && mask == f.FullMask() {
 			width := int(f.Width())
 			// The first divergent bit, counted from the MSB of the field.
 			firstDiff := width - (63 - bits.LeadingZeros64(diff)) - 1

@@ -37,13 +37,6 @@ type Options struct {
 	MicroflowLimit int
 	// MegaflowLimit caps the megaflow cache (OVS defaults to 200 000).
 	MegaflowLimit int
-	// EnableMicroflow can be cleared for ablation.
-	EnableMicroflow bool
-	// PortPrefixTracking enables bit-granular un-wildcarding for exact
-	// port matches that fail (OVS's staged-lookup/prefix-tracking
-	// behaviour behind Fig. 3); when disabled, failing rules un-wildcard
-	// their full field masks.
-	PortPrefixTracking bool
 	// ConservativeTransportMask un-wildcards the transport ports into
 	// every megaflow generated for a packet that carries a transport
 	// header, reproducing the per-transport-flow megaflow growth the paper
@@ -51,8 +44,6 @@ type Options struct {
 	// the megaflow cache, until it thrashes and traffic falls back to the
 	// slow path.  Disable for the idealized minimal-mask variant.
 	ConservativeTransportMask bool
-	// UpdateCounters maintains per-flow-entry counters on the slow path.
-	UpdateCounters bool
 	// Meter, when non-nil, receives cycle and memory-access accounting.
 	Meter *cpumodel.Meter
 }
@@ -62,10 +53,7 @@ func DefaultOptions() Options {
 	return Options{
 		MicroflowLimit:            8192,
 		MegaflowLimit:             200000,
-		EnableMicroflow:           true,
-		PortPrefixTracking:        true,
 		ConservativeTransportMask: true,
-		UpdateCounters:            false,
 	}
 }
 
@@ -267,18 +255,15 @@ func (s *Switch) process(p *pkt.Packet, v *openflow.Verdict) {
 	m.AddCycles(cpumodel.CostParser)
 
 	// Level 1: microflow cache.
-	var key microKey
-	if s.opts.EnableMicroflow {
-		key = makeMicroKey(p)
-		m.AddCycles(cpumodel.CostMicroflowFixed)
-		m.RegionAccess(s.microRegion, key.hash())
-		if mf, ok := s.micro[key]; ok {
-			s.stats.Microflow++
-			openflow.ApplyActions(mf.actions, p, v, s.pipeline.NumPorts)
-			v.NotePunt(mf.puntReason, mf.puntTable)
-			m.AddCycles(cpumodel.CostActions + cpumodel.CostPktIO)
-			return
-		}
+	key := makeMicroKey(p)
+	m.AddCycles(cpumodel.CostMicroflowFixed)
+	m.RegionAccess(s.microRegion, key.hash())
+	if mf, ok := s.micro[key]; ok {
+		s.stats.Microflow++
+		openflow.ApplyActions(mf.actions, p, v, s.pipeline.NumPorts)
+		v.NotePunt(mf.puntReason, mf.puntTable)
+		m.AddCycles(cpumodel.CostActions + cpumodel.CostPktIO)
+		return
 	}
 
 	// Level 2: megaflow cache (tuple space search).  Each probed tuple
@@ -295,11 +280,9 @@ func (s *Switch) process(p *pkt.Packet, v *openflow.Verdict) {
 		mf := res.Entry.Aux.(*megaflow)
 		m.RegionAccess(s.megaRegion, key.hash()*2654435761%uint64(16<<20))
 		m.RegionAccess(s.megaRegion, (key.hash()^0x5bd1e995)*0x9e3779b97f4a7c15%uint64(16<<20))
-		if s.opts.EnableMicroflow {
-			m.AddCycles(cpumodel.CostMicroflowFixed)
-			m.RegionAccess(s.microRegion, key.hash())
-			s.insertMicro(key, mf)
-		}
+		m.AddCycles(cpumodel.CostMicroflowFixed)
+		m.RegionAccess(s.microRegion, key.hash())
+		s.insertMicro(key, mf)
 		openflow.ApplyActions(mf.actions, p, v, s.pipeline.NumPorts)
 		v.NotePunt(mf.puntReason, mf.puntTable)
 		m.AddCycles(cpumodel.CostActions + cpumodel.CostPktIO)
@@ -313,9 +296,7 @@ func (s *Switch) process(p *pkt.Packet, v *openflow.Verdict) {
 	mf := s.slowPath(p, v)
 	if mf != nil {
 		s.insertMega(mf)
-		if s.opts.EnableMicroflow {
-			s.insertMicro(key, mf)
-		}
+		s.insertMicro(key, mf)
 	}
 	m.AddCycles(cpumodel.CostActions + cpumodel.CostPktIO)
 }

@@ -172,25 +172,6 @@ func TestPuntAttributionAtEveryLevel(t *testing.T) {
 	}
 }
 
-func TestMicroflowDisabledAblation(t *testing.T) {
-	pl := macPipeline(16)
-	opts := DefaultOptions()
-	opts.EnableMicroflow = false
-	sw, err := New(pl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := ethPacket(t, 1, pkt.MACFromUint64(0x020000000000+3))
-	var v openflow.Verdict
-	for i := 0; i < 5; i++ {
-		sw.Process(clonePacket(p), &v)
-	}
-	st := sw.Stats()
-	if st.Microflow != 0 || st.Megaflow != 4 || st.SlowPath != 1 {
-		t.Fatalf("stats with microflow disabled: %+v", st)
-	}
-}
-
 func TestMegaflowMaskOnlyCoversExaminedFields(t *testing.T) {
 	// The MAC pipeline matches only eth_dst, so megaflow entries must not
 	// constrain L3/L4 fields even though the packets carry them.
@@ -253,19 +234,6 @@ func TestFig3SevenEntries(t *testing.T) {
 	}
 	if _, mega := sw.CacheSizes(); mega != 7 {
 		t.Fatalf("Fig. 3 seq 1 should generate 7 megaflow entries, got %d: %v", mega, sw.MegaflowEntries())
-	}
-	// Without port prefix tracking every miss un-wildcards the full port:
-	// still 7 entries, but each covers a single port only.
-	optsNoTrack := fig3Options()
-	optsNoTrack.PortPrefixTracking = false
-	sw2, _ := New(fig3Pipeline(), optsNoTrack)
-	for _, port := range seq1 {
-		sw2.Process(tcpPacket(t, 1, 1, 2, 9999, port), &v)
-	}
-	for _, m := range sw2.MegaflowEntries() {
-		if !m.IsExact(openflow.FieldTCPDst) {
-			t.Fatalf("without prefix tracking entries must be exact: %v", m)
-		}
 	}
 }
 
@@ -394,11 +362,11 @@ func TestMicroflowEvictionRespectsLimit(t *testing.T) {
 }
 
 func TestMegaflowEvictionRespectsLimit(t *testing.T) {
-	// One megaflow per destination MAC with a tiny limit forces eviction.
+	// One megaflow per destination MAC with a tiny limit forces eviction;
+	// each of the 512 MACs misses the microflow level too.
 	pl := macPipeline(512)
 	opts := DefaultOptions()
 	opts.MegaflowLimit = 64
-	opts.EnableMicroflow = false
 	sw, err := New(pl, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -16,15 +16,15 @@ import (
 // The megaflow mask is the union of everything the classification had to
 // look at (§2.2): the fields of every rule that matched, and — for every
 // higher-priority rule that did not match — the bits needed to prove the
-// mismatch.  With PortPrefixTracking, that proof for exact matches on ports
-// and IPv4 addresses is only the most-significant bits up to the first
-// divergent bit (OVS's staged-lookup/prefix-tracking behaviour, which is what
-// makes megaflow generation arrival-order dependent, Fig. 3); otherwise the
+// mismatch.  For exact matches on ports and IPv4 addresses that proof is only
+// the most-significant bits up to the first divergent bit (OVS's
+// staged-lookup/prefix-tracking behaviour, which is what makes megaflow
+// generation arrival-order dependent, Fig. 3); for any other field the
 // rule's full mask is un-wildcarded.  The observation rules themselves live
 // in openflow.MaskAccumulator, shared with the compiled datapath's megaflow
 // cache (internal/core) so the two layers derive identical masks.
 func (s *Switch) slowPath(p *pkt.Packet, v *openflow.Verdict) *megaflow {
-	acc := &openflow.MaskAccumulator{PrefixTracking: s.opts.PortPrefixTracking}
+	acc := &openflow.MaskAccumulator{}
 	// Megaflow keys are built from the packet's original header values:
 	// header rewrites applied along the walk must not leak into the cache
 	// key (two packets that agree on all originally-observed fields follow
@@ -53,9 +53,6 @@ func (s *Switch) slowPath(p *pkt.Packet, v *openflow.Verdict) *megaflow {
 				v.Dropped = true
 			}
 			return s.finishMegaflow(acc, flat, v)
-		}
-		if s.opts.UpdateCounters {
-			matched.Counters.Add(len(p.Data))
 		}
 		ins := &matched.Instructions
 		step := ins.Execute(p, v, &actionSet, pl.NumPorts, tableID)

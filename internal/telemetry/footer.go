@@ -18,8 +18,6 @@ type FooterConfig struct {
 	// Injected is the generator's producer-side packet count (the producer
 	// is the main goroutine, not the switch, so it isn't a switch metric).
 	Injected uint64
-	// TxPolicy names the full-TX-ring policy for the tx line.
-	TxPolicy string
 	// PortDetail renders a port's static context ("[ring, link up]"); nil
 	// omits the bracket.
 	PortDetail func(port uint64) string
@@ -137,8 +135,7 @@ func RenderFooter(w io.Writer, r *Registry, cfg FooterConfig) {
 	fmt.Fprintf(w, "processed: %d packets (%d forwarded, %d dropped, %d to controller)\n",
 		v.u("eswitch_worker_processed_packets_total"), v.u("eswitch_worker_forwarded_packets_total"),
 		v.u("eswitch_worker_dropped_packets_total"), v.u("eswitch_worker_to_controller_packets_total"))
-	fmt.Fprintf(w, "tx:        policy %s, %d retries, %d backpressure drops\n",
-		cfg.TxPolicy, v.u("eswitch_tx_retries_total"), v.u("eswitch_tx_backpressure_drops_total"))
+	fmt.Fprintf(w, "tx:        %d backpressure drops\n", v.u("eswitch_tx_backpressure_drops_total"))
 	fmt.Fprintf(w, "ports:     %d down, %d flapping; %d link transitions, %d reopens (%d failed), %d worker stalls\n",
 		v.u("eswitch_ports_down"), v.u("eswitch_ports_flapping"),
 		v.u("eswitch_port_link_transitions_total"), v.u("eswitch_port_reopens_total"),

@@ -339,7 +339,6 @@ func TestFooterReadsRegistry(t *testing.T) {
 		constant("eswitch_worker_forwarded_packets_total", 900),
 		constant("eswitch_worker_dropped_packets_total", 50),
 		constant("eswitch_worker_to_controller_packets_total", 50),
-		constant("eswitch_tx_retries_total", 0),
 		constant("eswitch_tx_backpressure_drops_total", 3),
 		constant("eswitch_punts_queued_total", 50),
 		constant("eswitch_microflow_hits_total", 750),
@@ -360,7 +359,6 @@ func TestFooterReadsRegistry(t *testing.T) {
 
 	var sb strings.Builder
 	RenderFooter(&sb, r, FooterConfig{
-		TxPolicy:  "drop",
 		Injected:  1200,
 		Slowpath:  true,
 		FlowCache: true,
@@ -371,7 +369,7 @@ func TestFooterReadsRegistry(t *testing.T) {
 	for _, want := range []string{
 		"injected:  1200 packets (7 rx drops",
 		"processed: 1000 packets (900 forwarded, 50 dropped, 50 to controller)",
-		"tx:        policy drop, 0 retries, 3 backpressure drops",
+		"tx:        3 backpressure drops",
 		"slowpath:  50 punts queued",
 		"flowcache: 750 hits (0 revalidated), 250 misses (0 stale, 0 of them expired), 75.0% hit rate, 0 flushes",
 		"           key: in_port vlan_vid ip_src/32 ip_dst/24\n",
