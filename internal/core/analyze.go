@@ -10,12 +10,9 @@ import (
 // analysis is the result of the flow-table analysis pass for one table
 // (§3.2): the selected template and the template parameters.
 type analysis struct {
-	kind TemplateKind
-	// hash template parameters (global masks).
-	fields []openflow.Field
-	masks  []uint64
-	// LPM template parameter.
-	lpmField openflow.Field
+	kind     TemplateKind
+	gather   keyGather      // hash template parameter
+	lpmField openflow.Field // LPM template parameter
 }
 
 // analyzeTable selects the most efficient template whose prerequisite the
@@ -26,8 +23,8 @@ func analyzeTable(t *openflow.FlowTable, opts Options) analysis {
 	if len(entries) <= opts.DirectCodeMaxEntries {
 		return analysis{kind: TemplateDirectCode}
 	}
-	if fields, masks, ok := hashPrerequisite(entries); ok {
-		return analysis{kind: TemplateHash, fields: fields, masks: masks}
+	if gather, ok := hashPrerequisite(entries); ok {
+		return analysis{kind: TemplateHash, gather: gather}
 	}
 	if field, ok := lpmPrerequisite(entries); ok {
 		return analysis{kind: TemplateLPM, lpmField: field}
@@ -36,69 +33,33 @@ func analyzeTable(t *openflow.FlowTable, opts Options) analysis {
 }
 
 // hashPrerequisite checks the compound-hash prerequisite: every non-catch-all
-// entry matches exactly the same fields, each field under exactly the same
-// (global) mask, the packed key fits the hash key width, and at most one
-// catch-all (empty-match) entry exists, which must not outrank any specific
-// entry it overlaps — since the catch-all overlaps everything, it must have
-// the lowest priority in the table.
-func hashPrerequisite(entries []*openflow.FlowEntry) ([]openflow.Field, []uint64, bool) {
-	var fields []openflow.Field
-	var masks []uint64
-	catchAlls := 0
-	minSpecific := 0
-	haveSpecific := false
+// entry matches exactly the same fields, each under the same (global) mask,
+// the gather fits four key words (newKeyGather), and at most one catch-all
+// (empty-match) entry exists, strictly below every specific entry: it
+// overlaps them all, and one hash lookup must give priority order.
+func hashPrerequisite(entries []*openflow.FlowEntry) (keyGather, bool) {
+	var g keyGather
+	var catchAll *openflow.FlowEntry
+	minSpecific := math.MaxInt
 	for _, e := range entries {
-		if e.Match.IsEmpty() {
-			catchAlls++
-			if catchAlls > 1 {
-				return nil, nil, false
+		switch {
+		case e.Match.IsEmpty():
+			if catchAll != nil {
+				return keyGather{}, false
 			}
+			catchAll = e
 			continue
+		case g.set == 0:
+			var ok bool
+			if g, ok = newKeyGather(e.Match); !ok {
+				return keyGather{}, false
+			}
+		case !g.compatible(e.Match):
+			return keyGather{}, false
 		}
-		efields := e.Match.Fields().Fields()
-		if fields == nil {
-			fields = efields
-			masks = make([]uint64, len(fields))
-			for i, f := range fields {
-				_, m, _ := e.Match.Get(f)
-				masks[i] = m
-			}
-			if keyWidth(fields) > maxKeyBits {
-				return nil, nil, false
-			}
-		} else {
-			if len(efields) != len(fields) {
-				return nil, nil, false
-			}
-			for i, f := range efields {
-				if f != fields[i] {
-					return nil, nil, false
-				}
-				_, m, _ := e.Match.Get(f)
-				if m != masks[i] {
-					return nil, nil, false
-				}
-			}
-		}
-		if !haveSpecific || e.Priority < minSpecific {
-			minSpecific = e.Priority
-			haveSpecific = true
-		}
+		minSpecific = min(minSpecific, e.Priority)
 	}
-	if !haveSpecific {
-		return nil, nil, false
-	}
-	if catchAlls == 1 {
-		// The catch-all must have strictly the lowest priority, otherwise
-		// it could shadow a specific entry and a single hash lookup would
-		// not reproduce priority semantics.
-		for _, e := range entries {
-			if e.Match.IsEmpty() && e.Priority >= minSpecific {
-				return nil, nil, false
-			}
-		}
-	}
-	return fields, masks, true
+	return g, g.set != 0 && (catchAll == nil || catchAll.Priority < minSpecific)
 }
 
 // lpm32Fields are the fields the LPM template applies to (32-bit addresses).

@@ -497,42 +497,56 @@ func TestStaticKeySweep(t *testing.T) {
 	}
 }
 
-// TestKeyLayout holds keyLayout to what flowKey.load packs under a full mask:
-// every covered field but metadata has a slot as wide as the field, the slots
-// are disjoint (the L4 aliases aside) and clear of keyAlways, and each reads
-// back the packet's own value; a full mask renders the slots by name,
-// keyAlways as nothing.
+// TestKeyLayout holds keyLayout to the layout's word expressions: every field
+// has a slot as wide as the field; the covered fields but metadata sit in
+// words 0–4, the words flowKey.load packs, and every other field after them;
+// the slots are disjoint (the L4 aliases aside) and clear of keyAlways; and
+// each reads back the packet's own value, through load and through a
+// one-field gather.  A full mask renders the cache's slots by name, keyAlways
+// as nothing.
 func TestKeyLayout(t *testing.T) {
-	p := pkt.Packet{InPort: 0x89abcdef}
+	p := pkt.Packet{InPort: 0x89abcdef, Metadata: 0x0123456789abcdef}
 	h := &p.Headers
 	h.EthDst, h.EthSrc = pkt.MACFromUint64(0xf1e2d3c4b5a6), pkt.MACFromUint64(0x0badc0ffee11)
-	h.EthType, h.VLANID, h.IPProto = 0x88a8, 0xabc, 0x84
+	h.EthType, h.VLANID, h.VLANPCP, h.IPProto = 0x88a8, 0xabc, 5, 0x84
 	h.IPSrc, h.IPDst, h.L4Src, h.L4Dst = 0xdeadbeef, 0xfeedface, 0xa55a, 0x5aa5
+	h.IPDSCP, h.IPECN, h.TCPFlags, h.ICMPType, h.ICMPCode = 0x2d, 2, 0xa5c, 0x8e, 0x71
+	h.ARPOp, h.ARPSPA, h.ARPTPA = 0xbeef, 0xc0a80001, 0x0a0b0c0d
 	h.Proto, h.Parsed = 0xffff, 0xff
 	full := flowKey{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 	var k flowKey
 	k.load(&p, &full)
-	seen := keyAlways
+	var seen [layoutWords]uint64
+	copy(seen[:], keyAlways[:])
 	if k.and(&keyAlways) != keyAlways {
 		t.Fatalf("presence and parse depth are not where keyAlways says: %x", k)
 	}
 	for f := openflow.Field(0); f < openflow.NumFields; f++ {
 		l := keyLayout[f]
-		if carried := cacheCoveredFields.Has(f) && f != openflow.FieldMetadata; carried != (l.bits != 0) || (carried && l.bits != f.Width()) {
-			t.Fatalf("%v: covered=%v but slot is %d bits wide", f, carried, l.bits)
+		if l.bits != f.Width() {
+			t.Fatalf("%v: the slot is %d bits wide", f, l.bits)
 		}
-		if l.bits == 0 {
-			continue
+		cached := cacheCoveredFields.Has(f) && f != openflow.FieldMetadata
+		if cached != (int(l.word) < len(k)) {
+			t.Fatalf("%v: covered=%v but the slot is in word %d", f, cached, l.word)
 		}
-		if got, want := keyedBits(&k, f), openflow.Extract(&p, f); got != want {
-			t.Fatalf("%v: slot reads %#x, the packet says %#x", f, got, want)
+		value := openflow.Extract(&p, f)
+		if cached && keyedBits(&k, f) != value {
+			t.Fatalf("%v: slot reads %#x, the packet says %#x", f, keyedBits(&k, f), value)
 		}
-		var unused, m flowKey
-		keyBits(f, 0, f.FullMask(), &unused, &m)
-		if l.name != "" && seen.and(&m) != (flowKey{}) {
-			t.Fatalf("%v overlaps an earlier slot", f)
+		m := openflow.NewMatch().Set(f, value)
+		g, ok := newKeyGather(m)
+		if want := g.entry(m); !ok || g.packet(&p) != want || want == (hashKey{}) {
+			t.Fatalf("%v: the gather reads %x, the packet's value gathers to %x", f, g.packet(&p), want)
 		}
-		seen.or(&m)
+		var unused, slot [layoutWords]uint64
+		keyBits(f, 0, f.FullMask(), unused[:], slot[:])
+		for w := range slot {
+			if l.name != "" && seen[w]&slot[w] != 0 {
+				t.Fatalf("%v overlaps an earlier slot", f)
+			}
+			seen[w] |= slot[w]
+		}
 	}
 	if !strings.Contains(full.String(), "l4_dst") || keyAlways.String() != "" {
 		t.Fatalf("key rendering: %q / %q", full.String(), keyAlways.String())

@@ -261,7 +261,7 @@ func (d *Datapath) buildTable(t *openflow.FlowTable) (tableDatapath, error) {
 		dc.maxEntries = max(dc.maxEntries, t.Len()) // capacity for rebuild-free inserts is still bounded by analysis
 		dp = dc
 	case TemplateHash:
-		dp = newHashTable(a.fields, a.masks, t.Len())
+		dp = newHashTable(a.gather, t.Len())
 	case TemplateLPM:
 		dp = newLPMTable(a.lpmField)
 	case TemplateLinkedList:

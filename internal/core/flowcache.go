@@ -111,12 +111,10 @@ const cacheCoveredFields openflow.FieldSet = 1<<openflow.FieldInPort |
 	1<<openflow.FieldUDPSrc | 1<<openflow.FieldUDPDst |
 	1<<openflow.FieldSCTPSrc | 1<<openflow.FieldSCTPDst
 
-// flowKey is the layout of the cache key: five words (40 bytes) packing the
-// in-port and every parsed header field the covered fields can read, plus the
+// flowKey is the cache key, the key layout's words 0–4 (40 bytes): every
+// covered field but metadata (cached packets enter with it zero), plus the
 // protocol-presence mask and parse depth so prerequisite checks are part of
 // the identity too.  A probe uses the packet's key under the snapshot's mask.
-// load packs a packet into it; keyLayout says where each field went, for
-// everything off the per-packet path.
 type flowKey [5]uint64
 
 // load packs the parsed packet into k under the mask m — each word packed,
@@ -124,43 +122,9 @@ type flowKey [5]uint64
 // masked key's probe hash.  The probe passes m = the snapshot's key
 // mask; an all-ones m loads the whole key.
 func (k *flowKey) load(p *pkt.Packet, m *flowKey) uint32 {
-	h := &p.Headers
-	w0 := (uint64(p.InPort) | uint64(h.EthType)<<32 | uint64(h.VLANID)<<48) & m[0]
-	w1 := (h.EthDst.Uint64() | uint64(h.Proto&0xffff)<<keyProtoShift) & m[1]
-	w2 := (h.EthSrc.Uint64() | uint64(h.IPProto)<<48 | uint64(h.Parsed)<<56) & m[2]
-	w3 := (uint64(h.IPSrc)<<32 | uint64(h.IPDst)) & m[3]
-	w4 := (uint64(h.L4Src) | uint64(h.L4Dst)<<16) & m[4]
-	k[0], k[1], k[2], k[3], k[4] = w0, w1, w2, w3, w4
+	k[0], k[1], k[2], k[3], k[4] = layoutWord0(p)&m[0], layoutWord1(p)&m[1], layoutWord2(p)&m[2],
+		layoutWord3(p)&m[3], layoutWord4(p)&m[4]
 	return k.hash()
-}
-
-// keySlot places one match field in the flow key.
-type keySlot struct {
-	name        string // as rendered; empty for an alias of an earlier slot
-	word        uint8
-	shift, bits uint8 // bits == 0: the key does not carry the field
-}
-
-// keyLayout is the flow key's layout by match field — what load packs
-// where (TestKeyLayout holds the two together).  keyBits and the key's
-// rendering go through it.  The L4 ports have one slot per direction
-// whatever the transport, hence their names.  Metadata is covered
-// (cacheCoveredFields) without a slot: cached packets enter with it zero.
-var keyLayout = [openflow.NumFields]keySlot{
-	openflow.FieldInPort:  {"in_port", 0, 0, 32},
-	openflow.FieldEthType: {"eth_type", 0, 32, 16},
-	openflow.FieldVLANID:  {"vlan_vid", 0, 48, 12},
-	openflow.FieldEthDst:  {"eth_dst", 1, 0, 48},
-	openflow.FieldEthSrc:  {"eth_src", 2, 0, 48},
-	openflow.FieldIPProto: {"ip_proto", 2, 48, 8},
-	openflow.FieldIPSrc:   {"ip_src", 3, 32, 32},
-	openflow.FieldIPDst:   {"ip_dst", 3, 0, 32},
-	openflow.FieldTCPSrc:  {"l4_src", 4, 0, 16},
-	openflow.FieldTCPDst:  {"l4_dst", 4, 16, 16},
-	openflow.FieldUDPSrc:  {"", 4, 0, 16},
-	openflow.FieldUDPDst:  {"", 4, 16, 16},
-	openflow.FieldSCTPSrc: {"", 4, 0, 16},
-	openflow.FieldSCTPDst: {"", 4, 16, 16},
 }
 
 // keyProtoShift places the protocol-presence bits in word 1 of the key.
@@ -170,16 +134,6 @@ const keyProtoShift = 48
 // parse depth, which every prerequisite check and every action on an absent
 // header depend on.
 var keyAlways = flowKey{1: 0xffff << keyProtoShift, 2: 0xff << 56}
-
-// keyBits ORs a value/mask constraint on field f into a key-shaped value/mask
-// pair.  Fields the key does not carry (metadata) are left unconstrained,
-// which only widens a scope.
-func keyBits(f openflow.Field, value, mask uint64, kv, km *flowKey) {
-	if l := &keyLayout[f]; l.bits != 0 {
-		kv[l.word] |= value << l.shift
-		km[l.word] |= mask << l.shift
-	}
-}
 
 // and returns the key restricted to the mask's bits.
 func (k flowKey) and(m *flowKey) flowKey {
@@ -845,6 +799,9 @@ func (d *Datapath) unarmedWhy(sn *snapshot) string {
 func (k flowKey) String() string {
 	var sb strings.Builder
 	for f, l := range keyLayout {
+		if int(l.word) >= len(k) {
+			continue
+		}
 		full := uint64(1)<<l.bits - 1
 		m := k[l.word] >> l.shift & full
 		if l.name == "" || m == 0 {

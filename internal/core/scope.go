@@ -133,12 +133,12 @@ func (d *Datapath) keyEntry(e *openflow.FlowEntry) (widened bool) {
 	for rest := matched; rest != 0; rest &= rest - 1 {
 		f := openflow.Field(bits.TrailingZeros32(uint32(rest)))
 		_, mask, _ := e.Match.Get(f)
-		keyBits(f, 0, mask, &unused, &km)
+		keyBits(f, 0, mask, unused[:], km[:])
 	}
 	for _, list := range [...]openflow.ActionList{e.Instructions.ApplyActions, e.Instructions.WriteActions} {
 		for _, a := range list {
 			if a.Type == openflow.ActionOutput && a.Port == openflow.PortFlood {
-				keyBits(openflow.FieldInPort, 0, openflow.FieldInPort.FullMask(), &unused, &km)
+				keyBits(openflow.FieldInPort, 0, openflow.FieldInPort.FullMask(), unused[:], km[:])
 			}
 		}
 	}
@@ -198,7 +198,7 @@ func (d *Datapath) scopeOf(table openflow.TableID, m *openflow.Match) modScope {
 	for rest := m.Fields() &^ dirty; rest != 0; rest &= rest - 1 {
 		f := openflow.Field(bits.TrailingZeros32(uint32(rest)))
 		value, mask, _ := m.Get(f)
-		keyBits(f, value, mask, &sc.val, &sc.mask)
+		keyBits(f, value, mask, sc.val[:], sc.mask[:])
 	}
 	proto := m.RequiredProto()
 	if dirty.Has(openflow.FieldVLANID) {

@@ -190,12 +190,11 @@ func (s *valueSlots) clone() valueSlots {
 
 // hashTable is the compound-hash flow-table template: all entries match the
 // same fields under the same ("global") masks, so classification is a single
-// exact-match lookup on the packed masked key.  The key plan, computed once
-// per template, holds the fields, their masks and where each lands in the
-// key.  An optional lowest-priority catch-all entry acts as the default.
+// exact-match lookup on the key gathered from the words of the key layout the
+// masks touch (keyGather, planned once per template).  An optional
+// lowest-priority catch-all entry acts as the default.
 type hashTable struct {
-	plan        keyPlan
-	proto       pkt.Proto
+	gather      keyGather
 	table       *exacthash.Table
 	valueSlots                 // indexed by the table's values
 	def         *compiledEntry // catch-all (may be nil)
@@ -206,14 +205,9 @@ type hashTable struct {
 	prioLo int
 }
 
-func newHashTable(fields []openflow.Field, masks []uint64, sizeHint int) *hashTable {
-	var proto pkt.Proto
-	for _, f := range fields {
-		proto |= f.Prerequisite()
-	}
+func newHashTable(gather keyGather, sizeHint int) *hashTable {
 	return &hashTable{
-		plan:   newKeyPlan(fields, masks),
-		proto:  proto,
+		gather: gather,
 		table:  exacthash.New(sizeHint),
 		prioLo: math.MaxInt,
 	}
@@ -230,10 +224,10 @@ func (h *hashTable) Len() int {
 }
 
 func (h *hashTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
-	if !p.Headers.Has(h.proto) {
+	if !p.Headers.Has(h.gather.proto) {
 		return h.def
 	}
-	key := h.plan.packKey(p)
+	key := h.gather.packet(p)
 	if st != nil {
 		st.Examined, st.Offset = 1, key.W0^key.W1<<7^key.W2<<13^key.W3<<23
 	}
@@ -250,7 +244,7 @@ func (h *hashTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 const burstStageMin = 8
 
 // LookupBurst classifies the burst in two software-pipelined passes: all
-// packed keys are computed first, while the freshly parsed header material is
+// gathered keys are computed first, while the freshly parsed header material is
 // still hot, and then the exact-match table is probed for the whole burst so
 // the dependent bucket loads issue back to back.
 func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *burstScratch) {
@@ -260,17 +254,17 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *bur
 		}
 		return
 	}
-	// Pass 1: pack and hash the keys of the whole burst while the freshly
+	// Pass 1: gather and hash the keys of the whole burst while the freshly
 	// parsed header material is hot (the key is hashed straight out of
 	// registers); protocol misses resolve to the catch-all immediately and
 	// stay out of the probe batch.
 	nv := 0
 	for i, p := range ps {
-		if !p.Headers.Has(h.proto) {
+		if !p.Headers.Has(h.gather.proto) {
 			outs[i] = h.def
 			continue
 		}
-		key := h.plan.packKey(p)
+		key := h.gather.packet(p)
 		sc.keys[nv] = key
 		sc.hash.H1[nv], sc.hash.H2[nv] = h.table.Hash(key)
 		sc.gidx[nv] = int32(i)
@@ -294,42 +288,16 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *bur
 }
 
 // Mirror deep-copies the mutable lookup state (the cuckoo table and the
-// value slice); the immutable compile-time state (key plan, protocol
-// prerequisite) and the compiled entries themselves are shared with the live
-// copy.
+// value slice); the gather and the compiled entries are shared.
 func (h *hashTable) Mirror() tableDatapath {
 	return &hashTable{
-		plan:        h.plan,
-		proto:       h.proto,
+		gather:      h.gather,
 		table:       h.table.Clone(),
 		valueSlots:  h.valueSlots.clone(),
 		def:         h.def,
 		defPriority: h.defPriority,
 		prioLo:      h.prioLo,
 	}
-}
-
-// compatible reports whether the entry matches exactly the template's fields
-// under the template's masks (the "global mask" prerequisite), or is a
-// catch-all.
-func (h *hashTable) compatible(e *openflow.FlowEntry) bool {
-	if e.Match.IsEmpty() {
-		return true // becomes (or replaces) the catch-all default
-	}
-	fields := e.Match.Fields().Fields()
-	if len(fields) != len(h.plan) {
-		return false
-	}
-	for i, f := range fields {
-		if f != h.plan[i].field {
-			return false
-		}
-		_, mask, _ := e.Match.Get(f)
-		if mask != h.plan[i].mask {
-			return false
-		}
-	}
-	return true
 }
 
 // CanInsert accepts a first catch-all below every keyed entry, or a keyed
@@ -339,7 +307,7 @@ func (h *hashTable) CanInsert(e *openflow.FlowEntry) bool {
 	if e.Match.IsEmpty() {
 		return h.def == nil && e.Priority < h.prioLo
 	}
-	return h.compatible(e) && (h.def == nil || e.Priority > h.defPriority)
+	return h.gather.compatible(e.Match) && (h.def == nil || e.Priority > h.defPriority)
 }
 
 func (h *hashTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
@@ -351,7 +319,7 @@ func (h *hashTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 		return
 	}
 	h.prioLo = min(h.prioLo, e.Priority)
-	key := h.plan.packMatchKey(e.Match)
+	key := h.gather.entry(e.Match)
 	if idx, ok := h.table.Lookup(key); ok {
 		h.share(idx, ce)
 		return
@@ -367,10 +335,10 @@ func (h *hashTable) Remove(match *openflow.Match, priority int) int {
 		}
 		return 0
 	}
-	if !h.compatible(&openflow.FlowEntry{Match: match}) {
+	if !h.gather.compatible(match) {
 		return 0
 	}
-	key := h.plan.packMatchKey(match)
+	key := h.gather.entry(match)
 	idx, ok := h.table.Lookup(key)
 	if !ok || !h.removable(idx, priority) {
 		return 0

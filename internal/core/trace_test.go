@@ -208,7 +208,7 @@ func TestTraceRecordsWhatLookupsExamined(t *testing.T) {
 		fold := func(p *pkt.Packet) uint64 {
 			q := clonePacket(p)
 			pkt.ParseTo(q, pkt.LayerL4)
-			return hashFold(hash.plan.packKey(q))
+			return hashFold(hash.gather.packet(q))
 		}
 
 		permitted := tcpPacket(t, 1, pkt.IPv4(src), pkt.IPv4(dst), uint16(sport), 80)
@@ -283,7 +283,7 @@ func TestTraceRecordsWhatLookupsExamined(t *testing.T) {
 		pkt.ParseTo(q, pkt.LayerL4)
 		check(t, dp, "web request", clonePacket(web), []stepFacts{
 			{0, TemplateDirectCode, 2, 0, next},
-			{1, TemplateHash, 1, hashFold(hash.plan.packKey(q)), terminal},
+			{1, TemplateHash, 1, hashFold(hash.gather.packet(q)), terminal},
 		})
 	})
 }

@@ -12,8 +12,8 @@ import (
 
 // ErrTraceExhausted is the fatal queue error a non-looping replay reports
 // once a queue has delivered its last frame: the port supervisor sees it and
-// transitions the port Down (there is nothing to reopen), replacing the old
-// ad-hoc Exhausted() polling as the link-state signal.
+// transitions the port Down (there is nothing to reopen): exhaustion is the
+// link-state signal.
 var ErrTraceExhausted = errors.New("dpdk: pcap trace exhausted")
 
 // PcapBackend replays a captured trace through the switch: every record of a
@@ -52,9 +52,8 @@ type pcapQueue struct {
 	slots   [][]byte
 	slotCap int
 	// done is set by the polling worker once a non-looping queue has
-	// delivered its last frame — the single-writer flag QueueError and
-	// Exhausted read from other goroutines (cursor itself is unsynchronized
-	// worker state).
+	// delivered its last frame — the single-writer flag QueueError reads
+	// from other goroutines (cursor itself is unsynchronized worker state).
 	done atomic.Bool
 }
 
@@ -174,21 +173,6 @@ func (b *PcapBackend) TransmitSlow(frame []byte) bool {
 		return false
 	}
 	b.txPackets.Add(1)
-	return true
-}
-
-// Exhausted reports whether a non-looping replay has delivered every frame
-// of every queue (always false with Loop).  It reads the per-queue done
-// flags, so it is safe from any goroutine while workers poll.
-func (b *PcapBackend) Exhausted() bool {
-	if b.loop {
-		return false
-	}
-	for i := range b.queues {
-		if !b.queues[i].done.Load() {
-			return false
-		}
-	}
 	return true
 }
 
