@@ -1,7 +1,9 @@
 // Command eswitch-decompose demonstrates the flow-table decomposition pass of
 // §3.2: it builds a single-table pipeline (a synthetic ACL set or the paper's
 // load-balancer), runs the decomposer and reports the resulting multi-stage
-// pipeline and the templates each stage compiles into.
+// pipeline and the templates each stage compiles into.  The decomposer only
+// rewrites a table the linked-list template would take: the load balancer
+// compiles to one compound hash with a direct-code tail, and stays one table.
 //
 // Usage:
 //

@@ -17,49 +17,49 @@ type analysis struct {
 
 // analyzeTable selects the most efficient template whose prerequisite the
 // table satisfies, in the fallback order of Fig. 4: direct code for tiny
-// tables, then compound hash, then LPM, then linked list.
+// tables, then compound hash with at most one catch-all, then LPM, then
+// compound hash with a direct-code tail, then linked list.  The tail comes
+// after LPM so that only tables the linked list would take change template.
 func analyzeTable(t *openflow.FlowTable, opts Options) analysis {
 	entries := t.Entries()
 	if len(entries) <= opts.DirectCodeMaxEntries {
 		return analysis{kind: TemplateDirectCode}
 	}
-	if gather, ok := hashPrerequisite(entries); ok {
+	gather, tail, hashOK := hashPrerequisite(entries)
+	if hashOK && (len(tail) == 0 || len(tail) == 1 && tail[0].Match.IsEmpty()) {
 		return analysis{kind: TemplateHash, gather: gather}
 	}
 	if field, ok := lpmPrerequisite(entries); ok {
 		return analysis{kind: TemplateLPM, lpmField: field}
 	}
+	if hashOK && len(tail) <= opts.DirectCodeMaxEntries {
+		return analysis{kind: TemplateHash, gather: gather}
+	}
 	return analysis{kind: TemplateLinkedList}
 }
 
-// hashPrerequisite checks the compound-hash prerequisite: every non-catch-all
-// entry matches exactly the same fields, each under the same (global) mask,
-// the gather fits four key words (newKeyGather), and at most one catch-all
-// (empty-match) entry exists, strictly below every specific entry: it
-// overlaps them all, and one hash lookup must give priority order.
-func hashPrerequisite(entries []*openflow.FlowEntry) (keyGather, bool) {
-	var g keyGather
-	var catchAll *openflow.FlowEntry
-	minSpecific := math.MaxInt
+// hashPrerequisite checks the compound-hash prerequisite.  The
+// highest-priority non-empty entry fixes the keyed band: every entry matching
+// exactly its fields, each under the same (global) mask, with a gather that
+// fits four key words (newKeyGather).  Every other entry — the tail, returned
+// in priority order — must sit strictly below the whole band: a tail entry
+// may overlap any band entry, and one hash lookup must give priority order.
+func hashPrerequisite(entries []*openflow.FlowEntry) (g keyGather, tail []*openflow.FlowEntry, ok bool) {
+	bandLo, tailHi := math.MaxInt, math.MinInt
 	for _, e := range entries {
-		switch {
-		case e.Match.IsEmpty():
-			if catchAll != nil {
-				return keyGather{}, false
-			}
-			catchAll = e
-			continue
-		case g.set == 0:
-			var ok bool
+		if g.set == 0 && !e.Match.IsEmpty() {
 			if g, ok = newKeyGather(e.Match); !ok {
-				return keyGather{}, false
+				return keyGather{}, nil, false
 			}
-		case !g.compatible(e.Match):
-			return keyGather{}, false
 		}
-		minSpecific = min(minSpecific, e.Priority)
+		if g.set != 0 && g.compatible(e.Match) {
+			bandLo = min(bandLo, e.Priority)
+			continue
+		}
+		tail = append(tail, e)
+		tailHi = max(tailHi, e.Priority)
 	}
-	return g, g.set != 0 && (catchAll == nil || catchAll.Priority < minSpecific)
+	return g, tail, g.set != 0 && tailHi < bandLo
 }
 
 // lpm32Fields are the fields the LPM template applies to (32-bit addresses).

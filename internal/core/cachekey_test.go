@@ -20,7 +20,7 @@ import (
 // key leaves nothing behind.
 
 // TestCacheArming states, for the six bundled use cases and the decomposed
-// load balancer, whether the compiler arms the cache and which fields key it.
+// ACL, whether the compiler arms the cache and which fields key it.
 func TestCacheArming(t *testing.T) {
 	ucs := bundledUseCases()
 	cases := []struct {
@@ -33,10 +33,11 @@ func TestCacheArming(t *testing.T) {
 		{ucs[0], false, false, "in_port eth_dst"},
 		// One LPM stage: the key is the RIB's longest prefix.
 		{ucs[1], false, false, "ip_dst/24"},
-		// One wildcard (linked-list) stage, or its decomposition; the backend
-		// split reads one bit of the source address.
-		{ucs[2], false, true, "in_port ip_src/1 ip_dst/32 l4_dst"},
-		{ucs[2], true, true, "in_port ip_src/1 ip_dst/32 l4_dst"},
+		// One hash stage whose tail holds the in_port rule and the drop; the
+		// backend split reads one bit of the source address.
+		{ucs[2], false, false, "in_port ip_src/1 ip_dst/32 l4_dst"},
+		// Decomposed into 38 stages, linked lists among them.
+		{decomposedACL(), true, true, "ip_src/32 ip_dst/32 l4_dst"},
 		// Four stages; the VLAN dispatch and the per-CE tables match the tag
 		// and the source address whole (what pop_vlan and the NAT set-field
 		// write needs no key bits of its own).

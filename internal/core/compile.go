@@ -112,6 +112,9 @@ type Datapath struct {
 	// pipeline is the declarative source of truth; updates are applied to
 	// it first and then reflected into the compiled representation.
 	pipeline *openflow.Pipeline
+	// source is the pipeline before decomposition rewrote it (nil if it did
+	// not): flow-mods name its tables (update.go).
+	source *openflow.Pipeline
 
 	parserLayer pkt.Layer
 	numPorts    int
@@ -198,6 +201,9 @@ func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 	working := pl.Clone()
 	if opts.Decompose {
 		decomposed, extra := DecomposePipeline(working, opts)
+		if extra > 0 {
+			d.source = working
+		}
 		working = decomposed
 		d.decomposedBy = extra
 	}
@@ -261,7 +267,7 @@ func (d *Datapath) buildTable(t *openflow.FlowTable) (tableDatapath, error) {
 		dc.maxEntries = max(dc.maxEntries, t.Len()) // capacity for rebuild-free inserts is still bounded by analysis
 		dp = dc
 	case TemplateHash:
-		dp = newHashTable(a.gather, t.Len())
+		dp = newHashTable(a.gather, t.Len(), d.opts)
 	case TemplateLPM:
 		dp = newLPMTable(a.lpmField)
 	case TemplateLinkedList:

@@ -116,13 +116,20 @@ func TestAnalyzeHashTemplate(t *testing.T) {
 	if a.kind != TemplateHash {
 		t.Fatalf("uniform-mask table should use the hash template, got %v", a.kind)
 	}
-	// Adding an entry that wildcards tcp_dst violates the global-mask
-	// prerequisite (the paper's third-entry example in §3.1).
-	ft.AddFlow(5, openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(pkt.IPv4FromOctets(203, 0, 113, 0)), 24),
-		openflow.Apply(openflow.Output(99)))
-	a = analyzeTable(ft, DefaultOptions())
-	if a.kind == TemplateHash {
-		t.Fatal("mask mismatch must fall back from the hash template")
+	// An entry that wildcards tcp_dst breaks the global mask (the paper's
+	// third-entry example in §3.1).  Below the band it lands in the
+	// direct-code tail; above it, it would fix a band of its own, with the
+	// 20 keyed entries left over for a tail far past DirectCodeMaxEntries,
+	// so the table falls back from the hash template.
+	mismatch := openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(pkt.IPv4FromOctets(203, 0, 113, 0)), 24)
+	ft.AddFlow(5, mismatch, openflow.Apply(openflow.Output(99)))
+	if a = analyzeTable(ft, DefaultOptions()); a.kind != TemplateHash {
+		t.Fatalf("mask mismatch below the band should land in the tail, got %v", a.kind)
+	}
+	ft.Delete(mismatch, 5)
+	ft.AddFlow(15, mismatch, openflow.Apply(openflow.Output(99)))
+	if a = analyzeTable(ft, DefaultOptions()); a.kind == TemplateHash {
+		t.Fatal("mask mismatch above the band must fall back from the hash template")
 	}
 }
 

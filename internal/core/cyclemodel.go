@@ -45,8 +45,9 @@ func (rs tableRegions) carve(m *cpumodel.Meter, id openflow.TableID, dp tableDat
 // packet I/O and the parser, then per step the lookup's fixed cost, its
 // per-rule, per-level or per-tuple cost and its simulated memory accesses at
 // the step's Offset in the table's region, a miss's packet I/O, and the
-// actions and packet I/O of the entry that ended the walk.  A table missing
-// from regions (built after the walk's snapshot) is priced without accesses.
+// actions and packet I/O of the entry that ended the walk; a hash miss's
+// direct-code tail goes unpriced.  A table missing from regions (built after
+// the walk's snapshot) is priced without accesses.
 func priceWalk(m *cpumodel.Meter, layer pkt.Layer, steps []TraceStep, regions tableRegions) {
 	m.StartPacket()
 	m.AddCycles(cpumodel.CostPktIO + parserCost(layer))

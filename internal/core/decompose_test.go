@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -217,6 +218,79 @@ func TestDecomposePromotesToFastTemplates(t *testing.T) {
 		dp.Process(p2, &v2)
 		if !v1.Equivalent(&v2) {
 			t.Fatalf("probe %d: interpreter=%v eswitch=%v", probe, v1.String(), v2.String())
+		}
+	}
+}
+
+// TestDecomposedFlowModsFollowSource issues seeded adds and deletes against a
+// decomposed ACL — lower-priority adds on the ACL's own servers, sources and
+// ports among them, which overlap the stages the decomposer derived — and
+// after every mod requires each frame's outcome to be the interpreter's over
+// the source pipeline plus the same mods.  A mod names a table of the
+// source: applied to the decomposed table of that ID, a low-priority entry
+// would shadow the rules moved into derived tables.
+func TestDecomposedFlowModsFollowSource(t *testing.T) {
+	uc := decomposedACL()
+	src := uc.Pipeline.Clone()
+	opts := DefaultOptions()
+	opts.Decompose = true
+	dp, err := Compile(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dp.DecomposedTables() == 0 {
+		t.Fatal("the ACL did not decompose")
+	}
+	tr := uc.Trace(200)
+	in := openflow.NewInterpreter(src)
+	in.UpdateCounters = false
+	rng := rand.New(rand.NewSource(7))
+	servers := []uint64{uint64(pkt.IPv4FromOctets(192, 0, 2, 10)), uint64(pkt.IPv4FromOctets(192, 0, 2, 13)), uint64(pkt.IPv4FromOctets(192, 0, 2, 15))}
+	sources := []uint64{uint64(pkt.IPv4FromOctets(203, 0, 113, 1)), uint64(pkt.IPv4FromOctets(203, 0, 113, 4))}
+	for mod := 0; mod < 60; mod++ {
+		var what string
+		t0 := src.Table(0)
+		if es := t0.Entries(); rng.Intn(3) == 0 && len(es) > 1 {
+			victim := es[rng.Intn(len(es))]
+			prio := victim.Priority
+			if rng.Intn(3) == 0 {
+				prio = -1
+			}
+			match := victim.Match.Clone()
+			want := t0.Delete(match, prio)
+			n, err := dp.DeleteFlow(0, match, prio)
+			if err != nil || n != want {
+				t.Fatalf("mod %d: delete %v (priority %d) removed %d (%v), the source %d", mod, match, prio, n, err, want)
+			}
+			what = fmt.Sprintf("delete %v priority %d", match, prio)
+		} else {
+			m := openflow.NewMatch()
+			for m.IsEmpty() {
+				if rng.Intn(2) == 0 {
+					m.Set(openflow.FieldIPDst, servers[rng.Intn(len(servers))])
+				}
+				if rng.Intn(3) == 0 {
+					m.Set(openflow.FieldIPSrc, sources[rng.Intn(len(sources))])
+				}
+				if rng.Intn(2) == 0 {
+					m.Set([]openflow.Field{openflow.FieldTCPDst, openflow.FieldUDPDst}[rng.Intn(2)], []uint64{22, 25, 80, 443}[rng.Intn(4)])
+				}
+			}
+			e := openflow.NewEntry(1+rng.Intn(40), m, openflow.Apply(openflow.Output(uint32(1+rng.Intn(2)))))
+			t0.Add(e.Clone())
+			if err := dp.AddFlow(0, e); err != nil {
+				t.Fatal(err)
+			}
+			what = fmt.Sprintf("add %v", e)
+		}
+		for i := 0; i < 200; i++ {
+			frame, port := tr.Frame(i)
+			var got, want openflow.Verdict
+			dp.Process(&pkt.Packet{Data: frame, InPort: port}, &got)
+			in.Process(&pkt.Packet{Data: frame, InPort: port}, &want, nil)
+			if !got.Equivalent(&want) {
+				t.Fatalf("after mod %d (%s): frame %d: datapath %s, interpreter over the source %s", mod, what, i, &got, &want)
+			}
 		}
 	}
 }

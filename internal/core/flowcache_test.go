@@ -10,6 +10,7 @@ import (
 	"eswitch/internal/cpumodel"
 	"eswitch/internal/openflow"
 	"eswitch/internal/pkt"
+	"eswitch/internal/pktgen"
 	"eswitch/internal/workload"
 )
 
@@ -494,10 +495,38 @@ func bundledUseCases() []*workload.UseCase {
 	}
 }
 
-// TestFlowCacheDifferential replays every bundled workload three times
-// through a flowcache-enabled worker — where the pipeline arms the cache the
-// later passes are served almost entirely from it, where it does not (the
-// one-stage L2 and L3 pipelines) they must not touch it — and requires
+// decomposedACL is the decomposition fixture: a 20-rule synthetic ACL that
+// Options.Decompose splits into 38 stages, some of them linked lists, with a
+// trace of TCP and UDP flows towards the ACL's servers and ports, some from
+// the sources its rules name.
+func decomposedACL() *workload.UseCase {
+	return &workload.UseCase{
+		Name:               "acl",
+		Pipeline:           workload.ACLPipeline(workload.GenerateACLs(20, 11)),
+		WantsDecomposition: true,
+		Trace: func(n int) *pktgen.Trace {
+			rng := rand.New(rand.NewSource(int64(n)))
+			flows := make([]pktgen.Flow, n)
+			for i := range flows {
+				flows[i] = pktgen.Flow{
+					InPort:  uint32(1 + rng.Intn(2)),
+					SrcIP:   pkt.IPv4FromOctets(203, 0, 113, byte(rng.Intn(6))),
+					DstIP:   pkt.IPv4FromOctets(192, 0, 2, byte(9+rng.Intn(7))),
+					Proto:   []uint8{pkt.IPProtoTCP, pkt.IPProtoUDP}[rng.Intn(2)],
+					SrcPort: uint16(1024 + rng.Intn(1000)),
+					DstPort: []uint16{22, 25, 53, 80, 443, 445, 3389, 8080}[rng.Intn(8)],
+				}
+			}
+			return pktgen.NewTrace(flows, int64(n))
+		},
+	}
+}
+
+// TestFlowCacheDifferential replays every bundled workload and the
+// decomposed ACL three times through a flowcache-enabled worker — where the
+// pipeline arms the cache the later passes are served almost entirely from
+// it, where it does not (the one-stage L2, L3 and load-balancer pipelines)
+// they must not touch it — and requires
 // bit-identical verdicts, rewritten headers and metadata against a cache-free
 // datapath over the same frames.
 func TestFlowCacheDifferential(t *testing.T) { flowCacheDifferential(t, 4096, true) }
@@ -509,13 +538,16 @@ func TestFlowCacheThrashDifferential(t *testing.T) { flowCacheDifferential(t, 64
 
 func flowCacheDifferential(t *testing.T, entries int, resident bool) {
 	const nFlows = 200
-	for _, uc := range bundledUseCases() {
+	for _, uc := range append(bundledUseCases(), decomposedACL()) {
 		t.Run(uc.Name, func(t *testing.T) {
 			dp, w := fcWorker(t, uc, entries)
 			defer dp.UnregisterWorker(w)
 			armed := dp.FlowCacheEnabled()
-			if oneStage := uc.Name == "l2" || uc.Name == "l3"; armed == oneStage {
+			if oneStage := uc.Name == "l2" || uc.Name == "l3" || uc.Name == "loadbalancer"; armed == oneStage {
 				t.Fatalf("%s pipeline: cache armed = %v", uc.Name, armed)
+			}
+			if uc.Name == "acl" && dp.DecomposedTables() == 0 {
+				t.Fatal("the ACL did not decompose")
 			}
 
 			plainOpts := DefaultOptions()

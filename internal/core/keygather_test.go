@@ -122,7 +122,7 @@ func checkCompoundKey(tb testing.TB, next func() uint64) {
 	}
 	g, ok := newKeyGather(a)
 	stage := []*openflow.FlowEntry{openflow.NewEntry(2, a, openflow.Instructions{}), openflow.NewEntry(1, b, openflow.Instructions{})}
-	if _, accepted := hashPrerequisite(stage); accepted != ok {
+	if _, _, accepted := hashPrerequisite(stage); accepted != ok {
 		tb.Fatalf("%v: hashPrerequisite says %v, the gather %v", fields, accepted, ok)
 	}
 	switch {

@@ -81,25 +81,50 @@ func newScopeRig(t testing.TB, pl *openflow.Pipeline, decompose bool, entries in
 	return r
 }
 
+// modPipeline is the pipeline whose tables the rig's flow-mods name: on a
+// datapath the decomposer rewrote, the source it keeps; otherwise the one it
+// executes.
+func (r *scopeRig) modPipeline() *openflow.Pipeline {
+	if r.dp.source != nil {
+		return r.dp.source
+	}
+	return r.dp.Pipeline()
+}
+
+// walk returns the tables of modPipeline that frame i's walk visits.  A
+// decomposed walk also visits derived tables, which no mod names.
+func (r *scopeRig) walk(i int) []openflow.TableID {
+	pl := r.modPipeline()
+	var path []openflow.TableID
+	for _, st := range r.dp.Trace(&pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}).Steps {
+		if pl.Table(st.Table) != nil {
+			path = append(path, st.Table)
+		}
+	}
+	return path
+}
+
 // meteredTwin gives the rig its metered datapath, compiled from the pipeline
-// the datapath executes (decomposition numbers its tables differently from
-// one run to the next, and the mods name tables).
+// the mods name (decomposition numbers its tables differently from one run
+// to the next) and decomposed as the rig's is, so its walks visit as many
+// tables.
 func (r *scopeRig) meteredTwin() {
 	r.t.Helper()
 	opts := DefaultOptions()
+	opts.Decompose = r.dp.opts.Decompose
 	opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
-	dp, err := Compile(r.dp.Pipeline(), opts)
+	dp, err := Compile(r.modPipeline(), opts)
 	if err != nil {
 		r.t.Fatal(err)
 	}
 	r.metered = dp
 }
 
-// ovsTwin gives the rig its baseline switch, over the pipeline the datapath
-// executes for the same reason.
+// ovsTwin gives the rig its baseline switch, over the pipeline the mods name
+// for the same reason.
 func (r *scopeRig) ovsTwin() {
 	r.t.Helper()
-	sw, err := ovs.New(r.dp.Pipeline(), ovs.DefaultOptions())
+	sw, err := ovs.New(r.modPipeline(), ovs.DefaultOptions())
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -378,8 +403,8 @@ func (r *scopeRig) widen(prefix bool) (what string, widened bool) {
 	}
 	// Where the frame's walk ends, so the entry is live, and at a priority of
 	// its own above every other entry's (randomMod's top band is 20000).
-	steps := r.dp.Trace(&pkt.Packet{Data: r.frames[0], InPort: r.inPorts[0]}).Steps
-	tid := steps[len(steps)-1].Table
+	path := r.walk(0)
+	tid := path[len(path)-1]
 	before, flushes := r.dp.snap.Load().keyMask, r.dp.FlowCacheStats().Flushes
 	r.adds++
 	e := openflow.NewEntry(30000+r.adds, m, openflow.Apply(openflow.Output(1)))
@@ -404,7 +429,7 @@ func (r *scopeRig) widen(prefix bool) (what string, widened bool) {
 // source port alone, which splits a cache key between sibling flows.  It
 // returns a description for failure messages.
 func (r *scopeRig) randomMod(rng *rand.Rand) string {
-	pl := r.dp.Pipeline()
+	pl := r.modPipeline()
 	ids := pl.TableIDs()
 	tid := ids[rng.Intn(len(ids))]
 	var victim *openflow.FlowEntry
@@ -469,9 +494,7 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 		i := rng.Intn(len(r.frames))
 		wire = pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}
 		pkt.ParseTo(&wire, pkt.LayerL4)
-		for _, st := range r.dp.Trace(&pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}).Steps {
-			path = append(path, st.Table)
-		}
+		path = r.walk(i)
 		walked = wire
 		var v openflow.Verdict
 		openflow.NewInterpreter(pl).ProcessParsed(&walked, &v, nil)
@@ -591,10 +614,11 @@ type rigCase struct {
 	frames    func(n int) ([][]byte, []uint32)
 }
 
-// rigCases are the gateway, L3, firewall and (decomposed) load-balancer
+// rigCases are the gateway, L3, firewall, load-balancer and decomposed ACL
 // pipelines TestScopedInvalidationDifferential, FuzzCompiledKeyAliasing and
-// FuzzPipelineDifferential mutate.  Each rig's first IPv4 frame arrives with
-// TTL 1, so a walk that decrements it twice floors it at zero.
+// FuzzPipelineDifferential mutate; new rigs go last, so the fuzzers' seed
+// inputs keep their rigs.  Each rig's first IPv4 frame arrives with TTL 1, so
+// a walk that decrements it twice floors it at zero.
 func rigCases() []rigCase {
 	firewallFrames := func(n int) (frames [][]byte, inPorts []uint32) {
 		b := pkt.NewBuilder(128)
@@ -613,11 +637,13 @@ func rigCases() []rigCase {
 	gw := workload.GatewayUseCase(workload.GatewayConfig{CEs: 3, UsersPerCE: 5, Prefixes: 300, Seed: 5})
 	l3 := workload.L3UseCase(400, 8, 7)
 	lb := workload.LoadBalancerUseCase(50)
+	acl := decomposedACL()
 	cases := []rigCase{
 		{"gateway", gw.Pipeline, false, func(n int) ([][]byte, []uint32) { return traceFrames(gw, n) }},
 		{"l3", l3.Pipeline, false, func(n int) ([][]byte, []uint32) { return traceFrames(l3, n) }},
 		{"firewall", workload.FirewallMultiStage(), false, firewallFrames},
-		{"loadbalancer-decomposed", lb.Pipeline, true, func(n int) ([][]byte, []uint32) { return traceFrames(lb, n) }},
+		{"loadbalancer", lb.Pipeline, false, func(n int) ([][]byte, []uint32) { return traceFrames(lb, n) }},
+		{"acl-decomposed", acl.Pipeline, true, func(n int) ([][]byte, []uint32) { return traceFrames(acl, n) }},
 	}
 	for i := range cases {
 		frames := cases[i].frames
@@ -639,7 +665,7 @@ func rigCases() []rigCase {
 }
 
 // TestScopedInvalidationDifferential runs seeded random flow-mod sequences
-// against the gateway, L3, firewall and (decomposed) load-balancer pipelines
+// against the gateway, L3, firewall, load-balancer and decomposed ACL pipelines
 // and, after every mod, compares the datapath with the interpreter.  A third
 // of the frames is probed after every mod, a third every 7 and a third every
 // 53 — more than the scope log's window, and more than its backing array —

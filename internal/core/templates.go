@@ -3,6 +3,7 @@ package core
 import (
 	"maps"
 	"math"
+	"slices"
 
 	"eswitch/internal/exacthash"
 	"eswitch/internal/lpm"
@@ -191,41 +192,38 @@ func (s *valueSlots) clone() valueSlots {
 // hashTable is the compound-hash flow-table template: all entries match the
 // same fields under the same ("global") masks, so classification is a single
 // exact-match lookup on the key gathered from the words of the key layout the
-// masks touch (keyGather, planned once per template).  An optional
-// lowest-priority catch-all entry acts as the default.
+// masks touch (keyGather, planned once per template).  The entries outside
+// that keyed band — a catch-all, say — form a short direct-code tail, all of
+// them below the band: a packet the probe misses, or one without the band's
+// protocols, runs the tail.
 type hashTable struct {
-	gather      keyGather
-	table       *exacthash.Table
-	valueSlots                 // indexed by the table's values
-	def         *compiledEntry // catch-all (may be nil)
-	defPriority int
+	gather     keyGather
+	table      *exacthash.Table
+	valueSlots // indexed by the table's values
+	tail       directCode
 	// prioLo is the lowest priority of the keyed entries inserted since the
-	// table was built (removals do not raise it): the catch-all must stay
-	// below it, or one hash lookup would not give priority order.
+	// table was built (removals do not raise it): the tail must stay below
+	// it, or one hash lookup would not give priority order.
 	prioLo int
 }
 
-func newHashTable(gather keyGather, sizeHint int) *hashTable {
+func newHashTable(gather keyGather, sizeHint int, opts Options) *hashTable {
 	return &hashTable{
 		gather: gather,
 		table:  exacthash.New(sizeHint),
+		tail:   directCode{maxEntries: opts.DirectCodeMaxEntries},
 		prioLo: math.MaxInt,
 	}
 }
 
 func (h *hashTable) Kind() TemplateKind { return TemplateHash }
 
-func (h *hashTable) Len() int {
-	n := h.table.Len()
-	if h.def != nil {
-		n++
-	}
-	return n
-}
+func (h *hashTable) Len() int { return h.table.Len() + h.tail.Len() }
 
+// Lookup records the probe alone in st: the tail is part of the hash step.
 func (h *hashTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 	if !p.Headers.Has(h.gather.proto) {
-		return h.def
+		return h.tail.Lookup(p, nil)
 	}
 	key := h.gather.packet(p)
 	if st != nil {
@@ -233,7 +231,7 @@ func (h *hashTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 	}
 	idx, ok := h.table.Lookup(key)
 	if !ok {
-		return h.def
+		return h.tail.Lookup(p, nil)
 	}
 	return h.values[idx]
 }
@@ -256,12 +254,12 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *bur
 	}
 	// Pass 1: gather and hash the keys of the whole burst while the freshly
 	// parsed header material is hot (the key is hashed straight out of
-	// registers); protocol misses resolve to the catch-all immediately and
-	// stay out of the probe batch.
+	// registers); protocol misses run the tail immediately and stay out of
+	// the probe batch.
 	nv := 0
 	for i, p := range ps {
 		if !p.Headers.Has(h.gather.proto) {
-			outs[i] = h.def
+			outs[i] = h.tail.Lookup(p, nil)
 			continue
 		}
 		key := h.gather.packet(p)
@@ -280,42 +278,38 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *bur
 		}
 		idx, ok := h.table.LookupPrehashed(sc.keys[j], sc.hash.H1[j], sc.hash.H2[j])
 		if !ok {
-			outs[i] = h.def
+			outs[i] = h.tail.Lookup(ps[i], nil)
 			continue
 		}
 		outs[i] = h.values[idx]
 	}
 }
 
-// Mirror deep-copies the mutable lookup state (the cuckoo table and the
-// value slice); the gather and the compiled entries are shared.
+// Mirror deep-copies the mutable lookup state (the cuckoo table, the value
+// slice, the tail's entries); the gather and the compiled entries are shared.
 func (h *hashTable) Mirror() tableDatapath {
 	return &hashTable{
-		gather:      h.gather,
-		table:       h.table.Clone(),
-		valueSlots:  h.valueSlots.clone(),
-		def:         h.def,
-		defPriority: h.defPriority,
-		prioLo:      h.prioLo,
+		gather:     h.gather,
+		table:      h.table.Clone(),
+		valueSlots: h.valueSlots.clone(),
+		tail:       directCode{entries: slices.Clone(h.tail.entries), maxEntries: h.tail.maxEntries},
+		prioLo:     h.prioLo,
 	}
 }
 
-// CanInsert accepts a first catch-all below every keyed entry, or a keyed
-// entry under the template's masks above the catch-all: what the analysis
-// pass asks of the whole table.
+// CanInsert accepts a keyed entry under the template's masks above the tail,
+// or any other entry below every keyed entry while the tail has room: what
+// the analysis pass asks of the whole table.
 func (h *hashTable) CanInsert(e *openflow.FlowEntry) bool {
-	if e.Match.IsEmpty() {
-		return h.def == nil && e.Priority < h.prioLo
+	if !h.gather.compatible(e.Match) {
+		return e.Priority < h.prioLo && h.tail.CanInsert(e)
 	}
-	return h.gather.compatible(e.Match) && (h.def == nil || e.Priority > h.defPriority)
+	return h.tail.Len() == 0 || e.Priority > h.tail.entries[0].out.priority
 }
 
 func (h *hashTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
-	if e.Match.IsEmpty() {
-		if h.def == nil || e.Priority >= h.defPriority {
-			h.def = ce
-			h.defPriority = e.Priority
-		}
+	if !h.gather.compatible(e.Match) {
+		h.tail.Insert(e, ce)
 		return
 	}
 	h.prioLo = min(h.prioLo, e.Priority)
@@ -328,15 +322,8 @@ func (h *hashTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 }
 
 func (h *hashTable) Remove(match *openflow.Match, priority int) int {
-	if match.IsEmpty() {
-		if h.def != nil && (priority < 0 || h.defPriority == priority) {
-			h.def = nil
-			return 1
-		}
-		return 0
-	}
 	if !h.gather.compatible(match) {
-		return 0
+		return h.tail.Remove(match, priority)
 	}
 	key := h.gather.entry(match)
 	idx, ok := h.table.Lookup(key)
@@ -357,12 +344,13 @@ func (h *hashTable) Remove(match *openflow.Match, priority int) int {
 // implemented over the DIR-24-8 structure.  An optional catch-all entry
 // provides the default route.
 type lpmTable struct {
-	field       openflow.Field
-	proto       pkt.Proto
-	table       *lpm.Table
-	valueSlots  // indexed by the table's values
-	def         *compiledEntry
-	defPriority int
+	field      openflow.Field
+	proto      pkt.Proto
+	table      *lpm.Table
+	valueSlots // indexed by the table's values
+	// def is the default route.  There is at most one: the analysis admits
+	// one catch-all, and CanInsert refuses a second.
+	def *compiledEntry
 	// prioLo[n] and prioHi[n] bound the priorities of the /n prefixes
 	// inserted since the table was built, the default route counting as the
 	// /0 (removals do not narrow the bounds; a rebuild starts them over).
@@ -457,14 +445,13 @@ func (l *lpmTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *burs
 // the reclaimed one instead of copying again (update.go).
 func (l *lpmTable) Mirror() tableDatapath {
 	return &lpmTable{
-		field:       l.field,
-		proto:       l.proto,
-		table:       l.table.Clone(),
-		valueSlots:  l.valueSlots.clone(),
-		def:         l.def,
-		defPriority: l.defPriority,
-		prioLo:      l.prioLo,
-		prioHi:      l.prioHi,
+		field:      l.field,
+		proto:      l.proto,
+		table:      l.table.Clone(),
+		valueSlots: l.valueSlots.clone(),
+		def:        l.def,
+		prioLo:     l.prioLo,
+		prioHi:     l.prioHi,
 	}
 }
 
@@ -503,10 +490,7 @@ func (l *lpmTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 	l.prioLo[plen] = min(l.prioLo[plen], e.Priority)
 	l.prioHi[plen] = max(l.prioHi[plen], e.Priority)
 	if e.Match.IsEmpty() {
-		if l.def == nil || e.Priority >= l.defPriority {
-			l.def = ce
-			l.defPriority = e.Priority
-		}
+		l.def = ce
 		return
 	}
 	value, _, _ := e.Match.Get(l.field)
@@ -519,7 +503,7 @@ func (l *lpmTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 
 func (l *lpmTable) Remove(match *openflow.Match, priority int) int {
 	if match.IsEmpty() {
-		if l.def != nil && (priority < 0 || l.defPriority == priority) {
+		if l.def != nil && (priority < 0 || l.def.priority == priority) {
 			l.def = nil
 			return 1
 		}

@@ -236,55 +236,103 @@ func TestTraceRecordsWhatLookupsExamined(t *testing.T) {
 	})
 
 	t.Run("loadbalancer-decomposed", func(t *testing.T) {
+		// Decompose has nothing to do on the load balancer: one compound
+		// hash over the services, whose tail holds the in_port 2 rule and
+		// the drop.  Every walk is one hash step; a miss runs the tail.
 		opts := DefaultOptions()
 		opts.Decompose = true
 		dp, err := Compile(workload.LoadBalancerUseCase(3).Pipeline, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		service := pkt.IPv4FromOctets(198, 51, 0, 1)
-		other := pkt.IPv4FromOctets(10, 0, 0, 9)
-		// Table 0 sends in_port 2 (its first rule) down the in_port
-		// branch, where table 2 matches tcp_dst 80 (its first rule), table 4
-		// splits on the top bit of ip_src and tables 6 and 7 (linked lists)
-		// hold the services.  Which half of ip_src table 4 tests first, and
-		// which list takes it, is the decomposer's choice: read it off the
-		// decomposed table.
-		split := func(p *pkt.Packet) stepFacts {
+		hash := dp.trampolines[0].load().(*hashTable)
+		fold := func(p *pkt.Packet) uint64 {
 			q := clonePacket(p)
 			pkt.ParseTo(q, pkt.LayerL4)
-			for i, e := range dp.Pipeline().Table(4).Entries() {
-				if e.Match.Matches(q, nil) {
-					return stepFacts{e.Instructions.GotoTable, TemplateDirectCode, i + 1, 0, next}
-				}
-			}
-			t.Fatalf("no rule of table 4 matches %+v", q.Headers)
-			return stepFacts{}
+			return hashFold(hash.gather.packet(q))
 		}
-		reply := tcpPacket(t, 2, pkt.IPv4FromOctets(10, 0, 0, 1), service, 1234, 80)
-		s4 := split(reply)
-		check(t, dp, "backend reply to a service", reply, []stepFacts{
-			{0, TemplateDirectCode, 1, 0, next},
-			{2, TemplateDirectCode, 1, 0, next},
-			{4, TemplateDirectCode, s4.Examined, 0, next},
-			{s4.Table, TemplateLinkedList, 1, uint64(service), terminal},
-		})
-		stray := tcpPacket(t, 2, pkt.IPv4FromOctets(200, 0, 0, 1), other, 1234, 80)
-		s4 = split(stray)
-		check(t, dp, "backend reply elsewhere", stray, []stepFacts{
-			{0, TemplateDirectCode, 1, 0, next},
-			{2, TemplateDirectCode, 1, 0, next},
-			{4, TemplateDirectCode, s4.Examined, 0, next},
-			{s4.Table, TemplateLinkedList, 2, uint64(other), terminal},
-		})
+		service := pkt.IPv4FromOctets(198, 51, 0, 1)
 		web := tcpPacket(t, 1, pkt.IPv4FromOctets(10, 0, 0, 1), service, 1234, 80)
-		hash := dp.trampolines[1].load().(*hashTable)
-		q := clonePacket(web)
-		pkt.ParseTo(q, pkt.LayerL4)
-		check(t, dp, "web request", clonePacket(web), []stepFacts{
-			{0, TemplateDirectCode, 2, 0, next},
-			{1, TemplateHash, 1, hashFold(hash.gather.packet(q)), terminal},
-		})
+		check(t, dp, "web request: a band hit", clonePacket(web), []stepFacts{{0, TemplateHash, 1, fold(web), terminal}})
+		reply := tcpPacket(t, 2, service, pkt.IPv4FromOctets(10, 0, 0, 1), 80, 1234)
+		check(t, dp, "backend reply: the tail's in_port rule", clonePacket(reply), []stepFacts{{0, TemplateHash, 1, fold(reply), terminal}})
+		check(t, dp, "backend reply without TCP: no probe", udpVlanPacket(t, 2, 0, service, pkt.IPv4FromOctets(10, 0, 0, 1), 53, 1234),
+			[]stepFacts{{0, TemplateHash, 0, 0, terminal}})
+		ssh := tcpPacket(t, 1, pkt.IPv4FromOctets(10, 0, 0, 1), service, 1234, 22)
+		check(t, dp, "non-web traffic: the tail's drop", clonePacket(ssh), []stepFacts{{0, TemplateHash, 1, fold(ssh), dropped}})
+	})
+
+	t.Run("acl-decomposed", func(t *testing.T) {
+		opts := DefaultOptions()
+		opts.Decompose = true
+		dp, err := Compile(decomposedACL().Pipeline, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dp.DecomposedTables() == 0 {
+			t.Fatal("the ACL did not decompose")
+		}
+		// Which table takes which key, and in which order a dispatch
+		// table's equal-priority rules sit, is the decomposer's choice made
+		// afresh each run: read the walk off the decomposed tables.  Each
+		// step's template is the compiler's; what it examined follows from
+		// the rule the step matched.  tuples is what the final linked-list
+		// step probes.
+		walk := func(p *pkt.Packet, tuples int) []stepFacts {
+			q := clonePacket(p)
+			pkt.ParseTo(q, pkt.LayerL4)
+			var facts []stepFacts
+			for id := openflow.TableID(0); ; {
+				kind, _ := dp.TableTemplate(id)
+				f := stepFacts{id, kind, 0, 0, next}
+				var hit *openflow.FlowEntry
+				for i, e := range dp.Pipeline().Table(id).Entries() {
+					if e.Match.Matches(q, nil) {
+						f.Examined, hit = i+1, e
+						break
+					}
+				}
+				switch kind {
+				case TemplateHash:
+					f.Examined, f.Offset = 1, hashFold(dp.trampolines[id].load().(*hashTable).gather.packet(q))
+				case TemplateLinkedList:
+					f.Examined, f.Offset = tuples, uint64(q.Headers.IPDst)
+				}
+				if !hit.Instructions.HasGoto {
+					f.Outcome = dropped
+					return append(facts, f)
+				}
+				facts = append(facts, f)
+				id = hit.Instructions.GotoTable
+			}
+		}
+		kinds := func(facts []stepFacts) []TemplateKind {
+			var ks []TemplateKind
+			for _, f := range facts {
+				ks = append(ks, f.Template)
+			}
+			return ks
+		}
+		// UDP to port 25 dispatches on udp_dst, then on ip_src, then hashes
+		// ip_dst into a linked list.  To 192.0.2.13 the list's first tuple
+		// holds the winning wildcard; to 192.0.2.12 the tcp_dst tuple is
+		// probed first, and misses.
+		path := []TemplateKind{TemplateDirectCode, TemplateDirectCode, TemplateHash, TemplateLinkedList}
+		for _, c := range []struct {
+			label    string
+			src, dst pkt.IPv4
+			tuples   int
+		}{
+			{"udp 25 to 192.0.2.13", pkt.IPv4FromOctets(203, 0, 113, 1), pkt.IPv4FromOctets(192, 0, 2, 13), 1},
+			{"udp 25 to 192.0.2.12", pkt.IPv4FromOctets(203, 0, 113, 4), pkt.IPv4FromOctets(192, 0, 2, 12), 2},
+		} {
+			p := udpVlanPacket(t, 1, 0, c.src, c.dst, 1234, 25)
+			want := walk(p, c.tuples)
+			if got := kinds(want); !reflect.DeepEqual(got, path) {
+				t.Fatalf("%s: the walk takes %v, want %v", c.label, got, path)
+			}
+			check(t, dp, c.label, p, want)
+		}
 	})
 }
 
@@ -300,6 +348,7 @@ func TestMeteredProcessPricesItsTrace(t *testing.T) {
 		{"l3-acl", workload.L3ACLRouterUseCase(200, 1000, 8, 2016), false},
 		{"loadbalancer-decomposed", workload.LoadBalancerUseCase(20), true},
 		{"loadbalancer", workload.LoadBalancerUseCase(20), false},
+		{"acl-decomposed", decomposedACL(), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
@@ -333,9 +382,9 @@ func TestMeteredProcessPricesItsTrace(t *testing.T) {
 
 // TestMeteredProcessAllocatesNothing holds the metered walk to the forwarding
 // walk's allocation budget: the step record is the model's own buffer,
-// reused from packet to packet.  The frames take direct code, compound hash
-// and LPM steps (a linked-list probe allocates its tuple key, metered or
-// not).
+// reused from packet to packet.  The frames take compound hash and LPM
+// steps, and a hash miss into the direct-code tail (a linked-list probe
+// allocates its tuple key, metered or not).
 func TestMeteredProcessAllocatesNothing(t *testing.T) {
 	acl := workload.L3ACLRouterUseCase(16, 1000, 8, 2016)
 	m := acl.Pipeline.Table(0).Entries()[0].Match
@@ -347,10 +396,12 @@ func TestMeteredProcessAllocatesNothing(t *testing.T) {
 		pl        *openflow.Pipeline
 		decompose bool
 		p         *pkt.Packet
+		steps     int
 	}{
-		{"l3-acl", acl.Pipeline, false, tcpPacket(t, 1, pkt.IPv4(src), pkt.IPv4(dst), uint16(sport), 80)},
+		{"l3-acl", acl.Pipeline, false, tcpPacket(t, 1, pkt.IPv4(src), pkt.IPv4(dst), uint16(sport), 80), 2},
+		// Decompose leaves the load balancer one hash stage.
 		{"loadbalancer-decomposed", workload.LoadBalancerUseCase(20).Pipeline, true,
-			tcpPacket(t, 1, pkt.IPv4FromOctets(10, 0, 0, 1), pkt.IPv4FromOctets(198, 51, 0, 1), 1234, 80)},
+			tcpPacket(t, 1, pkt.IPv4FromOctets(10, 0, 0, 1), pkt.IPv4FromOctets(198, 51, 0, 1), 1234, 22), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
@@ -371,8 +422,8 @@ func TestMeteredProcessAllocatesNothing(t *testing.T) {
 			if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 				t.Fatalf("a metered ProcessUnlocked allocates %v times per packet", allocs)
 			}
-			if got := opts.Meter.Packets(); got != 102 || len(dp.steps) != 2 {
-				t.Fatalf("metered %d packets of %d steps, want 102 of 2", got, len(dp.steps))
+			if got := opts.Meter.Packets(); got != 102 || len(dp.steps) != tc.steps {
+				t.Fatalf("metered %d packets of %d steps, want 102 of %d", got, len(dp.steps), tc.steps)
 			}
 		})
 	}

@@ -102,10 +102,23 @@ func (d *Datapath) dropShadow(tid openflow.TableID) { delete(d.versions, tid) }
 // template — the table is recompiled side by side and swapped in the same
 // way, so packet processing continues against the old representation until
 // the new one is complete (transactional, per-table-granularity updates that
-// are safe under concurrent lock-free forwarding).
+// are safe under concurrent lock-free forwarding).  A decomposed datapath
+// applies the mod to its source pipeline and recompiles (recompile).
 func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.source != nil {
+		src := d.source.Clone()
+		t := src.AddTable(tableID)
+		if max := d.opts.MaxTableEntries; max > 0 && t.Len() >= max && !t.Contains(e.Priority, e.Match) {
+			return &TableFullError{Table: tableID, Limit: max}
+		}
+		if e.Instructions.HasGoto {
+			src.AddTable(e.Instructions.GotoTable)
+		}
+		t.Add(e)
+		return d.recompile(src)
+	}
 	// Re-publish the snapshot on exit: the update may have deepened the
 	// parser template or created the start table.  The generation bump
 	// happens here — strictly after the table mutations below — so a cache
@@ -124,7 +137,7 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 		}
 		d.publish()
 	}()
-	scoped := d.dirty != nil && d.decomposedBy == 0
+	scoped := d.dirty != nil
 
 	t := d.pipeline.Table(tableID)
 	if t == nil {
@@ -233,7 +246,11 @@ func (d *Datapath) DeleteFlow(tableID openflow.TableID, match *openflow.Match, p
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	t := d.pipeline.Table(tableID)
+	pl := d.pipeline
+	if d.source != nil {
+		pl = d.source
+	}
+	t := pl.Table(tableID)
 	if t == nil {
 		return 0, fmt.Errorf("eswitch: table %d does not exist", tableID)
 	}
@@ -241,12 +258,15 @@ func (d *Datapath) DeleteFlow(tableID openflow.TableID, match *openflow.Match, p
 	if removed == 0 {
 		return 0, nil
 	}
+	if d.source != nil {
+		return removed, d.recompile(d.source)
+	}
 	// Entries were removed: after the table transition below is in place,
 	// retire the generation.  The delete may have uncovered a lower-priority
 	// entry or a miss, but only for packets the removed entries matched, and
 	// those all carried this one match.
 	scope := barrierScope(tableID)
-	if d.dirty != nil && d.decomposedBy == 0 {
+	if d.dirty != nil {
 		scope = d.scopeOf(tableID, match)
 	}
 	defer func() {
@@ -286,7 +306,26 @@ func (d *Datapath) InstallPipeline(pl *openflow.Pipeline) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.install(nd)
+	return nil
+}
+
+// recompile installs src, a decomposed datapath's source pipeline with one
+// flow-mod applied, as InstallPipeline does.  Applied to the decomposed table
+// of its ID instead, a low-priority entry would shadow derived tables.
+func (d *Datapath) recompile(src *openflow.Pipeline) error {
+	nd, err := Compile(src, d.opts)
+	if err != nil {
+		return err
+	}
+	d.install(nd)
+	return nil
+}
+
+// install takes over nd's compiled pipeline; the writer mutex is held.
+func (d *Datapath) install(nd *Datapath) {
 	d.pipeline = nd.pipeline
+	d.source = nd.source
 	d.parserLayer = nd.parserLayer
 	d.numPorts = nd.numPorts
 	d.trampolines = nd.trampolines
@@ -305,5 +344,4 @@ func (d *Datapath) InstallPipeline(pl *openflow.Pipeline) error {
 	// Let in-flight bursts drain off the superseded pipeline before
 	// returning, matching the transactional roll-out semantics.
 	d.epochs.synchronize()
-	return nil
 }
