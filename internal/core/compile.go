@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"sync"
@@ -112,9 +113,11 @@ type Datapath struct {
 	// pipeline is the declarative source of truth; updates are applied to
 	// it first and then reflected into the compiled representation.
 	pipeline *openflow.Pipeline
-	// source is the pipeline before decomposition rewrote it (nil if it did
-	// not): flow-mods name its tables (update.go).
+	// source is the pipeline flow-mods name and whose entries count packets:
+	// pipeline itself, or the one decomposition rewrote (origin maps each
+	// derived entry to its source entry, where its packets count).
 	source *openflow.Pipeline
+	origin map[*openflow.FlowEntry]*openflow.FlowEntry
 
 	parserLayer pkt.Layer
 	numPorts    int
@@ -185,6 +188,12 @@ type Datapath struct {
 
 // Compile specializes the pipeline into an ESWITCH datapath.
 func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
+	return compile(pl.Clone(), opts)
+}
+
+// compile specializes pl and takes it over as the datapath's source: the
+// tables the decomposer leaves alone execute pl's own entries.
+func compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 	if opts.DirectCodeMaxEntries == 0 {
 		opts.DirectCodeMaxEntries = DefaultOptions().DirectCodeMaxEntries
 	}
@@ -198,16 +207,13 @@ func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 		versions: make(map[openflow.TableID]*tableVersion),
 	}
 	d.pins = make(chan *Worker, maxPinnedWorkers)
-	working := pl.Clone()
+	d.source, d.pipeline = pl, pl
 	if opts.Decompose {
-		decomposed, extra := DecomposePipeline(working, opts)
-		if extra > 0 {
-			d.source = working
+		if decomposed, extra, origin := decompose(pl, opts); extra > 0 {
+			d.pipeline, d.origin, d.decomposedBy = decomposed, origin, extra
 		}
-		working = decomposed
-		d.decomposedBy = extra
 	}
-	d.pipeline = working
+	working := d.pipeline
 	d.parserLayer = working.RequiredLayer()
 	d.trampolines = make(map[openflow.TableID]*trampoline, working.NumTables())
 	for _, t := range working.Tables() {
@@ -293,7 +299,7 @@ func (d *Datapath) buildTable(t *openflow.FlowTable) (tableDatapath, error) {
 func (d *Datapath) compileEntry(e *openflow.FlowEntry) (*compiledEntry, error) {
 	ce := &compiledEntry{
 		ins:      d.internInstructions(&e.Instructions),
-		counters: &e.Counters,
+		counters: &cmp.Or(d.origin[e], e).Counters, // a derived entry counts on its source
 		priority: e.Priority,
 		match:    e.Match.Clone(),
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+
 	"eswitch/internal/openflow"
 )
 
@@ -15,8 +17,14 @@ import (
 // only applied to tables whose rules are exact-match-or-wildcard (arbitrary
 // masks stay on the linked-list template).
 func DecomposePipeline(pl *openflow.Pipeline, opts Options) (*openflow.Pipeline, int) {
-	out := pl.Clone()
-	extra := 0
+	out, extra, _ := decompose(pl.Clone(), opts)
+	return out, extra
+}
+
+// decompose is DecomposePipeline over a fork of pl, sharing the entries of
+// the tables it leaves alone; origin maps each derived entry to its source.
+func decompose(pl *openflow.Pipeline, opts Options) (out *openflow.Pipeline, extra int, origin map[*openflow.FlowEntry]*openflow.FlowEntry) {
+	out, origin = pl.Fork(), make(map[*openflow.FlowEntry]*openflow.FlowEntry)
 	for _, id := range out.TableIDs() {
 		t := out.Table(id)
 		if t == nil {
@@ -26,9 +34,9 @@ func DecomposePipeline(pl *openflow.Pipeline, opts Options) (*openflow.Pipeline,
 		if a.kind != TemplateLinkedList {
 			continue
 		}
-		extra += decomposeTable(out, t, opts)
+		extra += decomposeTable(out, t, opts, origin)
 	}
-	return out, extra
+	return out, extra, origin
 }
 
 // DecomposeTableCount decomposes a single standalone table (given as a
@@ -88,7 +96,7 @@ const MaxDecomposedTables = 4096
 // decomposeTable rewrites table t in place (inside pipeline pl) into a
 // sub-pipeline of single-field exact-match stages following DECOMPOSE(T) of
 // Fig. 6.  It returns the number of new tables created.
-func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options) int {
+func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options, origin map[*openflow.FlowEntry]*openflow.FlowEntry) int {
 	if !decomposable(t) {
 		return 0
 	}
@@ -169,8 +177,13 @@ func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options) 
 			}
 			st.Add(e)
 		}
+		derive := func(e *openflow.FlowEntry) *openflow.FlowEntry {
+			c := e.Clone()
+			origin[c] = cmp.Or(origin[e], e)
+			return c
+		}
 		for _, e := range cur.Entries() {
-			stripped := e.Clone()
+			stripped := derive(e)
 			v, _, hasKey := e.Match.Get(p)
 			stripped.Match.Unset(p)
 			if hasKey {
@@ -178,10 +191,10 @@ func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options) 
 			} else {
 				// Wildcard in column p: the rule applies on every path.
 				for _, st := range subTables {
-					addIfAbsent(st, stripped.Clone())
+					addIfAbsent(st, derive(stripped))
 				}
 				if wildTable != nil {
-					addIfAbsent(wildTable, stripped.Clone())
+					addIfAbsent(wildTable, derive(stripped))
 				}
 			}
 		}

@@ -84,12 +84,7 @@ func newScopeRig(t testing.TB, pl *openflow.Pipeline, decompose bool, entries in
 // modPipeline is the pipeline whose tables the rig's flow-mods name: on a
 // datapath the decomposer rewrote, the source it keeps; otherwise the one it
 // executes.
-func (r *scopeRig) modPipeline() *openflow.Pipeline {
-	if r.dp.source != nil {
-		return r.dp.source
-	}
-	return r.dp.Pipeline()
-}
+func (r *scopeRig) modPipeline() *openflow.Pipeline { return r.dp.source }
 
 // walk returns the tables of modPipeline that frame i's walk visits.  A
 // decomposed walk also visits derived tables, which no mod names.

@@ -124,7 +124,7 @@ func (s *Sweeper) SweepOnce() int {
 	s.d.mu.Lock()
 	var cands []candidate
 	seen := 0
-	for _, t := range s.d.pipeline.Tables() {
+	for _, t := range s.d.source.Tables() {
 		over := 0
 		if s.cfg.SoftLimit > 0 && t.Len() > s.cfg.SoftLimit {
 			over = t.Len() - s.cfg.SoftLimit
@@ -217,7 +217,7 @@ func (s *Sweeper) SweepOnce() int {
 func (s *Sweeper) gc() {
 	live := make(map[*openflow.FlowEntry]bool, len(s.state))
 	s.d.mu.Lock()
-	for _, t := range s.d.pipeline.Tables() {
+	for _, t := range s.d.source.Tables() {
 		for _, e := range t.Entries() {
 			live[e] = true
 		}

@@ -202,3 +202,151 @@ func TestSweeperSoftLimitEviction(t *testing.T) {
 		t.Fatalf("table holds %d entries after eviction, want 5", got)
 	}
 }
+
+// TestDecomposedModsKeepCountersAndTimeouts runs the lifecycle plane on a
+// decomposed ACL with per-entry counters on.  Every flow-mod recompiles the
+// decomposed datapath, yet the source entries the mod left must keep their
+// counters (a packet that matches a derived entry counts on the source entry
+// it came from) and their sweeper clocks, and an expiry must delete the
+// source entry the sweeper saw.
+func TestDecomposedModsKeepCountersAndTimeouts(t *testing.T) {
+	uc := decomposedACL()
+	opts := DefaultOptions()
+	opts.Decompose = true
+	opts.UpdateCounters = true
+	src := uc.Pipeline
+	// The entry each frame matches in the source, and which entries traffic
+	// reaches at all.
+	tr := uc.Trace(200)
+	hitOf := make([]int, 200)
+	var hot []int
+	hits := map[int]int{}
+	for i := range hitOf {
+		frame, port := tr.Frame(i)
+		q := &pkt.Packet{Data: frame, InPort: port}
+		pkt.ParseTo(q, pkt.LayerL4)
+		e := src.Table(0).Lookup(q, nil)
+		for j, c := range src.Table(0).Entries() {
+			if c == e {
+				hitOf[i] = j
+			}
+		}
+		if hits[hitOf[i]]++; hits[hitOf[i]] == 1 && e.Priority > 0 {
+			hot = append(hot, hitOf[i])
+		}
+	}
+	if len(hot) < 2 {
+		t.Fatalf("the trace reaches %d ACL rules, want 2", len(hot))
+	}
+	idle, hard := hot[0], hot[1]
+	src.Table(0).Entries()[idle].IdleTimeout = 5
+	src.Table(0).Entries()[hard].HardTimeout = 9
+	dp, err := Compile(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dp.DecomposedTables() == 0 {
+		t.Fatal("the ACL did not decompose")
+	}
+	now := time.Unix(3000, 0)
+	var removed []RemovedFlow
+	s := NewSweeper(dp, SweeperConfig{
+		Now:       func() time.Time { return now },
+		OnRemoved: func(rf RemovedFlow) { removed = append(removed, rf) },
+	})
+	want := make([]uint64, src.Table(0).Len())
+	send := func(skip int) {
+		for i := range hitOf {
+			if hitOf[i] == skip {
+				continue
+			}
+			frame, port := tr.Frame(i)
+			var v openflow.Verdict
+			dp.Process(&pkt.Packet{Data: append([]byte(nil), frame...), InPort: port}, &v)
+			want[hitOf[i]]++
+		}
+	}
+	// The samples are the source's entries, each carrying the packets that
+	// matched it; extra counts the entries the mods added.
+	checkCounts := func(when string, extra int) {
+		t.Helper()
+		got := dp.FlowSamples(nil)
+		if len(got) != len(want)+extra {
+			t.Fatalf("%s: %d flow samples, the source holds %d entries", when, len(got), len(want)+extra)
+		}
+		for _, fs := range got {
+			var w uint64
+			for j, e := range src.Table(0).Entries() {
+				if e.Priority == fs.Priority && e.Match.Equal(fs.Match) {
+					w = want[j]
+				}
+			}
+			if fs.Table != 0 || fs.Packets != w {
+				t.Fatalf("%s: the sample of table %d, priority %d, %v counted %d packets, want %d", when, fs.Table, fs.Priority, fs.Match, fs.Packets, w)
+			}
+		}
+	}
+	other := openflow.NewEntry(2, openflow.NewMatch().Set(openflow.FieldIPDst, uint64(pkt.IPv4FromOctets(198, 51, 100, 1))),
+		openflow.Apply(openflow.Output(2)))
+
+	// t=0: every entry registers; traffic reaches both timed entries.
+	if n := s.SweepOnce(); n != 0 {
+		t.Fatalf("sweep at install time removed %d entries", n)
+	}
+	send(-1)
+	checkCounts("after the first pass", 0)
+	// t=4: the idle entry was active since the last sweep; a mod recompiles
+	// the datapath and the counters stay.
+	now = now.Add(4 * time.Second)
+	if n := s.SweepOnce(); n != 0 {
+		t.Fatalf("sweep at t=4 removed %d entries", n)
+	}
+	if err := dp.AddFlow(0, other); err != nil {
+		t.Fatal(err)
+	}
+	checkCounts("after an add", 1)
+	// t=6: traffic everywhere but the idle entry, and a second mod.
+	now = now.Add(2 * time.Second)
+	send(idle)
+	if n, err := dp.DeleteFlow(0, other.Match, other.Priority); n != 1 || err != nil {
+		t.Fatalf("delete removed %d (%v)", n, err)
+	}
+	checkCounts("after a delete", 0)
+	if n := s.SweepOnce(); n != 0 {
+		t.Fatalf("sweep at t=6 removed %d entries", n)
+	}
+	// t=9: the idle entry last moved at t=4, the hard entry was installed
+	// at t=0; neither clock restarted at a mod.
+	now = now.Add(3 * time.Second)
+	if n := s.SweepOnce(); n != 2 {
+		t.Fatalf("sweep at t=9 removed %d entries, want 2", n)
+	}
+	for _, rf := range removed {
+		j := idle
+		if rf.Reason == RemovedHardTimeout {
+			j = hard
+		}
+		e := src.Table(0).Entries()[j]
+		if rf.Table != 0 || rf.Priority != e.Priority || !rf.Match.Equal(e.Match) || rf.Packets != want[j] || rf.Duration != 9*time.Second {
+			t.Fatalf("removal %+v, want table 0, the entry at priority %d with %d packets after 9s", rf, e.Priority, want[j])
+		}
+	}
+	// The expiries deleted those entries from the source: the datapath
+	// forwards as the interpreter does over the source without them.
+	ref := src.Clone()
+	for _, j := range []int{idle, hard} {
+		e := src.Table(0).Entries()[j]
+		ref.Table(0).Delete(e.Match, e.Priority)
+	}
+	in := openflow.NewInterpreter(ref)
+	in.UpdateCounters = false
+	for i := range hitOf {
+		frame, port := tr.Frame(i)
+		var got, exp openflow.Verdict
+		dp.Process(&pkt.Packet{Data: append([]byte(nil), frame...), InPort: port}, &got)
+		in.Process(&pkt.Packet{Data: frame, InPort: port}, &exp, nil)
+		if !got.Equivalent(&exp) {
+			t.Fatalf("frame %d after the expiries: datapath %s, interpreter %s", i, &got, &exp)
+		}
+	}
+}

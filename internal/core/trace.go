@@ -54,7 +54,7 @@ func (d *Datapath) FlowSamples(buf []FlowSample) []FlowSample {
 	buf = buf[:0]
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, t := range d.pipeline.Tables() {
+	for _, t := range d.source.Tables() {
 		for _, e := range t.Entries() {
 			buf = append(buf, FlowSample{
 				Table:       t.ID,

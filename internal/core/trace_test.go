@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -396,12 +397,18 @@ func TestMeteredProcessAllocatesNothing(t *testing.T) {
 		pl        *openflow.Pipeline
 		decompose bool
 		p         *pkt.Packet
-		steps     int
+		walk      []TemplateKind
 	}{
-		{"l3-acl", acl.Pipeline, false, tcpPacket(t, 1, pkt.IPv4(src), pkt.IPv4(dst), uint16(sport), 80), 2},
-		// Decompose leaves the load balancer one hash stage.
+		{"l3-acl", acl.Pipeline, false, tcpPacket(t, 1, pkt.IPv4(src), pkt.IPv4(dst), uint16(sport), 80), []TemplateKind{TemplateHash, TemplateLPM}},
+		// Decompose leaves the load balancer one hash stage; port 22 misses
+		// the band and runs the tail.
 		{"loadbalancer-decomposed", workload.LoadBalancerUseCase(20).Pipeline, true,
-			tcpPacket(t, 1, pkt.IPv4FromOctets(10, 0, 0, 1), pkt.IPv4FromOctets(198, 51, 0, 1), 1234, 22), 1},
+			tcpPacket(t, 1, pkt.IPv4FromOctets(10, 0, 0, 1), pkt.IPv4FromOctets(198, 51, 0, 1), 1234, 22), []TemplateKind{TemplateHash}},
+		// UDP to port 25 walks the decomposed ACL's two direct-code
+		// dispatchers, a hash and a linked list.
+		{"acl-decomposed", decomposedACL().Pipeline, true,
+			udpVlanPacket(t, 1, 0, pkt.IPv4FromOctets(203, 0, 113, 1), pkt.IPv4FromOctets(192, 0, 2, 13), 1234, 25),
+			[]TemplateKind{TemplateDirectCode, TemplateDirectCode, TemplateHash, TemplateLinkedList}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
@@ -422,8 +429,12 @@ func TestMeteredProcessAllocatesNothing(t *testing.T) {
 			if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 				t.Fatalf("a metered ProcessUnlocked allocates %v times per packet", allocs)
 			}
-			if got := opts.Meter.Packets(); got != 102 || len(dp.steps) != tc.steps {
-				t.Fatalf("metered %d packets of %d steps, want 102 of %d", got, len(dp.steps), tc.steps)
+			var walk []TemplateKind
+			for _, st := range dp.steps {
+				walk = append(walk, st.Template)
+			}
+			if got := opts.Meter.Packets(); got != 102 || !slices.Equal(walk, tc.walk) {
+				t.Fatalf("metered %d packets walking %v, want 102 walking %v", got, walk, tc.walk)
 			}
 		})
 	}

@@ -107,8 +107,8 @@ func (d *Datapath) dropShadow(tid openflow.TableID) { delete(d.versions, tid) }
 func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.source != nil {
-		src := d.source.Clone()
+	if d.decomposedBy > 0 {
+		src := d.source.Fork()
 		t := src.AddTable(tableID)
 		if max := d.opts.MaxTableEntries; max > 0 && t.Len() >= max && !t.Contains(e.Priority, e.Match) {
 			return &TableFullError{Table: tableID, Limit: max}
@@ -246,9 +246,9 @@ func (d *Datapath) DeleteFlow(tableID openflow.TableID, match *openflow.Match, p
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	pl := d.pipeline
-	if d.source != nil {
-		pl = d.source
+	pl := d.source
+	if d.decomposedBy > 0 {
+		pl = pl.Fork()
 	}
 	t := pl.Table(tableID)
 	if t == nil {
@@ -258,8 +258,8 @@ func (d *Datapath) DeleteFlow(tableID openflow.TableID, match *openflow.Match, p
 	if removed == 0 {
 		return 0, nil
 	}
-	if d.source != nil {
-		return removed, d.recompile(d.source)
+	if d.decomposedBy > 0 {
+		return removed, d.recompile(pl)
 	}
 	// Entries were removed: after the table transition below is in place,
 	// retire the generation.  The delete may have uncovered a lower-priority
@@ -300,32 +300,22 @@ func (d *Datapath) DeleteFlow(tableID openflow.TableID, match *openflow.Match, p
 // compiled one (used by configuration roll-outs and by the update-intensity
 // experiments as the "full reconfiguration" upper bound).
 func (d *Datapath) InstallPipeline(pl *openflow.Pipeline) error {
-	nd, err := Compile(pl, d.opts)
-	if err != nil {
-		return err
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.install(nd)
-	return nil
+	return d.recompile(pl.Clone())
 }
 
-// recompile installs src, a decomposed datapath's source pipeline with one
-// flow-mod applied, as InstallPipeline does.  Applied to the decomposed table
-// of its ID instead, a low-priority entry would shadow derived tables.
-func (d *Datapath) recompile(src *openflow.Pipeline) error {
-	nd, err := Compile(src, d.opts)
+// recompile compiles pl, taking it over, and installs it; the writer mutex is
+// held.  A flow-mod on a decomposed datapath passes a fork of the source with
+// the mod applied (on a derived table a low-priority entry would shadow the
+// rest), so the entries the mod left keep their counters and sweeper clocks.
+func (d *Datapath) recompile(pl *openflow.Pipeline) error {
+	nd, err := compile(pl, d.opts)
 	if err != nil {
 		return err
 	}
-	d.install(nd)
-	return nil
-}
-
-// install takes over nd's compiled pipeline; the writer mutex is held.
-func (d *Datapath) install(nd *Datapath) {
 	d.pipeline = nd.pipeline
-	d.source = nd.source
+	d.source, d.origin = nd.source, nd.origin
 	d.parserLayer = nd.parserLayer
 	d.numPorts = nd.numPorts
 	d.trampolines = nd.trampolines
@@ -344,4 +334,5 @@ func (d *Datapath) install(nd *Datapath) {
 	// Let in-flight bursts drain off the superseded pipeline before
 	// returning, matching the transactional roll-out semantics.
 	d.epochs.synchronize()
+	return nil
 }

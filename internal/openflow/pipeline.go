@@ -137,6 +137,17 @@ func (pl *Pipeline) Clone() *Pipeline {
 	return c
 }
 
+// Fork returns a copy of the pipeline whose tables are forks of pl's
+// (FlowTable.Fork): the copy takes flow-mods without touching pl.
+func (pl *Pipeline) Fork() *Pipeline {
+	c := &Pipeline{Miss: pl.Miss, NumPorts: pl.NumPorts, tables: make(map[TableID]*FlowTable, len(pl.tables))}
+	for _, id := range pl.order {
+		c.tables[id] = pl.tables[id].Fork()
+	}
+	c.order = append([]TableID(nil), pl.order...)
+	return c
+}
+
 // Validate checks structural invariants: Table 0 exists, every goto_table
 // target exists, and the table graph is acyclic.  (Wire-level OpenFlow
 // additionally requires goto targets to be strictly increasing; internally

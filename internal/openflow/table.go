@@ -347,6 +347,13 @@ func (t *FlowTable) Clone() *FlowTable {
 	return c
 }
 
+// Fork returns a copy of the table that shares its entries: adds and deletes
+// on the copy leave t as it was, and every shared entry keeps its counters
+// and its identity.
+func (t *FlowTable) Fork() *FlowTable {
+	return &FlowTable{ID: t.ID, Name: t.Name, entries: append([]*FlowEntry(nil), t.entries...), nextSeq: t.nextSeq}
+}
+
 // String renders the table as one entry per line.
 func (t *FlowTable) String() string {
 	var sb strings.Builder
