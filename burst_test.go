@@ -63,10 +63,10 @@ func verdictsIdentical(a, b *openflow.Verdict) bool {
 }
 
 // runDifferential runs one workload's frames through all three datapaths,
-// with and without a cycle meter, plus the other executors the sequential
-// walker serves: Trace must claim the per-packet verdict, headers and
-// metadata in as many steps as the verdict counts tables.  Only the per-packet
-// pass charges the meter; the bursts after it must leave it where it was.
+// with and without a cycle meter, plus the other per-packet entry point:
+// Trace must claim the per-packet verdict, headers and metadata in as many
+// steps as the verdict counts tables.  Only the per-packet pass charges the
+// meter; the bursts after it must leave it where it was.
 func runDifferential(t *testing.T, name string, pl *openflow.Pipeline, frames []diffFrame, decompose bool) {
 	t.Helper()
 	n := len(frames)

@@ -109,7 +109,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "compile: %v\n", err)
 			os.Exit(1)
 		}
-		process = dp.ProcessUnlocked
+		process = dp.Process
 	}
 
 	var p pkt.Packet

@@ -677,10 +677,9 @@ func main() {
 	})
 	sampled := ""
 	if compiled != nil {
-		// The workers forwarded unmetered.  Process rather than
-		// ProcessUnlocked: the agent and the sweeper may still be applying
-		// flow-mods.  Each frame is copied so rewrites do not accumulate in
-		// the trace.
+		// The workers forwarded unmetered; a metered Process is safe
+		// while the agent and the sweeper may still be applying flow-mods.
+		// Each frame is copied so rewrites do not accumulate in the trace.
 		trace := uc.Trace(*flows)
 		var p pkt.Packet
 		var v openflow.Verdict
@@ -691,7 +690,7 @@ func main() {
 			p.Data = frame
 			compiled.Process(&p, &v)
 		}
-		sampled = fmt.Sprintf(" (offline: %d generated frames through the per-packet walk)", modelSample)
+		sampled = fmt.Sprintf(" (offline: %d generated frames through a metered Process)", modelSample)
 	}
 	fmt.Printf("model:     %.1f cycles/packet, %.2f Mpps single-core at %.1f GHz, %.3f LLC misses/packet%s\n",
 		meter.CyclesPerPacket(), meter.PacketRate()/1e6, meter.Platform.FreqGHz, meter.LLCMissesPerPacket(), sampled)

@@ -58,10 +58,10 @@
 // internal/dpdk does exactly this: RSS-steered multi-queue ports, one burst
 // worker per core over its own queue subset, batched TX that drops what a
 // full TX ring does not take, as a NIC does.  The cycle model
-// (Options.Meter) is a reading, not a forwarding mode: the per-packet walk
-// behind Process records what each table lookup examined, the same steps
-// Trace returns, and a metered datapath prices that record (one caller at a
-// time); no burst is ever metered.  See docs/architecture.md for the full
+// (Options.Meter) is a reading, not a forwarding mode: a metered Process runs
+// the burst engine as a recording burst of one, which notes what each table
+// lookup examined — the same steps Trace returns — and prices that record
+// (one caller at a time); no other burst is ever metered.  See docs/architecture.md for the full
 // threading model.
 package eswitch
 
@@ -270,7 +270,9 @@ func New(pl *Pipeline, opts Options) (*Switch, error) {
 	return &Switch{dp: dp}, nil
 }
 
-// Process sends one packet through the compiled fast path.
+// Process sends one packet through the compiled fast path: a burst of one,
+// so it takes the verdict cache where the pipeline arms one, and per-flow
+// counters are exact when it returns.
 func (s *Switch) Process(p *Packet, v *Verdict) { s.dp.Process(p, v) }
 
 // ProcessBurst sends a burst of packets through the compiled fast path,
@@ -351,9 +353,11 @@ type FlowSample = core.FlowSample
 // through which compiled template, what matched, the final verdict, whether
 // the pipeline arms the verdict cache and on which compiled key, how many of
 // the logged flow-mods a memoized verdict survives and which one stales it.
-// The replay runs off the hot path (epoch-pinned like Process), never bumps
-// per-flow counters and never installs cache entries — the ofproto/trace analogue for the compiled datapath.  The frame
-// may be rewritten in place, exactly as forwarding would rewrite it.
+// The replay is the forwarding engine's own walk, run as a recording burst of
+// one off the hot path (epoch-pinned like Process); it never bumps per-flow
+// counters and never probes or fills the verdict cache — the ofproto/trace
+// analogue for the compiled datapath.  The frame may be rewritten in place,
+// exactly as forwarding would rewrite it.
 func (s *Switch) Trace(frame []byte, inPort uint32) *TraceResult {
 	p := Packet{Data: frame, InPort: inPort}
 	return s.dp.Trace(&p)

@@ -33,19 +33,17 @@ type Agent struct {
 
 	// PacketOutHandler, when set, executes every PacketOut received on the
 	// channel (the slow-path service's HandlePacketOut).  Execution errors
-	// are counted, not fatal: a late PacketOut referencing an expired
-	// buffer-id must not kill a long-lived channel.
+	// are not fatal: a late PacketOut referencing an expired buffer-id must
+	// not kill a long-lived channel.
 	PacketOutHandler func(ofp.PacketOut) error
 
-	flowMods      atomic.Uint64
-	flowModErrs   atomic.Uint64
-	packets       atomic.Uint64
-	packetOutErrs atomic.Uint64
+	flowMods    atomic.Uint64
+	flowModErrs atomic.Uint64
+	packets     atomic.Uint64
 	// lastEchoReply is when the channel last proved itself alive (an
 	// EchoReply arrived), UnixNano; the supervisor's liveness check reads
-	// it.  echoReplies counts them.
+	// it.
 	lastEchoReply atomic.Int64
-	echoReplies   atomic.Uint64
 }
 
 // NewAgent returns an agent applying flow mods to the programmer.
@@ -57,9 +55,6 @@ func (a *Agent) FlowMods() uint64 { return a.flowMods.Load() }
 // FlowModErrors returns how many FlowMods failed to apply (each answered
 // with an OFPT_ERROR on the channel, not a channel teardown).
 func (a *Agent) FlowModErrors() uint64 { return a.flowModErrs.Load() }
-
-// EchoReplies returns how many EchoReply messages the agent has consumed.
-func (a *Agent) EchoReplies() uint64 { return a.echoReplies.Load() }
 
 // LastEchoReply returns when the last EchoReply arrived (zero time when none
 // has).  The supervisor's liveness check compares it against the echo
@@ -79,9 +74,6 @@ func (a *Agent) markEchoReply(t time.Time) { a.lastEchoReply.Store(t.UnixNano())
 
 // PacketOuts returns the number of packet-out messages received.
 func (a *Agent) PacketOuts() uint64 { return a.packets.Load() }
-
-// PacketOutErrors returns how many received PacketOuts failed to execute.
-func (a *Agent) PacketOutErrors() uint64 { return a.packetOutErrs.Load() }
 
 // Serve processes messages from the connection until it is closed or an error
 // occurs.  io.EOF (orderly shutdown) is reported as nil.
@@ -109,7 +101,6 @@ func (a *Agent) Serve(conn io.ReadWriter) error {
 			// The reply to an EchoRequest the supervisor sent: refresh the
 			// liveness clock its echo deadline is measured against.
 			a.markEchoReply(time.Now())
-			a.echoReplies.Add(1)
 		case ofp.TypeBarrierRequest:
 			if err := ofp.WriteMessage(conn, ofp.Message{Type: ofp.TypeBarrierReply, Xid: msg.Xid}); err != nil {
 				return err
@@ -147,9 +138,8 @@ func (a *Agent) Serve(conn io.ReadWriter) error {
 			}
 			a.packets.Add(1)
 			if a.PacketOutHandler != nil {
-				if err := a.PacketOutHandler(po); err != nil {
-					a.packetOutErrs.Add(1)
-				}
+				// Not fatal: see PacketOutHandler.
+				_ = a.PacketOutHandler(po)
 			}
 		default:
 			// Ignore unknown message types, as real agents do.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"eswitch/internal/exacthash"
 	"eswitch/internal/openflow"
 	"eswitch/internal/pkt"
@@ -98,9 +100,10 @@ func (cs *cacheScratch) record(i int, ce *compiledEntry, step openflow.Step, set
 // Like Process, ProcessBurst is safe to call concurrently with flow-table
 // updates and with other callers: it pins a recycled worker — epoch, burst
 // scratch and any verdict cache — for the duration of the burst.  It is never
-// metered, whether or not the datapath carries a meter.
-// Dedicated forwarding workers RegisterWorker once and call the handle's
-// ProcessBurst inside their Enter/Exit bracket instead.
+// metered, whether or not the datapath carries a meter, and it leaves the
+// worker's counter deltas to be folded later (flowctr.go).  Dedicated
+// forwarding workers RegisterWorker once and call the handle's ProcessBurst
+// inside their Enter/Exit bracket instead.
 func (d *Datapath) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
 	w := d.pinGet()
 	w.Enter()
@@ -112,11 +115,11 @@ func (d *Datapath) ProcessBurst(ps []*pkt.Packet, vs []openflow.Verdict) {
 }
 
 // processBurst runs one burst of at most MaxBurst packets to completion over
-// the caller-owned scratch sc.  The burst engine records no steps and is never
-// metered.  When the published pipeline arms the verdict cache (fc is then
-// the caller's, non-nil), the burst first runs a cache probe pass: hits
-// replay their memoized verdict immediately and only the misses enter the
-// wave engine, installing their verdicts on the way out.
+// the caller-owned scratch sc.  It records no steps and is never metered
+// (recordBurst is the recording burst).  When the published pipeline arms the
+// verdict cache (fc is then the caller's, non-nil), the burst first runs a
+// cache probe pass: hits replay their memoized verdict immediately and only
+// the misses enter the wave engine, installing their verdicts on the way out.
 func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, ps []*pkt.Packet, vs []openflow.Verdict) {
 	n := len(ps)
 
@@ -145,12 +148,9 @@ func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, p
 	uniform := true
 	var nextTr *trampoline
 	{
-		var dp tableDatapath
-		if sn.start != nil {
-			dp = sn.start.load()
-		}
+		dp := sn.start.load()
 		if dp == nil {
-			// No start table: same disposition as the sequential walker.
+			// A table with nothing published drops, as in runWaves.
 			for i := 0; i < n; i++ {
 				vs[i].Dropped = true
 			}
@@ -166,7 +166,7 @@ func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, p
 				sn.miss(v, sn.start.id)
 				continue
 			}
-			if d.opts.UpdateCounters {
+			if sc.ctr != nil {
 				sc.ctr.add(ce.counters, len(p.Data))
 			}
 			set0 = set0[:0]
@@ -193,13 +193,26 @@ func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, p
 		sc.set0 = set0
 	}
 
-	d.runWaves(sc, sn, ps, vs, cur, sc.frontB[:], curLen, uniform, 1, false)
+	d.runWaves(sc, sn, ps, vs, curLen, uniform, 1, false, nil)
+}
+
+// recordBurst runs p through the wave engine as a recording burst of one over sc,
+// filling in v.  It starts at level 0, never probes a cache and steps every
+// level per slot, so each lookup appends its TraceStep to steps.  It counts
+// matched entries on sc's accumulator when sc has one; Trace's has none.
+func (d *Datapath) recordBurst(sc *burstScratch, sn *snapshot, p *pkt.Packet, v *openflow.Verdict, steps *[]TraceStep) {
+	pkt.ParseTo(p, sn.parserLayer)
+	v.Reset()
+	sc.pkts[0], sc.tramp[0], sc.frontA[0] = p, sn.start, 0
+	sc.sets[0] = sc.sets[0][:0]
+	d.runWaves(sc, sn, sc.pkts[:1], unsafe.Slice(v, 1), 1, false, 0, false, steps)
 }
 
 // runWaves executes the breadth-first wave loop over the goto DAG for the
-// packets in the cur frontier (slot indices into ps/vs), starting at the
-// given pipeline level.  The current frontier holds every live packet at the
-// current pipeline depth.  A uniform level — every packet waiting at the same
+// curLen packets of the sc.frontA frontier (slot indices into ps/vs),
+// starting at the given pipeline level; it is the only code that walks past
+// level 0.  The current frontier holds every live packet at the current
+// pipeline depth.  A uniform level — every packet waiting at the same
 // trampoline, tracked from the previous level's survivors — is classified
 // through the table's template in one batched lookup before the per-slot
 // pass, so the template (and the trampoline's atomic pointer) is touched once
@@ -208,14 +221,18 @@ func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, p
 // own Lookup instead: tiny groups gain nothing from staging, and the
 // survivors re-merge into a single batch before a shared downstream table
 // (the routing LPM) is visited.  Either way one pass executes the outcomes
-// and builds the next frontier.  It is shared verbatim by the plain and
-// cache-fronted burst paths so their semantics cannot drift.  When rec is set
-// (the cache-fronted walk), every executed entry is recorded in the slot's
-// cacheScratch state so the install pass can memoize it with the verdict.
-func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs []openflow.Verdict, cur, next []int32, curLen int, uniform bool, startLevel int, rec bool) {
+// and builds the next frontier.  It is shared verbatim by the plain,
+// cache-fronted and recording bursts so their semantics cannot drift.  When
+// rec is set (the cache-fronted walk), every executed entry is recorded in
+// the slot's cacheScratch state so the install pass can memoize it with the
+// verdict.  When steps is non-nil (recordBurst's burst of one), no level is
+// batched and each per-slot Lookup fills in the TraceStep it appends: the
+// only place a step is recorded.
+func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs []openflow.Verdict, curLen int, uniform bool, startLevel int, rec bool, steps *[]TraceStep) {
+	cur, next := sc.frontA[:], sc.frontB[:]
 	for level := startLevel; curLen > 0; level++ {
 		if level >= openflow.MaxPipelineDepth {
-			// Same disposition as the sequential walker's depth guard.
+			// The depth guard: a walk this deep drops.
 			for k := 0; k < curLen; k++ {
 				vs[cur[k]].Dropped = true
 			}
@@ -224,8 +241,7 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 		if uniform {
 			dp := sc.tramp[cur[0]].load()
 			if dp == nil {
-				// The table was removed under us: same disposition as
-				// the sequential walker (drop).
+				// A table with nothing published drops.
 				for k := 0; k < curLen; k++ {
 					vs[cur[k]].Dropped = true
 				}
@@ -244,6 +260,7 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 			p, v := ps[i], &vs[i]
 			tr := sc.tramp[i]
 			var ce *compiledEntry
+			var st *TraceStep
 			if uniform {
 				ce = sc.outs[k]
 			} else {
@@ -252,19 +269,27 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 					v.Dropped = true
 					continue
 				}
-				ce = dp.Lookup(p, nil)
+				if steps != nil {
+					*steps = append(*steps, TraceStep{Table: tr.id, Template: dp.Kind(), Entries: dp.Len()})
+					st = &(*steps)[len(*steps)-1]
+				}
+				ce = dp.Lookup(p, st)
 			}
 			v.Tables++
 			if ce == nil {
 				sn.miss(v, tr.id)
 				continue
 			}
-			if d.opts.UpdateCounters {
+			if sc.ctr != nil {
 				sc.ctr.add(ce.counters, len(p.Data))
 			}
 			step := ce.ins.Execute(p, v, &sc.sets[i], sn.numPorts, tr.id)
 			if rec {
 				sc.cache.record(i, ce, step, sc.sets[i], d.opts.UpdateCounters)
+			}
+			if st != nil {
+				st.matched(ce)
+				st.Outcome = step
 			}
 			if step != openflow.StepNext {
 				continue
@@ -280,7 +305,7 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 		}
 		cur, next = next, cur
 		curLen = nextLen
-		uniform = nextUniform
+		uniform = nextUniform && steps == nil
 	}
 }
 
@@ -292,14 +317,10 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCache, ps []*pkt.Packet, vs []openflow.Verdict) {
 	n := len(ps)
 	start := sn.start
-	var startDP tableDatapath
-	if start != nil {
-		startDP = start.load()
-	}
-	if startDP == nil {
-		// No start table: same disposition as the plain burst path.  The
-		// packets still ran the cache-enabled path, so they count as misses
-		// (fold exactness: hits+misses == processed).
+	if start.load() == nil {
+		// A start table with nothing published drops, as on the plain
+		// burst path.  The packets still ran the cache-enabled path, so
+		// they count as misses (fold exactness: hits+misses == processed).
 		for i := 0; i < n; i++ {
 			vs[i].Dropped = true
 		}
@@ -376,7 +397,7 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 		return
 	}
 
-	d.runWaves(sc, sn, ps, vs, cur, sc.frontB[:], missN, true, 0, true)
+	d.runWaves(sc, sn, ps, vs, missN, true, 0, true, nil)
 
 	// Install pass: memoize every miss whose verdict the cache can express —
 	// at most one output port and a walk shallow enough for the encoding —

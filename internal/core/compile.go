@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"eswitch/internal/lockcount"
 	"eswitch/internal/openflow"
@@ -91,19 +92,19 @@ func (sn *snapshot) miss(v *openflow.Verdict, table openflow.TableID) {
 // Datapath is a compiled ESWITCH fast path: the specialized representation of
 // one OpenFlow pipeline plus the machinery to keep it up to date.
 //
-// Concurrency model: the hot path (Process, ProcessUnlocked, ProcessBurst and
-// the worker handles') is lock-free — it roots at the atomically-published
-// snapshot and follows atomically-swapped trampolines; only a metered Process
-// serializes, on meterMu.  Updates (AddFlow, DeleteFlow, InstallPipeline) are
+// Concurrency model: the hot path (Process, ProcessBurst and the worker
+// handles') is lock-free — it roots at the atomically-published snapshot and
+// follows atomically-swapped trampolines; only a metered Process serializes,
+// on meterMu.  Updates (AddFlow, DeleteFlow, InstallPipeline) are
 // serialized by mu, build the new representation off to the side, publish it
 // atomically, and reclaim superseded copies only after every registered worker
 // epoch has passed a quiescent point (see epoch.go and update.go).
 type Datapath struct {
 	opts Options
-	// steps is the record every metered walk (Process, ProcessUnlocked)
-	// reuses before priceWalk charges it to Options.Meter; no burst entry
-	// point is ever metered.  meterMu makes Process's concurrent callers the
-	// single writer steps and the meter need.
+	// steps is the record every metered Process's recording burst reuses
+	// before priceWalk charges it to Options.Meter; no other entry point is
+	// ever metered.  meterMu makes Process's concurrent callers the single
+	// writer steps and the meter need.
 	steps   []TraceStep
 	meterMu sync.Mutex
 	// regions is the writer-owned copy of snapshot.regions: on a metered
@@ -389,15 +390,21 @@ func (d *Datapath) Stages() []TableStage {
 }
 
 // Process sends one packet through the compiled fast path, filling in the
-// verdict.  It parses the packet only as deep as the pipeline requires.
+// verdict.  It is a burst of one on a pinned worker (Worker.ProcessBurst), so
+// it runs the engine the forwarding workers run, parses the packet only as
+// deep as the pipeline requires and, on an armed pipeline, probes and fills
+// that worker's verdict cache.  The worker's counter deltas are folded before
+// it goes back on the free list, so per-flow counters are exact on return.
+//
+// On a metered datapath the packet takes a recording burst of one instead
+// (recordBurst), under meterMu, and priceWalk charges its steps to the
+// meter; the meter sees one writer at a time and counts every packet exactly.
 //
 // Process is safe to call from any number of goroutines concurrently with
-// flow-table updates and with each other: the call pins a recycled worker's
-// epoch for its duration, so updates cannot reclaim the state it reads, and
-// on a metered datapath the walk and its pricing additionally hold meterMu,
-// so the meter sees one writer at a time and counts every packet exactly.
-// Dedicated forwarding workers should RegisterWorker once and process bursts
-// inside their own Enter/Exit bracket instead.
+// flow-table updates and with each other: the pinned worker's epoch covers
+// the call, so updates cannot reclaim the state it reads.  Dedicated
+// forwarding workers should RegisterWorker once and process bursts inside
+// their own Enter/Exit bracket instead.
 func (d *Datapath) Process(p *pkt.Packet, v *openflow.Verdict) {
 	w := d.pinGet()
 	w.Enter()
@@ -405,84 +412,26 @@ func (d *Datapath) Process(p *pkt.Packet, v *openflow.Verdict) {
 	// slots, nor park a worker in the entered state where synchronize()
 	// would wait on it forever.
 	defer func() { w.Exit(); d.pinPut(w) }()
-	if d.opts.Meter != nil {
+	sc := &w.scratch
+	if m := d.opts.Meter; m != nil {
 		d.meterMu.Lock()
 		defer d.meterMu.Unlock()
-	}
-	d.process(p, v)
-}
-
-// ProcessUnlocked is Process without the epoch pin and without the meter
-// lock.  It takes no locks and performs no atomic read-modify-writes — one
-// atomic snapshot load, then pure computation.  Callers must either hold
-// their own registered WorkerEpoch or quiesce updates externally, and on a
-// metered datapath be its only metered caller (single-threaded harnesses and
-// benchmarks).
-func (d *Datapath) ProcessUnlocked(p *pkt.Packet, v *openflow.Verdict) {
-	d.process(p, v)
-}
-
-// process runs one packet through the sequential walker from scratch: reset
-// the verdict, parse only as deep as the pipeline needs, walk — recording
-// the walk and pricing the record on a metered datapath.
-func (d *Datapath) process(p *pkt.Packet, v *openflow.Verdict) {
-	sn := d.snap.Load()
-	v.Reset()
-	pkt.ParseTo(p, sn.parserLayer)
-	var set openflow.ActionList
-	if m := d.opts.Meter; m != nil {
+		sn := d.snap.Load()
 		d.steps = d.steps[:0]
-		d.walk(sn, p, v, &set, &d.steps, d.opts.UpdateCounters)
+		d.recordBurst(sc, sn, p, v, &d.steps)
 		priceWalk(m, sn.parserLayer, d.steps, sn.regions)
-		return
+	} else {
+		// The burst rides in the scratch's group buffer: a slice over p
+		// itself would move p to the heap on every call.
+		sc.pkts[0] = p
+		w.ProcessBurst(sc.pkts[:1], unsafe.Slice(v, 1))
 	}
-	d.walk(sn, p, v, &set, nil, d.opts.UpdateCounters)
+	if sc.ctr != nil {
+		sc.ctr.flush()
+	}
 }
 
-// walk is the one sequential walker of the goto DAG: it takes a parsed packet
-// and a reset verdict from the start table to a terminal disposition, one
-// table lookup at a time.  Process, ProcessUnlocked and Trace all run it; what
-// differs between them is only whether it records — with nil steps it is the
-// plain forwarding walk, otherwise it appends one TraceStep per lookup: the
-// table, what the template examined, the matched entry and how executing it
-// ended.  It shares the instruction step (openflow.Instructions.Execute), the
-// miss disposition and the depth guard with the burst engine (burst.go), the
-// only other walker.  counters selects whether matched entries' per-flow
-// counters are bumped, straight on their atomics: the forwarding paths pass
-// Options.UpdateCounters, Trace passes false so an admin trace never perturbs
-// flow statistics.
-func (d *Datapath) walk(sn *snapshot, p *pkt.Packet, v *openflow.Verdict, set *openflow.ActionList, steps *[]TraceStep, counters bool) {
-	tr := sn.start
-	for depth := 0; depth < openflow.MaxPipelineDepth && tr != nil; depth++ {
-		dp := tr.load()
-		if dp == nil {
-			break
-		}
-		v.Tables++
-		var st *TraceStep
-		if steps != nil {
-			*steps = append(*steps, TraceStep{Table: tr.id, Template: dp.Kind(), Entries: dp.Len()})
-			st = &(*steps)[len(*steps)-1]
-		}
-		ce := dp.Lookup(p, st)
-		if ce == nil {
-			sn.miss(v, tr.id)
-			return
-		}
-		if st != nil {
-			st.matched(ce)
-		}
-		if counters {
-			ce.counters.Add(len(p.Data))
-		}
-		step := ce.ins.Execute(p, v, set, sn.numPorts, tr.id)
-		if st != nil {
-			st.Outcome = step
-		}
-		if step != openflow.StepNext {
-			return
-		}
-		tr = ce.next
-	}
-	v.Dropped = true
-}
+// ProcessUnlocked forwards to Process.  It is kept only because the
+// benchmark harness (bench/ledger.go) still calls it; ROADMAP item 1A
+// deletes it with that harness edit.
+func (d *Datapath) ProcessUnlocked(p *pkt.Packet, v *openflow.Verdict) { d.Process(p, v) }

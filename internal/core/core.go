@@ -19,17 +19,17 @@
 //     side by side with the running datapath and swapped in transactionally
 //     (§3.4).
 //
-// The runtime (Datapath) executes the compiled representation through
-// exactly two walkers of the goto DAG: the burst engine (burst.go), which
-// classifies a whole burst level by level and records nothing, and one
-// sequential per-packet walk (Datapath.walk, compile.go).  Both run each
-// matched entry through the interpreter's own instruction step,
-// openflow.Instructions.Execute.  The sequential walk can record its steps:
-// each template has one per-packet lookup, and a non-nil *TraceStep receives
-// what that lookup examined (a nil one is forwarding).  Trace returns the
-// record; a metered datapath prices it (cyclemodel.go), which is how the
-// cpumodel.Meter regenerates the paper's cycle- and cache-level figures
-// deterministically without a charge inside any template.
+// The runtime (Datapath) executes the compiled representation through one
+// walker of the goto DAG, the burst engine (burst.go): it classifies a burst
+// level by level, runs each matched entry through the interpreter's own
+// instruction step, openflow.Instructions.Execute, and is what every entry
+// point runs — worker bursts, ProcessBurst, and Process as a burst of one.
+// Trace and a metered Process run a recording burst of one, which steps every
+// level per slot: each template has one per-packet lookup, and a non-nil
+// *TraceStep receives what that lookup examined (a nil one is forwarding).
+// Trace returns the record; a metered datapath prices it (cyclemodel.go),
+// which is how the cpumodel.Meter regenerates the paper's cycle- and
+// cache-level figures deterministically without a charge inside any template.
 package core
 
 import (
@@ -109,9 +109,9 @@ type Options struct {
 	// against the cap.  Zero means unlimited.
 	MaxTableEntries int
 	// Meter, when non-nil, is charged the cycle model's price of every
-	// packet sent through Process or ProcessUnlocked: the sequential
-	// per-packet walk records its steps and priceWalk reads them.  Bursts
-	// are never metered.
+	// packet sent through Process: a metered Process runs a recording burst
+	// of one, which never probes a cache, and priceWalk reads its steps.
+	// Bursts are never metered.
 	Meter *cpumodel.Meter
 }
 
@@ -158,9 +158,9 @@ type compiledEntry struct {
 type matcherFunc func(p *pkt.Packet) bool
 
 // tableDatapath is the common interface of the four compiled table templates.
-// It carries two lookups and no more (TestTableDatapathLookupSurface): the
-// per-packet one the sequential walk drives, recording or not, and the
-// batched one the burst engine drives.
+// It carries two lookups and no more (TestTableDatapathLookupSurface), both
+// driven by the burst engine: the per-packet one for a fragmented level,
+// recording or not, and the batched one for level 0 and uniform levels.
 type tableDatapath interface {
 	// Kind returns the template implementing the table.
 	Kind() TemplateKind
@@ -168,8 +168,8 @@ type tableDatapath interface {
 	Len() int
 	// Lookup classifies the packet, returning the matched entry (nil on a
 	// table miss).  A non-nil st receives what the lookup examined
-	// (TraceStep.Examined and Offset) and nothing else; the forwarding
-	// paths pass nil.
+	// (TraceStep.Examined and Offset) and nothing else; only a recording
+	// burst passes one.
 	Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry
 	// LookupBurst classifies a burst in one pass, writing the entry matched
 	// by ps[i] to outs[i] (len(outs) == len(ps) <= MaxBurst).  sc provides

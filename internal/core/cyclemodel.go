@@ -10,9 +10,9 @@ import (
 
 // This file is the cycle model's reading of the compiled datapath, and the
 // only one besides core.go (Options.Meter) that imports cpumodel.  No template
-// charges a meter: the sequential walk (Datapath.walk) records what each
-// lookup examined in a TraceStep, and a metered Process or ProcessUnlocked
-// prices that record once the walk is done (priceWalk).
+// charges a meter: a metered Process's recording burst of one (recordBurst) notes
+// what each lookup examined in a TraceStep, and Process prices that record
+// once the walk is done (priceWalk).
 
 // Meter returns the datapath's cycle meter (nil when not metering).
 func (d *Datapath) Meter() *cpumodel.Meter { return d.opts.Meter }

@@ -88,9 +88,9 @@ import (
 //   - Verdicts that cannot be memoized are never installed: multi-port
 //     (flood/multicast) outputs, walks deeper than the entry encoding, and
 //     packets entering with non-zero metadata.
-//   - A cycle meter does not interact with the cache: the meter prices the
-//     sequential per-packet walk, which never probes or installs, and the
-//     burst path that does is never metered.
+//   - A cycle meter does not interact with the cache: the meter prices a
+//     metered Process's recording burst, which never probes or installs,
+//     and the bursts that do are never metered.
 //   - Per-flow counters (Options.UpdateCounters) do not defeat the cache:
 //     the install records the matched entries' stable Counters pointers in
 //     the cache entry (ctrList, flowctr.go) and a hit bumps them through the

@@ -415,10 +415,10 @@ func sameVerdict(a, b *openflow.Verdict) bool {
 }
 
 // TestMeterOffForwardingPlane pins the one rule of the cycle model: it is a
-// reading of the sequential per-packet walk, not a forwarding mode.  A
+// reading of a metered Process's recording burst, not a forwarding mode.  A
 // datapath compiled with both a meter and a verdict cache arms the cache, its
 // worker forwards through the burst engine and the cache without charging the
-// meter, and the per-packet walk then charges exactly what a cache-less
+// meter, and the metered Process then charges exactly what a cache-less
 // metered twin charges for the same frames.
 func TestMeterOffForwardingPlane(t *testing.T) {
 	uc := workload.GatewayUseCase(workload.GatewayConfig{CEs: 4, UsersPerCE: 8, Prefixes: 500, Seed: 3})

@@ -22,13 +22,16 @@ import (
 //     moment a worker idles),
 //   - on a slot collision (the loser's delta folds straight to its entry —
 //     the accumulator degrades to per-packet atomics, never loses counts),
+//   - at the end of every facade Process, a burst of one whose few claimed
+//     slots the flush folds without scanning the table,
 //   - and when the worker is released.
 //
-// FlowSamples additionally folds the deltas of every parked pinned worker
-// (the facade's Process/ProcessBurst path), so off-path samplers — the flow
-// exporter, the lifecycle sweeper — observe exact totals whenever the
-// traffic source has gone quiet.  The only residual lag is a live registered worker's
-// in-flight window of at most ctrFlushPackets packets.
+// FlowSamples and the lifecycle sweeper additionally fold the deltas of
+// every parked pinned worker (the facade's ProcessBurst path), so off-path
+// samplers — the flow exporter, the sweeper's idle detector — observe exact
+// totals whenever the traffic source has gone quiet.  The only residual lag
+// is a live registered worker's in-flight window of at most ctrFlushPackets
+// packets.
 //
 // The accumulator keys on the entry's *openflow.Counters pointer, which is
 // stable for the entry's lifetime and independent of snapshot rebuilds, so
@@ -96,7 +99,11 @@ type ctrSlot struct {
 // (the owning worker, or FlowSamples while the worker is parked in the
 // pinned-worker free list); no locks, no allocation after construction.
 type flowCtrAccum struct {
-	slots    [ctrSlots]ctrSlot
+	slots [ctrSlots]ctrSlot
+	// used lists the slots claimed since the last flush, while they fit
+	// (nused counts on past that): a short window folds without a scan.
+	used     [32]uint16
+	nused    int
 	pending  int  // packets accumulated since the last flush
 	sawBurst bool // did this Enter/Exit bracket classify any traffic?
 }
@@ -112,11 +119,12 @@ func (a *flowCtrAccum) add(c *openflow.Counters, bytes int) {
 	i := (uint64(uintptr(unsafe.Pointer(c))) >> 4) * 0x9E3779B97F4A7C15 >> (64 - 12) & (ctrSlots - 1)
 	s := &a.slots[i]
 	if s.key != c {
-		if s.key != nil {
-			s.key.Packets.Add(uint64(s.pkts))
-			s.key.Bytes.Add(uint64(s.bytes))
+		s.fold()
+		s.key = c
+		if a.nused < len(a.used) {
+			a.used[a.nused] = uint16(i)
 		}
-		s.key, s.pkts, s.bytes = c, 0, 0
+		a.nused++
 	}
 	s.pkts++
 	s.bytes += uint32(bytes)
@@ -129,22 +137,32 @@ func (a *flowCtrAccum) flush() {
 	if a.pending == 0 {
 		return
 	}
-	for i := range a.slots {
-		s := &a.slots[i]
-		if s.key == nil {
-			continue
+	if a.nused <= len(a.used) {
+		for _, i := range a.used[:a.nused] {
+			a.slots[i].fold()
 		}
-		if s.pkts > 0 || s.bytes > 0 {
-			s.key.Packets.Add(uint64(s.pkts))
-			s.key.Bytes.Add(uint64(s.bytes))
+	} else {
+		for i := range a.slots {
+			a.slots[i].fold()
 		}
-		s.key, s.pkts, s.bytes = nil, 0, 0
 	}
-	a.pending = 0
+	a.nused, a.pending = 0, 0
+}
+
+// fold moves the slot's delta into its entry's counters and frees the slot.
+func (s *ctrSlot) fold() {
+	if s.key == nil {
+		return
+	}
+	if s.pkts > 0 || s.bytes > 0 {
+		s.key.Packets.Add(uint64(s.pkts))
+		s.key.Bytes.Add(uint64(s.bytes))
+	}
+	s.key, s.pkts, s.bytes = nil, 0, 0
 }
 
 // flushPinnedCounters folds the counter deltas parked in the pinned-worker
-// free list (the facade Process/ProcessBurst path).  Receiving a worker from
+// free list (the facade ProcessBurst path).  Receiving a worker from
 // the channel grants exclusive access to its accumulator, so the fold is
 // race-free; the worker goes straight back on the list.
 func (d *Datapath) flushPinnedCounters() {

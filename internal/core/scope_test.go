@@ -155,9 +155,9 @@ func traceFrames(uc *workload.UseCase, n int) (frames [][]byte, inPorts []uint32
 // check forwards the picked frames through the worker, in bursts, and
 // requires each verdict, the rewritten headers and the metadata to equal the
 // interpreter's over the datapath's current declarative pipeline.  Every
-// other executor the sequential walker serves sees the same frames: Trace
+// other per-packet entry point sees the same frames: Trace
 // must claim the interpreter's verdict, headers and metadata in as many steps
-// as the verdict counts tables, and the metered twin's per-packet walk must
+// as the verdict counts tables, and the metered twin's Process must
 // give the worker's verdicts and charge its meter for them.  The baseline
 // switch, where the rig has one, must give the interpreter's outcome
 // (Verdict.Equivalent), punt attribution, headers and metadata too.

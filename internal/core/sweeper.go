@@ -117,6 +117,9 @@ type candidate struct {
 // It is the sweeper's whole tick, callable directly from tests.
 func (s *Sweeper) SweepOnce() int {
 	now := s.cfg.Now()
+	// Fold the deltas parked in the pinned workers first: traffic through
+	// the facade's ProcessBurst would otherwise look idle.
+	s.d.flushPinnedCounters()
 
 	// Phase 1 — observe, under the update mutex: refresh per-entry activity
 	// from the counters and collect expiry candidates.  No table is mutated

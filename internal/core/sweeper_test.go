@@ -142,6 +142,35 @@ func TestSweeperIdleAndHardTimeouts(t *testing.T) {
 	}
 }
 
+// TestSweeperSeesBurstTraffic keeps an entry alive on traffic that arrives
+// through the facade's ProcessBurst, whose pinned workers hold their counter
+// deltas until something folds them.
+func TestSweeperSeesBurstTraffic(t *testing.T) {
+	dp := sweepDatapath(t)
+	idle := srcEntry(1, 2)
+	idle.IdleTimeout = 3
+	if err := dp.AddFlow(0, idle); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1000, 0)
+	s := NewSweeper(dp, SweeperConfig{Now: func() time.Time { return now }})
+	b := pkt.NewBuilder(128)
+	frame := pkt.Clone(b.TCPPacket(pkt.EthernetOpts{}, pkt.IPv4Opts{Src: 1, Dst: 0x0a000099}, pkt.L4Opts{Src: 1, Dst: 80}))
+	ps := []*pkt.Packet{{InPort: 1}}
+	vs := make([]openflow.Verdict, 1)
+	for sweep := 0; sweep < 5; sweep++ {
+		if n := s.SweepOnce(); n != 0 {
+			t.Fatalf("sweep %d at t=%ds removed %d entries of a flow with traffic every 2s", sweep, 2*sweep, n)
+		}
+		now = now.Add(2 * time.Second)
+		ps[0].Data = append(ps[0].Data[:0], frame...)
+		dp.ProcessBurst(ps, vs)
+		if len(vs[0].OutPorts) != 1 || vs[0].OutPorts[0] != 2 {
+			t.Fatalf("idle-timeout entry not forwarding: %s", vs[0].String())
+		}
+	}
+}
+
 func TestSweeperSoftLimitEviction(t *testing.T) {
 	dp := sweepDatapath(t)
 	now := time.Unix(2000, 0)

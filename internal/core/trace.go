@@ -14,10 +14,11 @@ import (
 //     (the flow exporter's sampling primitive — the same locked phase-1 walk
 //     the lifecycle sweeper performs, so export and expiry observe flows
 //     identically);
-//   - Trace replays one packet through the pipeline off the hot path,
-//     recording what the forwarding walk only decides: which table, compiled
-//     template and entry classified the packet at every step, and what the
-//     verdict cache would have done with it.
+//   - Trace replays one packet through the burst engine as a recording
+//     burst of one, off the hot path, recording what forwarding only
+//     decides: which table, compiled template and entry classified the
+//     packet at every step, and what the verdict cache would have done with
+//     it.
 //
 // Neither touches the worker hot path: both run under the writer mutex or an
 // epoch pin, exactly like the admin operations that already exist.
@@ -163,12 +164,13 @@ type TraceStaleMod struct {
 }
 
 // Trace replays one packet through the compiled pipeline and explains every
-// step.  It is the forwarding path's own sequential walk (Datapath.walk)
-// recording its steps, so it cannot disagree with forwarding; it never bumps
-// per-flow counters, never installs cache entries and charges no meter; p is
-// parsed and may be rewritten in place, exactly as forwarding would.  Safe to
-// call from any goroutine concurrently with forwarding and flow-mods: the
-// walk runs inside an epoch pin like Datapath.Process.
+// step.  It is a recording burst of one (recordBurst): the wave engine the
+// forwarding workers run, stepping every table per slot, so it cannot
+// disagree with forwarding.  It never probes or fills a cache, counts nothing
+// (its scratch has no counter accumulator) and charges no meter; p is parsed
+// and may be rewritten in place, exactly as forwarding would.  Safe to call
+// from any goroutine concurrently with forwarding and flow-mods: the walk
+// runs inside a pinned worker's epoch like Datapath.Process.
 func (d *Datapath) Trace(p *pkt.Packet) *TraceResult {
 	w := d.pinGet()
 	w.Enter()
@@ -201,9 +203,7 @@ func (d *Datapath) Trace(p *pkt.Packet) *TraceResult {
 		}
 	}
 
-	res.Verdict.Reset()
-	var set openflow.ActionList
-	d.walk(sn, p, &res.Verdict, &set, &res.Steps, false)
+	d.recordBurst(new(burstScratch), sn, p, &res.Verdict, &res.Steps)
 	return res
 }
 

@@ -335,6 +335,41 @@ func TestTraceRecordsWhatLookupsExamined(t *testing.T) {
 			check(t, dp, c.label, p, want)
 		}
 	})
+
+	t.Run("gateway-cached", func(t *testing.T) {
+		// Trace never probes the cache a Process on the same frame fills:
+		// it records every table step, as a twin without a cache does.
+		uc := workload.GatewayUseCase(workload.GatewayConfig{CEs: 4, UsersPerCE: 8, Prefixes: 500, Seed: 3})
+		opts := DefaultOptions()
+		opts.FlowCache = 1024
+		dp, err := Compile(uc.Pipeline, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := Compile(uc.Pipeline, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dp.snap.Load().armed {
+			t.Fatal("the gateway did not arm its cache")
+		}
+		var p pkt.Packet
+		uc.Trace(16).Next(&p)
+		frame := func() *pkt.Packet { return &pkt.Packet{Data: append([]byte(nil), p.Data...), InPort: p.InPort} }
+		var v openflow.Verdict
+		dp.Process(frame(), &v)
+		dp.Process(frame(), &v)
+		if st := dp.FlowCacheStats(); st.Hits == 0 {
+			t.Fatalf("two Process calls on one frame: %+v, want a hit", st)
+		}
+		got, want := dp.Trace(frame()), twin.Trace(frame())
+		if len(got.Steps) < 2 || len(got.Steps) != got.Verdict.Tables {
+			t.Fatalf("trace of a cached frame took %d steps for %d tables", len(got.Steps), got.Verdict.Tables)
+		}
+		if !reflect.DeepEqual(got.Steps, want.Steps) || !reflect.DeepEqual(got.Verdict, want.Verdict) {
+			t.Fatalf("cached trace:\n got  %+v -> %v\n want %+v -> %v", got.Steps, got.Verdict, want.Steps, want.Verdict)
+		}
+	})
 }
 
 // TestMeteredProcessPricesItsTrace is the one-record rule: what a metered

@@ -19,8 +19,10 @@ import (
 // A worker's bursts always run the burst engine, which contains no metering
 // at all — whether or not the datapath carries a cycle meter — so registering
 // workers adds zero locks, zero atomic read-modify-writes and zero
-// allocations per burst.  The meter prices the sequential per-packet walk and
-// nothing else (Datapath.Process, Datapath.ProcessUnlocked).
+// allocations per burst.  The same engine serves the facade: Process is a
+// burst of one on a pinned worker, and Trace and a metered Process run a
+// recording burst of one (Datapath.recordBurst); the meter prices only the
+// latter's steps.
 
 // WorkerHandle is the interface a registered forwarding worker holds.  It is
 // an alias for the anonymous interface so the dataplane substrate

@@ -189,15 +189,6 @@ func (b *PcapBackend) QueueError(q int) error {
 	return nil
 }
 
-// TotalFrames returns the number of frames loaded from the trace.
-func (b *PcapBackend) TotalFrames() int {
-	n := 0
-	for i := range b.queues {
-		n += len(b.queues[i].frames)
-	}
-	return n
-}
-
 // Stats implements PortBackend.
 func (b *PcapBackend) Stats() PortStats {
 	return PortStats{

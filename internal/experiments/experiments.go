@@ -170,7 +170,7 @@ func measureESWITCH(uc *workload.UseCase, flows, packets int) measurement {
 	if warmup > packets {
 		warmup = packets
 	}
-	return runTrace(trace, dp.ProcessUnlocked, opts.Meter, warmup, packets, nil)
+	return runTrace(trace, dp.Process, opts.Meter, warmup, packets, nil)
 }
 
 // measureBaseline builds the OVS-style baseline and measures one point.

@@ -134,7 +134,7 @@ func Fig9(cfg Config) Result {
 		p := pkt.Packet{}
 		for i := 0; i < 5000; i++ {
 			p = pkt.Packet{Data: frame, InPort: 1}
-			dp.ProcessUnlocked(&p, &v)
+			dp.Process(&p, &v)
 		}
 		return opts.Meter.CyclesPerPacket()
 	}
@@ -480,7 +480,7 @@ func Fig18(cfg Config) Result {
 
 	var esBase, ovsBase float64
 	for _, ups := range sweep {
-		esRate := measureWithUpdates(esDP.ProcessUnlocked, esOpts.Meter, esUpdate, ups)
+		esRate := measureWithUpdates(esDP.Process, esOpts.Meter, esUpdate, ups)
 		ovsRate := measureWithUpdates(ovsSW.ProcessUnlocked, ovsOpts.Meter, ovsUpdate, ups)
 		if ups == 0 {
 			esBase, ovsBase = esRate, ovsRate
@@ -533,7 +533,7 @@ func Fig19(cfg Config) Result {
 			panic(err)
 		}
 		trace := uc.Trace(f)
-		es := runTrace(trace, dp.ProcessUnlocked, esOpts.Meter, f, packets, nil)
+		es := runTrace(trace, dp.Process, esOpts.Meter, f, packets, nil)
 
 		ovsOpts := ovs.DefaultOptions()
 		ovsOpts.Meter = cpumodel.NewMeter(platform)

@@ -326,15 +326,9 @@ func (s *Switch) insertMega(mf *megaflow) {
 	s.mega.Insert(&tss.Entry{Priority: 0, Match: mf.match, Aux: mf})
 }
 
-// InvalidateCaches flushes both cache levels; every flow-table modification
+// invalidateLocked flushes both cache levels; every flow-table modification
 // calls it (the paper: "OVS adopts the brute-force strategy to invalidate the
 // entire cache after essentially all changes").
-func (s *Switch) InvalidateCaches() {
-	s.mu.Lock()
-	s.invalidateLocked()
-	s.mu.Unlock()
-}
-
 func (s *Switch) invalidateLocked() {
 	s.micro = make(map[microKey]*megaflow)
 	s.microRing, s.microNext = s.microRing[:0], 0

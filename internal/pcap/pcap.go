@@ -50,11 +50,10 @@ type Packet struct {
 
 // Reader decodes a classic pcap stream record by record.
 type Reader struct {
-	r       *bufio.Reader
-	order   binary.ByteOrder
-	nanos   bool
-	snapLen int
-	hdr     [16]byte
+	r     *bufio.Reader
+	order binary.ByteOrder
+	nanos bool
+	hdr   [16]byte
 }
 
 // NewReader parses the global header and returns a reader positioned at the
@@ -81,15 +80,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 			return nil, fmt.Errorf("pcap: bad magic %#x (classic pcap only; convert pcapng with editcap -F pcap)", magic)
 		}
 	}
-	pr.snapLen = int(pr.order.Uint32(gh[16:20]))
 	if link := pr.order.Uint32(gh[20:24]); link != LinkTypeEthernet {
 		return nil, fmt.Errorf("pcap: link type %d unsupported (want Ethernet)", link)
 	}
 	return pr, nil
 }
-
-// SnapLen returns the capture's snap length from the global header.
-func (r *Reader) SnapLen() int { return r.snapLen }
 
 // Next returns the next record, allocating its Data slice.  It returns
 // io.EOF cleanly at end of stream and io.ErrUnexpectedEOF on a record cut
