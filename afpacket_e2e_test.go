@@ -40,7 +40,6 @@ func TestAFPacketVethForwarding(t *testing.T) {
 
 	uc := workload.XConnectUseCase(2)
 	opts := core.DefaultOptions()
-	opts.Decompose = uc.WantsDecomposition
 	dp, err := core.Compile(uc.Pipeline, opts)
 	if err != nil {
 		t.Fatal(err)

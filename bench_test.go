@@ -292,7 +292,6 @@ func benchTraceReplay(b *testing.B, trace string, uc *workload.UseCase) {
 		backends = append(backends, dpdk.NewNullBackend(dpdk.DefaultQueues))
 	}
 	opts := core.DefaultOptions()
-	opts.Decompose = uc.WantsDecomposition
 	dp, err := core.Compile(uc.Pipeline, opts)
 	if err != nil {
 		b.Fatal(err)

@@ -294,7 +294,6 @@ func TestProcessBurstNoAllocs(t *testing.T) {
 	for _, uc := range cases {
 		t.Run(uc.Name, func(t *testing.T) {
 			opts := core.DefaultOptions()
-			opts.Decompose = uc.WantsDecomposition
 			dp, err := core.Compile(uc.Pipeline, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -103,7 +103,6 @@ func main() {
 	var process func(*pkt.Packet, *openflow.Verdict)
 	if *loopback {
 		opts := core.DefaultOptions()
-		opts.Decompose = uc.WantsDecomposition
 		dp, err := core.Compile(uc.Pipeline, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "compile: %v\n", err)

@@ -301,7 +301,6 @@ func main() {
 	switch *datapath {
 	case "eswitch":
 		opts := core.DefaultOptions()
-		opts.Decompose = uc.WantsDecomposition
 		opts.MaxTableEntries = *maxTable
 		opts.UpdateCounters = *flowExport != ""
 		opts.FlowCache = cacheEntries
@@ -652,7 +651,14 @@ func main() {
 	}
 	var cacheKey, cacheUnarmed string
 	if compiled != nil {
-		if err := compiled.FlowCacheStats().CheckInvariants(st.Processed, st.Panics); err != nil {
+		// output:TABLE PacketOuts run Process, which probes the cache
+		// without a worker receiving the frame, unless the datapath is
+		// metered: a metered Process records the walk and never probes.
+		probes := st.Processed
+		if compiled.Meter() == nil {
+			probes += sw.Reinjected()
+		}
+		if err := compiled.FlowCacheStats().CheckInvariants(probes, st.Panics); err != nil {
 			log.Printf("eswitchd: %v", err)
 		}
 		cacheKey, cacheUnarmed = compiled.FlowCacheKey()

@@ -71,7 +71,6 @@ func TestFacadeUseCasesAndBaseline(t *testing.T) {
 	}
 	for _, uc := range cases {
 		opts := eswitch.DefaultOptions()
-		opts.Decompose = uc.WantsDecomposition
 		opts.Meter = eswitch.NewMeter(eswitch.DefaultPlatform())
 		sw, err := eswitch.New(uc.Pipeline, opts)
 		if err != nil {

@@ -385,7 +385,7 @@ func fuzzCacheKeys(f *testing.F) []flowKey {
 func fcWorker(t *testing.T, uc *workload.UseCase, entries int) (*Datapath, *Worker) {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Decompose = uc.WantsDecomposition
+	opts.Decompose = decomposes(uc)
 	opts.FlowCache = entries
 	dp, err := Compile(uc.Pipeline, opts)
 	if err != nil {
@@ -495,15 +495,18 @@ func bundledUseCases() []*workload.UseCase {
 	}
 }
 
+// decomposes reports whether a test compiles the use case with
+// Options.Decompose: only the decomposed ACL fixture needs it.
+func decomposes(uc *workload.UseCase) bool { return uc.Name == "acl" }
+
 // decomposedACL is the decomposition fixture: a 20-rule synthetic ACL that
 // Options.Decompose splits into 38 stages, some of them linked lists, with a
 // trace of TCP and UDP flows towards the ACL's servers and ports, some from
 // the sources its rules name.
 func decomposedACL() *workload.UseCase {
 	return &workload.UseCase{
-		Name:               "acl",
-		Pipeline:           workload.ACLPipeline(workload.GenerateACLs(20, 11)),
-		WantsDecomposition: true,
+		Name:     "acl",
+		Pipeline: workload.ACLPipeline(workload.GenerateACLs(20, 11)),
 		Trace: func(n int) *pktgen.Trace {
 			rng := rand.New(rand.NewSource(int64(n)))
 			flows := make([]pktgen.Flow, n)
@@ -551,7 +554,7 @@ func flowCacheDifferential(t *testing.T, entries int, resident bool) {
 			}
 
 			plainOpts := DefaultOptions()
-			plainOpts.Decompose = uc.WantsDecomposition
+			plainOpts.Decompose = decomposes(uc)
 			plain, err := Compile(uc.Pipeline, plainOpts)
 			if err != nil {
 				t.Fatal(err)

@@ -46,9 +46,11 @@ type PortBackend interface {
 	// own slices, which live as long as the producer keeps them.
 	RxBurst(q int, out [][]byte) int
 	// TxBurst transmits the longest prefix of frames on TX queue q,
-	// returning how many were accepted and counting them in TxPackets.
-	// Overflow accounting belongs to the caller: the worker drops what
-	// did not fit and counts it on the Port.
+	// returning how many were accepted; accepted frames show in
+	// Stats().TxPackets (the ring backend reads them off its rings'
+	// indices, the others count them as they go).  Overflow accounting
+	// belongs to the caller: the worker drops what did not fit and counts
+	// it on the Port.
 	TxBurst(q int, frames [][]byte) int
 	// Stats snapshots the backend's I/O counters.
 	Stats() PortStats
@@ -110,6 +112,12 @@ type SlowPathTransmitter interface {
 // through — frames move at memory speed, so the numbers isolate the
 // dataplane from NIC hardware — and the backend the zero-lock/zero-alloc
 // worker-path guarantee is asserted on.
+//
+// A ring's tail index only ever grows by the frames it accepted, so the
+// rings are their own packet counters: Stats sums the RX rings' tails for
+// RxPackets and the TX and slow-path rings' tails for TxPackets, and no
+// burst pays an atomic add to count.  Only refusals, which leave no trace
+// in a ring, have counters of their own.
 type RingBackend struct {
 	rxq []*Ring
 	txq []*Ring
@@ -117,10 +125,8 @@ type RingBackend struct {
 	// service never shares a worker-owned TX queue.
 	spq *Ring
 
-	rxPackets atomic.Uint64
-	txPackets atomic.Uint64
-	rxDrops   atomic.Uint64
-	txDrops   atomic.Uint64
+	rxDrops atomic.Uint64
+	txDrops atomic.Uint64
 }
 
 // NewRingBackend creates a ring backend with the given number of RX/TX queue
@@ -151,13 +157,10 @@ func (b *RingBackend) RxBurst(q int, out [][]byte) int {
 }
 
 // TxBurst implements PortBackend: the longest prefix that fits on the TX
-// ring is accepted and counted; the caller accounts the rest.
+// ring is accepted (and counted by the ring's tail); the caller accounts the
+// rest.
 func (b *RingBackend) TxBurst(q int, frames [][]byte) int {
-	n := b.txq[q].EnqueueBurst(frames)
-	if n > 0 {
-		b.txPackets.Add(uint64(n))
-	}
-	return n
+	return b.txq[q].EnqueueBurst(frames)
 }
 
 // InjectOn implements InjectableBackend: the producer side of the RX rings.
@@ -172,7 +175,6 @@ func (b *RingBackend) InjectOn(q int, frame []byte) bool {
 		}
 	}
 	if b.rxq[q].Enqueue(frame) {
-		b.rxPackets.Add(1)
 		return true
 	}
 	b.rxDrops.Add(1)
@@ -203,21 +205,24 @@ func (b *RingBackend) TxDequeue(q int) ([]byte, bool) {
 // ring (one slow-path service at a time may transmit).
 func (b *RingBackend) TransmitSlow(frame []byte) bool {
 	if b.spq.Enqueue(frame) {
-		b.txPackets.Add(1)
 		return true
 	}
 	b.txDrops.Add(1)
 	return false
 }
 
-// Stats implements PortBackend.
+// Stats implements PortBackend: the packet counts are the rings' tails.
 func (b *RingBackend) Stats() PortStats {
-	return PortStats{
-		RxPackets: b.rxPackets.Load(),
-		TxPackets: b.txPackets.Load(),
+	st := PortStats{
+		TxPackets: b.spq.tail.Load(),
 		RxDrops:   b.rxDrops.Load(),
 		TxDrops:   b.txDrops.Load(),
 	}
+	for q := range b.rxq {
+		st.RxPackets += b.rxq[q].tail.Load()
+		st.TxPackets += b.txq[q].tail.Load()
+	}
+	return st
 }
 
 // QueueError implements PortBackend: memory never fails.

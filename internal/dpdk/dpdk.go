@@ -188,8 +188,10 @@ type Switch struct {
 	// lazily, like the punt rings.  Size is a power of two (mask = size-1).
 	puntFilterSize   int
 	puntFilterWindow uint64
-	// reinjectPunts counts output:TABLE PacketOut frames the pipeline punted
-	// right back (see packetout.go).
+	// reinjected counts output:TABLE PacketOut frames classified through
+	// the datapath, and reinjectPunts those the pipeline punted right back
+	// (see packetout.go).
+	reinjected    atomic.Uint64
 	reinjectPunts atomic.Uint64
 
 	// mu guards counter registration; the forwarding loops never touch

@@ -14,7 +14,14 @@ import (
 // All transmission goes through the ports' dedicated slow-path TX rings
 // (Port.TransmitSlow), so the worker-owned TX queues stay single-producer.
 
-// reinjectPunts counts packets that were re-injected through the pipeline by
+// Reinjected counts the frames output:TABLE PacketOuts re-injected through
+// the datapath's Process.  No worker received them, so they are not in
+// WorkerStats.Processed; on an unmetered, cache-armed datapath each one
+// still probes a pinned worker's verdict cache, and the cache identity
+// (core.FlowCacheStats.CheckInvariants) reads Processed plus this count.
+func (s *Switch) Reinjected() uint64 { return s.reinjected.Load() }
+
+// ReinjectPunts counts packets that were re-injected through the pipeline by
 // an output:TABLE PacketOut and punted again.  They are not re-delivered —
 // pushing from the service would break the worker rings' single-producer
 // contract, and a controller that packet-outs into a table that punts back
@@ -70,6 +77,7 @@ func (s *Switch) packetOutTable(inPort uint32, frame []byte) error {
 	p.Data = frame
 	p.InPort = inPort
 	s.dp.Process(&p, &v)
+	s.reinjected.Add(1)
 	for _, out := range v.OutPorts {
 		if port, err := s.Port(out); err == nil {
 			port.TransmitSlow(frame)

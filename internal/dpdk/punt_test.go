@@ -14,6 +14,9 @@ import (
 //	0x01 -> output:2
 //	0x02 -> controller (explicit action punt from table 5)
 //	0x03 -> output:2 AND controller (the dual verdict of satellite concern)
+//	0x04 -> output:1,2 (two ports)
+//	0x05 -> output:0 (a port no switch has)
+//	0x06 -> output:3 (above NumPorts on the two-port switches below)
 //	else -> drop
 var puntingDatapath = DatapathFunc(func(p *pkt.Packet, v *openflow.Verdict) {
 	v.Reset()
@@ -27,10 +30,28 @@ var puntingDatapath = DatapathFunc(func(p *pkt.Packet, v *openflow.Verdict) {
 		v.OutPorts = append(v.OutPorts, 2)
 		v.ToController = true
 		v.NotePunt(openflow.PuntAction, 5)
+	case 0x04:
+		v.OutPorts = append(v.OutPorts, 1, 2)
+	case 0x05:
+		v.OutPorts = append(v.OutPorts, 0)
+	case 0x06:
+		v.OutPorts = append(v.OutPorts, 3)
 	default:
 		v.Dropped = true
 	}
 })
+
+// txFrames dequeues everything a ring-backed port transmitted on queue 0.
+func txFrames(p *Port) [][]byte {
+	var out [][]byte
+	for {
+		f, ok := p.be.(*RingBackend).TxDequeue(0)
+		if !ok {
+			return out
+		}
+		out = append(out, f)
+	}
+}
 
 // TestStageForwardAndPunt pins the verdict taxonomy fix: a verdict carrying
 // both output ports and ToController must be staged to TX AND punted,
@@ -74,6 +95,42 @@ func TestStageForwardAndPunt(t *testing.T) {
 	}
 	if !rings[0].Pop(&rec) || rec.Table != 1 || rec.Reason != openflow.PuntMiss || rec.InPort != 1 {
 		t.Fatalf("miss punt record = %+v", rec)
+	}
+	port2.DrainTx()
+
+	// The shapes with no single in-range port.  A verdict that names any
+	// port counts as forwarded, even when no port it names exists.
+	for _, c := range []struct {
+		name       string
+		frame      []byte
+		tx1, tx2   int
+		fwd, dropd uint64
+	}{
+		{"two ports", []byte{0x04, 0xbb}, 1, 1, 1, 0},
+		{"port 0", []byte{0x05, 0xcc}, 0, 0, 1, 0},
+		{"port above NumPorts", []byte{0x06, 0xdd}, 0, 0, 1, 0},
+	} {
+		before := sw.Stats()
+		port1.InjectOn(AutoQueue, c.frame)
+		sw.PollOnce(nil)
+		st := sw.Stats()
+		if fwd, dropd := st.Forwarded-before.Forwarded, st.Dropped-before.Dropped; fwd != c.fwd || dropd != c.dropd {
+			t.Fatalf("%s: forwarded %d, dropped %d; want %d, %d", c.name, fwd, dropd, c.fwd, c.dropd)
+		}
+		for _, tx := range []struct {
+			port *Port
+			want int
+		}{{port1, c.tx1}, {port2, c.tx2}} {
+			got := txFrames(tx.port)
+			if len(got) != tx.want {
+				t.Fatalf("%s: port %d transmitted %d frames, want %d", c.name, tx.port.ID, len(got), tx.want)
+			}
+			for _, f := range got {
+				if !bytes.Equal(f, c.frame) {
+					t.Fatalf("%s: port %d transmitted %x, want %x", c.name, tx.port.ID, f, c.frame)
+				}
+			}
+		}
 	}
 }
 

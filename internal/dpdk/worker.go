@@ -68,8 +68,8 @@ type workerState struct {
 	// worker, whose caller owns its liveness); the worker is its only writer.
 	hb *workerHeartbeat
 	// staged counts how many of the current burst's frames have completed
-	// stage(), so panic containment knows how much of the burst to
-	// quarantine.
+	// staging (in classifyBurst's loop or in stage), so panic containment
+	// knows how much of the burst to quarantine.
 	staged int
 	// spin seeds the idle backoff's pause loop; keeping it per-worker (and
 	// heap-reachable, which defeats dead-code elimination) means idle
@@ -212,15 +212,31 @@ func (s *Switch) pollPorts(ws *workerState, ports []*Port) int {
 // dropped — and the worker survives to poll the next queue.  The containment
 // is a method-value defer (open-coded, no allocation), so the steady-state
 // burst path stays zero-lock and zero-alloc.
+//
+// The staging loop takes the common verdict — exactly one in-range output
+// port, no punt — in line: it appends the frame to that port's staging
+// buffer and tallies it forwarded, exactly what stage does for that shape.
+// Every other shape (punts, several ports, a port out of range, drops) goes
+// to stage.  A call per packet costs a third of the substrate, so the
+// single-port case stays in this loop rather than in a helper.
 func (s *Switch) classifyBurst(ws *workerState, port *Port, n int, tal *stageTallies) {
 	ws.staged = 0
 	defer ws.containPanic(n)
 	for i := 0; i < n; i++ {
 		ws.packets[i] = pkt.Packet{Data: ws.frames[i], InPort: port.ID}
 	}
-	ws.worker.ProcessBurst(ws.pkts[:n], ws.verdicts[:n])
-	for i := 0; i < n; i++ {
-		s.stage(ws, &ws.verdicts[i], ws.frames[i], port.ID, tal)
+	frames, verdicts := ws.frames[:n], ws.verdicts[:n]
+	ws.worker.ProcessBurst(ws.pkts[:n], verdicts)
+	for i := range verdicts {
+		v := &verdicts[i]
+		// Port 0 wraps to the largest index: one compare is the range check.
+		if len(v.OutPorts) == 1 && !v.ToController && v.OutPorts[0]-1 < uint32(len(ws.txStage)) {
+			out := v.OutPorts[0] - 1
+			ws.txStage[out] = append(ws.txStage[out], frames[i])
+			tal[cForwarded]++
+		} else {
+			s.stage(ws, v, frames[i], port.ID, tal)
+		}
 		ws.staged++
 	}
 }

@@ -156,7 +156,6 @@ func runTrace(trace *pktgen.Trace, process func(*pkt.Packet, *openflow.Verdict),
 // measureESWITCH compiles the use case with ESWITCH and measures one point.
 func measureESWITCH(uc *workload.UseCase, flows, packets int) measurement {
 	opts := core.DefaultOptions()
-	opts.Decompose = uc.WantsDecomposition
 	opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
 	dp, err := core.Compile(uc.Pipeline, opts)
 	if err != nil {

@@ -19,9 +19,6 @@ type UseCase struct {
 	Pipeline *openflow.Pipeline
 	// Trace builds a traffic trace with the given number of active flows.
 	Trace func(activeFlows int) *pktgen.Trace
-	// WantsDecomposition marks use cases whose single-table form only
-	// becomes fast after flow-table decomposition (the load balancer).
-	WantsDecomposition bool
 }
 
 // ---------------------------------------------------------------------------
@@ -340,9 +337,8 @@ func LoadBalancerUseCase(numServices int) *UseCase {
 	t0.AddFlow(0, openflow.NewMatch(), openflow.Apply(openflow.Drop()))
 
 	return &UseCase{
-		Name:               "loadbalancer",
-		Pipeline:           pl,
-		WantsDecomposition: true,
+		Name:     "loadbalancer",
+		Pipeline: pl,
 		Trace: func(activeFlows int) *pktgen.Trace {
 			if activeFlows < 1 {
 				activeFlows = 1

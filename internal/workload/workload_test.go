@@ -106,9 +106,6 @@ func TestLoadBalancerUseCase(t *testing.T) {
 	if err := uc.Pipeline.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !uc.WantsDecomposition {
-		t.Fatal("load balancer should request decomposition")
-	}
 	forwarded, dropped := 0, 0
 	tr := uc.Trace(200)
 	p := &pkt.Packet{}

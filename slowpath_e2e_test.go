@@ -370,6 +370,53 @@ func TestL2LearningUseCaseShape(t *testing.T) {
 	}
 }
 
+// TestPacketOutTableKeepsCacheIdentity: an output:TABLE PacketOut classifies
+// its frame through Process, which on an unmetered, cache-armed datapath
+// probes a pinned worker's verdict cache although no forwarding worker
+// received the frame.  The verdict cache's identity holds once the switch's
+// re-injection count joins the workers' Processed, as its callers add it.
+func TestPacketOutTableKeepsCacheIdentity(t *testing.T) {
+	uc := workload.GatewayUseCase(workload.GatewayConfig{CEs: 2, UsersPerCE: 4, Prefixes: 100, Seed: 1})
+	opts := core.DefaultOptions()
+	opts.FlowCache = 4096
+	dp, err := core.Compile(uc.Pipeline, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dp.FlowCacheEnabled() {
+		t.Fatal("the gateway did not arm the verdict cache")
+	}
+	sw := dpdk.NewSwitchWithConfig(dp, dpdk.SwitchConfig{NumPorts: uc.Pipeline.NumPorts, RingSize: 1024, Queues: 1})
+	trace := uc.Trace(64)
+	for i := 0; i < 64; i++ {
+		f, in := trace.Frame(i)
+		p, err := sw.Port(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.InjectOn(dpdk.AutoQueue, f)
+	}
+	for sw.PollOnce(nil) > 0 {
+	}
+	for i := 0; i < 2; i++ {
+		f, in := trace.Frame(i)
+		if err := sw.PacketOut(in, f, openflow.ActionList{openflow.Output(openflow.PortTable)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := sw.Stats()
+	if st.Processed != 64 || st.Forwarded == 0 {
+		t.Fatalf("workers processed %d and forwarded %d of 64 frames", st.Processed, st.Forwarded)
+	}
+	if got := sw.Reinjected(); got != 2 {
+		t.Fatalf("Reinjected = %d after two output:TABLE PacketOuts", got)
+	}
+	fc := dp.FlowCacheStats()
+	if err := fc.CheckInvariants(st.Processed+sw.Reinjected(), st.Panics); err != nil {
+		t.Fatalf("%v (%d hits, %d misses)", err, fc.Hits, fc.Misses)
+	}
+}
+
 // interpDatapath adapts the reference interpreter (§2.1's "direct datapath")
 // to the dpdk substrate's Datapath surface, so the miss_send_len
 // differential below can drive the interpreter, compiled, and
