@@ -364,6 +364,11 @@ func TestWorkerPathZeroLocksZeroAllocs(t *testing.T) {
 	t.Run("table0-write-actions", func(t *testing.T) {
 		testWorkerPathZeroLocksZeroAllocs(t, l2WriteActionsUseCase(), 256, 0, false, nil)
 	})
+	// One hash stage whose direct-code tail holds the load balancer's
+	// defaults: compiled output and lone-drop action programs.
+	t.Run("loadbalancer", func(t *testing.T) {
+		testWorkerPathZeroLocksZeroAllocs(t, workload.LoadBalancerUseCase(100), 256, 0, false, nil)
+	})
 }
 
 // l2WriteActionsUseCase is L2 switching whose MAC table writes its output

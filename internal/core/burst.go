@@ -169,8 +169,16 @@ func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, p
 			if sc.ctr != nil {
 				sc.ctr.add(ce.counters, len(p.Data))
 			}
+			// Level 0 starts every packet on an empty action set, so only
+			// a generic program runs Execute.
 			set0 = set0[:0]
-			if ce.ins.Execute(p, v, &set0, sn.numPorts, sn.start.id) != openflow.StepNext {
+			var step openflow.Step
+			if ce.ins.prog.generic {
+				step = ce.ins.Execute(p, v, &set0, sn.numPorts, sn.start.id)
+			} else {
+				step = ce.ins.prog.run(p, v, sn.start.id)
+			}
+			if step != openflow.StepNext {
 				continue
 			}
 			sc.tramp[j] = ce.next
@@ -283,7 +291,12 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 			if sc.ctr != nil {
 				sc.ctr.add(ce.counters, len(p.Data))
 			}
-			step := ce.ins.Execute(p, v, &sc.sets[i], sn.numPorts, tr.id)
+			var step openflow.Step
+			if ce.ins.prog.generic || len(sc.sets[i]) > 0 {
+				step = ce.ins.Execute(p, v, &sc.sets[i], sn.numPorts, tr.id)
+			} else {
+				step = ce.ins.prog.run(p, v, tr.id)
+			}
 			if rec {
 				sc.cache.record(i, ce, step, sc.sets[i], d.opts.UpdateCounters)
 			}

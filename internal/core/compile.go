@@ -129,7 +129,7 @@ type Datapath struct {
 	mu          lockcount.Mutex
 	trampolines map[openflow.TableID]*trampoline
 	// insCache interns instruction sets by AppendKey (internInstructions).
-	insCache map[string]*openflow.Instructions
+	insCache map[string]*sharedIns
 	keyBuf   []byte
 
 	// snap is the atomically-published immutable snapshot the hot path
@@ -204,7 +204,7 @@ func compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 	d := &Datapath{
 		opts:     opts,
 		numPorts: pl.NumPorts,
-		insCache: make(map[string]*openflow.Instructions),
+		insCache: make(map[string]*sharedIns),
 		versions: make(map[openflow.TableID]*tableVersion),
 	}
 	d.pins = make(chan *Worker, maxPinnedWorkers)
@@ -314,21 +314,19 @@ func (d *Datapath) compileEntry(e *openflow.FlowEntry) (*compiledEntry, error) {
 	return ce, nil
 }
 
-// internInstructions returns the shared copy of an instruction set, creating
-// it on first use: §3.1's shared action sets, widened to the whole set.  The
-// key is built in the writer-owned keyBuf, so a hit allocates nothing.
-func (d *Datapath) internInstructions(ins *openflow.Instructions) *openflow.Instructions {
+// internInstructions returns the shared record of an instruction set,
+// creating it on first use: §3.1's shared action sets, widened to the whole
+// set, with the set's action program compiled once beside it.  The key is
+// built in the writer-owned keyBuf, so a hit allocates and compiles nothing.
+func (d *Datapath) internInstructions(ins *openflow.Instructions) *sharedIns {
 	d.keyBuf = ins.AppendKey(d.keyBuf[:0])
 	if shared, ok := d.insCache[string(d.keyBuf)]; ok {
 		return shared
 	}
-	shared := ins.Clone()
-	d.insCache[string(d.keyBuf)] = &shared
-	return &shared
+	shared := &sharedIns{prog: compileProgram(ins), Instructions: ins.Clone()}
+	d.insCache[string(d.keyBuf)] = shared
+	return shared
 }
-
-// NumSharedActionSets returns the number of distinct interned instructions.
-func (d *Datapath) NumSharedActionSets() int { return len(d.insCache) }
 
 // ParserLayer returns the parsing depth the compiled parser template uses.
 func (d *Datapath) ParserLayer() pkt.Layer { return d.snap.Load().parserLayer }

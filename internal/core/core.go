@@ -21,9 +21,11 @@
 //
 // The runtime (Datapath) executes the compiled representation through one
 // walker of the goto DAG, the burst engine (burst.go): it classifies a burst
-// level by level, runs each matched entry through the interpreter's own
-// instruction step, openflow.Instructions.Execute, and is what every entry
-// point runs — worker bursts, ProcessBurst, and Process as a burst of one.
+// level by level, runs each matched entry's compiled action program
+// (action.go) — or, where the program is generic or the action set is not
+// empty, the interpreter's own instruction step,
+// openflow.Instructions.Execute — and is what every entry point runs: worker
+// bursts, ProcessBurst, and Process as a burst of one.
 // Trace and a metered Process run a recording burst of one, which steps every
 // level per slot: each template has one per-packet lookup, and a non-nil
 // *TraceStep receives what that lookup examined (a nil one is forwarding).
@@ -140,11 +142,11 @@ func DefaultOptions() Options {
 }
 
 // compiledEntry is the specialized form of one flow entry: its instruction
-// set — one record shared by every entry with identical instructions
-// (internInstructions, §3.1) — and the trampoline of its goto target (nil
-// when terminal).
+// set and action program — one record shared by every entry with identical
+// instructions (internInstructions, §3.1) — and the trampoline of its goto
+// target (nil when terminal).
 type compiledEntry struct {
-	ins      *openflow.Instructions
+	ins      *sharedIns
 	next     *trampoline
 	counters *openflow.Counters
 	// priority and match are retained for incremental updates and

@@ -557,13 +557,17 @@ func (e *cacheEntry) apply(p *pkt.Packet, v *openflow.Verdict) {
 
 // applyWrites replays a write-set (writeSet): the TTL decrement, floored at
 // zero as dec_ttl floors it, then the absolute writes.  Push/pop run before
-// the tag write so a pop-then-retag walk replays in order.
+// the tag write so a pop-then-retag walk replays in order.  It is the one
+// replay of both the verdict cache and the action program (actionProgram).
 func applyWrites(p *pkt.Packet, fields uint16, ttlDec uint8, patch *cachePatch) {
 	f, pt, h := fields, patch, &p.Headers
 	if h.IPTTL <= ttlDec {
 		h.IPTTL = 0
 	} else {
 		h.IPTTL -= ttlDec
+	}
+	if f == 0 {
+		return
 	}
 	if f&pfVLANPush != 0 {
 		h.Proto |= pkt.ProtoVLAN

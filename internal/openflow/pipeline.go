@@ -292,9 +292,10 @@ const (
 // apply-actions, the action set (set, written only when an instruction
 // touches it), the metadata write and, when the entry has no goto, the
 // accumulated set.  A punt the entry executes is attributed to table, its
-// own.  It is the one instruction step of every executor — the interpreter,
-// the compiled walkers, the baseline's slow path — so their semantics
-// cannot drift; each keeps its own walk, miss handling and counting.
+// own.  It is the specification's instruction step, shared by the
+// interpreter and the baseline's slow path, and the compiled walker's
+// fallback where its action program (internal/core) cannot express a set;
+// each keeps its own walk, miss handling and counting.
 func (ins *Instructions) Execute(p *pkt.Packet, v *Verdict, set *ActionList, numPorts int, table TableID) Step {
 	if len(ins.ApplyActions) > 0 {
 		ApplyActions(ins.ApplyActions, p, v, numPorts)
