@@ -16,8 +16,11 @@
 //	         [-flow-export-interval 1s] [-flow-active-timeout 30s]
 //	         [-flow-idle-timeout 10s] [-trace <hexframe|pcap:file[:n]>] [-trace-port 1]
 //
-// When -listen is given, an OpenFlow agent accepts controller connections
-// and applies FlowMods to the running switch.
+// -listen accepts OpenFlow controllers one at a time and applies their
+// FlowMods to the running switch.  Each is a supervised session (the chaos
+// tests' controller.Session): an EchoRequest every 500ms, torn down after
+// 1.5s without an EchoReply.  The switch leaves -fail-mode while a session
+// is up, re-enters it when the session dies, and accepts the next one.
 //
 // # Observability plane
 //
@@ -104,7 +107,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -112,7 +114,6 @@ import (
 	"eswitch/internal/core"
 	"eswitch/internal/cpumodel"
 	"eswitch/internal/dpdk"
-	"eswitch/internal/ofp"
 	"eswitch/internal/openflow"
 	"eswitch/internal/ovs"
 	"eswitch/internal/pcap"
@@ -381,8 +382,8 @@ func main() {
 			*puntFilter, *puntFilterWindow)
 	}
 	if failMode != dpdk.FailNormal {
-		// Degraded until a controller actually connects; the reactive accept
-		// loop below flips the switch back to normal per connection.
+		// Degraded until a controller actually connects; the control
+		// session below flips the switch back to normal for each session.
 		sw.SetFailMode(failMode)
 		fmt.Printf("eswitchd: fail mode %s while no controller is connected\n", failMode)
 	}
@@ -397,34 +398,29 @@ func main() {
 			len(puntRings), puntRings[0].Capacity(), rateString(*puntRate))
 	}
 
+	// The control session (-listen) the sweeper and the port supervisor
+	// announce to.
+	agent := controller.NewAgent(programmer)
+	sess := &controller.Session{
+		Switch: sw,
+		Agent:  agent,
+		Slowpath: slowpath.Config{
+			Rings:       puntRings,
+			RatePPS:     *puntRate,
+			Window:      256,
+			MissSendLen: *missSendLen,
+		},
+		FailMode: failMode,
+	}
+
 	// The flow lifecycle sweeper runs per datapath, entirely off the hot
 	// path; removals (idle/hard expiry, soft-limit eviction) are announced to
-	// whichever controller connection is current as FlowRemoved messages.
-	// frOut holds that connection's synchronized writer (nil when none).
-	var frOut atomic.Pointer[controller.SyncWriter]
-	var agent *controller.Agent
+	// the current controller session as FlowRemoved messages.
 	if compiled != nil && (*sweepInterval > 0 || *softTable > 0) {
-		agent = controller.NewAgent(programmer)
 		sweeper := core.NewSweeper(compiled, core.SweeperConfig{
 			Interval:  *sweepInterval,
 			SoftLimit: *softTable,
-			OnRemoved: func(rf core.RemovedFlow) {
-				out := frOut.Load()
-				if out == nil {
-					return
-				}
-				agent.SendFlowRemoved(out, ofp.FlowRemoved{
-					Reason:      rf.Reason, // core Removed* values equal the wire reasons
-					TableID:     rf.Table,
-					Priority:    int32(rf.Priority),
-					IdleTimeout: rf.IdleTimeout,
-					HardTimeout: rf.HardTimeout,
-					DurationSec: uint32(rf.Duration / time.Second),
-					Packets:     rf.Packets,
-					Bytes:       rf.Bytes,
-					Match:       rf.Match,
-				})
-			},
+			OnRemoved: sess.FlowRemoved,
 		})
 		sweepStop := make(chan struct{})
 		defer close(sweepStop)
@@ -436,8 +432,8 @@ func main() {
 	// The port supervisor is the port fault domain: it watches backend queue
 	// errors and worker heartbeats, parks failing ports Down (workers skip
 	// them), re-dials reopenable backends under a deterministic backoff, and
-	// announces every link transition — to the log, and to whichever
-	// controller connection is current as OFPT_PORT_STATUS.
+	// announces every link transition — to the log, and to the current
+	// controller session as OFPT_PORT_STATUS.
 	psup := sw.StartPortSupervisor(dpdk.PortSupervisorConfig{
 		OnTransition: func(ev dpdk.PortLinkEvent) {
 			if ev.Err != nil {
@@ -445,23 +441,7 @@ func main() {
 			} else {
 				log.Printf("eswitchd: port %d link %s: %s", ev.Port, ev.State, ev.Reason)
 			}
-			out := frOut.Load()
-			if out == nil {
-				return
-			}
-			var state uint32
-			switch ev.State {
-			case dpdk.LinkDown:
-				state = ofp.PortStateLinkDown
-			case dpdk.LinkFlapping:
-				state = ofp.PortStateFlapping
-			}
-			ofp.WriteMessage(out, ofp.Message{Type: ofp.TypePortStatus, Body: ofp.EncodePortStatus(ofp.PortStatus{
-				Reason: ofp.PortStatusModify,
-				PortNo: ev.Port,
-				State:  state,
-				Desc:   ev.Reason,
-			})})
+			sess.PortStatus(ev)
 		},
 	})
 	defer psup.Stop()
@@ -505,61 +485,24 @@ func main() {
 		if err != nil {
 			log.Fatalf("listen: %v", err)
 		}
-		if agent == nil {
-			agent = controller.NewAgent(programmer)
+		sup, err := controller.NewSupervisor(controller.SupervisorConfig{
+			Dial:  ln.Accept,
+			Agent: agent,
+			OnUp:  sess.OnUp,
+			OnDown: func(err error) {
+				if err != nil {
+					log.Printf("eswitchd: controller session ended: %v", err)
+				}
+				sess.OnDown(err)
+			},
+		})
+		if err != nil {
+			log.Fatalf("listen: %v", err)
 		}
-		go func() {
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				if puntRings == nil {
-					// Proactive-only channel: FlowMods/Barriers.  The agent's
-					// replies and the sweeper's FlowRemoved announcements
-					// share the connection through a synchronized writer.
-					rw, out := controller.SharedChannel(conn)
-					frOut.Store(out)
-					go func() {
-						agent.Serve(rw)
-						frOut.CompareAndSwap(out, nil)
-						conn.Close()
-					}()
-					continue
-				}
-				// Reactive channel: the punt rings are single-consumer, so
-				// one controller at a time gets the slow-path service for
-				// the lifetime of its connection.
-				rw, out := controller.SharedChannel(conn)
-				svc, err := slowpath.NewService(slowpath.Config{
-					Rings:       puntRings,
-					RatePPS:     *puntRate,
-					Window:      256,
-					MissSendLen: *missSendLen,
-					Executor:    sw,
-					Send: func(pi ofp.PacketIn) error {
-						return ofp.WriteMessage(out, ofp.Message{Type: ofp.TypePacketIn, Body: ofp.EncodePacketIn(pi)})
-					},
-				})
-				if err != nil {
-					log.Printf("slowpath: %v", err)
-					conn.Close()
-					continue
-				}
-				agent.PacketOutHandler = svc.HandlePacketOut
-				frOut.Store(out)
-				sw.SetFailMode(dpdk.FailNormal)
-				stop := make(chan struct{})
-				go svc.Run(stop)
-				if err := agent.Serve(rw); err != nil {
-					log.Printf("agent: %v", err)
-				}
-				sw.SetFailMode(failMode)
-				close(stop)
-				frOut.CompareAndSwap(out, nil)
-				agent.PacketOutHandler = nil
-				conn.Close()
-			}
+		sup.Start()
+		defer func() {
+			ln.Close() // Stop waits for the pending Accept to return
+			sup.Stop()
 		}()
 		fmt.Printf("eswitchd: OpenFlow agent listening on %s\n", ln.Addr())
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"eswitch/internal/core"
+	"eswitch/internal/dpdk"
 	"eswitch/internal/ofp"
 	"eswitch/internal/openflow"
 	"eswitch/internal/ovs"
@@ -310,7 +311,8 @@ func TestAgentSkipsUnknownMessageTypes(t *testing.T) {
 // the controller installs a self-expiring flow with InstallFlowLifetime (the
 // idle timeout rides the FlowMod body), the switch-side sweeper expires it on
 // an injected clock, and the resulting FlowRemoved travels back through the
-// shared channel's SyncWriter into the controller's FlowRemovedHandler.
+// session's hook (Session.FlowRemoved, as eswitchd wires it) into the
+// controller's FlowRemovedHandler.
 func TestFlowRemovedEndToEnd(t *testing.T) {
 	pl := openflow.NewPipeline(4)
 	pl.Table(0).AddFlow(0, openflow.NewMatch(), openflow.Apply(openflow.Drop()))
@@ -325,18 +327,16 @@ func TestFlowRemovedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
 	agent := NewAgent(dp)
-	outCh := make(chan *SyncWriter, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		rw, out := SharedChannel(conn)
-		outCh <- out
-		agent.Serve(rw)
-		conn.Close()
+	sess := &Session{Switch: dpdk.NewSwitchWithConfig(dp, dpdk.SwitchConfig{NumPorts: 4}), Agent: agent}
+	sup, err := NewSupervisor(SupervisorConfig{Dial: ln.Accept, Agent: agent, OnUp: sess.OnUp, OnDown: sess.OnDown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup.Start()
+	defer func() {
+		ln.Close()
+		sup.Stop()
 	}()
 	ctrl, clientConn, err := Dial(ln.Addr().String())
 	if err != nil {
@@ -358,29 +358,14 @@ func TestFlowRemovedEndToEnd(t *testing.T) {
 	if got := dp.Pipeline().Table(0).Len(); got != 2 {
 		t.Fatalf("table holds %d entries after install, want 2", got)
 	}
-	out := <-outCh
 
 	// Switch-side sweeper: expirations are delivered to the controller through
-	// the same shared channel the agent serves (off the worker hot path).
+	// the same shared channel the agent serves (off the worker hot path).  The
+	// barrier above was served, so the session is up.
 	now := time.Unix(3000, 0)
 	s := core.NewSweeper(dp, core.SweeperConfig{
-		Now: func() time.Time { return now },
-		OnRemoved: func(rf core.RemovedFlow) {
-			fr := ofp.FlowRemoved{
-				Reason:      rf.Reason, // numerically identical to ofp's OFPRR_* values
-				TableID:     rf.Table,
-				Priority:    int32(rf.Priority),
-				IdleTimeout: rf.IdleTimeout,
-				HardTimeout: rf.HardTimeout,
-				DurationSec: uint32(rf.Duration / time.Second),
-				Packets:     rf.Packets,
-				Bytes:       rf.Bytes,
-				Match:       rf.Match,
-			}
-			if err := agent.SendFlowRemoved(out, fr); err != nil {
-				t.Errorf("SendFlowRemoved: %v", err)
-			}
-		},
+		Now:       func() time.Time { return now },
+		OnRemoved: sess.FlowRemoved,
 	})
 	if n := s.SweepOnce(); n != 0 {
 		t.Fatalf("sweep at install time removed %d entries", n)

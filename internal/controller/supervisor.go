@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -51,8 +50,9 @@ func (s SupervisorState) String() string {
 
 // SupervisorConfig parameterizes a Supervisor.
 type SupervisorConfig struct {
-	// Dial establishes the control connection (required).  Fault-injection
-	// harnesses wrap the returned conn here.
+	// Dial establishes the control connection (required), dialing out or
+	// accepting (a listener's Accept).  Fault-injection harnesses wrap the
+	// returned conn here.  Stop waits for Dial to return.
 	Dial func() (net.Conn, error)
 	// Agent serves the established channel (required).
 	Agent *Agent
@@ -75,9 +75,9 @@ type SupervisorConfig struct {
 	Seed       int64
 	// OnUp runs when a session is established, with the session's
 	// synchronized writer (the slow-path service's PacketIn sink).  It
-	// returns a teardown hook run when the session dies (nil for none).
-	// Re-arming the slow path and clearing the dataplane's fail mode
-	// belong here.
+	// returns a teardown hook run when the session dies (nil for none),
+	// after the connection is closed.  Re-arming the slow path and clearing
+	// the dataplane's fail mode belong here (Session.OnUp does both).
 	OnUp func(w *SyncWriter) func()
 	// OnDown runs when a session dies (after OnUp's teardown), with the
 	// session's terminal error.  Entering the dataplane's fail mode
@@ -283,17 +283,17 @@ func (c *deadlineConn) Read(p []byte) (int, error) {
 // (disconnect, read deadline), when an echo goes unanswered past
 // EchoTimeout, or when the supervisor stops.
 func (s *Supervisor) serveSession(conn net.Conn) error {
-	defer conn.Close()
 	dc := &deadlineConn{Conn: conn, timeout: s.cfg.EchoInterval + s.cfg.EchoTimeout}
 	rw, w := SharedChannel(dc)
 
-	var teardown func()
 	if s.cfg.OnUp != nil {
-		teardown = s.cfg.OnUp(w)
+		if teardown := s.cfg.OnUp(w); teardown != nil {
+			defer teardown()
+		}
 	}
-	if teardown != nil {
-		defer teardown()
-	}
+	// Closed before the teardown runs: a writer it waits for may be blocked
+	// on a stalled peer.
+	defer conn.Close()
 	s.state.Store(uint32(SupervisorUp))
 
 	// Arm the liveness clock at session start: the first echo deadline is
@@ -329,8 +329,3 @@ func (s *Supervisor) serveSession(conn net.Conn) error {
 		}
 	}
 }
-
-// The agent treats a read-deadline expiry like any other terminal channel
-// error; this var exists only to document that io.EOF alone means orderly
-// shutdown (Serve already maps it to nil).
-var _ = io.EOF

@@ -24,8 +24,7 @@ import (
 // its configured fail mode, revive the controller on the same address, and
 // watch the supervisor reconnect and the learning loop reconverge.  All
 // faults beyond kill/revive come from a seeded faultinject.Injector wired
-// through the dialed connection, the slow-path PacketIn sink, and the
-// agent's flow programmer.
+// through the dialed connection and the agent's flow programmer.
 
 // ChaosConfig parameterizes a ChaosHarness.
 type ChaosConfig struct {
@@ -73,8 +72,8 @@ type ChaosConfig struct {
 	PortBackoffMin   time.Duration
 	PortBackoffMax   time.Duration
 	// Injector, when non-nil, is threaded through the dialed control
-	// connection (faultinject.Conn points), the slow-path PacketIn sink
-	// ("slowpath.send") and the agent's flow programmer ("flowmod.add").
+	// connection (faultinject.Conn points; the slow path's PacketIns are
+	// "conn.write.10") and the agent's flow programmer ("flowmod.add").
 	Injector *faultinject.Injector
 }
 
@@ -101,13 +100,11 @@ type ChaosHarness struct {
 	addr    string
 	inj     *faultinject.Injector
 	pbs     []*faultinject.FaultBackend
+	sess    *controller.Session
 
-	mu    sync.Mutex
-	ln    net.Listener
-	conn  net.Conn
-	svc   *slowpath.Service
-	ctlw  *controller.SyncWriter
-	alive bool
+	mu   sync.Mutex
+	ln   net.Listener
+	conn net.Conn
 
 	pstMu      sync.Mutex
 	portStats  []ofp.PortStatus
@@ -183,14 +180,6 @@ func NewChaosHarness(cfg ChaosConfig) (*ChaosHarness, error) {
 		backends[i] = fb
 	}
 	h.SW = dpdk.NewSwitchWithConfig(dp, dpdk.SwitchConfig{Backends: backends})
-	h.PortCfg = dpdk.PortSupervisorConfig{
-		Interval:     cfg.PortScanInterval,
-		BackoffMin:   cfg.PortBackoffMin,
-		BackoffMax:   cfg.PortBackoffMax,
-		Seed:         cfg.Seed,
-		OnTransition: h.onLink,
-	}
-	h.PSup = h.SW.StartPortSupervisor(h.PortCfg)
 	h.Rings, err = h.SW.ArmPuntRings(cfg.PuntRing, 0)
 	if err != nil {
 		return nil, err
@@ -217,6 +206,12 @@ func NewChaosHarness(cfg ChaosConfig) (*ChaosHarness, error) {
 		programmer = faultinject.WrapProgrammer(dp, cfg.Injector)
 	}
 	h.Agent = controller.NewAgent(programmer)
+	h.sess = &controller.Session{
+		Switch:   h.SW,
+		Agent:    h.Agent,
+		Slowpath: slowpath.Config{Rings: h.Rings, RatePPS: cfg.PuntRate, Window: 256},
+		FailMode: cfg.FailMode,
+	}
 	h.Learner = &controller.LearningSwitch{Priority: 100}
 
 	// Controller side: listen, remember the concrete address so revival
@@ -227,7 +222,7 @@ func NewChaosHarness(cfg ChaosConfig) (*ChaosHarness, error) {
 	}
 	h.addr = ln.Addr().String()
 	h.mu.Lock()
-	h.ln, h.alive = ln, true
+	h.ln = ln
 	h.mu.Unlock()
 	go h.acceptLoop(ln)
 
@@ -239,13 +234,21 @@ func NewChaosHarness(cfg ChaosConfig) (*ChaosHarness, error) {
 		BackoffMin:   cfg.BackoffMin,
 		BackoffMax:   cfg.BackoffMax,
 		Seed:         cfg.Seed,
-		OnUp:         h.onUp,
-		OnDown:       func(error) { h.SW.SetFailMode(h.cfg.FailMode) },
+		OnUp:         h.sess.OnUp,
+		OnDown:       h.sess.OnDown,
 	})
 	if err != nil {
 		ln.Close()
 		return nil, err
 	}
+	h.PortCfg = dpdk.PortSupervisorConfig{
+		Interval:     cfg.PortScanInterval,
+		BackoffMin:   cfg.PortBackoffMin,
+		BackoffMax:   cfg.PortBackoffMax,
+		Seed:         cfg.Seed,
+		OnTransition: h.onLink,
+	}
+	h.PSup = h.SW.StartPortSupervisor(h.PortCfg)
 	h.Sup.Start()
 	if err := h.WaitState(controller.SupervisorUp, 5*time.Second); err != nil {
 		h.Close()
@@ -266,82 +269,18 @@ func (h *ChaosHarness) dial() (net.Conn, error) {
 	return conn, nil
 }
 
-// onUp arms the slow path for the new session and clears the degraded mode;
-// the returned teardown stops the service (flushing already-queued punts)
-// when the session dies.
-func (h *ChaosHarness) onUp(w *controller.SyncWriter) func() {
-	svc, err := slowpath.NewService(slowpath.Config{
-		Rings:    h.Rings,
-		RatePPS:  h.cfg.PuntRate,
-		Window:   256,
-		Executor: h.SW,
-		Send: func(pi ofp.PacketIn) error {
-			if in := h.cfg.Injector; in != nil {
-				if err := in.Hit("slowpath.send"); err != nil {
-					return err
-				}
-			}
-			return ofp.WriteMessage(w, ofp.Message{Type: ofp.TypePacketIn, Body: ofp.EncodePacketIn(pi)})
-		},
-	})
-	if err != nil {
-		// Cannot happen with a well-formed config; surface it by leaving
-		// the slow path disarmed (punts overflow their rings, accounted).
-		return nil
-	}
-	h.Agent.PacketOutHandler = svc.HandlePacketOut
-	h.SW.SetFailMode(dpdk.FailNormal)
-	h.mu.Lock()
-	h.svc, h.ctlw = svc, w
-	h.mu.Unlock()
-	stop := make(chan struct{})
-	go svc.Run(stop)
-	return func() {
-		close(stop)
-		h.mu.Lock()
-		if h.ctlw == w {
-			h.ctlw = nil // session died: port events wait for the next one
-		}
-		h.mu.Unlock()
-	}
-}
-
-// onLink records every link-state transition and forwards it to the current
-// controller session as OFPT_PORT_STATUS (dropped silently when no session
-// is up — the controller learns current state from Stats on reattach).
+// onLink records every link-state transition and announces it to the
+// current controller session (Session.PortStatus).
 func (h *ChaosHarness) onLink(ev dpdk.PortLinkEvent) {
 	h.pstMu.Lock()
 	h.linkEvents = append(h.linkEvents, ev)
 	h.pstMu.Unlock()
-	h.mu.Lock()
-	w := h.ctlw
-	h.mu.Unlock()
-	if w == nil {
-		return
-	}
-	var state uint32
-	switch ev.State {
-	case dpdk.LinkDown:
-		state = ofp.PortStateLinkDown
-	case dpdk.LinkFlapping:
-		state = ofp.PortStateFlapping
-	}
-	desc := ev.Reason
-	if ev.Err != nil {
-		desc = fmt.Sprintf("%s: %v", ev.Reason, ev.Err)
-	}
-	_ = h.Agent.SendPortStatus(w, ofp.PortStatus{
-		Reason: ofp.PortStatusModify, PortNo: ev.Port, State: state, Desc: desc,
-	})
+	h.sess.PortStatus(ev)
 }
 
-// Service returns the slow-path service of the CURRENT session (nil before
+// Service returns the slow-path service of the latest session (nil before
 // the first session).
-func (h *ChaosHarness) Service() *slowpath.Service {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.svc
-}
+func (h *ChaosHarness) Service() *slowpath.Service { return h.sess.Service() }
 
 // acceptLoop attaches the persistent learning controller to every accepted
 // connection (sessions are sequential: the supervisor holds one channel at a
@@ -379,7 +318,7 @@ func (h *ChaosHarness) acceptLoop(ln net.Listener) {
 func (h *ChaosHarness) KillController() {
 	h.mu.Lock()
 	ln, conn := h.ln, h.conn
-	h.ln, h.conn, h.alive = nil, nil, false
+	h.ln, h.conn = nil, nil
 	h.mu.Unlock()
 	if ln != nil {
 		ln.Close()
@@ -398,7 +337,7 @@ func (h *ChaosHarness) ReviveController() error {
 		return err
 	}
 	h.mu.Lock()
-	h.ln, h.alive = ln, true
+	h.ln = ln
 	h.mu.Unlock()
 	go h.acceptLoop(ln)
 	return nil

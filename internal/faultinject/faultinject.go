@@ -121,9 +121,9 @@ func (in *Injector) eval(point string) outcome {
 }
 
 // Hit evaluates the point as a plain gate: it sleeps the rule's Delay and
-// returns the rule's Err when the point fires, nil otherwise.  This is how
-// code without a wrappable structure (e.g. a slow-path Send sink) threads a
-// fault point through itself.
+// returns the rule's Err when the point fires, nil otherwise.  Wrappers
+// without a stream to fault (the flow programmer's "flowmod.add") gate
+// their operation with it.
 func (in *Injector) Hit(point string) error {
 	o := in.eval(point)
 	if !o.fired {

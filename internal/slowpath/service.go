@@ -261,17 +261,16 @@ func (s *Service) Poll() int {
 	return n
 }
 
-// drainOnce pops at most one record from each ring WITHOUT consuming rate
-// tokens — the shutdown flush path.
-func (s *Service) drainOnce() int {
-	n := 0
+// flush delivers what the rings held when it began, WITHOUT consuming rate
+// tokens — the shutdown path.  It stops there because the producers may
+// still be pushing (a fail-normal switch keeps punting between sessions),
+// and a sweep chasing them would never return.
+func (s *Service) flush() {
 	for idx, ring := range s.rings {
-		if ring.Pop(&s.rec) {
+		for n := ring.Len(); n > 0 && ring.Pop(&s.rec); n-- {
 			s.deliver(idx, &s.rec)
-			n++
 		}
 	}
-	return n
 }
 
 // Run drains the rings until stop is closed, sleeping briefly when idle or
@@ -279,15 +278,14 @@ func (s *Service) drainOnce() int {
 // punted are delivered; the sweep bypasses the rate limiter — it is bounded
 // by the rings' capacity, and stranding accepted punts would break the
 // delivered+drops==punted accounting consumers rely on.  (The rings'
-// producers may still be running; anything punted after the sweep stays
-// queued and is accounted as queued, not lost.)
+// producers may still be running; anything punted after the sweep began
+// stays queued and is accounted as queued, not lost.)
 func (s *Service) Run(stop <-chan struct{}) {
 	idle := 0
 	for {
 		select {
 		case <-stop:
-			for s.drainOnce() > 0 {
-			}
+			s.flush()
 			return
 		default:
 		}
