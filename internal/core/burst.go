@@ -54,15 +54,16 @@ type burstScratch struct {
 // cacheScratch is the burst-local staging of the verdict-cache probe
 // (flowcache.go), indexed by burst slot: the masked key/hash/set-base of each
 // slot, whether the slot's verdict may be installed on the way out, the
-// write-set of the actions its walk executed, and the list of miss slots
-// (the wave engine ping-pongs the frontiers, so the miss list needs its own
-// array).
+// write-set of the actions its walk executed, the stage buckets it visited,
+// and the list of miss slots (the wave engine ping-pongs the frontiers, so
+// the miss list needs its own array).
 type cacheScratch struct {
 	ckey     [MaxBurst]flowKey
 	chash    [MaxBurst]uint32
 	cbase    [MaxBurst]uint32
 	cinstall [MaxBurst]bool
 	w        [MaxBurst]writeSet
+	stages   [MaxBurst]stageWalk
 	miss     [MaxBurst]int32
 	// ctrs records, per miss slot, the Counters pointers of the entries the
 	// walk matched, so the install pass can memoize them alongside the
@@ -163,7 +164,7 @@ func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, p
 			v.Tables++
 			ce := sc.outs[j]
 			if ce == nil {
-				sn.miss(v, sn.start.id)
+				sn.miss(v, sn.start.punt)
 				continue
 			}
 			if sc.ctr != nil {
@@ -174,9 +175,9 @@ func (d *Datapath) processBurst(sc *burstScratch, sn *snapshot, fc *FlowCache, p
 			set0 = set0[:0]
 			var step openflow.Step
 			if ce.ins.prog.generic {
-				step = ce.ins.Execute(p, v, &set0, sn.numPorts, sn.start.id)
+				step = ce.ins.Execute(p, v, &set0, sn.numPorts, sn.start.punt)
 			} else {
-				step = ce.ins.prog.run(p, v, sn.start.id)
+				step = ce.ins.prog.run(p, v, sn.start.punt)
 			}
 			if step != openflow.StepNext {
 				continue
@@ -231,9 +232,10 @@ func (d *Datapath) recordBurst(sc *burstScratch, sn *snapshot, p *pkt.Packet, v 
 // (the routing LPM) is visited.  Either way one pass executes the outcomes
 // and builds the next frontier.  It is shared verbatim by the plain,
 // cache-fronted and recording bursts so their semantics cannot drift.  When
-// rec is set (the cache-fronted walk), every executed entry is recorded in
-// the slot's cacheScratch state so the install pass can memoize it with the
-// verdict.  When steps is non-nil (recordBurst's burst of one), no level is
+// rec is set (the cache-fronted walk), every stage visited, a miss or an
+// empty table too, and every executed entry are recorded in the slot's
+// cacheScratch state so the install pass can memoize them with the verdict.
+// When steps is non-nil (recordBurst's burst of one), no level is
 // batched and each per-slot Lookup fills in the TraceStep it appends: the
 // only place a step is recorded.
 func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs []openflow.Verdict, curLen int, uniform bool, startLevel int, rec bool, steps *[]TraceStep) {
@@ -251,7 +253,11 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 			if dp == nil {
 				// A table with nothing published drops.
 				for k := 0; k < curLen; k++ {
-					vs[cur[k]].Dropped = true
+					i := cur[k]
+					vs[i].Dropped = true
+					if rec {
+						sc.cache.stages[i].visit(sc.tramp[i].bucket)
+					}
 				}
 				break
 			}
@@ -267,6 +273,9 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 			i := int(cur[k])
 			p, v := ps[i], &vs[i]
 			tr := sc.tramp[i]
+			if rec {
+				sc.cache.stages[i].visit(tr.bucket)
+			}
 			var ce *compiledEntry
 			var st *TraceStep
 			if uniform {
@@ -278,14 +287,14 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 					continue
 				}
 				if steps != nil {
-					*steps = append(*steps, TraceStep{Table: tr.id, Template: dp.Kind(), Entries: dp.Len()})
+					*steps = append(*steps, TraceStep{Table: tr.id, Template: dp.Kind(), Entries: dp.Len(), bucket: tr.bucket})
 					st = &(*steps)[len(*steps)-1]
 				}
 				ce = dp.Lookup(p, st)
 			}
 			v.Tables++
 			if ce == nil {
-				sn.miss(v, tr.id)
+				sn.miss(v, tr.punt)
 				continue
 			}
 			if sc.ctr != nil {
@@ -293,9 +302,9 @@ func (d *Datapath) runWaves(sc *burstScratch, sn *snapshot, ps []*pkt.Packet, vs
 			}
 			var step openflow.Step
 			if ce.ins.prog.generic || len(sc.sets[i]) > 0 {
-				step = ce.ins.Execute(p, v, &sc.sets[i], sn.numPorts, tr.id)
+				step = ce.ins.Execute(p, v, &sc.sets[i], sn.numPorts, tr.punt)
 			} else {
-				step = ce.ins.prog.run(p, v, tr.id)
+				step = ce.ins.prog.run(p, v, tr.punt)
 			}
 			if rec {
 				sc.cache.record(i, ce, step, sc.sets[i], d.opts.UpdateCounters)
@@ -400,6 +409,7 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 			sc.sets[i] = sc.sets[i][:0]
 		}
 		cs.w[i] = writeSet{}
+		cs.stages[i].n = 0
 		cs.ctrs[i].reset()
 		cs.miss[missN] = int32(i)
 		cur[missN] = int32(i)
@@ -434,6 +444,6 @@ func (d *Datapath) processBurstCached(sc *burstScratch, sn *snapshot, fc *FlowCa
 			}
 			ctrs, nctr = &cs.ctrs[i].ptrs, cs.ctrs[i].n
 		}
-		fc.install(cs.chash[i], &cs.ckey[i], sn.gen, flags, out, tables, puntTable, &cs.w[i], ctrs, nctr)
+		fc.install(cs.chash[i], &cs.ckey[i], sn.gen, cs.stages[i].stages(), flags, out, tables, puntTable, &cs.w[i], ctrs, nctr)
 	}
 }

@@ -16,12 +16,15 @@ import (
 // trampoline is the indirection every goto_table jump goes through (§3.3):
 // the compiled table it points to can be replaced atomically, which is what
 // makes per-table rebuilds transactional and non-disruptive (§3.4).  The
-// trampoline also carries its table's ID so verdicts can attribute
-// punts-to-controller to the table that generated them without any extra
-// per-stage bookkeeping.
+// trampoline also carries its table's ID; punt, the table its verdicts name
+// for punts-to-controller and misses (its own ID, or on a stage the
+// decomposer derived, the source table the controller knows); and its stage
+// bucket (scope.go) — so none of them needs per-stage bookkeeping.
 type trampoline struct {
-	ptr atomic.Pointer[tableSlot]
-	id  openflow.TableID
+	ptr    atomic.Pointer[tableSlot]
+	id     openflow.TableID
+	punt   openflow.TableID
+	bucket uint8
 }
 
 type tableSlot struct {
@@ -57,8 +60,12 @@ type snapshot struct {
 	// modLogWindow records: its last n describe the n mutations since
 	// generation gen-n, which is what lets a probe keep an older entry no
 	// mod since has touched.  Empty on a datapath compiled without caches,
-	// and before the first mutation.
-	mods []modScope
+	// and before the first mutation.  stamps are the per-stage-bucket
+	// generations of the newest mods and the newest barrier's, which let a
+	// probe serve an older entry whose stages no mod reached without reading
+	// the log at all.
+	mods   []modScope
+	stamps stageStamps
 	// keyMask is the compiled cache key: the bits of a packet's flowKey the
 	// pipeline's verdict can depend on (keyEntry, scope.go).  The cache probes
 	// on the packet's key loaded under it (flowKey.load).
@@ -164,6 +171,10 @@ type Datapath struct {
 	// on a datapath whose workers carry caches; dirty != nil is that test.
 	dirty map[openflow.TableID]openflow.FieldSet
 	mods  []modScope
+	// stamps is the writer-owned copy of snapshot.stamps, and stages counts
+	// the compiled stages numbered so far (newTrampoline).
+	stamps stageStamps
+	stages int
 	// flushes counts the barrier records logged: the mutations after which
 	// no older cache entry could be revalidated.
 	flushes atomic.Uint64
@@ -209,16 +220,21 @@ func compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 	}
 	d.pins = make(chan *Worker, maxPinnedWorkers)
 	d.source, d.pipeline = pl, pl
+	var derivedFrom map[openflow.TableID]openflow.TableID
 	if opts.Decompose {
-		if decomposed, extra, origin := decompose(pl, opts); extra > 0 {
-			d.pipeline, d.origin, d.decomposedBy = decomposed, origin, extra
+		if decomposed, from, origin := decompose(pl, opts); len(from) > 0 {
+			d.pipeline, d.origin, d.decomposedBy = decomposed, origin, len(from)
+			derivedFrom = from
 		}
 	}
 	working := d.pipeline
 	d.parserLayer = working.RequiredLayer()
 	d.trampolines = make(map[openflow.TableID]*trampoline, working.NumTables())
 	for _, t := range working.Tables() {
-		d.trampolines[t.ID] = &trampoline{id: t.ID}
+		tr := d.newTrampoline(t.ID)
+		if src, ok := derivedFrom[t.ID]; ok {
+			tr.punt = src
+		}
 	}
 	for _, t := range working.Tables() {
 		dp, err := d.buildTable(t)
@@ -253,11 +269,21 @@ func (d *Datapath) publish() {
 		missToCtrl:  d.pipeline.Miss == openflow.MissController,
 		gen:         d.gen,
 		mods:        d.mods[max(0, len(d.mods)-modLogWindow):],
+		stamps:      d.stamps,
 		keyMask:     d.keyMask,
 		armed:       d.dirty != nil && uncovered == 0 && d.deep,
 		uncovered:   uncovered,
 		regions:     d.regions,
 	})
+}
+
+// newTrampoline creates and registers table id's trampoline, numbering its
+// stage and giving it its stage bucket (scope.go).
+func (d *Datapath) newTrampoline(id openflow.TableID) *trampoline {
+	tr := &trampoline{id: id, punt: id, bucket: 1 + uint8(d.stages%(stageBuckets-1))}
+	d.stages++
+	d.trampolines[id] = tr
+	return tr
 }
 
 // MutexOps returns how many times the datapath's writer mutex has been

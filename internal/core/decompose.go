@@ -17,14 +17,16 @@ import (
 // only applied to tables whose rules are exact-match-or-wildcard (arbitrary
 // masks stay on the linked-list template).
 func DecomposePipeline(pl *openflow.Pipeline, opts Options) (*openflow.Pipeline, int) {
-	out, extra, _ := decompose(pl.Clone(), opts)
-	return out, extra
+	out, from, _ := decompose(pl.Clone(), opts)
+	return out, len(from)
 }
 
 // decompose is DecomposePipeline over a fork of pl, sharing the entries of
-// the tables it leaves alone; origin maps each derived entry to its source.
-func decompose(pl *openflow.Pipeline, opts Options) (out *openflow.Pipeline, extra int, origin map[*openflow.FlowEntry]*openflow.FlowEntry) {
+// the tables it leaves alone.  from maps each table it created to the source
+// table it was derived from, and origin each derived entry to its source.
+func decompose(pl *openflow.Pipeline, opts Options) (out *openflow.Pipeline, from map[openflow.TableID]openflow.TableID, origin map[*openflow.FlowEntry]*openflow.FlowEntry) {
 	out, origin = pl.Fork(), make(map[*openflow.FlowEntry]*openflow.FlowEntry)
+	from = make(map[openflow.TableID]openflow.TableID)
 	for _, id := range out.TableIDs() {
 		t := out.Table(id)
 		if t == nil {
@@ -34,9 +36,9 @@ func decompose(pl *openflow.Pipeline, opts Options) (out *openflow.Pipeline, ext
 		if a.kind != TemplateLinkedList {
 			continue
 		}
-		extra += decomposeTable(out, t, opts, origin)
+		decomposeTable(out, t, opts, origin, from)
 	}
-	return out, extra, origin
+	return out, from, origin
 }
 
 // DecomposeTableCount decomposes a single standalone table (given as a
@@ -95,10 +97,10 @@ const MaxDecomposedTables = 4096
 
 // decomposeTable rewrites table t in place (inside pipeline pl) into a
 // sub-pipeline of single-field exact-match stages following DECOMPOSE(T) of
-// Fig. 6.  It returns the number of new tables created.
-func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options, origin map[*openflow.FlowEntry]*openflow.FlowEntry) int {
+// Fig. 6, noting each new table's source, t, in from.
+func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options, origin map[*openflow.FlowEntry]*openflow.FlowEntry, from map[openflow.TableID]openflow.TableID) {
 	if !decomposable(t) {
-		return 0
+		return
 	}
 	created := 0
 	// Recursive worklist: tables that still need decomposition.
@@ -152,6 +154,7 @@ func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options, 
 		newTable := func(name string) *openflow.FlowTable {
 			nt := pl.AddTable(pl.NextFreeTableID())
 			nt.Name = name
+			from[nt.ID] = t.ID
 			created++
 			return nt
 		}
@@ -228,5 +231,4 @@ func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options, 
 		}
 	}
 	recurse(t)
-	return created
 }

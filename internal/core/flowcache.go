@@ -62,29 +62,35 @@ import (
 //     (scope.go).  Every mutation (AddFlow, DeleteFlow, InstallPipeline)
 //     bumps the generation published in the snapshot.  An entry of the
 //     current generation is served on one counter compare, as ever.  An
-//     entry of an older generation is revalidated lazily, by the probe that
-//     finds it: a verdict can change only if some packet the entry covers, as
-//     seen at the modified table T, matches the added or removed rule; the
-//     fields no entry upstream of T rewrites ("clean" at T) read the same
-//     there as on the wire; so if the entry's key disagrees with the rule on
-//     a clean bit inside the key mask, for every mod logged since the entry's
-//     generation, the verdict stands — the entry's generation is refreshed in
-//     place and the probe is a hit.  If a record overlaps the key, or is a
-//     barrier (anything the analysis does not cover: InstallPipeline, a
-//     decomposed datapath, a created table, a deeper parser, a wider key, a
-//     match outside the flow key), or the log (a window of the last
-//     modLogWindow mods) no longer reaches back to the entry's generation,
-//     the entry is a miss ("stale").  No per-entry locking, no invalidation
-//     walks, nothing shared is written: the log is immutable behind the
-//     snapshot.
+//     entry of an older generation is judged lazily, by the probe that finds
+//     it, by the stage rule: a verdict can change only if the entry's walk
+//     visited the modified table T and some packet the entry covers, as seen
+//     at T, matches the added or removed rule.  Each entry keeps the stage
+//     buckets its walk visited, and the snapshot stamps each bucket with the
+//     generation of its newest mod, so an entry none of whose stages a mod
+//     reached since its generation is served as it is, on five compares,
+//     without reading the log or writing the entry.  Otherwise the probe walks
+//     its stages' chains of log records newer than the entry: the fields no
+//     entry upstream of T rewrites ("clean" at T) read the same there as on
+//     the wire, so if the entry's key disagrees with each record on a clean
+//     bit inside the key mask, the verdict stands — the entry's generation is
+//     refreshed in place and the probe is a hit.  If a record overlaps the
+//     key, or a barrier was logged since (anything the analysis does not
+//     cover: InstallPipeline, a decomposed datapath, a created table, a
+//     deeper parser, a wider key, a match outside the flow key), or a chain
+//     leaves the log (a window of the last modLogWindow mods) before it
+//     reaches the entry's generation, the entry is a miss ("stale").  No
+//     per-entry locking, no invalidation walks, nothing shared is written:
+//     the log is immutable behind the snapshot.
 //   - Replacement keeps the hot flows once the active flows outgrow the
-//     cache.  A full set gives up the entry that has gone unprobed through
-//     the most flow-mods; among entries of the current generation a
+//     cache.  A full set gives up an invalid way if it has one; otherwise a
 //     generalized CLOCK (GCLOCK) picks: every hit bumps a 3-bit saturating
 //     counter in the entry's hot line, and the install's clock hand
-//     decrements counters until it finds one at zero.  Under Zipf skew
-//     that serves the popular head from a cache half the flow set's size,
-//     where first-in-first-out would cycle it out with the tail.
+//     decrements counters until it finds one at zero.  Under Zipf skew that
+//     serves the popular head from a cache half the flow set's size, where
+//     first-in-first-out would cycle it out with the tail.  An entry's
+//     generation is no measure of its use — one the stage rule serves clean
+//     keeps its install generation — so it plays no part.
 //   - Verdicts that cannot be memoized are never installed: multi-port
 //     (flood/multicast) outputs, walks deeper than the entry encoding, and
 //     packets entering with non-zero metadata.
@@ -281,15 +287,16 @@ const (
 )
 
 // cacheEntry is one memoized verdict.  The first 64 bytes hold
-// everything a patch-free hit needs (key, generation, verdict, TTL
-// decrement), so the common case touches a single entry line; its probe hash
-// lives in the cache's parallel tags array, not here.  The patch
-// spills onto the second line and is read only when fields != 0.  Entries
-// are padded to 128 bytes so the hot line stays line-aligned within the
-// (64-byte-aligned) backing array.  The matched-entry counter pointers a
-// counters-enabled datapath memoizes live in the cache's parallel ctrs
-// array (same index), so unarmed datapaths pay nothing for them; only the
-// count rides here, in what was a pad byte of the hot line.
+// everything a patch-free hit needs (key, generation, stage buckets, verdict,
+// TTL decrement), so the common case touches a single entry line; its probe
+// hash lives in the cache's parallel tags array, not here.  The patch and the
+// punt attribution spill onto the second line, read only when fields != 0 or
+// the verdict punts.  Entries are padded to 128 bytes so the hot line stays
+// line-aligned within the (64-byte-aligned) backing array.  The
+// matched-entry counter pointers a counters-enabled datapath memoizes live in
+// the cache's parallel ctrs array (same index), so unarmed datapaths pay
+// nothing for them; only the count rides here, in what was a pad byte of the
+// hot line.
 type cacheEntry struct {
 	key       flowKey // 40 bytes
 	gen       uint64
@@ -298,11 +305,12 @@ type cacheEntry struct {
 	flags     uint8
 	tables    uint8
 	ttlDec    uint8
-	nctr      uint8  // entries recorded in the cache's ctrs array
-	puntTable uint16 // originating table of a cacheToCtrl verdict
-	ref       uint8  // GCLOCK hit counter, saturating at refMax -> 61 bytes
+	nctr      uint8    // entries recorded in the cache's ctrs array
+	ref       uint8    // GCLOCK hit counter, saturating at refMax
+	stages    stageSet // the stage buckets the walk visited -> 63 bytes
 	patch     cachePatch
-	_         [24]byte // -> 128 bytes
+	puntTable uint16   // originating table of a cacheToCtrl verdict
+	_         [22]byte // -> 128 bytes
 }
 
 // flowCacheWays is the set associativity: enough to ride out the occasional
@@ -319,11 +327,13 @@ const refMax = 7
 // changed its verdict.  Every stale probe is also counted as a miss, so
 // Hits+Misses equals the number of packets that ran the cache-enabled burst
 // path.  Revalidated counts the probes that found a matching key from a
-// retired generation and kept it (no mod since overlaps it); they are hits.
-// Expired is the subset of Stale lost not to any particular flow-mod but to
-// their number: the entry sat unprobed through more mods than the scope log
-// holds.  Flushes is a writer-side count, not a per-worker one: the barrier
-// records logged, i.e. the mutations after which no older entry could be
+// retired generation and kept it: those whose stages no mod since reached
+// (served as they are) and those whose scan of their stages' mods found no
+// overlap (restamped); they are hits.  Expired is the subset of Stale lost
+// not to any particular flow-mod but to their number: the entry sat unprobed
+// while a stage its walk visited took mods the scope log no longer holds.
+// Flushes is a writer-side count, not a per-worker one: the barrier records
+// logged, i.e. the mutations after which no older entry could be
 // revalidated.  (Stale probes beyond Expired overlapped a mod or a barrier.)
 //
 // The occupancy counters describe install-side behaviour: Installs is every
@@ -406,9 +416,9 @@ func newFlowCache(entries int, counters bool) *FlowCache {
 func (fc *FlowCache) Len() int { return len(fc.entries) }
 
 // lookup probes the set for an entry with the given key that is valid under
-// the snapshot: of its generation, or of an older one no flow-mod since has
-// touched (revalidate).  It reports a stale sighting (matching key, lost to a
-// retired generation) so the caller can count it; a stale entry is never
+// the snapshot: of its generation, or of an older one no flow-mod since can
+// have changed (revalidate).  It reports a stale sighting (matching key, lost
+// to a retired generation) so the caller can count it; a stale entry is never
 // returned.  idx is the hit entry's index (fc.ctrs[idx] holds its memoized
 // counter pointers).
 func (fc *FlowCache) lookup(h uint32, k *flowKey, sn *snapshot) (e *cacheEntry, idx uint32, stale bool) {
@@ -417,8 +427,12 @@ func (fc *FlowCache) lookup(h uint32, k *flowKey, sn *snapshot) (e *cacheEntry, 
 
 // lookupAt is lookup with the set base precomputed (the burst probe pass
 // derives all bases first so the set's tag line can be touched early).  It
-// reads an entry only where the set's tag equals h.  A hit bumps the entry's
-// hit counter (install's clock reads it); a stale sighting does not.
+// reads an entry only where the set's tag equals h.  An entry of an older
+// generation is served by the stage rule (scope.go): as it is when no mod
+// since reached a stage its walk visited and no barrier was logged since —
+// five compares against the snapshot's stamps, no scan, no write — and
+// otherwise only if revalidate clears it.  A hit bumps the entry's hit
+// counter (install's clock reads it); a stale sighting does not.
 func (fc *FlowCache) lookupAt(base, h uint32, k *flowKey, sn *snapshot) (e *cacheEntry, idx uint32, stale bool) {
 	gen := sn.gen
 	tags := fc.tags[base : base+flowCacheWays]
@@ -427,30 +441,47 @@ func (fc *FlowCache) lookupAt(base, h uint32, k *flowKey, sn *snapshot) (e *cach
 			continue
 		}
 		c := &fc.entries[base+uint32(i)]
-		if c.flags&cacheValid != 0 && c.key.equal(k) {
-			if c.gen == gen || fc.revalidate(c, sn) {
-				if c.ref < refMax {
-					c.ref++
-				}
-				return c, base + uint32(i), stale
-			}
-			stale = true
+		if c.flags&cacheValid == 0 || !c.key.equal(k) {
+			continue
 		}
+		switch {
+		case c.gen == gen:
+		case sn.stamps.clean(&c.stages, c.gen):
+			fc.revalidatedL++
+		case !fc.revalidate(c, sn):
+			stale = true
+			continue
+		}
+		if c.ref < refMax {
+			c.ref++
+		}
+		return c, base + uint32(i), stale
 	}
 	return nil, 0, stale
 }
 
 // revalidate is the probe's slow path for a matching entry of an older
-// generation: if no flow-mod since that generation can have changed the
-// verdict of any packet sharing this masked key, the entry joins the
-// snapshot's generation.
+// generation that some mod since reached: the chained records of its own
+// stages newer than the entry are compared with its key.  A chain that
+// leaves the log's window expires it, an overlap or a barrier since stales
+// it, and if none of these, no mod since can have changed the verdict of any
+// packet sharing this masked key and the entry joins the snapshot's
+// generation.
 func (fc *FlowCache) revalidate(c *cacheEntry, sn *snapshot) bool {
-	n := sn.lag(c.gen)
-	if n < 0 {
-		fc.expiredL++
-		return false
+	g, s := c.gen, &c.stages
+	for j, b := range s {
+		if j > 0 && b == s[0] {
+			break // the rest repeat the first
+		}
+		switch i, expired := sn.chainOverlap(b, g, &c.key, &sn.keyMask); {
+		case expired:
+			fc.expiredL++
+			return false
+		case i >= 0:
+			return false
+		}
 	}
-	if sn.newestOverlap(n, &c.key, &sn.keyMask) >= 0 {
+	if sn.stamps.barrier > g {
 		return false
 	}
 	c.gen = sn.gen
@@ -458,37 +489,33 @@ func (fc *FlowCache) revalidate(c *cacheEntry, sn *snapshot) bool {
 	return true
 }
 
-// install memoizes a verdict for the key.  Victim priority: an entry already
-// holding the key (refresh in place), an invalid slot, then the entry of the
-// oldest generation — a probe refreshes an entry's generation, so it doubles
-// as a last-probed stamp at flow-mod granularity: the oldest entry has gone
-// unprobed through the most mods, an expired one (which nothing can
-// revalidate any more) through the most of all.  With every entry of the
-// current generation the clock decides (GCLOCK): the hand, starting at the
-// cache-wide cursor, takes one off each nonzero hit counter it passes and
-// evicts the first way already at zero — at most flowCacheWays*refMax+1
-// steps.  A hot flow keeps its way while it is hit faster than the hand
-// comes round; one that goes idle loses it within refMax+1 passes.  Every
-// install starts the counter at zero.  w is the walk's write-set.
-// ctrs/nctr carry the matched entries' counter pointers on a
-// counters-enabled datapath (nil/0 otherwise), so hits can keep per-flow
-// statistics exact.
-func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, flags uint8, out uint32, tables uint8, puntTable uint16, w *writeSet, ctrs *[cacheMaxCtrs]*openflow.Counters, nctr uint8) {
+// install memoizes a verdict for the key, with the stage buckets its walk
+// visited.  Victim priority: an entry already holding the key (refresh in
+// place), an invalid slot, then a generalized CLOCK (GCLOCK): the hand,
+// starting at the cache-wide cursor, takes one off each nonzero hit counter
+// it passes and evicts the first way already at zero — at most
+// flowCacheWays*refMax+1 steps.  A hot flow keeps its way while it is hit
+// faster than the hand comes round; one that goes idle loses it within
+// refMax+1 passes, and so does a stale or expired one, which no probe hits.
+// An entry's generation says nothing about its use: one the stage rule
+// serves clean keeps its install generation however often it is hit.  Every
+// install starts the counter at zero.  w is the walk's write-set.  ctrs/nctr
+// carry the matched entries' counter pointers on a counters-enabled datapath
+// (nil/0 otherwise), so hits can keep per-flow statistics exact.
+func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, stages stageSet, flags uint8, out uint32, tables uint8, puntTable uint16, w *writeSet, ctrs *[cacheMaxCtrs]*openflow.Counters, nctr uint8) {
 	base := (h & fc.mask) * flowCacheWays
 	set := fc.entries[base : base+flowCacheWays]
 	var victim *cacheEntry
-	vi, oldest := uint32(0), uint64(0)
+	vi := uint32(0)
 	for i := range set {
 		c := &set[i]
-		age := gen - c.gen
 		if c.flags&cacheValid == 0 {
-			age = ^uint64(0)
+			if victim == nil {
+				victim, vi = c, base+uint32(i)
+			}
 		} else if fc.tags[base+uint32(i)] == h && c.key.equal(k) {
 			victim, vi = c, base+uint32(i)
 			break
-		}
-		if age > oldest {
-			victim, vi, oldest = c, base+uint32(i), age
 		}
 	}
 	for victim == nil {
@@ -512,15 +539,18 @@ func (fc *FlowCache) install(h uint32, k *flowKey, gen uint64, flags uint8, out 
 	fc.tags[vi] = h
 	victim.key = *k
 	victim.gen = gen
+	victim.stages = stages
 	victim.out = out
 	victim.fields = w.fields
 	victim.flags = flags
 	victim.tables = tables
 	victim.ttlDec = w.ttlDec
-	victim.puntTable = puntTable
 	victim.ref = 0
 	if w.fields != 0 {
 		victim.patch = w.patch
+	}
+	if flags&cacheToCtrl != 0 {
+		victim.puntTable = puntTable
 	}
 	victim.nctr = nctr
 	if nctr != 0 {

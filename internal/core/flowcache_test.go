@@ -49,21 +49,22 @@ func checkTags(t *testing.T, fc *FlowCache) {
 
 // TestFlowCacheProbeInstall unit-tests the set-associative structure
 // directly: install/lookup round trips, generation mismatches reported as
-// stale, in-place refresh of an existing key, and oldest-first victim
-// selection once a set fills.  The keys are found by search to share one
-// set, and each is probed and installed under its own hash.
+// stale, in-place refresh of an existing key, and clock victim selection
+// once a set fills, whatever the entries' generations.  The keys are found by
+// search to share one set, and each is probed and installed under its own
+// hash.
 func TestFlowCacheProbeInstall(t *testing.T) {
 	fc := newFlowCache(256, false) // 64 sets x 4 ways
 	k := flowKey{1, 2, 3, 4, 5}
+	base := (k.hash() & fc.mask) * flowCacheWays
 	same := setMates(fc, k.hash()&fc.mask, 100, flowCacheWays+1)
 	lookup := func(k *flowKey, sn *snapshot) (*cacheEntry, uint32, bool) { return fc.lookup(k.hash(), k, sn) }
 	install := func(k *flowKey, gen uint64, flags uint8, out uint32, tables uint8) {
-		fc.install(k.hash(), k, gen, flags, out, tables, 0, &writeSet{}, nil, 0)
+		fc.install(k.hash(), k, gen, stageSet{1, 1, 1, 1}, flags, out, tables, 0, &writeSet{}, nil, 0)
 		checkTags(t, fc)
 	}
-	// Snapshots without a scope log: any older generation is below the
-	// log's floor, i.e. every bump behaves like a barrier.
-	gen := func(g uint64) *snapshot { return &snapshot{gen: g} }
+	// Snapshots whose every bump was a barrier: no older entry is served.
+	gen := func(g uint64) *snapshot { return &snapshot{gen: g, stamps: stageStamps{barrier: g}} }
 	if e, _, stale := lookup(&k, gen(1)); e != nil || stale {
 		t.Fatal("empty cache returned an entry")
 	}
@@ -90,9 +91,10 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 	if live != 1 {
 		t.Fatalf("refresh duplicated the entry: %d live", live)
 	}
-	// Fill the rest of the set at generation 2, then install a fresh key at
-	// generation 3: every entry is one generation old, the victim is the
-	// first of them (way 0, holding k), never a fifth slot.
+	// Fill the rest of the set at generation 2; k, in way 0, has been hit
+	// once since its install.  A fresh key at generation 3 finds no invalid
+	// way, so the clock picks, not the age: the hand takes way 0's hit back
+	// and evicts way 1, never hit.
 	for i := 0; i < flowCacheWays-1; i++ {
 		install(&same[i], 2, cacheValid, 0, 1)
 	}
@@ -101,23 +103,26 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 	if e, _, _ := lookup(&kNew, gen(3)); e == nil || e.out != 11 {
 		t.Fatalf("install into a full set failed: %+v", e)
 	}
-	if e, _, _ := lookup(&k, gen(3)); e != nil {
-		t.Fatal("oldest-generation victim (way 0) survived")
+	if wayOf(fc, base, &k) != 0 || wayOf(fc, base, &same[0]) >= 0 || wayOf(fc, base, &kNew) != 1 {
+		t.Fatal("the clock did not take the never-hit way 1")
 	}
-	// Refresh ways 1 and 3 under generation 3, leaving way 2 — the middle of
-	// the set, not the way after the last victim — as the one entry of a
-	// retired generation.  At generation 4 it alone is two generations old
-	// — unprobed the longest — and must be the one the next install takes,
-	// whatever the clock says.
-	k100, k102 := same[0], same[2]
-	install(&k100, 3, cacheValid|cacheHasPort, 12, 1)
-	install(&k102, 3, cacheValid|cacheHasPort, 13, 1)
-	install(&same[flowCacheWays], 4, cacheValid, 0, 1)
-	for _, kept := range []*flowKey{&kNew, &k100, &k102} {
-		// (Under a log-less snapshot the survivors read as stale sightings,
-		// which is all this needs: they are still there.)
-		if _, _, stale := lookup(kept, gen(4)); !stale {
-			t.Fatalf("entry %v evicted ahead of an older one", *kept)
+	// An old generation is no reason to go.  Refresh ways 2 and 3 under
+	// generation 4, then hit k — two generations older — under a snapshot
+	// whose mods, on stage bucket 2, reached none of its stages: it is
+	// served as it is, keeping its install generation.  The next install's
+	// hand, at way 2, evicts the fresh never-hit way there, not the oldest.
+	install(&same[1], 4, cacheValid|cacheHasPort, 12, 1)
+	install(&same[2], 4, cacheValid|cacheHasPort, 13, 1)
+	if e, _, _ := lookup(&k, &snapshot{gen: 4, stamps: stageStamps{at: [stageBuckets]uint64{bucketAll: 4, 2: 4}}}); e == nil || e.gen != 2 {
+		t.Fatalf("a clean entry was not served at its own generation: %+v", e)
+	}
+	install(&same[flowCacheWays], 5, cacheValid, 0, 1)
+	if wayOf(fc, base, &same[1]) >= 0 || wayOf(fc, base, &same[flowCacheWays]) != 2 {
+		t.Fatal("the clock did not take the never-hit way 2")
+	}
+	for _, kept := range []*flowKey{&k, &kNew, &same[2]} {
+		if wayOf(fc, base, kept) < 0 {
+			t.Fatalf("entry %v, hit or newer than the victim, was evicted", *kept)
 		}
 	}
 	live = 0
@@ -141,9 +146,9 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 		coll[i] = flowKey{0: 500 + uint64(i)}
 	}
 	for i := 0; i < flowCacheWays; i++ {
-		fc.install(h, &coll[i], 1, cacheValid|cacheHasPort, 20+uint32(i), 1, 0, &writeSet{}, nil, 0)
+		fc.install(h, &coll[i], 1, stageSet{}, cacheValid|cacheHasPort, 20+uint32(i), 1, 0, &writeSet{}, nil, 0)
 	}
-	fc.install(h, &coll[2], 1, cacheValid|cacheHasPort, 30, 1, 0, &writeSet{}, nil, 0)
+	fc.install(h, &coll[2], 1, stageSet{}, cacheValid|cacheHasPort, 30, 1, 0, &writeSet{}, nil, 0)
 	for i := 0; i < flowCacheWays; i++ {
 		want := 20 + uint32(i)
 		if i == 2 {
@@ -153,7 +158,7 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 			t.Fatalf("colliding key %d: got %+v, want out %d", i, e, want)
 		}
 	}
-	fc.install(h, &coll[flowCacheWays], 2, cacheValid|cacheHasPort, 40, 1, 0, &writeSet{}, nil, 0)
+	fc.install(h, &coll[flowCacheWays], 2, stageSet{}, cacheValid|cacheHasPort, 40, 1, 0, &writeSet{}, nil, 0)
 	if e, _, _ := fc.lookup(h, &coll[flowCacheWays], gen(2)); e == nil || e.out != 40 {
 		t.Fatalf("install over colliding tags failed: %+v", e)
 	}
@@ -163,6 +168,70 @@ func TestFlowCacheProbeInstall(t *testing.T) {
 	for i := 1; i < flowCacheWays; i++ {
 		if _, _, stale := fc.lookup(h, &coll[i], gen(2)); !stale {
 			t.Fatalf("colliding key %d lost to a set-mate's install", i)
+		}
+	}
+}
+
+// TestStageRule holds the probe's judgement of an older entry (lookupAt and
+// revalidate) to its outcomes, each on a fresh entry whose walk visited
+// stage buckets 1 and 2, under hand-logged mods: an entry no mod reached is
+// served as it is, with no scan — its snapshot's log is empty, though the
+// stamps say 25 mods went to bucket 3 — and keeps its generation; a mod on
+// one of its stages that overlaps no packet of its key is scanned past, and
+// the entry restamped; an overlapping one stales it; a record of its stages
+// beyond the log's reach expires it; a barrier stales it whatever stages it
+// names.  An entry whose walk visited more buckets than an entry holds is
+// compared with every record.
+func TestStageRule(t *testing.T) {
+	km := flowKey{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	k := flowKey{0: 7}
+	on := func(b uint8, key uint64) modScope {
+		return modScope{bucket: b, val: flowKey{0: key}, mask: flowKey{0: ^uint64(0)}}
+	}
+	run := func(n int, r modScope) []modScope {
+		rs := make([]modScope, n)
+		for i := range rs {
+			rs[i] = r
+		}
+		return rs
+	}
+	unlogged := &snapshot{gen: 26, keyMask: km, stamps: stageStamps{at: [stageBuckets]uint64{bucketAll: 26, 3: 26}}}
+	for _, tc := range []struct {
+		name                string
+		stages              stageSet
+		mods                []modScope
+		sn                  *snapshot // instead of mods
+		served, restamped   bool
+		revalidated, expire uint64
+	}{
+		{name: "clean", stages: stageSet{1, 2, 1, 1}, sn: unlogged, served: true, revalidated: 1},
+		{name: "touched, no overlap", stages: stageSet{1, 2, 1, 1}, mods: []modScope{on(3, 7), on(1, 8), on(2, 9)},
+			served: true, restamped: true, revalidated: 1},
+		{name: "overlap", stages: stageSet{1, 2, 1, 1}, mods: []modScope{on(2, 7), on(1, 8)}},
+		{name: "beyond reach", stages: stageSet{1, 2, 1, 1}, mods: append([]modScope{on(1, 8)}, run(modLogWindow, on(3, 7))...),
+			expire: 1},
+		{name: "barrier", stages: stageSet{1, 2, 1, 1}, mods: []modScope{{barrier: true, bucket: 3}}},
+		{name: "every stage, no overlap", stages: stageSet{}, mods: []modScope{on(3, 8), on(9, 9)},
+			served: true, restamped: true, revalidated: 1},
+		{name: "every stage, overlap", stages: stageSet{}, mods: []modScope{on(9, 7), on(3, 8)}},
+	} {
+		fc := newFlowCache(256, false)
+		fc.install(k.hash(), &k, 1, tc.stages, cacheValid, 0, 1, 0, &writeSet{}, nil, 0)
+		sn := tc.sn
+		if sn == nil {
+			sn = &snapshot{gen: 1, keyMask: km}
+			for _, r := range tc.mods {
+				sn = logged(sn, r)
+			}
+		}
+		e, _, stale := fc.lookup(k.hash(), &k, sn)
+		switch {
+		case (e != nil) != tc.served || stale == tc.served:
+			t.Errorf("%s: served %v, stale %v; want served %v", tc.name, e != nil, stale, tc.served)
+		case e != nil && (e.gen == sn.gen) != tc.restamped:
+			t.Errorf("%s: entry left at generation %d under %d; want restamped %v", tc.name, e.gen, sn.gen, tc.restamped)
+		case fc.revalidatedL != tc.revalidated || fc.expiredL != tc.expire:
+			t.Errorf("%s: %d revalidated, %d expired; want %d, %d", tc.name, fc.revalidatedL, fc.expiredL, tc.revalidated, tc.expire)
 		}
 	}
 }
@@ -205,7 +274,7 @@ func TestFlowCacheClockReplacement(t *testing.T) {
 	ks := setMates(fc, base/flowCacheWays, 1, flowCacheWays+1+(refMax+1)*flowCacheWays)
 	install := func(k *flowKey) {
 		t.Helper()
-		fc.install(k.hash(), k, gen, cacheValid, 0, 1, 0, &writeSet{}, nil, 0)
+		fc.install(k.hash(), k, gen, stageSet{}, cacheValid, 0, 1, 0, &writeSet{}, nil, 0)
 		checkTags(t, fc)
 	}
 	hit := func(k *flowKey) {
@@ -266,13 +335,18 @@ func TestFlowCacheClockReplacement(t *testing.T) {
 // probes and generation bumps over keys crowded into a few sets — two pairs
 // of distinct keys with equal probe hashes among them — and holds it to a
 // model after every operation: a hit serves the key's own latest install,
-// and only while no mod since has touched the key; a key probed right after
-// its install, at its generation, hits; no set holds a key twice; tags match
-// their keys; hit counters stay within refMax; and an install into a set
-// with a free way evicts nothing.  A scoped bump logs a mod touching one key
-// (set-mates revalidate past it), a barrier bump one touching all.
+// and only while no mod since has touched the key on a stage its walk
+// visited; an entry no mod since its install reached is served at its
+// install generation (the clean path rewrites nothing); a key probed right
+// after its install, at its generation, hits; no set holds a key twice; tags
+// match their keys; hit counters stay within refMax; and an install into a
+// set with a free way evicts nothing.  Every key's walk visits two of five
+// stage buckets, or, for every fifth key, more than an entry holds.  A mod
+// on one stage touches one key there (set-mates and keys elsewhere
+// revalidate past it) or every key there, a barrier every key everywhere.
 func FuzzFlowCacheOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 0, 1, 2, 2, 1, 3, 0, 2, 1, 4, 0, 2, 1, 0, 9, 0, 10, 0, 11, 0, 12, 2, 9})
+	f.Add([]byte{0, 0, 0, 5, 3, 0x10, 2, 0, 2, 5, 4, 0x20, 2, 0, 2, 5, 5, 0, 2, 0, 2, 5})
 	rng := rand.New(rand.NewSource(32))
 	for _, size := range []int{64, 512} {
 		seed := make([]byte, size)
@@ -280,13 +354,23 @@ func FuzzFlowCacheOps(f *testing.F) {
 		f.Add(seed)
 	}
 	pool := fuzzCacheKeys(f)
+	stagesOf := func(j int) stageSet {
+		if j%5 == 4 {
+			return stageSet{}
+		}
+		a := uint8(1 + j%3)
+		return stageSet{a, uint8(4 + j%2), a, a}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fc := newFlowCache(256, false)
 		keyMask := flowKey{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 		sn := &snapshot{gen: 1, keyMask: keyMask}
 		type installed struct {
-			out  uint32
-			live bool // no mod touching the key since its install
+			out    uint32
+			gen    uint64
+			stages stageSet
+			live   bool // no mod touching the key on its stages since its install
+			clean  bool // no mod on its stages since its install
 		}
 		model := make(map[flowKey]installed)
 		probe := func(k *flowKey) *cacheEntry {
@@ -296,26 +380,29 @@ func FuzzFlowCacheOps(f *testing.F) {
 			}
 			if m, ok := model[*k]; e.key != *k || !ok || !m.live || e.out != m.out || idx/flowCacheWays != k.hash()&fc.mask {
 				t.Fatalf("probe of key %#x served entry %d (key %#x, out %d), want out %d (live %v)", k[0], idx, e.key[0], e.out, m.out, m.live)
+			} else if m.clean && e.gen != m.gen {
+				t.Fatalf("probe of key %#x, untouched since generation %d, left it at %d", k[0], m.gen, e.gen)
 			}
 			return e
 		}
 		for i, ops := 0, data; len(ops) >= 2; i, ops = i+1, ops[2:] {
-			k := &pool[int(ops[1])%len(pool)]
-			switch op := ops[0] % 5; op {
+			j := int(ops[1]) % len(pool)
+			k := &pool[j]
+			switch op := ops[0] % 6; op {
 			case 0, 1: // install; 1 probes it right after
 				h := k.hash()
 				base := (h & fc.mask) * flowCacheWays
 				var before []flowKey // the set's valid keys, if it has a free way
-				for j := range flowCacheWays {
-					if c := &fc.entries[base+uint32(j)]; c.flags&cacheValid != 0 {
+				for w := range flowCacheWays {
+					if c := &fc.entries[base+uint32(w)]; c.flags&cacheValid != 0 {
 						before = append(before, c.key)
 					}
 				}
 				if len(before) == flowCacheWays {
 					before = nil
 				}
-				fc.install(h, k, sn.gen, cacheValid|cacheHasPort, uint32(i), 1, 0, &writeSet{}, nil, 0)
-				model[*k] = installed{uint32(i), true}
+				fc.install(h, k, sn.gen, stagesOf(j), cacheValid|cacheHasPort, uint32(i), 1, 0, &writeSet{}, nil, 0)
+				model[*k] = installed{uint32(i), sn.gen, stagesOf(j), true, true}
 				for _, b := range before {
 					if wayOf(fc, base, &b) < 0 {
 						t.Fatalf("op %d: install of key %#x into a set with a free way evicted key %#x", i, k[0], b[0])
@@ -326,33 +413,51 @@ func FuzzFlowCacheOps(f *testing.F) {
 				}
 			case 2:
 				probe(k)
-			case 3, 4: // a flow-mod touching k (scoped) or everything (barrier)
-				r := modScope{barrier: true}
-				if op == 3 {
-					r = modScope{val: flowKey{0: k[0]}, mask: flowKey{0: ^uint64(0)}}
+			case 3, 4, 5: // a mod on one stage touching k (3) or every key (4), or a barrier (5)
+				b := 1 + ops[1]>>4%5
+				r := modScope{bucket: b}
+				switch op {
+				case 3:
+					r.val, r.mask = flowKey{0: k[0]}, flowKey{0: ^uint64(0)}
+				case 5:
+					r = modScope{barrier: true}
 				}
 				for key, m := range model {
-					if op == 4 || key[0] == k[0] {
-						model[key] = installed{m.out, false}
+					if reached := op == 5 || m.stages.has(b); reached {
+						m.clean = false
+						m.live = m.live && op == 3 && key[0] != k[0]
+						model[key] = m
 					}
 				}
-				sn = &snapshot{gen: sn.gen + 1, mods: append(sn.mods, r), keyMask: keyMask}
+				sn = logged(sn, r)
 			}
 			checkTags(t, fc)
 			for s := uint32(0); s <= fc.mask; s++ {
 				base := s * flowCacheWays
-				for j := range flowCacheWays {
-					c := &fc.entries[base+uint32(j)]
+				for w := range flowCacheWays {
+					c := &fc.entries[base+uint32(w)]
 					if c.ref > refMax {
-						t.Fatalf("op %d: entry %d hit counter %d over refMax", i, base+uint32(j), c.ref)
+						t.Fatalf("op %d: entry %d hit counter %d over refMax", i, base+uint32(w), c.ref)
 					}
-					if c.flags&cacheValid != 0 && wayOf(fc, base, &c.key) != j {
+					if c.flags&cacheValid != 0 && wayOf(fc, base, &c.key) != w {
 						t.Fatalf("op %d: set %d holds key %#x twice", i, s, c.key[0])
 					}
 				}
 			}
 		}
 	})
+}
+
+// logged returns the snapshot after sn once record r is logged, as logMod
+// and publish leave it: one generation on, r stamped and appended, the log
+// cut to its window.
+func logged(sn *snapshot, r modScope) *snapshot {
+	next := *sn
+	next.gen++
+	next.stamps.log(&r, next.gen)
+	mods := append(sn.mods[:len(sn.mods):len(sn.mods)], r)
+	next.mods = mods[max(0, len(mods)-modLogWindow):]
+	return &next
 }
 
 // fuzzCacheKeys returns FuzzFlowCacheOps's key pool: two pairs of distinct

@@ -12,42 +12,143 @@ import (
 // packet in its hand.
 //
 // A memoized verdict can change under a flow-mod to table T only if the
-// packet, as it looks on arrival at T, matches the added or removed rule
-// (a replace keeps the match, a delete can only uncover entries for packets
-// the deleted rule used to take).  The probe holds the packet as it looked on
-// the wire, and the two views agree on every field no entry upstream of T can
-// have rewritten.  So the writer records, per flow-mod, the mod's match
-// restricted to those clean fields (modScope), and a probe that finds an
-// entry from an older generation serves it if no record newer than the entry
-// overlaps the packet (snapshot.lag, snapshot.newestOverlap).  Whatever this
-// analysis does not cover is recorded as a barrier — an empty scope, which
-// overlaps every packet — and stales everything older, exactly as the global
-// generation bump did.
+// packet's walk visits T and the packet, as it looks on arrival at T, matches
+// the added or removed rule (a replace keeps the match, a delete can only
+// uncover entries for packets the deleted rule used to take).  The walk half
+// is the stage rule: every compiled stage has a stage bucket, a cache entry
+// keeps the buckets its walk visited, and the snapshot stamps each bucket
+// with the generation of the newest mod on it (stageStamps), so an entry no
+// mod since its generation reached is served on a few compares.  The match
+// half is the scope: the probe holds the packet as it looked on the wire, and
+// the two views agree on every field no entry upstream of T can have
+// rewritten.  So the writer records, per flow-mod, the mod's match restricted
+// to those clean fields (modScope), chained to the previous record of its
+// bucket, and a probe that finds a touched entry walks its buckets' chains
+// back to the entry's generation and serves it if no record overlaps the
+// packet (snapshot.chainOverlap).  Whatever this analysis does not cover is
+// recorded as a barrier — an empty scope, which overlaps every packet — and
+// stales everything older, exactly as the global generation bump did.
 
 // modScope is one record of the flow-mod scope log: the value/mask pair of
 // the mod's match over its table's clean fields, laid out like the canonical
 // flow key so the overlap test is five masked compares.
 type modScope struct {
 	val, mask flowKey
-	table     openflow.TableID
+	// prev is the generation of the previous record in the same stage
+	// bucket (0 when there is none): the bucket's chain (stageStamps.log).
+	prev  uint64
+	table openflow.TableID
+	// bucket is the modified table's stage bucket.
+	bucket uint8
 	// barrier marks a record whose scope is empty because the mod could not
 	// be analysed, not because its match was.
 	barrier bool
 }
 
-// modLogWindow is how many flow-mods back the scope log reaches: an entry
-// survives at most this many mods without being probed, and a probe scans at
-// most this many records (about 3 ns each, against a few hundred for the
-// walk it saves).  The backing array holds twice the window (40 records x 88
-// bytes, under 4 KB) so that it is replaced, not shifted, once per window.
+// modLogWindow is how many flow-mods back the scope log reaches: a probe
+// that walks a stage's chain past the window's oldest record expires the
+// entry, since mods it was never compared with have left the log.  An entry
+// whose stages no mod reached is served however old it is, so the window
+// bounds only entries on busy stages.  The backing array holds twice the
+// window (40 records x 96 bytes, under 4 KB) so that it is replaced, not
+// shifted, once per window.
 //
 // The value is not tuned to traffic: it is the largest round number under 24,
-// because the benchmark's own smoke test (bench/bench_test.go, outside what a
-// PR to this package may edit) requires a 24-mod churn run to report stale
-// probes, and with no mod touching a live flow those can only be window
-// expiries.  A window of 30 measured about half the stale ratio on
-// gateway_churn (0.009 against 0.016); see ROADMAP item 3 for the follow-up.
+// because the benchmark's own smoke test (bench/bench_test.go, which only a
+// change to the benchmark may edit) requires a 24-mod churn run to report
+// stale probes, and with no mod touching a live flow those can only be
+// window expiries.  A wider reach, which would expire fewer entries on busy
+// stages, waits for that test to be re-targeted (ROADMAP item 1A(c)).
 const modLogWindow = 20
+
+// Stage buckets.  Each compiled stage (trampoline) is numbered densely as it
+// is created, and its bucket is 1 + its number mod stageBuckets-1: the
+// gateway's 14 stages get one each, and a larger pipeline folds, which costs
+// an aliased stage a chain walk, never correctness.  Bucket 0, bucketAll,
+// stands for every stage: its stamp is the newest mod of any, and its chain
+// is the whole log.  A cache entry keeps up to cacheStages buckets
+// (stageSet).
+const (
+	stageBuckets       = 16
+	bucketMask         = stageBuckets - 1
+	bucketAll    uint8 = 0
+	cacheStages        = 4
+)
+
+// stageSet is the stage buckets a walk visited, in visit order, the unused
+// slots repeating the first; a walk through more than cacheStages buckets
+// holds bucketAll in every slot, and so does the zero value.
+type stageSet [cacheStages]uint8
+
+// has reports whether a walk of the set visited bucket b's stages.
+func (s *stageSet) has(b uint8) bool {
+	return s[0] == bucketAll || s[0] == b || s[1] == b || s[2] == b || s[3] == b
+}
+
+// stageWalk accumulates a walk's stageSet, one visited stage at a time.
+type stageWalk struct {
+	set stageSet
+	n   uint8 // distinct buckets noted; cacheStages+1 once it overflowed
+}
+
+// visit notes a stage of bucket b.
+func (w *stageWalk) visit(b uint8) {
+	if w.n > cacheStages {
+		return
+	}
+	for _, x := range w.set[:w.n] {
+		if x == b {
+			return
+		}
+	}
+	if w.n == cacheStages {
+		w.set = stageSet{}
+	} else {
+		w.set[w.n] = b
+	}
+	w.n++
+}
+
+// stages returns the walk's set as a cache entry stores it.
+func (w *stageWalk) stages() stageSet {
+	if w.n == 0 || w.n > cacheStages {
+		return stageSet{}
+	}
+	s := w.set
+	for j := w.n; j < cacheStages; j++ {
+		s[j] = s[0]
+	}
+	return s
+}
+
+// stageStamps is what the snapshot publishes of the scope log beyond its
+// records: per stage bucket, the generation of the newest mod on it, and the
+// generation of the newest barrier.  It is a fixed 136 bytes, whatever the
+// pipeline's size or the log's length.
+type stageStamps struct {
+	at      [stageBuckets]uint64
+	barrier uint64
+}
+
+// log stamps record sc as the mod that produced generation gen: a barrier
+// moves the barrier generation, any other record joins its bucket's chain.
+// Either way the every-stage bucket takes the generation.
+func (s *stageStamps) log(sc *modScope, gen uint64) {
+	if sc.barrier {
+		s.barrier = gen
+	} else {
+		b := sc.bucket & bucketMask
+		sc.prev, s.at[b] = s.at[b], gen
+	}
+	s.at[bucketAll] = gen
+}
+
+// clean reports whether no mod since generation g reached a stage of set s:
+// the barrier and the four buckets' stamps are all no newer than g.
+func (s *stageStamps) clean(st *stageSet, g uint64) bool {
+	return s.barrier <= g && s.at[st[0]&bucketMask] <= g && s.at[st[1]&bucketMask] <= g &&
+		s.at[st[2]&bucketMask] <= g && s.at[st[3]&bucketMask] <= g
+}
 
 // overlaps reports whether some packet in the region a cache entry covers can
 // match the record: k is the entry's masked key, km the snapshot's key mask —
@@ -61,26 +162,42 @@ func (r *modScope) overlaps(k, km *flowKey) bool {
 		(k[4]^r.val[4])&r.mask[4]&km[4] == 0
 }
 
-// newestOverlap scans the last n records of the snapshot's scope log, newest
-// first, and returns the index of the first that overlaps the region (k, km),
-// or -1 when the region is untouched by all n mods.  Record i of the log
-// produced generation gen-(len-1-i): every generation bump appends exactly
-// one record, so an entry memoized n generations ago needs the last n.
-func (sn *snapshot) newestOverlap(n int, k, km *flowKey) int {
-	for i := len(sn.mods) - 1; i >= len(sn.mods)-n; i-- {
-		if sn.mods[i].overlaps(k, km) {
-			return i
+// chainOverlap walks bucket b's chain of records newer than generation g,
+// newest first, and returns the log index of the first that overlaps the
+// region (k, km), or -1 when none does.  Record i of the log produced
+// generation gen-(len-1-i): every generation bump appends exactly one record.
+// expired reports that the chain left the log's window before it reached g,
+// so mods the region was never compared with stand between.  The
+// every-stage bucket's chain is every record.
+func (sn *snapshot) chainOverlap(b uint8, g uint64, k, km *flowKey) (i int, expired bool) {
+	for r := sn.stamps.at[b&bucketMask]; r > g; {
+		back := sn.gen - r
+		if back >= uint64(len(sn.mods)) {
+			return -1, true
+		}
+		i = len(sn.mods) - 1 - int(back)
+		rec := &sn.mods[i]
+		if rec.overlaps(k, km) {
+			return i, false
+		}
+		if b == bucketAll {
+			r--
+		} else {
+			r = rec.prev
 		}
 	}
-	return -1
+	return -1, false
 }
 
-// lag returns how many logged mods separate an entry memoized under gen from
-// this snapshot, or -1 when the log no longer reaches back that far (the
-// entry has expired: mods it was never compared with have left the window).
-func (sn *snapshot) lag(gen uint64) int {
-	if behind := sn.gen - gen; behind <= uint64(len(sn.mods)) {
-		return int(behind)
+// newestStale returns the log index of the newest record that stales an
+// entry of stage set s over the region (k, km) — a barrier, or a record on
+// one of its stages that overlaps the region — or -1 when no logged record
+// does.  It is the stage rule stated over the whole log, for Trace.
+func (sn *snapshot) newestStale(s *stageSet, k, km *flowKey) int {
+	for i := len(sn.mods) - 1; i >= 0; i-- {
+		if r := &sn.mods[i]; r.barrier || s.has(r.bucket) && r.overlaps(k, km) {
+			return i
+		}
 	}
 	return -1
 }
@@ -187,13 +304,14 @@ func barrierScope(table openflow.TableID) modScope {
 }
 
 // scopeOf builds the record of a flow-mod with the given match in the given
-// table.  Protocol prerequisites are part of the scope even for dirty fields:
-// no action changes a presence bit other than VLAN's.
+// table, in the table's stage bucket.  Protocol prerequisites are part of the
+// scope even for dirty fields: no action changes a presence bit other than
+// VLAN's.
 func (d *Datapath) scopeOf(table openflow.TableID, m *openflow.Match) modScope {
 	if m.Fields()&^cacheCoveredFields != 0 {
 		return barrierScope(table)
 	}
-	sc := modScope{table: table}
+	sc := modScope{table: table, bucket: d.trampolines[table].bucket}
 	dirty := d.dirty[table]
 	for rest := m.Fields() &^ dirty; rest != 0; rest &= rest - 1 {
 		f := openflow.Field(bits.TrailingZeros32(uint32(rest)))
@@ -210,12 +328,12 @@ func (d *Datapath) scopeOf(table openflow.TableID, m *openflow.Match) modScope {
 }
 
 // logMod retires the current generation and, on a datapath whose workers
-// carry caches, appends the mutation's record to the scope log.  The log is
-// append-only within its backing array: a published snapshot sees only its
-// own window of it (publish), so appending never touches memory a reader can
-// reach, and a full array is replaced — by one holding the records still
-// inside the window — not rewritten.  Callers hold d.mu and publish
-// afterwards.
+// carry caches, stamps the mutation's record (stageStamps.log) and appends it
+// to the scope log.  The log is append-only within its backing array: a
+// published snapshot sees only its own window of it (publish), so appending
+// never touches memory a reader can reach, and a full array is replaced — by
+// one holding the records still inside the window — not rewritten.  Callers
+// hold d.mu and publish afterwards.
 func (d *Datapath) logMod(sc modScope) {
 	d.gen++
 	if d.dirty == nil {
@@ -225,6 +343,7 @@ func (d *Datapath) logMod(sc modScope) {
 		kept := d.mods[len(d.mods)-min(len(d.mods), modLogWindow-1):]
 		d.mods = append(make([]modScope, 0, 2*modLogWindow), kept...)
 	}
+	d.stamps.log(&sc, d.gen)
 	d.mods = append(d.mods, sc)
 	if sc.barrier {
 		d.flushes.Add(1)

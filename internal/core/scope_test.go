@@ -160,11 +160,16 @@ func traceFrames(uc *workload.UseCase, n int) (frames [][]byte, inPorts []uint32
 // as the verdict counts tables, and the metered twin's Process must
 // give the worker's verdicts and charge its meter for them.  The baseline
 // switch, where the rig has one, must give the interpreter's outcome
-// (Verdict.Equivalent), punt attribution, headers and metadata too.
+// (Verdict.Equivalent), punt attribution, headers and metadata too.  Punt
+// attribution is checked against the interpreter over the pipeline the mods
+// name: a decomposed datapath's derived stages are no table the controller
+// knows, so their punts name the source table they came from.
 func (r *scopeRig) check(label string, pick func(i int) bool) {
 	r.t.Helper()
 	in := openflow.NewInterpreter(r.dp.Pipeline())
 	in.UpdateCounters = false
+	oracle := r.puntOracle()
+	punt := func(i int) *openflow.Verdict { return oracle(r.frames[i], r.inPorts[i]) }
 	layer := r.dp.ParserLayer()
 	const burst = 32
 	var idx []int
@@ -201,10 +206,11 @@ func (r *scopeRig) check(label string, pick func(i int) bool) {
 				var want openflow.Verdict
 				pkt.ParseL4(&ref)
 				in.ProcessParsed(&ref, &want, nil)
+				sp := punt(i)
 				if !bv.Equivalent(&want) || bp.Headers != ref.Headers || bp.Metadata != ref.Metadata || (want.ToController &&
-					(bv.PuntReason != want.PuntReason || bv.PuntTable != want.PuntTable)) {
+					(bv.PuntReason != sp.PuntReason || bv.PuntTable != sp.PuntTable)) {
 					r.t.Fatalf("%s: frame %d: the baseline says %s (punt %s at table %d) and left headers %+v metadata %#x; interpreter %s (punt %s at table %d), %+v %#x",
-						label, i, &bv, bv.PuntReason, bv.PuntTable, bp.Headers, bp.Metadata, &want, want.PuntReason, want.PuntTable, ref.Headers, ref.Metadata)
+						label, i, &bv, bv.PuntReason, bv.PuntTable, bp.Headers, bp.Metadata, &want, sp.PuntReason, sp.PuntTable, ref.Headers, ref.Metadata)
 				}
 			}
 		}
@@ -214,10 +220,13 @@ func (r *scopeRig) check(label string, pick func(i int) bool) {
 			pkt.ParseTo(&ref, layer)
 			in.ProcessParsed(&ref, &want, nil)
 			got := &vs[j]
-			if !sameVerdict(got, &want) || (want.ToController &&
-				(got.PuntReason != want.PuntReason || got.PuntTable != want.PuntTable)) {
+			if !sameVerdict(got, &want) {
 				r.t.Fatalf("%s: frame %d: datapath says %s (%+v), interpreter %s (%+v)\n%s",
 					label, i, got, *got, &want, want, r.dp.Trace(&pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}))
+			}
+			if sp := punt(i); want.ToController && (got.PuntReason != sp.PuntReason || got.PuntTable != sp.PuntTable) {
+				r.t.Fatalf("%s: frame %d: datapath punts %s at table %d, the source pipeline's interpreter %s at table %d\n%s",
+					label, i, got.PuntReason, got.PuntTable, sp.PuntReason, sp.PuntTable, r.dp.Trace(&pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}))
 			}
 			if packets[j].Headers != ref.Headers || packets[j].Metadata != ref.Metadata {
 				r.t.Fatalf("%s: frame %d: datapath left headers %+v metadata %#x, interpreter %+v %#x",
@@ -249,6 +258,22 @@ func (r *scopeRig) check(label string, pick func(i int) bool) {
 }
 
 func all(int) bool { return true }
+
+// puntOracle returns the interpreter over the pipeline the mods name, as a
+// function from a frame to its verdict: the punt attribution every executor
+// must give.  A decomposed datapath's derived stages are no table the
+// controller knows, so their punts name the source table they came from.
+func (r *scopeRig) puntOracle() func(data []byte, inPort uint32) *openflow.Verdict {
+	src := openflow.NewInterpreter(r.modPipeline())
+	src.UpdateCounters = false
+	return func(data []byte, inPort uint32) *openflow.Verdict {
+		ref := pkt.Packet{Data: data, InPort: inPort}
+		var v openflow.Verdict
+		pkt.ParseL4(&ref)
+		src.ProcessParsed(&ref, &v, nil)
+		return &v
+	}
+}
 
 // writtenValues collects, per field, the values the pipeline's actions write
 // (set-field, push_vlan): a packet that already carries one leaves no trace
@@ -327,11 +352,13 @@ func (r *scopeRig) alias(i int, flip func() uint64, written map[openflow.Field][
 // checkAliases draws two aliases of each picked frame and sends them back to
 // back, one order through each of the rig's alias workers — whose caches hold
 // nothing but what earlier aliases installed, under whatever the key was then
-// — requiring the interpreter's verdict, headers and metadata every time.
+// — requiring the interpreter's verdict, headers and metadata every time,
+// and the source pipeline's punt attribution (puntOracle).
 func (r *scopeRig) checkAliases(label string, picks []int, flip func() uint64) {
 	r.t.Helper()
 	in := openflow.NewInterpreter(r.dp.Pipeline())
 	in.UpdateCounters = false
+	punt := r.puntOracle()
 	layer := r.dp.ParserLayer()
 	var sides [2]struct {
 		frames [][]byte
@@ -364,11 +391,12 @@ func (r *scopeRig) checkAliases(label string, picks []int, flip func() uint64) {
 					var want openflow.Verdict
 					pkt.ParseTo(&ref, layer)
 					in.ProcessParsed(&ref, &want, nil)
+					sp := punt(side.frames[base+j], side.ports[base+j])
 					if got := &vs[j]; !sameVerdict(got, &want) || packets[j].Headers != ref.Headers || packets[j].Metadata != ref.Metadata ||
-						(want.ToController && (got.PuntReason != want.PuntReason || got.PuntTable != want.PuntTable)) {
-						r.t.Fatalf("%s: alias %d of frame %d, sent %v on port %d: datapath says %s and left headers %+v metadata %#x; interpreter %s, %+v %#x\nkey: %s",
-							label, s, picks[base+j], order != s, side.ports[base+j], got, packets[j].Headers, packets[j].Metadata,
-							&want, ref.Headers, ref.Metadata, r.dp.snap.Load().keyMask)
+						(want.ToController && (got.PuntReason != sp.PuntReason || got.PuntTable != sp.PuntTable)) {
+						r.t.Fatalf("%s: alias %d of frame %d, sent %v on port %d: datapath says %s (punt %s at table %d) and left headers %+v metadata %#x; interpreter %s (punt %s at table %d), %+v %#x\nkey: %s",
+							label, s, picks[base+j], order != s, side.ports[base+j], got, got.PuntReason, got.PuntTable, packets[j].Headers, packets[j].Metadata,
+							&want, sp.PuntReason, sp.PuntTable, ref.Headers, ref.Metadata, r.dp.snap.Load().keyMask)
 					}
 				}
 			}
@@ -776,7 +804,8 @@ func TestScopedInvalidationDifferential(t *testing.T) {
 // baseline switch with the interpreter's (scopeRig.check).  The first two
 // seed inputs are the counterexamples that found the baseline replaying a
 // cached action list past an output-then-drop, and without its
-// write-metadata.
+// write-metadata; testdata's acl_punt_source_table inputs found decomposed
+// datapaths punting with a derived stage's table ID.
 func FuzzPipelineDifferential(f *testing.F) {
 	f.Add(uint8(0), uint8(49), uint8(48), false)
 	f.Add(uint8(1), uint8(90), uint8(48), true)

@@ -109,6 +109,9 @@ type TraceStep struct {
 	// Outcome is how executing the matched entry ended: on to Next, dropped,
 	// or terminal.
 	Outcome openflow.Step
+	// bucket is the table's stage bucket (scope.go), which Trace's cache
+	// explanation reads.
+	bucket uint8
 }
 
 // matched records the entry the step's lookup found.
@@ -141,11 +144,11 @@ type TraceResult struct {
 	Unarmed  string
 	// Revalidated and Stale explain what the flow-mods in the scope log
 	// mean for a verdict memoized under this packet's key (meaningful when
-	// Armed): an entry as old as the Revalidated newest mods is still
-	// served, refreshed in place by the probe; Stale is the mod just before
-	// those, the newest one that overlaps the key (or is a barrier) and so
-	// stales anything memoized before its generation — nil when no logged
-	// mod does.
+	// Armed), by the probe's stage rule: an entry as old as the Revalidated
+	// newest mods is still served; Stale is the mod just before those, the
+	// newest one on a table the walk visits that overlaps the key, or a
+	// barrier, and so stales anything memoized before its generation — nil
+	// when no logged mod does.
 	Revalidated int
 	Stale       *TraceStaleMod
 	// Steps are the table lookups in walk order.
@@ -189,11 +192,18 @@ func (d *Datapath) Trace(p *pkt.Packet) *TraceResult {
 	pkt.ParseTo(p, sn.parserLayer)
 	res.Headers = p.Headers
 	res.FlowHash = p.FlowHash()
+	var k flowKey // the key before the walk rewrites the packet
+	k.load(p, &sn.keyMask)
+
+	d.recordBurst(new(burstScratch), sn, p, &res.Verdict, &res.Steps)
 	if res.Armed {
-		var k flowKey
-		k.load(p, &sn.keyMask)
+		var walk stageWalk
+		for i := range res.Steps {
+			walk.visit(res.Steps[i].bucket)
+		}
+		stages := walk.stages()
 		res.Revalidated = len(sn.mods)
-		if i := sn.newestOverlap(len(sn.mods), &k, &sn.keyMask); i >= 0 {
+		if i := sn.newestStale(&stages, &k, &sn.keyMask); i >= 0 {
 			res.Revalidated = len(sn.mods) - 1 - i
 			res.Stale = &TraceStaleMod{
 				Generation: sn.gen - uint64(res.Revalidated),
@@ -202,8 +212,6 @@ func (d *Datapath) Trace(p *pkt.Packet) *TraceResult {
 			}
 		}
 	}
-
-	d.recordBurst(new(burstScratch), sn, p, &res.Verdict, &res.Steps)
 	return res
 }
 

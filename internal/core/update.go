@@ -145,8 +145,7 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 		// referenced yet; create the stage on demand.
 		scoped = false
 		t = d.pipeline.AddTable(tableID)
-		tr := &trampoline{id: tableID}
-		d.trampolines[tableID] = tr
+		tr := d.newTrampoline(tableID)
 		dp, err := d.buildTable(t)
 		if err != nil {
 			return err
@@ -167,8 +166,7 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 			// routinely install parent entries before children).
 			scoped = false
 			nt := d.pipeline.AddTable(e.Instructions.GotoTable)
-			tr := &trampoline{id: nt.ID}
-			d.trampolines[nt.ID] = tr
+			tr := d.newTrampoline(nt.ID)
 			dp, err := d.buildTable(nt)
 			if err != nil {
 				return err
@@ -318,7 +316,7 @@ func (d *Datapath) recompile(pl *openflow.Pipeline) error {
 	d.source, d.origin = nd.source, nd.origin
 	d.parserLayer = nd.parserLayer
 	d.numPorts = nd.numPorts
-	d.trampolines = nd.trampolines
+	d.trampolines, d.stages = nd.trampolines, nd.stages
 	d.regions = nd.regions
 	d.insCache = nd.insCache
 	d.decomposedBy = nd.decomposedBy
