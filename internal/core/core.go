@@ -188,6 +188,10 @@ type tableDatapath interface {
 	// Remove deletes entries matching the given match (and priority when
 	// non-negative), returning how many were removed.
 	Remove(match *openflow.Match, priority int) int
+	// Replace swaps in ce as the compiled form of the installed entry with
+	// e's match and priority, reporting whether the template could: the key
+	// does not change, so the lookup structure does not either.
+	Replace(e *openflow.FlowEntry, ce *compiledEntry) bool
 	// Mirror returns a writable deep copy of the table for the epoch-based
 	// update scheme (update.go): flow-mods are applied to the mirror off to
 	// the side and the mirror is swapped in through the trampoline, so

@@ -103,6 +103,18 @@ func (d *directCode) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 	d.entries[pos] = ne
 }
 
+// Replace swaps the compiled entry in place.  Only the compound hash's tail
+// calls it: a direct-code table is always rebuilt (Mirror).
+func (d *directCode) Replace(e *openflow.FlowEntry, ce *compiledEntry) bool {
+	for i := range d.entries {
+		if out := d.entries[i].out; out.priority == e.Priority && out.match.Equal(e.Match) {
+			d.entries[i].out = ce
+			return true
+		}
+	}
+	return false
+}
+
 // Mirror returns nil: the direct-code template is always rebuilt on updates
 // (as in the paper), so there is no shadow copy to maintain.
 func (d *directCode) Mirror() tableDatapath { return nil }
@@ -175,6 +187,21 @@ func (s *valueSlots) share(idx uint32, ce *compiledEntry) {
 func (s *valueSlots) removable(idx uint32, priority int) bool {
 	_, shared := s.shared[idx]
 	return !shared && (priority < 0 || s.values[idx].priority == priority)
+}
+
+// swap puts ce in slot idx in place of the entry of its priority.  The lower
+// entry under a shared key lives only in the declarative table, so replacing
+// it leaves the slot as it is.
+func (s *valueSlots) swap(idx uint32, ce *compiledEntry) bool {
+	switch prio := s.values[idx].priority; {
+	case prio == ce.priority:
+		s.values[idx] = ce
+		return true
+	case prio > ce.priority:
+		_, shared := s.shared[idx]
+		return shared
+	}
+	return false
 }
 
 func (s *valueSlots) clone() valueSlots {
@@ -333,6 +360,14 @@ func (h *hashTable) Remove(match *openflow.Match, priority int) int {
 	h.table.Delete(key)
 	h.release(idx)
 	return 1
+}
+
+func (h *hashTable) Replace(e *openflow.FlowEntry, ce *compiledEntry) bool {
+	if !h.gather.compatible(e.Match) {
+		return h.tail.Replace(e, ce)
+	}
+	idx, ok := h.table.Lookup(h.gather.entry(e.Match))
+	return ok && h.swap(idx, ce)
 }
 
 // ---------------------------------------------------------------------------
@@ -501,6 +536,20 @@ func (l *lpmTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 	l.table.Insert(uint32(value), plen, l.put(ce))
 }
 
+// prefix returns the prefix a non-empty match selects on the template's
+// field, and whether it is one.
+func (l *lpmTable) prefix(match *openflow.Match) (addr uint32, plen int, ok bool) {
+	fields := match.Fields().Fields()
+	if len(fields) != 1 || fields[0] != l.field {
+		return 0, 0, false
+	}
+	if plen, ok = match.IsPrefix(l.field); !ok {
+		return 0, 0, false
+	}
+	value, _, _ := match.Get(l.field)
+	return uint32(value), plen, true
+}
+
 func (l *lpmTable) Remove(match *openflow.Match, priority int) int {
 	if match.IsEmpty() {
 		if l.def != nil && (priority < 0 || l.def.priority == priority) {
@@ -509,22 +558,33 @@ func (l *lpmTable) Remove(match *openflow.Match, priority int) int {
 		}
 		return 0
 	}
-	fields := match.Fields().Fields()
-	if len(fields) != 1 || fields[0] != l.field {
-		return 0
-	}
-	plen, ok := match.IsPrefix(l.field)
+	addr, plen, ok := l.prefix(match)
 	if !ok {
 		return 0
 	}
-	value, _, _ := match.Get(l.field)
-	idx, ok := l.table.Get(uint32(value), plen)
+	idx, ok := l.table.Get(addr, plen)
 	if !ok || !l.removable(idx, priority) {
 		return 0
 	}
-	l.table.Delete(uint32(value), plen)
+	l.table.Delete(addr, plen)
 	l.release(idx)
 	return 1
+}
+
+func (l *lpmTable) Replace(e *openflow.FlowEntry, ce *compiledEntry) bool {
+	if e.Match.IsEmpty() {
+		if l.def == nil || l.def.priority != e.Priority {
+			return false
+		}
+		l.def = ce
+		return true
+	}
+	addr, plen, ok := l.prefix(e.Match)
+	if !ok {
+		return false
+	}
+	idx, ok := l.table.Get(addr, plen)
+	return ok && l.swap(idx, ce)
 }
 
 // ---------------------------------------------------------------------------
@@ -580,6 +640,9 @@ func (l *listTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 	l.classifier.Insert(&tss.Entry{Priority: e.Priority, Match: e.Match.Clone(), Aux: ce})
 	l.count = l.classifier.Len()
 }
+
+// Replace reports false: a replace rebuilds the linked list.
+func (l *listTable) Replace(*openflow.FlowEntry, *compiledEntry) bool { return false }
 
 func (l *listTable) Remove(match *openflow.Match, priority int) int {
 	removed := 0

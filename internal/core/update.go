@@ -20,15 +20,18 @@ import (
 //      store — and the superseded live copy becomes the next shadow, with
 //      the just-applied operation recorded for replay.
 //
-// Updates the template cannot absorb (direct-code tables, prerequisite
-// violations, entry replacement) fall back to a full side-by-side rebuild
-// and swap, exactly as in the paper.  Either way, readers observe each table
-// transition atomically: a burst sees the table either before or after the
-// flow-mod, never a half-applied structure.
+// An entry replacement (same match and priority, new instructions) keeps its
+// key, so the hash and LPM templates absorb it as a value-slot swap on the
+// shadow copy.  Updates the template cannot absorb (direct-code tables,
+// prerequisite violations, a replace in the linked list) fall back to a full
+// side-by-side rebuild and swap, exactly as in the paper.  Either way,
+// readers observe each table transition atomically: a burst sees the table
+// either before or after the flow-mod, never a half-applied structure.
 
 // tableOp is one flow-mod recorded for replay onto the shadow copy.
 type tableOp struct {
 	add      bool
+	replace  bool                // add: the entry replaces one of its key
 	entry    *openflow.FlowEntry // add: the declarative entry
 	ce       *compiledEntry      // add: its compiled form (shared with live)
 	match    *openflow.Match     // delete: the match to remove
@@ -65,9 +68,12 @@ func (d *Datapath) shadowFor(tid openflow.TableID, live tableDatapath) tableData
 	sh := sv.shadow
 	sv.shadow = nil
 	if sv.hasPending {
-		if op := sv.pending; op.add {
+		switch op := sv.pending; {
+		case op.replace:
+			sh.Replace(op.entry, op.ce)
+		case op.add:
 			sh.Insert(op.entry, op.ce)
-		} else {
+		default:
 			sh.Remove(op.match, op.priority)
 		}
 		sv.hasPending = false
@@ -213,19 +219,29 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 	tr := d.trampolines[tableID]
 	live := tr.load()
 	// Incremental update when the running template supports it and the new
-	// entry preserves its prerequisite: apply to the shadow copy and swap.
-	// The direct-code template is always rebuilt (as in the paper), which
-	// also covers the promotion of a growing table to a faster template.
-	if !replaced && live != nil && live.Kind() != TemplateDirectCode && live.CanInsert(e) {
+	// entry preserves its prerequisite (a replace keeps its key, so it does):
+	// apply to the shadow copy and swap.  The direct-code template is always
+	// rebuilt (as in the paper), which also covers the promotion of a growing
+	// table to a faster template.
+	if live != nil && live.Kind() != TemplateDirectCode && (replaced || live.CanInsert(e)) {
 		ce, err := d.compileEntry(e)
 		if err != nil {
 			return err
 		}
 		if sh := d.shadowFor(tableID, live); sh != nil {
-			sh.Insert(e, ce)
-			d.swapInShadow(tableID, sh, live, tableOp{add: true, entry: e, ce: ce})
-			d.incremental.Add(1)
-			return nil
+			absorbed := true
+			if replaced {
+				absorbed = sh.Replace(e, ce)
+			} else {
+				sh.Insert(e, ce)
+			}
+			if absorbed {
+				d.swapInShadow(tableID, sh, live, tableOp{add: true, replace: replaced, entry: e, ce: ce})
+				d.incremental.Add(1)
+				return nil
+			}
+			// A replace the template cannot swap left the shadow as it
+			// was; the rebuild below drops it.
 		}
 	}
 	// Fallback: rebuild the table with (possibly) a new template and swap.

@@ -29,6 +29,14 @@
 // slower.  Elsewhere the first level is a plain allocation on the default
 // pages.
 //
+// Beside the prefix map the table counts its prefixes per length and per /8
+// region (a prefix shorter than /8 counts in the /8 its address starts).
+// Delete rewrites the deleted prefix's slots with the longest remaining
+// prefix covering it, and finds that prefix by probing the map only at the
+// lengths whose count is non-zero in the candidate's region: a route delete
+// in a sparsely covered part of the address space costs a few array reads,
+// not a map probe at each of up to 24 shorter lengths.
+//
 // The first-level stride is configurable (24 bits reproduces rte_lpm's
 // DIR-24-8 layout and supports /0–/32 prefixes; tests may use smaller strides
 // to keep memory small, which limits the maximum prefix length to stride+8).
@@ -65,6 +73,10 @@ type Table struct {
 	tbl8    []uint32 // the group pool: group g is tbl8[g*groupSize:][:groupSize]
 	free    []uint32 // indexes of recycled groups
 	entries map[prefixKey]uint32
+	// counts[r][l] is the number of installed /l prefixes in the /8 region
+	// r (33 KB), a prefix shorter than /8 counting in the region its address
+	// starts.
+	counts [256][33]uint32
 }
 
 type prefixKey struct {
@@ -120,6 +132,7 @@ func (t *Table) Clone() *Table {
 		tbl8:    slices.Clone(t.tbl8),
 		free:    slices.Clone(t.free),
 		entries: maps.Clone(t.entries),
+		counts:  t.counts,
 	}
 	adviseHuge(nt.tbl24)
 	return nt
@@ -143,7 +156,11 @@ func (t *Table) Insert(addr uint32, prefixLen int, value uint32) error {
 		return fmt.Errorf("lpm: value %d does not fit in 24 bits", value)
 	}
 	addr = maskAddr(addr, prefixLen)
+	n := len(t.entries)
 	t.entries[prefixKey{addr, uint8(prefixLen)}] = value
+	if len(t.entries) > n { // a new prefix, not a replace
+		t.counts[addr>>24][prefixLen]++
+	}
 	t.install(addr, prefixLen, value)
 	return nil
 }
@@ -171,6 +188,7 @@ func (t *Table) Delete(addr uint32, prefixLen int) bool {
 		return false
 	}
 	delete(t.entries, key)
+	t.counts[addr>>24][prefixLen]--
 	var repl uint32 // the longest remaining covering prefix, or invalid
 	if v, l, ok := t.coveringPrefix(addr, prefixLen); ok {
 		repl = entry(v, l)
@@ -215,10 +233,15 @@ func replace(s []uint32, depth int, repl uint32) {
 }
 
 // coveringPrefix returns the value and length of the longest remaining prefix
-// that strictly covers addr/prefixLen.
+// that strictly covers addr/prefixLen, probing the map only at the lengths
+// whose count is non-zero in the candidate's region.
 func (t *Table) coveringPrefix(addr uint32, prefixLen int) (uint32, int, bool) {
 	for l := prefixLen - 1; l >= 0; l-- {
-		if v, ok := t.entries[prefixKey{maskAddr(addr, l), uint8(l)}]; ok {
+		a := maskAddr(addr, l)
+		if t.counts[a>>24][l] == 0 {
+			continue
+		}
+		if v, ok := t.entries[prefixKey{a, uint8(l)}]; ok {
 			return v, l, true
 		}
 	}

@@ -367,9 +367,9 @@ func TestDeleteRecyclesGroups(t *testing.T) {
 // lookups and clones over prefixes crowded into a few /16s of a stride-16
 // table, so /17–/24 prefixes allocate and recycle groups.  After every
 // operation the table must agree with the reference on every /24 of those
-// /16s (lengths stop at /24, so one address per /24 decides it) and use
+// /16s (lengths stop at /24, so one address per /24 decides it), use
 // exactly one group per first-level slot holding a prefix longer than the
-// stride.
+// stride, and hold per-/8 prefix counts equal to a recount of Prefixes().
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 0, 20, 5, 0, 0, 24, 5, 2, 0, 20, 5, 2, 0, 24, 5, 0, 1, 8, 0, 5, 1, 17, 9})
 	rng := rand.New(rand.NewSource(38))
@@ -378,7 +378,11 @@ func FuzzTableOps(f *testing.F) {
 		rng.Read(seed)
 		f.Add(seed)
 	}
-	bases := []uint32{ip(10, 0, 0, 0), ip(10, 1, 0, 0), ip(10, 200, 0, 0), ip(172, 16, 0, 0)}
+	// Beside 10/8 and 172/8, a neighbouring /8 (11/8) and two distant ones
+	// (0/8, 240/8), so that prefixes shorter than /8 span several regions of
+	// the per-/8 counts.
+	bases := []uint32{ip(10, 0, 0, 0), ip(10, 1, 0, 0), ip(10, 200, 0, 0), ip(172, 16, 0, 0),
+		ip(11, 0, 0, 0), ip(0, 0, 0, 0), ip(240, 0, 0, 0)}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl := NewWithStride(16)
 		ref := &Reference{}
@@ -401,6 +405,13 @@ func FuzzTableOps(f *testing.F) {
 			if tbl.Len() != len(ref.prefixes) || tbl.SecondLevelGroups() != len(deep) {
 				t.Fatalf("op %d: %d prefixes in %d groups, reference %d prefixes under %d deep slots",
 					op, tbl.Len(), tbl.SecondLevelGroups(), len(ref.prefixes), len(deep))
+			}
+			var counts [256][33]uint32
+			for _, p := range tbl.Prefixes() {
+				counts[p.Addr>>24][p.Len]++
+			}
+			if counts != tbl.counts {
+				t.Fatalf("op %d: the per-/8 prefix counts differ from a recount of Prefixes()", op)
 			}
 		}
 		for i, ops := 0, data; len(ops) >= 4; i, ops = i+1, ops[4:] {

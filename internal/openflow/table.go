@@ -1,8 +1,10 @@
 package openflow
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -174,22 +176,52 @@ func (e *FlowEntry) Clone() *FlowEntry {
 // FlowTable is one stage of the pipeline: an ordered list of flow entries.
 // The zero value is an empty table with ID 0.
 //
-// FlowTable is not safe for concurrent mutation; the datapaths that need
-// concurrent read access (internal/core, internal/ovs) take snapshots.
+// The match order (priority desc, insertion order within a priority) is
+// built when a reader needs it: an add or delete that would shift more than
+// inPlaceShift pointers of the sorted slice is parked instead (a pending add,
+// a removed entry), and the first reader that depends on the order — Entries,
+// Lookup, MatchFields, Clone, Fork, String, DeleteWhere, a replace, the lazy
+// index build — merges the parked work back in.  A reader may therefore
+// write.  FlowTable is not safe for concurrent use, reads included: every
+// owner serializes all calls on its tables (internal/core under the
+// datapath's writer mutex, ovs.Switch under its mutex, an Interpreter or a
+// controller by owning its pipeline), and the datapaths that forward
+// concurrently (internal/core, internal/ovs) read compiled snapshots or take
+// that mutex.
 type FlowTable struct {
 	ID TableID
 	// Name is an optional human-readable stage name ("per-CE NAT", ...).
 	Name string
 
+	// entries is sorted by (priority desc, seq asc).  It may still hold
+	// entries of removed, and it lacks those of pending.
 	entries []*FlowEntry
+	// pending holds the adds not merged into entries yet, in seq order.
+	pending []*FlowEntry
+	// removed holds the deleted entries still present in entries or
+	// pending; merge drops them.
+	removed map[*FlowEntry]struct{}
 	nextSeq uint64
-	// index maps (priority, match) to the entry holding it, for O(1)
+	// index maps (priority, match) to the live entry holding it, for O(1)
 	// replace-on-add and delete, keeping large installs (Fig. 17) linear.
-	// The entry's position is never stored: entries is sorted by
-	// (priority desc, seq asc), so position() finds it by binary search and
-	// a mid-slice insert or delete shifts the slice without re-keying it.
+	// The entry's position is never stored: position() finds it in the
+	// sorted slice by binary search.
 	index map[entryKey]*FlowEntry
 }
+
+// inPlaceShift is the most pointers an add or a delete moves within the
+// sorted slice; beyond it the mod is parked for the next merge.  Below it a
+// small table keeps the plain in-place path (no merge ever runs), while a
+// route add or delete on the 10k-route RIB, whose /24s sit above most of the
+// table, costs O(1) (BenchmarkRouteMods in internal/core).
+const inPlaceShift = 32
+
+// mergeShare bounds the parked work: once pending adds and removed entries
+// together exceed 1/mergeShare of the sorted slice, the mutation merges
+// them, so a reader's merge stays proportional to the work it absorbs
+// (BenchmarkRouteMods in internal/core alternates adds and deletes of one
+// route, which never reaches it).
+const mergeShare = 8
 
 type entryKey struct {
 	priority int
@@ -200,12 +232,15 @@ type entryKey struct {
 func NewFlowTable(id TableID) *FlowTable { return &FlowTable{ID: id} }
 
 // Len returns the number of entries in the table.
-func (t *FlowTable) Len() int { return len(t.entries) }
+func (t *FlowTable) Len() int { return len(t.entries) + len(t.pending) - len(t.removed) }
 
 // Entries returns the table's entries in match order (decreasing priority,
 // insertion order within a priority).  The returned slice must not be
-// modified.
-func (t *FlowTable) Entries() []*FlowEntry { return t.entries }
+// modified; the table's next mutation may rewrite it.
+func (t *FlowTable) Entries() []*FlowEntry {
+	t.merge()
+	return t.entries
+}
 
 func keyOf(priority int, match *Match) entryKey {
 	return entryKey{priority: priority, match: match.HashKey()}
@@ -215,6 +250,7 @@ func keyOf(priority int, match *Match) entryKey {
 // index on first use.
 func (t *FlowTable) find(key entryKey) *FlowEntry {
 	if t.index == nil {
+		t.merge()
 		t.index = make(map[entryKey]*FlowEntry, len(t.entries))
 		for _, e := range t.entries {
 			t.index[keyOf(e.Priority, e.Match)] = e
@@ -223,9 +259,15 @@ func (t *FlowTable) find(key entryKey) *FlowEntry {
 	return t.index[key]
 }
 
-// position returns the slice position of an entry of this table (or, for a
-// new entry whose seq is above every installed one, the position it belongs
-// at): the first index ordered at or after (priority desc, seq asc).
+// before reports whether a orders ahead of b: higher priority, or the same
+// priority and inserted earlier.
+func before(a, b *FlowEntry) bool {
+	return a.Priority > b.Priority || (a.Priority == b.Priority && a.seq < b.seq)
+}
+
+// position returns the position in the sorted slice of an entry held there
+// (or, for one that is not, the position it belongs at): the first index
+// ordered at or after (priority desc, seq asc).
 func (t *FlowTable) position(priority int, seq uint64) int {
 	return sort.Search(len(t.entries), func(i int) bool {
 		o := t.entries[i]
@@ -240,20 +282,28 @@ func (t *FlowTable) position(priority int, seq uint64) int {
 func (t *FlowTable) Add(e *FlowEntry) bool {
 	key := keyOf(e.Priority, e.Match)
 	old := t.find(key)
-	t.index[key] = e
 	if old != nil {
+		t.merge()
+		t.index[key] = e
 		e.seq = old.seq
 		t.entries[t.position(e.Priority, e.seq)] = e
 		return false
 	}
+	if _, ok := t.removed[e]; ok {
+		t.merge() // e is re-added while parked as removed: its seq changes below
+	}
+	t.index[key] = e
 	e.seq = t.nextSeq
 	t.nextSeq++
 	// The new seq is the largest, so this lands after every entry with
 	// priority >= e.Priority: equal-priority entries stay in insertion order.
 	pos := t.position(e.Priority, e.seq)
-	t.entries = append(t.entries, nil)
-	copy(t.entries[pos+1:], t.entries[pos:])
-	t.entries[pos] = e
+	if len(t.entries)-pos > inPlaceShift {
+		t.pending = append(t.pending, e)
+		t.settle()
+		return true
+	}
+	t.entries = slices.Insert(t.entries, pos, e)
 	return true
 }
 
@@ -286,32 +336,97 @@ func (t *FlowTable) Delete(match *Match, priority int) int {
 		return 0
 	}
 	delete(t.index, key)
-	pos := t.position(priority, e.seq)
-	copy(t.entries[pos:], t.entries[pos+1:])
-	t.entries[len(t.entries)-1] = nil
-	t.entries = t.entries[:len(t.entries)-1]
+	if n := len(t.pending); n > 0 && t.pending[n-1] == e {
+		t.pending[n-1] = nil
+		t.pending = t.pending[:n-1]
+		return 1
+	}
+	if pos := t.position(priority, e.seq); pos < len(t.entries) && t.entries[pos] == e &&
+		len(t.entries)-pos-1 <= inPlaceShift {
+		t.entries = slices.Delete(t.entries, pos, pos+1)
+		return 1
+	}
+	if t.removed == nil {
+		t.removed = make(map[*FlowEntry]struct{})
+	}
+	t.removed[e] = struct{}{}
+	t.settle()
 	return 1
+}
+
+// settle merges the parked work once it exceeds 1/mergeShare of the table.
+func (t *FlowTable) settle() {
+	if len(t.pending)+len(t.removed) > len(t.entries)/mergeShare {
+		t.merge()
+	}
+}
+
+// merge folds any parked work into the sorted slice.
+func (t *FlowTable) merge() {
+	if len(t.pending) != 0 || len(t.removed) != 0 {
+		t.fold()
+	}
+}
+
+// fold merges in O(n + k log k): it drops the removed entries, sorts the
+// pending adds into (priority desc, seq asc) order — they are in seq order
+// already, so a stable sort on priority does it — and merges the two runs
+// from the back, in place.
+func (t *FlowTable) fold() {
+	live := func(e *FlowEntry) bool {
+		_, gone := t.removed[e]
+		return !gone
+	}
+	if len(t.removed) > 0 {
+		t.entries = keep(t.entries, live)
+		t.pending = keep(t.pending, live)
+		clear(t.removed)
+	}
+	add := t.pending
+	slices.SortStableFunc(add, func(a, b *FlowEntry) int { return cmp.Compare(b.Priority, a.Priority) })
+	i, j := len(t.entries)-1, len(add)-1
+	t.entries = slices.Grow(t.entries, len(add))[:len(t.entries)+len(add)]
+	for w := len(t.entries) - 1; j >= 0; w-- {
+		if i >= 0 && before(add[j], t.entries[i]) {
+			t.entries[w] = t.entries[i]
+			i--
+		} else {
+			t.entries[w] = add[j]
+			j--
+		}
+	}
+	clear(add)
+	t.pending = add[:0]
+}
+
+// keep filters s in place down to the entries pred accepts, clearing the
+// vacated tail.
+func keep(s []*FlowEntry, pred func(*FlowEntry) bool) []*FlowEntry {
+	kept := s[:0]
+	for _, e := range s {
+		if pred(e) {
+			kept = append(kept, e)
+		}
+	}
+	clear(s[len(kept):])
+	return kept
 }
 
 // DeleteWhere removes all entries for which pred returns true and returns the
 // number removed.
 func (t *FlowTable) DeleteWhere(pred func(*FlowEntry) bool) int {
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		if pred(e) {
-			if t.index != nil {
-				delete(t.index, keyOf(e.Priority, e.Match))
-			}
-			continue
+	t.merge()
+	n := len(t.entries)
+	t.entries = keep(t.entries, func(e *FlowEntry) bool {
+		if !pred(e) {
+			return true
 		}
-		kept = append(kept, e)
-	}
-	removed := len(t.entries) - len(kept)
-	for i := len(kept); i < len(t.entries); i++ {
-		t.entries[i] = nil
-	}
-	t.entries = kept
-	return removed
+		if t.index != nil {
+			delete(t.index, keyOf(e.Priority, e.Match))
+		}
+		return false
+	})
+	return n - len(t.entries)
 }
 
 // Lookup performs priority-ordered classification of packet p in this table,
@@ -320,6 +435,7 @@ func (t *FlowTable) DeleteWhere(pred func(*FlowEntry) bool) int {
 // priority entries that failed to match) is reported to it.  The packet must
 // already be parsed deep enough for the table's match fields.
 func (t *FlowTable) Lookup(p *pkt.Packet, tracker FieldTracker) *FlowEntry {
+	t.merge()
 	for _, e := range t.entries {
 		if e.Match.Matches(p, tracker) {
 			return e
@@ -331,7 +447,7 @@ func (t *FlowTable) Lookup(p *pkt.Packet, tracker FieldTracker) *FlowEntry {
 // MatchFields returns the union of fields matched by any entry of the table.
 func (t *FlowTable) MatchFields() FieldSet {
 	var s FieldSet
-	for _, e := range t.entries {
+	for _, e := range t.Entries() {
 		s = s.Union(e.Match.Fields())
 	}
 	return s
@@ -341,7 +457,7 @@ func (t *FlowTable) MatchFields() FieldSet {
 func (t *FlowTable) Clone() *FlowTable {
 	c := NewFlowTable(t.ID)
 	c.Name = t.Name
-	for _, e := range t.entries {
+	for _, e := range t.Entries() {
 		c.Add(e.Clone())
 	}
 	return c
@@ -351,7 +467,7 @@ func (t *FlowTable) Clone() *FlowTable {
 // on the copy leave t as it was, and every shared entry keeps its counters
 // and its identity.
 func (t *FlowTable) Fork() *FlowTable {
-	return &FlowTable{ID: t.ID, Name: t.Name, entries: append([]*FlowEntry(nil), t.entries...), nextSeq: t.nextSeq}
+	return &FlowTable{ID: t.ID, Name: t.Name, entries: slices.Clone(t.Entries()), nextSeq: t.nextSeq}
 }
 
 // String renders the table as one entry per line.
@@ -362,7 +478,7 @@ func (t *FlowTable) String() string {
 		fmt.Fprintf(&sb, " (%s)", t.Name)
 	}
 	sb.WriteByte('\n')
-	for _, e := range t.entries {
+	for _, e := range t.Entries() {
 		sb.WriteString("  ")
 		sb.WriteString(e.String())
 		sb.WriteByte('\n')
