@@ -297,6 +297,9 @@ func (s *Switch) Stages() []TableStage { return s.dp.Stages() }
 func (s *Switch) TableTemplate(id TableID) (TemplateKind, bool) { return s.dp.TableTemplate(id) }
 
 // Pipeline returns the (possibly decomposed) pipeline the switch executes.
+// Its flow tables build their order on read, so a read may write: read the
+// pipeline only while no AddFlow, DeleteFlow, Sweeper pass or FlowSamples
+// call can run on the switch.
 func (s *Switch) Pipeline() *Pipeline { return s.dp.Pipeline() }
 
 // Meter returns the cycle meter attached via Options.Meter (nil when absent).

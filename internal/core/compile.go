@@ -358,6 +358,9 @@ func (d *Datapath) internInstructions(ins *openflow.Instructions) *sharedIns {
 func (d *Datapath) ParserLayer() pkt.Layer { return d.snap.Load().parserLayer }
 
 // Pipeline returns the (possibly decomposed) pipeline the datapath executes.
+// It is handed out without a lock, and its flow tables build their order on
+// read (a read may merge parked adds, see openflow.FlowTable): read it only
+// while no flow-mod, Sweeper pass or FlowSamples call can run.
 func (d *Datapath) Pipeline() *openflow.Pipeline { return d.pipeline }
 
 // DecomposedTables returns how many extra tables decomposition introduced.

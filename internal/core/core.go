@@ -188,14 +188,20 @@ type tableDatapath interface {
 	// Remove deletes entries matching the given match (and priority when
 	// non-negative), returning how many were removed.
 	Remove(match *openflow.Match, priority int) int
-	// Replace swaps in ce as the compiled form of the installed entry with
-	// e's match and priority, reporting whether the template could: the key
-	// does not change, so the lookup structure does not either.
-	Replace(e *openflow.FlowEntry, ce *compiledEntry) bool
 	// Mirror returns a writable deep copy of the table for the epoch-based
 	// update scheme (update.go): flow-mods are applied to the mirror off to
 	// the side and the mirror is swapped in through the trampoline, so
 	// concurrent lock-free readers never observe an in-place mutation.
 	// Templates that are always rebuilt on update (direct code) return nil.
 	Mirror() tableDatapath
+}
+
+// replacer is the part of tableDatapath a template implements when it can
+// absorb a replace (same match and priority, new instructions) incrementally.
+// Replace swaps in ce as the compiled form of the installed entry with e's
+// match and priority, reporting whether the template could: the key does not
+// change, so the lookup structure does not either.  The linked list does not
+// implement it; a replace there rebuilds the table.
+type replacer interface {
+	Replace(e *openflow.FlowEntry, ce *compiledEntry) bool
 }

@@ -15,7 +15,7 @@ import (
 // hash and its catch-all tail — several times in a row, so each replace is
 // also replayed onto the shadow copy by the next mod.  None of them may
 // rebuild a template, and after each the datapath must agree with the
-// interpreter.
+// interpreter.  A replace in the linked list rebuilds the table.
 func TestReplaceIsIncremental(t *testing.T) {
 	t.Run("lpm", func(t *testing.T) {
 		uc := workload.L3UseCase(2000, 8, 2016)
@@ -35,7 +35,7 @@ func TestReplaceIsIncremental(t *testing.T) {
 		packets = append(packets, tcpPacket(t, 1, 1, pkt.IPv4FromOctets(240, 1, 2, 3), 1, 80)) // the default route
 		rib := dp.Pipeline().Table(0).Entries()
 		victims := []*openflow.FlowEntry{rib[0], rib[len(rib)/3], rib[len(rib)/2], rib[len(rib)-1], rib[len(rib)/3]}
-		replaceAll(t, dp, 0, victims, packets)
+		replaceAll(t, dp, 0, victims, packets, false)
 	})
 	t.Run("hash", func(t *testing.T) {
 		dp, err := Compile(macPipeline(50), DefaultOptions())
@@ -51,13 +51,35 @@ func TestReplaceIsIncremental(t *testing.T) {
 		}
 		entries := dp.Pipeline().Table(0).Entries()
 		victims := []*openflow.FlowEntry{entries[3], entries[len(entries)-1], entries[17], entries[3]}
-		replaceAll(t, dp, 0, victims, packets)
+		replaceAll(t, dp, 0, victims, packets, false)
+	})
+	t.Run("list", func(t *testing.T) {
+		dp, err := Compile(macPipeline(50), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A second field set breaks the hash prerequisite: the table is
+		// rebuilt as a linked list.
+		if err := dp.AddFlow(0, openflow.NewEntry(200, openflow.NewMatch().Set(openflow.FieldTCPDst, 80), openflow.Apply(openflow.Output(4)))); err != nil {
+			t.Fatal(err)
+		}
+		if k, _ := dp.TableTemplate(0); k != TemplateLinkedList {
+			t.Fatalf("the mixed table compiled to %v", k)
+		}
+		packets := []*pkt.Packet{tcpPacket(t, 1, 1, 2, 3, 80)}
+		for i := 0; i < 60; i++ {
+			packets = append(packets, ethPacket(t, 1, pkt.MACFromUint64(0x020000000000+uint64(i)), pkt.MACFromUint64(9)))
+		}
+		entries := dp.Pipeline().Table(0).Entries()
+		victims := []*openflow.FlowEntry{entries[0], entries[5], entries[len(entries)-1], entries[5]}
+		replaceAll(t, dp, 0, victims, packets, true)
 	})
 }
 
 // replaceAll replaces each victim in turn with new instructions, checking
-// the datapath against the interpreter and its rebuild count after each.
-func replaceAll(t *testing.T, dp *Datapath, table openflow.TableID, victims []*openflow.FlowEntry, packets []*pkt.Packet) {
+// the datapath against the interpreter after each, and that each replace was
+// a rebuild (rebuild) or an incremental update (!rebuild).
+func replaceAll(t *testing.T, dp *Datapath, table openflow.TableID, victims []*openflow.FlowEntry, packets []*pkt.Packet, rebuild bool) {
 	t.Helper()
 	agreesWithInterpreter(t, dp, "compiled", packets...)
 	rebuilds, incremental := dp.Rebuilds(), dp.IncrementalUpdates()
@@ -67,9 +89,13 @@ func replaceAll(t *testing.T, dp *Datapath, table openflow.TableID, victims []*o
 		if err := dp.AddFlow(table, e); err != nil {
 			t.Fatal(err)
 		}
-		if dp.Rebuilds() != rebuilds || dp.IncrementalUpdates() != incremental+uint64(i+1) {
-			t.Fatalf("replace %d (%v): %d rebuilds, %d incremental updates, want 0 and %d",
-				i, v, dp.Rebuilds()-rebuilds, dp.IncrementalUpdates()-incremental, i+1)
+		wantRebuilds, wantIncremental := uint64(0), uint64(i+1)
+		if rebuild {
+			wantRebuilds, wantIncremental = wantIncremental, wantRebuilds
+		}
+		if dp.Rebuilds()-rebuilds != wantRebuilds || dp.IncrementalUpdates()-incremental != wantIncremental {
+			t.Fatalf("replace %d (%v): %d rebuilds, %d incremental updates, want %d and %d",
+				i, v, dp.Rebuilds()-rebuilds, dp.IncrementalUpdates()-incremental, wantRebuilds, wantIncremental)
 		}
 		agreesWithInterpreter(t, dp, "after replace "+v.String(), packets...)
 	}

@@ -641,9 +641,6 @@ func (l *listTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 	l.count = l.classifier.Len()
 }
 
-// Replace reports false: a replace rebuilds the linked list.
-func (l *listTable) Replace(*openflow.FlowEntry, *compiledEntry) bool { return false }
-
 func (l *listTable) Remove(match *openflow.Match, priority int) int {
 	removed := 0
 	for l.classifier.Delete(match, priority) {

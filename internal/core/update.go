@@ -70,7 +70,7 @@ func (d *Datapath) shadowFor(tid openflow.TableID, live tableDatapath) tableData
 	if sv.hasPending {
 		switch op := sv.pending; {
 		case op.replace:
-			sh.Replace(op.entry, op.ce)
+			sh.(replacer).Replace(op.entry, op.ce)
 		case op.add:
 			sh.Insert(op.entry, op.ce)
 		default:
@@ -219,11 +219,13 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 	tr := d.trampolines[tableID]
 	live := tr.load()
 	// Incremental update when the running template supports it and the new
-	// entry preserves its prerequisite (a replace keeps its key, so it does):
-	// apply to the shadow copy and swap.  The direct-code template is always
-	// rebuilt (as in the paper), which also covers the promotion of a growing
-	// table to a faster template.
-	if live != nil && live.Kind() != TemplateDirectCode && (replaced || live.CanInsert(e)) {
+	// entry preserves its prerequisite, or the template swaps a replace in
+	// place (the key stays, so the prerequisite does): apply to the shadow
+	// copy and swap.  The direct-code template is always rebuilt (as in the
+	// paper), which also covers the promotion of a growing table to a faster
+	// template.
+	_, swaps := live.(replacer)
+	if live != nil && live.Kind() != TemplateDirectCode && (replaced && swaps || !replaced && live.CanInsert(e)) {
 		ce, err := d.compileEntry(e)
 		if err != nil {
 			return err
@@ -231,7 +233,7 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 		if sh := d.shadowFor(tableID, live); sh != nil {
 			absorbed := true
 			if replaced {
-				absorbed = sh.Replace(e, ce)
+				absorbed = sh.(replacer).Replace(e, ce)
 			} else {
 				sh.Insert(e, ce)
 			}

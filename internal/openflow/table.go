@@ -177,30 +177,27 @@ func (e *FlowEntry) Clone() *FlowEntry {
 // The zero value is an empty table with ID 0.
 //
 // The match order (priority desc, insertion order within a priority) is
-// built when a reader needs it: an add or delete that would shift more than
-// inPlaceShift pointers of the sorted slice is parked instead (a pending add,
-// a removed entry), and the first reader that depends on the order — Entries,
-// Lookup, MatchFields, Clone, Fork, String, DeleteWhere, a replace, the lazy
-// index build — merges the parked work back in.  A reader may therefore
-// write.  FlowTable is not safe for concurrent use, reads included: every
-// owner serializes all calls on its tables (internal/core under the
-// datapath's writer mutex, ovs.Switch under its mutex, an Interpreter or a
-// controller by owning its pipeline), and the datapaths that forward
-// concurrently (internal/core, internal/ovs) read compiled snapshots or take
-// that mutex.
+// built when a reader needs it: an add that would shift more than
+// inPlaceShift pointers of the sorted slice is parked on a pending tail
+// instead, and the first reader that depends on the order — Entries, Lookup,
+// MatchFields, Clone, Fork, String, DeleteWhere, a replace, a delete of any
+// entry but the newest pending add, the lazy index build — merges the
+// pending adds back in.  A reader may therefore write.  FlowTable is not
+// safe for concurrent use, reads included: every owner serializes all calls
+// on its tables (internal/core under the datapath's writer mutex, ovs.Switch
+// under its mutex, an Interpreter or a controller by owning its pipeline),
+// and the datapaths that forward concurrently (internal/core, internal/ovs)
+// read compiled snapshots or take that mutex.
 type FlowTable struct {
 	ID TableID
 	// Name is an optional human-readable stage name ("per-CE NAT", ...).
 	Name string
 
-	// entries is sorted by (priority desc, seq asc).  It may still hold
-	// entries of removed, and it lacks those of pending.
+	// entries is sorted by (priority desc, seq asc).  It lacks the entries
+	// of pending.
 	entries []*FlowEntry
 	// pending holds the adds not merged into entries yet, in seq order.
 	pending []*FlowEntry
-	// removed holds the deleted entries still present in entries or
-	// pending; merge drops them.
-	removed map[*FlowEntry]struct{}
 	nextSeq uint64
 	// index maps (priority, match) to the live entry holding it, for O(1)
 	// replace-on-add and delete, keeping large installs (Fig. 17) linear.
@@ -209,18 +206,19 @@ type FlowTable struct {
 	index map[entryKey]*FlowEntry
 }
 
-// inPlaceShift is the most pointers an add or a delete moves within the
-// sorted slice; beyond it the mod is parked for the next merge.  Below it a
-// small table keeps the plain in-place path (no merge ever runs), while a
-// route add or delete on the 10k-route RIB, whose /24s sit above most of the
-// table, costs O(1) (BenchmarkRouteMods in internal/core).
+// inPlaceShift is the most pointers an add moves within the sorted slice;
+// beyond it the add is parked for the next merge.  Below it a small table
+// keeps the plain in-place path (no merge ever runs), while a route add on
+// the 10k-route RIB, whose /24s sit above most of the table, costs O(1), and
+// so does the delete that withdraws it again (BenchmarkRouteMods in
+// internal/core).
 const inPlaceShift = 32
 
-// mergeShare bounds the parked work: once pending adds and removed entries
-// together exceed 1/mergeShare of the sorted slice, the mutation merges
-// them, so a reader's merge stays proportional to the work it absorbs
-// (BenchmarkRouteMods in internal/core alternates adds and deletes of one
-// route, which never reaches it).
+// mergeShare bounds the parked work: once the pending adds exceed
+// 1/mergeShare of the sorted slice, the add merges them, so a reader's merge
+// stays proportional to the work it absorbs (BenchmarkRouteMods in
+// internal/core alternates the add and delete of one route, which never
+// reaches it).
 const mergeShare = 8
 
 type entryKey struct {
@@ -232,7 +230,7 @@ type entryKey struct {
 func NewFlowTable(id TableID) *FlowTable { return &FlowTable{ID: id} }
 
 // Len returns the number of entries in the table.
-func (t *FlowTable) Len() int { return len(t.entries) + len(t.pending) - len(t.removed) }
+func (t *FlowTable) Len() int { return len(t.entries) + len(t.pending) }
 
 // Entries returns the table's entries in match order (decreasing priority,
 // insertion order within a priority).  The returned slice must not be
@@ -289,9 +287,6 @@ func (t *FlowTable) Add(e *FlowEntry) bool {
 		t.entries[t.position(e.Priority, e.seq)] = e
 		return false
 	}
-	if _, ok := t.removed[e]; ok {
-		t.merge() // e is re-added while parked as removed: its seq changes below
-	}
 	t.index[key] = e
 	e.seq = t.nextSeq
 	t.nextSeq++
@@ -300,7 +295,9 @@ func (t *FlowTable) Add(e *FlowEntry) bool {
 	pos := t.position(e.Priority, e.seq)
 	if len(t.entries)-pos > inPlaceShift {
 		t.pending = append(t.pending, e)
-		t.settle()
+		if len(t.pending) > len(t.entries)/mergeShare {
+			t.merge()
+		}
 		return true
 	}
 	t.entries = slices.Insert(t.entries, pos, e)
@@ -325,7 +322,9 @@ func (t *FlowTable) AddFlow(priority int, match *Match, ins Instructions) *FlowE
 // Delete removes entries whose match equals the given match (and, when
 // priority >= 0, whose priority equals it).  It returns the number removed.
 // A priority-qualified delete names at most one entry and finds it through
-// the index; only the any-priority form scans the table.
+// the index; only the any-priority form scans the table.  Withdrawing the
+// newest pending add drops it from the tail; any other delete merges the
+// pending adds first and removes the entry from the sorted slice.
 func (t *FlowTable) Delete(match *Match, priority int) int {
 	if priority < 0 {
 		return t.DeleteWhere(func(e *FlowEntry) bool { return e.Match.Equal(match) })
@@ -341,47 +340,23 @@ func (t *FlowTable) Delete(match *Match, priority int) int {
 		t.pending = t.pending[:n-1]
 		return 1
 	}
-	if pos := t.position(priority, e.seq); pos < len(t.entries) && t.entries[pos] == e &&
-		len(t.entries)-pos-1 <= inPlaceShift {
-		t.entries = slices.Delete(t.entries, pos, pos+1)
-		return 1
-	}
-	if t.removed == nil {
-		t.removed = make(map[*FlowEntry]struct{})
-	}
-	t.removed[e] = struct{}{}
-	t.settle()
+	t.merge()
+	pos := t.position(priority, e.seq)
+	t.entries = slices.Delete(t.entries, pos, pos+1)
 	return 1
 }
 
-// settle merges the parked work once it exceeds 1/mergeShare of the table.
-func (t *FlowTable) settle() {
-	if len(t.pending)+len(t.removed) > len(t.entries)/mergeShare {
-		t.merge()
-	}
-}
-
-// merge folds any parked work into the sorted slice.
+// merge folds any pending adds into the sorted slice.
 func (t *FlowTable) merge() {
-	if len(t.pending) != 0 || len(t.removed) != 0 {
+	if len(t.pending) != 0 {
 		t.fold()
 	}
 }
 
-// fold merges in O(n + k log k): it drops the removed entries, sorts the
-// pending adds into (priority desc, seq asc) order — they are in seq order
-// already, so a stable sort on priority does it — and merges the two runs
-// from the back, in place.
+// fold merges in O(n + k log k): it sorts the pending adds into (priority
+// desc, seq asc) order — they are in seq order already, so a stable sort on
+// priority does it — and merges the two runs from the back, in place.
 func (t *FlowTable) fold() {
-	live := func(e *FlowEntry) bool {
-		_, gone := t.removed[e]
-		return !gone
-	}
-	if len(t.removed) > 0 {
-		t.entries = keep(t.entries, live)
-		t.pending = keep(t.pending, live)
-		clear(t.removed)
-	}
 	add := t.pending
 	slices.SortStableFunc(add, func(a, b *FlowEntry) int { return cmp.Compare(b.Priority, a.Priority) })
 	i, j := len(t.entries)-1, len(add)-1

@@ -2,7 +2,6 @@ package openflow
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -89,7 +88,6 @@ func parked(t *FlowTable) *FlowTable {
 	c := *t
 	c.entries = slices.Clone(t.entries)
 	c.pending = slices.Clone(t.pending)
-	c.removed = maps.Clone(t.removed)
 	return &c
 }
 
@@ -173,7 +171,7 @@ func checkTable(t *testing.T, op int, side string, tbl *FlowTable, ref *refTable
 // sides mutated afterwards, Clone — and after every op compares each read
 // (Entries, Lookup, Len, Contains, MatchFields, String) with refTable.  Four
 // priorities make insertion order within a priority matter, and the bulk add
-// takes a table past inPlaceShift, so mods are parked and merged as well as
+// takes a table past inPlaceShift, so adds are parked and merged as well as
 // applied in place.
 //
 // Each op is three bytes, (code, a, b).  Ops past the first 64 are ignored,
