@@ -282,7 +282,8 @@ func (s *Switch) Process(p *Packet, v *Verdict) { s.dp.Process(p, v) }
 func (s *Switch) ProcessBurst(ps []*Packet, vs []Verdict) { s.dp.ProcessBurst(ps, vs) }
 
 // AddFlow installs a flow entry in the running datapath (transactional,
-// per-table granularity).
+// per-table granularity).  The switch takes the entry over: neither it nor
+// its match may be modified after the call.
 func (s *Switch) AddFlow(table TableID, e *FlowEntry) error { return s.dp.AddFlow(table, e) }
 
 // DeleteFlow removes matching flow entries from the running datapath.

@@ -328,7 +328,7 @@ func (d *Datapath) compileEntry(e *openflow.FlowEntry) (*compiledEntry, error) {
 		ins:      d.internInstructions(&e.Instructions),
 		counters: &cmp.Or(d.origin[e], e).Counters, // a derived entry counts on its source
 		priority: e.Priority,
-		match:    e.Match.Clone(),
+		match:    e.Match,
 	}
 	if ce.ins.HasGoto {
 		tr, ok := d.trampolines[ce.ins.GotoTable]

@@ -150,7 +150,10 @@ type compiledEntry struct {
 	next     *trampoline
 	counters *openflow.Counters
 	// priority and match are retained for incremental updates and
-	// debugging; the hot path never consults them.
+	// debugging; the hot path never consults them.  match is the pipeline
+	// entry's own: the datapath owns its pipeline's entries (Compile clones
+	// the caller's pipeline, AddFlow takes its entry over) and never
+	// modifies their matches, so the compiled entry needs no copy.
 	priority int
 	match    *openflow.Match
 }

@@ -637,7 +637,7 @@ func (l *listTable) Mirror() tableDatapath {
 func (l *listTable) CanInsert(e *openflow.FlowEntry) bool { return true }
 
 func (l *listTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
-	l.classifier.Insert(&tss.Entry{Priority: e.Priority, Match: e.Match.Clone(), Aux: ce})
+	l.classifier.Insert(&tss.Entry{Priority: e.Priority, Match: e.Match, Aux: ce})
 	l.count = l.classifier.Len()
 }
 

@@ -100,7 +100,9 @@ type TraceStep struct {
 	// fields are meaningful only when it did.
 	Matched  bool
 	Priority int
-	Match    *openflow.Match
+	// Match is the matched entry's match, shared with the running datapath:
+	// it is read-only.
+	Match *openflow.Match
 	// Apply is the matched entry's apply-actions list.
 	Apply openflow.ActionList
 	// Next is the goto_table target (valid when HasNext).

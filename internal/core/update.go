@@ -110,6 +110,9 @@ func (d *Datapath) dropShadow(tid openflow.TableID) { delete(d.versions, tid) }
 // the new one is complete (transactional, per-table-granularity updates that
 // are safe under concurrent lock-free forwarding).  A decomposed datapath
 // applies the mod to its source pipeline and recompiles (recompile).
+//
+// The datapath takes e over: its pipeline and its compiled table hold e and
+// e.Match themselves, so neither may be modified after the call.
 func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -140,13 +140,14 @@ func (a *MaskAccumulator) ObserveRule(p *pkt.Packet, m *Match) bool {
 		// protocol-identifying fields were examined.
 		return false
 	}
-	// Walk the set bits in field order; FieldSet.Fields would allocate a
-	// slice per rule on what is the worker's double-miss path.
-	for rest := m.fields; rest != 0; rest &= rest - 1 {
-		f := Field(bits.TrailingZeros32(uint32(rest)))
-		want, mask := m.values[f], m.masks[f]
-		got := Extract(p, f)
-		diff := (got ^ want) & mask
+	// Walk the set bits and the pairs in field order; FieldSet.Fields would
+	// allocate a slice per rule on what is the worker's double-miss path.
+	rest := m.fields
+	for _, fp := range m.pairs {
+		f := lowest(rest)
+		rest &= rest - 1
+		mask := fp.mask
+		diff := (Extract(p, f) ^ fp.value) & mask
 		if diff == 0 {
 			a.Observe(p, f, mask)
 			continue

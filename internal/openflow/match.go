@@ -1,6 +1,8 @@
 package openflow
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,15 +14,86 @@ import (
 // sense (an all-ones mask is an exact match, a prefix mask is a longest-
 // prefix-style match, and arbitrary masks are allowed, as in OpenFlow).
 //
+// A Match stores only the fields it sets, in the manner of OVS's miniflow:
+// fields is the bitmap of set fields, and pairs holds their (value, mask)
+// pairs packed in field order, so field f's pair sits at the number of set
+// fields below f.  Every walk over the match runs over the set bits and the
+// pairs in lockstep.  NewMatch allocates room for inlineFields pairs in the
+// same allocation as the Match; Clone sizes the copy's room to its fields.
+// No two matches share pair storage, so a Match must not be copied by value.
+//
 // The zero Match matches every packet.
 type Match struct {
 	fields FieldSet
-	values [NumFields]uint64
-	masks  [NumFields]uint64
+	pairs  []fieldPair
+}
+
+// fieldPair is one set field's value and mask; the value has no bits outside
+// the mask.
+type fieldPair struct{ value, mask uint64 }
+
+// inlineFields is the room NewMatch reserves: the bundled use cases' matches
+// set at most this many fields, so building one costs one allocation.  A
+// wider match grows its pairs by append.
+const inlineFields = 4
+
+// The match blocks hold a Match and room for its pairs in one allocation.
+type (
+	matchBlock1 struct {
+		m   Match
+		buf [1]fieldPair
+	}
+	matchBlock2 struct {
+		m   Match
+		buf [2]fieldPair
+	}
+	matchBlock3 struct {
+		m   Match
+		buf [3]fieldPair
+	}
+	matchBlock4 struct {
+		m   Match
+		buf [inlineFields]fieldPair
+	}
+)
+
+// newMatchRoom returns an empty match with room for n pairs, in the same
+// allocation for up to inlineFields of them.
+func newMatchRoom(n int) *Match {
+	switch n {
+	case 0:
+		return &Match{}
+	case 1:
+		b := new(matchBlock1)
+		b.m.pairs = b.buf[:0]
+		return &b.m
+	case 2:
+		b := new(matchBlock2)
+		b.m.pairs = b.buf[:0]
+		return &b.m
+	case 3:
+		b := new(matchBlock3)
+		b.m.pairs = b.buf[:0]
+		return &b.m
+	case inlineFields:
+		b := new(matchBlock4)
+		b.m.pairs = b.buf[:0]
+		return &b.m
+	}
+	return &Match{pairs: make([]fieldPair, 0, n)}
 }
 
 // NewMatch returns an empty (match-everything) match.
-func NewMatch() *Match { return &Match{} }
+func NewMatch() *Match { return newMatchRoom(inlineFields) }
+
+// slot returns the position of field f's pair: the number of set fields
+// below f.
+func (m *Match) slot(f Field) int {
+	return bits.OnesCount32(uint32(m.fields) & (1<<f - 1))
+}
+
+// lowest returns the lowest field of a non-empty set.
+func lowest(s FieldSet) Field { return Field(bits.TrailingZeros32(uint32(s))) }
 
 // Set adds an exact match on field f.
 func (m *Match) Set(f Field, value uint64) *Match {
@@ -31,12 +104,16 @@ func (m *Match) Set(f Field, value uint64) *Match {
 func (m *Match) SetMasked(f Field, value, mask uint64) *Match {
 	mask &= f.FullMask()
 	if mask == 0 {
-		m.Unset(f)
+		return m.Unset(f)
+	}
+	p := fieldPair{value: value & mask, mask: mask}
+	i := m.slot(f)
+	if m.fields.Has(f) {
+		m.pairs[i] = p
 		return m
 	}
 	m.fields = m.fields.Add(f)
-	m.values[f] = value & mask
-	m.masks[f] = mask
+	m.pairs = slices.Insert(m.pairs, i, p)
 	return m
 }
 
@@ -57,9 +134,11 @@ func (m *Match) SetPrefix(f Field, value uint64, prefixLen int) *Match {
 
 // Unset removes field f from the match.
 func (m *Match) Unset(f Field) *Match {
-	m.fields &^= 1 << f
-	m.values[f] = 0
-	m.masks[f] = 0
+	if m.fields.Has(f) {
+		i := m.slot(f)
+		m.pairs = slices.Delete(m.pairs, i, i+1)
+		m.fields &^= 1 << f
+	}
 	return m
 }
 
@@ -74,24 +153,30 @@ func (m *Match) Get(f Field) (value, mask uint64, ok bool) {
 	if !m.fields.Has(f) {
 		return 0, 0, false
 	}
-	return m.values[f], m.masks[f], true
+	p := m.pairs[m.slot(f)]
+	return p.value, p.mask, true
 }
 
 // IsExact reports whether field f is constrained with a full (exact) mask.
 func (m *Match) IsExact(f Field) bool {
-	return m.fields.Has(f) && m.masks[f] == f.FullMask()
+	_, mask, ok := m.Get(f)
+	return ok && mask == f.FullMask()
 }
 
 // IsPrefix reports whether field f is constrained with a prefix mask and, if
 // so, returns the prefix length.
 func (m *Match) IsPrefix(f Field) (int, bool) {
-	if !m.fields.Has(f) {
+	_, mask, ok := m.Get(f)
+	if !ok {
 		return 0, false
 	}
-	mask := m.masks[f]
+	return prefixLen(f, mask)
+}
+
+// prefixLen reports whether mask is a prefix mask of field f — a run of ones
+// followed by a run of zeros within the field width — and its length.
+func prefixLen(f Field, mask uint64) (int, bool) {
 	width := int(f.Width())
-	// A prefix mask is a run of ones followed by a run of zeros within the
-	// field width.
 	ones := 0
 	for i := width - 1; i >= 0; i-- {
 		if mask&(1<<uint(i)) != 0 {
@@ -113,10 +198,8 @@ func (m *Match) RequiredLayer() pkt.Layer { return m.fields.RequiredLayer() }
 // match to possibly apply (the union of field prerequisites).
 func (m *Match) RequiredProto() pkt.Proto {
 	var proto pkt.Proto
-	for f := Field(0); f < NumFields; f++ {
-		if m.fields.Has(f) {
-			proto |= f.Prerequisite()
-		}
+	for rest := m.fields; rest != 0; rest &= rest - 1 {
+		proto |= lowest(rest).Prerequisite()
 	}
 	return proto
 }
@@ -153,14 +236,14 @@ func (m *Match) Matches(p *pkt.Packet, tracker FieldTracker) bool {
 	if !p.Headers.Has(proto) {
 		return false
 	}
-	for f := Field(0); f < NumFields; f++ {
-		if !m.fields.Has(f) {
-			continue
-		}
+	rest := m.fields
+	for _, fp := range m.pairs {
+		f := lowest(rest)
+		rest &= rest - 1
 		if tracker != nil {
-			tracker.ObserveField(f, m.masks[f])
+			tracker.ObserveField(f, fp.mask)
 		}
-		if (Extract(p, f)^m.values[f])&m.masks[f] != 0 {
+		if (Extract(p, f)^fp.value)&fp.mask != 0 {
 			return false
 		}
 	}
@@ -170,8 +253,11 @@ func (m *Match) Matches(p *pkt.Packet, tracker FieldTracker) bool {
 // MatchesValues reports whether a field-value vector (indexed by Field)
 // satisfies the match; used by the decomposition equivalence checker.
 func (m *Match) MatchesValues(values *[NumFields]uint64) bool {
-	for f := Field(0); f < NumFields; f++ {
-		if m.fields.Has(f) && (values[f]^m.values[f])&m.masks[f] != 0 {
+	rest := m.fields
+	for _, fp := range m.pairs {
+		f := lowest(rest)
+		rest &= rest - 1
+		if (values[f]^fp.value)&fp.mask != 0 {
 			return false
 		}
 	}
@@ -181,71 +267,37 @@ func (m *Match) MatchesValues(values *[NumFields]uint64) bool {
 // Equal reports whether the two matches constrain exactly the same
 // field/value/mask combinations.
 func (m *Match) Equal(o *Match) bool {
-	if m.fields != o.fields {
-		return false
-	}
-	for f := Field(0); f < NumFields; f++ {
-		if m.fields.Has(f) && (m.values[f] != o.values[f] || m.masks[f] != o.masks[f]) {
-			return false
-		}
-	}
-	return true
+	return m.fields == o.fields && slices.Equal(m.pairs, o.pairs)
 }
 
-// Subsumes reports whether every packet matched by o is also matched by m
-// (m is at least as general as o).
-func (m *Match) Subsumes(o *Match) bool {
-	for f := Field(0); f < NumFields; f++ {
-		if !m.fields.Has(f) {
-			continue
-		}
-		if !o.fields.Has(f) {
-			return false
-		}
-		// Every bit m constrains must be constrained identically by o.
-		if m.masks[f]&^o.masks[f] != 0 {
-			return false
-		}
-		if (m.values[f]^o.values[f])&m.masks[f] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Overlaps reports whether there exists a packet matched by both m and o.
-func (m *Match) Overlaps(o *Match) bool {
-	for f := Field(0); f < NumFields; f++ {
-		if m.fields.Has(f) && o.fields.Has(f) {
-			common := m.masks[f] & o.masks[f]
-			if (m.values[f]^o.values[f])&common != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Clone returns a deep copy of the match.
+// Clone returns a deep copy of the match, with room for exactly its fields.
 func (m *Match) Clone() *Match {
-	c := *m
-	return &c
+	c := newMatchRoom(len(m.pairs))
+	c.fields = m.fields
+	c.pairs = append(c.pairs, m.pairs...)
+	return c
 }
 
-// HashKey returns a compact string key identifying the exact
-// field/value/mask combination; used for deduplicating identical matches.
-func (m *Match) HashKey() string {
-	var sb strings.Builder
-	for f := Field(0); f < NumFields; f++ {
-		if m.fields.Has(f) {
-			sb.WriteByte(byte(f))
-			for shift := 0; shift < 64; shift += 8 {
-				sb.WriteByte(byte(m.values[f] >> shift))
-				sb.WriteByte(byte(m.masks[f] >> shift))
-			}
-		}
+// hash returns a 64-bit hash of the match's fields and pairs: Equal matches
+// hash alike.  Flow tables index their entries by it (table.go).
+func (m *Match) hash() uint64 {
+	h := mix64(uint64(m.fields))
+	for _, fp := range m.pairs {
+		h = mix64(h ^ fp.value)
+		h = mix64(h ^ fp.mask)
 	}
-	return sb.String()
+	return h
+}
+
+// mix64 is the SplitMix64 finalizer: a bijection whose every output bit
+// depends on every input bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // String renders the match in ovs-ofctl-like syntax.
@@ -253,16 +305,16 @@ func (m *Match) String() string {
 	if m.fields == 0 {
 		return "*"
 	}
-	parts := make([]string, 0, m.fields.Count())
-	for f := Field(0); f < NumFields; f++ {
-		if !m.fields.Has(f) {
-			continue
-		}
-		v, mask := m.values[f], m.masks[f]
+	parts := make([]string, 0, len(m.pairs))
+	rest := m.fields
+	for _, fp := range m.pairs {
+		f := lowest(rest)
+		rest &= rest - 1
+		v, mask := fp.value, fp.mask
 		var s string
 		switch f {
 		case FieldIPSrc, FieldIPDst, FieldARPSPA, FieldARPTPA:
-			if plen, ok := m.IsPrefix(f); ok {
+			if plen, ok := prefixLen(f, mask); ok {
 				s = formatKV(f.String(), pkt.IPv4(v).String(), plen, 32)
 			} else {
 				s = f.String() + "=" + pkt.IPv4(v).String() + "/" + pkt.IPv4(mask).String()

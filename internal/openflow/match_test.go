@@ -2,7 +2,6 @@ package openflow
 
 import (
 	"testing"
-	"testing/quick"
 
 	"eswitch/internal/pkt"
 )
@@ -183,26 +182,16 @@ func TestMatchSetMaskedZeroRemoves(t *testing.T) {
 	}
 }
 
-func TestMatchEqualSubsumeOverlap(t *testing.T) {
+func TestMatchEqual(t *testing.T) {
 	a := NewMatch().Set(FieldIPDst, 100).Set(FieldTCPDst, 80)
-	b := NewMatch().Set(FieldIPDst, 100).Set(FieldTCPDst, 80)
+	b := NewMatch().Set(FieldTCPDst, 80).Set(FieldIPDst, 100)
 	c := NewMatch().Set(FieldIPDst, 100)
 	d := NewMatch().Set(FieldIPDst, 200)
-	if !a.Equal(b) || a.Equal(c) {
+	if !a.Equal(b) || a.Equal(c) || c.Equal(d) {
 		t.Fatal("Equal broken")
 	}
-	if !c.Subsumes(a) {
-		t.Fatal("ip_dst=100 subsumes ip_dst=100,tcp_dst=80")
-	}
-	if a.Subsumes(c) {
-		t.Fatal("the more specific match must not subsume the general one")
-	}
-	if !a.Overlaps(c) || a.Overlaps(d) {
-		t.Fatal("Overlaps broken")
-	}
-	e := NewMatch()
-	if !e.Subsumes(a) || !e.Overlaps(d) {
-		t.Fatal("empty match subsumes/overlaps everything")
+	if !c.Clone().Set(FieldTCPDst, 80).Equal(a) || !b.Unset(FieldTCPDst).Equal(c) {
+		t.Fatal("Equal depends on how the match was built")
 	}
 }
 
@@ -244,34 +233,18 @@ func indexOf(s, sub string) int {
 	return -1
 }
 
+// TestMatchHashKeyDistinguishes checks the flow-table index key: the
+// priority and the match's hash.
 func TestMatchHashKeyDistinguishes(t *testing.T) {
 	a := NewMatch().Set(FieldTCPDst, 80)
 	b := NewMatch().Set(FieldTCPDst, 81)
 	c := NewMatch().Set(FieldUDPDst, 80)
-	if a.HashKey() == b.HashKey() || a.HashKey() == c.HashKey() {
-		t.Fatal("hash keys collide for distinct matches")
+	d := NewMatch().SetMasked(FieldTCPDst, 80, 0xfff0)
+	if keyOf(1, a) == keyOf(1, b) || keyOf(1, a) == keyOf(1, c) || keyOf(1, a) == keyOf(1, d) || keyOf(1, a) == keyOf(2, a) {
+		t.Fatal("index keys collide for distinct matches")
 	}
-	if a.HashKey() != NewMatch().Set(FieldTCPDst, 80).HashKey() {
-		t.Fatal("hash keys differ for equal matches")
-	}
-}
-
-func TestMatchSubsumesPropertyImpliesMatch(t *testing.T) {
-	// If a subsumes b, every packet matched by b must be matched by a.
-	f := func(ipDst uint32, port uint16, plen uint8) bool {
-		plen = plen % 33
-		a := NewMatch().SetPrefix(FieldIPDst, uint64(ipDst), int(plen))
-		b := NewMatch().Set(FieldIPDst, uint64(ipDst)).Set(FieldTCPDst, uint64(port))
-		if !a.Subsumes(b) {
-			return plen != 0 // a zero-length prefix is the empty match and must subsume
-		}
-		var values [NumFields]uint64
-		values[FieldIPDst] = uint64(ipDst)
-		values[FieldTCPDst] = uint64(port)
-		return !b.MatchesValues(&values) || a.MatchesValues(&values)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
+	if keyOf(1, a) != keyOf(1, NewMatch().Set(FieldTCPDst, 80)) || keyOf(1, a) != keyOf(1, b.Clone().Set(FieldTCPDst, 80)) {
+		t.Fatal("index keys differ for equal matches")
 	}
 }
 

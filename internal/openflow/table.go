@@ -199,11 +199,15 @@ type FlowTable struct {
 	// pending holds the adds not merged into entries yet, in seq order.
 	pending []*FlowEntry
 	nextSeq uint64
-	// index maps (priority, match) to the live entry holding it, for O(1)
-	// replace-on-add and delete, keeping large installs (Fig. 17) linear.
-	// The entry's position is never stored: position() finds it in the
-	// sorted slice by binary search.
-	index map[entryKey]*FlowEntry
+	// index maps (priority, match hash) to the live entry holding it, for
+	// O(1) replace-on-add and delete, keeping large installs (Fig. 17)
+	// linear.  The entry's position is never stored: position() finds it in
+	// the sorted slice by binary search.  collided holds the further entries
+	// whose key an entry with a different match already holds in index —
+	// distinct matches whose 64-bit hashes agree, which the index tells
+	// apart with Match.Equal.
+	index    map[entryKey]*FlowEntry
+	collided map[entryKey][]*FlowEntry
 }
 
 // inPlaceShift is the most pointers an add moves within the sorted slice;
@@ -221,9 +225,10 @@ const inPlaceShift = 32
 // reaches it).
 const mergeShare = 8
 
+// entryKey is an entry's index key: its priority and its match's hash.
 type entryKey struct {
 	priority int
-	match    string
+	hash     uint64
 }
 
 // NewFlowTable returns an empty table with the given ID.
@@ -240,21 +245,78 @@ func (t *FlowTable) Entries() []*FlowEntry {
 	return t.entries
 }
 
+// matchHash is the hash the index keys matches by; tests swap in a weaker
+// one to drive the collision path.
+var matchHash = (*Match).hash
+
 func keyOf(priority int, match *Match) entryKey {
-	return entryKey{priority: priority, match: match.HashKey()}
+	return entryKey{priority: priority, hash: matchHash(match)}
 }
 
-// find returns the entry with exactly this priority and match, building the
-// index on first use.
-func (t *FlowTable) find(key entryKey) *FlowEntry {
+// find returns the entry with exactly this priority and match, whose key is
+// key, building the index on first use.
+func (t *FlowTable) find(key entryKey, match *Match) *FlowEntry {
 	if t.index == nil {
 		t.merge()
 		t.index = make(map[entryKey]*FlowEntry, len(t.entries))
 		for _, e := range t.entries {
-			t.index[keyOf(e.Priority, e.Match)] = e
+			t.link(keyOf(e.Priority, e.Match), e)
 		}
 	}
-	return t.index[key]
+	if e := t.index[key]; e == nil || e.Match.Equal(match) {
+		return e
+	}
+	for _, e := range t.collided[key] {
+		if e.Match.Equal(match) {
+			return e
+		}
+	}
+	return nil
+}
+
+// link indexes e, which no indexed entry equals, under its key.
+func (t *FlowTable) link(key entryKey, e *FlowEntry) {
+	if t.index[key] == nil {
+		t.index[key] = e
+		return
+	}
+	if t.collided == nil {
+		t.collided = make(map[entryKey][]*FlowEntry)
+	}
+	t.collided[key] = append(t.collided[key], e)
+}
+
+// relink puts e where the index holds old, the entry e replaces.
+func (t *FlowTable) relink(key entryKey, old, e *FlowEntry) {
+	if t.index[key] == old {
+		t.index[key] = e
+		return
+	}
+	c := t.collided[key]
+	c[slices.Index(c, old)] = e
+}
+
+// unlink drops e from the index; a collided entry under the same key takes
+// its place.
+func (t *FlowTable) unlink(key entryKey, e *FlowEntry) {
+	c := t.collided[key]
+	if t.index[key] == e {
+		if len(c) == 0 {
+			delete(t.index, key)
+			return
+		}
+		t.index[key] = c[len(c)-1]
+		c[len(c)-1] = nil
+		c = c[:len(c)-1]
+	} else {
+		i := slices.Index(c, e)
+		c = slices.Delete(c, i, i+1)
+	}
+	if len(c) == 0 {
+		delete(t.collided, key)
+	} else {
+		t.collided[key] = c
+	}
 }
 
 // before reports whether a orders ahead of b: higher priority, or the same
@@ -279,15 +341,15 @@ func (t *FlowTable) position(priority int, seq uint64) int {
 // and the method reports false for "added new entry".
 func (t *FlowTable) Add(e *FlowEntry) bool {
 	key := keyOf(e.Priority, e.Match)
-	old := t.find(key)
+	old := t.find(key, e.Match)
 	if old != nil {
 		t.merge()
-		t.index[key] = e
+		t.relink(key, old, e)
 		e.seq = old.seq
 		t.entries[t.position(e.Priority, e.seq)] = e
 		return false
 	}
-	t.index[key] = e
+	t.link(key, e)
 	e.seq = t.nextSeq
 	t.nextSeq++
 	// The new seq is the largest, so this lands after every entry with
@@ -309,7 +371,7 @@ func (t *FlowTable) Add(e *FlowEntry) bool {
 // add.  It shares Add's lazy index, so capacity checks on large tables stay
 // O(1).
 func (t *FlowTable) Contains(priority int, match *Match) bool {
-	return t.find(keyOf(priority, match)) != nil
+	return t.find(keyOf(priority, match), match) != nil
 }
 
 // AddFlow is a convenience wrapper building and adding an entry.
@@ -330,11 +392,11 @@ func (t *FlowTable) Delete(match *Match, priority int) int {
 		return t.DeleteWhere(func(e *FlowEntry) bool { return e.Match.Equal(match) })
 	}
 	key := keyOf(priority, match)
-	e := t.find(key)
+	e := t.find(key, match)
 	if e == nil {
 		return 0
 	}
-	delete(t.index, key)
+	t.unlink(key, e)
 	if n := len(t.pending); n > 0 && t.pending[n-1] == e {
 		t.pending[n-1] = nil
 		t.pending = t.pending[:n-1]
@@ -397,7 +459,7 @@ func (t *FlowTable) DeleteWhere(pred func(*FlowEntry) bool) int {
 			return true
 		}
 		if t.index != nil {
-			delete(t.index, keyOf(e.Priority, e.Match))
+			t.unlink(keyOf(e.Priority, e.Match), e)
 		}
 		return false
 	})

@@ -264,3 +264,54 @@ func FuzzFlowTableOps(f *testing.F) {
 		}
 	})
 }
+
+// TestFlowTableIndexCollisions runs adds, replaces, deletes of every kind,
+// DeleteWhere and forks with a match hash that only tells field sets apart,
+// so distinct matches share index keys and the index must tell them apart
+// with Match.Equal, checking every read against refTable after every op.
+func TestFlowTableIndexCollisions(t *testing.T) {
+	defer func(h func(*Match) uint64) { matchHash = h }(matchHash)
+	matchHash = func(m *Match) uint64 { return uint64(m.Fields()) }
+	packets := fuzzPackets(t)
+	rng := rand.New(rand.NewSource(49))
+	tbl, ref := NewFlowTable(1), &refTable{}
+	var fork *FlowTable
+	var forkRef *refTable
+	for op := 0; op < 600; op++ {
+		x, prio := byte(rng.Intn(64)), rng.Intn(2) // 128 keys over four field sets
+		switch rng.Intn(11) {
+		default: // add, or replace when the key is installed
+			e := NewEntry(prio, fuzzMatch(x), Apply(Output(uint32(op%4+1))))
+			if got, want := tbl.Add(e), ref.add(e); got != want {
+				t.Fatalf("op %d: Add(%v) = %v, reference %v", op, e, got, want)
+			}
+		case 6, 7: // delete an installed entry: the index's own or a collided one
+			if n := len(ref.entries); n > 0 {
+				o := ref.entries[rng.Intn(n)].e
+				if got, want := tbl.Delete(o.Match, o.Priority), ref.delete(o.Match, o.Priority); got != want {
+					t.Fatalf("op %d: Delete(%v) = %d, reference %d", op, o, got, want)
+				}
+			}
+		case 8: // delete a key, present or not
+			m := fuzzMatch(x)
+			if got, want := tbl.Delete(m, prio), ref.delete(m, prio); got != want {
+				t.Fatalf("op %d: Delete(%v, %d) = %d, reference %d", op, m, prio, got, want)
+			}
+		case 9:
+			rem := uint64(rng.Intn(5))
+			pred := func(e *FlowEntry) bool { return e.Instructions.ApplyActions[0].Port%5 == uint32(rem) }
+			if got, want := tbl.DeleteWhere(pred), ref.deleteWhere(pred); got != want {
+				t.Fatalf("op %d: DeleteWhere = %d, reference %d", op, got, want)
+			}
+		case 10: // switch to a fork, or back
+			if fork == nil || rng.Intn(2) == 0 {
+				fork, forkRef = tbl.Fork(), ref.fork()
+			}
+			tbl, fork, ref, forkRef = fork, tbl, forkRef, ref
+		}
+		checkTable(t, op, "current", tbl, ref, packets)
+		if fork != nil {
+			checkTable(t, op, "fork", fork, forkRef, packets)
+		}
+	}
+}
