@@ -1,12 +1,10 @@
 // The benchmarks neither other harness has.  bench/ (bash bench/run.sh) owns
 // every forwarding, flow-mod, set-up and heap number the repository quotes,
-// and cmd/eswitch-experiments regenerates the paper's figures; what is left
-// here are the punt-ring and trace-replay paths bench/ does not drive, the
-// router's cache grid with its 1M-microflow sweep, the one row the deleted second cache level ever won
-// (ROADMAP 3), and the gateway's armed verdict cache, timed without the
-// ring substrate around it.
-// They measure the real Go implementations (ns/op on the machine running
-// them) and are not gated.
+// and cmd/eswitch-experiments regenerates the paper's figures.  Each
+// benchmark here says what it measures that bench/ cannot: bench/ drives
+// five workloads of at most 4,096 flows over the ring backend, with no punt
+// rings and no controller.  They measure the real Go implementations (ns/op
+// on the machine running them) and are not gated.
 package eswitch
 
 import (
@@ -87,7 +85,10 @@ func benchFlowCacheDrive(b *testing.B, dp *core.Datapath, next func(*pkt.Packet)
 }
 
 // BenchmarkFlowCache_L3Sweep drives the 100K-prefix router on the
-// dist=uniform|zipf|sweep × cache=off|on grid.  The router is one LPM stage,
+// dist=uniform|zipf|sweep × cache=off|on grid.  bench/ cannot: its router has
+// 10K prefixes and 4,096 flows, and none of its workloads has the sweep's
+// ~1M distinct microflows (the row the deleted second cache level won,
+// ROADMAP 3).  The router is one LPM stage,
 // so the compiler does not arm the cache (cache=on reports no hit%) and both
 // columns run the plain burst path: the grid records that asking this
 // pipeline for a cache costs nothing, on the workload where a cache keyed on
@@ -151,34 +152,11 @@ func BenchmarkFlowCache_L3Sweep(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowCache_GatewayHit drives the four-table access gateway with the
-// verdict cache armed, in the shape of bench/'s gateway_zipf_cached: Zipf(1.1)
-// popularity over 4,096 flows into a 2,048-entry cache, so most packets take
-// the hit path (tag-first probe, verdict replay) and the rest walk the
-// templates and install.  It reports Mpps and hit%.
-func BenchmarkFlowCache_GatewayHit(b *testing.B) {
-	uc := workload.GatewayUseCase(workload.DefaultGatewayConfig())
-	opts := core.DefaultOptions()
-	opts.FlowCache = 2048
-	dp, err := core.Compile(uc.Pipeline, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, why := dp.FlowCacheKey(); !dp.FlowCacheEnabled() {
-		b.Fatalf("the gateway does not arm its cache: %s", why)
-	}
-	const flows = 4096
-	trace := uc.Trace(flows)
-	if err := trace.UseZipf(1.1, 42); err != nil {
-		b.Fatal(err)
-	}
-	benchFlowCacheDrive(b, dp, trace.Next, flows)
-}
-
 // BenchmarkSlowPath_PuntRing measures the raw punt-ring data path — the
 // frame copy into a pre-allocated slot, the SPSC publish and the consumer
 // copy-out — which is exactly the per-punt overhead a worker pays on a
 // ToController verdict plus what the slow-path service pays to drain it.
+// bench/ cannot: none of its workloads punts.
 func BenchmarkSlowPath_PuntRing(b *testing.B) {
 	ring := slowpath.NewRing(4096, 0)
 	frame := make([]byte, 64)
@@ -198,6 +176,7 @@ func BenchmarkSlowPath_PuntRing(b *testing.B) {
 // the rings and encodes PacketIns (delivery to an in-memory sink, no TCP).
 // Ring overflow under pressure is accounted as PuntDrops, never felt by the
 // polling loop — the rate-decoupling property this subsystem exists for.
+// bench/ cannot: it arms no punt rings and runs no slow-path service.
 func BenchmarkSlowPath_PuntDeliver(b *testing.B) {
 	uc := workload.L2LearningUseCase(1000, 4)
 	dp, err := core.Compile(uc.Pipeline, core.DefaultOptions())
@@ -256,7 +235,8 @@ func BenchmarkSlowPath_PuntDeliver(b *testing.B) {
 // path" acceptance benchmark: a learning controller converges the pipeline
 // once, then forwarding is measured with the punt rings still armed — the
 // steady state punts nothing, so the rate must match an equivalently-shaped
-// proactive L2 pipeline within noise.
+// proactive L2 pipeline within noise.  bench/ cannot: its pipelines are
+// proactive, with no controller and no armed punt rings.
 func BenchmarkSlowPath_PostConvergence(b *testing.B) {
 	h, err := experiments.NewChaosHarness(experiments.ChaosConfig{Hosts: 512})
 	if err != nil {
@@ -308,6 +288,7 @@ func benchTraceReplay(b *testing.B, trace string, uc *workload.UseCase) {
 
 // BenchmarkTraceReplay_L2 replays testdata/l2_min.pcap (256 flows of the L2
 // use case's traffic, 64-byte frames) against the matching L2 pipeline.
+// bench/ cannot: it forwards over the ring backend only, never the pcap one.
 func BenchmarkTraceReplay_L2(b *testing.B) {
 	benchTraceReplay(b, "testdata/l2_min.pcap", workload.L2UseCase(1000, 4))
 }
@@ -315,6 +296,7 @@ func BenchmarkTraceReplay_L2(b *testing.B) {
 // BenchmarkTraceReplay_L3IMIX replays testdata/l3_imix.pcap (the L3 use
 // case's traffic zero-padded to the 7:4:1 IMIX size mix) against the
 // matching L3 pipeline — the realistic-sizes row of the replay family.
+// bench/ cannot: besides the pcap backend, its frames are all one size.
 func BenchmarkTraceReplay_L3IMIX(b *testing.B) {
 	benchTraceReplay(b, "testdata/l3_imix.pcap", workload.L3UseCase(10000, 8, 2016))
 }

@@ -251,8 +251,10 @@ const (
 	RemovedEviction    = core.RemovedEviction
 )
 
-// DefaultOptions returns the paper's compilation defaults (direct-code
-// threshold of 4, key inlining, parser specialization, no decomposition).
+// DefaultOptions returns the paper's compilation defaults: direct code for
+// tables of at most 4 entries, and every other setting off — no
+// decomposition, no per-entry counters, no verdict cache, no table-size cap
+// and no cycle meter.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // Switch is a compiled ESWITCH datapath: the pipeline is specialized into

@@ -59,9 +59,6 @@ func (s *Source) Next() time.Duration {
 // not rewound.
 func (s *Source) Reset() { s.attempt = 0 }
 
-// Attempt returns the zero-based attempt index Next will compute next.
-func (s *Source) Attempt() int { return s.attempt }
-
 // Schedule is the oracle: the first n delays a fresh Source with this
 // config produces over consecutive failures (no intervening Reset).
 func Schedule(cfg Config, n int) []time.Duration {

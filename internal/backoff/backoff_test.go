@@ -54,8 +54,8 @@ func TestResetRewindsAttemptNotJitter(t *testing.T) {
 		src.Next()
 	}
 	src.Reset()
-	if src.Attempt() != 0 {
-		t.Fatalf("Attempt after Reset = %d", src.Attempt())
+	if src.attempt != 0 {
+		t.Fatalf("attempt after Reset = %d", src.attempt)
 	}
 	again := src.Next()
 	hi := time.Duration(float64(cfg.Min) * (1 + cfg.JitterFrac))

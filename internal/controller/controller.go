@@ -203,9 +203,6 @@ type SyncWriter struct {
 	w  io.Writer
 }
 
-// NewSyncWriter wraps w for concurrent whole-message writes.
-func NewSyncWriter(w io.Writer) *SyncWriter { return &SyncWriter{w: w} }
-
 // Write implements io.Writer under the mutex.
 func (sw *SyncWriter) Write(p []byte) (int, error) {
 	sw.mu.Lock()
@@ -224,7 +221,7 @@ type channelRW struct {
 // every writer — the agent's own replies and any slow-path service — goes
 // through the returned SyncWriter.
 func SharedChannel(conn io.ReadWriter) (io.ReadWriter, *SyncWriter) {
-	sw := NewSyncWriter(conn)
+	sw := &SyncWriter{w: conn}
 	return channelRW{Reader: conn, Writer: sw}, sw
 }
 
@@ -310,8 +307,8 @@ func (c *Controller) InstallFlowLifetime(table openflow.TableID, priority int, m
 	return ofp.WriteMessage(c.conn, ofp.Message{Type: ofp.TypeFlowMod, Xid: c.nextXid(), Body: ofp.EncodeFlowMod(fm)})
 }
 
-// DeleteFlow sends a FlowMod DELETE for the match.
-func (c *Controller) DeleteFlow(table openflow.TableID, priority int, match *openflow.Match) error {
+// deleteFlow sends a FlowMod DELETE for the match.
+func (c *Controller) deleteFlow(table openflow.TableID, priority int, match *openflow.Match) error {
 	fm := ofp.FlowMod{Command: ofp.FlowModDelete, TableID: table, Priority: int32(priority), Match: match}
 	c.mu.Lock()
 	defer c.mu.Unlock()

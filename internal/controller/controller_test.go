@@ -133,7 +133,7 @@ func TestDeleteFlowOverChannel(t *testing.T) {
 	if err := ctrl.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctrl.DeleteFlow(0, 10, m); err != nil {
+	if err := ctrl.deleteFlow(0, 10, m); err != nil {
 		t.Fatal(err)
 	}
 	if err := ctrl.Barrier(); err != nil {
@@ -473,22 +473,22 @@ func TestLearningSwitchHandlesPacketIn(t *testing.T) {
 	frameBtoA := pkt.Clone(b.EthernetFrame(pkt.EthernetOpts{Src: macB, Dst: macA, EtherType: 0x0800}, nil))
 
 	// A->B: B unknown — learn A, flood, no FlowMod.
-	ls.HandlePacketIn(ofp.PacketIn{InPort: 1, Reason: ofp.PacketInReasonNoMatch, Data: frameAtoB})
+	ls.handlePacketIn(ofp.PacketIn{InPort: 1, Reason: ofp.PacketInReasonNoMatch, Data: frameAtoB})
 	if ls.Learned() != 1 || ls.FlowMods() != 0 || ls.Floods() != 1 {
 		t.Fatalf("after A->B: learned=%d flowmods=%d floods=%d", ls.Learned(), ls.FlowMods(), ls.Floods())
 	}
 	// B->A: A known — learn B, install the B->A flow, packet-out to A's port.
-	ls.HandlePacketIn(ofp.PacketIn{InPort: 2, Reason: ofp.PacketInReasonNoMatch, Data: frameBtoA})
+	ls.handlePacketIn(ofp.PacketIn{InPort: 2, Reason: ofp.PacketInReasonNoMatch, Data: frameBtoA})
 	if ls.Learned() != 2 || ls.FlowMods() != 1 {
 		t.Fatalf("after B->A: learned=%d flowmods=%d", ls.Learned(), ls.FlowMods())
 	}
 	// A->B again: B now known — install the A->B flow, no new flood.
-	ls.HandlePacketIn(ofp.PacketIn{InPort: 1, Reason: ofp.PacketInReasonNoMatch, Data: frameAtoB})
+	ls.handlePacketIn(ofp.PacketIn{InPort: 1, Reason: ofp.PacketInReasonNoMatch, Data: frameAtoB})
 	if ls.FlowMods() != 2 || ls.Floods() != 1 {
 		t.Fatalf("after 2nd A->B: flowmods=%d floods=%d", ls.FlowMods(), ls.Floods())
 	}
 	// Same punt once more: the flow is already installed, no duplicate mod.
-	ls.HandlePacketIn(ofp.PacketIn{InPort: 1, Reason: ofp.PacketInReasonNoMatch, Data: frameAtoB})
+	ls.handlePacketIn(ofp.PacketIn{InPort: 1, Reason: ofp.PacketInReasonNoMatch, Data: frameAtoB})
 	if ls.FlowMods() != 2 {
 		t.Fatalf("duplicate install: flowmods=%d", ls.FlowMods())
 	}
@@ -525,8 +525,8 @@ func TestLearningSwitchUnseenSenderStillPunts(t *testing.T) {
 	}
 	// B speaks (learned on port 2), then C answers it: B is known, so the
 	// controller installs C's flow to B.
-	ls.HandlePacketIn(ofp.PacketIn{InPort: 2, Reason: ofp.PacketInReasonNoMatch, Data: frame(0xbb, 0xcc)})
-	ls.HandlePacketIn(ofp.PacketIn{InPort: 3, Reason: ofp.PacketInReasonNoMatch, Data: frame(0xcc, 0xbb)})
+	ls.handlePacketIn(ofp.PacketIn{InPort: 2, Reason: ofp.PacketInReasonNoMatch, Data: frame(0xbb, 0xcc)})
+	ls.handlePacketIn(ofp.PacketIn{InPort: 3, Reason: ofp.PacketInReasonNoMatch, Data: frame(0xcc, 0xbb)})
 	if err := ctrl.Barrier(); err != nil {
 		t.Fatal(err)
 	}

@@ -77,18 +77,8 @@ func (ls *LearningSwitch) Attach(c *Controller) {
 	}
 	ls.installed = make(map[macPair]bool)
 	ls.mu.Unlock()
-	c.PacketInHandler = ls.HandlePacketIn
-	c.ErrorHandler = ls.HandleError
-}
-
-// Run serves the control channel until it closes (Controller.Run).
-func (ls *LearningSwitch) Run() error { return ls.controller().Run() }
-
-// controller returns the currently attached endpoint.
-func (ls *LearningSwitch) controller() *Controller {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.ctrl
+	c.PacketInHandler = ls.handlePacketIn
+	c.ErrorHandler = ls.handleError
 }
 
 // PacketIns returns how many PacketIns were handled.
@@ -120,9 +110,9 @@ func (ls *LearningSwitch) Err() error {
 	return nil
 }
 
-// HandlePacketIn is the reactive loop body: learn the source, then either
+// handlePacketIn is the reactive loop body: learn the source, then either
 // install + forward (known destination) or flood (unknown).
-func (ls *LearningSwitch) HandlePacketIn(pi ofp.PacketIn) {
+func (ls *LearningSwitch) handlePacketIn(pi ofp.PacketIn) {
 	ls.packetIns.Add(1)
 	p := pkt.Packet{Data: pi.Data, InPort: pi.InPort}
 	if !pkt.ParseL2(&p) {
@@ -174,13 +164,13 @@ func (ls *LearningSwitch) HandlePacketIn(pi ofp.PacketIn) {
 	}
 }
 
-// HandleError digests an OFPT_ERROR from the switch.  For a failed FlowMod
+// handleError digests an OFPT_ERROR from the switch.  For a failed FlowMod
 // the error echoes the rejected request, so the learner un-marks that
 // pair in its installed-flow ledger: the flow is NOT on the switch,
 // and a later punt for it must be allowed to retry the install (e.g. after
 // the controller or an operator frees table capacity) instead of being
 // filtered by the ledger forever.
-func (ls *LearningSwitch) HandleError(em ofp.ErrorMsg) {
+func (ls *LearningSwitch) handleError(em ofp.ErrorMsg) {
 	ls.flowErrs.Add(1)
 	if em.Type != ofp.ErrTypeFlowModFailed {
 		return

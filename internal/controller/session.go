@@ -107,7 +107,7 @@ func (s *Session) PortStatus(ev dpdk.PortLinkEvent) {
 func (s *Session) FlowRemoved(rf core.RemovedFlow) {
 	if w := s.writer(); w != nil {
 		_ = s.Agent.SendFlowRemoved(w, ofp.FlowRemoved{
-			Reason:      rf.Reason, // core's Removed* values are the wire reasons
+			Reason:      ofp.FlowRemovedReason(rf.Reason), // core's Removed* values are the wire reasons
 			TableID:     rf.Table,
 			Priority:    int32(rf.Priority),
 			IdleTimeout: rf.IdleTimeout,

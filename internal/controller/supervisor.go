@@ -152,9 +152,6 @@ func (s *Supervisor) State() SupervisorState { return SupervisorState(s.state.Lo
 // Sessions returns how many sessions were established.
 func (s *Supervisor) Sessions() uint64 { return s.sessions.Load() }
 
-// DialFailures returns how many dial attempts failed.
-func (s *Supervisor) DialFailures() uint64 { return s.dialFailures.Load() }
-
 // EchoTimeouts returns how many sessions the liveness probe tore down.
 func (s *Supervisor) EchoTimeouts() uint64 { return s.echoTimeouts.Load() }
 
@@ -211,10 +208,12 @@ func (s *Supervisor) run() {
 		// has armed the dataplane: a caller that observes Up may immediately
 		// rely on the slow path being live and the fail mode cleared.
 		err = s.serveSession(conn)
-		s.state.Store(uint32(SupervisorDegraded))
+		// Likewise SupervisorDegraded follows the OnDown hook: a caller
+		// that observes it sees the dataplane already in its fail mode.
 		if s.cfg.OnDown != nil {
 			s.cfg.OnDown(err)
 		}
+		s.state.Store(uint32(SupervisorDegraded))
 	}
 }
 

@@ -227,8 +227,8 @@ func TestSupervisorBackoffDeterminism(t *testing.T) {
 	if d := far[63]; d < 8*time.Millisecond || float64(d) > float64(8*time.Millisecond)*1.25 {
 		t.Fatalf("uncapped backoff %v at attempt 63", d)
 	}
-	if sup.DialFailures() < uint64(len(got)) {
-		t.Fatalf("dialFailures %d < backoffs %d", sup.DialFailures(), len(got))
+	if sup.dialFailures.Load() < uint64(len(got)) {
+		t.Fatalf("dialFailures %d < backoffs %d", sup.dialFailures.Load(), len(got))
 	}
 }
 
@@ -300,7 +300,7 @@ func TestFlowModTableFullErrorReplyAndChannelSurvival(t *testing.T) {
 	if err := ctrl.InstallFlow(0, 10, match(1), out); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctrl.DeleteFlow(0, 10, match(1)); err != nil {
+	if err := ctrl.deleteFlow(0, 10, match(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ctrl.InstallFlow(0, 10, match(2), out); err != nil {

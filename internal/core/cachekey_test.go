@@ -116,7 +116,7 @@ func (r *keyRig) send(label string, frame []byte, inPort uint32) {
 	ref := pkt.Packet{Data: frame, InPort: inPort}
 	pkt.ParseTo(&ref, r.dp.ParserLayer())
 	var want openflow.Verdict
-	openflow.NewInterpreter(r.dp.Pipeline()).ProcessParsed(&ref, &want, nil)
+	openflow.NewInterpreter(r.dp.Pipeline()).Process(&ref, &want, nil)
 	if !sameVerdict(&vs[0], &want) || p.Headers != ref.Headers || p.Metadata != ref.Metadata {
 		key, _ := r.dp.FlowCacheKey()
 		r.t.Fatalf("%s: cached path says %s and left headers %+v; the interpreter %s, %+v (key: %s, stats %+v)",

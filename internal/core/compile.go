@@ -363,9 +363,6 @@ func (d *Datapath) ParserLayer() pkt.Layer { return d.snap.Load().parserLayer }
 // while no flow-mod, Sweeper pass or FlowSamples call can run.
 func (d *Datapath) Pipeline() *openflow.Pipeline { return d.pipeline }
 
-// DecomposedTables returns how many extra tables decomposition introduced.
-func (d *Datapath) DecomposedTables() int { return d.decomposedBy }
-
 // Rebuilds returns how many per-table template (re)builds have happened.
 func (d *Datapath) Rebuilds() uint64 { return d.rebuilds.Load() }
 

@@ -794,7 +794,7 @@ func TestTemplateValueSlotsReused(t *testing.T) {
 		{"lpm", l3, l3Frames, l3Ports, TemplateLPM, func(dp tableDatapath) *valueSlots { return &dp.(*lpmTable).valueSlots },
 			func(i int) *openflow.FlowEntry {
 				p := pkt.Packet{Data: l3Frames[i%7]}
-				pkt.ParseL3(&p)
+				pkt.ParseTo(&p, pkt.LayerL3)
 				return openflow.NewEntry(32, openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(p.Headers.IPDst), 32),
 					openflow.Apply(openflow.Output(uint32(1+i%8))))
 			}},

@@ -41,18 +41,6 @@ func decompose(pl *openflow.Pipeline, opts Options) (out *openflow.Pipeline, fro
 	return out, from, origin
 }
 
-// DecomposeTableCount decomposes a single standalone table (given as a
-// one-table pipeline) and returns the number of flow tables in the result; it
-// is the measurement entry point for the §3.2 ACL experiments.
-func DecomposeTableCount(t *openflow.FlowTable, opts Options) int {
-	pl := openflow.NewPipeline(2)
-	for _, e := range t.Entries() {
-		pl.Table(0).Add(e.Clone())
-	}
-	decomposed, _ := DecomposePipeline(pl, opts)
-	return decomposed.NumTables()
-}
-
 // decomposable reports whether the table fits the decomposer's setting: every
 // field is either absent (wildcard) or matched under one uniform per-column
 // mask shared by all entries that set it.  Exact-or-wildcard tables (the
@@ -88,12 +76,12 @@ func columnMask(t *openflow.FlowTable, f openflow.Field) uint64 {
 	return f.FullMask()
 }
 
-// MaxDecomposedTables bounds how many tables a single decomposition may
+// maxDecomposedTables bounds how many tables a single decomposition may
 // produce.  The paper notes that for very complex tables the decomposer
 // "cannot help but output an immense number of tables"; beyond this budget
 // the remaining sub-tables are left on the linked-list template instead of
 // being decomposed further.
-const MaxDecomposedTables = 4096
+const maxDecomposedTables = 4096
 
 // decomposeTable rewrites table t in place (inside pipeline pl) into a
 // sub-pipeline of single-field exact-match stages following DECOMPOSE(T) of
@@ -106,7 +94,7 @@ func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options, 
 	// Recursive worklist: tables that still need decomposition.
 	var recurse func(cur *openflow.FlowTable)
 	recurse = func(cur *openflow.FlowTable) {
-		if created >= MaxDecomposedTables {
+		if created >= maxDecomposedTables {
 			return
 		}
 		// Stop when the table already fits a fast template.

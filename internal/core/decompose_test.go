@@ -306,16 +306,6 @@ func TestDecomposeNoOpForWellFormedPipelines(t *testing.T) {
 	}
 }
 
-func TestDecomposeTableCount(t *testing.T) {
-	src := fig5Table()
-	opts := DefaultOptions()
-	opts.DirectCodeMaxEntries = 2
-	n := DecomposeTableCount(src, opts)
-	if n < 2 {
-		t.Fatalf("decomposition should produce multiple tables, got %d", n)
-	}
-}
-
 // --- REGDECOMP / 3SAT reduction (Appendix) ------------------------------------
 
 func TestRegDecompReduction(t *testing.T) {

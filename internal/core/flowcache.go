@@ -412,9 +412,6 @@ func newFlowCache(entries int, counters bool) *FlowCache {
 	return fc
 }
 
-// Len returns the cache capacity in entries.
-func (fc *FlowCache) Len() int { return len(fc.entries) }
-
 // lookup probes the set for an entry with the given key that is valid under
 // the snapshot: of its generation, or of an older one no flow-mod since can
 // have changed (revalidate).  It reports a stale sighting (matching key, lost
@@ -693,11 +690,11 @@ func (fc *FlowCache) bump(hits, misses, stale int) {
 	}
 }
 
-// Stats returns this cache's counters (concurrent-read safe).  Each subset
+// stats returns this cache's counters (concurrent-read safe).  Each subset
 // counter is read before its superset, the reverse of the order bump
 // publishes them in, so Revalidated <= Hits and Expired <= Stale <= Misses
 // hold in every reading, mid-burst ones included.
-func (fc *FlowCache) Stats() FlowCacheStats {
+func (fc *FlowCache) stats() FlowCacheStats {
 	return FlowCacheStats{
 		Revalidated: fc.revalidated.Load(),
 		Hits:        fc.hits.Load(),
@@ -742,7 +739,7 @@ func (t *FlowCacheStats) add(st FlowCacheStats) {
 
 func (r *cacheRegistry) retire(fc *FlowCache) {
 	r.mu.Lock()
-	r.base.add(fc.Stats())
+	r.base.add(fc.stats())
 	// Capacity tracks live caches only; a retired worker's entries are gone.
 	kept := r.live[:0]
 	for _, c := range r.live {
@@ -758,7 +755,7 @@ func (r *cacheRegistry) fold() FlowCacheStats {
 	r.mu.Lock()
 	t := r.base
 	for _, c := range r.live {
-		st := c.Stats()
+		st := c.stats()
 		t.add(st)
 		t.Capacity += st.Capacity
 	}

@@ -136,7 +136,7 @@ func BenchmarkRouteMods(b *testing.B) {
 		c := covering[rng.Intn(len(covering))]
 		base, mask, _ := c.Match.Get(openflow.FieldIPDst)
 		m := route(pkt.IPv4(uint32(base) | rng.Uint32()&^uint32(mask)))
-		if !rib.Contains(24, m) {
+		if rib.Entry(24, m) == nil {
 			inside = append(inside, m)
 		}
 	}

@@ -205,7 +205,7 @@ func (r *scopeRig) check(label string, pick func(i int) bool) {
 				ref := pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}
 				var want openflow.Verdict
 				pkt.ParseL4(&ref)
-				in.ProcessParsed(&ref, &want, nil)
+				in.Process(&ref, &want, nil)
 				sp := punt(i)
 				if !bv.Equivalent(&want) || bp.Headers != ref.Headers || bp.Metadata != ref.Metadata || (want.ToController &&
 					(bv.PuntReason != sp.PuntReason || bv.PuntTable != sp.PuntTable)) {
@@ -218,7 +218,7 @@ func (r *scopeRig) check(label string, pick func(i int) bool) {
 			ref := pkt.Packet{Data: r.frames[i], InPort: r.inPorts[i]}
 			var want openflow.Verdict
 			pkt.ParseTo(&ref, layer)
-			in.ProcessParsed(&ref, &want, nil)
+			in.Process(&ref, &want, nil)
 			got := &vs[j]
 			if !sameVerdict(got, &want) {
 				r.t.Fatalf("%s: frame %d: datapath says %s (%+v), interpreter %s (%+v)\n%s",
@@ -270,7 +270,7 @@ func (r *scopeRig) puntOracle() func(data []byte, inPort uint32) *openflow.Verdi
 		ref := pkt.Packet{Data: data, InPort: inPort}
 		var v openflow.Verdict
 		pkt.ParseL4(&ref)
-		src.ProcessParsed(&ref, &v, nil)
+		src.Process(&ref, &v, nil)
 		return &v
 	}
 }
@@ -390,7 +390,7 @@ func (r *scopeRig) checkAliases(label string, picks []int, flip func() uint64) {
 					ref := pkt.Packet{Data: side.frames[base+j], InPort: side.ports[base+j]}
 					var want openflow.Verdict
 					pkt.ParseTo(&ref, layer)
-					in.ProcessParsed(&ref, &want, nil)
+					in.Process(&ref, &want, nil)
 					sp := punt(side.frames[base+j], side.ports[base+j])
 					if got := &vs[j]; !sameVerdict(got, &want) || packets[j].Headers != ref.Headers || packets[j].Metadata != ref.Metadata ||
 						(want.ToController && (got.PuntReason != sp.PuntReason || got.PuntTable != sp.PuntTable)) {
@@ -520,7 +520,7 @@ func (r *scopeRig) randomMod(rng *rand.Rand) string {
 		path = r.walk(i)
 		walked = wire
 		var v openflow.Verdict
-		openflow.NewInterpreter(pl).ProcessParsed(&walked, &v, nil)
+		openflow.NewInterpreter(pl).Process(&walked, &v, nil)
 		return wire, walked, path
 	}
 	k := rng.Intn(20)
@@ -674,7 +674,7 @@ func rigCases() []rigCase {
 			fs, ports := frames(n)
 			for j, f := range fs {
 				p := pkt.Packet{Data: f}
-				pkt.ParseL3(&p)
+				pkt.ParseTo(&p, pkt.LayerL3)
 				if p.Headers.Has(pkt.ProtoIPv4) {
 					fs[j] = pkt.Clone(f)
 					fs[j][p.Headers.L3Off+8] = 1 // the TTL; checksums are not verified
@@ -886,7 +886,7 @@ func TestScopedInvalidationPins(t *testing.T) {
 	theirs := uint64(0)
 	for i := range frames {
 		p := pkt.Packet{Data: frames[i]}
-		pkt.ParseL3(&p)
+		pkt.ParseTo(&p, pkt.LayerL3)
 		if uint64(p.Headers.IPSrc) == private {
 			theirs++
 		}

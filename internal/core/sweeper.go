@@ -117,13 +117,18 @@ type candidate struct {
 // It is the sweeper's whole tick, callable directly from tests.
 func (s *Sweeper) SweepOnce() int {
 	now := s.cfg.Now()
+	return s.remove(s.observe(now), now)
+}
+
+// observe is a sweep's first phase, under the update mutex: it refreshes
+// per-entry activity from the counters and returns the expiry and eviction
+// candidates.  No table is mutated here; remove deletes them through the
+// ordinary update path.
+func (s *Sweeper) observe(now time.Time) []candidate {
 	// Fold the deltas parked in the pinned workers first: traffic through
 	// the facade's ProcessBurst would otherwise look idle.
 	s.d.flushPinnedCounters()
 
-	// Phase 1 — observe, under the update mutex: refresh per-entry activity
-	// from the counters and collect expiry candidates.  No table is mutated
-	// here; removal happens in phase 2 through the ordinary update path.
 	s.d.mu.Lock()
 	var cands []candidate
 	seen := 0
@@ -182,14 +187,20 @@ func (s *Sweeper) SweepOnce() int {
 	if len(s.state) > 2*seen+len(cands)+16 {
 		s.gc()
 	}
+	return cands
+}
 
-	// Phase 2 — remove, through the ordinary update path: each removal is a
-	// generation-bumping table transition, so every cached verdict derived
-	// from the expired entry is invalidated exactly as for a controller
-	// delete.  The announce callback runs after the entry is gone.
+// remove is a sweep's second phase: it deletes the candidates through the
+// ordinary update path, so each removal is a generation-bumping table
+// transition and every cached verdict derived from the expired entry is
+// invalidated exactly as for a controller delete.  The mutex was released
+// after observe, so a FlowMod may have replaced a candidate meanwhile: only
+// the candidate entry itself is deleted, never a fresh replacement under
+// its key.  The announce callback runs after the entry is gone.
+func (s *Sweeper) remove(cands []candidate, now time.Time) int {
 	removed := 0
 	for _, c := range cands {
-		n, err := s.d.DeleteFlow(c.table, c.entry.Match, c.entry.Priority)
+		n, err := s.d.deleteFlow(c.table, c.entry.Match, c.entry.Priority, c.entry)
 		st := s.state[c.entry]
 		delete(s.state, c.entry)
 		if err != nil || n == 0 {

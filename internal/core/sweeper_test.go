@@ -379,3 +379,89 @@ func TestDecomposedModsKeepCountersAndTimeouts(t *testing.T) {
 		}
 	}
 }
+
+// TestSweeperSparesReplacement drives the window between a sweep's two
+// phases: a FlowMod replaces an expired entry after observe collected it and
+// before remove deletes it.  The sweeper must leave the replacement — a fresh
+// entry under the same key — installed and forwarding, and announce nothing,
+// on a plain datapath and on a decomposed one (whose removals go through its
+// source pipeline).
+func TestSweeperSparesReplacement(t *testing.T) {
+	check := func(t *testing.T, dp *Datapath, table openflow.TableID, old *openflow.FlowEntry, frame []byte, inPort uint32) {
+		t.Helper()
+		old.HardTimeout = 1
+		now := time.Unix(5000, 0)
+		announced := 0
+		s := NewSweeper(dp, SweeperConfig{
+			Now:       func() time.Time { return now },
+			OnRemoved: func(RemovedFlow) { announced++ },
+		})
+		if n := s.SweepOnce(); n != 0 {
+			t.Fatalf("sweep at install time removed %d entries", n)
+		}
+		now = now.Add(2 * time.Second)
+		cands := s.observe(now)
+		found := false
+		for _, c := range cands {
+			found = found || c.entry == old
+		}
+		if !found {
+			t.Fatal("the expired entry is not a candidate")
+		}
+		repl := openflow.NewEntry(old.Priority, old.Match.Clone(), openflow.Apply(openflow.Output(7)))
+		if err := dp.AddFlow(table, repl); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.remove(cands, now); n != 0 {
+			t.Fatalf("remove deleted %d entries after the replacement", n)
+		}
+		if announced != 0 {
+			t.Fatalf("OnRemoved announced %d removals of a replaced entry", announced)
+		}
+		if got := dp.source.Table(table).Entry(old.Priority, old.Match); got != repl {
+			t.Fatal("the replacement is no longer installed")
+		}
+		var v openflow.Verdict
+		dp.Process(&pkt.Packet{Data: append([]byte(nil), frame...), InPort: inPort}, &v)
+		if len(v.OutPorts) != 1 || v.OutPorts[0] != 7 {
+			t.Fatalf("the replacement does not forward: %s", v.String())
+		}
+	}
+
+	t.Run("plain", func(t *testing.T) {
+		dp := sweepDatapath(t)
+		old := srcEntry(1, 2)
+		if err := dp.AddFlow(0, old); err != nil {
+			t.Fatal(err)
+		}
+		b := pkt.NewBuilder(128)
+		frame := pkt.Clone(b.TCPPacket(pkt.EthernetOpts{}, pkt.IPv4Opts{Src: pkt.IPv4(1), Dst: 0x0a000099}, pkt.L4Opts{Src: 1, Dst: 80}))
+		check(t, dp, 0, old, frame, 1)
+	})
+
+	t.Run("decomposed", func(t *testing.T) {
+		uc := decomposedACL()
+		opts := DefaultOptions()
+		opts.Decompose = true
+		opts.UpdateCounters = true
+		dp, err := Compile(uc.Pipeline, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dp.DecomposedTables() == 0 {
+			t.Fatal("the ACL did not decompose")
+		}
+		// A frame the source's table 0 sends through a non-catch-all rule.
+		tr := uc.Trace(64)
+		for i := 0; i < 64; i++ {
+			frame, port := tr.Frame(i)
+			q := &pkt.Packet{Data: frame, InPort: port}
+			pkt.ParseTo(q, pkt.LayerL4)
+			if e := dp.source.Table(0).Lookup(q, nil); e != nil && e.Priority > 0 {
+				check(t, dp, 0, e, frame, port)
+				return
+			}
+		}
+		t.Fatal("the trace reaches no ACL rule")
+	})
+}

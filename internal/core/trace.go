@@ -73,11 +73,6 @@ func (d *Datapath) FlowSamples(buf []FlowSample) []FlowSample {
 	return buf
 }
 
-// CountersEnabled reports whether the datapath maintains per-flow-entry
-// counters (Options.UpdateCounters) — whether FlowSamples carries real
-// packet/byte counts or only flow identities.
-func (d *Datapath) CountersEnabled() bool { return d.opts.UpdateCounters }
-
 // TraceStep is one table lookup of a trace: which table was consulted,
 // through which compiled template, what the template examined, and what it
 // decided.  It is also the record the cycle model prices (priceWalk).

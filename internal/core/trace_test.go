@@ -95,8 +95,8 @@ func TestTraceDoesNotPerturbCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dp.CountersEnabled() {
-		t.Fatal("CountersEnabled = false with UpdateCounters on")
+	if !dp.opts.UpdateCounters {
+		t.Fatal("opts.UpdateCounters = false with UpdateCounters on")
 	}
 	var v openflow.Verdict
 	dp.Process(tcpPacket(t, 1, 0x0a000001, 0x0a000002, 1234, 80), &v)

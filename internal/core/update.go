@@ -119,7 +119,7 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 	if d.decomposedBy > 0 {
 		src := d.source.Fork()
 		t := src.AddTable(tableID)
-		if max := d.opts.MaxTableEntries; max > 0 && t.Len() >= max && !t.Contains(e.Priority, e.Match) {
+		if max := d.opts.MaxTableEntries; max > 0 && t.Len() >= max && t.Entry(e.Priority, e.Match) == nil {
 			return &TableFullError{Table: tableID, Limit: max}
 		}
 		if e.Instructions.HasGoto {
@@ -161,7 +161,7 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 		}
 		tr.store(dp)
 	}
-	if max := d.opts.MaxTableEntries; max > 0 && t.Len() >= max && !t.Contains(e.Priority, e.Match) {
+	if max := d.opts.MaxTableEntries; max > 0 && t.Len() >= max && t.Entry(e.Priority, e.Match) == nil {
 		// The capacity guardrail fires before any mutation below (goto
 		// target creation, parser deepening, the Add itself): a rejected
 		// FlowMod must leave the pipeline exactly as it was.  Replacements
@@ -262,9 +262,21 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 // DeleteFlow removes flow entries matching the given match (and priority when
 // non-negative) from the table, returning how many were removed.
 func (d *Datapath) DeleteFlow(tableID openflow.TableID, match *openflow.Match, priority int) (int, error) {
+	return d.deleteFlow(tableID, match, priority, nil)
+}
+
+// deleteFlow is DeleteFlow; a non-nil only restricts it to that very entry:
+// when the table holds another one under its priority and match (a
+// replacement added since only was seen), nothing is deleted.
+func (d *Datapath) deleteFlow(tableID openflow.TableID, match *openflow.Match, priority int, only *openflow.FlowEntry) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
+	if only != nil {
+		if t := d.source.Table(tableID); t == nil || t.Entry(priority, match) != only {
+			return 0, nil
+		}
+	}
 	pl := d.source
 	if d.decomposedBy > 0 {
 		pl = pl.Fork()
@@ -313,15 +325,6 @@ func (d *Datapath) DeleteFlow(tableID openflow.TableID, match *openflow.Match, p
 	tr.store(ndp)
 	d.dropShadow(tableID)
 	return removed, nil
-}
-
-// InstallPipeline replaces the entire running pipeline with a freshly
-// compiled one (used by configuration roll-outs and by the update-intensity
-// experiments as the "full reconfiguration" upper bound).
-func (d *Datapath) InstallPipeline(pl *openflow.Pipeline) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.recompile(pl.Clone())
 }
 
 // recompile compiles pl, taking it over, and installs it; the writer mutex is

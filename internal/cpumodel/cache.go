@@ -5,20 +5,20 @@ type CacheLevel int
 
 // Cache levels.
 const (
-	LevelL1 CacheLevel = iota + 1
-	LevelL2
-	LevelL3
-	LevelMemory
+	levelL1 CacheLevel = iota + 1
+	levelL2
+	levelL3
+	levelMemory
 )
 
 // String names the level.
 func (l CacheLevel) String() string {
 	switch l {
-	case LevelL1:
+	case levelL1:
 		return "L1"
-	case LevelL2:
+	case levelL2:
 		return "L2"
-	case LevelL3:
+	case levelL3:
 		return "L3"
 	default:
 		return "memory"
@@ -108,43 +108,18 @@ func NewHierarchy(p Platform) *Hierarchy {
 func (h *Hierarchy) Access(addr uint64) (CacheLevel, int) {
 	p := &h.Platform
 	if h.l1 != nil && h.l1.access(addr) {
-		return LevelL1, p.L1Lat
+		return levelL1, p.L1Lat
 	}
 	if h.l2 != nil && h.l2.access(addr) {
-		return LevelL2, p.L2Lat
+		return levelL2, p.L2Lat
 	}
 	if h.l3 != nil {
 		if h.l3.access(addr) {
-			return LevelL3, p.L3Lat
+			return levelL3, p.L3Lat
 		}
-		return LevelMemory, p.MemLat
+		return levelMemory, p.MemLat
 	}
-	return LevelMemory, p.MemLat
-}
-
-// Stats summarizes the hierarchy's hit/miss counters.
-type Stats struct {
-	Accesses  uint64
-	L1Misses  uint64
-	L2Misses  uint64
-	LLCMisses uint64 // misses in the last level (L3, or L2 when no L3)
-}
-
-// Stats returns the accumulated counters.
-func (h *Hierarchy) Stats() Stats {
-	var s Stats
-	if h.l1 != nil {
-		s.Accesses = h.l1.accesses
-		s.L1Misses = h.l1.misses
-	}
-	if h.l2 != nil {
-		s.L2Misses = h.l2.misses
-		s.LLCMisses = h.l2.misses
-	}
-	if h.l3 != nil {
-		s.LLCMisses = h.l3.misses
-	}
-	return s
+	return levelMemory, p.MemLat
 }
 
 // Reset clears contents and counters.

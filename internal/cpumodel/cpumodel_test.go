@@ -19,7 +19,7 @@ func TestDefaultPlatformMatchesTable1(t *testing.T) {
 }
 
 func TestCacheLevelString(t *testing.T) {
-	for l, want := range map[CacheLevel]string{LevelL1: "L1", LevelL2: "L2", LevelL3: "L3", LevelMemory: "memory"} {
+	for l, want := range map[CacheLevel]string{levelL1: "L1", levelL2: "L2", levelL3: "L3", levelMemory: "memory"} {
 		if l.String() != want {
 			t.Errorf("%d -> %q want %q", l, l.String(), want)
 		}
@@ -36,7 +36,7 @@ func TestHierarchySmallWorkingSetStaysInL1(t *testing.T) {
 	}
 	// Final pass must be all L1 hits.
 	for addr := uint64(0); addr < 4096; addr += 64 {
-		if level, lat := h.Access(addr); level != LevelL1 || lat != 4 {
+		if level, lat := h.Access(addr); level != levelL1 || lat != 4 {
 			t.Fatalf("addr %d served from %v (%d cycles)", addr, level, lat)
 		}
 	}
@@ -77,9 +77,9 @@ func TestHierarchyL2Window(t *testing.T) {
 	for addr := uint64(0); addr < size; addr += 64 {
 		level, _ := h.Access(addr)
 		switch level {
-		case LevelL1:
+		case levelL1:
 			l1++
-		case LevelL2:
+		case levelL2:
 			l2++
 		}
 	}
@@ -124,8 +124,8 @@ func TestMeterAccounting(t *testing.T) {
 	if m.LatencyMicros() <= 0 {
 		t.Fatal("latency must be positive")
 	}
-	if m.PacketCycles() != 104 {
-		t.Fatalf("per-packet cycles %d", m.PacketCycles())
+	if m.pktCycles != 104 {
+		t.Fatalf("per-packet cycles %d", m.pktCycles)
 	}
 	m.Reset()
 	if m.Packets() != 0 || m.TotalCycles() != 0 {
@@ -137,13 +137,13 @@ func TestMeterRegionsDoNotOverlap(t *testing.T) {
 	m := NewMeter(DefaultPlatform())
 	a := m.NewRegion("a", 4096)
 	b := m.NewRegion("b", 4096)
-	if a.Addr(0) == b.Addr(0) {
+	if a.addr(0) == b.addr(0) {
 		t.Fatal("regions overlap")
 	}
-	if a.Addr(4096) != a.Addr(0) {
+	if a.addr(4096) != a.addr(0) {
 		t.Fatal("region offset must wrap modulo size")
 	}
-	if a.Name() != "a" || b.Size() != 4096 {
+	if a.name != "a" || b.size != 4096 {
 		t.Fatal("region metadata broken")
 	}
 }
@@ -179,7 +179,7 @@ func TestAtomPlatform(t *testing.T) {
 	}
 	h := NewHierarchy(p)
 	level, lat := h.Access(0)
-	if level != LevelMemory || lat != p.MemLat {
+	if level != levelMemory || lat != p.MemLat {
 		t.Fatalf("cold access on no-L3 platform: %v %d", level, lat)
 	}
 	if _, lat := h.Access(0); lat != p.L1Lat {

@@ -14,15 +14,9 @@ type Region struct {
 	name string
 }
 
-// Name returns the region's name.
-func (r *Region) Name() string { return r.name }
-
-// Size returns the region's size in bytes.
-func (r *Region) Size() uint64 { return r.size }
-
-// Addr maps a logical offset into the region to a simulated address,
+// addr maps a logical offset into the region to a simulated address,
 // wrapping modulo the region size.
-func (r *Region) Addr(offset uint64) uint64 {
+func (r *Region) addr(offset uint64) uint64 {
 	if r.size == 0 {
 		return r.base
 	}
@@ -109,23 +103,14 @@ func (m *Meter) RegionAccess(r *Region, offset uint64) int {
 	lat := m.Platform.L1Lat
 	if m.Cache != nil {
 		var level CacheLevel
-		level, lat = m.Cache.Access(r.Addr(offset))
-		if level == LevelMemory {
+		level, lat = m.Cache.Access(r.addr(offset))
+		if level == levelMemory {
 			m.llcMisses++
 		}
 	}
 	m.cycles += uint64(lat)
 	m.pktCycles += uint64(lat)
 	return lat
-}
-
-// PacketCycles returns the cycles charged to the packet currently being
-// metered (between StartPacket calls).
-func (m *Meter) PacketCycles() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.pktCycles
 }
 
 // Packets returns the number of packets metered so far.

@@ -112,7 +112,7 @@ func conformanceHarnesses() []conformanceHarness {
 			// The trace is the injection: the frame set is fixed at open, so
 			// inject is a one-shot that just returns the expectation.
 			make: func(t *testing.T) (PortBackend, func(*testing.T) [][][]byte, func()) {
-				be, err := NewPcapBackend(conformanceTrace(), PcapConfig{Queues: 2})
+				be, err := newPcapBackend(conformanceTrace(), PcapConfig{Queues: 2})
 				if err != nil {
 					t.Fatalf("pcap backend: %v", err)
 				}

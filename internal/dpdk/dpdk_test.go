@@ -370,13 +370,13 @@ func TestRSSSteeringSpreadsAcrossQueues(t *testing.T) {
 		}
 	}
 	busy := 0
-	for q := 0; q < p1.NumQueues(); q++ {
+	for q := 0; q < p1.nq; q++ {
 		if p1.RxQueueLen(q) > 0 {
 			busy++
 		}
 	}
 	if busy < 2 {
-		t.Fatalf("RSS steered 128 flows onto %d of %d queues", busy, p1.NumQueues())
+		t.Fatalf("RSS steered 128 flows onto %d of %d queues", busy, p1.nq)
 	}
 	// Both directions of a flow must share a queue.
 	fwd := pkt.Clone(bld.TCPPacket(pkt.EthernetOpts{},
@@ -385,8 +385,8 @@ func TestRSSSteeringSpreadsAcrossQueues(t *testing.T) {
 	rev := pkt.Clone(bld.TCPPacket(pkt.EthernetOpts{},
 		pkt.IPv4Opts{Src: pkt.IPv4FromOctets(2, 2, 2, 2), Dst: pkt.IPv4FromOctets(1, 1, 1, 1)},
 		pkt.L4Opts{Src: 2222, Dst: 1111}))
-	qf := pkt.RSSHash(fwd) % uint32(p1.NumQueues())
-	qr := pkt.RSSHash(rev) % uint32(p1.NumQueues())
+	qf := pkt.RSSHash(fwd) % uint32(p1.nq)
+	qr := pkt.RSSHash(rev) % uint32(p1.nq)
 	if qf != qr {
 		t.Fatalf("flow directions split across queues %d and %d", qf, qr)
 	}

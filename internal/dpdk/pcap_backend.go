@@ -10,11 +10,11 @@ import (
 	"eswitch/internal/pkt"
 )
 
-// ErrTraceExhausted is the fatal queue error a non-looping replay reports
+// errTraceExhausted is the fatal queue error a non-looping replay reports
 // once a queue has delivered its last frame: the port supervisor sees it and
 // transitions the port Down (there is nothing to reopen): exhaustion is the
 // link-state signal.
-var ErrTraceExhausted = errors.New("dpdk: pcap trace exhausted")
+var errTraceExhausted = errors.New("dpdk: pcap trace exhausted")
 
 // PcapBackend replays a captured trace through the switch: every record of a
 // classic libpcap file becomes an RX frame, demultiplexed across the
@@ -78,13 +78,13 @@ func OpenPcapBackend(path string, cfg PcapConfig) (*PcapBackend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dpdk: pcap backend %s: %w", path, err)
 	}
-	return NewPcapBackend(records, cfg)
+	return newPcapBackend(records, cfg)
 }
 
-// NewPcapBackend builds a replay backend from already-decoded capture
+// newPcapBackend builds a replay backend from already-decoded capture
 // records (what OpenPcapBackend does after reading the file; tests and
 // generators use it directly).
-func NewPcapBackend(records []pcap.Packet, cfg PcapConfig) (*PcapBackend, error) {
+func newPcapBackend(records []pcap.Packet, cfg PcapConfig) (*PcapBackend, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("dpdk: pcap backend: empty trace")
 	}
@@ -184,7 +184,7 @@ func (b *PcapBackend) QueueError(q int) error {
 		return nil
 	}
 	if b.queues[q].done.Load() {
-		return ErrTraceExhausted
+		return errTraceExhausted
 	}
 	return nil
 }

@@ -93,9 +93,6 @@ func NewPortWithConfig(cfg PortConfig) *Port {
 // Backend returns the port's packet I/O backend.
 func (p *Port) Backend() PortBackend { return p.be }
 
-// NumQueues returns the number of RX/TX queue pairs.
-func (p *Port) NumQueues() int { return p.nq }
-
 // InjectOn places a frame on RX queue q of an injectable backend; q ==
 // AutoQueue steers by the frame's symmetric RSS hash, the way a multi-queue
 // NIC's RSS does in hardware.  Each queue is single-producer, so one

@@ -328,13 +328,6 @@ func (ps *PortSupervisor) Backoffs(port uint32) []time.Duration {
 	return nil
 }
 
-// Events returns every link-state transition so far, in order.
-func (ps *PortSupervisor) Events() []PortLinkEvent {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return append([]PortLinkEvent(nil), ps.events...)
-}
-
 // scan is one supervision pass: watchdog verdicts first (a stalled worker
 // names the port to blame), then queue-error detection, then reopen/decay
 // per port.

@@ -30,9 +30,6 @@ func NewRing(capacity int) *Ring {
 	return &Ring{buf: make([][]byte, size), mask: uint64(size - 1)}
 }
 
-// Capacity returns the usable capacity of the ring.
-func (r *Ring) Capacity() int { return len(r.buf) - 1 }
-
 // Len returns the number of frames currently queued.
 func (r *Ring) Len() int { return int(r.tail.Load() - r.head.Load()) }
 

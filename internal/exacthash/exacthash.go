@@ -155,15 +155,6 @@ func (t *Table) Clone() *Table {
 	}
 }
 
-// NumBuckets returns the number of buckets; the cost model sizes the
-// structure's working set from it.
-func (t *Table) NumBuckets() int { return len(t.buckets) }
-
-// Rebuilds returns how many times the table has been rebuilt (grown or
-// re-seeded); the paper notes the hash template is rebuilt periodically to
-// keep lookups collision free.
-func (t *Table) Rebuilds() int { return t.rebuilds }
-
 // Lookup returns the value stored for the key.
 func (t *Table) Lookup(k Key) (uint32, bool) {
 	h1, h2 := k.hash(t.seed)
@@ -201,15 +192,15 @@ func (t *Table) slotOf(b uint64, k Key, tag uint64) int {
 	return -1
 }
 
-// BatchChunk bounds the scratch LookupBatch hashes into; larger batches are
+// batchChunk bounds the scratch LookupBatch hashes into; larger batches are
 // processed in chunks.
-const BatchChunk = 64
+const batchChunk = 64
 
 // BatchScratch is the hash staging area of the batched lookup paths.
 // Callers own it (one per worker, reused across bursts) so the batch path
 // never zero-initializes scratch on the hot path.
 type BatchScratch struct {
-	H1, H2 [BatchChunk]uint64
+	H1, H2 [batchChunk]uint64
 }
 
 // Hash returns the two bucket hashes of a key under the table's current
@@ -230,10 +221,10 @@ func (t *Table) LookupPrehashed(k Key, h1, h2 uint64) (uint32, bool) {
 // values[i] and hits[i] (all three slices must have equal length): the
 // hashes of a whole chunk are computed before any bucket is probed.
 func (t *Table) LookupBatch(keys []Key, values []uint32, hits []bool, sc *BatchScratch) {
-	for base := 0; base < len(keys); base += BatchChunk {
+	for base := 0; base < len(keys); base += batchChunk {
 		n := len(keys) - base
-		if n > BatchChunk {
-			n = BatchChunk
+		if n > batchChunk {
+			n = batchChunk
 		}
 		for i := 0; i < n; i++ {
 			sc.H1[i], sc.H2[i] = keys[base+i].hash(t.seed)
@@ -321,7 +312,7 @@ func (t *Table) setLane(b uint64, i int, tag uint64) {
 // bounded.
 func (t *Table) rebuild(extra []slot, minBuckets int) {
 	all := append([]slot(nil), extra...)
-	t.ForEach(func(k Key, v uint32) { all = append(all, slot{k, v}) })
+	t.forEach(func(k Key, v uint32) { all = append(all, slot{k, v}) })
 	buckets := minBuckets
 	if buckets < 4 {
 		buckets = 4
@@ -358,8 +349,8 @@ func (t *Table) Delete(k Key) bool {
 	return true
 }
 
-// ForEach calls fn for every stored entry; iteration order is unspecified.
-func (t *Table) ForEach(fn func(Key, uint32)) {
+// forEach calls fn for every stored entry; iteration order is unspecified.
+func (t *Table) forEach(fn func(Key, uint32)) {
 	for bi, w := range t.tags {
 		for si := range t.buckets[bi].slots {
 			if w>>(16*si)&0xffff != 0 {

@@ -93,9 +93,9 @@ func TestForEachVisitsAll(t *testing.T) {
 		want[k] = uint32(i * 3)
 	}
 	got := map[Key]uint32{}
-	tbl.ForEach(func(k Key, v uint32) { got[k] = v })
+	tbl.forEach(func(k Key, v uint32) { got[k] = v })
 	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %d entries, want %d", len(got), len(want))
+		t.Fatalf("forEach visited %d entries, want %d", len(got), len(want))
 	}
 	for k, v := range want {
 		if got[k] != v {
@@ -293,7 +293,7 @@ func FuzzTableOps(f *testing.F) {
 			case 3:
 				check(k)
 			case 4: // a batch of neighbouring keys, some stored, some not
-				keys := make([]Key, 1+int(ops[2])%BatchChunk*2)
+				keys := make([]Key, 1+int(ops[2])%batchChunk*2)
 				for j := range keys {
 					keys[j] = keyOf(ops[1], ops[2]+byte(j))
 				}
@@ -323,14 +323,14 @@ func FuzzTableOps(f *testing.F) {
 			check(k)
 		}
 		seen := make(map[Key]uint32, len(ref))
-		tbl.ForEach(func(k Key, v uint32) {
+		tbl.forEach(func(k Key, v uint32) {
 			if _, dup := seen[k]; dup {
-				t.Fatalf("ForEach visited %v twice", k)
+				t.Fatalf("forEach visited %v twice", k)
 			}
 			seen[k] = v
 		})
 		if !maps.Equal(seen, ref) {
-			t.Fatalf("ForEach saw %d entries, want %d", len(seen), len(ref))
+			t.Fatalf("forEach saw %d entries, want %d", len(seen), len(ref))
 		}
 	})
 }
@@ -429,7 +429,7 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 	values := make([]uint32, len(keys))
 	hits := make([]bool, len(keys))
 	var sc BatchScratch
-	// len(keys) > BatchChunk exercises the chunking path.
+	// len(keys) > batchChunk exercises the chunking path.
 	tbl.LookupBatch(keys, values, hits, &sc)
 	for i, k := range keys {
 		wantV, wantOK := tbl.Lookup(k)

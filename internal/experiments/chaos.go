@@ -350,9 +350,9 @@ func (h *ChaosHarness) Close() {
 	h.KillController()
 }
 
-// FaultBackend returns port id's fault-injection wrapper (nil for an unknown
+// faultBackend returns port id's fault-injection wrapper (nil for an unknown
 // port).
-func (h *ChaosHarness) FaultBackend(id uint32) *faultinject.FaultBackend {
+func (h *ChaosHarness) faultBackend(id uint32) *faultinject.FaultBackend {
 	if id < 1 || int(id) > len(h.pbs) {
 		return nil
 	}
@@ -360,10 +360,10 @@ func (h *ChaosHarness) FaultBackend(id uint32) *faultinject.FaultBackend {
 }
 
 // KillPort cuts port id's backend mid-traffic: every queue reports err
-// (faultinject.ErrKilled when nil) as fatal, injection and bursts fail, and
+// (the backend's own error when nil) as fatal, injection and bursts fail, and
 // reopen attempts burn backoff delays until RevivePort.
 func (h *ChaosHarness) KillPort(id uint32, err error) error {
-	fb := h.FaultBackend(id)
+	fb := h.faultBackend(id)
 	if fb == nil {
 		return fmt.Errorf("chaos: no port %d", id)
 	}
@@ -374,7 +374,7 @@ func (h *ChaosHarness) KillPort(id uint32, err error) error {
 // RevivePort lifts a KillPort: the supervisor's next reopen attempt succeeds
 // and brings the link back.
 func (h *ChaosHarness) RevivePort(id uint32) error {
-	fb := h.FaultBackend(id)
+	fb := h.faultBackend(id)
 	if fb == nil {
 		return fmt.Errorf("chaos: no port %d", id)
 	}
@@ -382,9 +382,9 @@ func (h *ChaosHarness) RevivePort(id uint32) error {
 	return nil
 }
 
-// PortStatuses returns every OFPT_PORT_STATUS the controller side received,
+// portStatuses returns every OFPT_PORT_STATUS the controller side received,
 // in arrival order.
-func (h *ChaosHarness) PortStatuses() []ofp.PortStatus {
+func (h *ChaosHarness) portStatuses() []ofp.PortStatus {
 	h.pstMu.Lock()
 	defer h.pstMu.Unlock()
 	return append([]ofp.PortStatus(nil), h.portStats...)
@@ -419,13 +419,13 @@ func (h *ChaosHarness) WaitLink(id uint32, want dpdk.LinkState, timeout time.Dur
 func (h *ChaosHarness) WaitPortStatus(pred func(ofp.PortStatus) bool, timeout time.Duration) (ofp.PortStatus, error) {
 	deadline := time.Now().Add(timeout)
 	for {
-		for _, ps := range h.PortStatuses() {
+		for _, ps := range h.portStatuses() {
 			if pred(ps) {
 				return ps, nil
 			}
 		}
 		if time.Now().After(deadline) {
-			return ofp.PortStatus{}, fmt.Errorf("chaos: no matching PortStatus after %v (got %d)", timeout, len(h.PortStatuses()))
+			return ofp.PortStatus{}, fmt.Errorf("chaos: no matching PortStatus after %v (got %d)", timeout, len(h.portStatuses()))
 		}
 		time.Sleep(500 * time.Microsecond)
 	}

@@ -20,8 +20,8 @@ import (
 // the worker count; on fewer (two vCPUs that slow each other down, say) the
 // workers time-share and the sweep shows nothing, so no record of it is kept.
 
-// ScalingPoint is one row of the worker-scaling sweep.
-type ScalingPoint struct {
+// scalingPoint is one row of the worker-scaling sweep.
+type scalingPoint struct {
 	Workers int
 	// Mpps is the measured aggregate forwarding rate.
 	Mpps float64
@@ -29,10 +29,10 @@ type ScalingPoint struct {
 	Processed uint64
 }
 
-// ScalingHarness is the reusable hot-port driver: a compiled L3 datapath
+// scalingHarness is the reusable hot-port driver: a compiled L3 datapath
 // behind a multi-queue switch, with the injection frames RSS-pre-steered so
 // the producer path is a bare ring enqueue.
-type ScalingHarness struct {
+type scalingHarness struct {
 	sw      *dpdk.Switch
 	hot     *dpdk.Port
 	frames  [][]byte
@@ -41,7 +41,7 @@ type ScalingHarness struct {
 
 // newScalingHarness compiles the L3 workload (2K prefixes) and prepares the
 // pre-steered frame set.
-func newScalingHarness(flows int) (*ScalingHarness, error) {
+func newScalingHarness(flows int) (*scalingHarness, error) {
 	uc := workload.L3UseCase(2000, 8, 2016)
 	dp, err := core.Compile(uc.Pipeline, core.DefaultOptions())
 	if err != nil {
@@ -59,12 +59,12 @@ func newScalingHarness(flows int) (*ScalingHarness, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ScalingHarness{sw: sw, hot: hot, frames: frames, queueOf: queueOf}, nil
+	return &scalingHarness{sw: sw, hot: hot, frames: frames, queueOf: queueOf}, nil
 }
 
-// Run starts the given number of workers, injects `packets` frames into the
+// run starts the given number of workers, injects `packets` frames into the
 // hot port, waits for the backlog to drain and returns the aggregate rate.
-func (h *ScalingHarness) Run(workers, packets int) ScalingPoint {
+func (h *scalingHarness) run(workers, packets int) scalingPoint {
 	stop := h.sw.RunWorkers(workers)
 	defer stop()
 	already := h.sw.Stats().Processed
@@ -95,7 +95,7 @@ func (h *ScalingHarness) Run(workers, packets int) ScalingPoint {
 	}
 	elapsed := time.Since(start)
 	processed := h.sw.Stats().Processed - already
-	return ScalingPoint{
+	return scalingPoint{
 		Workers:   workers,
 		Mpps:      float64(processed) / elapsed.Seconds() / 1e6,
 		Processed: processed,
@@ -123,7 +123,7 @@ func Fig19Measured(cfg Config) Result {
 		if err != nil {
 			panic(err)
 		}
-		pt := h.Run(w, packets)
+		pt := h.run(w, packets)
 		res.Rows = append(res.Rows, []string{fmtInt(pt.Workers), fmtF(pt.Mpps), fmtInt(int(pt.Processed))})
 	}
 	res.Notes = append(res.Notes,

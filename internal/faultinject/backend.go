@@ -8,9 +8,9 @@ import (
 	"eswitch/internal/dpdk"
 )
 
-// ErrKilled is the fatal error a killed backend reports from every queue
+// errKilled is the fatal error a killed backend reports from every queue
 // when Kill was called without a specific error.
-var ErrKilled = errors.New("faultinject: backend killed")
+var errKilled = errors.New("faultinject: backend killed")
 
 // FaultBackend wraps a packet I/O backend with fault points:
 //
@@ -42,12 +42,12 @@ func Backend(be dpdk.PortBackend, in *Injector) *FaultBackend {
 	return &FaultBackend{be: be, in: in, qerrs: make([]atomic.Pointer[error], be.Queues())}
 }
 
-// Kill cuts the backend: every queue reports err (ErrKilled when nil) as
+// Kill cuts the backend: every queue reports err (errKilled when nil) as
 // fatal, bursts return 0, injection reports full, and Reopen fails until
 // Revive.
 func (b *FaultBackend) Kill(err error) {
 	if err == nil {
-		err = ErrKilled
+		err = errKilled
 	}
 	b.killed.Store(&err)
 }
@@ -56,9 +56,6 @@ func (b *FaultBackend) Kill(err error) {
 // stand until Reopen clears them (the supervisor's recovery path, not the
 // injection harness, owns the transition back to Up).
 func (b *FaultBackend) Revive() { b.killed.Store(nil) }
-
-// Killed reports whether the backend is currently killed.
-func (b *FaultBackend) Killed() bool { return b.killed.Load() != nil }
 
 // Queues delegates to the wrapped backend.
 func (b *FaultBackend) Queues() int { return b.be.Queues() }

@@ -95,8 +95,8 @@ func TestBackendKillReviveReopen(t *testing.T) {
 	if !fb.Killed() {
 		t.Fatal("Killed() = false after Kill")
 	}
-	if err := fb.QueueError(0); !errors.Is(err, ErrKilled) {
-		t.Fatalf("QueueError while killed = %v, want ErrKilled", err)
+	if err := fb.QueueError(0); !errors.Is(err, errKilled) {
+		t.Fatalf("QueueError while killed = %v, want errKilled", err)
 	}
 	if fb.InjectOn(0, []byte{1}) {
 		t.Fatal("InjectOn succeeded on a killed backend")
@@ -107,8 +107,8 @@ func TestBackendKillReviveReopen(t *testing.T) {
 	if n := fb.RxBurst(0, make([][]byte, 4)); n != 0 {
 		t.Fatalf("RxBurst on killed backend = %d, want 0", n)
 	}
-	if err := fb.Reopen(); !errors.Is(err, ErrKilled) {
-		t.Fatalf("Reopen while killed = %v, want ErrKilled", err)
+	if err := fb.Reopen(); !errors.Is(err, errKilled) {
+		t.Fatalf("Reopen while killed = %v, want errKilled", err)
 	}
 
 	fb.Revive()

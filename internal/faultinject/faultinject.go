@@ -81,13 +81,6 @@ func (in *Injector) Set(point string, r Rule) {
 	in.mu.Unlock()
 }
 
-// Clear removes a fault point's rule (the point stops firing).
-func (in *Injector) Clear(point string) {
-	in.mu.Lock()
-	delete(in.rules, point)
-	in.mu.Unlock()
-}
-
 // Fired returns how many times the point has fired.
 func (in *Injector) Fired(point string) int {
 	in.mu.Lock()
@@ -120,11 +113,11 @@ func (in *Injector) eval(point string) outcome {
 	return outcome{fired: true, delay: st.rule.Delay, err: st.rule.Err, drop: st.rule.Drop}
 }
 
-// Hit evaluates the point as a plain gate: it sleeps the rule's Delay and
+// hit evaluates the point as a plain gate: it sleeps the rule's Delay and
 // returns the rule's Err when the point fires, nil otherwise.  Wrappers
 // without a stream to fault (the flow programmer's "flowmod.add") gate
 // their operation with it.
-func (in *Injector) Hit(point string) error {
+func (in *Injector) hit(point string) error {
 	o := in.eval(point)
 	if !o.fired {
 		return nil
@@ -217,7 +210,7 @@ func WrapProgrammer(p interface {
 
 // AddFlow evaluates "flowmod.add", then delegates.
 func (w *Programmer) AddFlow(table openflow.TableID, e *openflow.FlowEntry) error {
-	if err := w.in.Hit("flowmod.add"); err != nil {
+	if err := w.in.hit("flowmod.add"); err != nil {
 		return err
 	}
 	return w.p.AddFlow(table, e)

@@ -14,7 +14,7 @@ func TestRuleScheduleAfterCount(t *testing.T) {
 	in.Set("p", Rule{After: 2, Count: 3, Err: boom})
 	var fired int
 	for i := 0; i < 10; i++ {
-		if err := in.Hit("p"); err != nil {
+		if err := in.hit("p"); err != nil {
 			if err != boom {
 				t.Fatalf("hit %d returned %v", i, err)
 			}
@@ -28,7 +28,7 @@ func TestRuleScheduleAfterCount(t *testing.T) {
 		t.Fatalf("fired %d times (counter %d), want 3", fired, in.Fired("p"))
 	}
 	in.Clear("p")
-	if err := in.Hit("p"); err != nil {
+	if err := in.hit("p"); err != nil {
 		t.Fatalf("cleared point still fires: %v", err)
 	}
 }
@@ -39,7 +39,7 @@ func TestProbabilisticRuleIsSeedDeterministic(t *testing.T) {
 		in.Set("p", Rule{Prob: 0.5, Err: errors.New("x")})
 		out := make([]bool, 64)
 		for i := range out {
-			out[i] = in.Hit("p") != nil
+			out[i] = in.hit("p") != nil
 		}
 		return out
 	}

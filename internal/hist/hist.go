@@ -24,15 +24,15 @@ import (
 	"sync/atomic"
 )
 
-// NumBuckets bounds the histogram: bucket NumBuckets-1 absorbs everything of
+// numBuckets bounds the histogram: bucket numBuckets-1 absorbs everything of
 // 2^46 ns (~20 hours) and above, far past any poll-loop duration of interest.
-const NumBuckets = 48
+const numBuckets = 48
 
 // Histogram is a single-writer log-bucketed histogram of uint64 samples
 // (the telemetry plane records nanoseconds).  The zero value is ready to
 // use.  It must not be copied after first use.
 type Histogram struct {
-	counts [NumBuckets]atomic.Uint64
+	counts [numBuckets]atomic.Uint64
 	sum    atomic.Uint64
 }
 
@@ -40,25 +40,17 @@ type Histogram struct {
 // must only be called by the histogram's single writer.
 func (h *Histogram) Observe(v uint64) {
 	i := bits.Len64(v)
-	if i >= NumBuckets {
-		i = NumBuckets - 1
+	if i >= numBuckets {
+		i = numBuckets - 1
 	}
 	h.counts[i].Add(1)
 	h.sum.Add(v)
 }
 
-// Snapshot reads the histogram into s, overwriting it.  Safe to call from
-// any goroutine while the writer keeps observing; each bucket is read
-// atomically (the total may be mid-update torn across buckets, which is the
-// same staleness every folded counter in the switch accepts).
-func (h *Histogram) Snapshot(s *Snapshot) {
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	s.Sum = h.sum.Load()
-}
-
-// AddTo folds the histogram's current contents into s (s += h).
+// AddTo folds the histogram's current contents into s (s += h).  Safe to
+// call from any goroutine while the writer keeps observing; each bucket is
+// read atomically (the total may be mid-update torn across buckets, which is
+// the same staleness every folded counter in the switch accepts).
 func (h *Histogram) AddTo(s *Snapshot) {
 	for i := range h.counts {
 		s.Counts[i] += h.counts[i].Load()
@@ -68,7 +60,7 @@ func (h *Histogram) AddTo(s *Snapshot) {
 
 // Snapshot is a plain-value copy of a histogram, foldable across workers.
 type Snapshot struct {
-	Counts [NumBuckets]uint64
+	Counts [numBuckets]uint64
 	Sum    uint64
 }
 
@@ -125,7 +117,7 @@ func (s *Snapshot) Quantile(q float64) uint64 {
 			return BucketUpperBound(i)
 		}
 	}
-	return BucketUpperBound(NumBuckets - 1)
+	return BucketUpperBound(numBuckets - 1)
 }
 
 // Mean returns the arithmetic mean of the recorded samples (0 when empty).

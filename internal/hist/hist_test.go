@@ -17,13 +17,13 @@ func TestBucketing(t *testing.T) {
 		bucket int
 	}{
 		{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4},
-		{1023, 10}, {1024, 11}, {1 << 46, NumBuckets - 1}, {^uint64(0), NumBuckets - 1},
+		{1023, 10}, {1024, 11}, {1 << 46, numBuckets - 1}, {^uint64(0), numBuckets - 1},
 	}
 	for _, c := range cases {
 		var h Histogram
 		h.Observe(c.v)
 		var s Snapshot
-		h.Snapshot(&s)
+		h.AddTo(&s)
 		for i, n := range s.Counts {
 			want := uint64(0)
 			if i == c.bucket {
@@ -37,7 +37,7 @@ func TestBucketing(t *testing.T) {
 			t.Errorf("Observe(%d): sum = %d", c.v, s.Sum)
 		}
 	}
-	for i := 1; i < NumBuckets-1; i++ {
+	for i := 1; i < numBuckets-1; i++ {
 		ub := BucketUpperBound(i)
 		if bits.Len64(ub) != i || bits.Len64(ub+1) != i+1 {
 			t.Errorf("BucketUpperBound(%d) = %d is not the bucket's largest value", i, ub)
@@ -56,7 +56,7 @@ func TestFoldExactness(t *testing.T) {
 		hs[i] = &Histogram{}
 	}
 	var wantSum uint64
-	wantCounts := make([]uint64, NumBuckets)
+	wantCounts := make([]uint64, numBuckets)
 	for i := 0; i < samples; i++ {
 		v := uint64(rng.Int63n(1 << 40))
 		if i%97 == 0 {
@@ -65,8 +65,8 @@ func TestFoldExactness(t *testing.T) {
 		hs[i%workers].Observe(v)
 		wantSum += v
 		b := bits.Len64(v)
-		if b >= NumBuckets {
-			b = NumBuckets - 1
+		if b >= numBuckets {
+			b = numBuckets - 1
 		}
 		wantCounts[b]++
 	}
@@ -79,7 +79,7 @@ func TestFoldExactness(t *testing.T) {
 	var folded2 Snapshot
 	for _, h := range hs {
 		var s Snapshot
-		h.Snapshot(&s)
+		h.AddTo(&s)
 		folded2.AddSnapshot(&s)
 	}
 	for _, s := range []*Snapshot{&folded, &folded2} {
@@ -100,7 +100,7 @@ func TestFoldExactness(t *testing.T) {
 func TestQuantile(t *testing.T) {
 	var h Histogram
 	var empty Snapshot
-	h.Snapshot(&empty)
+	h.AddTo(&empty)
 	if got := empty.Quantile(0.5); got != 0 {
 		t.Fatalf("empty quantile = %d", got)
 	}
@@ -113,7 +113,7 @@ func TestQuantile(t *testing.T) {
 		h.Observe(100_000)
 	}
 	var s Snapshot
-	h.Snapshot(&s)
+	h.AddTo(&s)
 	if got := s.Quantile(0.5); got != BucketUpperBound(bits.Len64(100)) {
 		t.Errorf("p50 = %d", got)
 	}
@@ -170,7 +170,7 @@ func TestConcurrentSnapshot(t *testing.T) {
 	// Writers run until the readers are done; bound the whole thing.
 	for i := 0; i < 200; i++ {
 		var s Snapshot
-		hs[0].Snapshot(&s)
+		hs[0].AddTo(&s)
 	}
 	stop.Store(true)
 	<-stopped

@@ -16,8 +16,8 @@ import (
 	"fmt"
 )
 
-// Version is the IPFIX protocol version (RFC 7011 §3.1).
-const Version = 10
+// version is the IPFIX protocol version (RFC 7011 §3.1).
+const version = 10
 
 // headerLen is the fixed message header length.
 const headerLen = 16
@@ -25,8 +25,8 @@ const headerLen = 16
 // setHeaderLen is the set header length (set ID + length).
 const setHeaderLen = 4
 
-// TemplateSetID is the reserved set ID carrying template records.
-const TemplateSetID = 2
+// templateSetID is the reserved set ID carrying template records.
+const templateSetID = 2
 
 // MinTemplateID is the smallest valid template (and therefore data-set) ID;
 // IDs below it are reserved for template/options sets.
@@ -69,8 +69,8 @@ type Template struct {
 	Fields []FieldSpec
 }
 
-// RecordLength returns the encoded length of one data record.
-func (t Template) RecordLength() int {
+// recordLength returns the encoded length of one data record.
+func (t Template) recordLength() int {
 	n := 0
 	for _, f := range t.Fields {
 		n += int(f.Length)
@@ -137,7 +137,7 @@ func (e *Encoder) Begin(exportTime uint32) {
 	e.buf = e.buf[:0]
 	e.setStart = -1
 	e.records = 0
-	e.buf = binary.BigEndian.AppendUint16(e.buf, Version)
+	e.buf = binary.BigEndian.AppendUint16(e.buf, version)
 	e.buf = binary.BigEndian.AppendUint16(e.buf, 0) // length, patched in Finish
 	e.buf = binary.BigEndian.AppendUint32(e.buf, exportTime)
 	e.buf = binary.BigEndian.AppendUint32(e.buf, e.seq)
@@ -157,7 +157,7 @@ func (e *Encoder) closeSet() {
 func (e *Encoder) Templates(ts ...Template) {
 	e.closeSet()
 	e.setStart = len(e.buf)
-	e.buf = binary.BigEndian.AppendUint16(e.buf, TemplateSetID)
+	e.buf = binary.BigEndian.AppendUint16(e.buf, templateSetID)
 	e.buf = binary.BigEndian.AppendUint16(e.buf, 0)
 	for _, t := range ts {
 		e.buf = binary.BigEndian.AppendUint16(e.buf, t.ID)
@@ -186,9 +186,9 @@ func (e *Encoder) Record(rec []byte) error {
 	if e.setStart < 0 {
 		return errors.New("ipfix: Record outside a data set")
 	}
-	if len(rec) != e.setTmpl.RecordLength() {
+	if len(rec) != e.setTmpl.recordLength() {
 		return fmt.Errorf("ipfix: record length %d != template %d length %d",
-			len(rec), e.setTmpl.ID, e.setTmpl.RecordLength())
+			len(rec), e.setTmpl.ID, e.setTmpl.recordLength())
 	}
 	e.buf = append(e.buf, rec...)
 	e.records++
@@ -205,24 +205,11 @@ func (e *Encoder) Finish() []byte {
 	return e.buf
 }
 
-// Sequence returns the encoder's current sequence number (the count of data
-// records in all finished messages).
-func (e *Encoder) Sequence() uint32 { return e.seq }
-
 // FieldValue is one decoded data-record field: the information element ID
 // and its raw big-endian bytes.
 type FieldValue struct {
 	ID    uint16
 	Value []byte
-}
-
-// Uint returns the value as an unsigned integer (fields up to 8 bytes).
-func (f FieldValue) Uint() uint64 {
-	var v uint64
-	for _, b := range f.Value {
-		v = v<<8 | uint64(b)
-	}
-	return v
 }
 
 // DataRecord is one decoded data record.
@@ -231,11 +218,16 @@ type DataRecord struct {
 	Fields     []FieldValue
 }
 
-// Uint returns the first field with the given IE ID as an unsigned integer.
+// Uint returns the first field with the given IE ID as an unsigned integer
+// (fields up to 8 bytes, big-endian).
 func (r DataRecord) Uint(ie uint16) (uint64, bool) {
 	for _, f := range r.Fields {
 		if f.ID == ie {
-			return f.Uint(), true
+			var v uint64
+			for _, b := range f.Value {
+				v = v<<8 | uint64(b)
+			}
+			return v, true
 		}
 	}
 	return 0, false
@@ -277,8 +269,8 @@ func (d *Decoder) Decode(b []byte) (*Message, error) {
 	if len(b) < headerLen {
 		return nil, fmt.Errorf("ipfix: message too short (%d bytes)", len(b))
 	}
-	if v := binary.BigEndian.Uint16(b); v != Version {
-		return nil, fmt.Errorf("ipfix: version %d, want %d", v, Version)
+	if v := binary.BigEndian.Uint16(b); v != version {
+		return nil, fmt.Errorf("ipfix: version %d, want %d", v, version)
 	}
 	length := int(binary.BigEndian.Uint16(b[2:]))
 	if length < headerLen || length > len(b) {
@@ -302,7 +294,7 @@ func (d *Decoder) Decode(b []byte) (*Message, error) {
 		content := body[setHeaderLen:setLen]
 		body = body[setLen:]
 		switch {
-		case setID == TemplateSetID:
+		case setID == templateSetID:
 			if err := d.decodeTemplates(m, content); err != nil {
 				return nil, err
 			}
@@ -368,7 +360,7 @@ func (d *Decoder) decodeTemplates(m *Message, content []byte) error {
 }
 
 func decodeDataSet(m *Message, t Template, content []byte) error {
-	recLen := t.RecordLength()
+	recLen := t.recordLength()
 	for len(content) >= recLen {
 		rec := DataRecord{TemplateID: t.ID, Fields: make([]FieldValue, len(t.Fields))}
 		for i, f := range t.Fields {

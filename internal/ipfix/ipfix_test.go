@@ -29,8 +29,8 @@ func flowTemplate() Template {
 // the wire.
 func TestRoundtrip(t *testing.T) {
 	tmpl := flowTemplate()
-	if got := tmpl.RecordLength(); got != 46 {
-		t.Fatalf("RecordLength = %d, want 46", got)
+	if got := tmpl.recordLength(); got != 46 {
+		t.Fatalf("recordLength = %d, want 46", got)
 	}
 	enc := NewEncoder(0xd0ba11)
 	enc.Begin(1_700_000_000)
@@ -61,8 +61,8 @@ func TestRoundtrip(t *testing.T) {
 	if got := binary.BigEndian.Uint16(msg[2:]); int(got) != len(msg) {
 		t.Fatalf("header length %d != message length %d", got, len(msg))
 	}
-	if enc.Sequence() != 2 {
-		t.Fatalf("sequence after 2 records = %d", enc.Sequence())
+	if enc.seq != 2 {
+		t.Fatalf("sequence after 2 records = %d", enc.seq)
 	}
 
 	dec := NewDecoder()

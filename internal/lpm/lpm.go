@@ -40,19 +40,18 @@
 // The first-level stride is configurable (24 bits reproduces rte_lpm's
 // DIR-24-8 layout and supports /0–/32 prefixes; tests may use smaller strides
 // to keep memory small, which limits the maximum prefix length to stride+8).
-// A reference implementation (Reference) is included for differential
-// testing.
+// The tests check it against a linear-scan reference (Reference, in
+// export_test.go).
 package lpm
 
 import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 )
 
-// Invalid is returned by Lookup when no prefix covers the address.
-const Invalid = ^uint32(0)
+// invalid is the value Resolve returns when no prefix covers the address.
+const invalid = ^uint32(0)
 
 const (
 	validBit   = 1 << 31
@@ -62,11 +61,11 @@ const (
 	groupSize  = 256
 )
 
-// DefaultStride is the first-level stride of the classic DIR-24-8 layout.
-const DefaultStride = 24
+// defaultStride is the first-level stride of the classic DIR-24-8 layout.
+const defaultStride = 24
 
 // Table is a DIR-24-8-style longest prefix match table over 32-bit keys.
-// The zero value is not usable; use New or NewWithStride.
+// The zero value is not usable; use New.
 type Table struct {
 	stride  uint
 	tbl24   []uint32
@@ -93,11 +92,11 @@ func entry(value uint32, depth int) uint32 {
 func depthOf(e uint32) int { return int(e>>depthShift) & 0x3f }
 
 // New returns an empty table with the classic 24-bit first level.
-func New() *Table { return NewWithStride(DefaultStride) }
+func New() *Table { return newWithStride(defaultStride) }
 
-// NewWithStride returns an empty table whose first level covers the given
+// newWithStride returns an empty table whose first level covers the given
 // number of address bits (8–24).
-func NewWithStride(stride int) *Table {
+func newWithStride(stride int) *Table {
 	stride = min(max(stride, 8), 24)
 	t := &Table{
 		stride:  uint(stride),
@@ -108,11 +107,8 @@ func NewWithStride(stride int) *Table {
 	return t
 }
 
-// Stride returns the first-level stride in bits.
-func (t *Table) Stride() int { return int(t.stride) }
-
-// MaxPrefixLen returns the longest prefix length the table supports.
-func (t *Table) MaxPrefixLen() int { return int(t.stride) + 8 }
+// maxPrefixLen returns the longest prefix length the table supports.
+func (t *Table) maxPrefixLen() int { return int(t.stride) + 8 }
 
 // Len returns the number of installed prefixes.
 func (t *Table) Len() int { return len(t.entries) }
@@ -138,9 +134,6 @@ func (t *Table) Clone() *Table {
 	return nt
 }
 
-// SecondLevelGroups returns the number of second-level groups in use.
-func (t *Table) SecondLevelGroups() int { return len(t.tbl8)/groupSize - len(t.free) }
-
 // group returns the tbl8 group an extended first-level entry points at.
 func (t *Table) group(e uint32) []uint32 {
 	return t.tbl8[(e&valueMask)*groupSize:][:groupSize]
@@ -149,8 +142,8 @@ func (t *Table) group(e uint32) []uint32 {
 // Insert adds (or replaces) the prefix addr/prefixLen with the given value.
 // The value must fit in 24 bits.
 func (t *Table) Insert(addr uint32, prefixLen int, value uint32) error {
-	if prefixLen < 0 || prefixLen > t.MaxPrefixLen() || prefixLen > 32 {
-		return fmt.Errorf("lpm: prefix length %d out of range [0,%d]", prefixLen, t.MaxPrefixLen())
+	if prefixLen < 0 || prefixLen > t.maxPrefixLen() || prefixLen > 32 {
+		return fmt.Errorf("lpm: prefix length %d out of range [0,%d]", prefixLen, t.maxPrefixLen())
 	}
 	if value > valueMask {
 		return fmt.Errorf("lpm: value %d does not fit in 24 bits", value)
@@ -248,13 +241,6 @@ func (t *Table) coveringPrefix(addr uint32, prefixLen int) (uint32, int, bool) {
 	return 0, 0, false
 }
 
-// Lookup returns the value of the longest prefix covering addr and whether
-// any prefix matched.
-func (t *Table) Lookup(addr uint32) (uint32, bool) {
-	v, _, ok := t.Resolve(addr, t.Probe1(addr))
-	return v, ok
-}
-
 // Probe1 returns the raw first-level (tbl24) entry covering addr.  Burst-mode
 // callers probe the first level for a whole batch back to back — the way
 // DPDK's rte_lpm_lookup_bulk does — so the independent tbl24 loads overlap
@@ -269,14 +255,14 @@ func (t *Table) Probe1(addr uint32) uint32 { return t.tbl24[addr>>(32-t.stride)]
 // atom assuming 2) and whether any prefix matched.
 func (t *Table) Resolve(addr uint32, e uint32) (value uint32, depth int, ok bool) {
 	if e&validBit == 0 {
-		return Invalid, 1, false
+		return invalid, 1, false
 	}
 	if e&extBit == 0 {
 		return e & valueMask, 1, true
 	}
 	e2 := t.tbl8[(e&valueMask)*groupSize+(addr>>(24-t.stride))&0xff]
 	if e2&validBit == 0 {
-		return Invalid, 2, false
+		return invalid, 2, false
 	}
 	return e2 & valueMask, 2, true
 }
@@ -296,33 +282,6 @@ func (t *Table) LookupBatch(addrs []uint32, values []uint32, depths []uint8, hit
 		v, d, ok := t.Resolve(addr, values[i])
 		values[i], depths[i], hits[i] = v, uint8(d), ok
 	}
-}
-
-// Prefix describes one installed route.
-type Prefix struct {
-	Addr  uint32
-	Len   int
-	Value uint32
-}
-
-// String formats the prefix in CIDR notation.
-func (p Prefix) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d/%d", byte(p.Addr>>24), byte(p.Addr>>16), byte(p.Addr>>8), byte(p.Addr), p.Len)
-}
-
-// Prefixes returns the installed prefixes sorted by address then length.
-func (t *Table) Prefixes() []Prefix {
-	out := make([]Prefix, 0, len(t.entries))
-	for k, v := range t.entries {
-		out = append(out, Prefix{Addr: k.addr, Len: int(k.len), Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr != out[j].Addr {
-			return out[i].Addr < out[j].Addr
-		}
-		return out[i].Len < out[j].Len
-	})
-	return out
 }
 
 func maskAddr(addr uint32, prefixLen int) uint32 {
@@ -384,50 +343,4 @@ func fill(s []uint32, depth int, ent uint32) {
 			s[j] = ent
 		}
 	}
-}
-
-// Reference is a simple, obviously-correct LPM used for differential testing:
-// it scans all prefixes and returns the longest match.
-type Reference struct {
-	prefixes []Prefix
-}
-
-// Insert adds a prefix to the reference table.
-func (r *Reference) Insert(addr uint32, prefixLen int, value uint32) {
-	addr = maskAddr(addr, prefixLen)
-	for i, p := range r.prefixes {
-		if p.Addr == addr && p.Len == prefixLen {
-			r.prefixes[i].Value = value
-			return
-		}
-	}
-	r.prefixes = append(r.prefixes, Prefix{Addr: addr, Len: prefixLen, Value: value})
-}
-
-// Delete removes a prefix from the reference table.
-func (r *Reference) Delete(addr uint32, prefixLen int) bool {
-	addr = maskAddr(addr, prefixLen)
-	for i, p := range r.prefixes {
-		if p.Addr == addr && p.Len == prefixLen {
-			r.prefixes = append(r.prefixes[:i], r.prefixes[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Lookup returns the longest-prefix match by linear scan.
-func (r *Reference) Lookup(addr uint32) (uint32, bool) {
-	best := -1
-	var bestVal uint32
-	for _, p := range r.prefixes {
-		if maskAddr(addr, p.Len) == p.Addr && p.Len > best {
-			best = p.Len
-			bestVal = p.Value
-		}
-	}
-	if best < 0 {
-		return Invalid, false
-	}
-	return bestVal, true
 }

@@ -13,7 +13,7 @@ func ip(a, b, c, d byte) uint32 {
 }
 
 func TestBasicLookup(t *testing.T) {
-	tbl := NewWithStride(16)
+	tbl := newWithStride(16)
 	if err := tbl.Insert(ip(10, 0, 0, 0), 8, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +31,8 @@ func TestBasicLookup(t *testing.T) {
 		{ip(10, 5, 5, 5), 1, true},
 		{ip(10, 1, 9, 9), 2, true},
 		{ip(10, 1, 2, 200), 3, true},
-		{ip(11, 0, 0, 1), Invalid, false},
-		{ip(9, 255, 255, 255), Invalid, false},
+		{ip(11, 0, 0, 1), invalid, false},
+		{ip(9, 255, 255, 255), invalid, false},
 	}
 	for _, c := range cases {
 		got, ok := tbl.Lookup(c.addr)
@@ -47,8 +47,8 @@ func TestBasicLookup(t *testing.T) {
 
 func TestDefaultStrideSlash32(t *testing.T) {
 	tbl := New()
-	if tbl.Stride() != 24 || tbl.MaxPrefixLen() != 32 {
-		t.Fatalf("stride %d maxlen %d", tbl.Stride(), tbl.MaxPrefixLen())
+	if tbl.Stride() != 24 || tbl.maxPrefixLen() != 32 {
+		t.Fatalf("stride %d maxlen %d", tbl.Stride(), tbl.maxPrefixLen())
 	}
 	if err := tbl.Insert(ip(192, 0, 2, 0), 24, 100); err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestDefaultStrideSlash32(t *testing.T) {
 }
 
 func TestInsertErrors(t *testing.T) {
-	tbl := NewWithStride(16)
+	tbl := newWithStride(16)
 	if err := tbl.Insert(0, 25, 1); err == nil {
 		t.Error("prefix longer than stride+8 must be rejected")
 	}
@@ -87,7 +87,7 @@ func TestInsertErrors(t *testing.T) {
 }
 
 func TestDefaultRoute(t *testing.T) {
-	tbl := NewWithStride(16)
+	tbl := newWithStride(16)
 	if err := tbl.Insert(0, 0, 99); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestDefaultRoute(t *testing.T) {
 }
 
 func TestInsertReplaces(t *testing.T) {
-	tbl := NewWithStride(16)
+	tbl := newWithStride(16)
 	tbl.Insert(ip(10, 0, 0, 0), 8, 1)
 	tbl.Insert(ip(10, 0, 0, 0), 8, 5)
 	if v, _ := tbl.Lookup(ip(10, 1, 1, 1)); v != 5 {
@@ -119,7 +119,7 @@ func TestInsertReplaces(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	tbl := NewWithStride(16)
+	tbl := newWithStride(16)
 	tbl.Insert(ip(10, 0, 0, 0), 8, 1)
 	tbl.Insert(ip(10, 1, 0, 0), 16, 2)
 	tbl.Insert(ip(10, 1, 2, 0), 24, 3)
@@ -150,7 +150,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestDeleteKeepsLongerPrefixes(t *testing.T) {
-	tbl := NewWithStride(16)
+	tbl := newWithStride(16)
 	tbl.Insert(ip(10, 0, 0, 0), 8, 1)
 	tbl.Insert(ip(10, 1, 0, 0), 16, 2)
 	if !tbl.Delete(ip(10, 0, 0, 0), 8) {
@@ -165,7 +165,7 @@ func TestDeleteKeepsLongerPrefixes(t *testing.T) {
 }
 
 func TestPrefixesListing(t *testing.T) {
-	tbl := NewWithStride(16)
+	tbl := newWithStride(16)
 	tbl.Insert(ip(10, 0, 0, 0), 8, 1)
 	tbl.Insert(ip(10, 1, 0, 0), 16, 2)
 	ps := tbl.Prefixes()
@@ -182,7 +182,7 @@ func TestPrefixesListing(t *testing.T) {
 // reference on every step.
 func TestDifferentialAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	tbl := NewWithStride(16)
+	tbl := newWithStride(16)
 	ref := &Reference{}
 	type pfx struct {
 		addr uint32
@@ -193,7 +193,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		switch {
 		case len(installed) == 0 || rng.Intn(4) != 0:
-			length := rng.Intn(tbl.MaxPrefixLen() + 1)
+			length := rng.Intn(tbl.maxPrefixLen() + 1)
 			addr := rng.Uint32()
 			value := uint32(rng.Intn(1000))
 			if err := tbl.Insert(addr, length, value); err != nil {
@@ -227,7 +227,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 }
 
 func TestLookupMatchesReferenceProperty(t *testing.T) {
-	tbl := NewWithStride(16)
+	tbl := newWithStride(16)
 	ref := &Reference{}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
@@ -277,7 +277,7 @@ func BenchmarkLookupDIR248(b *testing.B) {
 }
 
 func BenchmarkInsert(b *testing.B) {
-	tbl := NewWithStride(16)
+	tbl := newWithStride(16)
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -288,7 +288,7 @@ func BenchmarkInsert(b *testing.B) {
 
 func TestLookupBatchMatchesLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	tbl := NewWithStride(16)
+	tbl := newWithStride(16)
 	for i := 0; i < 5000; i++ {
 		tbl.Insert(rng.Uint32(), 8+rng.Intn(17), uint32(i%1000))
 	}
@@ -384,7 +384,7 @@ func FuzzTableOps(f *testing.F) {
 	bases := []uint32{ip(10, 0, 0, 0), ip(10, 1, 0, 0), ip(10, 200, 0, 0), ip(172, 16, 0, 0),
 		ip(11, 0, 0, 0), ip(0, 0, 0, 0), ip(240, 0, 0, 0)}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tbl := NewWithStride(16)
+		tbl := newWithStride(16)
 		ref := &Reference{}
 		check := func(op int) {
 			for _, base := range bases {
@@ -432,7 +432,7 @@ func FuzzTableOps(f *testing.F) {
 					t.Fatalf("op %d: delete %#x/%d = %v, reference %v", i, addr, plen, got, want)
 				}
 			case 3: // a host address inside the prefix
-				host := addr | ^maskAddr(Invalid, plen)&(uint32(ops[3])*0x01010101)
+				host := addr | ^maskAddr(invalid, plen)&(uint32(ops[3])*0x01010101)
 				gv, gok := tbl.Lookup(host)
 				wv, wok := ref.Lookup(host)
 				if gok != wok || gv != wv {

@@ -16,8 +16,8 @@ import (
 	"eswitch/internal/openflow"
 )
 
-// Version is the protocol version byte carried in every header.
-const Version = 0x04
+// version is the protocol version byte carried in every header.
+const version = 0x04
 
 // MsgType enumerates the supported message types.
 type MsgType uint8
@@ -74,29 +74,36 @@ const (
 	PacketInReasonAction uint8 = 1
 )
 
-// FlowRemoved reasons (OpenFlow's OFPRR_* values).
+// FlowRemovedReason is why a flow entry was removed (OpenFlow's OFPRR_*
+// values).
+type FlowRemovedReason uint8
+
+// FlowRemoved reasons.
 const (
 	// FlowRemovedIdleTimeout: the entry saw no matching packet for
 	// IdleTimeout seconds.
-	FlowRemovedIdleTimeout uint8 = 0
+	FlowRemovedIdleTimeout FlowRemovedReason = 0
 	// FlowRemovedHardTimeout: HardTimeout seconds elapsed since install.
-	FlowRemovedHardTimeout uint8 = 1
+	FlowRemovedHardTimeout FlowRemovedReason = 1
 	// FlowRemovedDelete: the entry was removed by a FlowMod delete.
-	FlowRemovedDelete uint8 = 2
+	FlowRemovedDelete FlowRemovedReason = 2
 	// FlowRemovedEviction: the switch evicted the entry to reclaim table
 	// space (the soft-limit LRU-approximate eviction policy).
-	FlowRemovedEviction uint8 = 3
+	FlowRemovedEviction FlowRemovedReason = 3
 )
 
-// PortStatus reasons (OpenFlow's OFPPR_* values).
+// PortStatusReason is why a port status changed (OpenFlow's OFPPR_* values).
+type PortStatusReason uint8
+
+// PortStatus reasons.
 const (
 	// PortStatusAdd: the port was added to the switch.
-	PortStatusAdd uint8 = 0
+	PortStatusAdd PortStatusReason = 0
 	// PortStatusDelete: the port was removed.
-	PortStatusDelete uint8 = 1
+	PortStatusDelete PortStatusReason = 1
 	// PortStatusModify: the port's state changed — the only reason the port
 	// supervisor emits (link transitions of a fixed port set).
-	PortStatusModify uint8 = 2
+	PortStatusModify PortStatusReason = 2
 )
 
 // Port state bits carried in PortStatus.State (OFPPS_*-style; Flapping is
@@ -132,7 +139,7 @@ func WriteMessage(w io.Writer, m Message) error {
 		return fmt.Errorf("ofp: message body too large (%d bytes)", len(m.Body))
 	}
 	hdr := make([]byte, headerLen, headerLen+len(m.Body))
-	hdr[0] = Version
+	hdr[0] = version
 	hdr[1] = byte(m.Type)
 	binary.BigEndian.PutUint16(hdr[2:4], uint16(headerLen+len(m.Body)))
 	binary.BigEndian.PutUint32(hdr[4:8], m.Xid)
@@ -146,7 +153,7 @@ func ReadMessage(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Message{}, err
 	}
-	if hdr[0] != Version {
+	if hdr[0] != version {
 		return Message{}, fmt.Errorf("ofp: unsupported version %#x", hdr[0])
 	}
 	length := int(binary.BigEndian.Uint16(hdr[2:4]))
@@ -183,7 +190,7 @@ type FlowMod struct {
 // explicit delete.  It identifies the entry by table, priority and match, and
 // carries the entry's final counters plus its time since installation.
 type FlowRemoved struct {
-	Reason      uint8
+	Reason      FlowRemovedReason
 	TableID     openflow.TableID
 	Priority    int32
 	IdleTimeout uint16
@@ -201,9 +208,8 @@ type FlowRemoved struct {
 // the control-plane face of the port supervisor's link-state machine,
 // delivered over the shared channel like FlowRemoved.
 type PortStatus struct {
-	// Reason is one of the PortStatus* values (the supervisor always sends
-	// Modify).
-	Reason uint8
+	// Reason is the supervisor's PortStatusModify: its ports are fixed.
+	Reason PortStatusReason
 	// PortNo is the 1-based port the event concerns.
 	PortNo uint32
 	// State is a bitmask of PortState* (0 = link up and steady).
@@ -447,7 +453,7 @@ func DecodeFlowMod(body []byte) (FlowMod, error) {
 // EncodeFlowRemoved serializes a FlowRemoved message body.
 func EncodeFlowRemoved(fr FlowRemoved) []byte {
 	e := &encoder{}
-	e.u8(fr.Reason)
+	e.u8(uint8(fr.Reason))
 	e.u16(uint16(fr.TableID))
 	e.u32(uint32(fr.Priority))
 	e.u16(fr.IdleTimeout)
@@ -463,7 +469,7 @@ func EncodeFlowRemoved(fr FlowRemoved) []byte {
 func DecodeFlowRemoved(body []byte) (FlowRemoved, error) {
 	d := &decoder{buf: body}
 	fr := FlowRemoved{
-		Reason:      d.u8(),
+		Reason:      FlowRemovedReason(d.u8()),
 		TableID:     openflow.TableID(d.u16()),
 		Priority:    int32(d.u32()),
 		IdleTimeout: d.u16(),
@@ -479,7 +485,7 @@ func DecodeFlowRemoved(body []byte) (FlowRemoved, error) {
 // EncodePortStatus serializes a PortStatus message body.
 func EncodePortStatus(ps PortStatus) []byte {
 	e := &encoder{}
-	e.u8(ps.Reason)
+	e.u8(uint8(ps.Reason))
 	e.u32(ps.PortNo)
 	e.u32(ps.State)
 	e.bytes([]byte(ps.Desc))
@@ -489,7 +495,7 @@ func EncodePortStatus(ps PortStatus) []byte {
 // DecodePortStatus parses a PortStatus message body.
 func DecodePortStatus(body []byte) (PortStatus, error) {
 	d := &decoder{buf: body}
-	ps := PortStatus{Reason: d.u8(), PortNo: d.u32(), State: d.u32()}
+	ps := PortStatus{Reason: PortStatusReason(d.u8()), PortNo: d.u32(), State: d.u32()}
 	ps.Desc = string(d.rest())
 	return ps, d.err
 }

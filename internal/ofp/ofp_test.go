@@ -41,12 +41,12 @@ func TestMessageFramingErrors(t *testing.T) {
 		t.Fatal("wrong version must be rejected")
 	}
 	// Length smaller than the header.
-	raw = []byte{Version, 0x00, 0x00, 0x04, 0, 0, 0, 0}
+	raw = []byte{version, 0x00, 0x00, 0x04, 0, 0, 0, 0}
 	if _, err := ReadMessage(bytes.NewReader(raw)); err == nil {
 		t.Fatal("bogus length must be rejected")
 	}
 	// Truncated body.
-	raw = []byte{Version, 0x00, 0x00, 0x10, 0, 0, 0, 0, 1, 2}
+	raw = []byte{version, 0x00, 0x00, 0x10, 0, 0, 0, 0, 1, 2}
 	if _, err := ReadMessage(bytes.NewReader(raw)); err == nil {
 		t.Fatal("truncated body must be rejected")
 	}

@@ -18,8 +18,6 @@ const (
 	PortFlood uint32 = 0xfffffffb
 	// PortController sends the packet to the controller (packet-in).
 	PortController uint32 = 0xfffffffd
-	// PortDrop is used internally in verdicts to denote a dropped packet.
-	PortDrop uint32 = 0xffffffff
 	// PortMax is the highest valid physical port number.
 	PortMax uint32 = 0xffffff00
 )
@@ -136,9 +134,6 @@ func (a Action) String() string {
 		return fmt.Sprintf("action(%d)", a.Type)
 	}
 }
-
-// Equal reports whether two actions are identical.
-func (a Action) Equal(b Action) bool { return a == b }
 
 // ActionList is an ordered list of actions.
 type ActionList []Action

@@ -64,16 +64,6 @@ func (f Field) String() string {
 	return fmt.Sprintf("field(%d)", uint8(f))
 }
 
-// FieldByName returns the field with the given OpenFlow name.
-func FieldByName(name string) (Field, bool) {
-	for i, n := range fieldNames {
-		if n == name {
-			return Field(i), true
-		}
-	}
-	return 0, false
-}
-
 var fieldWidths = [NumFields]uint8{
 	32, 64, 48, 48, 16, 12,
 	3, 32, 32, 8, 6, 2,
@@ -202,8 +192,8 @@ func (s FieldSet) Has(f Field) bool { return s&(1<<f) != 0 }
 // Union returns the union of the two sets.
 func (s FieldSet) Union(o FieldSet) FieldSet { return s | o }
 
-// Count returns the number of fields in the set.
-func (s FieldSet) Count() int {
+// count returns the number of fields in the set.
+func (s FieldSet) count() int {
 	n := 0
 	for f := Field(0); f < NumFields; f++ {
 		if s.Has(f) {
@@ -215,7 +205,7 @@ func (s FieldSet) Count() int {
 
 // Fields returns the fields of the set in field order.
 func (s FieldSet) Fields() []Field {
-	out := make([]Field, 0, s.Count())
+	out := make([]Field, 0, s.count())
 	for f := Field(0); f < NumFields; f++ {
 		if s.Has(f) {
 			out = append(out, f)

@@ -161,7 +161,7 @@ func TestActionSetSpecOrder(t *testing.T) {
 	pl.AddTable(1).AddFlow(1, NewMatch(), Instructions{WriteActions: ActionList{PushVLAN(0), Output(2)}})
 	p := tcpPacket(t, 1, 1, 2, 3, 4)
 	var v Verdict
-	NewInterpreter(pl).ProcessParsed(p, &v, nil)
+	NewInterpreter(pl).processParsed(p, &v, nil)
 	if !p.Headers.Has(pkt.ProtoVLAN) || p.Headers.VLANID != 5 || len(v.OutPorts) != 1 {
 		t.Fatalf("set_field(vlan_vid=5) then push_vlan:0 left VLAN %v/%d, verdict %s", p.Headers.Has(pkt.ProtoVLAN), p.Headers.VLANID, &v)
 	}

@@ -71,9 +71,9 @@ func (a *MaskAccumulator) Reset(orig *pkt.Packet) {
 	a.orig = orig
 }
 
-// MarkModified records that the walk rewrote field f: later observations of f
+// markModified records that the walk rewrote field f: later observations of f
 // are suppressed (see the package comment for why this is sound).
-func (a *MaskAccumulator) MarkModified(f Field) { a.modified = a.modified.Add(f) }
+func (a *MaskAccumulator) markModified(f Field) { a.modified = a.modified.Add(f) }
 
 // Observe accumulates mask bits for field f, capturing the field's value from
 // the original packet view on first observation.  Observations of fields
@@ -194,10 +194,10 @@ func (a *MaskAccumulator) MarkModifiedActions(actions ActionList) {
 	for _, act := range actions {
 		switch act.Type {
 		case ActionSetField:
-			a.MarkModified(act.Field)
+			a.markModified(act.Field)
 		case ActionPushVLAN, ActionPopVLAN:
-			a.MarkModified(FieldVLANID)
-			a.MarkModified(FieldVLANPCP)
+			a.markModified(FieldVLANID)
+			a.markModified(FieldVLANPCP)
 		}
 	}
 }

@@ -157,12 +157,6 @@ func (m *Match) Get(f Field) (value, mask uint64, ok bool) {
 	return p.value, p.mask, true
 }
 
-// IsExact reports whether field f is constrained with a full (exact) mask.
-func (m *Match) IsExact(f Field) bool {
-	_, mask, ok := m.Get(f)
-	return ok && mask == f.FullMask()
-}
-
 // IsPrefix reports whether field f is constrained with a prefix mask and, if
 // so, returns the prefix length.
 func (m *Match) IsPrefix(f Field) (int, bool) {

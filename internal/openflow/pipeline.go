@@ -14,10 +14,9 @@ type MissBehaviour uint8
 
 // Table-miss behaviours.
 const (
-	// MissDrop silently drops unmatched packets.
-	MissDrop MissBehaviour = iota
-	// MissController punts unmatched packets to the controller.
-	MissController
+	// MissController punts unmatched packets to the controller; the zero
+	// MissBehaviour drops them silently.
+	MissController MissBehaviour = 1
 )
 
 // Pipeline is a complete OpenFlow pipeline: a set of flow tables linked by
@@ -93,25 +92,6 @@ func (pl *Pipeline) NextFreeTableID() TableID {
 		}
 	}
 	return maxID + 1
-}
-
-// RemoveTable deletes a table from the pipeline.  Removing Table 0 is not
-// allowed and reports false.
-func (pl *Pipeline) RemoveTable(id TableID) bool {
-	if id == 0 {
-		return false
-	}
-	if _, ok := pl.tables[id]; !ok {
-		return false
-	}
-	delete(pl.tables, id)
-	for i, t := range pl.order {
-		if t == id {
-			pl.order = append(pl.order[:i], pl.order[i+1:]...)
-			break
-		}
-	}
-	return true
 }
 
 // RequiredLayer returns the deepest parse layer any match field in any table
@@ -237,11 +217,11 @@ func NewInterpreter(pl *Pipeline) *Interpreter {
 func (in *Interpreter) Process(p *pkt.Packet, v *Verdict, tracker FieldTracker) {
 	v.Reset()
 	pkt.ParseTo(p, in.Pipeline.RequiredLayer())
-	in.ProcessParsed(p, v, tracker)
+	in.processParsed(p, v, tracker)
 }
 
-// ProcessParsed is Process for packets that are already parsed.
-func (in *Interpreter) ProcessParsed(p *pkt.Packet, v *Verdict, tracker FieldTracker) {
+// processParsed is Process for packets that are already parsed.
+func (in *Interpreter) processParsed(p *pkt.Packet, v *Verdict, tracker FieldTracker) {
 	pl := in.Pipeline
 	var actionSet ActionList
 	tableID := TableID(0)

@@ -300,8 +300,8 @@ func TestTableOrderAfterInterleavedMods(t *testing.T) {
 			model[keyOf(e.Priority, e.Match)] = &modelEntry{e: e, birth: births}
 			births++
 		}
-		if !ft.Contains(e.Priority, e.Match) {
-			t.Fatalf("Contains(%v) false right after Add", e)
+		if ft.Entry(e.Priority, e.Match) == nil {
+			t.Fatalf("Entry(%v) nil right after Add", e)
 		}
 	}
 	// deleteIf removes from the model what pred selects and returns the count.
@@ -333,8 +333,8 @@ func TestTableOrderAfterInterleavedMods(t *testing.T) {
 			if n := ft.Delete(m, prio); n != want {
 				t.Fatalf("step %d: Delete(%v, %d) removed %d, want %d", step, m, prio, n, want)
 			}
-			if ft.Contains(prio, m) {
-				t.Fatalf("step %d: Contains true after Delete", step)
+			if ft.Entry(prio, m) != nil {
+				t.Fatalf("step %d: Entry found after Delete", step)
 			}
 		case r < 9: // any-priority delete
 			m := randMatch()
@@ -421,15 +421,6 @@ func TestPipelineTableManagement(t *testing.T) {
 	if pl.NextFreeTableID() != 5 {
 		t.Fatalf("next free %d", pl.NextFreeTableID())
 	}
-	if pl.RemoveTable(0) {
-		t.Fatal("table 0 must not be removable")
-	}
-	if !pl.RemoveTable(2) || pl.Table(2) != nil {
-		t.Fatal("remove table 2 failed")
-	}
-	if pl.RemoveTable(2) {
-		t.Fatal("removing a removed table must fail")
-	}
 }
 
 func TestPipelineRequiredLayer(t *testing.T) {
@@ -507,6 +498,6 @@ func BenchmarkInterpreterFirewall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in.ProcessParsed(p, v, nil)
+		in.processParsed(p, v, nil)
 	}
 }

@@ -366,12 +366,11 @@ func (t *FlowTable) Add(e *FlowEntry) bool {
 	return true
 }
 
-// Contains reports whether the table holds an entry with exactly this
-// priority and match — the entry a FlowMod ADD would replace rather than
-// add.  It shares Add's lazy index, so capacity checks on large tables stay
-// O(1).
-func (t *FlowTable) Contains(priority int, match *Match) bool {
-	return t.find(keyOf(priority, match), match) != nil
+// Entry returns the table's entry with exactly this priority and match — the
+// entry a FlowMod ADD would replace rather than add — or nil.  It shares
+// Add's lazy index, so capacity checks on large tables stay O(1).
+func (t *FlowTable) Entry(priority int, match *Match) *FlowEntry {
+	return t.find(keyOf(priority, match), match)
 }
 
 // AddFlow is a convenience wrapper building and adding an entry.

@@ -147,15 +147,15 @@ func checkTable(t *testing.T, op int, side string, tbl *FlowTable, ref *refTable
 		if got[i] != o.e {
 			fail("entry %d is %v, reference %v", i, got[i], o.e)
 		}
-		if !c.Contains(o.e.Priority, o.e.Match) {
-			fail("Contains(%v) false", o.e)
+		if c.Entry(o.e.Priority, o.e.Match) == nil {
+			fail("Entry(%v) nil", o.e)
 		}
 		fields = fields.Union(o.e.Match.Fields())
 	}
 	for x := 0; x < 256; x += 37 { // a sample of keys, present or not
 		m, prio := fuzzMatch(byte(x)), x%4
-		if got, want := c.Contains(prio, m), ref.find(prio, m) >= 0; got != want {
-			fail("Contains(%d, %v) = %v, reference %v", prio, m, got, want)
+		if got, want := c.Entry(prio, m) != nil, ref.find(prio, m) >= 0; got != want {
+			fail("Entry(%d, %v) found = %v, reference %v", prio, m, got, want)
 		}
 	}
 	if got := parked(tbl).MatchFields(); got != fields {
@@ -169,7 +169,7 @@ func checkTable(t *testing.T, op int, side string, tbl *FlowTable, ref *refTable
 // FuzzFlowTableOps drives FlowTable with byte-coded mods — adds (new and
 // replacing), deletes with and without priority, DeleteWhere, Fork with both
 // sides mutated afterwards, Clone — and after every op compares each read
-// (Entries, Lookup, Len, Contains, MatchFields, String) with refTable.  Four
+// (Entries, Lookup, Len, Entry, MatchFields, String) with refTable.  Four
 // priorities make insertion order within a priority matter, and the bulk add
 // takes a table past inPlaceShift, so adds are parked and merged as well as
 // applied in place.

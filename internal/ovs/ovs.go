@@ -157,21 +157,11 @@ func New(pl *openflow.Pipeline, opts Options) (*Switch, error) {
 	return s, nil
 }
 
-// Pipeline returns the switch's (slow path) pipeline.
-func (s *Switch) Pipeline() *openflow.Pipeline { return s.pipeline }
-
 // Stats returns the per-level packet counters.
 func (s *Switch) Stats() LevelStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.stats
-}
-
-// CacheSizes returns the current microflow and megaflow cache sizes.
-func (s *Switch) CacheSizes() (micro, mega int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.micro), s.mega.Len()
 }
 
 // MegaflowEntries returns a snapshot of the megaflow cache matches; the Fig. 3
@@ -186,9 +176,6 @@ func (s *Switch) MegaflowEntries() []*openflow.Match {
 	}
 	return out
 }
-
-// Meter returns the switch's cycle meter (nil when not metering).
-func (s *Switch) Meter() *cpumodel.Meter { return s.meter }
 
 // ResetStats clears the per-level counters (cache contents are kept).
 func (s *Switch) ResetStats() {

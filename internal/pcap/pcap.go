@@ -22,18 +22,18 @@ import (
 // Magic numbers of the classic pcap format, as they appear when read in the
 // writer's own byte order.
 const (
-	MagicMicroseconds = 0xa1b2c3d4
-	MagicNanoseconds  = 0xa1b23c4d
+	magicMicroseconds = 0xa1b2c3d4
+	magicNanoseconds  = 0xa1b23c4d
 )
 
-// LinkTypeEthernet is the only link type this package understands: record
+// linkTypeEthernet is the only link type this package understands: record
 // payloads start at the Ethernet destination MAC, exactly the byte layout
 // pkt.Packet.Data uses.
-const LinkTypeEthernet = 1
+const linkTypeEthernet = 1
 
-// DefaultSnapLen is the capture length written into the global header (and
+// defaultSnapLen is the capture length written into the global header (and
 // the per-record cap) when the caller does not choose one.
-const DefaultSnapLen = 65535
+const defaultSnapLen = 65535
 
 // maxRecordLen rejects absurd record lengths while reading, so a corrupt or
 // truncated header cannot make the reader allocate gigabytes.
@@ -66,21 +66,21 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	pr := &Reader{r: br}
 	switch magic := binary.LittleEndian.Uint32(gh[0:4]); magic {
-	case MagicMicroseconds:
+	case magicMicroseconds:
 		pr.order = binary.LittleEndian
-	case MagicNanoseconds:
+	case magicNanoseconds:
 		pr.order, pr.nanos = binary.LittleEndian, true
 	default:
 		switch magic := binary.BigEndian.Uint32(gh[0:4]); magic {
-		case MagicMicroseconds:
+		case magicMicroseconds:
 			pr.order = binary.BigEndian
-		case MagicNanoseconds:
+		case magicNanoseconds:
 			pr.order, pr.nanos = binary.BigEndian, true
 		default:
 			return nil, fmt.Errorf("pcap: bad magic %#x (classic pcap only; convert pcapng with editcap -F pcap)", magic)
 		}
 	}
-	if link := pr.order.Uint32(gh[20:24]); link != LinkTypeEthernet {
+	if link := pr.order.Uint32(gh[20:24]); link != linkTypeEthernet {
 		return nil, fmt.Errorf("pcap: link type %d unsupported (want Ethernet)", link)
 	}
 	return pr, nil
@@ -144,19 +144,19 @@ type Writer struct {
 	hdr     [16]byte
 }
 
-// NewWriter writes the global header (snapLen <= 0 selects DefaultSnapLen)
+// NewWriter writes the global header (snapLen <= 0 selects defaultSnapLen)
 // and returns a writer.  Call Flush when done.
 func NewWriter(w io.Writer, snapLen int) (*Writer, error) {
 	if snapLen <= 0 {
-		snapLen = DefaultSnapLen
+		snapLen = defaultSnapLen
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var gh [24]byte
-	binary.LittleEndian.PutUint32(gh[0:4], MagicMicroseconds)
+	binary.LittleEndian.PutUint32(gh[0:4], magicMicroseconds)
 	binary.LittleEndian.PutUint16(gh[4:6], 2) // version 2.4
 	binary.LittleEndian.PutUint16(gh[6:8], 4)
 	binary.LittleEndian.PutUint32(gh[16:20], uint32(snapLen))
-	binary.LittleEndian.PutUint32(gh[20:24], LinkTypeEthernet)
+	binary.LittleEndian.PutUint32(gh[20:24], linkTypeEthernet)
 	if _, err := bw.Write(gh[:]); err != nil {
 		return nil, err
 	}

@@ -78,11 +78,11 @@ func TestBigEndianAndNanosecondMagic(t *testing.T) {
 	// record, the way a capture tool on a big-endian box would.
 	var buf bytes.Buffer
 	var gh [24]byte
-	binary.BigEndian.PutUint32(gh[0:4], MagicNanoseconds)
+	binary.BigEndian.PutUint32(gh[0:4], magicNanoseconds)
 	binary.BigEndian.PutUint16(gh[4:6], 2)
 	binary.BigEndian.PutUint16(gh[6:8], 4)
 	binary.BigEndian.PutUint32(gh[16:20], 65535)
-	binary.BigEndian.PutUint32(gh[20:24], LinkTypeEthernet)
+	binary.BigEndian.PutUint32(gh[20:24], linkTypeEthernet)
 	buf.Write(gh[:])
 	var rh [16]byte
 	binary.BigEndian.PutUint32(rh[0:4], 1700000000)

@@ -53,16 +53,16 @@ func (m Model) MemAccesses() int {
 	return total
 }
 
-// CyclesAt returns the per-packet cycles assuming every variable access is
+// cyclesAt returns the per-packet cycles assuming every variable access is
 // served with the given latency.
-func (m Model) CyclesAt(latency int) float64 {
+func (m Model) cyclesAt(latency int) float64 {
 	return float64(m.FixedCycles() + m.MemAccesses()*latency)
 }
 
 // RateAt returns the single-core packet rate (packets/second) on the platform
 // assuming the given access latency.
 func (m Model) RateAt(p cpumodel.Platform, latency int) float64 {
-	c := m.CyclesAt(latency)
+	c := m.cyclesAt(latency)
 	if c == 0 {
 		return 0
 	}
@@ -79,9 +79,9 @@ type Bounds struct {
 // Bounds evaluates the model on the platform.
 func (m Model) Bounds(p cpumodel.Platform) Bounds {
 	return Bounds{
-		UpperCycles: m.CyclesAt(p.L1Lat),
-		MidCycles:   m.CyclesAt(p.L2Lat),
-		LowerCycles: m.CyclesAt(p.L3Lat),
+		UpperCycles: m.cyclesAt(p.L1Lat),
+		MidCycles:   m.cyclesAt(p.L2Lat),
+		LowerCycles: m.cyclesAt(p.L3Lat),
 		UpperRate:   m.RateAt(p, p.L1Lat),
 		MidRate:     m.RateAt(p, p.L2Lat),
 		LowerRate:   m.RateAt(p, p.L3Lat),

@@ -18,10 +18,6 @@ func NewBuilder(capacity int) *Builder {
 	return &Builder{buf: make([]byte, 0, capacity)}
 }
 
-// Bytes returns the built frame.  The slice is valid until the next build
-// call on the same Builder.
-func (b *Builder) Bytes() []byte { return b.buf }
-
 // EthernetOpts describes the L2 header of a frame being built.
 type EthernetOpts struct {
 	Dst, Src MAC
@@ -64,10 +60,10 @@ func (b *Builder) EthernetFrame(eth EthernetOpts, payload []byte) []byte {
 	return b.buf
 }
 
-// IPv4Packet builds an Ethernet+IPv4 frame carrying the given transport
+// ipv4Packet builds an Ethernet+IPv4 frame carrying the given transport
 // payload bytes (which must already include the transport header when one is
 // desired; see TCPPacket and UDPPacket for the common cases).
-func (b *Builder) IPv4Packet(eth EthernetOpts, ip IPv4Opts, l4 []byte) []byte {
+func (b *Builder) ipv4Packet(eth EthernetOpts, ip IPv4Opts, l4 []byte) []byte {
 	eth.EtherType = EtherTypeIPv4
 	hdr := make([]byte, 0, 20+len(l4))
 	hdr = b.ipv4Header(hdr, ip, len(l4))
@@ -112,7 +108,7 @@ func (b *Builder) TCPPacket(eth EthernetOpts, ip IPv4Opts, l4 L4Opts) []byte {
 	}
 	tcp[12] = 5 << 4 // data offset
 	tcp[13] = byte(flags & 0xff)
-	return b.IPv4Packet(eth, ip, tcp)
+	return b.ipv4Packet(eth, ip, tcp)
 }
 
 // UDPPacket builds a minimum-size Ethernet+IPv4+UDP frame.
@@ -122,7 +118,7 @@ func (b *Builder) UDPPacket(eth EthernetOpts, ip IPv4Opts, l4 L4Opts) []byte {
 	binary.BigEndian.PutUint16(udp[0:2], l4.Src)
 	binary.BigEndian.PutUint16(udp[2:4], l4.Dst)
 	binary.BigEndian.PutUint16(udp[4:6], 8)
-	return b.IPv4Packet(eth, ip, l4span(udp))
+	return b.ipv4Packet(eth, ip, l4span(udp))
 }
 
 // ARPPacket builds an ARP request/reply frame.

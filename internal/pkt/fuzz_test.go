@@ -58,7 +58,7 @@ func checkHeadersInside(t *testing.T, h *Headers, n int) {
 		{ProtoVLAN, h.L2Off, EthernetHeaderLen + VLANTagLen},
 		{ProtoARP, h.L3Off, 28},
 		{ProtoIPv4, h.L3Off, 20},
-		{ProtoIPv6, h.L3Off, 40},
+		{protoIPv6, h.L3Off, 40},
 		{ProtoTCP, h.L4Off, 14},
 		{ProtoUDP, h.L4Off, 8},
 		{ProtoSCTP, h.L4Off, 8},

@@ -7,7 +7,7 @@
 // parser templates), the byte offsets of the L2/L3/L4 headers (r12–r14), and
 // the decoded header fields the OpenFlow match fields refer to.  Parsing is
 // incremental and layer-bounded: ParseL2 only touches the Ethernet/VLAN
-// header, ParseL3 composes ParseL2, and ParseL4 composes both, so a compiled
+// header, parseL3 composes ParseL2, and ParseL4 composes both, so a compiled
 // datapath that matches only on L2 fields never pays for L3/L4 parsing.
 //
 // All parsing is zero-allocation: Headers is a value type that callers are
@@ -26,7 +26,7 @@ const (
 	ProtoVLAN
 	ProtoARP
 	ProtoIPv4
-	ProtoIPv6
+	protoIPv6
 	ProtoTCP
 	ProtoUDP
 	ProtoICMP
@@ -40,7 +40,7 @@ func (p Proto) String() string {
 		name string
 	}{
 		{ProtoEthernet, "eth"}, {ProtoVLAN, "vlan"}, {ProtoARP, "arp"},
-		{ProtoIPv4, "ipv4"}, {ProtoIPv6, "ipv6"}, {ProtoTCP, "tcp"},
+		{ProtoIPv4, "ipv4"}, {protoIPv6, "ipv6"}, {ProtoTCP, "tcp"},
 		{ProtoUDP, "udp"}, {ProtoICMP, "icmp"}, {ProtoSCTP, "sctp"},
 	}
 	out := ""
@@ -63,7 +63,6 @@ const (
 	EtherTypeIPv4 uint16 = 0x0800
 	EtherTypeARP  uint16 = 0x0806
 	EtherTypeVLAN uint16 = 0x8100
-	EtherTypeIPv6 uint16 = 0x86dd
 )
 
 // IP protocol numbers understood by the parsers.

@@ -164,8 +164,8 @@ func TestParseIncremental(t *testing.T) {
 		t.Fatal("IPv4 should not be parsed yet")
 	}
 	// Parsing deeper is incremental and idempotent.
-	if !ParseL3(p) || !ParseL3(p) {
-		t.Fatal("ParseL3 failed")
+	if !parseL3(p) || !parseL3(p) {
+		t.Fatal("parseL3 failed")
 	}
 	if !ParseL4(p) || !ParseL4(p) {
 		t.Fatal("ParseL4 failed")
@@ -190,7 +190,7 @@ func TestParseTruncated(t *testing.T) {
 	if !ParseL2(p) {
 		t.Fatal("20-byte frame has a complete L2 header")
 	}
-	if ParseL3(p) {
+	if parseL3(p) {
 		t.Fatal("20-byte frame has no complete IPv4 header")
 	}
 }

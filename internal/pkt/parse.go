@@ -48,10 +48,10 @@ func ParseL2(p *Packet) bool {
 	return true
 }
 
-// ParseL3 parses the network-layer header (IPv4 or ARP), composing ParseL2 if
+// parseL3 parses the network-layer header (IPv4 or ARP), composing ParseL2 if
 // the L2 header has not been parsed yet.  It is the paper's L3 parser
 // template.  It reports whether a network-layer header was found and parsed.
-func ParseL3(p *Packet) bool {
+func parseL3(p *Packet) bool {
 	h := &p.Headers
 	if h.Parsed >= LayerL3 {
 		return h.Proto&(ProtoIPv4|ProtoARP) != 0
@@ -106,14 +106,14 @@ func ParseL3(p *Packet) bool {
 }
 
 // ParseL4 parses the transport-layer header (TCP, UDP, SCTP or ICMP),
-// composing ParseL3 (and thus ParseL2) as needed.  It is the paper's L4
+// composing parseL3 (and thus ParseL2) as needed.  It is the paper's L4
 // parser template.  It reports whether a transport header was found.
 func ParseL4(p *Packet) bool {
 	h := &p.Headers
 	if h.Parsed >= LayerL4 {
 		return h.Proto&(ProtoTCP|ProtoUDP|ProtoICMP|ProtoSCTP) != 0
 	}
-	if h.Parsed < LayerL3 && !ParseL3(p) {
+	if h.Parsed < LayerL3 && !parseL3(p) {
 		h.Parsed = LayerL4
 		return false
 	}
@@ -179,7 +179,7 @@ func ParseTo(p *Packet, layer Layer) {
 	case LayerL2:
 		ParseL2(p)
 	case LayerL3:
-		ParseL3(p)
+		parseL3(p)
 	case LayerL4:
 		ParseL4(p)
 	}
@@ -197,7 +197,7 @@ func ParseToBurst(ps []*Packet, layer Layer) {
 		}
 	case LayerL3:
 		for _, p := range ps {
-			ParseL3(p)
+			parseL3(p)
 		}
 	case LayerL4:
 		for _, p := range ps {

@@ -58,7 +58,7 @@ func TestRSSHashSpreadsFlows(t *testing.T) {
 func icmpFrame(t *testing.T, src, dst IPv4, icmpType, icmpCode byte) []byte {
 	t.Helper()
 	b := NewBuilder(128)
-	return Clone(b.IPv4Packet(EthernetOpts{}, IPv4Opts{Src: src, Dst: dst, Proto: IPProtoICMP},
+	return Clone(b.ipv4Packet(EthernetOpts{}, IPv4Opts{Src: src, Dst: dst, Proto: IPProtoICMP},
 		[]byte{icmpType, icmpCode, 0, 0}))
 }
 
@@ -67,7 +67,7 @@ func sctpFrame(t *testing.T, src, dst IPv4, sport, dport uint16, vlan uint16) []
 	t.Helper()
 	b := NewBuilder(128)
 	l4 := []byte{byte(sport >> 8), byte(sport), byte(dport >> 8), byte(dport), 0, 0, 0, 0}
-	return Clone(b.IPv4Packet(EthernetOpts{VLAN: vlan}, IPv4Opts{Src: src, Dst: dst, Proto: IPProtoSCTP}, l4))
+	return Clone(b.ipv4Packet(EthernetOpts{VLAN: vlan}, IPv4Opts{Src: src, Dst: dst, Proto: IPProtoSCTP}, l4))
 }
 
 // TestRSSHashNonTCPUDPSymmetric covers the protocols the plain 5-tuple tests

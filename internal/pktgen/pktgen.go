@@ -285,6 +285,3 @@ func (t *SweepTrace) Next(p *pkt.Packet) {
 	p.Headers = pkt.Headers{}
 	p.SetFlowHash(pkt.RSSHash(frame))
 }
-
-// Reset rewinds the sweep to its first microflow.
-func (t *SweepTrace) Reset() { t.cursor = 0 }

@@ -32,10 +32,10 @@ import (
 	"eswitch/internal/openflow"
 )
 
-// DefaultFrameCap is the largest frame payload a ring slot stores; longer
+// defaultFrameCap is the largest frame payload a ring slot stores; longer
 // frames are truncated on punt (the evaluation traffic is minimum-size
 // frames, and OpenFlow PacketIns routinely carry a truncated prefix).
-const DefaultFrameCap = 2048
+const defaultFrameCap = 2048
 
 // DefaultRingCapacity is the per-worker punt ring depth used when the caller
 // does not size it explicitly.  Size rings WELL above the RX burst (32): a
@@ -101,7 +101,7 @@ type Ring struct {
 }
 
 // NewRing returns a punt ring with capacity rounded up to a power of two and
-// per-slot frame buffers of frameCap bytes (DefaultFrameCap when <= 0).
+// per-slot frame buffers of frameCap bytes (defaultFrameCap when <= 0).
 func NewRing(capacity, frameCap int) *Ring {
 	if capacity < 2 {
 		capacity = 2
@@ -111,7 +111,7 @@ func NewRing(capacity, frameCap int) *Ring {
 		size <<= 1
 	}
 	if frameCap <= 0 {
-		frameCap = DefaultFrameCap
+		frameCap = defaultFrameCap
 	}
 	r := &Ring{slots: make([]puntSlot, size), mask: uint64(size - 1), frameCap: frameCap}
 	for i := range r.slots {

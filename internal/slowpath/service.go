@@ -127,19 +127,6 @@ func (s *Service) Delivered() uint64 { return s.delivered.Load() }
 // a failing control channel.
 func (s *Service) SendErrors() uint64 { return s.sendErrs.Load() }
 
-// PacketOuts returns how many PacketOut messages were executed.
-func (s *Service) PacketOuts() uint64 { return s.packetOuts.Load() }
-
-// RingDelivered returns the per-ring delivery counts (indexed like
-// Config.Rings): the fairness ledger of the round-robin drain.
-func (s *Service) RingDelivered() []uint64 {
-	out := make([]uint64, len(s.ringDelivered))
-	for i := range s.ringDelivered {
-		out[i] = s.ringDelivered[i].Load()
-	}
-	return out
-}
-
 // take consumes one delivery token, refilling the bucket from wall time; it
 // reports false when the bucket is empty (the caller should back off for
 // about one token interval).

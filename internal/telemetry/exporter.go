@@ -28,41 +28,41 @@ type Sink interface {
 	Close() error
 }
 
-// UDPSink emits each IPFIX message as one UDP datagram (the RFC 7011
+// udpSink emits each IPFIX message as one UDP datagram (the RFC 7011
 // deployment default).
-type UDPSink struct{ conn net.Conn }
+type udpSink struct{ conn net.Conn }
 
-// NewUDPSink dials addr ("host:port").
-func NewUDPSink(addr string) (*UDPSink, error) {
+// newUDPSink dials addr ("host:port").
+func newUDPSink(addr string) (*udpSink, error) {
 	conn, err := net.Dial("udp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return &UDPSink{conn: conn}, nil
+	return &udpSink{conn: conn}, nil
 }
 
-func (s *UDPSink) Emit(msg []byte) error { _, err := s.conn.Write(msg); return err }
-func (s *UDPSink) Close() error          { return s.conn.Close() }
+func (s *udpSink) Emit(msg []byte) error { _, err := s.conn.Write(msg); return err }
+func (s *udpSink) Close() error          { return s.conn.Close() }
 
-// FileSink appends length-prefixed IPFIX messages to a file: each message is
+// fileSink appends length-prefixed IPFIX messages to a file: each message is
 // preceded by a 4-byte big-endian length so a reader can re-frame the stream
 // (IPFIX message headers carry a length too; the prefix just makes framing
 // recovery trivial).
-type FileSink struct {
+type fileSink struct {
 	mu sync.Mutex
 	f  *os.File
 }
 
-// NewFileSink creates (truncating) the file at path.
-func NewFileSink(path string) (*FileSink, error) {
+// newFileSink creates (truncating) the file at path.
+func newFileSink(path string) (*fileSink, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	return &FileSink{f: f}, nil
+	return &fileSink{f: f}, nil
 }
 
-func (s *FileSink) Emit(msg []byte) error {
+func (s *fileSink) Emit(msg []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var pfx [4]byte
@@ -77,24 +77,7 @@ func (s *FileSink) Emit(msg []byte) error {
 	return err
 }
 
-func (s *FileSink) Close() error { return s.f.Close() }
-
-// SplitFramed re-frames a FileSink byte stream into messages.
-func SplitFramed(b []byte) ([][]byte, error) {
-	var msgs [][]byte
-	for len(b) > 0 {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("telemetry: truncated frame prefix")
-		}
-		n := int(b[0])<<24 | int(b[1])<<16 | int(b[2])<<8 | int(b[3])
-		if n < 0 || len(b) < 4+n {
-			return nil, fmt.Errorf("telemetry: truncated frame (%d of %d bytes)", len(b)-4, n)
-		}
-		msgs = append(msgs, b[4:4+n])
-		b = b[4+n:]
-	}
-	return msgs, nil
-}
+func (s *fileSink) Close() error { return s.f.Close() }
 
 // MemorySink buffers emitted messages in memory (tests and the
 // reconciliation experiment).
@@ -112,15 +95,6 @@ func (s *MemorySink) Emit(msg []byte) error {
 
 func (s *MemorySink) Close() error { return nil }
 
-// Messages returns the emitted messages.
-func (s *MemorySink) Messages() [][]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][]byte, len(s.msgs))
-	copy(out, s.msgs)
-	return out
-}
-
 // ParseSink builds a sink from a -flow-export style spec:
 //
 //	udp:host:port   IPFIX over UDP datagrams
@@ -128,9 +102,9 @@ func (s *MemorySink) Messages() [][]byte {
 func ParseSink(spec string) (Sink, error) {
 	switch {
 	case strings.HasPrefix(spec, "udp:"):
-		return NewUDPSink(strings.TrimPrefix(spec, "udp:"))
+		return newUDPSink(strings.TrimPrefix(spec, "udp:"))
 	case strings.HasPrefix(spec, "file:"):
-		return NewFileSink(strings.TrimPrefix(spec, "file:"))
+		return newFileSink(strings.TrimPrefix(spec, "file:"))
 	default:
 		return nil, fmt.Errorf("telemetry: unknown export sink %q (want udp:host:port or file:path)", spec)
 	}
@@ -163,10 +137,10 @@ func (c *ExporterConfig) defaults() {
 	}
 }
 
-// FlowTemplate is the exporter's IPFIX template: the flow's 5-tuple and
+// flowTemplate is the exporter's IPFIX template: the flow's 5-tuple and
 // ingress port (as matched by the flow entry; unmatched fields export as
 // zero), delta counters, millisecond timestamps and the end reason.
-func FlowTemplate() ipfix.Template {
+func flowTemplate() ipfix.Template {
 	return ipfix.Template{ID: ipfix.MinTemplateID, Fields: []ipfix.FieldSpec{
 		{ID: ipfix.IEIngressInterface, Length: 4},
 		{ID: ipfix.IESourceIPv4Address, Length: 4},
@@ -227,7 +201,7 @@ type FlowExporter struct {
 }
 
 // NewFlowExporter builds an exporter over src emitting to sink.  Call Start
-// for the periodic loop, or Poll/Flush directly for caller-driven cadence.
+// for the periodic loop; Flush exports on demand.
 func NewFlowExporter(src FlowSource, sink Sink, cfg ExporterConfig) *FlowExporter {
 	cfg.defaults()
 	return &FlowExporter{
@@ -235,7 +209,7 @@ func NewFlowExporter(src FlowSource, sink Sink, cfg ExporterConfig) *FlowExporte
 		sink:  sink,
 		cfg:   cfg,
 		enc:   ipfix.NewEncoder(cfg.Domain),
-		tmpl:  FlowTemplate(),
+		tmpl:  flowTemplate(),
 		state: map[*openflow.FlowEntry]*flowState{},
 	}
 }
@@ -261,7 +235,9 @@ func (e *FlowExporter) loop(stop, done chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			e.Poll()
+			e.mu.Lock()
+			e.poll(time.Now())
+			e.mu.Unlock()
 		}
 	}
 }
@@ -292,15 +268,6 @@ func (e *FlowExporter) Errors() uint64 { return e.errors.Load() }
 
 // Tracked returns how many flow entries are currently tracked.
 func (e *FlowExporter) Tracked() uint64 { return e.tracked.Load() }
-
-// Poll samples the flow table once and exports whatever the active/idle
-// timers say is due, plus the final deltas of entries that disappeared
-// (expired, evicted or replaced) since the last poll.
-func (e *FlowExporter) Poll() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.poll(time.Now())
-}
 
 // Flush exports every pending delta immediately (forced end), regardless of
 // timers — shutdown and test cadence.

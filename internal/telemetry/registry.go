@@ -8,7 +8,7 @@
 // timer) and cost the forwarding workers nothing beyond the atomic loads the
 // folds already perform.  The package has three consumers of one registry:
 //
-//   - Handler/Serve expose the registry in Prometheus text exposition
+//   - Serve exposes the registry in Prometheus text exposition
 //     format 0.0.4 on /metrics (stdlib net/http only) plus /debug/pprof;
 //   - Footer renders the eswitchd end-of-run stats footer from the SAME
 //     gathered samples, so stdout and HTTP can never disagree;

@@ -6,9 +6,9 @@ import (
 	"net/http/pprof"
 )
 
-// Handler returns an http.Handler serving the registry in Prometheus text
-// exposition format 0.0.4.
-func Handler(r *Registry) http.Handler {
+// metricsHandler returns an http.Handler serving the registry in Prometheus
+// text exposition format 0.0.4.
+func metricsHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		// Scrape errors past the header are write errors on the client
@@ -17,12 +17,12 @@ func Handler(r *Registry) http.Handler {
 	})
 }
 
-// Mux returns the metrics mux: /metrics plus the /debug/pprof profiling
+// metricsMux returns the metrics mux: /metrics plus the /debug/pprof profiling
 // surface.  A private mux, not http.DefaultServeMux, so importing this
 // package never leaks profiling handlers into an application's own server.
-func Mux(r *Registry) *http.ServeMux {
+func metricsMux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", Handler(r))
+	mux.Handle("/metrics", metricsHandler(r))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -45,7 +45,7 @@ func Serve(addr string, r *Registry) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: Mux(r)}
+	srv := &http.Server{Handler: metricsMux(r)}
 	go func() { _ = srv.Serve(ln) }()
 	return &Server{ln: ln, srv: srv}, nil
 }

@@ -35,7 +35,7 @@ func TestWriteTextExposition(t *testing.T) {
 	r.MustRegister(Family{Name: "test_latency_seconds", Kind: HistogramKind,
 		Collect: func(emit func(Sample)) {
 			var s hist.Snapshot
-			h.Snapshot(&s)
+			h.AddTo(&s)
 			emit(Sample{Hist: &s})
 		}})
 
@@ -287,7 +287,7 @@ func TestExporterTimersAndReconciliation(t *testing.T) {
 
 func TestExporterFileSinkRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flows.ipfix")
-	sink, err := NewFileSink(path)
+	sink, err := newFileSink(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestFooterReadsRegistry(t *testing.T) {
 	r.MustRegister(Family{Name: "eswitch_burst_duration_seconds", Kind: HistogramKind,
 		Collect: func(emit func(Sample)) {
 			var s hist.Snapshot
-			h.Snapshot(&s)
+			h.AddTo(&s)
 			emit(Sample{Hist: &s})
 		}})
 

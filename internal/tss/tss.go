@@ -86,11 +86,6 @@ func NewDisjoint() *Classifier {
 // Len returns the number of entries.
 func (c *Classifier) Len() int { return c.count }
 
-// NumGroups returns the number of tuples (distinct mask sets); it determines
-// the per-lookup cost, which is why the paper calls this the slowest
-// template.
-func (c *Classifier) NumGroups() int { return len(c.groups) }
-
 // Clone returns a deep copy of the classifier: groups and their entry
 // buckets are copied, the entries themselves (immutable once inserted) are
 // shared.  The ESWITCH update path mirrors a live linked-list template
@@ -354,19 +349,6 @@ func (c *Classifier) Entries() []*Entry {
 		}
 	}
 	return out
-}
-
-// MemoryFootprint returns the approximate size in bytes of the classifier;
-// the cache-hierarchy model uses it as the working-set size.
-func (c *Classifier) MemoryFootprint() int {
-	total := 0
-	for _, g := range c.groups {
-		total += 64 // group header
-		for _, list := range g.entries {
-			total += 16 + len(list)*96
-		}
-	}
-	return total
 }
 
 // String summarizes the classifier.

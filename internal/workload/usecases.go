@@ -405,7 +405,7 @@ const (
 	gatewayTablePerCEBase    openflow.TableID = 10
 	// GatewayTableRouting is Table 110 of Fig. 8b, the IP routing table.
 	GatewayTableRouting  openflow.TableID = 110
-	GatewayTableDownlink openflow.TableID = 200
+	gatewayTableDownlink openflow.TableID = 200
 	gatewayUserPort                       = 1
 	gatewayNetworkPort                    = 2
 )
@@ -436,13 +436,13 @@ func GatewayUseCase(cfg GatewayConfig) *UseCase {
 	vlanDispatch.Name = "vlan-dispatch"
 	routing := pl.AddTable(GatewayTableRouting)
 	routing.Name = "rib"
-	down := pl.AddTable(GatewayTableDownlink)
+	down := pl.AddTable(gatewayTableDownlink)
 	down.Name = "downlink"
 
 	// Table 0: split user→network from network→user traffic by ingress
 	// port (a tiny table — the direct-code template).
 	t0.AddFlow(100, openflow.NewMatch().Set(openflow.FieldInPort, gatewayUserPort), openflow.Goto(GatewayTableVLANDispatch))
-	t0.AddFlow(50, openflow.NewMatch().Set(openflow.FieldInPort, gatewayNetworkPort), openflow.Goto(GatewayTableDownlink))
+	t0.AddFlow(50, openflow.NewMatch().Set(openflow.FieldInPort, gatewayNetworkPort), openflow.Goto(gatewayTableDownlink))
 	t0.AddFlow(0, openflow.NewMatch(), openflow.Apply(openflow.ToController()))
 
 	// VLAN dispatch and per-CE user tables.
@@ -485,14 +485,14 @@ func GatewayUseCase(cfg GatewayConfig) *UseCase {
 		Name:     "gateway",
 		Pipeline: pl,
 		Trace: func(activeFlows int) *pktgen.Trace {
-			return GatewayTrace(cfg, routes, activeFlows)
+			return gatewayTrace(cfg, routes, activeFlows)
 		},
 	}
 }
 
-// GatewayTrace builds user→network traffic for the gateway: the active flow
+// gatewayTrace builds user→network traffic for the gateway: the active flow
 // set varies the per-user transport flows (the paper's Fig. 13 sweep).
-func GatewayTrace(cfg GatewayConfig, routes []Route, activeFlows int) *pktgen.Trace {
+func gatewayTrace(cfg GatewayConfig, routes []Route, activeFlows int) *pktgen.Trace {
 	if activeFlows < 1 {
 		activeFlows = 1
 	}
