@@ -98,7 +98,8 @@ type Supervisor struct {
 	dialFailures atomic.Uint64
 	echoTimeouts atomic.Uint64
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// backoffs records the first maxBackoffsRecorded delays slept.
 	backoffs []time.Duration
 
 	stop chan struct{}
@@ -155,9 +156,14 @@ func (s *Supervisor) Sessions() uint64 { return s.sessions.Load() }
 // EchoTimeouts returns how many sessions the liveness probe tore down.
 func (s *Supervisor) EchoTimeouts() uint64 { return s.echoTimeouts.Load() }
 
-// Backoffs returns every backoff delay the supervisor has slept, in order —
-// the deterministic sequence BackoffSchedule reproduces from the same
-// config.
+// maxBackoffsRecorded bounds Supervisor.backoffs.  Only tests read it, and a
+// switch whose controller stays away must not grow it without bound; the
+// first delays are kept, so a schedule still compares from attempt 0.
+const maxBackoffsRecorded = 64
+
+// Backoffs returns the backoff delays the supervisor has slept, in order and
+// at most maxBackoffsRecorded of them — the deterministic sequence
+// BackoffSchedule reproduces from the same config.
 func (s *Supervisor) Backoffs() []time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -229,13 +235,15 @@ func (cfg SupervisorConfig) backoffConfig() backoff.Config {
 	}
 }
 
-// nextBackoff draws (and records) the next delay from the shared seeded
-// generator: min(BackoffMax, BackoffMin·2^attempt) scaled by
-// 1+U[0,JitterFrac).
+// nextBackoff draws (and records, up to maxBackoffsRecorded) the next delay
+// from the shared seeded generator: min(BackoffMax, BackoffMin·2^attempt)
+// scaled by 1+U[0,JitterFrac).
 func (s *Supervisor) nextBackoff() time.Duration {
 	d := s.src.Next()
 	s.mu.Lock()
-	s.backoffs = append(s.backoffs, d)
+	if len(s.backoffs) < maxBackoffsRecorded {
+		s.backoffs = append(s.backoffs, d)
+	}
 	s.mu.Unlock()
 	return d
 }

@@ -315,3 +315,37 @@ func TestFlowModTableFullErrorReplyAndChannelSurvival(t *testing.T) {
 		t.Fatalf("post-recovery installs raised errors: %d total", len(errs))
 	}
 }
+
+// TestSupervisorBackoffsBounded: a supervisor that keeps failing to dial
+// records only its first maxBackoffsRecorded delays, still BackoffSchedule's.
+func TestSupervisorBackoffsBounded(t *testing.T) {
+	cfg := SupervisorConfig{
+		Dial:       func() (net.Conn, error) { return nil, errors.New("refused") },
+		Agent:      NewAgent(emptyDatapath(t)),
+		BackoffMin: time.Millisecond,
+		BackoffMax: time.Millisecond,
+		Seed:       1234,
+	}
+	sup, err := NewSupervisor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup.Start()
+	deadline := time.Now().Add(10 * time.Second)
+	for sup.dialFailures.Load() <= maxBackoffsRecorded+8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d dial failures", sup.dialFailures.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sup.Stop()
+	got, want := sup.Backoffs(), BackoffSchedule(cfg, maxBackoffsRecorded)
+	if len(got) != maxBackoffsRecorded {
+		t.Fatalf("%d backoffs recorded over %d dial failures, want %d", len(got), sup.dialFailures.Load(), maxBackoffsRecorded)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("backoff[%d] = %v, schedule says %v", i, got[i], want[i])
+		}
+	}
+}

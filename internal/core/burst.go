@@ -100,8 +100,10 @@ func (cs *cacheScratch) record(i int, ce *compiledEntry, step openflow.Step, set
 //
 // Like Process, ProcessBurst is safe to call concurrently with flow-table
 // updates and with other callers: it pins a recycled worker — epoch, burst
-// scratch and any verdict cache — for the duration of the burst.  It is never
-// metered, whether or not the datapath carries a meter, and it leaves the
+// scratch and any verdict cache — for the duration of the burst.  A flow-mod
+// that overlaps the burst may be seen by some of its packets and not by
+// others: each packet sees every table either before or after the mod
+// (update.go).  It is never metered, whether or not the datapath carries a meter, and it leaves the
 // worker's counter deltas to be folded later (flowctr.go).  Dedicated
 // forwarding workers RegisterWorker once and call the handle's ProcessBurst
 // inside their Enter/Exit bracket instead.

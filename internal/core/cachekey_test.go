@@ -331,7 +331,7 @@ func TestKeyWideningGracePeriod(t *testing.T) {
 			rib.AddFlow(10, openflow.NewMatch().Set(openflow.FieldTCPSrc, 9), openflow.Apply(openflow.Output(2)))
 		}, openflow.NewEntry(20, openflow.NewMatch().Set(openflow.FieldTCPDst, 22), openflow.Apply(openflow.Drop())),
 			"in_port l4_src", "in_port l4_src l4_dst", tcp(0xcb030a01, 22), tcp(0xcb030a01, 80)},
-		// Shadow-swap path: a longer prefix than any in an LPM table.
+		// In-place path: a longer prefix than any in an LPM table.
 		{"longer-prefix", func(rib *openflow.FlowTable) {
 			for i := 0; i < 8; i++ {
 				rib.AddFlow(16, openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(0xcb000000+uint32(i)<<16), 16),

@@ -103,9 +103,11 @@ func (sn *snapshot) miss(v *openflow.Verdict, table openflow.TableID) {
 // handles') is lock-free — it roots at the atomically-published snapshot and
 // follows atomically-swapped trampolines; only a metered Process serializes,
 // on meterMu.  Updates (AddFlow, DeleteFlow, InstallPipeline) are
-// serialized by mu, build the new representation off to the side, publish it
-// atomically, and reclaim superseded copies only after every registered worker
-// epoch has passed a quiescent point (see epoch.go and update.go).
+// serialized by mu and change what readers see only with single-word atomic
+// stores — in place on a compound-hash or LPM table, or by publishing a table
+// or snapshot built off to the side — and reuse what they unlinked only after
+// every registered worker epoch has passed a quiescent point (see epoch.go
+// and update.go).
 type Datapath struct {
 	opts Options
 	// steps is the record every metered Process's recording burst reuses
@@ -157,10 +159,6 @@ type Datapath struct {
 	// pipeline, a verdict cache of Options.FlowCache entries).
 	pins   chan *Worker
 	pinned atomic.Int64
-
-	// versions holds the per-table shadow copies the incremental update
-	// path ping-pongs between (writer-owned; see update.go).
-	versions map[openflow.TableID]*tableVersion
 
 	// gen is the writer-owned datapath generation, bumped by every flow-mod
 	// after its table mutations (logMod) and published through the snapshot.
@@ -216,7 +214,6 @@ func compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 		opts:     opts,
 		numPorts: pl.NumPorts,
 		insCache: make(map[string]*sharedIns),
-		versions: make(map[openflow.TableID]*tableVersion),
 	}
 	d.pins = make(chan *Worker, maxPinnedWorkers)
 	d.source, d.pipeline = pl, pl
@@ -241,7 +238,7 @@ func compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.trampolines[t.ID].store(dp)
+		d.install(d.trampolines[t.ID], dp)
 	}
 	if opts.FlowCache > 0 {
 		d.markAllDirty()
@@ -284,6 +281,16 @@ func (d *Datapath) newTrampoline(id openflow.TableID) *trampoline {
 	d.stages++
 	d.trampolines[id] = tr
 	return tr
+}
+
+// install publishes dp through tr.  From then on an updater takes flow-mods
+// in place, and waits for the grace periods of this datapath's workers
+// before it reuses what a mod retired (update.go).
+func (d *Datapath) install(tr *trampoline, dp tableDatapath) {
+	if u, ok := dp.(updater); ok {
+		u.publish(d.epochs.synchronize)
+	}
+	tr.store(dp)
 }
 
 // MutexOps returns how many times the datapath's writer mutex has been

@@ -15,7 +15,7 @@ import (
 // The concurrency acceptance test of the multi-queue dataplane refactor:
 // workers forward bursts through the lock-free path (registered worker
 // handles) while the writer hammers AddFlow/DeleteFlow on the
-// same tables.  Run under -race this exercises the epoch-swap machinery; the
+// same tables.  Run under -race this exercises the in-place updates; the
 // verdict assertions check that no burst ever observes a torn table or a
 // retired verdict (every verdict is the interpreter's under the pipeline as
 // it stood before or after a flow-mod in flight during the burst) and that
@@ -295,7 +295,7 @@ func runConcurrentFlowMods(t *testing.T, flowCache int) {
 	default:
 	}
 	if dp.IncrementalUpdates() == 0 {
-		t.Fatal("expected incremental (shadow-swap) updates to be exercised")
+		t.Fatal("expected incremental (in-place) updates to be exercised")
 	}
 	if flowCache > 0 {
 		st := dp.FlowCacheStats()

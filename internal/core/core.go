@@ -169,7 +169,8 @@ type matcherFunc func(p *pkt.Packet) bool
 type tableDatapath interface {
 	// Kind returns the template implementing the table.
 	Kind() TemplateKind
-	// Len returns the number of compiled entries.
+	// Len returns the number of compiled entries.  Readers call it beside
+	// the writer (a recording burst notes it per step), so it is race-free.
 	Len() int
 	// Lookup classifies the packet, returning the matched entry (nil on a
 	// table miss).  A non-nil st receives what the lookup examined
@@ -182,29 +183,28 @@ type tableDatapath interface {
 	// can amortize per-lookup overhead (compound hash, LPM) compute all
 	// keys of the burst before probing.
 	LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *burstScratch)
+	// Insert adds a compiled entry.  A table no trampoline has published
+	// yet absorbs every entry; a published one (an updater) reports false
+	// when it cannot absorb this one in place, and the caller rebuilds it.
+	Insert(e *openflow.FlowEntry, ce *compiledEntry) bool
+}
+
+// updater is the part of tableDatapath the compound-hash and LPM templates
+// implement: the flow-mods they apply in place to the one published copy,
+// under the update contract of update.go.  Every other template is rebuilt.
+type updater interface {
+	// publish is called as the trampoline publishes the table: from then
+	// on every store a reader can see is atomic, and a retired resource is
+	// reused only after quiesce (a grace period) has been called.
+	publish(quiesce func())
 	// CanInsert reports whether the entry can be added incrementally
 	// without violating the template's prerequisite.
 	CanInsert(e *openflow.FlowEntry) bool
-	// Insert adds a compiled entry incrementally; the caller must have
-	// checked CanInsert.
-	Insert(e *openflow.FlowEntry, ce *compiledEntry)
 	// Remove deletes entries matching the given match (and priority when
 	// non-negative), returning how many were removed.
 	Remove(match *openflow.Match, priority int) int
-	// Mirror returns a writable deep copy of the table for the epoch-based
-	// update scheme (update.go): flow-mods are applied to the mirror off to
-	// the side and the mirror is swapped in through the trampoline, so
-	// concurrent lock-free readers never observe an in-place mutation.
-	// Templates that are always rebuilt on update (direct code) return nil.
-	Mirror() tableDatapath
-}
-
-// replacer is the part of tableDatapath a template implements when it can
-// absorb a replace (same match and priority, new instructions) incrementally.
-// Replace swaps in ce as the compiled form of the installed entry with e's
-// match and priority, reporting whether the template could: the key does not
-// change, so the lookup structure does not either.  The linked list does not
-// implement it; a replace there rebuilds the table.
-type replacer interface {
+	// Replace swaps in ce as the compiled form of the installed entry with
+	// e's match and priority, reporting whether the template could: the
+	// key does not change, so the lookup structure does not either.
 	Replace(e *openflow.FlowEntry, ce *compiledEntry) bool
 }

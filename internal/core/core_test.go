@@ -764,10 +764,11 @@ func TestCatchAllInsertChecksPriorities(t *testing.T) {
 // TestTemplateValueSlotsReused churns one LPM and one compound-hash table
 // through thousands of incremental add/delete pairs, two churned entries alive
 // at a time so freed slots are refilled beside live ones.  The value store
-// behind both ping-pong copies must stay bounded by the live entries (it used
-// to grow by one slot per add and keep every deleted entry reachable), and
-// the datapath must still agree with the interpreter on every frame,
-// including the ones the last churned entries catch.
+// must stay bounded by the live entries (it used to grow by one slot per add
+// and keep every deleted entry reachable), every slot must be held — by an
+// entry or, retired, until the next grace period — or free, and the datapath
+// must still agree with the interpreter on every frame, including the ones
+// the last churned entries catch.
 func TestTemplateValueSlotsReused(t *testing.T) {
 	const pairs = 5000
 	l3 := workload.L3UseCase(1000, 8, 2016)
@@ -825,20 +826,18 @@ func TestTemplateValueSlotsReused(t *testing.T) {
 				t.Fatalf("%d rebuilds during the churn: it did not take the incremental path", got-rebuilds)
 			}
 			live := r.dp.trampolines[0].load()
-			for name, dp := range map[string]tableDatapath{"live": live, "shadow": r.dp.versions[0].shadow} {
-				vs := c.slots(dp)
-				if n := len(vs.values); n > live.Len()+2 {
-					t.Errorf("%s copy: %d value slots for %d entries after %d add/delete pairs", name, n, live.Len(), pairs)
+			vs := c.slots(live)
+			if n := vs.used; n > live.Len()+2 {
+				t.Errorf("%d value slots for %d entries after %d add/delete pairs", n, live.Len(), pairs)
+			}
+			held := 0 // installed or retired
+			for i := range vs.used {
+				if vs.entry(uint32(i)) != nil {
+					held++
 				}
-				held := 0
-				for _, ce := range vs.values {
-					if ce != nil {
-						held++
-					}
-				}
-				if held+len(vs.free) != len(vs.values) {
-					t.Errorf("%s copy: %d slots, %d held + %d free", name, len(vs.values), held, len(vs.free))
-				}
+			}
+			if held+len(vs.free) != vs.used {
+				t.Errorf("%d slots, %d held (%d of them retired) + %d free", vs.used, held, len(vs.retired), len(vs.free))
 			}
 			r.check("after churn", all)
 		})

@@ -20,8 +20,8 @@ func (d *Datapath) Meter() *cpumodel.Meter { return d.opts.Meter }
 // tableRegions maps each compiled table to the slice of the simulated address
 // space its lookups touch.  The writer carves a table's region whenever it
 // builds the table and never mutates a published map, so a metered walk reads
-// the one in its snapshot without a race.  A mirror shares the region of the
-// table it copies.
+// the one in its snapshot without a race.  A mod applied in place keeps the
+// region of the table it updates.
 type tableRegions map[openflow.TableID]*cpumodel.Region
 
 // carve returns a copy of rs in which table id, just built as dp, has a fresh

@@ -12,14 +12,16 @@ import (
 // flow-table updates stay safe (§3.4 at multi-core scale).
 //
 // The contract mirrors DPDK's rte_rcu: each forwarding worker registers one
-// WorkerEpoch and brackets every burst with Enter/Exit.  Writers never mutate
-// state a reader can see; they build the new representation off to the side,
-// publish it with a single atomic store (the per-table trampoline or the
-// datapath-wide snapshot pointer), and then call synchronize(), which waits
-// until every registered worker has passed a quiescent point (an Exit).  Only
-// after that grace period may the writer touch the superseded representation
-// again — which is exactly what the ping-pong table updates in update.go do
-// to reclaim the previous table copy as the next build target.
+// WorkerEpoch and brackets every burst with Enter/Exit.  The one writer
+// changes what readers can see only with single-word atomic stores: a
+// flow-mod on a compound-hash or LPM table stores words of the live table in
+// place, and a rebuild or a new snapshot is built off to the side and
+// published with one pointer store (the per-table trampoline or the
+// datapath-wide snapshot pointer).  synchronize() waits until every
+// registered worker has passed a quiescent point (an Exit).  Only after that
+// grace period may the writer reuse what it unlinked — an LPM group, a hash
+// lane or a value slot a delete retired (update.go) — and a rebuilt pipeline
+// is not reported installed before it (recompile).
 
 // WorkerEpoch is the per-worker epoch counter.  The counter is odd while the
 // worker is inside a burst (between Enter and Exit) and even while quiescent.
@@ -147,8 +149,8 @@ func (d *Datapath) pinPut(w *Worker) {
 // (burst scratch, verdict cache) the zero-shared-state fast path runs on.  The
 // worker must bracket every poll iteration with Enter/Exit and classify
 // through the handle's ProcessBurst; flow-table updates wait for all
-// registered workers to pass a quiescent point before reclaiming superseded
-// table representations.
+// registered workers to pass a quiescent point before reusing what they
+// unlinked from a table.
 func (d *Datapath) RegisterWorker() WorkerHandle { return d.newWorker() }
 
 // UnregisterWorker releases a worker handle (on worker shutdown): its epoch

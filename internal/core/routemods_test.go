@@ -12,8 +12,7 @@ import (
 
 // TestReplaceIsIncremental changes the instructions of installed entries —
 // routes of the RIB, the RIB's default route, keyed entries of a compound
-// hash and its catch-all tail — several times in a row, so each replace is
-// also replayed onto the shadow copy by the next mod.  None of them may
+// hash and its catch-all tail — several times in a row.  None of them may
 // rebuild a template, and after each the datapath must agree with the
 // interpreter.  A replace in the linked list rebuilds the table.
 func TestReplaceIsIncremental(t *testing.T) {
@@ -102,8 +101,9 @@ func replaceAll(t *testing.T, dp *Datapath, table openflow.TableID, victims []*o
 }
 
 // BenchmarkRouteMods times one route flow-mod on the 10k-route RIB of the
-// l3 use case, with a worker registered, so each mod waits out a grace
-// period as it does under traffic.  ns/op and allocs/op are per mod.
+// l3 use case, with a worker registered, so a mod that reuses a retired
+// value slot waits out a grace period as it does under traffic.  ns/op and
+// allocs/op are per mod.
 //
 //   - outside: alternating add and delete of /24s in 240/4, which no route
 //     covers (the bench's l3_uniform mods);
@@ -160,7 +160,7 @@ func BenchmarkRouteMods(b *testing.B) {
 		mod  func(int) error
 	}{{"outside", addDelete(outside)}, {"inside", addDelete(inside)}, {"replace", replace}} {
 		b.Run(bc.name, func(b *testing.B) {
-			// The first incremental mod mirrors the 64 MB first level.
+			// Warm up: the first mods grow the value store.
 			for i := 0; i < 2; i++ {
 				if err := bc.mod(i); err != nil {
 					b.Fatal(err)

@@ -17,9 +17,9 @@ import (
 // (documented on SweeperConfig).
 //
 // Removal reuses the ordinary update path (DeleteFlow), so an expiry is a
-// generation-bumping, epoch-synchronized table transition exactly like a
-// controller-initiated delete — the caches invalidate themselves, and no new
-// synchronization is introduced.
+// generation-bumping table transition exactly like a controller-initiated
+// delete — the caches invalidate themselves, and no new synchronization is
+// introduced.
 
 // Flow-removal reasons reported to the sweeper's OnRemoved callback.  The
 // values deliberately equal ofp's FlowRemoved* wire reasons so protocol

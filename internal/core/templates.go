@@ -1,9 +1,9 @@
 package core
 
 import (
-	"maps"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"eswitch/internal/exacthash"
 	"eswitch/internal/lpm"
@@ -79,15 +79,7 @@ func (d *directCode) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, _ *bur
 	}
 }
 
-func (d *directCode) CanInsert(e *openflow.FlowEntry) bool {
-	// The paper rebuilds the direct-code template unconditionally on
-	// updates; inserting in place is still fine as long as the size
-	// prerequisite holds, and the caller keeps priority order by
-	// rebuilding, so only report capacity here.
-	return len(d.entries) < d.maxEntries
-}
-
-func (d *directCode) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
+func (d *directCode) Insert(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	proto, matchers := buildMatchers(e.Match)
 	ne := directEntry{proto: proto, matchers: matchers, out: ce}
 	// Keep entries ordered by decreasing priority (stable).
@@ -101,10 +93,11 @@ func (d *directCode) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
 	d.entries = append(d.entries, directEntry{})
 	copy(d.entries[pos+1:], d.entries[pos:])
 	d.entries[pos] = ne
+	return true
 }
 
 // Replace swaps the compiled entry in place.  Only the compound hash's tail
-// calls it: a direct-code table is always rebuilt (Mirror).
+// calls it, on a copy: a direct-code table is always rebuilt.
 func (d *directCode) Replace(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	for i := range d.entries {
 		if out := d.entries[i].out; out.priority == e.Priority && out.match.Equal(e.Match) {
@@ -114,10 +107,6 @@ func (d *directCode) Replace(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	}
 	return false
 }
-
-// Mirror returns nil: the direct-code template is always rebuilt on updates
-// (as in the paper), so there is no shadow copy to maintain.
-func (d *directCode) Mirror() tableDatapath { return nil }
 
 func (d *directCode) Remove(match *openflow.Match, priority int) int {
 	kept := d.entries[:0]
@@ -139,42 +128,78 @@ func (d *directCode) Remove(match *openflow.Match, priority int) int {
 
 // valueSlots is the entry store behind the index a template's lookup
 // structure (the cuckoo table, DIR-24-8) resolves to.  A removed entry hands
-// its slot back to the next insert, so add/delete churn neither grows the
+// its slot back to a later insert, so add/delete churn neither grows the
 // store nor keeps deleted entries reachable until the next full rebuild.
+//
+// Readers load the store, then the entry, atomically, and only after the
+// word or tag that named the slot: a slot is filled before any word names
+// it, and a grown store is published before its new slots are named.  A
+// released slot is retired, not freed: a reader that loaded the word before
+// the delete may still load the entry, so it is reused only after a grace
+// period (reclaim).
 type valueSlots struct {
-	values []*compiledEntry
-	free   []uint32
+	store   atomic.Pointer[[]atomic.Pointer[compiledEntry]]
+	used    int      // slots handed out: the store's length in use
+	free    []uint32 // slots no reader can reach
+	retired []uint32 // slots released since the last grace period
 	// shared marks the slots whose key a second entry of the declarative
 	// table holds too, at another priority.  The lookup structure resolves a
 	// key to one slot, which serves the upper entry; the lower one exists
 	// only in the declarative table, so a template must not remove such a
 	// slot (removable) and the delete rebuilds the table instead.
 	shared map[uint32]struct{}
+	// quiesce waits for a grace period; set when the table is published.
+	quiesce func()
 }
 
-// put stores ce and returns its slot.
+// entry returns the entry in slot idx.
+func (s *valueSlots) entry(idx uint32) *compiledEntry { return (*s.store.Load())[idx].Load() }
+
+// slot returns slot idx for the writer to store into.
+func (s *valueSlots) slot(idx uint32) *atomic.Pointer[compiledEntry] { return &(*s.store.Load())[idx] }
+
+// put stores ce and returns its slot: a free one, a retired one once a grace
+// period has passed, or a new one, doubling the store when it is full.
 func (s *valueSlots) put(ce *compiledEntry) uint32 {
+	if len(s.free) == 0 && len(s.retired) > 0 {
+		s.reclaim()
+	}
 	if n := len(s.free); n > 0 {
 		idx := s.free[n-1]
 		s.free = s.free[:n-1]
-		s.values[idx] = ce
+		s.slot(idx).Store(ce)
 		return idx
 	}
-	s.values = append(s.values, ce)
-	return uint32(len(s.values) - 1)
+	if p := s.store.Load(); p == nil || s.used == len(*p) {
+		grown := make([]atomic.Pointer[compiledEntry], max(8, 2*s.used))
+		for i := range s.used {
+			grown[i].Store((*p)[i].Load())
+		}
+		s.store.Store(&grown)
+	}
+	s.used++
+	s.slot(uint32(s.used - 1)).Store(ce)
+	return uint32(s.used - 1)
 }
 
-// release frees a slot the lookup structure no longer references.
-func (s *valueSlots) release(idx uint32) {
-	s.values[idx] = nil
-	s.free = append(s.free, idx)
+// release retires a slot the lookup structure no longer references.
+func (s *valueSlots) release(idx uint32) { s.retired = append(s.retired, idx) }
+
+// reclaim waits for a grace period and frees the retired slots.
+func (s *valueSlots) reclaim() {
+	s.quiesce()
+	for _, idx := range s.retired {
+		s.slot(idx).Store(nil)
+	}
+	s.free = append(s.free, s.retired...)
+	s.retired = s.retired[:0]
 }
 
 // share takes a second entry under the key slot idx already serves: the
 // higher priority of the two stays in the slot.
 func (s *valueSlots) share(idx uint32, ce *compiledEntry) {
-	if s.values[idx].priority < ce.priority {
-		s.values[idx] = ce
+	if s.entry(idx).priority < ce.priority {
+		s.slot(idx).Store(ce)
 	}
 	if s.shared == nil {
 		s.shared = make(map[uint32]struct{})
@@ -186,30 +211,22 @@ func (s *valueSlots) share(idx uint32, ce *compiledEntry) {
 // that entry has the given priority (any when negative).
 func (s *valueSlots) removable(idx uint32, priority int) bool {
 	_, shared := s.shared[idx]
-	return !shared && (priority < 0 || s.values[idx].priority == priority)
+	return !shared && (priority < 0 || s.entry(idx).priority == priority)
 }
 
 // swap puts ce in slot idx in place of the entry of its priority.  The lower
 // entry under a shared key lives only in the declarative table, so replacing
 // it leaves the slot as it is.
 func (s *valueSlots) swap(idx uint32, ce *compiledEntry) bool {
-	switch prio := s.values[idx].priority; {
+	switch prio := s.entry(idx).priority; {
 	case prio == ce.priority:
-		s.values[idx] = ce
+		s.slot(idx).Store(ce)
 		return true
 	case prio > ce.priority:
 		_, shared := s.shared[idx]
 		return shared
 	}
 	return false
-}
-
-func (s *valueSlots) clone() valueSlots {
-	return valueSlots{
-		values: append([]*compiledEntry(nil), s.values...),
-		free:   append([]uint32(nil), s.free...),
-		shared: maps.Clone(s.shared),
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -227,7 +244,8 @@ type hashTable struct {
 	gather     keyGather
 	table      *exacthash.Table
 	valueSlots // indexed by the table's values
-	tail       directCode
+	// tail is copied on write: a reader may be walking the one it loaded.
+	tail atomic.Pointer[directCode]
 	// prioLo is the lowest priority of the keyed entries inserted since the
 	// table was built (removals do not raise it): the tail must stay below
 	// it, or one hash lookup would not give priority order.
@@ -235,22 +253,28 @@ type hashTable struct {
 }
 
 func newHashTable(gather keyGather, sizeHint int, opts Options) *hashTable {
-	return &hashTable{
+	h := &hashTable{
 		gather: gather,
 		table:  exacthash.New(sizeHint),
-		tail:   directCode{maxEntries: opts.DirectCodeMaxEntries},
 		prioLo: math.MaxInt,
 	}
+	h.tail.Store(&directCode{maxEntries: opts.DirectCodeMaxEntries})
+	return h
 }
 
 func (h *hashTable) Kind() TemplateKind { return TemplateHash }
 
-func (h *hashTable) Len() int { return h.table.Len() + h.tail.Len() }
+func (h *hashTable) Len() int { return h.table.Len() + h.tail.Load().Len() }
+
+func (h *hashTable) publish(quiesce func()) {
+	h.table.Publish(quiesce)
+	h.quiesce = quiesce
+}
 
 // Lookup records the probe alone in st: the tail is part of the hash step.
 func (h *hashTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 	if !p.Headers.Has(h.gather.proto) {
-		return h.tail.Lookup(p, nil)
+		return h.tail.Load().Lookup(p, nil)
 	}
 	key := h.gather.packet(p)
 	if st != nil {
@@ -258,9 +282,9 @@ func (h *hashTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 	}
 	idx, ok := h.table.Lookup(key)
 	if !ok {
-		return h.tail.Lookup(p, nil)
+		return h.tail.Load().Lookup(p, nil)
 	}
-	return h.values[idx]
+	return h.entry(idx)
 }
 
 // burstStageMin is the group size below which the batched templates fall
@@ -286,7 +310,7 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *bur
 	nv := 0
 	for i, p := range ps {
 		if !p.Headers.Has(h.gather.proto) {
-			outs[i] = h.tail.Lookup(p, nil)
+			outs[i] = h.tail.Load().Lookup(p, nil)
 			continue
 		}
 		key := h.gather.packet(p)
@@ -305,22 +329,10 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *bur
 		}
 		idx, ok := h.table.LookupPrehashed(sc.keys[j], sc.hash.H1[j], sc.hash.H2[j])
 		if !ok {
-			outs[i] = h.tail.Lookup(ps[i], nil)
+			outs[i] = h.tail.Load().Lookup(ps[i], nil)
 			continue
 		}
-		outs[i] = h.values[idx]
-	}
-}
-
-// Mirror deep-copies the mutable lookup state (the cuckoo table, the value
-// slice, the tail's entries); the gather and the compiled entries are shared.
-func (h *hashTable) Mirror() tableDatapath {
-	return &hashTable{
-		gather:     h.gather,
-		table:      h.table.Clone(),
-		valueSlots: h.valueSlots.clone(),
-		tail:       directCode{entries: slices.Clone(h.tail.entries), maxEntries: h.tail.maxEntries},
-		prioLo:     h.prioLo,
+		outs[i] = h.entry(idx) // loaded after the tag that named idx
 	}
 }
 
@@ -328,29 +340,38 @@ func (h *hashTable) Mirror() tableDatapath {
 // or any other entry below every keyed entry while the tail has room: what
 // the analysis pass asks of the whole table.
 func (h *hashTable) CanInsert(e *openflow.FlowEntry) bool {
+	tail := h.tail.Load()
 	if !h.gather.compatible(e.Match) {
-		return e.Priority < h.prioLo && h.tail.CanInsert(e)
+		return e.Priority < h.prioLo && tail.Len() < tail.maxEntries
 	}
-	return h.tail.Len() == 0 || e.Priority > h.tail.entries[0].out.priority
+	return tail.Len() == 0 || e.Priority > tail.entries[0].out.priority
 }
 
-func (h *hashTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
+// Insert reports false when the cuckoo table, published, has no room for
+// the key in its two buckets; the caller then rebuilds the template.
+func (h *hashTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	if !h.gather.compatible(e.Match) {
-		h.tail.Insert(e, ce)
-		return
+		return h.editTail(func(t *directCode) bool { return t.Insert(e, ce) })
 	}
 	h.prioLo = min(h.prioLo, e.Priority)
 	key := h.gather.entry(e.Match)
 	if idx, ok := h.table.Lookup(key); ok {
 		h.share(idx, ce)
-		return
+		return true
 	}
-	h.table.Insert(key, h.put(ce))
+	idx := h.put(ce)
+	if !h.table.Insert(key, idx) {
+		h.release(idx)
+		return false
+	}
+	return true
 }
 
 func (h *hashTable) Remove(match *openflow.Match, priority int) int {
 	if !h.gather.compatible(match) {
-		return h.tail.Remove(match, priority)
+		n := 0
+		h.editTail(func(t *directCode) bool { n = t.Remove(match, priority); return n > 0 })
+		return n
 	}
 	key := h.gather.entry(match)
 	idx, ok := h.table.Lookup(key)
@@ -364,10 +385,22 @@ func (h *hashTable) Remove(match *openflow.Match, priority int) int {
 
 func (h *hashTable) Replace(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	if !h.gather.compatible(e.Match) {
-		return h.tail.Replace(e, ce)
+		return h.editTail(func(t *directCode) bool { return t.Replace(e, ce) })
 	}
 	idx, ok := h.table.Lookup(h.gather.entry(e.Match))
 	return ok && h.swap(idx, ce)
+}
+
+// editTail applies edit to a copy of the tail and publishes the copy when
+// edit reports a change.
+func (h *hashTable) editTail(edit func(*directCode) bool) bool {
+	t := *h.tail.Load()
+	t.entries = slices.Clone(t.entries)
+	if !edit(&t) {
+		return false
+	}
+	h.tail.Store(&t)
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -385,7 +418,7 @@ type lpmTable struct {
 	valueSlots // indexed by the table's values
 	// def is the default route.  There is at most one: the analysis admits
 	// one catch-all, and CanInsert refuses a second.
-	def *compiledEntry
+	def atomic.Pointer[compiledEntry]
 	// prioLo[n] and prioHi[n] bound the priorities of the /n prefixes
 	// inserted since the table was built, the default route counting as the
 	// /0 (removals do not narrow the bounds; a rebuild starts them over).
@@ -410,15 +443,20 @@ func (l *lpmTable) Kind() TemplateKind { return TemplateLPM }
 
 func (l *lpmTable) Len() int {
 	n := l.table.Len()
-	if l.def != nil {
+	if l.def.Load() != nil {
 		n++
 	}
 	return n
 }
 
+func (l *lpmTable) publish(quiesce func()) {
+	l.table.Publish(quiesce)
+	l.quiesce = quiesce
+}
+
 func (l *lpmTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 	if !p.Headers.Has(l.proto) {
-		return l.def
+		return l.def.Load()
 	}
 	addr := uint32(openflow.Extract(p, l.field))
 	value, depth, ok := l.table.Resolve(addr, l.table.Probe1(addr))
@@ -426,9 +464,9 @@ func (l *lpmTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 		st.Examined, st.Offset = depth, uint64(addr)
 	}
 	if !ok {
-		return l.def
+		return l.def.Load()
 	}
-	return l.values[value]
+	return l.entry(value)
 }
 
 // LookupBurst stages the addresses of the whole burst and hands them to the
@@ -446,7 +484,7 @@ func (l *lpmTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *burs
 	nv := 0
 	for i, p := range ps {
 		if !p.Headers.Has(l.proto) {
-			outs[i] = l.def
+			outs[i] = l.def.Load()
 			continue
 		}
 		addr := uint32(openflow.Extract(p, l.field))
@@ -464,29 +502,10 @@ func (l *lpmTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *burs
 		}
 		value, _, ok := l.table.Resolve(sc.addrs[j], sc.values[j])
 		if !ok {
-			outs[i] = l.def
+			outs[i] = l.def.Load()
 			continue
 		}
-		outs[i] = l.values[value]
-	}
-}
-
-// Mirror deep-copies the DIR-24-8 structure and the value slice.  The copy
-// is expensive (the first level alone is 2^24 four-byte entries, 64 MB, each
-// carrying its prefix depth, so no depth array is copied beside it; the tbl8
-// group pool is one more flat slice), but it is paid only on the first
-// incremental update of a table: afterwards the update path ping-pongs
-// between the two copies, replaying the handful of pending operations onto
-// the reclaimed one instead of copying again (update.go).
-func (l *lpmTable) Mirror() tableDatapath {
-	return &lpmTable{
-		field:      l.field,
-		proto:      l.proto,
-		table:      l.table.Clone(),
-		valueSlots: l.valueSlots.clone(),
-		def:        l.def,
-		prioLo:     l.prioLo,
-		prioHi:     l.prioHi,
+		outs[i] = l.entry(value) // loaded after the word that named value
 	}
 }
 
@@ -499,7 +518,7 @@ func (l *lpmTable) Mirror() tableDatapath {
 func (l *lpmTable) CanInsert(e *openflow.FlowEntry) bool {
 	plen := 0
 	if e.Match.IsEmpty() {
-		if l.def != nil {
+		if l.def.Load() != nil {
 			return false // two defaults: deleting one would lose the other
 		}
 	} else {
@@ -520,20 +539,21 @@ func (l *lpmTable) CanInsert(e *openflow.FlowEntry) bool {
 	return true
 }
 
-func (l *lpmTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
+func (l *lpmTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	plen, _ := e.Match.IsPrefix(l.field) // 0 for the default route
 	l.prioLo[plen] = min(l.prioLo[plen], e.Priority)
 	l.prioHi[plen] = max(l.prioHi[plen], e.Priority)
 	if e.Match.IsEmpty() {
-		l.def = ce
-		return
+		l.def.Store(ce)
+		return true
 	}
 	value, _, _ := e.Match.Get(l.field)
 	if idx, ok := l.table.Get(uint32(value), plen); ok {
 		l.share(idx, ce)
-		return
+		return true
 	}
 	l.table.Insert(uint32(value), plen, l.put(ce))
+	return true
 }
 
 // prefix returns the prefix a non-empty match selects on the template's
@@ -552,8 +572,8 @@ func (l *lpmTable) prefix(match *openflow.Match) (addr uint32, plen int, ok bool
 
 func (l *lpmTable) Remove(match *openflow.Match, priority int) int {
 	if match.IsEmpty() {
-		if l.def != nil && (priority < 0 || l.def.priority == priority) {
-			l.def = nil
+		if def := l.def.Load(); def != nil && (priority < 0 || def.priority == priority) {
+			l.def.Store(nil)
 			return 1
 		}
 		return 0
@@ -573,10 +593,10 @@ func (l *lpmTable) Remove(match *openflow.Match, priority int) int {
 
 func (l *lpmTable) Replace(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	if e.Match.IsEmpty() {
-		if l.def == nil || l.def.priority != e.Priority {
+		if def := l.def.Load(); def == nil || def.priority != e.Priority {
 			return false
 		}
-		l.def = ce
+		l.def.Store(ce)
 		return true
 	}
 	addr, plen, ok := l.prefix(e.Match)
@@ -596,7 +616,6 @@ func (l *lpmTable) Replace(e *openflow.FlowEntry, ce *compiledEntry) bool {
 // mask combination.
 type listTable struct {
 	classifier *tss.Classifier
-	count      int
 }
 
 func newListTable() *listTable {
@@ -604,7 +623,7 @@ func newListTable() *listTable {
 }
 
 func (l *listTable) Kind() TemplateKind { return TemplateLinkedList }
-func (l *listTable) Len() int           { return l.count }
+func (l *listTable) Len() int           { return l.classifier.Len() }
 
 func (l *listTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 	res := l.classifier.Lookup(p, nil)
@@ -625,30 +644,7 @@ func (l *listTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, _ *burs
 	}
 }
 
-// Mirror deep-copies the tuple-space classifier (groups and entry buckets;
-// the entries themselves are immutable once inserted and are shared).
-func (l *listTable) Mirror() tableDatapath {
-	return &listTable{
-		classifier: l.classifier.Clone(),
-		count:      l.count,
-	}
-}
-
-func (l *listTable) CanInsert(e *openflow.FlowEntry) bool { return true }
-
-func (l *listTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) {
+func (l *listTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	l.classifier.Insert(&tss.Entry{Priority: e.Priority, Match: e.Match, Aux: ce})
-	l.count = l.classifier.Len()
-}
-
-func (l *listTable) Remove(match *openflow.Match, priority int) int {
-	removed := 0
-	for l.classifier.Delete(match, priority) {
-		removed++
-		if priority >= 0 {
-			break
-		}
-	}
-	l.count = l.classifier.Len()
-	return removed
+	return true
 }

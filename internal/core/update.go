@@ -7,109 +7,44 @@ import (
 )
 
 // Flow-table updates against a live, lock-free datapath (§3.4 at multi-core
-// scale).  The forwarding workers never take a lock, so a flow-mod must never
-// mutate state a reader can see.  Updates therefore follow the epoch scheme:
+// scale).  The forwarding workers never take a lock; the writer runs alone
+// under Datapath.mu.  There is one copy of each table, as with DPDK's
+// rte_lpm (under rte_rcu_qsbr) and rte_hash in its lock-free mode:
 //
-//   1. The writer obtains a writable copy of the affected table that no
-//      reader references — on the first update of a table a deep Mirror of
-//      the live copy, afterwards the previous live copy, reclaimed once every
-//      registered worker has passed a quiescent point (epochs.synchronize)
-//      and brought up to date by replaying the pending operation log.
-//   2. The flow-mod is applied to that copy off to the side.
-//   3. The copy is swapped in through the table's trampoline — one atomic
-//      store — and the superseded live copy becomes the next shadow, with
-//      the just-applied operation recorded for replay.
+//   - The compound-hash and LPM templates (updater) take a flow-mod in place
+//     on the published table.  Every store a reader can see is a single
+//     atomic word, made in an order that never exposes a half-built
+//     structure: a new LPM group is filled before the word that points at
+//     it, a hash key and value before the tag that names them, a value
+//     slot before the word or tag that indexes it.
+//   - What a delete unlinks (an LPM group, a hash lane, a value slot) is
+//     retired, not freed: a burst that loaded the old word may still read
+//     it.  It is reused only after epochs.synchronize, and a mod waits for
+//     that grace period only when it needs a resource and only retired
+//     ones are left.
+//   - An entry replacement (same match and priority, new instructions)
+//     keeps its key, so the templates absorb it as one value-slot store.
+//   - Everything else — a direct-code or linked-list table, a prerequisite
+//     violation, a key the cuckoo table has no empty lane for — rebuilds
+//     the table side by side and swaps it in through its trampoline with one
+//     atomic store, exactly as in the paper.
 //
-// An entry replacement (same match and priority, new instructions) keeps its
-// key, so the hash and LPM templates absorb it as a value-slot swap on the
-// shadow copy.  Updates the template cannot absorb (direct-code tables,
-// prerequisite violations, a replace in the linked list) fall back to a full
-// side-by-side rebuild and swap, exactly as in the paper.  Either way,
-// readers observe each table transition atomically: a burst sees the table
-// either before or after the flow-mod, never a half-applied structure.
-
-// tableOp is one flow-mod recorded for replay onto the shadow copy.
-type tableOp struct {
-	add      bool
-	replace  bool                // add: the entry replaces one of its key
-	entry    *openflow.FlowEntry // add: the declarative entry
-	ce       *compiledEntry      // add: its compiled form (shared with live)
-	match    *openflow.Match     // delete: the match to remove
-	priority int                 // delete: priority filter (-1 = any)
-}
-
-// tableVersion is the writer-side bookkeeping of one table's ping-pong
-// copies: the superseded live copy awaiting reclamation and the single
-// flow-mod it has not seen (every swap parks the previous live copy exactly
-// one operation behind).
-type tableVersion struct {
-	shadow     tableDatapath
-	pending    tableOp
-	hasPending bool
-}
-
-// shadowFor returns a writable copy of the live table that no reader can
-// observe, up to date with the live state.  It returns nil when the template
-// does not support mirroring (direct code).
-func (d *Datapath) shadowFor(tid openflow.TableID, live tableDatapath) tableDatapath {
-	sv := d.versions[tid]
-	if sv == nil || sv.shadow == nil {
-		// First incremental update of this table: deep-copy the live
-		// table.  Reading it is safe (the writer is the only mutator and
-		// never mutates reader-visible state), and nothing references the
-		// mirror yet, so it is writable without a grace period.
-		return live.Mirror()
-	}
-	// The shadow was the live copy before the previous swap.  Wait until
-	// every registered worker has passed a quiescent point, so no in-flight
-	// burst still reads it, then replay the operation the current live copy
-	// has seen in the meantime.
-	d.epochs.synchronize()
-	sh := sv.shadow
-	sv.shadow = nil
-	if sv.hasPending {
-		switch op := sv.pending; {
-		case op.replace:
-			sh.(replacer).Replace(op.entry, op.ce)
-		case op.add:
-			sh.Insert(op.entry, op.ce)
-		default:
-			sh.Remove(op.match, op.priority)
-		}
-		sv.hasPending = false
-	}
-	return sh
-}
-
-// swapInShadow publishes the updated copy through the table's trampoline and
-// parks the superseded live copy as the next shadow, recording op for replay.
-func (d *Datapath) swapInShadow(tid openflow.TableID, sh, old tableDatapath, op tableOp) {
-	d.trampolines[tid].store(sh)
-	sv := d.versions[tid]
-	if sv == nil {
-		sv = &tableVersion{}
-		d.versions[tid] = sv
-	}
-	sv.shadow = old
-	sv.pending = op
-	sv.hasPending = true
-}
-
-// dropShadow discards any parked copy of the table (after a full rebuild the
-// shadow no longer matches the live template or contents).
-func (d *Datapath) dropShadow(tid openflow.TableID) { delete(d.versions, tid) }
+// A burst that overlaps a mod may therefore see the old entry for one packet
+// and the new one for the next: each packet sees the table before or after
+// the mod, which is the per-packet atomicity rte_lpm gives and OpenFlow 1.3
+// promises outside bundles.  The verdict cache stays sound because the
+// generation bump (logMod) follows every store.
 
 // AddFlow installs (or replaces) a flow entry in the given table of the
 // running datapath (§3.4).
 //
-// Templates that support incremental updates (compound hash, LPM, linked
-// list) are updated on a quiesced shadow copy that is swapped in atomically
-// through the table's trampoline; otherwise — and always for the direct-code
-// template — the table is recompiled side by side and swapped in the same
-// way, so packet processing continues against the old representation until
-// the new one is complete (transactional, per-table-granularity updates that
-// are safe under concurrent lock-free forwarding).  A decomposed datapath
-// applies the mod to its source pipeline and recompiles (recompile).
+// The compound-hash and LPM templates take the entry in place; otherwise —
+// and always for the direct-code and linked-list templates — the table is
+// recompiled side by side and swapped in through its trampoline, so packet
+// processing continues against the old representation until the new one is
+// complete.  Either way the update is safe under concurrent lock-free
+// forwarding (see above).  A decomposed datapath applies the mod to its
+// source pipeline and recompiles (recompile).
 //
 // The datapath takes e over: its pipeline and its compiled table hold e and
 // e.Match themselves, so neither may be modified after the call.
@@ -159,7 +94,7 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 		if err != nil {
 			return err
 		}
-		tr.store(dp)
+		d.install(tr, dp)
 	}
 	if max := d.opts.MaxTableEntries; max > 0 && t.Len() >= max && t.Entry(e.Priority, e.Match) == nil {
 		// The capacity guardrail fires before any mutation below (goto
@@ -180,7 +115,7 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 			if err != nil {
 				return err
 			}
-			tr.store(dp)
+			d.install(tr, dp)
 		}
 	}
 	replaced := !t.Add(e)
@@ -219,34 +154,19 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 		scope = d.scopeOf(tableID, e.Match)
 	}
 
+	// In place when the published template takes the entry: a replace it
+	// can swap (the key stays, so the prerequisite does), or an add that
+	// keeps its prerequisite and finds room.
 	tr := d.trampolines[tableID]
-	live := tr.load()
-	// Incremental update when the running template supports it and the new
-	// entry preserves its prerequisite, or the template swaps a replace in
-	// place (the key stays, so the prerequisite does): apply to the shadow
-	// copy and swap.  The direct-code template is always rebuilt (as in the
-	// paper), which also covers the promotion of a growing table to a faster
-	// template.
-	_, swaps := live.(replacer)
-	if live != nil && live.Kind() != TemplateDirectCode && (replaced && swaps || !replaced && live.CanInsert(e)) {
+	dp := tr.load()
+	if u, ok := dp.(updater); ok && (replaced || u.CanInsert(e)) {
 		ce, err := d.compileEntry(e)
 		if err != nil {
 			return err
 		}
-		if sh := d.shadowFor(tableID, live); sh != nil {
-			absorbed := true
-			if replaced {
-				absorbed = sh.(replacer).Replace(e, ce)
-			} else {
-				sh.Insert(e, ce)
-			}
-			if absorbed {
-				d.swapInShadow(tableID, sh, live, tableOp{add: true, replace: replaced, entry: e, ce: ce})
-				d.incremental.Add(1)
-				return nil
-			}
-			// A replace the template cannot swap left the shadow as it
-			// was; the rebuild below drops it.
+		if replaced && u.Replace(e, ce) || !replaced && dp.Insert(e, ce) {
+			d.incremental.Add(1)
+			return nil
 		}
 	}
 	// Fallback: rebuild the table with (possibly) a new template and swap.
@@ -254,8 +174,7 @@ func (d *Datapath) AddFlow(tableID openflow.TableID, e *openflow.FlowEntry) erro
 	if err != nil {
 		return err
 	}
-	tr.store(ndp)
-	d.dropShadow(tableID)
+	d.install(tr, ndp)
 	return nil
 }
 
@@ -305,25 +224,16 @@ func (d *Datapath) deleteFlow(tableID openflow.TableID, match *openflow.Match, p
 		d.publish()
 	}()
 	tr := d.trampolines[tableID]
-	live := tr.load()
-	if live != nil && live.Kind() != TemplateDirectCode {
-		if sh := d.shadowFor(tableID, live); sh != nil {
-			if got := sh.Remove(match, priority); got == removed {
-				d.swapInShadow(tableID, sh, live, tableOp{match: match.Clone(), priority: priority})
-				d.incremental.Add(1)
-				return removed, nil
-			}
-			// The template could not express the delete; the mutated
-			// shadow has diverged — discard it and rebuild below.
-			d.dropShadow(tableID)
-		}
+	if u, ok := tr.load().(updater); ok && u.Remove(match, priority) == removed {
+		d.incremental.Add(1)
+		return removed, nil
 	}
+	// The template could not express the delete: rebuild.
 	ndp, err := d.buildTable(t)
 	if err != nil {
 		return removed, err
 	}
-	tr.store(ndp)
-	d.dropShadow(tableID)
+	d.install(tr, ndp)
 	return removed, nil
 }
 
@@ -341,10 +251,14 @@ func (d *Datapath) recompile(pl *openflow.Pipeline) error {
 	d.parserLayer = nd.parserLayer
 	d.numPorts = nd.numPorts
 	d.trampolines, d.stages = nd.trampolines, nd.stages
+	for _, tr := range d.trampolines { // their mods wait on d's workers
+		if u, ok := tr.load().(updater); ok {
+			u.publish(d.epochs.synchronize)
+		}
+	}
 	d.regions = nd.regions
 	d.insCache = nd.insCache
 	d.decomposedBy = nd.decomposedBy
-	d.versions = make(map[openflow.TableID]*tableVersion)
 	d.rebuilds.Add(nd.rebuilds.Load())
 	// A fresh pipeline resets the cache-key and dirty-field accumulators
 	// (the only place they may shrink — the whole compiled state was

@@ -3,7 +3,8 @@ package dpdk
 // Capacity returns the usable capacity of the ring.
 func (r *Ring) Capacity() int { return len(r.buf) - 1 }
 
-// Events returns every link-state transition so far, in order.
+// Events returns the link-state transitions so far, in order and at most
+// maxRecorded of them.
 func (ps *PortSupervisor) Events() []PortLinkEvent {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()

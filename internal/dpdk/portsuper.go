@@ -220,8 +220,8 @@ type supervisedPort struct {
 	downs []time.Time
 	// lastDown feeds the flap label's decay.
 	lastDown time.Time
-	// backoffs records every scheduled reopen delay (read via Backoffs
-	// under the supervisor mutex).
+	// backoffs records the first maxRecorded scheduled reopen delays (read
+	// via Backoffs under the supervisor mutex).
 	backoffs []time.Duration
 }
 
@@ -234,8 +234,9 @@ type PortSupervisor struct {
 	s   *Switch
 	cfg PortSupervisorConfig
 
-	mu     sync.Mutex
-	ports  []*supervisedPort
+	mu    sync.Mutex
+	ports []*supervisedPort
+	// events records the first maxRecorded link-state transitions.
 	events []PortLinkEvent
 
 	// beatSeen tracks each heartbeat block's last observed count (scan-
@@ -315,8 +316,15 @@ func (ps *PortSupervisor) ReopenFails() uint64 { return ps.reopenFails.Load() }
 // Stalls returns how many worker-stall verdicts the watchdog issued.
 func (ps *PortSupervisor) Stalls() uint64 { return ps.stalls.Load() }
 
-// Backoffs returns the reopen delays scheduled for the given port so far,
-// in order — the sequence PortBackoffSchedule reproduces.
+// maxRecorded bounds the supervisor's recorders (events, each port's
+// backoffs).  Only tests read them, and a long-running switch with a
+// flapping port must not grow them without bound; the first maxRecorded
+// entries are kept, so a schedule still compares from attempt 0.
+const maxRecorded = 64
+
+// Backoffs returns the reopen delays scheduled for the given port so far, in
+// order and at most maxRecorded of them — the sequence PortBackoffSchedule
+// reproduces.
 func (ps *PortSupervisor) Backoffs(port uint32) []time.Duration {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -439,7 +447,9 @@ func (ps *PortSupervisor) tryReopen(sp *supervisedPort, now time.Time) {
 		ps.reopenFails.Add(1)
 		d := sp.src.Next()
 		ps.mu.Lock()
-		sp.backoffs = append(sp.backoffs, d)
+		if len(sp.backoffs) < maxRecorded {
+			sp.backoffs = append(sp.backoffs, d)
+		}
 		ps.mu.Unlock()
 		sp.nextReopen = now.Add(d)
 		return
@@ -462,7 +472,9 @@ func (ps *PortSupervisor) transition(sp *supervisedPort, from, to LinkState, rea
 	ps.transitions.Add(1)
 	ev := PortLinkEvent{Port: sp.p.ID, State: to, Reason: reason, Err: err}
 	ps.mu.Lock()
-	ps.events = append(ps.events, ev)
+	if len(ps.events) < maxRecorded {
+		ps.events = append(ps.events, ev)
+	}
 	ps.mu.Unlock()
 	if ps.cfg.OnTransition != nil {
 		ps.cfg.OnTransition(ev)

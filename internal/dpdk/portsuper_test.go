@@ -174,6 +174,48 @@ func TestPortSupervisorReopenFollowsBackoffSchedule(t *testing.T) {
 	}
 }
 
+// TestPortSupervisorEventsBounded bounces a port well past maxRecorded
+// transitions: the supervisor keeps the first maxRecorded events.
+func TestPortSupervisorEventsBounded(t *testing.T) {
+	be := newReopenBackend(1, 0) // every reopen succeeds immediately
+	sw := NewSwitchWithConfig(DatapathFunc(echoDatapath), SwitchConfig{Backends: []PortBackend{be}})
+	defer sw.Close()
+	ps := sw.StartPortSupervisor(fastSupConfig())
+	defer ps.Stop()
+	for i := int32(1); i <= maxRecorded/2+8; i++ { // two transitions a bounce
+		be.setErr(errors.New("bounce"))
+		waitFor(t, time.Second, func() bool { return be.reopens.Load() >= i }, "bounce: no reopen")
+	}
+	evs := ps.Events()
+	if len(evs) != maxRecorded || ps.Transitions() <= maxRecorded || evs[0].State != LinkDown {
+		t.Fatalf("%d events recorded over %d transitions, want the first %d", len(evs), ps.Transitions(), maxRecorded)
+	}
+}
+
+// TestPortSupervisorBackoffsBounded keeps a port's reopens failing well past
+// maxRecorded attempts: the supervisor keeps the first maxRecorded delays,
+// still the schedule PortBackoffSchedule gives.
+func TestPortSupervisorBackoffsBounded(t *testing.T) {
+	be := newReopenBackend(1, 1<<30)
+	sw := NewSwitchWithConfig(DatapathFunc(echoDatapath), SwitchConfig{Backends: []PortBackend{be}})
+	defer sw.Close()
+	cfg := fastSupConfig()
+	cfg.BackoffMax = cfg.BackoffMin
+	ps := sw.StartPortSupervisor(cfg)
+	defer ps.Stop()
+	be.setErr(errors.New("fd died"))
+	waitFor(t, 5*time.Second, func() bool { return ps.ReopenFails() > maxRecorded+8 }, "too few failed reopens")
+	got, want := ps.Backoffs(1), PortBackoffSchedule(cfg, maxRecorded)
+	if len(got) != maxRecorded {
+		t.Fatalf("%d backoffs recorded over %d failed reopens, want %d", len(got), ps.ReopenFails(), maxRecorded)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("backoff[%d] = %v, oracle says %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestPortSupervisorFlapLabelAndDecay(t *testing.T) {
 	be := newReopenBackend(1, 0) // every reopen succeeds immediately
 	sw := NewSwitchWithConfig(DatapathFunc(echoDatapath), SwitchConfig{Backends: []PortBackend{be}})

@@ -10,18 +10,37 @@
 // is hashed by one seeded multiply fold (Key.hash); the two bucket hashes are
 // the two 32-bit halves of its result.  Each bucket has a tag word beside it,
 // one 16-bit lane per slot, as DPDK's rte_hash keeps a signature per entry: a
-// lane holds its key's tag (hash bits no bucket index reads) or zero for an
-// empty slot.  A probe XORs the broadcast tag into the word, finds the zero
-// lanes with one exact SWAR test and compares keys only in those, so a miss
-// usually reads two tag words and no key.  An insert whose two buckets are
-// full displaces an entry from the bucket it did not just leave, rotating the
-// victim slot with the kick count, so an evicted entry never bounces back
-// into the bucket that evicted it.
+// lane holds its key's tag (hash bits no bucket index reads), zero for an
+// empty slot, or a retired marker.  A probe XORs the broadcast tag into the
+// word, finds the zero lanes with one exact SWAR test and compares keys only
+// in those, so a miss usually reads two tag words and no key.  A key goes to
+// whichever of its two buckets has more empty lanes, which keeps full
+// buckets rare.  An insert whose two buckets are full displaces an entry from
+// the bucket it did not just leave, rotating the victim slot with the kick
+// count, so an evicted entry never bounces back into the bucket that evicted
+// it.
+//
+// One writer and any number of readers share one table, as with rte_hash in
+// its lock-free mode.  Until Publish a table has no readers: the writer
+// places keys with displacement and rebuilds in place.  From Publish on, the
+// lookup methods (Lookup, Hash, LookupPrehashed, LookupBatch, Len) may run
+// concurrently with the writer's Insert and Delete:
+//
+//   - readers load tag words and values atomically;
+//   - an insert writes the key and value into an empty lane and then stores
+//     the tag word, so a reader that sees the tag sees the key;
+//   - an insert whose two buckets have no empty lane reclaims retired lanes
+//     after a grace period and otherwise fails: no entry moves and the table
+//     is never rebuilt, so the caller rebuilds it off to the side;
+//   - a delete stores the retired marker in the lane and leaves the key, so
+//     a reader that loaded the old tag word still compares the old key; the
+//     lane is reused only after the grace period Publish was given.
 package exacthash
 
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Key is a packed match key: up to four 64-bit words holding the masked field
@@ -61,12 +80,16 @@ func mix64(x uint64) uint64 {
 const bucketSlots = 4
 
 // Tag lanes: a bucket's tag word holds one 16-bit lane per slot, lane i in
-// bits 16i..16i+15.  A lane is zero when its slot is empty and the stored
-// key's tag (laneTag) otherwise.
+// bits 16i..16i+15.  A lane is zero when its slot is empty, laneRetired when
+// its key was deleted from a published table since the last grace period,
+// and the stored key's tag (laneTag) otherwise.
 const (
 	laneOnes = 0x0001000100010001 // 1 in every lane: broadcasts a tag
 	laneLow  = 0x7fff7fff7fff7fff // every lane's low 15 bits
 	laneHigh = 0x8000800080008000 // every lane's top bit
+	// laneRetired is non-zero, so no insert takes the lane, and has bit 0
+	// clear, so no key's tag matches it.
+	laneRetired = 2
 )
 
 // laneTag is the 16-bit tag a key stores in its slot's lane: hash bits 16..31,
@@ -105,10 +128,14 @@ type Table struct {
 	tags  []uint64
 	mask  uint64
 	seed  uint64
-	count int
+	count atomic.Int64
 	// rebuilds counts how many times the table was rebuilt with a new
 	// seed or grown; the update-cost experiments report it.
 	rebuilds int
+	// retired lists the lanes (bucket<<2 | slot) deleted since the last
+	// grace period, and quiesce waits for one; it is nil until Publish.
+	retired []uint64
+	quiesce func()
 }
 
 // New returns an empty table pre-sized for the given number of entries.
@@ -134,26 +161,17 @@ func (t *Table) init(buckets int) {
 	t.buckets = make([]bucket, buckets)
 	t.tags = make([]uint64, buckets)
 	t.mask = uint64(buckets - 1)
-	t.count = 0
+	t.count.Store(0)
 }
 
 // Len returns the number of stored entries.
-func (t *Table) Len() int { return t.count }
+func (t *Table) Len() int { return int(t.count.Load()) }
 
-// Clone returns a deep copy of the table (buckets and tag words are value
-// types, so two slice copies capture the whole lookup state).  The ESWITCH
-// update path mirrors a live compound-hash template through Clone so
-// flow-mods can be applied off to the side and swapped in atomically.
-func (t *Table) Clone() *Table {
-	return &Table{
-		buckets:  append([]bucket(nil), t.buckets...),
-		tags:     append([]uint64(nil), t.tags...),
-		mask:     t.mask,
-		seed:     t.seed,
-		count:    t.count,
-		rebuilds: t.rebuilds,
-	}
-}
+// Publish hands the table to concurrent readers: from now on tag words are
+// stored atomically, an insert neither displaces an entry nor rebuilds the
+// table, and a deleted lane is reused only after quiesce, which must wait
+// until every lookup begun before the call has returned, has been called.
+func (t *Table) Publish(quiesce func()) { t.quiesce = quiesce }
 
 // Lookup returns the value stored for the key.
 func (t *Table) Lookup(k Key) (uint32, bool) {
@@ -167,7 +185,7 @@ func (t *Table) lookupHashed(k Key, h1, h2 uint64) (uint32, bool) {
 	if i < 0 {
 		return 0, false
 	}
-	return t.buckets[b].slots[i].value, true
+	return atomic.LoadUint32(&t.buckets[b].slots[i].value), true
 }
 
 // find locates a pre-hashed key: its bucket and slot index, or slot -1.
@@ -184,7 +202,7 @@ func (t *Table) find(k Key, h1, h2 uint64) (uint64, int) {
 // slotOf returns the slot of bucket b holding k, or -1: it compares keys only
 // in the lanes whose tag equals the broadcast tag.
 func (t *Table) slotOf(b uint64, k Key, tag uint64) int {
-	for m := zeroLanes(t.tags[b] ^ tag); m != 0; m &= m - 1 {
+	for m := zeroLanes(atomic.LoadUint64(&t.tags[b]) ^ tag); m != 0; m &= m - 1 {
 		if i := laneSlot(m); t.buckets[b].slots[i].key == k {
 			return i
 		}
@@ -235,60 +253,71 @@ func (t *Table) LookupBatch(keys []Key, values []uint32, hits []bool, sc *BatchS
 	}
 }
 
-// Insert adds or replaces the value stored for the key.
-func (t *Table) Insert(k Key, value uint32) {
-	if t.update(k, value) {
-		return
-	}
-	leftover, ok := t.place(slot{key: k, value: value})
-	if ok {
-		t.count++
-		return
-	}
-	// Cuckoo path exhausted: rebuild into a larger, re-seeded table,
-	// carrying along the entry that could not be placed.
-	t.rebuild([]slot{leftover}, len(t.buckets)*2)
-}
-
-// update replaces the value if the key is already present.
-func (t *Table) update(k Key, value uint32) bool {
+// Insert adds or replaces the value stored for the key.  On a published
+// table it reports false, and changes nothing, when neither of the key's
+// buckets has an empty lane even after retired lanes are reclaimed; an
+// unpublished table places every key.
+func (t *Table) Insert(k Key, value uint32) bool {
 	h1, h2 := k.hash(t.seed)
-	b, i := t.find(k, h1, h2)
-	if i < 0 {
-		return false
+	if b, i := t.find(k, h1, h2); i >= 0 {
+		atomic.StoreUint32(&t.buckets[b].slots[i].value, value)
+		return true
 	}
-	t.buckets[b].slots[i].value = value
+	if t.quiesce == nil {
+		if leftover, ok := t.place(slot{key: k, value: value}, maxKicks); !ok {
+			// Cuckoo path exhausted: rebuild into a larger, re-seeded
+			// table, carrying along the entry that could not be placed.
+			t.rebuild([]slot{leftover}, len(t.buckets)*2)
+			return true
+		}
+	} else if _, ok := t.place(slot{key: k, value: value}, 0); !ok {
+		const retired = uint64(laneRetired * laneOnes)
+		if len(t.retired) == 0 || zeroLanes(t.tags[h1&t.mask]^retired)|zeroLanes(t.tags[h2&t.mask]^retired) == 0 {
+			return false
+		}
+		t.reclaim()
+		if _, ok := t.place(slot{key: k, value: value}, 0); !ok {
+			return false
+		}
+	}
+	t.count.Add(1)
 	return true
 }
 
 const maxKicks = 64
 
-// place stores the slot using cuckoo displacement.  On success it reports
-// true.  On failure it returns the entry that ended up without a home (which
-// is generally not the entry passed in — displacement may have evicted an
+// place stores the slot in the emptier of its two buckets, displacing
+// entries up to kicks times when both are full.  On success it reports true.
+// On failure it returns the entry that ended up without a home (which is
+// generally not the entry passed in — displacement may have evicted an
 // older one) so the caller can rebuild without losing it.
-func (t *Table) place(cur slot) (slot, bool) {
+func (t *Table) place(cur slot, kicks int) (slot, bool) {
 	from := ^uint64(0) // the bucket cur was just evicted from; none yet
-	for kick := 0; kick < maxKicks; kick++ {
+	for kick := 0; ; kick++ {
 		h1, h2 := cur.key.hash(t.seed)
 		b1, b2 := h1&t.mask, h2&t.mask
 		tag := laneTag(h1)
-		for _, bi := range [2]uint64{b1, b2} {
-			if m := zeroLanes(t.tags[bi]); m != 0 {
-				i := laneSlot(m)
-				t.buckets[bi].slots[i] = cur
-				t.setLane(bi, i, tag)
-				return slot{}, true
-			}
+		m1, m2 := zeroLanes(t.tags[b1]), zeroLanes(t.tags[b2])
+		if bits.OnesCount64(m2) > bits.OnesCount64(m1) {
+			b1, b2, m1 = b2, b1, m2
+		}
+		if m1 != 0 {
+			i := laneSlot(m1)
+			t.buckets[b1].slots[i] = cur // plain: no reader compares an empty lane's key
+			t.setLane(b1, i, tag)
+			return slot{}, true
+		}
+		if kick == kicks {
+			return cur, false
 		}
 		// Both buckets full: evict from the bucket cur did not just
 		// leave, or the victim — often at home in that same bucket —
 		// would evict cur's evictor in turn and the walk would bounce
 		// inside one bucket.  The victim slot starts at hash bits no
 		// bucket index uses and rotates with the kick count.
-		to := b1
+		to := h1 & t.mask
 		if to == from {
-			to = b2
+			to = h2 & t.mask
 		}
 		b := &t.buckets[to]
 		victim := (int(h1>>62) + kick) % bucketSlots
@@ -296,14 +325,28 @@ func (t *Table) place(cur slot) (slot, bool) {
 		t.setLane(to, victim, tag)
 		from = to
 	}
-	return cur, false
 }
 
-// setLane stores a slot's lane of bucket b's tag word: the key's tag, or 0
-// to mark the slot empty.
+// reclaim waits for a grace period and empties the retired lanes.
+func (t *Table) reclaim() {
+	t.quiesce()
+	for _, l := range t.retired {
+		t.setLane(l>>2, int(l&3), 0)
+	}
+	t.retired = t.retired[:0]
+}
+
+// setLane stores a slot's lane of bucket b's tag word: the key's tag, 0 to
+// mark the slot empty or laneRetired.  The store is atomic once the table is
+// published.
 func (t *Table) setLane(b uint64, i int, tag uint64) {
 	sh := uint(i) * 16
-	t.tags[b] = t.tags[b]&^(0xffff<<sh) | tag<<sh
+	w := t.tags[b]&^(0xffff<<sh) | tag<<sh
+	if t.quiesce != nil {
+		atomic.StoreUint64(&t.tags[b], w)
+	} else {
+		t.tags[b] = w
+	}
 }
 
 // rebuild re-creates the table with at least minBuckets buckets and a fresh
@@ -323,29 +366,35 @@ func (t *Table) rebuild(extra []slot, minBuckets int) {
 		t.init(buckets)
 		ok := true
 		for _, s := range all {
-			if _, placed := t.place(s); !placed {
+			if _, placed := t.place(s, maxKicks); !placed {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			t.count = len(all)
+			t.count.Store(int64(len(all)))
 			return
 		}
 		buckets *= 2
 	}
 }
 
-// Delete removes the key, reporting whether it was present.
+// Delete removes the key, reporting whether it was present.  It leaves the
+// key in its slot; on a published table the lane is retired until the next
+// grace period, elsewhere it is empty at once.
 func (t *Table) Delete(k Key) bool {
 	h1, h2 := k.hash(t.seed)
 	b, i := t.find(k, h1, h2)
 	if i < 0 {
 		return false
 	}
-	t.buckets[b].slots[i] = slot{}
-	t.setLane(b, i, 0)
-	t.count--
+	if t.quiesce != nil {
+		t.setLane(b, i, laneRetired)
+		t.retired = append(t.retired, b<<2|uint64(i))
+	} else {
+		t.setLane(b, i, 0)
+	}
+	t.count.Add(-1)
 	return true
 }
 
@@ -353,7 +402,7 @@ func (t *Table) Delete(k Key) bool {
 func (t *Table) forEach(fn func(Key, uint32)) {
 	for bi, w := range t.tags {
 		for si := range t.buckets[bi].slots {
-			if w>>(16*si)&0xffff != 0 {
+			if w>>(16*si)&1 != 0 { // a tag, not empty or retired
 				s := &t.buckets[bi].slots[si]
 				fn(s.key, s.value)
 			}
@@ -372,5 +421,5 @@ func (t *Table) MemoryFootprint() int {
 
 // String summarizes the table.
 func (t *Table) String() string {
-	return fmt.Sprintf("exacthash{entries=%d buckets=%d rebuilds=%d}", t.count, len(t.buckets), t.rebuilds)
+	return fmt.Sprintf("exacthash{entries=%d buckets=%d rebuilds=%d}", t.Len(), len(t.buckets), t.rebuilds)
 }

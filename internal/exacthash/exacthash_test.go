@@ -5,6 +5,9 @@ import (
 	"maps"
 	"math/bits"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -186,9 +189,9 @@ func TestDesignLoadPlacesWithoutRebuild(t *testing.T) {
 
 // TestTagCollisionsFallThrough holds the tag-first probe to the keys, not the
 // tags: keys sharing the zero key's tag and both its buckets' first one all
-// hit, a deleted lane stops no scan, and the zero key — which a deleted slot
-// holds — misses until it is inserted.  It also holds the SWAR lane test to
-// a lane-by-lane reference, so no lane borrows a match from its neighbour.
+// hit, a deleted lane stops no scan, and the zero key misses until it is
+// inserted.  It also holds the SWAR lane test to a lane-by-lane reference,
+// so no lane borrows a match from its neighbour.
 func TestTagCollisionsFallThrough(t *testing.T) {
 	for _, lanes := range [][4]uint64{{0, 1, 0, 1}, {1, 0, 0xffff, 0}, {0x8000, 0, 0x7fff, 0}, {0, 0, 0, 0}, {2, 0, 1, 0x8001}} {
 		var w, want uint64
@@ -234,7 +237,7 @@ func TestTagCollisionsFallThrough(t *testing.T) {
 	}
 	want(a, 0, false)
 	want(b, 2, true)
-	want(zero, 0, false) // a's slot now holds a zero key under an empty lane
+	want(zero, 0, false) // a's slot keeps a's key under an empty lane
 	tbl.Insert(zero, 3)
 	want(zero, 3, true)
 	want(b, 2, true)
@@ -244,12 +247,13 @@ func TestTagCollisionsFallThrough(t *testing.T) {
 }
 
 // FuzzTableOps drives a table through a byte-coded sequence of inserts,
-// replacements, deletes, single lookups, batched lookups and clones over keys
-// from keyFamilies, and holds it to a Go map after every operation.  The
-// first byte sizes the table small, so the sequences reach the displacement
-// walk and the re-seeding rebuild.  A clone carries on in the original's
-// place while the original is mutated, so a clone sharing any lookup state —
-// the buckets or their tag words — with its source is caught.
+// replacements, deletes, single lookups, batched lookups and grace periods
+// over keys from keyFamilies, and holds it to a Go map after every
+// operation.  The first byte sizes the table small, so the sequences reach
+// the displacement walk and the re-seeding rebuild.  The first grace-period
+// op publishes the table, so later deletes retire lanes, later grace
+// periods reclaim them and inserts into full buckets reuse them or fail; a
+// failed insert rebuilds the table from the map and publishes it.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 3, 0, 1, 4, 0, 0, 2, 0, 0, 3, 0, 1})
 	rng := rand.New(rand.NewSource(30))
@@ -274,16 +278,32 @@ func FuzzTableOps(f *testing.F) {
 				t.Fatalf("lookup %v: got %d,%v want %d,%v", k, got, ok, want, wantOK)
 			}
 		}
+		// insert stores k; when a published table cannot place it, the
+		// table is rebuilt off to the side and published, as the
+		// compound-hash template's caller does.
+		insert := func(k Key, v uint32) {
+			_, stored := ref[k]
+			ref[k] = v
+			if tbl.Insert(k, v) {
+				return
+			}
+			if stored || tbl.quiesce == nil {
+				t.Fatalf("insert %v failed: stored %v, published %v", k, stored, tbl.quiesce != nil)
+			}
+			tbl = New(len(ref))
+			for k, v := range ref {
+				tbl.Insert(k, v)
+			}
+			tbl.Publish(func() {})
+		}
 		var sc BatchScratch
 		for i, ops := 0, data[1:]; len(ops) >= 3; i, ops = i+1, ops[3:] {
 			op, k := ops[0]%6, keyOf(ops[1], ops[2])
 			switch op {
 			case 0: // insert
-				tbl.Insert(k, uint32(i))
-				ref[k] = uint32(i)
+				insert(k, uint32(i))
 			case 1: // replace a stored key, or insert when the key is new
-				tbl.Insert(k, uint32(i)|1<<31)
-				ref[k] = uint32(i) | 1<<31
+				insert(k, uint32(i)|1<<31)
 			case 2:
 				_, had := ref[k]
 				if got := tbl.Delete(k); got != had {
@@ -305,16 +325,11 @@ func FuzzTableOps(f *testing.F) {
 						t.Fatalf("batch %v: got %d,%v want %d,%v", k, values[j], hits[j], want, wantOK)
 					}
 				}
-			case 5: // carry on with a clone, then mutate the original
-				orig := tbl
-				tbl = tbl.Clone()
-				orig.Insert(k, ^uint32(0))
-				for stored := range ref {
-					orig.Delete(stored)
-					break
-				}
-				for stored := range ref {
-					check(stored)
+			case 5: // publish the table, or let a grace period pass
+				if tbl.quiesce == nil {
+					tbl.Publish(func() {})
+				} else {
+					tbl.reclaim()
 				}
 			}
 			if tbl.Len() != len(ref) {
@@ -440,5 +455,114 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 		if v, ok := tbl.LookupPrehashed(k, h1, h2); ok != wantOK || (ok && v != wantV) {
 			t.Fatalf("key %d: prehashed (%d,%v) != single (%d,%v)", i, v, ok, wantV, wantOK)
 		}
+	}
+}
+
+// TestRetiredLaneHeldUntilGracePeriod holds a published table to its reuse
+// rule: a reader that found a key's slot before the key was deleted may
+// still compare that slot's key and load its value, so until a grace period
+// has passed no insert may write into the slot, however full the buckets.
+func TestRetiredLaneHeldUntilGracePeriod(t *testing.T) {
+	tbl := New(16)
+	keys := make([]Key, 48)
+	for i := range keys {
+		keys[i] = Key{W0: splitmix(uint64(i))}
+		tbl.Insert(keys[i], uint32(i))
+	}
+	graces := 0
+	tbl.Publish(func() { graces++ })
+	for victim := range keys {
+		h1, h2 := tbl.Hash(keys[victim])
+		b, i := tbl.find(keys[victim], h1, h2) // a reader's probe, held
+		if i < 0 || !tbl.Delete(keys[victim]) {
+			continue // not placed since the table was published
+		}
+		before := graces
+		for j := 0; j < 64 && graces == before; j++ {
+			tbl.Insert(Key{W0: splitmix(uint64(1000*victim + j)), W1: 1}, 1<<20)
+		}
+		if s := tbl.buckets[b].slots[i]; graces == before && (s.key != keys[victim] || s.value != uint32(victim)) {
+			t.Fatalf("key %d's slot was rewritten to %v without a grace period", victim, s)
+		}
+		tbl.reclaim() // the reader has left
+	}
+	if graces == 0 {
+		t.Fatal("no insert needed a retired lane")
+	}
+}
+
+// TestConcurrentReaders runs two readers, one batched and one per key,
+// against a writer that inserts and deletes keys of a published table kept
+// near full, so deleted lanes are retired, reclaimed and reused while the
+// readers probe them.  Every key carries its own value, so a lookup must
+// return that value or miss.  Under the race detector it also holds the
+// writer to its store order: a key and value written into a lane after its
+// tag, or into a retired lane before a grace period, race with the readers.
+func TestConcurrentReaders(t *testing.T) {
+	keys := make([]Key, 64)
+	for i := range keys {
+		keys[i] = Key{W0: splitmix(uint64(i)), W1: uint64(i)}
+	}
+	tbl := New(16)
+	readers := make([]atomic.Uint64, 2)
+	tbl.Publish(func() {
+		for i := range readers {
+			if v := readers[i].Load(); v&1 != 0 {
+				for readers[i].Load() == v {
+					runtime.Gosched()
+				}
+			}
+		}
+	})
+	var stop atomic.Bool
+	var batches atomic.Int64
+	errs := make(chan error, len(readers))
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			batch := make([]Key, 32)
+			values, hits := make([]uint32, len(batch)), make([]bool, len(batch))
+			var sc BatchScratch
+			for !stop.Load() {
+				for i := range batch {
+					batch[i] = keys[rng.Intn(len(keys))]
+				}
+				readers[r].Add(1)
+				if r == 0 {
+					tbl.LookupBatch(batch, values, hits, &sc)
+				} else {
+					for i, k := range batch {
+						values[i], hits[i] = tbl.Lookup(k)
+					}
+				}
+				readers[r].Add(1)
+				for i, k := range batch {
+					if hits[i] && values[i] != uint32(k.W1) {
+						errs <- fmt.Errorf("Lookup(%v) = %d, want %d or a miss", k, values[i], k.W1)
+						return
+					}
+				}
+				batches.Add(1)
+			}
+		}(r)
+	}
+	for batches.Load() < int64(len(readers)) && len(errs) == 0 {
+		runtime.Gosched()
+	}
+	rng := rand.New(rand.NewSource(52))
+	for op := 0; op < 40000 && len(errs) == 0; op++ {
+		k := keys[rng.Intn(len(keys))]
+		if !tbl.Delete(k) {
+			tbl.Insert(k, uint32(k.W1)) // both buckets full: the key stays out
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -8,8 +8,15 @@ import (
 // Stride returns the first-level stride in bits.
 func (t *Table) Stride() int { return int(t.stride) }
 
-// SecondLevelGroups returns the number of second-level groups in use.
-func (t *Table) SecondLevelGroups() int { return len(t.tbl8)/groupSize - len(t.free) }
+// SecondLevelGroups returns the number of second-level groups in use: neither
+// free nor retired.
+func (t *Table) SecondLevelGroups() int {
+	n := 0
+	if p := t.pool.Load(); p != nil {
+		n = len(*p) / groupSize
+	}
+	return n - len(t.free) - len(t.retired)
+}
 
 // Lookup returns the value of the longest prefix covering addr and whether
 // any prefix matched.

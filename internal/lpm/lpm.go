@@ -15,19 +15,34 @@
 // entry, so no side array shadows either level.  The groups live in one flat
 // pool, group g being tbl8[g*256 : g*256+256].  When Delete removes the last
 // prefix longer than the stride under a group, the group is folded back into
-// its first-level entry and its index goes on a free list for the next
-// group, as rte_lpm's tbl8_recycle_check does.
+// its first-level entry and freed for the next group, as rte_lpm's
+// tbl8_recycle_check does.
+//
+// One writer and any number of readers share one table, as with rte_lpm
+// under rte_rcu_qsbr.  Until Publish a table has no readers, and the writer
+// fills it with plain stores.  From Publish on, the lookup methods (Probe1,
+// Resolve, LookupBatch, Len) may run concurrently with the writer's Insert
+// and Delete:
+//
+//   - readers load words atomically, and the writer stores every word a
+//     reader can reach atomically, so each lookup sees each word either
+//     before or after a mod;
+//   - a new group is filled before the first-level word that points at it
+//     is stored, and a grown pool is published before any word refers to
+//     its new groups (Resolve loads the pool after the word);
+//   - a group Delete folds back is retired, not freed: it is reused only
+//     after the grace period Publish was given has passed, so a lookup that
+//     loaded the old first-level word still reads the old group.
+//
+// A lookup that overlaps a mod may thus see the old value for one address
+// and the new value for another; each single lookup is atomic.
 //
 // rte_lpm runs from huge-page memory.  On Linux the first level is a plain Go
 // allocation whose 2 MiB-aligned interior is advised MADV_HUGEPAGE before its
 // first write, so the 64 MB tbl24 of New spans 32 transparent huge pages
 // instead of 16,384 base pages and a random probe rarely misses the TLB; it
-// stays on the Go heap and is counted there.  Clone copies the first level
-// with one append and advises the copy afterwards, leaving khugepaged to
-// collapse it: allocating the copy zeroed, advising it and only then copying
-// into it made the few hundred flow-mods after a mirror up to 1.7 times
-// slower.  Elsewhere the first level is a plain allocation on the default
-// pages.
+// stays on the Go heap and is counted there.  Elsewhere the first level is a
+// plain allocation on the default pages.
 //
 // Beside the prefix map the table counts its prefixes per length and per /8
 // region (a prefix shorter than /8 counts in the /8 its address starts).
@@ -46,8 +61,8 @@ package lpm
 
 import (
 	"fmt"
-	"maps"
 	"slices"
+	"sync/atomic"
 )
 
 // invalid is the value Resolve returns when no prefix covers the address.
@@ -67,11 +82,16 @@ const defaultStride = 24
 // Table is a DIR-24-8-style longest prefix match table over 32-bit keys.
 // The zero value is not usable; use New.
 type Table struct {
-	stride  uint
-	tbl24   []uint32
-	tbl8    []uint32 // the group pool: group g is tbl8[g*groupSize:][:groupSize]
-	free    []uint32 // indexes of recycled groups
+	stride uint
+	tbl24  []uint32
+	// pool is the group pool: group g is (*pool)[g*groupSize:][:groupSize].
+	pool    atomic.Pointer[[]uint32]
+	free    []uint32 // groups no reader can reach
+	retired []uint32 // groups folded back since the last grace period
 	entries map[prefixKey]uint32
+	size    atomic.Int32 // len(entries), for readers
+	// quiesce waits for a grace period; it is nil until Publish.
+	quiesce func()
 	// counts[r][l] is the number of installed /l prefixes in the /8 region
 	// r (33 KB), a prefix shorter than /8 counting in the region its address
 	// starts.
@@ -111,32 +131,59 @@ func newWithStride(stride int) *Table {
 func (t *Table) maxPrefixLen() int { return int(t.stride) + 8 }
 
 // Len returns the number of installed prefixes.
-func (t *Table) Len() int { return len(t.entries) }
+func (t *Table) Len() int { return int(t.size.Load()) }
 
 // FirstLevelSize returns the number of first-level slots; the cost model uses
 // it to size the structure's working set.
 func (t *Table) FirstLevelSize() int { return len(t.tbl24) }
 
-// Clone returns a deep copy of the table.  The ESWITCH update path mirrors a
-// live LPM template once and then ping-pongs between the two copies, so the
-// (large) copy of the first level is paid only on the first incremental
-// update of a table, not on every route change.
-func (t *Table) Clone() *Table {
-	nt := &Table{
-		stride:  t.stride,
-		tbl24:   slices.Clone(t.tbl24),
-		tbl8:    slices.Clone(t.tbl8),
-		free:    slices.Clone(t.free),
-		entries: maps.Clone(t.entries),
-		counts:  t.counts,
+// Publish hands the table to concurrent readers: from now on every word a
+// reader can reach is stored atomically, and a group Delete folds back is
+// reused only after quiesce, which must wait until every lookup begun before
+// the call has returned, has been called.
+func (t *Table) Publish(quiesce func()) { t.quiesce = quiesce }
+
+// store stores e in s[i], atomically on a live (published) table.  Callers
+// decide live once per operation: the build writes millions of words.
+func store(s []uint32, i int, e uint32, live bool) {
+	if live {
+		atomic.StoreUint32(&s[i], e)
+	} else {
+		s[i] = e
 	}
-	adviseHuge(nt.tbl24)
-	return nt
 }
 
 // group returns the tbl8 group an extended first-level entry points at.
 func (t *Table) group(e uint32) []uint32 {
-	return t.tbl8[(e&valueMask)*groupSize:][:groupSize]
+	return (*t.pool.Load())[(e&valueMask)*groupSize:][:groupSize]
+}
+
+// newGroup returns a group no reader can reach: a free one, a retired one
+// once a grace period has passed, or a new one at the end of the pool.  A
+// grown pool is published before the caller stores a word naming the group.
+func (t *Table) newGroup() uint32 {
+	if len(t.free) == 0 && len(t.retired) > 0 {
+		t.reclaim()
+	}
+	if n := len(t.free); n > 0 {
+		g := t.free[n-1]
+		t.free = t.free[:n-1]
+		return g
+	}
+	var pool []uint32
+	if p := t.pool.Load(); p != nil {
+		pool = *p
+	}
+	pool = append(pool, make([]uint32, groupSize)...)
+	t.pool.Store(&pool)
+	return uint32(len(pool)/groupSize - 1)
+}
+
+// reclaim waits for a grace period and frees the retired groups.
+func (t *Table) reclaim() {
+	t.quiesce()
+	t.free = append(t.free, t.retired...)
+	t.retired = t.retired[:0]
 }
 
 // Insert adds (or replaces) the prefix addr/prefixLen with the given value.
@@ -153,6 +200,7 @@ func (t *Table) Insert(addr uint32, prefixLen int, value uint32) error {
 	t.entries[prefixKey{addr, uint8(prefixLen)}] = value
 	if len(t.entries) > n { // a new prefix, not a replace
 		t.counts[addr>>24][prefixLen]++
+		t.size.Add(1)
 	}
 	t.install(addr, prefixLen, value)
 	return nil
@@ -182,45 +230,52 @@ func (t *Table) Delete(addr uint32, prefixLen int) bool {
 	}
 	delete(t.entries, key)
 	t.counts[addr>>24][prefixLen]--
+	t.size.Add(-1)
 	var repl uint32 // the longest remaining covering prefix, or invalid
 	if v, l, ok := t.coveringPrefix(addr, prefixLen); ok {
 		repl = entry(v, l)
 	}
 
-	stride := t.stride
+	stride, live := t.stride, t.quiesce != nil
 	if prefixLen <= int(stride) {
 		first := addr >> (32 - stride)
-		end := first + 1<<(stride-uint(prefixLen))
-		for slot := first; slot < end; slot++ {
-			e := t.tbl24[slot]
+		slots := t.tbl24[first : first+1<<(stride-uint(prefixLen))]
+		for j, e := range slots {
 			if e&extBit != 0 {
-				replace(t.group(e), prefixLen, repl)
+				replace(t.group(e), prefixLen, repl, live)
 			} else if depthOf(e) == prefixLen {
-				t.tbl24[slot] = repl
+				store(slots, j, repl, live)
 			}
 		}
 		return true
 	}
 	slot := addr >> (32 - stride)
-	g := t.group(t.tbl24[slot])
+	e := t.tbl24[slot]
+	g := t.group(e)
 	first := (addr >> (24 - stride)) & 0xff
-	replace(g[first:first+1<<(stride+8-uint(prefixLen))], prefixLen, repl)
+	replace(g[first:first+1<<(stride+8-uint(prefixLen))], prefixLen, repl, live)
 	// Fold a group left without a prefix longer than the stride back into
 	// its first-level entry: all its entries are then the one covering
-	// prefix (or invalid), which tbl24 holds alone.
+	// prefix (or invalid), which tbl24 holds alone.  A lookup that loaded
+	// the old first-level word may still read the group, so on a published
+	// table it is retired until the next grace period.
 	if e0 := g[0]; depthOf(e0) <= int(stride) && !slices.ContainsFunc(g, func(e uint32) bool { return e != e0 }) {
-		t.free = append(t.free, t.tbl24[slot]&valueMask)
-		t.tbl24[slot] = e0
+		store(t.tbl24, int(slot), e0, live)
+		if live {
+			t.retired = append(t.retired, e&valueMask)
+		} else {
+			t.free = append(t.free, e&valueMask)
+		}
 	}
 	return true
 }
 
 // replace rewrites the entries of s holding a prefix of length depth with
 // repl.  Within the slots one prefix covers, only that prefix has its length.
-func replace(s []uint32, depth int, repl uint32) {
+func replace(s []uint32, depth int, repl uint32, live bool) {
 	for j, e := range s {
 		if depthOf(e) == depth {
-			s[j] = repl
+			store(s, j, repl, live)
 		}
 	}
 }
@@ -246,13 +301,16 @@ func (t *Table) coveringPrefix(addr uint32, prefixLen int) (uint32, int, bool) {
 // DPDK's rte_lpm_lookup_bulk does — so the independent tbl24 loads overlap
 // their cache misses instead of serializing per packet, and then finish each
 // lookup with Resolve.
-func (t *Table) Probe1(addr uint32) uint32 { return t.tbl24[addr>>(32-t.stride)] }
+func (t *Table) Probe1(addr uint32) uint32 {
+	return atomic.LoadUint32(&t.tbl24[addr>>(32-t.stride)])
+}
 
 // Resolve finishes a lookup whose first-level entry was already fetched with
 // Probe1, following the second-level tbl8 group when the entry is extended.
 // It returns the value, the number of table levels touched (1 or 2; the
 // cycle cost model charges one memory access per level, Fig. 20's 13+2·Lx
-// atom assuming 2) and whether any prefix matched.
+// atom assuming 2) and whether any prefix matched.  It loads the group pool
+// after e was loaded, so a group e names is in it.
 func (t *Table) Resolve(addr uint32, e uint32) (value uint32, depth int, ok bool) {
 	if e&validBit == 0 {
 		return invalid, 1, false
@@ -260,7 +318,7 @@ func (t *Table) Resolve(addr uint32, e uint32) (value uint32, depth int, ok bool
 	if e&extBit == 0 {
 		return e & valueMask, 1, true
 	}
-	e2 := t.tbl8[(e&valueMask)*groupSize+(addr>>(24-t.stride))&0xff]
+	e2 := atomic.LoadUint32(&(*t.pool.Load())[(e&valueMask)*groupSize+(addr>>(24-t.stride))&0xff])
 	if e2&validBit == 0 {
 		return invalid, 2, false
 	}
@@ -298,49 +356,46 @@ func maskAddr(addr uint32, prefixLen int) uint32 {
 // entries currently held by prefixes no longer than it.
 func (t *Table) install(addr uint32, prefixLen int, value uint32) {
 	ent := entry(value, prefixLen)
-	stride := t.stride
+	stride, live := t.stride, t.quiesce != nil
 	if prefixLen <= int(stride) {
 		first := addr >> (32 - stride)
-		end := first + 1<<(stride-uint(prefixLen))
-		for slot := first; slot < end; slot++ {
-			e := t.tbl24[slot]
+		slots := t.tbl24[first : first+1<<(stride-uint(prefixLen))]
+		for j, e := range slots {
 			if e&extBit != 0 {
-				fill(t.group(e), prefixLen, ent)
+				fill(t.group(e), prefixLen, ent, live)
 			} else if depthOf(e) <= prefixLen { // an invalid entry has depth 0
-				t.tbl24[slot] = ent
+				store(slots, j, ent, live)
 			}
 		}
 		return
 	}
 	// Longer than the first-level stride: route through a group, which
-	// starts out as copies of the first-level entry it replaces.
+	// starts out as copies of the first-level entry it replaces and is
+	// filled before that entry points at it.
 	slot := addr >> (32 - stride)
-	e := t.tbl24[slot]
-	if e&extBit == 0 {
-		var g uint32
-		if n := len(t.free); n > 0 {
-			g, t.free = t.free[n-1], t.free[:n-1]
-		} else {
-			g = uint32(len(t.tbl8) / groupSize)
-			t.tbl8 = append(t.tbl8, make([]uint32, groupSize)...)
-		}
-		prev := e
-		e = validBit | extBit | g
-		t.tbl24[slot] = e
-		grp := t.group(e)
-		for j := range grp {
-			grp[j] = prev
-		}
-	}
 	first := (addr >> (24 - stride)) & 0xff // the 8 bits below the stride
-	fill(t.group(e)[first:first+1<<(stride+8-uint(prefixLen))], prefixLen, ent)
+	span := uint32(1) << (stride + 8 - uint(prefixLen))
+	prev := t.tbl24[slot]
+	if prev&extBit != 0 {
+		fill(t.group(prev)[first:first+span], prefixLen, ent, live)
+		return
+	}
+	g := t.newGroup()
+	grp := t.group(g)
+	for j := range grp { // plain stores: no reader holds a word naming g
+		grp[j] = prev
+	}
+	for j := first; j < first+span; j++ {
+		grp[j] = ent
+	}
+	store(t.tbl24, int(slot), validBit|extBit|g, live)
 }
 
 // fill writes ent into the entries of s held by prefixes no longer than depth.
-func fill(s []uint32, depth int, ent uint32) {
+func fill(s []uint32, depth int, ent uint32, live bool) {
 	for j, e := range s {
 		if depthOf(e) <= depth {
-			s[j] = ent
+			store(s, j, ent, live)
 		}
 	}
 }

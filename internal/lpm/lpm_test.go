@@ -1,7 +1,11 @@
 package lpm
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -364,12 +368,15 @@ func TestDeleteRecyclesGroups(t *testing.T) {
 }
 
 // FuzzTableOps drives byte-coded inserts, replaces, deletes, lookups, batch
-// lookups and clones over prefixes crowded into a few /16s of a stride-16
-// table, so /17–/24 prefixes allocate and recycle groups.  After every
-// operation the table must agree with the reference on every /24 of those
-// /16s (lengths stop at /24, so one address per /24 decides it), use
-// exactly one group per first-level slot holding a prefix longer than the
-// stride, and hold per-/8 prefix counts equal to a recount of Prefixes().
+// lookups and grace periods over prefixes crowded into a few /16s of a
+// stride-16 table, so /17–/24 prefixes allocate, retire and reuse groups.
+// The first grace-period op publishes the table, so a sequence runs both
+// the plain build and the published table's retire-and-reclaim path.  After
+// every operation the table must agree with the reference on every /24 of
+// those /16s (lengths stop at /24, so one address per /24 decides it), hold
+// exactly one group in use (neither free nor retired) per first-level slot
+// holding a prefix longer than the stride, and hold per-/8 prefix counts
+// equal to a recount of Prefixes().
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 0, 20, 5, 0, 0, 24, 5, 2, 0, 20, 5, 2, 0, 24, 5, 0, 1, 8, 0, 5, 1, 17, 9})
 	rng := rand.New(rand.NewSource(38))
@@ -451,15 +458,102 @@ func FuzzTableOps(f *testing.F) {
 						t.Fatalf("op %d: batch Lookup(%#x) = %d,%v reference %d,%v", i, a, values[j], hits[j], wv, wok)
 					}
 				}
-			case 5: // carry on with a clone, then mutate the original
-				orig := tbl
-				tbl = tbl.Clone()
-				orig.Insert(addr, plen, valueMask)
-				for _, p := range ref.prefixes {
-					orig.Delete(p.Addr, p.Len)
+			case 5: // publish the table, or let a grace period pass
+				if tbl.quiesce == nil {
+					tbl.Publish(func() {})
+				} else {
+					tbl.reclaim()
 				}
 			}
 			check(i)
 		}
 	})
+}
+
+// epochs is a minimal quiescent-state scheme for the concurrent tests: each
+// reader's counter is odd inside a lookup batch, and quiesce waits until
+// every reader that was inside one has left it.
+type epochs []atomic.Uint64
+
+func (e epochs) quiesce() {
+	for i := range e {
+		if v := e[i].Load(); v&1 != 0 {
+			for e[i].Load() == v {
+				runtime.Gosched()
+			}
+		}
+	}
+}
+
+// TestConcurrentReaders runs two readers, one batched (a long gap between
+// the first-level and the group load) and one per address (none), against a
+// writer that adds and withdraws /24s under eight covering /16s of a
+// published stride-16 table, so groups are created, folded back, retired
+// and reused under another /16 while the readers probe them.  Every prefix
+// carries its own value, so a lookup must return its /16's or its /24's: a
+// miss, or another prefix's value, is a group read before it was filled or
+// after it was reused.
+func TestConcurrentReaders(t *testing.T) {
+	tbl := newWithStride(16)
+	cover := func(a uint32) uint32 { return 1 + a>>16&0xff }
+	own := func(a uint32) uint32 { return 1<<16 + a>>8&0xffff }
+	for x := byte(0); x < 8; x++ {
+		if err := tbl.Insert(ip(10, x, 0, 0), 16, cover(ip(10, x, 0, 0))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readers := make(epochs, 2)
+	tbl.Publish(readers.quiesce)
+	var stop atomic.Bool
+	errs := make(chan error, len(readers))
+	var batches atomic.Int64
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			addrs := make([]uint32, 64)
+			values, depths, hits := make([]uint32, 64), make([]uint8, 64), make([]bool, 64)
+			for !stop.Load() {
+				for i := range addrs {
+					addrs[i] = ip(10, byte(rng.Intn(8)), byte(rng.Intn(2)), byte(rng.Intn(256)))
+				}
+				readers[r].Add(1)
+				if r == 0 {
+					tbl.LookupBatch(addrs, values, depths, hits)
+				} else {
+					for i, a := range addrs {
+						values[i], hits[i] = tbl.Lookup(a)
+					}
+				}
+				readers[r].Add(1)
+				for i, a := range addrs {
+					if !hits[i] || values[i] != cover(a) && values[i] != own(a) {
+						errs <- fmt.Errorf("Lookup(%#x) = %d,%v, want %d or %d", a, values[i], hits[i], cover(a), own(a))
+						return
+					}
+				}
+				batches.Add(1)
+			}
+		}(r)
+	}
+	for batches.Load() < int64(len(readers)) && len(errs) == 0 {
+		runtime.Gosched()
+	}
+	rng := rand.New(rand.NewSource(52))
+	for op := 0; op < 40000 && len(errs) == 0; op++ {
+		a := ip(10, byte(rng.Intn(8)), 0, 0)
+		if _, ok := tbl.Get(a, 24); ok {
+			tbl.Delete(a, 24)
+		} else if err := tbl.Insert(a, 24, own(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
 }

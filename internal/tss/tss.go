@@ -86,37 +86,6 @@ func NewDisjoint() *Classifier {
 // Len returns the number of entries.
 func (c *Classifier) Len() int { return c.count }
 
-// Clone returns a deep copy of the classifier: groups and their entry
-// buckets are copied, the entries themselves (immutable once inserted) are
-// shared.  The ESWITCH update path mirrors a live linked-list template
-// through Clone so flow-mods can be applied off to the side and swapped in
-// atomically.
-func (c *Classifier) Clone() *Classifier {
-	nc := &Classifier{
-		groups:   make([]*group, len(c.groups)),
-		bysig:    make(map[maskSignature]*group, len(c.bysig)),
-		count:    c.count,
-		nextSeq:  c.nextSeq,
-		disjoint: c.disjoint,
-	}
-	for i, g := range c.groups {
-		ng := &group{
-			sig:      g.sig,
-			fields:   g.fields,
-			masks:    g.masks,
-			entries:  make(map[string][]*Entry, len(g.entries)),
-			maxPrio:  g.maxPrio,
-			firstSeq: g.firstSeq,
-		}
-		for k, es := range g.entries {
-			ng.entries[k] = append([]*Entry(nil), es...)
-		}
-		nc.groups[i] = ng
-		nc.bysig[g.sig] = ng
-	}
-	return nc
-}
-
 func signatureOf(m *openflow.Match) (maskSignature, []openflow.Field, []uint64) {
 	fields := m.Fields().Fields()
 	masks := make([]uint64, len(fields))
@@ -188,35 +157,6 @@ func (c *Classifier) Insert(e *Entry) {
 	}
 	c.count++
 	c.resort()
-}
-
-// Delete removes the entry with an equal match (and equal priority when
-// priority >= 0), reporting whether one was removed.
-func (c *Classifier) Delete(m *openflow.Match, priority int) bool {
-	sig, _, _ := signatureOf(m)
-	g, ok := c.bysig[sig]
-	if !ok {
-		return false
-	}
-	key := keyOfMatch(g, m)
-	list := g.entries[key]
-	for i, e := range list {
-		if e.Match.Equal(m) && (priority < 0 || e.Priority == priority) {
-			g.entries[key] = append(list[:i], list[i+1:]...)
-			if len(g.entries[key]) == 0 {
-				delete(g.entries, key)
-			}
-			c.count--
-			if len(g.entries) == 0 {
-				c.removeGroup(g)
-			} else {
-				g.recomputeMaxPrio()
-			}
-			c.resort()
-			return true
-		}
-	}
-	return false
 }
 
 // DeleteWhere removes every entry for which pred returns true, returning the
