@@ -152,11 +152,11 @@ type valueSlots struct {
 	quiesce func()
 }
 
-// entry returns the entry in slot idx.
-func (s *valueSlots) entry(idx uint32) *compiledEntry { return (*s.store.Load())[idx].Load() }
-
-// slot returns slot idx for the writer to store into.
+// slot returns slot idx of the store loaded now.
 func (s *valueSlots) slot(idx uint32) *atomic.Pointer[compiledEntry] { return &(*s.store.Load())[idx] }
+
+// entry returns the entry in slot idx.
+func (s *valueSlots) entry(idx uint32) *compiledEntry { return s.slot(idx).Load() }
 
 // put stores ce and returns its slot: a free one, a retired one once a grace
 // period has passed, or a new one, doubling the store when it is full.

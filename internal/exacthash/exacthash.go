@@ -271,8 +271,7 @@ func (t *Table) Insert(k Key, value uint32) bool {
 			return true
 		}
 	} else if _, ok := t.place(slot{key: k, value: value}, 0); !ok {
-		const retired = uint64(laneRetired * laneOnes)
-		if len(t.retired) == 0 || zeroLanes(t.tags[h1&t.mask]^retired)|zeroLanes(t.tags[h2&t.mask]^retired) == 0 {
+		if len(t.retired) == 0 {
 			return false
 		}
 		t.reclaim()
