@@ -79,7 +79,7 @@ func runDifferential(t *testing.T, name string, pl *openflow.Pipeline, frames []
 			if metered {
 				opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
 			}
-			dp, err := core.Compile(pl, opts)
+			dp, err := core.Compile(pl.Clone(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -438,7 +438,7 @@ func testWorkerPathZeroLocksZeroAllocs(t *testing.T, uc *workload.UseCase, nFram
 	// The capacity guardrail is part of the armed failure plane; it gates
 	// AddFlow only, so the worker path below must never feel it.
 	opts.MaxTableEntries = 4096
-	dp, err := core.Compile(uc.Pipeline, opts)
+	dp, err := core.Compile(uc.Pipeline.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,15 +75,18 @@ func main() {
 	opts.Decompose = true
 	fmt.Printf("input: %d table(s), %d flow entries\n", pl.NumTables(), pl.NumEntries())
 
-	decomposed, extra := core.DecomposePipeline(pl, opts)
-	fmt.Printf("decomposed: %d table(s) (%d added), %d flow entries\n",
-		decomposed.NumTables(), extra, decomposed.NumEntries())
-
+	// The datapath takes pl over and executes the decomposed pipeline, which
+	// only adds tables to pl's.
+	tables := pl.NumTables()
 	dp, err := core.Compile(pl, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "compile: %v\n", err)
 		os.Exit(1)
 	}
+	decomposed := dp.Pipeline()
+	fmt.Printf("decomposed: %d table(s) (%d added), %d flow entries\n",
+		decomposed.NumTables(), decomposed.NumTables()-tables, decomposed.NumEntries())
+
 	byTemplate := map[core.TemplateKind]int{}
 	for _, st := range dp.Stages() {
 		byTemplate[st.Template]++

@@ -42,11 +42,13 @@
 //	sw.ProcessBurst(ps, vs)
 //
 // Concurrency contract: the steady-state forwarding path is lock-free.  The
-// compiled state is published through an atomically-swapped immutable
-// snapshot plus per-table trampolines, and flow-table updates (AddFlow,
-// DeleteFlow) build the new representation off to the side, swap it in with
-// one atomic store, and reclaim superseded copies only after every
-// registered worker epoch has passed a quiescent point (DPDK-style QSBR).
+// compiled state is published through an atomically-swapped snapshot plus
+// per-table trampolines.  Flow-table updates (AddFlow, DeleteFlow) run one at
+// a time: the compound-hash and LPM templates take them in place on their one
+// live copy with single-word atomic stores, any other table is rebuilt off to
+// the side and swapped in with one atomic store, and memory an update retired
+// is reused only after every registered worker epoch has passed a quiescent
+// point (DPDK-style QSBR).
 // Process and ProcessBurst may therefore be called from many goroutines
 // concurrently with updates — each call pins a recycled worker (epoch,
 // burst scratch, verdict cache) for its duration.  Dedicated forwarding
@@ -263,7 +265,10 @@ type Switch struct {
 	dp *core.Datapath
 }
 
-// New compiles the pipeline into an ESWITCH fast path.
+// New compiles the pipeline into an ESWITCH fast path.  The switch takes pl
+// over, as AddFlow takes its entry: flow-mods update pl's tables, and neither
+// pl nor an entry of it may be modified, or handed to another switch, after
+// the call.  To build two switches from one pipeline, give one a Clone.
 func New(pl *Pipeline, opts Options) (*Switch, error) {
 	dp, err := core.Compile(pl, opts)
 	if err != nil {
@@ -393,7 +398,8 @@ func DefaultBaselineOptions() BaselineOptions { return ovs.DefaultOptions() }
 // switch the paper compares against.
 type Baseline = ovs.Switch
 
-// NewBaseline builds the baseline switch over the pipeline.
+// NewBaseline builds the baseline switch over the pipeline, taking pl over as
+// New does.
 func NewBaseline(pl *Pipeline, opts BaselineOptions) (*Baseline, error) { return ovs.New(pl, opts) }
 
 // ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ func TestFacadeUseCasesAndBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", uc.Name, err)
 		}
-		baseline, err := eswitch.NewBaseline(uc.Pipeline, eswitch.DefaultBaselineOptions())
+		baseline, err := eswitch.NewBaseline(uc.Pipeline.Clone(), eswitch.DefaultBaselineOptions())
 		if err != nil {
 			t.Fatalf("%s baseline: %v", uc.Name, err)
 		}

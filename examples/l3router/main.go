@@ -20,7 +20,8 @@ func main() {
 
 	esOpts := eswitch.DefaultOptions()
 	esOpts.Meter = eswitch.NewMeter(eswitch.DefaultPlatform())
-	router, err := eswitch.New(uc.Pipeline, esOpts)
+	// Each switch takes its pipeline over, so the router compiles a copy.
+	router, err := eswitch.New(uc.Pipeline.Clone(), esOpts)
 	if err != nil {
 		panic(err)
 	}

@@ -20,9 +20,10 @@ func main() {
 
 	// Compile once without and once with table decomposition: the
 	// decomposer (§3.2) only rewrites tables that would otherwise fall back
-	// to the linked-list template, and this one does not.
+	// to the linked-list template, and this one does not.  Each switch takes
+	// its pipeline over, so the first compiles a copy.
 	naiveOpts := eswitch.DefaultOptions()
-	naive, err := eswitch.New(uc.Pipeline, naiveOpts)
+	naive, err := eswitch.New(uc.Pipeline.Clone(), naiveOpts)
 	if err != nil {
 		panic(err)
 	}

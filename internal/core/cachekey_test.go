@@ -68,7 +68,7 @@ func TestCacheArming(t *testing.T) {
 				t.Fatalf("armed=%v key=%q unarmed=%q; want armed=%v key=%q", dp.FlowCacheEnabled(), key, why, c.armed, c.key)
 			}
 			// Without the option nothing is derived at all.
-			plain, err := Compile(c.uc.Pipeline, DefaultOptions())
+			plain, err := Compile(c.uc.Pipeline.Clone(), DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -438,7 +438,7 @@ func TestStaticKeySweep(t *testing.T) {
 			if key, why := dp.FlowCacheKey(); key != c.key || why != "" {
 				t.Fatalf("compiled key %q (%s), want %q armed", key, why, c.key)
 			}
-			plain, err := Compile(c.uc.Pipeline, DefaultOptions())
+			plain, err := Compile(c.uc.Pipeline.Clone(), DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}

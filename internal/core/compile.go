@@ -196,14 +196,13 @@ type Datapath struct {
 	decomposedBy int // extra tables produced by decomposition
 }
 
-// Compile specializes the pipeline into an ESWITCH datapath.
+// Compile specializes the pipeline into an ESWITCH datapath.  The datapath
+// takes pl over, as AddFlow takes its entry: flow-mods update pl's tables, its
+// entries count the packets that match them, and neither pl nor an entry of
+// it may be modified, or handed to another switch, after the call.  A caller
+// that needs the pipeline elsewhere compiles a Clone.  The tables the
+// decomposer leaves alone execute pl's own entries.
 func Compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
-	return compile(pl.Clone(), opts)
-}
-
-// compile specializes pl and takes it over as the datapath's source: the
-// tables the decomposer leaves alone execute pl's own entries.
-func compile(pl *openflow.Pipeline, opts Options) (*Datapath, error) {
 	if opts.DirectCodeMaxEntries == 0 {
 		opts.DirectCodeMaxEntries = DefaultOptions().DirectCodeMaxEntries
 	}
@@ -334,8 +333,7 @@ func (d *Datapath) compileEntry(e *openflow.FlowEntry) (*compiledEntry, error) {
 	ce := &compiledEntry{
 		ins:      d.internInstructions(&e.Instructions),
 		counters: &cmp.Or(d.origin[e], e).Counters, // a derived entry counts on its source
-		priority: e.Priority,
-		match:    e.Match,
+		entry:    e,
 	}
 	if ce.ins.HasGoto {
 		tr, ok := d.trampolines[ce.ins.GotoTable]
@@ -349,14 +347,16 @@ func (d *Datapath) compileEntry(e *openflow.FlowEntry) (*compiledEntry, error) {
 
 // internInstructions returns the shared record of an instruction set,
 // creating it on first use: §3.1's shared action sets, widened to the whole
-// set, with the set's action program compiled once beside it.  The key is
-// built in the writer-owned keyBuf, so a hit allocates and compiles nothing.
+// set, with the set's action program compiled once beside it.  The record
+// keeps the first entry's own action lists, which no one modifies once the
+// entry is installed.  The key is built in the writer-owned keyBuf, so a hit
+// allocates and compiles nothing.
 func (d *Datapath) internInstructions(ins *openflow.Instructions) *sharedIns {
 	d.keyBuf = ins.AppendKey(d.keyBuf[:0])
 	if shared, ok := d.insCache[string(d.keyBuf)]; ok {
 		return shared
 	}
-	shared := &sharedIns{prog: compileProgram(ins), Instructions: ins.Clone()}
+	shared := &sharedIns{prog: compileProgram(ins), Instructions: *ins}
 	d.insCache[string(d.keyBuf)] = shared
 	return shared
 }
@@ -364,10 +364,11 @@ func (d *Datapath) internInstructions(ins *openflow.Instructions) *sharedIns {
 // ParserLayer returns the parsing depth the compiled parser template uses.
 func (d *Datapath) ParserLayer() pkt.Layer { return d.snap.Load().parserLayer }
 
-// Pipeline returns the (possibly decomposed) pipeline the datapath executes.
-// It is handed out without a lock, and its flow tables build their order on
-// read (a read may merge parked adds, see openflow.FlowTable): read it only
-// while no flow-mod, Sweeper pass or FlowSamples call can run.
+// Pipeline returns the (possibly decomposed) pipeline the datapath executes:
+// without decomposition, the pipeline Compile took over.  It is handed out
+// without a lock, and its flow tables build their order on read (a read may
+// merge parked adds, see openflow.FlowTable): read it only while no flow-mod,
+// Sweeper pass or FlowSamples call can run.
 func (d *Datapath) Pipeline() *openflow.Pipeline { return d.pipeline }
 
 // Rebuilds returns how many per-table template (re)builds have happened.

@@ -149,13 +149,13 @@ type compiledEntry struct {
 	ins      *sharedIns
 	next     *trampoline
 	counters *openflow.Counters
-	// priority and match are retained for incremental updates and
-	// debugging; the hot path never consults them.  match is the pipeline
-	// entry's own: the datapath owns its pipeline's entries (Compile clones
-	// the caller's pipeline, AddFlow takes its entry over) and never
-	// modifies their matches, so the compiled entry needs no copy.
-	priority int
-	match    *openflow.Match
+	// entry is the pipeline entry compiled here (for a decomposed table,
+	// the derived entry; counters stay its source's), whose priority and
+	// match incremental updates and the tracer read; the hot path never
+	// consults it.  The datapath owns its pipeline's entries (Compile takes
+	// the pipeline over, AddFlow the entry) and never modifies them, so the
+	// compiled entry needs no copy.
+	entry *openflow.FlowEntry
 }
 
 // matcherFunc is a specialized per-field matcher: the flow key is folded into

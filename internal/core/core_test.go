@@ -51,7 +51,7 @@ func ethPacket(tb testing.TB, inPort uint32, dst, src pkt.MAC) *pkt.Packet {
 // verdicts.
 func checkEquivalence(t *testing.T, pl *openflow.Pipeline, opts Options, packets []*pkt.Packet) {
 	t.Helper()
-	dp, err := Compile(pl, opts)
+	dp, err := Compile(pl.Clone(), opts)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -880,14 +880,39 @@ func TestCountersOnCompiledPath(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		dp.Process(clonePacket(p), &v)
 	}
-	// The compiled datapath works on a cloned pipeline; its own counters
-	// must reflect the traffic.
+	// The pipeline's own counters must reflect the traffic.
 	total := uint64(0)
 	for _, e := range dp.Pipeline().Table(0).Entries() {
 		total += e.Counters.Packets.Load()
 	}
 	if total != 7 {
 		t.Fatalf("counters after 7 packets: %d", total)
+	}
+}
+
+// TestCompileTakesPipelineOver checks that Compile copies no entry: the
+// datapath executes the caller's own pipeline, and a packet counts on the
+// entry the caller built.
+func TestCompileTakesPipelineOver(t *testing.T) {
+	pl := openflow.NewPipeline(4)
+	e := pl.Table(0).AddFlow(10, openflow.NewMatch().Set(openflow.FieldTCPDst, 4), openflow.Apply(openflow.Output(2)))
+	pl.Table(0).AddFlow(0, openflow.NewMatch(), openflow.Apply(openflow.Drop()))
+	opts := DefaultOptions()
+	opts.UpdateCounters = true
+	dp, err := Compile(pl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dp.Pipeline() != pl {
+		t.Fatal("the datapath executes a copy of the pipeline it was given")
+	}
+	var v openflow.Verdict
+	dp.Process(tcpPacket(t, 1, 1, 2, 3, 4), &v)
+	if !v.Forwarded() || v.OutPorts[0] != 2 {
+		t.Fatalf("verdict %v, want output to port 2", v.String())
+	}
+	if n := e.Counters.Packets.Load(); n != 1 {
+		t.Fatalf("the caller's entry counted %d packets, want 1", n)
 	}
 }
 

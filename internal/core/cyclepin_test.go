@@ -68,7 +68,7 @@ func TestCycleModelPinned(t *testing.T) {
 			}
 			oopts := ovs.DefaultOptions()
 			oopts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
-			sw, err := ovs.New(uc.Pipeline, oopts)
+			sw, err := ovs.New(uc.Pipeline.Clone(), oopts)
 			if err != nil {
 				t.Fatal(err)
 			}

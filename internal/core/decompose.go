@@ -16,8 +16,12 @@ import (
 // template (which, empirically, covers most production pipelines), and it is
 // only applied to tables whose rules are exact-match-or-wildcard (arbitrary
 // masks stay on the linked-list template).
+//
+// pl is left as it was: the pass works on a fork of it, which shares the
+// entries of the tables it leaves alone (a decomposed table's entries are
+// derived copies), so no entry of either may be modified afterwards.
 func DecomposePipeline(pl *openflow.Pipeline, opts Options) (*openflow.Pipeline, int) {
-	out, from, _ := decompose(pl.Clone(), opts)
+	out, from, _ := decompose(pl, opts)
 	return out, len(from)
 }
 

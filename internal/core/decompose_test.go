@@ -231,10 +231,10 @@ func TestDecomposePromotesToFastTemplates(t *testing.T) {
 // would shadow the rules moved into derived tables.
 func TestDecomposedFlowModsFollowSource(t *testing.T) {
 	uc := decomposedACL()
-	src := uc.Pipeline.Clone()
+	src := uc.Pipeline // the interpreter's; the datapath takes a copy over
 	opts := DefaultOptions()
 	opts.Decompose = true
-	dp, err := Compile(src, opts)
+	dp, err := Compile(src.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

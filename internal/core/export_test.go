@@ -9,11 +9,12 @@ func (d *Datapath) NumSharedActionSets() int { return len(d.insCache) }
 func (d *Datapath) DecomposedTables() int { return d.decomposedBy }
 
 // InstallPipeline replaces the entire running pipeline with a freshly
-// compiled one: the "full reconfiguration" upper bound of an update.
+// compiled one: the "full reconfiguration" upper bound of an update.  The
+// datapath takes pl over, as Compile does.
 func (d *Datapath) InstallPipeline(pl *openflow.Pipeline) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.recompile(pl.Clone())
+	return d.recompile(pl)
 }
 
 // Len returns the cache capacity in entries.

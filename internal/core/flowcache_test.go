@@ -532,7 +532,7 @@ func TestMeterOffForwardingPlane(t *testing.T) {
 		opts := DefaultOptions()
 		opts.FlowCache = flowCache
 		opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
-		dp, err := Compile(uc.Pipeline, opts)
+		dp, err := Compile(uc.Pipeline.Clone(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -660,7 +660,7 @@ func flowCacheDifferential(t *testing.T, entries int, resident bool) {
 
 			plainOpts := DefaultOptions()
 			plainOpts.Decompose = decomposes(uc)
-			plain, err := Compile(uc.Pipeline, plainOpts)
+			plain, err := Compile(uc.Pipeline.Clone(), plainOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1134,7 +1134,7 @@ func flowCacheEvictionChurn(t *testing.T, zipf bool) FlowCacheStats {
 	uc := workload.L3ACLRouterUseCase(5000, 200, 4, 3)
 	dp, w := fcWorker(t, uc, 256) // deliberately tiny: 64 sets x 4 ways
 	defer dp.UnregisterWorker(w)
-	plain, err := Compile(uc.Pipeline, DefaultOptions())
+	plain, err := Compile(uc.Pipeline.Clone(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,14 @@ import (
 )
 
 // TestEntryFootprint bounds the live heap one flow entry costs once it is
-// installed: its pipeline entry, the compiled datapath's clone of it and its
-// compiled slot, read over building and compiling L2UseCase(10000, 4).  It
-// reads about 750 B on 64-bit platforms (docs/architecture.md, "Memory per
-// flow entry"); the bound leaves room for allocator size classes, not for
-// another copy of a match with every field's value and mask.
+// installed: its pipeline entry, which the datapath takes over, and its
+// compiled entry and template slot, read over building and compiling
+// L2UseCase(10000, 4).  It reads about 480 B on 64-bit platforms
+// (docs/architecture.md, "Memory per flow entry"); the bound leaves room for
+// allocator size classes, not for another copy of the entry's match or
+// action list.
 func TestEntryFootprint(t *testing.T) {
-	const entries, limit = 10000, 1000
+	const entries, limit = 10000, 550
 	liveHeap := func() uint64 {
 		runtime.GC()
 		runtime.GC()

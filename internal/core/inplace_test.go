@@ -303,7 +303,7 @@ func TestRetiredHeldUntilGracePeriod(t *testing.T) {
 		idx, _, _ := l.table.Resolve(addr, word)
 		coverIdx, _, _ := l.table.Resolve(cover, word)
 		held := l.entry(idx)
-		if _, err := dp.DeleteFlow(1, held.match, held.priority); err != nil {
+		if _, err := dp.DeleteFlow(1, held.entry.Match, held.entry.Priority); err != nil {
 			t.Fatal(err)
 		}
 		// /26s under the other /16s: a group reused for one of them holds
@@ -332,7 +332,7 @@ func TestRetiredHeldUntilGracePeriod(t *testing.T) {
 		add(t, dp, 0, station(0))
 		idx, _ := h.table.Lookup(h.gather.entry(station(0).Match)) // the held reader's tag and key
 		held := h.entry(idx)
-		if _, err := dp.DeleteFlow(0, held.match, held.priority); err != nil {
+		if _, err := dp.DeleteFlow(0, held.entry.Match, held.entry.Priority); err != nil {
 			t.Fatal(err)
 		}
 		for j := 1; j < ipStations && slots == 0; j++ {

@@ -91,7 +91,7 @@ func TestPuntAttribution(t *testing.T) {
 	for _, fc := range []int{0, 1024} {
 		opts := DefaultOptions()
 		opts.FlowCache = fc
-		dp, err := Compile(pl, opts)
+		dp, err := Compile(pl.Clone(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,12 +64,14 @@ func (r *scopeRig) twins() []modTarget {
 	return ts
 }
 
+// newScopeRig compiles a copy of pl: the datapath takes its pipeline over,
+// and the rig's mods must not reach pl, which a rig case shares between seeds.
 func newScopeRig(t testing.TB, pl *openflow.Pipeline, decompose bool, entries int, frames [][]byte, inPorts []uint32) *scopeRig {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Decompose = decompose
 	opts.FlowCache = entries
-	dp, err := Compile(pl, opts)
+	dp, err := Compile(pl.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,27 +101,28 @@ func (r *scopeRig) walk(i int) []openflow.TableID {
 	return path
 }
 
-// meteredTwin gives the rig its metered datapath, compiled from the pipeline
-// the mods name (decomposition numbers its tables differently from one run
-// to the next) and decomposed as the rig's is, so its walks visit as many
-// tables.
+// meteredTwin gives the rig its metered datapath, compiled from a copy of the
+// pipeline the mods name (decomposition numbers its tables differently from
+// one run to the next) and decomposed as the rig's is, so its walks visit as
+// many tables.  Each switch takes its pipeline over, and the twin follows the
+// rig's mods on its own copy.
 func (r *scopeRig) meteredTwin() {
 	r.t.Helper()
 	opts := DefaultOptions()
 	opts.Decompose = r.dp.opts.Decompose
 	opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
-	dp, err := Compile(r.modPipeline(), opts)
+	dp, err := Compile(r.modPipeline().Clone(), opts)
 	if err != nil {
 		r.t.Fatal(err)
 	}
 	r.metered = dp
 }
 
-// ovsTwin gives the rig its baseline switch, over the pipeline the mods name
-// for the same reason.
+// ovsTwin gives the rig its baseline switch, over a copy of the pipeline the
+// mods name for the same reasons.
 func (r *scopeRig) ovsTwin() {
 	r.t.Helper()
-	sw, err := ovs.New(r.modPipeline(), ovs.DefaultOptions())
+	sw, err := ovs.New(r.modPipeline().Clone(), ovs.DefaultOptions())
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -964,7 +967,8 @@ func TestScopedInvalidationPins(t *testing.T) {
 // TestDirtyFieldAnalysis checks the per-table dirty sets on the gateway and
 // that they grow when a flow-mod adds a new kind of rewrite upstream.
 func TestDirtyFieldAnalysis(t *testing.T) {
-	uc := workload.GatewayUseCase(workload.GatewayConfig{CEs: 2, UsersPerCE: 3, Prefixes: 50, Seed: 5})
+	gc := workload.GatewayConfig{CEs: 2, UsersPerCE: 3, Prefixes: 50, Seed: 5}
+	uc := workload.GatewayUseCase(gc)
 	opts := DefaultOptions()
 	opts.FlowCache = 256
 	dp, err := Compile(uc.Pipeline, opts)
@@ -1014,7 +1018,7 @@ func TestDirtyFieldAnalysis(t *testing.T) {
 		t.Fatalf("the scope log's backing array is %d bytes, over the 4 KB it is documented to stay under", size)
 	}
 	// Without caches there is nothing to invalidate: no analysis, no log.
-	plain, err := Compile(uc.Pipeline, DefaultOptions())
+	plain, err := Compile(workload.GatewayUseCase(gc).Pipeline, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

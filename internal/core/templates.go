@@ -85,7 +85,7 @@ func (d *directCode) Insert(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	// Keep entries ordered by decreasing priority (stable).
 	pos := len(d.entries)
 	for i := range d.entries {
-		if d.entries[i].out.priority < e.Priority {
+		if d.entries[i].out.entry.Priority < e.Priority {
 			pos = i
 			break
 		}
@@ -100,7 +100,7 @@ func (d *directCode) Insert(e *openflow.FlowEntry, ce *compiledEntry) bool {
 // calls it, on a copy: a direct-code table is always rebuilt.
 func (d *directCode) Replace(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	for i := range d.entries {
-		if out := d.entries[i].out; out.priority == e.Priority && out.match.Equal(e.Match) {
+		if out := d.entries[i].out; out.entry.Priority == e.Priority && out.entry.Match.Equal(e.Match) {
 			d.entries[i].out = ce
 			return true
 		}
@@ -112,7 +112,7 @@ func (d *directCode) Remove(match *openflow.Match, priority int) int {
 	kept := d.entries[:0]
 	removed := 0
 	for _, e := range d.entries {
-		if e.out.match.Equal(match) && (priority < 0 || e.out.priority == priority) {
+		if e.out.entry.Match.Equal(match) && (priority < 0 || e.out.entry.Priority == priority) {
 			removed++
 			continue
 		}
@@ -198,7 +198,7 @@ func (s *valueSlots) reclaim() {
 // share takes a second entry under the key slot idx already serves: the
 // higher priority of the two stays in the slot.
 func (s *valueSlots) share(idx uint32, ce *compiledEntry) {
-	if s.entry(idx).priority < ce.priority {
+	if s.entry(idx).entry.Priority < ce.entry.Priority {
 		s.slot(idx).Store(ce)
 	}
 	if s.shared == nil {
@@ -211,18 +211,18 @@ func (s *valueSlots) share(idx uint32, ce *compiledEntry) {
 // that entry has the given priority (any when negative).
 func (s *valueSlots) removable(idx uint32, priority int) bool {
 	_, shared := s.shared[idx]
-	return !shared && (priority < 0 || s.entry(idx).priority == priority)
+	return !shared && (priority < 0 || s.entry(idx).entry.Priority == priority)
 }
 
 // swap puts ce in slot idx in place of the entry of its priority.  The lower
 // entry under a shared key lives only in the declarative table, so replacing
 // it leaves the slot as it is.
 func (s *valueSlots) swap(idx uint32, ce *compiledEntry) bool {
-	switch prio := s.entry(idx).priority; {
-	case prio == ce.priority:
+	switch prio := s.entry(idx).entry.Priority; {
+	case prio == ce.entry.Priority:
 		s.slot(idx).Store(ce)
 		return true
-	case prio > ce.priority:
+	case prio > ce.entry.Priority:
 		_, shared := s.shared[idx]
 		return shared
 	}
@@ -344,7 +344,7 @@ func (h *hashTable) CanInsert(e *openflow.FlowEntry) bool {
 	if !h.gather.compatible(e.Match) {
 		return e.Priority < h.prioLo && tail.Len() < tail.maxEntries
 	}
-	return tail.Len() == 0 || e.Priority > tail.entries[0].out.priority
+	return tail.Len() == 0 || e.Priority > tail.entries[0].out.entry.Priority
 }
 
 // Insert reports false when the cuckoo table, published, has no room for
@@ -572,7 +572,7 @@ func (l *lpmTable) prefix(match *openflow.Match) (addr uint32, plen int, ok bool
 
 func (l *lpmTable) Remove(match *openflow.Match, priority int) int {
 	if match.IsEmpty() {
-		if def := l.def.Load(); def != nil && (priority < 0 || def.priority == priority) {
+		if def := l.def.Load(); def != nil && (priority < 0 || def.entry.Priority == priority) {
 			l.def.Store(nil)
 			return 1
 		}
@@ -593,7 +593,7 @@ func (l *lpmTable) Remove(match *openflow.Match, priority int) int {
 
 func (l *lpmTable) Replace(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	if e.Match.IsEmpty() {
-		if def := l.def.Load(); def == nil || def.priority != e.Priority {
+		if def := l.def.Load(); def == nil || def.entry.Priority != e.Priority {
 			return false
 		}
 		l.def.Store(ce)

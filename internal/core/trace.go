@@ -114,8 +114,8 @@ type TraceStep struct {
 // matched records the entry the step's lookup found.
 func (s *TraceStep) matched(ce *compiledEntry) {
 	s.Matched = true
-	s.Priority = ce.priority
-	s.Match = ce.match
+	s.Priority = ce.entry.Priority
+	s.Match = ce.entry.Match
 	s.Apply = ce.ins.ApplyActions
 	s.Next, s.HasNext = ce.ins.GotoTable, ce.ins.HasGoto
 }

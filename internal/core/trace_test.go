@@ -346,7 +346,7 @@ func TestTraceRecordsWhatLookupsExamined(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := Compile(uc.Pipeline, DefaultOptions())
+		twin, err := Compile(uc.Pipeline.Clone(), DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -242,7 +242,7 @@ func (d *Datapath) deleteFlow(tableID openflow.TableID, match *openflow.Match, p
 // the mod applied (on a derived table a low-priority entry would shadow the
 // rest), so the entries the mod left keep their counters and sweeper clocks.
 func (d *Datapath) recompile(pl *openflow.Pipeline) error {
-	nd, err := compile(pl, d.opts)
+	nd, err := Compile(pl, d.opts)
 	if err != nil {
 		return err
 	}

@@ -154,10 +154,12 @@ func runTrace(trace *pktgen.Trace, process func(*pkt.Packet, *openflow.Verdict),
 }
 
 // measureESWITCH compiles the use case with ESWITCH and measures one point.
+// The sweeps measure one use case many times, so each datapath gets its own
+// copy of the pipeline.
 func measureESWITCH(uc *workload.UseCase, flows, packets int) measurement {
 	opts := core.DefaultOptions()
 	opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
-	dp, err := core.Compile(uc.Pipeline, opts)
+	dp, err := core.Compile(uc.Pipeline.Clone(), opts)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: compile %s: %v", uc.Name, err))
 	}
@@ -172,11 +174,12 @@ func measureESWITCH(uc *workload.UseCase, flows, packets int) measurement {
 	return runTrace(trace, dp.Process, opts.Meter, warmup, packets, nil)
 }
 
-// measureBaseline builds the OVS-style baseline and measures one point.
+// measureBaseline builds the OVS-style baseline over its own copy of the
+// pipeline and measures one point.
 func measureBaseline(uc *workload.UseCase, flows, packets int) measurement {
 	opts := ovs.DefaultOptions()
 	opts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
-	sw, err := ovs.New(uc.Pipeline, opts)
+	sw, err := ovs.New(uc.Pipeline.Clone(), opts)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: baseline %s: %v", uc.Name, err))
 	}

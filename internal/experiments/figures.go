@@ -445,10 +445,11 @@ func Fig18(cfg Config) Result {
 		return meter.PacketRate()
 	}
 
-	// ESWITCH.
+	// ESWITCH, over a copy: both switches take flow-mods on their own
+	// pipeline.
 	esOpts := core.DefaultOptions()
 	esOpts.Meter = cpumodel.NewMeter(cpumodel.DefaultPlatform())
-	esDP, err := core.Compile(uc.Pipeline, esOpts)
+	esDP, err := core.Compile(uc.Pipeline.Clone(), esOpts)
 	if err != nil {
 		panic(err)
 	}
@@ -519,16 +520,17 @@ func Fig19(cfg Config) Result {
 	for _, f := range flowsSet {
 		res.Header = append(res.Header, fmt.Sprintf("ES(%d flows)", f), fmt.Sprintf("OVS(%d flows)", f))
 	}
-	// Measure single-core model rates once per flow count, then scale by
-	// core count (both designs share nothing per core in this experiment,
-	// matching the paper's linear scaling).
+	// Measure single-core model rates once per flow count, each switch over
+	// its own copy of the pipeline, then scale by core count (both designs
+	// share nothing per core in this experiment, matching the paper's linear
+	// scaling).
 	type pair struct{ es, ovs float64 }
 	perCore := make([]pair, len(flowsSet))
 	for i, f := range flowsSet {
 		packets := cfg.packets(f)
 		esOpts := core.DefaultOptions()
 		esOpts.Meter = cpumodel.NewMeter(platform)
-		dp, err := core.Compile(uc.Pipeline, esOpts)
+		dp, err := core.Compile(uc.Pipeline.Clone(), esOpts)
 		if err != nil {
 			panic(err)
 		}
@@ -537,7 +539,7 @@ func Fig19(cfg Config) Result {
 
 		ovsOpts := ovs.DefaultOptions()
 		ovsOpts.Meter = cpumodel.NewMeter(platform)
-		sw, err := ovs.New(uc.Pipeline, ovsOpts)
+		sw, err := ovs.New(uc.Pipeline.Clone(), ovsOpts)
 		if err != nil {
 			panic(err)
 		}

@@ -111,7 +111,7 @@ func TestInstructionsAppendKey(t *testing.T) {
 	key := func(ins Instructions) string { return string(ins.AppendKey(nil)) }
 	seen := map[string]int{key(base): -1}
 	for n, f := range vary {
-		ins := base.Clone()
+		ins := base.clone()
 		f(&ins)
 		if prev, dup := seen[key(ins)]; dup {
 			t.Errorf("variation %d shares its key with %d", n, prev)

@@ -469,7 +469,7 @@ func TestInstructionsEqualAndClone(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatal("equal instructions not equal")
 	}
-	c := a.Clone()
+	c := a.clone()
 	c.ApplyActions[0] = Output(9)
 	if a.ApplyActions[0].Port != 1 {
 		t.Fatal("clone aliases apply actions")

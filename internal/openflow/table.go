@@ -102,8 +102,8 @@ func (ins *Instructions) AppendKey(b []byte) []byte {
 	return ins.WriteActions.appendKey(ins.ApplyActions.appendKey(b))
 }
 
-// Clone returns a deep copy of the instructions.
-func (ins Instructions) Clone() Instructions {
+// clone returns a deep copy of the instructions.
+func (ins Instructions) clone() Instructions {
 	c := ins
 	c.ApplyActions = ins.ApplyActions.Clone()
 	c.WriteActions = ins.WriteActions.Clone()
@@ -166,7 +166,7 @@ func (e *FlowEntry) Clone() *FlowEntry {
 	return &FlowEntry{
 		Priority:     e.Priority,
 		Match:        e.Match.Clone(),
-		Instructions: e.Instructions.Clone(),
+		Instructions: e.Instructions.clone(),
 		Cookie:       e.Cookie,
 		IdleTimeout:  e.IdleTimeout,
 		HardTimeout:  e.HardTimeout,

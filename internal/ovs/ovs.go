@@ -132,7 +132,9 @@ type Switch struct {
 	slowRegion  *cpumodel.Region
 }
 
-// New builds a baseline switch over the pipeline.
+// New builds a baseline switch over the pipeline.  The switch takes pl over,
+// as AddFlow takes its entry: flow-mods update pl's tables, and neither pl nor
+// an entry of it may be modified, or handed to another switch, after the call.
 func New(pl *openflow.Pipeline, opts Options) (*Switch, error) {
 	if err := pl.Validate(); err != nil {
 		return nil, fmt.Errorf("ovs: invalid pipeline: %w", err)
@@ -145,7 +147,7 @@ func New(pl *openflow.Pipeline, opts Options) (*Switch, error) {
 	}
 	s := &Switch{
 		opts:            opts,
-		pipeline:        pl.Clone(),
+		pipeline:        pl,
 		meter:           opts.Meter,
 		micro:           make(map[microKey]*megaflow),
 		mega:            tss.NewDisjoint(),

@@ -76,6 +76,29 @@ func checkAgainstInterpreter(t *testing.T, pl *openflow.Pipeline, opts Options, 
 	return sw
 }
 
+// TestNewTakesPipelineOver checks that New copies no entry: the slow path
+// classifies over the caller's own pipeline, so a flow-mod on the switch is
+// one on that pipeline.
+func TestNewTakesPipelineOver(t *testing.T) {
+	pl := firewallPipeline()
+	sw, err := New(pl, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := openflow.NewEntry(400, openflow.NewMatch().Set(openflow.FieldInPort, 1), openflow.Apply(openflow.Output(2)))
+	if err := sw.AddFlow(0, e); err != nil {
+		t.Fatal(err)
+	}
+	if pl.Table(0).Entry(400, e.Match) != e {
+		t.Fatal("the switch took the flow-mod on a copy of the pipeline it was given")
+	}
+	var v openflow.Verdict
+	sw.Process(tcpPacket(t, 1, 1, 2, 3, 4), &v)
+	if !v.Forwarded() || v.OutPorts[0] != 2 {
+		t.Fatalf("verdict %v, want output to port 2", v.String())
+	}
+}
+
 func TestFirewallCorrectness(t *testing.T) {
 	pl := firewallPipeline()
 	web := pkt.IPv4FromOctets(192, 0, 2, 1)

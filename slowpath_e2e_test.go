@@ -215,7 +215,7 @@ func collectPuntSequence(t *testing.T, flowCache int, pl *openflow.Pipeline, tra
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.FlowCache = flowCache
-	dp, err := core.Compile(pl, opts)
+	dp, err := core.Compile(pl.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +507,7 @@ func TestMissSendLenTruncationAcrossPaths(t *testing.T) {
 	compile := func(flowCache int) *core.Datapath {
 		opts := core.DefaultOptions()
 		opts.FlowCache = flowCache
-		dp, err := core.Compile(pl, opts)
+		dp, err := core.Compile(pl.Clone(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
