@@ -37,7 +37,7 @@ type burstScratch struct {
 	// key material computed for the whole burst before any probe (compound
 	// hash keys, LPM addresses) and the batched probe results.
 	gidx   [MaxBurst]int32
-	keys   [MaxBurst]hashKey
+	keys   [MaxBurst][4]uint64
 	addrs  [MaxBurst]uint32
 	values [MaxBurst]uint32
 	hash   exacthash.BatchScratch

@@ -763,12 +763,14 @@ func TestCatchAllInsertChecksPriorities(t *testing.T) {
 
 // TestTemplateValueSlotsReused churns one LPM and one compound-hash table
 // through thousands of incremental add/delete pairs, two churned entries alive
-// at a time so freed slots are refilled beside live ones.  The value store
-// must stay bounded by the live entries (it used to grow by one slot per add
-// and keep every deleted entry reachable), every slot must be held — by an
-// entry or, retired, until the next grace period — or free, and the datapath
-// must still agree with the interpreter on every frame, including the ones
-// the last churned entries catch.
+// at a time so freed slots are refilled beside live ones.  The LPM's value
+// store must stay bounded by the live entries (it used to grow by one slot
+// per add and keep every deleted entry reachable), and every slot must be
+// held — by an entry or, retired, until the next grace period — or free.
+// The compound hash stores its entries beside their keys: its cuckoo table
+// must keep its size and hold exactly the live keys.  The datapath must
+// still agree with the interpreter on every frame, including the ones the
+// last churned entries catch.
 func TestTemplateValueSlotsReused(t *testing.T) {
 	const pairs = 5000
 	l3 := workload.L3UseCase(1000, 8, 2016)
@@ -786,20 +788,44 @@ func TestTemplateValueSlotsReused(t *testing.T) {
 		frames  [][]byte
 		inPorts []uint32
 		kind    TemplateKind
-		slots   func(tableDatapath) *valueSlots
+		// check holds the churned table to its store, given the table as
+		// compiled and as churned.
+		check func(t *testing.T, compiled, live tableDatapath)
 		// entry is the i-th churned entry: a host route to a frame's
 		// destination (the RIB holds nothing longer than a /24), or a
 		// station the bridge does not know.
 		entry func(i int) *openflow.FlowEntry
 	}{
-		{"lpm", l3, l3Frames, l3Ports, TemplateLPM, func(dp tableDatapath) *valueSlots { return &dp.(*lpmTable).valueSlots },
+		{"lpm", l3, l3Frames, l3Ports, TemplateLPM, func(t *testing.T, _, live tableDatapath) {
+			vs := &live.(*lpmTable).valueSlots
+			if n := vs.used; n > live.Len()+2 {
+				t.Errorf("%d value slots for %d entries after %d add/delete pairs", n, live.Len(), pairs)
+			}
+			held := 0 // installed or retired
+			for i := range vs.used {
+				if vs.entry(uint32(i)) != nil {
+					held++
+				}
+			}
+			if held+len(vs.free) != vs.used {
+				t.Errorf("%d slots, %d held (%d of them retired) + %d free", vs.used, held, len(vs.retired), len(vs.free))
+			}
+		},
 			func(i int) *openflow.FlowEntry {
 				p := pkt.Packet{Data: l3Frames[i%7]}
 				pkt.ParseTo(&p, pkt.LayerL3)
 				return openflow.NewEntry(32, openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(p.Headers.IPDst), 32),
 					openflow.Apply(openflow.Output(uint32(1+i%8))))
 			}},
-		{"hash", l2, l2Frames, l2Ports, TemplateHash, func(dp tableDatapath) *valueSlots { return &dp.(*hashTable).valueSlots },
+		{"hash", l2, l2Frames, l2Ports, TemplateHash, func(t *testing.T, compiled, live tableDatapath) {
+			before, after := compiled.(*hashTable).index.MemoryFootprint(), live.(*hashTable).index.MemoryFootprint()
+			if live != compiled || after != before {
+				t.Errorf("the cuckoo table went from %d to %d B after %d add/delete pairs", before, after, pairs)
+			}
+			if n := live.(*hashTable).index.Len(); n != l2.Pipeline.Table(0).Len() {
+				t.Errorf("%d keys stored for %d entries", n, l2.Pipeline.Table(0).Len())
+			}
+		},
 			func(i int) *openflow.FlowEntry {
 				return openflow.NewEntry(100, openflow.NewMatch().Set(openflow.FieldEthDst, churnMAC(i)),
 					openflow.Apply(openflow.Output(uint32(1+i%4))))
@@ -811,7 +837,7 @@ func TestTemplateValueSlotsReused(t *testing.T) {
 			if k, _ := r.dp.TableTemplate(0); k != c.kind {
 				t.Fatalf("table 0 compiled to %s, want %s", k, c.kind)
 			}
-			rebuilds := r.dp.Rebuilds()
+			rebuilds, compiled := r.dp.Rebuilds(), r.dp.trampolines[0].load()
 			for i := 0; i < pairs; i++ {
 				if err := r.dp.AddFlow(0, c.entry(i)); err != nil {
 					t.Fatal(err)
@@ -825,20 +851,7 @@ func TestTemplateValueSlotsReused(t *testing.T) {
 			if got := r.dp.Rebuilds(); got != rebuilds {
 				t.Fatalf("%d rebuilds during the churn: it did not take the incremental path", got-rebuilds)
 			}
-			live := r.dp.trampolines[0].load()
-			vs := c.slots(live)
-			if n := vs.used; n > live.Len()+2 {
-				t.Errorf("%d value slots for %d entries after %d add/delete pairs", n, live.Len(), pairs)
-			}
-			held := 0 // installed or retired
-			for i := range vs.used {
-				if vs.entry(uint32(i)) != nil {
-					held++
-				}
-			}
-			if held+len(vs.free) != vs.used {
-				t.Errorf("%d slots, %d held (%d of them retired) + %d free", vs.used, held, len(vs.retired), len(vs.free))
-			}
+			c.check(t, compiled, r.dp.trampolines[0].load())
 			r.check("after churn", all)
 		})
 	}

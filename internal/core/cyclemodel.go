@@ -32,7 +32,7 @@ func (rs tableRegions) carve(m *cpumodel.Meter, id openflow.TableID, dp tableDat
 	maps.Copy(next, rs)
 	switch dp := dp.(type) {
 	case *hashTable:
-		next[id] = m.NewRegion("hash-table", dp.table.MemoryFootprint())
+		next[id] = m.NewRegion("hash-table", dp.index.MemoryFootprint())
 	case *lpmTable:
 		next[id] = m.NewRegion("lpm-table", dp.table.FirstLevelSize()*4+1<<20)
 	case *listTable:

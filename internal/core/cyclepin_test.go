@@ -32,10 +32,10 @@ var cyclePins = []cyclePin{
 	{"l2", 2542336, 16, 5212976, 5780},
 	{"l3", 3042172, 863, 7003207, 9226},
 	// Decompose has nothing to do on the load balancer: one hash stage.
-	{"loadbalancer", 2500876, 6, 6461317, 5705},
-	{"loadbalancer-decomposed", 2500876, 6, 6461317, 5705},
-	{"gateway", 3758375, 1305, 8404219, 15016},
-	{"l3-acl", 3632024, 1323, 5185115, 5833},
+	{"loadbalancer", 2501168, 8, 6461317, 5705},
+	{"loadbalancer-decomposed", 2501168, 8, 6461317, 5705},
+	{"gateway", 3754378, 1349, 8404219, 15016},
+	{"l3-acl", 3601718, 1211, 5185115, 5833},
 }
 
 // TestCycleModelPinned sends a fixed trace through every bundled use case on

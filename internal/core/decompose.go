@@ -2,6 +2,8 @@ package core
 
 import (
 	"cmp"
+	"maps"
+	"slices"
 
 	"eswitch/internal/openflow"
 )
@@ -140,8 +142,11 @@ func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options, 
 		p := best.field
 
 		// Step 3: one new table per distinct key, plus one for the
-		// wildcard path when any entry wildcards column p.
-		subTables := make(map[uint64]*openflow.FlowTable)
+		// wildcard path when any entry wildcards column p.  Keys are taken
+		// in ascending order, so the new tables' IDs, the dispatch entries
+		// and the recursion are the same from one run to the next.
+		keys := slices.Sorted(maps.Keys(best.keys))
+		subTables := make(map[uint64]*openflow.FlowTable, len(keys))
 		var wildTable *openflow.FlowTable
 		newTable := func(name string) *openflow.FlowTable {
 			nt := pl.AddTable(pl.NextFreeTableID())
@@ -155,9 +160,8 @@ func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options, 
 				wildTable = newTable(cur.Name + "/*")
 			}
 		}
-		for key := range best.keys {
+		for _, key := range keys {
 			subTables[key] = newTable(cur.Name + "/" + p.String())
-			_ = key
 		}
 
 		// Step 4: distribute the (stripped) entries.  When two original
@@ -185,8 +189,8 @@ func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options, 
 				addIfAbsent(subTables[v], stripped)
 			} else {
 				// Wildcard in column p: the rule applies on every path.
-				for _, st := range subTables {
-					addIfAbsent(st, derive(stripped))
+				for _, key := range keys {
+					addIfAbsent(subTables[key], derive(stripped))
 				}
 				if wildTable != nil {
 					addIfAbsent(wildTable, derive(stripped))
@@ -198,9 +202,9 @@ func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options, 
 		// matching under the column's uniform mask.
 		colMask := columnMask(cur, p)
 		dispatch := make([]*openflow.FlowEntry, 0, len(subTables)+1)
-		for key, st := range subTables {
+		for _, key := range keys {
 			m := openflow.NewMatch().SetMasked(p, key, colMask)
-			dispatch = append(dispatch, openflow.NewEntry(10, m, openflow.Goto(st.ID)))
+			dispatch = append(dispatch, openflow.NewEntry(10, m, openflow.Goto(subTables[key].ID)))
 		}
 		var catchAll *openflow.FlowEntry
 		if wildTable != nil {
@@ -215,8 +219,8 @@ func decomposeTable(pl *openflow.Pipeline, t *openflow.FlowTable, opts Options, 
 		}
 
 		// Recurse into the sub-tables.
-		for _, st := range subTables {
-			recurse(st)
+		for _, key := range keys {
+			recurse(subTables[key])
 		}
 		if wildTable != nil {
 			recurse(wildTable)

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"eswitch/internal/openflow"
 	"eswitch/internal/pkt"
+	"eswitch/internal/workload"
 )
 
 // fig5Table builds the flow table of Fig. 5a (reconstructed from the paper's
@@ -291,6 +293,31 @@ func TestDecomposedFlowModsFollowSource(t *testing.T) {
 			if !got.Equivalent(&want) {
 				t.Fatalf("after mod %d (%s): frame %d: datapath %s, interpreter over the source %s", mod, what, i, &got, &want)
 			}
+		}
+	}
+}
+
+// TestDecomposeIsDeterministic decomposes one ACL twice and requires the same
+// stages: the table IDs the decomposer hands out, their templates and their
+// entry counts.  Taking the column's keys in map order numbered the derived
+// tables differently from one run to the next.
+func TestDecomposeIsDeterministic(t *testing.T) {
+	stages := func() []TableStage {
+		opts := DefaultOptions()
+		opts.Decompose = true
+		dp, err := Compile(workload.ACLPipeline(workload.GenerateACLs(20, 11)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dp.DecomposedTables() == 0 {
+			t.Fatal("the ACL was not decomposed")
+		}
+		return dp.Stages()
+	}
+	first := stages()
+	for run := 1; run < 4; run++ {
+		if got := stages(); !slices.Equal(got, first) {
+			t.Fatalf("run %d decomposed to %v, run 0 to %v", run, got, first)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // datapath-wide snapshot pointer).  synchronize() waits until every
 // registered worker has passed a quiescent point (an Exit).  Only after that
 // grace period may the writer reuse what it unlinked — an LPM group, a hash
-// lane or a value slot a delete retired (update.go) — and a rebuilt pipeline
+// lane or an LPM value slot a delete retired (update.go) — and a rebuilt pipeline
 // is not reported installed before it (recompile).
 
 // WorkerEpoch is the per-worker epoch counter.  The counter is odd while the

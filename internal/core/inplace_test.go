@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"eswitch/internal/exacthash"
 	"eswitch/internal/openflow"
 	"eswitch/internal/pkt"
 )
@@ -27,6 +28,37 @@ const (
 
 func ipStation(j int) uint64 { return 0x020000f00000 + uint64(j) }
 
+// ipStationDst is the destination address of station j's frames.
+func ipStationDst(j int) pkt.IPv4 { return pkt.IPv4FromOctets(10, byte(j%8), byte(j/8), 70) }
+
+// stationKey is the match of table 0's keyed band in the in-place tests,
+// given a station's MAC and the destination address of its frames.
+type stationKey func(mac uint64, dst pkt.IPv4) *openflow.Match
+
+// ethDstKey is table 0's usual key: eth_dst, one word.
+func ethDstKey(mac uint64, _ pkt.IPv4) *openflow.Match {
+	return openflow.NewMatch().Set(openflow.FieldEthDst, mac)
+}
+
+// stationKeys are table 0's keys at each of the cuckoo table's widths: the
+// MAC alone, the MAC pair (every frame comes from MAC 9) and a five-tuple
+// (every frame is TCP from 10.9.9.9:1000 to port 80), whose three layout
+// words are stored in four.
+var stationKeys = []struct {
+	name  string
+	key   stationKey
+	width int
+}{
+	{"eth_dst", ethDstKey, 1},
+	{"eth_dst,eth_src", func(mac uint64, _ pkt.IPv4) *openflow.Match {
+		return openflow.NewMatch().Set(openflow.FieldEthDst, mac).Set(openflow.FieldEthSrc, 9)
+	}, 2},
+	{"five-tuple", func(_ uint64, dst pkt.IPv4) *openflow.Match {
+		return openflow.NewMatch().Set(openflow.FieldIPSrc, uint64(pkt.IPv4FromOctets(10, 9, 9, 9))).Set(openflow.FieldIPDst, uint64(dst)).
+			Set(openflow.FieldIPProto, 6).Set(openflow.FieldTCPSrc, 1000).Set(openflow.FieldTCPDst, 80)
+	}, 4},
+}
+
 func ipRoute(k int) (*openflow.Match, int, uint32) {
 	x, y := byte(k/2%8), byte(k%2)
 	if k < ipSlash24s {
@@ -35,10 +67,14 @@ func ipRoute(k int) (*openflow.Match, int, uint32) {
 	return openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(pkt.IPv4FromOctets(10, x, y, 64)), 26), 26, uint32(9 + k)
 }
 
-func ipPipeline() *openflow.Pipeline {
+func ipPipeline() *openflow.Pipeline { return ipPipelineKeyed(ethDstKey) }
+
+// ipPipelineKeyed is ipPipeline with table 0 keyed by key; its 32 standing
+// entries' addresses, 10.100.0.0/27, are no frame's.
+func ipPipelineKeyed(key stationKey) *openflow.Pipeline {
 	pl := openflow.NewPipeline(64)
 	for i := 0; i < 32; i++ {
-		pl.Table(0).AddFlow(100, openflow.NewMatch().Set(openflow.FieldEthDst, 0x020000000100+uint64(i)), openflow.Goto(1))
+		pl.Table(0).AddFlow(100, key(0x020000000100+uint64(i), pkt.IPv4FromOctets(10, 100, 0, byte(i))), openflow.Goto(1))
 	}
 	pl.Table(0).AddFlow(0, openflow.NewMatch(), openflow.Goto(1))
 	pl.AddTable(1)
@@ -54,12 +90,13 @@ func ipPipeline() *openflow.Pipeline {
 }
 
 // ipMod is the k-th flow-mod of the tests' seeded sequence, which toggles a
-// station or a route: present is the pipeline's state before it.
-func ipMod(rng *rand.Rand, present map[int]bool) (table openflow.TableID, e *openflow.FlowEntry, m *openflow.Match, prio int) {
+// station, keyed by key, or a route: present is the pipeline's state before
+// it.
+func ipMod(rng *rand.Rand, present map[int]bool, key stationKey) (table openflow.TableID, e *openflow.FlowEntry, m *openflow.Match, prio int) {
 	k := rng.Intn(ipStations + 2*ipSlash24s)
 	if k < ipStations {
 		table, prio = 0, 100
-		m = openflow.NewMatch().Set(openflow.FieldEthDst, ipStation(k))
+		m = key(ipStation(k), ipStationDst(k))
 		e = openflow.NewEntry(prio, m, openflow.Apply(openflow.Output(uint32(48+k))))
 	} else {
 		var port uint32
@@ -76,7 +113,8 @@ func ipMod(rng *rand.Rand, present map[int]bool) (table openflow.TableID, e *ope
 
 // TestInPlaceModsUnderTraffic runs two forwarding workers' bursts against a
 // writer that adds and deletes stations in the compound hash and /24 and /26
-// routes in the LPM table, applied in place.  Each table a packet visits
+// routes in the LPM table, applied in place, once for each of table 0's
+// stationKeys, so every key width of the cuckoo table takes the mods.  Each table a packet visits
 // must answer as the interpreter's does for that table before or after a mod
 // in flight: the verdict must be the interpreter's with table 0 at some state
 // s0 and table 1 at some state s1 >= s0 that the pipeline went through during
@@ -85,13 +123,19 @@ func ipMod(rng *rand.Rand, present map[int]bool) (table openflow.TableID, e *ope
 // group, key or value slot written after the word or tag that names it, or
 // reused before a grace period, races with the workers' loads.
 func TestInPlaceModsUnderTraffic(t *testing.T) {
+	for _, sk := range stationKeys {
+		t.Run(sk.name, func(t *testing.T) { inPlaceModsUnderTraffic(t, sk.key, sk.width) })
+	}
+}
+
+func inPlaceModsUnderTraffic(t *testing.T, key stationKey, width int) {
 	const mods = 2000
-	dp, err := Compile(ipPipeline(), DefaultOptions())
+	dp, err := Compile(ipPipelineKeyed(key), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k, _ := dp.TableTemplate(0); k != TemplateHash {
-		t.Fatalf("table 0 compiled to %v, want compound hash", k)
+	if h, ok := dp.trampolines[0].load().(*hashTable); !ok || h.gather.width() != width {
+		t.Fatalf("table 0 compiled to %T, want a compound hash of %d-word keys", dp.trampolines[0].load(), width)
 	}
 	if k, _ := dp.TableTemplate(1); k != TemplateLPM {
 		t.Fatalf("table 1 compiled to %v, want LPM", k)
@@ -103,7 +147,7 @@ func TestInPlaceModsUnderTraffic(t *testing.T) {
 			pkt.IPv4Opts{Src: pkt.IPv4FromOctets(10, 9, 9, 9), Dst: ip}, pkt.L4Opts{Src: 1000, Dst: 80})))
 	}
 	for j := 0; j < ipStations; j++ {
-		frame(ipStation(j), pkt.IPv4FromOctets(10, byte(j%8), byte(j/8), 70))
+		frame(ipStation(j), ipStationDst(j))
 	}
 	for x := byte(0); x < 8; x++ {
 		for y := byte(0); y < 3; y++ {
@@ -126,7 +170,7 @@ func TestInPlaceModsUnderTraffic(t *testing.T) {
 	oracle, routed := make([][]uint32, mods+1), make([][]uint32, mods+1)
 	{
 		rng, present := rand.New(rand.NewSource(52)), map[int]bool{}
-		pl, routes := ipPipeline(), ipPipeline() // routes: table 1's mods only
+		pl, routes := ipPipelineKeyed(key), ipPipelineKeyed(key) // routes: table 1's mods only
 		ports := func(pl *openflow.Pipeline) []uint32 {
 			in := openflow.NewInterpreter(pl)
 			out := make([]uint32, len(frames))
@@ -145,7 +189,7 @@ func TestInPlaceModsUnderTraffic(t *testing.T) {
 				break
 			}
 			m := &seq[s]
-			m.table, m.e, m.match, m.prio = ipMod(rng, present)
+			m.table, m.e, m.match, m.prio = ipMod(rng, present, key)
 			for _, p := range []*openflow.Pipeline{pl, routes} {
 				if p == routes && m.table == 0 {
 					continue
@@ -268,7 +312,7 @@ func TestInPlaceModsUnderTraffic(t *testing.T) {
 // TestRetiredHeldUntilGracePeriod holds the LPM and compound-hash templates
 // to their reuse rule.  A reader that loaded a word or tag before a delete
 // may still follow it, so until a grace period has passed no later mod may
-// rewrite the group or the value slot it names.  The test loads the word
+// rewrite the group, the value slot or the hash lane it names.  The test loads the word
 // itself and holds it across the writer's mods; each structure's grace-period
 // wait is replaced by a counter, and the held view is checked while the
 // structure's counter reads 0.
@@ -324,25 +368,37 @@ func TestRetiredHeldUntilGracePeriod(t *testing.T) {
 	t.Run("hash", func(t *testing.T) {
 		dp := compile(t)
 		h := dp.trampolines[0].load().(*hashTable)
-		var slots int
-		h.quiesce = func() { slots++ }
-		station := func(j int) *openflow.FlowEntry {
-			return openflow.NewEntry(100, openflow.NewMatch().Set(openflow.FieldEthDst, ipStation(j)), openflow.Apply(openflow.Output(uint32(48+j))))
+		var lanes int
+		h.publish(func() { lanes++ })
+		tbl := h.index.(*hash1)
+		// A one-word bucket is 64 bytes, beside its 8-byte tag word.
+		mask := uint64(tbl.MemoryFootprint()/72 - 1)
+		home := func(mac uint64) [2]uint64 {
+			h1, h2 := tbl.Hash(exacthash.Key1(mac))
+			return [2]uint64{min(h1&mask, h2&mask), max(h1&mask, h2&mask)}
 		}
-		add(t, dp, 0, station(0))
-		idx, _ := h.table.Lookup(h.gather.entry(station(0).Match)) // the held reader's tag and key
-		held := h.entry(idx)
+		station := func(mac uint64) *openflow.FlowEntry {
+			return openflow.NewEntry(100, openflow.NewMatch().Set(openflow.FieldEthDst, mac), openflow.Apply(openflow.Output(48)))
+		}
+		add(t, dp, 0, station(ipStation(0)))
+		v := h.index.Value(h.gather.entry(station(ipStation(0)).Match)) // the held reader's slot, found by its tag and key
+		held := v.Load()
 		if _, err := dp.DeleteFlow(0, held.entry.Match, held.entry.Priority); err != nil {
 			t.Fatal(err)
 		}
-		for j := 1; j < ipStations && slots == 0; j++ {
-			add(t, dp, 0, station(j))
-			if ce := h.entry(idx); slots == 0 && ce != held {
-				t.Fatal("the held value slot was rewritten without a grace period")
+		// Stations of the deleted one's two buckets fill them, until one
+		// finds no empty lane and reclaims the retired one.
+		for mac := ipStation(ipStations); lanes == 0 && mac < ipStation(ipStations)+1<<20; mac++ {
+			if home(mac) != home(ipStation(0)) {
+				continue
+			}
+			add(t, dp, 0, station(mac))
+			if ce := v.Load(); lanes == 0 && ce != held {
+				t.Fatal("the held lane was rewritten without a grace period")
 			}
 		}
-		if slots == 0 {
-			t.Fatal("no add needed the retired slot")
+		if lanes == 0 {
+			t.Fatal("no add needed the retired lane")
 		}
 	})
 }

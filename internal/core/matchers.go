@@ -222,10 +222,19 @@ func (g *keyGather) compatible(m *openflow.Match) bool {
 	return true
 }
 
+// width is the number of words the stage's key holds, as the cuckoo table
+// stores it: one, two or four (a three-word key is stored in four).  Key word
+// i of a one- or two-word key is layout word words[i] under its mask.
+func (g *keyGather) width() int {
+	if n := len(g.words); n <= 2 {
+		return n
+	}
+	return 4
+}
+
 // packet gathers a parsed packet's key, computing only the touched words: the
 // runtime half of the compound-hash template.
 func (g *keyGather) packet(p *pkt.Packet) hashKey {
-	h := &p.Headers
 	var k [4]uint64
 	for _, w := range g.words {
 		var v uint64
@@ -240,17 +249,62 @@ func (g *keyGather) packet(p *pkt.Packet) hashKey {
 			v = layoutWord3(p)
 		case 4:
 			v = layoutWord4(p)
-		case 5:
-			v = p.Metadata
-		case 6:
-			v = uint64(h.VLANPCP&7) | uint64(h.IPDSCP&0x3f)<<3 | uint64(h.IPECN&3)<<9 | uint64(h.TCPFlags&0xfff)<<11 |
-				uint64(h.ICMPType)<<23 | uint64(h.ICMPCode)<<31 | uint64(h.ARPOp)<<39
-		case 7:
-			v = uint64(h.ARPSPA)<<32 | uint64(h.ARPTPA)
+		default:
+			v = layoutWordRare(p, w.src)
 		}
 		k[w.dst&3] |= bits.RotateLeft64(v&w.mask, int(w.rot))
 	}
 	return hashKey{W0: k[0], W1: k[1], W2: k[2], W3: k[3]}
+}
+
+// layoutWordRare computes layout word 5, 6 or 7 of a parsed packet.
+func layoutWordRare(p *pkt.Packet, w uint8) uint64 {
+	h := &p.Headers
+	switch w {
+	case 5:
+		return p.Metadata
+	case 6:
+		return uint64(h.VLANPCP&7) | uint64(h.IPDSCP&0x3f)<<3 | uint64(h.IPECN&3)<<9 | uint64(h.TCPFlags&0xfff)<<11 |
+			uint64(h.ICMPType)<<23 | uint64(h.ICMPCode)<<31 | uint64(h.ARPOp)<<39
+	}
+	return uint64(h.ARPSPA)<<32 | uint64(h.ARPTPA)
+}
+
+// stage gathers the keys of a burst's staged packets, ps[gidx[j]] into
+// keys[j], one layout word at a time: the dispatch on the word is made once
+// per burst, and each word's loop reads its header fields straight through.
+// Only the key words the stage uses are read back.
+func (g *keyGather) stage(ps []*pkt.Packet, gidx []int32, keys [][4]uint64) {
+	clear(keys)
+	for _, w := range g.words {
+		d, mask, rot := w.dst&3, w.mask, int(w.rot)
+		switch w.src {
+		case 0:
+			for j, i := range gidx {
+				keys[j][d] |= bits.RotateLeft64(layoutWord0(ps[i])&mask, rot)
+			}
+		case 1:
+			for j, i := range gidx {
+				keys[j][d] |= bits.RotateLeft64(layoutWord1(ps[i])&mask, rot)
+			}
+		case 2:
+			for j, i := range gidx {
+				keys[j][d] |= bits.RotateLeft64(layoutWord2(ps[i])&mask, rot)
+			}
+		case 3:
+			for j, i := range gidx {
+				keys[j][d] |= bits.RotateLeft64(layoutWord3(ps[i])&mask, rot)
+			}
+		case 4:
+			for j, i := range gidx {
+				keys[j][d] |= bits.RotateLeft64(layoutWord4(ps[i])&mask, rot)
+			}
+		default:
+			for j, i := range gidx {
+				keys[j][d] |= bits.RotateLeft64(layoutWordRare(ps[i], w.src)&mask, rot)
+			}
+		}
+	}
 }
 
 // entry gathers the key of a compatible match from its field values placed

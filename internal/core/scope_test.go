@@ -102,9 +102,8 @@ func (r *scopeRig) walk(i int) []openflow.TableID {
 }
 
 // meteredTwin gives the rig its metered datapath, compiled from a copy of the
-// pipeline the mods name (decomposition numbers its tables differently from
-// one run to the next) and decomposed as the rig's is, so its walks visit as
-// many tables.  Each switch takes its pipeline over, and the twin follows the
+// pipeline the mods name and decomposed as the rig's is, so its walks visit
+// as many tables.  Each switch takes its pipeline over, and the twin follows the
 // rig's mods on its own copy.
 func (r *scopeRig) meteredTwin() {
 	r.t.Helper()

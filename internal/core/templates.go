@@ -126,13 +126,13 @@ func (d *directCode) Remove(match *openflow.Match, priority int) int {
 // Value slots
 // ---------------------------------------------------------------------------
 
-// valueSlots is the entry store behind the index a template's lookup
-// structure (the cuckoo table, DIR-24-8) resolves to.  A removed entry hands
-// its slot back to a later insert, so add/delete churn neither grows the
-// store nor keeps deleted entries reachable until the next full rebuild.
+// valueSlots is the LPM template's entry store, behind the index its DIR-24-8
+// structure resolves to.  A removed entry hands its slot back to a later
+// insert, so add/delete churn neither grows the store nor keeps deleted
+// entries reachable until the next full rebuild.
 //
 // Readers load the store, then the entry, atomically, and only after the
-// word or tag that named the slot: a slot is filled before any word names
+// word that named the slot: a slot is filled before any word names
 // it, and a grown store is published before its new slots are named.  A
 // released slot is retired, not freed: a reader that loaded the word before
 // the delete may still load the entry, so it is reused only after a grace
@@ -142,12 +142,7 @@ type valueSlots struct {
 	used    int      // slots handed out: the store's length in use
 	free    []uint32 // slots no reader can reach
 	retired []uint32 // slots released since the last grace period
-	// shared marks the slots whose key a second entry of the declarative
-	// table holds too, at another priority.  The lookup structure resolves a
-	// key to one slot, which serves the upper entry; the lower one exists
-	// only in the declarative table, so a template must not remove such a
-	// slot (removable) and the delete rebuilds the table instead.
-	shared map[uint32]struct{}
+	shared  keyShares[uint32]
 	// quiesce waits for a grace period; set when the table is published.
 	quiesce func()
 }
@@ -195,35 +190,43 @@ func (s *valueSlots) reclaim() {
 	s.retired = s.retired[:0]
 }
 
-// share takes a second entry under the key slot idx already serves: the
+// keyShares holds the keys that a second entry of the declarative table
+// holds too, at another priority.  The lookup structure resolves a key to
+// one entry slot (an LPM value slot, the pointer beside a compound-hash key),
+// which serves the upper entry; the lower one exists only in the declarative
+// table, so the template must not remove such a key (removable) and the
+// delete rebuilds the table instead.
+type keyShares[K comparable] map[K]struct{}
+
+// share takes a second entry under key k, whose slot s serves the first: the
 // higher priority of the two stays in the slot.
-func (s *valueSlots) share(idx uint32, ce *compiledEntry) {
-	if s.entry(idx).entry.Priority < ce.entry.Priority {
-		s.slot(idx).Store(ce)
+func (m *keyShares[K]) share(k K, s *atomic.Pointer[compiledEntry], ce *compiledEntry) {
+	if s.Load().entry.Priority < ce.entry.Priority {
+		s.Store(ce)
 	}
-	if s.shared == nil {
-		s.shared = make(map[uint32]struct{})
+	if *m == nil {
+		*m = make(keyShares[K])
 	}
-	s.shared[idx] = struct{}{}
+	(*m)[k] = struct{}{}
 }
 
-// removable reports whether slot idx holds the only entry under its key, and
+// removable reports whether slot s holds the only entry under key k, and
 // that entry has the given priority (any when negative).
-func (s *valueSlots) removable(idx uint32, priority int) bool {
-	_, shared := s.shared[idx]
-	return !shared && (priority < 0 || s.entry(idx).entry.Priority == priority)
+func (m keyShares[K]) removable(k K, s *atomic.Pointer[compiledEntry], priority int) bool {
+	_, shared := m[k]
+	return !shared && (priority < 0 || s.Load().entry.Priority == priority)
 }
 
-// swap puts ce in slot idx in place of the entry of its priority.  The lower
-// entry under a shared key lives only in the declarative table, so replacing
-// it leaves the slot as it is.
-func (s *valueSlots) swap(idx uint32, ce *compiledEntry) bool {
-	switch prio := s.entry(idx).entry.Priority; {
+// swap puts ce in key k's slot s in place of the entry of its priority.  The
+// lower entry under a shared key lives only in the declarative table, so
+// replacing it leaves the slot as it is.
+func (m keyShares[K]) swap(k K, s *atomic.Pointer[compiledEntry], ce *compiledEntry) bool {
+	switch prio := s.Load().entry.Priority; {
 	case prio == ce.entry.Priority:
-		s.slot(idx).Store(ce)
+		s.Store(ce)
 		return true
 	case prio > ce.entry.Priority:
-		_, shared := s.shared[idx]
+		_, shared := m[k]
 		return shared
 	}
 	return false
@@ -233,30 +236,56 @@ func (s *valueSlots) swap(idx uint32, ce *compiledEntry) bool {
 // Compound hash template
 // ---------------------------------------------------------------------------
 
+// The cuckoo table at each key width, its slots pointing at compiled entries.
+type (
+	hash1 = exacthash.Map1[compiledEntry]
+	hash2 = exacthash.Map2[compiledEntry]
+	hash4 = exacthash.Map4[compiledEntry]
+)
+
+// hashIndex is the write side of the cuckoo table, whatever its width: keys
+// arrive four words wide and the table keeps the words it stores.
+type hashIndex interface {
+	Value(hashKey) *atomic.Pointer[compiledEntry]
+	Insert(hashKey, *compiledEntry) bool
+	Delete(hashKey) bool
+	Len() int
+	Publish(quiesce func())
+	MemoryFootprint() int
+}
+
 // hashTable is the compound-hash flow-table template: all entries match the
 // same fields under the same ("global") masks, so classification is a single
 // exact-match lookup on the key gathered from the words of the key layout the
-// masks touch (keyGather, planned once per template).  The entries outside
-// that keyed band — a catch-all, say — form a short direct-code tail, all of
-// them below the band: a packet the probe misses, or one without the band's
-// protocols, runs the tail.
+// masks touch (keyGather, planned once per template).  The cuckoo table is
+// as wide as that key, one, two or four words, and stores each key's
+// compiled entry beside it.  The entries outside that keyed band — a
+// catch-all, say — form a short direct-code tail, all of them below the
+// band: a packet the probe misses, or one without the band's protocols, runs
+// the tail.
 type hashTable struct {
-	gather     keyGather
-	table      *exacthash.Table
-	valueSlots // indexed by the table's values
+	gather keyGather
+	// index is a *hash1, *hash2 or *hash4, as gather.width says; the
+	// lookups switch on its type.
+	index hashIndex
 	// tail is copied on write: a reader may be walking the one it loaded.
 	tail atomic.Pointer[directCode]
 	// prioLo is the lowest priority of the keyed entries inserted since the
 	// table was built (removals do not raise it): the tail must stay below
 	// it, or one hash lookup would not give priority order.
 	prioLo int
+	shared keyShares[hashKey]
 }
 
 func newHashTable(gather keyGather, sizeHint int, opts Options) *hashTable {
-	h := &hashTable{
-		gather: gather,
-		table:  exacthash.New(sizeHint),
-		prioLo: math.MaxInt,
+	h := &hashTable{gather: gather, prioLo: math.MaxInt}
+	switch gather.width() {
+	case 1:
+		h.index = exacthash.New1[compiledEntry](sizeHint)
+	case 2:
+		h.index = exacthash.New2[compiledEntry](sizeHint)
+	default:
+		h.index = exacthash.New4[compiledEntry](sizeHint)
 	}
 	h.tail.Store(&directCode{maxEntries: opts.DirectCodeMaxEntries})
 	return h
@@ -264,12 +293,9 @@ func newHashTable(gather keyGather, sizeHint int, opts Options) *hashTable {
 
 func (h *hashTable) Kind() TemplateKind { return TemplateHash }
 
-func (h *hashTable) Len() int { return h.table.Len() + h.tail.Load().Len() }
+func (h *hashTable) Len() int { return h.index.Len() + h.tail.Load().Len() }
 
-func (h *hashTable) publish(quiesce func()) {
-	h.table.Publish(quiesce)
-	h.quiesce = quiesce
-}
+func (h *hashTable) publish(quiesce func()) { h.index.Publish(quiesce) }
 
 // Lookup records the probe alone in st: the tail is part of the hash step.
 func (h *hashTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
@@ -280,11 +306,24 @@ func (h *hashTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 	if st != nil {
 		st.Examined, st.Offset = 1, key.W0^key.W1<<7^key.W2<<13^key.W3<<23
 	}
-	idx, ok := h.table.Lookup(key)
-	if !ok {
+	var ce *compiledEntry
+	switch t := h.index.(type) {
+	case *hash1:
+		k := exacthash.Key1(key.W0)
+		h1, h2 := t.Hash(k)
+		ce = t.LookupPrehashed(k, h1, h2)
+	case *hash2:
+		k := exacthash.Key2{W0: key.W0, W1: key.W1}
+		h1, h2 := t.Hash(k)
+		ce = t.LookupPrehashed(k, h1, h2)
+	case *hash4:
+		h1, h2 := t.Hash(key)
+		ce = t.LookupPrehashed(key, h1, h2)
+	}
+	if ce == nil {
 		return h.tail.Load().Lookup(p, nil)
 	}
-	return h.entry(idx)
+	return ce
 }
 
 // burstStageMin is the group size below which the batched templates fall
@@ -292,10 +331,11 @@ func (h *hashTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 // packets costs more than the overlap it buys.
 const burstStageMin = 8
 
-// LookupBurst classifies the burst in two software-pipelined passes: all
-// gathered keys are computed first, while the freshly parsed header material is
-// still hot, and then the exact-match table is probed for the whole burst so
-// the dependent bucket loads issue back to back.
+// LookupBurst classifies the burst in software-pipelined passes: it stages
+// the packets with the band's protocols (the rest run the tail), gathers
+// their keys a layout word at a time (keyGather.stage), hashes them at the
+// table's width, and then probes the table for the whole burst so the
+// dependent bucket loads issue back to back.  Probe misses run the tail.
 func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *burstScratch) {
 	if len(ps) < burstStageMin {
 		for i, p := range ps {
@@ -303,36 +343,46 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *bur
 		}
 		return
 	}
-	// Pass 1: gather and hash the keys of the whole burst while the freshly
-	// parsed header material is hot (the key is hashed straight out of
-	// registers); protocol misses run the tail immediately and stay out of
-	// the probe batch.
+	tail := h.tail.Load() // one tail for the burst: each packet sees it before or after a mod
 	nv := 0
 	for i, p := range ps {
 		if !p.Headers.Has(h.gather.proto) {
-			outs[i] = h.tail.Load().Lookup(p, nil)
+			outs[i] = tail.Lookup(p, nil)
 			continue
 		}
-		key := h.gather.packet(p)
-		sc.keys[nv] = key
-		sc.hash.H1[nv], sc.hash.H2[nv] = h.table.Hash(key)
 		sc.gidx[nv] = int32(i)
 		nv++
 	}
-	ident := nv == len(ps) // no protocol misses: group index is the identity
-	// Pass 2: probe the collision-free hash back to back, so the bucket
-	// loads of the burst overlap.
-	for j := 0; j < nv; j++ {
-		i := j
-		if !ident {
-			i = int(sc.gidx[j])
+	gidx, keys, h1s, h2s := sc.gidx[:nv], sc.keys[:nv], sc.hash.H1[:nv], sc.hash.H2[:nv]
+	h.gather.stage(ps, gidx, keys)
+	switch t := h.index.(type) {
+	case *hash1:
+		for j := range keys {
+			h1s[j], h2s[j] = t.Hash(exacthash.Key1(keys[j][0]))
 		}
-		idx, ok := h.table.LookupPrehashed(sc.keys[j], sc.hash.H1[j], sc.hash.H2[j])
-		if !ok {
-			outs[i] = h.tail.Load().Lookup(ps[i], nil)
-			continue
+		for j, i := range gidx {
+			outs[i] = t.LookupPrehashed(exacthash.Key1(keys[j][0]), h1s[j], h2s[j])
 		}
-		outs[i] = h.entry(idx) // loaded after the tag that named idx
+	case *hash2:
+		for j := range keys {
+			h1s[j], h2s[j] = t.Hash(exacthash.Key2{W0: keys[j][0], W1: keys[j][1]})
+		}
+		for j, i := range gidx {
+			outs[i] = t.LookupPrehashed(exacthash.Key2{W0: keys[j][0], W1: keys[j][1]}, h1s[j], h2s[j])
+		}
+	case *hash4:
+		for j, k := range keys {
+			h1s[j], h2s[j] = t.Hash(hashKey{W0: k[0], W1: k[1], W2: k[2], W3: k[3]})
+		}
+		for j, i := range gidx {
+			k := &keys[j]
+			outs[i] = t.LookupPrehashed(hashKey{W0: k[0], W1: k[1], W2: k[2], W3: k[3]}, h1s[j], h2s[j])
+		}
+	}
+	for _, i := range gidx {
+		if outs[i] == nil {
+			outs[i] = tail.Lookup(ps[i], nil)
+		}
 	}
 }
 
@@ -348,23 +398,19 @@ func (h *hashTable) CanInsert(e *openflow.FlowEntry) bool {
 }
 
 // Insert reports false when the cuckoo table, published, has no room for
-// the key in its two buckets; the caller then rebuilds the template.
+// the key in its two buckets; the caller then rebuilds the template.  A key
+// already stored takes the higher-priority entry of the two.
 func (h *hashTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	if !h.gather.compatible(e.Match) {
 		return h.editTail(func(t *directCode) bool { return t.Insert(e, ce) })
 	}
 	h.prioLo = min(h.prioLo, e.Priority)
 	key := h.gather.entry(e.Match)
-	if idx, ok := h.table.Lookup(key); ok {
-		h.share(idx, ce)
+	if v := h.index.Value(key); v != nil {
+		h.shared.share(key, v, ce)
 		return true
 	}
-	idx := h.put(ce)
-	if !h.table.Insert(key, idx) {
-		h.release(idx)
-		return false
-	}
-	return true
+	return h.index.Insert(key, ce)
 }
 
 func (h *hashTable) Remove(match *openflow.Match, priority int) int {
@@ -374,12 +420,10 @@ func (h *hashTable) Remove(match *openflow.Match, priority int) int {
 		return n
 	}
 	key := h.gather.entry(match)
-	idx, ok := h.table.Lookup(key)
-	if !ok || !h.removable(idx, priority) {
+	if v := h.index.Value(key); v == nil || !h.shared.removable(key, v, priority) {
 		return 0
 	}
-	h.table.Delete(key)
-	h.release(idx)
+	h.index.Delete(key)
 	return 1
 }
 
@@ -387,8 +431,9 @@ func (h *hashTable) Replace(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	if !h.gather.compatible(e.Match) {
 		return h.editTail(func(t *directCode) bool { return t.Replace(e, ce) })
 	}
-	idx, ok := h.table.Lookup(h.gather.entry(e.Match))
-	return ok && h.swap(idx, ce)
+	key := h.gather.entry(e.Match)
+	v := h.index.Value(key)
+	return v != nil && h.shared.swap(key, v, ce)
 }
 
 // editTail applies edit to a copy of the tail and publishes the copy when
@@ -549,7 +594,7 @@ func (l *lpmTable) Insert(e *openflow.FlowEntry, ce *compiledEntry) bool {
 	}
 	value, _, _ := e.Match.Get(l.field)
 	if idx, ok := l.table.Get(uint32(value), plen); ok {
-		l.share(idx, ce)
+		l.shared.share(idx, l.slot(idx), ce)
 		return true
 	}
 	l.table.Insert(uint32(value), plen, l.put(ce))
@@ -583,7 +628,7 @@ func (l *lpmTable) Remove(match *openflow.Match, priority int) int {
 		return 0
 	}
 	idx, ok := l.table.Get(addr, plen)
-	if !ok || !l.removable(idx, priority) {
+	if !ok || !l.shared.removable(idx, l.slot(idx), priority) {
 		return 0
 	}
 	l.table.Delete(addr, plen)
@@ -604,7 +649,7 @@ func (l *lpmTable) Replace(e *openflow.FlowEntry, ce *compiledEntry) bool {
 		return false
 	}
 	idx, ok := l.table.Get(addr, plen)
-	return ok && l.swap(idx, ce)
+	return ok && l.shared.swap(idx, l.slot(idx), ce)
 }
 
 // ---------------------------------------------------------------------------

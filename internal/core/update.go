@@ -15,15 +15,16 @@ import (
 //     on the published table.  Every store a reader can see is a single
 //     atomic word, made in an order that never exposes a half-built
 //     structure: a new LPM group is filled before the word that points at
-//     it, a hash key and value before the tag that names them, a value
-//     slot before the word or tag that indexes it.
-//   - What a delete unlinks (an LPM group, a hash lane, a value slot) is
-//     retired, not freed: a burst that loaded the old word may still read
-//     it.  It is reused only after epochs.synchronize, and a mod waits for
-//     that grace period only when it needs a resource and only retired
+//     it, a hash key and the pointer to its entry before the tag that names
+//     them, an LPM value slot before the word that indexes it.
+//   - What a delete unlinks (an LPM group, a hash lane, an LPM value slot)
+//     is retired, not freed: a burst that loaded the old word may still
+//     read it.  It is reused only after epochs.synchronize, and a mod waits
+//     for that grace period only when it needs a resource and only retired
 //     ones are left.
 //   - An entry replacement (same match and priority, new instructions)
-//     keeps its key, so the templates absorb it as one value-slot store.
+//     keeps its key, so the templates absorb it as one store: the entry
+//     pointer beside the hash key, or the LPM's value slot.
 //   - Everything else — a direct-code or linked-list table, a prerequisite
 //     violation, a key the cuckoo table has no empty lane for — rebuilds
 //     the table side by side and swaps it in through its trampoline with one

@@ -2,7 +2,6 @@ package exacthash
 
 import (
 	"fmt"
-	"maps"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -246,16 +245,34 @@ func TestTagCollisionsFallThrough(t *testing.T) {
 	}
 }
 
-// FuzzTableOps drives a table through a byte-coded sequence of inserts,
-// replacements, deletes, single lookups, batched lookups and grace periods
-// over keys from keyFamilies, and holds it to a Go map after every
+// FuzzTableOps drives a table of every key width through a byte-coded
+// sequence of inserts, replacements, deletes, single lookups, batched
+// lookups and grace periods over keys from keyFamilies (a narrower table
+// keeps their leading words), and holds it to a Go map after every
 // operation.  The first byte sizes the table small, so the sequences reach
 // the displacement walk and the re-seeding rebuild.  The first grace-period
 // op publishes the table, so later deletes retire lanes, later grace
 // periods reclaim them and inserts into full buckets reuse them or fail; a
-// failed insert rebuilds the table from the map and publishes it.
+// failed insert rebuilds the table from the map and publishes it.  The
+// four-word table is the 32-bit adapter, its batches go through LookupBatch.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 3, 0, 1, 4, 0, 0, 2, 0, 0, 3, 0, 1})
+	// Distinct MACs (family 0, distinct at every width) into the smallest
+	// table: displacement and a rebuild; then publish, delete eight (retired
+	// lanes), and insert until full buckets reclaim them and, with none
+	// left, an insert fails and the table is rebuilt off to the side.
+	walk := []byte{0}
+	for i := range 24 {
+		walk = append(walk, 0, 0, byte(i))
+	}
+	walk = append(walk, 5, 0, 0)
+	for i := range 8 {
+		walk = append(walk, 2, 0, byte(i))
+	}
+	for i := range 64 {
+		walk = append(walk, 0, 0, byte(100+i), 3, 0, byte(i))
+	}
+	f.Add(append(walk, 4, 0, 90, 5, 0, 0, 4, 0, 0))
 	rng := rand.New(rand.NewSource(30))
 	for _, size := range []int{64, 256} {
 		seed := make([]byte, size)
@@ -266,88 +283,150 @@ func FuzzTableOps(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		tbl := New(int(data[0] % 32))
-		ref := make(map[Key]uint32)
-		keyOf := func(fam, idx byte) Key {
-			return keyFamilies[int(fam)%len(keyFamilies)].key(int(idx))
+		t.Run("1", func(t *testing.T) {
+			tableOps(t, data, func(n int) opsTable[Key1] {
+				m := New1[uint32](n)
+				return opsTable[Key1]{table: &m.table, hash: m.Hash}
+			})
+		})
+		t.Run("2", func(t *testing.T) {
+			tableOps(t, data, func(n int) opsTable[Key2] {
+				m := New2[uint32](n)
+				return opsTable[Key2]{table: &m.table, hash: m.Hash}
+			})
+		})
+		t.Run("4", func(t *testing.T) {
+			tableOps(t, data, func(n int) opsTable[Key] {
+				m := New(n)
+				var sc BatchScratch
+				return opsTable[Key]{table: &m.table, hash: m.Hash, batch: func(keys []Key, values []uint32, hits []bool) {
+					m.LookupBatch(keys, values, hits, &sc)
+				}}
+			})
+		})
+	})
+}
+
+// opsTable is a table under FuzzTableOps: its width's Hash and, for the
+// adapter, its batched lookup.
+type opsTable[K key[K]] struct {
+	*table[K, uint32]
+	hash  func(K) (uint64, uint64)
+	batch func(keys []Key, values []uint32, hits []bool)
+}
+
+func tableOps[K key[K]](t *testing.T, data []byte, newTable func(n int) opsTable[K]) {
+	type stored struct {
+		w Key
+		v uint32
+	}
+	var z K
+	tbl := newTable(int(data[0] % 32))
+	ref := make(map[K]stored)
+	keyOf := func(fam, idx byte) Key {
+		return keyFamilies[int(fam)%len(keyFamilies)].key(int(idx))
+	}
+	lookup := func(w Key) (uint32, bool) {
+		k := z.of(w)
+		h1, h2 := tbl.hash(k)
+		if v := tbl.LookupPrehashed(k, h1, h2); v != nil {
+			return *v, true
 		}
-		check := func(k Key) {
-			got, ok := tbl.Lookup(k)
-			want, wantOK := ref[k]
-			if ok != wantOK || got != want {
-				t.Fatalf("lookup %v: got %d,%v want %d,%v", k, got, ok, want, wantOK)
-			}
+		return 0, false
+	}
+	check := func(w Key) {
+		got, ok := lookup(w)
+		want, wantOK := ref[z.of(w)]
+		if ok != wantOK || got != want.v {
+			t.Fatalf("lookup %v: got %d,%v want %d,%v", w, got, ok, want.v, wantOK)
 		}
-		// insert stores k; when a published table cannot place it, the
-		// table is rebuilt off to the side and published, as the
-		// compound-hash template's caller does.
-		insert := func(k Key, v uint32) {
-			_, stored := ref[k]
-			ref[k] = v
-			if tbl.Insert(k, v) {
-				return
-			}
-			if stored || tbl.quiesce == nil {
-				t.Fatalf("insert %v failed: stored %v, published %v", k, stored, tbl.quiesce != nil)
-			}
-			tbl = New(len(ref))
-			for k, v := range ref {
-				tbl.Insert(k, v)
-			}
-			tbl.Publish(func() {})
+	}
+	// insert stores w; when a published table cannot place it, the table is
+	// rebuilt off to the side and published, as the compound-hash
+	// template's caller does.
+	insert := func(w Key, v uint32) {
+		_, had := ref[z.of(w)]
+		ref[z.of(w)] = stored{w, v}
+		if tbl.Insert(w, &v) {
+			return
 		}
-		var sc BatchScratch
-		for i, ops := 0, data[1:]; len(ops) >= 3; i, ops = i+1, ops[3:] {
-			op, k := ops[0]%6, keyOf(ops[1], ops[2])
-			switch op {
-			case 0: // insert
-				insert(k, uint32(i))
-			case 1: // replace a stored key, or insert when the key is new
-				insert(k, uint32(i)|1<<31)
-			case 2:
-				_, had := ref[k]
-				if got := tbl.Delete(k); got != had {
-					t.Fatalf("delete %v: got %v want %v", k, got, had)
+		if had || tbl.quiesce == nil {
+			t.Fatalf("insert %v failed: stored %v, published %v", w, had, tbl.quiesce != nil)
+		}
+		tbl = newTable(len(ref))
+		for _, s := range ref {
+			tbl.Insert(s.w, &s.v)
+		}
+		tbl.Publish(func() {})
+	}
+	for i, ops := 0, data[1:]; len(ops) >= 3; i, ops = i+1, ops[3:] {
+		op, w := ops[0]%6, keyOf(ops[1], ops[2])
+		switch op {
+		case 0: // insert
+			insert(w, uint32(i))
+		case 1: // replace a stored key, or insert when the key is new
+			insert(w, uint32(i)|1<<31)
+		case 2:
+			_, had := ref[z.of(w)]
+			if got := tbl.Delete(w); got != had {
+				t.Fatalf("delete %v: got %v want %v", w, got, had)
+			}
+			delete(ref, z.of(w))
+		case 3:
+			check(w)
+		case 4: // a batch of neighbouring keys, some stored, some not
+			keys := make([]Key, 1+int(ops[2])%batchChunk*2)
+			for j := range keys {
+				keys[j] = keyOf(ops[1], ops[2]+byte(j))
+			}
+			values, hits := make([]uint32, len(keys)), make([]bool, len(keys))
+			if tbl.batch != nil {
+				tbl.batch(keys, values, hits)
+			} else {
+				// Hash every key first, then probe, as a burst does.
+				h1, h2 := make([]uint64, len(keys)), make([]uint64, len(keys))
+				for j, w := range keys {
+					h1[j], h2[j] = tbl.hash(z.of(w))
 				}
-				delete(ref, k)
-			case 3:
-				check(k)
-			case 4: // a batch of neighbouring keys, some stored, some not
-				keys := make([]Key, 1+int(ops[2])%batchChunk*2)
-				for j := range keys {
-					keys[j] = keyOf(ops[1], ops[2]+byte(j))
-				}
-				values, hits := make([]uint32, len(keys)), make([]bool, len(keys))
-				tbl.LookupBatch(keys, values, hits, &sc)
-				for j, k := range keys {
-					want, wantOK := ref[k]
-					if hits[j] != wantOK || values[j] != want && wantOK {
-						t.Fatalf("batch %v: got %d,%v want %d,%v", k, values[j], hits[j], want, wantOK)
+				for j, w := range keys {
+					if v := tbl.LookupPrehashed(z.of(w), h1[j], h2[j]); v != nil {
+						values[j], hits[j] = *v, true
 					}
 				}
-			case 5: // publish the table, or let a grace period pass
-				if tbl.quiesce == nil {
-					tbl.Publish(func() {})
-				} else {
-					tbl.reclaim()
+			}
+			for j, w := range keys {
+				want, wantOK := ref[z.of(w)]
+				if hits[j] != wantOK || values[j] != want.v && wantOK {
+					t.Fatalf("batch %v: got %d,%v want %d,%v", w, values[j], hits[j], want.v, wantOK)
 				}
 			}
-			if tbl.Len() != len(ref) {
-				t.Fatalf("op %d: len %d want %d", i, tbl.Len(), len(ref))
+		case 5: // publish the table, or let a grace period pass
+			if tbl.quiesce == nil {
+				tbl.Publish(func() {})
+			} else {
+				tbl.reclaim()
 			}
-			check(k)
 		}
-		seen := make(map[Key]uint32, len(ref))
-		tbl.forEach(func(k Key, v uint32) {
-			if _, dup := seen[k]; dup {
-				t.Fatalf("forEach visited %v twice", k)
-			}
-			seen[k] = v
-		})
-		if !maps.Equal(seen, ref) {
-			t.Fatalf("forEach saw %d entries, want %d", len(seen), len(ref))
+		if tbl.Len() != len(ref) {
+			t.Fatalf("op %d: len %d want %d", i, tbl.Len(), len(ref))
 		}
+		check(w)
+	}
+	seen := make(map[K]uint32, len(ref))
+	tbl.forEach(func(k K, v *uint32) {
+		if _, dup := seen[k]; dup {
+			t.Fatalf("forEach visited %v twice", k)
+		}
+		seen[k] = *v
 	})
+	if len(seen) != len(ref) {
+		t.Fatalf("forEach saw %d entries, want %d", len(seen), len(ref))
+	}
+	for k, s := range ref {
+		if v, ok := seen[k]; !ok || v != s.v {
+			t.Fatalf("forEach saw %v → %d,%v, want %d", k, v, ok, s.v)
+		}
+	}
 }
 
 func TestInsertLookupProperty(t *testing.T) {
@@ -481,8 +560,8 @@ func TestRetiredLaneHeldUntilGracePeriod(t *testing.T) {
 		for j := 0; j < 64 && graces == before; j++ {
 			tbl.Insert(Key{W0: splitmix(uint64(1000*victim + j)), W1: 1}, 1<<20)
 		}
-		if s := tbl.buckets[b].slots[i]; graces == before && (s.key != keys[victim] || s.value != uint32(victim)) {
-			t.Fatalf("key %d's slot was rewritten to %v without a grace period", victim, s)
+		if s := &tbl.buckets[b].slots[i]; graces == before && (s.key != keys[victim] || *s.value.Load() != uint32(victim)) {
+			t.Fatalf("key %d's slot was rewritten to %v, %d without a grace period", victim, s.key, *s.value.Load())
 		}
 		tbl.reclaim() // the reader has left
 	}
