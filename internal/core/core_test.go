@@ -7,9 +7,12 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"eswitch/internal/cpumodel"
 	"eswitch/internal/openflow"
@@ -768,11 +771,13 @@ func TestCatchAllInsertChecksPriorities(t *testing.T) {
 // per add and keep every deleted entry reachable), and every slot must be
 // held — by an entry or, retired, until the next grace period — or free.
 // The compound hash stores its entries beside their keys: its cuckoo table
-// must keep its size and hold exactly the live keys.  The datapath must
-// still agree with the interpreter on every frame, including the ones the
-// last churned entries catch.
+// must keep its size and hold exactly the live keys, and every deleted entry
+// but the last, which the lane it was retired from holds until the next
+// add, must be garbage.  The datapath must still agree with the interpreter
+// on every frame, including the ones the last churned entries catch.
 func TestTemplateValueSlotsReused(t *testing.T) {
 	const pairs = 5000
+	var freed atomic.Int64 // churned compiled entries the collector has freed
 	l3 := workload.L3UseCase(1000, 8, 2016)
 	l3Frames, l3Ports := traceFrames(l3, 64)
 	l2 := workload.L2UseCase(1000, 4)
@@ -795,6 +800,9 @@ func TestTemplateValueSlotsReused(t *testing.T) {
 		// destination (the RIB holds nothing longer than a /24), or a
 		// station the bridge does not know.
 		entry func(i int) *openflow.FlowEntry
+		// added, when set, is called with the table after each churned
+		// entry e is added.
+		added func(live tableDatapath, e *openflow.FlowEntry)
 	}{
 		{"lpm", l3, l3Frames, l3Ports, TemplateLPM, func(t *testing.T, _, live tableDatapath) {
 			vs := &live.(*lpmTable).valueSlots
@@ -816,7 +824,7 @@ func TestTemplateValueSlotsReused(t *testing.T) {
 				pkt.ParseTo(&p, pkt.LayerL3)
 				return openflow.NewEntry(32, openflow.NewMatch().SetPrefix(openflow.FieldIPDst, uint64(p.Headers.IPDst), 32),
 					openflow.Apply(openflow.Output(uint32(1+i%8))))
-			}},
+			}, nil},
 		{"hash", l2, l2Frames, l2Ports, TemplateHash, func(t *testing.T, compiled, live tableDatapath) {
 			before, after := compiled.(*hashTable).index.MemoryFootprint(), live.(*hashTable).index.MemoryFootprint()
 			if live != compiled || after != before {
@@ -825,10 +833,21 @@ func TestTemplateValueSlotsReused(t *testing.T) {
 			if n := live.(*hashTable).index.Len(); n != l2.Pipeline.Table(0).Len() {
 				t.Errorf("%d keys stored for %d entries", n, l2.Pipeline.Table(0).Len())
 			}
+			for try := 0; try < 100 && freed.Load() < pairs-2; try++ {
+				runtime.GC()
+				time.Sleep(time.Millisecond) // the finalizers run
+			}
+			if n := freed.Load(); n < pairs-2 {
+				t.Errorf("%d of %d deleted entries freed: the others are still reachable", n, pairs-1)
+			}
 		},
 			func(i int) *openflow.FlowEntry {
 				return openflow.NewEntry(100, openflow.NewMatch().Set(openflow.FieldEthDst, churnMAC(i)),
 					openflow.Apply(openflow.Output(uint32(1+i%4))))
+			},
+			func(live tableDatapath, e *openflow.FlowEntry) {
+				h := live.(*hashTable)
+				runtime.SetFinalizer(h.index.Value(h.gather.entry(e.Match)).Load(), func(*compiledEntry) { freed.Add(1) })
 			}},
 	}
 	for _, c := range cases {
@@ -839,8 +858,12 @@ func TestTemplateValueSlotsReused(t *testing.T) {
 			}
 			rebuilds, compiled := r.dp.Rebuilds(), r.dp.trampolines[0].load()
 			for i := 0; i < pairs; i++ {
-				if err := r.dp.AddFlow(0, c.entry(i)); err != nil {
+				e := c.entry(i)
+				if err := r.dp.AddFlow(0, e); err != nil {
 					t.Fatal(err)
+				}
+				if c.added != nil {
+					c.added(r.dp.trampolines[0].load(), e)
 				}
 				if i > 0 {
 					if n, err := r.dp.DeleteFlow(0, c.entry(i-1).Match, -1); n != 1 || err != nil {

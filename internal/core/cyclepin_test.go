@@ -35,7 +35,7 @@ var cyclePins = []cyclePin{
 	{"loadbalancer", 2501168, 8, 6461317, 5705},
 	{"loadbalancer-decomposed", 2501168, 8, 6461317, 5705},
 	{"gateway", 3754378, 1349, 8404219, 15016},
-	{"l3-acl", 3601718, 1211, 5185115, 5833},
+	{"l3-acl", 3628309, 1308, 5185115, 5833},
 }
 
 // TestCycleModelPinned sends a fixed trace through every bundled use case on

@@ -223,38 +223,13 @@ func (g *keyGather) compatible(m *openflow.Match) bool {
 }
 
 // width is the number of words the stage's key holds, as the cuckoo table
-// stores it: one, two or four (a three-word key is stored in four).  Key word
-// i of a one- or two-word key is layout word words[i] under its mask.
+// stores it: one, or four for a stage that touches more layout words.  A
+// one-word key is layout word words[0] under its mask.
 func (g *keyGather) width() int {
-	if n := len(g.words); n <= 2 {
-		return n
+	if len(g.words) <= 1 {
+		return 1
 	}
 	return 4
-}
-
-// packet gathers a parsed packet's key, computing only the touched words: the
-// runtime half of the compound-hash template.
-func (g *keyGather) packet(p *pkt.Packet) hashKey {
-	var k [4]uint64
-	for _, w := range g.words {
-		var v uint64
-		switch w.src {
-		case 0:
-			v = layoutWord0(p)
-		case 1:
-			v = layoutWord1(p)
-		case 2:
-			v = layoutWord2(p)
-		case 3:
-			v = layoutWord3(p)
-		case 4:
-			v = layoutWord4(p)
-		default:
-			v = layoutWordRare(p, w.src)
-		}
-		k[w.dst&3] |= bits.RotateLeft64(v&w.mask, int(w.rot))
-	}
-	return hashKey{W0: k[0], W1: k[1], W2: k[2], W3: k[3]}
 }
 
 // layoutWordRare computes layout word 5, 6 or 7 of a parsed packet.
@@ -305,6 +280,14 @@ func (g *keyGather) stage(ps []*pkt.Packet, gidx []int32, keys [][4]uint64) {
 			}
 		}
 	}
+}
+
+// packet gathers a parsed packet's key, computing only the touched words: the
+// runtime half of the compound-hash template, as a one-packet stage.
+func (g *keyGather) packet(p *pkt.Packet) hashKey {
+	var k [1][4]uint64
+	g.stage([]*pkt.Packet{p}, []int32{0}, k[:])
+	return hashKey{W0: k[0][0], W1: k[0][1], W2: k[0][2], W3: k[0][3]}
 }
 
 // entry gathers the key of a compatible match from its field values placed

@@ -239,7 +239,6 @@ func (m keyShares[K]) swap(k K, s *atomic.Pointer[compiledEntry], ce *compiledEn
 // The cuckoo table at each key width, its slots pointing at compiled entries.
 type (
 	hash1 = exacthash.Map1[compiledEntry]
-	hash2 = exacthash.Map2[compiledEntry]
 	hash4 = exacthash.Map4[compiledEntry]
 )
 
@@ -258,14 +257,14 @@ type hashIndex interface {
 // same fields under the same ("global") masks, so classification is a single
 // exact-match lookup on the key gathered from the words of the key layout the
 // masks touch (keyGather, planned once per template).  The cuckoo table is
-// as wide as that key, one, two or four words, and stores each key's
+// as wide as that key, one word or four, and stores each key's
 // compiled entry beside it.  The entries outside that keyed band — a
 // catch-all, say — form a short direct-code tail, all of them below the
 // band: a packet the probe misses, or one without the band's protocols, runs
 // the tail.
 type hashTable struct {
 	gather keyGather
-	// index is a *hash1, *hash2 or *hash4, as gather.width says; the
+	// index is a *hash1 or *hash4, as gather.width says; the
 	// lookups switch on its type.
 	index hashIndex
 	// tail is copied on write: a reader may be walking the one it loaded.
@@ -279,12 +278,9 @@ type hashTable struct {
 
 func newHashTable(gather keyGather, sizeHint int, opts Options) *hashTable {
 	h := &hashTable{gather: gather, prioLo: math.MaxInt}
-	switch gather.width() {
-	case 1:
+	if gather.width() == 1 {
 		h.index = exacthash.New1[compiledEntry](sizeHint)
-	case 2:
-		h.index = exacthash.New2[compiledEntry](sizeHint)
-	default:
+	} else {
 		h.index = exacthash.New4[compiledEntry](sizeHint)
 	}
 	h.tail.Store(&directCode{maxEntries: opts.DirectCodeMaxEntries})
@@ -298,32 +294,49 @@ func (h *hashTable) Len() int { return h.index.Len() + h.tail.Load().Len() }
 func (h *hashTable) publish(quiesce func()) { h.index.Publish(quiesce) }
 
 // Lookup records the probe alone in st: the tail is part of the hash step.
+// A probe miss runs the tail loaded before the probe, while no mod has
+// replaced it since: the probe and the tail then read one state of the
+// table, although the keyed band may change under the probe.  A replaced
+// tail could pair a miss from before a station's add with a catch-all from
+// after it, so the packet is probed again under the new tail.
 func (h *hashTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
-	if !p.Headers.Has(h.gather.proto) {
-		return h.tail.Load().Lookup(p, nil)
+	tail := h.tail.Load()
+	for {
+		if p.Headers.Has(h.gather.proto) {
+			key := h.gather.packet(p)
+			if st != nil {
+				st.Examined, st.Offset = 1, key.W0^key.W1<<7^key.W2<<13^key.W3<<23
+			}
+			var ce *compiledEntry
+			switch t := h.index.(type) {
+			case *hash1:
+				k := exacthash.Key1(key.W0)
+				h1, h2 := t.Hash(k)
+				ce = t.LookupPrehashed(k, h1, h2)
+			case *hash4:
+				h1, h2 := t.Hash(key)
+				ce = t.LookupPrehashed(key, h1, h2)
+			}
+			if ce != nil {
+				return ce
+			}
+		}
+		t := h.tail.Load()
+		if t == tail {
+			return tail.Lookup(p, nil)
+		}
+		tail = t
 	}
-	key := h.gather.packet(p)
-	if st != nil {
-		st.Examined, st.Offset = 1, key.W0^key.W1<<7^key.W2<<13^key.W3<<23
+}
+
+// miss answers a packet a burst's probe missed, as Lookup does: with tail,
+// the tail loaded before the probe, while no mod has replaced it since, or
+// by starting over.
+func (h *hashTable) miss(p *pkt.Packet, tail *directCode) *compiledEntry {
+	if h.tail.Load() == tail {
+		return tail.Lookup(p, nil)
 	}
-	var ce *compiledEntry
-	switch t := h.index.(type) {
-	case *hash1:
-		k := exacthash.Key1(key.W0)
-		h1, h2 := t.Hash(k)
-		ce = t.LookupPrehashed(k, h1, h2)
-	case *hash2:
-		k := exacthash.Key2{W0: key.W0, W1: key.W1}
-		h1, h2 := t.Hash(k)
-		ce = t.LookupPrehashed(k, h1, h2)
-	case *hash4:
-		h1, h2 := t.Hash(key)
-		ce = t.LookupPrehashed(key, h1, h2)
-	}
-	if ce == nil {
-		return h.tail.Load().Lookup(p, nil)
-	}
-	return ce
+	return h.Lookup(p, nil)
 }
 
 // burstStageMin is the group size below which the batched templates fall
@@ -332,10 +345,11 @@ func (h *hashTable) Lookup(p *pkt.Packet, st *TraceStep) *compiledEntry {
 const burstStageMin = 8
 
 // LookupBurst classifies the burst in software-pipelined passes: it stages
-// the packets with the band's protocols (the rest run the tail), gathers
-// their keys a layout word at a time (keyGather.stage), hashes them at the
-// table's width, and then probes the table for the whole burst so the
-// dependent bucket loads issue back to back.  Probe misses run the tail.
+// the packets with the band's protocols, gathers their keys a layout word at
+// a time (keyGather.stage), hashes them at the table's width, and then
+// probes the table for the whole burst so the dependent bucket loads issue
+// back to back.  Probe misses and the packets without the band's protocols
+// run the tail loaded before the probes (miss).
 func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *burstScratch) {
 	if len(ps) < burstStageMin {
 		for i, p := range ps {
@@ -343,15 +357,14 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *bur
 		}
 		return
 	}
-	tail := h.tail.Load() // one tail for the burst: each packet sees it before or after a mod
+	tail := h.tail.Load()
 	nv := 0
 	for i, p := range ps {
-		if !p.Headers.Has(h.gather.proto) {
-			outs[i] = tail.Lookup(p, nil)
-			continue
+		outs[i] = nil
+		if p.Headers.Has(h.gather.proto) {
+			sc.gidx[nv] = int32(i)
+			nv++
 		}
-		sc.gidx[nv] = int32(i)
-		nv++
 	}
 	gidx, keys, h1s, h2s := sc.gidx[:nv], sc.keys[:nv], sc.hash.H1[:nv], sc.hash.H2[:nv]
 	h.gather.stage(ps, gidx, keys)
@@ -363,15 +376,9 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *bur
 		for j, i := range gidx {
 			outs[i] = t.LookupPrehashed(exacthash.Key1(keys[j][0]), h1s[j], h2s[j])
 		}
-	case *hash2:
-		for j := range keys {
-			h1s[j], h2s[j] = t.Hash(exacthash.Key2{W0: keys[j][0], W1: keys[j][1]})
-		}
-		for j, i := range gidx {
-			outs[i] = t.LookupPrehashed(exacthash.Key2{W0: keys[j][0], W1: keys[j][1]}, h1s[j], h2s[j])
-		}
 	case *hash4:
-		for j, k := range keys {
+		for j := range keys {
+			k := &keys[j]
 			h1s[j], h2s[j] = t.Hash(hashKey{W0: k[0], W1: k[1], W2: k[2], W3: k[3]})
 		}
 		for j, i := range gidx {
@@ -379,9 +386,9 @@ func (h *hashTable) LookupBurst(ps []*pkt.Packet, outs []*compiledEntry, sc *bur
 			outs[i] = t.LookupPrehashed(hashKey{W0: k[0], W1: k[1], W2: k[2], W3: k[3]}, h1s[j], h2s[j])
 		}
 	}
-	for _, i := range gidx {
-		if outs[i] == nil {
-			outs[i] = tail.Lookup(ps[i], nil)
+	for i, ce := range outs[:len(ps)] {
+		if ce == nil {
+			outs[i] = h.miss(ps[i], tail)
 		}
 	}
 }

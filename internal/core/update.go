@@ -19,9 +19,11 @@ import (
 //     them, an LPM value slot before the word that indexes it.
 //   - What a delete unlinks (an LPM group, a hash lane, an LPM value slot)
 //     is retired, not freed: a burst that loaded the old word may still
-//     read it.  It is reused only after epochs.synchronize, and a mod waits
-//     for that grace period only when it needs a resource and only retired
-//     ones are left.
+//     read it.  It is reused only after epochs.synchronize.  An LPM mod
+//     waits for that grace period only when it needs a group or slot and
+//     only retired ones are left; the next hash insert waits for it whenever
+//     lanes are retired, and clears their entry pointers, so a deleted entry
+//     stays reachable only until then.
 //   - An entry replacement (same match and priority, new instructions)
 //     keeps its key, so the templates absorb it as one store: the entry
 //     pointer beside the hash key, or the LPM's value slot.

@@ -6,11 +6,11 @@
 // predictable lookup time exactly as the paper describes.
 //
 // The template's key holds the stage's fields and nothing else, so the table
-// comes in three key widths: one word (Map1), two (Map2) and four (Map4).  A
-// slot holds the key and, beside it, a pointer to its value, so a one-word
-// bucket is one 64-byte line and a hit reads no other store.  One generic
-// table carries the update protocol for every width; each width adds only
-// its hash, a concrete call its callers' probe loops inline.
+// comes in two key widths: one word (Map1) and four (Map4).  A slot holds
+// the key and, beside it, a pointer to its value, so a one-word bucket is
+// one 64-byte line and a hit reads no other store.  One generic table
+// carries the update protocol for every width; each width adds only its
+// hash, a concrete call its callers' probe loops inline.
 //
 // The table is a bucketized cuckoo hash with two buckets per key and four
 // slots per bucket, which bounds every lookup to two buckets.  A key is
@@ -36,13 +36,15 @@
 //   - readers load tag words and value pointers atomically;
 //   - an insert writes the key and the value pointer into an empty lane and
 //     then stores the tag word, so a reader that sees the tag sees both;
-//   - an insert whose two buckets have no empty lane reclaims retired lanes
-//     after a grace period and otherwise fails: no entry moves and the table
-//     is never rebuilt, so the caller rebuilds it off to the side;
 //   - a delete stores the retired marker in the lane and leaves the key and
 //     the pointer, so a reader that loaded the old tag word still compares
-//     the old key and loads its value; the lane is reused only after the
-//     grace period Publish was given.
+//     the old key and loads its value;
+//   - the next insert waits for the grace period Publish was given and then
+//     empties the retired lanes and clears their pointers, so a deleted value
+//     stays reachable only until the next insert;
+//   - an insert whose two buckets have no empty lane fails: no entry moves
+//     and the table is never rebuilt, so the caller rebuilds it off to the
+//     side.
 package exacthash
 
 import (
@@ -61,17 +63,12 @@ type Key struct {
 	W0, W1, W2, W3 uint64
 }
 
-// Key1 and Key2 are the one- and two-word tables' keys: Key's W0, and W0 and
-// W1.  (Key2 is a struct, not an array: Go passes a two-element array
-// through memory, a struct of two words in registers.)
-type (
-	Key1 uint64
-	Key2 struct{ W0, W1 uint64 }
-)
+// Key1 is the one-word table's key: Key's W0.
+type Key1 uint64
 
 // key is the constraint of the stored key types.
 type key[K any] interface {
-	Key1 | Key2 | Key
+	Key1 | Key
 	// hash returns the key's two bucket hashes under seed.
 	hash(seed uint64) (h1, h2 uint64)
 	// of returns the words of w a key of this width holds; the receiver is
@@ -103,14 +100,8 @@ func (k Key1) hash(seed uint64) (uint64, uint64) {
 	return h, bits.RotateLeft64(h, 32)
 }
 
-func (k Key2) hash(seed uint64) (uint64, uint64) {
-	h := mix64((k.W0^seed)*0x9e3779b97f4a7c15 ^ (k.W1^seed)*0xc2b2ae3d27d4eb4f)
-	return h, bits.RotateLeft64(h, 32)
-}
-
 func (Key) of(w Key) Key   { return w }
 func (Key1) of(w Key) Key1 { return Key1(w.W0) }
-func (Key2) of(w Key) Key2 { return Key2{w.W0, w.W1} }
 
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
@@ -189,26 +180,19 @@ type table[K key[K], V any] struct {
 	quiesce func()
 }
 
-// Map1, Map2 and Map4 are the table at one, two and four key words, with
-// values of type V.  Each adds its width's Hash; the generic table's own
-// calls to a key's hash are indirect, which is fine on the write side but
-// not in a probe loop.
+// Map1 and Map4 are the table at one and four key words, with values of
+// type V.  Each adds its width's Hash; the generic table's own calls to a
+// key's hash are indirect, which is fine on the write side but not in a
+// probe loop.
 type (
 	Map1[V any] struct{ table[Key1, V] }
-	Map2[V any] struct{ table[Key2, V] }
 	Map4[V any] struct{ table[Key, V] }
 )
 
-// New1, New2 and New4 return an empty table of their width pre-sized for
-// the given number of entries.
+// New1 and New4 return an empty table of their width pre-sized for the
+// given number of entries.
 func New1[V any](sizeHint int) *Map1[V] {
 	m := new(Map1[V])
-	m.reset(sizeHint)
-	return m
-}
-
-func New2[V any](sizeHint int) *Map2[V] {
-	m := new(Map2[V])
 	m.reset(sizeHint)
 	return m
 }
@@ -226,7 +210,6 @@ func New4[V any](sizeHint int) *Map4[V] {
 // their cache misses overlap (the software-pipelining trick of burst-mode
 // dataplanes).
 func (m *Map1[V]) Hash(k Key1) (h1, h2 uint64) { return k.hash(m.seed) }
-func (m *Map2[V]) Hash(k Key2) (h1, h2 uint64) { return k.hash(m.seed) }
 func (m *Map4[V]) Hash(k Key) (h1, h2 uint64)  { return k.hash(m.seed) }
 
 func (t *table[K, V]) reset(sizeHint int) {
@@ -321,9 +304,10 @@ func (t *table[K, V]) Value(w Key) *atomic.Pointer[V] {
 }
 
 // Insert stores v for the key's leading words, replacing the value of a
-// stored key.  On a published table it reports false, and changes nothing,
-// when neither of the key's buckets has an empty lane even after retired
-// lanes are reclaimed; an unpublished table places every key.
+// stored key.  On a published table a new key first reclaims the lanes
+// retired since the last grace period; the insert reports false, and stores
+// nothing, when neither of the key's buckets has an empty lane.  An
+// unpublished table places every key.
 func (t *table[K, V]) Insert(w Key, v *V) bool {
 	var z K
 	e := entry[K, V]{z.of(w), v}
@@ -339,11 +323,10 @@ func (t *table[K, V]) Insert(w Key, v *V) bool {
 			t.rebuild([]entry[K, V]{leftover}, len(t.buckets)*2)
 			return true
 		}
-	} else if _, ok := t.place(e, 0); !ok {
-		if len(t.retired) == 0 {
-			return false
+	} else {
+		if len(t.retired) > 0 {
+			t.reclaim()
 		}
-		t.reclaim()
 		if _, ok := t.place(e, 0); !ok {
 			return false
 		}
@@ -399,11 +382,13 @@ func (t *table[K, V]) place(cur entry[K, V], kicks int) (entry[K, V], bool) {
 	}
 }
 
-// reclaim waits for a grace period and empties the retired lanes.
+// reclaim waits for a grace period, empties the retired lanes and drops
+// their values.
 func (t *table[K, V]) reclaim() {
 	t.quiesce()
 	for _, l := range t.retired {
 		t.setLane(l>>2, int(l&3), 0)
+		t.buckets[l>>2].slots[l&3].value.Store(nil)
 	}
 	t.retired = t.retired[:0]
 }
@@ -452,9 +437,9 @@ func (t *table[K, V]) rebuild(extra []entry[K, V], minBuckets int) {
 }
 
 // Delete removes the key with w's leading words, reporting whether it was
-// present.  It leaves the key and its value pointer in the slot; on a
-// published table the lane is retired until the next grace period,
-// elsewhere it is empty at once.
+// present.  On a published table the lane is retired, its key and value
+// pointer left for the readers, until the next insert reclaims it; elsewhere
+// the lane is empty and the value dropped at once.
 func (t *table[K, V]) Delete(w Key) bool {
 	var z K
 	k := z.of(w)
@@ -468,6 +453,7 @@ func (t *table[K, V]) Delete(w Key) bool {
 		t.retired = append(t.retired, b<<2|uint64(i))
 	} else {
 		t.setLane(b, i, 0)
+		t.buckets[b].slots[i].value.Store(nil)
 	}
 	t.count.Add(-1)
 	return true
